@@ -10,9 +10,10 @@ merge-level costs computed arithmetically from the chunk lengths
 (:func:`repro.core.balanced_merge.merge_levels`).  The *real data plane* is
 flat: stable chunk sorts composed with the stable pairwise handler equal
 one stable sort of the whole block (ties resolve to original order either
-way), so the keys are produced by a single C-speed pass — one stable
-``argsort`` carrying the provenance permutation, or one stable ``np.sort``
-with no index arrays at all when ``track_perm`` is off.
+way), so the keys are produced by a single C-speed pass —
+:func:`~repro.core.packsort.stable_sort_with_order` carrying the provenance
+permutation, or one ``np.sort`` with no index arrays at all when
+``track_perm`` is off.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from ..pgxd.runtime import Machine
 from .balanced_merge import merge_levels, merge_levels_cost_seconds
-from .packsort import packed_stable_sort
+from .packsort import stable_sort_with_order
 
 
 @dataclass(frozen=True)
@@ -70,15 +71,9 @@ def parallel_quicksort(
         return LocalSortResult(keys.copy(), np.empty(0, dtype=np.int64), 0.0)
     chunk_slices = split_into_chunks(n, min(threads, n))
     if track_perm:
-        # Integer keys take the packed fast path (pack key+index, one
-        # vectorized sort, unpack) — bit-identical to the stable argsort
-        # it replaces; see repro.core.packsort.
-        fast = packed_stable_sort(keys)
-        if fast is not None:
-            sorted_keys, order = fast
-        else:
-            order = keys.argsort(kind="stable")
-            sorted_keys = keys[order]
+        # Packed fast path when the key codec fits, stable argsort otherwise
+        # — bit-identical either way; see repro.core.packsort.
+        sorted_keys, order, _path = stable_sort_with_order(keys)
         # int32 suffices: local indexes stay below 2^31 at any modeled
         # scale the paper uses, and halves the provenance footprint.
         perm = order.astype(np.int32)

@@ -82,6 +82,10 @@ class RankReport:
     #: None on fault-free runs — the key is then absent from the JSON, so
     #: golden report snapshots predating fault injection stay bit-identical.
     faults: dict[str, Any] | None = None
+    #: ``"stable"`` when this process-backend rank's step 1 ran the slow
+    #: stable-argsort fallback instead of the packed sort; None (key absent
+    #: from the JSON, like ``faults``) on the packed path and under simnet.
+    local_sort_path: str | None = None
 
 
 @dataclass
@@ -163,6 +167,7 @@ class RunReport:
                     peak_resident_bytes=proc.memory.peak_resident,
                     peak_temporary_bytes=proc.memory.peak_temporary,
                     faults=fault_stats if any(fault_stats.values()) else None,
+                    local_sort_path=proc.local_sort_path,
                 )
             )
         return cls(
@@ -239,6 +244,11 @@ class RunReport:
                     "peak_temporary_bytes": rr.peak_temporary_bytes,
                     # the faults key exists only on fault-injected runs
                     **({"faults": rr.faults} if rr.faults is not None else {}),
+                    **(
+                        {"local_sort_path": rr.local_sort_path}
+                        if rr.local_sort_path is not None
+                        else {}
+                    ),
                 }
                 for rr in self.ranks
             ],

@@ -290,6 +290,8 @@ class BackendRun:
                 m.barrier_wait_seconds = report.barrier_wait_seconds
                 m.memory.peak_resident = report.peak_rss_bytes
                 m.memory.peak_total = report.peak_rss_bytes
+                if report.local_sort_path == "stable":
+                    m.local_sort_path = "stable"
             else:
                 m.phase_seconds.update(out.step_seconds)
             m.bytes_sent = off_row * per_key

@@ -68,7 +68,7 @@ from multiprocessing.connection import Connection
 import numpy as np
 
 from ..core.investigator import compute_rank_cuts, slices_from_cuts
-from ..core.packsort import packed_stable_sort
+from ..core.packsort import stable_sort_with_order
 from ..core.sampling import sample_count, select_regular_samples
 from ..core.sorter import MASTER, STEP_LABELS, SortOptions
 from ..core.splitters import merge_samples, select_splitters
@@ -176,6 +176,11 @@ class WorkerReport:
     sample_fingerprint: str | None = None
     #: Job id echoed from the spec.
     job_id: int = 0
+    #: Which step-1 kernel carried the permutation: ``"packed"``, or
+    #: ``"stable"`` for the several-times-slower stable-argsort fallback
+    #: (:func:`~repro.core.packsort.stable_sort_with_order`).  ``None``
+    #: without provenance, where a plain ``np.sort`` runs instead.
+    local_sort_path: str | None = None
 
 
 class SegmentCache:
@@ -315,17 +320,13 @@ def _run_six_steps(
     _beat(STEP_LABELS[0], len(block))
     t0 = time.perf_counter()  # repro: noqa[R002] — real backend: measured step wall time is the product
     # ------------------------------------------------ step 1: local sort
-    # Same data plane as the simulated sorter's parallel_quicksort:
-    # packed fast path when the dtype allows, stable argsort otherwise
-    # (bit-identical either way), int32 permutation.
+    # Same kernel as the simulated sorter's parallel_quicksort (packed
+    # fast path or stable argsort, bit-identical either way), int32
+    # permutation.
     if track:
-        fast = packed_stable_sort(block)
-        if fast is not None:
-            sorted_keys, order = fast
-        else:
-            order = block.argsort(kind="stable")
-            sorted_keys = block[order]
+        sorted_keys, order, report.local_sort_path = stable_sort_with_order(block)
         perm = order.astype(np.int32)
+        del order  # 8 bytes/key that would otherwise sit under the step-6 peak
     else:
         sorted_keys = np.sort(block)
         perm = np.empty(0, dtype=np.int32)

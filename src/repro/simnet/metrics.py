@@ -83,6 +83,10 @@ class ProcessMetrics:
     messages_duplicated: int = 0
     #: True when the fault plan fail-stopped this rank.
     crashed: bool = False
+    #: ``"stable"`` when a process-backend rank ran step 1 on the slow
+    #: stable-argsort fallback (see ``WorkerReport.local_sort_path``);
+    #: None otherwise, and always None under simnet.
+    local_sort_path: str | None = None
 
     def record_compute(self, seconds: float, label: str | None) -> None:
         if label is None:

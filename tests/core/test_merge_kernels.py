@@ -145,7 +145,8 @@ class TestPackedStableSort:
         sorted_keys, order = result
         expected_order = keys.argsort(kind="stable")
         np.testing.assert_array_equal(order, expected_order)
-        np.testing.assert_array_equal(sorted_keys, keys[expected_order])
+        # Bytes, not values: -0.0 and NaN payloads must survive.
+        assert sorted_keys.tobytes() == keys[expected_order].tobytes()
         assert sorted_keys.dtype == keys.dtype
 
     def test_matches_stable_argsort_on_duplicates(self):
@@ -163,8 +164,42 @@ class TestPackedStableSort:
         self._assert_matches_stable(rng.integers(-100, 100, 2500).astype(np.int32))
 
     def test_fallback_on_non_integer_dtype(self):
-        assert packed_stable_sort(np.array([2.0, 1.0])) is None
-        assert packed_stable_sort(np.array([2, 1], dtype=np.uint64)) is None
+        # The key codec covers floats and unsigned ints whose coded range
+        # leaves room for the index bits ...
+        self._assert_matches_stable(np.array([2.0, 1.0]))
+        self._assert_matches_stable(np.array([2, 1], dtype=np.uint64))
+        self._assert_matches_stable(np.array([2.5, -0.0, np.nan, 0.0], dtype=np.float32))
+        # ... and still declines what has no codec or cannot fit.
+        rng = np.random.default_rng(10)
+        declined = [
+            rng.normal(size=64),  # full-mantissa float64
+            np.array([2**63, 1], dtype=np.uint64),
+            np.array([2.0, 1.0], dtype=np.float16),
+            np.array([2 + 1j, 1 + 0j]),
+            np.array(["2001-01-02", "2001-01-01"], dtype="datetime64[D]"),
+            np.array([True, False]),
+            np.array([2, 1], dtype=object),
+        ]
+        for keys in declined:
+            assert packed_stable_sort(keys) is None, keys.dtype
+
+    def test_strided_and_read_only_blocks(self):
+        # The codec reinterprets the key bytes, so views must stay safe:
+        # rank blocks are slices of a shared input and may be read-only.
+        rng = np.random.default_rng(11)
+        for dtype in (np.float64, np.float32, np.uint64, np.int64, np.int32):
+            values = np.floor(rng.normal(0, 50, 4001))
+            if np.dtype(dtype).kind == "u":
+                values = np.abs(values)
+            base = values.astype(dtype)
+            base[::97] = 0
+            strided = base[1::3]
+            assert not strided.flags.c_contiguous
+            self._assert_matches_stable(strided)
+            frozen = base.copy()
+            frozen.setflags(write=False)
+            self._assert_matches_stable(frozen)
+            np.testing.assert_array_equal(frozen, base)  # input untouched
 
     def test_fallback_on_key_magnitude_overflow(self):
         # Keys near int64 extremes leave no room for the index bits.

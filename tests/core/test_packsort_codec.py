@@ -1,0 +1,242 @@
+"""Generated-input coverage of the packsort key codec.
+
+Contract under test: for every dtype, ``packed_stable_sort(k)`` either
+declines (``None``) or returns exactly what ``k.argsort(kind="stable")`` +
+gather returns, byte for byte — and the codec itself is order- and
+tie-preserving.  Hypothesis runs derandomized with a small example cap so
+the whole module stays well under five seconds of tier-1.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.packsort import (
+    order_preserving_codes,
+    packed_stable_sort,
+    stable_sort_with_order,
+)
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64]
+UINT_DTYPES = [np.uint8, np.uint16, np.uint32, np.uint64]
+FLOAT_DTYPES = [np.float32, np.float64]
+
+#: float dtype → (same-width uint, sign bit, +inf bits, mantissa mask).
+FLOAT_BITS = {
+    np.float32: (np.uint32, 1 << 31, 0x7F80_0000, (1 << 23) - 1),
+    np.float64: (np.uint64, 1 << 63, 0x7FF0_0000_0000_0000, (1 << 52) - 1),
+}
+
+
+def _assert_none_or_stable(keys):
+    """The module contract; returns whether the packed path accepted."""
+    expected_order = keys.argsort(kind="stable")
+    expected_bytes = keys[expected_order].tobytes()
+    result = packed_stable_sort(keys)
+    sorted_keys, order, path = stable_sort_with_order(keys)
+    assert path == ("stable" if result is None else "packed")
+    np.testing.assert_array_equal(order, expected_order)
+    assert sorted_keys.tobytes() == expected_bytes
+    if result is None:
+        return False
+    sorted_keys, order = result
+    assert order.dtype == np.int64
+    np.testing.assert_array_equal(order, expected_order)
+    assert sorted_keys.dtype == keys.dtype
+    assert sorted_keys.tobytes() == expected_bytes
+    return True
+
+
+def _assert_codec_laws(keys):
+    codes = order_preserving_codes(keys)
+    assert codes is not None and codes.dtype.kind in "iu"
+    lt = keys[:, None] < keys[None, :]
+    eq = keys[:, None] == keys[None, :]
+    assert (codes[:, None] < codes[None, :])[lt].all()  # a < b  =>  code(a) < code(b)
+    assert (codes[:, None] == codes[None, :])[eq].all()  # a == b =>  code(a) == code(b)
+    if keys.dtype.kind == "f":
+        nan = np.isnan(keys)
+        if nan.any():  # one code for every NaN, above everything else
+            assert len(set(codes[nan].tolist())) == 1
+            assert (codes[~nan] < codes[nan][0]).all()
+
+
+# ------------------------------------------------------------- strategies
+
+
+def _int_elements(dtype):
+    info = np.iinfo(dtype)
+    nasty = {info.min, info.min + 1, -1, 0, 1, info.max - 1, info.max}
+    # n in [2, 64] gives shift 1..6: sit exactly on the headroom test.
+    for shift in range(1, 7):
+        limit = 1 << (62 - shift)
+        nasty.update({limit - 1, limit, -limit, -limit - 1})
+    nasty = sorted(v for v in nasty if info.min <= v <= info.max)
+    return st.one_of(
+        st.sampled_from(nasty),
+        st.integers(max(info.min, -3), min(info.max, 3)),  # tie-heavy
+        st.integers(int(info.min), int(info.max)),
+    )
+
+
+def _float_bit_elements(dtype, flavour):
+    """Bit patterns (python ints) for ``dtype``; ``flavour`` picks the bulk."""
+    uint_t, sign, inf, mantissa = FLOAT_BITS[dtype]
+    one = int(np.array(1.0, dtype).view(uint_t))
+    specials = [
+        0, sign,  # +0.0, -0.0
+        inf, sign | inf,  # +inf, -inf
+        inf | 1, inf | (mantissa + 1) >> 1, inf | mantissa,  # sNaN, qNaN, all-ones NaN
+        sign | inf | 1, sign | inf | (mantissa + 1) >> 1, sign | inf | mantissa,
+        1, sign | 1, mantissa, sign | mantissa,  # subnormals, both ends
+        one, sign | one,
+        inf - 1, sign | (inf - 1),  # ±max finite
+    ]
+
+    def from_value(v):
+        return int(np.array(v, dtype).view(uint_t))
+
+    bulk = {
+        "integral": st.integers(-(2**20), 2**20).map(from_value),
+        "float32-valued": st.integers(0, 2**32 - 1).map(
+            lambda b: int(np.array(b, np.uint32).view(np.float32).astype(dtype).view(uint_t))
+        ),
+        "raw": st.integers(0, 2 * sign - 1),
+    }[flavour]
+    return st.one_of(st.sampled_from(specials), bulk)
+
+
+def _draw_float_keys(data, dtype):
+    flavour = data.draw(st.sampled_from(["integral", "float32-valued", "raw"]))
+    bits = data.draw(st.lists(_float_bit_elements(dtype, flavour), max_size=64))
+    return np.array(bits, dtype=FLOAT_BITS[dtype][0]).view(dtype)
+
+
+# ------------------------------------------------------------ generated
+
+
+@pytest.mark.parametrize("dtype", INT_DTYPES + UINT_DTYPES)
+@SETTINGS
+@given(data=st.data())
+def test_int_keys_decline_or_match_stable_argsort(dtype, data):
+    values = data.draw(st.lists(_int_elements(dtype), max_size=64))
+    keys = np.array(values, dtype=dtype)
+    accepted = _assert_none_or_stable(keys)
+    if np.dtype(dtype).itemsize < 8 and len(keys) >= 2:
+        assert accepted  # narrow ints always pack
+    if len(keys):
+        _assert_codec_laws(keys)
+
+
+@pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+@SETTINGS
+@given(data=st.data())
+def test_float_keys_decline_or_match_stable_argsort(dtype, data):
+    keys = _draw_float_keys(data, dtype)
+    accepted = _assert_none_or_stable(keys)
+    if dtype is np.float32 and len(keys) >= 2:
+        assert accepted  # float32 always packs
+    if len(keys):
+        _assert_codec_laws(keys)
+
+
+# ------------------------------------------------- seeded nasty cases
+
+
+def _float_cases(dtype):
+    uint_t, sign, inf, mantissa = FLOAT_BITS[dtype]
+    quiet = (mantissa + 1) >> 1
+    nans = [inf | 1, inf | quiet, sign | inf | quiet | 5, sign | inf | mantissa]
+
+    def as_keys(bits):
+        return np.array(bits, dtype=uint_t).view(dtype)
+
+    return {
+        "signed-zeros": np.array([0.0, -0.0, -0.0, 0.0, 1.0, -1.0, -0.0], dtype=dtype),
+        "nans-both-signs-and-payloads": as_keys(
+            nans + [int(np.array(2.0, dtype).view(uint_t))] + nans[::-1] + [0]
+        ),
+        "infs": np.array([np.inf, 3.0, -np.inf, np.nan, -2.0, np.inf, -np.inf], dtype=dtype),
+        "n=2": np.array([2.0, -0.0], dtype=dtype),
+        "all-equal": np.full(9, -7.0, dtype=dtype),
+        "all-nan": as_keys(nans),
+        "all-zero-mixed-sign": np.array([-0.0, 0.0, -0.0], dtype=dtype),
+    }
+
+
+@pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+def test_seeded_float_cases_take_the_packed_path(dtype):
+    for name, keys in _float_cases(dtype).items():
+        assert _assert_none_or_stable(keys), name
+        _assert_codec_laws(keys)
+
+
+@pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+def test_subnormals_sort_correctly_on_either_path(dtype):
+    uint_t, sign, inf, mantissa = FLOAT_BITS[dtype]
+    bits = [1, sign | 1, mantissa, sign | mantissa, 0, sign, mantissa + 1, 2, sign | 2]
+    keys = np.array(bits, dtype=uint_t).view(dtype)
+    assert _assert_none_or_stable(keys)  # tiny codes: fits without stripping
+    _assert_codec_laws(keys)
+    # Next to ordinary magnitudes the low mantissa bits block the strip on
+    # float64; the contract then is a clean decline, never a wrong order.
+    mixed = np.concatenate([keys, np.array([1.0, -3.0, 1e30], dtype=dtype)])
+    assert _assert_none_or_stable(mixed) == (dtype is np.float32)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_int64_extremes(dtype):
+    info = np.iinfo(dtype)
+    keys = np.array([info.max, info.min, 0, info.max, info.min], dtype=dtype)
+    assert not _assert_none_or_stable(keys)  # no headroom: declines
+    _assert_codec_laws(keys)
+    small = np.array([5, 0, 5, 1, 0], dtype=dtype)
+    assert _assert_none_or_stable(small)
+    assert _assert_none_or_stable(np.array([7, 7], dtype=dtype))  # n = 2, all equal
+
+
+@pytest.mark.parametrize("n", [2, 4, 33])
+def test_headroom_boundary_is_exact(n):
+    limit = 1 << (62 - (n - 1).bit_length())
+
+    def int_keys(edge, dtype=np.int64):
+        return np.array([edge] + [0] * (n - 1), dtype=dtype)
+
+    assert _assert_none_or_stable(int_keys(limit - 1))
+    assert not _assert_none_or_stable(int_keys(limit))
+    assert _assert_none_or_stable(int_keys(-limit))
+    assert not _assert_none_or_stable(int_keys(-limit - 1))
+    assert _assert_none_or_stable(int_keys(limit - 1, np.uint64))
+    assert not _assert_none_or_stable(int_keys(limit, np.uint64))
+
+    # float64: the code of a non-negative float is its bit pattern.  An odd
+    # neighbour (the smallest subnormal, code 1) pins the common trailing
+    # zeros at none, so the plain range test decides.
+    def float_keys(code):
+        bits = [abs(code), 1] + [0] * (n - 2)
+        keys = np.array(bits, dtype=np.uint64).view(np.float64)
+        return -keys if code < 0 else keys
+
+    assert _assert_none_or_stable(float_keys(limit - 1))
+    assert not _assert_none_or_stable(float_keys(limit))
+    assert _assert_none_or_stable(float_keys(-limit))
+    assert not _assert_none_or_stable(float_keys(-limit - 1))
+    # Without the odd neighbour the same key strips down and packs.
+    strippable = np.array([limit] + [0] * (n - 1), dtype=np.uint64).view(np.float64)
+    assert _assert_none_or_stable(strippable)
+
+
+def test_integral_float64_block_packs_at_rank_block_scale():
+    # The ledger's big_fallback shape, scaled down: floor(Exp(2000)) keys.
+    rng = np.random.default_rng(12)
+    keys = np.floor(rng.exponential(2000, 50_000))
+    keys[::1000] = -0.0
+    keys[7::5000] = np.nan
+    keys[11::7000] = -np.inf
+    assert _assert_none_or_stable(keys)
+    # One full-mantissa key is enough to decline the block.
+    keys[3] = np.pi
+    assert not _assert_none_or_stable(keys)

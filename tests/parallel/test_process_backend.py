@@ -23,6 +23,15 @@ from repro.parallel import (
 GOLDEN_PATH = pathlib.Path(__file__).parents[1] / "golden" / "sim_golden_p16.json"
 
 
+def _integral_float64(rng, n):
+    """Integral float64 keys salted with -0.0, NaN (both signs) and ±inf."""
+    keys = np.floor(rng.exponential(2000, n)) * rng.choice([-1.0, 1.0], n)
+    keys[::5] = np.abs(keys[::5]) % 7  # duplicates and +0.0
+    for start, value in ((11, -0.0), (13, np.nan), (17, -np.nan), (19, np.inf), (23, -np.inf)):
+        keys[start::29] = value
+    return keys
+
+
 def _workloads(n=20_000, seed=7):
     rng = np.random.default_rng(seed)
     return {
@@ -33,6 +42,10 @@ def _workloads(n=20_000, seed=7):
         "empty": np.empty(0, dtype=np.int64),
         "float_keys": rng.normal(size=n),
         "uint32_keys": rng.integers(0, 1 << 31, n).astype(np.uint32),
+        # Newly on the packed step-1 path through the key codec.
+        "integral_float64": _integral_float64(rng, n),
+        "float32_keys": rng.normal(size=n).astype(np.float32),
+        "uint64_keys": rng.integers(0, 1 << 40, n).astype(np.uint64),
     }
 
 
@@ -40,7 +53,8 @@ def _assert_bit_identical(reference, run):
     for rank, out in enumerate(run.outputs):
         ref_keys = reference.per_processor[rank]
         assert out.keys.dtype == ref_keys.dtype
-        np.testing.assert_array_equal(out.keys, ref_keys)
+        # Bytes, not values: -0.0 vs +0.0 and NaN payloads must agree too.
+        assert out.keys.tobytes() == ref_keys.tobytes()
         ref_prov = reference.provenance[rank]
         assert out.provenance.origin_proc.dtype == ref_prov.origin_proc.dtype
         assert out.provenance.origin_index.dtype == ref_prov.origin_index.dtype
@@ -62,11 +76,12 @@ class TestOracleEquivalence:
         _assert_bit_identical(reference, run)
 
     def test_single_rank(self):
-        data = _workloads()["uniform"]
-        reference = local_sample_sort([data])
+        workloads = _workloads()
         with ProcessBackend() as backend:
-            run = backend.sort_blocks([data])
-        _assert_bit_identical(reference, run)
+            for name in ("uniform", "integral_float64", "float32_keys", "uint64_keys"):
+                data = workloads[name]
+                reference = local_sample_sort([data])
+                _assert_bit_identical(reference, backend.sort_blocks([data]))
 
     def test_without_provenance(self):
         data = _workloads()["duplicate_heavy"]
@@ -86,6 +101,30 @@ class TestOracleEquivalence:
         with ProcessBackend() as backend:
             run = backend.sort_blocks(blocks, options=options)
         _assert_bit_identical(reference, run)
+
+    def test_step1_path_is_reported_only_when_stable(self):
+        from repro.obs.report import RunReport
+
+        workloads = _workloads()
+        with ProcessBackend() as backend:
+            for name, path in (
+                ("integral_float64", "packed"),
+                ("float_keys", "stable"),  # full-mantissa float64 declines
+            ):
+                run = backend.sort_blocks(list(partition_input(workloads[name], 2)[0]))
+                assert [r.local_sort_path for r in run.reports] == [path] * 2
+                doc = RunReport.from_backend_run(run).to_json()
+                assert RunReport.from_json(doc).to_json() == doc
+                ranks = doc["ranks"]
+                if path == "stable":
+                    assert [r["local_sort_path"] for r in ranks] == ["stable"] * 2
+                else:  # key absent: the golden report schema does not move
+                    assert all("local_sort_path" not in r for r in ranks)
+            options = SortOptions(track_provenance=False)
+            run = backend.sort_blocks(
+                list(partition_input(workloads["float_keys"], 2)[0]), options=options
+            )
+            assert [r.local_sort_path for r in run.reports] == [None] * 2
 
     def test_arena_pools_across_sorts(self):
         blocks = list(partition_input(_workloads()["uniform"], 4)[0])
@@ -118,6 +157,29 @@ class TestSimnetEquivalence:
             )
         np.testing.assert_array_equal(sim.counts_matrix, real.counts_matrix)
         assert real.is_globally_sorted()
+
+    @pytest.mark.parametrize(
+        "name", ["integral_float64", "float32_keys", "uint64_keys"]
+    )
+    def test_codec_dtypes_match_the_oracle_on_simnet(self, name):
+        # Same arrays as the process-backend rows above, through simnet's
+        # step 1 (core/local_sort.py), against the literal-argsort oracle.
+        data = _workloads()[name]
+        p = 4
+        reference = local_sample_sort(list(partition_input(data, p)[0]))
+        sim = DistributedSorter(num_processors=p).sort(data)
+        for rank in range(p):
+            assert sim.per_processor[rank].dtype == data.dtype
+            assert (
+                sim.per_processor[rank].tobytes()
+                == reference.per_processor[rank].tobytes()
+            )
+            np.testing.assert_array_equal(
+                sim.provenance[rank].origin_proc, reference.provenance[rank].origin_proc
+            )
+            np.testing.assert_array_equal(
+                sim.provenance[rank].origin_index, reference.provenance[rank].origin_index
+            )
 
     def test_matches_golden_p16_fingerprint(self):
         """The committed simnet golden digests pin the process backend too."""
