@@ -5,10 +5,12 @@ so regressions in the event loop show up in benchmark history.  The
 workload is a message-heavy all-to-all ping storm across 16 ranks.
 
 Run as a script for a human-readable table; pass ``--json`` to also emit
-the measurement as machine-readable JSON (the same record the perf harness
-in ``benchmarks/perf/`` stores in ``BENCH_sim.json``)::
+the measurement as machine-readable JSON::
 
     PYTHONPATH=src python benchmarks/bench_simulator_throughput.py --json -
+
+The perf ledger imports :func:`measure_ping_storm` for its
+``simnet.events_per_s`` layer metric (``benchmarks/ledger/layers.py``).
 """
 
 import argparse

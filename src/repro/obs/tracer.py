@@ -7,7 +7,7 @@ of recording methods the hot paths invoke.  Design constraints:
   local once per run and guards every recording site with
   ``if tracer is not None`` — identical discipline to the pre-existing
   string-trace flag, so the tracer-off path stays on the PR-1 fast path
-  (enforced by the <2% gate in ``benchmarks/perf/check_regression.py``).
+  (the perf ledger's ``trace.overhead_ratio`` measures what arming it costs).
 * **Enabled cost is one method call + one dataclass append** per event; no
   string formatting happens at record time (the exporter renders labels).
 * **No virtual-time side effects.**  Recording never touches the clock,

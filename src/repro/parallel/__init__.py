@@ -16,9 +16,9 @@ Layout:
   six steps, the zero-copy shm all-to-all exchange, the warm segment
   cache, and the splitter-cache probe protocol;
 * :mod:`repro.parallel.backend` — the backend abstraction
-  (:class:`ProcessBackend` — since PR 9 a persistent worker pool with a
-  :class:`~repro.parallel.backend.SplitterCache` —
-  :class:`SimnetBackend`, ambient selection by name or instance);
+  (:class:`ProcessBackend` — a persistent worker pool with a
+  :class:`~repro.parallel.backend.SplitterCache` — and ambient
+  selection by name or instance);
 * :mod:`repro.parallel.chaos` — deterministic process-level fault
   injection (:class:`RealFaultPlan`: seeded kills, hangs, reply delay
   spikes, heartbeat muting, slow ranks) mirroring the simnet
@@ -53,10 +53,8 @@ from .backend import (
     ProcessBackend,
     ProcessRunHandle,
     RetryPolicy,
-    SimnetBackend,
     SplitterCache,
     default_backend,
-    get_backend,
     resolve_backend,
     set_default_backend,
     use_backend,
@@ -117,7 +115,6 @@ __all__ = [
     "ShmLease",
     "ShmSan",
     "ShmSanReport",
-    "SimnetBackend",
     "SplitterCache",
     "WorkerCrashedError",
     "WorkerFailedError",
@@ -131,7 +128,6 @@ __all__ = [
     "default_backend",
     "estimate_clock_offset",
     "exchange_layout",
-    "get_backend",
     "inject_real_faults",
     "kill_one_per_job",
     "merge_worker_traces",

@@ -70,9 +70,6 @@ BACKENDS = ("simnet", "process")
 
 _default_backend: "str | ExecutionBackend" = "simnet"
 
-#: Per-call sentinel: "use the backend's configured default".
-_UNSET = object()
-
 
 def default_backend() -> "str | ExecutionBackend":
     """The ambient backend used when a SortConfig does not pick one.
@@ -203,13 +200,13 @@ class BackendRun:
     wall_seconds: float
     #: Max over workers of in-step wall seconds (excludes spawn overhead).
     worker_seconds: float
-    #: Per-rank worker reports (process backend only; None from simnet) —
+    #: Per-rank worker reports (None from a backend that has none) —
     #: carry the measured waits, peak RSS, and optional trace payloads.
     reports: list[WorkerReport] | None = None
     #: Pool job id (0 on non-pooled backends).
     job_id: int = 0
     #: Splitter-cache verdict for this job (``cold``/``hit``/``miss``/
-    #: ``fallback-balance``/``fallback-forced``; None from simnet).
+    #: ``fallback-balance``/``fallback-forced``; None without a cache).
     splitter_cache: str | None = None
     #: Failed attempts the retry layer burned before this run succeeded
     #: (0 on the fault-free path, which keeps reports bit-identical).
@@ -252,8 +249,8 @@ class BackendRun:
         each step's compute is its wall minus the blocking time the worker
         clocked inside collectives during that step, the recv/barrier wait
         totals are the worker's own, and peak resident memory is the
-        worker process's real ``ru_maxrss``.  Without reports (the simnet
-        adapter) step walls stand in for compute and waits stay zero.
+        worker process's real ``ru_maxrss``.  Without reports, step
+        walls stand in for compute and waits stay zero.
         """
         from ..simnet.metrics import ClusterMetrics, ProcessMetrics
 
@@ -391,9 +388,9 @@ class ProcessBackend:
     segments and the workers cache their attachments), and, when the
     :class:`SplitterCache` recognizes a job's distribution fingerprint,
     no splitter selection either.  Use as a context manager (or call
-    :meth:`close`) to shut the workers down and unlink the arena;
-    ``persistent=False`` restores the pre-PR-9 spawn-per-sort behaviour
-    (the pool is torn down after every job).
+    :meth:`close`) to shut the workers down and unlink the arena; a
+    one-shot caller gets per-sort teardown from
+    ``with ProcessBackend() as backend:``.
 
     Crash policy: a worker death or failure *poisons the generation* —
     survivors may be wedged mid-collective with stale replies queued, so
@@ -426,15 +423,11 @@ class ProcessBackend:
         start_method: str | None = None,
         timeout_seconds: float = 120.0,
         phase_timeout_seconds: float | None = None,
-        crash_rank: int | None = None,
-        crash_stage: str = "start",
         progress: ProgressFn | None = None,
         sanitize: "ShmSan | bool | None" = None,
         mutate: str | None = None,
         mutate_rank: int = 1,
-        persistent: bool = True,
         splitter_cache: "SplitterCache | bool" = True,
-        force_resample: bool = False,
         cache_balance_tolerance: float = 2.0,
         chaos: RealFaultPlan | None = None,
         retry: "RetryPolicy | bool | None" = None,
@@ -463,8 +456,6 @@ class ProcessBackend:
         else:
             self._retry = retry
         self._retry_explicit = retry is not None
-        self._crash_rank = crash_rank
-        self._crash_stage = crash_stage
         #: Live heartbeat sink ``(rank, step, rows)``; an explicit argument
         #: wins over the ambient :func:`~repro.parallel.tracing.use_progress`.
         self._progress = progress
@@ -484,16 +475,12 @@ class ProcessBackend:
             self.sanitizer = None
         self._follow_ambient_san = sanitize is None
         self.arena = SharedArena()
-        #: Keep workers alive between sorts (the pool); False = tear the
-        #: generation down after every job (spawn-per-sort).
-        self.persistent = persistent
         if isinstance(splitter_cache, SplitterCache):
             self.splitter_cache: SplitterCache | None = splitter_cache
         elif splitter_cache:
             self.splitter_cache = SplitterCache()
         else:
             self.splitter_cache = None
-        self._force_resample = force_resample
         self._cache_balance_tolerance = cache_balance_tolerance
         # ------------------------------------------------- pool state
         self._procs: list = []
@@ -533,7 +520,7 @@ class ProcessBackend:
 
     @property
     def stats(self) -> dict:
-        """Pool + cache counters for observability and the perf harness."""
+        """Pool + cache counters for observability and the perf ledger."""
         return {
             "pool_spawns": self.pool_spawns,
             "respawns": self.respawns,
@@ -646,20 +633,17 @@ class ProcessBackend:
         options: SortOptions | None = None,
         config: PgxdConfig | None = None,
         *,
-        crash_rank=_UNSET,
-        crash_stage=_UNSET,
-        force_resample=_UNSET,
+        force_resample: bool = False,
     ) -> BackendRun:
         """Sort already-partitioned blocks, one pooled worker per block.
 
         Same conventions as :func:`repro.core.local_backend.local_sample_sort`
         (ascending across ranks, provenance per element) — and the same
-        bits, which the equivalence tests assert.  On a persistent
-        backend this is one *job*: dispatch the spec to the warm pool,
-        serve its control plane, collect.  The keyword-only hooks
-        override the constructor-level test knobs for this job alone
-        (how the crash-mid-stream and cache-fallback tests steer a
-        single job without rebuilding the pool).
+        bits, which the equivalence tests assert.  This is one *job*:
+        dispatch the spec to the warm pool, serve its control plane,
+        collect.  ``force_resample`` makes this job alone ignore the
+        splitter cache (how the cache-fallback tests steer a single job
+        without rebuilding the pool).
 
         With a chaos plan active (constructor ``chaos=`` or the ambient
         :func:`~repro.parallel.chaos.inject_real_faults` scope) and/or a
@@ -677,15 +661,6 @@ class ProcessBackend:
                 "sort_blocks on a closed ProcessBackend; pools are retired "
                 "by close()/__exit__ and cannot be revived"
             )
-        job_crash_rank = (
-            self._crash_rank if crash_rank is _UNSET else crash_rank
-        )
-        job_crash_stage = (
-            self._crash_stage if crash_stage is _UNSET else crash_stage
-        )
-        job_force_resample = (
-            self._force_resample if force_resample is _UNSET else force_resample
-        )
         if len(blocks) == 0:
             raise ValueError("need at least one block")
         blocks = [np.ascontiguousarray(b) for b in blocks]
@@ -718,9 +693,7 @@ class ProcessBackend:
                     attempt=0,
                     chaos=chaos,
                     rank_ids=None,
-                    crash_rank=job_crash_rank,
-                    crash_stage=job_crash_stage,
-                    force_resample=job_force_resample,
+                    force_resample=force_resample,
                 )
             return self._run_with_retry(
                 blocks,
@@ -729,9 +702,7 @@ class ProcessBackend:
                 job_id=job_id,
                 policy=policy,
                 chaos=chaos,
-                crash_rank=job_crash_rank,
-                crash_stage=job_crash_stage,
-                force_resample=job_force_resample,
+                force_resample=force_resample,
             )
         except ParallelBackendError as exc:
             # Every failure leaves here stamped with the job it belongs
@@ -753,17 +724,15 @@ class ProcessBackend:
         attempt: int,
         chaos: "RealFaultPlan | None",
         rank_ids: tuple[int, ...] | None,
-        crash_rank: int | None,
-        crash_stage: str,
         force_resample: bool,
         prior_attempts: tuple = (),
     ) -> BackendRun:
         """One attempt: stage input, dispatch, serve, collect.
 
         ``rank_ids`` maps job slots back to original rank identities for
-        degraded (survivor-width) rounds — chaos schedules and crash
-        hooks always address original ranks, so the mapping rides on the
-        JobSpec and the worker looks itself up before arming chaos.
+        degraded (survivor-width) rounds — chaos schedules always
+        address original ranks, so the mapping rides on the JobSpec and
+        the worker looks itself up before arming chaos.
         """
         size = len(blocks)
         key_dtype = blocks[0].dtype
@@ -831,8 +800,6 @@ class ProcessBackend:
             proc_lease=proc_lease,
             options=options,
             config=config,
-            crash_rank=crash_rank,
-            crash_stage=crash_stage,
             trace=cap is not None,
             sanitize=san is not None,
             mutate=self._mutate,
@@ -907,8 +874,6 @@ class ProcessBackend:
                         input_lease, 0, 1, "r", "stale-input-probe",
                         when="after",
                     )
-            if not self.persistent:
-                self._teardown_pool(graceful=True)
         run.job_id = spec.job_id
         master_report = run.reports[0] if run.reports else None
         if master_report is not None:
@@ -960,8 +925,6 @@ class ProcessBackend:
         job_id: int,
         policy: RetryPolicy,
         chaos: "RealFaultPlan | None",
-        crash_rank: int | None,
-        crash_stage: str,
         force_resample: bool,
     ) -> BackendRun:
         """Run one job to completion under the retry/degradation policy.
@@ -988,7 +951,6 @@ class ProcessBackend:
                 job_blocks: Sequence[np.ndarray] = blocks
                 rank_ids: tuple[int, ...] | None = None
                 round_offsets = None
-                round_crash_rank = crash_rank
             else:
                 # Survivor re-plan: concatenate the ORIGINAL input and
                 # re-partition over the reduced width, exactly like a
@@ -1002,13 +964,6 @@ class ProcessBackend:
                 )
                 job_blocks = [np.ascontiguousarray(b) for b in job_blocks]
                 rank_ids = tuple(survivors)
-                # Crash hooks address original ranks; remap to the slot
-                # the target occupies this round (None once it is gone).
-                round_crash_rank = (
-                    survivors.index(crash_rank)
-                    if crash_rank is not None and crash_rank in survivors
-                    else None
-                )
             attempt_in_round = 0
             while attempt_in_round < policy.max_attempts:
                 try:
@@ -1020,8 +975,6 @@ class ProcessBackend:
                         attempt=len(attempts),
                         chaos=chaos,
                         rank_ids=rank_ids,
-                        crash_rank=round_crash_rank,
-                        crash_stage=crash_stage,
                         force_resample=force_resample,
                         prior_attempts=tuple(attempts),
                     )
@@ -1244,57 +1197,6 @@ class ProcessRunHandle:
         return [dict(out.step_seconds) for out in self.run.outputs]
 
 
-class SimnetBackend:
-    """Adapter presenting the virtual-time simulator as a backend.
-
-    Exists so callers can treat the two substrates uniformly; delegates to
-    :class:`~repro.core.api.DistributedSorter` (which is where the simnet
-    machinery already lives) and reshapes the result.
-    """
-
-    name = "simnet"
-
-    def sort_blocks(
-        self,
-        blocks: Sequence[np.ndarray],
-        options: SortOptions | None = None,
-        config: PgxdConfig | None = None,
-    ) -> BackendRun:
-        from ..core.api import DistributedSorter, SortConfig
-
-        sort_config = SortConfig(
-            num_processors=len(blocks),
-            pgxd=config or PgxdConfig(),
-            options=options or SortOptions(),
-        )
-        result = DistributedSorter(sort_config).sort_partitioned(blocks)
-        outputs = [
-            RankSortOutput(
-                keys=result.per_processor[r],
-                provenance=result.provenance[r],
-                step_seconds=result.step_seconds[r],
-                sent_counts=result.counts_matrix[r].copy(),
-                received_counts=result.counts_matrix[:, r].copy(),
-            )
-            for r in range(result.num_processors)
-        ]
-        return BackendRun(
-            outputs=outputs,
-            splitters=result.per_processor[0][:0].copy()
-            if result.per_processor
-            else np.empty(0),
-            counts_matrix=result.counts_matrix,
-            wall_seconds=result.metrics.makespan,
-            worker_seconds=result.metrics.makespan,
-        )
-
-
-def get_backend(name: str) -> ExecutionBackend:
-    """Instantiate a backend by name (see :data:`BACKENDS`)."""
-    name = _validated(name)
-    return ProcessBackend() if name == "process" else SimnetBackend()
-
-
 #: Every step label a backend reports (re-export for metric consumers).
 __all__ = [
     "BACKENDS",
@@ -1303,11 +1205,9 @@ __all__ = [
     "ProcessBackend",
     "ProcessRunHandle",
     "RetryPolicy",
-    "SimnetBackend",
     "SplitterCache",
     "STEP_LABELS",
     "default_backend",
-    "get_backend",
     "resolve_backend",
     "set_default_backend",
     "use_backend",

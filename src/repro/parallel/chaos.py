@@ -132,10 +132,14 @@ class RealFaultPlan:
             raise ValueError("delay_probability must be in [0, 1]")
         if self.delay_spike_seconds < 0.0:
             raise ValueError("delay_spike_seconds must be >= 0")
+        kills = []
         for job, rank, step in self.kills:
             if rank < 0 or (job is not None and job < 0):
                 raise ValueError(f"kill entry has negative rank/job: {(job, rank, step)}")
-            _parse_step(step)
+            kills.append((job, rank, _parse_step(step)))
+        # worker_state compares steps by label, so an index-form step
+        # ("5") must become its canonical label here or it never fires.
+        object.__setattr__(self, "kills", tuple(kills))
         for job, rank, op in self.hangs:
             if op not in COLLECTIVE_OPS:
                 raise ValueError(f"unknown collective op {op!r} (want one of {list(COLLECTIVE_OPS)})")
@@ -175,8 +179,7 @@ class RealFaultPlan:
             key, value = token.split("=", 1)
             key = key.strip()
             if key == "kill":
-                job, rank, step = _parse_target(value, "kill")
-                kills.append((job, rank, _parse_step(step)))
+                kills.append(_parse_target(value, "kill"))
             elif key == "poison":
                 poisoned.append(int(value))
             elif key == "hang":

@@ -96,9 +96,6 @@ class JobSpec:
     proc_lease: ShmLease | None
     options: SortOptions
     config: PgxdConfig
-    #: Test hook: this rank calls ``os._exit`` at ``crash_stage``.
-    crash_rank: int | None = None
-    crash_stage: str = "start"
     #: Record a :class:`~repro.parallel.tracing.WorkerTrace` (set by the
     #: parent when an ambient obs capture is active; off by default).
     trace: bool = False
@@ -132,13 +129,9 @@ class JobSpec:
     attempt: int = 0
     #: Original rank identity per worker slot, set by survivor-degraded
     #: re-plans (``rank_ids[slot] = original rank``); ``None`` means the
-    #: identity mapping.  Keeps chaos schedules and crash hooks aimed at
-    #: the same physical participant across renumberings.
+    #: identity mapping.  Keeps chaos schedules aimed at the same
+    #: physical participant across renumberings.
     rank_ids: tuple[int, ...] | None = None
-
-
-#: Backward-compatible alias (pre-PR-9 name for the per-spawn payload).
-WorkerPlan = JobSpec
 
 
 @dataclass
@@ -255,11 +248,6 @@ def _candidate_histogram(
     cuts = np.searchsorted(sorted_keys, splitters, side="right")
     bounds = np.concatenate(([0], cuts, [len(sorted_keys)]))
     return np.diff(bounds[: size + 1]).astype(np.int64)
-
-
-def _maybe_crash(job: JobSpec, rank: int, stage: str) -> None:
-    if job.crash_rank == rank and job.crash_stage == stage:
-        os._exit(43)  # simulate a hard worker death (no cleanup, no message)
 
 
 def _run_six_steps(
@@ -432,7 +420,6 @@ def _run_six_steps(
     _beat(STEP_LABELS[4], len(sorted_keys))
     all_counts = link.allgather(counts)
     counts_matrix = np.stack(all_counts)
-    _maybe_crash(plan, rank, "exchange")
     layout = exchange_layout(counts_matrix)
     key_itemsize = sorted_keys.dtype.itemsize
     row_bytes = key_itemsize + (perm.dtype.itemsize if track else 0)
@@ -599,7 +586,6 @@ def worker_main(rank: int, size: int, conn: Connection) -> None:
                     identity, job.job_id, job.attempt
                 )
             try:
-                _maybe_crash(job, rank, "start")
                 report = _run_six_steps(rank, job, link, segments)
                 link.send_done(report)
             except BaseException as exc:  # repro: noqa[R006] — process boundary: the exception is serialized to the driver, which re-raises it typed

@@ -304,7 +304,7 @@ def active_fault_plan() -> FaultPlan | None:
 
 
 def chaos_schedules() -> list[tuple[str, FaultPlan]]:
-    """The seeded fault-schedule matrix swept by the chaos harness.
+    """The seeded fault-schedule matrix swept by the chaos gates.
 
     Shared by ``tests/integration/test_chaos.py`` and
     ``benchmarks/perf/chaos.py`` (the CI artifact job) so both always

@@ -15,6 +15,7 @@ from repro.obs.report import RunReport
 from repro.parallel import (
     PoolClosedError,
     ProcessBackend,
+    RealFaultPlan,
     WorkerCrashedError,
 )
 from repro.parallel.shmsan import shm_sanitize
@@ -81,14 +82,6 @@ class TestPoolStreaming:
             # Steady state: no new shm segments parent-side (workers reuse
             # their name->mapping cache, which this stability implies).
             assert backend.arena.allocations == allocations
-
-    def test_non_persistent_backend_spawns_per_job(self):
-        blocks = _blocks(8_000, 2)
-        with ProcessBackend(persistent=False) as backend:
-            backend.sort_blocks(blocks)
-            assert not backend.worker_pids  # torn down after the job
-            backend.sort_blocks(blocks)
-            assert backend.stats["pool_spawns"] == 2
 
     def test_pool_resizes_for_a_different_processor_count(self):
         with ProcessBackend() as backend:
@@ -191,14 +184,17 @@ class TestCrashRecovery:
     def test_crash_mid_stream_respawns_and_continues(self):
         blocks = _blocks(20_000, 4)
         reference = local_sample_sort(blocks)
-        with ProcessBackend(timeout_seconds=30.0) as backend:
+        with ProcessBackend(
+            chaos=RealFaultPlan.from_spec("kill=2@5-exchange:1"),
+            retry=False,
+            timeout_seconds=30.0,
+        ) as backend:
             backend.sort_blocks(blocks)
             doomed_pids = backend.worker_pids
             with pytest.raises(WorkerCrashedError) as excinfo:
-                backend.sort_blocks(
-                    blocks, crash_rank=2, crash_stage="exchange"
-                )
+                backend.sort_blocks(blocks)
             assert excinfo.value.rank == 2
+            assert excinfo.value.job_id == 1
             # The next job respawns a fresh generation and completes.
             run = backend.sort_blocks(blocks)
             _assert_bit_identical(reference, run)

@@ -13,9 +13,9 @@ from repro.core.sorter import SortOptions
 from repro.parallel import (
     ParallelBackendError,
     ProcessBackend,
+    RealFaultPlan,
     WorkerCrashedError,
     default_backend,
-    get_backend,
     resolve_backend,
     use_backend,
 )
@@ -228,24 +228,23 @@ class TestBackendSelection:
         with use_backend("process"):
             assert resolve_backend("simnet") == "simnet"
 
-    def test_get_backend_round_trip(self):
-        backend = get_backend("process")
-        assert backend.name == "process"
-        backend.close()
-        assert get_backend("simnet").name == "simnet"
-
 
 class TestFailureHandling:
     def test_crash_of_one_worker_is_typed_not_a_hang(self):
         blocks = list(partition_input(_workloads()["uniform"], 4)[0])
-        backend = ProcessBackend(crash_rank=2, crash_stage="exchange", timeout_seconds=30.0)
+        backend = ProcessBackend(
+            chaos=RealFaultPlan.from_spec("kill=2@6-merge"),
+            retry=False,
+            timeout_seconds=30.0,
+        )
         try:
             with pytest.raises(WorkerCrashedError) as excinfo:
                 backend.sort_blocks(blocks)
             assert excinfo.value.rank == 2
-            assert excinfo.value.exitcode == 43
-            # Heartbeat-enriched diagnostics: the crash happened inside
-            # step 5, and the message says so.
+            assert excinfo.value.exitcode == -9  # SIGKILL
+            # Heartbeat-enriched diagnostics: a planned kill fires on
+            # entering step 6, so the last heartbeat is step 5's, and the
+            # message says so.
             assert excinfo.value.last_step == "5-exchange"
             assert "last heartbeat at step '5-exchange'" in str(excinfo.value)
         finally:
@@ -253,11 +252,15 @@ class TestFailureHandling:
 
     def test_backend_still_usable_after_a_crash(self):
         blocks = list(partition_input(_workloads()["uniform"], 2)[0])
-        backend = ProcessBackend(crash_rank=0, crash_stage="start", timeout_seconds=30.0)
+        backend = ProcessBackend(
+            chaos=RealFaultPlan.from_spec("kill=0@1-local-sort:0"),
+            retry=False,
+            timeout_seconds=30.0,
+        )
         try:
             with pytest.raises(WorkerCrashedError):
                 backend.sort_blocks(blocks)
-            backend._crash_rank = None
+            # The kill was scoped to job 0; job 1 runs on a fresh generation.
             reference = local_sample_sort(blocks)
             _assert_bit_identical(reference, backend.sort_blocks(blocks))
         finally:

@@ -134,6 +134,13 @@ class TestWorkerStateLookup:
         assert plan.worker_state(1, 3, 0).kill_step is None  # other job
         assert plan.worker_state(0, 0, 0).kill_step is None  # other rank
 
+    def test_directly_constructed_index_step_fires(self):
+        # An index-form step used to pass validation un-normalised and
+        # then never match a step label: the plan injected nothing.
+        plan = RealFaultPlan(kills=((None, 1, "5"),))
+        assert plan == RealFaultPlan.from_spec("kill=1@5")
+        assert plan.worker_state(1, 0, 0).kill_step == "5-exchange"
+
     def test_poison_kills_every_attempt(self):
         plan = RealFaultPlan.from_spec("poison=2")
         for attempt in range(3):

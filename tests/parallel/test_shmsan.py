@@ -16,6 +16,7 @@ from repro.core.local_backend import local_sample_sort
 from repro.parallel import (
     MUTATIONS,
     ProcessBackend,
+    RealFaultPlan,
     ShmSan,
     WorkerCrashedError,
     active_shm_sanitizer,
@@ -171,7 +172,9 @@ class TestCrashedRuns:
     def test_crash_flushes_partial_log_and_notes_it(self):
         _, blocks = _blocks()
         backend = ProcessBackend(
-            sanitize=True, crash_rank=2, crash_stage="exchange",
+            sanitize=True,
+            chaos=RealFaultPlan.from_spec("kill=2@6-merge"),
+            retry=False,
             timeout_seconds=30.0,
         )
         try:
@@ -184,8 +187,8 @@ class TestCrashedRuns:
         assert len(partial) == 1
         assert partial[0]["crashed_rank"] == 2
         assert partial[0]["last_step"] == "5-exchange"
-        # Heartbeat piggybacking flushed at least the input reads of every
-        # rank before the crash tore the run down.
+        # Heartbeat piggybacking flushed the input reads and exchange
+        # writes of every other rank before the crash tore the run down.
         by_rank = partial[0]["accesses_by_rank"]
         assert set(by_rank) >= {"0", "1", "3"}
         assert all(count > 0 for count in by_rank.values())

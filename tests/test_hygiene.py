@@ -95,6 +95,39 @@ class TestStructure:
             mod_name = module.__name__.rsplit(".", 1)[-1]
             assert mod_name in bench_text, f"experiment {name} has no benchmark"
 
+    #: Docs and workflows whose repo paths must resolve.
+    PATH_CITING_FILES = (
+        "README.md",
+        "DESIGN.md",
+        ".github/workflows/ci.yml",
+        ".claude/skills/verify/SKILL.md",
+    )
+    CODE_SPAN = re.compile(r"```.*?```|`[^`\n]+`", re.DOTALL)
+    TREE_PATH = re.compile(
+        r"(?<![\w/.-])(?:src|tests|benchmarks|examples)/[\w./-]*[\w/]"
+    )
+    #: Root-level records and docs are upper-case named; lower-case
+    #: ``*.json`` in the docs are output names a command writes.
+    ROOT_FILE = re.compile(r"`([A-Z][\w.-]*\.(?:json|md))`")
+
+    def test_paths_cited_in_docs_and_ci_exist(self):
+        root = SRC.parents[1]
+        missing = []
+        for name in self.PATH_CITING_FILES:
+            text = (root / name).read_text()
+            # Markdown cites paths in code spans (prose says "src/dst");
+            # the workflow cites them bare in its commands.
+            spans = self.CODE_SPAN.findall(text) if name.endswith(".md") else [text]
+            cited = set(self.ROOT_FILE.findall(text))
+            for span in spans:
+                cited.update(self.TREE_PATH.findall(span))
+            for path in sorted(cited):
+                if path.startswith("benchmarks/ledger/"):
+                    continue  # frozen by BENCHMARK.json; names its own outputs
+                if not (root / path).exists():
+                    missing.append(f"{name}: {path}")
+        assert not missing, f"docs cite paths that do not exist: {missing}"
+
 
 class TestPackageSurface:
     def test_lazy_top_level_exports(self):
