@@ -33,7 +33,9 @@ Checks, in SimSan's report style (rank + step + byte-range diagnostics):
 * **exchange offsets** — every step-5 exchange write must sit exactly at
   the interval :func:`repro.parallel.layout.exchange_layout` derives from
   the counts matrix (``offset-mismatch``); on complete runs a missing run
-  is flagged too (``missing-exchange-write``).
+  is flagged too (``missing-exchange-write``).  The job names the lease
+  roles it exchanged — keys + origin indices, or the one packed-word
+  stream of the word path.
 """
 
 from __future__ import annotations
@@ -52,6 +54,12 @@ EPOCH_PARENT_AFTER = 1 << 30
 
 #: Cap on reported race pairs so a systemic bug stays readable.
 MAX_RACE_REPORTS = 100
+
+#: Lease roles the step-5 exchange writes on the keys + perm path (the
+#: index lease exists only with provenance).  A word-path job exchanges
+#: its packed-word stream instead and says so — see
+#: :func:`check_exchange_offsets`.
+KEYS_AND_PERM = ("keys", "index")
 
 
 @dataclass(frozen=True)
@@ -95,7 +103,7 @@ class ShmAccess:
 class LeaseInfo:
     """Analyzer-facing description of one registered lease."""
 
-    role: str  #: "input" | "keys" | "index" | "proc"
+    role: str  #: "input" | "keys" | "index" | "proc" | "words"
     segment: str
     byte_lo: int
     byte_hi: int
@@ -249,15 +257,19 @@ def check_exchange_offsets(
     leases: Iterable[LeaseInfo],
     counts_matrix: np.ndarray,
     complete: bool = True,
+    exchanged_roles: Sequence[str] = KEYS_AND_PERM,
 ) -> list[HbViolation]:
     """Each exchange write must sit exactly where the layout puts its run.
 
     Recomputes the expected ``[byte_lo, byte_hi)`` of every (src, dst) run
     from the counts matrix via :func:`exchange_layout` — per exchanged
-    segment (keys, and origin indices when provenance rides along) — and
-    compares against the recorded intervals.  ``complete`` additionally
-    demands that every nonempty run was written (off on partial logs from
-    crashed runs, where missing writes are expected).
+    segment — and compares against the recorded intervals.
+    ``exchanged_roles`` names the leases the job exchanged: keys and
+    origin indices on the keys + perm path, the one packed-word stream
+    (role ``"words"``, or ``"keys"`` when 8-byte keys decode in place) on
+    the word path, where the index lease is output-only.  ``complete``
+    additionally demands that every nonempty run was written (off on
+    partial logs from crashed runs, where missing writes are expected).
     """
     # Deferred import: repro.parallel.shmsan imports this module, so a
     # top-level import here would close a cycle through the package
@@ -268,7 +280,7 @@ def check_exchange_offsets(
     exchanged = {
         lease.segment: lease
         for lease in leases
-        if lease.role in ("keys", "index")
+        if lease.role in exchanged_roles
     }
     recorded: dict[tuple[str, int, int], list[ShmAccess]] = {}
     for acc in accesses:
@@ -330,6 +342,7 @@ def analyze_accesses(
     leases: Sequence[LeaseInfo],
     counts_matrix: np.ndarray | None = None,
     complete: bool = True,
+    exchanged_roles: Sequence[str] = KEYS_AND_PERM,
 ) -> tuple[list[HbViolation], list[dict]]:
     """Run every happens-before check; returns (violations, notes)."""
     violations = find_races(accesses)
@@ -338,7 +351,8 @@ def analyze_accesses(
     if counts_matrix is not None:
         violations.extend(
             check_exchange_offsets(
-                accesses, leases, counts_matrix, complete=complete
+                accesses, leases, counts_matrix, complete=complete,
+                exchanged_roles=exchanged_roles,
             )
         )
     else:

@@ -82,9 +82,11 @@ class RankReport:
     #: None on fault-free runs — the key is then absent from the JSON, so
     #: golden report snapshots predating fault injection stay bit-identical.
     faults: dict[str, Any] | None = None
-    #: ``"stable"`` when this process-backend rank's step 1 ran the slow
-    #: stable-argsort fallback instead of the packed sort; None (key absent
-    #: from the JSON, like ``faults``) on the packed path and under simnet.
+    #: Why this process-backend rank was off the fastest path:
+    #: ``"packed"`` (the job's key frame did not fit: keys + perm were
+    #: exchanged and k-way merged) or ``"stable"`` (step 1 also ran the
+    #: stable argsort).  None — key absent from the JSON, like ``faults``
+    #: — on the word path, without provenance, and under simnet.
     local_sort_path: str | None = None
 
 

@@ -45,6 +45,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from ..core.packsort import has_key_codec
 from ..core.provenance import Provenance
 from ..core.sorter import STEP_LABELS, RankSortOutput, SortOptions
 from ..obs.context import active_capture
@@ -61,7 +62,7 @@ from .errors import (
     WorkerFailedError,
 )
 from .layout import exchange_layout
-from .shmsan import MUTATIONS, ShmSan, active_shm_sanitizer
+from .shmsan import KEYS_AND_PERM, MUTATIONS, ShmSan, active_shm_sanitizer
 from .tracing import ProgressFn, ambient_progress, merge_worker_traces
 from .worker import JobSpec, WorkerReport, worker_main
 
@@ -257,7 +258,7 @@ class BackendRun:
         p = len(self.outputs)
         live = [out for out in self.outputs if out is not None]
         key_itemsize = live[0].keys.dtype.itemsize if live else 8
-        idx_itemsize = 4  # int32 origin indices ride the exchange
+        idx_itemsize = 4  # int32 origin indices ride the keys + perm exchange
         processes = []
         remote_bytes = 0
         local_bytes = 0
@@ -287,8 +288,12 @@ class BackendRun:
                 m.barrier_wait_seconds = report.barrier_wait_seconds
                 m.memory.peak_resident = report.peak_rss_bytes
                 m.memory.peak_total = report.peak_rss_bytes
-                if report.local_sort_path == "stable":
-                    m.local_sort_path = "stable"
+                if report.local_sort_path == "through":
+                    per_key = 8  # one packed int64 word per key
+                else:
+                    # Surfaced only off the fastest path, so a slow job
+                    # explains itself and fast reports keep their schema.
+                    m.local_sort_path = report.local_sort_path
             else:
                 m.phase_seconds.update(out.step_seconds)
             m.bytes_sent = off_row * per_key
@@ -762,6 +767,17 @@ class ProcessBackend:
         key_lease = self.arena.lease(n, key_dtype)
         index_lease = self.arena.lease(n, np.int32) if track else None
         proc_lease = self.arena.lease(n, np.int16) if track else None
+        # The word path's exchange stream: 8-byte keys decode in place,
+        # so their word stream *is* the key lease under an int64 view;
+        # narrower keys get a segment of their own.
+        word_lease = word_role = None
+        if track and has_key_codec(key_dtype):
+            if key_dtype.itemsize == 8:
+                word_lease = replace(key_lease, dtype=np.dtype(np.int64))
+                word_role = "keys"
+            else:
+                word_lease = self.arena.lease(n, np.int64)
+                word_role = "words"
         if san is not None:
             san.begin_run()
             san.register_lease("input", input_lease)
@@ -770,6 +786,8 @@ class ProcessBackend:
                 san.register_lease("index", index_lease)
             if proc_lease is not None:
                 san.register_lease("proc", proc_lease)
+            if word_role == "words":
+                san.register_lease("words", word_lease)
             if self._mutate == "double-lease":
                 # Seeded invariant break: hand out a second lease aliasing
                 # the key segment, as if the arena double-booked it — the
@@ -798,6 +816,7 @@ class ProcessBackend:
             key_lease=key_lease,
             index_lease=index_lease,
             proc_lease=proc_lease,
+            word_lease=word_lease,
             options=options,
             config=config,
             trace=cap is not None,
@@ -888,7 +907,13 @@ class ProcessBackend:
                 )
         self.jobs_completed += 1
         if san is not None:
-            san.finish_run(counts_matrix=run.counts_matrix)
+            # The job says which streams it exchanged: on the word path
+            # the one word stream, whatever lease role carries it.
+            through = run.reports[0].local_sort_path == "through"
+            san.finish_run(
+                counts_matrix=run.counts_matrix,
+                exchanged=(word_role,) if through else KEYS_AND_PERM,
+            )
         if cap is not None:
             # Assemble the per-worker payloads into one simnet-schema tracer
             # on the hub timeline (t=0 at sort start) and register it with

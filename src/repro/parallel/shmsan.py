@@ -11,7 +11,9 @@ When sanitizing is active, every worker records a typed access interval
 ``(segment, byte_lo, byte_hi, read|write, rank, step, collective_epoch)``
 for each touch of a :class:`~repro.parallel.arena.SharedArena` lease —
 the step-1 block read, every per-destination shm write of the zero-copy
-all-to-all, and the in-place merge over the dead exchange region.  The
+all-to-all, the in-place merge over the exchange region, and, on the
+word path, the unpack into the output-only index/proc/key leases and the
+input-lease read that refills lossy float codes.  The
 :class:`~repro.parallel.collectives.WorkerLink` stamps the epoch: each
 completed collective is a full barrier through the pipe-star hub, so the
 per-rank count of completed collectives is a global happens-before clock
@@ -25,7 +27,9 @@ ranks not ordered by a collective edge, lease-lifetime violations (a
 parent view touched past ``release_all``, an access outside the leased
 range, two live leases aliasing one segment), and offset-table
 inconsistencies (a run not where :func:`repro.parallel.layout.exchange_layout`
-puts it) — with rank/step/byte-range diagnostics in SimSan's style.
+puts it, on any stream the job says it exchanged — the packed-word
+stream on the word path, keys + origin indices otherwise) — with
+rank/step/byte-range diagnostics in SimSan's style.
 
 Recording is passive: the unsanitized path pays only ``is not None``
 guards, and a sanitized run is bit-identical to an unsanitized one
@@ -63,6 +67,7 @@ import numpy as np
 from ..checks.hb import (
     EPOCH_PARENT_AFTER,
     EPOCH_PARENT_BEFORE,
+    KEYS_AND_PERM,
     PARENT_RANK,
     HbViolation,
     LeaseInfo,
@@ -74,7 +79,7 @@ from ..checks.hb import (
 MUTATIONS = (
     "offset-off-by-one",   # worker: shift one exchange run by one element
     "skip-merge-barrier",  # worker: merge without waiting for the barrier
-    "double-lease",        # parent: alias the index lease onto the key segment
+    "double-lease",        # parent: register a second lease over the key segment
     "stale-view",          # parent: touch a leased view after release_all
 )
 
@@ -189,6 +194,7 @@ class ShmSan:
         self._accesses: list[ShmAccess] = []
         self._released = False
         self._counts_matrix: np.ndarray | None = None
+        self._exchanged: tuple[str, ...] = KEYS_AND_PERM
         self._complete = True
 
     # ------------------------------------------------------- backend hooks
@@ -200,6 +206,7 @@ class ShmSan:
         self._accesses = []
         self._released = False
         self._counts_matrix = None
+        self._exchanged = KEYS_AND_PERM
         self._complete = True
 
     def register_lease(self, role: str, lease) -> None:
@@ -286,8 +293,13 @@ class ShmSan:
         counts_matrix: np.ndarray | None = None,
         crashed_rank: int | None = None,
         crashed_step: str | None = None,
+        exchanged: tuple[str, ...] = KEYS_AND_PERM,
     ) -> ShmSanReport:
         """Run the happens-before analysis over everything recorded.
+
+        ``exchanged`` names the lease roles the job's step 5 wrote (the
+        word path exchanges one packed-word stream instead of keys +
+        indices); the offset check expects every run on exactly those.
 
         On a crashed run pass ``crashed_rank``/``crashed_step`` and omit
         the counts matrix: the analysis covers the partial log up to the
@@ -295,12 +307,14 @@ class ShmSan:
         that need the full run are skipped and noted).
         """
         self._counts_matrix = counts_matrix
+        self._exchanged = tuple(exchanged)
         self._complete = crashed_rank is None
         violations, notes = analyze_accesses(
             self._accesses,
             self._leases,
             counts_matrix=counts_matrix,
             complete=self._complete,
+            exchanged_roles=self._exchanged,
         )
         self.report.violations.extend(violations)
         self.report.notes.extend(notes)
@@ -329,6 +343,7 @@ class ShmSan:
         doc = {
             "schema": "repro.shmsan-log/1",
             "complete": self._complete,
+            "exchanged": list(self._exchanged),
             "leases": [
                 {
                     "role": lease.role,
@@ -368,6 +383,7 @@ def analyze_log(doc: dict) -> tuple[list[HbViolation], list[dict]]:
         leases,
         counts_matrix=None if counts is None else np.asarray(counts),
         complete=bool(doc.get("complete", True)),
+        exchanged_roles=tuple(doc.get("exchanged", KEYS_AND_PERM)),
     )
 
 

@@ -63,7 +63,10 @@ class WorkerTrace:
     clock_rtt: float = 0.0
     #: ``(start, duration, kind, label)`` — wait spans from collectives.
     spans: list[tuple[float, float, str, str]] = field(default_factory=list)
-    #: ``(dst, nbytes, offset_bytes, start, end)`` — one per shm write.
+    #: ``(dst, nbytes, offset_bytes, start, end)`` — one per (src, dst)
+    #: exchange run: all of its bytes across the exchanged streams
+    #: (``count × 8`` for a run of packed words) and the run's byte offset
+    #: in the first of them.
     flows: list[tuple[int, int, int, float, float]] = field(default_factory=list)
     #: ``(t, name, value)`` — sampled numeric series.
     counters: list[tuple[float, str, float]] = field(default_factory=list)
@@ -101,7 +104,7 @@ class WorkerTracer:
     def flow(
         self, dst: int, nbytes: int, offset_bytes: int, start: float, end: float
     ) -> None:
-        """One (this rank → ``dst``) shared-memory all-to-all write."""
+        """One (this rank → ``dst``) shared-memory all-to-all run."""
         self.trace.flows.append((dst, nbytes, offset_bytes, start, end))
 
     def counter(self, name: str, value: float) -> None:

@@ -5,28 +5,50 @@ job loop*: the worker blocks on the control pipe for the next
 :class:`JobSpec`, resets its per-job state (collective sequence, ShmSan
 epoch clock, tracer), executes the paper's six steps over real OS
 parallelism, reports, and loops until the driver sends shutdown.  The
-step implementations are the same as the simulated sorter and the
-in-process reference backend (regular sampling, Master splitter
-selection, the investigator, the flat k-way merge), so the produced
-partitions are **bit-identical** to both.
+step implementations are shared with the simulated sorter and the
+in-process reference backend (the key codec and pack of
+:mod:`repro.core.packsort`, regular sampling, Master splitter selection,
+the investigator), so the produced partitions are **bit-identical** to
+both.
 
 Data plane (all shared memory, described by a :class:`JobSpec`):
 
 * the unsorted input lives in one shm block, rank ``r`` reading
-  ``input[bounds[r]:bounds[r+1]]``;
-* the step-5 exchange writes *directly into the receivers' regions* of a
-  second shm block: the allgathered counts matrix fixes every (src, dst)
-  run's offset, the regions are disjoint, so every rank writes its
-  outgoing runs concurrently with zero copies through the control plane
-  and zero locks — a barrier separates the writes from the merges;
-* step 6 merges the rank's own region with the flat k-way kernel and
-  stores the result (keys + provenance) back over that region, where the
-  driver collects it.
+  ``input[bounds[r]:bounds[r+1]]``; workers never write it;
+* **provenance rides inside the key** (the *word path*): in step 1 every
+  rank allgathers its block's ``(code_min, code_max, code_or, len)``,
+  all derive the same :class:`~repro.core.packsort.KeyFrame`, and each
+  packs ``(code << shift) | (rank << idx_bits) | index`` into unique
+  int64 words, sorts them, and decodes the sorted keys once for steps
+  2–4 (samples, cache histograms and ``compute_rank_cuts`` read keys;
+  the sample bytes, hence fingerprints and splitters, are unchanged);
+* the step-5 exchange writes word slices (8 B/key, nothing else)
+  *directly into the receivers' regions* of the word stream: the
+  allgathered counts matrix fixes every (src, dst) run's offset, the
+  regions are disjoint, so every rank writes its outgoing runs
+  concurrently with zero copies through the control plane and zero locks
+  — a barrier separates the writes from the merges;
+* step 6 sorts the rank's own region **in place in shared memory** —
+  words from different ranks compare as ``(key, rank, index)``, which is
+  the stable merge order, and they are unique, so no permutation exists
+  to apply — and unpacks once, straight into the output leases: origin
+  index and origin rank by mask and shift, keys by decoding (8-byte keys
+  in place: their word stream *is* the key lease).  The two lossy float
+  codes (±0.0, NaN payloads) are refilled from the input lease through
+  the provenance just unpacked.  The driver collects from the leases;
+* when the frame does not fit (or the codec has no code for the dtype)
+  the job takes the **keys + perm fallback**: ``stable_sort_with_order``
+  in step 1, sorted keys and an int32 permutation through the exchange
+  (two streams), ``flat_kway_merge`` over the region in step 6 with the
+  result stored back over it.  ``WorkerReport.local_sort_path`` says
+  which path a rank took.  Without provenance a values-only region is
+  sorted in place like the words.
 
 Control plane (pickled over one pipe per rank, via the hub in
 :mod:`repro.parallel.collectives`): the sample gather, the splitter
 broadcast, the counts allgather, and the pre/post-exchange barriers —
-bytes proportional to ``p``, never to ``n``.
+bytes proportional to ``p``, never to ``n``; the word path adds one
+allgather of four integers per rank, timed and waited inside step 1.
 
 Timing here is *wall-clock* (``time.perf_counter``), which is the whole
 point of this backend; the simulated path keeps its virtual clock.
@@ -36,7 +58,8 @@ Observability: every worker heartbeats the hub at each step boundary
 which-step-died diagnostics) and, when the parent requested tracing
 (``job.trace``), records a :class:`~repro.parallel.tracing.WorkerTrace`
 — clock-offset handshake, per-step windows, collective wait spans, one
-flow per (src, dst) shm write with bytes and destination offsets, and
+flow per (src, dst) shm write with bytes (``count × 8`` for a word run)
+and the run's byte offset in the exchanged stream, and
 counter samples — shipped home on the :class:`WorkerReport` and merged
 on the parent into the simnet-schema tracer.
 
@@ -68,8 +91,18 @@ from multiprocessing.connection import Connection
 import numpy as np
 
 from ..core.investigator import compute_rank_cuts, slices_from_cuts
-from ..core.packsort import stable_sort_with_order
+from ..core.packsort import (
+    block_code_stats,
+    decode_keys,
+    derive_key_frame,
+    order_preserving_codes,
+    pack_words,
+    sort_runs_in_place,
+    stable_sort_with_order,
+    unpack_provenance,
+)
 from ..core.sampling import sample_count, select_regular_samples
+from ..core.scratch import ScratchArena
 from ..core.sorter import MASTER, STEP_LABELS, SortOptions
 from ..core.splitters import merge_samples, select_splitters
 from ..pgxd.config import PgxdConfig
@@ -88,12 +121,19 @@ class JobSpec:
     #: Prefix bounds of each rank's block in the input lease (size+1).
     block_bounds: tuple[int, ...]
     input_lease: ShmLease
-    #: Exchange + output stream for keys (doubles as the result buffer).
+    #: Output stream for keys; also the exchange stream off the word path.
     key_lease: ShmLease
-    #: Exchange + output stream for origin indices (None w/o provenance).
+    #: Output stream for origin indices (None without provenance); also an
+    #: exchange stream on the keys + perm fallback path.
     index_lease: ShmLease | None
     #: Output stream for origin processors (None without provenance).
     proc_lease: ShmLease | None
+    #: Exchange stream of packed int64 words; None when the job cannot
+    #: take the word path at all (no provenance, or a key dtype the codec
+    #: declines).  For 8-byte keys it aliases :attr:`key_lease` — the
+    #: merged words are decoded to keys in place — narrower keys get a
+    #: segment of their own.
+    word_lease: ShmLease | None
     options: SortOptions
     config: PgxdConfig
     #: Record a :class:`~repro.parallel.tracing.WorkerTrace` (set by the
@@ -169,8 +209,11 @@ class WorkerReport:
     sample_fingerprint: str | None = None
     #: Job id echoed from the spec.
     job_id: int = 0
-    #: Which step-1 kernel carried the permutation: ``"packed"``, or
-    #: ``"stable"`` for the several-times-slower stable-argsort fallback
+    #: How provenance travelled, fastest first: ``"through"`` — inside
+    #: the packed word, steps 1–6 (the word path); ``"packed"`` — the
+    #: job's key frame did not fit, so keys + perm were exchanged, but
+    #: this rank's own block still took the packed step-1 sort;
+    #: ``"stable"`` — the several-times-slower stable-argsort step 1
     #: (:func:`~repro.core.packsort.stable_sort_with_order`).  ``None``
     #: without provenance, where a plain ``np.sort`` runs instead.
     local_sort_path: str | None = None
@@ -251,7 +294,11 @@ def _candidate_histogram(
 
 
 def _run_six_steps(
-    rank: int, plan: JobSpec, link: WorkerLink, segments: SegmentCache
+    rank: int,
+    plan: JobSpec,
+    link: WorkerLink,
+    segments: SegmentCache,
+    scratch: ScratchArena,
 ) -> WorkerReport:
     options, config, size = plan.options, plan.config, plan.size
     track = options.track_provenance
@@ -308,16 +355,45 @@ def _run_six_steps(
     _beat(STEP_LABELS[0], len(block))
     t0 = time.perf_counter()  # repro: noqa[R002] — real backend: measured step wall time is the product
     # ------------------------------------------------ step 1: local sort
-    # Same kernel as the simulated sorter's parallel_quicksort (packed
-    # fast path or stable argsort, bit-identical either way), int32
-    # permutation.
-    if track:
+    # Word path: one allgather of block statistics fixes the job's key
+    # frame on every rank; if it fits, the unit that is sorted, exchanged
+    # and merged from here on is the packed (code, rank, index) word.
+    # Otherwise the same kernel as the simulated sorter's
+    # parallel_quicksort (packed or stable argsort, bit-identical either
+    # way) yields keys + an int32 permutation.
+    frame = None
+    if plan.word_lease is not None:
+        codes = order_preserving_codes(block)
+        frame = derive_key_frame(
+            link.allgather(block_code_stats(codes, block.dtype.kind == "f")),
+            block.dtype,
+            size,
+        )
+    if frame is not None:
+        block_starts = np.asarray(plan.block_bounds, dtype=np.int64)
+        # Step-1 temporaries come from the worker's warm scratch pool:
+        # 16 bytes/key of fresh pages per job would be the op's largest
+        # page-fault bill.
+        words = pack_words(
+            codes, frame, rank, out=scratch.take(len(block), np.int64)
+        )
+        del codes
+        words.sort()
+        sorted_keys = scratch.take(len(block), block.dtype)
+        decode_keys(words, frame, sorted_keys, input_block, block_starts)
+        report.local_sort_path = "through"
+        outgoing = [(_attach(plan.word_lease), plan.word_lease, words)]
+    elif track:
         sorted_keys, order, report.local_sort_path = stable_sort_with_order(block)
         perm = order.astype(np.int32)
         del order  # 8 bytes/key that would otherwise sit under the step-6 peak
+        outgoing = [
+            (ex_keys, plan.key_lease, sorted_keys),
+            (ex_index, plan.index_lease, perm),
+        ]
     else:
         sorted_keys = np.sort(block)
-        perm = np.empty(0, dtype=np.int32)
+        outgoing = [(ex_keys, plan.key_lease, sorted_keys)]
     t1 = time.perf_counter()  # repro: noqa[R002] — real backend: measured step wall time is the product
     report.step_seconds[STEP_LABELS[0]] = t1 - t0
 
@@ -421,8 +497,10 @@ def _run_six_steps(
     all_counts = link.allgather(counts)
     counts_matrix = np.stack(all_counts)
     layout = exchange_layout(counts_matrix)
-    key_itemsize = sorted_keys.dtype.itemsize
-    row_bytes = key_itemsize + (perm.dtype.itemsize if track else 0)
+    # What travels: the word stream alone, or keys (+ perm) — see step 1.
+    stream_len = len(outgoing[0][0])
+    offset_itemsize = outgoing[0][2].dtype.itemsize
+    row_bytes = sum(payload.dtype.itemsize for _s, _l, payload in outgoing)
     shifted = False
     for dst in range(size):
         sl = out_slices[dst]
@@ -435,29 +513,23 @@ def _run_six_steps(
             # element off its counts-derived home (into a neighbour's
             # run, or backwards at the stream's end) — the overlap
             # ShmSan's offset and race checks must catch.
-            if end + 1 <= len(ex_keys):
+            if end + 1 <= stream_len:
                 pos, end, shifted = pos + 1, end + 1, True
             elif pos >= 1:
                 pos, end, shifted = pos - 1, end - 1, True
         t_w0 = time.perf_counter() if tracer is not None else 0.0  # repro: noqa[R002] — real backend: measured flow timing is the product
-        ex_keys[pos:end] = sorted_keys[sl]
-        if recorder is not None:
-            recorder.record(
-                plan.key_lease, pos, end, "w", 5, link.epoch,
-                "exchange-write", dst=dst,
-            )
-        if track:
-            ex_index[pos:end] = perm[sl]
+        for stream, lease, payload in outgoing:
+            stream[pos:end] = payload[sl]
             if recorder is not None:
                 recorder.record(
-                    plan.index_lease, pos, end, "w", 5, link.epoch,
+                    lease, pos, end, "w", 5, link.epoch,
                     "exchange-write", dst=dst,
                 )
         if tracer is not None:
             tracer.flow(
                 dst,
                 (sl.stop - sl.start) * row_bytes,
-                pos * key_itemsize,
+                pos * offset_itemsize,
                 t_w0,
                 time.perf_counter(),  # repro: noqa[R002] — real backend: measured flow timing is the product
             )
@@ -475,57 +547,59 @@ def _run_six_steps(
 
     # ----------------------------------------------------- step 6: merge
     # The rank's region holds one sorted run per source, back to back in
-    # source order — exactly the flat k-way kernel's input layout, and
-    # exactly what the simulated exchange reassembles.
-    from ..core.balanced_merge import flat_kway_merge
-
+    # source order.  Words are unique and ordered as (key, source, index)
+    # — the stable merge order — so the region is sorted in place, in
+    # shared memory, and unpacked once straight into the output streams;
+    # a values-only region (no provenance) is sorted in place the same
+    # way.  The keys + perm fallback runs the flat k-way kernel and
+    # stores the result back over the (now dead) exchange region.  Either
+    # way the driver reads the output from the leases — no pickling.
     base, total = layout.region(rank)
     _beat(STEP_LABELS[5], total)
-    region = ex_keys[base : base + total]
-    if recorder is not None:
-        recorder.record(
-            plan.key_lease, base, base + total, "r", 6, link.epoch,
-            "merge-read",
-        )
+    stop = base + total
     run_lengths = counts_matrix[:, rank].tolist()
-    if track:
-        idx_region = ex_index[base : base + total]
-        if recorder is not None:
+    touched = [(lease, "r", "merge-read") for _s, lease, _p in outgoing]
+    touched += [(lease, "w", "merge-write") for _s, lease, _p in outgoing]
+    if frame is not None:
+        region = outgoing[0][0][base:stop]
+        sort_runs_in_place(region, run_lengths)
+        unpack_provenance(region, frame, ex_index[base:stop], out_proc[base:stop])
+        refilled = decode_keys(
+            region, frame, ex_keys[base:stop], input_block, block_starts
+        )
+        touched += [
+            (plan.index_lease, "w", "index-write"),
+            (plan.proc_lease, "w", "proc-write"),
+            (plan.key_lease, "w", "key-write"),
+        ]
+        if refilled and recorder is not None:
             recorder.record(
-                plan.index_lease, base, base + total, "r", 6, link.epoch,
-                "merge-read",
+                plan.input_lease, 0, len(input_block), "r", 6, link.epoch,
+                "refill-read",
             )
+    elif track:
+        from ..core.balanced_merge import flat_kway_merge
+
+        idx_region = ex_index[base:stop]
         proc_col = np.empty(total, dtype=np.int16)
         bounds = layout.run_bounds(rank)
         for src in range(size):
             proc_col[bounds[src] : bounds[src + 1]] = src
-        aux_cols = [idx_region, proc_col]
-    else:
-        aux_cols = []
-    outcome = flat_kway_merge(
-        region, run_lengths, aux_cols, balanced=options.balanced_merge
-    )
-    # Store the merged result back over the (now dead) exchange region;
-    # the driver reads it from there — no pickling on the way out.
-    region[:] = outcome.keys
-    if recorder is not None:
-        recorder.record(
-            plan.key_lease, base, base + total, "w", 6, link.epoch,
-            "merge-write",
+        outcome = flat_kway_merge(
+            ex_keys[base:stop],
+            run_lengths,
+            [idx_region, proc_col],
+            balanced=options.balanced_merge,
         )
-    if track:
+        ex_keys[base:stop] = outcome.keys
         idx_region[:] = outcome.aux[0]
-        out_proc[base : base + total] = outcome.aux[1]
-        if recorder is not None:
-            recorder.record(
-                plan.index_lease, base, base + total, "w", 6, link.epoch,
-                "merge-write",
-            )
-            recorder.record(
-                plan.proc_lease, base, base + total, "w", 6, link.epoch,
-                "proc-write",
-            )
+        out_proc[base:stop] = outcome.aux[1]
+        touched.append((plan.proc_lease, "w", "proc-write"))
+    else:
+        sort_runs_in_place(ex_keys[base:stop], run_lengths)
     if recorder is not None:
+        for lease, kind, label in touched:
+            recorder.record(lease, base, stop, kind, 6, link.epoch, label)
         link.flush_san(recorder.drain())
     t6 = time.perf_counter()  # repro: noqa[R002] — real backend: measured step wall time is the product
     report.step_seconds[STEP_LABELS[5]] = t6 - t5
@@ -565,6 +639,7 @@ def worker_main(rank: int, size: int, conn: Connection) -> None:
     """
     link = WorkerLink(rank, size, conn)
     segments = SegmentCache()
+    scratch = ScratchArena()
     try:
         while True:
             try:
@@ -586,8 +661,9 @@ def worker_main(rank: int, size: int, conn: Connection) -> None:
                     identity, job.job_id, job.attempt
                 )
             try:
-                report = _run_six_steps(rank, job, link, segments)
+                report = _run_six_steps(rank, job, link, segments, scratch)
                 link.send_done(report)
+                scratch.release_all()
             except BaseException as exc:  # repro: noqa[R006] — process boundary: the exception is serialized to the driver, which re-raises it typed
                 try:
                     link.send_error(type(exc).__name__, traceback.format_exc())

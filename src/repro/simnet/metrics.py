@@ -83,9 +83,11 @@ class ProcessMetrics:
     messages_duplicated: int = 0
     #: True when the fault plan fail-stopped this rank.
     crashed: bool = False
-    #: ``"stable"`` when a process-backend rank ran step 1 on the slow
-    #: stable-argsort fallback (see ``WorkerReport.local_sort_path``);
-    #: None otherwise, and always None under simnet.
+    #: Set when a process-backend rank did *not* carry provenance inside
+    #: the packed word (see ``WorkerReport.local_sort_path``): ``"packed"``
+    #: — the job's key frame did not fit, keys + perm were exchanged —
+    #: or ``"stable"`` — step 1 also ran the slow stable argsort.  None on
+    #: the word path, without provenance, and always under simnet.
     local_sort_path: str | None = None
 
     def record_compute(self, seconds: float, label: str | None) -> None:

@@ -13,9 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.packsort import (
+    block_code_stats,
+    decode_keys,
+    derive_key_frame,
     order_preserving_codes,
+    pack_words,
     packed_stable_sort,
     stable_sort_with_order,
+    unpack_provenance,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -240,3 +245,123 @@ def test_integral_float64_block_packs_at_rank_block_scale():
     # One full-mantissa key is enough to decline the block.
     keys[3] = np.pi
     assert not _assert_none_or_stable(keys)
+
+
+# ----------------------------------------------- key frame and word laws
+#
+# The process backend packs (code, rank, index) into one int64 word per
+# key, sorts/exchanges/merges words, and decodes once.  Laws: the numeric
+# order of the words is the stable merge order of the rank-ordered blocks;
+# decoding restores every key whose code is not lossy bit for bit; and the
+# lossy codes are exactly 0 (±0.0) and the canonical NaN code.
+
+
+#: The word laws loop in Python over a handful of ranks; half the examples
+#: of the codec tests keeps the module inside its tier-1 budget.
+WORD_SETTINGS = settings(SETTINGS, max_examples=30)
+
+
+def _split(keys, p, data):
+    """``p`` blocks, some possibly empty, concatenating back to ``keys``."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(keys)), min_size=p - 1, max_size=p - 1)))
+    return np.split(keys, cuts)
+
+
+def _assert_word_laws(blocks):
+    """Returns whether the frame fit; checks every law when it did."""
+    dtype = np.dtype(blocks[0].dtype)
+    is_float = dtype.kind == "f"
+    coded = [order_preserving_codes(block) for block in blocks]
+    stats = [block_code_stats(codes, is_float) for codes in coded]
+    frame = derive_key_frame(stats, dtype, len(blocks))
+    if frame is None:
+        return False
+    words = np.concatenate(
+        [pack_words(codes, frame, rank) for rank, codes in enumerate(coded)]
+    )
+    assert len(set(words.tolist())) == len(words)  # unique: sort kind is unobservable
+    words.sort()
+
+    source = np.concatenate(blocks)
+    starts = np.concatenate(([0], np.cumsum([len(b) for b in blocks])))
+    order = source.argsort(kind="stable")  # ties by (rank, index): the merge order
+    index = np.empty(len(words), dtype=np.int32)
+    proc = np.empty(len(words), dtype=np.int16)
+    unpack_provenance(words, frame, index, proc)
+    np.testing.assert_array_equal(starts[proc] + index, order)
+
+    # Decoded against a poisoned source, only the lossy codes may differ ...
+    poison = np.full(len(source), 1.5 if is_float else 1, dtype=dtype)
+    decoded = np.empty(len(words), dtype=dtype)
+    refilled = decode_keys(words.copy(), frame, decoded, poison, starts)
+    expected = source[order]
+    as_bytes = (len(words), dtype.itemsize)
+    same = decoded.view(np.uint8).reshape(as_bytes) == expected.view(np.uint8).reshape(as_bytes)
+    lossy = (expected == 0) | (expected != expected) if is_float else np.zeros(len(words), bool)
+    np.testing.assert_array_equal(~same.all(axis=1), lossy)
+    assert refilled == lossy.sum()
+    # ... and against the real one, in place for 8-byte keys, nothing does.
+    out = words.view(dtype) if dtype.itemsize == 8 else np.empty(len(words), dtype=dtype)
+    decode_keys(words, frame, out, source, starts)
+    assert out.tobytes() == expected.tobytes()
+    return True
+
+
+@pytest.mark.parametrize("dtype", INT_DTYPES + UINT_DTYPES)
+@WORD_SETTINGS
+@given(data=st.data())
+def test_int_words_decode_to_the_stable_merge(dtype, data):
+    keys = np.array(data.draw(st.lists(_int_elements(dtype), max_size=64)), dtype=dtype)
+    fitted = _assert_word_laws(_split(keys, data.draw(st.integers(1, 4)), data))
+    if np.dtype(dtype).itemsize < 8:
+        assert fitted  # narrow ints always fit the frame
+
+
+@pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+@WORD_SETTINGS
+@given(data=st.data())
+def test_float_words_decode_to_the_stable_merge(dtype, data):
+    keys = _draw_float_keys(data, dtype)
+    fitted = _assert_word_laws(_split(keys, data.draw(st.integers(1, 4)), data))
+    if dtype is np.float32:
+        assert fitted
+
+
+@pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+def test_seeded_float_cases_fit_the_frame_on_three_ranks(dtype):
+    for name, keys in _float_cases(dtype).items():
+        assert _assert_word_laws(np.array_split(keys, 3)), name
+
+
+def test_frame_fits_the_pool_workload_shapes():
+    """``(lo, hi, or, max block len)`` of the ledger's pooled workloads, p = 2."""
+    rng = np.random.default_rng(3)
+    expo = order_preserving_codes(np.floor(rng.exponential(2000.0, 20_000)))
+    lo, hi, any_bit, _ = block_code_stats(expo, True)
+    shapes = {
+        # Uniform [0, 2^40) at 2M keys/rank on 2 ranks: 21 index bits + 1
+        # rank bit leave limit = 2^40, so this fits by exactly one value.
+        "big_uniform": (np.int64, 0, (1 << 40) - 1, 0, 2_000_000),
+        "big_fallback": (np.float64, lo, hi, any_bit, 2_000_000),
+        "small_stream uniform / near-sorted": (np.int64, 0, (1 << 40) - 1, 0, 60_000),
+        "small_stream duplicate-heavy": (np.int64, 0, 999, 0, 60_000),
+    }
+    for name, (dtype, lo, hi, any_bit, max_len) in shapes.items():
+        stats = [(lo, hi, any_bit, max_len), (lo, hi, any_bit, max_len - 1)]
+        frame = derive_key_frame(stats, dtype, 2)
+        assert frame is not None, name
+        assert frame.rank_bits == 1 and frame.idx_bits == (max_len - 1).bit_length()
+    one_more = [(0, 1 << 40, 0, 2_000_000)] * 2
+    assert derive_key_frame(one_more, np.int64, 2) is None
+    assert derive_key_frame(one_more, np.int64, 1) is not None  # no rank bit: fits again
+    assert shapes["big_fallback"][1] == 0 and derive_key_frame(
+        [shapes["big_fallback"][1:]] * 2, np.float64, 2
+    ).strip >= 37  # integral values below 2^15 leave the low mantissa zero
+
+
+def test_frame_ignores_empty_blocks_and_takes_the_longest():
+    frame = derive_key_frame([(0, 0, 0, 0), (-5, 9, 0, 3), (2, 2, 0, 1)], np.int32, 3)
+    assert (frame.idx_bits, frame.rank_bits, frame.strip) == (2, 2, 0)
+    assert frame.has_negative and not frame.has_nan
+    empty = derive_key_frame([(0, 0, 0, 0)] * 2, np.float64, 2)
+    assert (empty.idx_bits, empty.rank_bits, empty.has_negative) == (0, 1, False)

@@ -102,24 +102,28 @@ class TestOracleEquivalence:
             run = backend.sort_blocks(blocks, options=options)
         _assert_bit_identical(reference, run)
 
-    def test_step1_path_is_reported_only_when_stable(self):
+    def test_step1_path_reported_off_word_path(self):
         from repro.obs.report import RunReport
 
         workloads = _workloads()
+        # 10k-key blocks on 2 ranks: 14 index bits + 1 rank bit leave codes
+        # below 2^47 for the job's frame, below 2^48 for one block's pack.
+        frame_misfit = workloads["uniform"] | (1 << 47)
         with ProcessBackend() as backend:
-            for name, path in (
-                ("integral_float64", "packed"),
-                ("float_keys", "stable"),  # full-mantissa float64 declines
+            for keys, path in (
+                (workloads["integral_float64"], "through"),
+                (frame_misfit, "packed"),
+                (workloads["float_keys"], "stable"),  # full-mantissa float64
             ):
-                run = backend.sort_blocks(list(partition_input(workloads[name], 2)[0]))
+                run = backend.sort_blocks(list(partition_input(keys, 2)[0]))
                 assert [r.local_sort_path for r in run.reports] == [path] * 2
                 doc = RunReport.from_backend_run(run).to_json()
                 assert RunReport.from_json(doc).to_json() == doc
                 ranks = doc["ranks"]
-                if path == "stable":
-                    assert [r["local_sort_path"] for r in ranks] == ["stable"] * 2
-                else:  # key absent: the golden report schema does not move
+                if path == "through":  # key absent: the fast report schema holds
                     assert all("local_sort_path" not in r for r in ranks)
+                else:
+                    assert [r["local_sort_path"] for r in ranks] == [path] * 2
             options = SortOptions(track_provenance=False)
             run = backend.sort_blocks(
                 list(partition_input(workloads["float_keys"], 2)[0]), options=options

@@ -66,6 +66,51 @@ def _assert_oracle_identical(result, data, p):
     np.testing.assert_array_equal(result.to_array(), np.sort(data))
 
 
+def _signed_zero_nan_floats(n=12_000, seed=7):
+    """float64 keys whose codes are lossy: the word path must refill them.
+
+    Integral magnitudes of both signs (the key frame fits), salted with
+    +0.0, -0.0 and NaNs of both signs with distinct payloads — keys the
+    packed word cannot carry bit for bit, so recovery has to re-read them
+    from the re-staged input lease through the unpacked provenance.
+    """
+    rng = np.random.default_rng(seed)
+    data = np.floor(rng.exponential(2000, n)) * rng.choice([-1.0, 1.0], n)
+    data[::5], data[2::7] = 0.0, -0.0
+    bits = data.view(np.uint64)
+    bits[3::11] = 0x7FF8_0000_0000_0ABC
+    bits[4::13] = 0xFFF0_0000_0000_0001
+    return data
+
+
+def _assert_recovered_bit_for_bit(run, result, data, p):
+    """Keys and provenance of a recovered word-path job, as bytes.
+
+    ``_assert_oracle_identical`` compares values; -0.0 == +0.0 and every
+    NaN equals every NaN there.  Here the partitions are byte-compared to
+    the oracle on the plan the cluster finally executed, and gathering the
+    input through provenance must reproduce the sorted bytes — which pins
+    ``origin_proc`` (after any survivor renumbering) and ``origin_index``.
+    """
+    survivors = list(result.survivors) if result.survivors else list(range(p))
+    live_reports = [run.reports[rank] for rank in survivors]
+    assert {report.local_sort_path for report in live_reports} == {"through"}
+    reference = local_sample_sort(list(partition_input(data, len(survivors))[0]))
+    for slot, rank in enumerate(survivors):
+        assert (
+            result.per_processor[rank].tobytes()
+            == reference.per_processor[slot].tobytes()
+        )
+        origin = result.provenance[rank].origin_proc
+        expected = np.asarray(survivors)[reference.provenance[slot].origin_proc]
+        np.testing.assert_array_equal(origin, expected)
+        np.testing.assert_array_equal(
+            result.provenance[rank].origin_index,
+            reference.provenance[slot].origin_index,
+        )
+    assert result.gather_values(data).tobytes() == result.to_array().tobytes()
+
+
 # ------------------------------------------------------------- the grammar
 
 
@@ -201,6 +246,23 @@ class TestKillRetryRecovery:
         assert backend.stats["retries"] == 1
         assert backend.stats["degraded_jobs"] == 0
 
+    @pytest.mark.parametrize("spec", ["kill=1@5-exchange:0", "kill=2@6-merge:0"])
+    def test_word_path_kill_recovers_lossy_float_keys_bit_for_bit(self, spec):
+        data = _signed_zero_nan_floats()
+        blocks, offsets = partition_input(data, 4)
+        plan = RealFaultPlan.from_spec(spec, seed=7)
+        with ProcessBackend(chaos=plan, retry=FAST, sanitize=True) as backend:
+            run = backend.sort_blocks(blocks)
+            result = run.to_sort_result(offsets)
+            san = backend.sanitizer
+        assert run.retries == 1
+        assert result.survivors is None
+        _assert_recovered_bit_for_bit(run, result, data, 4)
+        # Both generations were sanitized: the killed attempt's partial
+        # log and the clean retry.
+        assert san.report.runs == 2
+        assert san.report.ok, san.report.summary()
+
     def test_chaos_without_explicit_retry_arms_default_policy(self):
         blocks = _blocks()
         plan = RealFaultPlan.from_spec("kill=0@2-sampling:0", seed=1)
@@ -262,6 +324,24 @@ class TestSurvivorDegradedRecovery:
         _assert_oracle_identical(result, data, 4)
         assert backend.stats["degraded_jobs"] == 1
         assert backend.stats["retries"] >= 2  # degrade_after crashes
+
+    def test_word_path_survivors_keep_lossy_float_keys_and_origins(self):
+        # Poison-until-excluded on the word path: the rank tag packed into
+        # every word is the survivor *slot*, exactly as proc_col was, and
+        # the expansion maps it back to the original rank id.
+        data = _signed_zero_nan_floats()
+        blocks, offsets = partition_input(data, 4)
+        plan = RealFaultPlan.from_spec("poison=2", seed=7)
+        with ProcessBackend(chaos=plan, retry=FAST, sanitize=True) as backend:
+            run = backend.sort_blocks(blocks)
+            result = run.to_sort_result(offsets)
+            san = backend.sanitizer
+        assert result.survivors == (0, 1, 3)
+        assert result.recovery_rounds == 1
+        _assert_recovered_bit_for_bit(run, result, data, 4)
+        assert set(np.concatenate([p.origin_proc for p in result.provenance])) == {0, 1, 3}
+        assert san.report.runs == run.retries + 1
+        assert san.report.ok, san.report.summary()
 
     def test_degraded_provenance_round_trips_to_origin(self):
         data = _data(n=12_000)

@@ -45,6 +45,10 @@ def _kinds(san):
     return {v.kind for v in san.report.violations}
 
 
+def _paths(run):
+    return {report.local_sort_path for report in run.reports}
+
+
 class TestCleanRuns:
     def test_sanitized_run_is_bit_identical_and_clean(self):
         _, blocks = _blocks()
@@ -53,9 +57,11 @@ class TestCleanRuns:
             run = backend.sort_blocks(blocks)
             san = backend.sanitizer
         _assert_bit_identical(reference, run)
+        assert _paths(run) == {"through"}  # sanitized jobs take the word path too
         assert san.report.ok, san.report.summary()
         assert san.report.runs == 1
-        # input + keys + index + proc leases, all four ranks flushing.
+        # input + keys + index + proc leases (for 8-byte keys the word
+        # stream is the key lease itself), all four ranks flushing.
         assert san.report.leases_tracked == 4
         assert san.report.accesses_recorded > 4
 
@@ -163,9 +169,73 @@ class TestMutations:
     def test_every_mutation_in_the_catalog_is_detected(self, mutation):
         _, blocks = _blocks(n=8_000)
         with ProcessBackend(sanitize=True, mutate=mutation) as backend:
-            backend.sort_blocks(blocks)
+            run = backend.sort_blocks(blocks)
             san = backend.sanitizer
+        # The worker-side mutations act in steps 5-6 of the word path.
+        assert _paths(run) == {"through"}
         assert not san.report.ok, f"mutation {mutation!r} escaped ShmSan"
+
+
+class TestWordPathStreams:
+    """Which streams a job exchanged is the job's to say, not the analyzer's."""
+
+    def _sanitized(self, data, tmp_path, p=4, **kwargs):
+        blocks = list(partition_input(data, p)[0])
+        san = ShmSan()
+        with ProcessBackend(sanitize=san, **kwargs) as backend:
+            run = backend.sort_blocks(blocks)
+        san.dump_log(tmp_path / "log.json")
+        doc = json.loads((tmp_path / "log.json").read_text())
+        return run, san, doc, {access[7] for access in doc["accesses"]}
+
+    def test_narrow_keys_exchange_a_word_segment_of_their_own(self, tmp_path):
+        data = np.random.default_rng(3).integers(-(1 << 30), 1 << 30, 8_000).astype(np.int32)
+        run, san, doc, labels = self._sanitized(data, tmp_path)
+        assert _paths(run) == {"through"}
+        assert san.report.ok, san.report.summary()
+        assert san.report.leases_tracked == 5  # + the int64 word stream
+        assert doc["exchanged"] == ["words"]
+        assert {"exchange-write", "merge-read", "merge-write", "index-write",
+                "proc-write", "key-write"} <= labels
+        assert analyze_log(doc)[0] == []
+        words = next(lease for lease in doc["leases"] if lease["role"] == "words")
+        writes = [a for a in doc["accesses"] if a[7] == "exchange-write"]
+        assert writes and {a[0] for a in writes} == {words["segment"]}
+        # The index lease is output-only now; saying otherwise is an error.
+        doc["exchanged"] = ["keys", "index"]
+        assert {v.kind for v in analyze_log(doc)[0]} == {"missing-exchange-write"}
+
+    def test_offset_mutation_is_red_on_the_word_segment(self, tmp_path):
+        data = np.random.default_rng(3).integers(0, 1 << 30, 8_000).astype(np.int32)
+        run, san, doc, _ = self._sanitized(
+            data, tmp_path, mutate="offset-off-by-one", mutate_rank=1
+        )
+        assert _paths(run) == {"through"}
+        words = next(lease for lease in doc["leases"] if lease["role"] == "words")
+        mismatches = [v for v in san.report.violations if v.kind == "offset-mismatch"]
+        assert mismatches and {v.details["segment"] for v in mismatches} == {words["segment"]}
+        assert {v.rank for v in mismatches} == {1}
+
+    def test_float_refill_reads_the_input_lease_and_stays_clean(self, tmp_path):
+        rng = np.random.default_rng(4)
+        data = np.floor(rng.exponential(50, 8_000)) * rng.choice([-1.0, 1.0], 8_000)
+        data[::7], data[3::11] = -0.0, -np.nan
+        run, san, doc, labels = self._sanitized(data, tmp_path)
+        assert _paths(run) == {"through"}
+        assert san.report.ok, san.report.summary()
+        assert doc["exchanged"] == ["keys"]  # 8-byte keys decode in place
+        assert "refill-read" in labels
+        reference = local_sample_sort(list(partition_input(data, 4)[0]))
+        for out, expected in zip(run.outputs, reference.per_processor):
+            assert out.keys.tobytes() == expected.tobytes()
+
+    def test_frame_miss_exchanges_keys_and_indices_as_before(self, tmp_path):
+        data = np.random.default_rng(5).normal(size=8_000)  # full-mantissa float64
+        run, san, doc, labels = self._sanitized(data, tmp_path)
+        assert _paths(run) == {"stable"}
+        assert san.report.ok, san.report.summary()
+        assert doc["exchanged"] == ["keys", "index"]
+        assert "index-write" not in labels and "refill-read" not in labels
 
 
 class TestCrashedRuns:
