@@ -5,22 +5,32 @@ process boundary.  The driver (parent) owns a pool of
 :mod:`multiprocessing.shared_memory` segments; data-plane buffers — input
 blocks, the all-to-all exchange streams, merged output — are *leased* as
 numpy views of pooled segments and returned wholesale with
-:meth:`SharedArena.release_all` once a sort completes.  Segments grow
-geometrically and are reused across sorts, so a backend that sorts many
-datasets performs no shm system calls in steady state.
+:meth:`SharedArena.release_all` once a sort completes.  Segments come in
+power-of-two size classes and are reused across sorts, so a backend that
+sorts many datasets performs no shm system calls in steady state.
 
 A lease is described by a small picklable :class:`ShmLease` (segment name,
 dtype, length) that travels to workers over the control pipe; workers map
 the same physical pages with :func:`attach` — no data ever crosses a pipe.
 
-Two invariants make the arena the persistent pool's warm store (PR 9):
-segments survive ``release_all`` (only :meth:`SharedArena.close` unlinks),
-and a named segment is **never resized** — growth allocates a new segment
-under a new name.  A pooled worker can therefore cache its attachments by
+Three invariants make the arena the persistent pool's warm store:
+segments survive ``release_all`` (only :meth:`SharedArena.close` unlinks);
+a named segment is **never resized** — growth allocates a new segment
+under a new name; and a **pinned** segment (:meth:`SharedArena.pin`) is
+out of the pool until its result dies — ``close()`` unlinks it but does
+not unmap it.  A pooled worker can therefore cache its attachments by
 segment name across jobs (:class:`repro.parallel.worker.SegmentCache`):
 whatever leases a later job's specs describe, a cached name still maps
 the right pages, and steady-state jobs run with zero shm system calls on
 both sides of the process boundary.
+
+Pinning is how a sort's merged output leaves the arena without a copy:
+the caller's arrays are slices of one root array over the lease, and the
+segment returns to the pool when the last of them is collected.  It must
+stay *mapped* that long whatever happens to the arena, because
+``np.ndarray(buffer=shm.buf)`` takes no buffer export (its ``.base`` is
+the ``mmap``): ``SharedMemory.close()`` under a live view succeeds
+silently and the next read of the view is a segfault.
 
 Ownership contract: the parent creates and unlinks every segment; workers
 only ever attach and close.  On POSIX the resource-tracker process is
@@ -34,6 +44,7 @@ tracker.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 
@@ -66,11 +77,36 @@ class ShmLease:
 @dataclass
 class _Segment:
     shm: shared_memory.SharedMemory
-    in_use: bool = False
+    #: Bytes out on lease (0 = free); a segment backs one lease at a time.
+    leased: int = 0
+    #: Live result roots over the lease (:meth:`SharedArena.pin`).
+    pins: int = 0
+    #: The arena closed (and unlinked) under a pin: the unpin unmaps.
+    orphaned: bool = False
 
     @property
     def capacity(self) -> int:
         return self.shm.size
+
+
+def _lease_array(shm: shared_memory.SharedMemory, lease: ShmLease) -> np.ndarray:
+    """The numpy array a lease describes, over one mapping of its segment."""
+    return np.ndarray(
+        lease.length,
+        dtype=np.dtype(lease.dtype),
+        buffer=shm.buf,
+        offset=lease.offset_bytes,
+    )
+
+
+def _unpin(seg: _Segment) -> None:
+    """Finalizer of a pinned root array: the last view of a result died."""
+    seg.pins -= 1
+    if seg.pins:
+        return
+    seg.leased = 0  # back in the pool
+    if seg.orphaned:
+        seg.shm.close()
 
 
 class SharedArena:
@@ -78,24 +114,52 @@ class SharedArena:
 
     Mirrors the in-process scratch arena: ``lease(n, dtype)`` hands out a
     region backed by a pooled segment (picking the smallest free segment
-    that fits, creating one with geometric growth otherwise) and
-    ``release_all`` returns every lease without freeing pages.  ``close``
-    unlinks everything; the arena is also a context manager.
+    that fits, creating one of the request's size class otherwise) and
+    ``release_all`` returns every lease that is not pinned without
+    freeing pages.  ``close`` unlinks everything; the arena is also a
+    context manager.
     """
 
     def __init__(self) -> None:
         self._segments: list[_Segment] = []
         #: Real shm segment creations so far (tests pin pooling on this).
         self.allocations = 0
-        #: Leases handed out since the last ``release_all``.
-        self.live_leases = 0
-        #: Bytes currently out on lease (resets with ``release_all``).
-        self.leased_bytes = 0
         #: Observability hook: ``on_sample(name, value)`` fires on lease
         #: grants, segment growth, and ``release_all`` (None when untraced
         #: — the repository's guard pattern).
         self.on_sample = None
         self._closed = False
+
+    # ------------------------------------------------------------ counters
+
+    @property
+    def live_leases(self) -> int:
+        """Leases currently out (pinned ones included)."""
+        return sum(1 for seg in self._segments if seg.leased)
+
+    @property
+    def leased_bytes(self) -> int:
+        """Bytes currently out on lease (pinned ones included)."""
+        return sum(seg.leased for seg in self._segments)
+
+    @property
+    def pinned_segments(self) -> int:
+        """Segments a live result keeps out of the pool."""
+        return sum(1 for seg in self._segments if seg.pins)
+
+    @property
+    def pinned_bytes(self) -> int:
+        """The part of :attr:`leased_bytes` that ``release_all`` skips."""
+        return sum(seg.leased for seg in self._segments if seg.pins)
+
+    def pooled_bytes(self) -> int:
+        """Total bytes of shared storage the arena keeps alive."""
+        return sum(s.capacity for s in self._segments)
+
+    def _sample_leases(self) -> None:
+        if self.on_sample is not None:
+            self.on_sample("arena.leased_bytes", float(self.leased_bytes))
+            self.on_sample("arena.pinned_bytes", float(self.pinned_bytes))
 
     # ------------------------------------------------------------ leasing
 
@@ -114,65 +178,79 @@ class SharedArena:
         nbytes = max(int(length) * dtype.itemsize, 1)
         best: _Segment | None = None
         for seg in self._segments:
-            if not seg.in_use and seg.capacity >= nbytes:
+            if not seg.leased and seg.capacity >= nbytes:
                 if best is None or seg.capacity < best.capacity:
                     best = seg
         if best is None:
-            largest = max((s.capacity for s in self._segments), default=0)
-            capacity = max(nbytes, 2 * largest, MIN_SEGMENT_BYTES)
+            # Sized for the request that missed, rounded up to its
+            # power-of-two class: requests of similar size share segments
+            # and the pool's footprint follows what was actually leased.
+            capacity = max(1 << (nbytes - 1).bit_length(), MIN_SEGMENT_BYTES)
             best = _Segment(shared_memory.SharedMemory(create=True, size=capacity))
             self.allocations += 1
             self._segments.append(best)
             if self.on_sample is not None:
                 self.on_sample("arena.pooled_bytes", float(self.pooled_bytes()))
-        best.in_use = True
-        self.live_leases += 1
-        self.leased_bytes += nbytes
-        if self.on_sample is not None:
-            self.on_sample("arena.leased_bytes", float(self.leased_bytes))
+        best.leased = nbytes
+        self._sample_leases()
         return ShmLease(name=best.shm.name, dtype=dtype, length=int(length))
+
+    def _segment(self, lease: ShmLease) -> _Segment:
+        for seg in self._segments:
+            if seg.shm.name == lease.name:
+                return seg
+        raise KeyError(f"lease names unknown segment {lease.name!r}")
 
     def view(self, lease: ShmLease) -> np.ndarray:
         """Parent-side numpy view of a lease issued by this arena."""
-        for seg in self._segments:
-            if seg.shm.name == lease.name:
-                return np.ndarray(
-                    lease.length,
-                    dtype=np.dtype(lease.dtype),
-                    buffer=seg.shm.buf,
-                    offset=lease.offset_bytes,
-                )
-        raise KeyError(f"lease names unknown segment {lease.name!r}")
+        return _lease_array(self._segment(lease).shm, lease)
+
+    def pin(self, lease: ShmLease) -> np.ndarray:
+        """Give the lease's bytes to a result that outlives the job.
+
+        Returns the *root* array over the lease.  numpy collapses the
+        ``.base`` of every slice and dtype view taken from it to this one
+        object, so it is collected exactly when the last view of the
+        result is — and only then does the segment return to the pool
+        (or, if the arena closed meanwhile, get unmapped).  Until then
+        ``release_all`` skips it and :meth:`lease` cannot choose it.
+        """
+        seg = self._segment(lease)
+        root = _lease_array(seg.shm, lease)
+        seg.pins += 1
+        # Not at exit: by then the pages are unlinked (or the resource
+        # tracker's to reap) and nothing will lease the segment again.
+        weakref.finalize(root, _unpin, seg).atexit = False
+        return root
 
     def release_all(self) -> None:
-        """Return every lease to the pool (segments stay mapped)."""
+        """Return every unpinned lease to the pool (segments stay mapped)."""
         for seg in self._segments:
-            seg.in_use = False
-        self.live_leases = 0
-        self.leased_bytes = 0
-        if self.on_sample is not None:
-            self.on_sample("arena.leased_bytes", 0.0)
-
-    def pooled_bytes(self) -> int:
-        """Total bytes of shared storage the arena keeps alive."""
-        return sum(s.capacity for s in self._segments)
+            if not seg.pins:
+                seg.leased = 0
+        self._sample_leases()
 
     # ------------------------------------------------------------ lifetime
 
     def close(self) -> None:
-        """Unmap and unlink every segment.  Idempotent."""
+        """Unlink every segment; unmap all but the pinned ones.  Idempotent.
+
+        ``/dev/shm`` holds none of the arena's names once this returns,
+        whatever the caller still holds: a pinned segment stays mapped
+        (its pages live on anonymously) and its unpin unmaps it.
+        """
         if self._closed:
             return
         self._closed = True
         for seg in self._segments:
-            try:
+            seg.orphaned = True
+            if not seg.pins:
                 seg.shm.close()
+            try:
                 seg.shm.unlink()
             except FileNotFoundError:
                 pass
         self._segments.clear()
-        self.live_leases = 0
-        self.leased_bytes = 0
 
     def __enter__(self) -> "SharedArena":
         return self
@@ -212,10 +290,4 @@ def attach(lease: ShmLease) -> AttachedLease:
     ownership contract in the module docstring.
     """
     shm = shared_memory.SharedMemory(name=lease.name)
-    array = np.ndarray(
-        lease.length,
-        dtype=np.dtype(lease.dtype),
-        buffer=shm.buf,
-        offset=lease.offset_bytes,
-    )
-    return AttachedLease(array=array, _shm=shm)
+    return AttachedLease(array=_lease_array(shm, lease), _shm=shm)

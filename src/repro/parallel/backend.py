@@ -69,6 +69,15 @@ from .worker import JobSpec, WorkerReport, worker_main
 #: The selectable execution substrates.
 BACKENDS = ("simnet", "process")
 
+#: Job results that may own arena segments at once (see
+#: :meth:`ProcessBackend._collect`).  A held result keeps up to 3 segments
+#: (keys, index, proc) x 2 fds open in the driver and mapped in every
+#: worker, so the count is bounded; a job finishing beyond it is handed
+#: private copies instead.  Two would cover the ``r = backend.sort_blocks(
+#: ...)`` loop (the previous result dies only after the next call
+#: returns); 4 leaves room to compare a few results side by side.
+MAX_PINNED_RESULTS = 4
+
 _default_backend: "str | ExecutionBackend" = "simnet"
 
 
@@ -191,7 +200,10 @@ class BackendRun:
     """Backend-agnostic outcome of one partitioned sort."""
 
     #: Per-rank outputs in the simulated sorter's shape (keys, provenance,
-    #: per-step seconds — wall seconds on real backends).
+    #: per-step seconds — wall seconds on real backends).  From the
+    #: process backend the arrays are writable views of the shared memory
+    #: step 6 merged into, owned by this result (they outlive the pool;
+    #: pickling copies them) — see :data:`MAX_PINNED_RESULTS`.
     outputs: list[RankSortOutput]
     #: Final splitters the Master selected.
     splitters: np.ndarray
@@ -395,7 +407,9 @@ class ProcessBackend:
     no splitter selection either.  Use as a context manager (or call
     :meth:`close`) to shut the workers down and unlink the arena; a
     one-shot caller gets per-sort teardown from
-    ``with ProcessBackend() as backend:``.
+    ``with ProcessBackend() as backend:``.  Results stay valid after
+    that: their arrays are the job's own output leases, pinned in the
+    arena (and kept mapped past ``close``) until the last view dies.
 
     Crash policy: a worker death or failure *poisons the generation* —
     survivors may be wedged mid-collective with stale replies queued, so
@@ -506,6 +520,10 @@ class ProcessBackend:
         self.degraded_jobs = 0
         #: Jobs that exhausted their retry budget (JobAbortedError raised).
         self.aborted_jobs = 0
+        #: Jobs whose result arrays are views of the job's own leases ...
+        self.results_pinned = 0
+        #: ... and jobs collected by copy because the pin budget was spent.
+        self.results_copied = 0
         # close()-vs-in-flight drain state: close() during a job defers
         # teardown until the job's finally block completes it.
         self._in_flight = False
@@ -533,6 +551,8 @@ class ProcessBackend:
             "retries": self.retries,
             "degraded_jobs": self.degraded_jobs,
             "aborted_jobs": self.aborted_jobs,
+            "results_pinned": self.results_pinned,
+            "results_copied": self.results_copied,
             "pool_size": self._pool_size,
             "splitter_cache": (
                 self.splitter_cache.stats()
@@ -763,6 +783,13 @@ class ProcessBackend:
             san = active_shm_sanitizer()
 
         start = time.perf_counter()  # repro: noqa[R002] — real backend: the driver wall clock is the makespan
+        if self._mutate == "relet-pinned":
+            # Seeded invariant break: the arena forgets its pins when it
+            # looks for a free segment, so this job is handed bytes a
+            # live result still reads — the lease-lifetime check must
+            # flag the overlap on sight.
+            for seg in self.arena._segments:
+                seg.leased = 0
         input_lease = self.arena.lease(n, key_dtype)
         key_lease = self.arena.lease(n, key_dtype)
         index_lease = self.arena.lease(n, np.int32) if track else None
@@ -1142,34 +1169,45 @@ class ProcessBackend:
         size = len(reports)
         counts_matrix = np.stack([reports[r].counts_row for r in range(size)])
         layout = exchange_layout(counts_matrix)
-        keys_view = self.arena.view(key_lease)
-        idx_view = self.arena.view(index_lease) if index_lease else None
-        proc_view = self.arena.view(proc_lease) if proc_lease else None
-        if san is not None and layout.total:
-            # The driver's post-join reads of the merged regions — ordered
-            # after every worker access, but recorded so the log is the
-            # whole story of the segments' lifetimes.
-            san.parent_access(
-                key_lease, 0, layout.total, "r", "collect-keys", when="after"
-            )
-            if index_lease is not None:
-                san.parent_access(
-                    index_lease, 0, layout.total, "r", "collect-index",
-                    when="after",
-                )
-            if proc_lease is not None:
-                san.parent_access(
-                    proc_lease, 0, layout.total, "r", "collect-proc",
-                    when="after",
-                )
+        leases = {"keys": key_lease}
+        if index_lease is not None:
+            leases.update(index=index_lease, proc=proc_lease)
+        # Zero-copy hand-off: the result's arrays are slices of the job's
+        # own output leases, which the arena keeps out of the pool until
+        # the last of them dies.  With the pin budget spent, the job gets
+        # private copies and its leases go back with release_all.
+        pinned = (
+            self.arena.pinned_segments + len(leases) <= 3 * MAX_PINNED_RESULTS
+        )
+        if pinned:
+            self.results_pinned += 1
+            views = {role: self.arena.pin(l) for role, l in leases.items()}
+        else:
+            self.results_copied += 1
+            views = {role: self.arena.view(l) for role, l in leases.items()}
+        if san is not None:
+            for role, lease in leases.items():
+                if pinned:
+                    san.pin_lease(role, lease, views[role])
+                if layout.total:
+                    # The driver takes over the merged regions — ordered
+                    # after every worker access, but recorded so the log
+                    # is the whole story of the segments' lifetimes.
+                    san.parent_access(
+                        lease, 0, layout.total, "r", f"collect-{role}",
+                        when="after",
+                    )
         outputs = []
         for rank in range(size):
             report = reports[rank]
             lo, length = layout.region(rank)
             hi = lo + length
-            keys = keys_view[lo:hi].copy()  # fresh: leases return to the pool
-            if idx_view is not None:
-                prov = Provenance(proc_view[lo:hi].copy(), idx_view[lo:hi].copy())
+            parts = {role: view[lo:hi] for role, view in views.items()}
+            if not pinned:  # fresh arrays: the leases return to the pool
+                parts = {role: part.copy() for role, part in parts.items()}
+            keys = parts["keys"]
+            if index_lease is not None:
+                prov = Provenance(parts["proc"], parts["index"])
             else:
                 prov = Provenance.empty()
             outputs.append(

@@ -25,7 +25,8 @@ log up to the crash point.
 The analyzer flags write-write and read-write interval overlaps between
 ranks not ordered by a collective edge, lease-lifetime violations (a
 parent view touched past ``release_all``, an access outside the leased
-range, two live leases aliasing one segment), and offset-table
+range, two live leases aliasing one segment — a lease that a job result
+pinned stays live across runs, until the result dies), and offset-table
 inconsistencies (a run not where :func:`repro.parallel.layout.exchange_layout`
 puts it, on any stream the job says it exchanged — the packed-word
 stream on the word path, keys + origin indices otherwise) — with
@@ -58,6 +59,7 @@ previously captured access log offline.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -81,6 +83,7 @@ MUTATIONS = (
     "skip-merge-barrier",  # worker: merge without waiting for the barrier
     "double-lease",        # parent: register a second lease over the key segment
     "stale-view",          # parent: touch a leased view after release_all
+    "relet-pinned",        # parent: the arena leases out a segment a result pins
 )
 
 
@@ -196,6 +199,9 @@ class ShmSan:
         self._counts_matrix: np.ndarray | None = None
         self._exchanged: tuple[str, ...] = KEYS_AND_PERM
         self._complete = True
+        # Leases a job result pinned outlive their run: each stays live,
+        # across begin_run, for as long as its root array does.
+        self._pinned: list[tuple[LeaseInfo, weakref.ref]] = []
 
     # ------------------------------------------------------- backend hooks
 
@@ -208,11 +214,26 @@ class ShmSan:
         self._counts_matrix = None
         self._exchanged = KEYS_AND_PERM
         self._complete = True
+        self._pinned = [
+            (info, root) for info, root in self._pinned if root() is not None
+        ]
+
+    def pin_lease(self, role: str, lease, root: np.ndarray) -> None:
+        """The run's ``role`` lease now belongs to the job's result.
+
+        ``root`` is the array :meth:`SharedArena.pin` returned; the lease
+        stays live — past ``note_release`` and into later runs — until
+        it is collected, and a lease granted over the same bytes before
+        then is an ``overlapping-lease``.
+        """
+        self._pinned.append(
+            (LeaseInfo.from_lease(f"pinned-{role}", lease), weakref.ref(root))
+        )
 
     def register_lease(self, role: str, lease) -> None:
         """Track a granted lease; aliased live leases are flagged here."""
         info = LeaseInfo.from_lease(role, lease)
-        for other in self._leases:
+        for other in [pin for pin, _ in self._pinned] + self._leases:
             if other.segment != info.segment:
                 continue
             if info.byte_lo < other.byte_hi and other.byte_lo < info.byte_hi:
@@ -499,7 +520,10 @@ def main(argv: list[str] | None = None) -> int:
     with ProcessBackend(
         sanitize=san, mutate=args.mutate, mutate_rank=args.mutate_rank
     ) as backend:
-        runs = [backend.sort_blocks(blocks) for _ in range(max(args.jobs, 1))]
+        # Every run is held to the end, so a longer stream crosses the
+        # backend's pin budget; relet-pinned needs one held result to re-let.
+        jobs = max(args.jobs, 2 if args.mutate == "relet-pinned" else 1)
+        runs = [backend.sort_blocks(blocks) for _ in range(jobs)]
     run = runs[-1]
 
     oracle_identical: bool | None = None

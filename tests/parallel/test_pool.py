@@ -3,7 +3,11 @@ serves a stream of jobs bit-identically to the oracle, with warm arenas,
 per-job epoch reset, crash-respawn recovery, and exact splitter-cache
 reuse."""
 
+import gc
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,9 +20,13 @@ from repro.parallel import (
     PoolClosedError,
     ProcessBackend,
     RealFaultPlan,
+    RetryPolicy,
     WorkerCrashedError,
 )
+from repro.parallel.backend import MAX_PINNED_RESULTS
 from repro.parallel.shmsan import shm_sanitize
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
 
 
 def _blocks(n, p, seed=7, kind="uniform", dtype=np.int64):
@@ -44,6 +52,35 @@ def _assert_bit_identical(reference, run):
         assert out.keys.dtype == ref_keys.dtype
         np.testing.assert_array_equal(out.keys, ref_keys)
     np.testing.assert_array_equal(run.splitters, reference.splitters)
+
+
+def _assert_bytes_equal_to_oracle(run, blocks):
+    """Keys and both provenance columns, as bytes, against the oracle."""
+    reference = local_sample_sort(blocks)
+    for out, keys, prov in zip(
+        run.outputs, reference.per_processor, reference.provenance
+    ):
+        assert out.keys.tobytes() == keys.tobytes()
+        assert out.provenance.origin_proc.tobytes() == prov.origin_proc.tobytes()
+        assert out.provenance.origin_index.tobytes() == prov.origin_index.tobytes()
+
+
+def _shm_entries():
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _is_pinned(run):
+    """Every array of the result is a view of shared memory, not a copy."""
+    arrays = [a for out in run.outputs for a in (
+        out.keys, out.provenance.origin_proc, out.provenance.origin_index
+    )]
+    owned = {a.flags.owndata for a in arrays}
+    assert len(owned) == 1
+    return owned == {False}
 
 
 class TestPoolStreaming:
@@ -263,3 +300,182 @@ class TestSorterPool:
                 np.testing.assert_array_equal(
                     s.per_processor[rank], r.per_processor[rank]
                 )
+
+
+class TestHeldResults:
+    """Results are views of the job's own leases: they stay where step 6
+    left them, survive later jobs and the pool, and cost bounded resources."""
+
+    def test_results_held_past_the_budget_are_copies_and_all_stay_intact(self):
+        kinds = ("uniform", "duplicate_heavy", "near_sorted")
+        jobs = [
+            _blocks(20_000, 4, seed=seed, kind=kinds[seed % 3])
+            for seed in range(MAX_PINNED_RESULTS + 3)
+        ]
+        shm_before = _shm_entries()
+        with ProcessBackend() as backend:
+            held, footprint = [], []
+            for blocks in jobs:
+                held.append(backend.sort_blocks(blocks))
+                footprint.append(
+                    (
+                        _open_fds(),
+                        len(_shm_entries() - shm_before),
+                        backend.arena.pooled_bytes(),
+                    )
+                )
+            stats = backend.stats
+            # Compared after the last job: no later job wrote into an
+            # earlier result.
+            for run, blocks in zip(held, jobs):
+                _assert_bytes_equal_to_oracle(run, blocks)
+        assert [_is_pinned(run) for run in held] == (
+            [True] * MAX_PINNED_RESULTS + [False] * 3
+        )
+        assert stats["results_pinned"] == MAX_PINNED_RESULTS
+        assert stats["results_copied"] == 3
+        # Driver fds, /dev/shm names and pooled bytes grow with the pinned
+        # results only: from the first copied job on they are flat.
+        assert all(
+            before < after
+            for before, after in zip(
+                footprint[MAX_PINNED_RESULTS - 1], footprint[MAX_PINNED_RESULTS]
+            )
+        )
+        assert len(set(footprint[MAX_PINNED_RESULTS:])) == 1
+        assert _shm_entries() == shm_before
+
+    def test_rebinding_loop_is_zero_copy_and_allocation_flat(self):
+        jobs = [_blocks(20_000, 4, seed=seed) for seed in range(6)]
+        with ProcessBackend() as backend:
+            r = backend.sort_blocks(jobs[0])
+            r = backend.sort_blocks(jobs[1])  # the previous result is still alive
+            allocations = backend.arena.allocations
+            for blocks in jobs[2:]:
+                r = backend.sort_blocks(blocks)
+                assert _is_pinned(r)
+                _assert_bytes_equal_to_oracle(r, blocks)
+            assert backend.arena.allocations == allocations
+            assert backend.stats["results_copied"] == 0
+            assert backend.stats["results_pinned"] == len(jobs)
+            # Closed loop: nothing held, so nothing stays out of the pool.
+            del r
+            assert backend.arena.pinned_segments == 0
+            assert backend.arena.live_leases == 0
+
+    def test_results_outlive_their_pool(self):
+        blocks = _blocks(20_000, 4)
+        shm_before, fds_before = _shm_entries(), _open_fds()
+        backend = ProcessBackend()
+        run = backend.sort_blocks(blocks)
+        assert _is_pinned(run)
+        backend.close()
+        assert _shm_entries() == shm_before  # unlinked, whatever is held
+        _assert_bytes_equal_to_oracle(run, blocks)
+        del backend
+        gc.collect()
+        _assert_bytes_equal_to_oracle(run, blocks)
+        keys = run.outputs[0].keys
+        keys[:] = 0  # still mapped: writable views of memory the result owns
+        assert not keys.any()
+        del run, keys
+        assert _open_fds() == fds_before  # the last view unmapped the segments
+
+    def test_driver_may_exit_with_results_alive(self):
+        script = (
+            "import numpy as np\n"
+            "from repro.core.api import partition_input\n"
+            "from repro.parallel import ProcessBackend\n"
+            "data = np.random.default_rng(1).integers(0, 1 << 40, 20_000)\n"
+            "blocks = list(partition_input(data, 2)[0])\n"
+            "with ProcessBackend() as backend:\n"
+            "    held = [backend.sort_blocks(blocks) for _ in range(2)]\n"
+            "keys = np.concatenate([out.keys for out in held[1].outputs])\n"
+            "assert np.array_equal(keys, np.sort(data))\n"
+            "print('alive', len(held))\n"
+        )
+        shm_before = _shm_entries()
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "alive 2\n"
+        assert proc.stderr == ""  # no BufferError / "Exception ignored" noise
+        assert _shm_entries() == shm_before
+
+    def test_one_shot_sorter_and_long_streams_match_numpy(self):
+        rng = np.random.default_rng(5)
+        sorter = DistributedSorter(num_processors=4, backend="process")
+        data = rng.integers(0, 1 << 40, 30_000).astype(np.int64)
+        result = sorter.sort(data)  # its pool is closed by the time we read
+        np.testing.assert_array_equal(result.to_array(), np.sort(data))
+        np.testing.assert_array_equal(result.gather_values(data), np.sort(data))
+        datasets = [
+            rng.integers(0, 1 << 40, 5_000 + 500 * i).astype(np.int64)
+            for i in range(3 * MAX_PINNED_RESULTS)
+        ]
+        with sorter.pool() as pool:
+            results = pool.sort_many(datasets)
+            stats = pool.stats
+        for data, result in zip(datasets, results):
+            np.testing.assert_array_equal(result.to_array(), np.sort(data))
+        assert stats["results_pinned"] == MAX_PINNED_RESULTS
+        assert stats["results_copied"] == 2 * MAX_PINNED_RESULTS
+
+    @pytest.mark.parametrize(
+        "spec, survivors", [("kill=1@6-merge:0", None), ("poison=2", (0, 1, 3))]
+    )
+    def test_recovered_jobs_return_pinned_results(self, spec, survivors):
+        blocks = _blocks(20_000, 4)
+        retry = RetryPolicy(backoff_seconds=0.001, backoff_cap_seconds=0.01)
+        with ProcessBackend(
+            chaos=RealFaultPlan.from_spec(spec, seed=7), retry=retry
+        ) as backend:
+            run = backend.sort_blocks(blocks)
+            later = backend.sort_blocks(_blocks(20_000, 4, seed=8))
+            stats = backend.stats
+        assert run.retries >= 1 and run.survivors == survivors
+        assert stats["results_copied"] == 0
+        if survivors is None:
+            assert _is_pinned(run)
+            _assert_bytes_equal_to_oracle(run, blocks)
+            return
+        # Degraded: compared on the plan the survivors executed, with
+        # origin_proc renumbered back by _expand_degraded (a fresh array;
+        # keys and origin_index are still the job's own leases).
+        replanned = list(partition_input(np.concatenate(blocks), len(survivors))[0])
+        reference = local_sample_sort(replanned)
+        for slot, rank in enumerate(survivors):
+            out = run.outputs[rank]
+            assert not out.keys.flags.owndata
+            assert not out.provenance.origin_index.flags.owndata
+            assert out.keys.tobytes() == reference.per_processor[slot].tobytes()
+            prov = reference.provenance[slot]
+            assert out.provenance.origin_index.tobytes() == prov.origin_index.tobytes()
+            np.testing.assert_array_equal(
+                out.provenance.origin_proc, np.asarray(survivors)[prov.origin_proc]
+            )
+        assert run.outputs[2] is None
+        del later
+
+    def test_a_failed_job_leaves_nothing_pinned(self):
+        blocks = _blocks(20_000, 4)
+        with ProcessBackend(
+            chaos=RealFaultPlan.from_spec("kill=2@6-merge:1"),
+            retry=False,
+            timeout_seconds=30.0,
+        ) as backend:
+            backend.sort_blocks(blocks)  # result dropped: closed loop
+            with pytest.raises(WorkerCrashedError):
+                backend.sort_blocks(blocks)
+            assert backend.arena.pinned_segments == 0
+            assert backend.arena.live_leases == 0
+            allocations = backend.arena.allocations
+            run = backend.sort_blocks(blocks)
+            _assert_bytes_equal_to_oracle(run, blocks)
+            assert backend.arena.allocations == allocations
+            assert backend.stats["results_pinned"] == 2

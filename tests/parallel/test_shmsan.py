@@ -165,12 +165,60 @@ class TestMutations:
         assert stale[0].rank == PARENT_RANK
         assert stale[0].details["label"] == "stale-input-probe"
 
+    def test_relet_pinned_reports_the_result_the_job_overwrites(self, tmp_path):
+        _, blocks = _blocks(n=4_000)
+        with ProcessBackend(sanitize=True, mutate="relet-pinned") as backend:
+            held = backend.sort_blocks(blocks)
+            san = backend.sanitizer
+            assert san.report.ok, san.report.summary()  # nothing pinned yet
+            san.dump_log(tmp_path / "held.json")
+            backend.sort_blocks(blocks)
+        segment_of = {
+            lease["role"]: lease["segment"]
+            for lease in json.loads((tmp_path / "held.json").read_text())["leases"]
+        }
+        aliased = [
+            v for v in san.report.violations if v.kind == "overlapping-lease"
+        ]
+        assert {v.kind for v in san.report.violations} == {"overlapping-lease"}
+        assert all(v.rank == PARENT_RANK for v in aliased)
+        # Same shapes, so the arena that forgot its pins hands every output
+        # stream of the second job the segment the first result still reads.
+        assert [v.details["roles"] for v in aliased] == [
+            ["pinned-keys", "keys"],
+            ["pinned-index", "index"],
+            ["pinned-proc", "proc"],
+        ]
+        assert [v.details["segment"] for v in aliased] == [
+            segment_of[role] for role in ("keys", "index", "proc")
+        ]
+        for v in aliased:
+            assert v.details["a_bytes"] == v.details["b_bytes"]
+        del held
+
+    def test_pinned_leases_stay_live_only_as_long_as_the_result(self):
+        """Held: later jobs get other bytes.  Dropped: same bytes, clean."""
+        _, blocks = _blocks(n=4_000)
+        san = ShmSan()
+        with ProcessBackend(sanitize=san) as backend:
+            held = backend.sort_blocks(blocks)
+            backend.sort_blocks(blocks)
+            allocations = backend.arena.allocations
+            del held
+            for _ in range(3):  # closed loop: each result dies before the next job
+                backend.sort_blocks(blocks)
+            assert backend.arena.allocations == allocations
+        assert san.report.runs == 5
+        assert san.report.ok, san.report.summary()
+
     @pytest.mark.parametrize("mutation", MUTATIONS)
     def test_every_mutation_in_the_catalog_is_detected(self, mutation):
         _, blocks = _blocks(n=8_000)
         with ProcessBackend(sanitize=True, mutate=mutation) as backend:
+            held = backend.sort_blocks(blocks)  # relet-pinned needs a pin to ignore
             run = backend.sort_blocks(blocks)
             san = backend.sanitizer
+        del held
         # The worker-side mutations act in steps 5-6 of the word path.
         assert _paths(run) == {"through"}
         assert not san.report.ok, f"mutation {mutation!r} escaped ShmSan"
@@ -326,6 +374,18 @@ class TestCli:
         assert proc.returncode == 1, proc.stdout + proc.stderr
         assert "DETECTED" in proc.stdout
         assert "offset-mismatch" in proc.stdout
+
+    def test_relet_pinned_probe_holds_a_result_to_relet(self):
+        # One job pins nothing worth re-letting: the probe runs two.
+        proc = self._run("--mutate", "relet-pinned")
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "DETECTED" in proc.stdout
+        assert "aliases live lease 'pinned-keys'" in proc.stdout
+
+    def test_held_stream_crosses_the_pin_budget_green(self):
+        proc = self._run("--jobs", "8")  # the CLI holds every run to the end
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "8 sanitized golden job(s) bit-identical" in proc.stdout
 
     def test_log_out_then_offline_analysis(self, tmp_path):
         log_path = tmp_path / "log.json"
