@@ -511,7 +511,7 @@ def rule_unbounded_retry(tree: ast.Module, ctx: FileContext) -> Iterator[Violati
     *including* ``repro.parallel`` since the backend grew its own retry
     machinery: a real-backend retry loop spins actual OS processes, so an
     unbounded one burns cores, not virtual seconds.  The deliberate
-    re-plan loop in ``backend._run_with_retry`` (bounded by the shrinking
+    re-plan loop in ``retry.run_with_retry`` (bounded by the shrinking
     survivor set, not a counter) licenses itself with a per-line
     ``# repro: noqa[R008]``.
     """
@@ -667,7 +667,7 @@ def rule_handrolled_offsets(
     ``counts``-named value inside the real-parallel backend (outside
     ``parallel/layout.py`` itself, the helper's one sanctioned home) is a
     second copy of that arithmetic waiting to drift; call the helper and
-    take ``run_offset``/``region``/``run_bounds`` from it.
+    take ``run_offset``/``region`` from it.
     """
     if not (ctx.library and ctx.realtime) or ctx.path.replace(
         "\\", "/"

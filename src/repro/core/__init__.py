@@ -7,8 +7,10 @@ Six steps (section IV), each in its own module:
 3. :mod:`repro.core.splitters` — Master-side splitter selection,
 4. :mod:`repro.core.investigator` — duplicate-aware partition cuts,
 5. :mod:`repro.core.exchange` — asynchronous all-to-all redistribution,
-6. :mod:`repro.core.balanced_merge` — the pairwise balanced-merge handler,
+6. :mod:`repro.core.balanced_merge` — the merge kernel and the pairwise
+   balanced-merge handler's level/cost shape,
 
+with the step bodies every substrate shares in :mod:`repro.core.steps`,
 orchestrated by :mod:`repro.core.sorter` and exposed through
 :mod:`repro.core.api`.
 """
@@ -17,15 +19,10 @@ from . import api  # noqa: F401  (re-exported for repro.__getattr__)
 from .api import DistributedSorter, SortConfig, distributed_sort, partition_input
 from .balanced_merge import (
     MergeOutcome,
-    balanced_merge,
     flat_kway_merge,
-    kway_merge,
     kway_merge_cost_seconds,
-    merge_cost_seconds,
     merge_levels,
     merge_levels_cost_seconds,
-    merge_two,
-    sequential_fold_merge,
 )
 from .exchange import ExchangeResult, exchange_partitions
 from .scratch import ScratchArena, shared_arange
@@ -62,7 +59,6 @@ __all__ = [
     "SortOptions",
     "VerificationReport",
     "SortResult",
-    "balanced_merge",
     "compute_cuts",
     "compute_cuts_naive",
     "cuts_to_counts",
@@ -70,15 +66,12 @@ __all__ = [
     "exchange_partitions",
     "flat_kway_merge",
     "histogram_splitters",
-    "kway_merge",
     "kway_merge_cost_seconds",
     "local_histogram",
     "local_sample_sort",
-    "merge_cost_seconds",
     "merge_levels",
     "merge_levels_cost_seconds",
     "merge_samples",
-    "merge_two",
     "shared_arange",
     "parallel_quicksort",
     "partition_input",
@@ -87,7 +80,6 @@ __all__ = [
     "sample_sort_program",
     "select_regular_samples",
     "select_splitters",
-    "sequential_fold_merge",
     "slices_from_cuts",
     "split_into_chunks",
     "summarize_input",

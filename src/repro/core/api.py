@@ -20,7 +20,7 @@ different data simultaneously").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -143,11 +143,7 @@ class DistributedSorter:
                 if rest.get("rank_speed") is not None
                 else config.rank_speed
             ),
-            options=(
-                SortOptions(**{**_options_dict(config.options), **opts})
-                if opts
-                else config.options
-            ),
+            options=replace(config.options, **opts) if opts else config.options,
             faults=rest.get("faults", config.faults),
             backend=rest.get("backend", config.backend),
         )
@@ -169,11 +165,18 @@ class DistributedSorter:
         ``backend="process"`` (or an ambient :func:`~repro.parallel.backend.
         use_backend` scope) runs the same six steps on real worker
         processes with a shared-memory exchange — identical partitions,
-        wall-clock timings.
+        wall-clock timings.  Blocks of different dtypes are promoted once,
+        here, to their common ``np.result_type`` (already-uniform blocks are
+        passed through uncopied), so both substrates sort one dtype and the
+        result's dtype never depends on how the keys happened to route.
         """
         p = self.config.num_processors
         if len(blocks) != p:
             raise ValueError(f"need {p} blocks, got {len(blocks)}")
+        blocks = [np.asarray(b) for b in blocks]
+        if len({b.dtype for b in blocks}) > 1:
+            common = np.result_type(*(b.dtype for b in blocks))
+            blocks = [b.astype(common, copy=False) for b in blocks]
         if input_offsets is None:
             sizes = [len(b) for b in blocks]
             input_offsets = np.concatenate(([0], np.cumsum(sizes[:-1]))).astype(np.int64)
@@ -267,14 +270,7 @@ class DistributedSorter:
         if isinstance(resolved, str):
             with self.pool() as pool:
                 return pool.sort_many(datasets)
-        results = []
-        for data in datasets:
-            blocks, offsets = partition_input(data, self.config.num_processors)
-            run = resolved.sort_blocks(
-                blocks, options=self.config.options, config=self.config.pgxd
-            )
-            results.append(run.to_sort_result(offsets))
-        return results
+        return [self.sort(data) for data in datasets]
 
     def sort_records(
         self, records: np.ndarray, order: str | Sequence[str]
@@ -331,7 +327,7 @@ class SorterPool:
     as a context manager; :meth:`close` retires the pool.
 
     :attr:`last_run` keeps the most recent job's raw
-    :class:`~repro.parallel.backend.BackendRun` (job id, splitter-cache
+    :class:`~repro.parallel.run.BackendRun` (job id, splitter-cache
     verdict, worker reports) for callers that want more than the
     :class:`SortResult` — the streaming example prints verdicts from it.
     """
@@ -395,14 +391,3 @@ def distributed_sort(
     """One-shot convenience wrapper around :class:`DistributedSorter`."""
     sorter = DistributedSorter(num_processors=num_processors, **overrides)
     return sorter.sort(data)
-
-
-def _options_dict(options: SortOptions) -> dict:
-    return {
-        "sample_factor": options.sample_factor,
-        "investigator": options.investigator,
-        "balanced_merge": options.balanced_merge,
-        "track_provenance": options.track_provenance,
-        "splitter_strategy": options.splitter_strategy,
-        "resilience": options.resilience,
-    }

@@ -12,10 +12,11 @@ The contrast case used by the ablation benchmarks is a *sequential fold*
 (run 0 absorbs run 1, then run 2, ...), which performs the same total key
 movement in the last merges over and over and exposes no parallelism.
 
-Merges here are real: stable two-way merges of numpy arrays, carrying any
-number of aux arrays (provenance) through the same permutation.  The
-returned :class:`MergeOutcome` also reports the per-level merge sizes from
-which the virtual-time cost is charged.
+Both are *stable* merges of rank-ordered runs, so both produce the one
+``(key, run, position)`` order; they differ only in the shape that is
+charged.  This module therefore holds one data kernel
+(:func:`flat_kway_merge`) and the shapes' arithmetic: the per-level merge
+sizes (:func:`merge_levels`) and what they cost in virtual time.
 """
 
 from __future__ import annotations
@@ -28,67 +29,6 @@ import numpy as np
 
 from ..simnet.cost import CostModel
 from ..pgxd.task_manager import TaskManager
-from .scratch import shared_arange
-
-
-def _check_aux_alignment(
-    aux: Sequence[np.ndarray], n: int, side: str
-) -> None:
-    for x in aux:
-        if len(x) != n:
-            raise ValueError(
-                f"aux arrays must align with their key runs "
-                f"(side {side}: run has {n} keys, aux has {len(x)})"
-            )
-
-
-def merge_two(
-    a: np.ndarray,
-    b: np.ndarray,
-    aux_a: Sequence[np.ndarray] = (),
-    aux_b: Sequence[np.ndarray] = (),
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Stable two-way merge of sorted ``a`` and ``b`` with aux arrays.
-
-    Elements of ``a`` precede equal elements of ``b``.  Aux arrays ride the
-    same permutation (``aux_a[i]`` aligned with ``a``), which is how origin
-    processor/index provenance follows keys through every merge.
-
-    Dtype contract: a real two-way merge widens to
-    ``result_type(a.dtype, b.dtype)``; a merge with an empty side is a
-    pointer move that keeps the surviving run's dtype (it performs no key
-    work, matching :func:`_balanced_levels` charging it nothing).
-    """
-    if len(aux_a) != len(aux_b):
-        raise ValueError("aux_a and aux_b must have the same number of arrays")
-    na, nb = len(a), len(b)
-    _check_aux_alignment(aux_a, na, "a")
-    _check_aux_alignment(aux_b, nb, "b")
-    # An empty side makes the merge a pointer move: hand the surviving run
-    # (and its aux arrays) through untouched — merge outputs are read-only
-    # inputs to the next level, so ownership never needs a defensive copy.
-    if na == 0:
-        return b, list(aux_b)
-    if nb == 0:
-        return a, list(aux_a)
-    # Destination slot of each element: its own index plus the count of
-    # elements from the other run that precede it.  The ramps come from the
-    # shared read-only arange so a cascade level allocates no index arrays
-    # beyond what searchsorted itself produces.
-    pos_a = b.searchsorted(a, side="left")
-    pos_a += shared_arange(na)
-    pos_b = a.searchsorted(b, side="right")
-    pos_b += shared_arange(nb)
-    out = np.empty(na + nb, dtype=np.result_type(a.dtype, b.dtype))
-    out[pos_a] = a
-    out[pos_b] = b
-    merged_aux: list[np.ndarray] = []
-    for xa, xb in zip(aux_a, aux_b):
-        m = np.empty(na + nb, dtype=np.result_type(xa.dtype, xb.dtype))
-        m[pos_a] = xa
-        m[pos_b] = xb
-        merged_aux.append(m)
-    return out, merged_aux
 
 
 @dataclass(frozen=True)
@@ -104,19 +44,6 @@ class MergeOutcome:
 
     def total_merged_keys(self) -> int:
         return sum(sum(level) for level in self.levels)
-
-
-def _normalize(
-    runs: Sequence[np.ndarray], aux_runs: Sequence[Sequence[np.ndarray]] | None
-) -> tuple[list[np.ndarray], list[list[np.ndarray]], int]:
-    if aux_runs is None:
-        aux_runs = [[] for _ in runs]
-    if len(aux_runs) != len(runs):
-        raise ValueError("aux_runs must provide one aux list per run")
-    n_aux = len(aux_runs[0]) if runs else 0
-    if any(len(ax) != n_aux for ax in aux_runs):
-        raise ValueError("all runs must carry the same number of aux arrays")
-    return [np.asarray(r) for r in runs], [list(ax) for ax in aux_runs], n_aux
 
 
 def _balanced_levels(lengths: list[int]) -> list[list[int]]:
@@ -193,7 +120,8 @@ def flat_kway_merge(
 ) -> MergeOutcome:
     """Flat k-way merge kernel over runs stored back to back in ``keys``.
 
-    The vectorized data plane of both merge steps: ``keys`` holds the k
+    The one run-merge data kernel (besides the packed-word sort of
+    :func:`repro.core.packsort.sort_runs_in_place`): ``keys`` holds the k
     sorted runs contiguously (run ``i`` occupying ``run_lengths[i]`` slots,
     e.g. the step-5 receive buffer), and one stable argsort computes every
     element's final destination in a single pass — no per-level key
@@ -201,13 +129,11 @@ def flat_kway_merge(
     aligned with ``keys`` (origin indices, origin processors) and ride the
     same permutation.  Stability means earlier runs win ties, which is
     exactly the composed permutation of the pairwise handler *and* of the
-    sequential fold, so the output is bit-identical to the cascade in
-    :func:`balanced_merge` / :func:`sequential_fold_merge`; only the
-    *charged* shape differs, via ``balanced``.
+    sequential fold; only the *charged* shape differs, via ``balanced``.
 
-    The kernel is dtype-uniform by construction (one buffer per column).
-    Mixed-dtype run sets cannot be stored contiguously without widening and
-    must take the cascade fallback in :func:`balanced_merge` instead.
+    The kernel is dtype-uniform by construction (one buffer per column);
+    callers holding blocks of different dtypes promote them first
+    (:meth:`repro.core.api.DistributedSorter.sort_partitioned` does).
 
     Returns fresh output arrays: ``keys``/``aux`` may be scratch-arena
     leases, the returned :class:`MergeOutcome` never aliases them.
@@ -228,132 +154,6 @@ def flat_kway_merge(
     return MergeOutcome(keys[order], [np.asarray(x)[order] for x in aux], levels)
 
 
-def _uniform_dtypes(runs_l: list[np.ndarray], aux_l: list[list[np.ndarray]]) -> bool:
-    """True when one key dtype and one dtype per aux slot span all runs —
-    the condition under which cascaded pairwise merges cannot widen dtypes."""
-    key_dtype = runs_l[0].dtype
-    if any(r.dtype != key_dtype for r in runs_l[1:]):
-        return False
-    for slot in range(len(aux_l[0])):
-        aux_dtype = aux_l[0][slot].dtype
-        if any(ax[slot].dtype != aux_dtype for ax in aux_l[1:]):
-            return False
-    return True
-
-
-def _merge_all_stable(
-    runs_l: list[np.ndarray], aux_l: list[list[np.ndarray]], n_aux: int
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Merge all runs at once with a single stable argsort.
-
-    Both the balanced handler and the sequential fold are *stable* pairwise
-    merges that break ties in favour of the earlier run, so their composed
-    permutation is exactly "sort by key, ties in concatenation order" — one
-    C-speed stable argsort replaces O(runs) two-way merge passes with
-    identical output, bit for bit.
-    """
-    for run, ax in zip(runs_l, aux_l):
-        for x in ax:
-            if len(x) != len(run):
-                raise ValueError("aux arrays must align with their key runs")
-    keys = np.concatenate(runs_l)
-    order = keys.argsort(kind="stable")
-    merged_aux = [
-        np.concatenate([ax[i] for ax in aux_l])[order] for i in range(n_aux)
-    ]
-    return keys[order], merged_aux
-
-
-def balanced_merge(
-    runs: Sequence[np.ndarray],
-    aux_runs: Sequence[Sequence[np.ndarray]] | None = None,
-) -> MergeOutcome:
-    """Merge sorted runs with the paper's pairwise balanced handler.
-
-    The *cost-relevant shape* (``levels``) is always the handler's pairwise
-    level structure, computed arithmetically from the run lengths; the data
-    itself is produced by one stable argsort over the concatenation, which
-    yields the identical stable result without per-level Python overhead.
-    Mixed-dtype runs fall back to literal pairwise merging, whose cascaded
-    ``result_type`` widening the single-pass route cannot reproduce.
-    """
-    runs_l, aux_l, n_aux = _normalize(runs, aux_runs)
-    if not runs_l:
-        return MergeOutcome(np.empty(0), [], [])
-    levels = _balanced_levels([len(r) for r in runs_l])
-    if len(runs_l) == 1:
-        return MergeOutcome(runs_l[0], aux_l[0], levels)
-    if _uniform_dtypes(runs_l, aux_l):
-        keys, aux = _merge_all_stable(runs_l, aux_l, n_aux)
-        return MergeOutcome(keys, aux, levels)
-    while len(runs_l) > 1:
-        next_runs: list[np.ndarray] = []
-        next_aux: list[list[np.ndarray]] = []
-        for i in range(0, len(runs_l) - 1, 2):
-            merged, merged_aux = merge_two(
-                runs_l[i], runs_l[i + 1], aux_l[i], aux_l[i + 1]
-            )
-            next_runs.append(merged)
-            next_aux.append(merged_aux)
-        if len(runs_l) % 2 == 1:
-            next_runs.append(runs_l[-1])
-            next_aux.append(aux_l[-1])
-        runs_l, aux_l = next_runs, next_aux
-    return MergeOutcome(runs_l[0], aux_l[0], levels)
-
-
-def sequential_fold_merge(
-    runs: Sequence[np.ndarray],
-    aux_runs: Sequence[Sequence[np.ndarray]] | None = None,
-) -> MergeOutcome:
-    """Ablation strategy: run 0 absorbs every other run one at a time.
-
-    Like :func:`balanced_merge`, only the *cost shape* differs from the
-    handler — the data result of stable folding is the same stable
-    permutation, so the same single-argsort fast path applies.
-    """
-    runs_l, aux_l, n_aux = _normalize(runs, aux_runs)
-    if not runs_l:
-        return MergeOutcome(np.empty(0), [], [])
-    levels = _fold_levels([len(r) for r in runs_l])
-    if len(runs_l) == 1:
-        return MergeOutcome(runs_l[0], aux_l[0], levels)
-    if _uniform_dtypes(runs_l, aux_l):
-        keys, aux = _merge_all_stable(runs_l, aux_l, n_aux)
-        return MergeOutcome(keys, aux, levels)
-    keys, aux = runs_l[0], aux_l[0]
-    for i in range(1, len(runs_l)):
-        keys, aux = merge_two(keys, runs_l[i], aux, aux_l[i])
-    return MergeOutcome(keys, aux, levels)
-
-
-def kway_merge(
-    runs: Sequence[np.ndarray],
-    aux_runs: Sequence[Sequence[np.ndarray]] | None = None,
-) -> MergeOutcome:
-    """Single-pass k-way merge of all runs (heap-based in spirit).
-
-    The third strategy in the merge ablation: one pass over all keys with a
-    log2(k) comparison cost per key, but — unlike the handler's pairwise
-    levels — a *single sequential stream* with no intra-step parallelism.
-    Executed here as a stable argsort over the concatenation (same output,
-    same stability: earlier runs win ties).
-    """
-    runs_l, aux_l, n_aux = _normalize(runs, aux_runs)
-    if not runs_l:
-        return MergeOutcome(np.empty(0), [], [])
-    keys = np.concatenate(runs_l) if len(runs_l) > 1 else runs_l[0]
-    if len(runs_l) == 1:
-        return MergeOutcome(keys, list(aux_l[0]), [])
-    order = np.argsort(keys, kind="stable")
-    merged_aux = []
-    for i in range(n_aux):
-        merged_aux.append(np.concatenate([ax[i] for ax in aux_l])[order])
-    # One "level" holding one merge of everything: the cost function below
-    # prices it with the k-way comparison factor.
-    return MergeOutcome(keys[order], merged_aux, [[len(keys)]])
-
-
 def kway_merge_cost_seconds(
     total_keys: int,
     num_runs: int,
@@ -364,8 +164,6 @@ def kway_merge_cost_seconds(
     """Virtual time of a sequential heap-based k-way merge."""
     if total_keys <= 0 or num_runs <= 1:
         return 0.0
-    import math
-
     comparisons = total_keys * scale * math.log2(max(num_runs, 2))
     return comparisons / cost.compare_rate + cost.task_region_overhead
 
@@ -398,17 +196,3 @@ def merge_levels_cost_seconds(
         else:
             total += sum(per_merge) + cost.task_region_overhead * len(per_merge)
     return total
-
-
-def merge_cost_seconds(
-    outcome: MergeOutcome,
-    tasks: TaskManager,
-    cost: CostModel,
-    *,
-    parallel: bool = True,
-    scale: float = 1.0,
-) -> float:
-    """Virtual time to execute a merge outcome on one machine's worker pool."""
-    return merge_levels_cost_seconds(
-        outcome.levels, tasks, cost, parallel=parallel, scale=scale
-    )

@@ -14,24 +14,23 @@ Key chunks and index chunks use distinct tags so the two streams reassemble
 independently.
 
 Reassembly is offset-addressed, as in the paper's step 5: the counts matrix
-fixes each source's region in one preallocated receive buffer per stream
-(keys, origin indices), and every arriving chunk is written straight to its
-destination — ``buffer[lo:hi] = chunk`` — instead of accumulating Python
-lists and concatenating.  Chunks from one source arrive in FIFO order, so a
-per-source write cursor within the region suffices.  The buffers come from
-the machine's scratch arena when one is supplied, so repeated sorts reuse
-the same storage.  Each source's region is a sorted slice of the sender's
-locally sorted data, and the regions sit back to back in source order —
-exactly the layout the step-6 flat merge kernel consumes without any
-further copying.  Senders whose key dtype differs from the receiver's
-cannot share the buffer; their chunks take the legacy list path and the
-result is flagged non-contiguous (the merge then uses the widening
-cascade).
+fixes each source's region in one receive buffer per stream (keys, origin
+indices) before any data arrives.  Chunks from one source arrive in FIFO
+order, so the drain loop only collects them per source and each stream is
+assembled with one ``np.concatenate(..., out=buffer)``.  The buffers come
+from the machine's scratch arena when one is supplied, so repeated sorts
+reuse the same storage.  Each source's region is a sorted slice of the
+sender's locally sorted data, and the regions sit back to back in source
+order — exactly the layout the step-6 flat merge kernel consumes without any
+further copying.  One buffer per stream means one dtype per stream: blocks
+of different dtypes are promoted before the sort starts
+(:meth:`repro.core.api.DistributedSorter.sort_partitioned`), and a sender
+whose dtype still differs is rejected rather than silently cast.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator
 
 import numpy as np
@@ -41,8 +40,8 @@ from ..pgxd.config import PgxdConfig
 from ..simnet.calls import Compute, Isend, Mark, Message, Recv, Send
 from ..simnet.collectives import allgather
 from ..simnet.engine import ProcessHandle
-from .investigator import slices_from_cuts
 from .scratch import ScratchArena
+from .steps import BlockPartition
 
 TAG_KEYS = 201
 TAG_INDEX = 202
@@ -52,25 +51,22 @@ TAG_INDEX = 202
 class ExchangeResult:
     """Outcome of the redistribution on one processor."""
 
-    #: One sorted key run per source processor (possibly empty arrays).
-    #: When ``contiguous``, these are views into ``key_buffer``.
+    #: One sorted key run per source processor (possibly empty): views
+    #: into ``key_buffer``.
     key_runs: list[np.ndarray]
-    #: Origin-index run aligned with each key run.
+    #: Origin-index run aligned with each key run (views into
+    #: ``index_buffer``; empty arrays without provenance).
     index_runs: list[np.ndarray]
     #: counts_matrix[src][dst] = keys sent from src to dst (global view).
     counts_matrix: np.ndarray
     #: All received keys back to back in source order (may be a scratch
-    #: lease — valid until the arena is released).  None when any source's
-    #: dtype forced the legacy path.
-    key_buffer: np.ndarray | None = None
+    #: lease — valid until the arena is released).
+    key_buffer: np.ndarray
     #: Origin indices aligned with ``key_buffer`` (None without provenance).
-    index_buffer: np.ndarray | None = None
+    index_buffer: np.ndarray | None
     #: Prefix offsets of each source's region: run ``src`` occupies
     #: ``key_buffer[run_offsets[src]:run_offsets[src + 1]]``.
-    run_offsets: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    #: True when every received run landed in the shared buffers, i.e. the
-    #: step-6 merge may use the flat kernel over ``key_buffer``.
-    contiguous: bool = False
+    run_offsets: np.ndarray
 
     def received_total(self, rank: int) -> int:
         return int(self.counts_matrix[:, rank].sum())
@@ -116,7 +112,7 @@ def exchange_partitions(
     machine_proc: ProcessHandle,
     sorted_keys: np.ndarray,
     origin_index: np.ndarray,
-    cuts: np.ndarray,
+    partition: BlockPartition,
     config: PgxdConfig,
     *,
     track_provenance: bool = True,
@@ -126,8 +122,9 @@ def exchange_partitions(
     """Run the step-5 exchange; returns an :class:`ExchangeResult`.
 
     ``sorted_keys``/``origin_index`` are this rank's step-1 output;
-    ``cuts`` are the step-4 cut points.  ``copy_seconds_per_byte`` charges
-    the receiver-side copy of each arriving chunk to its precomputed offset
+    ``partition`` is its step-4 outcome (slices and counts per destination).
+    ``copy_seconds_per_byte`` charges the receiver-side copy of each
+    arriving chunk to its precomputed offset
     (writing "by applying offsets for each received data entry") — with
     asynchronous sends these copies overlap the senders' serialization,
     with blocking sends they queue after it, which is the measurable gain
@@ -142,9 +139,7 @@ def exchange_partitions(
     # rather than per destination inside send_array.
     sorted_keys = np.ascontiguousarray(sorted_keys)
     origin_index = np.ascontiguousarray(origin_index)
-    n = len(sorted_keys)
-    out_slices = slices_from_cuts(cuts, n)
-    counts = np.array([sl.stop - sl.start for sl in out_slices], dtype=np.int64)
+    out_slices, counts = partition.slices, partition.counts
     # Size announcement: every rank learns the full counts matrix.
     # The Marks trace the exchange's three sub-phases (nested inside the
     # step-5 span); without a tracer they are no-ops.
@@ -166,40 +161,22 @@ def exchange_partitions(
     # mutable call object per stream serves all inline sends, skipping
     # thousands of dataclass constructions per run (the reuse license is
     # spelled out in the calls-module contract).
-    key_send: Send | None = None
-    idx_send: Send | None = None
+    streams = [(sorted_keys, send_cls(dst=rank, nbytes=0, tag=TAG_KEYS))]
+    if track_provenance:
+        streams.append((origin_index, send_cls(dst=rank, nbytes=0, tag=TAG_INDEX)))
     yield Mark("exchange:send")
     for offset in range(1, size):
         dst = (rank + offset) % size
         sl = out_slices[dst]
-        if sl.stop > sl.start:
-            chunk = sorted_keys[sl]
+        if sl.stop == sl.start:
+            continue
+        for array, send in streams:
+            chunk = array[sl]
             if unscaled and chunk.nbytes <= rb:
-                if key_send is None:
-                    key_send = send_cls(
-                        dst=dst, nbytes=chunk.nbytes, payload=chunk, tag=TAG_KEYS
-                    )
-                else:
-                    key_send.dst = dst
-                    key_send.nbytes = chunk.nbytes
-                    key_send.payload = chunk
-                yield key_send
+                send.dst, send.nbytes, send.payload = dst, chunk.nbytes, chunk
+                yield send
             else:
-                yield from send_array(machine_proc, dst, chunk, TAG_KEYS, config)
-            if track_provenance:
-                chunk = origin_index[sl]
-                if unscaled and chunk.nbytes <= rb:
-                    if idx_send is None:
-                        idx_send = send_cls(
-                            dst=dst, nbytes=chunk.nbytes, payload=chunk, tag=TAG_INDEX
-                        )
-                    else:
-                        idx_send.dst = dst
-                        idx_send.nbytes = chunk.nbytes
-                        idx_send.payload = chunk
-                    yield idx_send
-                else:
-                    yield from send_array(machine_proc, dst, chunk, TAG_INDEX, config)
+                yield from send_array(machine_proc, dst, chunk, send.tag, config)
     yield Mark("exchange:send", event="end")
     key_dtype = sorted_keys.dtype
     idx_dtype = np.dtype(origin_index.dtype) if track_provenance else np.dtype(np.int64)
@@ -257,70 +234,33 @@ def exchange_partitions(
         idx_parts[rank].append(origin_index[sl])
     # Every chunk from one source views one sender-side array, so a dtype
     # mismatch with the receive buffer is a whole-source property, visible
-    # on the first chunk.  Any mismatched source forces the legacy per-run
-    # layout (the step-6 merge then widens via the pairwise cascade).
-    contiguous = all(
-        not parts or parts[0].dtype == key_dtype for parts in key_parts
-    ) and (
-        not track_provenance
-        or all(not parts or parts[0].dtype == idx_dtype for parts in idx_parts)
-    )
-    empty_idx = np.empty(0, dtype=np.int64)
-    key_runs: list[np.ndarray] = []
-    index_runs: list[np.ndarray] = []
-    key_buf: np.ndarray | None = None
-    idx_buf: np.ndarray | None = None
-    if contiguous:
-        # Runs become views into the stream buffers (possibly scratch
-        # leases — the caller releases them after the step-6 merge, whose
-        # flat kernel always returns fresh arrays).
-        if scratch is not None:
-            key_buf = scratch.take(total, key_dtype)
-            idx_buf = scratch.take(total, idx_dtype) if track_provenance else None
-        else:
-            key_buf = np.empty(total, dtype=key_dtype)
-            idx_buf = np.empty(total, dtype=idx_dtype) if track_provenance else None
-        bounds = run_offsets.tolist()
-        np.concatenate([p for parts in key_parts for p in parts], out=key_buf)
-        key_runs = [key_buf[bounds[s] : bounds[s + 1]] for s in range(size)]
-        if track_provenance:
-            np.concatenate([p for parts in idx_parts for p in parts], out=idx_buf)
-            index_runs = [idx_buf[bounds[s] : bounds[s + 1]] for s in range(size)]
-        else:
-            index_runs = [empty_idx] * size
+    # on the first chunk; ``concatenate(out=)`` would cast it silently.
+    for parts, dtype in ((key_parts, key_dtype), (idx_parts, idx_dtype)):
+        for src, chunks in enumerate(parts):
+            if chunks and chunks[0].dtype != dtype:
+                raise TypeError(
+                    f"rank {rank} receives {chunks[0].dtype} from rank {src} "
+                    f"into a {dtype} stream; promote the blocks to one dtype "
+                    "before sorting (DistributedSorter.sort_partitioned does)"
+                )
+    # Runs become views into the stream buffers (possibly scratch leases —
+    # the caller releases them after the step-6 merge, whose flat kernel
+    # always returns fresh arrays).  ``concatenate(out=)`` also enforces the
+    # announced totals: a short or long stream is a shape error.
+    if scratch is not None:
+        key_buf = scratch.take(total, key_dtype)
+        idx_buf = scratch.take(total, idx_dtype) if track_provenance else None
     else:
-        # Spill layout: per-source reassembly straight from the arriving
-        # chunks.  Nothing here references scratch storage, so downstream
-        # merges may pointer-move a run into their output safely.
-        for src in range(size):
-            parts = key_parts[src]
-            if not parts:
-                key_runs.append(np.empty(0, dtype=key_dtype))
-            else:
-                key_runs.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
-            if not track_provenance:
-                index_runs.append(empty_idx)
-            else:
-                parts = idx_parts[src]
-                if not parts:
-                    index_runs.append(np.empty(0, dtype=idx_dtype))
-                else:
-                    index_runs.append(
-                        parts[0] if len(parts) == 1 else np.concatenate(parts)
-                    )
-    for src in range(size):
-        expected = int(counts_matrix[src, rank])
-        if len(key_runs[src]) != expected:
-            raise AssertionError(
-                f"rank {rank} expected {expected} keys from {src}, "
-                f"got {len(key_runs[src])}"
-            )
+        key_buf = np.empty(total, dtype=key_dtype)
+        idx_buf = np.empty(total, dtype=idx_dtype) if track_provenance else None
+    bounds = run_offsets.tolist()
+    np.concatenate([p for parts in key_parts for p in parts], out=key_buf)
+    key_runs = [key_buf[bounds[s] : bounds[s + 1]] for s in range(size)]
+    if track_provenance:
+        np.concatenate([p for parts in idx_parts for p in parts], out=idx_buf)
+        index_runs = [idx_buf[bounds[s] : bounds[s + 1]] for s in range(size)]
+    else:
+        index_runs = [np.empty(0, dtype=np.int64)] * size
     return ExchangeResult(
-        key_runs,
-        index_runs,
-        counts_matrix,
-        key_buffer=key_buf if contiguous else None,
-        index_buffer=idx_buf if (contiguous and track_provenance) else None,
-        run_offsets=run_offsets,
-        contiguous=contiguous,
+        key_runs, index_runs, counts_matrix, key_buf, idx_buf, run_offsets
     )

@@ -2,8 +2,9 @@
 
 Runs the paper's sample sort as plain function calls — no virtual cluster,
 no cost model, no message passing — reusing the exact step implementations
-(regular sampling, Master splitter selection, the investigator, the
-balanced-merge handler).  Three uses:
+for steps 2–4 (regular sampling, Master splitter selection, the
+investigator) and spelling out the sorts and the merge as literal
+``argsort(kind="stable")`` calls.  Three uses:
 
 * a **cross-validation oracle**: the simulated cluster must produce
   *bit-identical* per-processor outputs (asserted in tests), which pins the
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balanced_merge import balanced_merge, sequential_fold_merge
 from .investigator import compute_rank_cuts, slices_from_cuts
 from .provenance import Provenance
 from .sampling import sample_count, select_regular_samples
@@ -80,37 +80,33 @@ def local_sample_sort(
     samples = [select_regular_samples(keys, count) for keys in sorted_keys]
     splitters = select_splitters(merge_samples(samples), p)
     # Step 4: cuts (with or without the investigator).
-    cuts_per_rank = [
-        compute_rank_cuts(
-            keys, splitters, p, investigator=options.investigator
-        ).cuts
+    slices = [
+        slices_from_cuts(
+            compute_rank_cuts(
+                keys, splitters, p, investigator=options.investigator
+            ).cuts,
+            len(keys),
+        )
         for keys in sorted_keys
     ]
-    # Step 5: the "exchange" — in-process routing of slices.
-    key_runs: list[list[np.ndarray]] = [[] for _ in range(p)]
-    idx_runs: list[list[np.ndarray]] = [[] for _ in range(p)]
-    src_runs: list[list[int]] = [[] for _ in range(p)]
-    for src in range(p):
-        slices = slices_from_cuts(cuts_per_rank[src], len(sorted_keys[src]))
-        for dst, sl in enumerate(slices):
-            key_runs[dst].append(sorted_keys[src][sl])
-            idx_runs[dst].append(perms[src][sl])
-            src_runs[dst].append(src)
-    # Step 6: balanced merge with provenance.
+    # Steps 5-6, literally: destination ``dst`` receives slice ``dst`` of
+    # every source in rank order, and a stable merge of rank-ordered runs is
+    # the stable sort of their concatenation (earlier run wins ties),
+    # whichever handler shape ``options.balanced_merge`` charges.  Written
+    # out on purpose: the oracle shares no merge code with what it checks.
+    ranks = np.arange(p, dtype=np.int16)
     per_processor: list[np.ndarray] = []
     provenance: list[Provenance] = []
-    merge_fn = balanced_merge if options.balanced_merge else sequential_fold_merge
     for dst in range(p):
-        aux = [
-            [idx, np.full(len(run), src, dtype=np.int16)]
-            for run, idx, src in zip(key_runs[dst], idx_runs[dst], src_runs[dst])
-        ]
-        outcome = merge_fn(key_runs[dst], aux)
-        per_processor.append(outcome.keys)
-        if outcome.aux:
-            provenance.append(Provenance(outcome.aux[1], outcome.aux[0]))
-        else:
-            provenance.append(Provenance.empty())
+        runs = [sorted_keys[src][slices[src][dst]] for src in range(p)]
+        keys = np.concatenate(runs)
+        order = np.argsort(keys, kind="stable")
+        origin_index = np.concatenate(
+            [perms[src][slices[src][dst]] for src in range(p)]
+        )
+        origin_proc = np.repeat(ranks, [len(run) for run in runs])
+        per_processor.append(keys[order])
+        provenance.append(Provenance(origin_proc[order], origin_index[order]))
     return LocalSortOutput(per_processor, provenance, splitters)
 
 

@@ -11,9 +11,8 @@ merge-level costs computed arithmetically from the chunk lengths
 flat: stable chunk sorts composed with the stable pairwise handler equal
 one stable sort of the whole block (ties resolve to original order either
 way), so the keys are produced by a single C-speed pass —
-:func:`~repro.core.packsort.stable_sort_with_order` carrying the provenance
-permutation, or one ``np.sort`` with no index arrays at all when
-``track_perm`` is off.
+:func:`repro.core.steps.sort_block`, the step-1 kernel every substrate
+shares.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from ..pgxd.runtime import Machine
 from .balanced_merge import merge_levels, merge_levels_cost_seconds
-from .packsort import stable_sort_with_order
+from .steps import sort_block
 
 
 @dataclass(frozen=True)
@@ -67,22 +66,12 @@ def parallel_quicksort(
     keys = np.asarray(keys)
     n = len(keys)
     threads = machine.threads
+    sorted_keys, perm, _path = sort_block(keys, track_perm)
+    if perm is None:
+        perm = np.empty(0, dtype=np.int64)  # placeholder: no permutation consumer
     if n == 0:
-        return LocalSortResult(keys.copy(), np.empty(0, dtype=np.int64), 0.0)
+        return LocalSortResult(sorted_keys, perm, 0.0)
     chunk_slices = split_into_chunks(n, min(threads, n))
-    if track_perm:
-        # Packed fast path when the key codec fits, stable argsort otherwise
-        # — bit-identical either way; see repro.core.packsort.
-        sorted_keys, order, _path = stable_sort_with_order(keys)
-        # int32 suffices: local indexes stay below 2^31 at any modeled
-        # scale the paper uses, and halves the provenance footprint.
-        perm = order.astype(np.int32)
-    else:
-        # No permutation consumer: skip argsort (and the gather) entirely.
-        # Values-only output is identical under any sort kind, so use the
-        # default vectorized kernel rather than the stable one.
-        sorted_keys = np.sort(keys)
-        perm = np.empty(0, dtype=np.int64)
     scale = machine.config.data_scale
     # Chunk lengths differ by at most one, so at most two distinct costs
     # exist: evaluate the cost model once per distinct length.

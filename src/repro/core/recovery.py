@@ -27,9 +27,10 @@ crash and still produce a fully sorted, provenance-correct result:
    worst case is a typed :class:`~repro.simnet.errors.ExchangeTimeoutError`
    rather than a hang).
 
-The committed data is merged exactly like step 6 of the lossless path, with
-true origin ranks riding along, so provenance indices remain valid against
-the *original* input partitioning — dead ranks simply contribute nothing.
+The committed data goes through the lossless path's own step 6
+(:func:`repro.core.sorter.merge_step`), with true origin ranks riding
+along, so provenance indices remain valid against the *original* input
+partitioning — dead ranks simply contribute nothing.
 """
 
 from __future__ import annotations
@@ -42,17 +43,15 @@ import numpy as np
 from ..simnet.calls import Mark, Now
 from ..simnet.comm import Envelope, ReliableComm, ResilienceConfig
 from ..simnet.errors import ExchangeTimeoutError, MembershipError
-from .balanced_merge import balanced_merge, merge_cost_seconds, sequential_fold_merge
-from .investigator import compute_rank_cuts, slices_from_cuts
-from .local_sort import parallel_quicksort
 from .provenance import Provenance
 from .sampling import sample_count, select_regular_samples
+from .sorter import RankSortOutput, SortOptions, local_sort_step, merge_step
 from .sorter_labels import STEP_LABELS
 from .splitters import merge_samples, select_splitters
+from .steps import partition_block
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..pgxd.runtime import Machine
-    from .sorter import RankSortOutput, SortOptions
 
 
 class _Inbox:
@@ -111,6 +110,12 @@ class _ExchangeOutcome:
         self.sent_counts: np.ndarray | None = None
         self.local_k: np.ndarray | None = None
         self.local_i: np.ndarray | None = None
+
+
+def _bill(out: RankSortOutput, step: int, seconds: float) -> None:
+    """Add ``seconds`` to a step that recovery rounds may run more than once."""
+    label = STEP_LABELS[step]
+    out.step_seconds[label] = out.step_seconds.get(label, 0.0) + seconds
 
 
 def _stream_complete(src: int, exch: _ExchangeOutcome, track: bool) -> bool:
@@ -177,9 +182,7 @@ def _plan_round(machine: "Machine", rc: ReliableComm, inbox: _Inbox, sorted_keys
         if missing:
             machine.proc.metrics.timeouts += len(missing)
         t_mid = yield Now()
-        out.step_seconds[STEP_LABELS[1]] = (
-            out.step_seconds.get(STEP_LABELS[1], 0.0) + (t_mid - t_start)
-        )
+        _bill(out, 1, t_mid - t_start)
         alive_r = sorted(set(got) - rc.dead)
         merged = merge_samples([got[r] for r in alive_r])
         yield machine.compute(
@@ -194,16 +197,12 @@ def _plan_round(machine: "Machine", rc: ReliableComm, inbox: _Inbox, sorted_keys
             if dst != rank:
                 yield from rc.send(dst, "plan", payload, round_no)
         t_end = yield Now()
-        out.step_seconds[STEP_LABELS[2]] = (
-            out.step_seconds.get(STEP_LABELS[2], 0.0) + (t_end - t_mid)
-        )
+        _bill(out, 2, t_end - t_mid)
         return list(alive_r), splitters
 
     yield from rc.send(coord, "samples", samples, round_no)
     t_mid = yield Now()
-    out.step_seconds[STEP_LABELS[1]] = (
-        out.step_seconds.get(STEP_LABELS[1], 0.0) + (t_mid - t_start)
-    )
+    _bill(out, 1, t_mid - t_start)
     # The coordinator spends up to one phase_timeout gathering before it
     # answers, so peers wait two.
     deadline = t_mid + 2.0 * rcfg.phase_timeout
@@ -213,17 +212,13 @@ def _plan_round(machine: "Machine", rc: ReliableComm, inbox: _Inbox, sorted_keys
         if now >= deadline or coord in rc.dead:
             machine.proc.metrics.timeouts += 1
             t_end = yield Now()
-            out.step_seconds[STEP_LABELS[2]] = (
-                out.step_seconds.get(STEP_LABELS[2], 0.0) + (t_end - t_mid)
-            )
+            _bill(out, 2, t_end - t_mid)
             return None
         yield from _pump(rc, inbox, deadline)
         plan_env = inbox.take_plan(round_no)
     _prnd, alive_r, splitters = plan_env.payload
     t_end = yield Now()
-    out.step_seconds[STEP_LABELS[2]] = (
-        out.step_seconds.get(STEP_LABELS[2], 0.0) + (t_end - t_mid)
-    )
+    _bill(out, 2, t_end - t_mid)
     return list(alive_r), splitters
 
 
@@ -239,21 +234,17 @@ def _exchange_round(machine: "Machine", rc: ReliableComm, inbox: _Inbox, sorted_
     # ---- step 4: partition against this round's splitters
     yield Mark(f"recovery:exchange:r{round_no}", event="instant")
     t4 = yield Now()
-    cut = compute_rank_cuts(
-        sorted_keys, splitters, p_r, investigator=options.investigator
-    )
-    out.searches += cut.searches
+    part = partition_block(sorted_keys, splitters, p_r, options.investigator)
+    out.searches += part.searches
     yield machine.compute(
-        cost.binary_search_seconds(cut.searches, int(len(sorted_keys) * cfg.data_scale)),
+        cost.binary_search_seconds(part.searches, int(len(sorted_keys) * cfg.data_scale)),
         STEP_LABELS[3],
     )
     t5 = yield Now()
-    out.step_seconds[STEP_LABELS[3]] = (
-        out.step_seconds.get(STEP_LABELS[3], 0.0) + (t5 - t4)
-    )
+    _bill(out, 3, t5 - t4)
 
     # ---- step 5: staged copy + reliable chunked sends
-    slices = slices_from_cuts(cut.cuts, len(sorted_keys))
+    slices = part.slices
     yield machine.compute(
         cost.copy_seconds(machine.data.scaled(int(sorted_keys.nbytes)), machine.threads),
         STEP_LABELS[4],
@@ -312,9 +303,7 @@ def _exchange_round(machine: "Machine", rc: ReliableComm, inbox: _Inbox, sorted_
     rc.failed.clear()  # peer deaths are handled via suspects, not raises
     exch.ok = not exch.suspects
     t6 = yield Now()
-    out.step_seconds[STEP_LABELS[4]] = (
-        out.step_seconds.get(STEP_LABELS[4], 0.0) + (t6 - t5)
-    )
+    _bill(out, 4, t6 - t5)
     return exch
 
 
@@ -358,9 +347,7 @@ def _commit_round(machine: "Machine", rc: ReliableComm, inbox: _Inbox, alive: li
                 yield from rc.step()
                 inbox.absorb(rc)
         t_end = yield Now()
-        out.step_seconds[STEP_LABELS[4]] = (
-            out.step_seconds.get(STEP_LABELS[4], 0.0) + (t_end - t_begin)
-        )
+        _bill(out, 4, t_end - t_begin)
         return verdict[0], list(verdict[1])
 
     yield from rc.send(coord, "done", status, round_no)
@@ -370,43 +357,27 @@ def _commit_round(machine: "Machine", rc: ReliableComm, inbox: _Inbox, alive: li
         if envs:
             committed, new_alive = envs[-1].payload
             t_end = yield Now()
-            out.step_seconds[STEP_LABELS[4]] = (
-                out.step_seconds.get(STEP_LABELS[4], 0.0) + (t_end - t_begin)
-            )
+            _bill(out, 4, t_end - t_begin)
             return committed, list(new_alive)
         now = yield Now()
         if now >= deadline or coord in rc.dead:
             machine.proc.metrics.timeouts += 1
             t_end = yield Now()
-            out.step_seconds[STEP_LABELS[4]] = (
-                out.step_seconds.get(STEP_LABELS[4], 0.0) + (t_end - t_begin)
-            )
+            _bill(out, 4, t_end - t_begin)
             return None
         yield from _pump(rc, inbox, deadline)
 
 
 def resilient_sort_program(machine: "Machine", local_keys: np.ndarray, options: "SortOptions"):
     """Fault-tolerant variant of the six-step sort (see module docstring)."""
-    from .sorter import RankSortOutput  # deferred: sorter imports us lazily
-
     keys = np.ascontiguousarray(local_keys)
     rank, size = machine.rank, machine.size
-    cfg, cost = machine.config, machine.cost
+    cfg = machine.config
     out = RankSortOutput(keys=keys, provenance=Provenance.empty())
     track = options.track_provenance
 
-    # ---- step 1: local sort (identical to the lossless path)
-    t0 = yield Now()
-    yield Mark(STEP_LABELS[0])
-    local = parallel_quicksort(
-        machine, keys, balanced=options.balanced_merge, track_perm=track
-    )
-    yield machine.compute(local.seconds, STEP_LABELS[0])
-    if track:
-        machine.data.store("perm", local.perm)
-    t1 = yield Now()
-    yield Mark(STEP_LABELS[0], event="end")
-    out.step_seconds[STEP_LABELS[0]] = t1 - t0
+    # ---- step 1: local sort (the lossless program's own step)
+    local, _t1 = yield local_sort_step(machine, keys, options, out)
 
     rcfg = options.resilience if isinstance(options.resilience, ResilienceConfig) else ResilienceConfig()
     # Resilience budgets are specified in *unscaled* fabric time.  Under an
@@ -424,7 +395,6 @@ def resilient_sort_program(machine: "Machine", local_keys: np.ndarray, options: 
         )
     rc = ReliableComm(machine.proc, rcfg)
     inbox = _Inbox()
-    origin = local.perm if track else np.empty(0, dtype=np.int64)
 
     alive = list(range(size))
     round_no = 0
@@ -452,7 +422,7 @@ def resilient_sort_program(machine: "Machine", local_keys: np.ndarray, options: 
             raise MembershipError(rank, alive_r, round_no)
         alive = alive_r
         exch = yield from _exchange_round(
-            machine, rc, inbox, local.keys, origin, splitters, alive, round_no,
+            machine, rc, inbox, local.keys, local.perm, splitters, alive, round_no,
             options, out,
         )
         verdict = yield from _commit_round(
@@ -471,66 +441,36 @@ def resilient_sort_program(machine: "Machine", local_keys: np.ndarray, options: 
         alive = new_alive
         round_no += 1
 
-    # ---- step 6: merge the committed streams (true origin ranks ride along)
+    # ---- step 6: the committed streams, back to back in survivor order, go
+    # through the lossless program's own merge step (true origin ranks ride
+    # along).  A survivor that sent nothing contributes no parts, so every
+    # stream keeps the dtype step 1 gave it.
     assert exch is not None
-    yield Mark(STEP_LABELS[5])
-    t6 = yield Now()
     received_counts = np.zeros(size, dtype=np.int64)
-    key_runs: list[np.ndarray] = []
-    idx_runs: list[np.ndarray] = []
+    key_parts: list[np.ndarray] = []
+    idx_parts: list[np.ndarray] = []
     for src in committed_alive:
         if src == rank:
-            key_runs.append(exch.local_k)
-            idx_runs.append(exch.local_i if track else np.empty(0, dtype=np.int64))
-        else:
-            nk, ni, _count = exch.fins[src]
-            parts = exch.kparts.get(src, {})
-            key_runs.append(
-                np.concatenate([parts[i] for i in range(nk)])
-                if nk
-                else np.empty(0, dtype=local.keys.dtype)
-            )
+            received_counts[src] = len(exch.local_k)
+            key_parts.append(exch.local_k)
             if track:
-                iparts = exch.iparts.get(src, {})
-                idx_runs.append(
-                    np.concatenate([iparts[i] for i in range(ni)])
-                    if ni
-                    else np.empty(0, dtype=np.int64)
-                )
-            else:
-                idx_runs.append(np.empty(0, dtype=np.int64))
-        received_counts[src] = len(key_runs[-1])
-    if track:
-        aux_runs = [
-            [idx, np.full(len(run), src, dtype=np.int16)]
-            for src, run, idx in zip(committed_alive, key_runs, idx_runs)
-        ]
-    else:
-        aux_runs = [[] for _ in key_runs]
-    merge_fn = balanced_merge if options.balanced_merge else sequential_fold_merge
-    outcome = merge_fn(key_runs, aux_runs)
-    yield machine.compute(
-        merge_cost_seconds(
-            outcome, machine.tasks, cost, parallel=cfg.parallel_merge, scale=cfg.data_scale
-        ),
-        STEP_LABELS[5],
+                idx_parts.append(exch.local_i)
+            continue
+        nk, ni, count = exch.fins[src]
+        received_counts[src] = count
+        kparts, iparts = exch.kparts.get(src, {}), exch.iparts.get(src, {})
+        key_parts.extend(kparts[i] for i in range(nk))
+        if track:
+            idx_parts.extend(iparts[i] for i in range(ni))
+    yield merge_step(
+        machine,
+        options,
+        out,
+        np.concatenate(key_parts),
+        np.concatenate(idx_parts) if track else None,
+        [int(received_counts[src]) for src in committed_alive],
+        sources=committed_alive,
     )
-    machine.scratch.release_all()
-    if track:
-        prov = Provenance(origin_proc=outcome.aux[1], origin_index=outcome.aux[0])
-        machine.data.store("origin_proc", prov.origin_proc)
-        machine.data.store("origin_index", prov.origin_index)
-        machine.data.drop("perm")
-    else:
-        prov = Provenance.empty()
-    t7 = yield Now()
-    yield Mark(STEP_LABELS[5], event="end")
-    out.step_seconds[STEP_LABELS[5]] = (
-        out.step_seconds.get(STEP_LABELS[5], 0.0) + (t7 - t6)
-    )
-
-    out.keys = outcome.keys
-    out.provenance = prov
     out.sent_counts = exch.sent_counts
     out.received_counts = received_counts
     out.survivors = tuple(committed_alive)

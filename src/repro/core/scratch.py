@@ -17,9 +17,10 @@ The data-plane convention is that leases live from step 5 (exchange
 reassembly) to the end of step 6 (merge), where the machine program calls
 ``release_all``.
 
-:func:`shared_arange` serves the other allocation hot spot: ``merge_two``
-needs ``arange(n)`` ramps for destination arithmetic.  One module-level,
-read-only ramp is grown on demand and sliced — callers only ever *read* it.
+:func:`shared_arange` serves the other allocation hot spot: packing
+``(code, rank, index)`` words needs an ``arange(n)`` index ramp.  One
+module-level, read-only ramp is grown on demand and sliced — callers only
+ever *read* it.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def shared_arange(n: int) -> np.ndarray:
     """Read-only ``arange(n, dtype=int64)`` view of a shared, growing ramp.
 
     The returned view is not writeable; it exists for vectorized index
-    arithmetic (``pos += shared_arange(n)``) without a per-call allocation.
+    arithmetic (``words |= shared_arange(n)``) without a per-call allocation.
     """
     global _ARANGE
     if n > len(_ARANGE):

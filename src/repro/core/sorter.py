@@ -30,18 +30,13 @@ import numpy as np
 from ..pgxd.runtime import Machine
 from ..simnet.calls import Mark, Now
 from ..simnet.collectives import bcast, gather
-from .balanced_merge import (
-    balanced_merge,
-    flat_kway_merge,
-    merge_cost_seconds,
-    sequential_fold_merge,
-)
+from .balanced_merge import merge_levels_cost_seconds
 from .exchange import ExchangeResult, exchange_partitions
-from .investigator import compute_rank_cuts
 from .local_sort import parallel_quicksort
 from .provenance import Provenance
 from .sampling import sample_count, select_regular_samples
 from .splitters import merge_samples, select_splitters
+from .steps import merge_received, partition_block
 
 #: Master processor rank (the paper's "Master").
 MASTER = 0
@@ -102,25 +97,16 @@ class RankSortOutput:
     recovery_rounds: int = 0
 
 
-def sample_sort_program(machine: Machine, local_keys: np.ndarray, options: SortOptions):
-    """Generator program implementing the six steps on one machine."""
-    if machine.proc.faults is not None and machine.size > 1:
-        # Fault injection is active: take the resilient protocol (seq/ack
-        # exchange + recovery rounds).  The lossless fast path below would
-        # silently corrupt or deadlock under drops/dups/crashes.
-        from .recovery import resilient_sort_program
+def local_sort_step(
+    machine: Machine, keys: np.ndarray, options: SortOptions, out: RankSortOutput
+):
+    """Step 1 on one machine; returns ``(LocalSortResult, end time)``.
 
-        result = yield resilient_sort_program(machine, local_keys, options)
-        return result
-    keys = np.ascontiguousarray(local_keys)
-    rank, size = machine.rank, machine.size
-    cfg, cost = machine.config, machine.cost
-    out = RankSortOutput(keys=keys, provenance=Provenance.empty())
-
-    # Step boundaries are marked for the structured tracer (begin/end pairs
-    # around each step).  Mark consumes no virtual time and is a no-op when
-    # no tracer is attached, so the golden fingerprint is unaffected.
-    # ---------------------------------------------------- step 1: local sort
+    The lossless and the resilient programs both yield this generator to
+    the engine.  Step boundaries are marked for the structured tracer; Mark
+    consumes no virtual time and is a no-op without a tracer, so the golden
+    fingerprint is unaffected.
+    """
     t0 = yield Now()
     yield Mark(STEP_LABELS[0])
     local = parallel_quicksort(
@@ -138,6 +124,82 @@ def sample_sort_program(machine: Machine, local_keys: np.ndarray, options: SortO
     t1 = yield Now()
     yield Mark(STEP_LABELS[0], event="end")
     out.step_seconds[STEP_LABELS[0]] = t1 - t0
+    return local, t1
+
+
+def merge_step(
+    machine: Machine,
+    options: SortOptions,
+    out: RankSortOutput,
+    key_buffer: np.ndarray,
+    index_buffer: np.ndarray | None,
+    run_lengths: list[int],
+    sources: "list[int] | None" = None,
+):
+    """Step 6 on one machine: merge the received runs into ``out``.
+
+    ``key_buffer``/``index_buffer`` (None without provenance) hold one
+    sorted run per source back to back (``run_lengths``; ``sources`` names
+    the origin ranks when they are not ``0..k-1``, as after a crash).  The flat kernel merges them in one
+    pass; the *charged* shape is the handler's (or the fold's) levels.
+    """
+    cfg = machine.config
+    yield Mark(STEP_LABELS[5])
+    t_begin = yield Now()
+    received_bytes = machine.data.scaled(int(key_buffer.nbytes))
+    machine.data.memory.alloc(received_bytes, temporary=True)  # runs pre-merge
+    outcome = merge_received(
+        key_buffer,
+        index_buffer,
+        run_lengths,
+        options.balanced_merge,
+        sources=sources,
+        scratch=machine.scratch,
+    )
+    machine.scratch.release_all()  # receive buffers + staging are dead
+    yield machine.compute(
+        merge_levels_cost_seconds(
+            outcome.levels,
+            machine.tasks,
+            machine.cost,
+            parallel=cfg.parallel_merge,
+            scale=cfg.data_scale,
+        ),
+        STEP_LABELS[5],
+    )
+    machine.data.memory.free(received_bytes, temporary=True)
+    if options.track_provenance:
+        prov = Provenance(origin_proc=outcome.aux[1], origin_index=outcome.aux[0])
+        machine.data.store("origin_proc", prov.origin_proc)
+        machine.data.store("origin_index", prov.origin_index)
+        machine.data.drop("perm")
+    else:
+        prov = Provenance.empty()
+    t_end = yield Now()
+    yield Mark(STEP_LABELS[5], event="end")
+    out.step_seconds[STEP_LABELS[5]] = t_end - t_begin
+    out.keys = outcome.keys
+    out.provenance = prov
+
+
+def sample_sort_program(machine: Machine, local_keys: np.ndarray, options: SortOptions):
+    """Generator program implementing the six steps on one machine."""
+    if machine.proc.faults is not None and machine.size > 1:
+        # Fault injection is active: take the resilient protocol (seq/ack
+        # exchange + recovery rounds).  The lossless fast path below would
+        # silently corrupt or deadlock under drops/dups/crashes.
+        from .recovery import resilient_sort_program
+
+        result = yield resilient_sort_program(machine, local_keys, options)
+        return result
+    keys = np.ascontiguousarray(local_keys)
+    rank, size = machine.rank, machine.size
+    cfg, cost = machine.config, machine.cost
+    out = RankSortOutput(keys=keys, provenance=Provenance.empty())
+
+    # Yielding the step generators (rather than ``yield from``) lets the
+    # engine trampoline them: their resumes skip this frame.
+    local, t1 = yield local_sort_step(machine, keys, options, out)
 
     if size == 1:
         # Single machine: the local sort is the whole story.
@@ -199,13 +261,12 @@ def sample_sort_program(machine: Machine, local_keys: np.ndarray, options: SortO
 
     # ---------------------------------------------------- step 4: partition
     yield Mark(STEP_LABELS[3])
-    cut = compute_rank_cuts(
-        local.keys, splitters, size, investigator=options.investigator
-    )
-    out.searches = cut.searches
-    scale = cfg.data_scale
+    part = partition_block(local.keys, splitters, size, options.investigator)
+    out.searches = part.searches
     yield machine.compute(
-        cost.binary_search_seconds(cut.searches, int(len(local.keys) * scale)),
+        cost.binary_search_seconds(
+            part.searches, int(len(local.keys) * cfg.data_scale)
+        ),
         STEP_LABELS[3],
     )
     t4 = yield Now()
@@ -221,13 +282,11 @@ def sample_sort_program(machine: Machine, local_keys: np.ndarray, options: SortO
         STEP_LABELS[4],
     )
     machine.data.memory.alloc(machine.data.scaled(int(local.keys.nbytes)), temporary=True)
-    # Yielding the generator (rather than ``yield from``) lets the engine
-    # trampoline it: the exchange's thousands of resumes skip this frame.
     ex: ExchangeResult = yield exchange_partitions(
         machine.proc,
         local.keys,
-        local.perm if options.track_provenance else np.empty(0, dtype=np.int64),
-        cut.cuts,
+        local.perm,
+        part,
         cfg,
         track_provenance=options.track_provenance,
         copy_seconds_per_byte=1.0 / cost.copy_bandwidth,
@@ -241,57 +300,12 @@ def sample_sort_program(machine: Machine, local_keys: np.ndarray, options: SortO
     out.step_seconds[STEP_LABELS[4]] = t5 - t4
 
     # -------------------------------------------------------- step 6: merge
-    yield Mark(STEP_LABELS[5])
-    received_bytes = machine.data.scaled(sum(int(r.nbytes) for r in ex.key_runs))
-    machine.data.memory.alloc(received_bytes, temporary=True)  # runs pre-merge
-    run_lengths = ex.counts_matrix[:, rank].tolist()
-    if ex.contiguous:
-        # Fast path: the exchange landed every run at its offset in one
-        # buffer per stream, so the flat kernel merges views in place —
-        # no concatenation, no per-run staging.  Origin processors are a
-        # region-constant column staged in scratch and gathered once.
-        if options.track_provenance:
-            proc_col = machine.scratch.take(len(ex.key_buffer), np.int16)
-            bounds = ex.run_offsets
-            for src in range(size):
-                proc_col[bounds[src] : bounds[src + 1]] = src
-            aux_cols = [ex.index_buffer, proc_col]
-        else:
-            aux_cols = []
-        outcome = flat_kway_merge(
-            ex.key_buffer, run_lengths, aux_cols, balanced=options.balanced_merge
-        )
-    else:
-        # Mixed-dtype runs: the widening pairwise cascade is the only
-        # faithful combiner.
-        if options.track_provenance:
-            aux_runs = [
-                [idx, np.full(len(run), src, dtype=np.int16)]
-                for src, (run, idx) in enumerate(zip(ex.key_runs, ex.index_runs))
-            ]
-        else:
-            aux_runs = [[] for _ in ex.key_runs]
-        merge_fn = balanced_merge if options.balanced_merge else sequential_fold_merge
-        outcome = merge_fn(ex.key_runs, aux_runs)
-    machine.scratch.release_all()  # receive buffers + staging are dead
-    yield machine.compute(
-        merge_cost_seconds(
-            outcome, machine.tasks, cost, parallel=cfg.parallel_merge, scale=scale
-        ),
-        STEP_LABELS[5],
+    yield merge_step(
+        machine,
+        options,
+        out,
+        ex.key_buffer,
+        ex.index_buffer,
+        ex.counts_matrix[:, rank].tolist(),
     )
-    machine.data.memory.free(received_bytes, temporary=True)
-    if options.track_provenance:
-        prov = Provenance(origin_proc=outcome.aux[1], origin_index=outcome.aux[0])
-        machine.data.store("origin_proc", prov.origin_proc)
-        machine.data.store("origin_index", prov.origin_index)
-        machine.data.drop("perm")
-    else:
-        prov = Provenance.empty()
-    t6 = yield Now()
-    yield Mark(STEP_LABELS[5], event="end")
-    out.step_seconds[STEP_LABELS[5]] = t6 - t5
-
-    out.keys = outcome.keys
-    out.provenance = prov
     return out

@@ -67,24 +67,21 @@ def run(scale: ExperimentScale | None = None) -> AblationResult:
 
     # Merge strategy: the handler's parallel pairwise levels vs a
     # sequential k-way heap merge over the same received runs.
-    import numpy as np
-
     from ..core.balanced_merge import (
-        balanced_merge,
         kway_merge_cost_seconds,
-        merge_cost_seconds,
+        merge_levels,
+        merge_levels_cost_seconds,
     )
     from ..pgxd import TaskManager
 
-    rng = np.random.default_rng(scale.seed)
-    runs = [np.sort(rng.integers(0, 1 << 30, scale.real_keys // p)) for _ in range(p)]
+    run_lengths = [scale.real_keys // p] * p
     cost = scale.cost()
     tasks = TaskManager(scale.threads, cost)
-    handler = merge_cost_seconds(
-        balanced_merge(runs), tasks, cost, scale=scale.data_scale
+    handler = merge_levels_cost_seconds(
+        merge_levels(run_lengths), tasks, cost, scale=scale.data_scale
     )
     kway = kway_merge_cost_seconds(
-        sum(len(r) for r in runs), p, cost, scale=scale.data_scale
+        sum(run_lengths), p, cost, scale=scale.data_scale
     )
     rows["handler vs k-way (merge s)"] = (handler, kway)
 

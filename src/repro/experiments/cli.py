@@ -35,7 +35,7 @@ process-level faults — SIGKILLed ranks, hung collectives, delayed control
 replies, muted heartbeats, slow ranks — from a seeded
 :class:`~repro.parallel.chaos.RealFaultPlan` (``--chaos-seed`` picks the
 schedule).  An active plan arms the backend's default
-:class:`~repro.parallel.backend.RetryPolicy`, so killed jobs retry and
+:class:`~repro.parallel.retry.RetryPolicy`, so killed jobs retry and
 repeatedly-dying ranks degrade to the survivor set instead of failing the
 experiment; the simnet twin of this flag is ``--faults``.
 """

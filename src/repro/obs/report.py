@@ -192,7 +192,7 @@ class RunReport:
 
     @classmethod
     def from_backend_run(cls, run, tracer: Tracer | None = None) -> "RunReport":
-        """Report for a :class:`repro.parallel.backend.BackendRun`.
+        """Report for a :class:`repro.parallel.run.BackendRun`.
 
         All-measured variant: walls are the workers' step boundaries,
         compute/wait splits come from the measured collective blocking, and

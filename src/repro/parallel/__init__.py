@@ -12,19 +12,24 @@ Layout:
   pooled, leased numpy blocks (``ScratchArena`` across processes);
 * :mod:`repro.parallel.collectives` — pipe-based barrier / gather /
   bcast / allgather with a liveness-watching driver hub;
-* :mod:`repro.parallel.worker` — the persistent per-rank job loop: the
-  six steps, the zero-copy shm all-to-all exchange, the warm segment
-  cache, and the splitter-cache probe protocol;
+* :mod:`repro.parallel.worker` — the persistent per-rank job loop: one
+  function per step, the zero-copy shm all-to-all exchange, the warm
+  segment cache;
+* :mod:`repro.parallel.datapath` — what a job sorts, exchanges and merges
+  (packed words / keys + perm / values only), chosen once in step 1;
+* :mod:`repro.parallel.splitter_cache` — the splitter-cache protocol:
+  the driver's :class:`SplitterCache` and the workers' probe;
 * :mod:`repro.parallel.backend` — the backend abstraction
-  (:class:`ProcessBackend` — a persistent worker pool with a
-  :class:`~repro.parallel.backend.SplitterCache` — and ambient
+  (:class:`ProcessBackend` — a persistent worker pool — and ambient
   selection by name or instance);
+* :mod:`repro.parallel.run` — :class:`BackendRun`, one finished job, and
+  its zero-copy assembly from the job's leases;
+* :mod:`repro.parallel.retry` — job retry (:class:`RetryPolicy`) and
+  survivor-degraded recovery above one attempt;
 * :mod:`repro.parallel.chaos` — deterministic process-level fault
   injection (:class:`RealFaultPlan`: seeded kills, hangs, reply delay
   spikes, heartbeat muting, slow ranks) mirroring the simnet
-  ``FaultPlan`` grammar, paired with job retry
-  (:class:`~repro.parallel.backend.RetryPolicy`) and survivor-degraded
-  recovery on the :class:`ProcessBackend`;
+  ``FaultPlan`` grammar;
 * :mod:`repro.parallel.errors` — typed failures (worker crash, remote
   exception, control-plane timeout, retry exhaustion) in place of hangs;
 * :mod:`repro.parallel.layout` — the counts-matrix exchange layout: the
@@ -48,17 +53,16 @@ apply here like everywhere else in the library.
 from .arena import AttachedLease, SharedArena, ShmLease, attach
 from .backend import (
     BACKENDS,
-    BackendRun,
     ExecutionBackend,
     ProcessBackend,
-    ProcessRunHandle,
-    RetryPolicy,
-    SplitterCache,
     default_backend,
     resolve_backend,
     set_default_backend,
     use_backend,
 )
+from .retry import RetryPolicy
+from .run import BackendRun, ProcessRunHandle
+from .splitter_cache import SplitterCache
 from .layout import ExchangeLayout, exchange_layout
 from .shmsan import (
     MUTATIONS,

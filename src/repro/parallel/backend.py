@@ -19,20 +19,19 @@ Backend selection: :class:`~repro.core.api.SortConfig` takes
 ``backend="process"`` explicitly, or an ambient default installed with
 :func:`use_backend` / :func:`set_default_backend` (how the experiments
 CLI's ``--backend`` flag reaches every sorter an experiment builds).
-Both accept a backend *instance* as well as a name since PR 9, which is
-how a persistent pool is shared: ``use_backend(ProcessBackend())``
-routes every sort in the scope through one warm pool instead of
-spawning per call (and the scope does **not** close the instance — its
+Both accept a backend *instance* as well as a name, which is how one warm
+pool is shared: ``use_backend(ProcessBackend())`` routes every sort in the
+scope through it (and the scope does **not** close the instance — its
 owner does).
 
-Since PR 9 the :class:`ProcessBackend` is a **persistent worker pool**:
-the rank processes are spawned on first use, parked in
-:func:`~repro.parallel.worker.worker_main`'s job loop between sorts,
-and fed per-job :class:`~repro.parallel.worker.JobSpec` messages over
-the control pipes (:func:`~repro.parallel.collectives.dispatch_job`).
-Warm state carried across jobs: the processes themselves, the arena's
-shm segments (and the workers' mappings of them), and the
-:class:`SplitterCache` of prior-epoch distribution fingerprints.
+The :class:`ProcessBackend` is a **persistent worker pool**: the rank
+processes are spawned on first use, parked in
+:func:`~repro.parallel.worker.worker_main`'s job loop between sorts, and
+fed per-job :class:`~repro.parallel.worker.JobSpec` messages over the
+control pipes.  This module holds the pool's lifecycle and one job
+attempt (:meth:`ProcessBackend._run_job`); retry and degradation live in
+:mod:`repro.parallel.retry`, result assembly in :mod:`repro.parallel.run`,
+the splitter cache in :mod:`repro.parallel.splitter_cache`.
 """
 
 from __future__ import annotations
@@ -40,43 +39,34 @@ from __future__ import annotations
 import multiprocessing
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from ..core.packsort import has_key_codec
-from ..core.provenance import Provenance
-from ..core.sorter import STEP_LABELS, RankSortOutput, SortOptions
+from ..core.sorter import STEP_LABELS, SortOptions
 from ..obs.context import active_capture
 from ..pgxd.config import PgxdConfig
 from .arena import SharedArena, ShmLease
 from .chaos import RealFaultPlan, active_real_fault_plan
 from .collectives import dispatch_job, send_shutdown, serve_control_plane
-from .errors import (
-    ControlPlaneTimeout,
-    JobAbortedError,
-    ParallelBackendError,
-    PoolClosedError,
-    WorkerCrashedError,
-    WorkerFailedError,
+from .errors import ParallelBackendError, PoolClosedError, WorkerCrashedError
+from .retry import RetryPolicy, run_with_retry
+from .run import (
+    MAX_PINNED_RESULTS,
+    BackendRun,
+    ProcessRunHandle,
+    adopt_run,
+    collect_run,
 )
-from .layout import exchange_layout
-from .shmsan import KEYS_AND_PERM, MUTATIONS, ShmSan, active_shm_sanitizer
-from .tracing import ProgressFn, ambient_progress, merge_worker_traces
+from .shmsan import MUTATIONS, ShmSan, active_shm_sanitizer
+from .splitter_cache import SplitterCache
+from .tracing import ProgressFn, ambient_progress
 from .worker import JobSpec, WorkerReport, worker_main
 
 #: The selectable execution substrates.
 BACKENDS = ("simnet", "process")
-
-#: Job results that may own arena segments at once (see
-#: :meth:`ProcessBackend._collect`).  A held result keeps up to 3 segments
-#: (keys, index, proc) x 2 fds open in the driver and mapped in every
-#: worker, so the count is bounded; a job finishing beyond it is handed
-#: private copies instead.  Two would cover the ``r = backend.sort_blocks(
-#: ...)`` loop (the previous result dies only after the next call
-#: returns); 4 leaves room to compare a few results side by side.
-MAX_PINNED_RESULTS = 4
 
 _default_backend: "str | ExecutionBackend" = "simnet"
 
@@ -134,54 +124,6 @@ def _validated(name: "str | ExecutionBackend") -> "str | ExecutionBackend":
     return name
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How the pool re-runs a job whose generation crashed under it.
-
-    A mid-job worker death poisons the generation (survivors may be
-    wedged mid-collective); with a policy attached the backend respawns
-    and re-runs the *same* job — same job id, per-attempt fresh
-    generation and freshly staged leases — instead of propagating the
-    typed error.  Attempts within one survivor set are bounded by
-    :attr:`max_attempts` with capped exponential backoff between them;
-    exhaustion raises :class:`~repro.parallel.errors.JobAbortedError`
-    carrying the full attempt history.
-
-    Degradation: when :attr:`degrade_after` consecutive-job crashes
-    charge to one rank (a *poisoned rank* — persistently dying, not
-    transiently unlucky), the backend excludes it, re-plans the input
-    over the survivor set with a fresh attempt budget, and re-sorts at
-    reduced p — surfacing ``SortResult.survivors``/``recovery_rounds``
-    exactly as the simnet resilient sort does.  ``degrade_after=None``
-    disables degradation (retry-only).
-    """
-
-    #: Attempts allowed per survivor set before aborting (>= 1).
-    max_attempts: int = 3
-    #: Backoff before retry k is ``backoff_seconds * 2**(k-1)`` ...
-    backoff_seconds: float = 0.05
-    #: ... capped here (seconds).
-    backoff_cap_seconds: float = 1.0
-    #: Crashes charged to a single rank before it is declared poisoned
-    #: and excluded by a survivor re-plan (None = never degrade).
-    degrade_after: int | None = 2
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_seconds < 0.0 or self.backoff_cap_seconds < 0.0:
-            raise ValueError("backoff seconds must be >= 0")
-        if self.degrade_after is not None and self.degrade_after < 1:
-            raise ValueError("degrade_after must be >= 1 (or None)")
-
-    def backoff_for(self, attempt_in_round: int) -> float:
-        """Seconds to sleep before the given retry (1-based)."""
-        return min(
-            self.backoff_seconds * (2 ** max(attempt_in_round - 1, 0)),
-            self.backoff_cap_seconds,
-        )
-
-
 class ExecutionBackend(Protocol):
     """What a substrate must provide to run the partitioned sort."""
 
@@ -195,205 +137,59 @@ class ExecutionBackend(Protocol):
     ) -> "BackendRun": ...
 
 
-@dataclass
-class BackendRun:
-    """Backend-agnostic outcome of one partitioned sort."""
+@dataclass(frozen=True)
+class JobLeases:
+    """One job's arena leases (the :class:`JobSpec` fields of the same
+    names say what each carries): allocated, and ShmSan-registered, here."""
 
-    #: Per-rank outputs in the simulated sorter's shape (keys, provenance,
-    #: per-step seconds — wall seconds on real backends).  From the
-    #: process backend the arrays are writable views of the shared memory
-    #: step 6 merged into, owned by this result (they outlive the pool;
-    #: pickling copies them) — see :data:`MAX_PINNED_RESULTS`.
-    outputs: list[RankSortOutput]
-    #: Final splitters the Master selected.
-    splitters: np.ndarray
-    #: counts_matrix[src][dst] = keys shipped src -> dst.
-    counts_matrix: np.ndarray
-    #: Driver-observed wall seconds for the whole run (spawn to collect).
-    wall_seconds: float
-    #: Max over workers of in-step wall seconds (excludes spawn overhead).
-    worker_seconds: float
-    #: Per-rank worker reports (None from a backend that has none) —
-    #: carry the measured waits, peak RSS, and optional trace payloads.
-    reports: list[WorkerReport] | None = None
-    #: Pool job id (0 on non-pooled backends).
-    job_id: int = 0
-    #: Splitter-cache verdict for this job (``cold``/``hit``/``miss``/
-    #: ``fallback-balance``/``fallback-forced``; None without a cache).
-    splitter_cache: str | None = None
-    #: Failed attempts the retry layer burned before this run succeeded
-    #: (0 on the fault-free path, which keeps reports bit-identical).
-    retries: int = 0
-    #: One record per failed attempt (``attempt``/``error``/``rank``/
-    #: ``exitcode``/``last_step``), as carried by ``JobAbortedError``.
-    attempt_history: tuple = ()
-    #: Original rank ids that produced this run after a survivor-degraded
-    #: re-plan; None on the full-width path.  Degraded runs keep the
-    #: original rank count in :attr:`outputs` with ``None`` at excluded
-    #: slots, mirroring the simnet resilient sort's crashed-rank shape.
-    survivors: tuple[int, ...] | None = None
-    #: Survivor re-plan rounds this job needed (0 = first planning held).
-    recovery_rounds: int = 0
-    #: Re-planned input offsets (original-rank indexed) when the job was
-    #: survivor-degraded; overrides the caller's partition offsets in
-    #: :meth:`to_sort_result` because the data was re-blocked.
-    input_offsets: np.ndarray | None = None
+    input: ShmLease
+    keys: ShmLease
+    index: ShmLease | None
+    proc: ShmLease | None
+    words: ShmLease | None
 
-    def to_sort_result(self, input_offsets: np.ndarray):
-        """Assemble the user-facing :class:`~repro.core.result.SortResult`.
-
-        The metrics slot is filled with wall-clock accounting: per-step
-        wall seconds as phase seconds, shm traffic as bytes, and the
-        driver's wall time as the makespan — so ``elapsed_seconds``,
-        ``step_breakdown`` and friends answer in real seconds.
-        """
-        from ..core.result import SortResult
-
-        if self.input_offsets is not None:
-            input_offsets = self.input_offsets
-        return SortResult.from_rank_outputs(
-            self.outputs, self.cluster_metrics(), input_offsets
-        )
-
-    def cluster_metrics(self):
-        """Wall-clock :class:`~repro.simnet.metrics.ClusterMetrics` shim.
-
-        With worker reports (process backend) the accounting is *measured*:
-        each step's compute is its wall minus the blocking time the worker
-        clocked inside collectives during that step, the recv/barrier wait
-        totals are the worker's own, and peak resident memory is the
-        worker process's real ``ru_maxrss``.  Without reports, step
-        walls stand in for compute and waits stay zero.
-        """
-        from ..simnet.metrics import ClusterMetrics, ProcessMetrics
-
-        p = len(self.outputs)
-        live = [out for out in self.outputs if out is not None]
-        key_itemsize = live[0].keys.dtype.itemsize if live else 8
-        idx_itemsize = 4  # int32 origin indices ride the keys + perm exchange
-        processes = []
-        remote_bytes = 0
-        local_bytes = 0
-        messages = 0
-        for rank, out in enumerate(self.outputs):
-            if out is None:
-                # Survivor-degraded run: this rank was excluded as
-                # poisoned; it keeps its slot (rank-aligned indices) with
-                # zero traffic and the crashed flag set.
-                m = ProcessMetrics(rank=rank)
-                m.crashed = True
-                processes.append(m)
-                continue
-            row = self.counts_matrix[rank]
-            col = self.counts_matrix[:, rank]
-            off_row = int(row.sum() - row[rank])
-            off_col = int(col.sum() - col[rank])
-            has_prov = len(out.provenance) > 0
-            per_key = key_itemsize + (idx_itemsize if has_prov else 0)
-            m = ProcessMetrics(rank=rank)
-            report = self.reports[rank] if self.reports is not None else None
-            if report is not None:
-                for label, wall in out.step_seconds.items():
-                    waited = report.step_wait_seconds.get(label, 0.0)
-                    m.phase_seconds[label] = max(wall - waited, 0.0)
-                m.recv_wait_seconds = report.recv_wait_seconds
-                m.barrier_wait_seconds = report.barrier_wait_seconds
-                m.memory.peak_resident = report.peak_rss_bytes
-                m.memory.peak_total = report.peak_rss_bytes
-                if report.local_sort_path == "through":
-                    per_key = 8  # one packed int64 word per key
-                else:
-                    # Surfaced only off the fastest path, so a slow job
-                    # explains itself and fast reports keep their schema.
-                    m.local_sort_path = report.local_sort_path
+    @classmethod
+    def allocate(
+        cls, arena: SharedArena, n: int, key_dtype: np.dtype, track: bool
+    ) -> "JobLeases":
+        input_lease = arena.lease(n, key_dtype)
+        key_lease = arena.lease(n, key_dtype)
+        index_lease = arena.lease(n, np.int32) if track else None
+        proc_lease = arena.lease(n, np.int16) if track else None
+        # The word path's exchange stream: 8-byte keys decode in place, so
+        # their word stream *is* the key lease under an int64 view; narrower
+        # keys get a segment of their own.
+        word_lease = None
+        if track and has_key_codec(key_dtype):
+            if key_dtype.itemsize == 8:
+                word_lease = replace(key_lease, dtype=np.dtype(np.int64))
             else:
-                m.phase_seconds.update(out.step_seconds)
-            m.bytes_sent = off_row * per_key
-            m.bytes_received = off_col * per_key
-            m.messages_sent = int(np.count_nonzero(np.delete(row, rank)))
-            m.messages_received = int(np.count_nonzero(np.delete(col, rank)))
-            m.finished_at = sum(out.step_seconds.values())
-            processes.append(m)
-            remote_bytes += m.bytes_sent
-            local_bytes += int(row[rank]) * per_key
-            messages += m.messages_sent
-        # Retry-layer fault accounting: charge each failed attempt to the
-        # rank it was attributed to.  All-zero on clean runs, so the
-        # RunReport ``faults`` key stays absent and the committed run-report
-        # snapshot holds bit-identical.
-        for record in self.attempt_history:
-            culprit = record.get("rank")
-            if culprit is None or not 0 <= culprit < p:
-                continue
-            if record.get("error") == "ControlPlaneTimeout":
-                processes[culprit].timeouts += 1
-            else:
-                processes[culprit].retries += 1
-        return ClusterMetrics(
-            processes=processes,
-            makespan=self.wall_seconds,
-            remote_bytes=remote_bytes,
-            local_bytes=local_bytes,
-            messages=messages,
-        )
+                word_lease = arena.lease(n, np.int64)
+        return cls(input_lease, key_lease, index_lease, proc_lease, word_lease)
 
+    def outputs(self) -> dict[str, ShmLease]:
+        """The leases a finished job's result is read from, by role."""
+        leases = {"keys": self.keys}
+        if self.index is not None:
+            leases.update(index=self.index, proc=self.proc)
+        return leases
 
-@dataclass
-class SplitterCache:
-    """Driver-side memory of committed epochs: fingerprints → splitters.
-
-    Keyed by ``(key dtype, cluster size)``; each key holds a tiny LRU of
-    ``(distribution fingerprint, splitters)`` pairs (newest last, capacity
-    :attr:`capacity_per_key`), so a pool alternating between a few
-    recurring datasets keeps them all warm.  The fingerprint is exact
-    (sha1 over the per-rank sample bytes — see
-    :func:`~repro.parallel.worker.combine_sample_fingerprint`), which is
-    what makes a hit safe: matching fingerprint ⇒ the cached splitters
-    are byte-equal to what fresh selection would return.
-    """
-
-    capacity_per_key: int = 4
-    hits: int = 0
-    misses: int = 0
-    fallbacks: int = 0
-    cold: int = 0
-    _entries: dict[tuple[str, int], list[tuple[str, np.ndarray]]] = field(
-        default_factory=dict
-    )
-
-    def candidates(
-        self, dtype, size: int
-    ) -> tuple[tuple[str, np.ndarray], ...]:
-        return tuple(self._entries.get((np.dtype(dtype).str, size), ()))
-
-    def commit(
-        self, dtype, size: int, fingerprint: str | None, splitters
-    ) -> None:
-        if fingerprint is None or splitters is None:
-            return
-        entries = self._entries.setdefault((np.dtype(dtype).str, size), [])
-        entries[:] = [e for e in entries if e[0] != fingerprint]
-        entries.append((fingerprint, np.asarray(splitters).copy()))
-        del entries[: -self.capacity_per_key]
-
-    def note(self, verdict: str) -> None:
-        if verdict == "hit":
-            self.hits += 1
-        elif verdict == "cold":
-            self.cold += 1
-        elif verdict == "miss":
-            self.misses += 1
-        else:
-            self.fallbacks += 1
-
-    def stats(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "fallbacks": self.fallbacks,
-            "cold": self.cold,
-            "entries": sum(len(v) for v in self._entries.values()),
-        }
+    def register(self, san: ShmSan, *, double_lease: bool) -> None:
+        """Open a sanitized run over these leases."""
+        san.begin_run()
+        san.register_lease("input", self.input)
+        for role, lease in self.outputs().items():
+            san.register_lease(role, lease)
+        if self.words is not None and self.words.name != self.keys.name:
+            san.register_lease("words", self.words)
+        if double_lease:
+            # Seeded invariant break: hand out a second lease aliasing
+            # the key segment, as if the arena double-booked it — the
+            # lease-lifetime check must flag the overlap on sight.
+            san.register_lease(
+                "double-lease-alias",
+                ShmLease(name=self.keys.name, dtype=np.int32, length=self.keys.length),
+            )
 
 
 class ProcessBackend:
@@ -447,7 +243,6 @@ class ProcessBackend:
         mutate: str | None = None,
         mutate_rank: int = 1,
         splitter_cache: "SplitterCache | bool" = True,
-        cache_balance_tolerance: float = 2.0,
         chaos: RealFaultPlan | None = None,
         retry: "RetryPolicy | bool | None" = None,
     ):
@@ -500,7 +295,6 @@ class ProcessBackend:
             self.splitter_cache = SplitterCache()
         else:
             self.splitter_cache = None
-        self._cache_balance_tolerance = cache_balance_tolerance
         # ------------------------------------------------- pool state
         self._procs: list = []
         self._conns: list = []
@@ -686,6 +480,12 @@ class ProcessBackend:
                 "sort_blocks on a closed ProcessBackend; pools are retired "
                 "by close()/__exit__ and cannot be revived"
             )
+        if options.splitter_strategy != "sample":
+            raise ParallelBackendError(
+                f"the process backend agrees splitters by sampling only; "
+                f"splitter_strategy={options.splitter_strategy!r} is a simnet "
+                f"option (use backend='simnet' or splitter_strategy='sample')"
+            )
         if len(blocks) == 0:
             raise ValueError("need at least one block")
         blocks = [np.ascontiguousarray(b) for b in blocks]
@@ -720,7 +520,8 @@ class ProcessBackend:
                     rank_ids=None,
                     force_resample=force_resample,
                 )
-            return self._run_with_retry(
+            return run_with_retry(
+                self,
                 blocks,
                 options,
                 config,
@@ -790,45 +591,15 @@ class ProcessBackend:
             # flag the overlap on sight.
             for seg in self.arena._segments:
                 seg.leased = 0
-        input_lease = self.arena.lease(n, key_dtype)
-        key_lease = self.arena.lease(n, key_dtype)
-        index_lease = self.arena.lease(n, np.int32) if track else None
-        proc_lease = self.arena.lease(n, np.int16) if track else None
-        # The word path's exchange stream: 8-byte keys decode in place,
-        # so their word stream *is* the key lease under an int64 view;
-        # narrower keys get a segment of their own.
-        word_lease = word_role = None
-        if track and has_key_codec(key_dtype):
-            if key_dtype.itemsize == 8:
-                word_lease = replace(key_lease, dtype=np.dtype(np.int64))
-                word_role = "keys"
-            else:
-                word_lease = self.arena.lease(n, np.int64)
-                word_role = "words"
+        leases = JobLeases.allocate(self.arena, n, key_dtype, track)
         if san is not None:
-            san.begin_run()
-            san.register_lease("input", input_lease)
-            san.register_lease("keys", key_lease)
-            if index_lease is not None:
-                san.register_lease("index", index_lease)
-            if proc_lease is not None:
-                san.register_lease("proc", proc_lease)
-            if word_role == "words":
-                san.register_lease("words", word_lease)
-            if self._mutate == "double-lease":
-                # Seeded invariant break: hand out a second lease aliasing
-                # the key segment, as if the arena double-booked it — the
-                # lease-lifetime check must flag the overlap on sight.
-                san.register_lease(
-                    "double-lease-alias",
-                    ShmLease(name=key_lease.name, dtype=np.int32, length=n),
-                )
-        input_view = self.arena.view(input_lease)
+            leases.register(san, double_lease=self._mutate == "double-lease")
+        input_view = self.arena.view(leases.input)
         for rank, block in enumerate(blocks):
             input_view[bounds[rank] : bounds[rank + 1]] = block
         if san is not None and n:
             san.parent_access(
-                input_lease, 0, n, "w", "stage-input", when="before"
+                leases.input, 0, n, "w", "stage-input", when="before"
             )
 
         candidates = (
@@ -839,11 +610,11 @@ class ProcessBackend:
         spec = JobSpec(
             size=size,
             block_bounds=bounds,
-            input_lease=input_lease,
-            key_lease=key_lease,
-            index_lease=index_lease,
-            proc_lease=proc_lease,
-            word_lease=word_lease,
+            input_lease=leases.input,
+            key_lease=leases.keys,
+            index_lease=leases.index,
+            proc_lease=leases.proc,
+            word_lease=leases.words,
             options=options,
             config=config,
             trace=cap is not None,
@@ -853,7 +624,6 @@ class ProcessBackend:
             job_id=job_id,
             cached_candidates=candidates,
             force_resample=force_resample,
-            cache_balance_tolerance=self._cache_balance_tolerance,
             chaos=chaos,
             attempt=attempt,
             rank_ids=rank_ids,
@@ -892,9 +662,7 @@ class ProcessBackend:
                     )
                 raise
             wall = time.perf_counter() - start  # repro: noqa[R002] — real backend: the driver wall clock is the makespan
-            run = self._collect(
-                reports, key_lease, index_lease, proc_lease, wall, san
-            )
+            run = collect_run(self, reports, leases.outputs(), wall, san)
         except BaseException:
             # Any failure poisons the generation: survivors may be wedged
             # mid-collective with stale replies queued on their pipes, so
@@ -917,354 +685,36 @@ class ProcessBackend:
                     # is safe; holding the view is the bug.)
                     _ = int(input_view[0])
                     san.parent_access(
-                        input_lease, 0, 1, "r", "stale-input-probe",
+                        leases.input, 0, 1, "r", "stale-input-probe",
                         when="after",
                     )
         run.job_id = spec.job_id
-        master_report = run.reports[0] if run.reports else None
-        if master_report is not None:
-            run.splitter_cache = master_report.splitter_cache
-            if self.splitter_cache is not None:
-                self.splitter_cache.note(master_report.splitter_cache)
-                self.splitter_cache.commit(
-                    key_dtype,
-                    size,
-                    master_report.sample_fingerprint,
-                    master_report.splitters,
-                )
+        master = run.reports[0]
+        run.splitter_cache = master.splitter_cache
+        if self.splitter_cache is not None:
+            self.splitter_cache.note(master.splitter_cache)
+            self.splitter_cache.commit(
+                key_dtype, size, master.sample_fingerprint, master.splitters
+            )
         self.jobs_completed += 1
         if san is not None:
-            # The job says which streams it exchanged: on the word path
-            # the one word stream, whatever lease role carries it.
-            through = run.reports[0].local_sort_path == "through"
+            # The job's data path says which streams it exchanged.
             san.finish_run(
                 counts_matrix=run.counts_matrix,
-                exchanged=(word_role,) if through else KEYS_AND_PERM,
+                exchanged=master.exchanged,
             )
         if cap is not None:
-            # Assemble the per-worker payloads into one simnet-schema tracer
-            # on the hub timeline (t=0 at sort start) and register it with
-            # the capture exactly like a simulator session.
-            tracer = merge_worker_traces(
-                (r.trace for r in run.reports or [] if r.trace is not None),
-                num_ranks=size,
-                base_time=start,
-                makespan=run.wall_seconds,
-                driver_counters=driver_counters,
-            )
-            for record in prior_attempts:
-                # Failed attempts left no worker trace (their generation
-                # died); surface them as t=0 fault events on the culprit
-                # rank's track so the retry history is visible per run.
-                tracer.fault(
-                    record["rank"] if record["rank"] is not None else 0,
-                    0.0,
-                    "retry",
-                    detail=(
-                        f"attempt {record['attempt']}: {record['error']}"
-                        f" at {record['last_step']}"
-                    ),
-                )
-            cap.adopt_session(tracer, ProcessRunHandle(run))
+            adopt_run(cap, run, start, driver_counters, prior_attempts)
         return run
 
-    def _run_with_retry(
-        self,
-        blocks: Sequence[np.ndarray],
-        options: SortOptions,
-        config: PgxdConfig,
-        *,
-        job_id: int,
-        policy: RetryPolicy,
-        chaos: "RealFaultPlan | None",
-        force_resample: bool,
-    ) -> BackendRun:
-        """Run one job to completion under the retry/degradation policy.
 
-        Round 0 runs the caller's blocks at full width.  A failed
-        attempt is recorded (rank, exitcode, last heartbeat step), the
-        poisoned generation is respawned by the next attempt, and the
-        same plan re-runs after a capped exponential backoff.  A rank
-        that crashes ``policy.degrade_after`` times is dropped: the
-        original input is re-planned over the survivor set with
-        :func:`~repro.core.api.partition_input` and a fresh attempt
-        budget, and the eventual result is expanded back to original
-        width (excluded slots empty) by :meth:`_expand_degraded`.
-        Exhausting a round's budget raises :class:`JobAbortedError`
-        with the full attempt history.
-        """
-        original_p = len(blocks)
-        survivors = list(range(original_p))
-        attempts: list[dict] = []
-        crash_counts: dict[int, int] = {}
-        recovery_rounds = 0
-        while True:  # repro: noqa[R008] — bounded: every re-plan shrinks the survivor set; the inner loop is capped by policy.max_attempts
-            if recovery_rounds == 0:
-                job_blocks: Sequence[np.ndarray] = blocks
-                rank_ids: tuple[int, ...] | None = None
-                round_offsets = None
-            else:
-                # Survivor re-plan: concatenate the ORIGINAL input and
-                # re-partition over the reduced width, exactly like a
-                # fresh sort at p' = len(survivors).  Late import: api.py
-                # imports this module, so a top-level import would cycle.
-                from ..core.api import partition_input
-
-                data = np.concatenate(blocks)
-                job_blocks, round_offsets = partition_input(
-                    data, len(survivors)
-                )
-                job_blocks = [np.ascontiguousarray(b) for b in job_blocks]
-                rank_ids = tuple(survivors)
-            attempt_in_round = 0
-            while attempt_in_round < policy.max_attempts:
-                try:
-                    run = self._run_job(
-                        job_blocks,
-                        options,
-                        config,
-                        job_id=job_id,
-                        attempt=len(attempts),
-                        chaos=chaos,
-                        rank_ids=rank_ids,
-                        force_resample=force_resample,
-                        prior_attempts=tuple(attempts),
-                    )
-                except (
-                    WorkerCrashedError,
-                    WorkerFailedError,
-                    ControlPlaneTimeout,
-                ) as exc:
-                    culprit = self._culprit_rank(exc, rank_ids)
-                    attempts.append(
-                        {
-                            "attempt": len(attempts),
-                            "error": type(exc).__name__,
-                            "rank": culprit,
-                            "exitcode": getattr(exc, "exitcode", None),
-                            "last_step": getattr(exc, "last_step", None),
-                        }
-                    )
-                    self.retries += 1
-                    attempt_in_round += 1
-                    if culprit is not None:
-                        crash_counts[culprit] = crash_counts.get(culprit, 0) + 1
-                        if (
-                            policy.degrade_after is not None
-                            and crash_counts[culprit] >= policy.degrade_after
-                            and culprit in survivors
-                            and len(survivors) > 1
-                        ):
-                            # Poisoned rank: drop it and re-plan over the
-                            # survivors with a fresh attempt budget.
-                            survivors.remove(culprit)
-                            recovery_rounds += 1
-                            break
-                    if attempt_in_round >= policy.max_attempts:
-                        self.aborted_jobs += 1
-                        raise JobAbortedError(job_id, attempts) from exc
-                    time.sleep(policy.backoff_for(attempt_in_round))
-                else:
-                    if recovery_rounds:
-                        run = self._expand_degraded(
-                            run,
-                            tuple(survivors),
-                            original_p,
-                            round_offsets,
-                            recovery_rounds,
-                        )
-                        self.degraded_jobs += 1
-                    run.retries = len(attempts)
-                    run.attempt_history = tuple(attempts)
-                    return run
-
-    @staticmethod
-    def _culprit_rank(
-        exc: ParallelBackendError, rank_ids: tuple[int, ...] | None
-    ) -> int | None:
-        """Original-rank identity of the failed attempt's culprit.
-
-        Crash/failure errors name their rank outright; a phase-deadline
-        timeout with exactly one rank missing from the stalled
-        collective charges that rank (more than one missing is
-        ambiguous — no attribution).  Slot indices from degraded rounds
-        are mapped back through ``rank_ids``.
-        """
-        rank = getattr(exc, "rank", None)
-        if rank is None:
-            missing = getattr(exc, "missing_ranks", ())
-            if len(missing) == 1:
-                rank = missing[0]
-        if rank is None:
-            return None
-        if rank_ids is not None:
-            return rank_ids[rank] if 0 <= rank < len(rank_ids) else None
-        return int(rank)
-
-    def _expand_degraded(
-        self,
-        run: BackendRun,
-        survivors: tuple[int, ...],
-        original_p: int,
-        offsets: np.ndarray,
-        recovery_rounds: int,
-    ) -> BackendRun:
-        """Map a survivor-width run back onto the original rank space.
-
-        Excluded slots get ``None`` outputs (SortResult renders them as
-        empty partitions), the counts matrix is scattered through
-        ``np.ix_`` so traffic stays attributed to original identities,
-        and provenance ``origin_proc`` is remapped so global indices
-        stay exact against the original concatenated input — the
-        re-planned offsets ride on ``run.input_offsets`` and override
-        the caller's offsets in ``to_sort_result``.
-        """
-        survivor_arr = np.asarray(survivors, dtype=np.int64)
-        expanded_counts = np.zeros(
-            (original_p, original_p), dtype=run.counts_matrix.dtype
-        )
-        expanded_counts[np.ix_(survivor_arr, survivor_arr)] = run.counts_matrix
-        outputs: list = [None] * original_p
-        reports: list = [None] * original_p
-        for slot, orig in enumerate(survivors):
-            out = run.outputs[slot]
-            prov = out.provenance
-            if prov is not None and len(prov.origin_proc):
-                prov = Provenance(
-                    origin_proc=survivor_arr[prov.origin_proc].astype(
-                        prov.origin_proc.dtype
-                    ),
-                    origin_index=prov.origin_index,
-                )
-            outputs[orig] = replace(
-                out,
-                provenance=prov,
-                sent_counts=expanded_counts[orig].copy(),
-                received_counts=expanded_counts[:, orig].copy(),
-                survivors=tuple(survivors),
-                recovery_rounds=recovery_rounds,
-            )
-            if run.reports:
-                reports[orig] = run.reports[slot]
-        expanded_offsets = np.zeros(original_p, dtype=np.int64)
-        expanded_offsets[survivor_arr] = np.asarray(offsets, dtype=np.int64)
-        run.outputs = outputs
-        if run.reports:
-            run.reports = reports
-        run.counts_matrix = expanded_counts
-        run.survivors = tuple(survivors)
-        run.recovery_rounds = recovery_rounds
-        run.input_offsets = expanded_offsets
-        return run
-
-    def _collect(
-        self,
-        reports: dict[int, WorkerReport],
-        key_lease,
-        index_lease,
-        proc_lease,
-        wall: float,
-        san: ShmSan | None = None,
-    ) -> BackendRun:
-        size = len(reports)
-        counts_matrix = np.stack([reports[r].counts_row for r in range(size)])
-        layout = exchange_layout(counts_matrix)
-        leases = {"keys": key_lease}
-        if index_lease is not None:
-            leases.update(index=index_lease, proc=proc_lease)
-        # Zero-copy hand-off: the result's arrays are slices of the job's
-        # own output leases, which the arena keeps out of the pool until
-        # the last of them dies.  With the pin budget spent, the job gets
-        # private copies and its leases go back with release_all.
-        pinned = (
-            self.arena.pinned_segments + len(leases) <= 3 * MAX_PINNED_RESULTS
-        )
-        if pinned:
-            self.results_pinned += 1
-            views = {role: self.arena.pin(l) for role, l in leases.items()}
-        else:
-            self.results_copied += 1
-            views = {role: self.arena.view(l) for role, l in leases.items()}
-        if san is not None:
-            for role, lease in leases.items():
-                if pinned:
-                    san.pin_lease(role, lease, views[role])
-                if layout.total:
-                    # The driver takes over the merged regions — ordered
-                    # after every worker access, but recorded so the log
-                    # is the whole story of the segments' lifetimes.
-                    san.parent_access(
-                        lease, 0, layout.total, "r", f"collect-{role}",
-                        when="after",
-                    )
-        outputs = []
-        for rank in range(size):
-            report = reports[rank]
-            lo, length = layout.region(rank)
-            hi = lo + length
-            parts = {role: view[lo:hi] for role, view in views.items()}
-            if not pinned:  # fresh arrays: the leases return to the pool
-                parts = {role: part.copy() for role, part in parts.items()}
-            keys = parts["keys"]
-            if index_lease is not None:
-                prov = Provenance(parts["proc"], parts["index"])
-            else:
-                prov = Provenance.empty()
-            outputs.append(
-                RankSortOutput(
-                    keys=keys,
-                    provenance=prov,
-                    step_seconds=dict(report.step_seconds),
-                    samples_sent=report.samples_sent,
-                    searches=report.searches,
-                    sent_counts=counts_matrix[rank].copy(),
-                    received_counts=counts_matrix[:, rank].copy(),
-                )
-            )
-        master = reports[0]
-        splitters = (
-            master.splitters
-            if master.splitters is not None
-            else outputs[0].keys[:0].copy()
-        )
-        worker_seconds = max(reports[r].wall_seconds for r in range(size))
-        return BackendRun(
-            outputs=outputs,
-            splitters=splitters,
-            counts_matrix=counts_matrix,
-            wall_seconds=wall,
-            worker_seconds=worker_seconds,
-            reports=[reports[r] for r in range(size)],
-        )
-
-
-class ProcessRunHandle:
-    """Adopted-capture runner: a finished process-backend run as a session.
-
-    Fills the ``simulator`` slot of an obs :class:`~repro.obs.context.Session`
-    for runs the real backend registered with ``adopt_session``: report
-    writers duck-type against ``_ran``/``metrics()`` (and, when present,
-    ``step_seconds``) and never notice they are not holding a simulator.
-    """
-
-    def __init__(self, run: BackendRun) -> None:
-        self.run = run
-        self._ran = True
-
-    def metrics(self):
-        return self.run.cluster_metrics()
-
-    @property
-    def step_seconds(self) -> list[dict[str, float]]:
-        """Measured per-rank ``{step label: wall seconds}`` dicts."""
-        return [dict(out.step_seconds) for out in self.run.outputs]
-
-
-#: Every step label a backend reports (re-export for metric consumers).
+#: Names that moved to run.py / retry.py / splitter_cache.py stay importable
+#: from here, as does STEP_LABELS (every step label a backend reports).
 __all__ = [
     "BACKENDS",
     "BackendRun",
     "ExecutionBackend",
+    "MAX_PINNED_RESULTS",
     "ProcessBackend",
     "ProcessRunHandle",
     "RetryPolicy",

@@ -391,7 +391,7 @@ def inject_real_faults(plan: RealFaultPlan):
     ``ProcessBackend`` constructed or run inside the scope without an
     explicit ``chaos=`` argument picks the plan up (and, unless it was
     given an explicit ``retry=``, arms a default
-    :class:`~repro.parallel.backend.RetryPolicy` — chaos without recovery
+    :class:`~repro.parallel.retry.RetryPolicy` — chaos without recovery
     would just convert every planned fault into a lost job).
     """
     _ACTIVE_PLANS.append(plan)
@@ -414,7 +414,7 @@ def kill_one_per_job(
     """The CI matrix plan: every job loses one worker, round-robin.
 
     Job ``j`` SIGKILLs rank ``j % num_ranks`` at ``step`` on its first
-    attempt; with a :class:`~repro.parallel.backend.RetryPolicy` attached
+    attempt; with a :class:`~repro.parallel.retry.RetryPolicy` attached
     every job must recover on attempt 1 at full width, bit-identical to
     the oracle.
     """

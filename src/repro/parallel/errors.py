@@ -145,7 +145,7 @@ class JobAbortedError(ParallelBackendError):
 
     Raised by the retry layer in
     :meth:`~repro.parallel.backend.ProcessBackend.sort_blocks` after a
-    :class:`~repro.parallel.backend.RetryPolicy` runs out of attempts
+    :class:`~repro.parallel.retry.RetryPolicy` runs out of attempts
     without the job completing (and, when degradation is enabled, without
     the failures concentrating on a single poisonable rank).  Carries the
     full attempt history — one dict per attempt with ``attempt``,

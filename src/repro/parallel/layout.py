@@ -63,17 +63,6 @@ class ExchangeLayout:
         """``(base, length)`` of rank's own receive region."""
         return int(self.rank_base[rank]), int(self.recv_totals[rank])
 
-    def run_bounds(self, rank: int) -> np.ndarray:
-        """Prefix bounds of each source's run within rank's region.
-
-        ``size + 1`` entries relative to the region base: source ``s``'s
-        run spans ``[bounds[s], bounds[s + 1])`` — the flat k-way merge's
-        input layout, and the provenance column boundaries.
-        """
-        bounds = np.zeros(self.size + 1, dtype=np.int64)
-        np.cumsum(self.counts[:, rank], out=bounds[1:])
-        return bounds
-
 
 def exchange_layout(counts_matrix: np.ndarray) -> ExchangeLayout:
     """Derive the run layout from a ``(p, p)`` counts matrix.

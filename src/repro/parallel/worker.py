@@ -1,51 +1,25 @@
 """The per-rank worker loop of the multiprocess backend.
 
-One process per rank runs :func:`worker_main` — since PR 9 a *persistent
-job loop*: the worker blocks on the control pipe for the next
-:class:`JobSpec`, resets its per-job state (collective sequence, ShmSan
-epoch clock, tracer), executes the paper's six steps over real OS
-parallelism, reports, and loops until the driver sends shutdown.  The
-step implementations are shared with the simulated sorter and the
-in-process reference backend (the key codec and pack of
-:mod:`repro.core.packsort`, regular sampling, Master splitter selection,
-the investigator), so the produced partitions are **bit-identical** to
-both.
+One process per rank runs :func:`worker_main`, a *persistent job loop*:
+the worker blocks on the control pipe for the next :class:`JobSpec`,
+resets its per-job state (collective sequence, ShmSan epoch clock,
+tracer), executes the paper's six steps over real OS parallelism, reports,
+and loops until the driver sends shutdown.  The step implementations are
+shared with the simulated sorter (:mod:`repro.core.steps`, regular
+sampling, Master splitter selection, the investigator), so the produced
+partitions are **bit-identical** to it and to the reference backend.
 
-Data plane (all shared memory, described by a :class:`JobSpec`):
-
-* the unsorted input lives in one shm block, rank ``r`` reading
-  ``input[bounds[r]:bounds[r+1]]``; workers never write it;
-* **provenance rides inside the key** (the *word path*): in step 1 every
-  rank allgathers its block's ``(code_min, code_max, code_or, len)``,
-  all derive the same :class:`~repro.core.packsort.KeyFrame`, and each
-  packs ``(code << shift) | (rank << idx_bits) | index`` into unique
-  int64 words, sorts them, and decodes the sorted keys once for steps
-  2–4 (samples, cache histograms and ``compute_rank_cuts`` read keys;
-  the sample bytes, hence fingerprints and splitters, are unchanged);
-* the step-5 exchange writes word slices (8 B/key, nothing else)
-  *directly into the receivers' regions* of the word stream: the
-  allgathered counts matrix fixes every (src, dst) run's offset, the
-  regions are disjoint, so every rank writes its outgoing runs
-  concurrently with zero copies through the control plane and zero locks
-  — a barrier separates the writes from the merges;
-* step 6 sorts the rank's own region **in place in shared memory** —
-  words from different ranks compare as ``(key, rank, index)``, which is
-  the stable merge order, and they are unique, so no permutation exists
-  to apply — and unpacks once, straight into the output leases: origin
-  index and origin rank by mask and shift, keys by decoding (8-byte keys
-  in place: their word stream *is* the key lease).  The two lossy float
-  codes (±0.0, NaN payloads) are refilled from the input lease through
-  the provenance just unpacked.  The driver collects from the leases;
-* when the frame does not fit (or the codec has no code for the dtype)
-  the job takes the **keys + perm fallback**: ``stable_sort_with_order``
-  in step 1, sorted keys and an int32 permutation through the exchange
-  (two streams), ``flat_kway_merge`` over the region in step 6 with the
-  result stored back over it.  ``WorkerReport.local_sort_path`` says
-  which path a rank took.  Without provenance a values-only region is
-  sorted in place like the words.
+:func:`_run_six_steps` is six calls over a small per-job context
+(:class:`_Job`) that owns the hooks at the step edges — heartbeat and
+chaos, the step clock, the ShmSan recorder, the tracer.  *What* is sorted,
+exchanged and merged — packed words, keys + perm, or values alone — is the
+job's :class:`~repro.parallel.datapath.DataPath`, chosen once in step 1;
+*where* every (src, dst) run lands in shared memory is
+:mod:`repro.parallel.layout`'s to say; workers never write the input.
 
 Control plane (pickled over one pipe per rank, via the hub in
-:mod:`repro.parallel.collectives`): the sample gather, the splitter
+:mod:`repro.parallel.collectives`): the sample gather (or the splitter
+cache probe of :mod:`repro.parallel.splitter_cache`), the splitter
 broadcast, the counts allgather, and the pre/post-exchange barriers —
 bytes proportional to ``p``, never to ``n``; the word path adds one
 allgather of four integers per rank, timed and waited inside step 1.
@@ -62,25 +36,10 @@ flow per (src, dst) shm write with bytes (``count × 8`` for a word run)
 and the run's byte offset in the exchanged stream, and
 counter samples — shipped home on the :class:`WorkerReport` and merged
 on the parent into the simnet-schema tracer.
-
-Splitter/sample cache (the Histogram-Sort-with-Sampling idea from
-PAPERS.md, adapted to exactness): the driver ships prior-epoch
-``(fingerprint, splitters)`` candidates on the :class:`JobSpec`.  Every
-rank still draws its regular samples, but instead of gathering the
-sample *arrays* it gathers a per-rank sample digest plus one cheap
-histogram per candidate; the Master combines the digests into the job's
-distribution fingerprint and, on an exact match with a balanced
-histogram, broadcasts the candidate index — the splitter selection is
-skipped entirely.  Because the fingerprint hashes the exact sample
-bytes, a cache hit *guarantees* the cached splitters equal what fresh
-selection would produce, so the output stays bit-identical to the
-oracle on every path; any miss, imbalance, or forced fallback rejoins
-the classic gather-samples/bcast-splitters path.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 import traceback
@@ -90,26 +49,19 @@ from multiprocessing.connection import Connection
 
 import numpy as np
 
-from ..core.investigator import compute_rank_cuts, slices_from_cuts
-from ..core.packsort import (
-    block_code_stats,
-    decode_keys,
-    derive_key_frame,
-    order_preserving_codes,
-    pack_words,
-    sort_runs_in_place,
-    stable_sort_with_order,
-    unpack_provenance,
-)
+from ..checks.hb import KEYS_AND_PERM
 from ..core.sampling import sample_count, select_regular_samples
 from ..core.scratch import ScratchArena
 from ..core.sorter import MASTER, STEP_LABELS, SortOptions
 from ..core.splitters import merge_samples, select_splitters
+from ..core.steps import BlockPartition, partition_block
 from ..pgxd.config import PgxdConfig
 from .arena import ShmLease
 from .collectives import WorkerLink
-from .layout import exchange_layout
+from .datapath import DataPath, JobViews, choose_data_path
+from .layout import ExchangeLayout, exchange_layout
 from .shmsan import AccessRecorder
+from .splitter_cache import combine_sample_fingerprint, probe_candidates, sample_digest
 from .tracing import WorkerTrace, WorkerTracer, estimate_clock_offset, peak_rss_bytes
 
 
@@ -156,12 +108,8 @@ class JobSpec:
     #: Test/ops hook: probe the cache (and report the would-be verdict)
     #: but always take the full sampling path.
     force_resample: bool = False
-    #: A cached candidate is usable only if the heaviest destination's
-    #: histogram load stays under ``tolerance × ideal``.
-    cache_balance_tolerance: float = 2.0
     #: Seeded process-level fault plan (:mod:`repro.parallel.chaos`);
-    #: ``None`` — the overwhelmingly common case — keeps the worker on
-    #: the exact PR-9 code path behind ``is not None`` guards.
+    #: ``None`` is the overwhelmingly common case.
     chaos: "object | None" = None
     #: Which attempt of the job this dispatch is (0 on the first try).
     #: Retries re-run the same logical job under a fresh generation; the
@@ -215,8 +163,14 @@ class WorkerReport:
     #: this rank's own block still took the packed step-1 sort;
     #: ``"stable"`` — the several-times-slower stable-argsort step 1
     #: (:func:`~repro.core.packsort.stable_sort_with_order`).  ``None``
-    #: without provenance, where a plain ``np.sort`` runs instead.
+    #: without provenance, where a plain ``np.sort`` runs instead.  The
+    #: label of the job's :class:`~repro.parallel.datapath.DataPath`, which
+    #: also declares the two fields below — read those, not the label.
     local_sort_path: str | None = None
+    #: Lease roles the job's step 5 wrote (ShmSan expects every run there).
+    exchanged: tuple[str, ...] = KEYS_AND_PERM
+    #: Bytes one exchanged key cost across those streams.
+    bytes_per_key: int = 0
 
 
 class SegmentCache:
@@ -225,10 +179,9 @@ class SegmentCache:
     The arena's contract makes this safe: a named segment is never
     resized (growth allocates a *new* segment under a new name), so the
     mapping a worker opened for job *k* still addresses the same pages
-    for job *k+n*.  Caching the attachment turns the per-job
-    open/mmap/close churn of the spawn-per-sort design into a dict hit.
-    Leases are plain (name, dtype, length, offset) descriptors, so views
-    are rebuilt per job — only the ``SharedMemory`` handle is pooled.
+    for job *k+n*, and attaching is a dict hit.  Leases are plain (name,
+    dtype, length, offset) descriptors, so views are rebuilt per job —
+    only the ``SharedMemory`` handle is pooled.
     """
 
     def __init__(self) -> None:
@@ -252,45 +205,201 @@ class SegmentCache:
         self._segments.clear()
 
 
-# ------------------------------------------------- splitter/sample cache
+class _Job:
+    """One job on one rank: the state and the hooks the step functions share
+    (heartbeat + chaos, the step clock, the ShmSan recorder, the tracer)."""
+
+    def __init__(self, rank, plan: JobSpec, link: WorkerLink, segments, scratch):
+        self.rank, self.plan, self.link, self.scratch = rank, plan, link, scratch
+        self.report = WorkerReport(
+            rank=rank,
+            counts_row=np.zeros(plan.size, dtype=np.int64),
+            job_id=plan.job_id,
+        )
+        self.recorder = AccessRecorder(rank) if plan.sanitize else None
+        self.mutation = plan.mutate if rank == plan.mutate_rank else None
+        #: Clock reads at the step edges: ``marks[i]`` opens step ``i + 1``.
+        self.marks: list[float] = []
+        self.tracer: WorkerTracer | None = None
+        if plan.trace:
+            # Clock-offset handshake: align this process's perf_counter with
+            # the hub's before any event is recorded, then barrier so every
+            # rank enters step 1 from a common point.  Re-estimated per job:
+            # a pooled worker's offset drifts between jobs.
+            self.tracer = link.tracer = WorkerTracer(rank, job_id=plan.job_id)
+            if link.chaos is not None:
+                link.chaos.tracer = self.tracer  # surviving injections leave fault events
+            trace = self.tracer.trace
+            trace.clock_offset, trace.clock_rtt = estimate_clock_offset(link.probe)
+            link.barrier()
+        self.views = JobViews(
+            *(
+                segments.view(lease) if lease is not None else None
+                for lease in (
+                    plan.input_lease, plan.key_lease, plan.index_lease,
+                    plan.proc_lease, plan.word_lease,
+                )
+            )
+        )
+
+    def record(self, lease, lo, hi, kind, step, label, dst=None) -> None:
+        if self.recorder is not None:
+            self.recorder.record(
+                lease, lo, hi, kind, step, self.link.epoch, label, dst=dst
+            )
+
+    def _mark(self) -> None:
+        self.marks.append(time.perf_counter())  # repro: noqa[R002] — real backend: measured step wall time is the product
+
+    def enter(self, step: int, rows: int) -> None:
+        """The edge into ``step`` (0-based): step clock, then heartbeat.
+
+        The heartbeat piggybacks a sanitizer-log flush, so a crash mid-run
+        leaves the analyzer every access up to the last boundary.  The
+        chaos plan is consulted first: a planned kill must not leave a
+        heartbeat for the step it never entered.
+        """
+        if step:
+            self._mark()
+        if self.link.chaos is not None:
+            self.link.chaos.at_step_boundary(STEP_LABELS[step])
+        self.link.heartbeat(STEP_LABELS[step], rows)
+        if self.recorder is not None:
+            self.link.flush_san(self.recorder.drain())
+        if not step:
+            self._mark()  # the heartbeat into step 1 is outside the timed steps
+
+    def finish(self, path: DataPath, part: BlockPartition) -> WorkerReport:
+        if self.recorder is not None:
+            self.link.flush_san(self.recorder.drain())
+        self._mark()
+        report, link, marks = self.report, self.link, self.marks
+        report.local_sort_path = path.label
+        report.exchanged, report.bytes_per_key = path.exchanged, path.bytes_per_key
+        report.searches, report.counts_row = part.searches, part.counts
+        for label, begin, end in zip(STEP_LABELS, marks, marks[1:]):
+            report.step_seconds[label] = end - begin
+            if self.tracer is not None:
+                self.tracer.step(begin, end, label)
+        report.wall_seconds = marks[-1] - marks[0]
+        report.step_wait_seconds = dict(link.wait_by_step)
+        report.recv_wait_seconds = link.wait_by_kind["recv-wait"]
+        report.barrier_wait_seconds = link.wait_by_kind["barrier-wait"]
+        report.peak_rss_bytes = peak_rss_bytes()
+        if self.tracer is not None:
+            report.trace = self.tracer.trace
+        return report
 
 
-def sample_digest(samples: np.ndarray) -> str:
-    """Exact digest of one rank's regular sample (bytes, not values)."""
-    return hashlib.sha1(
-        np.ascontiguousarray(samples).tobytes()
-    ).hexdigest()
+def _sampling(job: _Job, path: DataPath) -> tuple[np.ndarray, np.ndarray | None]:
+    """Step 2: returns the samples and, on a splitter-cache hit, the splitters.
 
-
-def combine_sample_fingerprint(
-    digests: list[str], dtype: np.dtype, size: int
-) -> str:
-    """Combine per-rank digests into the job's distribution fingerprint.
-
-    The fingerprint pins everything the splitter selection consumes: key
-    dtype, cluster size, and the exact per-rank sample bytes in rank
-    order.  Equal fingerprint ⇒ identical merged sample ⇒ identical
-    splitters — which is what lets a cache hit skip selection without
-    risking the bit-identity contract.
+    Samples are always drawn (they are cheap and they feed the exact
+    fingerprint); what the cache changes is what crosses the control
+    plane: digests + histograms instead of the sample arrays.
     """
-    acc = hashlib.sha1(f"{np.dtype(dtype).str}|p{size}".encode())
-    for digest in digests:
-        acc.update(digest.encode())
-    return acc.hexdigest()
+    plan, report = job.plan, job.report
+    count = sample_count(
+        plan.config, plan.size, path.sorted_keys.dtype.itemsize,
+        plan.options.sample_factor,
+    )
+    samples = select_regular_samples(path.sorted_keys, count)
+    report.samples_sent = len(samples)
+    splitters = None
+    if plan.cached_candidates:
+        report.splitter_cache, splitters, report.sample_fingerprint = probe_candidates(
+            job.link, job.rank, plan.size, path.sorted_keys, samples,
+            plan.cached_candidates, plan.force_resample,
+        )
+        if splitters is not None and job.rank == MASTER:
+            report.splitters = splitters
+    return samples, splitters
 
 
-def _candidate_histogram(
-    sorted_keys: np.ndarray, splitters: np.ndarray, size: int
-) -> np.ndarray:
-    """Per-destination key counts this rank would send under ``splitters``.
+def _splitters(job: _Job, path: DataPath, samples: np.ndarray) -> np.ndarray | None:
+    """Step 3, skipped entirely on a cache hit: gather → select → broadcast.
 
-    One ``searchsorted`` over the already-sorted block — the "one cheap
-    histogram pass" that stands in for re-running selection when a
-    candidate's fingerprint matches.
+    Every other verdict lands here, so all ranks agree on the collective
+    schedule (the verdict broadcast synchronized them).
     """
-    cuts = np.searchsorted(sorted_keys, splitters, side="right")
-    bounds = np.concatenate(([0], cuts, [len(sorted_keys)]))
-    return np.diff(bounds[: size + 1]).astype(np.int64)
+    report, size = job.report, job.plan.size
+    splitters = None
+    gathered = job.link.gather(samples, root=MASTER)
+    if job.rank == MASTER:
+        assert gathered is not None
+        splitters = report.splitters = select_splitters(merge_samples(gathered), size)
+        if report.sample_fingerprint is None:
+            report.sample_fingerprint = combine_sample_fingerprint(
+                [sample_digest(s) for s in gathered], path.sorted_keys.dtype, size
+            )
+    return job.link.bcast(splitters, root=MASTER)
+
+
+def _exchange(job: _Job, path: DataPath, part: BlockPartition) -> ExchangeLayout:
+    """Step 5: every outgoing run goes straight into its receiver's region.
+
+    Everyone learns the counts matrix, which fixes each (src, dst) run's
+    offset in the shared exchange streams; the regions are disjoint, so all
+    ranks write concurrently, lock-free.
+    """
+    rank, link, tracer = job.rank, job.link, job.tracer
+    layout = exchange_layout(np.stack(link.allgather(part.counts)))
+    writes = [
+        (dst, sl, layout.run_offset(rank, dst))
+        for dst, sl in enumerate(part.slices)
+        if sl.stop > sl.start
+    ]
+    if job.mutation == "offset-off-by-one":
+        # Seeded invariant break: slide the first nonempty run one element
+        # off its counts-derived home (into a neighbour's run, or backwards
+        # at the stream's end) — the overlap ShmSan's offset and race
+        # checks must catch.
+        stream_len = len(path.streams[0][0])
+        for i, (dst, sl, pos) in enumerate(writes):
+            shift = 1 if pos + (sl.stop - sl.start) < stream_len else -1
+            if pos + shift >= 0:
+                writes[i] = (dst, sl, pos + shift)
+                break
+    offset_itemsize = path.streams[0][2].dtype.itemsize
+    for dst, sl, pos in writes:
+        end = pos + (sl.stop - sl.start)
+        t_w0 = time.perf_counter() if tracer is not None else 0.0  # repro: noqa[R002] — real backend: measured flow timing is the product
+        for stream, lease, payload in path.streams:
+            stream[pos:end] = payload[sl]
+            job.record(lease, pos, end, "w", 5, "exchange-write", dst=dst)
+        if tracer is not None:
+            tracer.flow(
+                dst,
+                (end - pos) * path.bytes_per_key,
+                pos * offset_itemsize,
+                t_w0,
+                time.perf_counter(),  # repro: noqa[R002] — real backend: measured flow timing is the product
+            )
+    if job.mutation == "skip-merge-barrier":
+        # Seeded invariant break: post the barrier contribution (so the
+        # hub and the other ranks stay solvent) but charge ahead without
+        # waiting — this rank's epoch clock does not advance, so its merge
+        # runs concurrent with the others' exchange writes.  The
+        # happens-before analysis must flag the races.
+        link.post_only("barrier")
+    else:
+        link.barrier()  # all runs landed; regions are safe to read
+    return layout
+
+
+def _merge(job: _Job, path: DataPath, layout: ExchangeLayout) -> None:
+    """Step 6: the rank's region holds one sorted run per source, back to
+    back in source order; the path merges it into the job's leases, where
+    the driver reads the output — no pickling."""
+    base, total = layout.region(job.rank)
+    stop = base + total
+    accesses = path.merge(base, stop, layout.counts[:, job.rank].tolist())
+    if job.recorder is not None:
+        for kind, label in (("r", "merge-read"), ("w", "merge-write")):
+            for _stream, lease, _payload in path.streams:
+                job.record(lease, base, stop, kind, 6, label)
+        for lease, lo, hi, kind, label in accesses:
+            job.record(lease, lo, hi, kind, 6, label)
 
 
 def _run_six_steps(
@@ -300,323 +409,28 @@ def _run_six_steps(
     segments: SegmentCache,
     scratch: ScratchArena,
 ) -> WorkerReport:
-    options, config, size = plan.options, plan.config, plan.size
-    track = options.track_provenance
-    report = WorkerReport(
-        rank=rank,
-        counts_row=np.zeros(size, dtype=np.int64),
-        job_id=plan.job_id,
-    )
-
-    def _attach(lease: ShmLease) -> np.ndarray:
-        return segments.view(lease)
-
-    recorder = AccessRecorder(rank) if plan.sanitize else None
-    mutation = plan.mutate if rank == plan.mutate_rank else None
-
-    def _beat(step: str, rows: int) -> None:
-        # Heartbeat the hub and piggyback a sanitizer-log flush on the
-        # same step boundary, so a crash mid-run leaves the analyzer
-        # every access up to the last boundary.  The chaos plan is
-        # consulted first: a planned kill must not leave a heartbeat for
-        # the step it never entered.
-        if link.chaos is not None:
-            link.chaos.at_step_boundary(step)
-        link.heartbeat(step, rows)
-        if recorder is not None:
-            link.flush_san(recorder.drain())
-
-    tracer: WorkerTracer | None = None
-    if plan.trace:
-        # Clock-offset handshake: align this process's perf_counter with
-        # the hub's before any event is recorded, then barrier so every
-        # rank enters step 1 from a common point.  Re-estimated per job:
-        # a pooled worker's offset drifts between jobs.
-        tracer = WorkerTracer(rank, job_id=plan.job_id)
-        link.tracer = tracer
-        if link.chaos is not None:
-            link.chaos.tracer = tracer  # surviving injections leave fault events
-        offset, rtt = estimate_clock_offset(link.probe)
-        tracer.trace.clock_offset = offset
-        tracer.trace.clock_rtt = rtt
-        link.barrier()
-
-    input_block = _attach(plan.input_lease)
-    ex_keys = _attach(plan.key_lease)
-    ex_index = _attach(plan.index_lease) if track else None
-    out_proc = _attach(plan.proc_lease) if track else None
+    job = _Job(rank, plan, link, segments, scratch)
     lo, hi = plan.block_bounds[rank], plan.block_bounds[rank + 1]
-    block = input_block[lo:hi]
-    if recorder is not None:
-        recorder.record(
-            plan.input_lease, lo, hi, "r", 1, link.epoch, "input-read"
-        )
-
-    _beat(STEP_LABELS[0], len(block))
-    t0 = time.perf_counter()  # repro: noqa[R002] — real backend: measured step wall time is the product
-    # ------------------------------------------------ step 1: local sort
-    # Word path: one allgather of block statistics fixes the job's key
-    # frame on every rank; if it fits, the unit that is sorted, exchanged
-    # and merged from here on is the packed (code, rank, index) word.
-    # Otherwise the same kernel as the simulated sorter's
-    # parallel_quicksort (packed or stable argsort, bit-identical either
-    # way) yields keys + an int32 permutation.
-    frame = None
-    if plan.word_lease is not None:
-        codes = order_preserving_codes(block)
-        frame = derive_key_frame(
-            link.allgather(block_code_stats(codes, block.dtype.kind == "f")),
-            block.dtype,
-            size,
-        )
-    if frame is not None:
-        block_starts = np.asarray(plan.block_bounds, dtype=np.int64)
-        # Step-1 temporaries come from the worker's warm scratch pool:
-        # 16 bytes/key of fresh pages per job would be the op's largest
-        # page-fault bill.
-        words = pack_words(
-            codes, frame, rank, out=scratch.take(len(block), np.int64)
-        )
-        del codes
-        words.sort()
-        sorted_keys = scratch.take(len(block), block.dtype)
-        decode_keys(words, frame, sorted_keys, input_block, block_starts)
-        report.local_sort_path = "through"
-        outgoing = [(_attach(plan.word_lease), plan.word_lease, words)]
-    elif track:
-        sorted_keys, order, report.local_sort_path = stable_sort_with_order(block)
-        perm = order.astype(np.int32)
-        del order  # 8 bytes/key that would otherwise sit under the step-6 peak
-        outgoing = [
-            (ex_keys, plan.key_lease, sorted_keys),
-            (ex_index, plan.index_lease, perm),
-        ]
-    else:
-        sorted_keys = np.sort(block)
-        outgoing = [(ex_keys, plan.key_lease, sorted_keys)]
-    t1 = time.perf_counter()  # repro: noqa[R002] — real backend: measured step wall time is the product
-    report.step_seconds[STEP_LABELS[0]] = t1 - t0
-
-    # -------------------------------------------------- step 2: sampling
-    # Samples are always drawn (they are cheap and they feed the exact
-    # fingerprint); what the cache changes is what crosses the control
-    # plane: digests + histograms instead of the sample arrays.
-    _beat(STEP_LABELS[1], len(sorted_keys))
-    count = sample_count(
-        config, size, sorted_keys.dtype.itemsize, options.sample_factor
-    )
-    samples = select_regular_samples(sorted_keys, count)
-    report.samples_sent = len(samples)
-    splitters = None
-    candidates = plan.cached_candidates
-    if candidates:
-        digest = sample_digest(samples)
-        histograms = [
-            _candidate_histogram(sorted_keys, cand_splitters, size)
-            for _fp, cand_splitters in candidates
-        ]
-        probe = link.gather((digest, histograms), root=MASTER)
-        if rank == MASTER:
-            assert probe is not None
-            fingerprint = combine_sample_fingerprint(
-                [d for d, _h in probe], sorted_keys.dtype, size
-            )
-            report.sample_fingerprint = fingerprint
-            chosen = next(
-                (
-                    i
-                    for i, (cand_fp, _s) in enumerate(candidates)
-                    if cand_fp == fingerprint
-                ),
-                None,
-            )
-            if chosen is None:
-                decision = ("miss", None)
-            elif plan.force_resample:
-                decision = ("fallback-forced", None)
-            else:
-                loads = np.sum([h[chosen] for _d, h in probe], axis=0)
-                ideal = max(float(loads.sum()) / size, 1.0)
-                if float(loads.max()) / ideal > plan.cache_balance_tolerance:
-                    decision = ("fallback-balance", None)
-                else:
-                    decision = ("hit", chosen)
-        else:
-            decision = None
-        verdict, chosen = link.bcast(decision, root=MASTER)
-        report.splitter_cache = verdict
-        if chosen is not None:
-            splitters = candidates[chosen][1]
-            if rank == MASTER:
-                report.splitters = splitters
-    t2 = time.perf_counter()  # repro: noqa[R002] — real backend: measured step wall time is the product
-    report.step_seconds[STEP_LABELS[1]] = t2 - t1
-
-    # ------------------------------------------------- step 3: splitters
-    # Skipped entirely on a cache hit (splitters already in hand after
-    # two collectives); every other verdict rejoins the classic
-    # gather-samples → select → broadcast path, so all ranks agree on
-    # the collective schedule (the verdict broadcast synchronized them).
-    _beat(STEP_LABELS[2], report.samples_sent)
+    block = job.views.input[lo:hi]
+    job.record(plan.input_lease, lo, hi, "r", 1, "input-read")
+    job.enter(0, len(block))
+    # Step 1 — the job's data path is chosen here, once; choosing sorts.
+    path = choose_data_path(plan, rank, link, job.views, block, scratch)
+    rows = len(path.sorted_keys)
+    job.enter(1, rows)
+    samples, splitters = _sampling(job, path)
+    job.enter(2, job.report.samples_sent)
     if splitters is None:
-        gathered = link.gather(samples, root=MASTER)
-        if rank == MASTER:
-            assert gathered is not None
-            splitters = select_splitters(merge_samples(gathered), size)
-            report.splitters = splitters
-            if report.sample_fingerprint is None:
-                report.sample_fingerprint = combine_sample_fingerprint(
-                    [sample_digest(s) for s in gathered],
-                    sorted_keys.dtype,
-                    size,
-                )
-        else:
-            splitters = None
-        splitters = link.bcast(splitters, root=MASTER)
-    t3 = time.perf_counter()  # repro: noqa[R002] — real backend: measured step wall time is the product
-    report.step_seconds[STEP_LABELS[2]] = t3 - t2
-
-    # ------------------------------------------------- step 4: partition
-    _beat(STEP_LABELS[3], len(sorted_keys))
-    cut = compute_rank_cuts(
-        sorted_keys, splitters, size, investigator=options.investigator
+        splitters = _splitters(job, path, samples)
+    job.enter(3, rows)
+    part = partition_block(
+        path.sorted_keys, splitters, plan.size, plan.options.investigator
     )
-    report.searches = cut.searches
-    out_slices = slices_from_cuts(cut.cuts, len(sorted_keys))
-    counts = np.array(
-        [sl.stop - sl.start for sl in out_slices], dtype=np.int64
-    )
-    report.counts_row = counts
-    t4 = time.perf_counter()  # repro: noqa[R002] — real backend: measured step wall time is the product
-    report.step_seconds[STEP_LABELS[3]] = t4 - t3
-
-    # -------------------------------------------------- step 5: exchange
-    # Everyone learns the counts matrix, which fixes each (src, dst)
-    # run's offset in the shared exchange stream; writes are disjoint.
-    _beat(STEP_LABELS[4], len(sorted_keys))
-    all_counts = link.allgather(counts)
-    counts_matrix = np.stack(all_counts)
-    layout = exchange_layout(counts_matrix)
-    # What travels: the word stream alone, or keys (+ perm) — see step 1.
-    stream_len = len(outgoing[0][0])
-    offset_itemsize = outgoing[0][2].dtype.itemsize
-    row_bytes = sum(payload.dtype.itemsize for _s, _l, payload in outgoing)
-    shifted = False
-    for dst in range(size):
-        sl = out_slices[dst]
-        if sl.stop == sl.start:
-            continue
-        pos = layout.run_offset(rank, dst)
-        end = pos + (sl.stop - sl.start)
-        if mutation == "offset-off-by-one" and not shifted:
-            # Seeded invariant break: slide the first nonempty run one
-            # element off its counts-derived home (into a neighbour's
-            # run, or backwards at the stream's end) — the overlap
-            # ShmSan's offset and race checks must catch.
-            if end + 1 <= stream_len:
-                pos, end, shifted = pos + 1, end + 1, True
-            elif pos >= 1:
-                pos, end, shifted = pos - 1, end - 1, True
-        t_w0 = time.perf_counter() if tracer is not None else 0.0  # repro: noqa[R002] — real backend: measured flow timing is the product
-        for stream, lease, payload in outgoing:
-            stream[pos:end] = payload[sl]
-            if recorder is not None:
-                recorder.record(
-                    lease, pos, end, "w", 5, link.epoch,
-                    "exchange-write", dst=dst,
-                )
-        if tracer is not None:
-            tracer.flow(
-                dst,
-                (sl.stop - sl.start) * row_bytes,
-                pos * offset_itemsize,
-                t_w0,
-                time.perf_counter(),  # repro: noqa[R002] — real backend: measured flow timing is the product
-            )
-    if mutation == "skip-merge-barrier":
-        # Seeded invariant break: post the barrier contribution (so the
-        # hub and the other ranks stay solvent) but charge ahead
-        # without waiting — this rank's epoch clock does not advance,
-        # so its merge runs concurrent with the others' exchange
-        # writes.  The happens-before analysis must flag the races.
-        link.post_only("barrier")
-    else:
-        link.barrier()  # all runs landed; regions are safe to read
-    t5 = time.perf_counter()  # repro: noqa[R002] — real backend: measured step wall time is the product
-    report.step_seconds[STEP_LABELS[4]] = t5 - t4
-
-    # ----------------------------------------------------- step 6: merge
-    # The rank's region holds one sorted run per source, back to back in
-    # source order.  Words are unique and ordered as (key, source, index)
-    # — the stable merge order — so the region is sorted in place, in
-    # shared memory, and unpacked once straight into the output streams;
-    # a values-only region (no provenance) is sorted in place the same
-    # way.  The keys + perm fallback runs the flat k-way kernel and
-    # stores the result back over the (now dead) exchange region.  Either
-    # way the driver reads the output from the leases — no pickling.
-    base, total = layout.region(rank)
-    _beat(STEP_LABELS[5], total)
-    stop = base + total
-    run_lengths = counts_matrix[:, rank].tolist()
-    touched = [(lease, "r", "merge-read") for _s, lease, _p in outgoing]
-    touched += [(lease, "w", "merge-write") for _s, lease, _p in outgoing]
-    if frame is not None:
-        region = outgoing[0][0][base:stop]
-        sort_runs_in_place(region, run_lengths)
-        unpack_provenance(region, frame, ex_index[base:stop], out_proc[base:stop])
-        refilled = decode_keys(
-            region, frame, ex_keys[base:stop], input_block, block_starts
-        )
-        touched += [
-            (plan.index_lease, "w", "index-write"),
-            (plan.proc_lease, "w", "proc-write"),
-            (plan.key_lease, "w", "key-write"),
-        ]
-        if refilled and recorder is not None:
-            recorder.record(
-                plan.input_lease, 0, len(input_block), "r", 6, link.epoch,
-                "refill-read",
-            )
-    elif track:
-        from ..core.balanced_merge import flat_kway_merge
-
-        idx_region = ex_index[base:stop]
-        proc_col = np.empty(total, dtype=np.int16)
-        bounds = layout.run_bounds(rank)
-        for src in range(size):
-            proc_col[bounds[src] : bounds[src + 1]] = src
-        outcome = flat_kway_merge(
-            ex_keys[base:stop],
-            run_lengths,
-            [idx_region, proc_col],
-            balanced=options.balanced_merge,
-        )
-        ex_keys[base:stop] = outcome.keys
-        idx_region[:] = outcome.aux[0]
-        out_proc[base:stop] = outcome.aux[1]
-        touched.append((plan.proc_lease, "w", "proc-write"))
-    else:
-        sort_runs_in_place(ex_keys[base:stop], run_lengths)
-    if recorder is not None:
-        for lease, kind, label in touched:
-            recorder.record(lease, base, stop, kind, 6, link.epoch, label)
-        link.flush_san(recorder.drain())
-    t6 = time.perf_counter()  # repro: noqa[R002] — real backend: measured step wall time is the product
-    report.step_seconds[STEP_LABELS[5]] = t6 - t5
-    report.wall_seconds = t6 - t0
-    report.step_wait_seconds = dict(link.wait_by_step)
-    report.recv_wait_seconds = link.wait_by_kind["recv-wait"]
-    report.barrier_wait_seconds = link.wait_by_kind["barrier-wait"]
-    report.peak_rss_bytes = peak_rss_bytes()
-    if tracer is not None:
-        for start, end, label in zip(
-            (t0, t1, t2, t3, t4, t5),
-            (t1, t2, t3, t4, t5, t6),
-            STEP_LABELS,
-        ):
-            tracer.step(start, end, label)
-        report.trace = tracer.trace
-    return report
+    job.enter(4, rows)
+    layout = _exchange(job, path, part)
+    job.enter(5, layout.region(rank)[1])
+    _merge(job, path, layout)
+    return job.finish(path, part)
 
 
 def worker_main(rank: int, size: int, conn: Connection) -> None:

@@ -56,6 +56,36 @@ class TestSortCorrectness:
         np.testing.assert_array_equal(result.to_array(), np.sort(data))
         assert result.per_processor[0].dtype == dtype
 
+    @pytest.mark.parametrize("backend", ["simnet", "process"])
+    def test_mixed_dtype_blocks_promote_at_the_api(self, backend):
+        # One dtype policy for both substrates: promote to the common
+        # result_type before dispatch, so the output dtype never depends on
+        # which received runs happened to be empty (or on the substrate).
+        from repro.core.local_backend import local_sample_sort
+
+        rng = np.random.default_rng(17)
+        blocks = [
+            rng.integers(-50, 50, 300).astype(np.int32),
+            rng.integers(-(1 << 40), 1 << 40, 300).astype(np.int64),
+            np.empty(0, dtype=np.int32),
+            rng.integers(0, 9, 300).astype(np.int32),  # ties across dtypes
+        ]
+        result = DistributedSorter(
+            num_processors=4, backend=backend
+        ).sort_partitioned(blocks)
+        reference = local_sample_sort([b.astype(np.int64) for b in blocks])
+        for keys, prov, ref_keys, ref_prov in zip(
+            result.per_processor,
+            result.provenance,
+            reference.per_processor,
+            reference.provenance,
+        ):
+            assert keys.dtype == np.int64
+            assert keys.tobytes() == ref_keys.tobytes()
+            assert prov.origin_index.dtype == np.int32
+            assert prov.origin_proc.tobytes() == ref_prov.origin_proc.tobytes()
+            assert prov.origin_index.tobytes() == ref_prov.origin_index.tobytes()
+
     def test_empty_input(self):
         result = distributed_sort(np.array([]), num_processors=4)
         assert result.total_keys == 0

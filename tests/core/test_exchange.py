@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import exchange_partitions, compute_cuts
+from repro.core import exchange_partitions
+from repro.core.steps import partition_block
 from repro.pgxd import PgxdConfig
 from repro.simnet import NetworkModel, Simulator
 
@@ -16,9 +17,9 @@ def run_exchange(per_rank_keys, splitters, config=None, track_provenance=True):
     def program(proc):
         keys = np.sort(np.asarray(per_rank_keys[proc.rank]))
         perm = np.argsort(np.asarray(per_rank_keys[proc.rank]), kind="stable")
-        cut = compute_cuts(keys, np.asarray(splitters))
+        part = partition_block(keys, np.asarray(splitters), size, True)
         result = yield from exchange_partitions(
-            proc, keys, perm, cut.cuts, config, track_provenance=track_provenance
+            proc, keys, perm, part, config, track_provenance=track_provenance
         )
         return result
 

@@ -1,12 +1,14 @@
-"""Offset-addressed exchange reassembly: buffers, views, spill fallback."""
+"""Offset-addressed exchange reassembly: buffers, views, one dtype per stream."""
 
 import numpy as np
 import pytest
 
-from repro.core import compute_cuts, exchange_partitions
+from repro.core import exchange_partitions
 from repro.core.scratch import ScratchArena
+from repro.core.steps import partition_block
 from repro.pgxd import PgxdConfig
 from repro.simnet import NetworkModel, Simulator
+from repro.simnet.errors import ProcessFailure
 
 
 def run_exchange(per_rank_keys, splitters, track_provenance=True, use_scratch=False):
@@ -18,12 +20,12 @@ def run_exchange(per_rank_keys, splitters, track_provenance=True, use_scratch=Fa
     def program(proc):
         keys = np.sort(np.asarray(per_rank_keys[proc.rank]))
         perm = np.argsort(np.asarray(per_rank_keys[proc.rank]), kind="stable")
-        cut = compute_cuts(keys, np.asarray(splitters))
+        part = partition_block(keys, np.asarray(splitters), size, True)
         result = yield from exchange_partitions(
             proc,
             keys,
             perm,
-            cut.cuts,
+            part,
             config,
             track_provenance=track_provenance,
             scratch=arenas[proc.rank],
@@ -41,7 +43,6 @@ class TestContiguousReassembly:
         per_rank = [rng.integers(0, 100, 150) for _ in range(4)]
         results, _ = run_exchange(per_rank, [25, 50, 75])
         for res in results:
-            assert res.contiguous
             assert res.key_buffer is not None and res.index_buffer is not None
             for run, idx in zip(res.key_runs, res.index_runs):
                 if len(run):
@@ -68,7 +69,6 @@ class TestContiguousReassembly:
         per_rank = [rng.integers(0, 100, 80) for _ in range(3)]
         results, arenas = run_exchange(per_rank, [33, 66], use_scratch=True)
         for res, arena in zip(results, arenas):
-            assert res.contiguous
             # The stream buffers are live leases of arena storage.
             assert arena.live_leases > 0
             assert arena.pooled_bytes() >= res.key_buffer.nbytes
@@ -86,40 +86,18 @@ class TestContiguousReassembly:
         per_rank = [rng.integers(0, 100, 90) for _ in range(3)]
         results, _ = run_exchange(per_rank, [30, 60], track_provenance=False)
         for res in results:
-            assert res.contiguous
             assert res.index_buffer is None
             assert all(len(idx) == 0 for idx in res.index_runs)
 
 
-class TestMixedDtypeSpill:
-    def test_mixed_key_dtypes_fall_back_to_legacy_runs(self):
+class TestOneDtypePerStream:
+    def test_other_dtype_sender_is_rejected(self):
+        # int64 chunks written into an int32 stream would be cast silently
+        # by concatenate(out=); callers promote first (the API does).
         per_rank = [
             np.array([1, 40, 80], dtype=np.int32),
             np.array([2, 41, 81], dtype=np.int64),
             np.array([3, 42, 82], dtype=np.int64),
         ]
-        results, _ = run_exchange(per_rank, [35, 70])
-        assert any(not res.contiguous for res in results)
-        for rank, res in enumerate(results):
-            if res.contiguous:
-                continue
-            assert res.key_buffer is None and res.index_buffer is None
-            merged = np.sort(np.concatenate(res.key_runs))
-            assert np.all(np.diff(merged) >= 0)
-
-    def test_spill_keys_still_route_correctly(self):
-        per_rank = [
-            np.array([1, 15, 25], dtype=np.int32),
-            np.array([2, 12, 28], dtype=np.int64),
-            np.array([3, 18, 22], dtype=np.int64),
-        ]
-        results, _ = run_exchange(per_rank, [10, 20])
-        np.testing.assert_array_equal(
-            np.sort(np.concatenate(results[0].key_runs)), [1, 2, 3]
-        )
-        np.testing.assert_array_equal(
-            np.sort(np.concatenate(results[1].key_runs)), [12, 15, 18]
-        )
-        np.testing.assert_array_equal(
-            np.sort(np.concatenate(results[2].key_runs)), [22, 25, 28]
-        )
+        with pytest.raises(ProcessFailure, match="promote the blocks"):
+            run_exchange(per_rank, [35, 70])

@@ -1,84 +1,67 @@
-"""Merge data-plane contracts: dtype handling, pointer moves, flat kernel.
+"""Merge data-plane contracts: one flat kernel, one provenance column.
 
-These tests pin the fast-path/fallback split introduced with the flat
-k-way kernel: ``merge_two``'s widening and empty-side behaviour must stay
-exactly what the cascade fallback relies on, and the flat kernel must be
-bit-identical to the cascade wherever both are legal.
+``flat_kway_merge`` and ``merge_received`` are the only code that merges
+key runs (the packed-word path sorts unique words instead), so they are
+pinned here against an in-test literal — concatenate + stable argsort, the
+earlier run wins ties — never against another implementation in ``src/``.
+Dtypes are uniform by construction (one buffer per column); promotion of
+mixed-dtype blocks happens once, at the API (``tests/core/test_api_result.py``).
 """
 
 import numpy as np
 import pytest
 
-from repro.core.balanced_merge import (
-    balanced_merge,
-    flat_kway_merge,
-    merge_two,
-    sequential_fold_merge,
-)
+from repro.core.balanced_merge import flat_kway_merge, merge_levels
 from repro.core.packsort import packed_stable_sort
+from repro.core.scratch import ScratchArena
+from repro.core.steps import merge_received
+
+
+def literal_merge(runs, columns=()):
+    """The specification: stable sort of the concatenation."""
+    keys = np.concatenate(runs)
+    order = np.argsort(keys, kind="stable")
+    return keys[order], [np.asarray(col)[order] for col in columns]
 
 
 class TestMergeTwoDtypes:
-    def test_real_merge_widens_to_result_type(self):
-        a = np.array([1, 3], dtype=np.int32)
-        b = np.array([2, 4], dtype=np.int64)
-        out, _ = merge_two(a, b)
-        assert out.dtype == np.int64
-        np.testing.assert_array_equal(out, [1, 2, 3, 4])
+    """Two-run merges: every column keeps the dtype it came in with."""
 
     def test_aux_arrays_widen_independently_of_keys(self):
-        a = np.array([1, 3], dtype=np.int64)
-        b = np.array([2, 4], dtype=np.int64)
-        aux_a = [np.array([10, 30], dtype=np.int16)]
-        aux_b = [np.array([20, 40], dtype=np.int64)]
-        out, aux = merge_two(a, b, aux_a, aux_b)
-        assert out.dtype == np.int64
-        assert aux[0].dtype == np.int64
-        np.testing.assert_array_equal(aux[0], [10, 20, 30, 40])
+        # Columns ride the key permutation without touching the key dtype
+        # or each other's: int32 indices and int16 ranks under int64 keys.
+        keys = np.array([1, 3, 2, 4], dtype=np.int64)
+        index = np.array([10, 30, 20, 40], dtype=np.int32)
+        proc = np.array([0, 0, 1, 1], dtype=np.int16)
+        out = flat_kway_merge(keys, [2, 2], [index, proc])
+        assert out.keys.dtype == np.int64
+        assert [a.dtype for a in out.aux] == [np.int32, np.int16]
+        np.testing.assert_array_equal(out.aux[0], [10, 20, 30, 40])
+        np.testing.assert_array_equal(out.aux[1], [0, 1, 0, 1])
 
     def test_empty_side_is_pointer_move_keeping_dtype(self):
-        empty = np.empty(0, dtype=np.int64)
         run = np.array([5, 6], dtype=np.int32)
-        aux_run = [np.array([1, 2], dtype=np.int16)]
-        out, aux = merge_two(empty, run, [np.empty(0, dtype=np.int64)], aux_run)
-        # A pointer move performs no key work: same array object, no
-        # widening to result_type(int64, int32).
-        assert out is run
-        assert out.dtype == np.int32
-        assert aux[0] is aux_run[0]
-        out, aux = merge_two(run, empty, aux_run, [np.empty(0, dtype=np.int64)])
-        assert out is run
-        assert aux[0] is aux_run[0]
+        col = np.array([1, 2], dtype=np.int16)
+        for lengths in ([0, 2], [2, 0]):
+            out = flat_kway_merge(run, lengths, [col])
+            # No key work is charged, and nothing is widened on the way.
+            assert out.levels == [[]]
+            assert out.keys.dtype == np.int32 and out.aux[0].dtype == np.int16
+            np.testing.assert_array_equal(out.keys, run)
+            np.testing.assert_array_equal(out.aux[0], col)
 
     def test_empty_path_still_validates_aux_alignment(self):
-        empty = np.empty(0, dtype=np.int64)
         run = np.array([1, 2], dtype=np.int64)
-        # Misaligned aux on the *non-empty* side must raise even though the
-        # merge itself would be a pointer move.
-        with pytest.raises(ValueError, match="align"):
-            merge_two(empty, run, [empty], [np.array([7])])
-        with pytest.raises(ValueError, match="align"):
-            merge_two(run, empty, [np.array([7])], [empty])
-        # ...and so must an aux-count mismatch between the two sides.
-        with pytest.raises(ValueError, match="same number"):
-            merge_two(empty, run, [empty], [])
+        # A misaligned column must raise even though an empty side makes
+        # the merge itself a pointer move.
+        for lengths in ([0, 2], [2, 0]):
+            with pytest.raises(ValueError, match="align"):
+                flat_kway_merge(run, lengths, [np.array([7])])
 
     def test_aux_misalignment_rejected_on_real_merge(self):
-        a = np.array([1, 3], dtype=np.int64)
-        b = np.array([2, 4], dtype=np.int64)
+        keys = np.array([1, 3, 2, 4], dtype=np.int64)
         with pytest.raises(ValueError, match="align"):
-            merge_two(a, b, [np.array([1])], [np.array([2, 4])])
-
-    def test_mixed_dtype_cascade_widens_like_merge_two(self):
-        runs = [
-            np.array([1, 4], dtype=np.int32),
-            np.array([2, 5], dtype=np.int64),
-            np.array([3, 6], dtype=np.int32),
-        ]
-        for merge_fn in (balanced_merge, sequential_fold_merge):
-            outcome = merge_fn(runs)
-            assert outcome.keys.dtype == np.int64
-            np.testing.assert_array_equal(outcome.keys, [1, 2, 3, 4, 5, 6])
+            flat_kway_merge(keys, [2, 2], [np.array([1, 2, 4])])
 
 
 class TestFlatKwayMerge:
@@ -89,19 +72,18 @@ class TestFlatKwayMerge:
         return [np.sort(data[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     def test_bit_identical_to_cascade_with_provenance(self):
+        # The pairwise cascade composes to "stable sort of the
+        # concatenation": keys and both provenance columns must equal the
+        # literal, and the charged shape must be the handler's.
         runs = self._random_runs()
-        aux_runs = [
-            [np.arange(len(r), dtype=np.int64), np.full(len(r), i, dtype=np.int16)]
-            for i, r in enumerate(runs)
-        ]
-        expected = balanced_merge(runs, aux_runs)
-        buffer = np.concatenate(runs)
-        cols = [np.concatenate([ax[s] for ax in aux_runs]) for s in range(2)]
-        got = flat_kway_merge(buffer, [len(r) for r in runs], cols)
-        np.testing.assert_array_equal(got.keys, expected.keys)
-        for g, e in zip(got.aux, expected.aux):
-            np.testing.assert_array_equal(g, e)
-        assert got.levels == expected.levels
+        index = np.concatenate([np.arange(len(r), dtype=np.int32) for r in runs])
+        proc = np.repeat(np.arange(len(runs), dtype=np.int16), [len(r) for r in runs])
+        expected_keys, expected_aux = literal_merge(runs, [index, proc])
+        got = flat_kway_merge(np.concatenate(runs), [len(r) for r in runs], [index, proc])
+        assert got.keys.tobytes() == expected_keys.tobytes()
+        for g, e in zip(got.aux, expected_aux):
+            assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+        assert got.levels == merge_levels([len(r) for r in runs])
 
     def test_stability_earlier_runs_win_ties(self):
         # All-equal keys: the merged aux column must preserve run order.
@@ -112,12 +94,13 @@ class TestFlatKwayMerge:
 
     def test_fold_shape_matches_sequential_cascade(self):
         runs = self._random_runs(k=5, seed=11)
-        expected = sequential_fold_merge(runs)
-        got = flat_kway_merge(
-            np.concatenate(runs), [len(r) for r in runs], balanced=False
-        )
-        np.testing.assert_array_equal(got.keys, expected.keys)
-        assert got.levels == expected.levels
+        lengths = [len(r) for r in runs]
+        got = flat_kway_merge(np.concatenate(runs), lengths, balanced=False)
+        assert got.keys.tobytes() == literal_merge(runs)[0].tobytes()
+        # Run 0 absorbs one run per fold: k-1 single-merge levels whose
+        # sizes are the running totals.
+        assert got.levels == [[int(t)] for t in np.cumsum(lengths)[1:]]
+        assert got.levels == merge_levels(lengths, balanced=False)
 
     def test_run_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="sum"):
@@ -136,6 +119,48 @@ class TestFlatKwayMerge:
             got = flat_kway_merge(buffer, lengths, [col])
             assert not np.shares_memory(got.keys, buffer)
             assert not np.shares_memory(got.aux[0], col)
+
+
+class TestMergeReceived:
+    """Step 6 of the keys + perm path: the kernel plus the origin column."""
+
+    def _received(self, seed=5, k=6):
+        rng = np.random.default_rng(seed)
+        runs = [np.sort(rng.integers(0, 30, int(n))) for n in rng.integers(0, 80, k)]
+        runs[2] = runs[2][:0]  # a source that sent nothing
+        index = np.concatenate([rng.permutation(len(r)).astype(np.int32) for r in runs])
+        return runs, index
+
+    @pytest.mark.parametrize("sources", [None, [0, 1, 3, 4, 6, 7]])
+    def test_matches_the_literal_and_builds_the_origin_column(self, sources):
+        runs, index = self._received()
+        lengths = [len(r) for r in runs]
+        proc = np.repeat(
+            np.asarray(sources if sources else range(len(runs)), dtype=np.int16), lengths
+        )
+        expected_keys, (expected_index, expected_proc) = literal_merge(runs, [index, proc])
+        arena = ScratchArena()
+        for scratch in (None, arena):
+            got = merge_received(
+                np.concatenate(runs), index, lengths, True, sources=sources, scratch=scratch
+            )
+            assert got.keys.tobytes() == expected_keys.tobytes()
+            assert got.aux[0].dtype == np.int32 and got.aux[1].dtype == np.int16
+            assert got.aux[0].tobytes() == expected_index.tobytes()
+            assert got.aux[1].tobytes() == expected_proc.tobytes()
+            assert got.levels == merge_levels(lengths)
+        # The column was staged in the arena, the outcome is not a lease.
+        assert arena.live_leases == 1
+        arena.release_all()
+        assert got.aux[1].tobytes() == expected_proc.tobytes()
+
+    def test_without_provenance_merges_keys_alone(self):
+        runs, _index = self._received(seed=6)
+        lengths = [len(r) for r in runs]
+        got = merge_received(np.concatenate(runs), None, lengths, False)
+        assert got.aux == []
+        assert got.keys.tobytes() == literal_merge(runs)[0].tobytes()
+        assert got.levels == merge_levels(lengths, balanced=False)
 
 
 class TestPackedStableSort:

@@ -251,6 +251,33 @@ class TestResilientSort:
         with pytest.raises(SimError):
             sorter.sort(np.arange(4000))
 
+    def test_empty_run_from_a_survivor_keeps_int32(self):
+        # Rank 3's block lies entirely above the last splitter, so it sends
+        # empty runs to every other survivor, and rank 1 never joins: the
+        # merge sees empty committed streams next to real ones (the route
+        # that used to fall into the literal, dtype-widening cascade).
+        from repro.core.local_backend import local_sample_sort
+
+        rng = np.random.default_rng(39)
+        blocks = [rng.integers(0, 1000, 4000) for _ in range(3)]
+        blocks.append(np.full(5, 10**9) + np.arange(5))
+        sorter = DistributedSorter(
+            num_processors=4,
+            faults=FaultPlan(seed=39, crashes=((1, 0.0),)),
+            resilience=RESILIENCE,
+        )
+        res = sorter.sort_partitioned(blocks)
+        assert res.survivors == (0, 2, 3)
+        assert res.counts_matrix[3, 0] == 0 and res.counts_matrix[3, 2] == 0
+        reference = local_sample_sort([blocks[r] for r in res.survivors])
+        ranks = np.asarray(res.survivors, dtype=np.int16)
+        for slot, rank in enumerate(res.survivors):
+            prov, ref_prov = res.provenance[rank], reference.provenance[slot]
+            assert res.per_processor[rank].tobytes() == reference.per_processor[slot].tobytes()
+            assert prov.origin_index.dtype == np.int32
+            assert prov.origin_index.tobytes() == ref_prov.origin_index.tobytes()
+            assert prov.origin_proc.tobytes() == ranks[ref_prov.origin_proc].tobytes()
+
     def test_single_rank_ignores_faults(self):
         data = np.random.default_rng(38).integers(0, 100, 1000)
         res = distributed_sort(data, num_processors=1, faults=FaultPlan(seed=38))

@@ -10,6 +10,8 @@ misses, including by one.  Hypothesis runs derandomized on one warm pool
 per rank count, capped to a few seconds of tier-1.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,60 @@ def test_values_only_merge_is_bytes_equal_to_the_oracle(pool, p):
             assert out.keys.tobytes() == expected.tobytes()
             assert len(out.provenance) == 0
         assert [r.local_sort_path for r in run.reports] == [None] * p
+
+
+# ------------------------------------------- the data path says it once
+
+
+def _narrow(rng, dtype):
+    return rng.integers(-(1 << 20), 1 << 20, 6_000).astype(dtype)
+
+
+#: row -> (keys, options, what its DataPath declares: label, roles, B/key)
+DATA_PATHS = {
+    "word": (lambda rng: _narrow(rng, np.int64), SortOptions(), "through", ("keys",), 8),
+    "word-narrow-keys": (
+        lambda rng: _narrow(rng, np.int32), SortOptions(), "through", ("words",), 8,
+    ),
+    # Full-mantissa float64 in [0, 1): no frame fits, not even one block's.
+    "keys+perm": (
+        lambda rng: rng.random(6_000), SortOptions(), "stable", ("keys", "index"), 12,
+    ),
+    "values-only": (
+        lambda rng: _narrow(rng, np.int64),
+        SortOptions(track_provenance=False),
+        None,
+        ("keys",),
+        8,
+    ),
+}
+
+
+@pytest.mark.parametrize("p", [2, 4])
+@pytest.mark.parametrize("row", DATA_PATHS)
+def test_declared_data_path_agrees_everywhere(row, p, tmp_path):
+    make_keys, options, label, roles, bytes_per_key = DATA_PATHS[row]
+    blocks = list(partition_input(make_keys(np.random.default_rng(13)), p)[0])
+    reference = local_sample_sort(blocks, options)
+    with ProcessBackend(sanitize=True) as backend:
+        run = backend.sort_blocks(blocks, options=options)
+        assert backend.sanitizer.report.ok, backend.sanitizer.report.summary()
+        backend.sanitizer.dump_log(tmp_path / "log.json")
+    for out, keys, prov in zip(run.outputs, reference.per_processor, reference.provenance):
+        assert out.keys.tobytes() == keys.tobytes()
+        if options.track_provenance:
+            assert out.provenance.origin_proc.tobytes() == prov.origin_proc.tobytes()
+            assert out.provenance.origin_index.tobytes() == prov.origin_index.tobytes()
+    # One decision, said once by the data path, read everywhere else.
+    for report in run.reports:
+        assert report.local_sort_path == label
+        assert report.exchanged == roles
+        assert report.bytes_per_key == bytes_per_key
+    log = json.loads((tmp_path / "log.json").read_text())
+    assert tuple(log["exchanged"]) == roles
+    off_diagonal = int(run.counts_matrix.sum() - np.trace(run.counts_matrix))
+    assert off_diagonal > 0
+    assert run.cluster_metrics().remote_bytes == off_diagonal * bytes_per_key
 
 
 # ------------------------------------------------------------ observability

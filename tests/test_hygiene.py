@@ -38,8 +38,9 @@ def _pattern_scan_files():
 class TestDeterminismHygiene:
     #: The only parallel/ modules licensed to read the clock at all; each
     #: individual site still needs a per-line ``# repro: noqa[R002]``
-    #: (enforced by the AST lint gate) — new parallel modules like
-    #: ``shmsan.py``/``layout.py`` must stay clock-free and are scanned.
+    #: (enforced by the AST lint gate) — every other parallel module
+    #: (``datapath.py``, ``run.py``, ``retry.py``, ``splitter_cache.py``,
+    #: ``shmsan.py``, ``layout.py``, ...) must stay clock-free and is scanned.
     PARALLEL_TIMING_FILES = {
         "backend.py", "chaos.py", "collectives.py", "tracing.py", "worker.py",
     }
@@ -94,6 +95,28 @@ class TestStructure:
         for name, module in exp.EXPERIMENTS.items():
             mod_name = module.__name__.rsplit(".", 1)[-1]
             assert mod_name in bench_text, f"experiment {name} has no benchmark"
+
+    #: Ratchet for ROADMAP item 3: the six steps and the pool stay cut at
+    #: their seams.  No allowlist — split the function, don't list it.
+    MAX_FUNCTION_LINES = 200
+    MAX_PARALLEL_MODULE_LINES = 800
+
+    def test_core_and_parallel_stay_decomposed(self):
+        import ast
+
+        too_long = []
+        for package in ("core", "parallel"):
+            for path in sorted((SRC / package).rglob("*.py")):
+                text = path.read_text()
+                lines = len(text.splitlines())
+                if package == "parallel" and lines > self.MAX_PARALLEL_MODULE_LINES:
+                    too_long.append(f"{path.name}: {lines} lines")
+                for node in ast.walk(ast.parse(text)):
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        length = node.end_lineno - node.lineno + 1
+                        if length > self.MAX_FUNCTION_LINES:
+                            too_long.append(f"{path.name}:{node.name}: {length} lines")
+        assert not too_long, f"decompose instead of growing: {too_long}"
 
     #: Docs and workflows whose repo paths must resolve.
     PATH_CITING_FILES = (
