@@ -25,7 +25,7 @@ from .balanced_merge import (
     merge_levels_cost_seconds,
 )
 from .exchange import ExchangeResult, exchange_partitions
-from .scratch import ScratchArena, shared_arange
+from .scratch import ScratchArena
 from .hist_splitters import histogram_splitters, local_histogram
 from .investigator import (
     CutResult,
@@ -72,7 +72,6 @@ __all__ = [
     "merge_levels",
     "merge_levels_cost_seconds",
     "merge_samples",
-    "shared_arange",
     "parallel_quicksort",
     "partition_input",
     "sample_count",

@@ -42,8 +42,8 @@ class CutResult:
 
 
 def compute_cuts(sorted_keys: np.ndarray, splitters: np.ndarray) -> CutResult:
-    """Duplicate-aware cut computation (the investigator)."""
-    sorted_keys = np.asarray(sorted_keys)
+    """Duplicate-aware cut computation (the investigator); ``sorted_keys``
+    is an array or anything else with its ``searchsorted``."""
     splitters = np.asarray(splitters)
     p_minus_1 = len(splitters)
     cuts = np.empty(p_minus_1, dtype=np.int64)
@@ -54,8 +54,8 @@ def compute_cuts(sorted_keys: np.ndarray, splitters: np.ndarray) -> CutResult:
     )
     # One searchsorted call per side over all *distinct* values: this is the
     # "binary search to be executed for only non-duplicated splitters".
-    los = np.searchsorted(sorted_keys, values, side="left")
-    his = np.searchsorted(sorted_keys, values, side="right")
+    los = sorted_keys.searchsorted(values, side="left")
+    his = sorted_keys.searchsorted(values, side="right")
     singles = counts == 1
     # Non-duplicated splitters (the common case) cut at their right edge,
     # assigned in one vectorized scatter.
@@ -103,9 +103,8 @@ def compute_cuts_naive(
     """Figure 3b behaviour: one binary search per splitter, duplicates and
     all.  Ties all land on one destination — used by the no-investigator
     ablation baseline."""
-    sorted_keys = np.asarray(sorted_keys)
     splitters = np.asarray(splitters)
-    cuts = np.searchsorted(sorted_keys, splitters, side=side).astype(np.int64)
+    cuts = sorted_keys.searchsorted(splitters, side=side).astype(np.int64)
     return CutResult(cuts, len(splitters))
 
 

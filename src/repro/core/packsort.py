@@ -5,7 +5,7 @@ data plane (steps 1 and 6 must keep provenance), but it is ~10x slower
 than ``np.sort`` on a rank block.  The same result is available from a
 vectorized sort of unique int64 words, in three stages:
 
-1. **Key codec** (:func:`order_preserving_codes`): map every key to an
+1. **Key codec** (:func:`code_and_stats`): map every key to an
    integer *code* such that ``code(a) < code(b)`` exactly when ``a`` sorts
    before ``b`` under the stable comparison, and equal-comparing keys share
    a code.  Signed and unsigned ints are their own code.  float32/float64
@@ -16,7 +16,7 @@ vectorized sort of unique int64 words, in three stages:
    the sort's "NaNs last, in input order".
 2. **Key frame** (:func:`derive_key_frame`): from the
    ``(code_min, code_max, code_or, len)`` of every participating block
-   (:func:`block_code_stats`) derive how the words are laid out —
+   (folded while it is coded) derive how the words are laid out —
 
        word = (code >> strip) << (rank_bits + idx_bits)
               | rank << idx_bits | index
@@ -30,17 +30,26 @@ vectorized sort of unique int64 words, in three stages:
    frame from the same statistics, so no coordination beyond exchanging
    them is needed.
 3. **Pack, sort, unpack** (:func:`pack_words`, any sort,
-   :func:`unpack_provenance` + :func:`decode_keys`): the words are
-   unique, so the sort kind is unobservable — ``np.sort``'s default
-   vectorized kernel for one unsorted block, :func:`sort_runs_in_place`
-   for a buffer of already sorted runs.  Origin index and rank unpack by
-   mask and shift.  Integer keys are the word's high bits; float keys
-   invert the codec (undo the strip; a negative code ``c`` becomes
-   ``SIGN | -c``).  Two codes are **lossy**: 0 (−0.0 and +0.0) and the
-   NaN code (every sign and payload).  In sorted words each occupies one
-   contiguous range, found by binary search, and exactly those keys are
-   refilled bit for bit from the unsorted input through the provenance
-   in the word — nothing else is gathered.
+   :func:`unpack_words`): the words are unique, so the sort kind is
+   unobservable — ``np.sort``'s default vectorized kernel for one unsorted
+   block, :func:`sort_runs_in_place` for a buffer of already sorted runs.
+   Origin index and rank unpack by mask and shift.  Integer keys are the
+   word's high bits; float keys invert the codec (undo the strip; a
+   negative code ``c`` becomes ``SIGN | -c``).  Two codes are **lossy**:
+   0 (−0.0 and +0.0) and the NaN code (every sign and payload).  In
+   sorted words each occupies one contiguous range, found by binary
+   search, and exactly those keys are refilled bit for bit from the
+   unsorted input through the provenance in the word — nothing else is
+   gathered.
+
+Each of the three kernels — code + stats, pack, unpack — is one loop over
+chunks of :data:`CHUNK_KEYS` keys: all its elementwise operations and
+reductions run on a chunk while it is cache-resident, so a key crosses
+memory once per kernel however many numpy calls that takes.  Between the
+sort and the unpack nothing is decoded: :class:`SortedWords` answers what
+steps 2–4 ask of a sorted block — the keys at some positions, the
+positions of some needles — from the words, under the ``ndarray`` method
+names, so the step kernels serve plain arrays and words alike.
 
 The single precondition is **bits(coded key range) + idx_bits +
 rank_bits ≤ 62** (one spare bit of headroom, and ``idx_bits + rank_bits
@@ -58,9 +67,10 @@ the frame declines and :func:`stable_sort_with_order` — step 1 of simnet
 and of the process backend's fallback — then runs the plain stable
 argsort; either way the output arrays are bit-identical, so the golden
 fingerprints cannot tell which path ran.  The process backend's *word
-path* (:mod:`repro.parallel.worker`) is the multi-block case: the frame
-comes from an allgather, the words travel through the step-5 exchange,
-and step 6 sorts them in place in shared memory and unpacks once.
+path* (:mod:`repro.parallel.datapath`) is the multi-block case: the frame
+comes from an allgather, steps 2–4 read the sorted words, the words
+travel through the step-5 exchange, and step 6 sorts them in place in
+shared memory and unpacks once.
 """
 
 from __future__ import annotations
@@ -70,46 +80,71 @@ from typing import Sequence
 
 import numpy as np
 
-from .scratch import shared_arange
-
 #: itemsize → (bit-pattern int type, +inf bits, canonical quiet-NaN bits).
 _FLOAT_LAYOUT = {
     4: (np.int32, 0x7F80_0000, 0x7FC0_0000),
     8: (np.int64, 0x7FF0_0000_0000_0000, 0x7FF8_0000_0000_0000),
 }
 
+#: Keys per kernel chunk: 32 Ki keys = 256 KiB per 8-byte stream, so a
+#: chunk's input, output and temporaries sit in L2 together.  Measured on
+#: this repo's 2-vCPU recorder (2 MiB L2 per core; 2M keys through code +
+#: stats → pack → unpack, the sort excluded): float64 4 Ki 22.6 ms, 16 Ki
+#: 15.5, 32 Ki 15.7, 64 Ki 18.6, 256 Ki 22.6, one chunk 22.9; int64 4 Ki
+#: 15.0, 16 Ki 11.2, 32 Ki 10.3, 64 Ki 11.3, one chunk 11.9.  A power of
+#: two, so chunk bases OR into the index bits exactly.
+CHUNK_KEYS = 1 << 15
+
+#: The index bits of one chunk; a chunk's base is OR-ed on as a scalar.
+_RAMP = np.arange(CHUNK_KEYS, dtype=np.int64)
+
 
 def has_key_codec(dtype) -> bool:
-    """Whether :func:`order_preserving_codes` covers ``dtype`` at all."""
+    """Whether :func:`code_and_stats` covers ``dtype`` at all."""
     dtype = np.dtype(dtype)
     if dtype.kind == "f":
         return dtype.itemsize in _FLOAT_LAYOUT and dtype.isnative
     return dtype.kind in "iu"
 
 
-def order_preserving_codes(keys: np.ndarray) -> np.ndarray | None:
-    """Integer codes ordered and tied exactly like ``keys`` under a stable sort.
+def code_and_stats(
+    keys: np.ndarray, out: np.ndarray
+) -> tuple[np.ndarray, tuple[int, int, int, int]]:
+    """Kernel 1: ``(codes, (code_min, code_max, code_or, len))`` of one block.
 
-    Int and uint keys are returned as they are (no pass, no copy); native
-    float32/float64 keys get a fresh int32/int64 array.  ``None`` for
-    every other dtype.
+    The codes are integers ordered and tied exactly like ``keys`` under a
+    stable sort; the statistics are the block's input to
+    :func:`derive_key_frame`, folded chunk by chunk while the codes are
+    cache-resident.  Int and uint keys are their own codes (``keys`` is
+    returned: one read, no write); native float32/float64 codes are
+    written to ``out``, an int64 buffer of the block's length, and
+    ``code_or`` is only folded for them (the trailing-zero strip).  Other
+    dtypes have no code: ask :func:`has_key_codec` first.
     """
     dtype = keys.dtype
-    if not has_key_codec(dtype):
-        return None
-    if dtype.kind != "f":
-        return keys
-    int_t, inf_bits, nan_bits = _FLOAT_LAYOUT[dtype.itemsize]
-    bits = keys.view(int_t)
-    sign = bits >> (8 * dtype.itemsize - 1)  # 0 for +x, -1 for -x
-    codes = bits & np.iinfo(int_t).max  # magnitude
-    has_nan = len(codes) > 0 and codes.max() > inf_bits
-    # Negate the magnitude where the sign bit was set: (m ^ -1) - (-1) = -m.
-    codes ^= sign
-    codes -= sign
-    if has_nan:
-        np.putmask(codes, np.isnan(keys), nan_bits)
-    return codes
+    codes, is_float = keys, dtype.kind == "f"
+    if is_float:
+        int_t, inf_bits, nan_bits = _FLOAT_LAYOUT[dtype.itemsize]
+        bits, codes = keys.view(int_t), out
+    code_min = code_max = code_or = 0
+    for lo in range(0, len(keys), CHUNK_KEYS):
+        chunk = codes[lo : lo + CHUNK_KEYS]
+        if is_float:
+            raw = bits[lo : lo + CHUNK_KEYS]
+            sign = raw >> (8 * dtype.itemsize - 1)  # 0 for +x, -1 for -x
+            np.bitwise_and(raw, np.iinfo(int_t).max, out=chunk)  # magnitude
+            # Negate it where the sign bit was set: (m ^ -1) - (-1) = -m.
+            chunk ^= sign
+            chunk -= sign
+        chunk_min, chunk_max = int(chunk.min()), int(chunk.max())
+        if is_float:
+            if chunk_max > inf_bits or chunk_min < -inf_bits:
+                np.putmask(chunk, np.isnan(keys[lo : lo + CHUNK_KEYS]), nan_bits)
+                chunk_min, chunk_max = int(chunk.min()), nan_bits
+            code_or |= int(np.bitwise_or.reduce(chunk))
+        code_min = min(code_min, chunk_min) if lo else chunk_min
+        code_max = max(code_max, chunk_max) if lo else chunk_max
+    return codes, (code_min, code_max, code_or, len(keys))
 
 
 @dataclass(frozen=True)
@@ -138,19 +173,6 @@ class KeyFrame:
     def shift(self) -> int:
         """Bits below the code: rank tag + index."""
         return self.idx_bits + self.rank_bits
-
-
-def block_code_stats(codes: np.ndarray, is_float: bool) -> tuple[int, int, int, int]:
-    """``(code_min, code_max, code_or, len)`` of one block — the frame's input.
-
-    ``code_or`` is only read for float codes (the trailing-zero strip), so
-    integer blocks skip that pass and report 0.
-    """
-    n = len(codes)
-    if n == 0:
-        return 0, 0, 0, 0
-    any_bit = int(np.bitwise_or.reduce(codes)) if is_float else 0
-    return int(codes.min()), int(codes.max()), any_bit, n
 
 
 def derive_key_frame(
@@ -194,95 +216,165 @@ def derive_key_frame(
 
 
 def pack_words(
-    codes: np.ndarray,
-    frame: KeyFrame,
-    rank: int = 0,
-    out: np.ndarray | None = None,
+    codes: np.ndarray, frame: KeyFrame, rank: int, out: np.ndarray
 ) -> np.ndarray:
-    """Pack one block's codes into words; sort them to sort the block.
+    """Kernel 2: pack one block's codes into ``out``; sort it to sort the block.
 
-    Float64 codes are the codec's own fresh int64 array and are packed in
-    place; every other dtype is packed into ``out`` (an int64 buffer of
-    the block's length), or into a fresh array without one.
+    ``out`` is the int64 buffer :func:`code_and_stats` was handed: float
+    codes already live there and are packed in place; int keys, their own
+    codes, are read once and never modified.
     """
-    if frame.strip:
-        codes >>= frame.strip  # float codes are always the codec's own array
-    if frame.dtype.kind == "f" and codes.dtype == np.int64:
-        out = codes
-    words = np.left_shift(codes, frame.shift, out=out, dtype=np.int64)
-    # The low ``shift`` bits of a shifted code are zero, so OR-ing rank
-    # tag and index is an exact add; two's-complement shifts keep negative
-    # codes ordered.
-    words |= shared_arange(len(codes))
-    if rank:
-        words |= rank << frame.idx_bits
-    return words
+    tag = rank << frame.idx_bits
+    for lo in range(0, len(codes), CHUNK_KEYS):
+        chunk = out[lo : lo + CHUNK_KEYS]
+        if frame.strip:
+            np.right_shift(codes[lo : lo + CHUNK_KEYS], frame.strip, out=chunk)
+            chunk <<= frame.shift
+        else:
+            np.left_shift(
+                codes[lo : lo + CHUNK_KEYS], frame.shift, out=chunk, dtype=np.int64
+            )
+        # The low ``shift`` bits of a shifted code are zero and chunk bases
+        # are multiples of the ramp's power-of-two length, so OR-ing index,
+        # base and rank tag is an exact add; two's-complement shifts keep
+        # negative codes ordered.
+        chunk |= _RAMP[: len(chunk)]
+        if tag | lo:
+            chunk |= tag | lo
+    return out
 
 
-def unpack_provenance(
-    words: np.ndarray,
-    frame: KeyFrame,
-    index_out: np.ndarray,
-    proc_out: np.ndarray | None = None,
-) -> None:
-    """Origin index (and origin rank) of every word, by mask and shift.
-
-    ``index_out`` may be ``words`` itself (unpacked last, in place).
-    """
-    if proc_out is not None:
-        np.right_shift(words, frame.idx_bits, out=proc_out, casting="unsafe")
-        proc_out &= (1 << frame.rank_bits) - 1
-    np.bitwise_and(
-        words, (1 << frame.idx_bits) - 1, out=index_out, casting="unsafe"
-    )
-
-
-def decode_keys(
-    words: np.ndarray,
-    frame: KeyFrame,
-    out: np.ndarray,
-    source: np.ndarray,
-    block_starts: np.ndarray,
-) -> int:
-    """Keys of **sorted** ``words`` into ``out``; returns how many were refilled.
+def _decode_keys(words: np.ndarray, frame: KeyFrame, keys: np.ndarray) -> None:
+    """Keys of ``words`` into ``keys`` (may be ``words`` itself, viewed).
 
     Integer keys are the word's high bits.  Float keys invert the codec:
     undo the strip, then turn each negative code ``c`` back into
-    sign-magnitude bits, ``SIGN | -c``.  Two codes are lossy — 0 (−0.0 and
-    +0.0) and the canonical NaN code (every sign and payload) — and since
-    the words are sorted their positions are two contiguous ranges: those
-    keys are refilled bit for bit from ``source`` (the unsorted input) at
-    ``block_starts[rank] + index``.  ``out`` may share memory with
-    ``words`` (8-byte keys decode in place); the refill positions are read
-    before the words are overwritten.
+    sign-magnitude bits, ``SIGN | -c == INT_MIN - c``.  The two lossy
+    codes come out as +0.0 and the canonical NaN.
     """
-    if frame.dtype.kind != "f":
-        np.right_shift(words, frame.shift, out=out, casting="unsafe")
-        return 0
-    int_t, _inf_bits, nan_bits = _FLOAT_LAYOUT[frame.dtype.itemsize]
-    idx_mask = (1 << frame.idx_bits) - 1
-    rank_mask = (1 << frame.rank_bits) - 1
-    zero_lo, zero_hi = np.searchsorted(words, [0, 1 << frame.shift])
-    lossy_ranges = [(zero_lo, zero_hi)]
-    if frame.has_nan:
-        nan_word = (nan_bits >> frame.strip) << frame.shift
-        lossy_ranges.append((np.searchsorted(words, nan_word), len(words)))
-    refills = []
-    for lo, hi in lossy_ranges:
-        if hi > lo:
-            lossy = words[lo:hi]
-            starts = block_starts[(lossy >> frame.idx_bits) & rank_mask]
-            refills.append((lo, hi, starts + (lossy & idx_mask)))
-    bits = out.view(int_t)
+    is_float = frame.dtype.kind == "f"
+    bits = keys.view(_FLOAT_LAYOUT[frame.dtype.itemsize][0]) if is_float else keys
     np.right_shift(words, frame.shift, out=bits, casting="unsafe")
     if frame.strip:
         bits <<= frame.strip
-    if frame.has_negative:
-        # Sign-magnitude bits of a negative code c: SIGN | -c == INT_MIN - c.
-        np.subtract(np.iinfo(int_t).min, bits, out=bits, where=bits < 0)
+    if frame.has_negative and is_float:
+        np.subtract(np.iinfo(bits.dtype).min, bits, out=bits, where=bits < 0)
+
+
+def _origins(words: np.ndarray, frame: KeyFrame, block_starts: np.ndarray) -> np.ndarray:
+    """Where each word's key sits in the unsorted input: its block + index."""
+    ranks = (words >> frame.idx_bits) & ((1 << frame.rank_bits) - 1)
+    return block_starts[ranks] + (words & ((1 << frame.idx_bits) - 1))
+
+
+def unpack_words(
+    words: np.ndarray,
+    frame: KeyFrame,
+    source: np.ndarray,
+    block_starts: np.ndarray,
+    keys_out: np.ndarray,
+    index_out: np.ndarray,
+    proc_out: np.ndarray | None = None,
+) -> int:
+    """Kernel 3: keys, origin index (and origin rank) of **sorted** ``words``.
+
+    One read of the words per chunk yields all three.  Two float codes are
+    lossy — 0 (−0.0 and +0.0) and the canonical NaN code (every sign and
+    payload) — and since the words are sorted their positions are two
+    contiguous ranges: those keys are refilled bit for bit from ``source``
+    (the unsorted input) at ``block_starts[rank] + index``; the number
+    refilled is returned.  ``keys_out`` or ``index_out`` may be ``words``
+    itself (8-byte keys decode in place, chunk by chunk, last); the refill
+    positions are read before any word is overwritten.
+    """
+    refills = []
+    if frame.dtype.kind == "f":
+        lossy_ranges = [words.searchsorted([0, 1 << frame.shift])]
+        if frame.has_nan:
+            nan_code = _FLOAT_LAYOUT[frame.dtype.itemsize][2] >> frame.strip
+            lossy_ranges.append((words.searchsorted(nan_code << frame.shift), len(words)))
+        refills = [
+            (lo, hi, _origins(words[lo:hi], frame, block_starts))
+            for lo, hi in lossy_ranges
+            if hi > lo
+        ]
+    idx_mask = (1 << frame.idx_bits) - 1
+    keys_last = np.may_share_memory(keys_out, words)
+    for lo in range(0, len(words), CHUNK_KEYS):
+        chunk, index = words[lo : lo + CHUNK_KEYS], index_out[lo : lo + CHUNK_KEYS]
+        if proc_out is not None:
+            proc = proc_out[lo : lo + CHUNK_KEYS]
+            np.right_shift(chunk, frame.idx_bits, out=proc, casting="unsafe")
+            proc &= (1 << frame.rank_bits) - 1
+        if keys_last:
+            np.bitwise_and(chunk, idx_mask, out=index, casting="unsafe")
+        _decode_keys(chunk, frame, keys_out[lo : lo + CHUNK_KEYS])
+        if not keys_last:
+            np.bitwise_and(chunk, idx_mask, out=index, casting="unsafe")
     for lo, hi, positions in refills:
-        out[lo:hi] = source[positions]
+        keys_out[lo:hi] = source[positions]
     return sum(hi - lo for lo, hi, _ in refills)
+
+
+@dataclass(frozen=True)
+class SortedWords:
+    """One sorted block, read through its packed words, never decoded whole.
+
+    Answers what steps 2–4 ask of a rank's sorted keys under the
+    ``ndarray`` method names, so the step kernels take either.
+    """
+
+    words: np.ndarray
+    frame: KeyFrame
+    #: The unsorted input and each rank's offset in it, as for
+    #: :func:`unpack_words`: lossy codes are refilled from there.
+    source: np.ndarray
+    block_starts: np.ndarray
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.frame.dtype
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def take(self, positions: np.ndarray) -> np.ndarray:
+        """The keys at ``positions``, bit for bit; only those are decoded."""
+        frame = self.frame
+        picked = self.words.take(positions)
+        keys = np.empty(len(picked), dtype=frame.dtype)
+        _decode_keys(picked, frame, keys)
+        if frame.dtype.kind == "f":
+            stored = picked >> frame.shift
+            lossy = stored == 0
+            if frame.has_nan:
+                lossy |= stored == _FLOAT_LAYOUT[frame.dtype.itemsize][2] >> frame.strip
+            at = np.flatnonzero(lossy)
+            keys[at] = self.source[_origins(picked[at], frame, self.block_starts)]
+        return keys
+
+    def searchsorted(self, needles: np.ndarray, side: str = "left") -> np.ndarray:
+        """Positions of ``needles`` (of the block's dtype), in one search.
+
+        A stored code is ``code >> strip``, so a key sorts at or before a
+        needle of code ``c`` when its own is below ``(c >> strip) + 1`` —
+        a bound that, shifted, is a word — and strictly before it when at
+        or before ``c - 1``.  Bounds beyond the frame's ``±2**(62 - shift)``
+        (another dataset's splitters) stop there and answer ``0`` or
+        ``len``.  The needles are a handful of splitters, so the bounds
+        are exact Python integers: no dtype can overflow, and a 60k-key
+        job pays three numpy calls per probe, not ten.
+        """
+        frame = self.frame
+        codes = np.asarray(needles, dtype=frame.dtype)
+        if frame.dtype.kind == "f":
+            codes = code_and_stats(codes, np.empty(len(codes), dtype=np.int64))[0]
+        limit, before = 1 << (62 - frame.shift), side == "left"
+        bounds = [
+            min(max((code - before >> frame.strip) + 1, -limit), limit) << frame.shift
+            for code in codes.tolist()
+        ]
+        return self.words.searchsorted(np.array(bounds, dtype=np.int64))
 
 
 #: Up to this many nonempty sorted runs, timsort's galloping merge
@@ -319,20 +411,16 @@ def packed_stable_sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None
     caller must run the stable argsort itself.  ``stable_order`` is int64.
     """
     n = len(keys)
-    if n < 2:
+    if n < 2 or not has_key_codec(keys.dtype):
         return None
-    codes = order_preserving_codes(keys)
-    if codes is None:
-        return None
-    stats = block_code_stats(codes, keys.dtype.kind == "f")
+    words = np.empty(n, dtype=np.int64)
+    codes, stats = code_and_stats(keys, words)
     frame = derive_key_frame([stats], keys.dtype, 1)
     if frame is None:
         return None
-    words = pack_words(codes, frame)
-    words.sort()
+    pack_words(codes, frame, 0, words).sort()
     sorted_keys = np.empty(n, dtype=keys.dtype)
-    decode_keys(words, frame, sorted_keys, keys, _ONE_BLOCK)
-    unpack_provenance(words, frame, words)
+    unpack_words(words, frame, keys, _ONE_BLOCK, sorted_keys, words)
     return sorted_keys, words
 
 

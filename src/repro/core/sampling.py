@@ -42,14 +42,12 @@ def select_regular_samples(sorted_keys: np.ndarray, count: int) -> np.ndarray:
     Samples sit at positions ``(i+1) * n // (count+1)`` — the interior
     regular-sampling grid of PSRS — so they estimate the local quantiles.
     Returns a copy (samples travel to the Master).  If the array is smaller
-    than the requested count the whole array is returned.
+    than the requested count the whole array is returned (the grid of
+    ``count = n``).  ``sorted_keys`` is an array or anything with its ``take``.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     n = len(sorted_keys)
-    if n == 0 or count == 0:
-        return sorted_keys[:0].copy()
-    if count >= n:
-        return sorted_keys.copy()
+    count = min(count, n)
     idx = (np.arange(1, count + 1, dtype=np.int64) * n) // (count + 1)
-    return sorted_keys[idx].copy()
+    return sorted_keys.take(idx)

@@ -16,11 +16,6 @@ Leases are views of shared storage: anything that outlives the arena cycle
 The data-plane convention is that leases live from step 5 (exchange
 reassembly) to the end of step 6 (merge), where the machine program calls
 ``release_all``.
-
-:func:`shared_arange` serves the other allocation hot spot: packing
-``(code, rank, index)`` words needs an ``arange(n)`` index ramp.  One
-module-level, read-only ramp is grown on demand and sliced — callers only
-ever *read* it.
 """
 
 from __future__ import annotations
@@ -94,20 +89,3 @@ class ScratchArena:
             int(b.storage.nbytes) for pool in self._pools.values() for b in pool
         )
 
-
-_ARANGE = np.arange(0, dtype=np.int64)
-_ARANGE.setflags(write=False)
-
-
-def shared_arange(n: int) -> np.ndarray:
-    """Read-only ``arange(n, dtype=int64)`` view of a shared, growing ramp.
-
-    The returned view is not writeable; it exists for vectorized index
-    arithmetic (``words |= shared_arange(n)``) without a per-call allocation.
-    """
-    global _ARANGE
-    if n > len(_ARANGE):
-        grown = np.arange(max(n, 2 * len(_ARANGE), MIN_BLOCK_ELEMENTS), dtype=np.int64)
-        grown.setflags(write=False)
-        _ARANGE = grown
-    return _ARANGE[:n]

@@ -8,15 +8,18 @@ carried from there as one :class:`DataPath`:
   allgathers its block's ``(code_min, code_max, code_or, len)``, all
   derive the same :class:`~repro.core.packsort.KeyFrame`, and each packs
   ``(code << shift) | (rank << idx_bits) | index`` into unique int64
-  words, sorts them, and decodes the sorted keys once for steps 2–4 (the
-  sample bytes, hence fingerprints and splitters, are unchanged).  Step 5
+  words and sorts them.  Nothing is decoded for steps 2–4: they read the
+  block as :class:`~repro.core.packsort.SortedWords`, which decodes only
+  the sampled words (bit for bit, so fingerprints and splitters are
+  unchanged) and ranks splitters against the words themselves.  Step 5
   moves word slices, 8 B/key and nothing else.  Step 6 sorts the rank's
   region **in place in shared memory** — words from different ranks
   compare as ``(key, rank, index)``, the stable merge order, and they are
-  unique, so no permutation exists to apply — and unpacks once, straight
-  into the output leases (8-byte keys in place: their word stream *is*
-  the key lease).  The two lossy float codes (±0.0, NaN payloads) are
-  refilled from the input lease through the provenance just unpacked;
+  unique, so no permutation exists to apply — and unpacks once, the one
+  decode of every key, straight into the output leases (8-byte keys in
+  place: their word stream *is* the key lease).  The two lossy float
+  codes (±0.0, NaN payloads) are refilled from the input lease through
+  the provenance in the word;
 * **keys + perm** — the frame does not fit, or the codec has no code for
   the dtype: the simulated sorter's own kernels run, keys and an int32
   permutation cross the exchange as two streams, and the merged region is
@@ -39,13 +42,12 @@ import numpy as np
 
 from ..checks.hb import KEYS_AND_PERM
 from ..core.packsort import (
-    block_code_stats,
-    decode_keys,
+    SortedWords,
+    code_and_stats,
     derive_key_frame,
-    order_preserving_codes,
     pack_words,
     sort_runs_in_place,
-    unpack_provenance,
+    unpack_words,
 )
 from ..core.scratch import ScratchArena
 from ..core.steps import merge_received, sort_block
@@ -90,8 +92,9 @@ class DataPath:
     label: str | None
     #: Lease roles step 5 writes: one run per (src, dst) on exactly these.
     exchanged: tuple[str, ...]
-    #: The rank's sorted keys, read by steps 2–4.
-    sorted_keys: np.ndarray
+    #: What steps 2–4 read (``take``, ``searchsorted``, ``len``, ``dtype``):
+    #: the rank's sorted keys or, on the word path, its sorted words.
+    sorted_block: np.ndarray | SortedWords
     #: Step 5's streams: ``(shared stream, its lease, sorted payload)``.
     streams: list[tuple[np.ndarray, ShmLease, np.ndarray]]
     #: Step 6: ``merge(base, stop, run_lengths)`` merges the rank's region
@@ -115,41 +118,31 @@ def choose_data_path(
     """Step 1: pick the job's data path and run its local sort.  Every rank
     takes the same branch: the frame comes from the same gathered statistics
     (one allgather, waited inside step 1), the rest from the job spec."""
-    frame = None
     if views.words is not None:
-        codes = order_preserving_codes(block)
-        frame = derive_key_frame(
-            link.allgather(block_code_stats(codes, block.dtype.kind == "f")),
-            block.dtype,
-            plan.size,
-        )
+        # The one block-sized step-1 temporary, from the worker's warm
+        # scratch pool: fresh pages per job would be the op's largest
+        # page-fault bill.  Codes, then words, then sorted words live in it.
+        lease = scratch.take(len(block), np.int64)
+        codes, stats = code_and_stats(block, lease)
+        frame = derive_key_frame(link.allgather(stats), block.dtype, plan.size)
         if frame is not None:
-            # Step-1 temporaries come from the worker's warm scratch pool:
-            # 16 bytes/key of fresh pages per job would be the op's
-            # largest page-fault bill.
-            words = pack_words(
-                codes, frame, rank, out=scratch.take(len(block), np.int64)
-            )
-        del codes  # 8 bytes/key that would otherwise sit under the sort
-    if frame is not None:
-        return _word_path(plan, views, frame, words, scratch)
+            words = pack_words(codes, frame, rank, lease)
+            return _word_path(plan, views, frame, words)
     if plan.options.track_provenance:
         return _keys_perm_path(plan, views, block, scratch)
     return _values_path(plan, views, block)
 
 
-def _word_path(plan, views, frame, words, scratch) -> DataPath:
+def _word_path(plan, views, frame, words) -> DataPath:
     block_starts = np.asarray(plan.block_bounds, dtype=np.int64)
     words.sort()
-    sorted_keys = scratch.take(len(words), views.input.dtype)
-    decode_keys(words, frame, sorted_keys, views.input, block_starts)
 
     def merge(base, stop, run_lengths):
         region = views.words[base:stop]
         sort_runs_in_place(region, run_lengths)
-        unpack_provenance(region, frame, views.index[base:stop], views.proc[base:stop])
-        refilled = decode_keys(
-            region, frame, views.keys[base:stop], views.input, block_starts
+        refilled = unpack_words(
+            region, frame, views.input, block_starts,
+            views.keys[base:stop], views.index[base:stop], views.proc[base:stop],
         )
         accesses = [
             (plan.index_lease, base, stop, "w", "index-write"),
@@ -164,7 +157,7 @@ def _word_path(plan, views, frame, words, scratch) -> DataPath:
     return DataPath(
         THROUGH,
         ("keys",) if aliased else ("words",),
-        sorted_keys,
+        SortedWords(words, frame, views.input, block_starts),
         [(views.words, plan.word_lease, words)],
         merge,
     )

@@ -122,7 +122,7 @@ def _candidate_histogram(
     histogram pass" that stands in for re-running selection when a
     candidate's fingerprint matches.
     """
-    cuts = np.searchsorted(sorted_keys, splitters, side="right")
+    cuts = sorted_keys.searchsorted(splitters, side="right")
     bounds = np.concatenate(([0], cuts, [len(sorted_keys)]))
     return np.diff(bounds[: size + 1]).astype(np.int64)
 

@@ -300,15 +300,15 @@ def _sampling(job: _Job, path: DataPath) -> tuple[np.ndarray, np.ndarray | None]
     """
     plan, report = job.plan, job.report
     count = sample_count(
-        plan.config, plan.size, path.sorted_keys.dtype.itemsize,
+        plan.config, plan.size, path.sorted_block.dtype.itemsize,
         plan.options.sample_factor,
     )
-    samples = select_regular_samples(path.sorted_keys, count)
+    samples = select_regular_samples(path.sorted_block, count)
     report.samples_sent = len(samples)
     splitters = None
     if plan.cached_candidates:
         report.splitter_cache, splitters, report.sample_fingerprint = probe_candidates(
-            job.link, job.rank, plan.size, path.sorted_keys, samples,
+            job.link, job.rank, plan.size, path.sorted_block, samples,
             plan.cached_candidates, plan.force_resample,
         )
         if splitters is not None and job.rank == MASTER:
@@ -330,7 +330,7 @@ def _splitters(job: _Job, path: DataPath, samples: np.ndarray) -> np.ndarray | N
         splitters = report.splitters = select_splitters(merge_samples(gathered), size)
         if report.sample_fingerprint is None:
             report.sample_fingerprint = combine_sample_fingerprint(
-                [sample_digest(s) for s in gathered], path.sorted_keys.dtype, size
+                [sample_digest(s) for s in gathered], path.sorted_block.dtype, size
             )
     return job.link.bcast(splitters, root=MASTER)
 
@@ -416,7 +416,7 @@ def _run_six_steps(
     job.enter(0, len(block))
     # Step 1 — the job's data path is chosen here, once; choosing sorts.
     path = choose_data_path(plan, rank, link, job.views, block, scratch)
-    rows = len(path.sorted_keys)
+    rows = len(path.sorted_block)
     job.enter(1, rows)
     samples, splitters = _sampling(job, path)
     job.enter(2, job.report.samples_sent)
@@ -424,7 +424,7 @@ def _run_six_steps(
         splitters = _splitters(job, path, samples)
     job.enter(3, rows)
     part = partition_block(
-        path.sorted_keys, splitters, plan.size, plan.options.investigator
+        path.sorted_block, splitters, plan.size, plan.options.investigator
     )
     job.enter(4, rows)
     layout = _exchange(job, path, part)

@@ -12,15 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import packsort
 from repro.core.packsort import (
-    block_code_stats,
-    decode_keys,
+    SortedWords,
+    code_and_stats,
     derive_key_frame,
-    order_preserving_codes,
     pack_words,
     packed_stable_sort,
     stable_sort_with_order,
-    unpack_provenance,
+    unpack_words,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -55,9 +55,15 @@ def _assert_none_or_stable(keys):
     return True
 
 
+def _code(keys):
+    """Kernel 1 on a buffer of the block's own: ``(codes, stats)``."""
+    return code_and_stats(keys, np.empty(len(keys), dtype=np.int64))
+
+
 def _assert_codec_laws(keys):
-    codes = order_preserving_codes(keys)
-    assert codes is not None and codes.dtype.kind in "iu"
+    codes, stats = _code(keys)
+    assert codes.dtype.kind in "iu"
+    assert stats[:2] == (int(codes.min()), int(codes.max())) and stats[3] == len(keys)
     lt = keys[:, None] < keys[None, :]
     eq = keys[:, None] == keys[None, :]
     assert (codes[:, None] < codes[None, :])[lt].all()  # a < b  =>  code(a) < code(b)
@@ -114,8 +120,8 @@ def _float_bit_elements(dtype, flavour):
     return st.one_of(st.sampled_from(specials), bulk)
 
 
-def _draw_float_keys(data, dtype):
-    flavour = data.draw(st.sampled_from(["integral", "float32-valued", "raw"]))
+def _draw_float_keys(data, dtype, flavours=("integral", "float32-valued", "raw")):
+    flavour = data.draw(st.sampled_from(flavours))
     bits = data.draw(st.lists(_float_bit_elements(dtype, flavour), max_size=64))
     return np.array(bits, dtype=FLOAT_BITS[dtype][0]).view(dtype)
 
@@ -271,14 +277,16 @@ def _assert_word_laws(blocks):
     """Returns whether the frame fit; checks every law when it did."""
     dtype = np.dtype(blocks[0].dtype)
     is_float = dtype.kind == "f"
-    coded = [order_preserving_codes(block) for block in blocks]
-    stats = [block_code_stats(codes, is_float) for codes in coded]
-    frame = derive_key_frame(stats, dtype, len(blocks))
+    buffers = [np.empty(len(block), dtype=np.int64) for block in blocks]
+    coded = [code_and_stats(block, out) for block, out in zip(blocks, buffers)]
+    frame = derive_key_frame([stats for _codes, stats in coded], dtype, len(blocks))
     if frame is None:
         return False
-    words = np.concatenate(
-        [pack_words(codes, frame, rank) for rank, codes in enumerate(coded)]
-    )
+    for rank, ((codes, _stats), out) in enumerate(zip(coded, buffers)):
+        assert pack_words(codes, frame, rank, out) is out  # always in the caller's buffer
+        if not is_float:
+            assert codes is blocks[rank]  # int keys are their own codes, never written
+    words = np.concatenate(buffers)
     assert len(set(words.tolist())) == len(words)  # unique: sort kind is unobservable
     words.sort()
 
@@ -287,13 +295,12 @@ def _assert_word_laws(blocks):
     order = source.argsort(kind="stable")  # ties by (rank, index): the merge order
     index = np.empty(len(words), dtype=np.int32)
     proc = np.empty(len(words), dtype=np.int16)
-    unpack_provenance(words, frame, index, proc)
-    np.testing.assert_array_equal(starts[proc] + index, order)
 
     # Decoded against a poisoned source, only the lossy codes may differ ...
     poison = np.full(len(source), 1.5 if is_float else 1, dtype=dtype)
     decoded = np.empty(len(words), dtype=dtype)
-    refilled = decode_keys(words.copy(), frame, decoded, poison, starts)
+    refilled = unpack_words(words.copy(), frame, poison, starts, decoded, index, proc)
+    np.testing.assert_array_equal(starts[proc] + index, order)
     expected = source[order]
     as_bytes = (len(words), dtype.itemsize)
     same = decoded.view(np.uint8).reshape(as_bytes) == expected.view(np.uint8).reshape(as_bytes)
@@ -302,8 +309,9 @@ def _assert_word_laws(blocks):
     assert refilled == lossy.sum()
     # ... and against the real one, in place for 8-byte keys, nothing does.
     out = words.view(dtype) if dtype.itemsize == 8 else np.empty(len(words), dtype=dtype)
-    decode_keys(words, frame, out, source, starts)
+    unpack_words(words, frame, source, starts, out, index, proc)
     assert out.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(starts[proc] + index, order)
     return True
 
 
@@ -336,8 +344,7 @@ def test_seeded_float_cases_fit_the_frame_on_three_ranks(dtype):
 def test_frame_fits_the_pool_workload_shapes():
     """``(lo, hi, or, max block len)`` of the ledger's pooled workloads, p = 2."""
     rng = np.random.default_rng(3)
-    expo = order_preserving_codes(np.floor(rng.exponential(2000.0, 20_000)))
-    lo, hi, any_bit, _ = block_code_stats(expo, True)
+    lo, hi, any_bit, _ = _code(np.floor(rng.exponential(2000.0, 20_000)))[1]
     shapes = {
         # Uniform [0, 2^40) at 2M keys/rank on 2 ranks: 21 index bits + 1
         # rank bit leave limit = 2^40, so this fits by exactly one value.
@@ -365,3 +372,210 @@ def test_frame_ignores_empty_blocks_and_takes_the_longest():
     assert frame.has_negative and not frame.has_nan
     empty = derive_key_frame([(0, 0, 0, 0)] * 2, np.float64, 2)
     assert (empty.idx_bits, empty.rank_bits, empty.has_negative) == (0, 1, False)
+
+
+# ------------------------------------------- steps 2-4 read the sorted words
+#
+# ``SortedWords`` stands in for the decoded sorted block: ``take`` must
+# return the keys' own bytes and ``searchsorted`` the positions numpy finds
+# in the decoded keys, for needles that need not come from the block, fit
+# its frame, or sit on its strip grid.
+
+RANK_OF = [(0, 1), (1, 2), (3, 4)]
+
+#: 30 dtype × rank cases share the budget: a dozen examples each.
+READ_SETTINGS = settings(SETTINGS, max_examples=12)
+
+
+def _pack(block, rank, p):
+    """Kernels 1–2 on ``block`` as rank ``rank`` of ``p`` like-shaped blocks:
+    ``(stats, frame, words)``, unsorted; ``frame`` is ``None`` on a decline."""
+    out = np.empty(len(block), dtype=np.int64)
+    codes, stats = code_and_stats(block, out)
+    frame = derive_key_frame([stats] * p, block.dtype, p)
+    if frame is not None:
+        pack_words(codes, frame, rank, out)
+    return stats, frame, out
+
+
+def _sorted_words(block, rank, p):
+    """``(SortedWords, decoded sorted keys)``, or ``None`` when the frame
+    declines.  Every other rank's input offset is poisoned, so a refill
+    through the wrong rank bits indexes out of range."""
+    _stats, frame, words = _pack(block, rank, p)
+    if frame is None:
+        return None
+    words.sort()
+    starts = np.full(p, 1 << 40, dtype=np.int64)
+    starts[rank] = 3
+    source = np.concatenate([np.ones(3, dtype=block.dtype), block])
+    return (
+        SortedWords(words, frame, source, starts),
+        block[block.argsort(kind="stable")],
+    )
+
+
+def _assert_reads_like_decoded(block, rank, p, needles, positions):
+    made = _sorted_words(block, rank, p)
+    if made is None:
+        return False
+    words, decoded = made
+    assert len(words) == len(decoded) and words.dtype == decoded.dtype
+    picked = words.take(np.array(positions, dtype=np.int64))
+    assert picked.dtype == decoded.dtype
+    assert picked.tobytes() == decoded[positions].tobytes()  # -0.0, NaN payloads too
+    for side in ("left", "right"):
+        np.testing.assert_array_equal(
+            words.searchsorted(needles, side=side),
+            np.searchsorted(decoded, needles, side=side),
+            err_msg=f"{block.dtype} side={side} strip={words.frame.strip}",
+        )
+    return True
+
+
+def _positions(data, n):
+    if n == 0:
+        return []
+    return data.draw(st.lists(st.integers(0, n - 1), max_size=12))  # unsorted, repeats
+
+
+@pytest.mark.parametrize("rank,p", RANK_OF)
+@pytest.mark.parametrize("dtype", INT_DTYPES + UINT_DTYPES)
+@READ_SETTINGS
+@given(data=st.data())
+def test_sorted_int_words_read_like_the_decoded_keys(dtype, rank, p, data):
+    info = np.iinfo(dtype)
+    # 8-byte keys stay where the frame fits; the needles go everywhere.
+    lo, hi = max(int(info.min), -(1 << 40)), min(int(info.max), 1 << 40)
+    element = st.one_of(st.integers(max(lo, -3), min(hi, 3)), st.integers(lo, hi))
+    block = np.array(data.draw(st.lists(element, max_size=48)), dtype=dtype)
+    outside = [int(info.min), int(info.min) + 1, int(info.max) - 1, int(info.max)]
+    for bits in (41, 52, 61, 62):  # around and far beyond any frame limit here
+        outside += [v for v in (1 << bits, -(1 << bits)) if info.min <= v <= info.max]
+    neighbours = [int(k) + d for k in block[:8].tolist() for d in (-1, 0, 1)]
+    drawn = data.draw(st.lists(st.integers(int(info.min), int(info.max)), max_size=8))
+    needles = [v for v in outside + neighbours + drawn if info.min <= v <= info.max]
+    fitted = _assert_reads_like_decoded(
+        block, rank, p, np.array(needles, dtype=dtype), _positions(data, len(block))
+    )
+    assert fitted
+
+
+@pytest.mark.parametrize("rank,p", RANK_OF)
+@pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+@READ_SETTINGS
+@given(data=st.data())
+def test_sorted_float_words_read_like_the_decoded_keys(dtype, rank, p, data):
+    uint_t, sign, inf, mantissa = FLOAT_BITS[dtype]
+    # float64 blocks are integral or float32-valued: they fit only stripped.
+    flavours = ("integral", "float32-valued") + (("raw",) if dtype is np.float32 else ())
+    block = _draw_float_keys(data, dtype, flavours)
+    block_bits = block.view(uint_t)[:8].tolist()
+    needle_bits = (
+        block_bits
+        + [b ^ 1 for b in block_bits]  # one ulp off: off the strip grid
+        + [0, sign, inf, sign | inf, inf - 1, sign | (inf - 1), 1, sign | 1]
+        + [inf | 1, inf | mantissa, sign | inf | 5, sign | inf | mantissa]  # NaNs
+        + data.draw(st.lists(st.integers(0, 2 * sign - 1), max_size=8))  # raw: any code
+    )
+    needles = np.array(needle_bits, dtype=uint_t).view(dtype)
+    fitted = _assert_reads_like_decoded(block, rank, p, needles, _positions(data, len(block)))
+    if dtype is np.float32:
+        assert fitted
+
+
+def test_stripped_float64_words_answer_needles_off_the_grid():
+    rng = np.random.default_rng(21)
+    block = np.floor(rng.exponential(2000.0, 5_000)) - 300.0
+    block[::50], block[7::90], block[9::400] = -0.0, np.nan, -np.inf
+    words, decoded = _sorted_words(block, 1, 2)
+    assert words.frame.strip >= 37 and words.frame.has_nan and words.frame.has_negative
+    needles = np.concatenate(
+        [
+            decoded[::97],
+            decoded[::97] + 0.5,
+            np.nextafter(decoded[::97], np.inf),
+            np.nextafter(decoded[::97], -np.inf),
+            [np.nan, -np.nan, -0.0, 0.0, np.inf, -np.inf, 1e300, -1e300, 5e-324, -5e-324],
+        ]
+    )
+    for side in ("left", "right"):
+        np.testing.assert_array_equal(
+            words.searchsorted(needles, side=side), np.searchsorted(decoded, needles, side=side)
+        )
+    every = np.arange(len(block))
+    assert words.take(every).tobytes() == decoded.tobytes()
+
+
+# ----------------------------------------------- chunk-boundary equivalence
+
+
+def _reference_code(key):
+    """The codec, one key at a time, in Python integers."""
+    if key.dtype.kind != "f":
+        return int(key)
+    uint_t, sign, inf, mantissa = FLOAT_BITS[key.dtype.type]
+    bits = int(key.view(uint_t))
+    magnitude = bits & (sign - 1)
+    if magnitude > inf:
+        return inf | (mantissa + 1) >> 1  # every NaN: the canonical quiet one
+    return -magnitude if bits & sign else magnitude
+
+
+def _run_kernels(block, rank, p):
+    stats, frame, words = _pack(block, rank, p)
+    packed = words.copy()
+    words.sort()
+    starts = np.zeros(p, dtype=np.int64)
+    keys = np.empty(len(block), dtype=block.dtype)
+    index = np.empty(len(block), dtype=np.int32)
+    proc = np.empty(len(block), dtype=np.int16)
+    refilled = unpack_words(words, frame, block, starts, keys, index, proc)
+    return stats, frame, packed, keys, index, proc, refilled
+
+
+CHUNK_BLOCKS = {
+    "int64-negative": lambda n: (np.arange(n, dtype=np.int64) * 7919) % 23 - 11,
+    "uint16": lambda n: ((np.arange(n) * 7919) % 65_536).astype(np.uint16),
+    "float32": lambda n: np.array(
+        [-0.0, np.nan, 2.5, -1.25, 0.0, -np.inf, 1e30, -np.nan, 3.0] * 2, dtype=np.float32
+    )[:n],
+    "float64-stripped": lambda n: np.array(
+        [4.0, -0.0, np.nan, -8.0, 0.0, 2.0**40, -np.nan, 16.0, -2.0] * 2, dtype=np.float64
+    )[:n],
+}
+
+
+@pytest.mark.parametrize("name", CHUNK_BLOCKS)
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 17])
+def test_chunk_boundaries_do_not_show(monkeypatch, name, n):
+    block = CHUNK_BLOCKS[name](n)
+    rank, p = 3, 4
+    whole = _run_kernels(block, rank, p)
+    assert n <= packsort.CHUNK_KEYS  # ... which was the one-chunk run
+    monkeypatch.setattr(packsort, "CHUNK_KEYS", 8)
+    chunked = _run_kernels(block, rank, p)
+    for one, many in zip(whole, chunked):
+        if isinstance(one, np.ndarray):
+            assert one.dtype == many.dtype and one.tobytes() == many.tobytes()
+        else:
+            assert one == many
+    stats, frame, packed, keys, index, proc, refilled = chunked
+    codes = [_reference_code(k) for k in block]
+    any_bit = 0
+    for code in codes:
+        any_bit |= code
+    assert stats == (
+        min(codes, default=0), max(codes, default=0),
+        any_bit if block.dtype.kind == "f" else 0, n,
+    )
+    closed_form = [
+        ((code >> frame.strip) << frame.shift) | (rank << frame.idx_bits) | i
+        for i, code in enumerate(codes)
+    ]
+    assert packed.tolist() == closed_form
+    order = block.argsort(kind="stable")
+    assert keys.tobytes() == block[order].tobytes()
+    assert index.tolist() == order.tolist() and set(proc.tolist()) <= {rank}
+    if name == "float64-stripped" and n >= 9:
+        assert frame.strip > 0 and refilled == int(((block == 0) | np.isnan(block)).sum())

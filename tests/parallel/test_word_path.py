@@ -11,6 +11,7 @@ per rank count, capped to a few seconds of tier-1.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,14 +21,16 @@ from hypothesis import strategies as st
 from repro.core.api import distributed_sort, partition_input
 from repro.core.local_backend import local_sample_sort
 from repro.core.packsort import (
-    block_code_stats,
+    SortedWords,
+    code_and_stats,
     derive_key_frame,
-    order_preserving_codes,
     packed_stable_sort,
 )
+from repro.core.scratch import ScratchArena
 from repro.core.sorter import SortOptions
 from repro.obs.context import capture
 from repro.parallel import ProcessBackend
+from repro.parallel.datapath import JobViews, choose_data_path
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -43,8 +46,7 @@ def pool():
 
 def _expected_paths(blocks):
     """What each rank must report, from the frame arithmetic alone."""
-    is_float = blocks[0].dtype.kind == "f"
-    stats = [block_code_stats(order_preserving_codes(b), is_float) for b in blocks]
+    stats = [code_and_stats(b, np.empty(len(b), dtype=np.int64))[1] for b in blocks]
     if derive_key_frame(stats, blocks[0].dtype, len(blocks)) is not None:
         return ["through"] * len(blocks)
     return ["stable" if packed_stable_sort(b) is None else "packed" for b in blocks]
@@ -248,6 +250,95 @@ def test_declared_data_path_agrees_everywhere(row, p, tmp_path):
     off_diagonal = int(run.counts_matrix.sum() - np.trace(run.counts_matrix))
     assert off_diagonal > 0
     assert run.cluster_metrics().remote_bytes == off_diagonal * bytes_per_key
+
+
+# ------------------------------------- steps 2-4 read the words, not a copy
+#
+# Fingerprints below are literals recorded at the parent commit (which
+# decoded the whole block for steps 2-4): the sampled bytes are unchanged.
+
+
+def _sanitized_stream(jobs, tmp_path):
+    """Sort ``jobs`` in order on one sanitized p = 2 pool, each checked
+    against the oracle; returns ``(verdict, fingerprint, path)`` per job."""
+    seen = []
+    with ProcessBackend(sanitize=True) as backend:
+        for number, keys in enumerate(jobs):
+            blocks = list(partition_input(keys, 2)[0])
+            run = _assert_matches_oracle(backend, blocks)
+            assert backend.sanitizer.report.ok, backend.sanitizer.report.summary()
+            master = run.reports[0]
+            seen.append((master.splitter_cache, master.sample_fingerprint, master.local_sort_path))
+            # The step-2 refill gathers from the rank's own block of the
+            # input, which the step-1 ``input-read`` record already covers.
+            backend.sanitizer.dump_log(tmp_path / f"log{number}.json")
+            log = json.loads((tmp_path / f"log{number}.json").read_text())
+            reads = sorted(a[1:3] for a in log["accesses"] if a[7] == "input-read")
+            assert [hi - lo for lo, hi in reads] == [b.nbytes for b in blocks]
+            assert reads[0][1] == reads[1][0]  # back to back: together the whole input
+    return seen
+
+
+def test_cached_splitters_far_outside_the_key_frame_are_probed_exactly(tmp_path):
+    rng = np.random.default_rng(41)
+    far = ((1 << 61) + rng.integers(0, 1000, 400)).astype(np.int64)
+    near = rng.integers(0, 1000, 400).astype(np.int64)
+    # Jobs 3 and 4 take the word path with both far epochs as cache
+    # candidates: every candidate is ranked against the words before the
+    # verdict, and ±2^61 << shift would leave int64.
+    assert _sanitized_stream([far, -far, near, near], tmp_path) == [
+        ("cold", "33442658894248f83c0a898ae14d937545888c85", "stable"),
+        ("miss", "03a8ee061cbb385247be4b6a5e9d34452353adcd", "stable"),
+        ("miss", "08fafaf4c5f702505c6634482e8f5ca71f60d37c", "through"),
+        ("hit", "08fafaf4c5f702505c6634482e8f5ca71f60d37c", "through"),
+    ]
+
+
+def _lossy_float_keys():
+    rng = np.random.default_rng(43)
+    keys = np.floor(rng.exponential(50.0, 2_000)) - 20.0
+    bits = keys.view(np.uint64)
+    keys[::7] = -0.0
+    bits[3::11] = 0x7FF8_0000_0000_0000 | rng.integers(1, 1 << 20, len(bits[3::11])).astype(
+        np.uint64
+    )
+    bits[5::13] = 0xFFF0_0000_0000_0001 + rng.integers(0, 1 << 20, len(bits[5::13])).astype(
+        np.uint64
+    )
+    return keys
+
+
+def test_samples_with_signed_zeros_and_nan_payloads_keep_their_bytes(tmp_path):
+    # 1000 keys per rank against a 16 Ki sample budget: every key is a
+    # sample, the lossy codes (-0.0, NaNs of both signs) included.
+    keys = _lossy_float_keys()
+    fingerprint = "31bae59e4d4b8cc5961479ede5d2f90d5ddf8444"
+    assert _sanitized_stream([keys, keys], tmp_path) == [
+        ("cold", fingerprint, "through"),
+        ("hit", fingerprint, "through"),
+    ]
+
+
+def test_word_path_step_one_holds_one_lease_and_no_decoded_copy():
+    block = _lossy_float_keys()
+    n = len(block)
+    lease = SimpleNamespace(name="stub")
+    plan = SimpleNamespace(
+        size=1, block_bounds=(0, n), options=SortOptions(), word_lease=lease, key_lease=lease
+    )
+    link = SimpleNamespace(allgather=lambda stats: [stats])
+    out = np.empty(n, dtype=np.float64)
+    views = JobViews(
+        block, out, np.empty(n, np.int32), np.empty(n, np.int16), out.view(np.int64)
+    )
+    scratch = ScratchArena()
+    path = choose_data_path(plan, 0, link, views, block, scratch)
+    assert path.label == "through" and isinstance(path.sorted_block, SortedWords)
+    assert (scratch.pooled_bytes(), scratch.live_leases) == (8 * n, 1)
+    assert path.streams[0][2] is path.sorted_block.words  # the lease *is* the payload
+    expected = block[block.argsort(kind="stable")]
+    assert path.sorted_block.take(np.arange(n)).tobytes() == expected.tobytes()
+    assert scratch.pooled_bytes() == 8 * n  # reading the block decoded nothing into the pool
 
 
 # ------------------------------------------------------------ observability

@@ -118,6 +118,62 @@ class TestStructure:
                             too_long.append(f"{path.name}:{node.name}: {length} lines")
         assert not too_long, f"decompose instead of growing: {too_long}"
 
+    #: The word path decodes every key once, in step 6.  These names put a
+    #: decoded copy of a block in memory, so in the pool they belong to the
+    #: step-6 ``merge`` closures of ``datapath.py`` alone.
+    DECODING_KERNELS = {"unpack_words", "decode_keys", "unpack_provenance"}
+
+    def test_only_step_six_decodes_the_block(self):
+        import ast
+
+        offenders = []
+        for path in sorted((SRC / "parallel").rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            licensed = set()
+            if path.name == "datapath.py":
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.FunctionDef) and node.name == "merge":
+                        licensed.update(map(id, ast.walk(node)))
+            for node in ast.walk(tree):
+                if id(node) in licensed:
+                    continue
+                if isinstance(node, ast.ImportFrom):  # datapath.py may import them
+                    names = {alias.name for alias in node.names if path.name != "datapath.py"}
+                else:
+                    names = {getattr(node, "id", None), getattr(node, "attr", None)}
+                for name in names & self.DECODING_KERNELS:
+                    offenders.append(f"{path.name}:{node.lineno}: {name}")
+        assert not offenders, f"a decoded copy of the block is coming back: {offenders}"
+
+    #: The step 2–4 kernels read ``sorted_keys`` through its own methods
+    #: only, which is what lets packed words stand in for it.
+    BLOCK_READERS = ("core/sampling.py", "core/investigator.py", "parallel/splitter_cache.py")
+
+    def test_steps_two_to_four_only_call_methods_on_the_sorted_block(self):
+        import ast
+
+        offenders = []
+        for relative in self.BLOCK_READERS:
+            for func in ast.walk(ast.parse((SRC / relative).read_text())):
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                if "sorted_keys" not in {arg.arg for arg in func.args.args}:
+                    continue
+                for node in ast.walk(func):
+                    as_array = (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and getattr(node.func.value, "id", None) == "np"
+                        and any(getattr(arg, "id", None) == "sorted_keys" for arg in node.args)
+                    )
+                    indexed = (
+                        isinstance(node, ast.Subscript)
+                        and getattr(node.value, "id", None) == "sorted_keys"
+                    )
+                    if as_array or indexed:
+                        offenders.append(f"{relative}:{node.lineno}: {func.name}")
+        assert not offenders, f"np.* or indexing on sorted_keys: {offenders}"
+
     #: Docs and workflows whose repo paths must resolve.
     PATH_CITING_FILES = (
         "README.md",
