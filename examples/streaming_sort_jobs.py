@@ -5,8 +5,8 @@ memory mapping, and splitter sampling for every request.  ``SorterPool``
 keeps one generation of rank processes parked between jobs: the shm arena
 segments stay mapped on both sides of the process boundary, and the exact
 splitter cache reuses splitters whenever a job's sample fingerprint
-matches an earlier one — bit-identically, verified by a cheap histogram
-pass.
+matches an earlier one — bit-identically, because equal samples select
+equal splitters.
 
 Run:  python examples/streaming_sort_jobs.py
 """

@@ -1,23 +1,17 @@
-"""Analysis utilities: load-balance metrics, table rendering, calibration."""
+"""Analysis utilities: cost-model calibration, the determinism fingerprint,
+snapshot regression comparison."""
 
 from .calibration import CalibrationCheck, run_checks, summarize, thread_efficiency_profile
 from .determinism import capture_sort_fingerprint
-from .load_balance import BalanceReport, compare_balance
 from .regression import ComparisonReport, Drift, compare
-from .tables import range_rows, ratio_row, to_markdown
 
 __all__ = [
-    "BalanceReport",
     "CalibrationCheck",
     "ComparisonReport",
     "Drift",
     "capture_sort_fingerprint",
     "compare",
-    "compare_balance",
-    "range_rows",
-    "ratio_row",
     "run_checks",
     "summarize",
     "thread_efficiency_profile",
-    "to_markdown",
 ]

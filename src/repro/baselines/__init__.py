@@ -1,18 +1,16 @@
-"""Comparison systems: Spark sortByKey, bitonic, radix, and the ablation.
+"""Comparison systems: Spark sortByKey, bitonic and radix.
 
-:mod:`repro.baselines.spark` — a mini bulk-synchronous engine with a real
-TimSort, reproducing the mechanisms behind Spark's published slowdown;
+:mod:`repro.baselines.spark` — a mini bulk-synchronous engine reproducing
+the mechanisms behind Spark's published slowdown;
 :mod:`repro.baselines.bitonic` — Batcher's bitonic sort (related work);
 :mod:`repro.baselines.radix` — partitioned parallel radix sort (related
-work); :mod:`repro.baselines.naive_sample_sort` — the paper's own algorithm
-with its contributions disabled.
+work).  The paper's own algorithm with its contributions disabled is
+``distributed_sort(..., investigator=False, balanced_merge=False)``.
 """
 
 from .bitonic import BitonicResult, bitonic_sort
-from .naive_sample_sort import naive_sample_sort
 from .radix import RadixResult, assign_buckets, radix_sort
 from .spark.engine import SparkConfig, SparkSortResult, spark_sort_by_key
-from .spark.timsort import timsort, timsort_with_stats
 
 __all__ = [
     "BitonicResult",
@@ -21,9 +19,6 @@ __all__ = [
     "SparkSortResult",
     "assign_buckets",
     "bitonic_sort",
-    "naive_sample_sort",
     "radix_sort",
     "spark_sort_by_key",
-    "timsort",
-    "timsort_with_stats",
 ]

@@ -3,19 +3,14 @@ TimSort) on the simulated cluster."""
 
 from .engine import SparkConfig, SparkSortResult, spark_sort_by_key, spark_sort_program
 from .rdd import RDD, determine_bounds, partition_by_range, reservoir_sample
-from .timsort import min_run_length, run_profile, timsort, timsort_with_stats
 
 __all__ = [
     "RDD",
     "SparkConfig",
     "SparkSortResult",
     "determine_bounds",
-    "min_run_length",
     "partition_by_range",
     "reservoir_sample",
-    "run_profile",
     "spark_sort_by_key",
     "spark_sort_program",
-    "timsort",
-    "timsort_with_stats",
 ]

@@ -23,7 +23,8 @@ strictly before spawn and collection reads strictly after join, so the
 parent participates in lease-lifetime and bounds checks but can never
 race a worker.
 
-Checks, in SimSan's report style (rank + step + byte-range diagnostics):
+Checks, reported as SimSan's :class:`~repro.simnet.sanitizer.SanViolation`
+(rank + step + byte-range diagnostics):
 
 * **races** — same segment, same epoch, different ranks, overlapping
   intervals, at least one write (``write-write-race`` / ``read-write-race``);
@@ -40,10 +41,12 @@ Checks, in SimSan's report style (rank + step + byte-range diagnostics):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from ..simnet.sanitizer import SanViolation
 
 #: Rank attributed to driver-side accesses; never races a worker.
 PARENT_RANK = -1
@@ -119,19 +122,9 @@ class LeaseInfo:
         )
 
 
-@dataclass(frozen=True)
-class HbViolation:
-    """One analyzer finding: what went wrong, where."""
-
-    kind: str  #: write-write-race | read-write-race | out-of-lease-bounds | ...
-    rank: int
-    message: str
-    details: dict = field(default_factory=dict)
-
-
 def find_races(
     accesses: Iterable[ShmAccess], max_report: int = MAX_RACE_REPORTS
-) -> list[HbViolation]:
+) -> list[SanViolation]:
     """Overlapping same-epoch intervals from different ranks, >=1 write.
 
     Parent accesses are excluded up front: spawn/join order them against
@@ -144,7 +137,7 @@ def find_races(
         if acc.rank == PARENT_RANK or acc.byte_lo >= acc.byte_hi:
             continue
         by_group.setdefault((acc.segment, acc.epoch), []).append(acc)
-    violations: list[HbViolation] = []
+    violations: list[SanViolation] = []
     seen_pairs: set[tuple] = set()
     truncated = 0
     for (segment, epoch), group in sorted(by_group.items()):
@@ -179,7 +172,7 @@ def find_races(
                 lo = max(acc.byte_lo, other.byte_lo)
                 hi = min(acc.byte_hi, other.byte_hi)
                 violations.append(
-                    HbViolation(
+                    SanViolation(
                         kind,
                         writer.rank,
                         f"{first.describe()} overlaps {second.describe()} "
@@ -197,7 +190,7 @@ def find_races(
             active.append(acc)
     if truncated:
         violations.append(
-            HbViolation(
+            SanViolation(
                 "race-report-truncated",
                 PARENT_RANK,
                 f"{truncated} further racing site pair(s) suppressed after "
@@ -211,17 +204,17 @@ def find_races(
 
 def check_lease_bounds(
     accesses: Iterable[ShmAccess], leases: Iterable[LeaseInfo]
-) -> list[HbViolation]:
+) -> list[SanViolation]:
     """Every access must land inside a registered lease of its segment."""
     by_segment: dict[str, list[LeaseInfo]] = {}
     for lease in leases:
         by_segment.setdefault(lease.segment, []).append(lease)
-    violations: list[HbViolation] = []
+    violations: list[SanViolation] = []
     for acc in accesses:
         covering = by_segment.get(acc.segment)
         if covering is None:
             violations.append(
-                HbViolation(
+                SanViolation(
                     "unleased-segment",
                     acc.rank,
                     f"{acc.describe()} touches segment {acc.segment}, which "
@@ -236,7 +229,7 @@ def check_lease_bounds(
         ):
             continue
         violations.append(
-            HbViolation(
+            SanViolation(
                 "out-of-lease-bounds",
                 acc.rank,
                 f"{acc.describe()} falls outside every lease of segment "
@@ -258,7 +251,7 @@ def check_exchange_offsets(
     counts_matrix: np.ndarray,
     complete: bool = True,
     exchanged_roles: Sequence[str] = KEYS_AND_PERM,
-) -> list[HbViolation]:
+) -> list[SanViolation]:
     """Each exchange write must sit exactly where the layout puts its run.
 
     Recomputes the expected ``[byte_lo, byte_hi)`` of every (src, dst) run
@@ -287,7 +280,7 @@ def check_exchange_offsets(
         if acc.label != "exchange-write" or acc.dst is None:
             continue
         recorded.setdefault((acc.segment, acc.rank, acc.dst), []).append(acc)
-    violations: list[HbViolation] = []
+    violations: list[SanViolation] = []
     for segment, lease in sorted(exchanged.items()):
         for src in range(layout.size):
             for dst in range(layout.size):
@@ -300,7 +293,7 @@ def check_exchange_offsets(
                 if not runs:
                     if count and complete:
                         violations.append(
-                            HbViolation(
+                            SanViolation(
                                 "missing-exchange-write",
                                 src,
                                 f"rank {src} never wrote its {count}-element "
@@ -318,7 +311,7 @@ def check_exchange_offsets(
                     if (acc.byte_lo, acc.byte_hi) == (expect_lo, expect_hi):
                         continue
                     violations.append(
-                        HbViolation(
+                        SanViolation(
                             "offset-mismatch",
                             src,
                             f"rank {src} wrote its run for destination {dst} "
@@ -343,7 +336,7 @@ def analyze_accesses(
     counts_matrix: np.ndarray | None = None,
     complete: bool = True,
     exchanged_roles: Sequence[str] = KEYS_AND_PERM,
-) -> tuple[list[HbViolation], list[dict]]:
+) -> tuple[list[SanViolation], list[dict]]:
     """Run every happens-before check; returns (violations, notes)."""
     violations = find_races(accesses)
     violations.extend(check_lease_bounds(accesses, leases))

@@ -10,9 +10,9 @@ Six steps (section IV), each in its own module:
 6. :mod:`repro.core.balanced_merge` — the merge kernel and the pairwise
    balanced-merge handler's level/cost shape,
 
-with the step bodies every substrate shares in :mod:`repro.core.steps`,
-orchestrated by :mod:`repro.core.sorter` and exposed through
-:mod:`repro.core.api`.
+with the one kernel per step every substrate shares in
+:mod:`repro.core.steps`, orchestrated by :mod:`repro.core.sorter` and
+exposed through :mod:`repro.core.api`.
 """
 
 from . import api  # noqa: F401  (re-exported for repro.__getattr__)
@@ -26,7 +26,6 @@ from .balanced_merge import (
 )
 from .exchange import ExchangeResult, exchange_partitions
 from .scratch import ScratchArena
-from .hist_splitters import histogram_splitters, local_histogram
 from .investigator import (
     CutResult,
     compute_cuts,
@@ -65,9 +64,7 @@ __all__ = [
     "distributed_sort",
     "exchange_partitions",
     "flat_kway_merge",
-    "histogram_splitters",
     "kway_merge_cost_seconds",
-    "local_histogram",
     "local_sample_sort",
     "merge_levels",
     "merge_levels_cost_seconds",

@@ -1,8 +1,8 @@
 """Reference backend: the six-step algorithm without the simulator.
 
 Runs the paper's sample sort as plain function calls — no virtual cluster,
-no cost model, no message passing — reusing the exact step implementations
-for steps 2–4 (regular sampling, Master splitter selection, the
+no cost model, no message passing — reusing the exact step kernels for
+steps 2–4 (regular sampling, Master splitter selection, the
 investigator) and spelling out the sorts and the merge as literal
 ``argsort(kind="stable")`` calls.  Three uses:
 
@@ -24,9 +24,8 @@ import numpy as np
 
 from .investigator import compute_rank_cuts, slices_from_cuts
 from .provenance import Provenance
-from .sampling import sample_count, select_regular_samples
 from .sorter import SortOptions
-from .splitters import merge_samples, select_splitters
+from .steps import agree_splitters, draw_samples
 
 from ..pgxd.config import PgxdConfig
 
@@ -75,10 +74,10 @@ def local_sample_sort(
             [sorted_keys[0]], [prov], sorted_keys[0][:0].copy()
         )
     # Steps 2-3: regular samples to the Master, splitter selection.
-    itemsize = blocks[0].dtype.itemsize
-    count = sample_count(config, p, itemsize, options.sample_factor)
-    samples = [select_regular_samples(keys, count) for keys in sorted_keys]
-    splitters = select_splitters(merge_samples(samples), p)
+    samples = [
+        draw_samples(keys, config, p, options.sample_factor) for keys in sorted_keys
+    ]
+    splitters = agree_splitters(samples, p)
     # Step 4: cuts (with or without the investigator).
     slices = [
         slices_from_cuts(

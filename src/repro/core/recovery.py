@@ -44,11 +44,9 @@ from ..simnet.calls import Mark, Now
 from ..simnet.comm import Envelope, ReliableComm, ResilienceConfig
 from ..simnet.errors import ExchangeTimeoutError, MembershipError
 from .provenance import Provenance
-from .sampling import sample_count, select_regular_samples
 from .sorter import RankSortOutput, SortOptions, local_sort_step, merge_step
 from .sorter_labels import STEP_LABELS
-from .splitters import merge_samples, select_splitters
-from .steps import partition_block
+from .steps import agree_splitters, draw_samples, partition_block
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..pgxd.runtime import Machine
@@ -162,8 +160,7 @@ def _plan_round(machine: "Machine", rc: ReliableComm, inbox: _Inbox, sorted_keys
     yield Mark(f"recovery:plan:r{round_no}", event="instant")
     t_start = yield Now()
 
-    s_count = sample_count(cfg, len(alive), sorted_keys.dtype.itemsize, options.sample_factor)
-    samples = select_regular_samples(sorted_keys, s_count)
+    samples = draw_samples(sorted_keys, cfg, len(alive), options.sample_factor)
     out.samples_sent = len(samples)
     yield machine.compute(cost.scan_seconds(int(samples.nbytes)), STEP_LABELS[1])
 
@@ -184,11 +181,12 @@ def _plan_round(machine: "Machine", rc: ReliableComm, inbox: _Inbox, sorted_keys
         t_mid = yield Now()
         _bill(out, 1, t_mid - t_start)
         alive_r = sorted(set(got) - rc.dead)
-        merged = merge_samples([got[r] for r in alive_r])
+        gathered = [got[r] for r in alive_r]
         yield machine.compute(
-            cost.sort_seconds(len(merged), machine.threads), STEP_LABELS[2]
+            cost.sort_seconds(sum(map(len, gathered)), machine.threads),
+            STEP_LABELS[2],
         )
-        splitters = select_splitters(merged, len(alive_r))
+        splitters = agree_splitters(gathered, len(alive_r))
         payload = (round_no, tuple(alive_r), splitters)
         for dst in alive:
             # Previous-membership ranks outside alive_r are told too, so a

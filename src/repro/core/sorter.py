@@ -34,9 +34,7 @@ from .balanced_merge import merge_levels_cost_seconds
 from .exchange import ExchangeResult, exchange_partitions
 from .local_sort import parallel_quicksort
 from .provenance import Provenance
-from .sampling import sample_count, select_regular_samples
-from .splitters import merge_samples, select_splitters
-from .steps import merge_received, partition_block
+from .steps import agree_splitters, draw_samples, merge_received, partition_block
 
 #: Master processor rank (the paper's "Master").
 MASTER = 0
@@ -56,9 +54,6 @@ class SortOptions:
     balanced_merge: bool = True
     #: Track origin processor/index through the pipeline.
     track_provenance: bool = True
-    #: How splitters are agreed: "sample" (the paper's steps 2-3) or
-    #: "histogram" (iterative refinement — see repro.core.hist_splitters).
-    splitter_strategy: str = "sample"
     #: Reliable-exchange knobs used when a fault plan is attached to the
     #: run (None = :class:`repro.simnet.comm.ResilienceConfig` defaults).
     #: Ignored on fault-free runs, which take the lossless fast path.
@@ -67,11 +62,6 @@ class SortOptions:
     def __post_init__(self) -> None:
         if self.sample_factor <= 0:
             raise ValueError("sample_factor must be positive")
-        if self.splitter_strategy not in ("sample", "histogram"):
-            raise ValueError(
-                f"unknown splitter_strategy {self.splitter_strategy!r}; "
-                "choose 'sample' or 'histogram'"
-            )
 
 
 @dataclass
@@ -220,44 +210,29 @@ def sample_sort_program(machine: Machine, local_keys: np.ndarray, options: SortO
 
     # ----------------------------------------------------- step 2: sampling
     yield Mark(STEP_LABELS[1])
-    if options.splitter_strategy == "histogram":
-        # Extension strategy: iterative histogram refinement replaces both
-        # the sample shipment (step 2) and the Master selection (step 3).
-        from .hist_splitters import histogram_splitters
+    samples = draw_samples(local.keys, cfg, size, options.sample_factor)
+    out.samples_sent = len(samples)
+    yield machine.compute(cost.scan_seconds(int(samples.nbytes)), STEP_LABELS[1])
+    gathered = yield gather(machine.proc, samples, root=MASTER)
+    t2 = yield Now()
+    yield Mark(STEP_LABELS[1], event="end")
+    out.step_seconds[STEP_LABELS[1]] = t2 - t1
 
-        splitters = yield from histogram_splitters(machine, local.keys)
-        t2 = yield Now()
-        yield Mark(STEP_LABELS[1], event="end")
-        out.step_seconds[STEP_LABELS[1]] = t2 - t1
-        t3 = t2
-        out.step_seconds[STEP_LABELS[2]] = 0.0
-        yield Mark(STEP_LABELS[2])
-        yield Mark(STEP_LABELS[2], event="end")
+    # ---------------------------------------------------- step 3: splitters
+    yield Mark(STEP_LABELS[2])
+    if rank == MASTER:
+        assert gathered is not None
+        yield machine.compute(
+            cost.sort_seconds(sum(map(len, gathered)), machine.threads),
+            STEP_LABELS[2],
+        )
+        splitters = agree_splitters(gathered, size)
     else:
-        s_count = sample_count(cfg, size, keys.dtype.itemsize, options.sample_factor)
-        samples = select_regular_samples(local.keys, s_count)
-        out.samples_sent = len(samples)
-        yield machine.compute(cost.scan_seconds(int(samples.nbytes)), STEP_LABELS[1])
-        gathered = yield gather(machine.proc, samples, root=MASTER)
-        t2 = yield Now()
-        yield Mark(STEP_LABELS[1], event="end")
-        out.step_seconds[STEP_LABELS[1]] = t2 - t1
-
-        # ------------------------------------------------ step 3: splitters
-        yield Mark(STEP_LABELS[2])
-        if rank == MASTER:
-            assert gathered is not None
-            merged = merge_samples(gathered)
-            yield machine.compute(
-                cost.sort_seconds(len(merged), machine.threads), STEP_LABELS[2]
-            )
-            splitters = select_splitters(merged, size)
-        else:
-            splitters = None
-        splitters = yield bcast(machine.proc, splitters, root=MASTER)
-        t3 = yield Now()
-        yield Mark(STEP_LABELS[2], event="end")
-        out.step_seconds[STEP_LABELS[2]] = t3 - t2
+        splitters = None
+    splitters = yield bcast(machine.proc, splitters, root=MASTER)
+    t3 = yield Now()
+    yield Mark(STEP_LABELS[2], event="end")
+    out.step_seconds[STEP_LABELS[2]] = t3 - t2
 
     # ---------------------------------------------------- step 4: partition
     yield Mark(STEP_LABELS[3])

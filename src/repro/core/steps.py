@@ -1,11 +1,13 @@
 """The step kernels every substrate shares: arrays in, arrays out.
 
-Steps 2–3 are single calls already (:mod:`repro.core.sampling`,
-:mod:`repro.core.splitters`); these are the other step bodies.  They hold
-no clocks and move no data between ranks — the simulated sorter, its
-resilient variant and the process pool supply movement, timing and hooks
-around them.  The oracle (:mod:`repro.core.local_backend`) deliberately
-shares no sort or merge code with what it checks.
+One body per step — :func:`sort_block` (1), :func:`draw_samples` (2),
+:func:`agree_splitters` (3), :func:`partition_block` (4),
+:func:`merge_received` (6); step 5 is pure movement.  They hold no clocks
+and move no data between ranks — the simulated sorter, its resilient
+variant and the process pool supply movement, timing and hooks around
+them.  The oracle (:mod:`repro.core.local_backend`) calls the step 2–4
+kernels too, and deliberately shares no sort or merge code with what it
+checks.
 """
 
 from __future__ import annotations
@@ -14,10 +16,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ..pgxd.config import PgxdConfig
 from .balanced_merge import MergeOutcome, flat_kway_merge
 from .investigator import compute_rank_cuts, slices_from_cuts
-from .packsort import stable_sort_with_order
+from .packsort import SortedWords, stable_sort_with_order
+from .sampling import sample_count, select_regular_samples
 from .scratch import ScratchArena
+from .splitters import merge_samples, select_splitters
 
 
 def sort_block(
@@ -36,6 +41,26 @@ def sort_block(
         return np.sort(block), None, None
     sorted_keys, order, path = stable_sort_with_order(block)
     return sorted_keys, order.astype(np.int32), path
+
+
+def draw_samples(
+    sorted_block: np.ndarray | SortedWords,
+    config: PgxdConfig,
+    p: int,
+    sample_factor: float,
+) -> np.ndarray:
+    """Step 2: the regular samples one rank sends to the Master.
+
+    ``sample_factor`` × the paper's ``256KB / p`` bytes of keys, taken on
+    the regular grid of the sorted block (section IV-B).
+    """
+    count = sample_count(config, p, sorted_block.dtype.itemsize, sample_factor)
+    return select_regular_samples(sorted_block, count)
+
+
+def agree_splitters(gathered: Sequence[np.ndarray], p: int) -> np.ndarray:
+    """Step 3, on the Master: merge every rank's samples, pick ``p - 1``."""
+    return select_splitters(merge_samples(gathered), p)
 
 
 class BlockPartition(NamedTuple):

@@ -20,7 +20,6 @@ from . import (
     ghost_ablation,
     network_sensitivity,
     presorted,
-    splitter_strategies,
     straggler,
     table2_ratios,
     table3_ranges,
@@ -51,7 +50,6 @@ EXPERIMENTS = {
     "baselines": baselines_comparison,
     "buffer-sweep": buffer_sweep,
     "weak-scaling": weak_scaling,
-    "splitter-strategies": splitter_strategies,
     "ghost-ablation": ghost_ablation,
     "straggler": straggler,
     "presorted": presorted,

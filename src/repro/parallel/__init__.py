@@ -67,7 +67,6 @@ from .layout import ExchangeLayout, exchange_layout
 from .shmsan import (
     MUTATIONS,
     ShmSan,
-    ShmSanReport,
     active_shm_sanitizer,
     shm_sanitize,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "SharedArena",
     "ShmLease",
     "ShmSan",
-    "ShmSanReport",
     "SplitterCache",
     "WorkerCrashedError",
     "WorkerFailedError",

@@ -62,7 +62,7 @@ from .run import (
 )
 from .shmsan import MUTATIONS, ShmSan, active_shm_sanitizer
 from .splitter_cache import SplitterCache
-from .tracing import ProgressFn, ambient_progress
+from .tracing import ambient_progress
 from .worker import JobSpec, WorkerReport, worker_main
 
 #: The selectable execution substrates.
@@ -214,10 +214,11 @@ class ProcessBackend:
     :attr:`respawns`).  The pool itself stays usable; only :meth:`close`
     retires it (:class:`~repro.parallel.errors.PoolClosedError` after).
 
-    ``start_method`` defaults to ``fork`` where available (cheapest spawn;
-    the workers re-import nothing) and ``spawn`` elsewhere — the spec and
-    worker entry are picklable, so both work.  ``timeout_seconds`` bounds
-    control-plane silence, turning any stall into a typed error.
+    Workers are forked where the platform can (cheapest spawn; they
+    re-import nothing) and spawned elsewhere — the spec and worker entry are
+    picklable, so both work.  ``timeout_seconds`` bounds control-plane
+    silence, turning any stall into a typed error.  Live heartbeats go to
+    the ambient :func:`~repro.parallel.tracing.use_progress` sink.
 
     ``sanitize`` attaches ShmSan (:mod:`repro.parallel.shmsan`): pass a
     :class:`~repro.parallel.shmsan.ShmSan` to share one across backends,
@@ -235,10 +236,8 @@ class ProcessBackend:
     def __init__(
         self,
         *,
-        start_method: str | None = None,
         timeout_seconds: float = 120.0,
         phase_timeout_seconds: float | None = None,
-        progress: ProgressFn | None = None,
         sanitize: "ShmSan | bool | None" = None,
         mutate: str | None = None,
         mutate_rank: int = 1,
@@ -246,11 +245,10 @@ class ProcessBackend:
         chaos: RealFaultPlan | None = None,
         retry: "RetryPolicy | bool | None" = None,
     ):
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
-        self.start_method = start_method
+        try:
+            self._ctx = multiprocessing.get_context("fork")
+        except ValueError:  # no fork on this platform
+            self._ctx = multiprocessing.get_context("spawn")
         self.timeout_seconds = timeout_seconds
         #: Per-collective deadline (None = only the global timeout); what
         #: turns a hung-but-alive rank into a prompt, rank-attributed
@@ -270,9 +268,6 @@ class ProcessBackend:
         else:
             self._retry = retry
         self._retry_explicit = retry is not None
-        #: Live heartbeat sink ``(rank, step, rows)``; an explicit argument
-        #: wins over the ambient :func:`~repro.parallel.tracing.use_progress`.
-        self._progress = progress
         if mutate is not None and mutate not in MUTATIONS:
             raise ValueError(
                 f"unknown mutation {mutate!r}; choose one of {MUTATIONS}"
@@ -480,12 +475,6 @@ class ProcessBackend:
                 "sort_blocks on a closed ProcessBackend; pools are retired "
                 "by close()/__exit__ and cannot be revived"
             )
-        if options.splitter_strategy != "sample":
-            raise ParallelBackendError(
-                f"the process backend agrees splitters by sampling only; "
-                f"splitter_strategy={options.splitter_strategy!r} is a simnet "
-                f"option (use backend='simnet' or splitter_strategy='sample')"
-            )
         if len(blocks) == 0:
             raise ValueError("need at least one block")
         blocks = [np.ascontiguousarray(b) for b in blocks]
@@ -633,18 +622,13 @@ class ProcessBackend:
         try:
             self._ensure_pool(size)
             dispatch_job(self._conns, spec)
-            progress = (
-                self._progress
-                if self._progress is not None
-                else ambient_progress()
-            )
             try:
                 reports: dict[int, WorkerReport] = serve_control_plane(
                     self._conns,
                     self._procs,
                     timeout_seconds=self.timeout_seconds,
                     phase_timeout_seconds=self.phase_timeout_seconds,
-                    progress=progress,
+                    progress=ambient_progress(),
                     san_sink=san.ingest if san is not None else None,
                     chaos=(
                         chaos.hub_state(job_id, attempt)

@@ -63,6 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.sorter_labels import STEP_LABELS
+from ..simnet.faults import prob_and_extra, rank_times_mult, spec_tokens, split_pair
 
 #: Collective ops a ``hang=`` entry may name (the WorkerLink vocabulary).
 COLLECTIVE_OPS = ("barrier", "gather", "bcast", "allgather")
@@ -83,16 +84,12 @@ def _parse_step(token: str) -> str:
     )
 
 
-def _parse_target(token: str, what: str) -> tuple[int | None, int, str]:
+def _parse_target(key: str, value: str) -> tuple[int | None, int, str]:
     """Parse ``RANK@WHERE[:JOB]`` into ``(job_or_None, rank, where)``."""
-    job: int | None = None
-    if ":" in token:
-        token, job_text = token.split(":", 1)
-        job = int(job_text)
-    if "@" not in token:
-        raise ValueError(f"{what} wants RANK@{'STEP' if what == 'kill' else 'OP'}[:JOB], got {token!r}")
-    rank_text, where = token.split("@", 1)
-    return job, int(rank_text), where
+    shape = f"RANK@{'STEP' if key == 'kill' else 'OP'}[:JOB]"
+    target, _, job = value.partition(":")
+    rank, where = split_pair(key, target, "@", shape)
+    return int(job) if job else None, int(rank), where
 
 
 @dataclass(frozen=True)
@@ -164,51 +161,29 @@ class RealFaultPlan:
             kill=1@3:0,kill=2@5:1,delay=0.2:0.01
             poison=3,slow=1x2.5,mute=0
         """
-        kills: list[tuple[int | None, int, str]] = []
-        poisoned: list[int] = []
-        hangs: list[tuple[int | None, int, str]] = []
-        muted: list[int] = []
-        slow: list[tuple[int, float]] = []
-        kwargs: dict = {}
-        for token in spec.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if "=" not in token:
-                raise ValueError(f"bad chaos token {token!r} (want key=value)")
-            key, value = token.split("=", 1)
-            key = key.strip()
-            if key == "kill":
-                kills.append(_parse_target(value, "kill"))
-            elif key == "poison":
-                poisoned.append(int(value))
-            elif key == "hang":
-                job, rank, op = _parse_target(value, "hang")
-                hangs.append((job, rank, op))
-            elif key == "delay":
-                if ":" in value:
-                    prob_text, spike_text = value.split(":", 1)
-                    kwargs["delay_spike_seconds"] = float(spike_text)
-                else:
-                    prob_text = value
-                kwargs["delay_probability"] = float(prob_text)
-            elif key == "mute":
-                muted.append(int(value))
+        entries: dict[str, list] = {
+            key: [] for key in ("kill", "poison", "hang", "mute", "slow")
+        }
+        fields: dict = {}
+        for key, value in spec_tokens(spec, (*entries, "delay")):
+            if key == "delay":
+                fields["delay_probability"], spike = prob_and_extra(value)
+                if spike is not None:
+                    fields["delay_spike_seconds"] = spike
+            elif key in ("kill", "hang"):
+                entries[key].append(_parse_target(key, value))
             elif key == "slow":
-                if "x" not in value:
-                    raise ValueError(f"slow wants RANKxMULT, got {value!r}")
-                rank_text, mult_text = value.split("x", 1)
-                slow.append((int(rank_text), float(mult_text)))
+                entries[key].append(rank_times_mult(value))
             else:
-                raise ValueError(f"unknown chaos key {key!r}")
+                entries[key].append(int(value))
         return cls(
             seed=seed,
-            kills=tuple(kills),
-            poisoned=tuple(poisoned),
-            hangs=tuple(hangs),
-            muted=tuple(muted),
-            slow=tuple(slow),
-            **kwargs,
+            kills=tuple(entries["kill"]),
+            poisoned=tuple(entries["poison"]),
+            hangs=tuple(entries["hang"]),
+            muted=tuple(entries["mute"]),
+            slow=tuple(entries["slow"]),
+            **fields,
         )
 
     def describe(self) -> str:

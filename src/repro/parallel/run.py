@@ -60,7 +60,7 @@ class BackendRun:
     #: Pool job id (0 on non-pooled backends).
     job_id: int = 0
     #: Splitter-cache verdict for this job (``cold``/``hit``/``miss``/
-    #: ``fallback-balance``/``fallback-forced``; None without a cache).
+    #: ``fallback-forced``; None without a cache).
     splitter_cache: str | None = None
     #: Failed attempts the retry layer burned before this run succeeded
     #: (0 on the fault-free path, which keeps reports bit-identical).

@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -71,11 +70,11 @@ from ..checks.hb import (
     EPOCH_PARENT_BEFORE,
     KEYS_AND_PERM,
     PARENT_RANK,
-    HbViolation,
     LeaseInfo,
     ShmAccess,
     analyze_accesses,
 )
+from ..simnet.sanitizer import SanReport, SanViolation
 
 #: Mutations the backend/worker can seed, for testing the detector itself.
 MUTATIONS = (
@@ -132,53 +131,6 @@ class AccessRecorder:
         return records
 
 
-@dataclass
-class ShmSanReport:
-    """Aggregate findings of one :class:`ShmSan` across its runs."""
-
-    violations: list[HbViolation] = field(default_factory=list)
-    #: Non-fatal observations: partial-run markers, skipped checks.
-    notes: list[dict] = field(default_factory=list)
-    runs: int = 0
-    accesses_recorded: int = 0
-    leases_tracked: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        head = (
-            f"ShmSan: {self.runs} run(s), {self.accesses_recorded} access "
-            f"interval(s) over {self.leases_tracked} lease(s) — "
-            f"{len(self.violations)} violation(s), {len(self.notes)} note(s)"
-        )
-        lines = [head]
-        lines.extend(
-            f"  [{v.kind}] rank {v.rank}: {v.message}" for v in self.violations
-        )
-        return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "repro.shmsan-report/1",
-            "ok": self.ok,
-            "runs": self.runs,
-            "accesses_recorded": self.accesses_recorded,
-            "leases_tracked": self.leases_tracked,
-            "violations": [
-                {
-                    "kind": v.kind,
-                    "rank": v.rank,
-                    "message": v.message,
-                    "details": dict(v.details),
-                }
-                for v in self.violations
-            ],
-            "notes": list(self.notes),
-        }
-
-
 class ShmSan:
     """Parent-side sanitizer for process-backend shared-memory runs.
 
@@ -191,7 +143,11 @@ class ShmSan:
     """
 
     def __init__(self) -> None:
-        self.report = ShmSanReport()
+        self.report = SanReport(
+            "ShmSan",
+            {"accesses_recorded": 0, "leases_tracked": 0},
+            "{} access interval(s) over {} lease(s)",
+        )
         # Per-run state, reset by begin_run().
         self._leases: list[LeaseInfo] = []
         self._accesses: list[ShmAccess] = []
@@ -238,7 +194,7 @@ class ShmSan:
                 continue
             if info.byte_lo < other.byte_hi and other.byte_lo < info.byte_hi:
                 self.report.violations.append(
-                    HbViolation(
+                    SanViolation(
                         "overlapping-lease",
                         PARENT_RANK,
                         f"lease {info.role!r} bytes "
@@ -256,7 +212,7 @@ class ShmSan:
                     )
                 )
         self._leases.append(info)
-        self.report.leases_tracked += 1
+        self.report.counts["leases_tracked"] += 1
 
     def parent_access(
         self, lease, lo: int, hi: int, kind: str, label: str,
@@ -284,7 +240,7 @@ class ShmSan:
         )
         if self._released:
             self.report.violations.append(
-                HbViolation(
+                SanViolation(
                     "stale-view",
                     PARENT_RANK,
                     f"parent {label} ({'write' if kind == 'w' else 'read'}) "
@@ -296,7 +252,7 @@ class ShmSan:
                 )
             )
         self._accesses.append(access)
-        self.report.accesses_recorded += 1
+        self.report.counts["accesses_recorded"] += 1
 
     def note_release(self) -> None:
         """Mark ``release_all``: later parent accesses are stale-view."""
@@ -307,7 +263,7 @@ class ShmSan:
         del rank  # records are self-describing; the arg mirrors san_sink
         for raw in records:
             self._accesses.append(ShmAccess.from_tuple(raw))
-        self.report.accesses_recorded += len(records)
+        self.report.counts["accesses_recorded"] += len(records)
 
     def finish_run(
         self,
@@ -315,7 +271,7 @@ class ShmSan:
         crashed_rank: int | None = None,
         crashed_step: str | None = None,
         exchanged: tuple[str, ...] = KEYS_AND_PERM,
-    ) -> ShmSanReport:
+    ) -> SanReport:
         """Run the happens-before analysis over everything recorded.
 
         ``exchanged`` names the lease roles the job's step 5 wrote (the
@@ -387,7 +343,7 @@ class ShmSan:
             fh.write("\n")
 
 
-def analyze_log(doc: dict) -> tuple[list[HbViolation], list[dict]]:
+def analyze_log(doc: dict) -> tuple[list[SanViolation], list[dict]]:
     """Re-run the analyzer over a captured ``repro.shmsan-log/1`` doc."""
     leases = [
         LeaseInfo(

@@ -1,18 +1,16 @@
 """The splitter/sample cache protocol, driver and worker halves together.
 
-The Histogram-Sort-with-Sampling idea from PAPERS.md, adapted to
-exactness.  The driver's :class:`SplitterCache` remembers committed epochs
-as ``(fingerprint, splitters)`` pairs and ships them on each
+The driver's :class:`SplitterCache` remembers committed epochs as
+``(fingerprint, splitters)`` pairs and ships them on each
 :class:`~repro.parallel.worker.JobSpec` as candidates.  Every rank still
 draws its regular samples, but instead of gathering the sample *arrays* it
-gathers a per-rank sample digest plus one cheap histogram per candidate
-(:func:`probe_candidates`); the Master combines the digests into the job's
-distribution fingerprint and, on an exact match with a balanced histogram,
-broadcasts the candidate index — the splitter selection is skipped
-entirely.  Because the fingerprint hashes the exact sample bytes, a cache
-hit *guarantees* the cached splitters equal what fresh selection would
-produce, so the output stays bit-identical to the oracle on every path;
-any miss, imbalance, or forced fallback rejoins the classic
+gathers a per-rank sample digest (:func:`probe_candidates`); the Master
+combines the digests into the job's distribution fingerprint and, on an
+exact match, broadcasts the candidate index — the splitter selection is
+skipped entirely.  Because the fingerprint hashes the exact sample bytes, a
+cache hit *guarantees* the cached splitters equal what fresh selection
+would produce, so the output stays bit-identical to the oracle on every
+path; a miss or a forced fallback rejoins the classic
 gather-samples/bcast-splitters path.
 """
 
@@ -25,10 +23,6 @@ import numpy as np
 
 from ..core.sorter import MASTER
 from .collectives import WorkerLink
-
-#: A matched candidate is usable only if the heaviest destination's
-#: histogram load stays under this multiple of the ideal ``n / p``.
-CACHE_BALANCE_TOLERANCE = 2.0
 
 
 @dataclass
@@ -113,25 +107,10 @@ def combine_sample_fingerprint(
     return acc.hexdigest()
 
 
-def _candidate_histogram(
-    sorted_keys: np.ndarray, splitters: np.ndarray, size: int
-) -> np.ndarray:
-    """Per-destination key counts this rank would send under ``splitters``.
-
-    One ``searchsorted`` over the already-sorted block — the "one cheap
-    histogram pass" that stands in for re-running selection when a
-    candidate's fingerprint matches.
-    """
-    cuts = sorted_keys.searchsorted(splitters, side="right")
-    bounds = np.concatenate(([0], cuts, [len(sorted_keys)]))
-    return np.diff(bounds[: size + 1]).astype(np.int64)
-
-
 def probe_candidates(
     link: WorkerLink,
     rank: int,
     size: int,
-    sorted_keys: np.ndarray,
     samples: np.ndarray,
     candidates: tuple[tuple[str, np.ndarray], ...],
     force_resample: bool,
@@ -139,23 +118,15 @@ def probe_candidates(
     """One rank's half of the cache probe: two collectives, one verdict.
 
     Returns ``(verdict, splitters, fingerprint)``: the verdict every rank
-    agrees on (``hit``/``miss``/``fallback-balance``/``fallback-forced``),
-    the cached splitters on a hit (``None`` otherwise, which sends the job
-    down the classic sampling path), and — on the Master only — the job's
-    exact fingerprint.
+    agrees on (``hit``/``miss``/``fallback-forced``), the cached splitters
+    on a hit (``None`` otherwise, which sends the job down the classic
+    sampling path), and — on the Master only — the job's exact fingerprint.
     """
-    digest = sample_digest(samples)
-    histograms = [
-        _candidate_histogram(sorted_keys, cand_splitters, size)
-        for _fp, cand_splitters in candidates
-    ]
-    probe = link.gather((digest, histograms), root=MASTER)
+    digests = link.gather(sample_digest(samples), root=MASTER)
     fingerprint = decision = None
     if rank == MASTER:
-        assert probe is not None
-        fingerprint = combine_sample_fingerprint(
-            [d for d, _h in probe], sorted_keys.dtype, size
-        )
+        assert digests is not None
+        fingerprint = combine_sample_fingerprint(digests, samples.dtype, size)
         chosen = next(
             (
                 i
@@ -169,12 +140,7 @@ def probe_candidates(
         elif force_resample:
             decision = ("fallback-forced", None)
         else:
-            loads = np.sum([h[chosen] for _d, h in probe], axis=0)
-            ideal = max(float(loads.sum()) / size, 1.0)
-            if float(loads.max()) / ideal > CACHE_BALANCE_TOLERANCE:
-                decision = ("fallback-balance", None)
-            else:
-                decision = ("hit", chosen)
+            decision = ("hit", chosen)
     verdict, chosen = link.bcast(decision, root=MASTER)
     splitters = candidates[chosen][1] if chosen is not None else None
     return verdict, splitters, fingerprint

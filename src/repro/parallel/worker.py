@@ -4,10 +4,10 @@ One process per rank runs :func:`worker_main`, a *persistent job loop*:
 the worker blocks on the control pipe for the next :class:`JobSpec`,
 resets its per-job state (collective sequence, ShmSan epoch clock,
 tracer), executes the paper's six steps over real OS parallelism, reports,
-and loops until the driver sends shutdown.  The step implementations are
-shared with the simulated sorter (:mod:`repro.core.steps`, regular
-sampling, Master splitter selection, the investigator), so the produced
-partitions are **bit-identical** to it and to the reference backend.
+and loops until the driver sends shutdown.  Every step body is the kernel
+the simulated sorter calls (:mod:`repro.core.steps`, one per step — this
+module adds only movement, clocks and hooks), so the produced partitions
+are **bit-identical** to it and to the reference backend.
 
 :func:`_run_six_steps` is six calls over a small per-job context
 (:class:`_Job`) that owns the hooks at the step edges — heartbeat and
@@ -50,11 +50,9 @@ from multiprocessing.connection import Connection
 import numpy as np
 
 from ..checks.hb import KEYS_AND_PERM
-from ..core.sampling import sample_count, select_regular_samples
 from ..core.scratch import ScratchArena
 from ..core.sorter import MASTER, STEP_LABELS, SortOptions
-from ..core.splitters import merge_samples, select_splitters
-from ..core.steps import BlockPartition, partition_block
+from ..core.steps import BlockPartition, agree_splitters, draw_samples, partition_block
 from ..pgxd.config import PgxdConfig
 from .arena import ShmLease
 from .collectives import WorkerLink
@@ -148,8 +146,7 @@ class WorkerReport:
     #: Event payload when the parent requested tracing (None otherwise).
     trace: WorkerTrace | None = None
     #: Splitter-cache verdict for this job: ``cold`` (no candidates
-    #: shipped), ``hit``, ``miss`` (fingerprint unknown),
-    #: ``fallback-balance`` (matched but histogram too skewed), or
+    #: shipped), ``hit``, ``miss`` (fingerprint unknown), or
     #: ``fallback-forced`` (``force_resample``).
     splitter_cache: str = "cold"
     #: Exact distribution fingerprint of this job (Master only) — what
@@ -296,20 +293,18 @@ def _sampling(job: _Job, path: DataPath) -> tuple[np.ndarray, np.ndarray | None]
 
     Samples are always drawn (they are cheap and they feed the exact
     fingerprint); what the cache changes is what crosses the control
-    plane: digests + histograms instead of the sample arrays.
+    plane: digests instead of the sample arrays.
     """
     plan, report = job.plan, job.report
-    count = sample_count(
-        plan.config, plan.size, path.sorted_block.dtype.itemsize,
-        plan.options.sample_factor,
+    samples = draw_samples(
+        path.sorted_block, plan.config, plan.size, plan.options.sample_factor
     )
-    samples = select_regular_samples(path.sorted_block, count)
     report.samples_sent = len(samples)
     splitters = None
     if plan.cached_candidates:
         report.splitter_cache, splitters, report.sample_fingerprint = probe_candidates(
-            job.link, job.rank, plan.size, path.sorted_block, samples,
-            plan.cached_candidates, plan.force_resample,
+            job.link, job.rank, plan.size, samples, plan.cached_candidates,
+            plan.force_resample,
         )
         if splitters is not None and job.rank == MASTER:
             report.splitters = splitters
@@ -327,7 +322,7 @@ def _splitters(job: _Job, path: DataPath, samples: np.ndarray) -> np.ndarray | N
     gathered = job.link.gather(samples, root=MASTER)
     if job.rank == MASTER:
         assert gathered is not None
-        splitters = report.splitters = select_splitters(merge_samples(gathered), size)
+        splitters = report.splitters = agree_splitters(gathered, size)
         if report.sample_fingerprint is None:
             report.sample_fingerprint = combine_sample_fingerprint(
                 [sample_digest(s) for s in gathered], path.sorted_block.dtype, size

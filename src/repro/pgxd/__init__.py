@@ -13,7 +13,6 @@ from .config import READ_BUFFER_BYTES, PgxdConfig
 from .csr import CsrGraph
 from .data_manager import DataManager
 from .ghost import GhostSelection, count_crossing_edges, select_ghosts
-from .graph import DistributedGraph, load_distributed_graph
 from .algorithms import (
     BfsResult,
     PageRankResult,
@@ -32,7 +31,6 @@ __all__ = [
     "BlockPartition",
     "CsrGraph",
     "DataManager",
-    "DistributedGraph",
     "EdgeChunk",
     "GhostSelection",
     "Machine",
@@ -52,7 +50,6 @@ __all__ = [
     "distributed_wcc",
     "exchange_arrays",
     "expected_chunks",
-    "load_distributed_graph",
     "num_flushes",
     "recv_array",
     "select_ghosts",

@@ -39,7 +39,7 @@ from .errors import (
 from .faults import FaultPlan, FaultState, active_fault_plan, chaos_schedules, inject_faults
 from .metrics import ClusterMetrics, MemoryTracker, ProcessMetrics
 from .network import Fabric, NetworkModel, NicState, gbit_per_s
-from .sanitizer import SimSan, SimSanReport, sanitize
+from .sanitizer import SanReport, SimSan, sanitize
 
 __all__ = [
     "ANY_SOURCE",
@@ -72,11 +72,11 @@ __all__ = [
     "Recv",
     "ReliableComm",
     "ResilienceConfig",
+    "SanReport",
     "Send",
     "SimError",
     "SimSan",
     "SimSanError",
-    "SimSanReport",
     "Simulator",
     "Sleep",
     "sanitize",

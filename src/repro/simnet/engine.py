@@ -258,7 +258,8 @@ class Simulator:
     trace:
         When true, record ``(time, rank, description)`` tuples in
         :attr:`trace_log` for debugging.  Deprecated in favour of the
-        structured ``tracer``; kept as a shim for the string-log tooling.
+        structured ``tracer``; the golden fingerprint of
+        :mod:`repro.analysis.determinism` counts its events.
     tracer:
         A :class:`repro.obs.Tracer` recording typed span/flow/counter
         events.  ``None`` (the default) also consults the ambient

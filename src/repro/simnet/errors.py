@@ -153,7 +153,7 @@ class MembershipError(SimError):
 class SimSanError(SimError):
     """Raised by strict sanitized runs when SimSan recorded violations.
 
-    Carries the full :class:`~repro.simnet.sanitizer.SimSanReport` on
+    Carries the full :class:`~repro.simnet.sanitizer.SanReport` on
     :attr:`report`; the message is the report's summary (one line per
     violation: use-after-Isend, leaked request, unmatched message, ...).
     """

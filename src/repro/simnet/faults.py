@@ -28,10 +28,54 @@ everything.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
+
+
+# ------------------------------------------------------- the spec grammar
+#
+# One grammar for this module's FaultPlan and the process backend's
+# RealFaultPlan (:mod:`repro.parallel.chaos`): comma-separated ``key=value``
+# tokens, and the value shapes the two share.  Each plan keeps only its own
+# key table.
+
+
+def spec_tokens(spec: str, keys: Sequence[str]) -> Iterator[tuple[str, str]]:
+    """``(key, value)`` per token of a fault spec, ``key`` one of ``keys``."""
+    for token in spec.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        key, sep, value = (part.strip() for part in token.partition("="))
+        if not sep:
+            raise ValueError(f"fault spec token {token!r} is not key=value")
+        if key not in keys:
+            raise ValueError(
+                f"unknown fault spec key {key!r} (want one of {list(keys)})"
+            )
+        yield key, value
+
+
+def split_pair(key: str, value: str, sep: str, shape: str) -> tuple[str, str]:
+    """Both sides of ``value`` around its first ``sep``, which ``shape`` requires."""
+    left, found, right = value.partition(sep)
+    if not found:
+        raise ValueError(f"fault spec {key} wants {shape}, got {value!r}")
+    return left, right
+
+
+def rank_times_mult(value: str) -> tuple[int, float]:
+    """The ``RANKxMULT`` shape of a ``slow=`` entry."""
+    rank, mult = split_pair("slow", value, "x", "RANKxMULT")
+    return int(rank), float(mult)
+
+
+def prob_and_extra(value: str) -> tuple[float, float | None]:
+    """The ``P[:EXTRA]`` shape: a number and an optional second one."""
+    prob, _, extra = value.partition(":")
+    return float(prob), float(extra) if extra else None
 
 
 @dataclass(frozen=True)
@@ -111,77 +155,52 @@ class FaultPlan:
             link=0-1:2.0[:EXTRA]   link 0->1 serializes 2x slower
                                    (+ EXTRA seconds of latency)
         """
-        kwargs: dict = {"seed": seed}
+        fields: dict = {"seed": seed}
+        extra_field = {
+            "dup": "dup_delay", "reorder": "reorder_delay", "delay": "delay_spike",
+        }
         crashes: list[tuple[int, float]] = []
         slow: list[tuple[int, float]] = []
         links: list[tuple[int, int, float, float]] = []
-        for token in spec.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            key, sep, value = token.partition("=")
-            if not sep:
-                raise ValueError(f"fault spec token {token!r} is not key=value")
-            key = key.strip()
-            value = value.strip()
-            if key in ("drop", "dup", "reorder", "delay"):
-                prob, _, extra = value.partition(":")
-                kwargs[f"{key}_prob"] = float(prob)
-                if extra:
-                    extra_field = {
-                        "dup": "dup_delay",
-                        "reorder": "reorder_delay",
-                        "delay": "delay_spike",
-                    }.get(key)
-                    if extra_field is None:
-                        raise ValueError(f"drop takes no extra parameter: {token!r}")
-                    kwargs[extra_field] = float(extra)
+        for key, value in spec_tokens(
+            spec, ("drop", "dup", "reorder", "delay", "crash", "slow", "link")
+        ):
+            if key == "drop":
+                fields["drop_prob"] = float(value)
+            elif key in extra_field:
+                fields[f"{key}_prob"], extra = prob_and_extra(value)
+                if extra is not None:
+                    fields[extra_field[key]] = extra
             elif key == "crash":
-                rank_s, sep2, t_s = value.partition("@")
-                if not sep2:
-                    raise ValueError(f"crash spec must be RANK@TIME: {token!r}")
-                crashes.append((int(rank_s), float(t_s)))
+                rank, when = split_pair(key, value, "@", "RANK@TIME")
+                crashes.append((int(rank), float(when)))
             elif key == "slow":
-                rank_s, sep2, m_s = value.partition("x")
-                if not sep2:
-                    raise ValueError(f"slow spec must be RANKxMULT: {token!r}")
-                slow.append((int(rank_s), float(m_s)))
-            elif key == "link":
-                ends, sep2, rest = value.partition(":")
-                if not sep2:
-                    raise ValueError(f"link spec must be SRC-DST:SLOWDOWN: {token!r}")
-                src_s, sep3, dst_s = ends.partition("-")
-                if not sep3:
-                    raise ValueError(f"link spec must be SRC-DST:SLOWDOWN: {token!r}")
-                slowdown_s, _, extra_s = rest.partition(":")
-                links.append(
-                    (
-                        int(src_s),
-                        int(dst_s),
-                        float(slowdown_s),
-                        float(extra_s) if extra_s else 0.0,
-                    )
-                )
+                slow.append(rank_times_mult(value))
             else:
-                raise ValueError(f"unknown fault spec key {key!r}")
+                ends, rest = split_pair(key, value, ":", "SRC-DST:SLOWDOWN[:EXTRA]")
+                src, dst = split_pair(key, ends, "-", "SRC-DST:SLOWDOWN[:EXTRA]")
+                slowdown, extra = prob_and_extra(rest)
+                links.append((int(src), int(dst), slowdown, extra or 0.0))
         return cls(
-            crashes=tuple(crashes), slow=tuple(slow), links=tuple(links), **kwargs
+            crashes=tuple(crashes), slow=tuple(slow), links=tuple(links), **fields
         )
 
     def describe(self) -> str:
-        """One-line human summary (CLI banner, test ids)."""
+        """One-line summary (CLI banner, chaos artifact); the part after the
+        seed is a spec :meth:`from_spec` parses back into this plan."""
         parts = []
-        for label, prob in (
-            ("drop", self.drop_prob),
-            ("dup", self.dup_prob),
-            ("reorder", self.reorder_prob),
-            ("delay", self.delay_prob),
+        if self.drop_prob:
+            parts.append(f"drop={self.drop_prob!r}")
+        for key, prob, extra in (
+            ("dup", self.dup_prob, self.dup_delay),
+            ("reorder", self.reorder_prob, self.reorder_delay),
+            ("delay", self.delay_prob, self.delay_spike),
         ):
             if prob:
-                parts.append(f"{label}={prob:g}")
-        parts.extend(f"crash={r}@{t:g}" for r, t in self.crashes)
-        parts.extend(f"slow={r}x{m:g}" for r, m in self.slow)
-        parts.extend(f"link={s}-{d}x{m:g}" for s, d, m, _ in self.links)
+                parts.append(f"{key}={prob!r}:{extra!r}")
+        parts.extend(f"crash={r}@{t!r}" for r, t in self.crashes)
+        parts.extend(f"slow={r}x{m!r}" for r, m in self.slow)
+        parts.extend(f"link={s}-{d}:{m!r}:{e!r}" for s, d, m, e in self.links)
         body = ",".join(parts) or "none"
         return f"FaultPlan(seed={self.seed}, {body})"
 
@@ -324,18 +343,3 @@ def chaos_schedules() -> list[tuple[str, FaultPlan]]:
         ("crash-at-t0", FaultPlan(seed=109, crashes=((5, 0.0),))),
         ("mixed", FaultPlan(seed=110, drop_prob=0.02, dup_prob=0.05, delay_prob=0.02)),
     ]
-
-
-# Keep dataclasses importable via `from repro.simnet.faults import *`-style
-# tooling without leaking the ambient-scope internals.
-__all__ = [
-    "FaultPlan",
-    "FaultState",
-    "inject_faults",
-    "active_fault_plan",
-    "chaos_schedules",
-]
-
-# `field` is intentionally unused today (kept out of the dataclass to stay
-# hashable); silence linters that flag the import by referencing it.
-_ = field

@@ -106,22 +106,31 @@ def fingerprint(payload: Any) -> str:
 class SanViolation:
     """One sanitizer finding: what went wrong, where."""
 
-    kind: str  #: use-after-isend | send-mutation | leaked-request | unmatched-message
-    rank: int  #: rank the finding is attributed to (sender or mailbox owner)
+    kind: str  #: e.g. use-after-isend | leaked-request | write-write-race
+    rank: int  #: rank the finding is attributed to (sender, mailbox owner, accessor)
     message: str
     details: dict = field(default_factory=dict)
 
 
 @dataclass
-class SimSanReport:
-    """Aggregate findings of one :class:`SimSan` across its runs."""
+class SanReport:
+    """Aggregate findings of one sanitizer across its runs.
 
+    SimSan and ShmSan (:mod:`repro.parallel.shmsan`) share it; each names
+    itself, its two counters and how :meth:`summary` words them.
+    """
+
+    #: The sanitizer's name: heads the summary and names the JSON schema.
+    name: str
+    #: What was counted, JSON key → count, in summary order.
+    counts: dict[str, int]
+    #: The summary's wording of the two counts (``str.format`` positional).
+    counted: str
     violations: list[SanViolation] = field(default_factory=list)
-    #: Non-fatal observations: tag-collision channels, deadlock diagnoses.
+    #: Non-fatal observations (tag collisions, deadlock diagnoses,
+    #: partial-run markers, skipped checks).
     notes: list[dict] = field(default_factory=list)
     runs: int = 0
-    messages_checked: int = 0
-    requests_tracked: int = 0
 
     @property
     def ok(self) -> bool:
@@ -129,8 +138,8 @@ class SimSanReport:
 
     def summary(self) -> str:
         head = (
-            f"SimSan: {self.runs} run(s), {self.messages_checked} message(s) "
-            f"checked, {self.requests_tracked} request(s) tracked — "
+            f"{self.name}: {self.runs} run(s), "
+            f"{self.counted.format(*self.counts.values())} — "
             f"{len(self.violations)} violation(s), {len(self.notes)} note(s)"
         )
         lines = [head]
@@ -141,11 +150,10 @@ class SimSanReport:
 
     def to_json(self) -> dict:
         return {
-            "schema": "repro.simsan-report/1",
+            "schema": f"repro.{self.name.lower()}-report/1",
             "ok": self.ok,
             "runs": self.runs,
-            "messages_checked": self.messages_checked,
-            "requests_tracked": self.requests_tracked,
+            **self.counts,
             "violations": [
                 {
                     "kind": v.kind,
@@ -172,7 +180,11 @@ class SimSan:
     """
 
     def __init__(self) -> None:
-        self.report = SimSanReport()
+        self.report = SanReport(
+            "SimSan",
+            {"messages_checked": 0, "requests_tracked": 0},
+            "{} message(s) checked, {} request(s) tracked",
+        )
         # Per-run state, reset by begin_run().
         self._digests: dict[int, tuple[str, bool]] = {}  # id(msg) -> (digest, nonblocking)
         self._in_flight: dict[tuple[int, int, int], int] = {}  # (src, dst, tag) -> count
@@ -209,7 +221,7 @@ class SimSan:
 
     def on_deliver(self, msg: "Message") -> None:
         """Re-check the payload fingerprint as the message lands."""
-        self.report.messages_checked += 1
+        self.report.counts["messages_checked"] += 1
         payload = msg.payload
         if isinstance(payload, Envelope) and payload.kind == "data":
             key = (payload.src, msg.dst, payload.seq)
@@ -372,7 +384,7 @@ class SimSan:
     def register_request(self, req: Any, rank: int, dest: int, tag: int) -> None:
         """Track a :class:`SimRequest`; the entry keeps it alive until
         :meth:`finish_run` so ``id(req)`` cannot be recycled mid-run."""
-        self.report.requests_tracked += 1
+        self.report.counts["requests_tracked"] += 1
         self._requests[id(req)] = {
             "req": req,
             "rank": rank,

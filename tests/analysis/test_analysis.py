@@ -1,87 +1,8 @@
-"""Tests for the analysis package: balance metrics, tables, calibration."""
+"""Tests for the analysis package: calibration and snapshot regression."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.analysis import (
-    BalanceReport,
-    compare_balance,
-    range_rows,
-    ratio_row,
-    run_checks,
-    summarize,
-    thread_efficiency_profile,
-    to_markdown,
-)
-
-
-class TestBalanceReport:
-    def test_perfect_balance(self):
-        r = BalanceReport(np.full(10, 100))
-        assert r.imbalance() == 1.0
-        assert r.spread() == 0
-        assert r.relative_spread() == 0.0
-        assert r.coefficient_of_variation() == 0.0
-
-    def test_skewed_counts(self):
-        r = BalanceReport(np.array([100, 100, 400]))
-        assert r.imbalance() == pytest.approx(2.0)
-        assert r.spread() == 300
-        assert r.total == 600
-
-    def test_ratios_sum_to_one(self):
-        r = BalanceReport(np.array([1, 2, 3, 4]))
-        assert r.ratios().sum() == pytest.approx(1.0)
-
-    def test_zero_counts(self):
-        r = BalanceReport(np.zeros(4, dtype=int))
-        assert r.imbalance() == 1.0
-        assert np.all(r.ratios() == 0)
-
-    def test_largest_equal_block(self):
-        r = BalanceReport(np.array([100, 100, 100, 100, 250, 250]))
-        assert r.largest_equal_block() == 4
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BalanceReport(np.array([[1, 2]]))
-        with pytest.raises(ValueError):
-            BalanceReport(np.array([], dtype=int))
-        with pytest.raises(ValueError):
-            BalanceReport(np.array([-1, 2]))
-
-    @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=60))
-    @settings(max_examples=60, deadline=None)
-    def test_imbalance_at_least_one(self, counts):
-        r = BalanceReport(np.array(counts))
-        assert r.imbalance() >= 1.0 or r.total == 0
-
-    def test_compare_balance(self):
-        out = compare_balance(
-            {"good": np.full(4, 25), "bad": np.array([97, 1, 1, 1])}
-        )
-        assert out["good"]["imbalance"] < out["bad"]["imbalance"]
-
-
-class TestTables:
-    def test_ratio_row(self):
-        row = ratio_row("uniform", np.array([0.25, 0.75]))
-        assert row == ["uniform", "25.000%", "75.000%"]
-
-    def test_range_rows_layout(self):
-        headers, rows = range_rows({2: [(0.0, 1.0), (1.0, 2.0)], 3: [(0, 1), (1, 2), (2, 3)]})
-        assert headers == ["proc", "p=2", "p=3"]
-        assert rows[2][1] == ""  # proc2 does not exist at p=2
-        assert rows[2][2] == "2.00 - 3.00"
-
-    def test_to_markdown(self):
-        md = to_markdown(["a", "b"], [[1, 2.5], ["x", "y"]])
-        lines = md.splitlines()
-        assert lines[0] == "| a | b |"
-        assert lines[1] == "|---|---|"
-        assert "2.500" in lines[2]
+from repro.analysis import run_checks, summarize, thread_efficiency_profile
 
 
 class TestCalibration:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.baselines import (
     assign_buckets,
     bitonic_sort,
-    naive_sample_sort,
     radix_sort,
 )
 from repro import distributed_sort
@@ -123,21 +122,30 @@ class TestRadix:
 
 
 class TestNaiveAblation:
+    """The paper's algorithm with its two mechanisms switched off."""
+
+    NAIVE = {"investigator": False, "balanced_merge": False}
+
     def test_naive_worse_on_duplicates(self):
         data = right_skewed(60_000, seed=1)
-        naive = naive_sample_sort(data, 10)
+        naive = distributed_sort(data, num_processors=10, **self.NAIVE)
         full = distributed_sort(data, num_processors=10)
         assert naive.is_globally_sorted()
         assert full.imbalance() < naive.imbalance()
 
     def test_single_switch_investigator_only(self):
         data = right_skewed(30_000, seed=2)
-        inv_only = naive_sample_sort(data, 8, investigator=True)
+        inv_only = distributed_sort(
+            data, num_processors=8, investigator=True, balanced_merge=False
+        )
         assert inv_only.is_globally_sorted()
         # Investigator alone restores balance even without balanced merge.
-        assert inv_only.imbalance() < naive_sample_sort(data, 8).imbalance()
+        naive = distributed_sort(data, num_processors=8, **self.NAIVE)
+        assert inv_only.imbalance() < naive.imbalance()
 
     def test_balanced_merge_only_still_sorts(self):
         data = right_skewed(30_000, seed=3)
-        res = naive_sample_sort(data, 8, balanced_merge=True)
+        res = distributed_sort(
+            data, num_processors=8, investigator=False, balanced_merge=True
+        )
         np.testing.assert_array_equal(res.to_array(), np.sort(data))

@@ -218,8 +218,8 @@ class TestMainsAndRegistry:
         assert set(EXPERIMENTS) == {
             "fig4", "fig5", "fig6", "fig7", "table2", "fig8", "table3",
             "fig9", "fig10", "fig11", "ablations", "baselines",
-            "buffer-sweep", "weak-scaling", "splitter-strategies",
-            "ghost-ablation", "straggler", "presorted", "network-sensitivity",
+            "buffer-sweep", "weak-scaling", "ghost-ablation", "straggler",
+            "presorted", "network-sensitivity",
         }
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))

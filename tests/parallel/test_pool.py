@@ -25,6 +25,8 @@ from repro.parallel import (
 )
 from repro.parallel.backend import MAX_PINNED_RESULTS
 from repro.parallel.shmsan import shm_sanitize
+from repro.parallel.tracing import use_progress
+from repro.workloads import right_skewed
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
@@ -164,8 +166,8 @@ class TestPoolStreaming:
                 closed_during.append(True)
                 backend.close()
 
-        backend._progress = close_on_first_heartbeat
-        run = backend.sort_blocks(blocks)
+        with use_progress(close_on_first_heartbeat):
+            run = backend.sort_blocks(blocks)
         _assert_bit_identical(reference, run)
         # The deferred close ran in the job's cleanup: pool retired.
         assert backend.worker_pids == []
@@ -189,6 +191,21 @@ class TestSplitterCache:
         assert stats["hits"] == 1 and stats["cold"] == 1
         _assert_bit_identical(reference, cold)
         _assert_bit_identical(reference, hit)
+
+    def test_recurring_duplicate_heavy_dataset_hits(self):
+        """The inputs the paper is about recur like any other: an exact
+        fingerprint match is a hit however the investigator must split it."""
+        blocks = list(partition_input(right_skewed(200_000, seed=7), 4)[0])
+        with ProcessBackend() as backend:
+            backend.sort_blocks(blocks)
+            hit = backend.sort_blocks(blocks)
+            resampled = backend.sort_blocks(blocks, force_resample=True)
+        assert hit.splitter_cache == "hit"
+        assert resampled.splitter_cache == "fallback-forced"
+        assert len(set(hit.splitters.tolist())) < 3  # a tie spans splitters
+        for run in (hit, resampled):
+            _assert_bit_identical(local_sample_sort(blocks), run)
+            _assert_bytes_equal_to_oracle(run, blocks)
 
     def test_different_distribution_misses(self):
         with ProcessBackend() as backend:

@@ -144,24 +144,6 @@ class TestOracleEquivalence:
             with pytest.raises(ParallelBackendError, match="dtype-uniform"):
                 backend.sort_blocks(blocks)
 
-    def test_histogram_strategy_is_rejected(self):
-        # The pool agrees splitters by sampling only; the simnet-only option
-        # used to run the sampling path without a word.
-        blocks = list(partition_input(_workloads()["uniform"], 2)[0])
-        options = SortOptions(splitter_strategy="histogram")
-        with ProcessBackend() as backend:
-            with pytest.raises(ParallelBackendError, match="splitter_strategy"):
-                backend.sort_blocks(blocks, options=options)
-            # Refused before any lease was taken or job id consumed ...
-            assert backend.arena.live_leases == 0
-            assert backend.pool_size is None and backend.stats["pool_spawns"] == 0
-            # ... and the pool is as usable as before.
-            run = backend.sort_blocks(blocks)
-            assert run.job_id == 0
-            _assert_bit_identical(local_sample_sort(blocks), run)
-            del run
-            assert backend.arena.live_leases == 0
-
 
 class TestSimnetEquivalence:
     def test_partitions_match_simnet(self):

@@ -62,8 +62,8 @@ class TestCleanRuns:
         assert san.report.runs == 1
         # input + keys + index + proc leases (for 8-byte keys the word
         # stream is the key lease itself), all four ranks flushing.
-        assert san.report.leases_tracked == 4
-        assert san.report.accesses_recorded > 4
+        assert san.report.counts["leases_tracked"] == 4
+        assert san.report.counts["accesses_recorded"] > 4
 
     def test_sanitizer_accumulates_across_sorts(self):
         _, blocks = _blocks(n=4_000)
@@ -91,7 +91,7 @@ class TestCleanRuns:
             with ProcessBackend(sanitize=False) as backend:
                 backend.sort_blocks(blocks)
         assert san.report.runs == 0
-        assert san.report.accesses_recorded == 0
+        assert san.report.counts["accesses_recorded"] == 0
 
     def test_unsanitized_backend_records_nothing(self):
         _, blocks = _blocks(n=4_000)
@@ -241,7 +241,7 @@ class TestWordPathStreams:
         run, san, doc, labels = self._sanitized(data, tmp_path)
         assert _paths(run) == {"through"}
         assert san.report.ok, san.report.summary()
-        assert san.report.leases_tracked == 5  # + the int64 word stream
+        assert san.report.counts["leases_tracked"] == 5  # + the int64 word stream
         assert doc["exchanged"] == ["words"]
         assert {"exchange-write", "merge-read", "merge-write", "index-write",
                 "proc-write", "key-write"} <= labels
@@ -328,7 +328,7 @@ class TestOfflineLog:
         doc = json.loads(log_path.read_text())
         assert doc["schema"] == "repro.shmsan-log/1"
         assert doc["complete"] is True
-        assert len(doc["accesses"]) == san.report.accesses_recorded
+        assert len(doc["accesses"]) == san.report.counts["accesses_recorded"]
         violations, _ = analyze_log(doc)
         assert violations == []
 

@@ -252,12 +252,12 @@ class TestLiveProgress:
         assert all(rows >= 0 for _, _, rows in beats)
 
     def test_explicit_progress_argument_wins(self):
+        # One route: the innermost ambient scope is the explicit choice.
         explicit, ambient = [], []
         rng = np.random.default_rng(9)
         blocks = list(partition_input(rng.integers(0, 1 << 30, 4_000).astype(np.int64), 2)[0])
         with use_progress(lambda *beat: ambient.append(beat)):
-            with ProcessBackend(
-                progress=lambda *beat: explicit.append(beat)
-            ) as backend:
-                backend.sort_blocks(blocks)
+            with ProcessBackend() as backend:
+                with use_progress(lambda *beat: explicit.append(beat)):
+                    backend.sort_blocks(blocks)
         assert explicit and not ambient

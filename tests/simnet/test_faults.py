@@ -67,6 +67,41 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan.from_spec("drop=0.1:2")
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "drop=0.05",
+            "dup=0.01:0.0001",
+            "reorder=0.1",
+            "delay=0.02:0.0005",
+            "crash=3@0.01",
+            "slow=2x1.5",
+            "link=0-1:4.0:1e-05",
+        ],
+    )
+    def test_describe_prints_a_spec_that_parses_back(self, spec):
+        plan = FaultPlan.from_spec(spec, seed=9)
+        head, _, body = plan.describe()[:-1].partition(", ")
+        assert head == "FaultPlan(seed=9"
+        assert FaultPlan.from_spec(body, seed=9) == plan
+
+    @pytest.mark.parametrize(
+        "token,complaint",
+        [
+            ("frob=1", "unknown fault spec key 'frob'"),
+            ("slow", "fault spec token 'slow' is not key=value"),
+            ("slow=3", "fault spec slow wants RANKxMULT, got '3'"),
+        ],
+        ids=["unknown-key", "no-equals", "wrong-shape"],
+    )
+    def test_both_plans_reject_a_bad_token_alike(self, token, complaint):
+        from repro.parallel import RealFaultPlan
+
+        for plan in (FaultPlan, RealFaultPlan):
+            with pytest.raises(ValueError) as excinfo:
+                plan.from_spec(f"slow=1x2,{token}")
+            assert complaint in str(excinfo.value)
+
     def test_describe_mentions_active_classes(self):
         text = FaultPlan(seed=4, drop_prob=0.1, crashes=((1, 0.5),)).describe()
         assert "drop=0.1" in text and "crash=1@0.5" in text and "seed=4" in text

@@ -216,7 +216,7 @@ class TestAmbientScope:
             mpi_run(2, program)
             mpi_run(2, program)
         assert san.report.runs == 2
-        assert san.report.messages_checked == 2
+        assert san.report.counts["messages_checked"] == 2
         assert san.report.ok
 
 

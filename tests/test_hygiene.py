@@ -88,13 +88,28 @@ class TestStructure:
             assert text.startswith('"""'), f"{path} lacks a module docstring"
 
     def test_benchmarks_cover_every_experiment(self):
+        """No orphan either way between the registry, its benchmarks and
+        EXPERIMENTS.md: every experiment has a ``bench_*.py`` importing its
+        module and a section or paragraph naming its key, and a benchmark
+        that imports from ``repro.experiments`` imports registered modules."""
+        import ast
+
         import repro.experiments as exp
 
-        bench_dir = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
-        bench_text = " ".join(p.read_text() for p in bench_dir.glob("bench_*.py"))
-        for name, module in exp.EXPERIMENTS.items():
-            mod_name = module.__name__.rsplit(".", 1)[-1]
-            assert mod_name in bench_text, f"experiment {name} has no benchmark"
+        root = SRC.parents[1]
+        registered = {m.__name__.rsplit(".", 1)[-1] for m in exp.EXPERIMENTS.values()}
+        benched = set()
+        for path in sorted((root / "benchmarks").glob("bench_*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module == "repro.experiments":
+                    benched.update(alias.name for alias in node.names)
+        assert benched == registered, (
+            f"experiments without a benchmark: {sorted(registered - benched)}; "
+            f"benchmarks of unregistered modules: {sorted(benched - registered)}"
+        )
+        results = (root / "EXPERIMENTS.md").read_text()
+        unnamed = [name for name in exp.EXPERIMENTS if f"`{name}`" not in results]
+        assert not unnamed, f"EXPERIMENTS.md names no result for: {unnamed}"
 
     #: Ratchet for ROADMAP item 3: the six steps and the pool stay cut at
     #: their seams.  No allowlist — split the function, don't list it.
@@ -147,7 +162,7 @@ class TestStructure:
 
     #: The step 2–4 kernels read ``sorted_keys`` through its own methods
     #: only, which is what lets packed words stand in for it.
-    BLOCK_READERS = ("core/sampling.py", "core/investigator.py", "parallel/splitter_cache.py")
+    BLOCK_READERS = ("core/sampling.py", "core/investigator.py")
 
     def test_steps_two_to_four_only_call_methods_on_the_sorted_block(self):
         import ast
@@ -206,6 +221,126 @@ class TestStructure:
                 if not (root / path).exists():
                     missing.append(f"{name}: {path}")
         assert not missing, f"docs cite paths that do not exist: {missing}"
+
+
+class TestReachability:
+    """ROADMAP item 6: a source module stays only while something that runs
+    imports it.  Roots are the public API, the experiments CLI and every
+    registered experiment, the ``python -m`` entry points CI calls, and every
+    script under ``benchmarks/`` and ``examples/`` — not tests.  ``from
+    package import name`` reaches the module that defines ``name``, followed
+    through the package ``__init__``; a re-export alone reaches nothing, and
+    neither does a bare ``import package``.
+    """
+
+    ROOTS = (
+        "repro.core.api",  # repro/__init__'s lazy API
+        "repro.core.result",
+        "repro.experiments.cli",
+        "repro.checks.__main__",
+        "repro.simnet.sanitizer",
+        "repro.obs.report",
+        "repro.parallel.shmsan",
+        "repro.analysis.determinism",
+    )
+    #: Unreachable on purpose, each with its reason.  Delete the module
+    #: rather than growing this.
+    ALLOWED = {
+        "repro.analysis.calibration": (
+            "the cost-model shape gate: tests/analysis runs it and "
+            "EXPERIMENTS.md cites it"
+        ),
+    }
+
+    def test_every_module_is_reached_by_something_that_runs(self):
+        import ast
+
+        import repro.experiments as exp
+
+        paths = {}
+        for path in _source_files():
+            parts = ("repro", *path.relative_to(SRC).with_suffix("").parts)
+            paths[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+        trees = {name: ast.parse(path.read_text()) for name, path in paths.items()}
+
+        def is_package(name):
+            return paths[name].name == "__init__.py"
+
+        def imports(tree, module=""):
+            """``(module, name)`` for every name ``tree`` imports from the package."""
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    yield from ((alias.name, None) for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    base = node.module or ""
+                    if node.level:
+                        here = module.split(".")
+                        here = here[: len(here) - node.level + is_package(module)]
+                        base = ".".join([*here, *filter(None, [node.module])])
+                    yield from ((base, alias.name) for alias in node.names)
+
+        def defining_module(base, name):
+            if base not in paths:
+                return None
+            if f"{base}.{name}" in paths:
+                return f"{base}.{name}"
+            if not is_package(base):
+                return base
+            if name is None:
+                return None  # bare ``import package``
+            for origin, exported in imports(trees[base], base):
+                if exported == name:
+                    return defining_module(origin, name)
+            return base  # defined in the __init__ itself
+
+        root = SRC.parents[1]
+        scripts = [
+            path for folder in ("benchmarks", "examples")
+            for path in sorted((root / folder).rglob("*.py"))
+        ]
+        todo = [*self.ROOTS, *(m.__name__ for m in exp.EXPERIMENTS.values())]
+        for path in scripts:
+            todo.extend(
+                defining_module(*imported)
+                for imported in imports(ast.parse(path.read_text()))
+            )
+        reached = set()
+        while todo:
+            module = todo.pop()
+            if module is None or module in reached:
+                continue
+            reached.add(module)
+            todo.extend(
+                defining_module(*imported)
+                for imported in imports(trees[module], module)
+            )
+        unreached = {
+            name for name in paths if name not in reached and not is_package(name)
+        }
+        assert unreached == set(self.ALLOWED), (
+            f"nothing that runs imports {sorted(unreached - set(self.ALLOWED))}; "
+            f"allowlisted but reached or gone: {sorted(set(self.ALLOWED) - unreached)}"
+        )
+
+    #: Steps 2–3 are written once: ``draw_samples``/``agree_splitters`` in
+    #: ``core/steps.py`` are the only callers of the four primitives.
+    STEP_2_3_PRIMITIVES = {
+        "sample_count", "select_regular_samples", "merge_samples", "select_splitters",
+    }
+
+    def test_only_the_step_kernels_call_the_sampling_primitives(self):
+        import ast
+
+        offenders = []
+        for path in _source_files():
+            if path == SRC / "core" / "steps.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in self.STEP_2_3_PRIMITIVES:
+                        offenders.append(f"{path.relative_to(SRC)}:{node.lineno}: {name}")
+        assert not offenders, f"steps 2-3 spelled outside core/steps.py: {offenders}"
 
 
 class TestPackageSurface:
