@@ -103,23 +103,20 @@ class DistributedSorter:
     def __init__(self, config: SortConfig | None = None, **overrides):
         """``overrides`` are conveniences lifted to the right sub-config:
         ``num_processors``, ``sample_factor``, ``investigator``,
-        ``balanced_merge``, ``track_provenance``, ``threads_per_machine``,
-        ``async_messaging``, ``read_buffer_bytes``, ``parallel_merge``,
-        ``data_scale``, ``network``, ``cost``, ``rank_speed``, ``faults``,
-        ``resilience``, ``backend``."""
+        ``balanced_merge``, ``threads_per_machine``, ``async_messaging``,
+        ``read_buffer_bytes``, ``data_scale``, ``network``, ``cost``,
+        ``rank_speed``, ``faults``, ``resilience``, ``backend``."""
         config = config or SortConfig()
         opt_fields = {
             "sample_factor",
             "investigator",
             "balanced_merge",
-            "track_provenance",
             "resilience",
         }
         pgxd_fields = {
             "threads_per_machine",
             "async_messaging",
             "read_buffer_bytes",
-            "parallel_merge",
             "data_scale",
         }
         opts = {k: v for k, v in overrides.items() if k in opt_fields}

@@ -173,26 +173,20 @@ def merge_levels_cost_seconds(
     tasks: TaskManager,
     cost: CostModel,
     *,
-    parallel: bool = True,
     scale: float = 1.0,
 ) -> float:
     """Virtual time to execute a merge level structure on one worker pool.
 
-    With ``parallel`` (the handler's behaviour) the merges of one level run
-    concurrently on the thread pool; otherwise every merge is a separate
-    sequential step — the difference the paper's handler was introduced to
-    remove.  ``scale`` is the config's virtual-data multiplier: each real
-    key merged stands for ``scale`` modeled keys.  Takes the bare level
-    sizes (see :func:`merge_levels`) so the cost can be charged without
-    materializing a :class:`MergeOutcome`.
+    The merges of one level run concurrently on the thread pool (the
+    handler's behaviour).  ``scale`` is the config's virtual-data
+    multiplier: each real key merged stands for ``scale`` modeled keys.
+    Takes the bare level sizes (see :func:`merge_levels`) so the cost can be
+    charged without materializing a :class:`MergeOutcome`.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
     total = 0.0
     for level in levels:
         per_merge = [size * scale / cost.merge_rate for size in level]
-        if parallel:
-            total += tasks.parallel_time(per_merge)
-        else:
-            total += sum(per_merge) + cost.task_region_overhead * len(per_merge)
+        total += tasks.parallel_time(per_merge)
     return total

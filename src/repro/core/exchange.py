@@ -55,15 +55,15 @@ class ExchangeResult:
     #: into ``key_buffer``.
     key_runs: list[np.ndarray]
     #: Origin-index run aligned with each key run (views into
-    #: ``index_buffer``; empty arrays without provenance).
+    #: ``index_buffer``).
     index_runs: list[np.ndarray]
     #: counts_matrix[src][dst] = keys sent from src to dst (global view).
     counts_matrix: np.ndarray
     #: All received keys back to back in source order (may be a scratch
     #: lease — valid until the arena is released).
     key_buffer: np.ndarray
-    #: Origin indices aligned with ``key_buffer`` (None without provenance).
-    index_buffer: np.ndarray | None
+    #: Origin indices aligned with ``key_buffer``.
+    index_buffer: np.ndarray
     #: Prefix offsets of each source's region: run ``src`` occupies
     #: ``key_buffer[run_offsets[src]:run_offsets[src + 1]]``.
     run_offsets: np.ndarray
@@ -76,7 +76,7 @@ def _pending_chunks(
     recv_counts: np.ndarray,
     rank: int,
     key_itemsize: int,
-    idx_itemsize: int | None,
+    idx_itemsize: int,
     config: PgxdConfig,
 ) -> int:
     """Messages this rank will receive, from the announced counts.
@@ -93,8 +93,6 @@ def _pending_chunks(
         rb = config.read_buffer_bytes
         pending = 0
         for itemsize in (key_itemsize, idx_itemsize):
-            if itemsize is None:
-                continue
             flushes = -(-(remote * itemsize) // rb)
             pending += int(np.minimum(flushes, MAX_CHUNKS_PER_TRANSFER).sum())
         return pending
@@ -103,8 +101,7 @@ def _pending_chunks(
         if nkeys == 0:
             continue
         pending += expected_chunks(int(nkeys) * key_itemsize, config)
-        if idx_itemsize is not None:
-            pending += expected_chunks(int(nkeys) * idx_itemsize, config)
+        pending += expected_chunks(int(nkeys) * idx_itemsize, config)
     return pending
 
 
@@ -115,7 +112,6 @@ def exchange_partitions(
     partition: BlockPartition,
     config: PgxdConfig,
     *,
-    track_provenance: bool = True,
     copy_seconds_per_byte: float = 0.0,
     scratch: ScratchArena | None = None,
 ) -> Generator:
@@ -161,9 +157,10 @@ def exchange_partitions(
     # mutable call object per stream serves all inline sends, skipping
     # thousands of dataclass constructions per run (the reuse license is
     # spelled out in the calls-module contract).
-    streams = [(sorted_keys, send_cls(dst=rank, nbytes=0, tag=TAG_KEYS))]
-    if track_provenance:
-        streams.append((origin_index, send_cls(dst=rank, nbytes=0, tag=TAG_INDEX)))
+    streams = [
+        (sorted_keys, send_cls(dst=rank, nbytes=0, tag=TAG_KEYS)),
+        (origin_index, send_cls(dst=rank, nbytes=0, tag=TAG_INDEX)),
+    ]
     yield Mark("exchange:send")
     for offset in range(1, size):
         dst = (rank + offset) % size
@@ -179,7 +176,7 @@ def exchange_partitions(
                 yield from send_array(machine_proc, dst, chunk, send.tag, config)
     yield Mark("exchange:send", event="end")
     key_dtype = sorted_keys.dtype
-    idx_dtype = np.dtype(origin_index.dtype) if track_provenance else np.dtype(np.int64)
+    idx_dtype = origin_index.dtype
     # Offset-addressed reassembly, deferred: the drain loop only *collects*
     # arriving chunks (one list per source; chunks from one source arrive
     # in FIFO order), then each stream's receive buffer is assembled with a
@@ -194,11 +191,7 @@ def exchange_partitions(
     key_parts: list[list[np.ndarray]] = [[] for _ in range(size)]
     idx_parts: list[list[np.ndarray]] = [[] for _ in range(size)]
     pending = _pending_chunks(
-        recv_counts,
-        rank,
-        key_dtype.itemsize,
-        idx_dtype.itemsize if track_provenance else None,
-        config,
+        recv_counts, rank, key_dtype.itemsize, idx_dtype.itemsize, config
     )
     # One wildcard spec serves every receive: call objects are read-only
     # value objects and at most one Recv per rank is outstanding, so the
@@ -230,8 +223,7 @@ def exchange_partitions(
     # The local partition is a run like any other; it skips the network.
     sl = out_slices[rank]
     key_parts[rank].append(sorted_keys[sl])
-    if track_provenance:
-        idx_parts[rank].append(origin_index[sl])
+    idx_parts[rank].append(origin_index[sl])
     # Every chunk from one source views one sender-side array, so a dtype
     # mismatch with the receive buffer is a whole-source property, visible
     # on the first chunk; ``concatenate(out=)`` would cast it silently.
@@ -249,18 +241,15 @@ def exchange_partitions(
     # announced totals: a short or long stream is a shape error.
     if scratch is not None:
         key_buf = scratch.take(total, key_dtype)
-        idx_buf = scratch.take(total, idx_dtype) if track_provenance else None
+        idx_buf = scratch.take(total, idx_dtype)
     else:
         key_buf = np.empty(total, dtype=key_dtype)
-        idx_buf = np.empty(total, dtype=idx_dtype) if track_provenance else None
+        idx_buf = np.empty(total, dtype=idx_dtype)
     bounds = run_offsets.tolist()
     np.concatenate([p for parts in key_parts for p in parts], out=key_buf)
     key_runs = [key_buf[bounds[s] : bounds[s + 1]] for s in range(size)]
-    if track_provenance:
-        np.concatenate([p for parts in idx_parts for p in parts], out=idx_buf)
-        index_runs = [idx_buf[bounds[s] : bounds[s + 1]] for s in range(size)]
-    else:
-        index_runs = [np.empty(0, dtype=np.int64)] * size
+    np.concatenate([p for parts in idx_parts for p in parts], out=idx_buf)
+    index_runs = [idx_buf[bounds[s] : bounds[s + 1]] for s in range(size)]
     return ExchangeResult(
         key_runs, index_runs, counts_matrix, key_buf, idx_buf, run_offsets
     )

@@ -53,7 +53,6 @@ def parallel_quicksort(
     keys: np.ndarray,
     *,
     balanced: bool = True,
-    track_perm: bool = True,
 ) -> LocalSortResult:
     """Sort ``keys`` with the step-1 strategy; returns data + virtual cost.
 
@@ -66,9 +65,7 @@ def parallel_quicksort(
     keys = np.asarray(keys)
     n = len(keys)
     threads = machine.threads
-    sorted_keys, perm, _path = sort_block(keys, track_perm)
-    if perm is None:
-        perm = np.empty(0, dtype=np.int64)  # placeholder: no permutation consumer
+    sorted_keys, perm, _path = sort_block(keys)
     if n == 0:
         return LocalSortResult(sorted_keys, perm, 0.0)
     chunk_slices = split_into_chunks(n, min(threads, n))
@@ -88,10 +85,6 @@ def parallel_quicksort(
         [sl.stop - sl.start for sl in chunk_slices], balanced=balanced
     )
     seconds += merge_levels_cost_seconds(
-        levels,
-        machine.tasks,
-        machine.cost,
-        parallel=machine.config.parallel_merge,
-        scale=scale,
+        levels, machine.tasks, machine.cost, scale=scale
     )
     return LocalSortResult(sorted_keys, perm, seconds)

@@ -390,9 +390,8 @@ def sort_runs_in_place(buffer: np.ndarray, run_lengths: Sequence[int]) -> None:
     """Sort a buffer of back-to-back sorted runs where it lies.
 
     For callers to whom the sort kind is unobservable — unique packed
-    words, or values-only integer keys — so the kernel is picked by run
-    count alone: the run-adaptive stable sort for few runs, the default
-    kernel for many.
+    words — so the kernel is picked by run count alone: the run-adaptive
+    stable sort for few runs, the default kernel for many.
     """
     runs = sum(1 for length in run_lengths if length)
     buffer.sort(kind="stable" if runs <= GALLOP_MAX_RUNS else None)

@@ -116,16 +116,14 @@ def _bill(out: RankSortOutput, step: int, seconds: float) -> None:
     out.step_seconds[label] = out.step_seconds.get(label, 0.0) + seconds
 
 
-def _stream_complete(src: int, exch: _ExchangeOutcome, track: bool) -> bool:
+def _stream_complete(src: int, exch: _ExchangeOutcome) -> bool:
     fin = exch.fins.get(src)
     if fin is None:
         return False
     nk, ni, _count = fin
     if len(exch.kparts.get(src, ())) != nk:
         return False
-    if track and len(exch.iparts.get(src, ())) != ni:
-        return False
-    return True
+    return len(exch.iparts.get(src, ())) == ni
 
 
 def _send_stream(machine: "Machine", rc: ReliableComm, dst: int, channel: str, arr: np.ndarray, round_no: int, read_buffer: int):
@@ -225,7 +223,6 @@ def _exchange_round(machine: "Machine", rc: ReliableComm, inbox: _Inbox, sorted_
     rank, size = machine.rank, machine.size
     cfg, cost = machine.config, machine.cost
     rcfg = rc.config
-    track = options.track_provenance
     p_r = len(alive)
     exch = _ExchangeOutcome()
 
@@ -250,7 +247,7 @@ def _exchange_round(machine: "Machine", rc: ReliableComm, inbox: _Inbox, sorted_
     sent_counts = np.zeros(size, dtype=np.int64)
     my_pos = alive.index(rank)
     exch.local_k = sorted_keys[slices[my_pos]]
-    exch.local_i = origin[slices[my_pos]] if track else None
+    exch.local_i = origin[slices[my_pos]]
     sent_counts[rank] = len(exch.local_k)
     read_buffer = max(1, cfg.read_buffer_bytes)
     for offset in range(1, p_r):
@@ -260,9 +257,7 @@ def _exchange_round(machine: "Machine", rc: ReliableComm, inbox: _Inbox, sorted_
         seg = sorted_keys[sl]
         sent_counts[dst] = len(seg)
         nk = yield from _send_stream(machine, rc, dst, "k", seg, round_no, read_buffer)
-        ni = 0
-        if track:
-            ni = yield from _send_stream(machine, rc, dst, "i", origin[sl], round_no, read_buffer)
+        ni = yield from _send_stream(machine, rc, dst, "i", origin[sl], round_no, read_buffer)
         yield from rc.send(dst, "fin", (nk, ni, len(seg)), round_no)
     exch.sent_counts = sent_counts
 
@@ -284,9 +279,7 @@ def _exchange_round(machine: "Machine", rc: ReliableComm, inbox: _Inbox, sorted_
         now = yield Now()
         if progress:
             deadline = now + rcfg.phase_timeout
-        done_recv = all(
-            _stream_complete(r, exch, track) or r in rc.dead for r in expected
-        )
+        done_recv = all(_stream_complete(r, exch) or r in rc.dead for r in expected)
         done_send = rc.pending_to(alive_set - rc.dead) == 0
         if done_recv and done_send:
             break
@@ -296,7 +289,7 @@ def _exchange_round(machine: "Machine", rc: ReliableComm, inbox: _Inbox, sorted_
         yield from _pump(rc, inbox, deadline)
 
     for r in expected:
-        if r in rc.dead or not _stream_complete(r, exch, track):
+        if r in rc.dead or not _stream_complete(r, exch):
             exch.suspects.add(r)
     rc.failed.clear()  # peer deaths are handled via suspects, not raises
     exch.ok = not exch.suspects
@@ -372,7 +365,6 @@ def resilient_sort_program(machine: "Machine", local_keys: np.ndarray, options: 
     rank, size = machine.rank, machine.size
     cfg = machine.config
     out = RankSortOutput(keys=keys, provenance=Provenance.empty())
-    track = options.track_provenance
 
     # ---- step 1: local sort (the lossless program's own step)
     local, _t1 = yield local_sort_step(machine, keys, options, out)
@@ -451,21 +443,19 @@ def resilient_sort_program(machine: "Machine", local_keys: np.ndarray, options: 
         if src == rank:
             received_counts[src] = len(exch.local_k)
             key_parts.append(exch.local_k)
-            if track:
-                idx_parts.append(exch.local_i)
+            idx_parts.append(exch.local_i)
             continue
         nk, ni, count = exch.fins[src]
         received_counts[src] = count
         kparts, iparts = exch.kparts.get(src, {}), exch.iparts.get(src, {})
         key_parts.extend(kparts[i] for i in range(nk))
-        if track:
-            idx_parts.extend(iparts[i] for i in range(ni))
+        idx_parts.extend(iparts[i] for i in range(ni))
     yield merge_step(
         machine,
         options,
         out,
         np.concatenate(key_parts),
-        np.concatenate(idx_parts) if track else None,
+        np.concatenate(idx_parts),
         [int(received_counts[src]) for src in committed_alive],
         sources=committed_alive,
     )

@@ -266,8 +266,6 @@ class SortResult:
     def origin_of(self, processor: int, local_index: int) -> tuple[int, int]:
         """(previous processor, previous local index) of a sorted entry."""
         prov = self.provenance[processor]
-        if len(prov) == 0:
-            raise ValueError("sort was run without provenance tracking")
         return int(prov.origin_proc[local_index]), int(prov.origin_index[local_index])
 
     def gather_values(self, values: np.ndarray) -> np.ndarray:
@@ -285,7 +283,7 @@ class SortResult:
         parts = []
         for rank, prov in enumerate(self.provenance):
             if len(prov) != len(self.per_processor[rank]):
-                raise ValueError("sort was run without provenance tracking")
+                raise ValueError(f"provenance does not cover partition {rank}")
             parts.append(values[prov.global_indices(self.input_offsets)])
         return np.concatenate(parts) if parts else values[:0]
 

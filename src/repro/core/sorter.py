@@ -44,7 +44,11 @@ from .sorter_labels import STEP_LABELS  # noqa: E402  (re-exported)
 
 @dataclass(frozen=True)
 class SortOptions:
-    """Algorithm-level switches (the runtime knobs live in PgxdConfig)."""
+    """Algorithm-level switches (the runtime knobs live in PgxdConfig).
+
+    Provenance is not one of them: step 6 keeps the origin processor and
+    index of every element (section IV), on every run.
+    """
 
     #: Multiplier on the paper's X = 256KB/p sampling budget (Figure 9).
     sample_factor: float = 1.0
@@ -52,8 +56,6 @@ class SortOptions:
     investigator: bool = True
     #: Balanced pairwise merging; False = sequential fold (ablation).
     balanced_merge: bool = True
-    #: Track origin processor/index through the pipeline.
-    track_provenance: bool = True
     #: Reliable-exchange knobs used when a fault plan is attached to the
     #: run (None = :class:`repro.simnet.comm.ResilienceConfig` defaults).
     #: Ignored on fault-free runs, which take the lossless fast path.
@@ -99,18 +101,12 @@ def local_sort_step(
     """
     t0 = yield Now()
     yield Mark(STEP_LABELS[0])
-    local = parallel_quicksort(
-        machine,
-        keys,
-        balanced=options.balanced_merge,
-        track_perm=options.track_provenance,
-    )
+    local = parallel_quicksort(machine, keys, balanced=options.balanced_merge)
     yield machine.compute(local.seconds, STEP_LABELS[0])
     # Figure 11 accounting: the sort's resident overhead is the permutation
     # (later the provenance); the dataset itself belongs to the engine's
     # data store and is not billed to the sort.
-    if options.track_provenance:
-        machine.data.store("perm", local.perm)
+    machine.data.store("perm", local.perm)
     t1 = yield Now()
     yield Mark(STEP_LABELS[0], event="end")
     out.step_seconds[STEP_LABELS[0]] = t1 - t0
@@ -122,18 +118,17 @@ def merge_step(
     options: SortOptions,
     out: RankSortOutput,
     key_buffer: np.ndarray,
-    index_buffer: np.ndarray | None,
+    index_buffer: np.ndarray,
     run_lengths: list[int],
     sources: "list[int] | None" = None,
 ):
     """Step 6 on one machine: merge the received runs into ``out``.
 
-    ``key_buffer``/``index_buffer`` (None without provenance) hold one
-    sorted run per source back to back (``run_lengths``; ``sources`` names
-    the origin ranks when they are not ``0..k-1``, as after a crash).  The flat kernel merges them in one
+    ``key_buffer``/``index_buffer`` hold one sorted run per source back to
+    back (``run_lengths``; ``sources`` names the origin ranks when they are
+    not ``0..k-1``, as after a crash).  The flat kernel merges them in one
     pass; the *charged* shape is the handler's (or the fold's) levels.
     """
-    cfg = machine.config
     yield Mark(STEP_LABELS[5])
     t_begin = yield Now()
     received_bytes = machine.data.scaled(int(key_buffer.nbytes))
@@ -152,19 +147,15 @@ def merge_step(
             outcome.levels,
             machine.tasks,
             machine.cost,
-            parallel=cfg.parallel_merge,
-            scale=cfg.data_scale,
+            scale=machine.config.data_scale,
         ),
         STEP_LABELS[5],
     )
     machine.data.memory.free(received_bytes, temporary=True)
-    if options.track_provenance:
-        prov = Provenance(origin_proc=outcome.aux[1], origin_index=outcome.aux[0])
-        machine.data.store("origin_proc", prov.origin_proc)
-        machine.data.store("origin_index", prov.origin_index)
-        machine.data.drop("perm")
-    else:
-        prov = Provenance.empty()
+    prov = Provenance(origin_proc=outcome.aux[1], origin_index=outcome.aux[0])
+    machine.data.store("origin_proc", prov.origin_proc)
+    machine.data.store("origin_index", prov.origin_index)
+    machine.data.drop("perm")
     t_end = yield Now()
     yield Mark(STEP_LABELS[5], event="end")
     out.step_seconds[STEP_LABELS[5]] = t_end - t_begin
@@ -193,17 +184,12 @@ def sample_sort_program(machine: Machine, local_keys: np.ndarray, options: SortO
 
     if size == 1:
         # Single machine: the local sort is the whole story.
-        prov = (
-            Provenance(np.zeros(len(keys), dtype=np.int16), local.perm)
-            if options.track_provenance
-            else Provenance.empty()
-        )
         for label in STEP_LABELS[1:]:
             out.step_seconds[label] = 0.0
             yield Mark(label)
             yield Mark(label, event="end")
         out.keys = local.keys
-        out.provenance = prov
+        out.provenance = Provenance(np.zeros(len(keys), dtype=np.int16), local.perm)
         out.sent_counts = np.array([len(keys)], dtype=np.int64)
         out.received_counts = np.array([len(keys)], dtype=np.int64)
         return out
@@ -263,7 +249,6 @@ def sample_sort_program(machine: Machine, local_keys: np.ndarray, options: SortO
         local.perm,
         part,
         cfg,
-        track_provenance=options.track_provenance,
         copy_seconds_per_byte=1.0 / cost.copy_bandwidth,
         scratch=machine.scratch,
     )

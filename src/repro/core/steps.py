@@ -25,20 +25,14 @@ from .scratch import ScratchArena
 from .splitters import merge_samples, select_splitters
 
 
-def sort_block(
-    block: np.ndarray, track: bool
-) -> tuple[np.ndarray, np.ndarray | None, str | None]:
+def sort_block(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
     """Step 1: ``(sorted_keys, perm, path)`` for one rank's block.
 
-    With provenance the stable kernel of :mod:`repro.core.packsort` runs
-    (``path`` names which: ``"packed"``/``"stable"``) and ``perm`` is its
-    order as int32 — local indexes stay below 2^31 at any modeled scale,
-    and it halves the provenance footprint.  Without, values-only output is
-    identical under any sort kind, so the default vectorized ``np.sort``
-    runs and ``perm``/``path`` are ``None``.
+    The stable kernel of :mod:`repro.core.packsort` runs (``path`` names
+    which: ``"packed"``/``"stable"``) and ``perm`` is its order as int32 —
+    local indexes stay below 2^31 at any modeled scale, and it halves the
+    provenance footprint.
     """
-    if not track:
-        return np.sort(block), None, None
     sorted_keys, order, path = stable_sort_with_order(block)
     return sorted_keys, order.astype(np.int32), path
 
@@ -89,7 +83,7 @@ def partition_block(
 
 def merge_received(
     key_buffer: np.ndarray,
-    index_buffer: np.ndarray | None,
+    index_buffer: np.ndarray,
     run_lengths: Sequence[int],
     balanced: bool,
     *,
@@ -99,14 +93,11 @@ def merge_received(
     """Step 6 of the keys + perm path: merge the received runs.
 
     ``key_buffer`` holds one sorted run per source back to back
-    (``run_lengths``), ``index_buffer`` the origin indices aligned with it
-    (``None`` without provenance).  The origin-processor column — constant
-    over each run: ``sources[i]``, by default ``i`` — is built here and
-    nowhere else.  The outcome's ``aux`` is ``[origin_index, origin_proc]``
-    (empty without provenance), never aliasing the inputs or ``scratch``.
+    (``run_lengths``), ``index_buffer`` the origin indices aligned with it.
+    The origin-processor column — constant over each run: ``sources[i]``, by
+    default ``i`` — is built here and nowhere else.  The outcome's ``aux`` is
+    ``[origin_index, origin_proc]``, never aliasing the inputs or ``scratch``.
     """
-    if index_buffer is None:
-        return flat_kway_merge(key_buffer, run_lengths, balanced=balanced)
     n = len(key_buffer)
     proc_col = (
         scratch.take(n, np.int16) if scratch is not None else np.empty(n, np.int16)

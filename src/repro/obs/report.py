@@ -86,7 +86,7 @@ class RankReport:
     #: ``"packed"`` (the job's key frame did not fit: keys + perm were
     #: exchanged and k-way merged) or ``"stable"`` (step 1 also ran the
     #: stable argsort).  None — key absent from the JSON, like ``faults``
-    #: — on the word path, without provenance, and under simnet.
+    #: — on the word path and under simnet.
     local_sort_path: str | None = None
 
 

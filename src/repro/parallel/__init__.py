@@ -16,7 +16,7 @@ Layout:
   function per step, the zero-copy shm all-to-all exchange, the warm
   segment cache;
 * :mod:`repro.parallel.datapath` — what a job sorts, exchanges and merges
-  (packed words / keys + perm / values only), chosen once in step 1;
+  (packed words / keys + perm), chosen once in step 1;
 * :mod:`repro.parallel.splitter_cache` — the splitter-cache protocol:
   the driver's :class:`SplitterCache` and the workers' probe;
 * :mod:`repro.parallel.backend` — the backend abstraction
@@ -57,7 +57,6 @@ from .backend import (
     ProcessBackend,
     default_backend,
     resolve_backend,
-    set_default_backend,
     use_backend,
 )
 from .retry import RetryPolicy
@@ -135,7 +134,6 @@ __all__ = [
     "merge_worker_traces",
     "peak_rss_bytes",
     "resolve_backend",
-    "set_default_backend",
     "shm_sanitize",
     "use_backend",
     "use_progress",

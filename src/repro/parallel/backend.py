@@ -17,12 +17,11 @@ virtual seconds there, wall seconds here.
 
 Backend selection: :class:`~repro.core.api.SortConfig` takes
 ``backend="process"`` explicitly, or an ambient default installed with
-:func:`use_backend` / :func:`set_default_backend` (how the experiments
-CLI's ``--backend`` flag reaches every sorter an experiment builds).
-Both accept a backend *instance* as well as a name, which is how one warm
-pool is shared: ``use_backend(ProcessBackend())`` routes every sort in the
-scope through it (and the scope does **not** close the instance — its
-owner does).
+:func:`use_backend` (how the experiments CLI's ``--backend`` flag reaches
+every sorter an experiment builds).  Both accept a backend *instance* as
+well as a name, which is how one warm pool is shared:
+``use_backend(ProcessBackend())`` routes every sort in the scope through it
+(and the scope does **not** close the instance — its owner does).
 
 The :class:`ProcessBackend` is a **persistent worker pool**: the rank
 processes are spawned on first use, parked in
@@ -78,12 +77,6 @@ def default_backend() -> "str | ExecutionBackend":
     shared pool installed with :func:`use_backend`).
     """
     return _default_backend
-
-
-def set_default_backend(name: "str | ExecutionBackend") -> None:
-    """Install the ambient default backend (a name or a live instance)."""
-    global _default_backend
-    _default_backend = _validated(name)
 
 
 @contextmanager
@@ -144,23 +137,21 @@ class JobLeases:
 
     input: ShmLease
     keys: ShmLease
-    index: ShmLease | None
-    proc: ShmLease | None
+    index: ShmLease
+    proc: ShmLease
     words: ShmLease | None
 
     @classmethod
-    def allocate(
-        cls, arena: SharedArena, n: int, key_dtype: np.dtype, track: bool
-    ) -> "JobLeases":
+    def allocate(cls, arena: SharedArena, n: int, key_dtype: np.dtype) -> "JobLeases":
         input_lease = arena.lease(n, key_dtype)
         key_lease = arena.lease(n, key_dtype)
-        index_lease = arena.lease(n, np.int32) if track else None
-        proc_lease = arena.lease(n, np.int16) if track else None
+        index_lease = arena.lease(n, np.int32)
+        proc_lease = arena.lease(n, np.int16)
         # The word path's exchange stream: 8-byte keys decode in place, so
         # their word stream *is* the key lease under an int64 view; narrower
         # keys get a segment of their own.
         word_lease = None
-        if track and has_key_codec(key_dtype):
+        if has_key_codec(key_dtype):
             if key_dtype.itemsize == 8:
                 word_lease = replace(key_lease, dtype=np.dtype(np.int64))
             else:
@@ -169,10 +160,7 @@ class JobLeases:
 
     def outputs(self) -> dict[str, ShmLease]:
         """The leases a finished job's result is read from, by role."""
-        leases = {"keys": self.keys}
-        if self.index is not None:
-            leases.update(index=self.index, proc=self.proc)
-        return leases
+        return {"keys": self.keys, "index": self.index, "proc": self.proc}
 
     def register(self, san: ShmSan, *, double_lease: bool) -> None:
         """Open a sanitized run over these leases."""
@@ -241,7 +229,6 @@ class ProcessBackend:
         sanitize: "ShmSan | bool | None" = None,
         mutate: str | None = None,
         mutate_rank: int = 1,
-        splitter_cache: "SplitterCache | bool" = True,
         chaos: RealFaultPlan | None = None,
         retry: "RetryPolicy | bool | None" = None,
     ):
@@ -284,12 +271,7 @@ class ProcessBackend:
             self.sanitizer = None
         self._follow_ambient_san = sanitize is None
         self.arena = SharedArena()
-        if isinstance(splitter_cache, SplitterCache):
-            self.splitter_cache: SplitterCache | None = splitter_cache
-        elif splitter_cache:
-            self.splitter_cache = SplitterCache()
-        else:
-            self.splitter_cache = None
+        self.splitter_cache = SplitterCache()
         # ------------------------------------------------- pool state
         self._procs: list = []
         self._conns: list = []
@@ -343,11 +325,7 @@ class ProcessBackend:
             "results_pinned": self.results_pinned,
             "results_copied": self.results_copied,
             "pool_size": self._pool_size,
-            "splitter_cache": (
-                self.splitter_cache.stats()
-                if self.splitter_cache is not None
-                else None
-            ),
+            "splitter_cache": self.splitter_cache.stats(),
         }
 
     def _spawn_pool(self, size: int) -> None:
@@ -551,7 +529,6 @@ class ProcessBackend:
         """
         size = len(blocks)
         key_dtype = blocks[0].dtype
-        track = options.track_provenance
         lengths = [len(b) for b in blocks]
         n = sum(lengths)
         bounds = tuple(np.concatenate(([0], np.cumsum(lengths))).tolist())
@@ -580,7 +557,7 @@ class ProcessBackend:
             # flag the overlap on sight.
             for seg in self.arena._segments:
                 seg.leased = 0
-        leases = JobLeases.allocate(self.arena, n, key_dtype, track)
+        leases = JobLeases.allocate(self.arena, n, key_dtype)
         if san is not None:
             leases.register(san, double_lease=self._mutate == "double-lease")
         input_view = self.arena.view(leases.input)
@@ -591,11 +568,6 @@ class ProcessBackend:
                 leases.input, 0, n, "w", "stage-input", when="before"
             )
 
-        candidates = (
-            self.splitter_cache.candidates(key_dtype, size)
-            if self.splitter_cache is not None
-            else ()
-        )
         spec = JobSpec(
             size=size,
             block_bounds=bounds,
@@ -611,7 +583,7 @@ class ProcessBackend:
             mutate=self._mutate,
             mutate_rank=self._mutate_rank,
             job_id=job_id,
-            cached_candidates=candidates,
+            cached_candidates=self.splitter_cache.candidates(key_dtype, size),
             force_resample=force_resample,
             chaos=chaos,
             attempt=attempt,
@@ -675,11 +647,10 @@ class ProcessBackend:
         run.job_id = spec.job_id
         master = run.reports[0]
         run.splitter_cache = master.splitter_cache
-        if self.splitter_cache is not None:
-            self.splitter_cache.note(master.splitter_cache)
-            self.splitter_cache.commit(
-                key_dtype, size, master.sample_fingerprint, master.splitters
-            )
+        self.splitter_cache.note(master.splitter_cache)
+        self.splitter_cache.commit(
+            key_dtype, size, master.sample_fingerprint, master.splitters
+        )
         self.jobs_completed += 1
         if san is not None:
             # The job's data path says which streams it exchanged.
@@ -706,6 +677,5 @@ __all__ = [
     "STEP_LABELS",
     "default_backend",
     "resolve_backend",
-    "set_default_backend",
     "use_backend",
 ]

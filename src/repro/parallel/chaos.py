@@ -68,6 +68,9 @@ from ..simnet.faults import prob_and_extra, rank_times_mult, spec_tokens, split_
 #: Collective ops a ``hang=`` entry may name (the WorkerLink vocabulary).
 COLLECTIVE_OPS = ("barrier", "gather", "bcast", "allgather")
 
+#: How long a hung rank sleeps before giving up on being terminated.
+HANG_SECONDS = 3600.0
+
 
 def _parse_step(token: str) -> str:
     """A step label, given either canonically or as its 1-based index."""
@@ -121,8 +124,6 @@ class RealFaultPlan:
     muted: tuple[int, ...] = ()
     #: ``(rank, multiplier)`` — stretch the rank's step durations.
     slow: tuple[tuple[int, float], ...] = ()
-    #: How long a hung rank sleeps before giving up on being terminated.
-    hang_seconds: float = 3600.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.delay_probability <= 1.0:
@@ -240,7 +241,6 @@ class RealFaultPlan:
             hang_op=hang_op,
             muted=rank in self.muted,
             slow_multiplier=mult,
-            hang_seconds=self.hang_seconds,
         )
 
     def hub_state(self, job_id: int, attempt: int) -> "HubChaosState | None":
@@ -279,7 +279,6 @@ class WorkerChaosState:
         "hang_op",
         "muted",
         "slow_multiplier",
-        "hang_seconds",
         "tracer",
         "_last_boundary",
     )
@@ -291,13 +290,11 @@ class WorkerChaosState:
         hang_op: str | None,
         muted: bool,
         slow_multiplier: float,
-        hang_seconds: float,
     ) -> None:
         self.kill_step = kill_step
         self.hang_op = hang_op
         self.muted = muted
         self.slow_multiplier = slow_multiplier
-        self.hang_seconds = hang_seconds
         self.tracer = None
         self._last_boundary: float | None = None
 
@@ -323,7 +320,7 @@ class WorkerChaosState:
             self.hang_op = None
             if self.tracer is not None:
                 self.tracer.fault("hang", f"before {op}")
-            time.sleep(self.hang_seconds)
+            time.sleep(HANG_SECONDS)
 
     def note_muted(self, step: str) -> None:
         if self.tracer is not None:

@@ -1,4 +1,4 @@
-"""The pool's three data paths, each chosen once per job and said once.
+"""The pool's two data paths, each chosen once per job and said once.
 
 What a pooled worker sorts in step 1, writes in step 5 and merges in
 step 6 is one decision, taken in step 1 by :func:`choose_data_path` and
@@ -23,9 +23,7 @@ carried from there as one :class:`DataPath`:
 * **keys + perm** — the frame does not fit, or the codec has no code for
   the dtype: the simulated sorter's own kernels run, keys and an int32
   permutation cross the exchange as two streams, and the merged region is
-  stored back over them;
-* **values only** — no provenance: ``np.sort``, one key stream, the
-  region sorted in place like the words.
+  stored back over them.
 
 A path *declares* what the driver needs to know about it — the lease
 roles its step 5 wrote, the bytes each key cost on the wire — and both
@@ -65,7 +63,7 @@ THROUGH = "through"
 Access = tuple[ShmLease, int, int, str, str]
 
 
-def surfaced_sort_path(label: str | None) -> str | None:
+def surfaced_sort_path(label: str) -> str | None:
     """The label a run report shows: only off the fastest path, so a slow
     job explains itself and fast reports keep their schema."""
     return None if label == THROUGH else label
@@ -79,8 +77,9 @@ class JobViews:
 
     input: np.ndarray
     keys: np.ndarray
-    index: np.ndarray | None
-    proc: np.ndarray | None
+    index: np.ndarray
+    proc: np.ndarray
+    #: ``None`` when the codec has no code for the key dtype.
     words: np.ndarray | None
 
 
@@ -89,7 +88,7 @@ class DataPath:
     """What one job sorts, exchanges and merges on one rank."""
 
     #: This rank's :attr:`WorkerReport.local_sort_path`.
-    label: str | None
+    label: str
     #: Lease roles step 5 writes: one run per (src, dst) on exactly these.
     exchanged: tuple[str, ...]
     #: What steps 2–4 read (``take``, ``searchsorted``, ``len``, ``dtype``):
@@ -117,7 +116,7 @@ def choose_data_path(
 ) -> DataPath:
     """Step 1: pick the job's data path and run its local sort.  Every rank
     takes the same branch: the frame comes from the same gathered statistics
-    (one allgather, waited inside step 1), the rest from the job spec."""
+    (one allgather, waited inside step 1)."""
     if views.words is not None:
         # The one block-sized step-1 temporary, from the worker's warm
         # scratch pool: fresh pages per job would be the op's largest
@@ -128,9 +127,7 @@ def choose_data_path(
         if frame is not None:
             words = pack_words(codes, frame, rank, lease)
             return _word_path(plan, views, frame, words)
-    if plan.options.track_provenance:
-        return _keys_perm_path(plan, views, block, scratch)
-    return _values_path(plan, views, block)
+    return _keys_perm_path(plan, views, block, scratch)
 
 
 def _word_path(plan, views, frame, words) -> DataPath:
@@ -164,7 +161,7 @@ def _word_path(plan, views, frame, words) -> DataPath:
 
 
 def _keys_perm_path(plan, views, block, scratch) -> DataPath:
-    sorted_keys, perm, label = sort_block(block, True)
+    sorted_keys, perm, label = sort_block(block)
 
     def merge(base, stop, run_lengths):
         outcome = merge_received(
@@ -184,14 +181,3 @@ def _keys_perm_path(plan, views, block, scratch) -> DataPath:
         (views.index, plan.index_lease, perm),
     ]
     return DataPath(label, KEYS_AND_PERM, sorted_keys, streams, merge)
-
-
-def _values_path(plan, views, block) -> DataPath:
-    sorted_keys = sort_block(block, False)[0]
-
-    def merge(base, stop, run_lengths):
-        sort_runs_in_place(views.keys[base:stop], run_lengths)
-        return []
-
-    streams = [(views.keys, plan.key_lease, sorted_keys)]
-    return DataPath(None, ("keys",), sorted_keys, streams, merge)

@@ -60,7 +60,7 @@ class BackendRun:
     #: Pool job id (0 on non-pooled backends).
     job_id: int = 0
     #: Splitter-cache verdict for this job (``cold``/``hit``/``miss``/
-    #: ``fallback-forced``; None without a cache).
+    #: ``fallback-forced``; None on non-pooled backends).
     splitter_cache: str | None = None
     #: Failed attempts the retry layer burned before this run succeeded
     #: (0 on the fault-free path, which keeps reports bit-identical).
@@ -176,8 +176,8 @@ def collect_run(
 ) -> BackendRun:
     """Assemble one finished job's :class:`BackendRun` from its leases.
 
-    ``leases`` maps output role (``keys``, and with provenance ``index`` and
-    ``proc``) to the job's lease of it.
+    ``leases`` maps output role (``keys``, ``index``, ``proc``) to the job's
+    lease of it.
     """
     size = len(reports)
     counts_matrix = np.stack([reports[r].counts_row for r in range(size)])
@@ -215,15 +215,10 @@ def collect_run(
         parts = {role: view[lo:hi] for role, view in views.items()}
         if not pinned:  # fresh arrays: the leases return to the pool
             parts = {role: part.copy() for role, part in parts.items()}
-        keys = parts["keys"]
-        if "index" in parts:
-            prov = Provenance(parts["proc"], parts["index"])
-        else:
-            prov = Provenance.empty()
         outputs.append(
             RankSortOutput(
-                keys=keys,
-                provenance=prov,
+                keys=parts["keys"],
+                provenance=Provenance(parts["proc"], parts["index"]),
                 step_seconds=dict(report.step_seconds),
                 samples_sent=report.samples_sent,
                 searches=report.searches,

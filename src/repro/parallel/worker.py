@@ -12,8 +12,8 @@ are **bit-identical** to it and to the reference backend.
 :func:`_run_six_steps` is six calls over a small per-job context
 (:class:`_Job`) that owns the hooks at the step edges — heartbeat and
 chaos, the step clock, the ShmSan recorder, the tracer.  *What* is sorted,
-exchanged and merged — packed words, keys + perm, or values alone — is the
-job's :class:`~repro.parallel.datapath.DataPath`, chosen once in step 1;
+exchanged and merged — packed words, or keys + perm — is the job's
+:class:`~repro.parallel.datapath.DataPath`, chosen once in step 1;
 *where* every (src, dst) run lands in shared memory is
 :mod:`repro.parallel.layout`'s to say; workers never write the input.
 
@@ -56,7 +56,7 @@ from ..core.steps import BlockPartition, agree_splitters, draw_samples, partitio
 from ..pgxd.config import PgxdConfig
 from .arena import ShmLease
 from .collectives import WorkerLink
-from .datapath import DataPath, JobViews, choose_data_path
+from .datapath import THROUGH, DataPath, JobViews, choose_data_path
 from .layout import ExchangeLayout, exchange_layout
 from .shmsan import AccessRecorder
 from .splitter_cache import combine_sample_fingerprint, probe_candidates, sample_digest
@@ -73,16 +73,15 @@ class JobSpec:
     input_lease: ShmLease
     #: Output stream for keys; also the exchange stream off the word path.
     key_lease: ShmLease
-    #: Output stream for origin indices (None without provenance); also an
-    #: exchange stream on the keys + perm fallback path.
-    index_lease: ShmLease | None
-    #: Output stream for origin processors (None without provenance).
-    proc_lease: ShmLease | None
+    #: Output stream for origin indices; also an exchange stream on the
+    #: keys + perm fallback path.
+    index_lease: ShmLease
+    #: Output stream for origin processors.
+    proc_lease: ShmLease
     #: Exchange stream of packed int64 words; None when the job cannot
-    #: take the word path at all (no provenance, or a key dtype the codec
-    #: declines).  For 8-byte keys it aliases :attr:`key_lease` — the
-    #: merged words are decoded to keys in place — narrower keys get a
-    #: segment of their own.
+    #: take the word path at all (a key dtype the codec declines).  For
+    #: 8-byte keys it aliases :attr:`key_lease` — the merged words are
+    #: decoded to keys in place — narrower keys get a segment of their own.
     word_lease: ShmLease | None
     options: SortOptions
     config: PgxdConfig
@@ -159,11 +158,10 @@ class WorkerReport:
     #: job's key frame did not fit, so keys + perm were exchanged, but
     #: this rank's own block still took the packed step-1 sort;
     #: ``"stable"`` — the several-times-slower stable-argsort step 1
-    #: (:func:`~repro.core.packsort.stable_sort_with_order`).  ``None``
-    #: without provenance, where a plain ``np.sort`` runs instead.  The
-    #: label of the job's :class:`~repro.parallel.datapath.DataPath`, which
-    #: also declares the two fields below — read those, not the label.
-    local_sort_path: str | None = None
+    #: (:func:`~repro.core.packsort.stable_sort_with_order`).  The label of
+    #: the job's :class:`~repro.parallel.datapath.DataPath`, which also
+    #: declares the two fields below — read those, not the label.
+    local_sort_path: str = THROUGH
     #: Lease roles the job's step 5 wrote (ShmSan expects every run there).
     exchanged: tuple[str, ...] = KEYS_AND_PERM
     #: Bytes one exchanged key cost across those streams.

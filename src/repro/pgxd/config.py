@@ -27,14 +27,8 @@ class PgxdConfig:
     #: Whether remote sends are asynchronous (PGX.D) or block the worker
     #: (set False only for the ablation benchmarks).
     async_messaging: bool = True
-    #: Whether the balanced-merge handler runs merge steps in parallel.
-    parallel_merge: bool = True
-    #: Fraction of request-buffer capacity that triggers an eager flush.
-    flush_watermark: float = 1.0
     #: Number of ghost-node candidates per machine during graph loading.
     ghost_node_budget: int = 64
-    #: Target edges per chunk for the edge-chunking strategy.
-    edge_chunk_size: int = 4096
     #: Virtual data multiplier: every real key in the simulation stands for
     #: ``data_scale`` keys of the modeled deployment.  Data-proportional
     #: costs (sorting, merging, exchange bytes, memory) are charged at the
@@ -48,12 +42,8 @@ class PgxdConfig:
             raise ValueError("read_buffer_bytes must be positive")
         if self.threads_per_machine < 1:
             raise ValueError("threads_per_machine must be >= 1")
-        if not 0.0 < self.flush_watermark <= 1.0:
-            raise ValueError("flush_watermark must be in (0, 1]")
         if self.ghost_node_budget < 0:
             raise ValueError("ghost_node_budget must be >= 0")
-        if self.edge_chunk_size < 1:
-            raise ValueError("edge_chunk_size must be >= 1")
         if self.data_scale <= 0:
             raise ValueError("data_scale must be positive")
 

@@ -89,10 +89,7 @@ class DataManager:
         """The outgoing request buffer for destination machine ``dst``."""
         buf = self._request_buffers.get(dst)
         if buf is None:
-            buf = RequestBuffer(
-                capacity_bytes=self.config.read_buffer_bytes,
-                watermark=self.config.flush_watermark,
-            )
+            buf = RequestBuffer(capacity_bytes=self.config.read_buffer_bytes)
             self._request_buffers[dst] = buf
         return buf
 

@@ -33,6 +33,9 @@ from .task_manager import TaskManager
 
 MachineProgram = Callable[..., Generator]
 
+#: Target edges per chunk for the edge-chunking strategy.
+EDGE_CHUNK_SIZE = 4096
+
 
 class Machine:
     """One simulated PGX.D machine, as seen by a running program."""
@@ -247,7 +250,7 @@ class PgxdRuntime:
                 global_ids=np.arange(start, stop, dtype=np.int64),
             )
             machine.data.memory.alloc(graph.nbytes())
-            chunk_edges(graph, machine.config.edge_chunk_size)
+            chunk_edges(graph, EDGE_CHUNK_SIZE)
             return graph
 
         result = self.run(loader)

@@ -339,11 +339,10 @@ class Simulator:
         #: Events interpreted by the last :meth:`run` (perf instrumentation).
         self.events_processed = 0
         self._ran = False
+        #: Handlers of the calls :meth:`_run_events` does not interpret inline
+        #: (``Isend``, ``Recv`` and ``Compute`` are arms of its loop).
         self._handlers: dict[type, Callable[[int, _ProcState, Any], Any]] = {
-            Compute: self._do_compute,
-            Isend: self._do_isend,
             Send: self._do_send,
-            Recv: self._do_recv,
             Probe: self._do_probe,
             Barrier: self._enter_barrier,
             Sleep: self._do_sleep,
@@ -597,48 +596,7 @@ class Simulator:
                                     events, (delivered, nx(), _EV_DELIVER, dst, msg)
                                 )
                             else:
-                                drop, extra, dup_delay = fstate.fate(rank, dst)
-                                if drop:
-                                    metrics.messages_dropped += 1
-                                    if tracer is not None:
-                                        tracer.fault(
-                                            rank, now, "drop", src=rank, dst=dst,
-                                            detail=f"tag={call.tag}",
-                                        )
-                                else:
-                                    heappush(
-                                        events,
-                                        (delivered + extra, nx(), _EV_DELIVER, dst, msg),
-                                    )
-                                    if extra > 0.0 and tracer is not None:
-                                        tracer.fault(
-                                            rank, now, "delay", src=rank, dst=dst,
-                                            detail=f"+{extra:.2e}s",
-                                        )
-                                if dup_delay is not None:
-                                    # A duplicate is a *second wire copy*:
-                                    # a fresh Message object, so the two
-                                    # deliveries keep independent state.
-                                    metrics.messages_duplicated += 1
-                                    dup_msg = Message(
-                                        rank, dst, call.tag, nbytes,
-                                        call.payload, now, faulted="dup",
-                                    )
-                                    heappush(
-                                        events,
-                                        (
-                                            delivered + dup_delay,
-                                            nx(),
-                                            _EV_DELIVER,
-                                            dst,
-                                            dup_msg,
-                                        ),
-                                    )
-                                    if tracer is not None:
-                                        tracer.fault(
-                                            rank, now, "dup", src=rank, dst=dst,
-                                            detail=f"tag={call.tag}",
-                                        )
+                                self._deliver_under_faults(msg, delivered)
                             metrics.send_seconds += overhead
                             if overhead > 0.0:
                                 # Inline resume: if this rank's wake-up
@@ -762,6 +720,8 @@ class Simulator:
                             msg.dst, now, "dead-letter", src=msg.src,
                             dst=msg.dst, detail=f"tag={msg.tag}",
                         )
+                    if sanitizer is not None:
+                        sanitizer.on_drop(msg)
                     continue
                 if tracer is not None:
                     tracer.delivered(msg.dst, now, msg.nbytes)
@@ -915,6 +875,13 @@ class Simulator:
     def _resolve_handler(self, rank: int, call: Any) -> Callable[[int, _ProcState, Any], Any]:
         """Slow path: find (and cache) the handler for a call subclass."""
         for base in type(call).__mro__:
+            if base in (Isend, Recv, Compute):
+                # Interpreted inline by exact class; resolving on would run
+                # an Isend subclass through the *blocking* Send handler.
+                raise InvalidCallError(
+                    f"rank {rank} yielded {call!r}: {base.__name__} is interpreted "
+                    "inline and cannot be subclassed"
+                )
             handler = self._handlers.get(base)
             if handler is not None:
                 self._handlers[type(call)] = handler
@@ -923,35 +890,6 @@ class Simulator:
 
     # ------------------------------------------------------- call handlers
 
-    def _do_compute(self, rank: int, state: _ProcState, call: Compute) -> Any:
-        seconds = call.seconds
-        if self._faults is not None:
-            seconds *= self._faults.slow_mult[rank]
-        state.handle.metrics.record_compute(seconds, call.label)
-        if self._trace_enabled:
-            self._trace(rank, f"compute {seconds:.3g}s [{call.label}]")
-        if self._tracer is not None:
-            self._tracer.span(rank, self._now, seconds, "compute", call.label or "")
-        self._schedule_step(self._now + seconds, rank, None)
-        state.status = _Status.WAITING
-        return _BLOCKED
-
-    def _do_isend(self, rank: int, state: _ProcState, call: Isend) -> Any:
-        self._inject(rank, call)
-        overhead = self.network.per_message_overhead
-        state.handle.metrics.send_seconds += overhead
-        if self._tracer is not None:
-            self._tracer.span(rank, self._now, overhead, "send")
-        if overhead > 0:
-            # Resume times are now + a constant, i.e. monotone across the
-            # whole run: a FIFO append replaces a heap push.
-            self._due.append(
-                (self._now + overhead, next(self._seq), _EV_STEP, rank, None)
-            )
-            state.status = _Status.WAITING
-            return _BLOCKED
-        return None
-
     def _do_send(self, rank: int, state: _ProcState, call: Send) -> Any:
         sender_done = self._inject(rank, call)
         state.handle.metrics.send_seconds += sender_done - self._now
@@ -959,23 +897,6 @@ class Simulator:
             self._tracer.span(rank, self._now, sender_done - self._now, "send")
         self._schedule_step(sender_done, rank, None)
         state.status = _Status.WAITING
-        return _BLOCKED
-
-    def _do_recv(self, rank: int, state: _ProcState, call: Recv) -> Any:
-        msg = state.mailbox.match(call.src, call.tag)
-        if msg is not None:
-            metrics = state.handle.metrics
-            metrics.messages_received += 1
-            metrics.bytes_received += msg.nbytes
-            if self._trace_enabled:
-                self._trace(rank, f"recv from {msg.src} tag {msg.tag} ({msg.nbytes}B)")
-            return msg
-        state.status = _Status.BLOCKED_RECV
-        state.recv_spec = call
-        state.probe_only = False
-        state.blocked_since = self._now
-        if self._trace_enabled:
-            self._trace(rank, f"recv blocked (src={call.src}, tag={call.tag})")
         return _BLOCKED
 
     def _do_probe(self, rank: int, state: _ProcState, call: Probe) -> Any:
@@ -1029,7 +950,8 @@ class Simulator:
     # ----------------------------------------------------------- messaging
 
     def _inject(self, rank: int, call: Send) -> float:
-        """Hand a message to the fabric; returns sender-done time."""
+        """Hand a blocking send's message to the fabric; returns sender-done
+        time."""
         if not 0 <= call.dst < self.num_ranks:
             raise UnknownRankError(f"rank {rank} sent to invalid rank {call.dst}")
         now = self._now
@@ -1050,52 +972,47 @@ class Simulator:
         if self._tracer is not None:
             self._tracer.flow(rank, call.dst, call.tag, call.nbytes, now, delivered)
         if self._sanitizer is not None:
-            self._sanitizer.on_send(msg, nonblocking=isinstance(call, Isend))
-        fstate = self._faults
-        if fstate is None or call.dst == rank:
+            self._sanitizer.on_send(msg, nonblocking=False)
+        if self._faults is None or call.dst == rank:
             heapq.heappush(
                 self._events, (delivered, next(self._seq), _EV_DELIVER, call.dst, msg)
             )
-            return sender_done
-        # Fault-aware injection (mirrors the inlined Isend path in the run
-        # loop: drop / delay / duplicate, drawn from the seeded plan).
+        else:
+            self._deliver_under_faults(msg, delivered)
+        return sender_done
+
+    def _deliver_under_faults(self, msg: Message, delivered: float) -> None:
+        """Queue a remote ``msg`` under the run's fault plan: drop, delay
+        and/or duplicate it, as drawn from the seeded plan."""
+        src, dst, now = msg.src, msg.dst, msg.sent_at
+        metrics = self._procs[src].handle.metrics
         tracer = self._tracer
-        drop, extra, dup_delay = fstate.fate(rank, call.dst)
+        drop, extra, dup_delay = self._faults.fate(src, dst)
         if drop:
             metrics.messages_dropped += 1
             if tracer is not None:
-                tracer.fault(
-                    rank, now, "drop", src=rank, dst=call.dst, detail=f"tag={call.tag}"
-                )
+                tracer.fault(src, now, "drop", src=src, dst=dst, detail=f"tag={msg.tag}")
+            if self._sanitizer is not None:
+                self._sanitizer.on_drop(msg)
         else:
             heapq.heappush(
-                self._events,
-                (delivered + extra, next(self._seq), _EV_DELIVER, call.dst, msg),
+                self._events, (delivered + extra, next(self._seq), _EV_DELIVER, dst, msg)
             )
             if extra > 0.0 and tracer is not None:
-                tracer.fault(
-                    rank, now, "delay", src=rank, dst=call.dst, detail=f"+{extra:.2e}s"
-                )
+                tracer.fault(src, now, "delay", src=src, dst=dst, detail=f"+{extra:.2e}s")
         if dup_delay is not None:
+            # A duplicate is a *second wire copy*: a fresh Message object,
+            # so the two deliveries keep independent state.
             metrics.messages_duplicated += 1
             dup_msg = Message(
-                src=rank,
-                dst=call.dst,
-                tag=call.tag,
-                nbytes=call.nbytes,
-                payload=call.payload,
-                sent_at=now,
-                faulted="dup",
+                src, dst, msg.tag, msg.nbytes, msg.payload, now, faulted="dup"
             )
             heapq.heappush(
                 self._events,
-                (delivered + dup_delay, next(self._seq), _EV_DELIVER, call.dst, dup_msg),
+                (delivered + dup_delay, next(self._seq), _EV_DELIVER, dst, dup_msg),
             )
             if tracer is not None:
-                tracer.fault(
-                    rank, now, "dup", src=rank, dst=call.dst, detail=f"tag={call.tag}"
-                )
-        return sender_done
+                tracer.fault(src, now, "dup", src=src, dst=dst, detail=f"tag={msg.tag}")
 
     def _enter_barrier(self, rank: int, state: _ProcState, call: Barrier) -> Any:
         seq = state.barrier_seq

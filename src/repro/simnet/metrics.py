@@ -87,7 +87,7 @@ class ProcessMetrics:
     #: the packed word (see ``WorkerReport.local_sort_path``): ``"packed"``
     #: — the job's key frame did not fit, keys + perm were exchanged —
     #: or ``"stable"`` — step 1 also ran the slow stable argsort.  None on
-    #: the word path, without provenance, and always under simnet.
+    #: the word path, and always under simnet.
     local_sort_path: str | None = None
 
     def record_compute(self, seconds: float, label: str | None) -> None:

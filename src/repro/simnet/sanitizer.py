@@ -186,7 +186,9 @@ class SimSan:
             "{} message(s) checked, {} request(s) tracked",
         )
         # Per-run state, reset by begin_run().
-        self._digests: dict[int, tuple[str, bool]] = {}  # id(msg) -> (digest, nonblocking)
+        # id(msg) -> (msg, digest, nonblocking); the entry holds the message
+        # so ``id(msg)`` cannot be recycled while its digest is live.
+        self._digests: dict[int, tuple["Message", str, bool]] = {}
         self._in_flight: dict[tuple[int, int, int], int] = {}  # (src, dst, tag) -> count
         self._collisions: dict[tuple[int, int, int], int] = {}  # channel -> peak in-flight
         self._requests: dict[int, dict] = {}  # id(req) -> entry (holds a strong ref)
@@ -212,12 +214,27 @@ class SimSan:
 
     def on_send(self, msg: "Message", nonblocking: bool) -> None:
         """Fingerprint an injected payload and track channel concurrency."""
-        self._digests[id(msg)] = (fingerprint(msg.payload), nonblocking)
+        self._digests[id(msg)] = (msg, fingerprint(msg.payload), nonblocking)
         channel = (msg.src, msg.dst, msg.tag)
         count = self._in_flight.get(channel, 0) + 1
         self._in_flight[channel] = count
         if count >= 2 and count > self._collisions.get(channel, 0):
             self._collisions[channel] = count
+
+    def _left_the_wire(self, msg: "Message") -> "tuple | None":
+        """Retire ``msg`` from its channel's in-flight count and pop its
+        digest entry (``None`` when it has none)."""
+        channel = (msg.src, msg.dst, msg.tag)
+        remaining = self._in_flight.get(channel, 1) - 1
+        if remaining:
+            self._in_flight[channel] = remaining
+        else:
+            self._in_flight.pop(channel, None)
+        return self._digests.pop(id(msg), None)
+
+    def on_drop(self, msg: "Message") -> None:
+        """A fault plan dropped ``msg``: it will never be delivered."""
+        self._left_the_wire(msg)
 
     def on_deliver(self, msg: "Message") -> None:
         """Re-check the payload fingerprint as the message lands."""
@@ -226,16 +243,10 @@ class SimSan:
         if isinstance(payload, Envelope) and payload.kind == "data":
             key = (payload.src, msg.dst, payload.seq)
             self._env_delivered[key] = self._env_delivered.get(key, 0) + 1
-        channel = (msg.src, msg.dst, msg.tag)
-        remaining = self._in_flight.get(channel, 1) - 1
-        if remaining:
-            self._in_flight[channel] = remaining
-        else:
-            self._in_flight.pop(channel, None)
-        entry = self._digests.pop(id(msg), None)
-        if entry is None:  # message injected before this sanitizer attached
+        entry = self._left_the_wire(msg)
+        if entry is None:  # an injected duplicate, or sent before attaching
             return
-        digest, nonblocking = entry
+        _msg, digest, nonblocking = entry
         if fingerprint(msg.payload) != digest:
             kind = "use-after-isend" if nonblocking else "send-mutation"
             self.report.violations.append(

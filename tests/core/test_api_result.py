@@ -143,13 +143,6 @@ class TestProvenanceQueries:
         with pytest.raises(ValueError):
             result.gather_values(np.zeros(3))
 
-    def test_no_provenance_mode(self):
-        data = np.random.default_rng(1).random(5000)
-        result = distributed_sort(data, num_processors=4, track_provenance=False)
-        np.testing.assert_array_equal(result.to_array(), np.sort(data))
-        with pytest.raises(ValueError):
-            result.origin_of(0, 0)
-
 
 class TestResultQueries:
     def test_searchsorted_matches_global(self, uniform_result):

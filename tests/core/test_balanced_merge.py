@@ -191,16 +191,18 @@ class TestMergeCost:
         self.cost = CostModel(thread_degradation=0.0, task_region_overhead=0.0)
         self.tasks = TaskManager(8, self.cost)
 
-    def charged(self, lengths, *, balanced=True, parallel=True):
+    def charged(self, lengths, *, balanced=True):
         return merge_levels_cost_seconds(
-            merge_levels(lengths, balanced=balanced),
-            self.tasks,
-            self.cost,
-            parallel=parallel,
+            merge_levels(lengths, balanced=balanced), self.tasks, self.cost
         )
 
     def test_parallel_cheaper_than_serial_for_level(self):
-        assert self.charged([1000] * 8) < self.charged([1000] * 8, parallel=False)
+        serial = sum(
+            size / self.cost.merge_rate
+            for level in merge_levels([1000] * 8)
+            for size in level
+        )
+        assert self.charged([1000] * 8) < serial
 
     def test_balanced_cheaper_than_fold(self):
         assert self.charged([1000] * 16) < self.charged([1000] * 16, balanced=False)

@@ -9,7 +9,7 @@ from repro.pgxd import PgxdConfig
 from repro.simnet import NetworkModel, Simulator
 
 
-def run_exchange(per_rank_keys, splitters, config=None, track_provenance=True):
+def run_exchange(per_rank_keys, splitters, config=None):
     config = config or PgxdConfig()
     size = len(per_rank_keys)
     sim = Simulator(size, NetworkModel())
@@ -18,9 +18,7 @@ def run_exchange(per_rank_keys, splitters, config=None, track_provenance=True):
         keys = np.sort(np.asarray(per_rank_keys[proc.rank]))
         perm = np.argsort(np.asarray(per_rank_keys[proc.rank]), kind="stable")
         part = partition_block(keys, np.asarray(splitters), size, True)
-        result = yield from exchange_partitions(
-            proc, keys, perm, part, config, track_provenance=track_provenance
-        )
+        result = yield from exchange_partitions(proc, keys, perm, part, config)
         return result
 
     sim.add_program(program)
@@ -85,14 +83,6 @@ class TestExchange:
         assert total == 900
         # Keys + index chunks with 8-per-chunk granularity: many messages.
         assert metrics.messages > 50
-
-    def test_without_provenance_no_index_traffic(self):
-        per_rank = [[5, 1], [4, 2]]
-        r_with, m_with = run_exchange(per_rank, [3])
-        r_without, m_without = run_exchange(per_rank, [3], track_provenance=False)
-        assert m_without.remote_bytes < m_with.remote_bytes
-        total = sum(sum(len(r) for r in res.key_runs) for res in r_without)
-        assert total == 4
 
     def test_async_sends_overlap(self):
         """Async messaging must not be slower than blocking sends."""

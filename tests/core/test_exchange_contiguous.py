@@ -11,7 +11,7 @@ from repro.simnet import NetworkModel, Simulator
 from repro.simnet.errors import ProcessFailure
 
 
-def run_exchange(per_rank_keys, splitters, track_provenance=True, use_scratch=False):
+def run_exchange(per_rank_keys, splitters, use_scratch=False):
     config = PgxdConfig()
     size = len(per_rank_keys)
     sim = Simulator(size, NetworkModel())
@@ -27,7 +27,6 @@ def run_exchange(per_rank_keys, splitters, track_provenance=True, use_scratch=Fa
             perm,
             part,
             config,
-            track_provenance=track_provenance,
             scratch=arenas[proc.rank],
         )
         return result
@@ -80,14 +79,6 @@ class TestContiguousReassembly:
             assert arena.allocations == allocations
             assert np.shares_memory(again, res.key_buffer)
             arena.release_all()
-
-    def test_no_provenance_skips_the_index_stream(self):
-        rng = np.random.default_rng(24)
-        per_rank = [rng.integers(0, 100, 90) for _ in range(3)]
-        results, _ = run_exchange(per_rank, [30, 60], track_provenance=False)
-        for res in results:
-            assert res.index_buffer is None
-            assert all(len(idx) == 0 for idx in res.index_runs)
 
 
 class TestOneDtypePerStream:

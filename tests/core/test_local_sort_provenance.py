@@ -83,12 +83,6 @@ class TestParallelQuicksort:
         np.testing.assert_array_equal(bal.keys, seq.keys)
         assert bal.seconds < seq.seconds
 
-    def test_track_perm_off(self):
-        m = make_machine()
-        res = parallel_quicksort(m, np.array([3, 1, 2]), track_perm=False)
-        np.testing.assert_array_equal(res.keys, [1, 2, 3])
-        assert len(res.perm) == 0
-
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32), max_size=300))
     @settings(max_examples=50, deadline=None)
     def test_sort_property(self, xs):

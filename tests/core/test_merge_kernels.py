@@ -154,11 +154,10 @@ class TestMergeReceived:
         arena.release_all()
         assert got.aux[1].tobytes() == expected_proc.tobytes()
 
-    def test_without_provenance_merges_keys_alone(self):
-        runs, _index = self._received(seed=6)
+    def test_unbalanced_charges_the_fold_shape(self):
+        runs, index = self._received(seed=6)
         lengths = [len(r) for r in runs]
-        got = merge_received(np.concatenate(runs), None, lengths, False)
-        assert got.aux == []
+        got = merge_received(np.concatenate(runs), index, lengths, False)
         assert got.keys.tobytes() == literal_merge(runs)[0].tobytes()
         assert got.levels == merge_levels(lengths, balanced=False)
 

@@ -78,10 +78,3 @@ class TestTrafficMonotonicity:
             return r.metrics.messages
 
         assert messages(16) > messages(4)
-
-    def test_provenance_tracking_adds_traffic(self):
-        with_prov = DistributedSorter(num_processors=8, data_scale=SCALE).sort(DATA)
-        without = DistributedSorter(
-            num_processors=8, data_scale=SCALE, track_provenance=False
-        ).sort(DATA)
-        assert with_prov.metrics.remote_bytes > without.metrics.remote_bytes

@@ -226,13 +226,6 @@ class TestSplitterCache:
         assert run.splitter_cache == "fallback-forced"
         assert stats["fallbacks"] == 1
 
-    def test_cache_disabled_stays_cold(self):
-        blocks = _blocks(16_000, 4)
-        with ProcessBackend(splitter_cache=False) as backend:
-            backend.sort_blocks(blocks)
-            run = backend.sort_blocks(blocks)
-        assert run.splitter_cache == "cold"
-
 
 class TestCrashRecovery:
     def test_crash_mid_stream_respawns_and_continues(self):

@@ -83,16 +83,6 @@ class TestOracleEquivalence:
                 reference = local_sample_sort([data])
                 _assert_bit_identical(reference, backend.sort_blocks([data]))
 
-    def test_without_provenance(self):
-        data = _workloads()["duplicate_heavy"]
-        blocks = list(partition_input(data, 4)[0])
-        options = SortOptions(track_provenance=False)
-        with ProcessBackend() as backend:
-            run = backend.sort_blocks(blocks, options=options)
-        merged = np.concatenate([out.keys for out in run.outputs])
-        np.testing.assert_array_equal(merged, np.sort(data))
-        assert all(len(out.provenance) == 0 for out in run.outputs)
-
     def test_no_investigator_variant_matches_oracle(self):
         data = _workloads()["duplicate_heavy"]
         blocks = list(partition_input(data, 4)[0])
@@ -124,11 +114,6 @@ class TestOracleEquivalence:
                     assert all("local_sort_path" not in r for r in ranks)
                 else:
                     assert [r["local_sort_path"] for r in ranks] == [path] * 2
-            options = SortOptions(track_provenance=False)
-            run = backend.sort_blocks(
-                list(partition_input(workloads["float_keys"], 2)[0]), options=options
-            )
-            assert [r.local_sort_path for r in run.reports] == [None] * 2
 
     def test_arena_pools_across_sorts(self):
         blocks = list(partition_input(_workloads()["uniform"], 4)[0])

@@ -176,28 +176,6 @@ def test_codec_less_dtype_takes_the_fallback_without_a_frame_collective(pool):
     assert all("1-local-sort" not in r.step_wait_seconds for r in run.reports)
 
 
-# ------------------------------------------------- values-only, in place
-
-
-@pytest.mark.parametrize("p", [2, 4])
-def test_values_only_merge_is_bytes_equal_to_the_oracle(pool, p):
-    rng = np.random.default_rng(5)
-    options = SortOptions(track_provenance=False)
-    for keys in (
-        rng.integers(0, 50, 6_000).astype(np.int64),  # duplicate-heavy
-        rng.integers(-(1 << 40), 1 << 40, 6_000).astype(np.int64),
-        rng.integers(0, 1 << 16, 6_000).astype(np.uint16),
-        np.empty(0, dtype=np.int64),
-    ):
-        blocks = list(partition_input(keys, p)[0])
-        reference = local_sample_sort(blocks, options)
-        run = pool.sort_blocks(blocks, options=options)
-        for out, expected in zip(run.outputs, reference.per_processor):
-            assert out.keys.tobytes() == expected.tobytes()
-            assert len(out.provenance) == 0
-        assert [r.local_sort_path for r in run.reports] == [None] * p
-
-
 # ------------------------------------------- the data path says it once
 
 
@@ -215,13 +193,6 @@ DATA_PATHS = {
     "keys+perm": (
         lambda rng: rng.random(6_000), SortOptions(), "stable", ("keys", "index"), 12,
     ),
-    "values-only": (
-        lambda rng: _narrow(rng, np.int64),
-        SortOptions(track_provenance=False),
-        None,
-        ("keys",),
-        8,
-    ),
 }
 
 
@@ -237,9 +208,8 @@ def test_declared_data_path_agrees_everywhere(row, p, tmp_path):
         backend.sanitizer.dump_log(tmp_path / "log.json")
     for out, keys, prov in zip(run.outputs, reference.per_processor, reference.provenance):
         assert out.keys.tobytes() == keys.tobytes()
-        if options.track_provenance:
-            assert out.provenance.origin_proc.tobytes() == prov.origin_proc.tobytes()
-            assert out.provenance.origin_index.tobytes() == prov.origin_index.tobytes()
+        assert out.provenance.origin_proc.tobytes() == prov.origin_proc.tobytes()
+        assert out.provenance.origin_index.tobytes() == prov.origin_index.tobytes()
     # One decision, said once by the data path, read everywhere else.
     for report in run.reports:
         assert report.local_sort_path == label

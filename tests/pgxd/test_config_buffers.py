@@ -45,10 +45,10 @@ class TestPgxdConfig:
         [
             {"read_buffer_bytes": 0},
             {"threads_per_machine": 0},
-            {"flush_watermark": 0.0},
-            {"flush_watermark": 1.5},
-            {"edge_chunk_size": 0},
             {"ghost_node_budget": -1},
+            {"data_scale": 0.0},
+            {"data_scale": -2.0},
+            {"read_buffer_bytes": -4096},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

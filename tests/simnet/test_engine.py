@@ -309,6 +309,27 @@ class TestErrors:
         with pytest.raises((ProcessFailure, InvalidCallError)):
             sim.run()
 
+    @pytest.mark.parametrize(
+        "base,args", [(Isend, (0, 8)), (Recv, ()), (Compute, (1.0,))]
+    )
+    def test_subclass_of_an_inline_interpreted_call_rejected(self, base, args):
+        # Isend/Recv/Compute are matched by exact class in the run loop; a
+        # subclass used to fall through to the handler table, where an Isend
+        # subclass silently resolved to the *blocking* Send handler.
+        class Custom(base):
+            pass
+
+        sim = make_sim(1)
+
+        def program(proc):
+            yield Custom(*args)
+
+        sim.add_process(program)
+        with pytest.raises(ProcessFailure) as excinfo:
+            sim.run()
+        assert isinstance(excinfo.value.__cause__, InvalidCallError)
+        assert base.__name__ in str(excinfo.value.__cause__)
+
     def test_run_requires_all_ranks(self):
         sim = make_sim(2)
 

@@ -6,6 +6,7 @@ import pytest
 from repro.simnet import (
     Compute,
     Isend,
+    Probe,
     Recv,
     SimSan,
     SimSanError,
@@ -383,3 +384,52 @@ class TestProtocolResidue:
         assert san.report.ok, san.report.summary()
         kinds = [n["kind"] for n in san.report.notes]
         assert "fault-duplicate-residue" in kinds
+
+
+class TestFaultedMessageLifetimes:
+    """A digest is keyed by ``id(msg)``: it must die with the message.
+
+    The regression under test: a *dropped* message is never delivered, so
+    nothing retired its digest, the ``Message`` was freed, and an injected
+    duplicate allocated at the recycled address popped the stale digest — a
+    false ``use-after-isend`` about one run in three.
+    """
+
+    class _Probe(SimSan):
+        def finish_run(self, sim, leftovers):
+            self.digests_at_finalize = len(self._digests)
+            super().finish_run(sim, leftovers)
+
+    def _storm(self, san, plan, messages=200):
+        def sender(proc):
+            for i in range(messages):
+                yield Isend(1, nbytes=64, payload=np.full(4, i), tag=i % 3)
+
+        def receiver(proc):
+            yield Compute(10.0)  # every surviving copy has landed
+            while (yield Probe(blocking=False)) is not None:
+                yield Recv()
+
+        sim = Simulator(2, sanitizer=san, faults=plan)
+        sim.add_process(sender)
+        sim.add_process(receiver)
+        return sim.run()
+
+    def test_dropped_messages_leave_no_digest_at_finalize(self):
+        from repro.simnet import FaultPlan
+
+        san = self._Probe()
+        metrics = self._storm(san, FaultPlan(seed=47, drop_prob=0.5))
+        assert metrics.processes[0].messages_dropped > 0
+        assert san.digests_at_finalize == 0
+        assert san.report.ok, san.report.summary()
+
+    def test_drop_and_dup_plan_repeated_in_one_process_is_clean(self):
+        from repro.simnet import FaultPlan
+
+        san = SimSan()
+        for seed in range(48, 53):
+            metrics = self._storm(san, FaultPlan(seed=seed, drop_prob=0.3, dup_prob=0.3))
+            sent = metrics.processes[0]
+            assert sent.messages_dropped > 0 and sent.messages_duplicated > 0
+        assert san.report.ok, san.report.summary()

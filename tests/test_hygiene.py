@@ -24,6 +24,16 @@ def _source_files():
     return files
 
 
+def _script_files():
+    """Every script under ``benchmarks/`` and ``examples/``: they run, so
+    with the entry points they are what reachability is measured from."""
+    root = SRC.parents[1]
+    return [
+        path for folder in ("benchmarks", "examples")
+        for path in sorted((root / folder).rglob("*.py"))
+    ]
+
+
 def _pattern_scan_files():
     """Files subject to the regex scans below.
 
@@ -293,13 +303,8 @@ class TestReachability:
                     return defining_module(origin, name)
             return base  # defined in the __init__ itself
 
-        root = SRC.parents[1]
-        scripts = [
-            path for folder in ("benchmarks", "examples")
-            for path in sorted((root / folder).rglob("*.py"))
-        ]
         todo = [*self.ROOTS, *(m.__name__ for m in exp.EXPERIMENTS.values())]
-        for path in scripts:
+        for path in _script_files():
             todo.extend(
                 defining_module(*imported)
                 for imported in imports(ast.parse(path.read_text()))
@@ -320,6 +325,51 @@ class TestReachability:
         assert unreached == set(self.ALLOWED), (
             f"nothing that runs imports {sorted(unreached - set(self.ALLOWED))}; "
             f"allowlisted but reached or gone: {sorted(set(self.ALLOWED) - unreached)}"
+        )
+
+    #: Options nothing that runs sets, on purpose, each with its reason.  Turn
+    #: the option into a constant rather than growing this.
+    UNSET_OPTIONS = {
+        "phase_timeout_seconds": (
+            "a deployment setting: the per-collective deadline depends on the "
+            "machine the pool runs on, like timeout_seconds"
+        ),
+    }
+
+    def test_every_option_is_set_by_something_that_runs(self):
+        """The same rule one level down: an option of the sort stays only
+        while something that runs — the source tree outside its defining
+        module, a benchmark or an example; not a test — passes it as a
+        keyword argument (``DistributedSorter``/``with_overrides`` override
+        names are keywords too).  Otherwise it is a constant."""
+        import ast
+        import dataclasses
+        import inspect
+
+        from repro.core.sorter import SortOptions
+        from repro.parallel.backend import ProcessBackend
+        from repro.pgxd.config import PgxdConfig
+
+        surfaces = {
+            SRC / "core" / "sorter.py": [f.name for f in dataclasses.fields(SortOptions)],
+            SRC / "pgxd" / "config.py": [f.name for f in dataclasses.fields(PgxdConfig)],
+            SRC / "parallel" / "backend.py": [
+                name for name in inspect.signature(ProcessBackend.__init__).parameters
+                if name != "self"
+            ],
+        }
+        passed_in = {}
+        for path in [*_source_files(), *_script_files()]:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.keyword) and node.arg:
+                    passed_in.setdefault(node.arg, set()).add(path)
+        unset = {
+            name for home, names in surfaces.items() for name in names
+            if not passed_in.get(name, set()) - {home}
+        }
+        assert unset == set(self.UNSET_OPTIONS), (
+            f"nothing that runs sets {sorted(unset - set(self.UNSET_OPTIONS))}; "
+            f"allowlisted but set or gone: {sorted(set(self.UNSET_OPTIONS) - unset)}"
         )
 
     #: Steps 2–3 are written once: ``draw_samples``/``agree_splitters`` in
