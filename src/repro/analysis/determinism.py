@@ -20,6 +20,7 @@ from typing import Any
 
 import numpy as np
 
+from ..core.scratch import ScratchArena
 from ..core.sorter import SortOptions, sample_sort_program
 from ..pgxd.runtime import Machine, PgxdRuntime
 from ..simnet.engine import ProcessHandle, Simulator
@@ -84,7 +85,9 @@ def capture_sort_fingerprint(
     sim = Simulator(num_ranks, runtime.network, trace=True, sanitizer=sanitizer)
 
     def bootstrap(proc: ProcessHandle):
-        machine = Machine(proc, runtime.config, runtime.cost_for_rank(proc.rank))
+        machine = Machine(
+            proc, runtime.config, runtime.cost_for_rank(proc.rank), ScratchArena()
+        )
         return (yield from sample_sort_program(machine, blocks[proc.rank], options))
 
     sim.add_program(bootstrap)

@@ -7,15 +7,22 @@ per dataset.  A :class:`ScratchArena` keeps a small pool of dtype-keyed
 blocks alive on each :class:`~repro.pgxd.runtime.Machine`: temporaries are
 *leased* as views of cached blocks and returned wholesale with
 :meth:`ScratchArena.release_all` once the step that needed them is done.
-Blocks grow geometrically, so steady-state operation (repeated sorts on one
-machine, every dataset of ``sort_multi``) performs no allocator calls at
-all.
+Blocks grow geometrically, so steady-state operation performs no allocator
+calls at all.
+
+Arenas outlive runs.  :data:`ARENAS` is the process's free list: a
+simulated run checks out one arena per machine and checks them back in
+when it ends, so repeated sorts — every dataset of ``sort_multi``, and
+every separate ``distributed_sort`` of a sweep — reuse warm storage
+instead of faulting fresh pages.  A checked-out arena belongs to exactly
+one machine of one run; a run started meanwhile (nested, or on another
+thread) checks out different arenas.
 
 Leases are views of shared storage: anything that outlives the arena cycle
-(returned keys, stored provenance) must be a fresh array, never a lease.
-The data-plane convention is that leases live from step 5 (exchange
-reassembly) to the end of step 6 (merge), where the machine program calls
-``release_all``.
+(returned keys, stored provenance) must be a fresh array, never a lease —
+the next run that checks the arena out writes over it.  The data-plane
+convention is that leases live from step 5 (exchange reassembly) to the end
+of step 6 (merge), where the machine program calls ``release_all``.
 """
 
 from __future__ import annotations
@@ -89,3 +96,39 @@ class ScratchArena:
             int(b.storage.nbytes) for pool in self._pools.values() for b in pool
         )
 
+
+class ArenaPool:
+    """Free list of arenas shared by every run in the process.
+
+    ``checkout(count)`` hands out ``count`` arenas no one else holds (warm
+    ones first, fresh ones when the list runs dry); ``checkin`` releases
+    their leases and returns them.  The list is a stack and ``checkin``
+    pushes in reverse, so a run that checks in what it checked out leaves
+    the list as it found it: the next run of the same shape gets the same
+    arena on the same rank, sized for exactly its leases.  ``list.pop`` and
+    ``list.append`` are atomic, so runs on different threads never draw
+    the same arena.
+    """
+
+    def __init__(self) -> None:
+        #: Checked-in arenas; the last one is handed out first.
+        self.idle: list[ScratchArena] = []
+
+    def checkout(self, count: int) -> list[ScratchArena]:
+        return [self._pop() for _ in range(count)]
+
+    def checkin(self, arenas: list[ScratchArena]) -> None:
+        for arena in reversed(arenas):
+            arena.release_all()
+            self.idle.append(arena)
+
+    def _pop(self) -> ScratchArena:
+        try:
+            return self.idle.pop()
+        except IndexError:
+            return ScratchArena()
+
+
+#: The process's arena pool; :class:`~repro.pgxd.runtime.PgxdRuntime` leases
+#: every machine's scratch from it.
+ARENAS = ArenaPool()

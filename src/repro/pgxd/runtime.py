@@ -8,12 +8,20 @@ PGX.D managers (task, data) and configuration.
 
 The distributed sorting algorithm (:mod:`repro.core`) and all baselines run
 as programs on this runtime.
+
+A run owns nothing after it returns.  Each machine's scratch arena is
+checked out of the process-wide :data:`repro.core.scratch.ARENAS` pool for
+the duration of ``sim.run()`` and checked back in (leases released) when it
+ends, whether or not it succeeded, so back-to-back runs reuse warm storage
+and a nested or concurrent run never shares an arena with a live one.  The
+finished simulator holds no reference to itself, so dropping a run's result
+frees it and its arrays by refcount, even while the GC is paused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Generator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Generator, Sequence
 
 import numpy as np
 
@@ -31,6 +39,9 @@ from .ghost import GhostSelection, select_ghosts
 from .partition import BlockPartition
 from .task_manager import TaskManager
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.scratch import ScratchArena
+
 MachineProgram = Callable[..., Generator]
 
 #: Target edges per chunk for the edge-chunking strategy.
@@ -40,18 +51,21 @@ EDGE_CHUNK_SIZE = 4096
 class Machine:
     """One simulated PGX.D machine, as seen by a running program."""
 
-    def __init__(self, proc: ProcessHandle, config: PgxdConfig, cost: CostModel):
+    def __init__(
+        self,
+        proc: ProcessHandle,
+        config: PgxdConfig,
+        cost: CostModel,
+        scratch: ScratchArena,
+    ):
         self.proc = proc
         self.config = config
         self.cost = cost
         self.tasks = TaskManager(config.threads_per_machine, cost)
         self.data = DataManager(config, proc.metrics.memory)
-        # Reusable storage for data-plane temporaries (receive buffers,
-        # provenance staging).  repro.core imports repro.pgxd at module
-        # level, so the reverse import must stay local to avoid a cycle.
-        from ..core.scratch import ScratchArena
-
-        self.scratch = ScratchArena()
+        #: Reusable storage for data-plane temporaries (receive buffers,
+        #: provenance staging), checked out for this machine's run only.
+        self.scratch = scratch
 
     @property
     def rank(self) -> int:
@@ -149,26 +163,7 @@ class PgxdRuntime:
 
     def run(self, program: MachineProgram, *args: Any, **kwargs: Any) -> RunResult:
         """Run ``program(machine, *args, **kwargs)`` on every machine."""
-        sim = Simulator(
-            self.num_machines,
-            self.network,
-            trace=self.trace,
-            tracer=self.tracer,
-            faults=self.faults,
-        )
-
-        # Plain function, not a generator: returning the program's generator
-        # directly (instead of `yield from` delegation) removes one Python
-        # frame from every resume — material when a run spans tens of
-        # thousands of events.  The engine only requires that the factory
-        # *return* a generator.
-        def bootstrap(proc: ProcessHandle, *a: Any, **kw: Any) -> Generator:
-            machine = Machine(proc, self.config, self.cost_for_rank(proc.rank))
-            return program(machine, *a, **kw)
-
-        sim.add_program(bootstrap, *args, **kwargs)
-        metrics = sim.run()
-        return RunResult(results=sim.results(), metrics=metrics)
+        return self._launch([program] * self.num_machines, args, kwargs)
 
     def run_per_rank(self, programs: list[MachineProgram], *args: Any) -> RunResult:
         """Run a different program per rank (e.g. driver + executors)."""
@@ -176,6 +171,17 @@ class PgxdRuntime:
             raise ValueError(
                 f"need {self.num_machines} programs, got {len(programs)}"
             )
+        return self._launch(programs, args, {})
+
+    def _launch(
+        self, programs: list[MachineProgram], args: tuple, kwargs: dict
+    ) -> RunResult:
+        """Build a simulator, run ``programs[rank]`` on each machine, and
+        hold one pooled scratch arena per machine for exactly the run."""
+        # repro.core imports repro.pgxd at module level, so the reverse
+        # import must stay local to avoid a cycle.
+        from ..core.scratch import ARENAS
+
         sim = Simulator(
             self.num_machines,
             self.network,
@@ -183,14 +189,27 @@ class PgxdRuntime:
             tracer=self.tracer,
             faults=self.faults,
         )
-        for rank, program in enumerate(programs):
+        arenas = ARENAS.checkout(self.num_machines)
 
-            def bootstrap(proc: ProcessHandle, _program=program, *a: Any) -> Generator:
-                machine = Machine(proc, self.config, self.cost_for_rank(proc.rank))
-                return _program(machine, *a)
+        # Plain function, not a generator: returning the program's generator
+        # directly (instead of `yield from` delegation) removes one Python
+        # frame from every resume — material when a run spans tens of
+        # thousands of events.  The engine only requires that the factory
+        # *return* a generator.
+        def bootstrap(
+            proc: ProcessHandle, program: MachineProgram, /, *a: Any, **kw: Any
+        ) -> Generator:
+            machine = Machine(
+                proc, self.config, self.cost_for_rank(proc.rank), arenas[proc.rank]
+            )
+            return program(machine, *a, **kw)
 
-            sim.add_process(bootstrap, *args, rank=rank)
-        metrics = sim.run()
+        try:
+            for rank, program in enumerate(programs):
+                sim.add_process(bootstrap, program, *args, rank=rank, **kwargs)
+            metrics = sim.run()
+        finally:
+            ARENAS.checkin(arenas)
         return RunResult(results=sim.results(), metrics=metrics)
 
     # --------------------------------------------------------- graph load

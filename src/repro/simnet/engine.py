@@ -245,6 +245,11 @@ class _ProcState:
     result: Any = None
 
 
+#: A call handler: ``fn(simulator, rank, state, call)`` returns the value the
+#: rank's generator resumes with, or ``_BLOCKED``.
+_Handler = Callable[["Simulator", int, _ProcState, Any], Any]
+
+
 class Simulator:
     """Event-driven executor for a fixed set of rank programs.
 
@@ -339,18 +344,12 @@ class Simulator:
         #: Events interpreted by the last :meth:`run` (perf instrumentation).
         self.events_processed = 0
         self._ran = False
-        #: Handlers of the calls :meth:`_run_events` does not interpret inline
-        #: (``Isend``, ``Recv`` and ``Compute`` are arms of its loop).
-        self._handlers: dict[type, Callable[[int, _ProcState, Any], Any]] = {
-            Send: self._do_send,
-            Probe: self._do_probe,
-            Barrier: self._enter_barrier,
-            Sleep: self._do_sleep,
-            Now: self._do_now,
-            Alloc: self._do_alloc,
-            Free: self._do_free,
-            Mark: self._do_mark,
-        }
+        #: Per-instance copy of :attr:`_CALL_HANDLERS`, so subclass lookups
+        #: cached by :meth:`_resolve_handler` stay with this simulator.
+        #: Plain functions, never bound methods: a table of ``self.<method>``
+        #: is a reference cycle, which would keep every finished run (and
+        #: its result arrays) alive until a cyclic collection.
+        self._handlers: dict[type, _Handler] = dict(self._CALL_HANDLERS)
 
     # ------------------------------------------------------------------ API
 
@@ -692,7 +691,7 @@ class Simulator:
                         handler = handlers_get(cls)
                         if handler is None:
                             handler = self._resolve_handler(rank, call)
-                        value = handler(rank, state, call)
+                        value = handler(self, rank, state, call)
                     except Exception as exc:  # repro: noqa[R006] — not swallowed: re-thrown into the program at its yield site below
                         # Errors in a call (bad rank, over-free, ...) are
                         # raised at the program's yield site so programs may
@@ -872,7 +871,7 @@ class Simulator:
             details[rank] = entry
         return details
 
-    def _resolve_handler(self, rank: int, call: Any) -> Callable[[int, _ProcState, Any], Any]:
+    def _resolve_handler(self, rank: int, call: Any) -> _Handler:
         """Slow path: find (and cache) the handler for a call subclass."""
         for base in type(call).__mro__:
             if base in (Isend, Recv, Compute):
@@ -1048,6 +1047,19 @@ class Simulator:
         state.status = _Status.BLOCKED_BARRIER
         state.blocked_since = self._now
         return _BLOCKED
+
+    #: Handlers of the calls :meth:`_run_events` does not interpret inline
+    #: (``Isend``, ``Recv`` and ``Compute`` are arms of its loop).
+    _CALL_HANDLERS: dict[type, _Handler] = {
+        Send: _do_send,
+        Probe: _do_probe,
+        Barrier: _enter_barrier,
+        Sleep: _do_sleep,
+        Now: _do_now,
+        Alloc: _do_alloc,
+        Free: _do_free,
+        Mark: _do_mark,
+    }
 
 
 class _BlockedSentinel:

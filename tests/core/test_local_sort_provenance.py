@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import parallel_quicksort, split_into_chunks
 from repro.core.provenance import Provenance
+from repro.core.scratch import ScratchArena
 from repro.pgxd import PgxdConfig
 from repro.pgxd.runtime import Machine
 from repro.simnet import CostModel
@@ -16,7 +17,9 @@ from repro.simnet.metrics import ProcessMetrics
 
 def make_machine(threads=4, rank=0, size=2):
     proc = ProcessHandle(rank, size, ProcessMetrics(rank))
-    return Machine(proc, PgxdConfig(threads_per_machine=threads), CostModel())
+    return Machine(
+        proc, PgxdConfig(threads_per_machine=threads), CostModel(), ScratchArena()
+    )
 
 
 class TestSplitIntoChunks:

@@ -1,5 +1,9 @@
 """Tests for task/data/communication managers and the PgxdRuntime."""
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,7 +18,8 @@ from repro.pgxd import (
     recv_array,
     send_array,
 )
-from repro.simnet import CostModel, NetworkModel
+from repro.core.scratch import ScratchArena
+from repro.simnet import CostModel, FaultPlan, NetworkModel, Simulator
 from repro.simnet.metrics import MemoryTracker
 
 
@@ -233,6 +238,147 @@ class TestPgxdRuntime:
             PgxdRuntime(0)
         with pytest.raises(ValueError):
             PgxdRuntime(2).run_per_rank([lambda m: iter(())])
+
+
+def _reachable_arrays(obj) -> list[np.ndarray]:
+    """Every ndarray reachable from ``obj`` through dataclass fields,
+    lists, tuples and dict values."""
+    found, stack, seen = [], [obj], set()
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            found.append(x)
+        elif isinstance(x, (list, tuple)):
+            stack.extend(x)
+        elif isinstance(x, dict):
+            stack.extend(x.values())
+        elif dataclasses.is_dataclass(x) and not isinstance(x, type):
+            stack.extend(getattr(x, f.name) for f in dataclasses.fields(x))
+    return found
+
+
+def _pooled_storage() -> list[np.ndarray]:
+    from repro.core.scratch import ARENAS
+
+    return [
+        block.storage
+        for arena in ARENAS.idle
+        for blocks in arena._pools.values()
+        for block in blocks
+    ]
+
+
+class TestRunLifetime:
+    """A finished run owns nothing: refcount frees it, its arenas go back
+    to the process pool, and nothing it returned aliases that pool."""
+
+    DATA = np.random.default_rng(5).integers(0, 1000, 40_000)
+
+    def test_dropped_result_frees_the_run_without_a_collection(self, monkeypatch):
+        from repro import distributed_sort
+
+        sims = []
+        run = Simulator.run
+
+        def recording_run(sim):
+            sims.append(weakref.ref(sim))
+            return run(sim)
+
+        monkeypatch.setattr(Simulator, "run", recording_run)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            result = distributed_sort(self.DATA, num_processors=4)
+            keys = weakref.ref(result.per_processor[1])
+            assert keys() is not None
+            del result
+            assert [ref() for ref in sims] == [None]
+            assert keys() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_second_identical_sort_allocates_nothing(self, monkeypatch):
+        from repro import distributed_sort
+
+        distributed_sort(self.DATA, num_processors=16)
+        seen = {}
+        take = ScratchArena.take
+
+        def recording_take(arena, n, dtype):
+            seen.setdefault(id(arena), (arena, arena.allocations))
+            return take(arena, n, dtype)
+
+        monkeypatch.setattr(ScratchArena, "take", recording_take)
+        again = distributed_sort(self.DATA, num_processors=16)
+        assert np.array_equal(again.to_array(), np.sort(self.DATA))
+        assert len(seen) == 16
+        assert sum(a.allocations - before for a, before in seen.values()) == 0
+
+    @pytest.mark.parametrize("case", ["p1", "p2", "p16", "faulted", "sort_multi"])
+    def test_no_result_array_aliases_pooled_storage(self, case):
+        from repro import DistributedSorter
+
+        data = self.DATA
+        if case == "faulted":
+            sorter = DistributedSorter(
+                num_processors=6, faults=FaultPlan(seed=36, drop_prob=0.05)
+            )
+            results = [sorter.sort(data)]
+            assert results[0].survivors == tuple(range(6))
+        elif case == "sort_multi":
+            results = DistributedSorter(num_processors=4).sort_multi([data, data[::-1]])
+        else:
+            results = [DistributedSorter(num_processors=int(case[1:])).sort(data)]
+        storage = _pooled_storage()
+        assert storage, "the run checked its arenas back in"
+        for result in results:
+            assert np.array_equal(result.to_array(), np.sort(data))
+            arrays = _reachable_arrays(result)
+            assert len(arrays) >= 2 * result.num_processors
+            for array in arrays:
+                assert not any(np.shares_memory(array, s) for s in storage)
+
+    def test_nested_run_gets_distinct_arenas(self, monkeypatch):
+        from repro import distributed_sort
+        from repro.core.scratch import ARENAS
+        from repro.core.sorter import SortOptions, sample_sort_program
+
+        inner_data = np.random.default_rng(6).integers(0, 50, 5_000)
+        blocks = np.array_split(self.DATA, 2)
+        outer_arenas, inner_arenas, inner = [], [], []
+        take = ScratchArena.take
+
+        def recording_take(arena, n, dtype):
+            if all(arena is not a for a in outer_arenas + inner_arenas):
+                inner_arenas.append(arena)
+            return take(arena, n, dtype)
+
+        def program(machine):
+            outer_arenas.append(machine.scratch)
+            held = machine.scratch.take(4096, np.int64)
+            held[:] = machine.rank
+            if machine.rank == 0:
+                # A whole run while this run's arenas hold live leases.
+                inner.append(distributed_sort(inner_data, num_processors=4))
+                assert not set(map(id, outer_arenas)) & set(map(id, ARENAS.idle))
+            assert (held == machine.rank).all()
+            machine.scratch.release_all()
+            return (yield sample_sort_program(
+                machine, blocks[machine.rank], SortOptions()
+            ))
+
+        monkeypatch.setattr(ScratchArena, "take", recording_take)
+        run = PgxdRuntime(2).run(program)
+        assert len(outer_arenas) == 2 and len(inner_arenas) == 4
+        assert np.array_equal(inner[0].to_array(), np.sort(inner_data))
+        merged = np.concatenate([out.keys for out in run.results])
+        assert np.array_equal(merged, np.sort(self.DATA))
+        # Both runs checked every arena they leased back in.
+        assert set(map(id, outer_arenas + inner_arenas)) <= set(map(id, ARENAS.idle))
 
 
 class TestGraphLoading:

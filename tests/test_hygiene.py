@@ -199,6 +199,70 @@ class TestStructure:
                         offenders.append(f"{relative}:{node.lineno}: {func.name}")
         assert not offenders, f"np.* or indexing on sorted_keys: {offenders}"
 
+    #: ``"<path under src/repro> <Class>.<attribute>"`` -> why that instance
+    #: may keep a bound method of itself (and so a reference cycle) alive.
+    SELF_CYCLE_ALLOWLIST: dict[str, str] = {}
+    #: Decorators under which ``self.<name>`` is not a bound method of self.
+    NOT_BOUND = {"property", "cached_property", "staticmethod", "classmethod", "setter"}
+
+    def test_no_instance_attribute_holds_a_bound_method_of_self(self):
+        """``self.x = self.method`` (or the method inside a dict, list, tuple
+        or set literal) is a reference cycle: the instance and everything it
+        holds die only in a cyclic collection, never by refcount — and
+        ``Simulator.run`` pauses the GC."""
+        import ast
+
+        def decorator_name(node):
+            return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+        def holds_method(value, me, methods):
+            if isinstance(value, ast.Attribute):
+                return getattr(value.value, "id", None) == me and value.attr in methods
+            if isinstance(value, ast.Dict):
+                return any(holds_method(v, me, methods) for v in value.keys + value.values if v)
+            if isinstance(value, (ast.List, ast.Tuple, ast.Set)):
+                return any(holds_method(v, me, methods) for v in value.elts)
+            return False
+
+        found = set()
+        for path in _source_files():
+            relative = path.relative_to(SRC).as_posix()
+            for cls in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                defs = [
+                    node for node in cls.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
+                methods = {
+                    node.name for node in defs
+                    if not {decorator_name(d) for d in node.decorator_list} & self.NOT_BOUND
+                }
+                for func in defs:
+                    if not func.args.args:
+                        continue
+                    me = func.args.args[0].arg
+                    for node in ast.walk(func):
+                        if isinstance(node, ast.Assign):
+                            targets, value = node.targets, node.value
+                        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                            targets, value = [node.target], node.value
+                        else:
+                            continue
+                        for target in targets:
+                            if (
+                                isinstance(target, ast.Attribute)
+                                and getattr(target.value, "id", None) == me
+                                and holds_method(value, me, methods)
+                            ):
+                                found.add(f"{relative} {cls.name}.{target.attr}")
+        assert found == set(self.SELF_CYCLE_ALLOWLIST), (
+            f"instance attributes holding a bound method of self (a reference "
+            f"cycle; store the plain function, or build the table per call): "
+            f"{sorted(found - set(self.SELF_CYCLE_ALLOWLIST))}; allowlisted but "
+            f"gone: {sorted(set(self.SELF_CYCLE_ALLOWLIST) - found)}"
+        )
+
     #: Docs and workflows whose repo paths must resolve.
     PATH_CITING_FILES = (
         "README.md",
