@@ -1,5 +1,6 @@
 """SharedArena: pooling, lease/attach round trips, cross-process visibility."""
 
+import gc
 import multiprocessing
 import os
 
@@ -154,6 +155,7 @@ class TestPinning:
         def fds():
             return len(os.listdir("/proc/self/fd"))
 
+        gc.collect()  # earlier tests' cyclic garbage may hold fds
         before = fds()
         arena = SharedArena()
         lease = arena.lease(100_000, np.int64)

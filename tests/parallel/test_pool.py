@@ -322,6 +322,7 @@ class TestHeldResults:
             _blocks(20_000, 4, seed=seed, kind=kinds[seed % 3])
             for seed in range(MAX_PINNED_RESULTS + 3)
         ]
+        gc.collect()  # no earlier garbage left to free fds mid-footprint
         shm_before = _shm_entries()
         with ProcessBackend() as backend:
             held, footprint = [], []
@@ -375,6 +376,10 @@ class TestHeldResults:
 
     def test_results_outlive_their_pool(self):
         blocks = _blocks(20_000, 4)
+        # The baseline excludes fds an earlier test left in cyclic garbage
+        # (a caught error's traceback pins its job's pipes and mappings),
+        # which the collection below would otherwise count as this test's.
+        gc.collect()
         shm_before, fds_before = _shm_entries(), _open_fds()
         backend = ProcessBackend()
         run = backend.sort_blocks(blocks)
