@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from ..core.scratch import ScratchArena
-from ..core.sorter import SortOptions, sample_sort_program
+from ..core.sorter import SortOptions, job_frame, sample_sort_program
 from ..pgxd.runtime import Machine, PgxdRuntime
 from ..simnet.engine import ProcessHandle, Simulator
 from ..simnet.metrics import ProcessMetrics
@@ -64,6 +64,7 @@ def capture_sort_fingerprint(
     n_keys: int = 60_000,
     seed: int = 20260805,
     *,
+    dtype: str = "int64",
     sanitizer: Any = None,
 ) -> dict[str, Any]:
     """Run a fixed-seed distributed sort with tracing; return its fingerprint.
@@ -71,16 +72,21 @@ def capture_sort_fingerprint(
     Every field is either an integer count or a ``float.hex()`` string, so a
     fingerprint compares bit-exactly across engine implementations.
 
+    ``dtype`` picks the data path: ``"int64"`` keys below 2^40 fit the
+    key frame (words); ``"float64"`` keys in [0, 1) do not (keys + perm).
+
     ``sanitizer`` attaches a :class:`~repro.simnet.sanitizer.SimSan` to the
     run.  The fingerprint shape is unchanged — SimSan must be invisible to
     simulated behavior, which is exactly what comparing a sanitized capture
     against the committed golden fingerprint proves.
     """
     rng = np.random.default_rng(seed)
-    data = rng.integers(0, 1 << 40, n_keys).astype(np.int64)
+    ints = dtype == "int64"
+    data = rng.integers(0, 1 << 40, n_keys).astype(np.int64) if ints else rng.random(n_keys)
     bounds = [n_keys * i // num_ranks for i in range(num_ranks + 1)]
     blocks = [data[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     options = SortOptions()
+    job = job_frame(blocks)
     runtime = PgxdRuntime(num_ranks, trace=True)
     sim = Simulator(num_ranks, runtime.network, trace=True, sanitizer=sanitizer)
 
@@ -88,7 +94,7 @@ def capture_sort_fingerprint(
         machine = Machine(
             proc, runtime.config, runtime.cost_for_rank(proc.rank), ScratchArena()
         )
-        return (yield from sample_sort_program(machine, blocks[proc.rank], options))
+        return (yield from sample_sort_program(machine, blocks[proc.rank], options, job))
 
     sim.add_program(bootstrap)
     metrics = sim.run()
@@ -104,7 +110,8 @@ def capture_sort_fingerprint(
         prov.append(out.provenance.origin_proc)
         prov.append(out.provenance.origin_index)
     return {
-        "workload": {"num_ranks": num_ranks, "n_keys": n_keys, "seed": seed},
+        "workload": {"num_ranks": num_ranks, "n_keys": n_keys, "seed": seed}
+        | ({} if ints else {"dtype": dtype}),
         "makespan": _hex(metrics.makespan),
         "remote_bytes": metrics.remote_bytes,
         "local_bytes": metrics.local_bytes,
@@ -126,5 +133,6 @@ if __name__ == "__main__":  # pragma: no cover - golden re-capture CLI
     import json
     import sys
 
-    json.dump(capture_sort_fingerprint(), sys.stdout, indent=1, sort_keys=True)
+    dtype = (sys.argv[1:] or ["int64"])[0]  # ``python -m repro.analysis.determinism [float64]``
+    json.dump(capture_sort_fingerprint(dtype=dtype), sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

@@ -34,7 +34,7 @@ from .investigator import (
     slices_from_cuts,
 )
 from .local_backend import LocalSortOutput, local_sample_sort, sample_sort_partition
-from .local_sort import LocalSortResult, parallel_quicksort, split_into_chunks
+from .local_sort import local_sort_seconds, split_into_chunks
 from .provenance import Provenance
 from .result import SortResult
 from .sampling import sample_count, select_regular_samples
@@ -49,7 +49,6 @@ __all__ = [
     "DistributedSorter",
     "ExchangeResult",
     "LocalSortOutput",
-    "LocalSortResult",
     "MergeOutcome",
     "Provenance",
     "RankSortOutput",
@@ -66,10 +65,10 @@ __all__ = [
     "flat_kway_merge",
     "kway_merge_cost_seconds",
     "local_sample_sort",
+    "local_sort_seconds",
     "merge_levels",
     "merge_levels_cost_seconds",
     "merge_samples",
-    "parallel_quicksort",
     "partition_input",
     "sample_count",
     "sample_sort_partition",

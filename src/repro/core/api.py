@@ -30,7 +30,7 @@ from ..pgxd.runtime import Machine, PgxdRuntime
 from ..simnet.cost import CostModel
 from ..simnet.network import NetworkModel
 from .result import SortResult
-from .sorter import RankSortOutput, SortOptions, sample_sort_program
+from .sorter import RankSortOutput, SortOptions, job_frame, sample_sort_program
 
 
 @dataclass(frozen=True)
@@ -196,12 +196,13 @@ class DistributedSorter:
                 )
             return run.to_sort_result(np.asarray(input_offsets, dtype=np.int64))
         runtime = self.config.runtime()
+        job = job_frame(blocks)
 
         def program(machine: Machine):
             # Returns the step generator itself (no `yield from` shim): one
             # less frame on every event resume of the run.
             return sample_sort_program(
-                machine, blocks[machine.rank], self.config.options
+                machine, blocks[machine.rank], self.config.options, job
             )
 
         run = runtime.run(program)
@@ -219,13 +220,14 @@ class DistributedSorter:
             return []
         p = self.config.num_processors
         per_dataset = [partition_input(d, p) for d in datasets]
+        jobs = [job_frame(blocks) for blocks, _ in per_dataset]
         runtime = self.config.runtime()
 
         def program(machine: Machine):
             outs = []
-            for blocks, _ in per_dataset:
+            for (blocks, _), job in zip(per_dataset, jobs):
                 out = yield from sample_sort_program(
-                    machine, blocks[machine.rank], self.config.options
+                    machine, blocks[machine.rank], self.config.options, job
                 )
                 outs.append(out)
             return outs

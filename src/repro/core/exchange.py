@@ -13,15 +13,20 @@ origin-index chunks as non-blocking sends before draining a single receive.
 Key chunks and index chunks use distinct tags so the two streams reassemble
 independently.
 
+Both streams are charged as the paper's records (key itemsize + a 4-byte
+origin index per key).  On the word path (the block is
+:class:`~repro.core.packsort.SortedWords`) the packed words ride the key
+messages and the index messages carry only their charged size.
+
 Reassembly is offset-addressed, as in the paper's step 5: the counts matrix
-fixes each source's region in one receive buffer per stream (keys, origin
-indices) before any data arrives.  Chunks from one source arrive in FIFO
-order, so the drain loop only collects them per source and each stream is
-assembled with one ``np.concatenate(..., out=buffer)``.  The buffers come
-from the machine's scratch arena when one is supplied, so repeated sorts
-reuse the same storage.  Each source's region is a sorted slice of the
-sender's locally sorted data, and the regions sit back to back in source
-order — exactly the layout the step-6 flat merge kernel consumes without any
+fixes each source's region in one receive buffer per real stream (keys and
+origin indices, or words) before any data arrives.  Chunks from one source
+arrive in FIFO order, so the drain loop only collects them per source and
+each stream is assembled with one ``np.concatenate(..., out=buffer)``.  The
+buffers come from the machine's scratch arena when one is supplied, so
+repeated sorts reuse the same storage.  Each source's region is a sorted
+slice of the sender's locally sorted data, and the regions sit back to back
+in source order — exactly the layout the step-6 kernels consume without any
 further copying.  One buffer per stream means one dtype per stream: blocks
 of different dtypes are promoted before the sort starts
 (:meth:`repro.core.api.DistributedSorter.sort_partitioned`), and a sender
@@ -35,13 +40,14 @@ from typing import Generator
 
 import numpy as np
 
-from ..pgxd.comm_manager import expected_chunks, send_array
+from ..pgxd.comm_manager import MAX_CHUNKS_PER_TRANSFER, send_array
 from ..pgxd.config import PgxdConfig
 from ..simnet.calls import Compute, Isend, Mark, Message, Recv, Send
 from ..simnet.collectives import allgather
 from ..simnet.engine import ProcessHandle
+from .packsort import SortedWords
 from .scratch import ScratchArena
-from .steps import BlockPartition
+from .steps import INDEX_DTYPE, BlockPartition
 
 TAG_KEYS = 201
 TAG_INDEX = 202
@@ -55,60 +61,39 @@ class ExchangeResult:
     #: into ``key_buffer``.
     key_runs: list[np.ndarray]
     #: Origin-index run aligned with each key run (views into
-    #: ``index_buffer``).
-    index_runs: list[np.ndarray]
+    #: ``index_buffer``); ``None`` on the word path.
+    index_runs: list[np.ndarray] | None
     #: counts_matrix[src][dst] = keys sent from src to dst (global view).
     counts_matrix: np.ndarray
-    #: All received keys back to back in source order (may be a scratch
-    #: lease — valid until the arena is released).
+    #: All received keys (words, on the word path) back to back in source
+    #: order (may be a scratch lease — valid until the arena is released).
     key_buffer: np.ndarray
-    #: Origin indices aligned with ``key_buffer``.
-    index_buffer: np.ndarray
+    #: Origin indices aligned with ``key_buffer``; ``None`` on the word path.
+    index_buffer: np.ndarray | None
     #: Prefix offsets of each source's region: run ``src`` occupies
     #: ``key_buffer[run_offsets[src]:run_offsets[src + 1]]``.
     run_offsets: np.ndarray
 
-    def received_total(self, rank: int) -> int:
-        return int(self.counts_matrix[:, rank].sum())
 
-
-def _pending_chunks(
-    recv_counts: np.ndarray,
-    rank: int,
-    key_itemsize: int,
-    idx_itemsize: int,
-    config: PgxdConfig,
-) -> int:
-    """Messages this rank will receive, from the announced counts.
-
-    Vectorized replica of per-source :func:`expected_chunks` sums for the
-    unscaled (``data_scale == 1``) configuration; the scaled path keeps the
-    scalar calls so rounding matches the senders' chunk plans bit for bit.
-    """
-    from ..pgxd.comm_manager import MAX_CHUNKS_PER_TRANSFER
-
-    remote = recv_counts.copy()
-    remote[rank] = 0
-    if config.data_scale == 1.0:
-        rb = config.read_buffer_bytes
-        pending = 0
-        for itemsize in (key_itemsize, idx_itemsize):
-            flushes = -(-(remote * itemsize) // rb)
-            pending += int(np.minimum(flushes, MAX_CHUNKS_PER_TRANSFER).sum())
-        return pending
+def _pending_chunks(recv_counts: np.ndarray, rank: int, itemsizes, config: PgxdConfig) -> int:
+    """Messages this rank will receive, from the announced counts: every
+    stream's per-source :func:`~repro.pgxd.comm_manager.expected_chunks`,
+    vectorized (numpy and Python both round half to even, so scaled chunk
+    plans match the senders' bit for bit)."""
+    remote = np.delete(recv_counts, rank)
     pending = 0
-    for src, nkeys in enumerate(remote):
-        if nkeys == 0:
-            continue
-        pending += expected_chunks(int(nkeys) * key_itemsize, config)
-        pending += expected_chunks(int(nkeys) * idx_itemsize, config)
+    for itemsize in itemsizes:
+        real = remote * itemsize
+        virtual = real if config.data_scale == 1.0 else np.round(real * config.data_scale)
+        flushes = -(-virtual.astype(np.int64) // config.read_buffer_bytes)
+        pending += int(np.minimum(flushes, MAX_CHUNKS_PER_TRANSFER).sum())
     return pending
 
 
 def exchange_partitions(
     machine_proc: ProcessHandle,
-    sorted_keys: np.ndarray,
-    origin_index: np.ndarray,
+    sorted_keys: np.ndarray | SortedWords,
+    origin_index: np.ndarray | None,
     partition: BlockPartition,
     config: PgxdConfig,
     *,
@@ -117,7 +102,8 @@ def exchange_partitions(
 ) -> Generator:
     """Run the step-5 exchange; returns an :class:`ExchangeResult`.
 
-    ``sorted_keys``/``origin_index`` are this rank's step-1 output;
+    ``sorted_keys``/``origin_index`` are this rank's step-1 output (on the
+    word path, its words and ``None``);
     ``partition`` is its step-4 outcome (slices and counts per destination).
     ``copy_seconds_per_byte`` charges the receiver-side copy of each
     arriving chunk to its precomputed offset
@@ -133,8 +119,13 @@ def exchange_partitions(
     # The inline send fast path below hands slices straight to the wire, so
     # normalize layout once here (a no-op for the sorter's own arrays)
     # rather than per destination inside send_array.
-    sorted_keys = np.ascontiguousarray(sorted_keys)
-    origin_index = np.ascontiguousarray(origin_index)
+    if isinstance(sorted_keys, SortedWords):
+        key_itemsize, idx_itemsize = sorted_keys.dtype.itemsize, INDEX_DTYPE.itemsize
+        sorted_keys = sorted_keys.words
+    else:
+        sorted_keys = np.ascontiguousarray(sorted_keys)
+        origin_index = np.ascontiguousarray(origin_index)
+        key_itemsize, idx_itemsize = sorted_keys.dtype.itemsize, origin_index.dtype.itemsize
     out_slices, counts = partition.slices, partition.counts
     # Size announcement: every rank learns the full counts matrix.
     # The Marks trace the exchange's three sub-phases (nested inside the
@@ -158,8 +149,8 @@ def exchange_partitions(
     # thousands of dataclass constructions per run (the reuse license is
     # spelled out in the calls-module contract).
     streams = [
-        (sorted_keys, send_cls(dst=rank, nbytes=0, tag=TAG_KEYS)),
-        (origin_index, send_cls(dst=rank, nbytes=0, tag=TAG_INDEX)),
+        (sorted_keys, key_itemsize, send_cls(dst=rank, nbytes=0, tag=TAG_KEYS)),
+        (origin_index, idx_itemsize, send_cls(dst=rank, nbytes=0, tag=TAG_INDEX)),
     ]
     yield Mark("exchange:send")
     for offset in range(1, size):
@@ -167,16 +158,15 @@ def exchange_partitions(
         sl = out_slices[dst]
         if sl.stop == sl.start:
             continue
-        for array, send in streams:
-            chunk = array[sl]
-            if unscaled and chunk.nbytes <= rb:
-                send.dst, send.nbytes, send.payload = dst, chunk.nbytes, chunk
+        for array, itemsize, send in streams:
+            chunk = None if array is None else array[sl]
+            nbytes = (sl.stop - sl.start) * itemsize
+            if unscaled and nbytes <= rb:
+                send.dst, send.nbytes, send.payload = dst, nbytes, chunk
                 yield send
             else:
-                yield from send_array(machine_proc, dst, chunk, send.tag, config)
+                yield from send_array(machine_proc, dst, chunk, send.tag, config, nbytes)
     yield Mark("exchange:send", event="end")
-    key_dtype = sorted_keys.dtype
-    idx_dtype = origin_index.dtype
     # Offset-addressed reassembly, deferred: the drain loop only *collects*
     # arriving chunks (one list per source; chunks from one source arrive
     # in FIFO order), then each stream's receive buffer is assembled with a
@@ -190,9 +180,7 @@ def exchange_partitions(
     total = int(run_offsets[-1])
     key_parts: list[list[np.ndarray]] = [[] for _ in range(size)]
     idx_parts: list[list[np.ndarray]] = [[] for _ in range(size)]
-    pending = _pending_chunks(
-        recv_counts, rank, key_dtype.itemsize, idx_dtype.itemsize, config
-    )
+    pending = _pending_chunks(recv_counts, rank, (key_itemsize, idx_itemsize), config)
     # One wildcard spec serves every receive: call objects are read-only
     # value objects and at most one Recv per rank is outstanding, so the
     # engine never sees two live uses of this instance.
@@ -220,36 +208,30 @@ def exchange_partitions(
                 comp = charge_for[nb] = Compute(nb * copy_seconds_per_byte)
             yield comp
     yield Mark("exchange:drain", event="end")
-    # The local partition is a run like any other; it skips the network.
-    sl = out_slices[rank]
-    key_parts[rank].append(sorted_keys[sl])
-    idx_parts[rank].append(origin_index[sl])
-    # Every chunk from one source views one sender-side array, so a dtype
-    # mismatch with the receive buffer is a whole-source property, visible
-    # on the first chunk; ``concatenate(out=)`` would cast it silently.
-    for parts, dtype in ((key_parts, key_dtype), (idx_parts, idx_dtype)):
+    # Runs become views into the stream buffers (possibly scratch leases —
+    # the caller releases them after the step-6 merge, whose kernels always
+    # return fresh arrays).  ``concatenate(out=)`` also enforces the
+    # announced totals: a short or long stream is a shape error.
+    bounds = run_offsets.tolist()
+    buffers, runs = [None, None], [None, None]
+    for i, (array, parts) in enumerate(((sorted_keys, key_parts), (origin_index, idx_parts))):
+        if array is None:  # charged, never carried
+            continue
+        # The local partition is a run like any other; it skips the network.
+        parts[rank].append(array[out_slices[rank]])
+        # Every chunk from one source views one sender-side array, so a
+        # dtype mismatch with the receive buffer is a whole-source property,
+        # visible on the first chunk; ``concatenate(out=)`` would cast it
+        # silently.
         for src, chunks in enumerate(parts):
-            if chunks and chunks[0].dtype != dtype:
+            if chunks and chunks[0].dtype != array.dtype:
                 raise TypeError(
                     f"rank {rank} receives {chunks[0].dtype} from rank {src} "
-                    f"into a {dtype} stream; promote the blocks to one dtype "
+                    f"into a {array.dtype} stream; promote the blocks to one dtype "
                     "before sorting (DistributedSorter.sort_partitioned does)"
                 )
-    # Runs become views into the stream buffers (possibly scratch leases —
-    # the caller releases them after the step-6 merge, whose flat kernel
-    # always returns fresh arrays).  ``concatenate(out=)`` also enforces the
-    # announced totals: a short or long stream is a shape error.
-    if scratch is not None:
-        key_buf = scratch.take(total, key_dtype)
-        idx_buf = scratch.take(total, idx_dtype)
-    else:
-        key_buf = np.empty(total, dtype=key_dtype)
-        idx_buf = np.empty(total, dtype=idx_dtype)
-    bounds = run_offsets.tolist()
-    np.concatenate([p for parts in key_parts for p in parts], out=key_buf)
-    key_runs = [key_buf[bounds[s] : bounds[s + 1]] for s in range(size)]
-    np.concatenate([p for parts in idx_parts for p in parts], out=idx_buf)
-    index_runs = [idx_buf[bounds[s] : bounds[s + 1]] for s in range(size)]
-    return ExchangeResult(
-        key_runs, index_runs, counts_matrix, key_buf, idx_buf, run_offsets
-    )
+        take = np.empty if scratch is None else scratch.take
+        buffer = buffers[i] = take(total, array.dtype)
+        np.concatenate([p for chunks in parts for p in chunks], out=buffer)
+        runs[i] = [buffer[bounds[s] : bounds[s + 1]] for s in range(size)]
+    return ExchangeResult(runs[0], runs[1], counts_matrix, *buffers, run_offsets)

@@ -4,36 +4,22 @@
 processor.  Then, each worker thread sorts its data locally.  Sorted data
 from each thread is merged together by keeping balanced merging."
 
-The *virtual-time cost* keeps the paper's shape exactly: per-chunk sort
-costs combined as the worker pool's makespan, plus the balanced handler's
-merge-level costs computed arithmetically from the chunk lengths
+The *virtual-time cost* (:func:`local_sort_seconds`, from the key count
+alone) keeps the paper's shape exactly: per-chunk sort costs combined as
+the worker pool's makespan, plus the balanced handler's merge-level costs
+computed arithmetically from the chunk lengths
 (:func:`repro.core.balanced_merge.merge_levels`).  The *real data plane* is
 flat: stable chunk sorts composed with the stable pairwise handler equal
 one stable sort of the whole block (ties resolve to original order either
-way), so the keys are produced by a single C-speed pass —
-:func:`repro.core.steps.sort_block`, the step-1 kernel every substrate
-shares.
+way), so the block is sorted by a single C-speed pass: its packed words
+(:meth:`repro.core.sorter.JobFrame.sort`) when the job's key frame fits,
+its keys and permutation (:func:`repro.core.steps.sort_block`) otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from ..pgxd.runtime import Machine
 from .balanced_merge import merge_levels, merge_levels_cost_seconds
-from .steps import sort_block
-
-
-@dataclass(frozen=True)
-class LocalSortResult:
-    """Sorted keys, the sort permutation, and the charged virtual time."""
-
-    keys: np.ndarray
-    #: ``perm[i]`` = original local index of ``keys[i]``.
-    perm: np.ndarray
-    seconds: float
 
 
 def split_into_chunks(n: int, parts: int) -> list[slice]:
@@ -48,27 +34,11 @@ def split_into_chunks(n: int, parts: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def parallel_quicksort(
-    machine: Machine,
-    keys: np.ndarray,
-    *,
-    balanced: bool = True,
-) -> LocalSortResult:
-    """Sort ``keys`` with the step-1 strategy; returns data + virtual cost.
-
-    This is a plain function (not a generator): it performs the real sort
-    and *returns* the seconds to charge, so the calling program can yield a
-    single labelled ``Compute``.  ``balanced=False`` selects the sequential
-    fold merge for the handler ablation (cost shape only — the stable data
-    result is identical).
-    """
-    keys = np.asarray(keys)
-    n = len(keys)
-    threads = machine.threads
-    sorted_keys, perm, _path = sort_block(keys)
+def local_sort_seconds(machine: Machine, n: int, *, balanced: bool) -> float:
+    """Virtual seconds step 1 charges for ``n`` keys on ``machine``."""
     if n == 0:
-        return LocalSortResult(sorted_keys, perm, 0.0)
-    chunk_slices = split_into_chunks(n, min(threads, n))
+        return 0.0
+    chunk_slices = split_into_chunks(n, min(machine.threads, n))
     scale = machine.config.data_scale
     # Chunk lengths differ by at most one, so at most two distinct costs
     # exist: evaluate the cost model once per distinct length.
@@ -84,7 +54,6 @@ def parallel_quicksort(
     levels = merge_levels(
         [sl.stop - sl.start for sl in chunk_slices], balanced=balanced
     )
-    seconds += merge_levels_cost_seconds(
+    return seconds + merge_levels_cost_seconds(
         levels, machine.tasks, machine.cost, scale=scale
     )
-    return LocalSortResult(sorted_keys, perm, seconds)

@@ -61,16 +61,14 @@ arithmetic shift, which is what lets integral, low-precision and
 float32-valued float64 keys fit.  Full-mantissa float64, uint64 ≥ 2^63
 and every other dtype kind do not fit.
 
-Two callers share this one implementation.  :func:`packed_stable_sort`
-is the single-block case (``rank_bits = 0``): it returns ``None`` when
-the frame declines and :func:`stable_sort_with_order` — step 1 of simnet
-and of the process backend's fallback — then runs the plain stable
-argsort; either way the output arrays are bit-identical, so the golden
-fingerprints cannot tell which path ran.  The process backend's *word
-path* (:mod:`repro.parallel.datapath`) is the multi-block case: the frame
-comes from an allgather, steps 2–4 read the sorted words, the words
-travel through the step-5 exchange, and step 6 sorts them in place in
-shared memory and unpacks once.
+Both substrates run the multi-block case, the *word path*: steps 2–4
+read the sorted words, step 5 moves them, step 6 sorts the received runs
+in place (:func:`sort_runs_in_place`) and unpacks once.  The pool
+allgathers the frame's statistics in step 1; the simulator's driver
+folds them before the run (:func:`repro.core.sorter.job_frame`).  The
+single-block case (``rank_bits = 0``), :func:`packed_stable_sort`, serves
+their keys + perm fallback: on a decline :func:`stable_sort_with_order`
+runs the plain stable argsort, with bit-identical output.
 """
 
 from __future__ import annotations
@@ -377,24 +375,34 @@ class SortedWords:
         return self.words.searchsorted(np.array(bounds, dtype=np.int64))
 
 
-#: Up to this many nonempty sorted runs, timsort's galloping merge
-#: (``kind="stable"``) beats the default vectorised sort on the
-#: concatenation (2M int64 words, this repo's 2-vCPU recorder: k = 2
-#: 11.0 vs 17.3 ms, k = 4 20.7 vs 30.7 ms, k = 5 22.5 vs 17.1 ms,
-#: k = 16 42.5 vs 22.8 ms; at 60k words the two are within 0.1 ms up to
-#: k = 4 and the default wins beyond).
+#: Up to this many true runs, timsort's galloping merge (``kind="stable"``)
+#: beats the default vectorised sort on the concatenation (2M int64 words,
+#: this repo's 2-vCPU recorder: k = 2 11.0 vs 17.3 ms, k = 4 20.7 vs
+#: 30.7 ms, k = 5 22.5 vs 17.1 ms, k = 16 42.5 vs 22.8 ms; at 60k words
+#: the two are within 0.1 ms up to k = 4 and the default wins beyond).
 GALLOP_MAX_RUNS = 4
 
 
-def sort_runs_in_place(buffer: np.ndarray, run_lengths: Sequence[int]) -> None:
-    """Sort a buffer of back-to-back sorted runs where it lies.
+def sort_runs_in_place(buffer: np.ndarray, run_lengths: Sequence[int], shift: int) -> None:
+    """Sort back-to-back sorted runs of unique words (``shift`` bits below
+    the code) where they lie, with a kernel picked from O(k) boundary facts.
 
-    For callers to whom the sort kind is unobservable — unique packed
-    words — so the kernel is picked by run count alone: the run-adaptive
-    stable sort for few runs, the default kernel for many.
+    Adjacent runs without a descent between them form one *true* run; one
+    true run is left as it is.  At most :data:`GALLOP_MAX_RUNS` true runs,
+    or a code span (last − first code) shorter than the buffer — ties in
+    long same-key blocks that galloping skips — take the galloping stable
+    sort, anything else the default kernel.  (p = 16, 2M keys, 2-vCPU
+    recorder: right-skewed, galloping 7.3 ms vs default 20.1; uniform,
+    default 21.8 vs galloping 48.6.)
     """
-    runs = sum(1 for length in run_lengths if length)
-    buffer.sort(kind="stable" if runs <= GALLOP_MAX_RUNS else None)
+    ends = np.cumsum([length for length in run_lengths if length], dtype=np.int64)
+    seams = ends[:-1]
+    true_runs = 1 + int(np.count_nonzero(buffer[seams - 1] > buffer[seams]))
+    if true_runs == 1:
+        return
+    first = int(buffer[np.concatenate(([0], seams))].min()) >> shift
+    tied = (int(buffer[ends - 1].max()) >> shift) - first < len(buffer)
+    buffer.sort(kind="stable" if true_runs <= GALLOP_MAX_RUNS or tied else None)
 
 
 _ONE_BLOCK = np.zeros(1, dtype=np.int64)

@@ -28,14 +28,14 @@ crash and still produce a fully sorted, provenance-correct result:
    rather than a hang).
 
 The committed data goes through the lossless path's own step 6
-(:func:`repro.core.sorter.merge_step`), with true origin ranks riding
-along, so provenance indices remain valid against the *original* input
-partitioning — dead ranks simply contribute nothing.
+(:func:`repro.core.sorter.merge_step`) on its keys + perm path, with true
+origin ranks riding along, so provenance indices remain valid against the
+*original* input partitioning — dead ranks simply contribute nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,7 +44,7 @@ from ..simnet.calls import Mark, Now
 from ..simnet.comm import Envelope, ReliableComm, ResilienceConfig
 from ..simnet.errors import ExchangeTimeoutError, MembershipError
 from .provenance import Provenance
-from .sorter import RankSortOutput, SortOptions, local_sort_step, merge_step
+from .sorter import RankSortOutput, SortOptions, local_sort_step, merge_keys, merge_step
 from .sorter_labels import STEP_LABELS
 from .steps import agree_splitters, draw_samples, partition_block
 
@@ -52,13 +52,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..pgxd.runtime import Machine
 
 
+@dataclass(slots=True)
 class _Inbox:
     """Demultiplexer over the reliable inbox, keyed ``(round, channel)``."""
 
-    __slots__ = ("_store",)
-
-    def __init__(self) -> None:
-        self._store: dict[tuple[int, str], list[Envelope]] = {}
+    _store: dict[tuple[int, str], list[Envelope]] = field(default_factory=dict)
 
     def absorb(self, rc: ReliableComm) -> None:
         for env in rc.take():
@@ -82,32 +80,21 @@ class _Inbox:
             del self._store[key]
 
 
+@dataclass(slots=True)
 class _ExchangeOutcome:
     """What one exchange round produced on this rank."""
 
-    __slots__ = (
-        "ok",
-        "suspects",
-        "kparts",
-        "iparts",
-        "fins",
-        "sent_counts",
-        "local_k",
-        "local_i",
-    )
-
-    def __init__(self) -> None:
-        self.ok = True
-        self.suspects: set[int] = set()
-        #: src -> {chunk_index: key array}
-        self.kparts: dict[int, dict[int, np.ndarray]] = {}
-        #: src -> {chunk_index: origin-index array}
-        self.iparts: dict[int, dict[int, np.ndarray]] = {}
-        #: src -> (n_key_chunks, n_index_chunks, key_count)
-        self.fins: dict[int, tuple[int, int, int]] = {}
-        self.sent_counts: np.ndarray | None = None
-        self.local_k: np.ndarray | None = None
-        self.local_i: np.ndarray | None = None
+    ok: bool = True
+    suspects: set[int] = field(default_factory=set)
+    #: src -> {chunk_index: key array}
+    kparts: dict[int, dict[int, np.ndarray]] = field(default_factory=dict)
+    #: src -> {chunk_index: origin-index array}
+    iparts: dict[int, dict[int, np.ndarray]] = field(default_factory=dict)
+    #: src -> (n_key_chunks, n_index_chunks, key_count)
+    fins: dict[int, tuple[int, int, int]] = field(default_factory=dict)
+    sent_counts: np.ndarray | None = None
+    local_k: np.ndarray | None = None
+    local_i: np.ndarray | None = None
 
 
 def _bill(out: RankSortOutput, step: int, seconds: float) -> None:
@@ -366,8 +353,8 @@ def resilient_sort_program(machine: "Machine", local_keys: np.ndarray, options: 
     cfg = machine.config
     out = RankSortOutput(keys=keys, provenance=Provenance.empty())
 
-    # ---- step 1: local sort (the lossless program's own step)
-    local, _t1 = yield local_sort_step(machine, keys, options, out)
+    # ---- step 1: local sort (the lossless program's own step, keys + perm)
+    (sorted_keys, perm), _t1 = yield local_sort_step(machine, keys, options, out, None)
 
     rcfg = options.resilience if isinstance(options.resilience, ResilienceConfig) else ResilienceConfig()
     # Resilience budgets are specified in *unscaled* fabric time.  Under an
@@ -401,7 +388,7 @@ def resilient_sort_program(machine: "Machine", local_keys: np.ndarray, options: 
             raise MembershipError(rank, alive, round_no)
         coord = min(alive)
         plan = yield from _plan_round(
-            machine, rc, inbox, local.keys, alive, round_no, coord, options, out
+            machine, rc, inbox, sorted_keys, alive, round_no, coord, options, out
         )
         if plan is None:
             alive = [r for r in alive if r != coord]
@@ -412,7 +399,7 @@ def resilient_sort_program(machine: "Machine", local_keys: np.ndarray, options: 
             raise MembershipError(rank, alive_r, round_no)
         alive = alive_r
         exch = yield from _exchange_round(
-            machine, rc, inbox, local.keys, local.perm, splitters, alive, round_no,
+            machine, rc, inbox, sorted_keys, perm, splitters, alive, round_no,
             options, out,
         )
         verdict = yield from _commit_round(
@@ -450,15 +437,16 @@ def resilient_sort_program(machine: "Machine", local_keys: np.ndarray, options: 
         kparts, iparts = exch.kparts.get(src, {}), exch.iparts.get(src, {})
         key_parts.extend(kparts[i] for i in range(nk))
         idx_parts.extend(iparts[i] for i in range(ni))
-    yield merge_step(
+    run_lengths = [int(received_counts[src]) for src in committed_alive]
+    merged = merge_keys(
         machine,
         options,
-        out,
         np.concatenate(key_parts),
         np.concatenate(idx_parts),
-        [int(received_counts[src]) for src in committed_alive],
+        run_lengths,
         sources=committed_alive,
     )
+    yield merge_step(machine, options, out, run_lengths, *merged)
     out.sent_counts = exch.sent_counts
     out.received_counts = received_counts
     out.survivors = tuple(committed_alive)

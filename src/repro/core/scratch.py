@@ -61,9 +61,22 @@ class ScratchArena:
     allocations: int = 0
     #: Leases handed out since the last release_all (diagnostic hook).
     live_leases: int = 0
+    #: The blocks of the last two :meth:`hold` leases, oldest first.
+    _held: list[_Block] = field(default_factory=list)
 
     def take(self, n: int, dtype) -> np.ndarray:
         """Lease an uninitialized length-``n`` view of pooled storage."""
+        return self._lease(n, dtype).storage[:n]
+
+    def hold(self, n: int, dtype) -> np.ndarray:
+        """Lease like :meth:`take`, but kept through :meth:`release_all` until
+        the next hold but one, or the arena's checkin."""
+        for block in self._held[:-1]:
+            block.in_use = False
+        self._held = [*self._held[-1:], self._lease(n, dtype)]
+        return self._held[-1].storage[:n]
+
+    def _lease(self, n: int, dtype) -> _Block:
         if n < 0:
             raise ValueError("lease length must be >= 0")
         dtype = np.dtype(dtype)
@@ -81,14 +94,14 @@ class ScratchArena:
             pool.append(best)
         best.in_use = True
         self.live_leases += 1
-        return best.storage[:n]
+        return best
 
     def release_all(self) -> None:
-        """Return every lease to the pool (storage stays warm)."""
+        """Return every lease but the held ones to the pool (storage stays warm)."""
         for pool in self._pools.values():
             for block in pool:
-                block.in_use = False
-        self.live_leases = 0
+                block.in_use = any(block is kept for kept in self._held)
+        self.live_leases = len(self._held)
 
     def pooled_bytes(self) -> int:
         """Total bytes of storage the arena keeps alive."""
@@ -119,6 +132,7 @@ class ArenaPool:
 
     def checkin(self, arenas: list[ScratchArena]) -> None:
         for arena in reversed(arenas):
+            arena._held.clear()  # the run is over: nobody reads its sends
             arena.release_all()
             self.idle.append(arena)
 

@@ -19,22 +19,31 @@ Every step's elapsed virtual time is measured per rank (Figure 7); compute
 is charged through the cost model, communication through the network model.
 The real data is really sorted — correctness is asserted in tests, not
 assumed from the model.
+
+Steps 1, 5 and 6 move packed words when the job's key frame
+(:func:`job_frame`) fits, keys and an int32 permutation otherwise, as the
+pool does (:mod:`repro.parallel.datapath`); both are *charged* as the
+paper's records (key + 4-byte index, Figure 11), so goldens cannot tell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from ..pgxd.runtime import Machine
 from ..simnet.calls import Mark, Now
 from ..simnet.collectives import bcast, gather
-from .balanced_merge import merge_levels_cost_seconds
+from .balanced_merge import merge_levels, merge_levels_cost_seconds
 from .exchange import ExchangeResult, exchange_partitions
-from .local_sort import parallel_quicksort
+from .local_sort import local_sort_seconds
+from .packsort import KeyFrame, SortedWords, code_and_stats, derive_key_frame, has_key_codec
+from .packsort import pack_words, sort_runs_in_place, unpack_words
 from .provenance import Provenance
-from .steps import agree_splitters, draw_samples, merge_received, partition_block
+from .steps import INDEX_DTYPE, agree_splitters, draw_samples, merge_received
+from .steps import partition_block, sort_block
 
 #: Master processor rank (the paper's "Master").
 MASTER = 0
@@ -89,62 +98,107 @@ class RankSortOutput:
     recovery_rounds: int = 0
 
 
-def local_sort_step(
-    machine: Machine, keys: np.ndarray, options: SortOptions, out: RankSortOutput
-):
-    """Step 1 on one machine; returns ``(LocalSortResult, end time)``.
+@dataclass(frozen=True)
+class JobFrame:
+    """What every rank of one word-path job shares (see :func:`job_frame`)."""
 
+    frame: KeyFrame
+    #: Where lossy float codes refill from, as for ``unpack_words`` (int: empty).
+    source: np.ndarray
+    block_starts: np.ndarray
+    #: Keys, origin index, origin processor: one array per role for the job.
+    outputs: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    def sort(self, block: np.ndarray, rank: int, scratch) -> SortedWords:
+        """Step 1 on ``rank``: pack and sort its words (int keys are their
+        own codes) in a held lease.  A slow peer may read the sends viewing
+        it after this rank's step 6, but not after the next job's step 3:
+        the Master agrees splitters only once every rank finished this job."""
+        words = scratch.hold(len(block), np.int64)
+        codes = code_and_stats(block, words)[0] if block.dtype.kind == "f" else block
+        pack_words(codes, self.frame, rank, words).sort()
+        return SortedWords(words, self.frame, self.source, self.block_starts)
+
+    def merge(self, runs: np.ndarray, run_lengths: list[int], base: int):
+        """Step 6 on one rank: ``runs`` merged into the outputs at ``base``."""
+        keys, index, proc = (out[base : base + len(runs)] for out in self.outputs)
+        sort_runs_in_place(runs, run_lengths, self.frame.shift)
+        unpack_words(runs, self.frame, self.source, self.block_starts, keys, index, proc)
+        return keys, Provenance(proc, index)
+
+
+def job_frame(blocks: Sequence[np.ndarray]) -> JobFrame | None:
+    """The word path's job state, or ``None`` when the key frame misses.
+
+    Folds the block statistics the pool allgathers in step 1 once, outside
+    virtual time; int keys are their own codes (one read, no second pass).
+    """
+    dtype = blocks[0].dtype
+    if not has_key_codec(dtype):
+        return None
+    is_float = dtype.kind == "f"
+    codes = np.empty(max(map(len, blocks)) if is_float else 0, dtype=np.int64)
+    stats = [code_and_stats(block, codes[: len(block)])[1] for block in blocks]
+    frame = derive_key_frame(stats, dtype, len(blocks))
+    if frame is None:
+        return None
+    n, starts = sum(map(len, blocks)), np.cumsum([0, *map(len, blocks[:-1])], dtype=np.int64)
+    outputs = (np.empty(n, dtype), np.empty(n, INDEX_DTYPE), np.empty(n, np.int16))
+    return JobFrame(frame, np.concatenate(blocks) if is_float else blocks[0][:0], starts, outputs)
+
+
+def merge_keys(machine: Machine, options, key_buffer, index_buffer, run_lengths, sources=None):
+    """Step 6 of the keys + perm path on one rank: ``(keys, provenance)``
+    (``sources`` as for :func:`~repro.core.steps.merge_received`)."""
+    outcome = merge_received(
+        key_buffer, index_buffer, run_lengths, options.balanced_merge,
+        sources=sources, scratch=machine.scratch,
+    )
+    return outcome.keys, Provenance(outcome.aux[1], outcome.aux[0])
+
+
+def local_sort_step(
+    machine: Machine, keys: np.ndarray, options: SortOptions, out: RankSortOutput, job
+):
+    """Step 1 on one machine; returns ``((sorted block, perm), end time)``.
+
+    Sorts words with a job frame, keys + perm without, charging the same.
     The lossless and the resilient programs both yield this generator to
-    the engine.  Step boundaries are marked for the structured tracer; Mark
-    consumes no virtual time and is a no-op without a tracer, so the golden
-    fingerprint is unaffected.
+    the engine.  Step boundaries are marked for the structured tracer;
+    Mark consumes no virtual time and is a no-op without a tracer, so the
+    golden fingerprint is unaffected.
     """
     t0 = yield Now()
     yield Mark(STEP_LABELS[0])
-    local = parallel_quicksort(machine, keys, balanced=options.balanced_merge)
-    yield machine.compute(local.seconds, STEP_LABELS[0])
+    if job is None:
+        block, perm, _path = sort_block(keys)
+    else:
+        block, perm = job.sort(keys, machine.rank, machine.scratch), None
+    seconds = local_sort_seconds(machine, len(keys), balanced=options.balanced_merge)
+    yield machine.compute(seconds, STEP_LABELS[0])
     # Figure 11 accounting: the sort's resident overhead is the permutation
-    # (later the provenance); the dataset itself belongs to the engine's
-    # data store and is not billed to the sort.
-    machine.data.store("perm", local.perm)
+    # (later the provenance), one index per key on either path; the dataset
+    # itself belongs to the engine's data store and is not billed to the sort.
+    machine.data.reserve("perm", len(keys) * INDEX_DTYPE.itemsize)
     t1 = yield Now()
     yield Mark(STEP_LABELS[0], event="end")
     out.step_seconds[STEP_LABELS[0]] = t1 - t0
-    return local, t1
+    return (block, perm), t1
 
 
 def merge_step(
-    machine: Machine,
-    options: SortOptions,
-    out: RankSortOutput,
-    key_buffer: np.ndarray,
-    index_buffer: np.ndarray,
-    run_lengths: list[int],
-    sources: "list[int] | None" = None,
+    machine: Machine, options: SortOptions, out: RankSortOutput, run_lengths, keys, provenance
 ):
-    """Step 6 on one machine: merge the received runs into ``out``.
-
-    ``key_buffer``/``index_buffer`` hold one sorted run per source back to
-    back (``run_lengths``; ``sources`` names the origin ranks when they are
-    not ``0..k-1``, as after a crash).  The flat kernel merges them in one
-    pass; the *charged* shape is the handler's (or the fold's) levels.
-    """
+    """Step 6 on one machine: store ``keys``/``provenance`` (one kernel pass
+    over ``run_lengths`` runs), charged as the handler's or fold's levels."""
     yield Mark(STEP_LABELS[5])
     t_begin = yield Now()
-    received_bytes = machine.data.scaled(int(key_buffer.nbytes))
+    received_bytes = machine.data.scaled(int(keys.nbytes))
     machine.data.memory.alloc(received_bytes, temporary=True)  # runs pre-merge
-    outcome = merge_received(
-        key_buffer,
-        index_buffer,
-        run_lengths,
-        options.balanced_merge,
-        sources=sources,
-        scratch=machine.scratch,
-    )
     machine.scratch.release_all()  # receive buffers + staging are dead
     yield machine.compute(
         merge_levels_cost_seconds(
-            outcome.levels,
+            merge_levels(run_lengths, balanced=options.balanced_merge),
             machine.tasks,
             machine.cost,
             scale=machine.config.data_scale,
@@ -152,19 +206,21 @@ def merge_step(
         STEP_LABELS[5],
     )
     machine.data.memory.free(received_bytes, temporary=True)
-    prov = Provenance(origin_proc=outcome.aux[1], origin_index=outcome.aux[0])
-    machine.data.store("origin_proc", prov.origin_proc)
-    machine.data.store("origin_index", prov.origin_index)
+    machine.data.store("origin_proc", provenance.origin_proc)
+    machine.data.store("origin_index", provenance.origin_index)
     machine.data.drop("perm")
     t_end = yield Now()
     yield Mark(STEP_LABELS[5], event="end")
     out.step_seconds[STEP_LABELS[5]] = t_end - t_begin
-    out.keys = outcome.keys
-    out.provenance = prov
+    out.keys = keys
+    out.provenance = provenance
 
 
-def sample_sort_program(machine: Machine, local_keys: np.ndarray, options: SortOptions):
-    """Generator program implementing the six steps on one machine."""
+def sample_sort_program(
+    machine: Machine, local_keys: np.ndarray, options: SortOptions, job: JobFrame | None
+):
+    """Generator program implementing the six steps on one machine; ``job``
+    is the :func:`job_frame` (``None``: the keys + perm path)."""
     if machine.proc.faults is not None and machine.size > 1:
         # Fault injection is active: take the resilient protocol (seq/ack
         # exchange + recovery rounds).  The lossless fast path below would
@@ -180,7 +236,9 @@ def sample_sort_program(machine: Machine, local_keys: np.ndarray, options: SortO
 
     # Yielding the step generators (rather than ``yield from``) lets the
     # engine trampoline them: their resumes skip this frame.
-    local, t1 = yield local_sort_step(machine, keys, options, out)
+    # Steps 2-5 read and ship the sorted keys, or the sorted words.
+    (block, perm), t1 = yield local_sort_step(machine, keys, options, out, job)
+    block_bytes = machine.data.scaled(len(block) * block.dtype.itemsize)
 
     if size == 1:
         # Single machine: the local sort is the whole story.
@@ -188,15 +246,18 @@ def sample_sort_program(machine: Machine, local_keys: np.ndarray, options: SortO
             out.step_seconds[label] = 0.0
             yield Mark(label)
             yield Mark(label, event="end")
-        out.keys = local.keys
-        out.provenance = Provenance(np.zeros(len(keys), dtype=np.int16), local.perm)
+        if job is None:
+            out.keys, out.provenance = merge_keys(machine, options, block, perm, [len(keys)])
+        else:
+            out.keys, out.provenance = job.merge(block.words, [len(keys)], 0)
+        machine.scratch.release_all()
         out.sent_counts = np.array([len(keys)], dtype=np.int64)
         out.received_counts = np.array([len(keys)], dtype=np.int64)
         return out
 
     # ----------------------------------------------------- step 2: sampling
     yield Mark(STEP_LABELS[1])
-    samples = draw_samples(local.keys, cfg, size, options.sample_factor)
+    samples = draw_samples(block, cfg, size, options.sample_factor)
     out.samples_sent = len(samples)
     yield machine.compute(cost.scan_seconds(int(samples.nbytes)), STEP_LABELS[1])
     gathered = yield gather(machine.proc, samples, root=MASTER)
@@ -222,12 +283,10 @@ def sample_sort_program(machine: Machine, local_keys: np.ndarray, options: SortO
 
     # ---------------------------------------------------- step 4: partition
     yield Mark(STEP_LABELS[3])
-    part = partition_block(local.keys, splitters, size, options.investigator)
+    part = partition_block(block, splitters, size, options.investigator)
     out.searches = part.searches
     yield machine.compute(
-        cost.binary_search_seconds(
-            part.searches, int(len(local.keys) * cfg.data_scale)
-        ),
+        cost.binary_search_seconds(part.searches, int(len(block) * cfg.data_scale)),
         STEP_LABELS[3],
     )
     t4 = yield Now()
@@ -238,21 +297,18 @@ def sample_sort_program(machine: Machine, local_keys: np.ndarray, options: SortO
     # Staging the outgoing partitions is a streaming copy; the exchange
     # itself is asynchronous sends + receives (network time).
     yield Mark(STEP_LABELS[4])
-    yield machine.compute(
-        cost.copy_seconds(machine.data.scaled(int(local.keys.nbytes)), machine.threads),
-        STEP_LABELS[4],
-    )
-    machine.data.memory.alloc(machine.data.scaled(int(local.keys.nbytes)), temporary=True)
+    yield machine.compute(cost.copy_seconds(block_bytes, machine.threads), STEP_LABELS[4])
+    machine.data.memory.alloc(block_bytes, temporary=True)
     ex: ExchangeResult = yield exchange_partitions(
         machine.proc,
-        local.keys,
-        local.perm,
+        block,
+        perm,
         part,
         cfg,
         copy_seconds_per_byte=1.0 / cost.copy_bandwidth,
         scratch=machine.scratch,
     )
-    machine.data.memory.free(machine.data.scaled(int(local.keys.nbytes)), temporary=True)
+    machine.data.memory.free(block_bytes, temporary=True)
     out.sent_counts = ex.counts_matrix[rank].copy()
     out.received_counts = ex.counts_matrix[:, rank].copy()
     t5 = yield Now()
@@ -260,12 +316,11 @@ def sample_sort_program(machine: Machine, local_keys: np.ndarray, options: SortO
     out.step_seconds[STEP_LABELS[4]] = t5 - t4
 
     # -------------------------------------------------------- step 6: merge
-    yield merge_step(
-        machine,
-        options,
-        out,
-        ex.key_buffer,
-        ex.index_buffer,
-        ex.counts_matrix[:, rank].tolist(),
-    )
+    run_lengths = ex.counts_matrix[:, rank].tolist()
+    if job is None:
+        merged = merge_keys(machine, options, ex.key_buffer, ex.index_buffer, run_lengths)
+    else:
+        base = int(ex.counts_matrix[:, :rank].sum())  # this rank's output region
+        merged = job.merge(ex.key_buffer, run_lengths, base)
+    yield merge_step(machine, options, out, run_lengths, *merged)
     return out

@@ -1,13 +1,14 @@
 """The step kernels every substrate shares: arrays in, arrays out.
 
 One body per step — :func:`sort_block` (1), :func:`draw_samples` (2),
-:func:`agree_splitters` (3), :func:`partition_block` (4),
-:func:`merge_received` (6); step 5 is pure movement.  They hold no clocks
-and move no data between ranks — the simulated sorter, its resilient
-variant and the process pool supply movement, timing and hooks around
-them.  The oracle (:mod:`repro.core.local_backend`) calls the step 2–4
-kernels too, and deliberately shares no sort or merge code with what it
-checks.
+:func:`agree_splitters` (3), :func:`partition_block` (4; 2–4 read sorted
+keys and packed words alike), :func:`merge_received` (6); step 5 is pure
+movement, and the word path's steps 1 and 6 are :mod:`repro.core.packsort`
+kernels.  They hold no clocks and
+move no data between ranks — the simulated sorter, its resilient variant
+and the process pool supply movement, timing and hooks around them.  The
+oracle (:mod:`repro.core.local_backend`) calls the step 2–4 kernels too,
+and deliberately shares no sort or merge code with what it checks.
 """
 
 from __future__ import annotations
@@ -24,17 +25,20 @@ from .sampling import sample_count, select_regular_samples
 from .scratch import ScratchArena
 from .splitters import merge_samples, select_splitters
 
+#: A key's origin index on both paths: local indexes stay below 2^31 at
+#: any modeled scale, and it halves the provenance footprint.
+INDEX_DTYPE = np.dtype(np.int32)
+
 
 def sort_block(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
-    """Step 1: ``(sorted_keys, perm, path)`` for one rank's block.
+    """Step 1 of the keys + perm path: ``(sorted_keys, perm, path)``.
 
     The stable kernel of :mod:`repro.core.packsort` runs (``path`` names
-    which: ``"packed"``/``"stable"``) and ``perm`` is its order as int32 —
-    local indexes stay below 2^31 at any modeled scale, and it halves the
-    provenance footprint.
+    which: ``"packed"``/``"stable"``) and ``perm`` is its order as
+    :data:`INDEX_DTYPE`.
     """
     sorted_keys, order, path = stable_sort_with_order(block)
-    return sorted_keys, order.astype(np.int32), path
+    return sorted_keys, order.astype(INDEX_DTYPE), path
 
 
 def draw_samples(
@@ -109,3 +113,4 @@ def merge_received(
     return flat_kway_merge(
         key_buffer, run_lengths, [index_buffer, proc_col], balanced=balanced
     )
+

@@ -153,14 +153,6 @@ class Tracer:
         label = f"fault:{kind}" + (f" {detail}" if detail else "")
         self.spans.append(SpanEvent(rank, t, 0.0, "instant", label))
 
-    def faults_for(self, rank: int | None = None, kind: str | None = None) -> list[FaultEvent]:
-        """Query fault events by rank and/or kind."""
-        return [
-            f
-            for f in self.faults
-            if (rank is None or f.rank == rank) and (kind is None or f.kind == kind)
-        ]
-
     def finish(self, makespan: float) -> None:
         """Close any phases left open at run end and record the makespan."""
         self.makespan = max(self.makespan, makespan)

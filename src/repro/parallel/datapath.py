@@ -12,8 +12,9 @@ carried from there as one :class:`DataPath`:
   block as :class:`~repro.core.packsort.SortedWords`, which decodes only
   the sampled words (bit for bit, so fingerprints and splitters are
   unchanged) and ranks splitters against the words themselves.  Step 5
-  moves word slices, 8 B/key and nothing else.  Step 6 sorts the rank's
-  region **in place in shared memory** — words from different ranks
+  moves word slices, 8 B/key and nothing else.  Step 6 — as in the
+  simulator — sorts the rank's region **in place in shared memory**
+  (:func:`~repro.core.packsort.sort_runs_in_place`) — words from different ranks
   compare as ``(key, rank, index)``, the stable merge order, and they are
   unique, so no permutation exists to apply — and unpacks once, the one
   decode of every key, straight into the output leases (8-byte keys in
@@ -136,7 +137,7 @@ def _word_path(plan, views, frame, words) -> DataPath:
 
     def merge(base, stop, run_lengths):
         region = views.words[base:stop]
-        sort_runs_in_place(region, run_lengths)
+        sort_runs_in_place(region, run_lengths, frame.shift)
         refilled = unpack_words(
             region, frame, views.input, block_starts,
             views.keys[base:stop], views.index[base:stop], views.proc[base:stop],

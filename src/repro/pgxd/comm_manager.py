@@ -67,17 +67,19 @@ def expected_chunks(real_nbytes: int, config: PgxdConfig) -> int:
 def send_array(
     proc: ProcessHandle,
     dst: int,
-    array: np.ndarray,
+    array: np.ndarray | None,
     tag: int,
     config: PgxdConfig,
+    real: int | None = None,
 ) -> Generator:
     """Ship ``array`` to ``dst`` as buffer-granular chunks.
 
     Zero-length arrays send nothing (the receiver knows the count from the
-    announced sizes and will not post a receive).
+    announced sizes and will not post a receive).  ``real`` (default
+    ``array.nbytes``) is the size charged and planned; ``None`` sends no data.
     """
-    array = np.ascontiguousarray(array)
-    real = int(array.nbytes)
+    array = None if array is None else np.ascontiguousarray(array)
+    real = int(array.nbytes) if real is None else real
     if real == 0:
         return
     # One pass over the chunk plan: virtual size and flush count are derived
@@ -100,7 +102,7 @@ def send_array(
     if chunks == 1:
         yield cls(dst=dst, nbytes=vtotal, payload=array, tag=tag)
         return
-    n = len(array)
+    n = 0 if array is None else len(array)
     # Even element/byte split with the remainder spread across chunks, as
     # integer prefix bounds (identical to the per-chunk // arithmetic).
     steps = np.arange(chunks + 1)
@@ -110,7 +112,7 @@ def send_array(
         yield cls(
             dst=dst,
             nbytes=vbounds[i + 1] - vbounds[i],
-            payload=array[bounds[i] : bounds[i + 1]],
+            payload=None if array is None else array[bounds[i] : bounds[i + 1]],
             tag=tag,
         )
 

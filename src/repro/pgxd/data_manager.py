@@ -41,12 +41,17 @@ class DataManager:
         The footprint is charged at the *modeled* size (data_scale applied).
         Replacing an existing name frees the old array's footprint first.
         """
-        if name in self._arrays:
-            self.drop(name)
+        self.reserve(name, int(array.nbytes))
         self._arrays[name] = array
-        self._scaled_bytes[name] = self.scaled(int(array.nbytes))
-        self.memory.alloc(self._scaled_bytes[name])
         return array
+
+    def reserve(self, name: str, nbytes: int) -> None:
+        """:meth:`store` ``nbytes`` (real) that the model bills but the data
+        path does not materialize: no array is held."""
+        if name in self._scaled_bytes:
+            self.drop(name)
+        self._scaled_bytes[name] = self.scaled(nbytes)
+        self.memory.alloc(self._scaled_bytes[name])
 
     def get(self, name: str) -> np.ndarray:
         try:
@@ -59,9 +64,9 @@ class DataManager:
 
     def drop(self, name: str) -> None:
         """Unregister ``name`` and release its footprint."""
-        array = self._arrays.pop(name, None)
-        if array is None:
+        if name not in self._scaled_bytes:
             raise KeyError(f"no array named {name!r} in data manager")
+        self._arrays.pop(name, None)
         self.memory.free(self._scaled_bytes.pop(name))
 
     def resident_bytes(self) -> int:

@@ -31,7 +31,6 @@ from ..simnet.cost import CostModel
 from ..simnet.engine import ProcessHandle, Simulator
 from ..simnet.metrics import ClusterMetrics
 from ..simnet.network import NetworkModel
-from .chunking import chunk_edges
 from .config import PgxdConfig
 from .csr import CsrGraph
 from .data_manager import DataManager
@@ -43,9 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.scratch import ScratchArena
 
 MachineProgram = Callable[..., Generator]
-
-#: Target edges per chunk for the edge-chunking strategy.
-EDGE_CHUNK_SIZE = 4096
 
 
 class Machine:
@@ -225,7 +221,9 @@ class PgxdRuntime:
         Models PGX.D's loading pipeline: vertices are block-partitioned,
         ghost nodes are selected from the crossing-edge profile, edges are
         routed to their source-owner machine through an all-to-all, and each
-        machine builds its CSR and chunks its edges for the worker pool.
+        machine builds its CSR.  Chunking the edges for the worker pool
+        (:func:`repro.pgxd.chunking.chunk_edges`) is left to the algorithm
+        that runs on the graph.
 
         Returns ``(local_graphs, ghost_selection, run_result)`` where
         ``local_graphs[m]`` holds machine ``m``'s partition with vertex ids
@@ -269,7 +267,6 @@ class PgxdRuntime:
                 global_ids=np.arange(start, stop, dtype=np.int64),
             )
             machine.data.memory.alloc(graph.nbytes())
-            chunk_edges(graph, EDGE_CHUNK_SIZE)
             return graph
 
         result = self.run(loader)

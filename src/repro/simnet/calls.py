@@ -195,7 +195,3 @@ class Message:
     #: Fault-injection annotation ("dup" for an injected duplicate copy);
     #: None on every message of a fault-free run.
     faulted: str | None = field(default=None)
-
-    def transit_time(self) -> float:
-        """Virtual seconds between send initiation and delivery."""
-        return self.delivered_at - self.sent_at

@@ -100,10 +100,6 @@ class ProcessMetrics:
         """Total attributed compute time (labelled + unlabelled + send)."""
         return sum(self.phase_seconds.values()) + self.other_seconds + self.send_seconds
 
-    def wait_seconds(self) -> float:
-        """Total time blocked on communication or barriers."""
-        return self.recv_wait_seconds + self.barrier_wait_seconds
-
 
 @dataclass
 class ClusterMetrics:
@@ -114,19 +110,6 @@ class ClusterMetrics:
     remote_bytes: int
     local_bytes: int
     messages: int
-
-    def phase_breakdown(self) -> dict[str, float]:
-        """Max-over-ranks seconds per phase (critical-path style, as plotted
-        in the paper's step-breakdown figure)."""
-        out: dict[str, float] = defaultdict(float)
-        for proc in self.processes:
-            for label, secs in proc.phase_seconds.items():
-                out[label] = max(out[label], secs)
-        return dict(out)
-
-    def total_phase_seconds(self, label: str) -> float:
-        """Sum over ranks of one phase's seconds."""
-        return sum(p.phase_seconds.get(label, 0.0) for p in self.processes)
 
     def peak_memory(self) -> tuple[int, int]:
         """(max resident, max temporary) over ranks, bytes."""

@@ -77,13 +77,6 @@ class NicState:
         self.egress_free_at = end
         return start, end
 
-    def reserve_ingress(self, earliest: float, duration: float) -> tuple[float, float]:
-        """Reserve the ingress port; returns (start, end) of the transfer."""
-        start = max(earliest, self.ingress_free_at)
-        end = start + duration
-        self.ingress_free_at = end
-        return start, end
-
 
 @dataclass
 class Fabric:

@@ -1,18 +1,29 @@
 """Tests for step 1 (parallel quicksort) and provenance plumbing."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import parallel_quicksort, split_into_chunks
+from repro.core import local_sort_seconds, split_into_chunks
 from repro.core.provenance import Provenance
+from repro.core.steps import sort_block
 from repro.core.scratch import ScratchArena
 from repro.pgxd import PgxdConfig
 from repro.pgxd.runtime import Machine
 from repro.simnet import CostModel
 from repro.simnet.engine import ProcessHandle
 from repro.simnet.metrics import ProcessMetrics
+
+
+def parallel_quicksort(machine, keys, balanced=True):
+    """Step 1 on the keys + perm path as the sorter composes it: the data
+    kernel, and the charge computed from the key count alone."""
+    sorted_keys, perm, _path = sort_block(np.asarray(keys))
+    seconds = local_sort_seconds(machine, len(keys), balanced=balanced)
+    return SimpleNamespace(keys=sorted_keys, perm=perm, seconds=seconds)
 
 
 def make_machine(threads=4, rank=0, size=2):

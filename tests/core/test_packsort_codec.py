@@ -579,3 +579,98 @@ def test_chunk_boundaries_do_not_show(monkeypatch, name, n):
     assert index.tolist() == order.tolist() and set(proc.tolist()) <= {rank}
     if name == "float64-stripped" and n >= 9:
         assert frame.strip > 0 and refilled == int(((block == 0) | np.isnan(block)).sum())
+
+
+# ------------------------------------------------- step 6's kernel rule
+#
+# ``sort_runs_in_place`` picks its kernel from facts read at the run
+# boundaries.  Whatever it picks, the bytes are ``np.sort``'s: the words
+# are unique.  A spy subclass records which kernel ran.
+
+
+class _SortSpy(np.ndarray):
+    """A word buffer that records every ``sort`` call's ``kind``."""
+
+    kinds: list = []
+
+    def sort(self, *args, kind=None, **kwargs):
+        _SortSpy.kinds.append(kind)
+        return super().sort(*args, kind=kind, **kwargs)
+
+
+def _received_runs(blocks):
+    """Step 6's input: each rank's sorted words, back to back in rank order
+    as the exchange leaves them (here every rank sends its whole block)."""
+    stats = [_code(block)[1] for block in blocks]
+    frame = derive_key_frame(stats, blocks[0].dtype, len(blocks))
+    runs = []
+    for rank, block in enumerate(blocks):
+        out = np.empty(len(block), dtype=np.int64)
+        runs.append(np.sort(pack_words(_code(block)[0], frame, rank, out)))
+    return np.concatenate(runs), [len(block) for block in blocks], frame
+
+
+def _kernel_of(blocks, monkeypatch):
+    """Run the rule on ``blocks``' runs; returns the sort kinds it called."""
+    words, lengths, frame = _received_runs(blocks)
+    expected = np.sort(words).tobytes()
+    monkeypatch.setattr(_SortSpy, "kinds", [])
+    spied = words.view(_SortSpy)
+    packsort.sort_runs_in_place(spied, lengths, frame.shift)
+    assert words.tobytes() == expected
+    return _SortSpy.kinds
+
+
+RULE_RNG = np.random.default_rng(31)
+KERNEL_RULE = {
+    # name: (blocks, the sort kinds the rule must call)
+    "one run": ([RULE_RNG.integers(0, 1 << 40, 500)], []),
+    "k = 2": ([RULE_RNG.integers(0, 1 << 40, 300) for _ in range(2)], ["stable"]),
+    "k = 4": ([RULE_RNG.integers(0, 1 << 40, 300) for _ in range(4)], ["stable"]),
+    "many runs, small span": (
+        [RULE_RNG.integers(0, 50, 300) for _ in range(16)], ["stable"],
+    ),
+    "many runs, wide span": (
+        [RULE_RNG.integers(0, 1 << 40, 300) for _ in range(16)], [None],
+    ),
+    "many runs, one tied key": ([np.full(200, 7) for _ in range(16)], []),
+    "runs touching at equal codes": (
+        [np.arange(10 * r, 10 * r + 11) for r in range(16)], [],
+    ),
+    "empty runs": (
+        [np.empty(0, np.int64), RULE_RNG.integers(0, 1 << 40, 300), np.empty(0, np.int64),
+         RULE_RNG.integers(0, 1 << 40, 300)] + [np.empty(0, np.int64)] * 12,
+        ["stable"],
+    ),
+    "every run empty": ([np.empty(0, np.int64)] * 5, []),
+    "one nonempty run among empties": (
+        [np.empty(0, np.int64), RULE_RNG.integers(0, 1 << 40, 300)] + [np.empty(0, np.int64)] * 6,
+        [],
+    ),
+    "five true runs, wide span": (
+        [RULE_RNG.integers(0, 1 << 40, 300) for _ in range(5)], [None],
+    ),
+    "five runs, four seams without a descent": (
+        [np.arange(100 * r, 100 * r + 100) * (1 << 30) for r in range(4)]
+        + [RULE_RNG.integers(0, 1 << 40, 300)],
+        ["stable"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_RULE)
+def test_sort_runs_in_place_matches_np_sort_and_picks_its_kernel(monkeypatch, name):
+    blocks, kinds = KERNEL_RULE[name]
+    assert _kernel_of([b.astype(np.int64) for b in blocks], monkeypatch) == kinds
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.float32, np.float64])
+def test_sort_runs_in_place_on_other_dtypes_and_lossy_codes(monkeypatch, dtype):
+    rng = np.random.default_rng(37)
+    blocks = [(rng.integers(-40, 40, 200) / 4).astype(dtype) for _ in range(8)]
+    if np.dtype(dtype).kind == "f":
+        for block in blocks:
+            block[::9], block[4::13] = -0.0, np.nan
+    # Eight true runs: one sort, whichever kernel.  Float codes are bit
+    # patterns, so a few distinct floats still span a wide code range.
+    assert len(_kernel_of(blocks, monkeypatch)) == 1

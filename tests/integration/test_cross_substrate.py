@@ -1,0 +1,209 @@
+"""Cross-substrate differential test: simnet, the pool and the oracle agree.
+
+Contract: for every dtype the codec covers, full-mantissa float64 and the
+degenerate shapes, the simulated sorter's keys, ``origin_proc`` and
+``origin_index`` are bytes-equal to ``local_sample_sort``; simnet takes
+the word path exactly when the frame arithmetic says the job's key frame
+fits; and for p ≤ 4 one warm ``ProcessBackend`` returns the same bytes.
+Hypothesis runs derandomized (``tests/conftest.py``) with a small cap.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.api import DistributedSorter, partition_input
+from repro.core.local_backend import local_sample_sort
+from repro.core.packsort import code_and_stats, derive_key_frame
+from repro.core.sorter import JobFrame
+from repro.parallel import ProcessBackend
+from repro.simnet.faults import FaultPlan
+from repro.simnet.sanitizer import sanitize
+from repro.workloads.distributions import right_skewed
+
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+RANKS = [1, 2, 3, 16]
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with ProcessBackend() as backend:
+        yield backend
+
+
+@pytest.fixture
+def word_merges(monkeypatch):
+    """Counts the word path's step-6 merges (one per rank per job)."""
+    calls = []
+    merge = JobFrame.merge
+
+    def counting(self, *args):
+        calls.append(1)
+        return merge(self, *args)
+
+    monkeypatch.setattr(JobFrame, "merge", counting)
+    return calls
+
+
+def _frame_fits(blocks):
+    """The frame arithmetic alone, from every block's statistics."""
+    stats = [code_and_stats(b, np.empty(len(b), dtype=np.int64))[1] for b in blocks]
+    return derive_key_frame(stats, blocks[0].dtype, len(blocks)) is not None
+
+
+def _assert_bytes_equal(outputs, reference):
+    for (keys, prov), ref_keys, ref_prov in zip(outputs, reference.per_processor, reference.provenance):
+        assert keys.dtype == ref_keys.dtype and keys.tobytes() == ref_keys.tobytes()
+        for name in ("origin_proc", "origin_index"):
+            got, want = getattr(prov, name), getattr(ref_prov, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def _assert_substrates_agree(blocks, word_merges, pool=None):
+    """Simnet (and the pool, for p ≤ 4) against the oracle; returns whether
+    simnet took the word path."""
+    p = len(blocks)
+    reference = local_sample_sort(blocks)
+    word_merges.clear()
+    result = DistributedSorter(num_processors=p).sort_partitioned(blocks)
+    _assert_bytes_equal(zip(result.per_processor, result.provenance), reference)
+    took_words = bool(word_merges)
+    assert took_words == _frame_fits(blocks)
+    assert len(word_merges) == (p if took_words else 0)
+    if pool is not None and p <= 4:
+        run = pool.sort_blocks(blocks)
+        _assert_bytes_equal(((o.keys, o.provenance) for o in run.outputs), reference)
+    return took_words
+
+
+def _special_floats(dtype):
+    """±0.0, ±inf and NaNs of both signs with distinct payloads."""
+    uint_t = {np.float32: np.uint32, np.float64: np.uint64}[dtype]
+    bits = 8 * np.dtype(dtype).itemsize
+    sign, mantissa = 1 << (bits - 1), (1 << {32: 23, 64: 52}[bits]) - 1
+    inf = (sign - 1) & ~mantissa
+    quiet = (mantissa + 1) >> 1
+    raw = [0, sign, inf, sign | inf, inf | 1, inf | quiet | 7, sign | inf | quiet | 5, sign | inf | mantissa]
+    return np.array(raw, dtype=uint_t).view(dtype)
+
+
+def _keys(kind, n, rng):
+    """One dataset of ``n`` keys of the named kind."""
+    if kind in {np.dtype(d).name for d in INT_DTYPES}:
+        info = np.iinfo(kind)
+        lo, hi = max(int(info.min), -(1 << 40)), min(int(info.max), 1 << 40)
+        return rng.integers(lo, hi, n, endpoint=True).astype(kind)
+    if kind == "float32":
+        keys = rng.normal(size=n).astype(np.float32)
+    elif kind == "integral float64":
+        keys = np.floor(rng.exponential(300.0, n)) - 40.0
+    else:  # "full-mantissa float64": no frame fits
+        return rng.random(n)
+    specials = _special_floats(keys.dtype.type)
+    at = rng.integers(0, n, min(n, 3 * len(specials)))
+    keys[at] = specials[np.arange(len(at)) % len(specials)]
+    return keys
+
+
+KINDS = [np.dtype(d).name for d in INT_DTYPES] + [
+    "float32",
+    "integral float64",
+    "full-mantissa float64",
+]
+
+
+# ------------------------------------------------------------ every dtype
+
+
+@pytest.mark.parametrize("p", RANKS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_dtype_agrees_across_substrates(pool, word_merges, kind, p):
+    keys = _keys(kind, 40 * p + 7, np.random.default_rng([p, KINDS.index(kind)]))
+    took_words = _assert_substrates_agree(list(partition_input(keys, p)[0]), word_merges, pool)
+    assert took_words == (kind != "full-mantissa float64")
+
+
+# --------------------------------------------------------- degenerate shapes
+
+
+def _shape(name, p):
+    rng = np.random.default_rng([p, 99])
+    if name == "empty blocks":
+        keys = rng.integers(0, 50, 3 * p + 1)
+        cuts = sorted(rng.integers(0, len(keys), p - 1).tolist())
+        cuts[: (p - 1) // 2] = [0] * ((p - 1) // 2)  # the low ranks hold nothing
+        return [np.ascontiguousarray(b) for b in np.split(keys, cuts)]
+    if name == "n < p":
+        return list(partition_input(rng.integers(0, 9, max(p - 1, 0)), p)[0])
+    if name == "nothing at all":
+        return list(partition_input(np.empty(0, dtype=np.int64), p)[0])
+    if name == "all equal":
+        return list(partition_input(np.full(50 * p, -3, dtype=np.int32), p)[0])
+    if name == "right-skewed":  # one tie across several splitters
+        return list(partition_input(right_skewed(400 * p, seed=p), p)[0])
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("p", RANKS)
+@pytest.mark.parametrize("name", ["empty blocks", "n < p", "nothing at all", "all equal", "right-skewed"])
+def test_degenerate_shapes_agree_across_substrates(pool, word_merges, name, p):
+    assert _assert_substrates_agree(_shape(name, p), word_merges, pool)
+
+
+@pytest.mark.parametrize("edge, fits", [(-1, True), (0, False)])
+def test_int64_at_the_p16_frame_limit(word_merges, edge, fits):
+    p, m = 16, 33  # keys per rank: 6 index bits, 4 rank bits
+    limit = 1 << (62 - (m - 1).bit_length() - (p - 1).bit_length())
+    keys = np.zeros(m * p, dtype=np.int64)
+    keys[5 * m + 2] = limit + edge
+    keys[9 * m] = -limit  # the other end of the frame fits either way
+    assert _assert_substrates_agree(list(partition_input(keys, p)[0]), word_merges) == fits
+
+
+# ``word_merges`` is cleared inside every ``_assert_substrates_agree`` call.
+@settings(max_examples=12, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_generated_jobs_agree_across_substrates(pool, word_merges, data):
+    p = data.draw(st.sampled_from(RANKS))
+    kind = data.draw(st.sampled_from(KINDS))
+    n = data.draw(st.integers(0, 30 * p))
+    keys = _keys(kind, n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    _assert_substrates_agree(list(partition_input(keys, p)[0]), word_merges, pool)
+
+
+# ---------------------------------------------------- several jobs, faults
+
+
+def test_sort_multi_of_mixed_dtypes_is_each_datasets_oracle(word_merges):
+    """Back-to-back jobs in one run, each on its own path.  A slow rank
+    still drains one job's words while its peers pack the next job's: a
+    step-1 lease reused before the run ends would corrupt its output."""
+    p = 4
+    rng = np.random.default_rng(5)
+    datasets = [
+        rng.integers(0, 1 << 30, 4_000),
+        _keys("full-mantissa float64", 2_000, rng),
+        _keys("float32", 2_500, rng),
+        right_skewed(3_000, seed=2).astype(np.int32)[::-1].copy(),
+        _keys("uint16", 1_000, rng),
+    ]
+    sorter = DistributedSorter(num_processors=p, rank_speed=(1.0, 0.02, 1.0, 1.0))
+    with sanitize() as san:
+        results = sorter.sort_multi(datasets)
+    assert san.report.ok, san.report.summary()
+    for data, result in zip(datasets, results):
+        reference = local_sample_sort(list(partition_input(data, p)[0]))
+        _assert_bytes_equal(zip(result.per_processor, result.provenance), reference)
+    assert len(word_merges) == 4 * p  # every dataset but the float64 one
+
+
+def test_faulted_run_keeps_the_keys_perm_path_and_the_oracles_bytes(word_merges):
+    p = 4
+    keys = right_skewed(2_000, seed=3)
+    blocks = list(partition_input(keys, p)[0])
+    sorter = DistributedSorter(num_processors=p, faults=FaultPlan(seed=7, drop_prob=0.05))
+    result = sorter.sort_partitioned(blocks)
+    assert result.survivors == tuple(range(p))
+    _assert_bytes_equal(zip(result.per_processor, result.provenance), local_sample_sort(blocks))
+    assert word_merges == []  # recovery merges keys + perm until it is rewritten

@@ -8,6 +8,12 @@ comparing the full fingerprint — every virtual time as a ``float.hex()``
 string, every metric counter, trace event counts, and sha256 digests of the
 output permutation — proves the optimization work is behavior-invariant.
 
+Its int64 keys fit the job's key frame, so they run the word path.  The
+second golden, ``sim_golden_p16_f64.json``, pins the keys + perm path that
+stays for frame misses: full-mantissa float64 keys
+(``python -m repro.analysis.determinism float64``), captured while that
+path was the only one simnet had.
+
 If this test fails after an engine change, the change altered simulated
 behavior; that is a correctness bug, not a baseline to re-capture.
 Re-capture (``python -m repro.analysis.determinism``) is only legitimate
@@ -18,24 +24,38 @@ in the PR.
 import json
 from pathlib import Path
 
-from repro.analysis.determinism import capture_sort_fingerprint
+import pytest
 
-GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "sim_golden_p16.json"
+from repro.analysis.determinism import capture_sort_fingerprint
+from repro.core import steps
+
+GOLDEN_DIR = Path(__file__).parent.parent / "golden"
+GOLDEN_PATH = GOLDEN_DIR / "sim_golden_p16.json"
+F64_GOLDEN_PATH = GOLDEN_DIR / "sim_golden_p16_f64.json"
+
+
+def _assert_replays(path, sanitizer=None):
+    """Replay the golden at ``path``; compare field by field so a failure
+    names what diverged rather than dumping two multi-KB dicts."""
+    golden = json.loads(path.read_text())
+    current = capture_sort_fingerprint(**golden["workload"], sanitizer=sanitizer)
+    assert current.keys() == golden.keys()
+    for key in golden:
+        assert current[key] == golden[key], f"{path.name} field {key!r} diverged"
+
+
+def _assert_sanitized_replay(path):
+    from repro.simnet.sanitizer import SimSan
+
+    san = SimSan()
+    _assert_replays(path, sanitizer=san)
+    assert san.report.ok, san.report.summary()
+    assert san.report.counts["messages_checked"] > 0
 
 
 class TestGoldenDeterminism:
     def test_fingerprint_matches_seed_engine(self):
-        golden = json.loads(GOLDEN_PATH.read_text())
-        current = capture_sort_fingerprint(
-            num_ranks=golden["workload"]["num_ranks"],
-            n_keys=golden["workload"]["n_keys"],
-            seed=golden["workload"]["seed"],
-        )
-        # Compare field by field so a failure names what diverged rather
-        # than dumping two multi-KB dicts.
-        assert current.keys() == golden.keys()
-        for key in golden:
-            assert current[key] == golden[key], f"fingerprint field {key!r} diverged"
+        _assert_replays(GOLDEN_PATH)
 
     def test_fingerprint_is_reproducible_within_process(self):
         a = capture_sort_fingerprint(num_ranks=4, n_keys=2_000, seed=7)
@@ -49,20 +69,33 @@ class TestGoldenDeterminism:
         no violations.  This is the acceptance gate for every future
         sanitizer hook — if this fails, a hook perturbed simulated behavior.
         """
-        from repro.simnet.sanitizer import SimSan
+        _assert_sanitized_replay(GOLDEN_PATH)
 
-        golden = json.loads(GOLDEN_PATH.read_text())
-        san = SimSan()
-        current = capture_sort_fingerprint(
-            num_ranks=golden["workload"]["num_ranks"],
-            n_keys=golden["workload"]["n_keys"],
-            seed=golden["workload"]["seed"],
-            sanitizer=san,
-        )
-        for key in golden:
-            assert current[key] == golden[key], f"sanitized field {key!r} diverged"
-        assert san.report.ok, san.report.summary()
-        assert san.report.counts["messages_checked"] > 0
+    def test_frame_miss_fingerprint_matches_its_golden(self):
+        _assert_replays(F64_GOLDEN_PATH)
+
+    def test_sanitized_frame_miss_run_is_bit_identical_to_its_golden(self):
+        _assert_sanitized_replay(F64_GOLDEN_PATH)
+
+    @pytest.mark.parametrize(
+        "path, merges",
+        [(GOLDEN_PATH, False), (F64_GOLDEN_PATH, True)],
+        ids=["int64-words", "float64-keys-perm"],
+    )
+    def test_each_golden_runs_its_own_data_path(self, monkeypatch, path, merges):
+        """The int64 golden never reaches the keys + perm merge kernel; the
+        float64 golden merges every rank through it."""
+        calls = []
+        kernel = steps.flat_kway_merge
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(steps, "flat_kway_merge", counting)
+        golden = json.loads(path.read_text())
+        capture_sort_fingerprint(**golden["workload"])
+        assert len(calls) == (golden["workload"]["num_ranks"] if merges else 0)
 
     def test_makespan_recorded_as_hex(self):
         golden = json.loads(GOLDEN_PATH.read_text())

@@ -318,6 +318,21 @@ class TestRunLifetime:
         assert len(seen) == 16
         assert sum(a.allocations - before for a, before in seen.values()) == 0
 
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_sort_multi_does_not_grow_the_arenas_per_dataset(self, p):
+        """Step 1's held words outlive step 6, but an arena keeps only the
+        last two jobs' worth: twelve datasets pool what three do."""
+        from repro import DistributedSorter
+        from repro.core.scratch import ARENAS
+
+        datasets = [np.random.default_rng(i).integers(0, 1 << 30, 8_000) for i in range(12)]
+        sorter = DistributedSorter(num_processors=p)
+        sorter.sort_multi(datasets[:3])
+        pooled = sum(arena.pooled_bytes() for arena in ARENAS.idle)
+        for result, data in zip(sorter.sort_multi(datasets), datasets):
+            assert np.array_equal(result.to_array(), np.sort(data))
+        assert sum(arena.pooled_bytes() for arena in ARENAS.idle) == pooled
+
     @pytest.mark.parametrize("case", ["p1", "p2", "p16", "faulted", "sort_multi"])
     def test_no_result_array_aliases_pooled_storage(self, case):
         from repro import DistributedSorter
@@ -345,10 +360,11 @@ class TestRunLifetime:
     def test_nested_run_gets_distinct_arenas(self, monkeypatch):
         from repro import distributed_sort
         from repro.core.scratch import ARENAS
-        from repro.core.sorter import SortOptions, sample_sort_program
+        from repro.core.sorter import SortOptions, job_frame, sample_sort_program
 
         inner_data = np.random.default_rng(6).integers(0, 50, 5_000)
         blocks = np.array_split(self.DATA, 2)
+        job = job_frame(blocks)
         outer_arenas, inner_arenas, inner = [], [], []
         take = ScratchArena.take
 
@@ -368,7 +384,7 @@ class TestRunLifetime:
             assert (held == machine.rank).all()
             machine.scratch.release_all()
             return (yield sample_sort_program(
-                machine, blocks[machine.rank], SortOptions()
+                machine, blocks[machine.rank], SortOptions(), job
             ))
 
         monkeypatch.setattr(ScratchArena, "take", recording_take)
