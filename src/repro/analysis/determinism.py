@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core.scratch import ScratchArena
 from ..core.sorter import SortOptions, job_frame, sample_sort_program
-from ..pgxd.runtime import Machine, PgxdRuntime
+from ..pgxd.runtime import KernelPool, Machine, PgxdRuntime
 from ..simnet.engine import ProcessHandle, Simulator
 from ..simnet.metrics import ProcessMetrics
 
@@ -90,14 +90,15 @@ def capture_sort_fingerprint(
     runtime = PgxdRuntime(num_ranks, trace=True)
     sim = Simulator(num_ranks, runtime.network, trace=True, sanitizer=sanitizer)
 
-    def bootstrap(proc: ProcessHandle):
-        machine = Machine(
-            proc, runtime.config, runtime.cost_for_rank(proc.rank), ScratchArena()
-        )
-        return (yield from sample_sort_program(machine, blocks[proc.rank], options, job))
+    with KernelPool() as kernels:
 
-    sim.add_program(bootstrap)
-    metrics = sim.run()
+        def bootstrap(proc: ProcessHandle):
+            cost = runtime.cost_for_rank(proc.rank)
+            machine = Machine(proc, runtime.config, cost, ScratchArena(), kernels)
+            return (yield from sample_sort_program(machine, blocks[proc.rank], options, job))
+
+        sim.add_program(bootstrap)
+        metrics = sim.run()
     outputs = sim.results()
 
     trace_per_rank = [0] * num_ranks

@@ -15,9 +15,10 @@ generic linters:
   backend, a leaked or retained shared-memory lease, exchange offsets
   computed outside the one layout helper, or an ad-hoc ``multiprocessing``
   primitive all undermine the disjoint-write contract the zero-copy
-  all-to-all depends on.
+  all-to-all depends on; a thread started outside the run's kernel pool
+  could outlive the run.
 
-``repro-lint`` encodes these as AST rules R001–R012 (see
+``repro-lint`` encodes these as AST rules R001–R013 (see
 :mod:`repro.checks.rules` for the catalog) with line-level suppression via
 ``# repro: noqa[Rxxx]`` comments.  Run it as::
 
@@ -25,8 +26,9 @@ generic linters:
     python -m repro.checks src tests --json     # machine-readable report
 
 The report's exit code is a bitmask with one bit per firing rule
-(R001 -> 1, R002 -> 2, ..., R012 -> 2048; 4096 marks parse errors);
-0 means clean.  The *process* exit status clamps any mask >= 256 to 255
+(R001 -> 1, R002 -> 2, ..., R013 -> 4096; the next bit,
+:data:`~repro.checks.runner.PARSE_ERROR_BIT`, marks parse errors); 0
+means clean.  The *process* exit status clamps any mask >= 256 to 255
 (POSIX statuses are 8-bit; an unclamped 4096 would wrap to "clean") —
 the full mask is in the ``--json`` report.  CI gates on it.
 

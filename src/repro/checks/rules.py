@@ -64,6 +64,10 @@ R012  direct multiprocessing coordination primitive (``Lock``, ``Queue``,
       ``parallel/collectives.py`` — ad-hoc synchronization bypasses the
       pipe-star hub, invisible to the barrier-epoch happens-before model
       (and to the crash detector's liveness watch).
+R013  ``threading``/``concurrent.futures`` (or ``_thread``) imported outside
+      ``pgxd/runtime.py`` — the run's kernel pool is the one owner of
+      threads, joined before its run returns, so none outlives it (the
+      mirror of R012 for threads).
 """
 
 from __future__ import annotations
@@ -101,7 +105,7 @@ class FileContext:
     #: collectives are blocking methods rather than SimComm generators and
     #: whose loops are bounded by wall-clock timeouts rather than retry caps.
     realtime: bool = False
-    #: True for any ``src/repro`` library file (the R009–R012 scope; unlike
+    #: True for any ``src/repro`` library file (the R009–R013 scope; unlike
     #: ``simulated`` it never excludes subpackages).
     library: bool = False
 
@@ -746,3 +750,44 @@ def rule_adhoc_mp_primitive(
                 "the hub's liveness watch; synchronize through "
                 "repro.parallel.collectives instead",
             )
+
+
+# --------------------------------------------------------------------- R013
+
+#: Modules whose primitives start, or wait on, threads.
+_THREAD_MODULES = ("threading", "_thread", "concurrent.futures")
+
+
+@_rule("R013", "thread primitive outside the run's kernel pool (pgxd/runtime.py)")
+def rule_thread_outside_kernel_pool(
+    tree: ast.Module, ctx: FileContext
+) -> Iterator[Violation]:
+    """Threads belong to the run's kernel pool alone.
+
+    :class:`repro.pgxd.runtime.KernelPool` is created and joined inside one
+    run, so no thread outlives it: a ``ProcessBackend`` forks this process,
+    and a fork copies a running thread's locks but not the thread.  A
+    thread or executor started anywhere else has no such join, and its
+    writes fall outside the kernels' disjoint-region argument.  The rule
+    flags the import, which every use of the primitives needs; submit
+    kernels to ``machine.kernels`` instead.
+    """
+    if not ctx.library or ctx.path.replace("\\", "/").endswith("pgxd/runtime.py"):
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
+            names = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+        else:
+            continue
+        for name in names:
+            if any(name == m or name.startswith(m + ".") for m in _THREAD_MODULES):
+                yield Violation(
+                    "R013", ctx.path, node.lineno, node.col_offset,
+                    f"{name} imported outside the run's kernel pool: nothing "
+                    "joins a thread started here, so it can outlive the run; "
+                    "submit the kernel to machine.kernels "
+                    "(repro.pgxd.runtime.KernelPool) instead",
+                )
+                break

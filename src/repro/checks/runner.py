@@ -4,9 +4,11 @@ The runner walks the requested paths, parses each ``*.py`` file once, runs
 every registered rule (see :mod:`repro.checks.rules`), drops violations
 suppressed by a same-line ``# repro: noqa[Rxxx]`` comment, and renders a
 text or ``--json`` report.  The exit code is a bitmask with one bit per
-rule that fired (R001 -> 1, R002 -> 2, ..., R012 -> 2048), so CI logs
-show *which* rule class regressed without parsing output; bit 13 (4096)
-marks files that failed to parse.  POSIX exit statuses are 8-bit, so
+rule that fired (R001 -> 1, R002 -> 2, ..., R013 -> 4096), so CI logs
+show *which* rule class regressed without parsing output; the bit after
+the last rule's (:data:`PARSE_ERROR_BIT`, derived from the rule count so
+a new rule can never alias it) marks files that failed to parse.  POSIX
+exit statuses are 8-bit, so
 :func:`main` clamps any mask >= 256 to 255 for the process exit — the
 full mask lives in the JSON report's ``exit_code`` field.  (Exit code 2
 is also argparse's usage-error code; treat bits as meaningful only when
@@ -32,6 +34,9 @@ _NOQA_RE = re.compile(r"#\s*repro:\s*noqa\[([A-Z0-9,\s]+)\]")
 #: Directories never linted (caches, VCS metadata).
 _SKIP_DIRS = {"__pycache__", ".git", ".pytest_cache", ".hypothesis"}
 
+#: Exit-code bit for files that failed to parse: one past the last rule's.
+PARSE_ERROR_BIT = 1 << len(RULES)
+
 
 @dataclass
 class LintReport:
@@ -48,10 +53,9 @@ class LintReport:
         for v in self.violations:
             code |= 1 << (int(v.rule[1:]) - 1)
         if self.errors:
-            # Bit 13: files that failed to parse.  Kept clear of the rule
-            # bits (R009–R012 occupy 256..2048) — and note a raw mask no
-            # longer fits a POSIX exit status; main() clamps it.
-            code |= 1 << 12
+            # Kept clear of every rule bit — and note a raw mask no longer
+            # fits a POSIX exit status; main() clamps it.
+            code |= PARSE_ERROR_BIT
         return code
 
     def rule_counts(self) -> dict[str, int]:
@@ -124,7 +128,7 @@ def _realtime_scope(filename: str) -> bool:
 
 
 def _library_scope(filename: str) -> bool:
-    """True for any ``src/repro`` library file (R009–R012's scope).
+    """True for any ``src/repro`` library file (R009–R013's scope).
 
     Unlike ``_simulated_scope`` this never grew subpackage carve-outs:
     the shm-discipline rules apply to the whole library, the parallel

@@ -22,13 +22,17 @@ Reassembly is offset-addressed, as in the paper's step 5: the counts matrix
 fixes each source's region in one receive buffer per real stream (keys and
 origin indices, or words) before any data arrives.  Chunks from one source
 arrive in FIFO order, so the drain loop only collects them per source and
-each stream is assembled with one ``np.concatenate(..., out=buffer)``.  The
-buffers come from the machine's scratch arena when one is supplied, so
-repeated sorts reuse the same storage.  Each source's region is a sorted
-slice of the sender's locally sorted data, and the regions sit back to back
-in source order — exactly the layout the step-6 kernels consume without any
-further copying.  One buffer per stream means one dtype per stream: blocks
-of different dtypes are promoted before the sort starts
+each stream is assembled with one ``np.concatenate(..., out=buffer)``.
+Keys + perm buffers come from the machine's scratch arena, so repeated
+sorts reuse the same storage.  The word path receives into a caller-given
+stream instead — the job's, one int64 word per key of the whole job — at
+the rank's output region, so the words land once where step 6 sorts and
+decodes them (for 8-byte keys the stream *is* the output keys).  Each
+source's region is a sorted slice of the sender's locally sorted data,
+and the regions sit back to back in source order — exactly the layout the
+step-6 kernels consume without any further copying.  One buffer per
+stream means one dtype per stream: blocks of different dtypes are
+promoted before the sort starts
 (:meth:`repro.core.api.DistributedSorter.sort_partitioned`), and a sender
 whose dtype still differs is rejected rather than silently cast.
 """
@@ -66,7 +70,8 @@ class ExchangeResult:
     #: counts_matrix[src][dst] = keys sent from src to dst (global view).
     counts_matrix: np.ndarray
     #: All received keys (words, on the word path) back to back in source
-    #: order (may be a scratch lease — valid until the arena is released).
+    #: order (a scratch lease — valid until the arena is released — or the
+    #: rank's region of the caller's ``stream``).
     key_buffer: np.ndarray
     #: Origin indices aligned with ``key_buffer``; ``None`` on the word path.
     index_buffer: np.ndarray | None
@@ -99,6 +104,7 @@ def exchange_partitions(
     *,
     copy_seconds_per_byte: float = 0.0,
     scratch: ScratchArena | None = None,
+    stream: np.ndarray | None = None,
 ) -> Generator:
     """Run the step-5 exchange; returns an :class:`ExchangeResult`.
 
@@ -110,10 +116,12 @@ def exchange_partitions(
     (writing "by applying offsets for each received data entry") — with
     asynchronous sends these copies overlap the senders' serialization,
     with blocking sends they queue after it, which is the measurable gain
-    of PGX.D's asynchronous task execution.  ``scratch`` supplies the
-    receive buffers (the caller releases the arena once the merged result
-    no longer references them).  Generator — must be driven by the
-    simulator (``yield from``).
+    of PGX.D's asynchronous task execution.  The receive buffers come
+    from ``scratch`` (the caller releases the arena once the merged result
+    no longer references them) — or, on the word path, from ``stream``:
+    the job-wide word stream, of which this rank receives into its output
+    region (everything ranks below it receive comes first).  Generator —
+    must be driven by the simulator (``yield from``).
     """
     rank, size = machine_proc.rank, machine_proc.size
     # The inline send fast path below hands slices straight to the wire, so
@@ -230,8 +238,12 @@ def exchange_partitions(
                     f"into a {array.dtype} stream; promote the blocks to one dtype "
                     "before sorting (DistributedSorter.sort_partitioned does)"
                 )
-        take = np.empty if scratch is None else scratch.take
-        buffer = buffers[i] = take(total, array.dtype)
+        if stream is not None:
+            base = int(counts_matrix[:, :rank].sum())
+            buffer = stream[base : base + total]
+        else:
+            buffer = (np.empty if scratch is None else scratch.take)(total, array.dtype)
+        buffers[i] = buffer
         np.concatenate([p for chunks in parts for p in chunks], out=buffer)
         runs[i] = [buffer[bounds[s] : bounds[s + 1]] for s in range(size)]
     return ExchangeResult(runs[0], runs[1], counts_matrix, *buffers, run_offsets)

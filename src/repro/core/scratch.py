@@ -15,14 +15,21 @@ simulated run checks out one arena per machine and checks them back in
 when it ends, so repeated sorts — every dataset of ``sort_multi``, and
 every separate ``distributed_sort`` of a sweep — reuse warm storage
 instead of faulting fresh pages.  A checked-out arena belongs to exactly
-one machine of one run; a run started meanwhile (nested, or on another
-thread) checks out different arenas.
+one machine, or one job, of one run; a run started meanwhile (nested, or
+on another thread) checks out different arenas.
 
 Leases are views of shared storage: anything that outlives the arena cycle
 (returned keys, stored provenance) must be a fresh array, never a lease —
-the next run that checks the arena out writes over it.  The data-plane
-convention is that leases live from step 5 (exchange reassembly) to the end
-of step 6 (merge), where the machine program calls ``release_all``.
+the next run that checks the arena out writes over it.  Two lifetimes use
+them.  A machine's leases (the keys + perm path's receive buffers and
+merge temporaries) live from step 5 to the end of step 6, where the
+machine program calls ``release_all``.  A word-path *job* leases its own
+arena (:class:`~repro.core.sorter.JobFrame`): its step-1 words, its
+receive stream when keys are narrower than 8 bytes, and the float refill
+source, checked out at the job's first step 1 through the run's
+:class:`~repro.pgxd.runtime.KernelPool` and checked in once every rank's
+step-6 kernel finished.  Peers read a job's sends from that job's storage,
+so a slow rank in ``sort_multi`` can never see the next job's words.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ class _Block:
         return len(self.storage)
 
 
-@dataclass
+@dataclass(eq=False)  # an arena is its identity: pools find and remove it by ``is``
 class ScratchArena:
     """Pool of reusable numpy blocks, keyed by dtype.
 
@@ -61,22 +68,9 @@ class ScratchArena:
     allocations: int = 0
     #: Leases handed out since the last release_all (diagnostic hook).
     live_leases: int = 0
-    #: The blocks of the last two :meth:`hold` leases, oldest first.
-    _held: list[_Block] = field(default_factory=list)
 
     def take(self, n: int, dtype) -> np.ndarray:
         """Lease an uninitialized length-``n`` view of pooled storage."""
-        return self._lease(n, dtype).storage[:n]
-
-    def hold(self, n: int, dtype) -> np.ndarray:
-        """Lease like :meth:`take`, but kept through :meth:`release_all` until
-        the next hold but one, or the arena's checkin."""
-        for block in self._held[:-1]:
-            block.in_use = False
-        self._held = [*self._held[-1:], self._lease(n, dtype)]
-        return self._held[-1].storage[:n]
-
-    def _lease(self, n: int, dtype) -> _Block:
         if n < 0:
             raise ValueError("lease length must be >= 0")
         dtype = np.dtype(dtype)
@@ -94,14 +88,14 @@ class ScratchArena:
             pool.append(best)
         best.in_use = True
         self.live_leases += 1
-        return best
+        return best.storage[:n]
 
     def release_all(self) -> None:
-        """Return every lease but the held ones to the pool (storage stays warm)."""
+        """Return every lease to the pool (the storage stays warm)."""
         for pool in self._pools.values():
             for block in pool:
-                block.in_use = any(block is kept for kept in self._held)
-        self.live_leases = len(self._held)
+                block.in_use = False
+        self.live_leases = 0
 
     def pooled_bytes(self) -> int:
         """Total bytes of storage the arena keeps alive."""
@@ -132,7 +126,6 @@ class ArenaPool:
 
     def checkin(self, arenas: list[ScratchArena]) -> None:
         for arena in reversed(arenas):
-            arena._held.clear()  # the run is over: nobody reads its sends
             arena.release_all()
             self.idle.append(arena)
 

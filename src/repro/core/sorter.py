@@ -24,6 +24,16 @@ Steps 1, 5 and 6 move packed words when the job's key frame
 (:func:`job_frame`) fits, keys and an int32 permutation otherwise, as the
 pool does (:mod:`repro.parallel.datapath`); both are *charged* as the
 paper's records (key + 4-byte index, Figure 11), so goldens cannot tell.
+
+As each paper machine sorts and merges on its own worker threads, the
+word path's step-1 and step-6 kernels run on the run's kernel threads
+(:class:`~repro.pgxd.runtime.KernelPool`), off the event loop: a rank's
+pack and sort is submitted as it enters step 1 and read at step 2, its
+sort of the received runs and unpack submitted once step 5 assembled its
+region, and the run waits for all of them before it returns.  The
+kernels are pure, write disjoint regions of the job's storage
+(:class:`JobFrame`), and every charge comes from key counts alone, so
+nothing simulated can depend on when, or on how many threads, they ran.
 """
 
 from __future__ import annotations
@@ -98,33 +108,75 @@ class RankSortOutput:
     recovery_rounds: int = 0
 
 
-@dataclass(frozen=True)
 class JobFrame:
-    """What every rank of one word-path job shares (see :func:`job_frame`)."""
+    """One word-path job: what its ranks share, and the storage it owns.
 
-    frame: KeyFrame
-    #: Where lossy float codes refill from, as for ``unpack_words`` (int: empty).
-    source: np.ndarray
-    block_starts: np.ndarray
-    #: Keys, origin index, origin processor: one array per role for the job.
-    outputs: tuple[np.ndarray, np.ndarray, np.ndarray]
+    The frame, each rank's input offset and the job-wide outputs (keys,
+    origin index, origin processor: one array per role, as the pool's job
+    leases) are fixed before the run (:func:`job_frame`).  The storage is
+    drawn warm from the run's pool at the job's first step 1: the step-1
+    words, one per key with rank ``r``'s at its input offset; the step-5
+    receive stream, which for 8-byte keys is the output keys viewed as
+    int64 (they decode in place) and otherwise one int64 array; and, for
+    float keys, the input the lossy codes refill from.  The kernels that
+    fill it run on the run's threads; the storage goes back once every
+    rank's step-6 kernel finished.
+    """
 
-    def sort(self, block: np.ndarray, rank: int, scratch) -> SortedWords:
-        """Step 1 on ``rank``: pack and sort its words (int keys are their
-        own codes) in a held lease.  A slow peer may read the sends viewing
-        it after this rank's step 6, but not after the next job's step 3:
-        the Master agrees splitters only once every rank finished this job."""
-        words = scratch.hold(len(block), np.int64)
-        codes = code_and_stats(block, words)[0] if block.dtype.kind == "f" else block
-        pack_words(codes, self.frame, rank, words).sort()
-        return SortedWords(words, self.frame, self.source, self.block_starts)
+    def __init__(self, frame: KeyFrame, blocks: Sequence[np.ndarray]):
+        n, dtype = sum(map(len, blocks)), frame.dtype
+        self.frame, self.blocks = frame, blocks
+        self.block_starts = np.cumsum([0, *map(len, blocks[:-1])], dtype=np.int64)
+        self.outputs = (np.empty(n, dtype), np.empty(n, INDEX_DTYPE), np.empty(n, np.int16))
+        self.arena = self.words = self.stream = self.source = None
+        self.merges: list = []
 
-    def merge(self, runs: np.ndarray, run_lengths: list[int], base: int):
-        """Step 6 on one rank: ``runs`` merged into the outputs at ``base``."""
+    def _draw(self, kernels) -> None:
+        self.arena = kernels.checkout()
+        keys = self.outputs[0]
+        n, wide = len(keys), keys.itemsize == 8
+        storage = self.arena.take(n if wide else 2 * n, np.int64)
+        self.words = storage[:n]
+        self.stream = keys.view(np.int64) if wide else storage[n:]
+        self.source = keys[:0]
+        if keys.dtype.kind == "f":
+            self.source = np.concatenate(self.blocks, out=self.arena.take(n, keys.dtype))
+
+    def sort(self, machine: Machine, block: np.ndarray):
+        """Step 1 on one rank, submitted to the run's kernel threads: a
+        future of its :class:`SortedWords`, packed and sorted in the job's
+        words (int keys are their own codes)."""
+        if self.arena is None:
+            self._draw(machine.kernels)
+        start = int(self.block_starts[machine.rank])
+        words = self.words[start : start + len(block)]
+        block_words = SortedWords(words, self.frame, self.source, self.block_starts)
+        return machine.kernels.submit(_pack_and_sort, block, machine.rank, block_words)
+
+    def merge(self, machine: Machine, runs: np.ndarray, run_lengths: list[int], base: int):
+        """Step 6 on one rank, submitted to the run's kernel threads: its
+        ``runs`` (its region of the stream) sorted and decoded into the
+        outputs at ``base``.  Returns the output views the kernel fills; the
+        last rank's call hands the storage back once every merge is done."""
         keys, index, proc = (out[base : base + len(runs)] for out in self.outputs)
-        sort_runs_in_place(runs, run_lengths, self.frame.shift)
-        unpack_words(runs, self.frame, self.source, self.block_starts, keys, index, proc)
+        self.merges.append(machine.kernels.submit(
+            _sort_and_unpack, runs, run_lengths, self, keys, index, proc
+        ))
+        if len(self.merges) == len(self.block_starts):
+            machine.kernels.checkin(self.arena, self.merges)
         return keys, Provenance(proc, index)
+
+
+def _pack_and_sort(block: np.ndarray, rank: int, block_words: SortedWords) -> SortedWords:
+    words = block_words.words
+    codes = code_and_stats(block, words)[0] if block.dtype.kind == "f" else block
+    pack_words(codes, block_words.frame, rank, words).sort()
+    return block_words
+
+
+def _sort_and_unpack(runs, run_lengths, job: JobFrame, keys, index, proc) -> None:
+    sort_runs_in_place(runs, run_lengths, job.frame.shift)
+    unpack_words(runs, job.frame, job.source, job.block_starts, keys, index, proc)
 
 
 def job_frame(blocks: Sequence[np.ndarray]) -> JobFrame | None:
@@ -136,15 +188,10 @@ def job_frame(blocks: Sequence[np.ndarray]) -> JobFrame | None:
     dtype = blocks[0].dtype
     if not has_key_codec(dtype):
         return None
-    is_float = dtype.kind == "f"
-    codes = np.empty(max(map(len, blocks)) if is_float else 0, dtype=np.int64)
+    codes = np.empty(max(map(len, blocks)) if dtype.kind == "f" else 0, dtype=np.int64)
     stats = [code_and_stats(block, codes[: len(block)])[1] for block in blocks]
     frame = derive_key_frame(stats, dtype, len(blocks))
-    if frame is None:
-        return None
-    n, starts = sum(map(len, blocks)), np.cumsum([0, *map(len, blocks[:-1])], dtype=np.int64)
-    outputs = (np.empty(n, dtype), np.empty(n, INDEX_DTYPE), np.empty(n, np.int16))
-    return JobFrame(frame, np.concatenate(blocks) if is_float else blocks[0][:0], starts, outputs)
+    return None if frame is None else JobFrame(frame, blocks)
 
 
 def merge_keys(machine: Machine, options, key_buffer, index_buffer, run_lengths, sources=None):
@@ -163,7 +210,9 @@ def local_sort_step(
     """Step 1 on one machine; returns ``((sorted block, perm), end time)``.
 
     Sorts words with a job frame, keys + perm without, charging the same.
-    The lossless and the resilient programs both yield this generator to
+    On the word path the sort runs on the run's kernel threads and the
+    block is a future of its :class:`SortedWords` (perm ``None``).  The
+    lossless and the resilient programs both yield this generator to
     the engine.  Step boundaries are marked for the structured tracer;
     Mark consumes no virtual time and is a no-op without a tracer, so the
     golden fingerprint is unaffected.
@@ -173,7 +222,7 @@ def local_sort_step(
     if job is None:
         block, perm, _path = sort_block(keys)
     else:
-        block, perm = job.sort(keys, machine.rank, machine.scratch), None
+        block, perm = job.sort(machine, keys), None
     seconds = local_sort_seconds(machine, len(keys), balanced=options.balanced_merge)
     yield machine.compute(seconds, STEP_LABELS[0])
     # Figure 11 accounting: the sort's resident overhead is the permutation
@@ -238,7 +287,7 @@ def sample_sort_program(
     # engine trampoline them: their resumes skip this frame.
     # Steps 2-5 read and ship the sorted keys, or the sorted words.
     (block, perm), t1 = yield local_sort_step(machine, keys, options, out, job)
-    block_bytes = machine.data.scaled(len(block) * block.dtype.itemsize)
+    block_bytes = machine.data.scaled(len(keys) * keys.dtype.itemsize)
 
     if size == 1:
         # Single machine: the local sort is the whole story.
@@ -249,7 +298,7 @@ def sample_sort_program(
         if job is None:
             out.keys, out.provenance = merge_keys(machine, options, block, perm, [len(keys)])
         else:
-            out.keys, out.provenance = job.merge(block.words, [len(keys)], 0)
+            out.keys, out.provenance = job.merge(machine, block.result().words, [len(keys)], 0)
         machine.scratch.release_all()
         out.sent_counts = np.array([len(keys)], dtype=np.int64)
         out.received_counts = np.array([len(keys)], dtype=np.int64)
@@ -257,6 +306,8 @@ def sample_sort_program(
 
     # ----------------------------------------------------- step 2: sampling
     yield Mark(STEP_LABELS[1])
+    if job is not None:
+        block = block.result()  # step 1's kernel: its first reader is here
     samples = draw_samples(block, cfg, size, options.sample_factor)
     out.samples_sent = len(samples)
     yield machine.compute(cost.scan_seconds(int(samples.nbytes)), STEP_LABELS[1])
@@ -307,6 +358,7 @@ def sample_sort_program(
         cfg,
         copy_seconds_per_byte=1.0 / cost.copy_bandwidth,
         scratch=machine.scratch,
+        stream=None if job is None else job.stream,
     )
     machine.data.memory.free(block_bytes, temporary=True)
     out.sent_counts = ex.counts_matrix[rank].copy()
@@ -321,6 +373,6 @@ def sample_sort_program(
         merged = merge_keys(machine, options, ex.key_buffer, ex.index_buffer, run_lengths)
     else:
         base = int(ex.counts_matrix[:, :rank].sum())  # this rank's output region
-        merged = job.merge(ex.key_buffer, run_lengths, base)
+        merged = job.merge(machine, ex.key_buffer, run_lengths, base)
     yield merge_step(machine, options, out, run_lengths, *merged)
     return out

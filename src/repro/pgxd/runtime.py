@@ -9,17 +9,24 @@ PGX.D managers (task, data) and configuration.
 The distributed sorting algorithm (:mod:`repro.core`) and all baselines run
 as programs on this runtime.
 
-A run owns nothing after it returns.  Each machine's scratch arena is
-checked out of the process-wide :data:`repro.core.scratch.ARENAS` pool for
-the duration of ``sim.run()`` and checked back in (leases released) when it
-ends, whether or not it succeeded, so back-to-back runs reuse warm storage
-and a nested or concurrent run never shares an arena with a live one.  The
-finished simulator holds no reference to itself, so dropping a run's result
-frees it and its arrays by refcount, even while the GC is paused.
+A run owns nothing after it returns: no storage and no threads.  Each
+machine's scratch arena is checked out of the process-wide
+:data:`repro.core.scratch.ARENAS` pool for the duration of ``sim.run()``
+and checked back in (leases released) when it ends, whether or not it
+succeeded, so back-to-back runs reuse warm storage and a nested or
+concurrent run never shares an arena with a live one.  The run's
+:class:`KernelPool` — the threads its data kernels run on, off the event
+loop — is created with it and joined before ``run`` returns or raises,
+every kernel finished and every job's storage checked in, so no thread
+outlives a run (a :class:`~repro.parallel.backend.ProcessBackend` forks
+this process).  The finished simulator holds no reference to itself, so
+dropping a run's result frees it and its arrays by refcount, even while
+the GC is paused.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Generator, Sequence
 
@@ -39,9 +46,74 @@ from .partition import BlockPartition
 from .task_manager import TaskManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import Future
+
     from ..core.scratch import ScratchArena
 
 MachineProgram = Callable[..., Generator]
+
+
+class KernelPool:
+    """One run's kernel threads, and the job storage their kernels write.
+
+    A program submits a *pure* data kernel (step 1's pack and sort, step
+    6's sort of the received runs and unpack) and reads its result at the
+    first step that needs it, so every machine's kernels run on every core
+    while the event loop goes on.  Nothing simulated can tell: virtual
+    time is charged from key counts alone, and the kernels write disjoint
+    regions.  The pool is sized from the CPUs this process may run on.
+
+    Job storage comes warm from :data:`repro.core.scratch.ARENAS`:
+    :meth:`checkout` lends a job an arena, :meth:`checkin` takes it back
+    once the given kernels finished.  :meth:`join` — the context exit —
+    waits for every kernel, checks in what is still out, stops the
+    threads, and raises the first kernel exception as itself.
+    """
+
+    def __init__(self) -> None:
+        # Imported here: concurrent.futures pulls in logging, which every
+        # pool worker forked from a driver would otherwise carry, and
+        # repro.core imports this module.
+        from concurrent.futures import ThreadPoolExecutor
+
+        from ..core.scratch import ARENAS
+
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        threads = len(cpus) if cpus else os.cpu_count() or 1
+        self._executor = ThreadPoolExecutor(threads, thread_name_prefix="pgxd-kernel")
+        self._futures: list[Future] = []
+        self._arenas, self._lent = ARENAS, []
+
+    def submit(self, kernel: Callable, /, *args: Any) -> Future:
+        future = self._executor.submit(kernel, *args)
+        self._futures.append(future)
+        return future
+
+    def checkout(self) -> ScratchArena:
+        (arena,) = self._arenas.checkout(1)
+        self._lent.append(arena)
+        return arena
+
+    def checkin(self, arena: ScratchArena, kernels: Sequence[Future]) -> None:
+        """Return ``arena`` once ``kernels`` — the last that use it — finish."""
+        from concurrent.futures import wait
+
+        wait(kernels)
+        self._lent.remove(arena)
+        self._arenas.checkin([arena])
+
+    def join(self) -> None:
+        self._executor.shutdown(wait=True)
+        self._arenas.checkin(self._lent)
+        self._lent.clear()
+        for future in self._futures:
+            future.result()
+
+    def __enter__(self) -> "KernelPool":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.join()
 
 
 class Machine:
@@ -53,6 +125,7 @@ class Machine:
         config: PgxdConfig,
         cost: CostModel,
         scratch: ScratchArena,
+        kernels: KernelPool | None,
     ):
         self.proc = proc
         self.config = config
@@ -62,6 +135,8 @@ class Machine:
         #: Reusable storage for data-plane temporaries (receive buffers,
         #: provenance staging), checked out for this machine's run only.
         self.scratch = scratch
+        #: The run's kernel threads (``None``: a machine no kernel runs on).
+        self.kernels = kernels
 
     @property
     def rank(self) -> int:
@@ -173,7 +248,8 @@ class PgxdRuntime:
         self, programs: list[MachineProgram], args: tuple, kwargs: dict
     ) -> RunResult:
         """Build a simulator, run ``programs[rank]`` on each machine, and
-        hold one pooled scratch arena per machine for exactly the run."""
+        hold one pooled scratch arena per machine and one kernel pool for
+        exactly the run."""
         # repro.core imports repro.pgxd at module level, so the reverse
         # import must stay local to avoid a cycle.
         from ..core.scratch import ARENAS
@@ -186,24 +262,23 @@ class PgxdRuntime:
             faults=self.faults,
         )
         arenas = ARENAS.checkout(self.num_machines)
-
-        # Plain function, not a generator: returning the program's generator
-        # directly (instead of `yield from` delegation) removes one Python
-        # frame from every resume — material when a run spans tens of
-        # thousands of events.  The engine only requires that the factory
-        # *return* a generator.
-        def bootstrap(
-            proc: ProcessHandle, program: MachineProgram, /, *a: Any, **kw: Any
-        ) -> Generator:
-            machine = Machine(
-                proc, self.config, self.cost_for_rank(proc.rank), arenas[proc.rank]
-            )
-            return program(machine, *a, **kw)
-
         try:
-            for rank, program in enumerate(programs):
-                sim.add_process(bootstrap, program, *args, rank=rank, **kwargs)
-            metrics = sim.run()
+            with KernelPool() as kernels:
+                # Plain function, not a generator: returning the program's
+                # generator directly (instead of `yield from` delegation)
+                # removes one Python frame from every resume — material when
+                # a run spans tens of thousands of events.  The engine only
+                # requires that the factory *return* a generator.
+                def bootstrap(
+                    proc: ProcessHandle, program: MachineProgram, /, *a: Any, **kw: Any
+                ) -> Generator:
+                    cost = self.cost_for_rank(proc.rank)
+                    machine = Machine(proc, self.config, cost, arenas[proc.rank], kernels)
+                    return program(machine, *a, **kw)
+
+                for rank, program in enumerate(programs):
+                    sim.add_process(bootstrap, program, *args, rank=rank, **kwargs)
+                metrics = sim.run()
         finally:
             ARENAS.checkin(arenas)
         return RunResult(results=sim.results(), metrics=metrics)

@@ -1,10 +1,10 @@
 """Per-rule positive/negative tests for ``repro-lint``.
 
-Every rule R001–R012 has at least one *positive* case (fires on a minimal
+Every rule R001–R013 has at least one *positive* case (fires on a minimal
 bad snippet) and one *negative* case (silent on the fixed version), as the
 correctness-tooling acceptance criteria require.  Snippets are linted via
 :func:`repro.checks.lint_source` with a path inside ``src/repro`` so the
-library-scoped rules (R002, R009–R012) apply; the parallel-aware rules
+library-scoped rules (R002, R009–R013) apply; the parallel-aware rules
 additionally use a path under ``src/repro/parallel``.
 """
 
@@ -523,3 +523,41 @@ class TestR012AdhocMpPrimitive:
             return conns
         """
         assert rules_in(src, "src/repro/parallel/backend.py") == []
+
+
+class TestR013ThreadOutsideKernelPool:
+    def test_fires_on_threading_import(self):
+        src = """
+        import threading
+
+        def spin(fn):
+            threading.Thread(target=fn).start()
+        """
+        assert rules_in(src, LIB) == ["R013"]
+
+    def test_fires_on_executor_import_in_a_step_module(self):
+        src = """
+        from concurrent.futures import ThreadPoolExecutor as Pool
+
+        def merge_all(regions, kernel):
+            with Pool(2) as pool:
+                return list(pool.map(kernel, regions))
+        """
+        assert rules_in(src, "src/repro/core/sorter.py") == ["R013"]
+
+    def test_fires_on_futures_submodule_import(self):
+        assert rules_in("from concurrent import futures\n", PARALLEL) == ["R013"]
+
+    def test_silent_in_the_kernel_pool_module(self):
+        src = """
+        import os
+        from concurrent.futures import ThreadPoolExecutor
+
+        def pool():
+            return ThreadPoolExecutor(len(os.sched_getaffinity(0)))
+        """
+        assert rules_in(src, "src/repro/pgxd/runtime.py") == []
+
+    def test_silent_in_tests_and_on_lookalike_modules(self):
+        assert rules_in("import threading\n", TEST) == []
+        assert rules_in("import concurrent\nimport threadpoolctl\n", LIB) == []

@@ -9,8 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.checks import lint_paths, lint_source
-from repro.checks.runner import LintReport, main
+from repro.checks import RULES, lint_paths, lint_source
+from repro.checks.runner import PARSE_ERROR_BIT, LintReport, main
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -53,10 +53,10 @@ class TestExitCodes:
         assert LintReport().exit_code == 0
 
     def test_parse_error_sets_high_bit(self):
-        # bit 13: one past R012's bit, so rule bits and the parse-error
+        # One past the last rule's bit, so rule bits and the parse-error
         # marker never alias.
         report = LintReport(errors=["f.py: bad syntax (line 1)"])
-        assert report.exit_code == 1 << 12
+        assert report.exit_code == PARSE_ERROR_BIT == 1 << len(RULES)
 
     def test_r012_bit_distinct_from_parse_errors(self):
         from repro.checks.rules import Violation
@@ -65,7 +65,18 @@ class TestExitCodes:
             violations=[Violation("R012", "f.py", 1, 0, "m")],
             errors=["g.py: bad syntax (line 1)"],
         )
-        assert report.exit_code == (1 << 11) | (1 << 12)
+        assert report.exit_code == (1 << 11) | PARSE_ERROR_BIT
+
+    def test_no_rule_bit_is_the_parse_error_bit(self):
+        from repro.checks.rules import Violation
+
+        bits = [
+            LintReport(violations=[Violation(rule_id, "f.py", 1, 0, "m")]).exit_code
+            for rule_id in RULES
+        ]
+        assert len(set(bits)) == len(RULES)
+        assert PARSE_ERROR_BIT not in bits
+        assert all(bit < PARSE_ERROR_BIT for bit in bits)
 
     def test_main_clamps_process_exit_to_eight_bits(self, tmp_path, capsys):
         # R009's bit alone is 256 == 0 mod 256: without the clamp the
@@ -85,7 +96,7 @@ class TestExitCodes:
         (tmp_path / "broken.py").write_text("def f(:\n")
         code = main([str(tmp_path), "--json"])
         payload = json.loads(capsys.readouterr().out)
-        assert payload["exit_code"] == 1 << 12
+        assert payload["exit_code"] == PARSE_ERROR_BIT
         assert code == 255
 
 
@@ -118,7 +129,7 @@ class TestRunner:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in ("R001", "R002", "R003", "R004", "R005", "R006",
-                        "R007", "R008", "R009", "R010", "R011", "R012"):
+                        "R007", "R008", "R009", "R010", "R011", "R012", "R013"):
             assert rule_id in out
 
     def test_unparsable_file_reported_not_fatal(self, tmp_path):

@@ -29,7 +29,7 @@ def parallel_quicksort(machine, keys, balanced=True):
 def make_machine(threads=4, rank=0, size=2):
     proc = ProcessHandle(rank, size, ProcessMetrics(rank))
     return Machine(
-        proc, PgxdConfig(threads_per_machine=threads), CostModel(), ScratchArena()
+        proc, PgxdConfig(threads_per_machine=threads), CostModel(), ScratchArena(), None
     )
 
 

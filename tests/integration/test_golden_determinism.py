@@ -22,6 +22,8 @@ in the PR.
 """
 
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,6 +98,35 @@ class TestGoldenDeterminism:
         golden = json.loads(path.read_text())
         capture_sort_fingerprint(**golden["workload"])
         assert len(calls) == (golden["workload"]["num_ranks"] if merges else 0)
+
+    @pytest.mark.parametrize("threads", ["one", "default", "oversubscribed"])
+    @pytest.mark.parametrize(
+        "path", [GOLDEN_PATH, F64_GOLDEN_PATH], ids=["int64-words", "float64-keys-perm"]
+    )
+    def test_golden_does_not_depend_on_the_kernel_thread_count(self, monkeypatch, path, threads):
+        """The run's kernel pool is sized from the CPUs the process may use;
+        one kernel thread, all of them, or more threads than cores switching
+        every few microseconds, the bytes are the golden's."""
+        from concurrent import futures
+
+        cpus = {"one": {0}, "default": os.sched_getaffinity(0), "oversubscribed": set(range(8))}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus[threads])
+        sizes = []
+        executor = futures.ThreadPoolExecutor
+
+        def recording(workers, **kwargs):
+            sizes.append(workers)
+            return executor(workers, **kwargs)
+
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", recording)
+        interval = sys.getswitchinterval()
+        try:
+            if threads == "oversubscribed":
+                sys.setswitchinterval(1e-5)
+            _assert_replays(path)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sizes == [len(cpus[threads])]
 
     def test_makespan_recorded_as_hex(self):
         golden = json.loads(GOLDEN_PATH.read_text())

@@ -2,6 +2,8 @@
 
 import dataclasses
 import gc
+import itertools
+import threading
 import weakref
 
 import numpy as np
@@ -271,9 +273,26 @@ def _pooled_storage() -> list[np.ndarray]:
     ]
 
 
+def _recording_checkouts(monkeypatch) -> list:
+    """``(arena, allocations at checkout)`` for every arena lent from now on."""
+    from repro.core.scratch import ArenaPool
+
+    lent = []
+    checkout = ArenaPool.checkout
+
+    def recording(pool, count):
+        arenas = checkout(pool, count)
+        lent.extend((arena, arena.allocations) for arena in arenas)
+        return arenas
+
+    monkeypatch.setattr(ArenaPool, "checkout", recording)
+    return lent
+
+
 class TestRunLifetime:
     """A finished run owns nothing: refcount frees it, its arenas go back
-    to the process pool, and nothing it returned aliases that pool."""
+    to the process pool, nothing it returned aliases that pool, and no
+    kernel thread outlives it."""
 
     DATA = np.random.default_rng(5).integers(0, 1000, 40_000)
 
@@ -305,23 +324,17 @@ class TestRunLifetime:
         from repro import distributed_sort
 
         distributed_sort(self.DATA, num_processors=16)
-        seen = {}
-        take = ScratchArena.take
-
-        def recording_take(arena, n, dtype):
-            seen.setdefault(id(arena), (arena, arena.allocations))
-            return take(arena, n, dtype)
-
-        monkeypatch.setattr(ScratchArena, "take", recording_take)
+        lent = _recording_checkouts(monkeypatch)
         again = distributed_sort(self.DATA, num_processors=16)
         assert np.array_equal(again.to_array(), np.sort(self.DATA))
-        assert len(seen) == 16
-        assert sum(a.allocations - before for a, before in seen.values()) == 0
+        # One arena per machine, and one for the job's storage.
+        assert len(lent) == 17 and all(a.pooled_bytes() for a, _ in lent[16:])
+        assert sum(a.allocations - before for a, before in lent) == 0
 
     @pytest.mark.parametrize("p", [1, 4])
     def test_sort_multi_does_not_grow_the_arenas_per_dataset(self, p):
-        """Step 1's held words outlive step 6, but an arena keeps only the
-        last two jobs' worth: twelve datasets pool what three do."""
+        """A job's storage goes back once its last step-6 kernel finished,
+        before a later job draws its own: twelve datasets pool what three do."""
         from repro import DistributedSorter
         from repro.core.scratch import ARENAS
 
@@ -359,19 +372,27 @@ class TestRunLifetime:
 
     def test_nested_run_gets_distinct_arenas(self, monkeypatch):
         from repro import distributed_sort
-        from repro.core.scratch import ARENAS
+        from repro.core.scratch import ARENAS, ArenaPool
         from repro.core.sorter import SortOptions, job_frame, sample_sort_program
 
         inner_data = np.random.default_rng(6).integers(0, 50, 5_000)
         blocks = np.array_split(self.DATA, 2)
         job = job_frame(blocks)
-        outer_arenas, inner_arenas, inner = [], [], []
-        take = ScratchArena.take
+        outer_arenas, inner_arenas, inner, lent = [], [], [], []
+        live = {}  # id -> arena, for every arena out of the pool right now
+        checkout, checkin = ArenaPool.checkout, ArenaPool.checkin
 
-        def recording_take(arena, n, dtype):
-            if all(arena is not a for a in outer_arenas + inner_arenas):
-                inner_arenas.append(arena)
-            return take(arena, n, dtype)
+        def recording_checkout(pool, count):
+            arenas = checkout(pool, count)
+            assert not set(map(id, arenas)) & set(live), "an arena lent twice at once"
+            live.update((id(arena), arena) for arena in arenas)
+            lent.extend(arenas)
+            return arenas
+
+        def recording_checkin(pool, arenas):
+            for arena in arenas:
+                del live[id(arena)]
+            checkin(pool, arenas)
 
         def program(machine):
             outer_arenas.append(machine.scratch)
@@ -379,7 +400,10 @@ class TestRunLifetime:
             held[:] = machine.rank
             if machine.rank == 0:
                 # A whole run while this run's arenas hold live leases.
+                before, start = set(live), len(lent)
                 inner.append(distributed_sort(inner_data, num_processors=4))
+                inner_arenas.extend(lent[start:])
+                assert set(live) == before
                 assert not set(map(id, outer_arenas)) & set(map(id, ARENAS.idle))
             assert (held == machine.rank).all()
             machine.scratch.release_all()
@@ -387,14 +411,95 @@ class TestRunLifetime:
                 machine, blocks[machine.rank], SortOptions(), job
             ))
 
-        monkeypatch.setattr(ScratchArena, "take", recording_take)
+        monkeypatch.setattr(ArenaPool, "checkout", recording_checkout)
+        monkeypatch.setattr(ArenaPool, "checkin", recording_checkin)
         run = PgxdRuntime(2).run(program)
-        assert len(outer_arenas) == 2 and len(inner_arenas) == 4
+        # The inner run's four machines and its job drew arenas of their own.
+        assert len(outer_arenas) == 2 and len(inner_arenas) == 5
         assert np.array_equal(inner[0].to_array(), np.sort(inner_data))
         merged = np.concatenate([out.keys for out in run.results])
         assert np.array_equal(merged, np.sort(self.DATA))
         # Both runs checked every arena they leased back in.
+        assert not live
         assert set(map(id, outer_arenas + inner_arenas)) <= set(map(id, ARENAS.idle))
+
+    @pytest.mark.parametrize("case", ["sort", "sort_multi", "faulted"])
+    def test_no_kernel_thread_outlives_a_run(self, monkeypatch, case):
+        from repro import DistributedSorter
+        from repro.pgxd.runtime import KernelPool
+
+        submitted = []
+        submit = KernelPool.submit
+
+        def counting(pool, *args):
+            submitted.append(1)
+            return submit(pool, *args)
+
+        monkeypatch.setattr(KernelPool, "submit", counting)
+        before = threading.active_count()
+        if case == "faulted":
+            sorter = DistributedSorter(num_processors=6, faults=FaultPlan(seed=36, drop_prob=0.05))
+            results = [sorter.sort(self.DATA)]
+        elif case == "sort_multi":
+            results = DistributedSorter(num_processors=4).sort_multi([self.DATA, self.DATA[::3]])
+        else:
+            results = [DistributedSorter(num_processors=16).sort(self.DATA)]
+        assert threading.active_count() == before
+        assert all(r.is_globally_sorted() for r in results)
+        # Word-path runs did run kernels; the resilient program runs none.
+        assert bool(submitted) == (case != "faulted")
+
+    def test_a_kernel_exception_leaves_the_run_as_itself(self, monkeypatch):
+        from repro import distributed_sort
+        from repro.core import sorter
+        from repro.core.scratch import ARENAS
+
+        class KernelBug(Exception):
+            pass
+
+        calls = itertools.count()
+        kernel = sorter.sort_runs_in_place
+
+        def failing_on_one_rank(*args):
+            if next(calls) == 2:
+                raise KernelBug("step 6 of one rank")
+            return kernel(*args)
+
+        monkeypatch.setattr(sorter, "sort_runs_in_place", failing_on_one_rank)
+        lent = _recording_checkouts(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(KernelBug, match="step 6 of one rank"):
+            distributed_sort(self.DATA, num_processors=8)
+        assert next(calls) == 8  # every rank's kernel ran, one raised
+        assert len(lent) == 9  # eight machines and the job
+        assert {id(a) for a, _ in lent} <= set(map(id, ARENAS.idle))
+        assert threading.active_count() == before
+
+    def test_job_storage_goes_back_in_any_order(self):
+        from repro.core.scratch import ARENAS
+        from repro.pgxd.runtime import KernelPool
+
+        def idle(arena):
+            return any(a is arena for a in ARENAS.idle)
+
+        with KernelPool() as kernels:
+            first, second = kernels.checkout(), kernels.checkout()
+            first.take(64, np.int64)[:] = 1
+            second.take(64, np.int64)[:] = 2
+            kernels.checkin(second, [kernels.submit(sum, [1, 2])])
+            assert idle(second) and not idle(first) and second.live_leases == 0
+        assert idle(first) and first.live_leases == 0
+
+    def test_a_process_backend_started_after_a_run_sorts_correctly(self):
+        from repro import distributed_sort
+        from repro.parallel import ProcessBackend
+
+        assert distributed_sort(self.DATA, num_processors=16).is_globally_sorted()
+        blocks = np.array_split(self.DATA, 2)
+        with ProcessBackend() as backend:
+            run = backend.sort_blocks(blocks)
+            keys = np.concatenate([out.keys for out in run.outputs])
+            assert np.array_equal(keys, np.sort(self.DATA))
 
 
 class TestGraphLoading:
