@@ -26,10 +26,14 @@ from typing import Sequence
 import numpy as np
 
 from ..pgxd.config import PgxdConfig
-from ..pgxd.runtime import Machine, PgxdRuntime
+from ..pgxd.runtime import Machine, PgxdRuntime, RunResult
 from ..simnet.cost import CostModel
+from ..simnet.errors import DeadlockError
+from ..simnet.faults import active_fault_plan
+from ..simnet.metrics import ClusterMetrics, ProcessMetrics
 from ..simnet.network import NetworkModel
 from .result import SortResult
+from .retry import RetryPolicy, run_with_retry
 from .sorter import RankSortOutput, SortOptions, job_frame, sample_sort_program
 
 
@@ -44,9 +48,9 @@ class SortConfig:
     options: SortOptions = field(default_factory=SortOptions)
     #: Optional per-machine speed factors (heterogeneous cluster).
     rank_speed: tuple[float, ...] | None = None
-    #: Optional :class:`repro.simnet.faults.FaultPlan`: attaching one
-    #: switches the sort onto the resilient protocol.  None (the default)
-    #: still honours an ambient ``inject_faults`` scope.
+    #: Optional :class:`repro.simnet.faults.FaultPlan` the simulated sort
+    #: runs under, retried and degraded by :mod:`repro.core.retry`.  None
+    #: (the default) still honours an ambient ``inject_faults`` scope.
     faults: "object | None" = None
     #: Execution substrate: "simnet" (virtual time, the default),
     #: "process" (one OS process per rank, shared-memory exchange, wall
@@ -105,13 +109,12 @@ class DistributedSorter:
         ``num_processors``, ``sample_factor``, ``investigator``,
         ``balanced_merge``, ``threads_per_machine``, ``async_messaging``,
         ``read_buffer_bytes``, ``data_scale``, ``network``, ``cost``,
-        ``rank_speed``, ``faults``, ``resilience``, ``backend``."""
+        ``rank_speed``, ``faults``, ``backend``."""
         config = config or SortConfig()
         opt_fields = {
             "sample_factor",
             "investigator",
             "balanced_merge",
-            "resilience",
         }
         pgxd_fields = {
             "threads_per_machine",
@@ -165,6 +168,12 @@ class DistributedSorter:
         here, to their common ``np.result_type`` (already-uniform blocks are
         passed through uncopied), so both substrates sort one dtype and the
         result's dtype never depends on how the keys happened to route.
+
+        Under a fault plan (``faults=`` or an ambient ``inject_faults``
+        scope) each simulated attempt runs under the plan as
+        :meth:`~repro.simnet.faults.FaultPlan.for_attempt` gives it, and
+        :func:`~repro.core.retry.run_with_retry` re-runs a job a crash
+        ended, degrading to the survivors exactly as the pool does.
         """
         p = self.config.num_processors
         if len(blocks) != p:
@@ -195,19 +204,26 @@ class DistributedSorter:
                     blocks, options=self.config.options, config=self.config.pgxd
                 )
             return run.to_sort_result(np.asarray(input_offsets, dtype=np.int64))
-        runtime = self.config.runtime()
-        job = job_frame(blocks)
+        plan = self.config.faults or active_fault_plan()
+        if plan is None:
+            run = _simulate(self.config, blocks)
+            return SortResult.from_rank_outputs(run.results, run.metrics, input_offsets)
+        plan.check_ranks(p)
+        speed = self.config.rank_speed
 
-        def program(machine: Machine):
-            # Returns the step generator itself (no `yield from` shim): one
-            # less frame on every event resume of the run.
-            return sample_sort_program(
-                machine, blocks[machine.rank], self.config.options, job
+        def attempt(job_blocks, rank_ids: tuple[int, ...], number: int) -> _SimRun:
+            config = replace(
+                self.config,
+                num_processors=len(rank_ids),
+                rank_speed=None if speed is None else tuple(speed[r] for r in rank_ids),
+                faults=plan.for_attempt(rank_ids, number),
             )
+            run = _simulate(config, job_blocks)
+            counts = np.stack([out.sent_counts for out in run.results])
+            return _SimRun(run.results, counts, run.metrics)
 
-        run = runtime.run(program)
-        outputs: list[RankSortOutput] = run.results
-        return SortResult.from_rank_outputs(outputs, run.metrics, input_offsets)
+        run = run_with_retry(attempt, blocks, RetryPolicy(), (DeadlockError,), [])
+        return run.to_sort_result(np.asarray(input_offsets, dtype=np.int64))
 
     def sort_multi(self, datasets: Sequence[np.ndarray]) -> list[SortResult]:
         """Sort several datasets in one cluster launch.
@@ -215,9 +231,13 @@ class DistributedSorter:
         The datasets are processed back-to-back inside a single simulation,
         so later sorts reuse the warm cluster — the paper's "sort multiple
         different data simultaneously" API.  Returns one result per input.
+        Under a fault plan each dataset is its own retried job
+        (:meth:`sort`).
         """
         if not datasets:
             return []
+        if self.config.faults or active_fault_plan():
+            return [self.sort(data) for data in datasets]
         p = self.config.num_processors
         per_dataset = [partition_input(d, p) for d in datasets]
         jobs = [job_frame(blocks) for blocks, _ in per_dataset]
@@ -312,6 +332,50 @@ class DistributedSorter:
                 raise ValueError(f"column {name!r} does not align with keys")
         result = self.sort(keys)
         return result, {name: result.gather_values(col) for name, col in values.items()}
+
+
+def _simulate(config: SortConfig, blocks: Sequence[np.ndarray]) -> RunResult:
+    """One simulated run of the six steps over ``blocks``."""
+    job = job_frame(blocks)
+
+    def program(machine: Machine):
+        # Returns the step generator itself (no `yield from` shim): one
+        # less frame on every event resume of the run.
+        return sample_sort_program(machine, blocks[machine.rank], config.options, job)
+
+    return config.runtime().run(program)
+
+
+@dataclass
+class _SimRun:
+    """One simulated attempt, in the shape :mod:`repro.core.retry` widens
+    (the pool's is :class:`~repro.parallel.run.BackendRun`)."""
+
+    outputs: list[RankSortOutput | None]
+    counts_matrix: np.ndarray
+    metrics: ClusterMetrics
+    survivors: tuple[int, ...] | None = None
+    recovery_rounds: int = 0
+    input_offsets: np.ndarray | None = None
+    retries: int = 0
+    attempt_history: tuple = ()
+
+    def to_sort_result(self, input_offsets: np.ndarray) -> SortResult:
+        """The :class:`SortResult`; a dropped rank's metrics say it crashed,
+        and each failed attempt is charged to its rank as a retry."""
+        processes = self.metrics.processes
+        if self.survivors is not None:
+            processes = [ProcessMetrics(rank, crashed=True) for rank in range(len(self.outputs))]
+            for metrics, rank in zip(self.metrics.processes, self.survivors):
+                processes[rank] = replace(metrics, rank=rank)
+            input_offsets = self.input_offsets
+        for record in self.attempt_history:
+            if record["rank"] is not None:
+                processes[record["rank"]].retries += 1
+        result = SortResult.from_rank_outputs(
+            self.outputs, replace(self.metrics, processes=processes), input_offsets
+        )
+        return replace(result, survivors=self.survivors, recovery_rounds=self.recovery_rounds)
 
 
 class SorterPool:

@@ -57,12 +57,13 @@ class SortResult:
     input_offsets: np.ndarray
     #: Full counts matrix: sent_counts[src][dst].
     counts_matrix: np.ndarray
-    #: Ranks that survived a fault-injected run (None on fault-free runs,
-    #: where the whole cluster survives by construction).  Crashed ranks
-    #: keep their slot in ``per_processor`` with an empty partition, so
-    #: every query API stays rank-aligned.
+    #: Ranks that sorted the whole input after the retry layer
+    #: (:mod:`repro.core.retry`) dropped one that kept crashing; None when
+    #: every rank took part.  Every input key comes back either way: a
+    #: dropped rank keeps its slot in ``per_processor`` with an empty
+    #: partition, so every query API stays rank-aligned.
     survivors: tuple[int, ...] | None = None
-    #: Recovery rounds the committing exchange needed (0 = first attempt).
+    #: Survivor re-plans the job needed (ranks dropped; 0 = none).
     recovery_rounds: int = 0
 
     # ------------------------------------------------------------ basics
@@ -361,49 +362,15 @@ class SortResult:
     ) -> "SortResult":
         """Assemble the cluster-wide result from per-rank outputs.
 
-        Crashed ranks (fault injection) report ``None``: they keep their
-        slot with an empty partition so indices stay rank-aligned.  The
-        survivor sets committed by the recovery protocol must agree across
-        all live outputs — a disagreement is split-brain and raises
-        :class:`~repro.simnet.errors.MembershipError` rather than quietly
-        concatenating inconsistent data.
+        A rank the retry layer dropped reports ``None``: it keeps its slot
+        with an empty partition so indices stay rank-aligned.
         """
         p = len(outputs)
-        live = {rank: o for rank, o in enumerate(outputs) if o is not None}
-        if not live:
-            from ..simnet.errors import MembershipError
-
-            raise MembershipError(-1, [], 0, reason="every rank crashed before producing output")
-        survivor_sets = {o.survivors for o in live.values()}
-        if survivor_sets == {None}:
-            survivors = None  # fault-free fast path: nobody voted
-        else:
-            from ..simnet.errors import MembershipError
-
-            if len(survivor_sets) != 1 or None in survivor_sets:
-                raise MembershipError(
-                    -1,
-                    sorted(live),
-                    0,
-                    reason=f"split-brain survivor sets {sorted(map(str, survivor_sets))}",
-                )
-            (survivors,) = survivor_sets
-            if set(survivors) != set(live):
-                raise MembershipError(
-                    -1,
-                    sorted(live),
-                    0,
-                    reason=(
-                        f"committed survivors {sorted(survivors)} disagree with "
-                        f"ranks that produced output {sorted(live)}"
-                    ),
-                )
         empty_counts = np.zeros(p, dtype=np.int64)
         counts_matrix = np.stack(
             [o.sent_counts if o is not None else empty_counts for o in outputs]
         )
-        first = next(iter(live.values()))
-        empty_keys = first.keys[:0]
+        empty_keys = next(o for o in outputs if o is not None).keys[:0]
         return cls(
             per_processor=[o.keys if o is not None else empty_keys for o in outputs],
             provenance=[
@@ -413,6 +380,4 @@ class SortResult:
             metrics=metrics,
             input_offsets=np.asarray(input_offsets, dtype=np.int64),
             counts_matrix=counts_matrix,
-            survivors=survivors,
-            recovery_rounds=max(o.recovery_rounds for o in live.values()),
         )

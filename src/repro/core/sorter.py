@@ -75,10 +75,6 @@ class SortOptions:
     investigator: bool = True
     #: Balanced pairwise merging; False = sequential fold (ablation).
     balanced_merge: bool = True
-    #: Reliable-exchange knobs used when a fault plan is attached to the
-    #: run (None = :class:`repro.simnet.comm.ResilienceConfig` defaults).
-    #: Ignored on fault-free runs, which take the lossless fast path.
-    resilience: "object | None" = None
 
     def __post_init__(self) -> None:
         if self.sample_factor <= 0:
@@ -101,11 +97,6 @@ class RankSortOutput:
     sent_counts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     #: Keys received from each source.
     received_counts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    #: Ranks that produced output, agreed by the recovery protocol; None on
-    #: the fault-free path (the whole cluster survived by construction).
-    survivors: tuple[int, ...] | None = None
-    #: Index of the recovery round that committed (0 = first attempt).
-    recovery_rounds: int = 0
 
 
 class JobFrame:
@@ -194,12 +185,11 @@ def job_frame(blocks: Sequence[np.ndarray]) -> JobFrame | None:
     return None if frame is None else JobFrame(frame, blocks)
 
 
-def merge_keys(machine: Machine, options, key_buffer, index_buffer, run_lengths, sources=None):
-    """Step 6 of the keys + perm path on one rank: ``(keys, provenance)``
-    (``sources`` as for :func:`~repro.core.steps.merge_received`)."""
+def merge_keys(machine: Machine, options, key_buffer, index_buffer, run_lengths):
+    """Step 6 of the keys + perm path on one rank: ``(keys, provenance)``."""
     outcome = merge_received(
         key_buffer, index_buffer, run_lengths, options.balanced_merge,
-        sources=sources, scratch=machine.scratch,
+        scratch=machine.scratch,
     )
     return outcome.keys, Provenance(outcome.aux[1], outcome.aux[0])
 
@@ -211,11 +201,10 @@ def local_sort_step(
 
     Sorts words with a job frame, keys + perm without, charging the same.
     On the word path the sort runs on the run's kernel threads and the
-    block is a future of its :class:`SortedWords` (perm ``None``).  The
-    lossless and the resilient programs both yield this generator to
-    the engine.  Step boundaries are marked for the structured tracer;
-    Mark consumes no virtual time and is a no-op without a tracer, so the
-    golden fingerprint is unaffected.
+    block is a future of its :class:`SortedWords` (perm ``None``).  Step
+    boundaries are marked for the structured tracer; Mark consumes no
+    virtual time and is a no-op without a tracer, so the golden
+    fingerprint is unaffected.
     """
     t0 = yield Now()
     yield Mark(STEP_LABELS[0])
@@ -270,14 +259,6 @@ def sample_sort_program(
 ):
     """Generator program implementing the six steps on one machine; ``job``
     is the :func:`job_frame` (``None``: the keys + perm path)."""
-    if machine.proc.faults is not None and machine.size > 1:
-        # Fault injection is active: take the resilient protocol (seq/ack
-        # exchange + recovery rounds).  The lossless fast path below would
-        # silently corrupt or deadlock under drops/dups/crashes.
-        from .recovery import resilient_sort_program
-
-        result = yield resilient_sort_program(machine, local_keys, options)
-        return result
     keys = np.ascontiguousarray(local_keys)
     rank, size = machine.rank, machine.size
     cfg, cost = machine.config, machine.cost

@@ -5,8 +5,8 @@ One body per step — :func:`sort_block` (1), :func:`draw_samples` (2),
 keys and packed words alike), :func:`merge_received` (6); step 5 is pure
 movement, and the word path's steps 1 and 6 are :mod:`repro.core.packsort`
 kernels.  They hold no clocks and
-move no data between ranks — the simulated sorter, its resilient variant
-and the process pool supply movement, timing and hooks around them.  The
+move no data between ranks — the simulated sorter and the process pool
+supply movement, timing and hooks around them.  The
 oracle (:mod:`repro.core.local_backend`) calls the step 2–4 kernels too,
 and deliberately shares no sort or merge code with what it checks.
 """
@@ -91,16 +91,16 @@ def merge_received(
     run_lengths: Sequence[int],
     balanced: bool,
     *,
-    sources: Sequence[int] | None = None,
     scratch: ScratchArena | None = None,
 ) -> MergeOutcome:
     """Step 6 of the keys + perm path: merge the received runs.
 
     ``key_buffer`` holds one sorted run per source back to back
     (``run_lengths``), ``index_buffer`` the origin indices aligned with it.
-    The origin-processor column — constant over each run: ``sources[i]``, by
-    default ``i`` — is built here and nowhere else.  The outcome's ``aux`` is
-    ``[origin_index, origin_proc]``, never aliasing the inputs or ``scratch``.
+    The origin-processor column — constant over each run: run ``i`` came
+    from rank ``i`` — is built here and nowhere else.  The outcome's ``aux``
+    is ``[origin_index, origin_proc]``, never aliasing the inputs or
+    ``scratch``.
     """
     n = len(key_buffer)
     proc_col = (
@@ -108,7 +108,7 @@ def merge_received(
     )
     lo = 0
     for i, length in enumerate(run_lengths):
-        proc_col[lo : lo + length] = i if sources is None else sources[i]
+        proc_col[lo : lo + length] = i
         lo += length
     return flat_kway_merge(
         key_buffer, run_lengths, [index_buffer, proc_col], balanced=balanced

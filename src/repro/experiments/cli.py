@@ -35,7 +35,7 @@ process-level faults — SIGKILLed ranks, hung collectives, delayed control
 replies, muted heartbeats, slow ranks — from a seeded
 :class:`~repro.parallel.chaos.RealFaultPlan` (``--chaos-seed`` picks the
 schedule).  An active plan arms the backend's default
-:class:`~repro.parallel.retry.RetryPolicy`, so killed jobs retry and
+:class:`~repro.core.retry.RetryPolicy`, so killed jobs retry and
 repeatedly-dying ranks degrade to the survivor set instead of failing the
 experiment; the simnet twin of this flag is ``--faults``.
 """
@@ -120,8 +120,9 @@ def main(argv: list[str] | None = None) -> int:
         metavar="SPEC",
         help=(
             "inject faults into every simulation, e.g. "
-            "'drop=0.05,dup=0.01,crash=3@0.0005' "
-            "(see repro.simnet.faults.FaultPlan.from_spec)"
+            "'drop=0.05,delay=0.01,crash=3@0.0005' "
+            "(see repro.simnet.faults.FaultPlan.from_spec); sorts retry a "
+            "crashed job and drop a rank that keeps crashing"
         ),
     )
     parser.add_argument(

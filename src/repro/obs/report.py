@@ -78,7 +78,7 @@ class RankReport:
     messages_received: int = 0
     peak_resident_bytes: int = 0
     peak_temporary_bytes: int = 0
-    #: Fault-injection accounting (retries/timeouts/drops/dups/crashed).
+    #: Fault-injection accounting (retries/timeouts/drops/crashed).
     #: None on fault-free runs — the key is then absent from the JSON, so
     #: golden report snapshots predating fault injection stay bit-identical.
     faults: dict[str, Any] | None = None
@@ -152,7 +152,6 @@ class RunReport:
                 "retries": proc.retries,
                 "timeouts": proc.timeouts,
                 "messages_dropped": proc.messages_dropped,
-                "messages_duplicated": proc.messages_duplicated,
                 "crashed": proc.crashed,
             }
             ranks.append(

@@ -24,14 +24,14 @@ Layout:
   selection by name or instance);
 * :mod:`repro.parallel.run` — :class:`BackendRun`, one finished job, and
   its zero-copy assembly from the job's leases;
-* :mod:`repro.parallel.retry` — job retry (:class:`RetryPolicy`) and
-  survivor-degraded recovery above one attempt;
 * :mod:`repro.parallel.chaos` — deterministic process-level fault
   injection (:class:`RealFaultPlan`: seeded kills, hangs, reply delay
   spikes, heartbeat muting, slow ranks) mirroring the simnet
   ``FaultPlan`` grammar;
 * :mod:`repro.parallel.errors` — typed failures (worker crash, remote
   exception, control-plane timeout, retry exhaustion) in place of hangs;
+  job retry and survivor-degraded recovery above one attempt are
+  :mod:`repro.core.retry`'s, shared with simnet;
 * :mod:`repro.parallel.layout` — the counts-matrix exchange layout: the
   single source of every (src, dst) run's offset in the shm stream;
 * :mod:`repro.parallel.shmsan` — ShmSan, the happens-before race
@@ -59,7 +59,7 @@ from .backend import (
     resolve_backend,
     use_backend,
 )
-from .retry import RetryPolicy
+from ..core.retry import RetryPolicy
 from .run import BackendRun, ProcessRunHandle
 from .splitter_cache import SplitterCache
 from .layout import ExchangeLayout, exchange_layout

@@ -29,8 +29,9 @@ processes are spawned on first use, parked in
 fed per-job :class:`~repro.parallel.worker.JobSpec` messages over the
 control pipes.  This module holds the pool's lifecycle and one job
 attempt (:meth:`ProcessBackend._run_job`); retry and degradation live in
-:mod:`repro.parallel.retry`, result assembly in :mod:`repro.parallel.run`,
-the splitter cache in :mod:`repro.parallel.splitter_cache`.
+:mod:`repro.core.retry`, shared with simnet, result assembly in
+:mod:`repro.parallel.run`, the splitter cache in
+:mod:`repro.parallel.splitter_cache`.
 """
 
 from __future__ import annotations
@@ -44,14 +45,21 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from ..core.packsort import has_key_codec
+from ..core.retry import RetryPolicy, run_with_retry
 from ..core.sorter import STEP_LABELS, SortOptions
 from ..obs.context import active_capture
 from ..pgxd.config import PgxdConfig
 from .arena import SharedArena, ShmLease
 from .chaos import RealFaultPlan, active_real_fault_plan
 from .collectives import dispatch_job, send_shutdown, serve_control_plane
-from .errors import ParallelBackendError, PoolClosedError, WorkerCrashedError
-from .retry import RetryPolicy, run_with_retry
+from .errors import (
+    ControlPlaneTimeout,
+    JobAbortedError,
+    ParallelBackendError,
+    PoolClosedError,
+    WorkerCrashedError,
+    WorkerFailedError,
+)
 from .run import (
     MAX_PINNED_RESULTS,
     BackendRun,
@@ -487,15 +495,8 @@ class ProcessBackend:
                     rank_ids=None,
                     force_resample=force_resample,
                 )
-            return run_with_retry(
-                self,
-                blocks,
-                options,
-                config,
-                job_id=job_id,
-                policy=policy,
-                chaos=chaos,
-                force_resample=force_resample,
+            return self._run_with_retry(
+                blocks, options, config, job_id, policy, chaos, force_resample
             )
         except ParallelBackendError as exc:
             # Every failure leaves here stamped with the job it belongs
@@ -506,6 +507,57 @@ class ProcessBackend:
             if self._closed:
                 # close() raced this job and deferred; drain now.
                 self._finish_close()
+
+    def _run_with_retry(
+        self,
+        blocks: Sequence[np.ndarray],
+        options: SortOptions,
+        config: PgxdConfig,
+        job_id: int,
+        policy: RetryPolicy,
+        chaos: "RealFaultPlan | None",
+        force_resample: bool,
+    ) -> BackendRun:
+        """One job under :func:`~repro.core.retry.run_with_retry`: each
+        attempt a fresh generation, spaced by the policy's wall-clock
+        backoff within a survivor set.  Exhaustion raises
+        :class:`JobAbortedError` carrying the full attempt history."""
+        history: list[dict] = []
+        round_ids, round_start = None, 0  # the survivor set, its first attempt
+
+        def attempt(job_blocks, rank_ids, number):
+            nonlocal round_ids, round_start
+            if rank_ids != round_ids:
+                round_ids, round_start = rank_ids, number
+            else:
+                time.sleep(policy.backoff_for(number - round_start))
+            return self._run_job(
+                job_blocks,
+                options,
+                config,
+                job_id=job_id,
+                attempt=number,
+                chaos=chaos,
+                rank_ids=rank_ids,
+                force_resample=force_resample,
+                prior_attempts=tuple(history),
+            )
+
+        retryable = (WorkerCrashedError, WorkerFailedError, ControlPlaneTimeout)
+        try:
+            run = run_with_retry(attempt, blocks, policy, retryable, history)
+        except retryable as exc:
+            self.aborted_jobs += 1
+            raise JobAbortedError(job_id, history) from exc
+        finally:
+            self.retries += len(history)
+        if run.survivors is not None:
+            reports: list = [None] * len(blocks)
+            for report, rank in zip(run.reports, run.survivors):
+                reports[rank] = report
+            run.reports = reports
+            self.degraded_jobs += 1
+        return run
 
     def _run_job(
         self,
@@ -663,8 +715,9 @@ class ProcessBackend:
         return run
 
 
-#: Names that moved to run.py / retry.py / splitter_cache.py stay importable
-#: from here, as does STEP_LABELS (every step label a backend reports).
+#: Names that moved to run.py / core/retry.py / splitter_cache.py stay
+#: importable from here, as does STEP_LABELS (every step label a backend
+#: reports).
 __all__ = [
     "BACKENDS",
     "BackendRun",

@@ -188,23 +188,20 @@ class RealFaultPlan:
         )
 
     def describe(self) -> str:
-        """One line for reports and logs."""
-        parts = [f"seed={self.seed}"]
-        if self.kills:
-            parts.append(f"kills={len(self.kills)}")
-        if self.poisoned:
-            parts.append(f"poisoned={list(self.poisoned)}")
-        if self.hangs:
-            parts.append(f"hangs={len(self.hangs)}")
+        """One-line summary (CLI banner, chaos artifact); the part after the
+        seed is a spec :meth:`from_spec` parses back into this plan."""
+
+        def target(key: str, job: int | None, rank: int, where: str) -> str:
+            return f"{key}={rank}@{where}" + ("" if job is None else f":{job}")
+
+        parts = [target("kill", *entry) for entry in self.kills]
+        parts.extend(f"poison={rank}" for rank in self.poisoned)
+        parts.extend(target("hang", *entry) for entry in self.hangs)
         if self.delay_probability:
-            parts.append(
-                f"delay={self.delay_probability:g}:{self.delay_spike_seconds:g}s"
-            )
-        if self.muted:
-            parts.append(f"muted={list(self.muted)}")
-        if self.slow:
-            parts.append("slow=" + ",".join(f"{r}x{m:g}" for r, m in self.slow))
-        return "RealFaultPlan(" + ", ".join(parts) + ")"
+            parts.append(f"delay={self.delay_probability!r}:{self.delay_spike_seconds!r}")
+        parts.extend(f"mute={rank}" for rank in self.muted)
+        parts.extend(f"slow={rank}x{mult!r}" for rank, mult in self.slow)
+        return f"RealFaultPlan(seed={self.seed}, {','.join(parts) or 'none'})"
 
     # --------------------------------------------------------- per-attempt
 
@@ -363,7 +360,7 @@ def inject_real_faults(plan: RealFaultPlan):
     ``ProcessBackend`` constructed or run inside the scope without an
     explicit ``chaos=`` argument picks the plan up (and, unless it was
     given an explicit ``retry=``, arms a default
-    :class:`~repro.parallel.retry.RetryPolicy` — chaos without recovery
+    :class:`~repro.core.retry.RetryPolicy` — chaos without recovery
     would just convert every planned fault into a lost job).
     """
     _ACTIVE_PLANS.append(plan)
@@ -386,7 +383,7 @@ def kill_one_per_job(
     """The CI matrix plan: every job loses one worker, round-robin.
 
     Job ``j`` SIGKILLs rank ``j % num_ranks`` at ``step`` on its first
-    attempt; with a :class:`~repro.parallel.retry.RetryPolicy` attached
+    attempt; with a :class:`~repro.core.retry.RetryPolicy` attached
     every job must recover on attempt 1 at full width, bit-identical to
     the oracle.
     """

@@ -9,7 +9,7 @@ capture adopt it like a simulator session.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -70,8 +70,8 @@ class BackendRun:
     attempt_history: tuple = ()
     #: Original rank ids that produced this run after a survivor-degraded
     #: re-plan; None on the full-width path.  Degraded runs keep the
-    #: original rank count in :attr:`outputs` with ``None`` at excluded
-    #: slots, mirroring the simnet resilient sort's crashed-rank shape.
+    #: original rank count in :attr:`outputs` and :attr:`reports` with
+    #: ``None`` at excluded slots (:mod:`repro.core.retry`).
     survivors: tuple[int, ...] | None = None
     #: Survivor re-plan rounds this job needed (0 = first planning held).
     recovery_rounds: int = 0
@@ -92,9 +92,10 @@ class BackendRun:
 
         if self.input_offsets is not None:
             input_offsets = self.input_offsets
-        return SortResult.from_rank_outputs(
+        result = SortResult.from_rank_outputs(
             self.outputs, self.cluster_metrics(), input_offsets
         )
+        return replace(result, survivors=self.survivors, recovery_rounds=self.recovery_rounds)
 
     def cluster_metrics(self):
         """Wall-clock :class:`~repro.simnet.metrics.ClusterMetrics` shim.

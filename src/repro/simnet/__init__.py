@@ -23,15 +23,14 @@ from .calls import (
     Sleep,
 )
 from .collectives import allgather, alltoallv, bcast, gather, reduce, scatter
-from .comm import Envelope, ReliableComm, ResilienceConfig, nbytes_of
+from .comm import nbytes_of
 from .cost import CostModel
 from .engine import ProcessHandle, Simulator
 from .errors import (
     DeadlockError,
-    ExchangeTimeoutError,
     InvalidCallError,
-    MembershipError,
     ProcessFailure,
+    RankCrashedError,
     SimError,
     SimSanError,
     UnknownRankError,
@@ -50,15 +49,12 @@ __all__ = [
     "Compute",
     "CostModel",
     "DeadlockError",
-    "Envelope",
-    "ExchangeTimeoutError",
     "Fabric",
     "FaultPlan",
     "FaultState",
     "Free",
     "InvalidCallError",
     "Isend",
-    "MembershipError",
     "Mark",
     "MemoryTracker",
     "Message",
@@ -69,9 +65,8 @@ __all__ = [
     "Probe",
     "ProcessHandle",
     "ProcessMetrics",
+    "RankCrashedError",
     "Recv",
-    "ReliableComm",
-    "ResilienceConfig",
     "SanReport",
     "Send",
     "SimError",

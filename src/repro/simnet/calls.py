@@ -192,6 +192,3 @@ class Message:
     payload: Any
     sent_at: float
     delivered_at: float = field(default=0.0)
-    #: Fault-injection annotation ("dup" for an injected duplicate copy);
-    #: None on every message of a fault-free run.
-    faulted: str | None = field(default=None)

@@ -1,38 +1,11 @@
-"""Payload sizing helpers and the reliable (ack'd, retried) message layer.
-
-:func:`nbytes_of` estimates wire sizes for the collectives and PGX.D
-facades.  :class:`ReliableComm` is the fault-tolerant transport the
-resilient sort rides on: sequence-numbered :class:`Envelope` datagrams,
-receiver acks, virtual-time timeouts with capped exponential backoff, and
-``(src, seq)`` dedup so injected duplicates and retransmitted replays are
-idempotent.  A peer whose acks stop arriving is declared dead after the
-retry cap — that is the crash-detection signal the recovery rounds in
-:mod:`repro.core.recovery` consume.
-
-Wire format: every reliable message is one :class:`Envelope` on
-:data:`RELIABLE_TAG`.  ``kind`` is ``"data"`` or ``"ack"``; ``seq`` is the
-*sender's* monotone sequence number (globally unique per sender, so an ack
-``(src=acker, seq=n)`` uniquely names the sender's pending entry n);
-``round`` scopes the message to one recovery round; ``channel`` is the
-application demux key ("samples", "plan", "k", "i", "fin", "done",
-"verdict").  Retransmissions construct a *fresh* Envelope with a bumped
-``attempt`` — in-flight copies are never mutated (SimSan's send
-fingerprints stay valid).
-"""
+"""Payload sizing: :func:`nbytes_of` estimates wire sizes for the
+collectives and PGX.D facades."""
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Generator
+from typing import Any
 
 import numpy as np
-
-from .calls import Isend, Now, Probe, Recv, Sleep
-from .errors import ExchangeTimeoutError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .engine import ProcessHandle
 
 #: Assumed wire size of an opaque small Python object (headers, ints, ...).
 _SCALAR_BYTES = 8
@@ -62,273 +35,3 @@ def nbytes_of(obj: Any) -> int:
     if isinstance(obj, dict):
         return sum(nbytes_of(k) + nbytes_of(v) for k, v in obj.items()) + _SCALAR_BYTES
     return _FALLBACK_BYTES
-
-
-# --------------------------------------------------------------------------
-# Reliable transport
-# --------------------------------------------------------------------------
-
-#: Message tag reserved for the reliable layer (data and acks alike).
-RELIABLE_TAG = 701
-
-#: Modeled wire size of an ack / an envelope header, bytes.
-_ACK_BYTES = 32
-_HEADER_BYTES = 32
-
-
-@dataclass(slots=True)
-class Envelope:
-    """One reliable-layer datagram (see module docstring for the format)."""
-
-    kind: str  # "data" | "ack"
-    src: int
-    seq: int
-    round_no: int
-    channel: str
-    payload: Any = None
-    attempt: int = 0
-
-
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """Timeout/retry knobs of the reliable transport and recovery rounds.
-
-    Defaults are sized for the simulated FDR fabric (RTT ~ tens of
-    microseconds for control messages): the first retransmit fires after
-    ``ack_timeout``, subsequent ones back off by ``backoff``×, and after
-    ``max_retries`` unacked attempts the peer is declared dead.
-    """
-
-    #: Virtual seconds to wait for an ack before the first retransmit.
-    ack_timeout: float = 2e-3
-    #: Multiplier applied to the timeout after each retransmit.
-    backoff: float = 2.0
-    #: Retransmissions before the destination is declared dead.
-    max_retries: int = 6
-    #: Sleep quantum of the polling receive loop (must be positive so
-    #: zero-``ack_timeout`` configurations still advance virtual time).
-    poll_interval: float = 1e-4
-    #: Budget a recovery phase waits for peer traffic before moving on
-    #: (extended whenever progress is observed).
-    phase_timeout: float = 5e-2
-    #: Maximum recovery rounds before the sort gives up with a typed
-    #: error; 0 means ``cluster size + 1``.
-    max_rounds: int = 0
-
-    def __post_init__(self) -> None:
-        if self.ack_timeout < 0:
-            raise ValueError("ack_timeout must be non-negative")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
-        if self.phase_timeout <= 0:
-            raise ValueError("phase_timeout must be positive")
-        if self.max_rounds < 0:
-            raise ValueError("max_rounds must be non-negative")
-
-
-class _Pending:
-    """Bookkeeping for one unacked data envelope."""
-
-    __slots__ = ("env", "dst", "nbytes", "due", "attempt")
-
-    def __init__(self, env: Envelope, dst: int, nbytes: int, due: float) -> None:
-        self.env = env
-        self.dst = dst
-        self.nbytes = nbytes
-        self.due = due
-        self.attempt = 0
-
-
-class ReliableComm:
-    """Per-rank reliable transport over the simulated (faulty) network.
-
-    All communication methods are generators and must be driven with
-    ``yield from`` (or trampolined).  Liveness contract: :meth:`step`
-    always either makes progress or advances virtual time by at least the
-    poll interval, so loops built on it terminate under any fault plan —
-    with a typed error in the worst case, never a hang.
-    """
-
-    def __init__(self, proc: "ProcessHandle", config: ResilienceConfig | None = None) -> None:
-        self.proc = proc
-        self.rank = proc.rank
-        self.config = config or ResilienceConfig()
-        self._next_seq = 0
-        #: seq -> _Pending, insertion-ordered (monotone seq).
-        self._pending: dict[int, _Pending] = {}
-        #: (src, seq) pairs already delivered to the inbox (dedup).
-        self._seen: set[tuple[int, int]] = set()
-        self._inbox: deque[Envelope] = deque()
-        #: Peers declared dead via retry-cap exhaustion.
-        self.dead: set[int] = set()
-        #: Datagrams abandoned when a peer died: dicts for diagnostics /
-        #: ExchangeTimeoutError.  Cleared by callers that handle the death.
-        self.failed: list[dict] = []
-        proc.reliable = self
-
-    # -------------------------------------------------------------- sending
-
-    def send(self, dst: int, channel: str, payload: Any, round_no: int, nbytes: int | None = None) -> Generator:
-        """Send one data envelope (non-blocking; ack tracked). Returns seq.
-
-        Sends to peers already declared dead are skipped (returns None).
-        """
-        if dst in self.dead:
-            return None
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        env = Envelope("data", self.rank, seq, round_no, channel, payload)
-        if nbytes is None:
-            nbytes = nbytes_of(payload) + _HEADER_BYTES
-        now = yield Now()
-        yield Isend(dst, nbytes=nbytes, payload=env, tag=RELIABLE_TAG)
-        self._pending[seq] = _Pending(env, dst, nbytes, now + self.config.ack_timeout)
-        return seq
-
-    # ------------------------------------------------------------ receiving
-
-    def _drain(self) -> Generator:
-        """Consume every available reliable message; returns True if any
-        new data reached the inbox (acks and dups count as traffic but not
-        as *new* data)."""
-        got_new = False
-        while True:
-            head = yield Probe(tag=RELIABLE_TAG, blocking=False)
-            if head is None:
-                return got_new
-            msg = yield Recv(src=head.src, tag=RELIABLE_TAG)
-            env = msg.payload
-            if env.kind == "ack":
-                # env.seq names *our* pending entry; a duplicate or stale
-                # ack pops nothing.
-                self._pending.pop(env.seq, None)
-                continue
-            # Data: always ack, even replays — the sender may be retrying
-            # precisely because our previous ack was dropped.
-            ack = Envelope("ack", self.rank, env.seq, env.round_no, env.channel)
-            yield Isend(msg.src, nbytes=_ACK_BYTES, payload=ack, tag=RELIABLE_TAG)
-            key = (env.src, env.seq)
-            if key in self._seen:
-                continue  # idempotent delivery: duplicate/replay dropped
-            self._seen.add(key)
-            self._inbox.append(env)
-            got_new = True
-
-    def take(self) -> list[Envelope]:
-        """Drain the deduped inbox (application-side demux)."""
-        items = list(self._inbox)
-        self._inbox.clear()
-        return items
-
-    # ------------------------------------------------------- retransmission
-
-    def _service(self, now: float) -> Generator:
-        """Retransmit due pendings; declare peers dead past the retry cap."""
-        cfg = self.config
-        metrics = self.proc.metrics
-        for seq in list(self._pending):
-            pending = self._pending.get(seq)
-            if pending is None or pending.due > now:
-                continue
-            dst = pending.dst
-            if dst in self.dead:
-                del self._pending[seq]
-                continue
-            if pending.attempt >= cfg.max_retries:
-                # Retry cap exhausted: crash detection via missed acks.
-                metrics.timeouts += 1
-                self.dead.add(dst)
-                self._abandon(dst)
-                continue
-            pending.attempt += 1
-            metrics.retries += 1
-            env = pending.env
-            # Fresh envelope per attempt: the copy already on the wire is
-            # never mutated (its SimSan fingerprint must stay valid).
-            retry_env = Envelope(
-                "data", env.src, env.seq, env.round_no, env.channel,
-                env.payload, pending.attempt,
-            )
-            pending.env = retry_env
-            yield Isend(dst, nbytes=pending.nbytes, payload=retry_env, tag=RELIABLE_TAG)
-            pending.due = now + cfg.ack_timeout * (cfg.backoff ** pending.attempt)
-
-    def _abandon(self, dst: int) -> None:
-        """Fail every pending datagram addressed to a dead peer."""
-        for seq in [s for s, p in sorted(self._pending.items()) if p.dst == dst]:
-            pending = self._pending.pop(seq)
-            self.failed.append(
-                {
-                    "dst": dst,
-                    "seq": seq,
-                    "channel": pending.env.channel,
-                    "attempts": pending.attempt + 1,
-                }
-            )
-
-    # ------------------------------------------------------------- stepping
-
-    def step(self, deadline: float | None = None) -> Generator:
-        """One protocol turn: drain arrivals, service retransmits, and —
-        when idle — sleep one poll quantum (capped at ``deadline``).
-
-        Returns True when new data arrived.  Draining happens *before*
-        retransmission decisions so a just-arrived ack cancels its retry.
-        """
-        got_new = yield from self._drain()
-        now = yield Now()
-        yield from self._service(now)
-        if got_new:
-            return True
-        wake = now + self.config.poll_interval
-        if deadline is not None and deadline < wake:
-            wake = deadline
-        if wake > now:
-            yield Sleep(wake - now)
-        return False
-
-    def flush(self) -> Generator:
-        """Drive the protocol until every pending send is acked or its
-        peer is declared dead; raise :class:`ExchangeTimeoutError` if any
-        datagram was abandoned.  (The recovery layer handles peer death
-        itself and does not use flush's strict raise.)"""
-        while self._pending:
-            yield from self.step()
-        if self.failed:
-            raise ExchangeTimeoutError(self.rank, self.failed)
-
-    # ----------------------------------------------------------- inspection
-
-    def pending_to(self, ranks: set[int] | frozenset[int]) -> int:
-        """Count unacked datagrams addressed to any rank in ``ranks``."""
-        return sum(1 for p in self._pending.values() if p.dst in ranks)
-
-    def cancel_stale(self, min_round: int) -> None:
-        """Drop pendings scoped to rounds before ``min_round`` (abort path)."""
-        for seq in [
-            s for s, p in sorted(self._pending.items()) if p.env.round_no < min_round
-        ]:
-            del self._pending[seq]
-
-    def diagnostics(self) -> dict:
-        """In-flight protocol state for deadlock diagnosis."""
-        return {
-            "pending": [
-                {
-                    "dst": p.dst,
-                    "seq": seq,
-                    "channel": p.env.channel,
-                    "round": p.env.round_no,
-                    "attempt": p.attempt,
-                    "due": p.due,
-                }
-                for seq, p in sorted(self._pending.items())
-            ],
-            "declared_dead": sorted(self.dead),
-            "delivered_unique": len(self._seen),
-            "failed": list(self.failed),
-        }

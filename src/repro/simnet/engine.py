@@ -60,7 +60,14 @@ from .calls import (
     Send,
     Sleep,
 )
-from .errors import DeadlockError, InvalidCallError, ProcessFailure, UnknownRankError
+from .errors import (
+    DeadlockError,
+    InvalidCallError,
+    ProcessFailure,
+    RankCrashedError,
+    UnknownRankError,
+)
+from .faults import MAX_RETRANSMITS
 from .metrics import ClusterMetrics, ProcessMetrics
 from .network import Fabric, NetworkModel
 
@@ -69,7 +76,7 @@ Program = Callable[..., Generator]
 #: Event kinds interpreted by the run loop (slot 2 of an event record).
 _EV_STEP = 0  #: resume rank's generator with ``arg`` as the send value
 _EV_DELIVER = 1  #: deliver ``arg`` (a Message) to its destination mailbox
-_EV_CRASH = 2  #: fail-stop the rank (fault injection); ``arg`` unused
+_EV_CRASH = 2  #: fail-stop the rank, ending the run (fault injection)
 
 
 class _Status(Enum):
@@ -90,20 +97,13 @@ class ProcessHandle:
     under SimSan, ``sanitizer`` carries the active
     :class:`~repro.simnet.sanitizer.SimSan` so comm facades (e.g.
     :class:`~repro.simnet.mpi.SimComm`) can register request handles; it is
-    ``None`` on unsanitized runs.  ``faults`` carries the run's
-    :class:`~repro.simnet.faults.FaultState` when a fault plan is attached
-    (``None`` otherwise) — protocol layers key their resilient paths off
-    it.  ``reliable`` is set by a :class:`~repro.simnet.comm.ReliableComm`
-    registering itself, so deadlock diagnostics can report in-flight
-    retry state.
+    ``None`` on unsanitized runs.
     """
 
     rank: int
     size: int
     metrics: ProcessMetrics
     sanitizer: "SimSan | None" = None
-    faults: Any = None
-    reliable: Any = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ProcessHandle(rank={self.rank}, size={self.size})"
@@ -282,7 +282,7 @@ class Simulator:
         order, so sanitized runs are bit-identical to unsanitized ones.
     faults:
         A :class:`repro.simnet.faults.FaultPlan` to inject message drops,
-        duplicates, delays, crashes and slow nodes into this run.  ``None``
+        delays, crashes and slow nodes into this run.  ``None``
         (the default) consults the ambient
         :func:`repro.simnet.faults.inject_faults` scope.  Consulted through
         the same single ``is not None`` guard as the observers, so the
@@ -369,9 +369,7 @@ class Simulator:
             raise ValueError(f"rank {rank} already has a program")
         if not 0 <= rank < self.num_ranks:
             raise UnknownRankError(f"rank {rank} outside [0, {self.num_ranks})")
-        handle = ProcessHandle(
-            rank, self.num_ranks, ProcessMetrics(rank), self._sanitizer, self._faults
-        )
+        handle = ProcessHandle(rank, self.num_ranks, ProcessMetrics(rank), self._sanitizer)
         gen = fn(handle, *args, **kwargs)
         if not isinstance(gen, Generator):
             raise InvalidCallError(
@@ -389,7 +387,8 @@ class Simulator:
         """Execute until all processes finish; returns cluster metrics.
 
         Raises :class:`DeadlockError` if every live process is blocked with
-        no event pending, and :class:`ProcessFailure` if a program raises.
+        no event pending (:class:`RankCrashedError` when a fault plan's
+        crash fires), and :class:`ProcessFailure` if a program raises.
         """
         if self._ran:
             raise RuntimeError("Simulator.run() may only be called once")
@@ -505,6 +504,7 @@ class Simulator:
         processed,
         fstate,
     ) -> ClusterMetrics:
+        crashed = None
         while events or due:
             if due and (not events or due[0] < events[0]):
                 event = due.popleft()
@@ -519,7 +519,7 @@ class Simulator:
                 value = event[4]
                 state = procs[rank]
                 if state.status is DONE:
-                    continue  # stale wake-up of a crashed rank
+                    continue  # a finished rank has nothing to resume
                 state.status = READY
                 gen = state.gen
                 send = gen.send
@@ -709,19 +709,6 @@ class Simulator:
                 msg = event[4]
                 msg.delivered_at = now
                 state = procs[msg.dst]
-                if fstate is not None and msg.dst in fstate.crashed:
-                    # Dead letter: the destination fail-stopped.  Retire the
-                    # in-flight bytes in the tracer so counters stay sane,
-                    # then discard the message.
-                    if tracer is not None:
-                        tracer.delivered(msg.dst, now, msg.nbytes)
-                        tracer.fault(
-                            msg.dst, now, "dead-letter", src=msg.src,
-                            dst=msg.dst, detail=f"tag={msg.tag}",
-                        )
-                    if sanitizer is not None:
-                        sanitizer.on_drop(msg)
-                    continue
                 if tracer is not None:
                     tracer.delivered(msg.dst, now, msg.nbytes)
                 if sanitizer is not None:
@@ -752,34 +739,21 @@ class Simulator:
                         heappush(events, (now, nx(), _EV_STEP, msg.dst, msg))
                         continue
                 state.mailbox.push(msg)
-            else:
-                # ---- crash: fail-stop the rank at its scheduled time.  The
-                # generator (and any suspended trampoline parents) are
-                # closed; the rank produces no result and receives nothing
-                # further.  Messages it already injected still deliver —
-                # they were on the wire when it died.
-                rank = event[3]
-                state = procs[rank]
-                if state.status is DONE:
-                    continue  # finished before its crash time
-                fstate.crashed.add(rank)
-                metrics = state.handle.metrics
-                metrics.crashed = True
-                metrics.finished_at = now
-                try:
-                    state.gen.close()
-                    while state.stack:
-                        state.stack.pop().close()
-                except Exception as exc:
-                    raise ProcessFailure(rank, exc) from exc
-                state.status = DONE
-                state.result = None
-                state.recv_spec = None
-                if trace:
-                    self._trace(rank, "crashed")
-                if tracer is not None:
-                    tracer.fault(rank, now, "crash", detail=f"t={now:.6g}")
+            elif procs[event[3]].status is not DONE:
+                # ---- crash: the rank fail-stops, and the run ends with it:
+                # on a reliable transport its peers would wait on it forever.
+                crashed = event[3]
+                break
         self.events_processed = processed
+        blocked = {
+            r: st.status.name for r, st in self._procs.items() if st.status is not DONE
+        }
+        if crashed is not None:
+            error = self._crash(crashed)
+        elif blocked:
+            error = DeadlockError(blocked, details=self._deadlock_details())
+        else:
+            error = None
         if tracer is not None:
             tracer.finish(self._now)
         if sanitizer is not None:
@@ -788,17 +762,12 @@ class Simulator:
                 for r, st in sorted(self._procs.items())
                 if len(st.mailbox)
             }
-            sanitizer.finish_run(self, leftovers)
-        blocked = {
-            r: st.status.name
-            for r, st in self._procs.items()
-            if st.status is not _Status.DONE
-        }
-        if blocked:
-            details = self._deadlock_details()
-            if sanitizer is not None:
-                sanitizer.on_deadlock(details)
-            raise DeadlockError(blocked, details=details)
+            if error is None:
+                sanitizer.finish_run(self, leftovers)
+            else:
+                sanitizer.abort_run(leftovers, error.details)
+        if error is not None:
+            raise error
         return self.metrics()
 
     def metrics(self) -> ClusterMetrics:
@@ -829,6 +798,18 @@ class Simulator:
         if self._trace_enabled:
             self.trace_log.append((self._now, rank, text))
 
+    def _crash(self, rank: int) -> RankCrashedError:
+        """Fail-stop ``rank`` now (fault injection): its error ends the run."""
+        now = self._now
+        metrics = self._procs[rank].handle.metrics
+        metrics.crashed = True
+        metrics.finished_at = now
+        if self._trace_enabled:
+            self._trace(rank, "crashed")
+        if self._tracer is not None:
+            self._tracer.fault(rank, now, "crash", detail=f"t={now:.6g}")
+        return RankCrashedError(rank, now)
+
     def _deadlock_details(self) -> dict[int, dict[str, Any]]:
         """Per-rank diagnosis of a deadlock: who is blocked on what.
 
@@ -837,17 +818,9 @@ class Simulator:
         an all-ranks-blocked hang names each rank's awaited source/tag and
         pending mailbox instead of a bare status word.
         """
-        fstate = self._faults
         details: dict[int, dict[str, Any]] = {}
         for rank, state in sorted(self._procs.items()):
             if state.status is _Status.DONE:
-                # Crashed ranks finished involuntarily; they are the usual
-                # *cause* of a chaos-run deadlock, so name them.
-                if fstate is not None and rank in fstate.crashed:
-                    details[rank] = {
-                        "status": "CRASHED",
-                        "crashed_at": state.handle.metrics.finished_at,
-                    }
                 continue
             entry: dict[str, Any] = {
                 "status": state.status.name,
@@ -862,12 +835,6 @@ class Simulator:
                 }
             elif state.status is _Status.BLOCKED_BARRIER:
                 entry["waiting_for"] = {"barrier_seq": state.barrier_seq - 1}
-            reliable = state.handle.reliable
-            if reliable is not None:
-                # In-flight reliable-protocol state: pending retries and
-                # unacked sequence numbers make chaos deadlocks debuggable
-                # from the exception alone.
-                entry["reliable"] = reliable.diagnostics()
             details[rank] = entry
         return details
 
@@ -981,37 +948,26 @@ class Simulator:
         return sender_done
 
     def _deliver_under_faults(self, msg: Message, delivered: float) -> None:
-        """Queue a remote ``msg`` under the run's fault plan: drop, delay
-        and/or duplicate it, as drawn from the seeded plan."""
+        """Queue a remote ``msg`` as the run's fault plan has it arrive:
+        later by one retransmit per dropped copy, by a delay spike, or
+        behind its link's earlier traffic — or never, once every
+        retransmission dropped too."""
         src, dst, now = msg.src, msg.dst, msg.sent_at
-        metrics = self._procs[src].handle.metrics
         tracer = self._tracer
-        drop, extra, dup_delay = self._faults.fate(src, dst)
-        if drop:
-            metrics.messages_dropped += 1
+        drops, arrival = self._faults.fate(src, dst, delivered)
+        if drops:
+            metrics = self._procs[src].handle.metrics
+            metrics.messages_dropped += drops
+            metrics.retries += min(drops, MAX_RETRANSMITS)
             if tracer is not None:
-                tracer.fault(src, now, "drop", src=src, dst=dst, detail=f"tag={msg.tag}")
+                tracer.fault(src, now, "drop", src=src, dst=dst, detail=f"tag={msg.tag} x{drops}")
+        if arrival is None:  # lost for good: its receiver deadlocks the run
             if self._sanitizer is not None:
                 self._sanitizer.on_drop(msg)
-        else:
-            heapq.heappush(
-                self._events, (delivered + extra, next(self._seq), _EV_DELIVER, dst, msg)
-            )
-            if extra > 0.0 and tracer is not None:
-                tracer.fault(src, now, "delay", src=src, dst=dst, detail=f"+{extra:.2e}s")
-        if dup_delay is not None:
-            # A duplicate is a *second wire copy*: a fresh Message object,
-            # so the two deliveries keep independent state.
-            metrics.messages_duplicated += 1
-            dup_msg = Message(
-                src, dst, msg.tag, msg.nbytes, msg.payload, now, faulted="dup"
-            )
-            heapq.heappush(
-                self._events,
-                (delivered + dup_delay, next(self._seq), _EV_DELIVER, dst, dup_msg),
-            )
-            if tracer is not None:
-                tracer.fault(src, now, "dup", src=src, dst=dst, detail=f"tag={msg.tag}")
+            return
+        heapq.heappush(self._events, (arrival, next(self._seq), _EV_DELIVER, dst, msg))
+        if arrival > delivered and tracer is not None:
+            tracer.fault(src, now, "delay", src=src, dst=dst, detail=f"+{arrival - delivered:.2e}s")
 
     def _enter_barrier(self, rank: int, state: _ProcState, call: Barrier) -> Any:
         seq = state.barrier_seq

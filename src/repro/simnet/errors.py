@@ -14,10 +14,6 @@ def _spec_word(value: int) -> str:
 def _diagnose(rank: int, entry: dict) -> str:
     """One human-readable line of per-rank deadlock diagnosis."""
     status = entry.get("status", "?")
-    if status == "CRASHED":
-        at = entry.get("crashed_at")
-        when = f" at t={at:.6g}" if at is not None else ""
-        return f"rank {rank}: crashed{when} (fault injection)"
     waiting = entry.get("waiting_for") or {}
     if status == "BLOCKED_RECV":
         op = "probe" if waiting.get("probe") else "recv"
@@ -31,29 +27,10 @@ def _diagnose(rank: int, entry: dict) -> str:
         what = f"blocked ({status})"
     since = entry.get("blocked_since", 0.0)
     pending = entry.get("mailbox_messages", 0)
-    line = (
+    return (
         f"rank {rank}: {what} since t={since:.6g}, "
         f"mailbox holds {pending} unmatched message(s)"
     )
-    reliable = entry.get("reliable")
-    if reliable:
-        pending_list = reliable.get("pending", [])
-        dead = reliable.get("declared_dead", [])
-        frags = []
-        if pending_list:
-            unacked = ", ".join(
-                f"seq {p['seq']}->rank {p['dst']} ({p['channel']}, attempt {p['attempt']})"
-                for p in pending_list[:4]
-            )
-            more = len(pending_list) - 4
-            if more > 0:
-                unacked += f", +{more} more"
-            frags.append(f"{len(pending_list)} unacked send(s): {unacked}")
-        if dead:
-            frags.append(f"peers declared dead: {dead}")
-        if frags:
-            line += "; " + "; ".join(frags)
-    return line
 
 
 class DeadlockError(SimError):
@@ -87,6 +64,19 @@ class DeadlockError(SimError):
         super().__init__(message)
 
 
+class RankCrashedError(DeadlockError):
+    """A fault plan's ``crash=`` fired: ``rank`` fail-stopped at virtual
+    time ``at``, so on a reliable transport its peers would wait on it
+    forever.  The run ends here; :mod:`repro.core.retry` re-runs the job."""
+
+    def __init__(self, rank: int, at: float):
+        self.rank = rank
+        self.at = at
+        self.blocked = {rank: "CRASHED"}
+        self.details = {rank: {"status": "CRASHED", "crashed_at": at}}
+        SimError.__init__(self, f"rank {rank} crashed at t={at:.6g} (fault injection)")
+
+
 class ProcessFailure(SimError):
     """Wraps an exception raised inside a simulated process."""
 
@@ -102,52 +92,6 @@ class InvalidCallError(SimError):
 
 class UnknownRankError(SimError):
     """Raised when a message targets a rank that does not exist."""
-
-
-class ExchangeTimeoutError(SimError):
-    """Raised when the reliable exchange exhausts its retry/round budget.
-
-    ``failures`` lists the datagrams that were never acknowledged (dicts
-    with ``dst``/``seq``/``channel``/``attempts``); ``reason`` carries a
-    phase-level explanation when the failure is not per-message (e.g. no
-    commit within the round budget).
-    """
-
-    def __init__(self, rank: int, failures: list[dict] | None = None, reason: str | None = None):
-        self.rank = rank
-        self.failures = list(failures or [])
-        self.reason = reason
-        if self.failures:
-            frags = ", ".join(
-                f"seq {f['seq']}->rank {f['dst']} ({f['channel']}) after "
-                f"{f['attempts']} attempt(s)"
-                for f in self.failures[:6]
-            )
-            more = len(self.failures) - 6
-            if more > 0:
-                frags += f", +{more} more"
-            body = f"retry cap exhausted for {len(self.failures)} message(s): {frags}"
-        else:
-            body = reason or "exchange did not complete"
-        super().__init__(f"rank {rank}: {body}")
-
-
-class MembershipError(SimError):
-    """Raised when a live rank is excluded from the surviving cluster.
-
-    The recovery protocol votes suspects out by majority of acks; a rank
-    that was wrongly suspected (e.g. partitioned by extreme fault rates)
-    raises this instead of silently producing output the survivors will
-    not account for.  Also raised at assembly time if rank outputs
-    disagree about the survivor set (split-brain).
-    """
-
-    def __init__(self, rank: int, alive: list[int] | tuple[int, ...], round_no: int, reason: str | None = None):
-        self.rank = rank
-        self.alive = list(alive)
-        self.round_no = round_no
-        body = reason or f"excluded from surviving cluster {self.alive} in round {round_no}"
-        super().__init__(f"rank {rank}: {body}")
 
 
 class SimSanError(SimError):

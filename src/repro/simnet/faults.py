@@ -1,10 +1,17 @@
 """Deterministic fault injection for the simulated cluster.
 
 A :class:`FaultPlan` describes *what can go wrong* in one run — message
-drops, duplicates, reorders, delay spikes, per-link degradation, rank
-crashes at virtual times, slow-node compute multipliers — all driven by one
-seeded generator, so the same plan + seed reproduces the same fault
-sequence event for event.
+drops, delay spikes, per-link degradation, rank crashes at virtual times,
+slow-node compute multipliers — all driven by one seeded generator, so
+the same plan + seed reproduces the same fault sequence event for event.
+
+The fabric is the paper's reliable, in-order transport, so a wire fault
+costs time and never data: a dropped message goes out again after
+:data:`RETRANSMIT_DELAY` (up to :data:`MAX_RETRANSMITS` times; after that
+it is lost and the run deadlocks into a typed error), and no message
+overtakes an earlier one on its ``(src, dst)`` link.  A crash ends the
+run with a :class:`~repro.simnet.errors.RankCrashedError` naming the
+rank; :mod:`repro.core.retry` re-runs the job above the simulator.
 
 The engine consults the plan through a single ``faults is not None`` guard
 (the same discipline as the tracer and SimSan): with no plan attached the
@@ -28,10 +35,17 @@ everything.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
+
+#: Virtual seconds before a dropped message goes out again: the sender's
+#: ack timeout, a few FDR round trips.
+RETRANSMIT_DELAY = 1e-4
+#: Retransmissions before a message counts as lost for good (InfiniBand's
+#: reliable-connection retry count tops out at 7).
+MAX_RETRANSMITS = 7
 
 
 # ------------------------------------------------------- the spec grammar
@@ -91,24 +105,14 @@ class FaultPlan:
     #: Seed of the per-run fault stream (``begin_run`` derives a fresh
     #: generator from it, so repeated runs of one plan are identical).
     seed: int = 0
-    #: Probability a message is dropped on the wire (never delivered).
+    #: Probability one wire copy of a message is dropped (and resent).
     drop_prob: float = 0.0
-    #: Probability a message is duplicated (a second copy arrives later).
-    dup_prob: float = 0.0
-    #: Extra delivery delay of a duplicate's second copy, seconds (scaled
-    #: by a uniform draw in [1, 2)).
-    dup_delay: float = 5e-5
-    #: Probability a message is delayed just enough to overtake later
-    #: traffic (reordering).
-    reorder_prob: float = 0.0
-    #: Base reorder delay, seconds (scaled by a uniform draw in [1, 2)).
-    reorder_delay: float = 5e-5
     #: Probability of a large delay spike on a message.
     delay_prob: float = 0.0
     #: Base delay-spike duration, seconds (scaled uniformly in [1, 2)).
     delay_spike: float = 1e-3
-    #: ``(rank, virtual_time)`` pairs: the rank's program is terminated at
-    #: that time and never resumes (fail-stop crash).
+    #: ``(rank, virtual_time)`` pairs: the rank fail-stops at that time,
+    #: which ends the run with a ``RankCrashedError``.
     crashes: tuple[tuple[int, float], ...] = ()
     #: ``(rank, multiplier)`` pairs: the rank's Compute calls take
     #: ``multiplier``× as long (slow node / straggler).
@@ -119,13 +123,12 @@ class FaultPlan:
     links: tuple[tuple[int, int, float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("drop_prob", "dup_prob", "reorder_prob", "delay_prob"):
+        for name in ("drop_prob", "delay_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1], got {p}")
-        for name in ("dup_delay", "reorder_delay", "delay_spike"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        if self.delay_spike < 0:
+            raise ValueError("delay_spike must be non-negative")
         for rank, t in self.crashes:
             if rank < 0 or t < 0:
                 raise ValueError(f"invalid crash ({rank}, {t})")
@@ -147,8 +150,6 @@ class FaultPlan:
         Comma-separated ``key=value`` tokens::
 
             drop=0.02              message drop probability
-            dup=0.01[:DELAY]       duplicate probability (+ copy delay)
-            reorder=0.1[:DELAY]    reorder probability (+ jitter base)
             delay=0.05[:SPIKE]     delay-spike probability (+ spike base)
             crash=3@0.01           rank 3 crashes at t=0.01 (repeatable)
             slow=2x1.5             rank 2 computes 1.5x slower (repeatable)
@@ -156,21 +157,16 @@ class FaultPlan:
                                    (+ EXTRA seconds of latency)
         """
         fields: dict = {"seed": seed}
-        extra_field = {
-            "dup": "dup_delay", "reorder": "reorder_delay", "delay": "delay_spike",
-        }
         crashes: list[tuple[int, float]] = []
         slow: list[tuple[int, float]] = []
         links: list[tuple[int, int, float, float]] = []
-        for key, value in spec_tokens(
-            spec, ("drop", "dup", "reorder", "delay", "crash", "slow", "link")
-        ):
+        for key, value in spec_tokens(spec, ("drop", "delay", "crash", "slow", "link")):
             if key == "drop":
                 fields["drop_prob"] = float(value)
-            elif key in extra_field:
-                fields[f"{key}_prob"], extra = prob_and_extra(value)
-                if extra is not None:
-                    fields[extra_field[key]] = extra
+            elif key == "delay":
+                fields["delay_prob"], spike = prob_and_extra(value)
+                if spike is not None:
+                    fields["delay_spike"] = spike
             elif key == "crash":
                 rank, when = split_pair(key, value, "@", "RANK@TIME")
                 crashes.append((int(rank), float(when)))
@@ -191,13 +187,8 @@ class FaultPlan:
         parts = []
         if self.drop_prob:
             parts.append(f"drop={self.drop_prob!r}")
-        for key, prob, extra in (
-            ("dup", self.dup_prob, self.dup_delay),
-            ("reorder", self.reorder_prob, self.reorder_delay),
-            ("delay", self.delay_prob, self.delay_spike),
-        ):
-            if prob:
-                parts.append(f"{key}={prob!r}:{extra!r}")
+        if self.delay_prob:
+            parts.append(f"delay={self.delay_prob!r}:{self.delay_spike!r}")
         parts.extend(f"crash={r}@{t!r}" for r, t in self.crashes)
         parts.extend(f"slow={r}x{m!r}" for r, m in self.slow)
         parts.extend(f"link={s}-{d}:{m!r}:{e!r}" for s, d, m, e in self.links)
@@ -206,88 +197,95 @@ class FaultPlan:
 
     # ------------------------------------------------------------ runtime
 
-    def begin_run(self, num_ranks: int) -> "FaultState":
-        """Materialize the per-run mutable state (fresh seeded stream)."""
+    def check_ranks(self, num_ranks: int) -> None:
+        """Reject a plan naming a rank outside ``[0, num_ranks)``."""
         for rank, _ in self.crashes:
             if rank >= num_ranks:
                 raise ValueError(f"crash rank {rank} outside [0, {num_ranks})")
         for rank, _ in self.slow:
             if rank >= num_ranks:
                 raise ValueError(f"slow rank {rank} outside [0, {num_ranks})")
+
+    def begin_run(self, num_ranks: int) -> "FaultState":
+        """Materialize the per-run mutable state (fresh seeded stream)."""
+        self.check_ranks(num_ranks)
         return FaultState(self, num_ranks)
+
+    def for_attempt(self, rank_ids: Sequence[int], attempt: int) -> "FaultPlan":
+        """The plan one attempt of a retried job runs under.
+
+        ``rank_ids[slot]`` is the original rank that runs ``slot``: every
+        schedule entry follows its rank to its slot and leaves with it, so
+        a crash is persistent, like the pool's ``poison=``, and the wire
+        faults draw from ``(seed, attempt)``.
+        """
+        slot = {rank: i for i, rank in enumerate(rank_ids)}
+        return replace(
+            self,
+            seed=int(np.random.SeedSequence([self.seed, attempt]).generate_state(1)[0]),
+            crashes=tuple((slot[r], t) for r, t in self.crashes if r in slot),
+            slow=tuple((slot[r], m) for r, m in self.slow if r in slot),
+            links=tuple(
+                (slot[s], slot[d], m, e)
+                for s, d, m, e in self.links
+                if s in slot and d in slot
+            ),
+        )
 
 
 class FaultState:
-    """Mutable per-run fault bookkeeping consumed by the engine.
-
-    Owns the seeded stream and the crash/slow/link tables; exposed to
-    programs as ``proc.faults`` so protocol layers can detect that fault
-    injection is active (``machine.proc.faults is not None`` selects the
-    resilient sort path).
-    """
+    """Mutable per-run fault bookkeeping consumed by the engine: the
+    seeded stream and the crash/slow/link tables."""
 
     __slots__ = (
         "plan",
         "drop_prob",
-        "dup_prob",
-        "reorder_prob",
         "delay_prob",
         "crash_at",
-        "crashed",
         "slow_mult",
-        "drops",
-        "dups",
-        "delays",
         "_rng_random",
         "_links",
+        "_arrivals",
     )
 
     def __init__(self, plan: FaultPlan, num_ranks: int) -> None:
         self.plan = plan
         self.drop_prob = plan.drop_prob
-        self.dup_prob = plan.dup_prob
-        self.reorder_prob = plan.reorder_prob
         self.delay_prob = plan.delay_prob
-        #: Pending crash schedule (rank -> virtual time).
+        #: Crash schedule (rank -> virtual time).
         self.crash_at: dict[int, float] = dict(plan.crashes)
-        #: Ranks whose crash event has fired (deliveries to them drop).
-        self.crashed: set[int] = set()
         self.slow_mult = [1.0] * num_ranks
         for rank, mult in plan.slow:
             self.slow_mult[rank] = mult
-        #: Run totals (per-rank attribution lives in ProcessMetrics).
-        self.drops = 0
-        self.dups = 0
-        self.delays = 0
         self._rng_random = np.random.default_rng(plan.seed).random
         self._links = {(s, d): (m, extra) for s, d, m, extra in plan.links}
+        #: Latest arrival on each ``(src, dst)`` link: an in-order link
+        #: delivers nothing before what it accepted earlier.
+        self._arrivals: dict[tuple[int, int], float] = {}
 
-    def fate(self, src: int, dst: int) -> tuple[bool, float, float | None]:
-        """Decide one remote message's fate: (drop, extra_delay, dup_delay).
+    def fate(self, src: int, dst: int, delivered: float) -> tuple[int, float | None]:
+        """One remote message's fate: ``(wire copies dropped, arrival)``.
 
-        Draws only for enabled fault classes, in a fixed order, so the
-        stream is deterministic for a given plan.  Draws are independent: a
-        duplicated message may also be dropped (one wire copy lost, the
-        other delivered), matching how real networks mislay packets.
+        ``delivered`` is the fabric's arrival time; each dropped copy adds
+        a :data:`RETRANSMIT_DELAY`, and the arrival is ``None`` once the
+        last of :data:`MAX_RETRANSMITS` retransmissions dropped too.  Draws
+        only for enabled fault classes, in a fixed order, so the stream is
+        deterministic for a given plan.
         """
         rng = self._rng_random
-        plan = self.plan
-        drop = False
-        extra = 0.0
-        dup_delay: float | None = None
-        if self.drop_prob > 0.0 and rng() < self.drop_prob:
-            drop = True
-            self.drops += 1
-        if self.dup_prob > 0.0 and rng() < self.dup_prob:
-            dup_delay = plan.dup_delay * (1.0 + rng())
-            self.dups += 1
-        if self.reorder_prob > 0.0 and rng() < self.reorder_prob:
-            extra += plan.reorder_delay * (1.0 + rng())
-            self.delays += 1
+        drops = 0
+        if self.drop_prob > 0.0:
+            while drops <= MAX_RETRANSMITS and rng() < self.drop_prob:
+                drops += 1
+            if drops > MAX_RETRANSMITS:
+                return drops, None
+        arrival = delivered + drops * RETRANSMIT_DELAY
         if self.delay_prob > 0.0 and rng() < self.delay_prob:
-            extra += plan.delay_spike * (1.0 + rng())
-            self.delays += 1
-        return drop, extra, dup_delay
+            arrival += self.plan.delay_spike * (1.0 + rng())
+        link = (src, dst)
+        arrival = max(arrival, self._arrivals.get(link, arrival))
+        self._arrivals[link] = arrival
+        return drops, arrival
 
     def degrade(self, src: int, dst: int, ser: float, latency: float) -> tuple[float, float]:
         """Apply per-link degradation to (serialization, latency) times."""
@@ -327,19 +325,17 @@ def chaos_schedules() -> list[tuple[str, FaultPlan]]:
 
     Shared by ``tests/integration/test_chaos.py`` and
     ``benchmarks/perf/chaos.py`` (the CI artifact job) so both always
-    exercise the same schedules.  Crash times sit inside the exchange
-    window of the p=8 smoke workload; duplicate-only and crash-at-t=0
-    cover the protocol edge cases.
+    exercise the same schedules.  Crash times sit at the end of the p=8
+    smoke workload's exchange step; crash-at-t=0 covers a rank that
+    never starts.
     """
     return [
         ("drops", FaultPlan(seed=101, drop_prob=0.05)),
-        ("dups-only", FaultPlan(seed=102, dup_prob=1.0)),
-        ("reorder", FaultPlan(seed=103, reorder_prob=0.2)),
         ("delay-spikes", FaultPlan(seed=104, delay_prob=0.05, delay_spike=5e-4)),
         ("slow-node", FaultPlan(seed=105, slow=((2, 3.0),))),
         ("link-degrade", FaultPlan(seed=106, links=((0, 1, 4.0, 1e-5), (1, 0, 4.0, 1e-5)))),
         ("crash-worker", FaultPlan(seed=107, crashes=((3, 5e-4),))),
         ("crash-coordinator", FaultPlan(seed=108, crashes=((0, 5e-4),))),
         ("crash-at-t0", FaultPlan(seed=109, crashes=((5, 0.0),))),
-        ("mixed", FaultPlan(seed=110, drop_prob=0.02, dup_prob=0.05, delay_prob=0.02)),
+        ("mixed", FaultPlan(seed=110, drop_prob=0.02, delay_prob=0.02)),
     ]

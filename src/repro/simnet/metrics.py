@@ -73,15 +73,14 @@ class ProcessMetrics:
     #: Virtual time at which the process generator finished.
     finished_at: float | None = None
     # --- fault-injection accounting (all zero on fault-free runs) ---
-    #: Reliable-protocol retransmissions issued by this rank.
+    #: Retransmissions of dropped messages, plus failed job attempts the
+    #: retry layer charged to this rank.
     retries: int = 0
-    #: Timeout events observed (retry-cap exhaustion, phase deadlines).
+    #: Control-plane deadlines that expired on this rank (process pool).
     timeouts: int = 0
-    #: Outbound messages the fault plan dropped on the wire.
+    #: Wire copies of this rank's outbound messages the fault plan dropped.
     messages_dropped: int = 0
-    #: Outbound messages the fault plan duplicated.
-    messages_duplicated: int = 0
-    #: True when the fault plan fail-stopped this rank.
+    #: True when this rank crashed, or was dropped for crashing.
     crashed: bool = False
     #: Set when a process-backend rank did *not* carry provenance inside
     #: the packed word (see ``WorkerReport.local_sort_path``): ``"packed"``

@@ -17,11 +17,12 @@ at runtime, without perturbing simulated behavior in any way:
   ``(src, dst, tag)`` channel at once; correct, but the receive order then
   depends on FIFO delivery, so the channels are reported as notes for
   review.
-* **deadlock diagnosis** — when the engine detects an all-ranks-blocked
-  deadlock it attaches a per-rank diagnosis (who waits on which source/tag
-  since when, and what their mailboxes hold) to the
-  :class:`~repro.simnet.errors.DeadlockError`; SimSan additionally folds
-  the diagnosis into its report.
+* **aborted runs** — a run that ends in a typed
+  :class:`~repro.simnet.errors.DeadlockError` (a crash a fault plan
+  injected is one) is not finalized: the engine's per-rank diagnosis (who
+  waits on which source/tag since when, and what their mailboxes hold)
+  and every message its mailboxes still held are folded into the report
+  as notes, not as leaks.
 
 Every engine hook is guarded by a single ``sanitizer is not None`` test
 (the same discipline as the tracer), and no hook touches virtual time,
@@ -56,8 +57,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
-
-from .comm import Envelope
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .calls import Message
@@ -192,13 +191,6 @@ class SimSan:
         self._in_flight: dict[tuple[int, int, int], int] = {}  # (src, dst, tag) -> count
         self._collisions: dict[tuple[int, int, int], int] = {}  # channel -> peak in-flight
         self._requests: dict[int, dict] = {}  # id(req) -> entry (holds a strong ref)
-        # Reliable-layer data envelopes delivered, by (src, dst, seq):
-        # finalize uses this to tell a retransmission's residual copy (the
-        # datagram *was* consumed at least once) from a genuine leak.
-        self._env_delivered: dict[tuple[int, int, int], int] = {}
-        # True while observing a run with a fault plan attached: recovery
-        # phase-timeouts legitimately abandon protocol traffic there.
-        self._fault_run = False
 
     # ------------------------------------------------------------- engine hooks
 
@@ -209,8 +201,6 @@ class SimSan:
         self._in_flight.clear()
         self._collisions.clear()
         self._requests.clear()
-        self._env_delivered.clear()
-        self._fault_run = getattr(sim, "_faults", None) is not None
 
     def on_send(self, msg: "Message", nonblocking: bool) -> None:
         """Fingerprint an injected payload and track channel concurrency."""
@@ -233,18 +223,14 @@ class SimSan:
         return self._digests.pop(id(msg), None)
 
     def on_drop(self, msg: "Message") -> None:
-        """A fault plan dropped ``msg``: it will never be delivered."""
+        """A fault plan lost ``msg`` for good: it will never be delivered."""
         self._left_the_wire(msg)
 
     def on_deliver(self, msg: "Message") -> None:
         """Re-check the payload fingerprint as the message lands."""
         self.report.counts["messages_checked"] += 1
-        payload = msg.payload
-        if isinstance(payload, Envelope) and payload.kind == "data":
-            key = (payload.src, msg.dst, payload.seq)
-            self._env_delivered[key] = self._env_delivered.get(key, 0) + 1
         entry = self._left_the_wire(msg)
-        if entry is None:  # an injected duplicate, or sent before attaching
+        if entry is None:  # sent before attaching
             return
         _msg, digest, nonblocking = entry
         if fingerprint(msg.payload) != digest:
@@ -270,29 +256,9 @@ class SimSan:
     def finish_run(
         self, sim: "Simulator", leftovers: dict[int, list["Message"]]
     ) -> None:
-        """Finalize checks: unmatched messages, leaked requests, collisions.
-
-        Fault-injected runs leave benign protocol residue in mailboxes:
-        duplicate copies the engine manufactured, fire-and-forget acks a
-        rank did not drain before finishing, and retransmitted data
-        envelopes whose first copy *was* consumed.  Those are reported as
-        notes, not violations — a data envelope that was never consumed in
-        any copy is still a leak.
-        """
+        """Finalize checks: unmatched messages, leaked requests, collisions."""
         for rank in sorted(leftovers):
-            # Count leftover copies per reliable datagram: a datagram is
-            # leaked only if *every* delivered copy is still in the mailbox.
-            leftover_data: dict[tuple[int, int, int], int] = {}
             for msg in leftovers[rank]:
-                env = msg.payload
-                if isinstance(env, Envelope) and env.kind == "data":
-                    key = (env.src, rank, env.seq)
-                    leftover_data[key] = leftover_data.get(key, 0) + 1
-            for msg in leftovers[rank]:
-                residue = self._protocol_residue(rank, msg, leftover_data)
-                if residue is not None:
-                    self.report.notes.append(residue)
-                    continue
                 self.report.violations.append(
                     SanViolation(
                         "unmatched-message",
@@ -330,65 +296,21 @@ class SimSan:
         self._requests.clear()
         self._digests.clear()
 
-    def _protocol_residue(
-        self,
-        rank: int,
-        msg: "Message",
-        leftover_data: dict[tuple[int, int, int], int],
-    ) -> dict | None:
-        """Classify a leftover message as benign fault/protocol residue.
-
-        Returns a note dict, or None when the leftover is a real leak.
-        """
-        if getattr(msg, "faulted", None) == "dup":
-            return {
-                "kind": "fault-duplicate-residue",
-                "rank": rank,
-                "src": msg.src,
-                "tag": msg.tag,
-            }
-        env = msg.payload
-        if not isinstance(env, Envelope):
-            return None
-        if env.kind == "ack":
-            # Acks are fire-and-forget: the sender may finish before its
-            # final ack lands.  Never a leak.
-            return {
-                "kind": "unconsumed-ack",
-                "rank": rank,
-                "src": msg.src,
-                "seq": env.seq,
-            }
-        key = (env.src, rank, env.seq)
-        delivered = self._env_delivered.get(key, 0)
-        consumed = delivered - leftover_data.get(key, 0)
-        if consumed >= 1:
-            # Retried-then-acked: an earlier copy of this datagram was
-            # consumed; this copy is a retransmission that arrived after
-            # the receiver moved on.
-            return {
-                "kind": "retransmission-residue",
-                "rank": rank,
-                "src": env.src,
-                "seq": env.seq,
-                "channel": env.channel,
-                "attempt": env.attempt,
-            }
-        if self._fault_run:
-            # Under fault injection a recovery phase may time out and move
-            # on, abandoning in-flight protocol traffic by design.
-            return {
-                "kind": "abandoned-protocol-data",
-                "rank": rank,
-                "src": env.src,
-                "seq": env.seq,
-                "channel": env.channel,
-            }
-        return None
-
-    def on_deadlock(self, details: dict[int, dict]) -> None:
-        """Fold the engine's per-rank deadlock diagnosis into the report."""
+    def abort_run(
+        self, leftovers: dict[int, list["Message"]], details: dict[int, dict]
+    ) -> None:
+        """The run ended in a typed error instead of finishing: fold the
+        engine's per-rank diagnosis in, and what the mailboxes still held
+        as the aborted run's messages — notes, since no recv was owed."""
         self.report.notes.append({"kind": "deadlock", "ranks": details})
+        for rank in sorted(leftovers):
+            self.report.notes.extend(
+                {"kind": "aborted-run-message", "rank": rank, "src": msg.src,
+                 "tag": msg.tag, "nbytes": msg.nbytes}
+                for msg in leftovers[rank]
+            )
+        self._requests.clear()
+        self._digests.clear()
 
     # ------------------------------------------------------------ request API
 

@@ -131,18 +131,15 @@ class TestMergeReceived:
         index = np.concatenate([rng.permutation(len(r)).astype(np.int32) for r in runs])
         return runs, index
 
-    @pytest.mark.parametrize("sources", [None, [0, 1, 3, 4, 6, 7]])
-    def test_matches_the_literal_and_builds_the_origin_column(self, sources):
+    def test_matches_the_literal_and_builds_the_origin_column(self):
         runs, index = self._received()
         lengths = [len(r) for r in runs]
-        proc = np.repeat(
-            np.asarray(sources if sources else range(len(runs)), dtype=np.int16), lengths
-        )
+        proc = np.repeat(np.arange(len(runs), dtype=np.int16), lengths)
         expected_keys, (expected_index, expected_proc) = literal_merge(runs, [index, proc])
         arena = ScratchArena()
         for scratch in (None, arena):
             got = merge_received(
-                np.concatenate(runs), index, lengths, True, sources=sources, scratch=scratch
+                np.concatenate(runs), index, lengths, True, scratch=scratch
             )
             assert got.keys.tobytes() == expected_keys.tobytes()
             assert got.aux[0].dtype == np.int32 and got.aux[1].dtype == np.int16

@@ -5,6 +5,8 @@ degenerate shapes, the simulated sorter's keys, ``origin_proc`` and
 ``origin_index`` are bytes-equal to ``local_sample_sort``; simnet takes
 the word path exactly when the frame arithmetic says the job's key frame
 fits; and for p ≤ 4 one warm ``ProcessBackend`` returns the same bytes.
+Under faults, a wire fault leaves simnet's bytes and path as they were,
+and a persistent crash degrades both substrates to the same bytes.
 Hypothesis runs derandomized (``tests/conftest.py``) with a small cap.
 """
 
@@ -16,8 +18,9 @@ from hypothesis import strategies as st
 from repro.core.api import DistributedSorter, partition_input
 from repro.core.local_backend import local_sample_sort
 from repro.core.packsort import code_and_stats, derive_key_frame
+from repro.core.retry import RetryPolicy
 from repro.core.sorter import JobFrame
-from repro.parallel import ProcessBackend
+from repro.parallel import ProcessBackend, RealFaultPlan
 from repro.simnet.faults import FaultPlan
 from repro.simnet.sanitizer import sanitize
 from repro.workloads.distributions import right_skewed
@@ -198,12 +201,38 @@ def test_sort_multi_of_mixed_dtypes_is_each_datasets_oracle(word_merges):
     assert len(word_merges) == 4 * p  # every dataset but the float64 one
 
 
-def test_faulted_run_keeps_the_keys_perm_path_and_the_oracles_bytes(word_merges):
-    p = 4
-    keys = right_skewed(2_000, seed=3)
-    blocks = list(partition_input(keys, p)[0])
-    sorter = DistributedSorter(num_processors=p, faults=FaultPlan(seed=7, drop_prob=0.05))
-    result = sorter.sort_partitioned(blocks)
-    assert result.survivors == tuple(range(p))
-    _assert_bytes_equal(zip(result.per_processor, result.provenance), local_sample_sort(blocks))
-    assert word_merges == []  # recovery merges keys + perm until it is rewritten
+WIRE_FAULTS = {
+    "drop": FaultPlan(seed=1, drop_prob=0.1),
+    "delay": FaultPlan(seed=2, delay_prob=0.2, delay_spike=1e-4),
+    "link": FaultPlan(seed=3, links=((0, 1, 4.0, 1e-5), (1, 2, 2.0, 0.0))),
+    "slow": FaultPlan(seed=4, slow=((1, 3.0),)),
+}
+
+
+@pytest.mark.parametrize("p", [3, 16])
+@pytest.mark.parametrize("name", WIRE_FAULTS)
+def test_wire_faults_leave_the_bytes_and_the_word_path(word_merges, name, p):
+    blocks = list(partition_input(_keys("int64", 300 * p, np.random.default_rng(p)), p)[0])
+    clean = DistributedSorter(num_processors=p).sort_partitioned(blocks)
+    word_merges.clear()
+    result = DistributedSorter(num_processors=p, faults=WIRE_FAULTS[name]).sort_partitioned(blocks)
+    assert result.survivors is None and result.recovery_rounds == 0
+    _assert_bytes_equal(zip(result.per_processor, result.provenance), clean)
+    assert len(word_merges) == (p if _frame_fits(blocks) else 0) == p
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_a_persistent_crash_degrades_both_substrates_alike(p):
+    """simnet's ``crash=R@T`` and the pool's ``poison=R`` are one fault:
+    the rank is dropped after ``degrade_after`` attempts and the whole
+    input comes back from the survivors, byte for byte the same."""
+    data = _keys("int64", 500 * p, np.random.default_rng([p, 7]))
+    blocks, offsets = partition_input(data, p)
+    sim = DistributedSorter(num_processors=p, faults=FaultPlan(crashes=((1, 0.0),))).sort(data)
+    policy = RetryPolicy(backoff_seconds=0.001, backoff_cap_seconds=0.01)
+    with ProcessBackend(chaos=RealFaultPlan.from_spec("poison=1"), retry=policy) as backend:
+        real = backend.sort_blocks(blocks).to_sort_result(offsets)
+    assert sim.survivors == real.survivors == tuple(r for r in range(p) if r != 1)
+    assert sim.input_offsets.tobytes() == real.input_offsets.tobytes()
+    assert np.array_equal(sim.to_array(), np.sort(data))
+    _assert_bytes_equal(zip(sim.per_processor, sim.provenance), real)

@@ -139,7 +139,25 @@ class TestRealFaultPlanParsing:
         assert plan.slow == ((1, 2.5),)
         assert plan.targets_rank(2) and not plan.targets_rank(4)
         text = plan.describe()
-        assert "seed=11" in text and "poisoned=[2]" in text
+        assert "seed=11" in text and "poison=2" in text
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "kill=1@3-splitters:0",
+            "poison=2",
+            "hang=0@gather:1",
+            "delay=0.25:0.002",
+            "mute=3",
+            "slow=1x2.5",
+        ],
+    )
+    def test_describe_prints_a_spec_that_parses_back(self, spec):
+        plan = RealFaultPlan.from_spec(spec, seed=9)
+        head, _, body = plan.describe()[:-1].partition(", ")
+        assert head == "RealFaultPlan(seed=9"
+        assert body == spec
+        assert RealFaultPlan.from_spec(body, seed=9) == plan
 
     @pytest.mark.parametrize(
         "spec",

@@ -356,7 +356,7 @@ class TestRunLifetime:
                 num_processors=6, faults=FaultPlan(seed=36, drop_prob=0.05)
             )
             results = [sorter.sort(data)]
-            assert results[0].survivors == tuple(range(6))
+            assert results[0].survivors is None
         elif case == "sort_multi":
             results = DistributedSorter(num_processors=4).sort_multi([data, data[::-1]])
         else:
@@ -446,8 +446,7 @@ class TestRunLifetime:
             results = [DistributedSorter(num_processors=16).sort(self.DATA)]
         assert threading.active_count() == before
         assert all(r.is_globally_sorted() for r in results)
-        # Word-path runs did run kernels; the resilient program runs none.
-        assert bool(submitted) == (case != "faulted")
+        assert submitted  # a faulted run takes the word path too
 
     def test_a_kernel_exception_leaves_the_run_as_itself(self, monkeypatch):
         from repro import distributed_sort

@@ -147,12 +147,15 @@ class TestErrorHierarchy:
         from repro.simnet.errors import (
             InvalidCallError,
             ProcessFailure,
+            RankCrashedError,
             SimError,
             UnknownRankError,
         )
 
+        assert issubclass(RankCrashedError, DeadlockError)
         for cls in (
             DeadlockError,
+            RankCrashedError,
             ProcessFailure,
             InvalidCallError,
             UnknownRankError,
@@ -168,66 +171,3 @@ class TestErrorHierarchy:
         assert err.rank == 3
         assert err.original is original
         assert "rank 3" in str(err)
-
-
-class TestReliableDeadlockDiagnosis:
-    """Deadlock diagnosis surfaces in-flight reliable-protocol state."""
-
-    def test_deadlock_reports_unacked_sends(self):
-        from repro.simnet import ReliableComm, ResilienceConfig
-
-        config = ResilienceConfig(ack_timeout=1.0, poll_interval=1e-3)
-
-        def stuck_sender(proc):
-            rc = ReliableComm(proc, config)
-            yield from rc.send(1, "keys", "hello", round_no=0)
-            yield Recv(src=1, tag=99)  # never satisfied; ack never drained
-
-        def oblivious(proc):
-            yield Recv(src=0, tag=99)  # wrong tag: ignores reliable traffic
-
-        with pytest.raises(DeadlockError) as exc:
-            _run_two(stuck_sender, oblivious)
-        err = exc.value
-        rel = err.details[0]["reliable"]
-        [p] = rel["pending"]
-        assert (p["dst"], p["seq"], p["channel"], p["attempt"]) == (1, 0, "keys", 0)
-        assert rel["declared_dead"] == []
-        text = str(err)
-        assert "1 unacked send(s)" in text
-        assert "seq 0->rank 1 (keys, attempt 0)" in text
-
-    def test_rank_without_reliable_layer_has_no_fragment(self):
-        from repro.simnet import ReliableComm, ResilienceConfig
-
-        def stuck_sender(proc):
-            rc = ReliableComm(proc, ResilienceConfig())
-            yield from rc.send(1, "keys", "hello", round_no=0)
-            yield Recv(src=1, tag=99)
-
-        def oblivious(proc):
-            yield Recv(src=0, tag=99)
-
-        with pytest.raises(DeadlockError) as exc:
-            _run_two(stuck_sender, oblivious)
-        assert exc.value.details[1].get("reliable") is None
-
-    def test_diagnose_truncates_pending_and_lists_dead_peers(self):
-        entry = {
-            "status": "BLOCKED_RECV",
-            "blocked_since": 2.0,
-            "mailbox_messages": 1,
-            "waiting_for": {"src": 1, "tag": 701, "probe": False},
-            "reliable": {
-                "pending": [
-                    {"dst": 1, "seq": s, "channel": "k", "round": 0,
-                     "attempt": 2, "due": 2.5}
-                    for s in range(6)
-                ],
-                "declared_dead": [3],
-            },
-        }
-        line = _diagnose(0, entry)
-        assert "6 unacked send(s)" in line
-        assert "+2 more" in line  # only the first 4 are itemized
-        assert "peers declared dead: [3]" in line

@@ -5,16 +5,19 @@ import pytest
 
 from repro.simnet import (
     Compute,
+    DeadlockError,
     FaultPlan,
     Isend,
     NetworkModel,
     Now,
+    RankCrashedError,
     Recv,
     Simulator,
     Sleep,
     active_fault_plan,
     inject_faults,
 )
+from repro.simnet.faults import MAX_RETRANSMITS, RETRANSMIT_DELAY
 
 
 def make_sim(n=2, plan=None, **net_kwargs):
@@ -28,7 +31,7 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan(drop_prob=1.5)
         with pytest.raises(ValueError):
-            FaultPlan(dup_delay=-1.0)
+            FaultPlan(delay_spike=-1.0)
         with pytest.raises(ValueError):
             FaultPlan(crashes=((-1, 0.0),))
         with pytest.raises(ValueError):
@@ -44,14 +47,11 @@ class TestFaultPlan:
 
     def test_from_spec_round_trip(self):
         plan = FaultPlan.from_spec(
-            "drop=0.05,dup=0.01:1e-4,reorder=0.1,delay=0.02:5e-4,"
-            "crash=3@0.01,slow=2x1.5,link=0-1:2.0:1e-5",
+            "drop=0.05,delay=0.02:5e-4,crash=3@0.01,slow=2x1.5,link=0-1:2.0:1e-5",
             seed=9,
         )
         assert plan.seed == 9
         assert plan.drop_prob == 0.05
-        assert plan.dup_prob == 0.01 and plan.dup_delay == 1e-4
-        assert plan.reorder_prob == 0.1
         assert plan.delay_prob == 0.02 and plan.delay_spike == 5e-4
         assert plan.crashes == ((3, 0.01),)
         assert plan.slow == ((2, 1.5),)
@@ -66,13 +66,14 @@ class TestFaultPlan:
             FaultPlan.from_spec("crash=3")
         with pytest.raises(ValueError):
             FaultPlan.from_spec("drop=0.1:2")
+        for gone in ("dup=0.1", "reorder=0.1"):
+            with pytest.raises(ValueError, match="unknown fault spec key"):
+                FaultPlan.from_spec(gone)
 
     @pytest.mark.parametrize(
         "spec",
         [
             "drop=0.05",
-            "dup=0.01:0.0001",
-            "reorder=0.1",
             "delay=0.02:0.0005",
             "crash=3@0.01",
             "slow=2x1.5",
@@ -108,6 +109,16 @@ class TestFaultPlan:
 
     def test_plans_are_hashable(self):
         assert hash(FaultPlan(drop_prob=0.1)) == hash(FaultPlan(drop_prob=0.1))
+
+    def test_an_attempt_addresses_ranks_by_original_id(self):
+        plan = FaultPlan.from_spec("drop=0.1,crash=3@0.5,slow=1x2.0,link=3-4:2.0", seed=9)
+        first = plan.for_attempt(range(5), 0)
+        assert (first.crashes, first.slow, first.links) == (plan.crashes, plan.slow, plan.links)
+        degraded = plan.for_attempt((0, 1, 2, 4), 1)
+        assert degraded.crashes == () and degraded.links == ()
+        assert degraded.slow == ((1, 2.0),)
+        seeds = {plan.for_attempt(range(5), n).seed for n in range(3)}
+        assert len(seeds) == 3 and seeds == {plan.for_attempt(range(5), n).seed for n in range(3)}
 
 
 def _pingpong(plan, n_messages=50):
@@ -147,19 +158,55 @@ def _pingpong(plan, n_messages=50):
     return sim.result(1), metrics
 
 
+def _train_sim(plan, n):
+    """Rank 0 sends ``n`` messages to rank 1, which receives them in turn
+    and returns ``[(payload, arrival time)]``."""
+    sim = make_sim(plan=plan)
+
+    def sender(proc):
+        for i in range(n):
+            yield Isend(1, nbytes=64, payload=i)
+
+    def receiver(proc):
+        seen = []
+        for _ in range(n):
+            msg = yield Recv(src=0)
+            seen.append((msg.payload, (yield Now())))
+        return seen
+
+    sim.add_process(sender, rank=0)
+    sim.add_process(receiver, rank=1)
+    return sim
+
+
+def _train(plan, n):
+    sim = _train_sim(plan, n)
+    metrics = sim.run()
+    return sim.result(1), metrics
+
+
 class TestEngineFaults:
     def test_drops_lose_messages_and_count(self):
+        # A dropped wire copy is resent: every message arrives, in order.
         got, metrics = _pingpong(FaultPlan(seed=1, drop_prob=0.5))
-        assert 0 < len(got) < 50
-        assert metrics.processes[0].messages_dropped == 50 - len(got)
+        assert got == list(range(50))
+        sender = metrics.processes[0]
+        assert sender.messages_dropped > 0 and sender.retries == sender.messages_dropped
+        # Once every retransmission drops too, the message is lost for good
+        # and a receiver waiting on it deadlocks into a typed error.
+        sim = _train_sim(FaultPlan(seed=1, drop_prob=1.0), 1)
+        with pytest.raises(DeadlockError):
+            sim.run()
+        sender = sim.metrics().processes[0]
+        assert sender.messages_dropped == MAX_RETRANSMITS + 1
+        assert sender.retries == MAX_RETRANSMITS
 
-    def test_duplicates_deliver_twice_at_engine_level(self):
-        got, metrics = _pingpong(FaultPlan(seed=2, dup_prob=1.0))
-        # every payload arrives at least twice (duplicate copies are real
-        # deliveries; dedup is the reliable layer's job, not the engine's)
-        assert len(got) == 100
-        assert sorted(set(got)) == list(range(50))
-        assert metrics.processes[0].messages_duplicated == 50
+    def test_a_retransmitted_message_never_overtakes_its_link(self):
+        clean, _ = _train(None, 20)
+        faulted, _ = _train(FaultPlan(seed=3, drop_prob=0.3, delay_prob=0.3), 20)
+        assert [i for i, _ in faulted] == list(range(20))
+        assert all(t >= c for (_, t), (_, c) in zip(faulted, clean))
+        assert faulted[-1][1] >= clean[-1][1] + RETRANSMIT_DELAY
 
     def test_no_faults_on_self_sends(self):
         plan = FaultPlan(seed=3, drop_prob=1.0)
@@ -228,6 +275,7 @@ class TestEngineFaults:
         assert degraded > clean
 
     def test_crash_stops_rank_and_drops_deliveries(self):
+        # A crash that fires ends the run, naming the rank.
         plan = FaultPlan(seed=7, crashes=((1, 0.5),))
         sim = make_sim(plan=plan)
 
@@ -242,10 +290,14 @@ class TestEngineFaults:
 
         sim.add_process(sender, rank=0)
         sim.add_process(victim, rank=1)
-        metrics = sim.run()
+        with pytest.raises(RankCrashedError) as info:
+            sim.run()
+        assert (info.value.rank, info.value.at) == (1, 0.5)
         assert sim.result(1) is None
+        metrics = sim.metrics()
         assert metrics.processes[1].crashed is True
         assert metrics.processes[1].finished_at == pytest.approx(0.5)
+        assert metrics.processes[1].messages_received == 0
 
     def test_crash_at_t0_preempts_first_step(self):
         plan = FaultPlan(seed=8, crashes=((0, 0.0),))
@@ -256,7 +308,9 @@ class TestEngineFaults:
             return "ran"
 
         sim.add_process(program)
-        metrics = sim.run()
+        with pytest.raises(RankCrashedError, match="rank 0 crashed"):
+            sim.run()
+        metrics = sim.metrics()
         assert sim.result(0) is None
         assert metrics.processes[0].crashed is True
         assert metrics.makespan == 0.0
@@ -264,9 +318,8 @@ class TestEngineFaults:
 
 class TestDeterminism:
     def _trace(self, seed):
-        got, metrics = _pingpong(FaultPlan(seed=seed, drop_prob=0.3, dup_prob=0.2))
-        m = metrics.processes[0]
-        return (tuple(got), m.messages_dropped, m.messages_duplicated)
+        seen, metrics = _train(FaultPlan(seed=seed, drop_prob=0.3, delay_prob=0.2), 50)
+        return tuple(seen), metrics.processes[0].messages_dropped
 
     def test_same_seed_same_fault_sequence(self):
         assert self._trace(11) == self._trace(11)

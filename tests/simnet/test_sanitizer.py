@@ -277,122 +277,13 @@ class TestReportShape:
         assert "1 violation(s)" in text
 
 
-class TestProtocolResidue:
-    """Finalize classification of reliable-layer leftovers.
-
-    The regression under test: a retransmitted data envelope whose first
-    copy *was* consumed (retried-then-acked) must be reported as benign
-    ``retransmission-residue``, not as an unmatched-message leak — while a
-    datagram that was never consumed in any copy stays a real leak.
-    """
-
-    def _finalize(self, sender, receiver, plan=None):
-        san = SimSan()
-        sim = Simulator(2, sanitizer=san, faults=plan)
-        sim.add_process(sender)
-        sim.add_process(receiver)
-        sim.run()
-        return san
-
-    def test_retransmitted_then_consumed_copy_is_note_not_leak(self):
-        from repro.simnet.comm import RELIABLE_TAG, Envelope
-
-        def sender(proc):
-            # Original + retransmission of the same (src, seq) datagram.
-            for attempt in range(2):
-                env = Envelope("data", 0, 0, 0, "keys", payload=7, attempt=attempt)
-                yield Isend(1, nbytes=64, payload=env, tag=RELIABLE_TAG)
-
-        def receiver(proc):
-            yield Compute(10.0)  # both copies have landed
-            msg = yield Recv(src=0)  # consume exactly one copy
-            return msg.payload.seq
-
-        san = self._finalize(sender, receiver)
-        assert san.report.ok, san.report.summary()
-        [note] = [
-            n for n in san.report.notes if n["kind"] == "retransmission-residue"
-        ]
-        assert note["rank"] == 1
-        assert note["src"] == 0
-        assert note["seq"] == 0
-        assert note["channel"] == "keys"
-
-    def test_never_consumed_envelope_is_still_a_leak(self):
-        from repro.simnet.comm import RELIABLE_TAG, Envelope
-
-        def sender(proc):
-            env = Envelope("data", 0, 0, 0, "keys", payload=7)
-            yield Isend(1, nbytes=64, payload=env, tag=RELIABLE_TAG)
-
-        def receiver(proc):
-            yield Compute(10.0)  # outlive delivery; never recv
-
-        san = self._finalize(sender, receiver)
-        [violation] = san.report.violations
-        assert violation.kind == "unmatched-message"
-        assert violation.rank == 1
-        assert violation.details["tag"] == RELIABLE_TAG
-
-    def test_abandoned_protocol_data_is_note_under_fault_run(self):
-        # Same never-consumed shape, but with a fault plan attached a
-        # recovery phase may time out and abandon traffic by design.
-        from repro.simnet import FaultPlan
-        from repro.simnet.comm import RELIABLE_TAG, Envelope
-
-        def sender(proc):
-            env = Envelope("data", 0, 4, 1, "idx", payload=7)
-            yield Isend(1, nbytes=64, payload=env, tag=RELIABLE_TAG)
-
-        def receiver(proc):
-            yield Compute(10.0)
-
-        san = self._finalize(sender, receiver, plan=FaultPlan(seed=46))
-        assert san.report.ok, san.report.summary()
-        [note] = [
-            n for n in san.report.notes if n["kind"] == "abandoned-protocol-data"
-        ]
-        assert (note["src"], note["seq"], note["channel"]) == (0, 4, "idx")
-
-    def test_unconsumed_ack_is_never_a_leak(self):
-        from repro.simnet.comm import RELIABLE_TAG, Envelope
-
-        def sender(proc):
-            yield Isend(1, nbytes=32, payload=Envelope("ack", 0, 3, 0, "keys"),
-                        tag=RELIABLE_TAG)
-
-        def receiver(proc):
-            yield Compute(10.0)  # sender finished before draining its ack
-
-        san = self._finalize(sender, receiver)
-        assert san.report.ok, san.report.summary()
-        [note] = [n for n in san.report.notes if n["kind"] == "unconsumed-ack"]
-        assert note["seq"] == 3
-
-    def test_engine_duplicate_leftover_is_note(self):
-        from repro.simnet import FaultPlan
-
-        def sender(proc):
-            yield Isend(1, nbytes=64, payload="x")
-
-        def receiver(proc):
-            yield Compute(10.0)  # original + dup landed (dup arrives later)
-            msg = yield Recv(src=0)  # consume the original copy only
-            return msg.payload
-
-        san = self._finalize(sender, receiver, plan=FaultPlan(seed=45, dup_prob=1.0))
-        assert san.report.ok, san.report.summary()
-        kinds = [n["kind"] for n in san.report.notes]
-        assert "fault-duplicate-residue" in kinds
-
-
 class TestFaultedMessageLifetimes:
     """A digest is keyed by ``id(msg)``: it must die with the message.
 
-    The regression under test: a *dropped* message is never delivered, so
-    nothing retired its digest, the ``Message`` was freed, and an injected
-    duplicate allocated at the recycled address popped the stale digest — a
-    false ``use-after-isend`` about one run in three.
+    The regression under test: a message lost for good is never
+    delivered, so nothing retired its digest, the ``Message`` was freed,
+    and a later message allocated at the recycled address popped the stale
+    digest — a false ``use-after-isend``.
     """
 
     class _Probe(SimSan):
@@ -424,12 +315,33 @@ class TestFaultedMessageLifetimes:
         assert san.digests_at_finalize == 0
         assert san.report.ok, san.report.summary()
 
-    def test_drop_and_dup_plan_repeated_in_one_process_is_clean(self):
+    def test_drop_and_delay_plan_repeated_in_one_process_is_clean(self):
         from repro.simnet import FaultPlan
 
         san = SimSan()
         for seed in range(48, 53):
-            metrics = self._storm(san, FaultPlan(seed=seed, drop_prob=0.3, dup_prob=0.3))
-            sent = metrics.processes[0]
-            assert sent.messages_dropped > 0 and sent.messages_duplicated > 0
+            metrics = self._storm(san, FaultPlan(seed=seed, drop_prob=0.6, delay_prob=0.3))
+            assert metrics.processes[0].messages_dropped > 0
         assert san.report.ok, san.report.summary()
+
+    def test_an_aborted_run_leaves_notes_not_violations(self):
+        from repro.simnet import FaultPlan, RankCrashedError
+
+        def sender(proc):
+            yield Isend(1, nbytes=64, payload=np.arange(4), tag=7)
+            yield Compute(1.0)
+
+        def receiver(proc):
+            yield Compute(2.0)  # the crash ends the run first
+            yield Recv(src=0)
+
+        san = SimSan()
+        sim = Simulator(2, sanitizer=san, faults=FaultPlan(crashes=((0, 0.5),)))
+        sim.add_process(sender)
+        sim.add_process(receiver)
+        with pytest.raises(RankCrashedError):
+            sim.run()
+        assert san.report.ok, san.report.summary()
+        kinds = [note["kind"] for note in san.report.notes]
+        assert kinds == ["deadlock", "aborted-run-message"]
+        assert san.report.notes[1]["tag"] == 7
