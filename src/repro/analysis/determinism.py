@@ -20,8 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.scratch import ScratchArena
-from ..core.sorter import SortOptions, job_frame, sample_sort_program
+from ..core.sorter import SortJob, SortOptions, sample_sort_program
 from ..pgxd.runtime import KernelPool, Machine, PgxdRuntime
 from ..simnet.engine import ProcessHandle, Simulator
 from ..simnet.metrics import ProcessMetrics
@@ -86,7 +85,7 @@ def capture_sort_fingerprint(
     bounds = [n_keys * i // num_ranks for i in range(num_ranks + 1)]
     blocks = [data[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     options = SortOptions()
-    job = job_frame(blocks)
+    job = SortJob(blocks)
     runtime = PgxdRuntime(num_ranks, trace=True)
     sim = Simulator(num_ranks, runtime.network, trace=True, sanitizer=sanitizer)
 
@@ -94,7 +93,7 @@ def capture_sort_fingerprint(
 
         def bootstrap(proc: ProcessHandle):
             cost = runtime.cost_for_rank(proc.rank)
-            machine = Machine(proc, runtime.config, cost, ScratchArena(), kernels)
+            machine = Machine(proc, runtime.config, cost, kernels)
             return (yield from sample_sort_program(machine, blocks[proc.rank], options, job))
 
         sim.add_program(bootstrap)

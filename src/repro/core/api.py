@@ -34,7 +34,7 @@ from ..simnet.metrics import ClusterMetrics, ProcessMetrics
 from ..simnet.network import NetworkModel
 from .result import SortResult
 from .retry import RetryPolicy, run_with_retry
-from .sorter import RankSortOutput, SortOptions, job_frame, sample_sort_program
+from .sorter import RankSortOutput, SortJob, SortOptions, sample_sort_program
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,7 @@ class DistributedSorter:
             return [self.sort(data) for data in datasets]
         p = self.config.num_processors
         per_dataset = [partition_input(d, p) for d in datasets]
-        jobs = [job_frame(blocks) for blocks, _ in per_dataset]
+        jobs = [SortJob(blocks) for blocks, _ in per_dataset]
         runtime = self.config.runtime()
 
         def program(machine: Machine):
@@ -336,7 +336,7 @@ class DistributedSorter:
 
 def _simulate(config: SortConfig, blocks: Sequence[np.ndarray]) -> RunResult:
     """One simulated run of the six steps over ``blocks``."""
-    job = job_frame(blocks)
+    job = SortJob(blocks)
 
     def program(machine: Machine):
         # Returns the step generator itself (no `yield from` shim): one

@@ -1,0 +1,208 @@
+"""One data path on both substrates: what a job sorts, exchanges and merges.
+
+Which of two things steps 1, 5 and 6 move is one decision per job, taken
+from its key frame (:func:`~repro.core.packsort.derive_key_frame` over
+every block's statistics: the pool allgathers them in step 1, the
+simulator's driver folds them before the run).  Both substrates hand the
+frame, or ``None`` on a miss, to :func:`local_sort` and carry the
+:class:`DataPath` it returns:
+
+* the **word path** — the frame fits, and provenance rides inside the
+  key: each rank sorts unique ``(code, rank, index)`` int64 words.  Steps
+  2–4 read them as :class:`~repro.core.packsort.SortedWords`, never
+  decoded whole; step 5 moves word slices, 8 B/key; step 6 sorts the
+  rank's region of the word stream in place
+  (:func:`~repro.core.packsort.sort_runs_in_place`: words from different
+  ranks compare in the stable merge order, so no permutation exists to
+  apply) and unpacks once into the job's outputs, refilling the two lossy
+  float codes (±0.0, NaN payloads) from the job's input;
+* **keys + perm** — the frame misses, or the codec has no code for the
+  dtype: :func:`~repro.core.steps.sort_block` runs, keys and an int32
+  permutation cross the exchange as two streams, and
+  :func:`~repro.core.steps.merge_received` merges them.
+
+Either way each receiver knows every range size up front (the paper's
+step 5), so a run lands at its final offset in the job's storage and is
+merged there: Axtmann et al.'s move-once rule.  The storage is one
+:class:`JobStorage` layout (:func:`lay_out`): the pool maps it from its
+job's shared-memory leases, the simulator draws it from the job's arena.
+The kernels, :func:`local_sort` and :attr:`DataPath.merge`, are pure: a
+pooled worker calls them inline, the simulator submits them to its run's
+kernel threads.  A path *declares* what a substrate needs to know — the
+roles its step 5 wrote, the bytes each key cost, its label — so nothing
+downstream re-derives the decision.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
+
+import numpy as np
+
+from .packsort import KeyFrame, SortedWords, code_and_stats, has_key_codec
+from .packsort import pack_words, sort_runs_in_place, unpack_words
+from .steps import INDEX_DTYPE, merge_received, sort_block
+
+#: ``local_sort_path`` of the word path, the fastest of the labels.
+THROUGH = "through"
+#: One packed ``(code, rank, index)`` word per key.
+WORD_DTYPE = np.dtype(np.int64)
+#: A key's origin processor.
+PROC_DTYPE = np.dtype(np.int16)
+#: The roles a finished job's result is read from.
+OUTPUT_ROLES = ("keys", "index", "proc")
+
+#: A storage access beyond the streams: ``(role, lo, hi, kind, label)``.
+Access = tuple[str, int, int, str, str]
+
+
+def surfaced_sort_path(label: str) -> str | None:
+    """The label a run report shows: only off the fastest path, so a slow
+    job explains itself and fast reports keep their schema."""
+    return None if label == THROUGH else label
+
+
+class JobStorage(NamedTuple):
+    """One job's storage, one layout on both substrates.
+
+    Each role is an array, or on the pool's driver the lease it is mapped
+    from (:meth:`map`).  Rank ``r``'s region of ``keys``, ``index``,
+    ``proc`` and ``words`` follows every lower rank's: step 5 receives
+    into it, step 6 merges there.
+    """
+
+    #: Where each rank's block starts in ``input``, and where the last ends.
+    block_starts: np.ndarray
+    #: The unsorted input, blocks back to back: the lossy codes' refill source.
+    input: Any
+    keys: Any
+    #: Origin index of each key (:data:`~repro.core.steps.INDEX_DTYPE`).
+    index: Any
+    #: Origin processor of each key (:data:`PROC_DTYPE`).
+    proc: Any
+    #: The word path's step-5 stream, one word per key; ``None`` when the
+    #: codec has no code for the key dtype.
+    words: Any
+
+    def map(self, view: Callable[[Any], Any]) -> "JobStorage":
+        """The same layout with every role passed through ``view``."""
+        roles = [role for role in ("input", *OUTPUT_ROLES, "words") if getattr(self, role) is not None]
+        return self._replace(**{role: view(getattr(self, role)) for role in roles})
+
+
+def _words_alias_keys(dtype: np.dtype) -> bool:
+    """8-byte keys decode in place: their word stream *is* the keys."""
+    return dtype.itemsize == WORD_DTYPE.itemsize
+
+
+def lay_out(
+    block_starts: np.ndarray,
+    dtype,
+    take: Callable[[str, int, np.dtype], Any],
+    retype: Callable[[Any, np.dtype], Any],
+) -> JobStorage:
+    """A job's storage, each role allocated by ``take(role, n, dtype)``;
+    for 8-byte keys the word stream is ``retype(keys, WORD_DTYPE)``, and
+    narrower keys take a stream of their own."""
+    n, dtype = int(block_starts[-1]), np.dtype(dtype)
+    source, keys = take("input", n, dtype), take("keys", n, dtype)
+    index, proc = take("index", n, INDEX_DTYPE), take("proc", n, PROC_DTYPE)
+    words = None
+    if has_key_codec(dtype):
+        alias = _words_alias_keys(dtype)
+        words = retype(keys, WORD_DTYPE) if alias else take("words", n, WORD_DTYPE)
+    return JobStorage(block_starts, source, keys, index, proc, words)
+
+
+@dataclass
+class DataPath:
+    """What one job sorts, exchanges and merges on one rank."""
+
+    #: This rank's ``local_sort_path``: :data:`THROUGH`, or the keys +
+    #: perm step-1 kernel that ran (``"packed"``/``"stable"``).
+    label: str
+    #: What steps 2–4 read (``take``, ``searchsorted``, ``len``, ``dtype``):
+    #: the rank's sorted keys or, on the word path, its sorted words.
+    sorted_block: np.ndarray | SortedWords
+    #: Step 5's streams: ``(role, the job's stream, this rank's sorted
+    #: payload)``; one run per (src, dst) lands in each.
+    streams: list[tuple[str, np.ndarray, np.ndarray]]
+    #: Step 6: ``merge(base, stop, run_lengths)`` merges the rank's region
+    #: ``[base, stop)`` of the streams into the job's outputs and returns
+    #: the accesses made beyond reading and rewriting the streams.
+    merge: Callable[[int, int, list[int]], list[Access]]
+
+    @property
+    def exchanged(self) -> tuple[str, ...]:
+        """The storage roles step 5 writes."""
+        return tuple(role for role, _stream, _payload in self.streams)
+
+    @property
+    def bytes_per_key(self) -> int:
+        return sum(payload.dtype.itemsize for _role, _stream, payload in self.streams)
+
+    def write(self, run: slice, at: int) -> None:
+        """Step 5's one data move: the sorted ``run`` lands at ``at`` in
+        every stream."""
+        for _role, stream, payload in self.streams:
+            stream[at : at + run.stop - run.start] = payload[run]
+
+
+def local_sort(
+    frame: KeyFrame | None,
+    storage: JobStorage,
+    rank: int,
+    block: np.ndarray,
+    words: np.ndarray | None,
+    codes: np.ndarray | None = None,
+) -> DataPath:
+    """Step 1 on one rank: sort ``block``, and return the job's data path.
+
+    With a ``frame`` the block is packed into ``words`` (one int64 per key)
+    and sorted there; ``codes`` are its codes when the caller already
+    coded it into ``words`` (the pool, for the frame's statistics),
+    otherwise it is coded here.  Without one, keys + perm.
+    """
+    if frame is None:
+        return _keys_perm_path(storage, block)
+    if codes is None:
+        codes = code_and_stats(block, words)[0] if block.dtype.kind == "f" else block
+    pack_words(codes, frame, rank, words).sort()
+    return _word_path(frame, storage, words)
+
+
+def _word_path(frame: KeyFrame, storage: JobStorage, words: np.ndarray) -> DataPath:
+    def merge(base, stop, run_lengths):
+        region = storage.words[base:stop]
+        sort_runs_in_place(region, run_lengths, frame.shift)
+        refilled = unpack_words(
+            region, frame, storage.input, storage.block_starts,
+            storage.keys[base:stop], storage.index[base:stop], storage.proc[base:stop],
+        )
+        accesses = [
+            ("index", base, stop, "w", "index-write"),
+            ("proc", base, stop, "w", "proc-write"),
+            ("keys", base, stop, "w", "key-write"),
+        ]
+        if refilled:
+            accesses.append(("input", 0, len(storage.input), "r", "refill-read"))
+        return accesses
+
+    role = "keys" if _words_alias_keys(storage.keys.dtype) else "words"
+    sorted_words = SortedWords(words, frame, storage.input, storage.block_starts)
+    return DataPath(THROUGH, sorted_words, [(role, storage.words, words)], merge)
+
+
+def _keys_perm_path(storage: JobStorage, block: np.ndarray) -> DataPath:
+    sorted_keys, perm, label = sort_block(block)
+
+    def merge(base, stop, run_lengths):
+        merge_received(
+            storage.keys[base:stop], storage.index[base:stop], storage.proc[base:stop],
+            run_lengths,
+        )
+        return [("proc", base, stop, "w", "proc-write")]
+
+    streams = [("keys", storage.keys, sorted_keys), ("index", storage.index, perm)]
+    return DataPath(label, sorted_keys, streams, merge)

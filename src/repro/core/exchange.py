@@ -13,26 +13,24 @@ origin-index chunks as non-blocking sends before draining a single receive.
 Key chunks and index chunks use distinct tags so the two streams reassemble
 independently.
 
-Both streams are charged as the paper's records (key itemsize + a 4-byte
-origin index per key).  On the word path (the block is
-:class:`~repro.core.packsort.SortedWords`) the packed words ride the key
-messages and the index messages carry only their charged size.
+What moves is the job's :class:`~repro.core.datapath.DataPath`: its
+payloads ride the key messages (keys, or packed words) and the index
+messages (the permutation; on the word path nothing).  Both are charged
+as the paper's records (key itemsize + a 4-byte origin index per key)
+whichever path runs, so the word path's index messages carry only their
+charged size.
 
 Reassembly is offset-addressed, as in the paper's step 5: the counts matrix
-fixes each source's region in one receive buffer per real stream (keys and
-origin indices, or words) before any data arrives.  Chunks from one source
-arrive in FIFO order, so the drain loop only collects them per source and
-each stream is assembled with one ``np.concatenate(..., out=buffer)``.
-Keys + perm buffers come from the machine's scratch arena, so repeated
-sorts reuse the same storage.  The word path receives into a caller-given
-stream instead — the job's, one int64 word per key of the whole job — at
-the rank's output region, so the words land once where step 6 sorts and
-decodes them (for 8-byte keys the stream *is* the output keys).  Each
-source's region is a sorted slice of the sender's locally sorted data,
-and the regions sit back to back in source order — exactly the layout the
-step-6 kernels consume without any further copying.  One buffer per
-stream means one dtype per stream: blocks of different dtypes are
-promoted before the sort starts
+fixes each source's region before any data arrives.  Chunks from one
+source arrive in FIFO order, so the drain loop only collects them per
+source and each stream is assembled with one ``np.concatenate(...,
+out=buffer)``, where the buffer is the rank's region of the path's
+job-wide stream — everything ranks below it receive comes first — so a
+key lands once, where step 6 merges it.  Each source's region is a sorted
+slice of the sender's locally sorted data, and the regions sit back to
+back in source order — exactly the layout the step-6 kernels consume
+without any further copying.  One stream means one dtype per stream:
+blocks of different dtypes are promoted before the sort starts
 (:meth:`repro.core.api.DistributedSorter.sort_partitioned`), and a sender
 whose dtype still differs is rejected rather than silently cast.
 """
@@ -49,8 +47,7 @@ from ..pgxd.config import PgxdConfig
 from ..simnet.calls import Compute, Isend, Mark, Message, Recv, Send
 from ..simnet.collectives import allgather
 from ..simnet.engine import ProcessHandle
-from .packsort import SortedWords
-from .scratch import ScratchArena
+from .datapath import DataPath
 from .steps import INDEX_DTYPE, BlockPartition
 
 TAG_KEYS = 201
@@ -70,8 +67,7 @@ class ExchangeResult:
     #: counts_matrix[src][dst] = keys sent from src to dst (global view).
     counts_matrix: np.ndarray
     #: All received keys (words, on the word path) back to back in source
-    #: order (a scratch lease — valid until the arena is released — or the
-    #: rank's region of the caller's ``stream``).
+    #: order: the rank's region of the path's first stream.
     key_buffer: np.ndarray
     #: Origin indices aligned with ``key_buffer``; ``None`` on the word path.
     index_buffer: np.ndarray | None
@@ -97,43 +93,30 @@ def _pending_chunks(recv_counts: np.ndarray, rank: int, itemsizes, config: PgxdC
 
 def exchange_partitions(
     machine_proc: ProcessHandle,
-    sorted_keys: np.ndarray | SortedWords,
-    origin_index: np.ndarray | None,
+    path: DataPath,
     partition: BlockPartition,
     config: PgxdConfig,
     *,
     copy_seconds_per_byte: float = 0.0,
-    scratch: ScratchArena | None = None,
-    stream: np.ndarray | None = None,
 ) -> Generator:
     """Run the step-5 exchange; returns an :class:`ExchangeResult`.
 
-    ``sorted_keys``/``origin_index`` are this rank's step-1 output (on the
-    word path, its words and ``None``);
-    ``partition`` is its step-4 outcome (slices and counts per destination).
-    ``copy_seconds_per_byte`` charges the receiver-side copy of each
-    arriving chunk to its precomputed offset
-    (writing "by applying offsets for each received data entry") — with
-    asynchronous sends these copies overlap the senders' serialization,
-    with blocking sends they queue after it, which is the measurable gain
-    of PGX.D's asynchronous task execution.  The receive buffers come
-    from ``scratch`` (the caller releases the arena once the merged result
-    no longer references them) — or, on the word path, from ``stream``:
-    the job-wide word stream, of which this rank receives into its output
-    region (everything ranks below it receive comes first).  Generator —
-    must be driven by the simulator (``yield from``).
+    ``path`` is this rank's step-1 outcome (its sorted payloads and the
+    job's streams they land in); ``partition`` is its step-4 outcome
+    (slices and counts per destination).  ``copy_seconds_per_byte``
+    charges the receiver-side copy of each arriving chunk to its
+    precomputed offset (writing "by applying offsets for each received
+    data entry") — with asynchronous sends these copies overlap the
+    senders' serialization, with blocking sends they queue after it, which
+    is the measurable gain of PGX.D's asynchronous task execution.
+    Generator — must be driven by the simulator (``yield from``).
     """
     rank, size = machine_proc.rank, machine_proc.size
-    # The inline send fast path below hands slices straight to the wire, so
-    # normalize layout once here (a no-op for the sorter's own arrays)
-    # rather than per destination inside send_array.
-    if isinstance(sorted_keys, SortedWords):
-        key_itemsize, idx_itemsize = sorted_keys.dtype.itemsize, INDEX_DTYPE.itemsize
-        sorted_keys = sorted_keys.words
-    else:
-        sorted_keys = np.ascontiguousarray(sorted_keys)
-        origin_index = np.ascontiguousarray(origin_index)
-        key_itemsize, idx_itemsize = sorted_keys.dtype.itemsize, origin_index.dtype.itemsize
+    key_itemsize, idx_itemsize = path.sorted_block.dtype.itemsize, INDEX_DTYPE.itemsize
+    # One (payload, receive stream) per tag, keys then indexes; the word
+    # path's index messages are charged, never carried.
+    carried = [(payload, stream) for _role, stream, payload in path.streams]
+    carried += [(None, None)] * (2 - len(carried))
     out_slices, counts = partition.slices, partition.counts
     # Size announcement: every rank learns the full counts matrix.
     # The Marks trace the exchange's three sub-phases (nested inside the
@@ -157,8 +140,8 @@ def exchange_partitions(
     # thousands of dataclass constructions per run (the reuse license is
     # spelled out in the calls-module contract).
     streams = [
-        (sorted_keys, key_itemsize, send_cls(dst=rank, nbytes=0, tag=TAG_KEYS)),
-        (origin_index, idx_itemsize, send_cls(dst=rank, nbytes=0, tag=TAG_INDEX)),
+        (carried[0][0], key_itemsize, send_cls(dst=rank, nbytes=0, tag=TAG_KEYS)),
+        (carried[1][0], idx_itemsize, send_cls(dst=rank, nbytes=0, tag=TAG_INDEX)),
     ]
     yield Mark("exchange:send")
     for offset in range(1, size):
@@ -216,34 +199,29 @@ def exchange_partitions(
                 comp = charge_for[nb] = Compute(nb * copy_seconds_per_byte)
             yield comp
     yield Mark("exchange:drain", event="end")
-    # Runs become views into the stream buffers (possibly scratch leases —
-    # the caller releases them after the step-6 merge, whose kernels always
-    # return fresh arrays).  ``concatenate(out=)`` also enforces the
-    # announced totals: a short or long stream is a shape error.
+    # Runs become views into the rank's region of each stream.
+    # ``concatenate(out=)`` also enforces the announced totals: a short or
+    # long stream is a shape error.
     bounds = run_offsets.tolist()
+    base = int(counts_matrix[:, :rank].sum())
     buffers, runs = [None, None], [None, None]
-    for i, (array, parts) in enumerate(((sorted_keys, key_parts), (origin_index, idx_parts))):
+    for i, ((array, stream), parts) in enumerate(zip(carried, (key_parts, idx_parts))):
         if array is None:  # charged, never carried
             continue
         # The local partition is a run like any other; it skips the network.
         parts[rank].append(array[out_slices[rank]])
         # Every chunk from one source views one sender-side array, so a
-        # dtype mismatch with the receive buffer is a whole-source property,
+        # dtype mismatch with the stream is a whole-source property,
         # visible on the first chunk; ``concatenate(out=)`` would cast it
         # silently.
         for src, chunks in enumerate(parts):
-            if chunks and chunks[0].dtype != array.dtype:
+            if chunks and chunks[0].dtype != stream.dtype:
                 raise TypeError(
                     f"rank {rank} receives {chunks[0].dtype} from rank {src} "
-                    f"into a {array.dtype} stream; promote the blocks to one dtype "
+                    f"into a {stream.dtype} stream; promote the blocks to one dtype "
                     "before sorting (DistributedSorter.sort_partitioned does)"
                 )
-        if stream is not None:
-            base = int(counts_matrix[:, :rank].sum())
-            buffer = stream[base : base + total]
-        else:
-            buffer = (np.empty if scratch is None else scratch.take)(total, array.dtype)
-        buffers[i] = buffer
+        buffer = buffers[i] = stream[base : base + total]
         np.concatenate([p for chunks in parts for p in chunks], out=buffer)
         runs[i] = [buffer[bounds[s] : bounds[s + 1]] for s in range(size)]
     return ExchangeResult(runs[0], runs[1], counts_matrix, *buffers, run_offsets)

@@ -11,9 +11,9 @@ computed arithmetically from the chunk lengths
 (:func:`repro.core.balanced_merge.merge_levels`).  The *real data plane* is
 flat: stable chunk sorts composed with the stable pairwise handler equal
 one stable sort of the whole block (ties resolve to original order either
-way), so the block is sorted by a single C-speed pass: its packed words
-(:meth:`repro.core.sorter.JobFrame.sort`) when the job's key frame fits,
-its keys and permutation (:func:`repro.core.steps.sort_block`) otherwise.
+way), so the block is sorted by a single C-speed pass,
+:func:`repro.core.datapath.local_sort`: its packed words when the job's
+key frame fits, its keys and permutation otherwise.
 """
 
 from __future__ import annotations

@@ -61,14 +61,15 @@ arithmetic shift, which is what lets integral, low-precision and
 float32-valued float64 keys fit.  Full-mantissa float64, uint64 ≥ 2^63
 and every other dtype kind do not fit.
 
-Both substrates run the multi-block case, the *word path*: steps 2–4
-read the sorted words, step 5 moves them, step 6 sorts the received runs
-in place (:func:`sort_runs_in_place`) and unpacks once.  The pool
-allgathers the frame's statistics in step 1; the simulator's driver
-folds them before the run (:func:`repro.core.sorter.job_frame`).  The
-single-block case (``rank_bits = 0``), :func:`packed_stable_sort`, serves
-their keys + perm fallback: on a decline :func:`stable_sort_with_order`
-runs the plain stable argsort, with bit-identical output.
+Both substrates run the multi-block case, the *word path*, through
+:mod:`repro.core.datapath`: steps 2–4 read the sorted words, step 5 moves
+them, step 6 sorts the received runs in place (:func:`sort_runs_in_place`)
+and unpacks once.  The pool allgathers the frame's statistics in step 1;
+the simulator's driver folds them before the run
+(:class:`repro.core.sorter.SortJob`).  The single-block case
+(``rank_bits = 0``), :func:`packed_stable_sort`, serves their keys + perm
+fallback: on a decline :func:`stable_sort_with_order` runs the plain
+stable argsort, with bit-identical output.
 """
 
 from __future__ import annotations

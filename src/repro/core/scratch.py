@@ -1,35 +1,30 @@
 """Reusable scratch buffers for the sort data plane.
 
-The real data movement of the sort (receive-buffer reassembly, merge
-temporaries, provenance staging) used to allocate fresh numpy arrays on
-every call, so a p-rank sort paid O(p) allocator round-trips per machine
-per dataset.  A :class:`ScratchArena` keeps a small pool of dtype-keyed
-blocks alive on each :class:`~repro.pgxd.runtime.Machine`: temporaries are
-*leased* as views of cached blocks and returned wholesale with
-:meth:`ScratchArena.release_all` once the step that needed them is done.
-Blocks grow geometrically, so steady-state operation performs no allocator
-calls at all.
+Fresh numpy arrays per job fault fresh pages on every sort.  A
+:class:`ScratchArena` keeps a small pool of dtype-keyed blocks alive:
+temporaries are *leased* as views of cached blocks and returned wholesale
+with :meth:`ScratchArena.release_all`.  Blocks grow geometrically, so
+steady-state operation performs no allocator calls at all.
 
-Arenas outlive runs.  :data:`ARENAS` is the process's free list: a
-simulated run checks out one arena per machine and checks them back in
-when it ends, so repeated sorts — every dataset of ``sort_multi``, and
-every separate ``distributed_sort`` of a sweep — reuse warm storage
-instead of faulting fresh pages.  A checked-out arena belongs to exactly
-one machine, or one job, of one run; a run started meanwhile (nested, or
-on another thread) checks out different arenas.
+Arenas outlive runs.  :data:`ARENAS` is the process's free list, so
+repeated sorts — every dataset of ``sort_multi``, and every separate
+``distributed_sort`` of a sweep — reuse warm storage instead of faulting
+fresh pages.  A checked-out arena belongs to exactly one job of one run; a
+run started meanwhile (nested, or on another thread) checks out different
+arenas.
 
 Leases are views of shared storage: anything that outlives the arena cycle
 (returned keys, stored provenance) must be a fresh array, never a lease —
-the next run that checks the arena out writes over it.  Two lifetimes use
-them.  A machine's leases (the keys + perm path's receive buffers and
-merge temporaries) live from step 5 to the end of step 6, where the
-machine program calls ``release_all``.  A word-path *job* leases its own
-arena (:class:`~repro.core.sorter.JobFrame`): its step-1 words, its
-receive stream when keys are narrower than 8 bytes, and the float refill
-source, checked out at the job's first step 1 through the run's
+the next run that checks the arena out writes over it.  They have one
+lifetime, the job's: a simulated word-path job
+(:class:`~repro.core.sorter.SortJob`) leases its step-1 words, its word
+stream when keys are narrower than 8 bytes, and the float refill source,
+checked out at the job's first step 1 through the run's
 :class:`~repro.pgxd.runtime.KernelPool` and checked in once every rank's
 step-6 kernel finished.  Peers read a job's sends from that job's storage,
-so a slow rank in ``sort_multi`` can never see the next job's words.
+so a slow rank in ``sort_multi`` can never see the next job's words.  A
+pooled worker's private arena holds its step-1 words for one job at a
+time, too.
 """
 
 from __future__ import annotations
@@ -107,12 +102,10 @@ class ScratchArena:
 class ArenaPool:
     """Free list of arenas shared by every run in the process.
 
-    ``checkout(count)`` hands out ``count`` arenas no one else holds (warm
-    ones first, fresh ones when the list runs dry); ``checkin`` releases
-    their leases and returns them.  The list is a stack and ``checkin``
-    pushes in reverse, so a run that checks in what it checked out leaves
-    the list as it found it: the next run of the same shape gets the same
-    arena on the same rank, sized for exactly its leases.  ``list.pop`` and
+    ``checkout`` hands out an arena no one else holds (the last one checked
+    in, or a fresh one when the list runs dry); ``checkin`` releases its
+    leases and returns it, so the next job of the same shape gets an arena
+    already sized for exactly its leases.  ``list.pop`` and
     ``list.append`` are atomic, so runs on different threads never draw
     the same arena.
     """
@@ -121,21 +114,17 @@ class ArenaPool:
         #: Checked-in arenas; the last one is handed out first.
         self.idle: list[ScratchArena] = []
 
-    def checkout(self, count: int) -> list[ScratchArena]:
-        return [self._pop() for _ in range(count)]
-
-    def checkin(self, arenas: list[ScratchArena]) -> None:
-        for arena in reversed(arenas):
-            arena.release_all()
-            self.idle.append(arena)
-
-    def _pop(self) -> ScratchArena:
+    def checkout(self) -> ScratchArena:
         try:
             return self.idle.pop()
         except IndexError:
             return ScratchArena()
 
+    def checkin(self, arena: ScratchArena) -> None:
+        arena.release_all()
+        self.idle.append(arena)
 
-#: The process's arena pool; :class:`~repro.pgxd.runtime.PgxdRuntime` leases
-#: every machine's scratch from it.
+
+#: The process's arena pool; :class:`~repro.pgxd.runtime.KernelPool` lends
+#: every simulated job's storage from it.
 ARENAS = ArenaPool()

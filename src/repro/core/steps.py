@@ -3,8 +3,9 @@
 One body per step — :func:`sort_block` (1), :func:`draw_samples` (2),
 :func:`agree_splitters` (3), :func:`partition_block` (4; 2–4 read sorted
 keys and packed words alike), :func:`merge_received` (6); step 5 is pure
-movement, and the word path's steps 1 and 6 are :mod:`repro.core.packsort`
-kernels.  They hold no clocks and
+movement, the word path's steps 1 and 6 are :mod:`repro.core.packsort`
+kernels, and :mod:`repro.core.datapath` says which run.  They hold no
+clocks and
 move no data between ranks — the simulated sorter and the process pool
 supply movement, timing and hooks around them.  The
 oracle (:mod:`repro.core.local_backend`) calls the step 2–4 kernels too,
@@ -18,11 +19,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ..pgxd.config import PgxdConfig
-from .balanced_merge import MergeOutcome, flat_kway_merge
+from .balanced_merge import flat_kway_merge
 from .investigator import compute_rank_cuts, slices_from_cuts
 from .packsort import SortedWords, stable_sort_with_order
 from .sampling import sample_count, select_regular_samples
-from .scratch import ScratchArena
 from .splitters import merge_samples, select_splitters
 
 #: A key's origin index on both paths: local indexes stay below 2^31 at
@@ -86,31 +86,23 @@ def partition_block(
 
 
 def merge_received(
-    key_buffer: np.ndarray,
-    index_buffer: np.ndarray,
+    keys: np.ndarray,
+    index: np.ndarray,
+    proc: np.ndarray,
     run_lengths: Sequence[int],
-    balanced: bool,
-    *,
-    scratch: ScratchArena | None = None,
-) -> MergeOutcome:
-    """Step 6 of the keys + perm path: merge the received runs.
+) -> None:
+    """Step 6 of the keys + perm path: merge the received runs where they lie.
 
-    ``key_buffer`` holds one sorted run per source back to back
-    (``run_lengths``), ``index_buffer`` the origin indices aligned with it.
-    The origin-processor column — constant over each run: run ``i`` came
-    from rank ``i`` — is built here and nowhere else.  The outcome's ``aux``
-    is ``[origin_index, origin_proc]``, never aliasing the inputs or
-    ``scratch``.
+    ``keys`` holds one sorted run per source back to back (``run_lengths``),
+    ``index`` the origin indices aligned with it.  ``proc`` receives the
+    origin-processor column — constant over each run: run ``i`` came from
+    rank ``i`` — built here and nowhere else; all three are then rewritten
+    in merged order.
     """
-    n = len(key_buffer)
-    proc_col = (
-        scratch.take(n, np.int16) if scratch is not None else np.empty(n, np.int16)
-    )
     lo = 0
     for i, length in enumerate(run_lengths):
-        proc_col[lo : lo + length] = i
+        proc[lo : lo + length] = i
         lo += length
-    return flat_kway_merge(
-        key_buffer, run_lengths, [index_buffer, proc_col], balanced=balanced
-    )
+    outcome = flat_kway_merge(keys, run_lengths, [index, proc])
+    keys[:], index[:], proc[:] = outcome.keys, *outcome.aux
 

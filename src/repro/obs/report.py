@@ -82,11 +82,11 @@ class RankReport:
     #: None on fault-free runs — the key is then absent from the JSON, so
     #: golden report snapshots predating fault injection stay bit-identical.
     faults: dict[str, Any] | None = None
-    #: Why this process-backend rank was off the fastest path:
+    #: Why this rank, on either substrate, was off the fastest path:
     #: ``"packed"`` (the job's key frame did not fit: keys + perm were
     #: exchanged and k-way merged) or ``"stable"`` (step 1 also ran the
     #: stable argsort).  None — key absent from the JSON, like ``faults``
-    #: — on the word path and under simnet.
+    #: — on the word path.
     local_sort_path: str | None = None
 
 

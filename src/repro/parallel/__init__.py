@@ -14,9 +14,9 @@ Layout:
   bcast / allgather with a liveness-watching driver hub;
 * :mod:`repro.parallel.worker` — the persistent per-rank job loop: one
   function per step, the zero-copy shm all-to-all exchange, the warm
-  segment cache;
-* :mod:`repro.parallel.datapath` — what a job sorts, exchanges and merges
-  (packed words / keys + perm), chosen once in step 1;
+  segment cache; what a job sorts, exchanges and merges (packed words /
+  keys + perm) is :mod:`repro.core.datapath`'s, shared with simnet, over
+  views of the job's leases;
 * :mod:`repro.parallel.splitter_cache` — the splitter-cache protocol:
   the driver's :class:`SplitterCache` and the workers' probe;
 * :mod:`repro.parallel.backend` — the backend abstraction

@@ -39,12 +39,12 @@ from __future__ import annotations
 import multiprocessing
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from ..core.packsort import has_key_codec
+from ..core.datapath import OUTPUT_ROLES, JobStorage, lay_out
 from ..core.retry import RetryPolicy, run_with_retry
 from ..core.sorter import STEP_LABELS, SortOptions
 from ..obs.context import active_capture
@@ -138,54 +138,21 @@ class ExecutionBackend(Protocol):
     ) -> "BackendRun": ...
 
 
-@dataclass(frozen=True)
-class JobLeases:
-    """One job's arena leases (the :class:`JobSpec` fields of the same
-    names say what each carries): allocated, and ShmSan-registered, here."""
-
-    input: ShmLease
-    keys: ShmLease
-    index: ShmLease
-    proc: ShmLease
-    words: ShmLease | None
-
-    @classmethod
-    def allocate(cls, arena: SharedArena, n: int, key_dtype: np.dtype) -> "JobLeases":
-        input_lease = arena.lease(n, key_dtype)
-        key_lease = arena.lease(n, key_dtype)
-        index_lease = arena.lease(n, np.int32)
-        proc_lease = arena.lease(n, np.int16)
-        # The word path's exchange stream: 8-byte keys decode in place, so
-        # their word stream *is* the key lease under an int64 view; narrower
-        # keys get a segment of their own.
-        word_lease = None
-        if has_key_codec(key_dtype):
-            if key_dtype.itemsize == 8:
-                word_lease = replace(key_lease, dtype=np.dtype(np.int64))
-            else:
-                word_lease = arena.lease(n, np.int64)
-        return cls(input_lease, key_lease, index_lease, proc_lease, word_lease)
-
-    def outputs(self) -> dict[str, ShmLease]:
-        """The leases a finished job's result is read from, by role."""
-        return {"keys": self.keys, "index": self.index, "proc": self.proc}
-
-    def register(self, san: ShmSan, *, double_lease: bool) -> None:
-        """Open a sanitized run over these leases."""
-        san.begin_run()
-        san.register_lease("input", self.input)
-        for role, lease in self.outputs().items():
-            san.register_lease(role, lease)
-        if self.words is not None and self.words.name != self.keys.name:
-            san.register_lease("words", self.words)
-        if double_lease:
-            # Seeded invariant break: hand out a second lease aliasing
-            # the key segment, as if the arena double-booked it — the
-            # lease-lifetime check must flag the overlap on sight.
-            san.register_lease(
-                "double-lease-alias",
-                ShmLease(name=self.keys.name, dtype=np.int32, length=self.keys.length),
-            )
+def _register_leases(san: ShmSan, leases: JobStorage, *, double_lease: bool) -> None:
+    """Open a sanitized run over one job's leases."""
+    san.begin_run()
+    for role in ("input", *OUTPUT_ROLES):
+        san.register_lease(role, getattr(leases, role))
+    if leases.words is not None and leases.words.name != leases.keys.name:
+        san.register_lease("words", leases.words)
+    if double_lease:
+        # Seeded invariant break: hand out a second lease aliasing
+        # the key segment, as if the arena double-booked it — the
+        # lease-lifetime check must flag the overlap on sight.
+        san.register_lease(
+            "double-lease-alias",
+            ShmLease(name=leases.keys.name, dtype=np.int32, length=leases.keys.length),
+        )
 
 
 class ProcessBackend:
@@ -581,9 +548,8 @@ class ProcessBackend:
         """
         size = len(blocks)
         key_dtype = blocks[0].dtype
-        lengths = [len(b) for b in blocks]
-        n = sum(lengths)
-        bounds = tuple(np.concatenate(([0], np.cumsum(lengths))).tolist())
+        bounds = np.cumsum([0, *map(len, blocks)], dtype=np.int64)
+        n = int(bounds[-1])
 
         # An ambient obs capture turns tracing on; untraced runs skip the
         # handshake and ship no event payloads (the guard pattern).
@@ -609,9 +575,14 @@ class ProcessBackend:
             # flag the overlap on sight.
             for seg in self.arena._segments:
                 seg.leased = 0
-        leases = JobLeases.allocate(self.arena, n, key_dtype)
+        leases = lay_out(
+            bounds,
+            key_dtype,
+            lambda _role, length, dtype: self.arena.lease(length, dtype),
+            lambda lease, dtype: replace(lease, dtype=dtype),
+        )
         if san is not None:
-            leases.register(san, double_lease=self._mutate == "double-lease")
+            _register_leases(san, leases, double_lease=self._mutate == "double-lease")
         input_view = self.arena.view(leases.input)
         for rank, block in enumerate(blocks):
             input_view[bounds[rank] : bounds[rank + 1]] = block
@@ -622,12 +593,7 @@ class ProcessBackend:
 
         spec = JobSpec(
             size=size,
-            block_bounds=bounds,
-            input_lease=leases.input,
-            key_lease=leases.keys,
-            index_lease=leases.index,
-            proc_lease=leases.proc,
-            word_lease=leases.words,
+            leases=leases,
             options=options,
             config=config,
             trace=cap is not None,
@@ -670,7 +636,8 @@ class ProcessBackend:
                     )
                 raise
             wall = time.perf_counter() - start  # repro: noqa[R002] — real backend: the driver wall clock is the makespan
-            run = collect_run(self, reports, leases.outputs(), wall, san)
+            outputs = {role: getattr(leases, role) for role in OUTPUT_ROLES}
+            run = collect_run(self, reports, outputs, wall, san)
         except BaseException:
             # Any failure poisons the generation: survivors may be wedged
             # mid-collective with stale replies queued on their pipes, so

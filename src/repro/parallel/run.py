@@ -14,10 +14,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..core.datapath import surfaced_sort_path
 from ..core.provenance import Provenance
 from ..core.sorter import RankSortOutput
 from .arena import ShmLease
-from .datapath import surfaced_sort_path
 from .layout import exchange_layout
 from .shmsan import ShmSan
 from .tracing import merge_worker_traces

@@ -13,7 +13,7 @@ are **bit-identical** to it and to the reference backend.
 (:class:`_Job`) that owns the hooks at the step edges — heartbeat and
 chaos, the step clock, the ShmSan recorder, the tracer.  *What* is sorted,
 exchanged and merged — packed words, or keys + perm — is the job's
-:class:`~repro.parallel.datapath.DataPath`, chosen once in step 1;
+:class:`~repro.core.datapath.DataPath`, chosen once in step 1;
 *where* every (src, dst) run lands in shared memory is
 :mod:`repro.parallel.layout`'s to say; workers never write the input.
 
@@ -50,13 +50,14 @@ from multiprocessing.connection import Connection
 import numpy as np
 
 from ..checks.hb import KEYS_AND_PERM
+from ..core.datapath import THROUGH, WORD_DTYPE, DataPath, JobStorage, local_sort
+from ..core.packsort import code_and_stats, derive_key_frame
 from ..core.scratch import ScratchArena
 from ..core.sorter import MASTER, STEP_LABELS, SortOptions
 from ..core.steps import BlockPartition, agree_splitters, draw_samples, partition_block
 from ..pgxd.config import PgxdConfig
 from .arena import ShmLease
 from .collectives import WorkerLink
-from .datapath import THROUGH, DataPath, JobViews, choose_data_path
 from .layout import ExchangeLayout, exchange_layout
 from .shmsan import AccessRecorder
 from .splitter_cache import combine_sample_fingerprint, probe_candidates, sample_digest
@@ -68,21 +69,10 @@ class JobSpec:
     """Everything a worker needs for one sort, picklable, sent per job."""
 
     size: int
-    #: Prefix bounds of each rank's block in the input lease (size+1).
-    block_bounds: tuple[int, ...]
-    input_lease: ShmLease
-    #: Output stream for keys; also the exchange stream off the word path.
-    key_lease: ShmLease
-    #: Output stream for origin indices; also an exchange stream on the
-    #: keys + perm fallback path.
-    index_lease: ShmLease
-    #: Output stream for origin processors.
-    proc_lease: ShmLease
-    #: Exchange stream of packed int64 words; None when the job cannot
-    #: take the word path at all (a key dtype the codec declines).  For
-    #: 8-byte keys it aliases :attr:`key_lease` — the merged words are
-    #: decoded to keys in place — narrower keys get a segment of their own.
-    word_lease: ShmLease | None
+    #: The job's storage as arena leases (the input staged, the outputs
+    #: and word stream to be written), in the one layout of
+    #: :func:`~repro.core.datapath.lay_out`.
+    leases: JobStorage
     options: SortOptions
     config: PgxdConfig
     #: Record a :class:`~repro.parallel.tracing.WorkerTrace` (set by the
@@ -159,7 +149,7 @@ class WorkerReport:
     #: this rank's own block still took the packed step-1 sort;
     #: ``"stable"`` — the several-times-slower stable-argsort step 1
     #: (:func:`~repro.core.packsort.stable_sort_with_order`).  The label of
-    #: the job's :class:`~repro.parallel.datapath.DataPath`, which also
+    #: the job's :class:`~repro.core.datapath.DataPath`, which also
     #: declares the two fields below — read those, not the label.
     local_sort_path: str = THROUGH
     #: Lease roles the job's step 5 wrote (ShmSan expects every run there).
@@ -204,8 +194,8 @@ class _Job:
     """One job on one rank: the state and the hooks the step functions share
     (heartbeat + chaos, the step clock, the ShmSan recorder, the tracer)."""
 
-    def __init__(self, rank, plan: JobSpec, link: WorkerLink, segments, scratch):
-        self.rank, self.plan, self.link, self.scratch = rank, plan, link, scratch
+    def __init__(self, rank, plan: JobSpec, link: WorkerLink, segments):
+        self.rank, self.plan, self.link = rank, plan, link
         self.report = WorkerReport(
             rank=rank,
             counts_row=np.zeros(plan.size, dtype=np.int64),
@@ -227,20 +217,13 @@ class _Job:
             trace = self.tracer.trace
             trace.clock_offset, trace.clock_rtt = estimate_clock_offset(link.probe)
             link.barrier()
-        self.views = JobViews(
-            *(
-                segments.view(lease) if lease is not None else None
-                for lease in (
-                    plan.input_lease, plan.key_lease, plan.index_lease,
-                    plan.proc_lease, plan.word_lease,
-                )
-            )
-        )
+        self.views = plan.leases.map(segments.view)
 
-    def record(self, lease, lo, hi, kind, step, label, dst=None) -> None:
+    def record(self, role, lo, hi, kind, step, label, dst=None) -> None:
         if self.recorder is not None:
             self.recorder.record(
-                lease, lo, hi, kind, step, self.link.epoch, label, dst=dst
+                getattr(self.plan.leases, role), lo, hi, kind, step,
+                self.link.epoch, label, dst=dst,
             )
 
     def _mark(self) -> None:
@@ -284,6 +267,23 @@ class _Job:
         if self.tracer is not None:
             report.trace = self.tracer.trace
         return report
+
+
+def _local_sort(job: _Job, block: np.ndarray, scratch: ScratchArena) -> DataPath:
+    """Step 1: the job's data path is chosen here, once; choosing sorts.
+
+    Every rank takes the same branch: the frame comes from the same
+    gathered statistics (one allgather, waited inside step 1).  The one
+    block-sized step-1 temporary comes from the worker's warm scratch
+    pool — fresh pages per job would be the op's largest page-fault bill —
+    and holds the codes, then the words, then the sorted words.
+    """
+    frame = words = codes = None
+    if job.views.words is not None:
+        words = scratch.take(len(block), WORD_DTYPE)
+        codes, stats = code_and_stats(block, words)
+        frame = derive_key_frame(job.link.allgather(stats), block.dtype, job.plan.size)
+    return local_sort(frame, job.views, job.rank, block, words, codes)
 
 
 def _sampling(job: _Job, path: DataPath) -> tuple[np.ndarray, np.ndarray | None]:
@@ -347,7 +347,7 @@ def _exchange(job: _Job, path: DataPath, part: BlockPartition) -> ExchangeLayout
         # off its counts-derived home (into a neighbour's run, or backwards
         # at the stream's end) — the overlap ShmSan's offset and race
         # checks must catch.
-        stream_len = len(path.streams[0][0])
+        stream_len = len(path.streams[0][1])
         for i, (dst, sl, pos) in enumerate(writes):
             shift = 1 if pos + (sl.stop - sl.start) < stream_len else -1
             if pos + shift >= 0:
@@ -357,9 +357,9 @@ def _exchange(job: _Job, path: DataPath, part: BlockPartition) -> ExchangeLayout
     for dst, sl, pos in writes:
         end = pos + (sl.stop - sl.start)
         t_w0 = time.perf_counter() if tracer is not None else 0.0  # repro: noqa[R002] — real backend: measured flow timing is the product
-        for stream, lease, payload in path.streams:
-            stream[pos:end] = payload[sl]
-            job.record(lease, pos, end, "w", 5, "exchange-write", dst=dst)
+        path.write(sl, pos)
+        for role in path.exchanged:
+            job.record(role, pos, end, "w", 5, "exchange-write", dst=dst)
         if tracer is not None:
             tracer.flow(
                 dst,
@@ -389,10 +389,10 @@ def _merge(job: _Job, path: DataPath, layout: ExchangeLayout) -> None:
     accesses = path.merge(base, stop, layout.counts[:, job.rank].tolist())
     if job.recorder is not None:
         for kind, label in (("r", "merge-read"), ("w", "merge-write")):
-            for _stream, lease, _payload in path.streams:
-                job.record(lease, base, stop, kind, 6, label)
-        for lease, lo, hi, kind, label in accesses:
-            job.record(lease, lo, hi, kind, 6, label)
+            for role in path.exchanged:
+                job.record(role, base, stop, kind, 6, label)
+        for role, lo, hi, kind, label in accesses:
+            job.record(role, lo, hi, kind, 6, label)
 
 
 def _run_six_steps(
@@ -402,13 +402,12 @@ def _run_six_steps(
     segments: SegmentCache,
     scratch: ScratchArena,
 ) -> WorkerReport:
-    job = _Job(rank, plan, link, segments, scratch)
-    lo, hi = plan.block_bounds[rank], plan.block_bounds[rank + 1]
+    job = _Job(rank, plan, link, segments)
+    lo, hi = plan.leases.block_starts[rank : rank + 2].tolist()
     block = job.views.input[lo:hi]
-    job.record(plan.input_lease, lo, hi, "r", 1, "input-read")
+    job.record("input", lo, hi, "r", 1, "input-read")
     job.enter(0, len(block))
-    # Step 1 — the job's data path is chosen here, once; choosing sorts.
-    path = choose_data_path(plan, rank, link, job.views, block, scratch)
+    path = _local_sort(job, block, scratch)
     rows = len(path.sorted_block)
     job.enter(1, rows)
     samples, splitters = _sampling(job, path)

@@ -9,19 +9,17 @@ PGX.D managers (task, data) and configuration.
 The distributed sorting algorithm (:mod:`repro.core`) and all baselines run
 as programs on this runtime.
 
-A run owns nothing after it returns: no storage and no threads.  Each
-machine's scratch arena is checked out of the process-wide
-:data:`repro.core.scratch.ARENAS` pool for the duration of ``sim.run()``
-and checked back in (leases released) when it ends, whether or not it
-succeeded, so back-to-back runs reuse warm storage and a nested or
-concurrent run never shares an arena with a live one.  The run's
-:class:`KernelPool` — the threads its data kernels run on, off the event
-loop — is created with it and joined before ``run`` returns or raises,
-every kernel finished and every job's storage checked in, so no thread
-outlives a run (a :class:`~repro.parallel.backend.ProcessBackend` forks
-this process).  The finished simulator holds no reference to itself, so
-dropping a run's result frees it and its arrays by refcount, even while
-the GC is paused.
+A run owns nothing after it returns: no storage and no threads.  The
+run's :class:`KernelPool` — the threads its data kernels run on, off the
+event loop, and the lender of its jobs' storage — is created with it and
+joined before ``run`` returns or raises, every kernel finished and every
+job's arena checked back into the process-wide
+:data:`repro.core.scratch.ARENAS` pool, whether or not the run succeeded.
+So back-to-back runs reuse warm storage, a nested or concurrent run never
+shares an arena with a live one, and no thread outlives a run (a
+:class:`~repro.parallel.backend.ProcessBackend` forks this process).  The
+finished simulator holds no reference to itself, so dropping a run's
+result frees it and its arrays by refcount, even while the GC is paused.
 """
 
 from __future__ import annotations
@@ -56,8 +54,8 @@ MachineProgram = Callable[..., Generator]
 class KernelPool:
     """One run's kernel threads, and the job storage their kernels write.
 
-    A program submits a *pure* data kernel (step 1's pack and sort, step
-    6's sort of the received runs and unpack) and reads its result at the
+    A program submits a *pure* data kernel (step 1's local sort, step 6's
+    merge of the received runs) and reads its result at the
     first step that needs it, so every machine's kernels run on every core
     while the event loop goes on.  Nothing simulated can tell: virtual
     time is charged from key counts alone, and the kernels write disjoint
@@ -90,7 +88,7 @@ class KernelPool:
         return future
 
     def checkout(self) -> ScratchArena:
-        (arena,) = self._arenas.checkout(1)
+        arena = self._arenas.checkout()
         self._lent.append(arena)
         return arena
 
@@ -100,12 +98,12 @@ class KernelPool:
 
         wait(kernels)
         self._lent.remove(arena)
-        self._arenas.checkin([arena])
+        self._arenas.checkin(arena)
 
     def join(self) -> None:
         self._executor.shutdown(wait=True)
-        self._arenas.checkin(self._lent)
-        self._lent.clear()
+        while self._lent:
+            self._arenas.checkin(self._lent.pop())
         for future in self._futures:
             future.result()
 
@@ -124,7 +122,6 @@ class Machine:
         proc: ProcessHandle,
         config: PgxdConfig,
         cost: CostModel,
-        scratch: ScratchArena,
         kernels: KernelPool | None,
     ):
         self.proc = proc
@@ -132,9 +129,6 @@ class Machine:
         self.cost = cost
         self.tasks = TaskManager(config.threads_per_machine, cost)
         self.data = DataManager(config, proc.metrics.memory)
-        #: Reusable storage for data-plane temporaries (receive buffers,
-        #: provenance staging), checked out for this machine's run only.
-        self.scratch = scratch
         #: The run's kernel threads (``None``: a machine no kernel runs on).
         self.kernels = kernels
 
@@ -247,13 +241,8 @@ class PgxdRuntime:
     def _launch(
         self, programs: list[MachineProgram], args: tuple, kwargs: dict
     ) -> RunResult:
-        """Build a simulator, run ``programs[rank]`` on each machine, and
-        hold one pooled scratch arena per machine and one kernel pool for
-        exactly the run."""
-        # repro.core imports repro.pgxd at module level, so the reverse
-        # import must stay local to avoid a cycle.
-        from ..core.scratch import ARENAS
-
+        """Build a simulator and run ``programs[rank]`` on each machine,
+        with one kernel pool for exactly the run."""
         sim = Simulator(
             self.num_machines,
             self.network,
@@ -261,26 +250,21 @@ class PgxdRuntime:
             tracer=self.tracer,
             faults=self.faults,
         )
-        arenas = ARENAS.checkout(self.num_machines)
-        try:
-            with KernelPool() as kernels:
-                # Plain function, not a generator: returning the program's
-                # generator directly (instead of `yield from` delegation)
-                # removes one Python frame from every resume — material when
-                # a run spans tens of thousands of events.  The engine only
-                # requires that the factory *return* a generator.
-                def bootstrap(
-                    proc: ProcessHandle, program: MachineProgram, /, *a: Any, **kw: Any
-                ) -> Generator:
-                    cost = self.cost_for_rank(proc.rank)
-                    machine = Machine(proc, self.config, cost, arenas[proc.rank], kernels)
-                    return program(machine, *a, **kw)
+        with KernelPool() as kernels:
+            # Plain function, not a generator: returning the program's
+            # generator directly (instead of `yield from` delegation)
+            # removes one Python frame from every resume — material when
+            # a run spans tens of thousands of events.  The engine only
+            # requires that the factory *return* a generator.
+            def bootstrap(
+                proc: ProcessHandle, program: MachineProgram, /, *a: Any, **kw: Any
+            ) -> Generator:
+                machine = Machine(proc, self.config, self.cost_for_rank(proc.rank), kernels)
+                return program(machine, *a, **kw)
 
-                for rank, program in enumerate(programs):
-                    sim.add_process(bootstrap, program, *args, rank=rank, **kwargs)
-                metrics = sim.run()
-        finally:
-            ARENAS.checkin(arenas)
+            for rank, program in enumerate(programs):
+                sim.add_process(bootstrap, program, *args, rank=rank, **kwargs)
+            metrics = sim.run()
         return RunResult(results=sim.results(), metrics=metrics)
 
     # --------------------------------------------------------- graph load

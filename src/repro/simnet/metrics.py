@@ -82,11 +82,11 @@ class ProcessMetrics:
     messages_dropped: int = 0
     #: True when this rank crashed, or was dropped for crashing.
     crashed: bool = False
-    #: Set when a process-backend rank did *not* carry provenance inside
-    #: the packed word (see ``WorkerReport.local_sort_path``): ``"packed"``
-    #: — the job's key frame did not fit, keys + perm were exchanged —
-    #: or ``"stable"`` — step 1 also ran the slow stable argsort.  None on
-    #: the word path, and always under simnet.
+    #: Set when a rank, on either substrate, did *not* carry provenance
+    #: inside the packed word (the ``DataPath`` label of
+    #: :mod:`repro.core.datapath`): ``"packed"`` — the job's key frame did
+    #: not fit, keys + perm were exchanged — or ``"stable"`` — step 1 also
+    #: ran the slow stable argsort.  None on the word path.
     local_sort_path: str | None = None
 
     def record_compute(self, seconds: float, label: str | None) -> None:

@@ -4,21 +4,25 @@ import numpy as np
 import pytest
 
 from repro.core import exchange_partitions
+from repro.core.datapath import lay_out, local_sort
 from repro.core.steps import partition_block
 from repro.pgxd import PgxdConfig
 from repro.simnet import NetworkModel, Simulator
 
 
 def run_exchange(per_rank_keys, splitters, config=None):
+    """Step 5 of a keys + perm job over ``per_rank_keys``, one rank each."""
     config = config or PgxdConfig()
     size = len(per_rank_keys)
     sim = Simulator(size, NetworkModel())
+    blocks = [np.asarray(keys) for keys in per_rank_keys]
+    bounds = np.cumsum([0, *map(len, blocks)])
+    storage = lay_out(bounds, blocks[0].dtype, lambda _r, n, dt: np.empty(n, dt), np.ndarray.view)
 
     def program(proc):
-        keys = np.sort(np.asarray(per_rank_keys[proc.rank]))
-        perm = np.argsort(np.asarray(per_rank_keys[proc.rank]), kind="stable")
-        part = partition_block(keys, np.asarray(splitters), size, True)
-        result = yield from exchange_partitions(proc, keys, perm, part, config)
+        path = local_sort(None, storage, proc.rank, blocks[proc.rank], None)
+        part = partition_block(path.sorted_block, np.asarray(splitters), size, True)
+        result = yield from exchange_partitions(proc, path, part, config)
         return result
 
     sim.add_program(program)

@@ -4,36 +4,31 @@ import numpy as np
 import pytest
 
 from repro.core import exchange_partitions
-from repro.core.scratch import ScratchArena
+from repro.core.datapath import lay_out, local_sort
 from repro.core.steps import partition_block
 from repro.pgxd import PgxdConfig
 from repro.simnet import NetworkModel, Simulator
 from repro.simnet.errors import ProcessFailure
 
 
-def run_exchange(per_rank_keys, splitters, use_scratch=False):
+def run_exchange(per_rank_keys, splitters):
+    """Step 5 of a keys + perm job; returns the results and its storage."""
     config = PgxdConfig()
     size = len(per_rank_keys)
     sim = Simulator(size, NetworkModel())
-    arenas = [ScratchArena() for _ in range(size)] if use_scratch else [None] * size
+    blocks = [np.asarray(keys) for keys in per_rank_keys]
+    bounds = np.cumsum([0, *map(len, blocks)])
+    storage = lay_out(bounds, blocks[0].dtype, lambda _r, n, dt: np.empty(n, dt), np.ndarray.view)
 
     def program(proc):
-        keys = np.sort(np.asarray(per_rank_keys[proc.rank]))
-        perm = np.argsort(np.asarray(per_rank_keys[proc.rank]), kind="stable")
-        part = partition_block(keys, np.asarray(splitters), size, True)
-        result = yield from exchange_partitions(
-            proc,
-            keys,
-            perm,
-            part,
-            config,
-            scratch=arenas[proc.rank],
-        )
+        path = local_sort(None, storage, proc.rank, blocks[proc.rank], None)
+        part = partition_block(path.sorted_block, np.asarray(splitters), size, True)
+        result = yield from exchange_partitions(proc, path, part, config)
         return result
 
     sim.add_program(program)
     sim.run()
-    return sim.results(), arenas
+    return sim.results(), storage
 
 
 class TestContiguousReassembly:
@@ -63,22 +58,20 @@ class TestContiguousReassembly:
                     run, res.key_buffer[bounds[src] : bounds[src + 1]]
                 )
 
-    def test_scratch_arena_supplies_and_reuses_the_buffers(self):
+    def test_runs_land_in_the_job_streams_at_the_rank_region(self):
         rng = np.random.default_rng(23)
         per_rank = [rng.integers(0, 100, 80) for _ in range(3)]
-        results, arenas = run_exchange(per_rank, [33, 66], use_scratch=True)
-        for res, arena in zip(results, arenas):
-            # The stream buffers are live leases of arena storage.
-            assert arena.live_leases > 0
-            assert arena.pooled_bytes() >= res.key_buffer.nbytes
-            allocations = arena.allocations
-            arena.release_all()
-            # A second lease of the same shape must come from the warm
-            # pool — no allocator call, same underlying storage.
-            again = arena.take(len(res.key_buffer), res.key_buffer.dtype)
-            assert arena.allocations == allocations
-            assert np.shares_memory(again, res.key_buffer)
-            arena.release_all()
+        results, storage = run_exchange(per_rank, [33, 66])
+        base = 0
+        for rank, res in enumerate(results):
+            # Every rank below this one receives first; nothing is staged.
+            total = int(res.counts_matrix[:, rank].sum())
+            assert np.shares_memory(res.key_buffer, storage.keys)
+            assert np.shares_memory(res.index_buffer, storage.index)
+            assert res.key_buffer.tobytes() == storage.keys[base : base + total].tobytes()
+            assert res.index_buffer.tobytes() == storage.index[base : base + total].tobytes()
+            base += total
+        assert base == len(storage.keys)
 
 
 class TestOneDtypePerStream:

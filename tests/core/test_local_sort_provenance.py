@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.core import local_sort_seconds, split_into_chunks
 from repro.core.provenance import Provenance
 from repro.core.steps import sort_block
-from repro.core.scratch import ScratchArena
 from repro.pgxd import PgxdConfig
 from repro.pgxd.runtime import Machine
 from repro.simnet import CostModel
@@ -28,9 +27,7 @@ def parallel_quicksort(machine, keys, balanced=True):
 
 def make_machine(threads=4, rank=0, size=2):
     proc = ProcessHandle(rank, size, ProcessMetrics(rank))
-    return Machine(
-        proc, PgxdConfig(threads_per_machine=threads), CostModel(), ScratchArena(), None
-    )
+    return Machine(proc, PgxdConfig(threads_per_machine=threads), CostModel(), None)
 
 
 class TestSplitIntoChunks:

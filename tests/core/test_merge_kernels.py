@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.balanced_merge import flat_kway_merge, merge_levels
 from repro.core.packsort import packed_stable_sort
-from repro.core.scratch import ScratchArena
 from repro.core.steps import merge_received
 
 
@@ -136,27 +135,25 @@ class TestMergeReceived:
         lengths = [len(r) for r in runs]
         proc = np.repeat(np.arange(len(runs), dtype=np.int16), lengths)
         expected_keys, (expected_index, expected_proc) = literal_merge(runs, [index, proc])
-        arena = ScratchArena()
-        for scratch in (None, arena):
-            got = merge_received(
-                np.concatenate(runs), index, lengths, True, scratch=scratch
-            )
-            assert got.keys.tobytes() == expected_keys.tobytes()
-            assert got.aux[0].dtype == np.int32 and got.aux[1].dtype == np.int16
-            assert got.aux[0].tobytes() == expected_index.tobytes()
-            assert got.aux[1].tobytes() == expected_proc.tobytes()
-            assert got.levels == merge_levels(lengths)
-        # The column was staged in the arena, the outcome is not a lease.
-        assert arena.live_leases == 1
-        arena.release_all()
-        assert got.aux[1].tobytes() == expected_proc.tobytes()
+        # The receive region, merged where it lies: nothing else is written.
+        keys, got_index = np.concatenate(runs), index.copy()
+        got_proc = np.full(len(keys), -1, dtype=np.int16)
+        merge_received(keys, got_index, got_proc, lengths)
+        assert keys.tobytes() == expected_keys.tobytes()
+        assert got_index.dtype == np.int32 and got_proc.dtype == np.int16
+        assert got_index.tobytes() == expected_index.tobytes()
+        assert got_proc.tobytes() == expected_proc.tobytes()
 
     def test_unbalanced_charges_the_fold_shape(self):
+        # The fold is a charge, not data: its kernel's output is the merge
+        # step 6 writes, and only its levels differ.
         runs, index = self._received(seed=6)
         lengths = [len(r) for r in runs]
-        got = merge_received(np.concatenate(runs), index, lengths, False)
-        assert got.keys.tobytes() == literal_merge(runs)[0].tobytes()
-        assert got.levels == merge_levels(lengths, balanced=False)
+        keys, proc = np.concatenate(runs), np.empty(len(index), dtype=np.int16)
+        merge_received(keys, index.copy(), proc, lengths)
+        folded = flat_kway_merge(np.concatenate(runs), lengths, balanced=False)
+        assert keys.tobytes() == folded.keys.tobytes() == literal_merge(runs)[0].tobytes()
+        assert folded.levels == merge_levels(lengths, balanced=False)
 
 
 class TestPackedStableSort:

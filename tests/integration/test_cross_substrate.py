@@ -1,10 +1,12 @@
 """Cross-substrate differential test: simnet, the pool and the oracle agree.
 
-Contract: for every dtype the codec covers, full-mantissa float64 and the
-degenerate shapes, the simulated sorter's keys, ``origin_proc`` and
-``origin_index`` are bytes-equal to ``local_sample_sort``; simnet takes
-the word path exactly when the frame arithmetic says the job's key frame
-fits; and for p ≤ 4 one warm ``ProcessBackend`` returns the same bytes.
+Contract: for every dtype the codec covers, full-mantissa float64, the
+degenerate shapes and every sort option, the simulated sorter's keys,
+``origin_proc`` and ``origin_index`` are bytes-equal to
+``local_sample_sort``; simnet takes the word path exactly when the frame
+arithmetic says the job's key frame fits; and for p ≤ 4 one warm
+``ProcessBackend`` returns the same bytes and reports the same data path
+on every rank.
 Under faults, a wire fault leaves simnet's bytes and path as they were,
 and a persistent crash degrades both substrates to the same bytes.
 Hypothesis runs derandomized (``tests/conftest.py``) with a small cap.
@@ -18,8 +20,9 @@ from hypothesis import strategies as st
 from repro.core.api import DistributedSorter, partition_input
 from repro.core.local_backend import local_sample_sort
 from repro.core.packsort import code_and_stats, derive_key_frame
+from repro.core.datapath import THROUGH
 from repro.core.retry import RetryPolicy
-from repro.core.sorter import JobFrame
+from repro.core.sorter import SortJob, SortOptions
 from repro.parallel import ProcessBackend, RealFaultPlan
 from repro.simnet.faults import FaultPlan
 from repro.simnet.sanitizer import sanitize
@@ -37,15 +40,16 @@ def pool():
 
 @pytest.fixture
 def word_merges(monkeypatch):
-    """Counts the word path's step-6 merges (one per rank per job)."""
+    """Counts simnet's word-path step-6 merges (one per rank per job)."""
     calls = []
-    merge = JobFrame.merge
+    merge = SortJob.merge
 
-    def counting(self, *args):
-        calls.append(1)
-        return merge(self, *args)
+    def counting(self, machine, path, *args):
+        if path.label == THROUGH:
+            calls.append(1)
+        return merge(self, machine, path, *args)
 
-    monkeypatch.setattr(JobFrame, "merge", counting)
+    monkeypatch.setattr(SortJob, "merge", counting)
     return calls
 
 
@@ -74,9 +78,14 @@ def _assert_substrates_agree(blocks, word_merges, pool=None):
     took_words = bool(word_merges)
     assert took_words == _frame_fits(blocks)
     assert len(word_merges) == (p if took_words else 0)
+    # A frame-miss run explains itself; a word-path one keeps its schema.
+    assert all((m.local_sort_path is None) == took_words for m in result.metrics.processes)
     if pool is not None and p <= 4:
         run = pool.sort_blocks(blocks)
         _assert_bytes_equal(((o.keys, o.provenance) for o in run.outputs), reference)
+        # One data path: each rank says the same of it on both substrates.
+        paths = [m.local_sort_path for m in result.metrics.processes]
+        assert paths == [m.local_sort_path for m in run.cluster_metrics().processes]
     return took_words
 
 
@@ -173,6 +182,32 @@ def test_generated_jobs_agree_across_substrates(pool, word_merges, data):
     n = data.draw(st.integers(0, 30 * p))
     keys = _keys(kind, n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
     _assert_substrates_agree(list(partition_input(keys, p)[0]), word_merges, pool)
+
+
+# ------------------------------------------------------------------ options
+
+#: Every non-default value something that runs sets, as sorter overrides.
+OPTIONS = {
+    "no investigator": {"investigator": False},
+    "sequential merge": {"balanced_merge": False},
+    "sample x0.25": {"sample_factor": 0.25},
+    "sample x4": {"sample_factor": 4.0},
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["int64", "full-mantissa float64"])
+@pytest.mark.parametrize("name", OPTIONS)
+def test_every_option_agrees_across_substrates(pool, name, kind, p):
+    keys = _keys(kind, 60 * p + 5, np.random.default_rng([p, KINDS.index(kind)]))
+    keys[::4] = keys[1]  # a tie across splitters: the investigator's case
+    blocks = list(partition_input(keys, p)[0])
+    options = SortOptions(**OPTIONS[name])
+    reference = local_sample_sort(blocks, options)
+    sim = DistributedSorter(num_processors=p, **OPTIONS[name]).sort_partitioned(blocks)
+    _assert_bytes_equal(zip(sim.per_processor, sim.provenance), reference)
+    run = pool.sort_blocks(blocks, options=options)
+    _assert_bytes_equal(((o.keys, o.provenance) for o in run.outputs), reference)
 
 
 # ---------------------------------------------------- several jobs, faults

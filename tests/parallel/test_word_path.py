@@ -11,7 +11,6 @@ per rank count, capped to a few seconds of tier-1.
 """
 
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.api import distributed_sort, partition_input
+from repro.core.datapath import lay_out, local_sort
 from repro.core.local_backend import local_sample_sort
 from repro.core.packsort import (
     SortedWords,
@@ -30,7 +30,6 @@ from repro.core.scratch import ScratchArena
 from repro.core.sorter import SortOptions
 from repro.obs.context import capture
 from repro.parallel import ProcessBackend
-from repro.parallel.datapath import JobViews, choose_data_path
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -292,18 +291,20 @@ def test_samples_with_signed_zeros_and_nan_payloads_keep_their_bytes(tmp_path):
 def test_word_path_step_one_holds_one_lease_and_no_decoded_copy():
     block = _lossy_float_keys()
     n = len(block)
-    lease = SimpleNamespace(name="stub")
-    plan = SimpleNamespace(
-        size=1, block_bounds=(0, n), options=SortOptions(), word_lease=lease, key_lease=lease
+    storage = lay_out(
+        np.array([0, n]), block.dtype, lambda _role, size, dtype: np.empty(size, dtype),
+        np.ndarray.view,
     )
-    link = SimpleNamespace(allgather=lambda stats: [stats])
-    out = np.empty(n, dtype=np.float64)
-    views = JobViews(
-        block, out, np.empty(n, np.int32), np.empty(n, np.int16), out.view(np.int64)
-    )
+    storage.input[:] = block
+    # Step 1 as a pooled worker runs it: the block is coded into its one
+    # scratch lease for the frame's statistics, then packed and sorted there.
     scratch = ScratchArena()
-    path = choose_data_path(plan, 0, link, views, block, scratch)
+    words = scratch.take(n, np.int64)
+    codes, stats = code_and_stats(block, words)
+    frame = derive_key_frame([stats], block.dtype, 1)
+    path = local_sort(frame, storage, 0, block, words, codes)
     assert path.label == "through" and isinstance(path.sorted_block, SortedWords)
+    assert path.exchanged == ("keys",)  # 8-byte keys: the word stream is the keys
     assert (scratch.pooled_bytes(), scratch.live_leases) == (8 * n, 1)
     assert path.streams[0][2] is path.sorted_block.words  # the lease *is* the payload
     expected = block[block.argsort(kind="stable")]

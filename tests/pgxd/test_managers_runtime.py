@@ -20,7 +20,6 @@ from repro.pgxd import (
     recv_array,
     send_array,
 )
-from repro.core.scratch import ScratchArena
 from repro.simnet import CostModel, FaultPlan, NetworkModel, Simulator
 from repro.simnet.metrics import MemoryTracker
 
@@ -280,10 +279,10 @@ def _recording_checkouts(monkeypatch) -> list:
     lent = []
     checkout = ArenaPool.checkout
 
-    def recording(pool, count):
-        arenas = checkout(pool, count)
-        lent.extend((arena, arena.allocations) for arena in arenas)
-        return arenas
+    def recording(pool):
+        arena = checkout(pool)
+        lent.append((arena, arena.allocations))
+        return arena
 
     monkeypatch.setattr(ArenaPool, "checkout", recording)
     return lent
@@ -320,15 +319,24 @@ class TestRunLifetime:
             if was_enabled:
                 gc.enable()
 
-    def test_second_identical_sort_allocates_nothing(self, monkeypatch):
+    #: The word path's int64 keys, and full-mantissa float64 keys, which
+    #: no key frame fits (keys + perm).
+    PATHS = {"words": DATA, "keys+perm": np.random.default_rng(5).random(40_000)}
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_second_identical_sort_allocates_nothing(self, monkeypatch, path):
         from repro import distributed_sort
 
-        distributed_sort(self.DATA, num_processors=16)
+        data = self.PATHS[path]
+        distributed_sort(data, num_processors=16)
         lent = _recording_checkouts(monkeypatch)
-        again = distributed_sort(self.DATA, num_processors=16)
-        assert np.array_equal(again.to_array(), np.sort(self.DATA))
-        # One arena per machine, and one for the job's storage.
-        assert len(lent) == 17 and all(a.pooled_bytes() for a, _ in lent[16:])
+        again = distributed_sort(data, num_processors=16)
+        assert np.array_equal(again.to_array(), np.sort(data))
+        # Arenas hold job storage alone: one on the word path (its step-1
+        # words), at most one on keys + perm, none per machine.
+        if path == "words":
+            assert len(lent) == 1 and lent[0][0].pooled_bytes()
+        assert len(lent) <= 1
         assert sum(a.allocations - before for a, before in lent) == 0
 
     @pytest.mark.parametrize("p", [1, 4])
@@ -346,11 +354,15 @@ class TestRunLifetime:
             assert np.array_equal(result.to_array(), np.sort(data))
         assert sum(arena.pooled_bytes() for arena in ARENAS.idle) == pooled
 
-    @pytest.mark.parametrize("case", ["p1", "p2", "p16", "faulted", "sort_multi"])
+    CASES = ["p1", "p2", "p16", "faulted", "sort_multi"]
+
+    @pytest.mark.parametrize("case", CASES + [f"{case}-keys+perm" for case in CASES])
     def test_no_result_array_aliases_pooled_storage(self, case):
         from repro import DistributedSorter
 
-        data = self.DATA
+        case, _, path = case.partition("-")
+        data = self.PATHS[path or "words"]
+        DistributedSorter(num_processors=2).sort(self.DATA)  # warm storage to alias
         if case == "faulted":
             sorter = DistributedSorter(
                 num_processors=6, faults=FaultPlan(seed=36, drop_prob=0.05)
@@ -373,30 +385,31 @@ class TestRunLifetime:
     def test_nested_run_gets_distinct_arenas(self, monkeypatch):
         from repro import distributed_sort
         from repro.core.scratch import ARENAS, ArenaPool
-        from repro.core.sorter import SortOptions, job_frame, sample_sort_program
+        from repro.core.sorter import SortJob, SortOptions, sample_sort_program
 
         inner_data = np.random.default_rng(6).integers(0, 50, 5_000)
         blocks = np.array_split(self.DATA, 2)
-        job = job_frame(blocks)
+        job = SortJob(blocks)
         outer_arenas, inner_arenas, inner, lent = [], [], [], []
         live = {}  # id -> arena, for every arena out of the pool right now
         checkout, checkin = ArenaPool.checkout, ArenaPool.checkin
 
-        def recording_checkout(pool, count):
-            arenas = checkout(pool, count)
-            assert not set(map(id, arenas)) & set(live), "an arena lent twice at once"
-            live.update((id(arena), arena) for arena in arenas)
-            lent.extend(arenas)
-            return arenas
+        def recording_checkout(pool):
+            arena = checkout(pool)
+            assert id(arena) not in live, "an arena lent twice at once"
+            live[id(arena)] = arena
+            lent.append(arena)
+            return arena
 
-        def recording_checkin(pool, arenas):
-            for arena in arenas:
-                del live[id(arena)]
-            checkin(pool, arenas)
+        def recording_checkin(pool, arena):
+            del live[id(arena)]
+            checkin(pool, arena)
 
         def program(machine):
-            outer_arenas.append(machine.scratch)
-            held = machine.scratch.take(4096, np.int64)
+            # Each machine holds an arena of the run's for the whole run.
+            arena = machine.kernels.checkout()
+            outer_arenas.append(arena)
+            held = arena.take(4096, np.int64)
             held[:] = machine.rank
             if machine.rank == 0:
                 # A whole run while this run's arenas hold live leases.
@@ -405,17 +418,16 @@ class TestRunLifetime:
                 inner_arenas.extend(lent[start:])
                 assert set(live) == before
                 assert not set(map(id, outer_arenas)) & set(map(id, ARENAS.idle))
+            out = yield sample_sort_program(machine, blocks[machine.rank], SortOptions(), job)
             assert (held == machine.rank).all()
-            machine.scratch.release_all()
-            return (yield sample_sort_program(
-                machine, blocks[machine.rank], SortOptions(), job
-            ))
+            machine.kernels.checkin(arena, [])
+            return out
 
         monkeypatch.setattr(ArenaPool, "checkout", recording_checkout)
         monkeypatch.setattr(ArenaPool, "checkin", recording_checkin)
         run = PgxdRuntime(2).run(program)
-        # The inner run's four machines and its job drew arenas of their own.
-        assert len(outer_arenas) == 2 and len(inner_arenas) == 5
+        # The inner run's job drew an arena of its own, as did the outer's.
+        assert len(outer_arenas) == 2 and len(inner_arenas) == 1 and len(lent) == 4
         assert np.array_equal(inner[0].to_array(), np.sort(inner_data))
         merged = np.concatenate([out.keys for out in run.results])
         assert np.array_equal(merged, np.sort(self.DATA))
@@ -450,27 +462,27 @@ class TestRunLifetime:
 
     def test_a_kernel_exception_leaves_the_run_as_itself(self, monkeypatch):
         from repro import distributed_sort
-        from repro.core import sorter
+        from repro.core import datapath
         from repro.core.scratch import ARENAS
 
         class KernelBug(Exception):
             pass
 
         calls = itertools.count()
-        kernel = sorter.sort_runs_in_place
+        kernel = datapath.sort_runs_in_place
 
         def failing_on_one_rank(*args):
             if next(calls) == 2:
                 raise KernelBug("step 6 of one rank")
             return kernel(*args)
 
-        monkeypatch.setattr(sorter, "sort_runs_in_place", failing_on_one_rank)
+        monkeypatch.setattr(datapath, "sort_runs_in_place", failing_on_one_rank)
         lent = _recording_checkouts(monkeypatch)
         before = threading.active_count()
         with pytest.raises(KernelBug, match="step 6 of one rank"):
             distributed_sort(self.DATA, num_processors=8)
         assert next(calls) == 8  # every rank's kernel ran, one raised
-        assert len(lent) == 9  # eight machines and the job
+        assert len(lent) == 1  # the job's storage, the run's one arena
         assert {id(a) for a, _ in lent} <= set(map(id, ARENAS.idle))
         assert threading.active_count() == before
 

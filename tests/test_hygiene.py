@@ -49,7 +49,7 @@ class TestDeterminismHygiene:
     #: The only parallel/ modules licensed to read the clock at all; each
     #: individual site still needs a per-line ``# repro: noqa[R002]``
     #: (enforced by the AST lint gate) — every other parallel module
-    #: (``datapath.py``, ``run.py``, ``retry.py``, ``splitter_cache.py``,
+    #: (``run.py``, ``splitter_cache.py``,
     #: ``shmsan.py``, ``layout.py``, ...) must stay clock-free and is scanned.
     PARALLEL_TIMING_FILES = {
         "backend.py", "chaos.py", "collectives.py", "tracing.py", "worker.py",
@@ -144,30 +144,35 @@ class TestStructure:
         assert not too_long, f"decompose instead of growing: {too_long}"
 
     #: The word path decodes every key once, in step 6.  These names put a
-    #: decoded copy of a block in memory, so in the pool they belong to the
-    #: step-6 ``merge`` closures of ``datapath.py`` alone.
+    #: decoded copy of a block in memory, so outside the module that
+    #: defines them they belong to the step-6 ``merge`` closures of
+    #: ``core/datapath.py`` alone.
     DECODING_KERNELS = {"unpack_words", "decode_keys", "unpack_provenance"}
+    DATA_PATH = "core/datapath.py"
 
     def test_only_step_six_decodes_the_block(self):
         import ast
 
         offenders = []
-        for path in sorted((SRC / "parallel").rglob("*.py")):
+        for path in _source_files():
+            relative = path.relative_to(SRC).as_posix()
+            if relative == "core/packsort.py":
+                continue  # the kernels' home; its one-block sort decodes what it sorted
             tree = ast.parse(path.read_text())
             licensed = set()
-            if path.name == "datapath.py":
+            if relative == self.DATA_PATH:
                 for node in ast.walk(tree):
                     if isinstance(node, ast.FunctionDef) and node.name == "merge":
                         licensed.update(map(id, ast.walk(node)))
             for node in ast.walk(tree):
                 if id(node) in licensed:
                     continue
-                if isinstance(node, ast.ImportFrom):  # datapath.py may import them
-                    names = {alias.name for alias in node.names if path.name != "datapath.py"}
+                if isinstance(node, ast.ImportFrom):  # the data path may import them
+                    names = {alias.name for alias in node.names if relative != self.DATA_PATH}
                 else:
                     names = {getattr(node, "id", None), getattr(node, "attr", None)}
                 for name in names & self.DECODING_KERNELS:
-                    offenders.append(f"{path.name}:{node.lineno}: {name}")
+                    offenders.append(f"{relative}:{node.lineno}: {name}")
         assert not offenders, f"a decoded copy of the block is coming back: {offenders}"
 
     #: The step 2–4 kernels read ``sorted_keys`` through its own methods
@@ -455,6 +460,30 @@ class TestReachability:
                     if name in self.STEP_2_3_PRIMITIVES:
                         offenders.append(f"{path.relative_to(SRC)}:{node.lineno}: {name}")
         assert not offenders, f"steps 2-3 spelled outside core/steps.py: {offenders}"
+
+    #: Steps 1 and 6 are written once, in ``core/datapath.py``: the only
+    #: caller of their data kernels outside the modules defining them.
+    STEP_1_6_KERNELS = {
+        "core/packsort.py": {"pack_words", "sort_runs_in_place", "unpack_words"},
+        "core/steps.py": {"sort_block", "merge_received"},
+    }
+
+    def test_only_the_data_path_calls_the_step_one_and_six_kernels(self):
+        import ast
+
+        kernels = set().union(*self.STEP_1_6_KERNELS.values())
+        offenders = []
+        for path in _source_files():
+            relative = path.relative_to(SRC).as_posix()
+            if relative == TestStructure.DATA_PATH:
+                continue
+            foreign = kernels - self.STEP_1_6_KERNELS.get(relative, set())
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in foreign:
+                        offenders.append(f"{relative}:{node.lineno}: {name}")
+        assert not offenders, f"steps 1 and 6 spelled outside core/datapath.py: {offenders}"
 
 
 class TestPackageSurface:
