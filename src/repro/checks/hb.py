@@ -258,9 +258,10 @@ def check_exchange_offsets(
     from the counts matrix via :func:`exchange_layout` — per exchanged
     segment — and compares against the recorded intervals.
     ``exchanged_roles`` names the leases the job exchanged: keys and
-    origin indices on the keys + perm path, the one packed-word stream
-    (role ``"words"``, or ``"keys"`` when 8-byte keys decode in place) on
-    the word path, where the index lease is output-only.  ``complete``
+    origin indices on the keys + perm path, the one packed-word stream on
+    the word path: role ``"index"`` for int32 words (the index decodes in
+    place), ``"keys"`` when 8-byte keys decode in place from int64 words,
+    ``"words"`` otherwise.  ``complete``
     additionally demands that every nonempty run was written (off on
     partial logs from crashed runs, where missing writes are expected).
     """

@@ -8,9 +8,12 @@ frame, or ``None`` on a miss, to :func:`local_sort` and carry the
 :class:`DataPath` it returns:
 
 * the **word path** — the frame fits, and provenance rides inside the
-  key: each rank sorts unique ``(code, rank, index)`` int64 words.  Steps
-  2–4 read them as :class:`~repro.core.packsort.SortedWords`, never
-  decoded whole; step 5 moves word slices, 8 B/key; step 6 sorts the
+  key: each rank sorts unique ``(code, rank, index)`` words, int32 when
+  the frame's code, rank and index fit in 30 bits and int64 otherwise.
+  Steps 2–4 read them as :class:`~repro.core.packsort.SortedWords`, never
+  decoded whole; step 5 moves word slices, 4 or 8 B/key, into the output
+  whose itemsize is the word's when there is one (``index`` for int32
+  words, ``keys`` for the int64 words of 8-byte keys); step 6 sorts the
   rank's region of the word stream in place
   (:func:`~repro.core.packsort.sort_runs_in_place`: words from different
   ranks compare in the stable merge order, so no permutation exists to
@@ -46,7 +49,8 @@ from .steps import INDEX_DTYPE, merge_received, sort_block
 
 #: ``local_sort_path`` of the word path, the fastest of the labels.
 THROUGH = "through"
-#: One packed ``(code, rank, index)`` word per key.
+#: The widest packed ``(code, rank, index)`` word: the dtype of the
+#: ``words`` stream, which int64 words of keys narrower than 8 bytes use.
 WORD_DTYPE = np.dtype(np.int64)
 #: A key's origin processor.
 PROC_DTYPE = np.dtype(np.int16)
@@ -81,8 +85,8 @@ class JobStorage(NamedTuple):
     index: Any
     #: Origin processor of each key (:data:`PROC_DTYPE`).
     proc: Any
-    #: The word path's step-5 stream, one word per key; ``None`` when the
-    #: codec has no code for the key dtype.
+    #: The step-5 stream of int64 words, one per key (int32 words travel
+    #: in ``index``); ``None`` when the codec has no code for the key dtype.
     words: Any
 
     def map(self, view: Callable[[Any], Any]) -> "JobStorage":
@@ -103,8 +107,9 @@ def lay_out(
     retype: Callable[[Any, np.dtype], Any],
 ) -> JobStorage:
     """A job's storage, each role allocated by ``take(role, n, dtype)``;
-    for 8-byte keys the word stream is ``retype(keys, WORD_DTYPE)``, and
-    narrower keys take a stream of their own."""
+    for 8-byte keys the int64 word stream is ``retype(keys, WORD_DTYPE)``,
+    and narrower keys take a stream of their own, which int32 words leave
+    unread."""
     n, dtype = int(block_starts[-1]), np.dtype(dtype)
     source, keys = take("input", n, dtype), take("keys", n, dtype)
     index, proc = take("index", n, INDEX_DTYPE), take("proc", n, PROC_DTYPE)
@@ -156,25 +161,39 @@ def local_sort(
     block: np.ndarray,
     words: np.ndarray | None,
     codes: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> DataPath:
     """Step 1 on one rank: sort ``block``, and return the job's data path.
 
-    With a ``frame`` the block is packed into ``words`` (one int64 per key)
-    and sorted there; ``codes`` are its codes when the caller already
-    coded it into ``words`` (the pool, for the frame's statistics),
-    otherwise it is coded here.  Without one, keys + perm.
+    With a ``frame`` the block is packed into ``words`` (one word of the
+    frame's dtype per key) and sorted there; ``codes`` are its codes when
+    the caller already coded it (the pool, for the frame's statistics).
+    Otherwise int keys are their own codes, and float keys are coded here
+    into ``scratch``, an int64 buffer of the block's length — ``words``
+    themselves when they are int64 (packed in place).  Without a frame,
+    keys + perm.
     """
     if frame is None:
         return _keys_perm_path(storage, block)
     if codes is None:
-        codes = code_and_stats(block, words)[0] if block.dtype.kind == "f" else block
+        codes = block
+        if block.dtype.kind == "f":
+            codes = code_and_stats(block, words if scratch is None else scratch)[0]
     pack_words(codes, frame, rank, words).sort()
     return _word_path(frame, storage, words)
 
 
 def _word_path(frame: KeyFrame, storage: JobStorage, words: np.ndarray) -> DataPath:
+    # The stream is the output whose itemsize is the word's: the index for
+    # int32 words, decoded in place last as 8-byte keys are.
+    if frame.word_dtype == INDEX_DTYPE:
+        role, stream = "index", storage.index
+    else:
+        role = "keys" if _words_alias_keys(storage.keys.dtype) else "words"
+        stream = storage.words
+
     def merge(base, stop, run_lengths):
-        region = storage.words[base:stop]
+        region = stream[base:stop]
         sort_runs_in_place(region, run_lengths, frame.shift)
         refilled = unpack_words(
             region, frame, storage.input, storage.block_starts,
@@ -189,9 +208,8 @@ def _word_path(frame: KeyFrame, storage: JobStorage, words: np.ndarray) -> DataP
             accesses.append(("input", 0, len(storage.input), "r", "refill-read"))
         return accesses
 
-    role = "keys" if _words_alias_keys(storage.keys.dtype) else "words"
     sorted_words = SortedWords(words, frame, storage.input, storage.block_starts)
-    return DataPath(THROUGH, sorted_words, [(role, storage.words, words)], merge)
+    return DataPath(THROUGH, sorted_words, [(role, stream, words)], merge)
 
 
 def _keys_perm_path(storage: JobStorage, block: np.ndarray) -> DataPath:

@@ -3,7 +3,7 @@
 ``argsort(kind="stable")`` plus a gather is the semantic contract of the
 data plane (steps 1 and 6 must keep provenance), but it is ~10x slower
 than ``np.sort`` on a rank block.  The same result is available from a
-vectorized sort of unique int64 words, in three stages:
+vectorized sort of unique int32 or int64 words, in three stages:
 
 1. **Key codec** (:func:`code_and_stats`): map every key to an
    integer *code* such that ``code(a) < code(b)`` exactly when ``a`` sorts
@@ -26,9 +26,10 @@ vectorized sort of unique int64 words, in three stages:
    is the lexicographic ``(code, rank, index)`` order: within one block
    the *stable* sort order, across rank-ordered blocks the *stable merge*
    order — the unique (key, PE, position) triple of Axtmann et al.
-   (PAPERS.md), in one machine word.  Every participant derives the same
-   frame from the same statistics, so no coordination beyond exchanging
-   them is needed.
+   (PAPERS.md), in one machine word as wide as the frame needs: int32
+   when stored code, rank and index fit in 30 bits, int64 otherwise.
+   Every participant derives the same frame from the same statistics, so
+   no coordination beyond exchanging them is needed.
 3. **Pack, sort, unpack** (:func:`pack_words`, any sort,
    :func:`unpack_words`): the words are unique, so the sort kind is
    unobservable — ``np.sort``'s default vectorized kernel for one unsorted
@@ -51,15 +52,18 @@ steps 2–4 ask of a sorted block — the keys at some positions, the
 positions of some needles — from the words, under the ``ndarray`` method
 names, so the step kernels serve plain arrays and words alike.
 
-The single precondition is **bits(coded key range) + idx_bits +
-rank_bits ≤ 62** (one spare bit of headroom, and ``idx_bits + rank_bits
-≤ 40``).  Narrow ints and float32 always meet it; int64/uint64 meet it
-when their values do.  A float64 code is 63 bits wide, so a frame that
-fails the plain range test gets one more chance: the trailing zero bits
-common to every code (``ctz`` of their OR) are stripped by an exact
+The single precondition is **bits(stored code range) + idx_bits +
+rank_bits ≤ 62** (one sign bit and one spare bit of headroom, and
+``idx_bits + rank_bits ≤ 40``); the words are int32 when the same sum is
+≤ 30, i.e. every stored code lies in ``[-2^(30 - shift), 2^(30 -
+shift))``.  Narrow ints and float32 always meet the 62-bit test;
+int64/uint64 meet it when their values do.  A float code range that
+fails a test gets one more chance at the same width: the trailing zero
+bits common to every code (``ctz`` of their OR) are stripped by an exact
 arithmetic shift, which is what lets integral, low-precision and
-float32-valued float64 keys fit.  Full-mantissa float64, uint64 ≥ 2^63
-and every other dtype kind do not fit.
+float32-valued float64 keys fit, and small-integer floats of either
+width take int32 words.  Full-mantissa float64, uint64 ≥ 2^63 and every
+other dtype kind do not fit.
 
 Both substrates run the multi-block case, the *word path*, through
 :mod:`repro.core.datapath`: steps 2–4 read the sorted words, step 5 moves
@@ -68,7 +72,8 @@ and unpacks once.  The pool allgathers the frame's statistics in step 1;
 the simulator's driver folds them before the run
 (:class:`repro.core.sorter.SortJob`).  The single-block case
 (``rank_bits = 0``), :func:`packed_stable_sort`, serves their keys + perm
-fallback: on a decline :func:`stable_sort_with_order` runs the plain
+fallback in int64 words whatever the frame's width (its order output is
+int64): on a decline :func:`stable_sort_with_order` runs the plain
 stable argsort, with bit-identical output.
 """
 
@@ -94,8 +99,12 @@ _FLOAT_LAYOUT = {
 #: two, so chunk bases OR into the index bits exactly.
 CHUNK_KEYS = 1 << 15
 
-#: The index bits of one chunk; a chunk's base is OR-ed on as a scalar.
-_RAMP = np.arange(CHUNK_KEYS, dtype=np.int64)
+#: The word dtypes a frame picks from, narrowest first.
+WORD_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
+
+#: The index bits of one chunk, in each word dtype; a chunk's base is
+#: OR-ed on as a scalar.
+_RAMPS = {word: np.arange(CHUNK_KEYS, dtype=word) for word in WORD_DTYPES}
 
 
 def has_key_codec(dtype) -> bool:
@@ -107,7 +116,7 @@ def has_key_codec(dtype) -> bool:
 
 
 def code_and_stats(
-    keys: np.ndarray, out: np.ndarray
+    keys: np.ndarray, out: np.ndarray | None
 ) -> tuple[np.ndarray, tuple[int, int, int, int]]:
     """Kernel 1: ``(codes, (code_min, code_max, code_or, len))`` of one block.
 
@@ -115,10 +124,11 @@ def code_and_stats(
     stable sort; the statistics are the block's input to
     :func:`derive_key_frame`, folded chunk by chunk while the codes are
     cache-resident.  Int and uint keys are their own codes (``keys`` is
-    returned: one read, no write); native float32/float64 codes are
-    written to ``out``, an int64 buffer of the block's length, and
-    ``code_or`` is only folded for them (the trailing-zero strip).  Other
-    dtypes have no code: ask :func:`has_key_codec` first.
+    returned: one read, no write; ``out`` may be ``None``); native
+    float32/float64 codes are written to ``out``, an int64 buffer of the
+    block's length, and ``code_or`` is only folded for them (the
+    trailing-zero strip).  Other dtypes have no code: ask
+    :func:`has_key_codec` first.
     """
     dtype = keys.dtype
     codes, is_float = keys, dtype.kind == "f"
@@ -148,16 +158,21 @@ def code_and_stats(
 
 @dataclass(frozen=True)
 class KeyFrame:
-    """How one job packs ``(code, rank, index)`` into a unique int64 word.
+    """How one job packs ``(code, rank, index)`` into one unique word.
 
     ``word = (code >> strip) << (rank_bits + idx_bits) | rank << idx_bits
-    | index``.  Every participant derives the same frame from the same
-    block statistics (:func:`derive_key_frame`), so words packed on
-    different ranks compare as the triple ``(key, rank, index)`` — the
-    order a stable merge of the rank-ordered runs produces.
+    | index``, in the narrowest of :data:`WORD_DTYPES` that holds every
+    stored code with one sign and one spare bit (:attr:`code_limit`).
+    Every participant derives the same frame from the same block
+    statistics (:func:`derive_key_frame`), so words packed on different
+    ranks compare as the triple ``(key, rank, index)`` — the order a
+    stable merge of the rank-ordered runs produces.
     """
 
     dtype: np.dtype
+    #: int32 or int64: the dtype the words are packed, sorted, exchanged
+    #: and merged in.
+    word_dtype: np.dtype
     #: Trailing zero bits common to every float code, dropped before the
     #: pack (0 for ints and for floats that fit without it).
     strip: int
@@ -173,18 +188,25 @@ class KeyFrame:
         """Bits below the code: rank tag + index."""
         return self.idx_bits + self.rank_bits
 
+    @property
+    def code_limit(self) -> int:
+        """Every stored code lies in ``[-code_limit, code_limit)``; the
+        spare bit makes ``±code_limit << shift`` a word too."""
+        return 1 << (8 * self.word_dtype.itemsize - 2 - self.shift)
+
 
 def derive_key_frame(
     block_stats: Sequence[tuple[int, int, int, int]], dtype, num_ranks: int
 ) -> KeyFrame | None:
     """The job's key frame, or ``None`` when the words would not fit.
 
-    Fits when bits(coded range) + idx_bits + rank_bits ≤ 62, i.e. every
-    shifted code stays inside int64 with one spare bit:
-    ``-limit ≤ code < limit`` for ``limit = 2**(62 - shift)``.  A float
-    frame that fails the plain test strips the trailing zeros common to
-    all codes (``ctz`` of the OR over every block) and tests again.
-    Empty blocks contribute no range.
+    The narrowest word that fits: bits(stored code range) + idx_bits +
+    rank_bits ≤ 30 gives int32 words, ≤ 62 int64 ones, i.e. every shifted
+    code stays inside the word with one spare bit: ``-limit ≤ code >>
+    strip < limit`` for ``limit = 2**(30 - shift)`` or ``2**(62 -
+    shift)``.  At each width a float frame that fails the plain test
+    strips the trailing zeros common to all codes (``ctz`` of the OR over
+    every block) and tests again.  Empty blocks contribute no range.
     """
     dtype = np.dtype(dtype)
     live = [stats for stats in block_stats if stats[3]]
@@ -195,23 +217,24 @@ def derive_key_frame(
     # Conservative headroom: huge inputs would not profit anyway.
     if shift > 40:
         return None
-    limit = 1 << (62 - shift)
     lo = min((stats[0] for stats in live), default=0)
     hi = max((stats[1] for stats in live), default=0)
-    strip = 0
-    if hi >= limit or lo < -limit:
-        if dtype.kind != "f":
-            return None
+    strips = [0]
+    if dtype.kind == "f":
         # Float codes carry the mantissa's unused low bits as common
         # trailing zeros; dropping them is an exact, order-preserving shift.
         any_bit = 0
         for stats in live:
             any_bit |= stats[2]
-        strip = (any_bit & -any_bit).bit_length() - 1
-        if (hi >> strip) >= limit or (lo >> strip) < -limit:
-            return None
+        if any_bit:
+            strips.append((any_bit & -any_bit).bit_length() - 1)
     has_nan = dtype.kind == "f" and hi == _FLOAT_LAYOUT[dtype.itemsize][2]
-    return KeyFrame(dtype, strip, idx_bits, rank_bits, lo < 0, has_nan)
+    for word in WORD_DTYPES:
+        spare = 8 * word.itemsize - 2 - shift
+        for strip in strips:
+            if spare >= 0 and -(1 << spare) <= lo >> strip and hi >> strip < 1 << spare:
+                return KeyFrame(dtype, word, strip, idx_bits, rank_bits, lo < 0, has_nan)
+    return None
 
 
 def pack_words(
@@ -219,25 +242,29 @@ def pack_words(
 ) -> np.ndarray:
     """Kernel 2: pack one block's codes into ``out``; sort it to sort the block.
 
-    ``out`` is the int64 buffer :func:`code_and_stats` was handed: float
-    codes already live there and are packed in place; int keys, their own
-    codes, are read once and never modified.
+    ``out`` holds one word per key in the frame's word dtype (a wider
+    buffer holds the same numbers).  Float codes live in the int64 buffer
+    :func:`code_and_stats` was handed — ``out`` itself for int64 words,
+    packed in place; int keys, their own codes, are read once and never
+    modified.
     """
-    tag = rank << frame.idx_bits
+    tag, word = rank << frame.idx_bits, frame.word_dtype
+    ramp = _RAMPS[word]
     for lo in range(0, len(codes), CHUNK_KEYS):
         chunk = out[lo : lo + CHUNK_KEYS]
         if frame.strip:
+            # Shifted at the codes' own int64 width; the stored code fits.
             np.right_shift(codes[lo : lo + CHUNK_KEYS], frame.strip, out=chunk)
             chunk <<= frame.shift
         else:
-            np.left_shift(
-                codes[lo : lo + CHUNK_KEYS], frame.shift, out=chunk, dtype=np.int64
-            )
+            # Cast to the word first, so a narrow code (int8) cannot
+            # overflow its own width in the shift.
+            np.left_shift(codes[lo : lo + CHUNK_KEYS], frame.shift, out=chunk, dtype=word)
         # The low ``shift`` bits of a shifted code are zero and chunk bases
         # are multiples of the ramp's power-of-two length, so OR-ing index,
         # base and rank tag is an exact add; two's-complement shifts keep
         # negative codes ordered.
-        chunk |= _RAMP[: len(chunk)]
+        chunk |= ramp[: len(chunk)]
         if tag | lo:
             chunk |= tag | lo
     return out
@@ -283,15 +310,19 @@ def unpack_words(
     contiguous ranges: those keys are refilled bit for bit from ``source``
     (the unsorted input) at ``block_starts[rank] + index``; the number
     refilled is returned.  ``keys_out`` or ``index_out`` may be ``words``
-    itself (8-byte keys decode in place, chunk by chunk, last); the refill
+    itself — int64 words of 8-byte keys decode their keys in place, int32
+    words their index, in both cases chunk by chunk and last; the refill
     positions are read before any word is overwritten.
     """
     refills = []
     if frame.dtype.kind == "f":
-        lossy_ranges = [words.searchsorted([0, 1 << frame.shift])]
+        # Bounds in the words' dtype, so numpy never upcasts the words.
+        zero = np.array([0, 1 << frame.shift], dtype=words.dtype)
+        lossy_ranges = [words.searchsorted(zero)]
         if frame.has_nan:
             nan_code = _FLOAT_LAYOUT[frame.dtype.itemsize][2] >> frame.strip
-            lossy_ranges.append((words.searchsorted(nan_code << frame.shift), len(words)))
+            nan_word = words.dtype.type(nan_code << frame.shift)
+            lossy_ranges.append((words.searchsorted(nan_word), len(words)))
         refills = [
             (lo, hi, _origins(words[lo:hi], frame, block_starts))
             for lo, hi in lossy_ranges
@@ -358,22 +389,24 @@ class SortedWords:
         A stored code is ``code >> strip``, so a key sorts at or before a
         needle of code ``c`` when its own is below ``(c >> strip) + 1`` —
         a bound that, shifted, is a word — and strictly before it when at
-        or before ``c - 1``.  Bounds beyond the frame's ``±2**(62 - shift)``
+        or before ``c - 1``.  Bounds beyond the frame's ``±code_limit``
         (another dataset's splitters) stop there and answer ``0`` or
-        ``len``.  The needles are a handful of splitters, so the bounds
-        are exact Python integers: no dtype can overflow, and a 60k-key
-        job pays three numpy calls per probe, not ten.
+        ``len``; so clamped, every bound is a word, and the bounds array
+        takes the words' dtype: numpy never upcasts the words.  The
+        needles are a handful of splitters, so the bounds are exact
+        Python integers: no dtype can overflow, and a 60k-key job pays
+        three numpy calls per probe, not ten.
         """
         frame = self.frame
         codes = np.asarray(needles, dtype=frame.dtype)
         if frame.dtype.kind == "f":
             codes = code_and_stats(codes, np.empty(len(codes), dtype=np.int64))[0]
-        limit, before = 1 << (62 - frame.shift), side == "left"
+        limit, before = frame.code_limit, side == "left"
         bounds = [
             min(max((code - before >> frame.strip) + 1, -limit), limit) << frame.shift
             for code in codes.tolist()
         ]
-        return self.words.searchsorted(np.array(bounds, dtype=np.int64))
+        return self.words.searchsorted(np.array(bounds, dtype=self.words.dtype))
 
 
 #: Up to this many true runs, timsort's galloping merge (``kind="stable"``)
@@ -416,7 +449,8 @@ def packed_stable_sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None
     ``keys[order]`` — same bytes, same tie resolution.  Returns ``None``
     when the packing precondition fails (no codec for the dtype, or the
     coded key range could collide with the index bits), in which case the
-    caller must run the stable argsort itself.  ``stable_order`` is int64.
+    caller must run the stable argsort itself.  ``stable_order`` is int64,
+    and so are the words it unpacks from, whatever the frame's width.
     """
     n = len(keys)
     if n < 2 or not has_key_codec(keys.dtype):

@@ -52,6 +52,7 @@ from .exchange import ExchangeResult, exchange_partitions
 from .local_sort import local_sort_seconds
 from .packsort import code_and_stats, derive_key_frame, has_key_codec
 from .provenance import Provenance
+from .scratch import ARENAS
 from .steps import INDEX_DTYPE, agree_splitters, draw_samples, partition_block
 
 #: Master processor rank (the paper's "Master").
@@ -104,40 +105,50 @@ class SortJob:
     The key frame — ``None`` when it misses, or when the codec has no code
     for the dtype — is folded from every block's statistics before the
     run, outside virtual time (the pool allgathers them in step 1); int
-    keys are their own codes (one read, no second pass).  The job's
-    :class:`~repro.core.datapath.JobStorage` is laid out at its first step
-    1: the outputs fresh, since the results own them, and on the word path
-    everything else from one warm arena of the run's pool — each rank's
-    step-1 words at its input offset, the word stream when keys are
-    narrower than 8 bytes, and for float keys the input the lossy codes
-    refill from.  The kernels that fill it run on the run's threads; the
-    arena goes back once every rank's step-6 kernel finished.
+    keys are their own codes (one read, no second pass), float keys are
+    coded into a warm lease of the process's arena pool, returned before
+    the run.  The job's :class:`~repro.core.datapath.JobStorage` is laid
+    out at its first step 1: the outputs fresh, since the results own
+    them, and on the word path everything else from one warm arena of the
+    run's pool — each rank's step-1 words at its input offset, as wide as
+    the frame says, the int64 word stream when keys are narrower than 8
+    bytes, and for float keys the input the lossy codes refill from (and,
+    under int32 words, the int64 codes they pack from).  The kernels that
+    fill it run on the run's threads; the arena goes back once every
+    rank's step-6 kernel finished.
     """
 
     def __init__(self, blocks: Sequence[np.ndarray]):
         dtype = blocks[0].dtype
         self.frame = None
         if has_key_codec(dtype):
-            codes = np.empty(max(map(len, blocks)) if dtype.kind == "f" else 0, np.int64)
-            stats = [code_and_stats(block, codes[: len(block)])[1] for block in blocks]
-            self.frame = derive_key_frame(stats, dtype, len(blocks))
+            self.frame = derive_key_frame(_block_stats(blocks), dtype, len(blocks))
         self.blocks = blocks
         self.block_starts = np.cumsum([0, *map(len, blocks)], dtype=np.int64)
-        self.storage = self.arena = self.words = None
+        self.storage = self.arena = self.words = self.codes = None
         self.merges: list = []
 
     def _take(self, role: str, n: int, dtype: np.dtype) -> np.ndarray:
         if role in OUTPUT_ROLES:
             return np.empty(n, dtype)
-        if self.arena is None or (role == "input" and dtype.kind != "f"):
-            return np.empty(0, dtype)  # unread: off the word path, or int keys' refill source
+        if (
+            self.arena is None
+            or (role == "input" and dtype.kind != "f")
+            or (role == "words" and dtype != self.frame.word_dtype)
+        ):
+            # Unread: off the word path, int keys' refill source, or the
+            # int64 stream of a job whose words are int32.
+            return np.empty(0, dtype)
         return self.arena.take(n, dtype)
 
     def _draw(self, kernels) -> None:
+        dtype, n = self.blocks[0].dtype, int(self.block_starts[-1])
         if self.frame is not None:
             self.arena = kernels.checkout()
-            self.words = self.arena.take(int(self.block_starts[-1]), WORD_DTYPE)
-        self.storage = lay_out(self.block_starts, self.blocks[0].dtype, self._take, np.ndarray.view)
+            self.words = self.arena.take(n, self.frame.word_dtype)
+            if dtype.kind == "f" and self.frame.word_dtype != WORD_DTYPE:
+                self.codes = self.arena.take(n, WORD_DTYPE)
+        self.storage = lay_out(self.block_starts, dtype, self._take, np.ndarray.view)
         if len(self.storage.input):
             np.concatenate(self.blocks, out=self.storage.input)
 
@@ -146,9 +157,11 @@ class SortJob:
         future of the rank's :class:`~repro.core.datapath.DataPath`."""
         if self.storage is None:
             self._draw(machine.kernels)
-        start = int(self.block_starts[machine.rank])
-        words = None if self.words is None else self.words[start : start + len(block)]
-        return machine.kernels.submit(local_sort, self.frame, self.storage, machine.rank, block, words)
+        span = slice(int(self.block_starts[machine.rank]), int(self.block_starts[machine.rank + 1]))
+        words, codes = (None if a is None else a[span] for a in (self.words, self.codes))
+        return machine.kernels.submit(
+            local_sort, self.frame, self.storage, machine.rank, block, words, None, codes
+        )
 
     def merge(self, machine: Machine, path: DataPath, base: int, run_lengths: list[int]):
         """Step 6 on one rank, submitted to the run's kernel threads: its
@@ -161,6 +174,19 @@ class SortJob:
             machine.kernels.checkin(self.arena, self.merges)
         keys, index, proc = (getattr(self.storage, role)[base:stop] for role in OUTPUT_ROLES)
         return keys, Provenance(proc, index)
+
+
+def _block_stats(blocks: Sequence[np.ndarray]) -> list[tuple[int, int, int, int]]:
+    """Every block's key-frame statistics.  Float keys are coded into a
+    warm int64 lease, one block at a time, checked in before the run."""
+    if blocks[0].dtype.kind != "f":
+        return [code_and_stats(block, None)[1] for block in blocks]
+    arena = ARENAS.checkout()
+    try:
+        codes = arena.take(max(map(len, blocks)), WORD_DTYPE)
+        return [code_and_stats(block, codes[: len(block)])[1] for block in blocks]
+    finally:
+        ARENAS.checkin(arena)
 
 
 def local_sort_step(

@@ -65,7 +65,8 @@ class WorkerTrace:
     spans: list[tuple[float, float, str, str]] = field(default_factory=list)
     #: ``(dst, nbytes, offset_bytes, start, end)`` — one per (src, dst)
     #: exchange run: all of its bytes across the exchanged streams
-    #: (``count × 8`` for a run of packed words) and the run's byte offset
+    #: (``count × 4`` or ``count × 8`` for a run of packed words, as wide
+    #: as the job's key frame) and the run's byte offset
     #: in the first of them.
     flows: list[tuple[int, int, int, float, float]] = field(default_factory=list)
     #: ``(t, name, value)`` — sampled numeric series.

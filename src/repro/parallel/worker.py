@@ -32,7 +32,8 @@ Observability: every worker heartbeats the hub at each step boundary
 which-step-died diagnostics) and, when the parent requested tracing
 (``job.trace``), records a :class:`~repro.parallel.tracing.WorkerTrace`
 — clock-offset handshake, per-step windows, collective wait spans, one
-flow per (src, dst) shm write with bytes (``count × 8`` for a word run)
+flow per (src, dst) shm write with bytes (``count × 4`` or ``count × 8``
+for a word run, as wide as the job's key frame)
 and the run's byte offset in the exchanged stream, and
 counter samples — shipped home on the :class:`WorkerReport` and merged
 on the parent into the simnet-schema tracer.
@@ -273,16 +274,22 @@ def _local_sort(job: _Job, block: np.ndarray, scratch: ScratchArena) -> DataPath
     """Step 1: the job's data path is chosen here, once; choosing sorts.
 
     Every rank takes the same branch: the frame comes from the same
-    gathered statistics (one allgather, waited inside step 1).  The one
-    block-sized step-1 temporary comes from the worker's warm scratch
-    pool — fresh pages per job would be the op's largest page-fault bill —
-    and holds the codes, then the words, then the sorted words.
+    gathered statistics (one allgather, waited inside step 1).  The
+    step-1 temporaries come from the worker's warm scratch pool — fresh
+    pages per job would be the op's largest page-fault bill: float keys
+    are coded into an int64 lease before the allgather, and the words,
+    as wide as the frame says, are leased after it (int64 float words
+    are packed in place over their codes; int keys are their own codes).
     """
     frame = words = codes = None
     if job.views.words is not None:
-        words = scratch.take(len(block), WORD_DTYPE)
-        codes, stats = code_and_stats(block, words)
+        is_float = block.dtype.kind == "f"
+        coded = scratch.take(len(block), WORD_DTYPE) if is_float else None
+        codes, stats = code_and_stats(block, coded)
         frame = derive_key_frame(job.link.allgather(stats), block.dtype, job.plan.size)
+        if frame is not None:
+            in_place = is_float and frame.word_dtype == WORD_DTYPE
+            words = coded if in_place else scratch.take(len(block), frame.word_dtype)
     return local_sort(frame, job.views, job.rank, block, words, codes)
 
 

@@ -374,6 +374,130 @@ def test_frame_ignores_empty_blocks_and_takes_the_longest():
     assert (empty.idx_bits, empty.rank_bits, empty.has_negative) == (0, 1, False)
 
 
+# ---------------------------------------------------- the word's width
+#
+# A frame packs int32 words exactly while every stored code lies in
+# [-2^(30 - shift), 2^(30 - shift)), the 62-bit test's one-spare-bit rule
+# at 32 bits, and int64 words otherwise.  Both substrates then pack, sort,
+# merge and unpack int32 words, decoding the index in place.
+
+WIDTH_RANKS = [1, 2, 16]
+
+
+def _frame_of(blocks):
+    stats = [_code(block)[1] for block in blocks]
+    return derive_key_frame(stats, blocks[0].dtype, len(blocks))
+
+
+@pytest.mark.parametrize("p", WIDTH_RANKS)
+def test_words_are_int32_exactly_while_the_stored_codes_fit_30_bits(p):
+    m = 33  # keys per block: 6 index bits
+    limit = 1 << (30 - (m - 1).bit_length() - (p - 1).bit_length())
+
+    def int_blocks(stored):
+        keys = np.zeros(m * p, dtype=np.int64)
+        keys[-1] = stored  # on the last rank
+        return np.split(keys, p)
+
+    def float_blocks(stored, strip=20):
+        # Every code a multiple of 2^20, one of them exactly: strip = 20.
+        bits = np.full(m * p, 1 << strip, dtype=np.uint64)
+        bits[-1] = abs(stored) << strip
+        keys = bits.view(np.float64)
+        keys[-1] *= -1 if stored < 0 else 1
+        return np.split(keys, p)
+
+    for blocks in (int_blocks, float_blocks):
+        assert _frame_of(blocks(limit - 1)).word_dtype == np.int32
+        assert _frame_of(blocks(limit)).word_dtype == np.int64
+        assert _frame_of(blocks(-limit)).word_dtype == np.int32
+        assert _frame_of(blocks(-limit - 1)).word_dtype == np.int64
+    assert _frame_of(float_blocks(limit - 1)).strip == 20
+    assert _frame_of(float_blocks(limit)).strip == 0  # int64 words fit unstripped
+
+
+def _through_int32_words(blocks):
+    """Steps 1, 5 and 6 on ``blocks`` in int32 words, as both substrates
+    run them: pack and sort each block, concatenate the runs (every rank
+    sends one destination everything), sort them in place and unpack,
+    the index in place over the words.  Returns ``(keys, index, proc)``."""
+    dtype = blocks[0].dtype
+    coded = [code_and_stats(block, np.empty(len(block), dtype=np.int64)) for block in blocks]
+    frame = derive_key_frame([stats for _codes, stats in coded], dtype, len(blocks))
+    assert frame.word_dtype == np.int32
+    runs = [
+        np.sort(pack_words(codes, frame, rank, np.empty(len(codes), dtype=np.int32)))
+        for rank, (codes, _stats) in enumerate(coded)
+    ]
+    stream = np.concatenate(runs)
+    packsort.sort_runs_in_place(stream, [len(run) for run in runs], frame.shift)
+    source = np.concatenate(blocks)
+    starts = np.cumsum([0] + [len(block) for block in blocks])
+    keys = np.empty(len(stream), dtype=dtype)
+    proc = np.empty(len(stream), dtype=np.int16)
+    unpack_words(stream, frame, source, starts, keys, stream, proc)
+    return keys, stream, proc
+
+
+def _small_keys(dtype, n, rng):
+    """Small integers, and for floats ±0.0, NaNs of both signs with
+    distinct payloads and ±inf among them."""
+    if np.dtype(dtype).kind != "f":
+        info = np.iinfo(dtype)
+        return rng.integers(max(int(info.min), -50), min(int(info.max), 50), n, endpoint=True).astype(dtype)
+    keys = rng.integers(-9, 9, n).astype(dtype)
+    uint_t, sign, inf, mantissa = FLOAT_BITS[dtype]
+    quiet = (mantissa + 1) >> 1
+    specials = np.array(
+        [0, sign, inf, sign | inf, inf | 1, inf | quiet | 7, sign | inf | quiet | 5, sign | inf | mantissa],
+        dtype=uint_t,
+    ).view(dtype)
+    keys[rng.integers(0, n, 3 * len(specials))] = np.resize(specials, 3 * len(specials))
+    return keys
+
+
+@pytest.mark.parametrize("p", WIDTH_RANKS)
+@pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.float32, np.float64])
+def test_int32_words_round_trip_byte_for_byte(dtype, p):
+    rng = np.random.default_rng([p, np.dtype(dtype).num])
+    blocks = np.array_split(_small_keys(dtype, 40 * p + 3, rng), p)
+    keys, index, proc = _through_int32_words(blocks)
+    source = np.concatenate(blocks)
+    order = source.argsort(kind="stable")  # ties by (rank, index): the merge order
+    assert keys.tobytes() == source[order].tobytes()  # -0.0 and NaN payloads refilled
+    starts = np.cumsum([0] + [len(block) for block in blocks])
+    np.testing.assert_array_equal(starts[proc] + index, order)
+
+
+class _SearchSpy(np.ndarray):
+    """A word buffer that records the dtype of every ``searchsorted`` needle array."""
+
+    needles: list = []
+
+    def searchsorted(self, v, *args, **kwargs):
+        _SearchSpy.needles.append(np.asarray(v).dtype)
+        return super().searchsorted(v, *args, **kwargs)
+
+
+@pytest.mark.parametrize("p", WIDTH_RANKS)
+def test_int32_words_answer_needles_far_outside_the_frame(monkeypatch, p):
+    block = np.arange(-20, 20, dtype=np.int64).repeat(3)
+    codes, stats = code_and_stats(block, None)
+    frame = derive_key_frame([stats] * p, block.dtype, p)
+    assert frame.word_dtype == np.int32
+    words = np.sort(pack_words(codes, frame, p - 1, np.empty(len(block), dtype=np.int32)))
+    monkeypatch.setattr(_SearchSpy, "needles", [])
+    sorted_words = SortedWords(words.view(_SearchSpy), frame, block, np.zeros(p, dtype=np.int64))
+    far = np.array([-(1 << 62), -(1 << 40), -(1 << 31), 1 << 31, 1 << 40, 1 << 62], dtype=np.int64)
+    for side in ("left", "right"):
+        assert sorted_words.searchsorted(far, side=side).tolist() == [0] * 3 + [len(block)] * 3
+        np.testing.assert_array_equal(
+            sorted_words.searchsorted(block[::7], side=side),
+            np.searchsorted(block, block[::7], side=side),
+        )
+    assert _SearchSpy.needles == [np.dtype(np.int32)] * 4  # the words are never upcast
+
+
 # ------------------------------------------- steps 2-4 read the sorted words
 #
 # ``SortedWords`` stands in for the decoded sorted block: ``take`` must

@@ -22,11 +22,12 @@ from repro.core.local_backend import local_sample_sort
 from repro.core.packsort import code_and_stats, derive_key_frame
 from repro.core.datapath import THROUGH
 from repro.core.retry import RetryPolicy
+from repro.core.scratch import ARENAS
 from repro.core.sorter import SortJob, SortOptions
 from repro.parallel import ProcessBackend, RealFaultPlan
 from repro.simnet.faults import FaultPlan
 from repro.simnet.sanitizer import sanitize
-from repro.workloads.distributions import right_skewed
+from repro.workloads.distributions import right_skewed, uniform
 
 INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
 RANKS = [1, 2, 3, 16]
@@ -173,6 +174,28 @@ def test_int64_at_the_p16_frame_limit(word_merges, edge, fits):
     assert _assert_substrates_agree(list(partition_input(keys, p)[0]), word_merges) == fits
 
 
+# ------------------------------------------------------ narrow key frames
+#
+# The paper's duplicate-heavy inputs pack into int32 words: code, rank
+# and index fit in 30 bits, and the words travel in the index stream.
+# CI also runs these pinned to one CPU (one kernel thread, same bytes).
+
+NARROW = {
+    "right-skewed": lambda n, seed: right_skewed(n, seed=seed),
+    "uniform over 100": lambda n, seed: uniform(n, seed=seed),
+    "duplicate-heavy [0, 1000)": lambda n, seed: np.random.default_rng(seed).integers(0, 1000, n),
+    "int8": lambda n, seed: np.random.default_rng(seed).integers(-128, 128, n).astype(np.int8),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 16])
+@pytest.mark.parametrize("name", NARROW)
+def test_narrow_frames_agree_across_substrates(pool, word_merges, name, p):
+    blocks = list(partition_input(NARROW[name](500 * p + 3, p), p)[0])
+    assert SortJob(blocks).frame.word_dtype == np.int32
+    assert _assert_substrates_agree(blocks, word_merges, pool)
+
+
 # ``word_merges`` is cleared inside every ``_assert_substrates_agree`` call.
 @settings(max_examples=12, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -234,6 +257,29 @@ def test_sort_multi_of_mixed_dtypes_is_each_datasets_oracle(word_merges):
         reference = local_sample_sort(list(partition_input(data, p)[0]))
         _assert_bytes_equal(zip(result.per_processor, result.provenance), reference)
     assert len(word_merges) == 4 * p  # every dataset but the float64 one
+
+
+def test_sort_multi_of_narrow_and_wide_frames_does_not_grow_the_arenas():
+    """int32- and int64-word jobs back to back in one run: each is its
+    dataset's oracle, and twelve datasets pool what one of each shape does."""
+    p = 4
+    rng = np.random.default_rng(8)
+    shapes = [
+        lambda: rng.integers(0, 1000, 3_000),  # int32 words
+        lambda: rng.integers(0, 1 << 40, 3_000),  # int64 words, 8-byte keys
+        lambda: rng.integers(-9, 9, 3_000).astype(np.float32),  # int32 words from int64 codes
+        lambda: rng.integers(0, 1 << 30, 3_000).astype(np.int32),  # int64 words stream of its own
+    ]
+    datasets = [shapes[k % len(shapes)]() for k in range(12)]
+    widths = [SortJob(list(partition_input(d, p)[0])).frame.word_dtype for d in datasets]
+    assert widths[:4] == [np.int32, np.int64, np.int32, np.int64]
+    sorter = DistributedSorter(num_processors=p)
+    sorter.sort_multi(datasets[:4])
+    pooled = sum(arena.pooled_bytes() for arena in ARENAS.idle)
+    for data, result in zip(datasets, sorter.sort_multi(datasets)):
+        reference = local_sample_sort(list(partition_input(data, p)[0]))
+        _assert_bytes_equal(zip(result.per_processor, result.provenance), reference)
+    assert sum(arena.pooled_bytes() for arena in ARENAS.idle) == pooled
 
 
 WIRE_FAULTS = {

@@ -264,6 +264,34 @@ class TestWordPathStreams:
         assert mismatches and {v.details["segment"] for v in mismatches} == {words["segment"]}
         assert {v.rank for v in mismatches} == {1}
 
+    def test_narrow_frame_exchanges_int32_words_through_the_index_lease(self, tmp_path):
+        # [0, 1000) on 4 ranks: 10 code + 2 rank + 11 index bits, int32 words.
+        data = np.random.default_rng(6).integers(0, 1000, 8_000)
+        run, san, doc, labels = self._sanitized(data, tmp_path)
+        assert _paths(run) == {"through"}
+        assert san.report.ok, san.report.summary()
+        assert san.report.counts["leases_tracked"] == 4  # no word segment of its own
+        assert doc["exchanged"] == ["index"]
+        assert {"exchange-write", "merge-read", "merge-write", "proc-write", "key-write"} <= labels
+        index = next(lease for lease in doc["leases"] if lease["role"] == "index")
+        writes = [a for a in doc["accesses"] if a[7] == "exchange-write"]
+        assert writes and {a[0] for a in writes} == {index["segment"]}
+        reference = local_sample_sort(list(partition_input(data, 4)[0]))
+        for out, keys, prov in zip(run.outputs, reference.per_processor, reference.provenance):
+            assert out.keys.tobytes() == keys.tobytes()
+            assert out.provenance.origin_index.tobytes() == prov.origin_index.tobytes()
+
+    def test_offset_mutation_is_red_on_the_narrow_index_segment(self, tmp_path):
+        data = np.random.default_rng(6).integers(0, 1000, 8_000)
+        run, san, doc, _ = self._sanitized(
+            data, tmp_path, mutate="offset-off-by-one", mutate_rank=1
+        )
+        assert _paths(run) == {"through"}
+        index = next(lease for lease in doc["leases"] if lease["role"] == "index")
+        mismatches = [v for v in san.report.violations if v.kind == "offset-mismatch"]
+        assert mismatches and {v.details["segment"] for v in mismatches} == {index["segment"]}
+        assert {v.rank for v in mismatches} == {1}
+
     def test_float_refill_reads_the_input_lease_and_stays_clean(self, tmp_path):
         rng = np.random.default_rng(4)
         data = np.floor(rng.exponential(50, 8_000)) * rng.choice([-1.0, 1.0], 8_000)

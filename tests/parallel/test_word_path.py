@@ -188,6 +188,11 @@ DATA_PATHS = {
     "word-narrow-keys": (
         lambda rng: _narrow(rng, np.int32), SortOptions(), "through", ("words",), 8,
     ),
+    # Duplicate-heavy: 10 code + rank + 12 index bits fit an int32 word,
+    # which travels in the index lease and decodes there in place.
+    "word-int32": (
+        lambda rng: rng.integers(0, 1000, 6_000), SortOptions(), "through", ("index",), 4,
+    ),
     # Full-mantissa float64 in [0, 1): no frame fits, not even one block's.
     "keys+perm": (
         lambda rng: rng.random(6_000), SortOptions(), "stable", ("keys", "index"), 12,
@@ -288,21 +293,29 @@ def test_samples_with_signed_zeros_and_nan_payloads_keep_their_bytes(tmp_path):
     ]
 
 
-def test_word_path_step_one_holds_one_lease_and_no_decoded_copy():
-    block = _lossy_float_keys()
+def _word_path_step_one(block, scratch):
+    """Step 1 as a pooled worker runs it: the block is coded into an int64
+    scratch lease for the frame's statistics; int64 words are packed and
+    sorted there, int32 words in a lease taken once the frame is known."""
     n = len(block)
     storage = lay_out(
         np.array([0, n]), block.dtype, lambda _role, size, dtype: np.empty(size, dtype),
         np.ndarray.view,
     )
     storage.input[:] = block
-    # Step 1 as a pooled worker runs it: the block is coded into its one
-    # scratch lease for the frame's statistics, then packed and sorted there.
-    scratch = ScratchArena()
-    words = scratch.take(n, np.int64)
-    codes, stats = code_and_stats(block, words)
+    coded = scratch.take(n, np.int64)
+    codes, stats = code_and_stats(block, coded)
     frame = derive_key_frame([stats], block.dtype, 1)
-    path = local_sort(frame, storage, 0, block, words, codes)
+    words = coded if frame.word_dtype == np.int64 else scratch.take(n, frame.word_dtype)
+    return local_sort(frame, storage, 0, block, words, codes)
+
+
+def test_word_path_step_one_holds_one_lease_and_no_decoded_copy():
+    block = _lossy_float_keys()
+    block[1] = 1e6 + 0.5  # 21 mantissa bits: the frame needs int64 words
+    n = len(block)
+    scratch = ScratchArena()
+    path = _word_path_step_one(block, scratch)
     assert path.label == "through" and isinstance(path.sorted_block, SortedWords)
     assert path.exchanged == ("keys",)  # 8-byte keys: the word stream is the keys
     assert (scratch.pooled_bytes(), scratch.live_leases) == (8 * n, 1)
@@ -310,6 +323,19 @@ def test_word_path_step_one_holds_one_lease_and_no_decoded_copy():
     expected = block[block.argsort(kind="stable")]
     assert path.sorted_block.take(np.arange(n)).tobytes() == expected.tobytes()
     assert scratch.pooled_bytes() == 8 * n  # reading the block decoded nothing into the pool
+
+
+def test_narrow_word_path_step_one_packs_int32_words_that_travel_in_the_index():
+    block = _lossy_float_keys()  # small integers: stored codes fit an int32 word
+    n = len(block)
+    scratch = ScratchArena()
+    path = _word_path_step_one(block, scratch)
+    words = path.sorted_block.words
+    assert path.label == "through" and words.dtype == np.int32
+    assert path.exchanged == ("index",) and path.bytes_per_key == 4
+    assert (scratch.pooled_bytes(), scratch.live_leases) == (12 * n, 2)  # codes + words
+    expected = block[block.argsort(kind="stable")]
+    assert path.sorted_block.take(np.arange(n)).tobytes() == expected.tobytes()
 
 
 # ------------------------------------------------------------ observability

@@ -339,6 +339,30 @@ class TestRunLifetime:
         assert len(lent) <= 1
         assert sum(a.allocations - before for a, before in lent) == 0
 
+    #: Float keys whose frame fits, in words of either width.
+    FLOAT_WORDS = {
+        "int32": (DATA % 50).astype(np.float32),
+        "int64": DATA / 4,
+    }
+
+    @pytest.mark.parametrize("width", FLOAT_WORDS)
+    def test_second_identical_float_sort_allocates_nothing(self, monkeypatch, width):
+        from repro import distributed_sort
+        from repro.core.api import partition_input
+        from repro.core.sorter import SortJob
+
+        data = self.FLOAT_WORDS[width]
+        frame = SortJob(list(partition_input(data, 16)[0])).frame
+        assert frame.word_dtype == width
+        distributed_sort(data, num_processors=16)
+        lent = _recording_checkouts(monkeypatch)
+        again = distributed_sort(data, num_processors=16)
+        assert np.array_equal(again.to_array(), np.sort(data))
+        # The frame's statistics are coded into a warm lease, checked back
+        # in before the run, whose job then draws that same arena.
+        assert len(lent) == 2 and lent[0][0] is lent[1][0]
+        assert sum(a.allocations - before for a, before in lent) == 0
+
     @pytest.mark.parametrize("p", [1, 4])
     def test_sort_multi_does_not_grow_the_arenas_per_dataset(self, p):
         """A job's storage goes back once its last step-6 kernel finished,
