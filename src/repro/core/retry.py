@@ -173,7 +173,6 @@ def _expand_degraded(
                 prov.origin_index,
             ),
             sent_counts=expanded_counts[orig].copy(),
-            received_counts=expanded_counts[:, orig].copy(),
         )
     expanded_offsets = np.zeros(original_p, dtype=np.int64)
     expanded_offsets[survivor_arr] = offsets

@@ -1,9 +1,12 @@
-"""The six-step PGX.D distributed sample sort (paper section IV).
+"""Simnet's binding of the six-step PGX.D sample sort (paper section IV).
 
-One :func:`sample_sort_program` instance runs on every simulated machine:
+The steps are written once, in :func:`repro.core.program.six_steps`;
+:func:`sample_sort_program` runs them on every simulated machine over
+:class:`_OnMachine`, which serves each step from the machine and the
+job's shared :class:`SortJob`:
 
 1. **Local sort** — parallel quicksort across worker threads, combined by
-   the balanced-merge handler (:mod:`repro.core.local_sort`).
+   the balanced-merge handler (charged by :mod:`repro.core.local_sort`).
 2. **Sampling** — regular samples (256KB/p bytes) are sent to the Master.
 3. **Splitters** — the Master merges the samples, selects ``p-1`` final
    splitters and broadcasts them.
@@ -18,21 +21,22 @@ One :func:`sample_sort_program` instance runs on every simulated machine:
 Every step's elapsed virtual time is measured per rank (Figure 7); compute
 is charged through the cost model, communication through the network model.
 The real data is really sorted — correctness is asserted in tests, not
-assumed from the model.
+assumed from the model.  One machine runs the same six steps as sixteen.
 
 Steps 1, 5 and 6 are the pool's too (:mod:`repro.core.datapath`): packed
-words when the job's key frame (:class:`SortJob`) fits, keys and an int32
-permutation otherwise; both are *charged* as the paper's records (key +
-4-byte index, Figure 11), so goldens cannot tell.
+words when the job's key frame fits, keys and an int32 permutation
+otherwise; both are *charged* as the paper's records (key + 4-byte
+index, Figure 11), so goldens cannot tell.
 
 As each paper machine sorts and merges on its own worker threads, the
 data path's step-1 and step-6 kernels run on the run's kernel threads
 (:class:`~repro.pgxd.runtime.KernelPool`), off the event loop: a rank's
-local sort is submitted as it enters step 1 and read at step 2, its merge
-submitted once step 5 assembled its region, and the run waits for all of
-them before it returns.  The kernels are pure, write disjoint regions of
-the job's storage, and every charge comes from key counts alone, so
-nothing simulated can depend on when, or on how many threads, they ran.
+local sort is submitted as it enters step 1 and read once its charge
+elapsed, its merge submitted once step 5 assembled its region, and the
+run waits for all of them before it returns.  The kernels are pure, write
+disjoint regions of the job's storage, and every charge comes from key
+counts alone, so nothing simulated can depend on when, or on how many
+threads, they ran.
 """
 
 from __future__ import annotations
@@ -46,19 +50,15 @@ from ..pgxd.runtime import Machine
 from ..simnet.calls import Mark, Now
 from ..simnet.collectives import bcast, gather
 from .balanced_merge import merge_levels, merge_levels_cost_seconds
-from .datapath import OUTPUT_ROLES, WORD_DTYPE, DataPath, lay_out, local_sort
-from .datapath import surfaced_sort_path
+from .datapath import OUTPUT_ROLES, WORD_DTYPE, DataPath, lay_out, surfaced_sort_path
 from .exchange import ExchangeResult, exchange_partitions
 from .local_sort import local_sort_seconds
-from .packsort import code_and_stats, derive_key_frame, has_key_codec
+from .packsort import code_and_stats, has_key_codec
+from .program import MASTER, six_steps
 from .provenance import Provenance
 from .scratch import ARENAS
-from .steps import INDEX_DTYPE, agree_splitters, draw_samples, partition_block
-
-#: Master processor rank (the paper's "Master").
-MASTER = 0
-
-from .sorter_labels import STEP_LABELS  # noqa: E402  (re-exported)
+from .sorter_labels import STEP_LABELS
+from .steps import INDEX_DTYPE
 
 
 @dataclass(frozen=True)
@@ -89,43 +89,34 @@ class RankSortOutput:
     provenance: Provenance
     #: Elapsed virtual seconds per step label.
     step_seconds: dict[str, float] = field(default_factory=dict)
-    #: Samples this rank contributed to the Master.
-    samples_sent: int = 0
-    #: Binary searches executed in step 4.
-    searches: int = 0
     #: Keys this rank sent to each destination (row of the counts matrix).
     sent_counts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    #: Keys received from each source.
-    received_counts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
 
 class SortJob:
     """One simulated job: what its ranks share, and the storage it owns.
 
-    The key frame — ``None`` when it misses, or when the codec has no code
-    for the dtype — is folded from every block's statistics before the
-    run, outside virtual time (the pool allgathers them in step 1); int
-    keys are their own codes (one read, no second pass), float keys are
-    coded into a warm lease of the process's arena pool, returned before
-    the run.  The job's :class:`~repro.core.datapath.JobStorage` is laid
-    out at its first step 1: the outputs fresh, since the results own
-    them, and on the word path everything else from one warm arena of the
-    run's pool — each rank's step-1 words at its input offset, as wide as
-    the frame says, the int64 word stream when keys are narrower than 8
-    bytes, and for float keys the input the lossy codes refill from (and,
-    under int32 words, the int64 codes they pack from).  The kernels that
-    fill it run on the run's threads; the arena goes back once every
-    rank's step-6 kernel finished.
+    Every block's key-frame statistics (``None`` when the codec has no
+    code for the dtype) are folded before the run, outside virtual time,
+    and served as step 1's allgather (the pool pays one); int keys are
+    their own codes (one read, no second pass), float keys are coded into
+    a warm lease of the process's arena pool, returned before the run.
+    The job's :class:`~repro.core.datapath.JobStorage` is laid out at its
+    first step 1, under the frame the program derived: the outputs fresh,
+    since the results own them, and on the word path everything else
+    from one warm arena of the run's pool — each rank's step-1 words at
+    its input offset, as wide as the frame says, the int64 word stream
+    when keys are narrower than 8 bytes, and for float keys the input the
+    lossy codes refill from (and, under int32 words, the int64 codes they
+    pack from).  The kernels that fill it run on the run's threads; the
+    arena goes back once every rank's step-6 kernel finished.
     """
 
     def __init__(self, blocks: Sequence[np.ndarray]):
-        dtype = blocks[0].dtype
-        self.frame = None
-        if has_key_codec(dtype):
-            self.frame = derive_key_frame(_block_stats(blocks), dtype, len(blocks))
+        self.stats = _block_stats(blocks) if has_key_codec(blocks[0].dtype) else None
         self.blocks = blocks
         self.block_starts = np.cumsum([0, *map(len, blocks)], dtype=np.int64)
-        self.storage = self.arena = self.words = self.codes = None
+        self.frame = self.storage = self.arena = self.words = self.codes = None
         self.merges: list = []
 
     def _take(self, role: str, n: int, dtype: np.dtype) -> np.ndarray:
@@ -141,26 +132,27 @@ class SortJob:
             return np.empty(0, dtype)
         return self.arena.take(n, dtype)
 
-    def _draw(self, kernels) -> None:
+    def _draw(self, kernels, frame) -> None:
         dtype, n = self.blocks[0].dtype, int(self.block_starts[-1])
-        if self.frame is not None:
+        self.frame = frame
+        if frame is not None:
             self.arena = kernels.checkout()
-            self.words = self.arena.take(n, self.frame.word_dtype)
-            if dtype.kind == "f" and self.frame.word_dtype != WORD_DTYPE:
+            self.words = self.arena.take(n, frame.word_dtype)
+            if dtype.kind == "f" and frame.word_dtype != WORD_DTYPE:
                 self.codes = self.arena.take(n, WORD_DTYPE)
         self.storage = lay_out(self.block_starts, dtype, self._take, np.ndarray.view)
         if len(self.storage.input):
             np.concatenate(self.blocks, out=self.storage.input)
 
-    def sort(self, machine: Machine, block: np.ndarray):
-        """Step 1 on one rank, submitted to the run's kernel threads: a
-        future of the rank's :class:`~repro.core.datapath.DataPath`."""
+    def sort(self, machine: Machine, kernel, frame, block: np.ndarray):
+        """Step 1's ``kernel`` on one rank, submitted to the run's kernel
+        threads: a future of the rank's :class:`~repro.core.datapath.DataPath`."""
         if self.storage is None:
-            self._draw(machine.kernels)
+            self._draw(machine.kernels, frame)
         span = slice(int(self.block_starts[machine.rank]), int(self.block_starts[machine.rank + 1]))
         words, codes = (None if a is None else a[span] for a in (self.words, self.codes))
         return machine.kernels.submit(
-            local_sort, self.frame, self.storage, machine.rank, block, words, None, codes
+            kernel, frame, self.storage, machine.rank, block, words, None, codes
         )
 
     def merge(self, machine: Machine, path: DataPath, base: int, run_lengths: list[int]):
@@ -189,154 +181,113 @@ def _block_stats(blocks: Sequence[np.ndarray]) -> list[tuple[int, int, int, int]
         ARENAS.checkin(arena)
 
 
-def local_sort_step(
-    machine: Machine, keys: np.ndarray, options: SortOptions, out: RankSortOutput, job: SortJob
-):
-    """Step 1 on one machine; returns ``(future of the DataPath, end time)``.
+class _OnMachine:
+    """Simnet's half of the program's method set, on one machine: calls
+    and sub-programs for the engine, charged to the cost model, with
+    Figure 11's memory recorded.  Step 1's kernel is read once its charge
+    elapsed (no other rank runs before this one's step 2 begins)."""
 
-    The sort runs on the run's kernel threads, words or keys + perm
-    charged the same.  Step boundaries are marked for the structured
-    tracer; Mark consumes no virtual time and is a no-op without a tracer,
-    so the golden fingerprint is unaffected.
-    """
-    t0 = yield Now()
-    yield Mark(STEP_LABELS[0])
-    path = job.sort(machine, keys)
-    seconds = local_sort_seconds(machine, len(keys), balanced=options.balanced_merge)
-    yield machine.compute(seconds, STEP_LABELS[0])
-    # Figure 11 accounting: the sort's resident overhead is the permutation
-    # (later the provenance), one index per key on either path; the dataset
-    # itself belongs to the engine's data store and is not billed to the sort.
-    machine.data.reserve("perm", len(keys) * INDEX_DTYPE.itemsize)
-    t1 = yield Now()
-    yield Mark(STEP_LABELS[0], event="end")
-    out.step_seconds[STEP_LABELS[0]] = t1 - t0
-    return path, t1
+    #: Simulated jobs carry no splitter cache.
+    cache = None
 
+    def __init__(self, machine: Machine, options: SortOptions, job: SortJob, block: np.ndarray):
+        self.machine, self.options, self.job = machine, options, job
+        self.rank, self.size, self.config = machine.rank, machine.size, machine.config
+        self.block_bytes = machine.data.scaled(len(block) * block.dtype.itemsize)
+        self.out = RankSortOutput(keys=block, provenance=Provenance.empty())
+        self.begun = 0.0
 
-def merge_step(
-    machine: Machine, options: SortOptions, out: RankSortOutput, run_lengths, keys, provenance
-):
-    """Step 6 on one machine: store ``keys``/``provenance`` (one kernel pass
-    over ``run_lengths`` runs), charged as the handler's or fold's levels."""
-    yield Mark(STEP_LABELS[5])
-    t_begin = yield Now()
-    received_bytes = machine.data.scaled(int(keys.nbytes))
-    machine.data.memory.alloc(received_bytes, temporary=True)  # runs pre-merge
-    yield machine.compute(
-        merge_levels_cost_seconds(
-            merge_levels(run_lengths, balanced=options.balanced_merge),
-            machine.tasks,
-            machine.cost,
-            scale=machine.config.data_scale,
-        ),
-        STEP_LABELS[5],
-    )
-    machine.data.memory.free(received_bytes, temporary=True)
-    machine.data.store("origin_proc", provenance.origin_proc)
-    machine.data.store("origin_index", provenance.origin_index)
-    machine.data.drop("perm")
-    t_end = yield Now()
-    yield Mark(STEP_LABELS[5], event="end")
-    out.step_seconds[STEP_LABELS[5]] = t_end - t_begin
-    out.keys = keys
-    out.provenance = provenance
+    def edge(self, step: int, rows: int):
+        """Close the step before ``step``, open ``step``: the Figure-7 clock,
+        and Marks for the structured tracer (no virtual time, no-ops without
+        a tracer, so the golden fingerprint is unaffected)."""
+        now = yield Now()
+        if step:
+            self.out.step_seconds[STEP_LABELS[step - 1]] = now - self.begun
+            yield Mark(STEP_LABELS[step - 1], event="end")
+        if step < len(STEP_LABELS):
+            yield Mark(STEP_LABELS[step])
+        self.begun = now
+
+    def charge(self, step: int, count: int):
+        machine, cost = self.machine, self.machine.cost
+        if step == 1:
+            seconds = cost.scan_seconds(count)
+        elif step == 2:
+            seconds = cost.sort_seconds(count, machine.threads)
+        else:
+            n = int(len(self.out.keys) * self.config.data_scale)
+            seconds = cost.binary_search_seconds(count, n)
+        return machine.compute(seconds, STEP_LABELS[step])
+
+    def frame_stats(self, block: np.ndarray):
+        """Folded before the run, outside virtual time: an instant sub-program."""
+        return self.job.stats
+        yield  # unreached: it makes this a sub-program
+
+    def gather(self, value):
+        return gather(self.machine.proc, value, root=MASTER)
+
+    def bcast(self, value):
+        return bcast(self.machine.proc, value, root=MASTER)
+
+    def sort(self, kernel, frame, block: np.ndarray):
+        """Step 1, words or keys + perm charged the same."""
+        machine = self.machine
+        pending = self.job.sort(machine, kernel, frame, block)
+        seconds = local_sort_seconds(machine, len(block), balanced=self.options.balanced_merge)
+        yield machine.compute(seconds, STEP_LABELS[0])
+        # Figure 11 accounting: the sort's resident overhead is the permutation
+        # (later the provenance), one index per key on either path; the dataset
+        # itself belongs to the engine's data store and is not billed to the sort.
+        machine.data.reserve("perm", len(block) * INDEX_DTYPE.itemsize)
+        path = pending.result()
+        # Its label shows on the rank's metrics only off the word path, as the pool's.
+        machine.proc.metrics.local_sort_path = surfaced_sort_path(path.label)
+        return path
+
+    def exchange(self, path: DataPath, part):
+        # Staging the outgoing partitions is a streaming copy; the exchange
+        # itself is asynchronous sends + receives (network time).
+        machine, cost = self.machine, self.machine.cost
+        yield machine.compute(cost.copy_seconds(self.block_bytes, machine.threads), STEP_LABELS[4])
+        machine.data.memory.alloc(self.block_bytes, temporary=True)
+        ex: ExchangeResult = yield exchange_partitions(
+            machine.proc, path, part, self.config, copy_seconds_per_byte=1.0 / cost.copy_bandwidth
+        )
+        machine.data.memory.free(self.block_bytes, temporary=True)
+        return ex.counts_matrix
+
+    def merge(self, path: DataPath, base: int, run_lengths: list[int]):
+        """Step 6: one kernel pass over ``run_lengths`` runs, charged as the
+        handler's or fold's levels."""
+        machine = self.machine
+        keys, provenance = self.job.merge(machine, path, base, run_lengths)
+        received_bytes = machine.data.scaled(int(keys.nbytes))
+        machine.data.memory.alloc(received_bytes, temporary=True)  # runs pre-merge
+        yield machine.compute(
+            merge_levels_cost_seconds(
+                merge_levels(run_lengths, balanced=self.options.balanced_merge),
+                machine.tasks,
+                machine.cost,
+                scale=self.config.data_scale,
+            ),
+            STEP_LABELS[5],
+        )
+        machine.data.memory.free(received_bytes, temporary=True)
+        machine.data.store("origin_proc", provenance.origin_proc)
+        machine.data.store("origin_index", provenance.origin_index)
+        machine.data.drop("perm")
+        self.out.keys, self.out.provenance = keys, provenance
 
 
 def sample_sort_program(
     machine: Machine, local_keys: np.ndarray, options: SortOptions, job: SortJob
 ):
-    """Generator program implementing the six steps on one machine."""
+    """Simnet's binding: :func:`~repro.core.program.six_steps` on one machine."""
     keys = np.ascontiguousarray(local_keys)
-    rank, size = machine.rank, machine.size
-    cfg, cost = machine.config, machine.cost
-    out = RankSortOutput(keys=keys, provenance=Provenance.empty())
-
-    # Yielding the step generators (rather than ``yield from``) lets the
-    # engine trampoline them: their resumes skip this frame.
-    pending, t1 = yield local_sort_step(machine, keys, options, out, job)
-    block_bytes = machine.data.scaled(len(keys) * keys.dtype.itemsize)
-
-    if size == 1:
-        # Single machine: the local sort is the whole story.
-        for label in STEP_LABELS[1:]:
-            out.step_seconds[label] = 0.0
-            yield Mark(label)
-            yield Mark(label, event="end")
-        path = _path_of(machine, pending)
-        path.write(slice(0, len(keys)), 0)
-        out.keys, out.provenance = job.merge(machine, path, 0, [len(keys)])
-        out.sent_counts = np.array([len(keys)], dtype=np.int64)
-        out.received_counts = np.array([len(keys)], dtype=np.int64)
-        return out
-
-    # ----------------------------------------------------- step 2: sampling
-    # Steps 2-5 read and ship the sorted keys, or the sorted words.
-    yield Mark(STEP_LABELS[1])
-    path = _path_of(machine, pending)  # step 1's kernel: its first reader is here
-    samples = draw_samples(path.sorted_block, cfg, size, options.sample_factor)
-    out.samples_sent = len(samples)
-    yield machine.compute(cost.scan_seconds(int(samples.nbytes)), STEP_LABELS[1])
-    gathered = yield gather(machine.proc, samples, root=MASTER)
-    t2 = yield Now()
-    yield Mark(STEP_LABELS[1], event="end")
-    out.step_seconds[STEP_LABELS[1]] = t2 - t1
-
-    # ---------------------------------------------------- step 3: splitters
-    yield Mark(STEP_LABELS[2])
-    if rank == MASTER:
-        assert gathered is not None
-        yield machine.compute(
-            cost.sort_seconds(sum(map(len, gathered)), machine.threads),
-            STEP_LABELS[2],
-        )
-        splitters = agree_splitters(gathered, size)
-    else:
-        splitters = None
-    splitters = yield bcast(machine.proc, splitters, root=MASTER)
-    t3 = yield Now()
-    yield Mark(STEP_LABELS[2], event="end")
-    out.step_seconds[STEP_LABELS[2]] = t3 - t2
-
-    # ---------------------------------------------------- step 4: partition
-    yield Mark(STEP_LABELS[3])
-    part = partition_block(path.sorted_block, splitters, size, options.investigator)
-    out.searches = part.searches
-    yield machine.compute(
-        cost.binary_search_seconds(part.searches, int(len(keys) * cfg.data_scale)),
-        STEP_LABELS[3],
-    )
-    t4 = yield Now()
-    yield Mark(STEP_LABELS[3], event="end")
-    out.step_seconds[STEP_LABELS[3]] = t4 - t3
-
-    # ----------------------------------------------------- step 5: exchange
-    # Staging the outgoing partitions is a streaming copy; the exchange
-    # itself is asynchronous sends + receives (network time).
-    yield Mark(STEP_LABELS[4])
-    yield machine.compute(cost.copy_seconds(block_bytes, machine.threads), STEP_LABELS[4])
-    machine.data.memory.alloc(block_bytes, temporary=True)
-    ex: ExchangeResult = yield exchange_partitions(
-        machine.proc, path, part, cfg, copy_seconds_per_byte=1.0 / cost.copy_bandwidth
-    )
-    machine.data.memory.free(block_bytes, temporary=True)
-    out.sent_counts = ex.counts_matrix[rank].copy()
-    out.received_counts = ex.counts_matrix[:, rank].copy()
-    t5 = yield Now()
-    yield Mark(STEP_LABELS[4], event="end")
-    out.step_seconds[STEP_LABELS[4]] = t5 - t4
-
-    # -------------------------------------------------------- step 6: merge
-    run_lengths = ex.counts_matrix[:, rank].tolist()
-    base = int(ex.counts_matrix[:, :rank].sum())  # this rank's output region
-    merged = job.merge(machine, path, base, run_lengths)
-    yield merge_step(machine, options, out, run_lengths, *merged)
-    return out
-
-
-def _path_of(machine: Machine, pending) -> DataPath:
-    """The rank's step-1 :class:`DataPath`, its label on the rank's metrics
-    (shown only off the word path, as the pool's)."""
-    path = pending.result()
-    machine.proc.metrics.local_sort_path = surfaced_sort_path(path.label)
-    return path
+    host = _OnMachine(machine, options, job, keys)
+    # Yielded, not ``yield from``: the engine trampolines the program.
+    steps = yield six_steps(host, keys, options)
+    host.out.sent_counts = steps.partition.counts
+    return host.out

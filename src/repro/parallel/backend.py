@@ -68,7 +68,7 @@ from .run import (
     collect_run,
 )
 from .shmsan import MUTATIONS, ShmSan, active_shm_sanitizer
-from .splitter_cache import SplitterCache
+from .splitter_cache import SplitterCache, SplitterProbe
 from .tracing import ambient_progress
 from .worker import JobSpec, WorkerReport, worker_main
 
@@ -601,8 +601,7 @@ class ProcessBackend:
             mutate=self._mutate,
             mutate_rank=self._mutate_rank,
             job_id=job_id,
-            cached_candidates=self.splitter_cache.candidates(key_dtype, size),
-            force_resample=force_resample,
+            cache=SplitterProbe(self.splitter_cache.candidates(key_dtype, size), force_resample),
             chaos=chaos,
             attempt=attempt,
             rank_ids=rank_ids,

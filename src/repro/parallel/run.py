@@ -221,10 +221,7 @@ def collect_run(
                 keys=parts["keys"],
                 provenance=Provenance(parts["proc"], parts["index"]),
                 step_seconds=dict(report.step_seconds),
-                samples_sent=report.samples_sent,
-                searches=report.searches,
                 sent_counts=counts_matrix[rank].copy(),
-                received_counts=counts_matrix[:, rank].copy(),
             )
         )
     master = reports[0]

@@ -2,9 +2,11 @@
 
 The driver's :class:`SplitterCache` remembers committed epochs as
 ``(fingerprint, splitters)`` pairs and ships them on each
-:class:`~repro.parallel.worker.JobSpec` as candidates.  Every rank still
-draws its regular samples, but instead of gathering the sample *arrays* it
-gathers a per-rank sample digest (:func:`probe_candidates`); the Master
+:class:`~repro.parallel.worker.JobSpec` as the candidates of the job's
+:class:`SplitterProbe`, a sub-program of the sort's step 2
+(:mod:`repro.core.program`).  Every rank still draws its regular
+samples, but instead of gathering the sample *arrays* it gathers a
+per-rank sample digest (:meth:`SplitterProbe.probe_candidates`); the Master
 combines the digests into the job's distribution fingerprint and, on an
 exact match, broadcasts the candidate index — the splitter selection is
 skipped entirely.  Because the fingerprint hashes the exact sample bytes, a
@@ -21,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.sorter import MASTER
-from .collectives import WorkerLink
+from ..core.program import MASTER
 
 
 @dataclass
@@ -107,40 +108,45 @@ def combine_sample_fingerprint(
     return acc.hexdigest()
 
 
-def probe_candidates(
-    link: WorkerLink,
-    rank: int,
-    size: int,
-    samples: np.ndarray,
-    candidates: tuple[tuple[str, np.ndarray], ...],
-    force_resample: bool,
-) -> tuple[str, np.ndarray | None, str | None]:
-    """One rank's half of the cache probe: two collectives, one verdict.
+@dataclass(frozen=True)
+class SplitterProbe:
+    """A job's splitter cache, shipped on its
+    :class:`~repro.parallel.worker.JobSpec` and probed by the sort program
+    (:func:`~repro.core.program.six_steps`) between steps 2 and 3 over the
+    rank's own ``gather``/``bcast``."""
 
-    Returns ``(verdict, splitters, fingerprint)``: the verdict every rank
-    agrees on (``hit``/``miss``/``fallback-forced``), the cached splitters
-    on a hit (``None`` otherwise, which sends the job down the classic
-    sampling path), and — on the Master only — the job's exact fingerprint.
-    """
-    digests = link.gather(sample_digest(samples), root=MASTER)
-    fingerprint = decision = None
-    if rank == MASTER:
-        assert digests is not None
-        fingerprint = combine_sample_fingerprint(digests, samples.dtype, size)
-        chosen = next(
-            (
-                i
-                for i, (cand_fp, _s) in enumerate(candidates)
-                if cand_fp == fingerprint
-            ),
-            None,
-        )
-        if chosen is None:
-            decision = ("miss", None)
-        elif force_resample:
-            decision = ("fallback-forced", None)
-        else:
-            decision = ("hit", chosen)
-    verdict, chosen = link.bcast(decision, root=MASTER)
-    splitters = candidates[chosen][1] if chosen is not None else None
-    return verdict, splitters, fingerprint
+    #: Prior-epoch ``(fingerprint, splitters)`` pairs, newest last.
+    candidates: tuple[tuple[str, np.ndarray], ...]
+    #: Test/ops hook: probe (and report the would-be verdict) but always
+    #: take the full sampling path.
+    force_resample: bool = False
+
+    def probe_candidates(self, host, samples: np.ndarray):
+        """One rank's half of the cache probe, a sub-program: two
+        collectives, one ``(verdict, splitters, fingerprint)``.  Every rank
+        agrees on the verdict (``cold`` without candidates, no message;
+        else ``hit``/``miss``/``fallback-forced``); splitters are the cached
+        ones on a hit, else ``None``: the classic path.  The fingerprint is
+        the Master's (a cold job's comes from :meth:`fingerprint`)."""
+        if not self.candidates:
+            return "cold", None, None
+        digests = yield host.gather(sample_digest(samples))
+        fingerprint = decision = None
+        if host.rank == MASTER:
+            fingerprint = combine_sample_fingerprint(digests, samples.dtype, host.size)
+            fingerprints = [cand_fp for cand_fp, _s in self.candidates]
+            if fingerprint not in fingerprints:
+                decision = ("miss", None)
+            elif self.force_resample:
+                decision = ("fallback-forced", None)
+            else:
+                decision = ("hit", fingerprints.index(fingerprint))
+        verdict, chosen = yield host.bcast(decision)
+        splitters = self.candidates[chosen][1] if chosen is not None else None
+        return verdict, splitters, fingerprint
+
+    @staticmethod
+    def fingerprint(gathered: list[np.ndarray], size: int) -> str:
+        """The Master's fingerprint of a cold job, from the gathered samples."""
+        digests = [sample_digest(samples) for samples in gathered]
+        return combine_sample_fingerprint(digests, gathered[0].dtype, size)

@@ -4,15 +4,16 @@ One process per rank runs :func:`worker_main`, a *persistent job loop*:
 the worker blocks on the control pipe for the next :class:`JobSpec`,
 resets its per-job state (collective sequence, ShmSan epoch clock,
 tracer), executes the paper's six steps over real OS parallelism, reports,
-and loops until the driver sends shutdown.  Every step body is the kernel
-the simulated sorter calls (:mod:`repro.core.steps`, one per step — this
-module adds only movement, clocks and hooks), so the produced partitions
-are **bit-identical** to it and to the reference backend.
+and loops until the driver sends shutdown.
 
-:func:`_run_six_steps` is six calls over a small per-job context
-(:class:`_Job`) that owns the hooks at the step edges — heartbeat and
-chaos, the step clock, the ShmSan recorder, the tracer.  *What* is sorted,
-exchanged and merged — packed words, or keys + perm — is the job's
+This module is the pool's binding of the one sort program
+(:func:`repro.core.program.six_steps`, the simulator's too): a per-job
+:class:`_Job` serves its steps — a step edge is the step clock, chaos,
+the heartbeat and a ShmSan flush; collectives are pipe calls; step 1
+sorts inline in scratch words; step 5 writes shared memory — so the
+produced partitions are **bit-identical** to the simulator's and to the
+reference backend's.  *What* is sorted, exchanged and merged — packed
+words, or keys + perm — is the job's
 :class:`~repro.core.datapath.DataPath`, chosen once in step 1;
 *where* every (src, dst) run lands in shared memory is
 :mod:`repro.parallel.layout`'s to say; workers never write the input.
@@ -51,17 +52,18 @@ from multiprocessing.connection import Connection
 import numpy as np
 
 from ..checks.hb import KEYS_AND_PERM
-from ..core.datapath import THROUGH, WORD_DTYPE, DataPath, JobStorage, local_sort
-from ..core.packsort import code_and_stats, derive_key_frame
+from ..core.datapath import THROUGH, WORD_DTYPE, DataPath, JobStorage
+from ..core.packsort import code_and_stats
+from ..core.program import MASTER, RankSteps, six_steps
 from ..core.scratch import ScratchArena
-from ..core.sorter import MASTER, STEP_LABELS, SortOptions
-from ..core.steps import BlockPartition, agree_splitters, draw_samples, partition_block
+from ..core.sorter import STEP_LABELS, SortOptions
+from ..core.steps import BlockPartition
 from ..pgxd.config import PgxdConfig
 from .arena import ShmLease
 from .collectives import WorkerLink
-from .layout import ExchangeLayout, exchange_layout
+from .layout import exchange_layout
 from .shmsan import AccessRecorder
-from .splitter_cache import combine_sample_fingerprint, probe_candidates, sample_digest
+from .splitter_cache import SplitterProbe
 from .tracing import WorkerTrace, WorkerTracer, estimate_clock_offset, peak_rss_bytes
 
 
@@ -90,12 +92,9 @@ class JobSpec:
     #: Monotonic id the driver stamps on each dispatched job; threaded
     #: into traces and reports so pooled artifacts stay attributable.
     job_id: int = 0
-    #: Prior-epoch ``(fingerprint, splitters)`` pairs for this key dtype
-    #: and cluster size (newest last).  Empty on cold pools.
-    cached_candidates: tuple[tuple[str, np.ndarray], ...] = ()
-    #: Test/ops hook: probe the cache (and report the would-be verdict)
-    #: but always take the full sampling path.
-    force_resample: bool = False
+    #: The splitter cache the job carries: prior epochs' candidates for
+    #: its key dtype and cluster size (none on cold pools).
+    cache: SplitterProbe = SplitterProbe(())
     #: Seeded process-level fault plan (:mod:`repro.parallel.chaos`);
     #: ``None`` is the overwhelmingly common case.
     chaos: "object | None" = None
@@ -119,8 +118,6 @@ class WorkerReport:
     counts_row: np.ndarray
     #: Wall seconds per step label.
     step_seconds: dict[str, float] = field(default_factory=dict)
-    samples_sent: int = 0
-    searches: int = 0
     #: Final splitters (Master only; None elsewhere).
     splitters: np.ndarray | None = None
     #: Total wall seconds inside the six steps on this worker.
@@ -192,20 +189,21 @@ class SegmentCache:
 
 
 class _Job:
-    """One job on one rank: the state and the hooks the step functions share
-    (heartbeat + chaos, the step clock, the ShmSan recorder, the tracer)."""
+    """One job on one rank: the pool's half of the program's method set
+    (:mod:`repro.core.program`), each method returning its value, and the
+    hooks at the step edges — heartbeat + chaos, the step clock, the
+    ShmSan recorder, the tracer."""
 
-    def __init__(self, rank, plan: JobSpec, link: WorkerLink, segments):
-        self.rank, self.plan, self.link = rank, plan, link
-        self.report = WorkerReport(
-            rank=rank,
-            counts_row=np.zeros(plan.size, dtype=np.int64),
-            job_id=plan.job_id,
-        )
+    def __init__(self, rank, plan: JobSpec, link: WorkerLink, segments, scratch: ScratchArena):
+        self.rank, self.size, self.config = rank, plan.size, plan.config
+        self.plan, self.link, self.scratch = plan, link, scratch
+        self.cache = plan.cache
         self.recorder = AccessRecorder(rank) if plan.sanitize else None
         self.mutation = plan.mutate if rank == plan.mutate_rank else None
         #: Clock reads at the step edges: ``marks[i]`` opens step ``i + 1``.
         self.marks: list[float] = []
+        #: The block's codes, coded for the frame's statistics.
+        self.codes: np.ndarray | None = None
         self.tracer: WorkerTracer | None = None
         if plan.trace:
             # Clock-offset handshake: align this process's perf_counter with
@@ -220,6 +218,17 @@ class _Job:
             link.barrier()
         self.views = plan.leases.map(segments.view)
 
+    def run(self) -> WorkerReport:
+        lo, hi = self.plan.leases.block_starts[self.rank : self.rank + 2].tolist()
+        block = self.views.input[lo:hi]
+        self.record("input", lo, hi, "r", 1, "input-read")
+        program, value = six_steps(self, block, self.plan.options), None
+        try:
+            while True:
+                value = program.send(value)
+        except StopIteration as done:
+            return self.finish(done.value)
+
     def record(self, role, lo, hi, kind, step, label, dst=None) -> None:
         if self.recorder is not None:
             self.recorder.record(
@@ -230,206 +239,148 @@ class _Job:
     def _mark(self) -> None:
         self.marks.append(time.perf_counter())  # repro: noqa[R002] — real backend: measured step wall time is the product
 
-    def enter(self, step: int, rows: int) -> None:
+    def _flush(self) -> None:
+        if self.recorder is not None:
+            self.link.flush_san(self.recorder.drain())
+
+    def edge(self, step: int, rows: int) -> None:
         """The edge into ``step`` (0-based): step clock, then heartbeat.
 
         The heartbeat piggybacks a sanitizer-log flush, so a crash mid-run
         leaves the analyzer every access up to the last boundary.  The
         chaos plan is consulted first: a planned kill must not leave a
-        heartbeat for the step it never entered.
+        heartbeat for the step it never entered.  Past step 6 the log is
+        flushed and the clock stops.
         """
+        if step == len(STEP_LABELS):
+            self._flush()
+            self._mark()
+            return
         if step:
             self._mark()
         if self.link.chaos is not None:
             self.link.chaos.at_step_boundary(STEP_LABELS[step])
         self.link.heartbeat(STEP_LABELS[step], rows)
-        if self.recorder is not None:
-            self.link.flush_san(self.recorder.drain())
+        self._flush()
         if not step:
             self._mark()  # the heartbeat into step 1 is outside the timed steps
 
-    def finish(self, path: DataPath, part: BlockPartition) -> WorkerReport:
-        if self.recorder is not None:
-            self.link.flush_san(self.recorder.drain())
-        self._mark()
-        report, link, marks = self.report, self.link, self.marks
-        report.local_sort_path = path.label
-        report.exchanged, report.bytes_per_key = path.exchanged, path.bytes_per_key
-        report.searches, report.counts_row = part.searches, part.counts
-        for label, begin, end in zip(STEP_LABELS, marks, marks[1:]):
-            report.step_seconds[label] = end - begin
-            if self.tracer is not None:
-                self.tracer.step(begin, end, label)
-        report.wall_seconds = marks[-1] - marks[0]
-        report.step_wait_seconds = dict(link.wait_by_step)
-        report.recv_wait_seconds = link.wait_by_kind["recv-wait"]
-        report.barrier_wait_seconds = link.wait_by_kind["barrier-wait"]
-        report.peak_rss_bytes = peak_rss_bytes()
-        if self.tracer is not None:
-            report.trace = self.tracer.trace
-        return report
+    def charge(self, step: int, count: int) -> None:
+        """Nothing to charge: the wall clock measures the step."""
 
+    def frame_stats(self, block: np.ndarray) -> list | None:
+        """Float keys are coded into a warm int64 lease, int keys are their
+        own codes; one allgather of four integers per rank, inside step 1."""
+        if self.views.words is None:
+            return None
+        coded = self.scratch.take(len(block), WORD_DTYPE) if block.dtype.kind == "f" else None
+        self.codes, stats = code_and_stats(block, coded)
+        return self.link.allgather(stats)
 
-def _local_sort(job: _Job, block: np.ndarray, scratch: ScratchArena) -> DataPath:
-    """Step 1: the job's data path is chosen here, once; choosing sorts.
-
-    Every rank takes the same branch: the frame comes from the same
-    gathered statistics (one allgather, waited inside step 1).  The
-    step-1 temporaries come from the worker's warm scratch pool — fresh
-    pages per job would be the op's largest page-fault bill: float keys
-    are coded into an int64 lease before the allgather, and the words,
-    as wide as the frame says, are leased after it (int64 float words
-    are packed in place over their codes; int keys are their own codes).
-    """
-    frame = words = codes = None
-    if job.views.words is not None:
-        is_float = block.dtype.kind == "f"
-        coded = scratch.take(len(block), WORD_DTYPE) if is_float else None
-        codes, stats = code_and_stats(block, coded)
-        frame = derive_key_frame(job.link.allgather(stats), block.dtype, job.plan.size)
+    def sort(self, kernel, frame, block: np.ndarray) -> DataPath:
+        """Step 1, inline.  The words, as wide as the frame says, come from
+        the worker's warm scratch pool — fresh pages per job would be the
+        op's largest page-fault bill — except that int64 float words are
+        packed in place over their codes."""
+        words = None
         if frame is not None:
-            in_place = is_float and frame.word_dtype == WORD_DTYPE
-            words = coded if in_place else scratch.take(len(block), frame.word_dtype)
-    return local_sort(frame, job.views, job.rank, block, words, codes)
+            in_place = block.dtype.kind == "f" and frame.word_dtype == WORD_DTYPE
+            words = self.codes if in_place else self.scratch.take(len(block), frame.word_dtype)
+        return kernel(frame, self.views, self.rank, block, words, self.codes)
 
+    def gather(self, value):
+        return self.link.gather(value, root=MASTER)
 
-def _sampling(job: _Job, path: DataPath) -> tuple[np.ndarray, np.ndarray | None]:
-    """Step 2: returns the samples and, on a splitter-cache hit, the splitters.
+    def bcast(self, value):
+        return self.link.bcast(value, root=MASTER)
 
-    Samples are always drawn (they are cheap and they feed the exact
-    fingerprint); what the cache changes is what crosses the control
-    plane: digests instead of the sample arrays.
-    """
-    plan, report = job.plan, job.report
-    samples = draw_samples(
-        path.sorted_block, plan.config, plan.size, plan.options.sample_factor
-    )
-    report.samples_sent = len(samples)
-    splitters = None
-    if plan.cached_candidates:
-        report.splitter_cache, splitters, report.sample_fingerprint = probe_candidates(
-            job.link, job.rank, plan.size, samples, plan.cached_candidates,
-            plan.force_resample,
-        )
-        if splitters is not None and job.rank == MASTER:
-            report.splitters = splitters
-    return samples, splitters
+    def exchange(self, path: DataPath, part: BlockPartition) -> np.ndarray:
+        """Step 5: every outgoing run goes straight into its receiver's region.
 
-
-def _splitters(job: _Job, path: DataPath, samples: np.ndarray) -> np.ndarray | None:
-    """Step 3, skipped entirely on a cache hit: gather → select → broadcast.
-
-    Every other verdict lands here, so all ranks agree on the collective
-    schedule (the verdict broadcast synchronized them).
-    """
-    report, size = job.report, job.plan.size
-    splitters = None
-    gathered = job.link.gather(samples, root=MASTER)
-    if job.rank == MASTER:
-        assert gathered is not None
-        splitters = report.splitters = agree_splitters(gathered, size)
-        if report.sample_fingerprint is None:
-            report.sample_fingerprint = combine_sample_fingerprint(
-                [sample_digest(s) for s in gathered], path.sorted_block.dtype, size
-            )
-    return job.link.bcast(splitters, root=MASTER)
-
-
-def _exchange(job: _Job, path: DataPath, part: BlockPartition) -> ExchangeLayout:
-    """Step 5: every outgoing run goes straight into its receiver's region.
-
-    Everyone learns the counts matrix, which fixes each (src, dst) run's
-    offset in the shared exchange streams; the regions are disjoint, so all
-    ranks write concurrently, lock-free.
-    """
-    rank, link, tracer = job.rank, job.link, job.tracer
-    layout = exchange_layout(np.stack(link.allgather(part.counts)))
-    writes = [
-        (dst, sl, layout.run_offset(rank, dst))
-        for dst, sl in enumerate(part.slices)
-        if sl.stop > sl.start
-    ]
-    if job.mutation == "offset-off-by-one":
-        # Seeded invariant break: slide the first nonempty run one element
-        # off its counts-derived home (into a neighbour's run, or backwards
-        # at the stream's end) — the overlap ShmSan's offset and race
-        # checks must catch.
-        stream_len = len(path.streams[0][1])
-        for i, (dst, sl, pos) in enumerate(writes):
-            shift = 1 if pos + (sl.stop - sl.start) < stream_len else -1
-            if pos + shift >= 0:
-                writes[i] = (dst, sl, pos + shift)
-                break
-    offset_itemsize = path.streams[0][2].dtype.itemsize
-    for dst, sl, pos in writes:
-        end = pos + (sl.stop - sl.start)
-        t_w0 = time.perf_counter() if tracer is not None else 0.0  # repro: noqa[R002] — real backend: measured flow timing is the product
-        path.write(sl, pos)
-        for role in path.exchanged:
-            job.record(role, pos, end, "w", 5, "exchange-write", dst=dst)
-        if tracer is not None:
-            tracer.flow(
-                dst,
-                (end - pos) * path.bytes_per_key,
-                pos * offset_itemsize,
-                t_w0,
-                time.perf_counter(),  # repro: noqa[R002] — real backend: measured flow timing is the product
-            )
-    if job.mutation == "skip-merge-barrier":
-        # Seeded invariant break: post the barrier contribution (so the
-        # hub and the other ranks stay solvent) but charge ahead without
-        # waiting — this rank's epoch clock does not advance, so its merge
-        # runs concurrent with the others' exchange writes.  The
-        # happens-before analysis must flag the races.
-        link.post_only("barrier")
-    else:
-        link.barrier()  # all runs landed; regions are safe to read
-    return layout
-
-
-def _merge(job: _Job, path: DataPath, layout: ExchangeLayout) -> None:
-    """Step 6: the rank's region holds one sorted run per source, back to
-    back in source order; the path merges it into the job's leases, where
-    the driver reads the output — no pickling."""
-    base, total = layout.region(job.rank)
-    stop = base + total
-    accesses = path.merge(base, stop, layout.counts[:, job.rank].tolist())
-    if job.recorder is not None:
-        for kind, label in (("r", "merge-read"), ("w", "merge-write")):
+        Everyone learns the counts matrix, which fixes each (src, dst) run's
+        offset in the shared exchange streams; the regions are disjoint, so
+        all ranks write concurrently, lock-free.
+        """
+        rank, link, tracer = self.rank, self.link, self.tracer
+        layout = exchange_layout(np.stack(link.allgather(part.counts)))
+        writes = [
+            (dst, sl, layout.run_offset(rank, dst))
+            for dst, sl in enumerate(part.slices)
+            if sl.stop > sl.start
+        ]
+        if self.mutation == "offset-off-by-one":
+            # Seeded invariant break: slide the first nonempty run one element
+            # off its counts-derived home (into a neighbour's run, or backwards
+            # at the stream's end) — the overlap ShmSan's offset and race
+            # checks must catch.
+            stream_len = len(path.streams[0][1])
+            for i, (dst, sl, pos) in enumerate(writes):
+                shift = 1 if pos + (sl.stop - sl.start) < stream_len else -1
+                if pos + shift >= 0:
+                    writes[i] = (dst, sl, pos + shift)
+                    break
+        offset_itemsize = path.streams[0][2].dtype.itemsize
+        for dst, sl, pos in writes:
+            end = pos + (sl.stop - sl.start)
+            t_w0 = time.perf_counter() if tracer is not None else 0.0  # repro: noqa[R002] — real backend: measured flow timing is the product
+            path.write(sl, pos)
             for role in path.exchanged:
-                job.record(role, base, stop, kind, 6, label)
-        for role, lo, hi, kind, label in accesses:
-            job.record(role, lo, hi, kind, 6, label)
+                self.record(role, pos, end, "w", 5, "exchange-write", dst=dst)
+            if tracer is not None:
+                tracer.flow(
+                    dst,
+                    (end - pos) * path.bytes_per_key,
+                    pos * offset_itemsize,
+                    t_w0,
+                    time.perf_counter(),  # repro: noqa[R002] — real backend: measured flow timing is the product
+                )
+        if self.mutation == "skip-merge-barrier":
+            # Seeded invariant break: post the barrier contribution (so the
+            # hub and the other ranks stay solvent) but charge ahead without
+            # waiting — this rank's epoch clock does not advance, so its merge
+            # runs concurrent with the others' exchange writes.  The
+            # happens-before analysis must flag the races.
+            link.post_only("barrier")
+        else:
+            link.barrier()  # all runs landed; regions are safe to read
+        return layout.counts
 
+    def merge(self, path: DataPath, base: int, run_lengths: list[int]) -> None:
+        """Step 6: the path merges the rank's region into the job's leases,
+        where the driver reads the output — no pickling."""
+        stop = base + sum(run_lengths)
+        accesses = path.merge(base, stop, run_lengths)
+        if self.recorder is not None:
+            for kind, label in (("r", "merge-read"), ("w", "merge-write")):
+                for role in path.exchanged:
+                    self.record(role, base, stop, kind, 6, label)
+            for role, lo, hi, kind, label in accesses:
+                self.record(role, lo, hi, kind, 6, label)
 
-def _run_six_steps(
-    rank: int,
-    plan: JobSpec,
-    link: WorkerLink,
-    segments: SegmentCache,
-    scratch: ScratchArena,
-) -> WorkerReport:
-    job = _Job(rank, plan, link, segments)
-    lo, hi = plan.leases.block_starts[rank : rank + 2].tolist()
-    block = job.views.input[lo:hi]
-    job.record("input", lo, hi, "r", 1, "input-read")
-    job.enter(0, len(block))
-    path = _local_sort(job, block, scratch)
-    rows = len(path.sorted_block)
-    job.enter(1, rows)
-    samples, splitters = _sampling(job, path)
-    job.enter(2, job.report.samples_sent)
-    if splitters is None:
-        splitters = _splitters(job, path, samples)
-    job.enter(3, rows)
-    part = partition_block(
-        path.sorted_block, splitters, plan.size, plan.options.investigator
-    )
-    job.enter(4, rows)
-    layout = _exchange(job, path, part)
-    job.enter(5, layout.region(rank)[1])
-    _merge(job, path, layout)
-    return job.finish(path, part)
+    def finish(self, steps: RankSteps) -> WorkerReport:
+        link, marks, path = self.link, self.marks, steps.path
+        windows = list(zip(STEP_LABELS, marks, marks[1:]))
+        if self.tracer is not None:
+            for label, begin, end in windows:
+                self.tracer.step(begin, end, label)
+        return WorkerReport(
+            rank=self.rank,
+            counts_row=steps.partition.counts,
+            step_seconds={label: end - begin for label, begin, end in windows},
+            splitters=steps.splitters if self.rank == MASTER else None,
+            wall_seconds=marks[-1] - marks[0],
+            step_wait_seconds=dict(link.wait_by_step),
+            recv_wait_seconds=link.wait_by_kind["recv-wait"],
+            barrier_wait_seconds=link.wait_by_kind["barrier-wait"],
+            peak_rss_bytes=peak_rss_bytes(),
+            trace=None if self.tracer is None else self.tracer.trace,
+            splitter_cache=steps.verdict,
+            sample_fingerprint=steps.fingerprint,
+            job_id=self.plan.job_id,
+            local_sort_path=path.label,
+            exchanged=path.exchanged,
+            bytes_per_key=path.bytes_per_key,
+        )
 
 
 def worker_main(rank: int, size: int, conn: Connection) -> None:
@@ -474,7 +425,7 @@ def worker_main(rank: int, size: int, conn: Connection) -> None:
                     identity, job.job_id, job.attempt
                 )
             try:
-                report = _run_six_steps(rank, job, link, segments, scratch)
+                report = _Job(rank, job, link, segments, scratch).run()
                 link.send_done(report)
                 scratch.release_all()
             except BaseException as exc:  # repro: noqa[R006] — process boundary: the exception is serialized to the driver, which re-raises it typed

@@ -54,10 +54,10 @@ def word_merges(monkeypatch):
     return calls
 
 
-def _frame_fits(blocks):
+def _frame(blocks):
     """The frame arithmetic alone, from every block's statistics."""
     stats = [code_and_stats(b, np.empty(len(b), dtype=np.int64))[1] for b in blocks]
-    return derive_key_frame(stats, blocks[0].dtype, len(blocks)) is not None
+    return derive_key_frame(stats, blocks[0].dtype, len(blocks))
 
 
 def _assert_bytes_equal(outputs, reference):
@@ -77,7 +77,7 @@ def _assert_substrates_agree(blocks, word_merges, pool=None):
     result = DistributedSorter(num_processors=p).sort_partitioned(blocks)
     _assert_bytes_equal(zip(result.per_processor, result.provenance), reference)
     took_words = bool(word_merges)
-    assert took_words == _frame_fits(blocks)
+    assert took_words == (_frame(blocks) is not None)
     assert len(word_merges) == (p if took_words else 0)
     # A frame-miss run explains itself; a word-path one keeps its schema.
     assert all((m.local_sort_path is None) == took_words for m in result.metrics.processes)
@@ -192,7 +192,7 @@ NARROW = {
 @pytest.mark.parametrize("name", NARROW)
 def test_narrow_frames_agree_across_substrates(pool, word_merges, name, p):
     blocks = list(partition_input(NARROW[name](500 * p + 3, p), p)[0])
-    assert SortJob(blocks).frame.word_dtype == np.int32
+    assert _frame(blocks).word_dtype == np.int32
     assert _assert_substrates_agree(blocks, word_merges, pool)
 
 
@@ -271,7 +271,7 @@ def test_sort_multi_of_narrow_and_wide_frames_does_not_grow_the_arenas():
         lambda: rng.integers(0, 1 << 30, 3_000).astype(np.int32),  # int64 words stream of its own
     ]
     datasets = [shapes[k % len(shapes)]() for k in range(12)]
-    widths = [SortJob(list(partition_input(d, p)[0])).frame.word_dtype for d in datasets]
+    widths = [_frame(list(partition_input(d, p)[0])).word_dtype for d in datasets]
     assert widths[:4] == [np.int32, np.int64, np.int32, np.int64]
     sorter = DistributedSorter(num_processors=p)
     sorter.sort_multi(datasets[:4])
@@ -299,7 +299,7 @@ def test_wire_faults_leave_the_bytes_and_the_word_path(word_merges, name, p):
     result = DistributedSorter(num_processors=p, faults=WIRE_FAULTS[name]).sort_partitioned(blocks)
     assert result.survivors is None and result.recovery_rounds == 0
     _assert_bytes_equal(zip(result.per_processor, result.provenance), clean)
-    assert len(word_merges) == (p if _frame_fits(blocks) else 0) == p
+    assert len(word_merges) == (p if _frame(blocks) is not None else 0) == p
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])

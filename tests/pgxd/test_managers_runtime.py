@@ -349,10 +349,11 @@ class TestRunLifetime:
     def test_second_identical_float_sort_allocates_nothing(self, monkeypatch, width):
         from repro import distributed_sort
         from repro.core.api import partition_input
+        from repro.core.packsort import derive_key_frame
         from repro.core.sorter import SortJob
 
         data = self.FLOAT_WORDS[width]
-        frame = SortJob(list(partition_input(data, 16)[0])).frame
+        frame = derive_key_frame(SortJob(list(partition_input(data, 16)[0])).stats, data.dtype, 16)
         assert frame.word_dtype == width
         distributed_sort(data, num_processors=16)
         lent = _recording_checkouts(monkeypatch)

@@ -485,6 +485,38 @@ class TestReachability:
                         offenders.append(f"{relative}:{node.lineno}: {name}")
         assert not offenders, f"steps 1 and 6 spelled outside core/datapath.py: {offenders}"
 
+    #: The six steps are written once, in ``core/program.py``: outside the
+    #: modules defining them, only it names the step kernels and the key
+    #: frame's derivation; the substrates serve its steps.
+    PROGRAM = "core/program.py"
+    PROGRAM_KERNELS = {
+        "core/packsort.py": {"derive_key_frame"},
+        "core/datapath.py": {"local_sort"},
+        "core/steps.py": {"draw_samples", "agree_splitters", "partition_block"},
+    }
+    #: The oracle runs steps 2–3 itself, with the kernels it checks against.
+    PROGRAM_KERNEL_USERS = {"core/local_backend.py": {"draw_samples", "agree_splitters"}}
+
+    def test_only_the_program_names_the_step_kernels(self):
+        import ast
+
+        kernels = set().union(*self.PROGRAM_KERNELS.values())
+        offenders = []
+        for path in _source_files():
+            relative = path.relative_to(SRC).as_posix()
+            if relative == self.PROGRAM:
+                continue
+            foreign = (
+                kernels
+                - self.PROGRAM_KERNELS.get(relative, set())
+                - self.PROGRAM_KERNEL_USERS.get(relative, set())
+            )
+            for node in ast.walk(ast.parse(path.read_text())):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name in foreign:
+                    offenders.append(f"{relative}:{node.lineno}: {name}")
+        assert not offenders, f"a step written outside core/program.py: {offenders}"
+
 
 class TestPackageSurface:
     def test_lazy_top_level_exports(self):
