@@ -769,8 +769,8 @@ def rule_thread_outside_kernel_pool(
     and a fork copies a running thread's locks but not the thread.  A
     thread or executor started anywhere else has no such join, and its
     writes fall outside the kernels' disjoint-region argument.  The rule
-    flags the import, which every use of the primitives needs; submit
-    kernels to ``machine.kernels`` instead.
+    flags the import, which every use of the primitives needs; run
+    kernels as a ``machine.kernels.batch`` instead.
     """
     if not ctx.library or ctx.path.replace("\\", "/").endswith("pgxd/runtime.py"):
         return
@@ -787,7 +787,7 @@ def rule_thread_outside_kernel_pool(
                     "R013", ctx.path, node.lineno, node.col_offset,
                     f"{name} imported outside the run's kernel pool: nothing "
                     "joins a thread started here, so it can outlive the run; "
-                    "submit the kernel to machine.kernels "
+                    "run the kernels as a machine.kernels.batch "
                     "(repro.pgxd.runtime.KernelPool) instead",
                 )
                 break

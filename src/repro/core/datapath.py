@@ -30,10 +30,11 @@ merged there: Axtmann et al.'s move-once rule.  The storage is one
 :class:`JobStorage` layout (:func:`lay_out`): the pool maps it from its
 job's shared-memory leases, the simulator draws it from the job's arena.
 The kernels, :func:`local_sort` and :attr:`DataPath.merge`, are pure: a
-pooled worker calls them inline, the simulator submits them to its run's
-kernel threads.  A path *declares* what a substrate needs to know — the
-roles its step 5 wrote, the bytes each key cost, its label — so nothing
-downstream re-derives the decision.
+pooled worker calls them inline, the simulator runs each step's, every
+rank's at once, as one batch on its run's kernel threads.  A path
+*declares* what a substrate needs to know — the roles its step 5 wrote,
+the bytes each key cost, its label — so nothing downstream re-derives
+the decision.
 """
 
 from __future__ import annotations

@@ -20,25 +20,25 @@ as the paper's records (key itemsize + a 4-byte origin index per key)
 whichever path runs, so the word path's index messages carry only their
 charged size.
 
-Reassembly is offset-addressed, as in the paper's step 5: the counts matrix
-fixes each source's region before any data arrives.  Chunks from one
-source arrive in FIFO order, so the drain loop only collects them per
-source and each stream is assembled with one ``np.concatenate(...,
-out=buffer)``, where the buffer is the rank's region of the path's
-job-wide stream — everything ranks below it receive comes first — so a
-key lands once, where step 6 merges it.  Each source's region is a sorted
-slice of the sender's locally sorted data, and the regions sit back to
-back in source order — exactly the layout the step-6 kernels consume
-without any further copying.  One stream means one dtype per stream:
-blocks of different dtypes are promoted before the sort starts
+Reassembly is offset-addressed, as in the paper's step 5: the counts
+matrix fixes each source's region before any data arrives.  Chunks from
+one source arrive in FIFO order, so the drain loop only collects them per
+source and returns them with the counts matrix (:class:`ExchangeResult`):
+the event loop writes no key.  Step 6's kernel lands each stream with one
+``np.concatenate(..., out=region)`` (:meth:`ExchangeResult.land`) in the
+rank's region of the path's job-wide stream — everything ranks below it
+receive comes first — so a key lands once, where the same kernel merges
+it.  The runs sit back to back in source order, each a sorted slice of
+its sender's block: the layout the merge consumes without another copy.
+One stream means one dtype per stream: blocks of different dtypes are
+promoted before the sort starts
 (:meth:`repro.core.api.DistributedSorter.sort_partitioned`), and a sender
 whose dtype still differs is rejected rather than silently cast.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generator
+from typing import Generator, NamedTuple
 
 import numpy as np
 
@@ -54,26 +54,25 @@ TAG_KEYS = 201
 TAG_INDEX = 202
 
 
-@dataclass
-class ExchangeResult:
-    """Outcome of the redistribution on one processor."""
+class ExchangeResult(NamedTuple):
+    """What one processor receives, before step 6 lands it."""
 
-    #: One sorted key run per source processor (possibly empty): views
-    #: into ``key_buffer``.
-    key_runs: list[np.ndarray]
-    #: Origin-index run aligned with each key run (views into
-    #: ``index_buffer``); ``None`` on the word path.
-    index_runs: list[np.ndarray] | None
     #: counts_matrix[src][dst] = keys sent from src to dst (global view).
     counts_matrix: np.ndarray
-    #: All received keys (words, on the word path) back to back in source
-    #: order: the rank's region of the path's first stream.
-    key_buffer: np.ndarray
-    #: Origin indices aligned with ``key_buffer``; ``None`` on the word path.
-    index_buffer: np.ndarray | None
-    #: Prefix offsets of each source's region: run ``src`` occupies
-    #: ``key_buffer[run_offsets[src]:run_offsets[src + 1]]``.
-    run_offsets: np.ndarray
+    #: The rank's region of every stream: everything lower ranks receive
+    #: comes first, and its length is the announced total.
+    region: slice
+    #: Each carried stream (keys or words, then the permutation) with the
+    #: chunks that land in it, in source order (the rank's own run among
+    #: them): views of the senders' payloads.
+    arrivals: list[tuple[np.ndarray, list[np.ndarray]]]
+
+    def land(self) -> None:
+        """Step 6's first move: each stream's chunks back to back in the
+        rank's region.  ``concatenate(out=)`` enforces the announced
+        totals: a short or long stream is a shape error."""
+        for stream, chunks in self.arrivals:
+            np.concatenate(chunks, out=stream[self.region])
 
 
 def _pending_chunks(recv_counts: np.ndarray, rank: int, itemsizes, config: PgxdConfig) -> int:
@@ -99,7 +98,8 @@ def exchange_partitions(
     *,
     copy_seconds_per_byte: float = 0.0,
 ) -> Generator:
-    """Run the step-5 exchange; returns an :class:`ExchangeResult`.
+    """Run the step-5 exchange; returns an :class:`ExchangeResult`, whose
+    chunks step 6 lands (nothing is written into the job's streams here).
 
     ``path`` is this rank's step-1 outcome (its sorted payloads and the
     job's streams they land in); ``partition`` is its step-4 outcome
@@ -158,17 +158,14 @@ def exchange_partitions(
             else:
                 yield from send_array(machine_proc, dst, chunk, send.tag, config, nbytes)
     yield Mark("exchange:send", event="end")
-    # Offset-addressed reassembly, deferred: the drain loop only *collects*
-    # arriving chunks (one list per source; chunks from one source arrive
-    # in FIFO order), then each stream's receive buffer is assembled with a
-    # single ``np.concatenate(..., out=buffer)`` — one C pass instead of a
-    # tiny slice write per message.  The announced counts still fix every
-    # source's region up front (``run_offsets``), and the per-chunk copy
-    # charge on the virtual clock is identical.
+    # Offset-addressed reassembly, deferred to step 6: the drain loop only
+    # *collects* arriving chunks (one list per source; chunks from one
+    # source arrive in FIFO order), and step 6's kernel lands each stream
+    # with one ``np.concatenate(..., out=region)`` (:meth:`ExchangeResult.land`)
+    # — one C pass, off the event loop, instead of a tiny slice write per
+    # message.  The announced counts still fix the region up front, and
+    # the per-chunk copy charge on the virtual clock is identical.
     recv_counts = counts_matrix[:, rank]
-    run_offsets = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(recv_counts, out=run_offsets[1:])
-    total = int(run_offsets[-1])
     key_parts: list[list[np.ndarray]] = [[] for _ in range(size)]
     idx_parts: list[list[np.ndarray]] = [[] for _ in range(size)]
     pending = _pending_chunks(recv_counts, rank, (key_itemsize, idx_itemsize), config)
@@ -199,13 +196,9 @@ def exchange_partitions(
                 comp = charge_for[nb] = Compute(nb * copy_seconds_per_byte)
             yield comp
     yield Mark("exchange:drain", event="end")
-    # Runs become views into the rank's region of each stream.
-    # ``concatenate(out=)`` also enforces the announced totals: a short or
-    # long stream is a shape error.
-    bounds = run_offsets.tolist()
     base = int(counts_matrix[:, :rank].sum())
-    buffers, runs = [None, None], [None, None]
-    for i, ((array, stream), parts) in enumerate(zip(carried, (key_parts, idx_parts))):
+    arrivals = []
+    for (array, stream), parts in zip(carried, (key_parts, idx_parts)):
         if array is None:  # charged, never carried
             continue
         # The local partition is a run like any other; it skips the network.
@@ -221,7 +214,5 @@ def exchange_partitions(
                     f"into a {stream.dtype} stream; promote the blocks to one dtype "
                     "before sorting (DistributedSorter.sort_partitioned does)"
                 )
-        buffer = buffers[i] = stream[base : base + total]
-        np.concatenate([p for chunks in parts for p in chunks], out=buffer)
-        runs[i] = [buffer[bounds[s] : bounds[s + 1]] for s in range(size)]
-    return ExchangeResult(runs[0], runs[1], counts_matrix, *buffers, run_offsets)
+        arrivals.append((stream, [p for chunks in parts for p in chunks]))
+    return ExchangeResult(counts_matrix, slice(base, base + int(recv_counts.sum())), arrivals)

@@ -28,12 +28,14 @@ words when the job's key frame fits, keys and an int32 permutation
 otherwise; both are *charged* as the paper's records (key + 4-byte
 index, Figure 11), so goldens cannot tell.
 
-As each paper machine sorts and merges on its own worker threads, the
-data path's step-1 and step-6 kernels run on the run's kernel threads
-(:class:`~repro.pgxd.runtime.KernelPool`), off the event loop: a rank's
-local sort is submitted as it enters step 1 and read once its charge
-elapsed, its merge submitted once step 5 assembled its region, and the
-run waits for all of them before it returns.  The kernels are pure, write
+PGX.D runs each parallel step as a task list its worker threads drain,
+and so does the simulator with the data path's kernels: the first rank
+to enter step 1 runs every rank's local sort as one batch on the run's
+kernel threads (:meth:`~repro.pgxd.runtime.KernelPool.batch`: the
+event-loop thread and the helpers), and the last rank to enter step 6
+runs every rank's landing + merge as another, then checks the job's
+arena in.  Step 5 lands no key on the event loop: it hands each rank's
+chunks to that rank's step-6 kernel.  The kernels are pure, write
 disjoint regions of the job's storage, and every charge comes from key
 counts alone, so nothing simulated can depend on when, or on how many
 threads, they ran.
@@ -42,6 +44,7 @@ threads, they ran.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -108,16 +111,18 @@ class SortJob:
     its input offset, as wide as the frame says, the int64 word stream
     when keys are narrower than 8 bytes, and for float keys the input the
     lossy codes refill from (and, under int32 words, the int64 codes they
-    pack from).  The kernels that fill it run on the run's threads; the
-    arena goes back once every rank's step-6 kernel finished.
+    pack from).  The kernels that fill it run as two batches on the
+    run's threads, every rank's step 1 and every rank's step 6; the arena
+    goes back once the second finished.
     """
 
     def __init__(self, blocks: Sequence[np.ndarray]):
         self.stats = _block_stats(blocks) if has_key_codec(blocks[0].dtype) else None
         self.blocks = blocks
         self.block_starts = np.cumsum([0, *map(len, blocks)], dtype=np.int64)
-        self.frame = self.storage = self.arena = self.words = self.codes = None
+        self.frame = self.storage = self.arena = self.words = self.codes = self.paths = None
         self.merges: list = []
+        self.charges: dict[tuple, float] = {}
 
     def _take(self, role: str, n: int, dtype: np.dtype) -> np.ndarray:
         if role in OUTPUT_ROLES:
@@ -144,28 +149,48 @@ class SortJob:
         if len(self.storage.input):
             np.concatenate(self.blocks, out=self.storage.input)
 
-    def sort(self, machine: Machine, kernel, frame, block: np.ndarray):
-        """Step 1's ``kernel`` on one rank, submitted to the run's kernel
-        threads: a future of the rank's :class:`~repro.core.datapath.DataPath`."""
+    def sort(self, machine: Machine, kernel, frame) -> DataPath:
+        """Step 1's ``kernel`` on one rank; the first rank's call runs every
+        rank's, as one batch."""
         if self.storage is None:
             self._draw(machine.kernels, frame)
-        span = slice(int(self.block_starts[machine.rank]), int(self.block_starts[machine.rank + 1]))
-        words, codes = (None if a is None else a[span] for a in (self.words, self.codes))
-        return machine.kernels.submit(
-            kernel, frame, self.storage, machine.rank, block, words, None, codes
-        )
+            kernels, starts = [], self.block_starts.tolist()
+            for rank, block in enumerate(self.blocks):
+                span = slice(starts[rank], starts[rank + 1])
+                words, codes = (None if a is None else a[span] for a in (self.words, self.codes))
+                block = np.ascontiguousarray(block)
+                kernels.append(partial(kernel, frame, self.storage, rank, block, words, None, codes))
+            self.paths = machine.kernels.batch(kernels)
+        assert frame == self.frame, "every rank derives the job's frame"
+        return self.paths[machine.rank]
 
-    def merge(self, machine: Machine, path: DataPath, base: int, run_lengths: list[int]):
-        """Step 6 on one rank, submitted to the run's kernel threads: its
-        region of the streams from ``base`` merged into the job's outputs.
-        Returns ``(keys, provenance)``, the output views the kernel fills;
-        the last rank's call hands the arena back once every merge is done."""
+    def sort_seconds(self, machine: Machine, n: int, balanced: bool) -> float:
+        """Step 1's charge, evaluated once per block length and cost model."""
+        key = (n, id(machine.cost), balanced)
+        if key not in self.charges:
+            self.charges[key] = local_sort_seconds(machine, n, balanced=balanced)
+        return self.charges[key]
+
+    def merge(self, machine: Machine, path: DataPath, base: int, run_lengths: list[int], arrived):
+        """Step 6 on one rank: its ``arrived`` :class:`ExchangeResult` landed
+        and merged into the job's outputs; the last rank's call runs every
+        rank's, as one batch, and hands the arena back.  Returns ``(keys,
+        provenance)``, the output views the kernels fill."""
         stop = base + sum(run_lengths)
-        self.merges.append(machine.kernels.submit(path.merge, base, stop, run_lengths))
-        if len(self.merges) == len(self.blocks) and self.arena is not None:
-            machine.kernels.checkin(self.arena, self.merges)
+        self.merges.append(partial(_land_and_merge, arrived, path.merge, base, stop, run_lengths))
+        if len(self.merges) == len(self.blocks):
+            machine.kernels.batch(self.merges)
+            self.merges, self.paths = [], None
+            if self.arena is not None:
+                machine.kernels.checkin(self.arena)
         keys, index, proc = (getattr(self.storage, role)[base:stop] for role in OUTPUT_ROLES)
         return keys, Provenance(proc, index)
+
+
+def _land_and_merge(arrived: ExchangeResult, merge, base: int, stop: int, run_lengths: list[int]):
+    """Simnet's step-6 kernel: land the rank's runs, then merge them there."""
+    arrived.land()
+    return merge(base, stop, run_lengths)
 
 
 def _block_stats(blocks: Sequence[np.ndarray]) -> list[tuple[int, int, int, int]]:
@@ -196,6 +221,7 @@ class _OnMachine:
         self.block_bytes = machine.data.scaled(len(block) * block.dtype.itemsize)
         self.out = RankSortOutput(keys=block, provenance=Provenance.empty())
         self.begun = 0.0
+        self.arrived: ExchangeResult | None = None
 
     def edge(self, step: int, rows: int):
         """Close the step before ``step``, open ``step``: the Figure-7 clock,
@@ -234,14 +260,14 @@ class _OnMachine:
     def sort(self, kernel, frame, block: np.ndarray):
         """Step 1, words or keys + perm charged the same."""
         machine = self.machine
-        pending = self.job.sort(machine, kernel, frame, block)
-        seconds = local_sort_seconds(machine, len(block), balanced=self.options.balanced_merge)
-        yield machine.compute(seconds, STEP_LABELS[0])
+        path = self.job.sort(machine, kernel, frame)
+        yield machine.compute(
+            self.job.sort_seconds(machine, len(block), self.options.balanced_merge), STEP_LABELS[0]
+        )
         # Figure 11 accounting: the sort's resident overhead is the permutation
         # (later the provenance), one index per key on either path; the dataset
         # itself belongs to the engine's data store and is not billed to the sort.
         machine.data.reserve("perm", len(block) * INDEX_DTYPE.itemsize)
-        path = pending.result()
         # Its label shows on the rank's metrics only off the word path, as the pool's.
         machine.proc.metrics.local_sort_path = surfaced_sort_path(path.label)
         return path
@@ -252,17 +278,17 @@ class _OnMachine:
         machine, cost = self.machine, self.machine.cost
         yield machine.compute(cost.copy_seconds(self.block_bytes, machine.threads), STEP_LABELS[4])
         machine.data.memory.alloc(self.block_bytes, temporary=True)
-        ex: ExchangeResult = yield exchange_partitions(
+        self.arrived = yield exchange_partitions(
             machine.proc, path, part, self.config, copy_seconds_per_byte=1.0 / cost.copy_bandwidth
         )
         machine.data.memory.free(self.block_bytes, temporary=True)
-        return ex.counts_matrix
+        return self.arrived.counts_matrix
 
     def merge(self, path: DataPath, base: int, run_lengths: list[int]):
         """Step 6: one kernel pass over ``run_lengths`` runs, charged as the
         handler's or fold's levels."""
         machine = self.machine
-        keys, provenance = self.job.merge(machine, path, base, run_lengths)
+        keys, provenance = self.job.merge(machine, path, base, run_lengths, self.arrived)
         received_bytes = machine.data.scaled(int(keys.nbytes))
         machine.data.memory.alloc(received_bytes, temporary=True)  # runs pre-merge
         yield machine.compute(

@@ -10,11 +10,12 @@ The distributed sorting algorithm (:mod:`repro.core`) and all baselines run
 as programs on this runtime.
 
 A run owns nothing after it returns: no storage and no threads.  The
-run's :class:`KernelPool` — the threads its data kernels run on, off the
-event loop, and the lender of its jobs' storage — is created with it and
-joined before ``run`` returns or raises, every kernel finished and every
-job's arena checked back into the process-wide
-:data:`repro.core.scratch.ARENAS` pool, whether or not the run succeeded.
+run's :class:`KernelPool` — the helper threads that drain each parallel
+step's kernels with the event-loop thread, one batch per step, and the
+lender of its jobs' storage — is created with it and joined before
+``run`` returns or raises, every helper stopped and every job's arena
+checked back into the process-wide :data:`repro.core.scratch.ARENAS`
+pool, whether or not the run succeeded.
 So back-to-back runs reuse warm storage, a nested or concurrent run never
 shares an arena with a live one, and no thread outlives a run (a
 :class:`~repro.parallel.backend.ProcessBackend` forks this process).  The
@@ -25,6 +26,7 @@ result frees it and its arrays by refcount, even while the GC is paused.
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Generator, Sequence
 
@@ -44,7 +46,7 @@ from .partition import BlockPartition
 from .task_manager import TaskManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from concurrent.futures import Future
+    from concurrent.futures import Executor
 
     from ..core.scratch import ScratchArena
 
@@ -54,58 +56,77 @@ MachineProgram = Callable[..., Generator]
 class KernelPool:
     """One run's kernel threads, and the job storage their kernels write.
 
-    A program submits a *pure* data kernel (step 1's local sort, step 6's
-    merge of the received runs) and reads its result at the
-    first step that needs it, so every machine's kernels run on every core
-    while the event loop goes on.  Nothing simulated can tell: virtual
-    time is charged from key counts alone, and the kernels write disjoint
-    regions.  The pool is sized from the CPUs this process may run on.
+    PGX.D runs a parallel step as a task list its worker threads drain
+    (:mod:`repro.pgxd.task_manager`); :meth:`batch` is that for one step
+    of one job (every rank's step-1 sort, or step-6 landing + merge): the
+    calling event-loop thread and ``cpus - 1`` helper threads drain one
+    list of *pure* kernels.  Nothing simulated can tell: virtual time is
+    charged from key counts alone, and the kernels write disjoint
+    regions.  Helpers start at the first batch with work for them.
 
     Job storage comes warm from :data:`repro.core.scratch.ARENAS`:
-    :meth:`checkout` lends a job an arena, :meth:`checkin` takes it back
-    once the given kernels finished.  :meth:`join` — the context exit —
-    waits for every kernel, checks in what is still out, stops the
-    threads, and raises the first kernel exception as itself.
+    :meth:`checkout` lends a job an arena, :meth:`checkin` takes it back.
+    :meth:`join` — the context exit — checks in what is still out, stops
+    the helpers, and raises the first kernel exception as itself.
     """
 
     def __init__(self) -> None:
-        # Imported here: concurrent.futures pulls in logging, which every
-        # pool worker forked from a driver would otherwise carry, and
-        # repro.core imports this module.
-        from concurrent.futures import ThreadPoolExecutor
-
         from ..core.scratch import ARENAS
 
         cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-        threads = len(cpus) if cpus else os.cpu_count() or 1
-        self._executor = ThreadPoolExecutor(threads, thread_name_prefix="pgxd-kernel")
-        self._futures: list[Future] = []
+        self._helpers = (len(cpus) if cpus else os.cpu_count() or 1) - 1
+        self._executor: Executor | None = None
+        self._error: Exception | None = None
         self._arenas, self._lent = ARENAS, []
 
-    def submit(self, kernel: Callable, /, *args: Any) -> Future:
-        future = self._executor.submit(kernel, *args)
-        self._futures.append(future)
-        return future
+    def batch(self, kernels: Sequence[Callable[[], Any]]) -> list:
+        """Every kernel's result, in order.  Every kernel runs, and then the
+        first that raised is raised as itself."""
+        todo, results, errors = deque(enumerate(kernels)), [None] * len(kernels), {}
+
+        def drain() -> None:
+            while True:
+                try:
+                    i, kernel = todo.popleft()
+                except IndexError:
+                    return
+                try:
+                    results[i] = kernel()
+                except Exception as exc:  # repro: noqa[R006] — not swallowed: raised as itself once every kernel ran
+                    errors[i] = exc
+
+        spare = min(self._helpers, len(kernels) - 1)
+        if spare > 0 and self._executor is None:
+            # Imported here: concurrent.futures pulls in logging, which every
+            # pool worker forked from a driver would otherwise carry.
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._executor = ThreadPoolExecutor(self._helpers, thread_name_prefix="pgxd-kernel")
+        helpers = [self._executor.submit(drain) for _ in range(spare)]
+        drain()
+        for helper in helpers:
+            helper.result()
+        if errors:
+            self._error = self._error or errors[min(errors)]
+            raise errors[min(errors)]
+        return results
 
     def checkout(self) -> ScratchArena:
         arena = self._arenas.checkout()
         self._lent.append(arena)
         return arena
 
-    def checkin(self, arena: ScratchArena, kernels: Sequence[Future]) -> None:
-        """Return ``arena`` once ``kernels`` — the last that use it — finish."""
-        from concurrent.futures import wait
-
-        wait(kernels)
+    def checkin(self, arena: ScratchArena) -> None:
         self._lent.remove(arena)
         self._arenas.checkin(arena)
 
     def join(self) -> None:
-        self._executor.shutdown(wait=True)
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
         while self._lent:
             self._arenas.checkin(self._lent.pop())
-        for future in self._futures:
-            future.result()
+        if self._error is not None:
+            raise self._error
 
     def __enter__(self) -> "KernelPool":
         return self

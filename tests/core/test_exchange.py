@@ -1,5 +1,7 @@
 """Tests for step 5: the asynchronous all-to-all redistribution."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,30 @@ from repro.pgxd import PgxdConfig
 from repro.simnet import NetworkModel, Simulator
 
 
+class Received(NamedTuple):
+    """One rank's step-5 outcome once step 6 landed it: one key run and one
+    index run per source, views of the rank's region of the streams."""
+
+    counts_matrix: np.ndarray
+    key_runs: list
+    index_runs: list
+
+
+def landed(result, storage, rank):
+    result.land()
+    counts = result.counts_matrix[:, rank]
+    bounds = result.region.start + np.concatenate(([0], np.cumsum(counts)))
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    return Received(
+        result.counts_matrix,
+        [storage.keys[lo:hi] for lo, hi in spans],
+        [storage.index[lo:hi] for lo, hi in spans],
+    )
+
+
 def run_exchange(per_rank_keys, splitters, config=None):
-    """Step 5 of a keys + perm job over ``per_rank_keys``, one rank each."""
+    """Step 5 of a keys + perm job over ``per_rank_keys``, one rank each,
+    landed as step 6 lands it."""
     config = config or PgxdConfig()
     size = len(per_rank_keys)
     sim = Simulator(size, NetworkModel())
@@ -27,7 +51,7 @@ def run_exchange(per_rank_keys, splitters, config=None):
 
     sim.add_program(program)
     metrics = sim.run()
-    return sim.results(), metrics
+    return [landed(res, storage, rank) for rank, res in enumerate(sim.results())], metrics
 
 
 class TestExchange:

@@ -5,6 +5,7 @@ import gc
 import itertools
 import threading
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -272,6 +273,24 @@ def _pooled_storage() -> list[np.ndarray]:
     ]
 
 
+def _recording_batches(monkeypatch) -> list:
+    """``(kernels, live threads before, live threads after)`` for every
+    kernel batch run from now on."""
+    from repro.pgxd.runtime import KernelPool
+
+    batches = []
+    batch = KernelPool.batch
+
+    def recording(pool, kernels):
+        before = threading.active_count()
+        results = batch(pool, kernels)
+        batches.append((len(kernels), before, threading.active_count()))
+        return results
+
+    monkeypatch.setattr(KernelPool, "batch", recording)
+    return batches
+
+
 def _recording_checkouts(monkeypatch) -> list:
     """``(arena, allocations at checkout)`` for every arena lent from now on."""
     from repro.core.scratch import ArenaPool
@@ -445,7 +464,7 @@ class TestRunLifetime:
                 assert not set(map(id, outer_arenas)) & set(map(id, ARENAS.idle))
             out = yield sample_sort_program(machine, blocks[machine.rank], SortOptions(), job)
             assert (held == machine.rank).all()
-            machine.kernels.checkin(arena, [])
+            machine.kernels.checkin(arena)
             return out
 
         monkeypatch.setattr(ArenaPool, "checkout", recording_checkout)
@@ -466,13 +485,13 @@ class TestRunLifetime:
         from repro.pgxd.runtime import KernelPool
 
         submitted = []
-        submit = KernelPool.submit
+        batch = KernelPool.batch
 
-        def counting(pool, *args):
+        def counting(pool, kernels):
             submitted.append(1)
-            return submit(pool, *args)
+            return batch(pool, kernels)
 
-        monkeypatch.setattr(KernelPool, "submit", counting)
+        monkeypatch.setattr(KernelPool, "batch", counting)
         before = threading.active_count()
         if case == "faulted":
             sorter = DistributedSorter(num_processors=6, faults=FaultPlan(seed=36, drop_prob=0.05))
@@ -484,6 +503,39 @@ class TestRunLifetime:
         assert threading.active_count() == before
         assert all(r.is_globally_sorted() for r in results)
         assert submitted  # a faulted run takes the word path too
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_a_job_is_two_batches_of_one_kernel_per_rank(self, monkeypatch, path):
+        """Every rank's step 1, then every rank's step 6: two parallel steps."""
+        from repro import distributed_sort
+
+        batches = _recording_batches(monkeypatch)
+        result = distributed_sort(self.PATHS[path], num_processors=16)
+        assert result.is_globally_sorted()
+        assert [kernels for kernels, _, _ in batches] == [16, 16]
+
+    def test_sort_multi_runs_two_batches_per_job(self, monkeypatch):
+        from repro import DistributedSorter
+
+        batches = _recording_batches(monkeypatch)
+        datasets = [self.DATA, self.DATA[::3], self.PATHS["keys+perm"]]
+        results = DistributedSorter(num_processors=4).sort_multi(datasets)
+        assert all(r.is_globally_sorted() for r in results)
+        assert [kernels for kernels, _, _ in batches] == [4] * 6
+
+    def test_one_cpu_starts_no_kernel_thread(self, monkeypatch):
+        """At one CPU the event-loop thread runs every kernel itself."""
+        import os
+
+        from repro import DistributedSorter
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        batches = _recording_batches(monkeypatch)
+        start = threading.active_count()
+        DistributedSorter(num_processors=16).sort(self.DATA)
+        DistributedSorter(num_processors=4).sort_multi([self.DATA, self.PATHS["keys+perm"]])
+        assert len(batches) == 6
+        assert {(before, after) for _, before, after in batches} == {(start, start)}
 
     def test_a_kernel_exception_leaves_the_run_as_itself(self, monkeypatch):
         from repro import distributed_sort
@@ -511,6 +563,39 @@ class TestRunLifetime:
         assert {id(a) for a, _ in lent} <= set(map(id, ARENAS.idle))
         assert threading.active_count() == before
 
+    def test_a_batch_runs_every_kernel_once_in_order(self, monkeypatch):
+        """More helpers than cores, switching every few microseconds: each
+        kernel runs exactly once, its result lands in its own slot, and
+        every kernel runs before the first exception leaves."""
+        import os
+        import sys
+
+        from repro.pgxd.runtime import KernelPool
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        ran = []
+
+        def kernel(i):
+            ran.append(i)  # list.append is atomic; a lost or doubled kernel shows
+            if i in (70, 30):
+                raise ValueError(i)
+            return 2 * i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            # The join raises the batch's exception again, as a run's exit does.
+            with pytest.raises(ValueError, match="30"), KernelPool() as kernels:
+                for _ in range(20):
+                    results = kernels.batch([partial(kernel, i) for i in range(20)])
+                    assert results == [2 * i for i in range(20)]
+                ran.clear()
+                with pytest.raises(ValueError, match="30"):
+                    kernels.batch([partial(kernel, i) for i in range(100)])
+                assert sorted(ran) == list(range(100))
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_job_storage_goes_back_in_any_order(self):
         from repro.core.scratch import ARENAS
         from repro.pgxd.runtime import KernelPool
@@ -522,7 +607,8 @@ class TestRunLifetime:
             first, second = kernels.checkout(), kernels.checkout()
             first.take(64, np.int64)[:] = 1
             second.take(64, np.int64)[:] = 2
-            kernels.checkin(second, [kernels.submit(sum, [1, 2])])
+            assert kernels.batch([partial(sum, [1, 2])]) == [3]
+            kernels.checkin(second)
             assert idle(second) and not idle(first) and second.live_leases == 0
         assert idle(first) and first.live_leases == 0
 
