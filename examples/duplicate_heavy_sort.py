@@ -36,7 +36,8 @@ def report(label: str, **options) -> None:
 # Figure 3b: plain binary search piles the tied range onto one processor.
 report("WITHOUT investigator (Figure 3b)", investigator=False)
 
-# Figure 3c: duplicated splitters divide the tied range equally.
+# Figure 3c: every processor cuts the tied range where the samples put
+# each duplicated splitter.
 report("WITH investigator (Figure 3c)")
 
 # Table II's money shot: the tied block splits into exactly equal ratios —

@@ -10,15 +10,23 @@ imbalance the paper sets out to fix.
 The investigator (Figure 3c) instead
 
 1. runs the binary search **once per distinct splitter value**, and
-2. divides the equal-key range **equally between the duplicated splitters**:
-   ``k`` duplicated splitters act as ``k`` evenly spaced cut points inside
-   the tied range, carving it into ``k+1`` near-equal pieces destined for
-   ``k+1`` consecutive processors.
+2. lets **every source split its tied range** among the destinations the
+   tie spans, in the proportion the global quantiles ask for: a splitter
+   that is the ``at``-th of ``of`` merged samples equal to its key
+   (:mod:`repro.core.splitters`) cuts rank ``r``'s local tie ``[lo, hi)``
+   at ``lo + ⌊(hi − lo)·at/of + r/p⌋``.
 
-The ``k+1`` geometry is what Table II implies: with ~80% of a right-skewed
-dataset tied at the top value, the 7 duplicated splitters at quantiles
-30%..90% divide the tied range into 8 pieces of exactly 80%/8 = 10% —
-the flat 9.998% shown for processors 2-9.
+A key sampled once (``at == of == 1``) cuts at ``hi``, exactly as Figure 3a.
+The ``r/p`` term spreads the rounding across ranks: by Hermite's identity,
+``Σ_r ⌊x + r/p⌋ = ⌊p·x⌋``, so ``p`` equal local ties split exactly.  The
+paper's equal division is the all-tie case of this rule: with ~80% of a
+right-skewed dataset tied at the top value, the 7 duplicated splitters at
+quantiles 30%..90% sit at ``at/of`` = 1/8 .. 7/8 of the tie, which leaves
+pieces of exactly 80%/8 = 10% — the flat 9.998% of Table II for
+processors 2-9.  Where the tie does not start on a quantile, equal division
+would ignore what its first destination already holds below the tie; the
+proportional cut does not (:func:`repro.core.verify.max_partition_bound`
+is the balance this buys).
 """
 
 from __future__ import annotations
@@ -41,37 +49,29 @@ class CutResult:
     searches: int
 
 
-def compute_cuts(sorted_keys: np.ndarray, splitters: np.ndarray) -> CutResult:
-    """Duplicate-aware cut computation (the investigator); ``sorted_keys``
-    is an array or anything else with its ``searchsorted``."""
-    splitters = np.asarray(splitters)
-    p_minus_1 = len(splitters)
-    cuts = np.empty(p_minus_1, dtype=np.int64)
-    if p_minus_1 == 0:
-        return CutResult(cuts, 0)
-    values, group_starts, counts = np.unique(
-        splitters, return_index=True, return_counts=True
-    )
+def compute_cuts(
+    sorted_keys: np.ndarray, splitters: np.ndarray, rank: int = 0
+) -> CutResult:
+    """Duplicate-aware cut computation (the investigator) on rank ``rank``.
+
+    ``splitters`` are step 3's (fields ``key``, ``at``, ``of``; ``p - 1``
+    of them); ``sorted_keys`` is an array or anything else with its
+    ``searchsorted``.
+    """
+    p = len(splitters) + 1
+    values, inverse = np.unique(splitters["key"], return_inverse=True)
     # One searchsorted call per side over all *distinct* values: this is the
     # "binary search to be executed for only non-duplicated splitters".
-    los = sorted_keys.searchsorted(values, side="left")
-    his = sorted_keys.searchsorted(values, side="right")
-    singles = counts == 1
-    # Non-duplicated splitters (the common case) cut at their right edge,
-    # assigned in one vectorized scatter.
-    cuts[group_starts[singles]] = his[singles]
-    for v_idx in np.nonzero(~singles)[0]:
-        start, k = int(group_starts[v_idx]), int(counts[v_idx])
-        lo, hi = int(los[v_idx]), int(his[v_idx])
-        # Figure 3c: the k duplicated splitters become k evenly spaced
-        # cut points inside the tied range [lo, hi), splitting it into
-        # k+1 equal pieces shared by k+1 consecutive processors.
-        span = hi - lo
-        for i in range(k):
-            cuts[start + i] = lo + (span * (i + 1)) // (k + 1)
-    # np.unique returns sorted values, and splitters arrive sorted from the
-    # Master, so group_starts already index the original positions; the cut
-    # array is non-decreasing by construction.
+    los = sorted_keys.searchsorted(values, side="left")[inverse]
+    his = sorted_keys.searchsorted(values, side="right")[inverse]
+    at = splitters["at"].astype(np.int64)
+    of = splitters["of"].astype(np.int64)
+    # cut = lo + ⌊(hi − lo)·at/of + rank/p⌋, exactly: the quotient, plus
+    # one where the remainder's fraction and rank/p reach a whole key.
+    whole, rest = np.divmod((his - los) * at, of)
+    cuts = los + whole + (rest * p + rank * of >= of * p)
+    # Splitters arrive sorted from the Master and ``at`` grows within a tie,
+    # so the cut array is non-decreasing by construction.
     return CutResult(cuts, 2 * len(values))
 
 
@@ -80,6 +80,7 @@ def compute_rank_cuts(
     splitters: np.ndarray | None,
     size: int,
     *,
+    rank: int = 0,
     investigator: bool = True,
 ) -> CutResult:
     """Step-4 cuts with the empty-splitter fallback every backend shares.
@@ -87,14 +88,16 @@ def compute_rank_cuts(
     ``splitters`` being ``None`` or empty means no rank produced samples
     (an empty dataset): everything routes to the Master, expressed as all
     cut points sitting at ``len(sorted_keys)``.  Otherwise dispatches to
-    the investigator or the naive strategy.  The simulated sorter, the
-    in-process reference backend, and the multiprocess backend all call
-    this one helper, which is what keeps their partitions bit-identical.
+    the investigator (cutting as rank ``rank``) or the naive strategy.  The
+    simulated sorter, the in-process reference backend, and the
+    multiprocess backend all call this one helper, which is what keeps
+    their partitions bit-identical.
     """
     if splitters is None or len(splitters) == 0:
         return CutResult(np.full(size - 1, len(sorted_keys), dtype=np.int64), 0)
-    cut_fn = compute_cuts if investigator else compute_cuts_naive
-    return cut_fn(sorted_keys, splitters)
+    if investigator:
+        return compute_cuts(sorted_keys, splitters, rank)
+    return compute_cuts_naive(sorted_keys, splitters)
 
 
 def compute_cuts_naive(
@@ -103,8 +106,7 @@ def compute_cuts_naive(
     """Figure 3b behaviour: one binary search per splitter, duplicates and
     all.  Ties all land on one destination — used by the no-investigator
     ablation baseline."""
-    splitters = np.asarray(splitters)
-    cuts = sorted_keys.searchsorted(splitters, side=side).astype(np.int64)
+    cuts = sorted_keys.searchsorted(splitters["key"], side=side).astype(np.int64)
     return CutResult(cuts, len(splitters))
 
 

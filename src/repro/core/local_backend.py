@@ -68,11 +68,6 @@ def local_sample_sort(
         order = np.argsort(block, kind="stable").astype(np.int32)
         sorted_keys.append(block[order])
         perms.append(order)
-    if p == 1:
-        prov = Provenance(np.zeros(len(blocks[0]), dtype=np.int16), perms[0])
-        return LocalSortOutput(
-            [sorted_keys[0]], [prov], sorted_keys[0][:0].copy()
-        )
     # Steps 2-3: regular samples to the Master, splitter selection.
     samples = [
         draw_samples(keys, config, p, options.sample_factor) for keys in sorted_keys
@@ -82,11 +77,11 @@ def local_sample_sort(
     slices = [
         slices_from_cuts(
             compute_rank_cuts(
-                keys, splitters, p, investigator=options.investigator
+                keys, splitters, p, rank=rank, investigator=options.investigator
             ).cuts,
             len(keys),
         )
-        for keys in sorted_keys
+        for rank, keys in enumerate(sorted_keys)
     ]
     # Steps 5-6, literally: destination ``dst`` receives slice ``dst`` of
     # every source in rank order, and a stable merge of rank-ordered runs is

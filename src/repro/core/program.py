@@ -76,7 +76,7 @@ def six_steps(host, block: np.ndarray, options):
 
     # Step 4: cut the sorted block at the splitters.
     yield host.edge(3, rows)
-    part = partition_block(path.sorted_block, splitters, size, options.investigator)
+    part = partition_block(path.sorted_block, splitters, size, rank, options.investigator)
     yield host.charge(3, part.searches)
 
     # Step 5: every run lands in its receiver's region.

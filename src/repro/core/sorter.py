@@ -11,8 +11,8 @@ job's shared :class:`SortJob`:
 3. **Splitters** — the Master merges the samples, selects ``p-1`` final
    splitters and broadcasts them.
 4. **Partition** — each processor finds per-destination ranges by binary
-   searching the splitters, with the *investigator* dividing duplicated
-   splitters' tied ranges equally (:mod:`repro.core.investigator`).
+   searching the splitters, with the *investigator* cutting every tied
+   range where the samples put its splitter (:mod:`repro.core.investigator`).
 5. **Exchange** — range sizes are announced, then all processors send and
    receive simultaneously (:mod:`repro.core.exchange`).
 6. **Merge** — the received sorted runs are merged by the balanced handler
@@ -304,6 +304,7 @@ class _OnMachine:
         machine.data.store("origin_proc", provenance.origin_proc)
         machine.data.store("origin_index", provenance.origin_index)
         machine.data.drop("perm")
+        machine.proc.metrics.partition_keys += len(keys)
         self.out.keys, self.out.provenance = keys, provenance
 
 

@@ -76,10 +76,11 @@ def partition_block(
     sorted_keys: np.ndarray,
     splitters: np.ndarray | None,
     p: int,
+    rank: int,
     investigator: bool,
 ) -> BlockPartition:
-    """Step 4: cut the sorted block against the splitters, once."""
-    cut = compute_rank_cuts(sorted_keys, splitters, p, investigator=investigator)
+    """Step 4: cut rank ``rank``'s sorted block against the splitters, once."""
+    cut = compute_rank_cuts(sorted_keys, splitters, p, rank=rank, investigator=investigator)
     slices = slices_from_cuts(cut.cuts, len(sorted_keys))
     counts = np.array([sl.stop - sl.start for sl in slices], dtype=np.int64)
     return BlockPartition(slices, counts, cut.searches)

@@ -12,12 +12,16 @@ check as a cluster program:
    invariants that catch lost or duplicated transfers).
 
 The verdict is computed collectively and returned by every rank.
+:func:`max_partition_bound` states what the sort promises about balance:
+the most keys regular sampling and the investigator can send any processor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Generator
+from fractions import Fraction
+from typing import Generator, Sequence
 
 import numpy as np
 
@@ -120,6 +124,46 @@ def verify_program(machine: Machine, local_keys: np.ndarray) -> Generator:
         min_key=min(s[4] for s in summaries),
         max_key=max(s[5] for s in summaries),
     )
+
+
+def max_partition_bound(
+    block_lengths: Sequence[int], sample_counts: Sequence[int], p: int
+) -> int:
+    """The most keys any of ``p`` processors can receive (PSRS's guarantee).
+
+    Rank ``r`` sorts ``nᵣ`` keys and samples ``sᵣ`` of them at positions
+    ``⌊(i+1)·wᵣ⌋``, ``i < sᵣ``, with ``wᵣ = nᵣ/(sᵣ+1)``; so ``P(x) =
+    ⌈x/wᵣ⌉ − 1`` samples lie before local position ``x ≥ 1`` (none before
+    0), i.e. ``wᵣ·P(x) ≤ x ≤ wᵣ·(P(x)+1)``.  Splitter ``j`` is merged
+    sample ``m_j = ⌊(j+1)·M/p⌋`` (``M = Σ sᵣ``), the ``at``-th of the
+    ``of`` samples equal to its key.  Rank ``r`` holds ``βᵣ = P(lo)`` of
+    the samples below that key and ``uᵣ = P(hi) − βᵣ`` of the tied ones,
+    for its local tie ``[lo, hi)``: ``Σ βᵣ + at = m_j + 1`` and ``Σ uᵣ =
+    of``.  With ``α = at/of`` and ``σᵣ = βᵣ + α·uᵣ`` (so ``Σ σᵣ = m_j +
+    1``), the investigator's cut ``lo + ⌊(hi − lo)·α + r/p⌋`` lies above
+    ``(1−α)·lo + α·hi − 1 ≥ wᵣ·σᵣ − 1`` and at most ``(p−1)/p`` above
+    ``(1−α)·lo + α·hi ≤ wᵣ·(σᵣ + 1)``.  ``σᵣ`` never falls from one
+    splitter to the next, and cuts 0 and ``nᵣ`` (``σᵣ = 0`` and ``sᵣ``)
+    close the ends, where ``m_{−1} = −1`` and ``m_{p−1} = M − 1``.  So
+    processor ``j`` gets fewer than ``wᵣ·Δσᵣ + wᵣ + 2 − 1/p`` keys from
+    rank ``r``, with ``Σ Δσᵣ = m_j − m_{j−1} ≤ ⌊M/p⌋ + 1``.  Summed over
+    the ranks::
+
+        size_j < (⌊M/p⌋ + 1)·maxᵣ wᵣ + Σᵣ wᵣ + 2p − 1
+
+    For equal blocks and sample counts (``M = p·s``) the first term is
+    ``n/p``, leaving the classic regular-sampling slack of about ``p``
+    sample gaps; distinct keys (``at == of == 1``) are the case PSRS
+    proves.  A processor never gets more than all ``n`` keys either.
+    """
+    lengths = [int(n) for n in block_lengths]
+    counts = [int(s) for s in sample_counts]
+    if len(counts) != len(lengths):
+        raise ValueError("one sample count per block required")
+    weights = [Fraction(n, s + 1) for n, s in zip(lengths, counts)]
+    gap = max(weights, default=Fraction(0))
+    bound = (sum(counts) // p + 1) * gap + sum(weights) + 2 * p - 1
+    return min(sum(lengths), math.ceil(bound) - 1)
 
 
 def verify_distributed(

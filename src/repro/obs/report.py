@@ -14,6 +14,11 @@ barrier blocking plus send occupancy).  Per-step bytes and message counts
 are attributed by intersecting each flow's injection time with the source
 rank's phase spans, which needs a tracer; without one they are zero.
 
+Every rank also reports ``partition_keys``, the keys the sort left on it,
+and the report their ``imbalance`` (largest over mean partition, Table
+II's quantity): simnet counts what step 6 merged, the pool reads its
+counts matrix.
+
 Reports are deterministic for a fixed-seed run — the committed golden
 snapshot ``tests/golden/run_report_p16.json`` locks the p=16 report the
 same way the engine fingerprint locks virtual times.
@@ -88,6 +93,8 @@ class RankReport:
     #: stable argsort).  None — key absent from the JSON, like ``faults``
     #: — on the word path.
     local_sort_path: str | None = None
+    #: Keys the sort left on this rank (its output partition).
+    partition_keys: int = 0
 
 
 @dataclass
@@ -105,6 +112,14 @@ class RunReport:
     schema: str = SCHEMA
 
     # ------------------------------------------------------------ queries
+
+    @property
+    def imbalance(self) -> float:
+        """Largest over mean partition (``SortResult.imbalance``); 1.0 is
+        perfect balance, and so is a run that sorted nothing."""
+        sizes = [rr.partition_keys for rr in self.ranks]
+        total = sum(sizes)
+        return max(sizes) / (total / len(sizes)) if total else 1.0
 
     def step_breakdown(self) -> dict[str, float]:
         """Max-over-ranks wall seconds per step (Figure-7 shape)."""
@@ -169,6 +184,7 @@ class RunReport:
                     peak_temporary_bytes=proc.memory.peak_temporary,
                     faults=fault_stats if any(fault_stats.values()) else None,
                     local_sort_path=proc.local_sort_path,
+                    partition_keys=proc.partition_keys,
                 )
             )
         return cls(
@@ -221,6 +237,7 @@ class RunReport:
             "messages": self.messages,
             "communication_seconds": self.communication_seconds,
             "communication_fraction": self.communication_fraction,
+            "imbalance": self.imbalance,
             "ranks": [
                 {
                     "rank": rr.rank,
@@ -243,6 +260,7 @@ class RunReport:
                     "messages_received": rr.messages_received,
                     "peak_resident_bytes": rr.peak_resident_bytes,
                     "peak_temporary_bytes": rr.peak_temporary_bytes,
+                    "partition_keys": rr.partition_keys,
                     # the faults key exists only on fault-injected runs
                     **({"faults": rr.faults} if rr.faults is not None else {}),
                     **(

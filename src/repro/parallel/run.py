@@ -136,6 +136,7 @@ class BackendRun:
             m.memory.peak_resident = report.peak_rss_bytes
             m.memory.peak_total = report.peak_rss_bytes
             m.local_sort_path = surfaced_sort_path(report.local_sort_path)
+            m.partition_keys = int(col.sum())
             # What one key cost on the wire is the data path's to say.
             per_key = report.bytes_per_key
             m.bytes_sent = off_row * per_key

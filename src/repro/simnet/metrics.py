@@ -88,6 +88,9 @@ class ProcessMetrics:
     #: not fit, keys + perm were exchanged — or ``"stable"`` — step 1 also
     #: ran the slow stable argsort.  None on the word path.
     local_sort_path: str | None = None
+    #: Keys the sort left on this rank: its output partition (summed over
+    #: the jobs of a multi-job run; 0 where no sort ran).
+    partition_keys: int = 0
 
     def record_compute(self, seconds: float, label: str | None) -> None:
         if label is None:

@@ -1,7 +1,8 @@
 """Workload generators: the paper's input datasets, synthesized.
 
 :mod:`repro.workloads.distributions` — the four Figure-4 key distributions;
-:mod:`repro.workloads.duplicates` — controlled-duplication generators;
+:mod:`repro.workloads.duplicates` — controlled-duplication generators and
+the adversaries of the balance bound;
 :mod:`repro.workloads.graphs` — R-MAT and power-law degree synthesis;
 :mod:`repro.workloads.twitter` — the Twitter-shaped graph + sort keys.
 """
@@ -17,7 +18,13 @@ from .distributions import (
     right_skewed,
     uniform,
 )
-from .duplicates import block_duplicates, partially_sorted, single_value_keys, zipf_keys
+from .duplicates import (
+    ADVERSARIAL,
+    block_duplicates,
+    partially_sorted,
+    single_value_keys,
+    zipf_keys,
+)
 from .graphs import RmatParams, degree_skew, powerlaw_degrees, rmat_edges
 from .twitter import (
     KEY_QUANTUM,
@@ -28,6 +35,7 @@ from .twitter import (
 )
 
 __all__ = [
+    "ADVERSARIAL",
     "DEFAULT_VALUE_RANGE",
     "DISTRIBUTIONS",
     "KEY_QUANTUM",

@@ -8,6 +8,8 @@ investigator across the whole spectrum, from all-distinct to single-value.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 
@@ -88,3 +90,70 @@ def block_duplicates(
     keys = np.repeat(np.arange(distinct, dtype=np.int64), reps)
     rng.shuffle(keys)
     return keys
+
+
+# ------------------------------------------------------------ adversaries
+#
+# Inputs built against the investigator's balance guarantee
+# (:func:`repro.core.verify.max_partition_bound`): ties that do not start or
+# end on a quantile, ties held by one or two ranks only, and ties of every
+# size at once.  Each takes ``(n, p, seed)`` for ``p`` equal blocks, as
+# :func:`repro.core.api.partition_input` cuts them.
+
+
+def few_distinct(n: int, p: int, seed: int = 0, *, distinct: int = 3) -> np.ndarray:
+    """``distinct`` values with random frequencies: no tie is a quantile."""
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(distinct))
+    return rng.choice(distinct, size=n, p=weights).astype(np.int64)
+
+
+def tie_across_splitters(
+    n: int, p: int, seed: int = 0, *, share: float = 0.55, value_range: int = 4096
+) -> np.ndarray:
+    """One value holds ``share`` of the keys, spanning about ``share·p``
+    splitters, in the middle of a uniform spread over ``value_range``."""
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, value_range, n, dtype=np.int64)
+    keys[rng.random(n) < share] = value_range // 2
+    return keys
+
+
+def atom_with_thin_tail(n: int, p: int, seed: int = 0, *, value_range: int = 4096) -> np.ndarray:
+    """The exponential case: an atom at 0 and, above it, a tail spread over
+    ``value_range`` values holding less than one processor's share
+    (``1/(2p)`` of the keys)."""
+    rng = np.random.default_rng(seed)
+    keys = np.zeros(n, dtype=np.int64)
+    tail = rng.random(n) < 1.0 / (2 * p)
+    keys[tail] = rng.integers(1, value_range + 1, int(tail.sum()))
+    return keys
+
+
+def staircase(n: int, p: int, seed: int = 0, *, steps: int | None = None) -> np.ndarray:
+    """Ascending stairs of equal keys (``3p + 1`` by default) in input
+    order: each rank holds a few stairs, and a tie lives on one or two."""
+    steps = 3 * p + 1 if steps is None else steps
+    return (np.arange(n, dtype=np.int64) * steps) // max(n, 1)
+
+
+def sorted_per_rank(n: int, p: int, seed: int = 0) -> np.ndarray:
+    """Every rank's block already sorted, over a 100-value domain whose
+    frequencies rise with the value: p ascending runs of skewed ties."""
+    rng = np.random.default_rng(seed)
+    keys = np.sqrt(rng.random(n) * 100 * 100).astype(np.int64)
+    bounds = [n * r // p for r in range(p + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        keys[lo:hi].sort()
+    return keys
+
+
+#: The adversaries by name, each ``(n, p, seed) -> int64 keys``.
+ADVERSARIAL: dict[str, Callable[[int, int, int], np.ndarray]] = {
+    "few distinct": few_distinct,
+    "tie across splitters": tie_across_splitters,
+    "atom with thin tail": atom_with_thin_tail,
+    "staircase": staircase,
+    "sorted per rank": sorted_per_rank,
+    "all equal": lambda n, p, seed: single_value_keys(n),
+}

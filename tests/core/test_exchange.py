@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import exchange_partitions
 from repro.core.datapath import lay_out, local_sort
+from repro.core.splitters import splitter_array
 from repro.core.steps import partition_block
 from repro.pgxd import PgxdConfig
 from repro.simnet import NetworkModel, Simulator
@@ -45,7 +46,8 @@ def run_exchange(per_rank_keys, splitters, config=None):
 
     def program(proc):
         path = local_sort(None, storage, proc.rank, blocks[proc.rank], None)
-        part = partition_block(path.sorted_block, np.asarray(splitters), size, True)
+        # Distinct splitters, each sampled once: Figure 3a's cuts.
+        part = partition_block(path.sorted_block, splitter_array(splitters, 1, 1), size, proc.rank, True)
         result = yield from exchange_partitions(proc, path, part, config)
         return result
 

@@ -6,6 +6,7 @@ import pytest
 from repro.core import exchange_partitions
 from repro.core.datapath import THROUGH, lay_out, local_sort
 from repro.core.packsort import code_and_stats, derive_key_frame
+from repro.core.splitters import splitter_array
 from repro.core.steps import partition_block
 from repro.pgxd import PgxdConfig
 from repro.simnet import NetworkModel, Simulator
@@ -27,7 +28,8 @@ def run_exchange(per_rank_keys, splitters, frame=None, storage=None):
         block = blocks[proc.rank]
         words = None if frame is None else np.empty(len(block), frame.word_dtype)
         path = local_sort(frame, storage, proc.rank, block, words)
-        part = partition_block(path.sorted_block, np.asarray(splitters), size, True)
+        # Distinct splitters, each sampled once: Figure 3a's cuts.
+        part = partition_block(path.sorted_block, splitter_array(splitters, 1, 1), size, proc.rank, True)
         result = yield from exchange_partitions(proc, path, part, config)
         return path, result
 

@@ -50,19 +50,21 @@ class TestLocalBackend:
 
 
 class TestCrossValidation:
-    """The simulated cluster must reproduce the reference backend exactly."""
+    """The simulated cluster must reproduce the reference backend exactly,
+    and both must keep regular sampling's balance bound."""
 
     @pytest.mark.parametrize("kind", ["uniform", "right-skewed", "exponential"])
     @pytest.mark.parametrize("p", [3, 8])
-    def test_bit_identical_partitions(self, kind, p):
+    def test_bit_identical_partitions(self, assert_balanced, kind, p):
         data = generate(kind, 20_000, seed=13)
         blocks, _ = partition_input(data, p)
         reference = local_sample_sort(list(blocks))
         simulated = DistributedSorter(num_processors=p).sort(data)
         for ref, sim in zip(reference.per_processor, simulated.per_processor):
             np.testing.assert_array_equal(ref, sim)
+        assert_balanced(reference.per_processor, list(blocks))
 
-    def test_identical_under_ablations(self):
+    def test_identical_under_ablations(self, assert_balanced):
         data = generate("right-skewed", 15_000, seed=14)
         for opts in (
             SortOptions(investigator=False),
@@ -79,8 +81,10 @@ class TestCrossValidation:
             ).sort(data)
             for ref, sim in zip(reference.per_processor, simulated.per_processor):
                 np.testing.assert_array_equal(ref, sim)
+            if opts.investigator:  # Figure 3b's naive cuts promise no balance
+                assert_balanced(reference.per_processor, list(blocks), opts.sample_factor)
 
-    def test_provenance_identical(self):
+    def test_provenance_identical(self, assert_balanced):
         data = generate("normal", 10_000, seed=15)
         blocks, _ = partition_input(data, 5)
         reference = local_sample_sort(list(blocks))
@@ -88,16 +92,18 @@ class TestCrossValidation:
         for ref, sim in zip(reference.provenance, simulated.provenance):
             np.testing.assert_array_equal(ref.origin_proc, sim.origin_proc)
             np.testing.assert_array_equal(ref.origin_index, sim.origin_index)
+        assert_balanced(reference.per_processor, list(blocks))
 
     @given(
         st.lists(st.integers(0, 50), min_size=0, max_size=600),
         st.integers(2, 7),
     )
     @settings(max_examples=30, deadline=None)
-    def test_cross_validation_property(self, xs, p):
+    def test_cross_validation_property(self, assert_balanced, xs, p):
         data = np.array(xs, dtype=np.int64)
         blocks, _ = partition_input(data, p)
         reference = local_sample_sort(list(blocks))
         simulated = DistributedSorter(num_processors=p).sort(data)
         for ref, sim in zip(reference.per_processor, simulated.per_processor):
             np.testing.assert_array_equal(ref, sim)
+        assert_balanced(reference.per_processor, list(blocks))

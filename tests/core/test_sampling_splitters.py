@@ -83,7 +83,10 @@ class TestSplitters:
     def test_quantile_positions(self):
         samples = np.arange(100)
         s = select_splitters(samples, 4)
-        np.testing.assert_array_equal(s, [25, 50, 75])
+        np.testing.assert_array_equal(s["key"], [25, 50, 75])
+        # Distinct samples: every splitter is the only one of its key.
+        np.testing.assert_array_equal(s["at"], [1, 1, 1])
+        np.testing.assert_array_equal(s["of"], [1, 1, 1])
 
     def test_single_processor_no_splitters(self):
         assert len(select_splitters(np.arange(10), 1)) == 0
@@ -94,13 +97,22 @@ class TestSplitters:
     def test_fewer_samples_than_processors(self):
         s = select_splitters(np.array([5, 10]), 8)
         assert len(s) == 7
-        assert np.all(np.diff(s) >= 0)
+        assert np.all(np.diff(s["key"]) >= 0)
 
     def test_duplicate_heavy_samples_produce_duplicate_splitters(self):
         # 90% of the sample mass at one value -> most splitters equal it.
         samples = np.sort(np.concatenate([np.full(90, 42), np.arange(10)]))
         s = select_splitters(samples, 10)
-        assert np.sum(s == 42) >= 7
+        assert np.sum(s["key"] == 42) >= 7
+
+    def test_tied_splitters_carry_their_place_in_the_tie(self):
+        # Samples 0..9 then ninety 42s at positions 10..99: the splitter at
+        # position m = 10j is the (m + 1 - 10)-th of the 90 tied samples.
+        samples = np.sort(np.concatenate([np.full(90, 42), np.arange(10)]))
+        s = select_splitters(samples, 10)
+        np.testing.assert_array_equal(s["key"], [42] * 9)
+        np.testing.assert_array_equal(s["at"], np.arange(1, 10) * 10 + 1 - 10)
+        np.testing.assert_array_equal(s["of"], [90] * 9)
 
     def test_invalid_processor_count(self):
         with pytest.raises(ValueError):
@@ -115,5 +127,10 @@ class TestSplitters:
             assert len(s) == 0
         else:
             assert len(s) == p - 1
-            assert np.all(np.diff(s) >= 0)
-            assert np.all(np.isin(s, samples))
+            assert np.all(np.diff(s["key"]) >= 0)
+            assert np.all(np.isin(s["key"], samples))
+            positions = np.minimum(np.arange(1, p) * n // p, n - 1)
+            first = np.searchsorted(samples, s["key"], side="left")
+            end = np.searchsorted(samples, s["key"], side="right")
+            np.testing.assert_array_equal(s["at"], positions + 1 - first)
+            np.testing.assert_array_equal(s["of"], end - first)

@@ -1,4 +1,4 @@
-"""Tests for the distributed verification program."""
+"""Tests for the distributed verification program and the balance bound."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import distributed_sort
-from repro.core.verify import summarize_input, verify_distributed
+from repro.core.local_backend import local_sample_sort
+from repro.core.sorter import SortOptions
+from repro.core.verify import max_partition_bound, summarize_input, verify_distributed
 
 
 class TestVerifyDistributed:
@@ -93,3 +95,40 @@ class TestMultisetInvariants:
         report = verify_distributed(result.per_processor)
         assert report.ok
         assert report.matches_input(summarize_input(data))
+
+
+class TestMaxPartitionBound:
+    def test_one_processor_holds_everything(self):
+        assert max_partition_bound([100, 50], [9, 4], 1) == 150
+
+    def test_equal_blocks_leave_a_few_sample_gaps(self):
+        # Gaps of w = 100/10 = 10: (18//2 + 1)·10 + 2·10 + 2·2 - 1 = 123,
+        # a strict bound, so 122 keys at most against a fair share of 100.
+        assert max_partition_bound([100, 100], [9, 9], 2) == 122
+
+    def test_every_key_sampled_is_nearly_exact(self):
+        # w = 1000/1001 < 1: the slack is about 3p keys over n/p.
+        bound = max_partition_bound([1000] * 4, [1000] * 4, 4)
+        assert 1000 < bound <= 1000 + 3 * 4
+
+    def test_never_above_all_keys(self):
+        assert max_partition_bound([5, 0, 0], [1, 0, 0], 3) == 5
+        assert max_partition_bound([0, 0], [0, 0], 2) == 0
+
+    def test_one_sample_count_per_block(self):
+        with pytest.raises(ValueError):
+            max_partition_bound([10, 10], [3], 2)
+
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 6), min_size=0, max_size=300), min_size=1, max_size=9
+        ),
+        st.sampled_from([0.0005, 0.002, 0.01, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_uneven_blocks_and_sparse_samples_stay_within(self, assert_balanced, lists, factor):
+        """Blocks of any lengths over a seven-value domain, sampled sparsely
+        or fully: no partition exceeds the bound."""
+        blocks = [np.array(xs, dtype=np.int64) for xs in lists]
+        out = local_sample_sort(blocks, SortOptions(sample_factor=factor))
+        assert_balanced(out.per_processor, blocks, factor)

@@ -8,7 +8,10 @@ arithmetic says the job's key frame fits; and for p ≤ 4 one warm
 ``ProcessBackend`` returns the same bytes and reports the same data path
 on every rank.
 Under faults, a wire fault leaves simnet's bytes and path as they were,
-and a persistent crash degrades both substrates to the same bytes.
+and a persistent crash degrades both substrates to the same bytes.  Every
+case also holds each substrate to regular sampling's balance bound (the
+``assert_balanced`` fixture); only the no-investigator option, Figure 3b's
+naive cuts, is exempt.
 Hypothesis runs derandomized (``tests/conftest.py``) with a small cap.
 """
 
@@ -68,14 +71,16 @@ def _assert_bytes_equal(outputs, reference):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
-def _assert_substrates_agree(blocks, word_merges, pool=None):
-    """Simnet (and the pool, for p ≤ 4) against the oracle; returns whether
-    simnet took the word path."""
+def _assert_substrates_agree(blocks, word_merges, assert_balanced, pool=None):
+    """Simnet (and the pool, for p ≤ 4) against the oracle, each within the
+    balance bound; returns whether simnet took the word path."""
     p = len(blocks)
     reference = local_sample_sort(blocks)
+    assert_balanced(reference.per_processor, blocks)
     word_merges.clear()
     result = DistributedSorter(num_processors=p).sort_partitioned(blocks)
     _assert_bytes_equal(zip(result.per_processor, result.provenance), reference)
+    assert_balanced(result.per_processor, blocks)
     took_words = bool(word_merges)
     assert took_words == (_frame(blocks) is not None)
     assert len(word_merges) == (p if took_words else 0)
@@ -84,6 +89,7 @@ def _assert_substrates_agree(blocks, word_merges, pool=None):
     if pool is not None and p <= 4:
         run = pool.sort_blocks(blocks)
         _assert_bytes_equal(((o.keys, o.provenance) for o in run.outputs), reference)
+        assert_balanced([o.keys for o in run.outputs], blocks)
         # One data path: each rank says the same of it on both substrates.
         paths = [m.local_sort_path for m in result.metrics.processes]
         assert paths == [m.local_sort_path for m in run.cluster_metrics().processes]
@@ -131,9 +137,11 @@ KINDS = [np.dtype(d).name for d in INT_DTYPES] + [
 
 @pytest.mark.parametrize("p", RANKS)
 @pytest.mark.parametrize("kind", KINDS)
-def test_every_dtype_agrees_across_substrates(pool, word_merges, kind, p):
+def test_every_dtype_agrees_across_substrates(pool, word_merges, assert_balanced, kind, p):
     keys = _keys(kind, 40 * p + 7, np.random.default_rng([p, KINDS.index(kind)]))
-    took_words = _assert_substrates_agree(list(partition_input(keys, p)[0]), word_merges, pool)
+    took_words = _assert_substrates_agree(
+        list(partition_input(keys, p)[0]), word_merges, assert_balanced, pool
+    )
     assert took_words == (kind != "full-mantissa float64")
 
 
@@ -160,18 +168,19 @@ def _shape(name, p):
 
 @pytest.mark.parametrize("p", RANKS)
 @pytest.mark.parametrize("name", ["empty blocks", "n < p", "nothing at all", "all equal", "right-skewed"])
-def test_degenerate_shapes_agree_across_substrates(pool, word_merges, name, p):
-    assert _assert_substrates_agree(_shape(name, p), word_merges, pool)
+def test_degenerate_shapes_agree_across_substrates(pool, word_merges, assert_balanced, name, p):
+    assert _assert_substrates_agree(_shape(name, p), word_merges, assert_balanced, pool)
 
 
 @pytest.mark.parametrize("edge, fits", [(-1, True), (0, False)])
-def test_int64_at_the_p16_frame_limit(word_merges, edge, fits):
+def test_int64_at_the_p16_frame_limit(word_merges, assert_balanced, edge, fits):
     p, m = 16, 33  # keys per rank: 6 index bits, 4 rank bits
     limit = 1 << (62 - (m - 1).bit_length() - (p - 1).bit_length())
     keys = np.zeros(m * p, dtype=np.int64)
     keys[5 * m + 2] = limit + edge
     keys[9 * m] = -limit  # the other end of the frame fits either way
-    assert _assert_substrates_agree(list(partition_input(keys, p)[0]), word_merges) == fits
+    blocks = list(partition_input(keys, p)[0])
+    assert _assert_substrates_agree(blocks, word_merges, assert_balanced) == fits
 
 
 # ------------------------------------------------------ narrow key frames
@@ -190,21 +199,21 @@ NARROW = {
 
 @pytest.mark.parametrize("p", [2, 3, 4, 16])
 @pytest.mark.parametrize("name", NARROW)
-def test_narrow_frames_agree_across_substrates(pool, word_merges, name, p):
+def test_narrow_frames_agree_across_substrates(pool, word_merges, assert_balanced, name, p):
     blocks = list(partition_input(NARROW[name](500 * p + 3, p), p)[0])
     assert _frame(blocks).word_dtype == np.int32
-    assert _assert_substrates_agree(blocks, word_merges, pool)
+    assert _assert_substrates_agree(blocks, word_merges, assert_balanced, pool)
 
 
 # ``word_merges`` is cleared inside every ``_assert_substrates_agree`` call.
 @settings(max_examples=12, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_generated_jobs_agree_across_substrates(pool, word_merges, data):
+def test_generated_jobs_agree_across_substrates(pool, word_merges, assert_balanced, data):
     p = data.draw(st.sampled_from(RANKS))
     kind = data.draw(st.sampled_from(KINDS))
     n = data.draw(st.integers(0, 30 * p))
     keys = _keys(kind, n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
-    _assert_substrates_agree(list(partition_input(keys, p)[0]), word_merges, pool)
+    _assert_substrates_agree(list(partition_input(keys, p)[0]), word_merges, assert_balanced, pool)
 
 
 # ------------------------------------------------------------------ options
@@ -221,7 +230,7 @@ OPTIONS = {
 @pytest.mark.parametrize("p", [2, 3, 4])
 @pytest.mark.parametrize("kind", ["int64", "full-mantissa float64"])
 @pytest.mark.parametrize("name", OPTIONS)
-def test_every_option_agrees_across_substrates(pool, name, kind, p):
+def test_every_option_agrees_across_substrates(pool, assert_balanced, name, kind, p):
     keys = _keys(kind, 60 * p + 5, np.random.default_rng([p, KINDS.index(kind)]))
     keys[::4] = keys[1]  # a tie across splitters: the investigator's case
     blocks = list(partition_input(keys, p)[0])
@@ -231,12 +240,15 @@ def test_every_option_agrees_across_substrates(pool, name, kind, p):
     _assert_bytes_equal(zip(sim.per_processor, sim.provenance), reference)
     run = pool.sort_blocks(blocks, options=options)
     _assert_bytes_equal(((o.keys, o.provenance) for o in run.outputs), reference)
+    if options.investigator:  # Figure 3b's naive cuts promise no balance
+        for partitions in (reference.per_processor, sim.per_processor, [o.keys for o in run.outputs]):
+            assert_balanced(partitions, blocks, options.sample_factor)
 
 
 # ---------------------------------------------------- several jobs, faults
 
 
-def test_sort_multi_of_mixed_dtypes_is_each_datasets_oracle(word_merges):
+def test_sort_multi_of_mixed_dtypes_is_each_datasets_oracle(word_merges, assert_balanced):
     """Back-to-back jobs in one run, each on its own path.  A slow rank
     still drains one job's words while its peers pack the next job's: a
     step-1 lease reused before the run ends would corrupt its output."""
@@ -254,12 +266,14 @@ def test_sort_multi_of_mixed_dtypes_is_each_datasets_oracle(word_merges):
         results = sorter.sort_multi(datasets)
     assert san.report.ok, san.report.summary()
     for data, result in zip(datasets, results):
-        reference = local_sample_sort(list(partition_input(data, p)[0]))
+        blocks = list(partition_input(data, p)[0])
+        reference = local_sample_sort(blocks)
         _assert_bytes_equal(zip(result.per_processor, result.provenance), reference)
+        assert_balanced(result.per_processor, blocks)
     assert len(word_merges) == 4 * p  # every dataset but the float64 one
 
 
-def test_sort_multi_of_narrow_and_wide_frames_does_not_grow_the_arenas():
+def test_sort_multi_of_narrow_and_wide_frames_does_not_grow_the_arenas(assert_balanced):
     """int32- and int64-word jobs back to back in one run: each is its
     dataset's oracle, and twelve datasets pool what one of each shape does."""
     p = 4
@@ -277,8 +291,10 @@ def test_sort_multi_of_narrow_and_wide_frames_does_not_grow_the_arenas():
     sorter.sort_multi(datasets[:4])
     pooled = sum(arena.pooled_bytes() for arena in ARENAS.idle)
     for data, result in zip(datasets, sorter.sort_multi(datasets)):
-        reference = local_sample_sort(list(partition_input(data, p)[0]))
+        blocks = list(partition_input(data, p)[0])
+        reference = local_sample_sort(blocks)
         _assert_bytes_equal(zip(result.per_processor, result.provenance), reference)
+        assert_balanced(result.per_processor, blocks)
     assert sum(arena.pooled_bytes() for arena in ARENAS.idle) == pooled
 
 
@@ -292,18 +308,19 @@ WIRE_FAULTS = {
 
 @pytest.mark.parametrize("p", [3, 16])
 @pytest.mark.parametrize("name", WIRE_FAULTS)
-def test_wire_faults_leave_the_bytes_and_the_word_path(word_merges, name, p):
+def test_wire_faults_leave_the_bytes_and_the_word_path(word_merges, assert_balanced, name, p):
     blocks = list(partition_input(_keys("int64", 300 * p, np.random.default_rng(p)), p)[0])
     clean = DistributedSorter(num_processors=p).sort_partitioned(blocks)
     word_merges.clear()
     result = DistributedSorter(num_processors=p, faults=WIRE_FAULTS[name]).sort_partitioned(blocks)
     assert result.survivors is None and result.recovery_rounds == 0
     _assert_bytes_equal(zip(result.per_processor, result.provenance), clean)
+    assert_balanced(result.per_processor, blocks)
     assert len(word_merges) == (p if _frame(blocks) is not None else 0) == p
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
-def test_a_persistent_crash_degrades_both_substrates_alike(p):
+def test_a_persistent_crash_degrades_both_substrates_alike(assert_balanced, p):
     """simnet's ``crash=R@T`` and the pool's ``poison=R`` are one fault:
     the rank is dropped after ``degrade_after`` attempts and the whole
     input comes back from the survivors, byte for byte the same."""
@@ -317,3 +334,7 @@ def test_a_persistent_crash_degrades_both_substrates_alike(p):
     assert sim.input_offsets.tobytes() == real.input_offsets.tobytes()
     assert np.array_equal(sim.to_array(), np.sort(data))
     _assert_bytes_equal(zip(sim.per_processor, sim.provenance), real)
+    # The survivors re-sorted the whole input as p - 1 equal blocks.
+    survivor_blocks = list(partition_input(data, p - 1)[0])
+    assert_balanced(sim.per_processor, survivor_blocks)
+    assert_balanced(real.per_processor, survivor_blocks)

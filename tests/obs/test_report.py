@@ -40,6 +40,12 @@ class TestAssembly:
         assert report.communication_seconds == m.communication_seconds()
         assert report.communication_fraction == m.communication_fraction()
 
+    def test_balance_mirrors_the_result(self, report4):
+        report, result, _ = report4
+        assert [rr.partition_keys for rr in report.ranks] == result.counts().tolist()
+        assert report.imbalance == result.imbalance()
+        assert report.to_json()["imbalance"] == result.imbalance()
+
     def test_every_rank_reports_all_six_steps(self, report4):
         report, _, _ = report4
         for rr in report.ranks:

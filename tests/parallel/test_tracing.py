@@ -172,6 +172,12 @@ class TestUnifiedRunReport:
         for label, stats in r_rank["steps"].items():
             assert sorted(stats.keys()) == sorted(g_rank["steps"][label].keys())
 
+    def test_balance_is_reported_as_on_simnet(self, traced):
+        result, tracer, _ = traced
+        report = RunReport.from_sort_result(result, tracer=tracer)
+        assert [rr.partition_keys for rr in report.ranks] == result.counts().tolist()
+        assert report.imbalance == result.imbalance()
+
     def test_measured_values_are_nonzero(self, traced):
         result, tracer, _ = traced
         report = RunReport.from_sort_result(result, tracer=tracer)
