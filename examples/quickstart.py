@@ -6,6 +6,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro import DistributedSorter, distributed_sort
+from repro.core import local_sample_sort, partition_input
 
 rng = np.random.default_rng(42)
 data = rng.integers(0, 1_000_000, 1 << 20)
@@ -39,10 +40,12 @@ print(f"smallest key came from processor {origin_proc}, index {origin_idx}")
 # re-sorting.
 payload = rng.random(len(data))
 sorter = DistributedSorter(num_processors=8)
-rows = np.arange(len(data))
-res2, columns = sorter.sort_with_values(data, {"weight": payload, "row": rows})
-# Each entry travels with its own key (the investigator may swap two
-# equal keys' rows, so the row order within a tie is not the input's).
-assert np.array_equal(data[columns["row"]], res2.to_array())
-assert np.array_equal(columns["weight"], payload[columns["row"]])
+res2, columns = sorter.sort_with_values(data, {"weight": payload})
+# The order is deterministic: exactly the in-process reference sort's.
+# (The investigator cuts a sampled tie across processors, so equal keys
+# need not keep their input order.)
+blocks, offsets = partition_input(data, 8)
+reference = local_sample_sort(blocks)
+expected = np.concatenate([prov.global_indices(offsets) for prov in reference.provenance])
+assert np.array_equal(columns["weight"], payload[expected])
 print("payload column reordered consistently with the keys")

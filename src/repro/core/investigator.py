@@ -54,10 +54,12 @@ def compute_cuts(
 ) -> CutResult:
     """Duplicate-aware cut computation (the investigator) on rank ``rank``.
 
-    ``splitters`` are step 3's (fields ``key``, ``at``, ``of``; ``p - 1``
-    of them); ``sorted_keys`` is an array or anything else with its
-    ``searchsorted``.
+    ``splitters`` are step 3's, as :func:`repro.core.splitters.select_splitters`
+    or :func:`~repro.core.splitters.splitter_array` returns them (fields
+    ``key``, ``at``, ``of``; ``p - 1`` of them), not plain keys;
+    ``sorted_keys`` is an array or anything else with its ``searchsorted``.
     """
+    _check_splitters(splitters)
     p = len(splitters) + 1
     values, inverse = np.unique(splitters["key"], return_inverse=True)
     # One searchsorted call per side over all *distinct* values: this is the
@@ -105,9 +107,19 @@ def compute_cuts_naive(
 ) -> CutResult:
     """Figure 3b behaviour: one binary search per splitter, duplicates and
     all.  Ties all land on one destination — used by the no-investigator
-    ablation baseline."""
+    ablation baseline.  ``splitters`` are step 3's, as for
+    :func:`compute_cuts`."""
+    _check_splitters(splitters)
     cuts = sorted_keys.searchsorted(splitters["key"], side=side).astype(np.int64)
     return CutResult(cuts, len(splitters))
+
+
+def _check_splitters(splitters: np.ndarray) -> None:
+    if np.asarray(splitters).dtype.names != ("key", "at", "of"):
+        raise TypeError(
+            "splitters must be step 3's splitter array (fields key, at, of), as "
+            "select_splitters or splitter_array returns it, not plain keys"
+        )
 
 
 def cuts_to_counts(cuts: np.ndarray, n: int) -> np.ndarray:

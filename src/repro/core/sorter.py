@@ -304,7 +304,8 @@ class _OnMachine:
         machine.data.store("origin_proc", provenance.origin_proc)
         machine.data.store("origin_index", provenance.origin_index)
         machine.data.drop("perm")
-        machine.proc.metrics.partition_keys += len(keys)
+        # The counts matrix's column, as the pool reads it after the run.
+        machine.proc.metrics.partition_keys += sum(run_lengths)
         self.out.keys, self.out.provenance = keys, provenance
 
 

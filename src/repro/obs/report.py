@@ -16,8 +16,8 @@ rank's phase spans, which needs a tracer; without one they are zero.
 
 Every rank also reports ``partition_keys``, the keys the sort left on it,
 and the report their ``imbalance`` (largest over mean partition, Table
-II's quantity): simnet counts what step 6 merged, the pool reads its
-counts matrix.
+II's quantity): the counts matrix's column for the rank, which simnet
+records as step 6 merges it and the pool reads after the run.
 
 Reports are deterministic for a fixed-seed run — the committed golden
 snapshot ``tests/golden/run_report_p16.json`` locks the p=16 report the

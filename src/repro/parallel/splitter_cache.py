@@ -61,7 +61,11 @@ class SplitterCache:
             return
         entries = self._entries.setdefault((np.dtype(dtype).str, size), [])
         entries[:] = [e for e in entries if e[0] != fingerprint]
-        entries.append((fingerprint, np.asarray(splitters).copy()))
+        splitters = np.asarray(splitters)
+        # The entries of a key share one (structured) dtype object, so a
+        # job's spec pickles it once, not once per candidate.
+        shared = next((s.dtype for _, s in entries if s.dtype == splitters.dtype), splitters.dtype)
+        entries.append((fingerprint, splitters.astype(shared)))
         del entries[: -self.capacity_per_key]
 
     def note(self, verdict: str) -> None:

@@ -6,7 +6,8 @@ once is found every time, instead of surfacing only when the random draw
 happens to reach it.  No example database is read or written, and no
 per-example deadline applies (simulated runs vary in wall time with the
 machine, not with the input).  The ``assert_balanced`` fixture checks
-the balance every sort owes its input.
+the balance every sort owes its input; ``oracle_order`` gives the exact
+output order a sort owes it.
 """
 
 import numpy as np
@@ -39,3 +40,22 @@ def assert_balanced():
         assert max(sizes) <= bound, (sizes, bound)
 
     return check
+
+
+@pytest.fixture(scope="session")
+def oracle_order():
+    """``oracle_order(keys, p)``: the input index of every output key, in
+    output order, as the in-process oracle
+    (:func:`repro.core.local_backend.local_sample_sort`) sorts ``keys``
+    block-partitioned over ``p`` processors with the default options.  The
+    order is deterministic but not the stable sort's: a tie the
+    investigator cuts keeps source-major order within each destination.
+    A payload gathered through provenance must follow exactly this order."""
+    from repro.core import local_sample_sort, partition_input
+
+    def order(keys, p):
+        blocks, offsets = partition_input(keys, p)
+        out = local_sample_sort(list(blocks))
+        return np.concatenate([prov.global_indices(offsets) for prov in out.provenance])
+
+    return order

@@ -129,18 +129,16 @@ class TestProvenanceQueries:
                 op, oi = result.origin_of(proc, local_idx)
                 assert blocks[op][oi] == keys[local_idx]
 
-    def test_gather_values_reorders_payload(self):
+    def test_gather_values_reorders_payload(self, oracle_order):
         rng = np.random.default_rng(11)
         keys = rng.integers(0, 1000, 20_000)
         payload = rng.random(20_000)
         result = distributed_sort(keys, num_processors=5)
-        # The investigator splits a sampled tie across sources, so equal
-        # keys need not keep input order: each payload entry must travel
-        # with its own key, and every entry must arrive once.
-        origin = result.gather_values(np.arange(len(keys)))
-        np.testing.assert_array_equal(np.sort(origin), np.arange(len(keys)))
-        np.testing.assert_array_equal(keys[origin], np.sort(keys))
-        np.testing.assert_array_equal(result.gather_values(payload), payload[origin])
+        # Ties the investigator cuts are not in input order, but the
+        # output order is fixed: exactly the oracle's.
+        expected = oracle_order(keys, 5)
+        np.testing.assert_array_equal(keys[expected], np.sort(keys))
+        np.testing.assert_array_equal(result.gather_values(payload), payload[expected])
 
     def test_gather_values_wrong_length(self, uniform_result):
         _, result = uniform_result
@@ -251,18 +249,15 @@ class TestMultiSort:
     def test_sort_multi_empty_list(self):
         assert DistributedSorter().sort_multi([]) == []
 
-    def test_sort_with_values(self):
+    def test_sort_with_values(self, oracle_order):
         rng = np.random.default_rng(13)
         keys = rng.integers(0, 50, 2000)
         vals = {"a": rng.random(2000), "b": np.arange(2000)}
         result, cols = DistributedSorter(num_processors=3).sort_with_values(keys, vals)
-        # "b" is each key's input index: every column moves with its key,
-        # in key order (tied keys split by the investigator may swap).
-        origin = cols["b"]
-        np.testing.assert_array_equal(np.sort(origin), np.arange(2000))
-        np.testing.assert_array_equal(keys[origin], result.to_array())
+        expected = oracle_order(keys, 3)
         np.testing.assert_array_equal(result.to_array(), np.sort(keys))
-        np.testing.assert_array_equal(cols["a"], vals["a"][origin])
+        np.testing.assert_array_equal(cols["a"], vals["a"][expected])
+        np.testing.assert_array_equal(cols["b"], vals["b"][expected])
 
     def test_sort_with_values_misaligned(self):
         with pytest.raises(ValueError):

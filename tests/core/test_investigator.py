@@ -35,6 +35,11 @@ class TestDistinctSplitters:
         np.testing.assert_array_equal(inv.cuts, naive.cuts)
         np.testing.assert_array_equal(cuts_to_counts(inv.cuts, 100), [25, 25, 25, 25])
 
+    def test_plain_keys_are_not_splitters(self):
+        for cut in (compute_cuts, compute_cuts_naive):
+            with pytest.raises(TypeError, match="splitter array"):
+                cut(np.arange(100), np.array([24, 49, 74]))
+
     def test_figure_3a_ranges(self):
         # Data between splitter[j-1] and splitter[j] goes to processor j.
         keys = np.array([1, 2, 3, 10, 11, 20, 30])

@@ -177,7 +177,7 @@ class TestHypothesisEndToEnd:
     # investigator splits its tie out of input order (TestStabilitySemantics).
     @example(n=11, seed=23, p=6, investigator=True)
     @settings(max_examples=15, deadline=None)
-    def test_gather_values_matches_argsort(self, n, seed, p, investigator):
+    def test_gather_values_matches_argsort(self, oracle_order, n, seed, p, investigator):
         rng = np.random.default_rng(seed)
         keys = rng.integers(0, 50, n)
         payload = rng.random(n)
@@ -188,8 +188,9 @@ class TestHypothesisEndToEnd:
         np.testing.assert_array_equal(np.sort(order), np.arange(n))
         np.testing.assert_array_equal(keys[order], np.sort(keys))
         # Stable only without the investigator; with it, the gather follows
-        # provenance, whatever order the split ties landed in.
-        expected = order if investigator else np.argsort(keys, kind="stable")
+        # provenance, in exactly the oracle's order.
+        expected = oracle_order(keys, p) if investigator else np.argsort(keys, kind="stable")
+        np.testing.assert_array_equal(order, expected)
         np.testing.assert_array_equal(result.gather_values(payload), payload[expected])
 
 
@@ -199,9 +200,12 @@ class TestStabilitySemantics:
     * with ``investigator=False`` the sort is *stable* (equal keys keep
       their original global order: runs arrive source-major and every
       merge prefers earlier runs);
-    * with the investigator ON, ties that straddle duplicated splitters
-      are deliberately split across processors for balance, which
-      sacrifices global stability (any tie-splitting scheme must).
+    * with the investigator ON, every tie a splitter falls in (any key
+      sampled more than once, where a splitter lands inside its samples)
+      is deliberately cut across processors for balance, which sacrifices
+      global stability (any tie-splitting scheme must): each destination
+      holds its piece of the tie source-major, so the output order is
+      deterministic — the oracle's — but not the input order.
     """
 
     def test_stable_without_investigator(self):

@@ -6,6 +6,7 @@ reuse."""
 import gc
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ import pytest
 
 from repro.core.api import DistributedSorter, partition_input
 from repro.core.local_backend import local_sample_sort
+from repro.core.splitters import splitter_array
 from repro.obs.context import capture
 from repro.obs.report import RunReport
 from repro.parallel import (
@@ -21,6 +23,7 @@ from repro.parallel import (
     ProcessBackend,
     RealFaultPlan,
     RetryPolicy,
+    SplitterCache,
     WorkerCrashedError,
 )
 from repro.parallel.backend import MAX_PINNED_RESULTS
@@ -206,6 +209,19 @@ class TestSplitterCache:
         for run in (hit, resampled):
             _assert_bit_identical(local_sample_sort(blocks), run)
             _assert_bytes_equal_to_oracle(run, blocks)
+
+    def test_a_keys_entries_share_one_dtype_and_keep_their_bytes(self):
+        """A job's spec pickles the entries' structured dtype once; an
+        entry of another dtype under the same key is never cast."""
+        cache = SplitterCache()
+        empty = splitter_array(np.empty(0), 0, 0)  # float64 keys
+        a = splitter_array(np.array([3, 9]), [1, 2], [1, 3])
+        b = pickle.loads(pickle.dumps(splitter_array(np.array([4, 4]), [1, 2], [2, 2])))
+        for fingerprint, splitters in (("e", empty), ("a", a), ("b", b)):
+            cache.commit(np.int64, 3, fingerprint, splitters)
+        (_, e), (_, x), (_, y) = cache.candidates(np.int64, 3)
+        assert x.dtype is y.dtype and e.dtype == empty.dtype != x.dtype
+        assert x.tobytes() == a.tobytes() and y.tobytes() == b.tobytes()
 
     def test_different_distribution_misses(self):
         with ProcessBackend() as backend:
