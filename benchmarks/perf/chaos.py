@@ -1,8 +1,10 @@
 """Chaos sweep: the seeded fault-schedule matrix over the simulated sort.
 
-Runs every schedule from :func:`repro.simnet.chaos_schedules` — drops,
-delay spikes, a slow node, link degradation, rank crashes (worker /
-Master / at t=0) and a mixed plan — through the end-to-end sort with
+Runs every schedule from :func:`repro.faults.chaos_schedules` — drops,
+delay spikes, a slow node, link degradation, step-addressed rank kills
+(a worker entering the exchange, the Master entering splitter
+selection, a rank poisoned from step 1) and a mixed plan — through the
+end-to-end sort with
 SimSan attached, and enforces the failure contract: every schedule
 returns all ``len(data)`` keys, sorted, with provenance round-tripping
 to the input and ``survivors`` naming exactly the ranks not dropped,
@@ -12,7 +14,7 @@ fault-event sequence diverges.
 
 One JSON artifact (``--json-out``) records per-schedule outcomes — the
 attempts the retry layer made, the survivors, the full fault-event
-stream and per-rank retry/drop/crash counters; the CI ``chaos`` job
+stream and per-rank retry/drop/crash counters; the CI ``faults`` job
 uploads it so a red run is debuggable from the artifact alone::
 
     PYTHONPATH=src python benchmarks/perf/chaos.py --json-out chaos_report.json
@@ -36,7 +38,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.core.api import DistributedSorter  # noqa: E402
 from repro.obs.context import capture  # noqa: E402
 from repro.obs.report import RunReport  # noqa: E402
-from repro.simnet import chaos_schedules, sanitize  # noqa: E402
+from repro.faults import chaos_schedules  # noqa: E402
+from repro.simnet import sanitize  # noqa: E402
 from repro.simnet.errors import SimError  # noqa: E402
 
 P = 8
@@ -106,9 +109,9 @@ def _run_one(plan, data):
     }
     record["rank_fault_counters"] = counters
     # Slow nodes and link degradation are continuous slowdowns, not
-    # discrete events; only message-fate faults and crashes must leave an
+    # discrete events; only message-fate faults and kills must leave an
     # observable trace.
-    eventful = bool(plan.drop_prob or plan.delay_prob or plan.crashes)
+    eventful = bool(plan.drop_prob or plan.delay_prob or plan.kills or plan.poisoned)
     if eventful and not events and not counters:
         problems.append("eventful plan produced no fault events and no counters")
     return record, problems, events

@@ -2,7 +2,7 @@
 
 The process-backend twin of ``chaos.py``'s virtual-time sweep.  Streams a
 pooled job mix through one :class:`~repro.parallel.ProcessBackend` at
-``P`` ranks while a seeded :func:`~repro.parallel.kill_one_per_job` plan
+``P`` ranks while a seeded :func:`~repro.faults.kill_one_per_job` plan
 SIGKILLs one worker — round-robin — on every job's first attempt, with
 ShmSan armed throughout, and enforces the recovery contract:
 
@@ -16,7 +16,7 @@ ShmSan armed throughout, and enforces the recovery contract:
   with provenance still recovering every key's origin.
 
 One JSON artifact (``--json-out``) records per-job outcomes and the
-recovery counters; the CI ``chaos-real`` job uploads it so a red run is
+recovery counters; the CI ``faults`` job uploads it so a red run is
 debuggable from the artifact alone::
 
     PYTHONPATH=src python benchmarks/perf/chaos_real.py --json-out chaos_real_report.json
@@ -38,12 +38,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.api import partition_input  # noqa: E402
 from repro.core.local_backend import local_sample_sort  # noqa: E402
-from repro.parallel import (  # noqa: E402
-    ProcessBackend,
-    RealFaultPlan,
-    RetryPolicy,
-    kill_one_per_job,
-)
+from repro.faults import FaultPlan, kill_one_per_job  # noqa: E402
+from repro.parallel import ProcessBackend, RetryPolicy  # noqa: E402
 from repro.parallel.shmsan import shm_sanitize  # noqa: E402
 
 P = 4
@@ -80,7 +76,7 @@ def run_kill_matrix(doc, failures):
     records = []
     t0 = time.perf_counter()
     with shm_sanitize() as san:
-        with ProcessBackend(chaos=plan, retry=POLICY) as backend:
+        with ProcessBackend(faults=plan, retry=POLICY) as backend:
             for i, (kind, data) in enumerate(datasets):
                 blocks = list(partition_input(data, P)[0])
                 reference = local_sample_sort(blocks)
@@ -148,10 +144,10 @@ def run_poison_degradation(doc, failures):
     rng = np.random.default_rng(DATA_SEED + 1)
     data = rng.integers(0, 1 << 40, N_KEYS).astype(np.int64)
     blocks, offsets = partition_input(data, P)
-    plan = RealFaultPlan.from_spec(f"poison={P - 1}", seed=DATA_SEED)
+    plan = FaultPlan.from_spec(f"poison={P - 1}", seed=DATA_SEED)
     problems = []
     t0 = time.perf_counter()
-    with ProcessBackend(chaos=plan, retry=POLICY) as backend:
+    with ProcessBackend(faults=plan, retry=POLICY) as backend:
         run = backend.sort_blocks(list(blocks))
         result = run.to_sort_result(offsets)
         stats = backend.stats

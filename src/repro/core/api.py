@@ -20,16 +20,17 @@ different data simultaneously").
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
+from ..faults import FaultPlan, active_fault_plan, inject_faults
 from ..pgxd.config import PgxdConfig
 from ..pgxd.runtime import Machine, PgxdRuntime, RunResult
 from ..simnet.cost import CostModel
 from ..simnet.errors import DeadlockError
-from ..simnet.faults import active_fault_plan
 from ..simnet.metrics import ClusterMetrics, ProcessMetrics
 from ..simnet.network import NetworkModel
 from .result import SortResult
@@ -48,10 +49,10 @@ class SortConfig:
     options: SortOptions = field(default_factory=SortOptions)
     #: Optional per-machine speed factors (heterogeneous cluster).
     rank_speed: tuple[float, ...] | None = None
-    #: Optional :class:`repro.simnet.faults.FaultPlan` the simulated sort
-    #: runs under, retried and degraded by :mod:`repro.core.retry`.  None
-    #: (the default) still honours an ambient ``inject_faults`` scope.
-    faults: "object | None" = None
+    #: Optional :class:`repro.faults.FaultPlan` the sort runs under, on
+    #: either substrate, retried and degraded by :mod:`repro.core.retry`.
+    #: None (the default) still honours an ambient ``inject_faults`` scope.
+    faults: FaultPlan | None = None
     #: Execution substrate: "simnet" (virtual time, the default),
     #: "process" (one OS process per rank, shared-memory exchange, wall
     #: time), a live backend *instance* (e.g. a shared persistent
@@ -170,10 +171,10 @@ class DistributedSorter:
         result's dtype never depends on how the keys happened to route.
 
         Under a fault plan (``faults=`` or an ambient ``inject_faults``
-        scope) each simulated attempt runs under the plan as
-        :meth:`~repro.simnet.faults.FaultPlan.for_attempt` gives it, and
-        :func:`~repro.core.retry.run_with_retry` re-runs a job a crash
-        ended, degrading to the survivors exactly as the pool does.
+        scope) either substrate retries a job a kill ended and degrades to
+        the survivors through :func:`~repro.core.retry.run_with_retry`: the
+        pool in its backend, simnet here, each attempt under the plan as
+        :meth:`~repro.faults.FaultPlan.for_attempt` gives it.
         """
         p = self.config.num_processors
         if len(blocks) != p:
@@ -185,30 +186,33 @@ class DistributedSorter:
         if input_offsets is None:
             sizes = [len(b) for b in blocks]
             input_offsets = np.concatenate(([0], np.cumsum(sizes[:-1]))).astype(np.int64)
-        from ..parallel.backend import resolve_backend
+        input_offsets = np.asarray(input_offsets, dtype=np.int64)
+        from ..parallel.backend import ProcessBackend, resolve_backend
 
         resolved = resolve_backend(self.config.backend)
-        if not isinstance(resolved, str):
-            # A live backend instance (typically a shared persistent
-            # pool): dispatch this sort as one job and leave the
-            # instance open — its owner controls the lifetime.
-            run = resolved.sort_blocks(
-                blocks, options=self.config.options, config=self.config.pgxd
-            )
-            return run.to_sort_result(np.asarray(input_offsets, dtype=np.int64))
-        if resolved == "process":
-            from ..parallel.backend import ProcessBackend
+        if resolved == "simnet":
+            return self._simulate_job(blocks, input_offsets, job=0)
+        # The pool: a fresh one for this sort, or a live instance (typically
+        # a shared persistent pool) its owner closes.  Either picks the
+        # sorter's plan up from the ambient scope, unless the instance
+        # carries a plan of its own.
+        faults = self.config.faults
+        with inject_faults(faults) if faults is not None else nullcontext():
+            if isinstance(resolved, str):
+                with ProcessBackend() as backend:
+                    run = backend.sort_blocks(blocks, options=self.config.options, config=self.config.pgxd)
+            else:
+                run = resolved.sort_blocks(blocks, options=self.config.options, config=self.config.pgxd)
+        return run.to_sort_result(input_offsets)
 
-            with ProcessBackend() as backend:
-                run = backend.sort_blocks(
-                    blocks, options=self.config.options, config=self.config.pgxd
-                )
-            return run.to_sort_result(np.asarray(input_offsets, dtype=np.int64))
+    def _simulate_job(self, blocks: list[np.ndarray], input_offsets: np.ndarray, job: int) -> SortResult:
+        """One simulated job: a plain run, or retried runs under the plan."""
         plan = self.config.faults or active_fault_plan()
         if plan is None:
             run = _simulate(self.config, blocks)
             return SortResult.from_rank_outputs(run.results, run.metrics, input_offsets)
-        plan.check_ranks(p)
+        plan.check_ranks(len(blocks))
+        plan.check_substrate("simnet")
         speed = self.config.rank_speed
 
         def attempt(job_blocks, rank_ids: tuple[int, ...], number: int) -> _SimRun:
@@ -216,14 +220,14 @@ class DistributedSorter:
                 self.config,
                 num_processors=len(rank_ids),
                 rank_speed=None if speed is None else tuple(speed[r] for r in rank_ids),
-                faults=plan.for_attempt(rank_ids, number),
+                faults=plan.for_attempt(rank_ids, number, job),
             )
             run = _simulate(config, job_blocks)
             counts = np.stack([out.sent_counts for out in run.results])
             return _SimRun(run.results, counts, run.metrics)
 
         run = run_with_retry(attempt, blocks, RetryPolicy(), (DeadlockError,), [])
-        return run.to_sort_result(np.asarray(input_offsets, dtype=np.int64))
+        return run.to_sort_result(input_offsets)
 
     def sort_multi(self, datasets: Sequence[np.ndarray]) -> list[SortResult]:
         """Sort several datasets in one cluster launch.
@@ -231,14 +235,17 @@ class DistributedSorter:
         The datasets are processed back-to-back inside a single simulation,
         so later sorts reuse the warm cluster — the paper's "sort multiple
         different data simultaneously" API.  Returns one result per input.
-        Under a fault plan each dataset is its own retried job
-        (:meth:`sort`).
+        Under a fault plan each dataset is its own retried job, numbered
+        from 0 in stream order as a pool numbers its jobs.
         """
         if not datasets:
             return []
-        if self.config.faults or active_fault_plan():
-            return [self.sort(data) for data in datasets]
         p = self.config.num_processors
+        if self.config.faults or active_fault_plan():
+            return [
+                self._simulate_job(*partition_input(data, p), job=job)
+                for job, data in enumerate(datasets)
+            ]
         per_dataset = [partition_input(d, p) for d in datasets]
         jobs = [SortJob(blocks) for blocks, _ in per_dataset]
         runtime = self.config.runtime()
@@ -398,7 +405,7 @@ class SorterPool:
         from ..parallel.backend import ProcessBackend
 
         self.sorter = sorter
-        self.backend = ProcessBackend(**backend_kwargs)
+        self.backend = ProcessBackend(**{"faults": sorter.config.faults, **backend_kwargs})
         self.last_run = None
 
     def sort(self, data: np.ndarray) -> SortResult:

@@ -30,14 +30,15 @@ With ``--backend process`` the same flag also arms ShmSan
 shared-memory exchange; the ``--sanitize-out`` document then nests both
 reports as ``{"simsan": ..., "shmsan": ...}``.
 
-Robustness: ``--chaos SPEC`` (process backend only) injects deterministic
-process-level faults — SIGKILLed ranks, hung collectives, delayed control
-replies, muted heartbeats, slow ranks — from a seeded
-:class:`~repro.parallel.chaos.RealFaultPlan` (``--chaos-seed`` picks the
-schedule).  An active plan arms the backend's default
-:class:`~repro.core.retry.RetryPolicy`, so killed jobs retry and
-repeatedly-dying ranks degrade to the survivor set instead of failing the
-experiment; the simnet twin of this flag is ``--faults``.
+Robustness: ``--faults SPEC`` runs every sort, on either backend, under
+one seeded :class:`~repro.faults.FaultPlan` (``--fault-seed`` picks its
+stream): ranks killed entering a step (``kill=R@STEP``, first attempt
+only, or ``poison=R``, every attempt), slow ranks, delay spikes, and —
+where the substrate has them — dropped messages and degraded links
+(simnet) or hung collectives and muted heartbeats (the process pool).  A
+key the chosen backend cannot realise is rejected.  Killed jobs retry and
+a rank that keeps dying degrades to the survivor set
+(:mod:`repro.core.retry`) instead of failing the experiment.
 """
 
 from __future__ import annotations
@@ -119,10 +120,12 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="SPEC",
         help=(
-            "inject faults into every simulation, e.g. "
-            "'drop=0.05,delay=0.01,crash=3@0.0005' "
-            "(see repro.simnet.faults.FaultPlan.from_spec); sorts retry a "
-            "crashed job and drop a rank that keeps crashing"
+            "run every sort under one fault plan, on either backend, e.g. "
+            "'drop=0.05,delay=0.01,kill=3@5-exchange' (keys: drop, delay, "
+            "kill=RANK@STEP[:JOB], poison=RANK, hang=RANK@OP[:JOB], "
+            "mute=RANK, slow=RANKxMULT, link=SRC-DST:MULT[:EXTRA]; see "
+            "repro.faults.FaultPlan.from_spec); sorts retry a killed job "
+            "and drop a rank that keeps dying"
         ),
     )
     parser.add_argument(
@@ -160,25 +163,6 @@ def main(argv: list[str] | None = None) -> int:
             "at the end"
         ),
     )
-    parser.add_argument(
-        "--chaos",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "with --backend process: deterministic process-level fault "
-            "injection (kill=RANK@STEP[:JOB], poison=RANK, hang=RANK@OP"
-            "[:JOB], delay=P[:SPIKE], mute=RANK, slow=RANKxMULT, "
-            "comma-separated); failed jobs are retried and poisoned ranks "
-            "degraded per the default RetryPolicy"
-        ),
-    )
-    parser.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="seed of the chaos schedule's RNG (default: 0)",
-    )
     args = parser.parse_args(argv)
     if args.list:
         for name in EXPERIMENTS:
@@ -213,19 +197,14 @@ def main(argv: list[str] | None = None) -> int:
 
     fault_plan = None
     if args.faults is not None:
-        from ..simnet.faults import FaultPlan
+        from ..faults import FaultPlan
 
-        fault_plan = FaultPlan.from_spec(args.faults, seed=args.fault_seed)
+        try:
+            fault_plan = FaultPlan.from_spec(args.faults, seed=args.fault_seed)
+            fault_plan.check_substrate(args.backend or "simnet")
+        except ValueError as exc:
+            parser.error(f"--faults: {exc}")
         print(f"[faults: {fault_plan.describe()}]", file=sys.stderr)
-
-    chaos_plan = None
-    if args.chaos is not None:
-        if args.backend != "process":
-            parser.error("--chaos requires --backend process")
-        from ..parallel.chaos import RealFaultPlan
-
-        chaos_plan = RealFaultPlan.from_spec(args.chaos, seed=args.chaos_seed)
-        print(f"[chaos: {chaos_plan.describe()}]", file=sys.stderr)
 
     def run_observed(name, fn):
         from contextlib import ExitStack
@@ -240,13 +219,9 @@ def main(argv: list[str] | None = None) -> int:
 
                 stack.enter_context(shm_sanitize(shm_sanitizer))
             if fault_plan is not None:
-                from ..simnet.faults import inject_faults
+                from ..faults import inject_faults
 
                 stack.enter_context(inject_faults(fault_plan))
-            if chaos_plan is not None:
-                from ..parallel.chaos import inject_real_faults
-
-                stack.enter_context(inject_real_faults(chaos_plan))
             if pool_backend is not None:
                 # The shared pool IS the ambient backend: every sorter
                 # the experiment builds dispatches to the same warm

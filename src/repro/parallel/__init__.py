@@ -24,10 +24,6 @@ Layout:
   selection by name or instance);
 * :mod:`repro.parallel.run` — :class:`BackendRun`, one finished job, and
   its zero-copy assembly from the job's leases;
-* :mod:`repro.parallel.chaos` — deterministic process-level fault
-  injection (:class:`RealFaultPlan`: seeded kills, hangs, reply delay
-  spikes, heartbeat muting, slow ranks) mirroring the simnet
-  ``FaultPlan`` grammar;
 * :mod:`repro.parallel.errors` — typed failures (worker crash, remote
   exception, control-plane timeout, retry exhaustion) in place of hangs;
   job retry and survivor-degraded recovery above one attempt are
@@ -78,12 +74,6 @@ from .tracing import (
     peak_rss_bytes,
     use_progress,
 )
-from .chaos import (
-    RealFaultPlan,
-    active_real_fault_plan,
-    inject_real_faults,
-    kill_one_per_job,
-)
 from .errors import (
     ControlPlaneTimeout,
     JobAbortedError,
@@ -110,7 +100,6 @@ __all__ = [
     "ProcessBackend",
     "ProcessRunHandle",
     "ProtocolError",
-    "RealFaultPlan",
     "RetryPolicy",
     "SegmentCache",
     "SharedArena",
@@ -122,15 +111,12 @@ __all__ = [
     "WorkerReport",
     "WorkerTrace",
     "WorkerTracer",
-    "active_real_fault_plan",
     "active_shm_sanitizer",
     "ambient_progress",
     "attach",
     "default_backend",
     "estimate_clock_offset",
     "exchange_layout",
-    "inject_real_faults",
-    "kill_one_per_job",
     "merge_worker_traces",
     "peak_rss_bytes",
     "resolve_backend",

@@ -47,10 +47,10 @@ import numpy as np
 from ..core.datapath import OUTPUT_ROLES, JobStorage, lay_out
 from ..core.retry import RetryPolicy, run_with_retry
 from ..core.sorter import STEP_LABELS, SortOptions
+from ..faults import FaultPlan, active_fault_plan
 from ..obs.context import active_capture
 from ..pgxd.config import PgxdConfig
 from .arena import SharedArena, ShmLease
-from .chaos import RealFaultPlan, active_real_fault_plan
 from .collectives import dispatch_job, send_shutdown, serve_control_plane
 from .errors import (
     ControlPlaneTimeout,
@@ -204,7 +204,7 @@ class ProcessBackend:
         sanitize: "ShmSan | bool | None" = None,
         mutate: str | None = None,
         mutate_rank: int = 1,
-        chaos: RealFaultPlan | None = None,
+        faults: FaultPlan | None = None,
         retry: "RetryPolicy | bool | None" = None,
     ):
         try:
@@ -216,12 +216,12 @@ class ProcessBackend:
         #: turns a hung-but-alive rank into a prompt, rank-attributed
         #: ControlPlaneTimeout instead of a full global stall.
         self.phase_timeout_seconds = phase_timeout_seconds
-        #: Explicit chaos plan; None follows the ambient
-        #: :func:`~repro.parallel.chaos.inject_real_faults` scope per job.
-        self.chaos = chaos
+        #: Explicit fault plan; None follows the ambient
+        #: :func:`~repro.faults.inject_faults` scope per job.
+        self.faults = faults
         #: Retry policy: an instance, True for defaults, or None — which
-        #: stays fail-fast *except* when a chaos plan is active (chaos
-        #: without recovery would just convert planned faults into lost
+        #: stays fail-fast *except* when a fault plan is active (faults
+        #: without recovery would just convert planned kills into lost
         #: jobs, so an active plan arms the default policy).
         if retry is True:
             self._retry: RetryPolicy | None = RetryPolicy()
@@ -412,8 +412,8 @@ class ProcessBackend:
         splitter cache (how the cache-fallback tests steer a single job
         without rebuilding the pool).
 
-        With a chaos plan active (constructor ``chaos=`` or the ambient
-        :func:`~repro.parallel.chaos.inject_real_faults` scope) and/or a
+        With a fault plan active (constructor ``faults=`` or the ambient
+        :func:`~repro.faults.inject_faults` scope) and/or a
         :class:`RetryPolicy` armed, a failed attempt poisons the
         generation, respawns, and re-runs the same job; a rank that
         keeps dying is dropped and the job re-planned over the survivor
@@ -439,13 +439,16 @@ class ProcessBackend:
                 f"simnet backend"
             )
 
-        chaos = self.chaos if self.chaos is not None else active_real_fault_plan()
+        plan = self.faults if self.faults is not None else active_fault_plan()
         policy = self._retry
-        if policy is None and chaos is not None and not self._retry_explicit:
-            # Chaos without recovery would just convert planned faults
-            # into lost jobs, so an active plan arms the default policy
-            # (retry=False pins recovery off for fail-fast chaos tests).
-            policy = RetryPolicy()
+        if plan is not None:
+            plan.check_ranks(len(blocks))
+            plan.check_substrate("process")
+            if policy is None and not self._retry_explicit:
+                # Faults without recovery would just convert planned kills
+                # into lost jobs, so an active plan arms the default policy
+                # (retry=False pins recovery off for fail-fast fault tests).
+                policy = RetryPolicy()
         job_id = self._job_counter
         self._job_counter += 1
 
@@ -457,13 +460,11 @@ class ProcessBackend:
                     options,
                     config,
                     job_id=job_id,
-                    attempt=0,
-                    chaos=chaos,
-                    rank_ids=None,
+                    faults=None if plan is None else plan.for_attempt(range(len(blocks)), 0, job_id),
                     force_resample=force_resample,
                 )
             return self._run_with_retry(
-                blocks, options, config, job_id, policy, chaos, force_resample
+                blocks, options, config, job_id, policy, plan, force_resample
             )
         except ParallelBackendError as exc:
             # Every failure leaves here stamped with the job it belongs
@@ -482,7 +483,7 @@ class ProcessBackend:
         config: PgxdConfig,
         job_id: int,
         policy: RetryPolicy,
-        chaos: "RealFaultPlan | None",
+        plan: FaultPlan | None,
         force_resample: bool,
     ) -> BackendRun:
         """One job under :func:`~repro.core.retry.run_with_retry`: each
@@ -503,9 +504,7 @@ class ProcessBackend:
                 options,
                 config,
                 job_id=job_id,
-                attempt=number,
-                chaos=chaos,
-                rank_ids=rank_ids,
+                faults=None if plan is None else plan.for_attempt(rank_ids, number, job_id),
                 force_resample=force_resample,
                 prior_attempts=tuple(history),
             )
@@ -533,18 +532,15 @@ class ProcessBackend:
         config: PgxdConfig,
         *,
         job_id: int,
-        attempt: int,
-        chaos: "RealFaultPlan | None",
-        rank_ids: tuple[int, ...] | None,
+        faults: FaultPlan | None,
         force_resample: bool,
         prior_attempts: tuple = (),
     ) -> BackendRun:
         """One attempt: stage input, dispatch, serve, collect.
 
-        ``rank_ids`` maps job slots back to original rank identities for
-        degraded (survivor-width) rounds — chaos schedules always
-        address original ranks, so the mapping rides on the JobSpec and
-        the worker looks itself up before arming chaos.
+        ``faults`` is the attempt's plan, addressed by job slot
+        (:meth:`~repro.faults.FaultPlan.for_attempt`): it rides on the
+        JobSpec to the workers and arms the hub's reply delays.
         """
         size = len(blocks)
         key_dtype = blocks[0].dtype
@@ -602,9 +598,7 @@ class ProcessBackend:
             mutate_rank=self._mutate_rank,
             job_id=job_id,
             cache=SplitterProbe(self.splitter_cache.candidates(key_dtype, size), force_resample),
-            chaos=chaos,
-            attempt=attempt,
-            rank_ids=rank_ids,
+            faults=faults,
         )
 
         run: BackendRun | None = None
@@ -619,11 +613,7 @@ class ProcessBackend:
                     phase_timeout_seconds=self.phase_timeout_seconds,
                     progress=ambient_progress(),
                     san_sink=san.ingest if san is not None else None,
-                    chaos=(
-                        chaos.hub_state(job_id, attempt)
-                        if chaos is not None
-                        else None
-                    ),
+                    faults=faults,
                 )
             except WorkerCrashedError as exc:
                 if san is not None:

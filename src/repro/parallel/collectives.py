@@ -50,10 +50,14 @@ from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
 from typing import Any
 
+import numpy as np
+
 from .errors import ControlPlaneTimeout, ProtocolError, WorkerCrashedError
 
 #: How often the hub wakes to check worker liveness while idle (seconds).
 _POLL_SECONDS = 0.25
+#: How long a planned hang sleeps before giving up on being terminated.
+HANG_SECONDS = 3600.0
 
 
 class WorkerLink:
@@ -80,9 +84,11 @@ class WorkerLink:
         self._seq = 0
         #: Attached tracer (None on untraced runs — the guard pattern).
         self.tracer = None
-        #: Attached per-attempt chaos state (None on un-chaosed runs —
-        #: the same guard pattern; see :mod:`repro.parallel.chaos`).
-        self.chaos = None
+        #: The collective op this job's fault plan stalls the rank before
+        #: (None on fault-free runs — the same guard pattern) ...
+        self.hang: str | None = None
+        #: ... and whether it suppresses the rank's heartbeats.
+        self.muted = False
         #: Label of the step the worker loop is currently inside.
         self.step_label = ""
         #: Measured blocking seconds, by wait kind and by step label.
@@ -111,7 +117,7 @@ class WorkerLink:
         self._seq = 0
         self.epoch = 0
         self.tracer = None
-        self.chaos = None
+        self.hang, self.muted = None, False
         self.step_label = ""
         self.wait_by_kind = {"recv-wait": 0.0, "barrier-wait": 0.0}
         self.wait_by_step = {}
@@ -137,12 +143,15 @@ class WorkerLink:
             # Stale collective reply (or unknown debris): drop and re-wait.
 
     def _collective(self, op: str, payload: Any = None, root: int = 0) -> Any:
-        if self.chaos is not None:
+        if self.hang is not None and op == self.hang:
             # hang-at-collective: the planned rank sleeps here instead of
             # contributing — no process dies, so only the hub's per-phase
             # deadline can convert this into a typed, rank-attributed
             # ControlPlaneTimeout.
-            self.chaos.before_collective(op)
+            self.hang = None
+            if self.tracer is not None:
+                self.tracer.fault("hang", f"before {op}")
+            time.sleep(HANG_SECONDS)
         self._seq += 1
         start = time.perf_counter()  # repro: noqa[R002] — real backend: measured pipe-blocking time is the point
         self.conn.send(("coll", op, self._seq, self.rank, root, payload))
@@ -212,14 +221,15 @@ class WorkerLink:
         """Fire-and-forget liveness beat: entering ``step`` with ``rows``.
 
         Also rotates :attr:`step_label` so subsequent collective waits are
-        attributed to the new step.  A chaos-muted rank still rotates the
-        label (the sort is unaffected) but suppresses the pipe message —
+        attributed to the new step.  A muted rank still rotates the label
+        (the sort is unaffected) but suppresses the pipe message —
         degrading crash *detection* to "no heartbeat received", which is
         precisely the diagnostics path the ``mute=`` fault exercises.
         """
         self.step_label = step
-        if self.chaos is not None and self.chaos.muted:
-            self.chaos.note_muted(step)
+        if self.muted:
+            if self.tracer is not None:
+                self.tracer.fault("mute", f"suppressed heartbeat at {step}")
             return
         self.conn.send(("hb", self.rank, step, int(rows)))
 
@@ -294,7 +304,7 @@ def serve_control_plane(
     phase_timeout_seconds: float | None = None,
     progress=None,
     san_sink=None,
-    chaos=None,
+    faults=None,
 ) -> dict[int, Any]:
     """Drive the collective hub until every worker reports done.
 
@@ -324,12 +334,17 @@ def serve_control_plane(
     layer can charge the failure to a specific rank with no corpse to
     point at.
 
-    ``chaos``, when given, is a
-    :class:`~repro.parallel.chaos.HubChaosState`: each collective reply
-    may be preceded by a seeded delay spike (the pipe-star latency
-    fault).  The no-chaos path pays one ``is not None`` check per reply.
+    ``faults``, when given, is the attempt's
+    :class:`~repro.faults.FaultPlan`: with ``delay_prob`` set each
+    collective reply may be preceded by a ``delay_spike``, drawn from the
+    plan's seed (the pipe-star latency fault).  The fault-free path pays
+    one ``is not None`` check per reply.
     """
     from .errors import WorkerFailedError
+
+    draw = None
+    if faults is not None and faults.delay_prob > 0.0:
+        draw = np.random.default_rng(faults.seed).random
 
     size = len(conns)
     rank_of = {id(conn): rank for rank, conn in enumerate(conns)}
@@ -454,8 +469,8 @@ def serve_control_plane(
                     del pending[key]
                     replies = _reply(op, slot, size)
                     for peer, reply in replies.items():
-                        if chaos is not None:
-                            chaos.maybe_delay_reply()
+                        if draw is not None and draw() < faults.delay_prob:
+                            time.sleep(faults.delay_spike)
                         conns[peer].send(reply)
             else:
                 raise ProtocolError(f"unknown control message kind {kind!r}")

@@ -73,7 +73,7 @@ class WorkerTrace:
     counters: list[tuple[float, str, float]] = field(default_factory=list)
     #: ``(start, end, label)`` — the six step windows, in step order.
     steps: list[tuple[float, float, str]] = field(default_factory=list)
-    #: ``(t, kind, detail)`` — chaos injections this worker survived
+    #: ``(t, kind, detail)`` — fault injections this worker survived
     #: (``slow``/``mute``/``hang``; a kill leaves no trace by definition).
     faults: list[tuple[float, str, str]] = field(default_factory=list)
     #: Pool job this trace belongs to (0 outside pooled streams).  A
@@ -116,7 +116,7 @@ class WorkerTracer:
         self.trace.steps.append((start, end, label))
 
     def fault(self, kind: str, detail: str = "") -> None:
-        """One chaos injection this worker lived through (slow/mute/hang)."""
+        """One fault injection this worker lived through (slow/mute/hang)."""
         self.trace.faults.append((time.perf_counter(), kind, detail))  # repro: noqa[R002] — real backend: fault timestamps are measured data
 
 

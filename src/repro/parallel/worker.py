@@ -8,11 +8,11 @@ and loops until the driver sends shutdown.
 
 This module is the pool's binding of the one sort program
 (:func:`repro.core.program.six_steps`, the simulator's too): a per-job
-:class:`_Job` serves its steps — a step edge is the step clock, chaos,
-the heartbeat and a ShmSan flush; collectives are pipe calls; step 1
-sorts inline in scratch words; step 5 writes shared memory — so the
-produced partitions are **bit-identical** to the simulator's and to the
-reference backend's.  *What* is sorted, exchanged and merged — packed
+:class:`_Job` serves its steps — a step edge is the step clock, the
+fault plan's kills and stragglers, the heartbeat and a ShmSan flush;
+collectives are pipe calls; step 1 sorts inline in scratch words; step 5
+writes shared memory — so the produced partitions are **bit-identical**
+to the simulator's and to the reference backend's.  *What* is sorted, exchanged and merged — packed
 words, or keys + perm — is the job's
 :class:`~repro.core.datapath.DataPath`, chosen once in step 1;
 *where* every (src, dst) run lands in shared memory is
@@ -43,6 +43,7 @@ on the parent into the simnet-schema tracer.
 from __future__ import annotations
 
 import os
+import signal
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -58,6 +59,7 @@ from ..core.program import MASTER, RankSteps, six_steps
 from ..core.scratch import ScratchArena
 from ..core.sorter import STEP_LABELS, SortOptions
 from ..core.steps import BlockPartition
+from ..faults import FaultPlan
 from ..pgxd.config import PgxdConfig
 from .arena import ShmLease
 from .collectives import WorkerLink
@@ -95,18 +97,10 @@ class JobSpec:
     #: The splitter cache the job carries: prior epochs' candidates for
     #: its key dtype and cluster size (none on cold pools).
     cache: SplitterProbe = SplitterProbe(())
-    #: Seeded process-level fault plan (:mod:`repro.parallel.chaos`);
-    #: ``None`` is the overwhelmingly common case.
-    chaos: "object | None" = None
-    #: Which attempt of the job this dispatch is (0 on the first try).
-    #: Retries re-run the same logical job under a fresh generation; the
-    #: chaos plan uses this to model transient vs. persistent faults.
-    attempt: int = 0
-    #: Original rank identity per worker slot, set by survivor-degraded
-    #: re-plans (``rank_ids[slot] = original rank``); ``None`` means the
-    #: identity mapping.  Keeps chaos schedules aimed at the same
-    #: physical participant across renumberings.
-    rank_ids: tuple[int, ...] | None = None
+    #: This attempt's fault plan, addressed by worker slot
+    #: (:meth:`~repro.faults.FaultPlan.for_attempt`); ``None`` is the
+    #: overwhelmingly common case.
+    faults: FaultPlan | None = None
 
 
 @dataclass
@@ -191,8 +185,8 @@ class SegmentCache:
 class _Job:
     """One job on one rank: the pool's half of the program's method set
     (:mod:`repro.core.program`), each method returning its value, and the
-    hooks at the step edges — heartbeat + chaos, the step clock, the
-    ShmSan recorder, the tracer."""
+    hooks at the step edges — the fault plan, the step clock, the
+    heartbeat, the ShmSan recorder, the tracer."""
 
     def __init__(self, rank, plan: JobSpec, link: WorkerLink, segments, scratch: ScratchArena):
         self.rank, self.size, self.config = rank, plan.size, plan.config
@@ -211,12 +205,16 @@ class _Job:
             # rank enters step 1 from a common point.  Re-estimated per job:
             # a pooled worker's offset drifts between jobs.
             self.tracer = link.tracer = WorkerTracer(rank, job_id=plan.job_id)
-            if link.chaos is not None:
-                link.chaos.tracer = self.tracer  # surviving injections leave fault events
             trace = self.tracer.trace
             trace.clock_offset, trace.clock_rtt = estimate_clock_offset(link.probe)
             link.barrier()
         self.views = plan.leases.map(segments.view)
+        #: The slot's planned kill step and compute multiplier; hangs and
+        #: mutes are the link's to realise.
+        self.faults = plan.faults
+        if plan.faults is not None:
+            self.kill_step, self.slow = plan.faults.kill_step(rank), plan.faults.slow_mult(rank)
+            link.hang, link.muted = plan.faults.hang_op(rank), rank in plan.faults.muted
 
     def run(self) -> WorkerReport:
         lo, hi = self.plan.leases.block_starts[self.rank : self.rank + 2].tolist()
@@ -248,7 +246,7 @@ class _Job:
 
         The heartbeat piggybacks a sanitizer-log flush, so a crash mid-run
         leaves the analyzer every access up to the last boundary.  The
-        chaos plan is consulted first: a planned kill must not leave a
+        fault plan is consulted first: a planned kill must not leave a
         heartbeat for the step it never entered.  Past step 6 the log is
         flushed and the clock stops.
         """
@@ -256,14 +254,26 @@ class _Job:
             self._flush()
             self._mark()
             return
+        if self.faults is not None:
+            self._inject(step)
         if step:
             self._mark()
-        if self.link.chaos is not None:
-            self.link.chaos.at_step_boundary(STEP_LABELS[step])
         self.link.heartbeat(STEP_LABELS[step], rows)
         self._flush()
         if not step:
             self._mark()  # the heartbeat into step 1 is outside the timed steps
+
+    def _inject(self, step: int) -> None:
+        """A slow rank stretches the step it closes to ``slow`` times its
+        wall, before the clock reads; a planned kill is a real fail-stop —
+        no atexit hooks, no error report, the pipe simply hits EOF."""
+        if step and self.slow > 1.0:
+            pause = (self.slow - 1.0) * (time.perf_counter() - self.marks[-1])  # repro: noqa[R002] — real backend: a slow rank's pause scales its measured step
+            if self.tracer is not None:
+                self.tracer.fault("slow", f"{STEP_LABELS[step - 1]}: +{pause * 1e3:.2f}ms")
+            time.sleep(pause)
+        if STEP_LABELS[step] == self.kill_step:
+            os.kill(os.getpid(), signal.SIGKILL)
 
     def charge(self, step: int, count: int) -> None:
         """Nothing to charge: the wall clock measures the step."""
@@ -413,17 +423,6 @@ def worker_main(rank: int, size: int, conn: Connection) -> None:
             if job is None:
                 break
             link.reset()
-            if job.chaos is not None:
-                # Chaos schedules address *original* rank ids; under a
-                # survivor-degraded re-plan this slot's identity rides on
-                # the spec, so a poisoned rank stays poisoned through any
-                # renumbering and excluded ranks take no one down with them.
-                identity = (
-                    job.rank_ids[rank] if job.rank_ids is not None else rank
-                )
-                link.chaos = job.chaos.worker_state(
-                    identity, job.job_id, job.attempt
-                )
             try:
                 report = _Job(rank, job, link, segments, scratch).run()
                 link.send_done(report)

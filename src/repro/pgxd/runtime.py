@@ -215,7 +215,7 @@ class PgxdRuntime:
         simulator this runtime builds; when None (the default) an ambient
         ``repro.obs.capture`` scope, if active, supplies one per run.
 
-        ``faults`` attaches a :class:`repro.simnet.faults.FaultPlan` to
+        ``faults`` attaches a :class:`repro.faults.FaultPlan` to
         every run; when None, an ambient ``inject_faults`` scope (if
         active) supplies one — otherwise the run is fault-free."""
         if num_machines < 1:

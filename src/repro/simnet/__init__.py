@@ -35,7 +35,6 @@ from .errors import (
     SimSanError,
     UnknownRankError,
 )
-from .faults import FaultPlan, FaultState, active_fault_plan, chaos_schedules, inject_faults
 from .metrics import ClusterMetrics, MemoryTracker, ProcessMetrics
 from .network import Fabric, NetworkModel, NicState, gbit_per_s
 from .sanitizer import SanReport, SimSan, sanitize
@@ -50,8 +49,6 @@ __all__ = [
     "CostModel",
     "DeadlockError",
     "Fabric",
-    "FaultPlan",
-    "FaultState",
     "Free",
     "InvalidCallError",
     "Isend",
@@ -76,14 +73,11 @@ __all__ = [
     "Sleep",
     "sanitize",
     "UnknownRankError",
-    "active_fault_plan",
     "allgather",
     "alltoallv",
     "bcast",
-    "chaos_schedules",
     "gather",
     "gbit_per_s",
-    "inject_faults",
     "nbytes_of",
     "reduce",
     "scatter",

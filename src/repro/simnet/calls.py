@@ -136,11 +136,12 @@ class Mark:
     """Annotate the structured trace; consumes no virtual time.
 
     ``event`` is ``"begin"``/``"end"`` to bracket a phase span (e.g. one of
-    the six sort steps) or ``"instant"`` for a point marker.  With no
-    tracer attached the engine discards the call, so programs may mark
-    unconditionally: the disabled cost is one generator round-trip, the
-    virtual clock, metrics, and string trace log are never touched, and
-    behavior stays bit-identical (golden determinism holds with marks in
+    the six sort steps) or ``"instant"`` for a point marker.  A fault
+    plan's kill fires at the ``begin`` mark of its step label.  With no
+    tracer and no plan attached the engine discards the call, so programs
+    may mark unconditionally: the disabled cost is one generator
+    round-trip, the virtual clock, metrics, and string trace log are never
+    touched, and behavior stays bit-identical (golden determinism holds with marks in
     the sort program).
     """
 

@@ -67,7 +67,7 @@ from .errors import (
     RankCrashedError,
     UnknownRankError,
 )
-from .faults import MAX_RETRANSMITS
+from ..faults import MAX_RETRANSMITS
 from .metrics import ClusterMetrics, ProcessMetrics
 from .network import Fabric, NetworkModel
 
@@ -76,7 +76,7 @@ Program = Callable[..., Generator]
 #: Event kinds interpreted by the run loop (slot 2 of an event record).
 _EV_STEP = 0  #: resume rank's generator with ``arg`` as the send value
 _EV_DELIVER = 1  #: deliver ``arg`` (a Message) to its destination mailbox
-_EV_CRASH = 2  #: fail-stop the rank, ending the run (fault injection)
+_EV_CRASH = 2  #: fail-stop the rank, ending the run (a planned kill fired)
 
 
 class _Status(Enum):
@@ -281,12 +281,13 @@ class Simulator:
         hook — and hooks never touch virtual time, metrics, or event
         order, so sanitized runs are bit-identical to unsanitized ones.
     faults:
-        A :class:`repro.simnet.faults.FaultPlan` to inject message drops,
-        delays, crashes and slow nodes into this run.  ``None``
-        (the default) consults the ambient
-        :func:`repro.simnet.faults.inject_faults` scope.  Consulted through
-        the same single ``is not None`` guard as the observers, so the
-        no-fault path stays bit-identical to the golden fingerprint.
+        A :class:`repro.faults.FaultPlan` to inject message drops, delays,
+        link degradation, slow nodes and step-addressed kills into this
+        run (a kill fires at the rank's ``Mark`` opening the step).
+        ``None`` (the default) consults the ambient
+        :func:`repro.faults.inject_faults` scope.  Consulted through the
+        same single ``is not None`` guard as the observers, so the no-fault
+        path stays bit-identical to the golden fingerprint.
     """
 
     def __init__(
@@ -320,7 +321,7 @@ class Simulator:
             sanitizer = active_sanitizer()
         self._sanitizer = sanitizer
         if faults is None:
-            from .faults import active_fault_plan
+            from ..faults import active_fault_plan
 
             faults = active_fault_plan()
         self.fault_plan = faults
@@ -388,7 +389,7 @@ class Simulator:
 
         Raises :class:`DeadlockError` if every live process is blocked with
         no event pending (:class:`RankCrashedError` when a fault plan's
-        crash fires), and :class:`ProcessFailure` if a program raises.
+        kill fires), and :class:`ProcessFailure` if a program raises.
         """
         if self._ran:
             raise RuntimeError("Simulator.run() may only be called once")
@@ -398,15 +399,6 @@ class Simulator:
             )
         self._ran = True
         fstate = self._faults
-        if fstate is not None:
-            # Crash events are queued before the initial steps so a
-            # crash-at-t=0 preempts the rank's very first resume (smaller
-            # sequence number pops first on the time tie).
-            for crank in sorted(fstate.crash_at):
-                heapq.heappush(
-                    self._events,
-                    (fstate.crash_at[crank], next(self._seq), _EV_CRASH, crank, None),
-                )
         for rank in sorted(self._procs):
             self._schedule_step(0.0, rank, None)
         # Tight interpreter: pop the globally next event from the heap or the
@@ -900,11 +892,17 @@ class Simulator:
         return None
 
     def _do_mark(self, rank: int, state: _ProcState, call: Mark) -> Any:
-        # Tracer-only annotation: no virtual time, no metrics, no string
-        # trace entry — with no tracer attached this is a no-op, so marked
-        # programs are bit-identical to unmarked ones.
+        # Tracer annotation: no virtual time, no metrics, no string trace
+        # entry — with no tracer and no fault plan this is a no-op, so
+        # marked programs are bit-identical to unmarked ones.
         if self._tracer is not None:
             self._tracer.mark(rank, self._now, call.label, call.event)
+        if self._faults is not None and self._faults.kill_at.get(rank) == call.label and call.event == "begin":
+            # A planned kill: the rank fail-stops as it opens the step, and
+            # the crash event ends the run once this instant's events ran.
+            state.status = _Status.WAITING
+            heapq.heappush(self._events, (self._now, next(self._seq), _EV_CRASH, rank, None))
+            return _BLOCKED
         return None
 
     def _sample_memory(self, rank: int, memory: Any) -> None:

@@ -65,8 +65,8 @@ class DeadlockError(SimError):
 
 
 class RankCrashedError(DeadlockError):
-    """A fault plan's ``crash=`` fired: ``rank`` fail-stopped at virtual
-    time ``at``, so on a reliable transport its peers would wait on it
+    """A fault plan's ``kill=`` or ``poison=`` fired: ``rank`` fail-stopped
+    at virtual time ``at``, as it opened a step, so on a reliable transport its peers would wait on it
     forever.  The run ends here; :mod:`repro.core.retry` re-runs the job."""
 
     def __init__(self, rank: int, at: float):

@@ -1,12 +1,13 @@
-"""Faulted simnet sorts: wire faults cost time, a crash retries the job,
-a rank that keeps crashing is dropped, and every key comes back."""
+"""Faulted simnet sorts: wire faults cost time, a kill retries the job,
+a rank that keeps dying (``poison=``) is dropped, and every key comes back."""
 
 import numpy as np
 import pytest
 
 from repro.core.api import DistributedSorter, distributed_sort, partition_input
 from repro.core.local_backend import local_sample_sort
-from repro.simnet import DeadlockError, FaultPlan
+from repro.faults import FaultPlan
+from repro.simnet import DeadlockError
 
 
 def _assert_every_key_back(res, data, survivors):
@@ -27,20 +28,24 @@ class TestResilientSort:
         assert res.recovery_rounds == 0
 
     def test_crash_at_t0_excluded_in_first_round(self, data):
-        sorter = DistributedSorter(num_processors=6, faults=FaultPlan(seed=33, crashes=((4, 0.0),)))
+        sorter = DistributedSorter(num_processors=6, faults=FaultPlan.from_spec("poison=4", seed=33))
         res = sorter.sort(data)
         _assert_every_key_back(res, data, (0, 1, 2, 3, 5))
         assert res.recovery_rounds == 1  # crashed twice, then re-planned once
         assert len(res.per_processor[4]) == 0
 
-    def test_mid_run_crash_recovers_with_rounds(self, data):
-        sorter = DistributedSorter(num_processors=6, faults=FaultPlan(seed=34, crashes=((2, 4e-4),)))
-        res = sorter.sort(data)
-        _assert_every_key_back(res, data, (0, 1, 3, 4, 5))
-        assert res.recovery_rounds == 1
+    def test_mid_run_kill_recovers_at_full_width(self, data):
+        plan = FaultPlan.from_spec("kill=2@5-exchange", seed=34)
+        res = DistributedSorter(num_processors=6, faults=plan).sort(data)
+        _assert_every_key_back(res, data, None)
+        assert res.recovery_rounds == 0
+        assert [m.retries for m in res.metrics.processes] == [0, 0, 1, 0, 0, 0]
+        clean = DistributedSorter(num_processors=6).sort(data)
+        for got, want in zip(res.per_processor, clean.per_processor):
+            assert got.tobytes() == want.tobytes()
 
     def test_coordinator_crash_fails_over(self, data):
-        sorter = DistributedSorter(num_processors=6, faults=FaultPlan(seed=35, crashes=((0, 4e-4),)))
+        sorter = DistributedSorter(num_processors=6, faults=FaultPlan.from_spec("poison=0", seed=35))
         res = sorter.sort(data)
         _assert_every_key_back(res, data, (1, 2, 3, 4, 5))
         assert res.metrics.processes[0].crashed
@@ -67,7 +72,7 @@ class TestResilientSort:
         rng = np.random.default_rng(39)
         blocks = [rng.integers(0, 1000, 4000) for _ in range(3)]
         blocks.append(np.full(5, 10**9) + np.arange(5))
-        sorter = DistributedSorter(num_processors=4, faults=FaultPlan(seed=39, crashes=((1, 0.0),)))
+        sorter = DistributedSorter(num_processors=4, faults=FaultPlan.from_spec("poison=1", seed=39))
         res = sorter.sort_partitioned(blocks)
         data = np.concatenate(blocks)
         _assert_every_key_back(res, data, (0, 2, 3))

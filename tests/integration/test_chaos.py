@@ -3,8 +3,9 @@
 Acceptance contract: every schedule yields either every input key back —
 sorted, provenance round-tripping, ``survivors`` naming exactly the ranks
 not dropped — or a typed :class:`~repro.simnet.errors.SimError`; never
-fewer keys.  A schedule without a crash returns keys and provenance
-bytes-equal to the fault-free run.  The same schedule + seed reproduces
+fewer keys.  Only a poisoned rank is dropped: a transient kill recovers
+at full width, and every schedule without a poison returns keys and
+provenance bytes-equal to the fault-free run.  The same schedule + seed reproduces
 the same fault-event sequence, and the run report's per-rank fault
 counters are nonzero exactly when injection is active.
 """
@@ -15,7 +16,8 @@ import pytest
 from repro.core.api import DistributedSorter
 from repro.obs.context import capture
 from repro.obs.report import RunReport
-from repro.simnet import FaultPlan, chaos_schedules, sanitize
+from repro.faults import FaultPlan, chaos_schedules
+from repro.simnet import sanitize
 from repro.simnet.errors import SimError
 
 P = 8
@@ -60,13 +62,16 @@ def test_schedule_sorted_or_typed_error(name, plan, data, clean):
         return
     assert np.array_equal(result.to_array(), np.sort(data)), "keys lost or corrupted"
     assert np.array_equal(result.gather_values(data), result.to_array())
-    # Every schedule's crash fires, and a crash is persistent: its rank
-    # is the one the retry layer drops.
+    # Every schedule's kill fires once, and a poison on every attempt: its
+    # rank is the one the retry layer drops.
     dropped = set(range(P)) - set(result.survivors or range(P))
-    assert dropped == {rank for rank, _ in plan.crashes}
+    assert dropped == set(plan.poisoned)
     for rank in dropped:
         assert len(result.per_processor[rank]) == 0
-    if not plan.crashes:
+    if plan.kills:
+        killed = [rank for _, rank, _ in plan.kills]
+        assert [m.retries for m in result.metrics.processes] == [int(r in killed) for r in range(P)]
+    if not plan.poisoned:
         for got, want, got_prov, want_prov in zip(
             result.per_processor, clean.per_processor, result.provenance, clean.provenance
         ):
@@ -113,7 +118,7 @@ class TestRunReportCounters:
         assert [rr.faults for rr in again.ranks] == [rr.faults for rr in report.ranks]
 
     def test_crash_flag_recorded(self, data):
-        plan = FaultPlan(seed=202, crashes=((5, 0.0),))
+        plan = FaultPlan.from_spec("poison=5", seed=202)
         result, error = _run(plan, data, sanitized=False)
         assert error is None
         report = RunReport.from_sort_result(result)

@@ -8,7 +8,9 @@ arithmetic says the job's key frame fits; and for p ≤ 4 one warm
 ``ProcessBackend`` returns the same bytes and reports the same data path
 on every rank.
 Under faults, a wire fault leaves simnet's bytes and path as they were,
-and a persistent crash degrades both substrates to the same bytes.  Every
+and one fault spec drives both substrates alike: a kill at any step
+recovers in one retry to the fault-free bytes, and a poisoned rank
+degrades both to the same bytes.  Every
 case also holds each substrate to regular sampling's balance bound (the
 ``assert_balanced`` fixture); only the no-investigator option, Figure 3b's
 naive cuts, is exempt.
@@ -26,9 +28,9 @@ from repro.core.packsort import code_and_stats, derive_key_frame
 from repro.core.datapath import THROUGH
 from repro.core.retry import RetryPolicy
 from repro.core.scratch import ARENAS
-from repro.core.sorter import SortJob, SortOptions
-from repro.parallel import ProcessBackend, RealFaultPlan
-from repro.simnet.faults import FaultPlan
+from repro.core.sorter import STEP_LABELS, SortJob, SortOptions
+from repro.faults import FaultPlan
+from repro.parallel import ProcessBackend
 from repro.simnet.sanitizer import sanitize
 from repro.workloads.distributions import right_skewed, uniform
 
@@ -319,17 +321,41 @@ def test_wire_faults_leave_the_bytes_and_the_word_path(word_merges, assert_balan
     assert len(word_merges) == (p if _frame(blocks) is not None else 0) == p
 
 
+def _on_both_substrates(spec, data, p):
+    """One fault spec, one job, on simnet and on a fresh pool."""
+    plan = FaultPlan.from_spec(spec, seed=p)
+    blocks, offsets = partition_input(data, p)
+    sim = DistributedSorter(num_processors=p, faults=plan).sort(data)
+    policy = RetryPolicy(backoff_seconds=0.001, backoff_cap_seconds=0.01)
+    with ProcessBackend(faults=plan, retry=policy) as backend:
+        real = backend.sort_blocks(blocks).to_sort_result(offsets)
+    return sim, real
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("step", STEP_LABELS)
+def test_a_kill_at_any_step_recovers_alike_on_both_substrates(assert_balanced, step, p):
+    """``kill=R@STEP`` means one thing on both substrates: the rank dies
+    entering the step on the first attempt, and the retry recovers at
+    full width to the fault-free bytes."""
+    rank = STEP_LABELS.index(step) % p
+    data = _keys("int64", 400 * p, np.random.default_rng([p, 5]))
+    blocks = list(partition_input(data, p)[0])
+    reference = local_sample_sort(blocks)
+    for result in _on_both_substrates(f"kill={rank}@{step}", data, p):
+        assert result.survivors is None and result.recovery_rounds == 0
+        assert [m.retries for m in result.metrics.processes] == [int(r == rank) for r in range(p)]
+        _assert_bytes_equal(zip(result.per_processor, result.provenance), reference)
+        assert_balanced(result.per_processor, blocks)
+
+
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_a_persistent_crash_degrades_both_substrates_alike(assert_balanced, p):
-    """simnet's ``crash=R@T`` and the pool's ``poison=R`` are one fault:
-    the rank is dropped after ``degrade_after`` attempts and the whole
-    input comes back from the survivors, byte for byte the same."""
+    """``poison=R`` is one fault on both substrates: the rank is dropped
+    after ``degrade_after`` attempts and the whole input comes back from
+    the survivors, byte for byte the same."""
     data = _keys("int64", 500 * p, np.random.default_rng([p, 7]))
-    blocks, offsets = partition_input(data, p)
-    sim = DistributedSorter(num_processors=p, faults=FaultPlan(crashes=((1, 0.0),))).sort(data)
-    policy = RetryPolicy(backoff_seconds=0.001, backoff_cap_seconds=0.01)
-    with ProcessBackend(chaos=RealFaultPlan.from_spec("poison=1"), retry=policy) as backend:
-        real = backend.sort_blocks(blocks).to_sort_result(offsets)
+    sim, real = _on_both_substrates("poison=1", data, p)
     assert sim.survivors == real.survivors == tuple(r for r in range(p) if r != 1)
     assert sim.input_offsets.tobytes() == real.input_offsets.tobytes()
     assert np.array_equal(sim.to_array(), np.sort(data))

@@ -16,12 +16,12 @@ import pytest
 from repro.core.api import DistributedSorter, partition_input
 from repro.core.local_backend import local_sample_sort
 from repro.core.splitters import splitter_array
+from repro.faults import FaultPlan
 from repro.obs.context import capture
 from repro.obs.report import RunReport
 from repro.parallel import (
     PoolClosedError,
     ProcessBackend,
-    RealFaultPlan,
     RetryPolicy,
     SplitterCache,
     WorkerCrashedError,
@@ -248,7 +248,7 @@ class TestCrashRecovery:
         blocks = _blocks(20_000, 4)
         reference = local_sample_sort(blocks)
         with ProcessBackend(
-            chaos=RealFaultPlan.from_spec("kill=2@5-exchange:1"),
+            faults=FaultPlan.from_spec("kill=2@5-exchange:1"),
             retry=False,
             timeout_seconds=30.0,
         ) as backend:
@@ -464,7 +464,7 @@ class TestHeldResults:
         blocks = _blocks(20_000, 4)
         retry = RetryPolicy(backoff_seconds=0.001, backoff_cap_seconds=0.01)
         with ProcessBackend(
-            chaos=RealFaultPlan.from_spec(spec, seed=7), retry=retry
+            faults=FaultPlan.from_spec(spec, seed=7), retry=retry
         ) as backend:
             run = backend.sort_blocks(blocks)
             later = backend.sort_blocks(_blocks(20_000, 4, seed=8))
@@ -496,7 +496,7 @@ class TestHeldResults:
     def test_a_failed_job_leaves_nothing_pinned(self):
         blocks = _blocks(20_000, 4)
         with ProcessBackend(
-            chaos=RealFaultPlan.from_spec("kill=2@6-merge:1"),
+            faults=FaultPlan.from_spec("kill=2@6-merge:1"),
             retry=False,
             timeout_seconds=30.0,
         ) as backend:

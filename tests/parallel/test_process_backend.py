@@ -10,10 +10,10 @@ import pytest
 from repro.core.api import DistributedSorter, partition_input
 from repro.core.local_backend import local_sample_sort
 from repro.core.sorter import SortOptions
+from repro.faults import FaultPlan
 from repro.parallel import (
     ParallelBackendError,
     ProcessBackend,
-    RealFaultPlan,
     WorkerCrashedError,
     default_backend,
     resolve_backend,
@@ -222,7 +222,7 @@ class TestFailureHandling:
     def test_crash_of_one_worker_is_typed_not_a_hang(self):
         blocks = list(partition_input(_workloads()["uniform"], 4)[0])
         backend = ProcessBackend(
-            chaos=RealFaultPlan.from_spec("kill=2@6-merge"),
+            faults=FaultPlan.from_spec("kill=2@6-merge"),
             retry=False,
             timeout_seconds=30.0,
         )
@@ -242,7 +242,7 @@ class TestFailureHandling:
     def test_backend_still_usable_after_a_crash(self):
         blocks = list(partition_input(_workloads()["uniform"], 2)[0])
         backend = ProcessBackend(
-            chaos=RealFaultPlan.from_spec("kill=0@1-local-sort:0"),
+            faults=FaultPlan.from_spec("kill=0@1-local-sort:0"),
             retry=False,
             timeout_seconds=30.0,
         )

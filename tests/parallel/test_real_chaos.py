@@ -1,5 +1,5 @@
-"""Crash-resilient real-backend sorting: deterministic process-level
-chaos (kills, poisons, hangs, delay spikes, muted heartbeats, slow
+"""Crash-resilient real-backend sorting under the one fault plan: the
+process keys (kills, poisons, hangs, delay spikes, muted heartbeats, slow
 ranks), job retry with backoff, and survivor-degraded recovery — every
 recovered job bit-identical to the local oracle."""
 
@@ -10,18 +10,15 @@ import pytest
 
 from repro.core.api import DistributedSorter, SortConfig, partition_input
 from repro.core.local_backend import local_sample_sort
+from repro.faults import FaultPlan, active_fault_plan, inject_faults, kill_one_per_job
 from repro.parallel import (
     ControlPlaneTimeout,
     JobAbortedError,
     PoolClosedError,
     ProcessBackend,
-    RealFaultPlan,
     RetryPolicy,
     WorkerCrashedError,
-    inject_real_faults,
-    kill_one_per_job,
 )
-from repro.parallel.chaos import active_real_fault_plan
 
 #: Fast backoff so retry tests don't sleep their way through CI.
 FAST = RetryPolicy(backoff_seconds=0.001, backoff_cap_seconds=0.01)
@@ -114,18 +111,18 @@ def _assert_recovered_bit_for_bit(run, result, data, p):
 # ------------------------------------------------------------- the grammar
 
 
-class TestRealFaultPlanParsing:
+class TestProcessFaultGrammar:
     def test_kill_spec_round_trip(self):
-        plan = RealFaultPlan.from_spec("kill=2@5-exchange", seed=3)
+        plan = FaultPlan.from_spec("kill=2@5-exchange", seed=3)
         assert plan.kills == ((None, 2, "5-exchange"),)
         assert plan.seed == 3
 
     def test_kill_accepts_step_index_and_job_scope(self):
-        plan = RealFaultPlan.from_spec("kill=1@5:7")
+        plan = FaultPlan.from_spec("kill=1@5:7")
         assert plan.kills == ((7, 1, "5-exchange"),)
 
     def test_full_grammar(self):
-        plan = RealFaultPlan.from_spec(
+        plan = FaultPlan.from_spec(
             "kill=1@3:0,poison=2,hang=0@gather:1,delay=0.25:0.002,"
             "mute=3,slow=1x2.5",
             seed=11,
@@ -133,11 +130,13 @@ class TestRealFaultPlanParsing:
         assert plan.kills == ((0, 1, "3-splitters"),)
         assert plan.poisoned == (2,)
         assert plan.hangs == ((1, 0, "gather"),)
-        assert plan.delay_probability == 0.25
-        assert plan.delay_spike_seconds == 0.002
+        assert plan.delay_prob == 0.25
+        assert plan.delay_spike == 0.002
         assert plan.muted == (3,)
         assert plan.slow == ((1, 2.5),)
-        assert plan.targets_rank(2) and not plan.targets_rank(4)
+        plan.check_ranks(4)
+        with pytest.raises(ValueError, match="fault spec mute names rank 3"):
+            plan.check_ranks(3)
         text = plan.describe()
         assert "seed=11" in text and "poison=2" in text
 
@@ -153,11 +152,11 @@ class TestRealFaultPlanParsing:
         ],
     )
     def test_describe_prints_a_spec_that_parses_back(self, spec):
-        plan = RealFaultPlan.from_spec(spec, seed=9)
+        plan = FaultPlan.from_spec(spec, seed=9)
         head, _, body = plan.describe()[:-1].partition(", ")
-        assert head == "RealFaultPlan(seed=9"
+        assert head == "FaultPlan(seed=9"
         assert body == spec
-        assert RealFaultPlan.from_spec(body, seed=9) == plan
+        assert FaultPlan.from_spec(body, seed=9) == plan
 
     @pytest.mark.parametrize(
         "spec",
@@ -173,11 +172,11 @@ class TestRealFaultPlanParsing:
     )
     def test_bad_specs_raise(self, spec):
         with pytest.raises(ValueError):
-            RealFaultPlan.from_spec(spec)
+            FaultPlan.from_spec(spec)
 
     def test_plans_are_frozen_and_hashable(self):
-        a = RealFaultPlan.from_spec("poison=1", seed=2)
-        b = RealFaultPlan.from_spec("poison=1", seed=2)
+        a = FaultPlan.from_spec("poison=1", seed=2)
+        b = FaultPlan.from_spec("poison=1", seed=2)
         assert a == b and hash(a) == hash(b)
 
     def test_kill_one_per_job_round_robin(self):
@@ -188,44 +187,45 @@ class TestRealFaultPlanParsing:
 
 
 class TestWorkerStateLookup:
-    """Worker decisions are pure schedule lookups — no rng in the worker."""
+    """Worker decisions are pure lookups in the attempt's slot-addressed
+    plan — no rng in the worker."""
 
     def test_kill_is_first_attempt_only(self):
-        plan = RealFaultPlan.from_spec("kill=1@5-exchange:0")
-        assert plan.worker_state(1, 0, 0).kill_step == "5-exchange"
-        assert plan.worker_state(1, 0, 1).kill_step is None  # transient
-        assert plan.worker_state(1, 3, 0).kill_step is None  # other job
-        assert plan.worker_state(0, 0, 0).kill_step is None  # other rank
+        plan = FaultPlan.from_spec("kill=1@5-exchange:0")
+        assert plan.for_attempt(range(4), 0, job=0).kill_step(1) == "5-exchange"
+        assert plan.for_attempt(range(4), 1, job=0).kill_step(1) is None  # transient
+        assert plan.for_attempt(range(4), 0, job=3).kill_step(1) is None  # other job
+        assert plan.for_attempt(range(4), 0, job=0).kill_step(0) is None  # other rank
 
     def test_directly_constructed_index_step_fires(self):
         # An index-form step used to pass validation un-normalised and
         # then never match a step label: the plan injected nothing.
-        plan = RealFaultPlan(kills=((None, 1, "5"),))
-        assert plan == RealFaultPlan.from_spec("kill=1@5")
-        assert plan.worker_state(1, 0, 0).kill_step == "5-exchange"
+        plan = FaultPlan(kills=((None, 1, "5"),))
+        assert plan == FaultPlan.from_spec("kill=1@5")
+        assert plan.for_attempt(range(4), 0).kill_step(1) == "5-exchange"
 
     def test_poison_kills_every_attempt(self):
-        plan = RealFaultPlan.from_spec("poison=2")
+        plan = FaultPlan.from_spec("poison=2")
         for attempt in range(3):
-            state = plan.worker_state(2, 5, attempt)
-            assert state.kill_step == "1-local-sort"
+            assert plan.for_attempt(range(4), attempt, job=5).kill_step(2) == "1-local-sort"
+        # Under a survivor re-plan the poison follows its rank to its slot.
+        assert plan.for_attempt((0, 2, 3), 2).kill_step(1) == "1-local-sort"
 
     def test_hang_is_first_attempt_only(self):
-        plan = RealFaultPlan.from_spec("hang=0@barrier")
-        assert plan.worker_state(0, 2, 0).hang_op == "barrier"
-        assert plan.worker_state(0, 2, 1).hang_op is None
+        plan = FaultPlan.from_spec("hang=0@barrier")
+        assert plan.for_attempt(range(4), 0, job=2).hang_op(0) == "barrier"
+        assert plan.for_attempt(range(4), 1, job=2).hang_op(0) is None
 
     def test_hub_delay_state_is_seeded_per_job_and_attempt(self):
-        plan = RealFaultPlan.from_spec("delay=0.5:0.0", seed=13)
-        a = [plan.hub_state(0, 0)._rng.random() for _ in range(1)]
-        b = [plan.hub_state(0, 0)._rng.random() for _ in range(1)]
-        c = [plan.hub_state(0, 1)._rng.random() for _ in range(1)]
-        assert a == b  # same (seed, job, attempt) => same spikes
-        assert a != c  # a retry draws a fresh schedule
-        assert plan.hub_state(0, 0).probability == 0.5
+        plan = FaultPlan.from_spec("delay=0.5:0.0", seed=13)
+        a = plan.for_attempt(range(4), 0, job=0)
+        assert a.seed == plan.for_attempt(range(4), 0, job=0).seed  # a replay draws alike
+        assert a.seed != plan.for_attempt(range(4), 1, job=0).seed  # a retry draws afresh
+        assert a.seed != plan.for_attempt(range(4), 0, job=1).seed  # so does another job
+        assert a.delay_prob == 0.5
 
     def test_no_delay_means_no_hub_state(self):
-        assert RealFaultPlan.from_spec("poison=1").hub_state(0, 0) is None
+        assert FaultPlan.from_spec("poison=1").for_attempt(range(4), 0).delay_prob == 0.0
 
 
 class TestRetryPolicy:
@@ -251,8 +251,8 @@ class TestKillRetryRecovery:
     def test_transient_kill_recovers_bit_identical(self):
         data = _data()
         blocks, offsets = partition_input(data, 4)
-        plan = RealFaultPlan.from_spec("kill=1@5-exchange:0", seed=7)
-        with ProcessBackend(chaos=plan, retry=FAST) as backend:
+        plan = FaultPlan.from_spec("kill=1@5-exchange:0", seed=7)
+        with ProcessBackend(faults=plan, retry=FAST) as backend:
             run = backend.sort_blocks(blocks)
             result = run.to_sort_result(offsets)
         assert run.retries == 1
@@ -268,8 +268,8 @@ class TestKillRetryRecovery:
     def test_word_path_kill_recovers_lossy_float_keys_bit_for_bit(self, spec):
         data = _signed_zero_nan_floats()
         blocks, offsets = partition_input(data, 4)
-        plan = RealFaultPlan.from_spec(spec, seed=7)
-        with ProcessBackend(chaos=plan, retry=FAST, sanitize=True) as backend:
+        plan = FaultPlan.from_spec(spec, seed=7)
+        with ProcessBackend(faults=plan, retry=FAST, sanitize=True) as backend:
             run = backend.sort_blocks(blocks)
             result = run.to_sort_result(offsets)
             san = backend.sanitizer
@@ -283,24 +283,24 @@ class TestKillRetryRecovery:
 
     def test_chaos_without_explicit_retry_arms_default_policy(self):
         blocks = _blocks()
-        plan = RealFaultPlan.from_spec("kill=0@2-sampling:0", seed=1)
-        with ProcessBackend(chaos=plan) as backend:
+        plan = FaultPlan.from_spec("kill=0@2-sampling:0", seed=1)
+        with ProcessBackend(faults=plan) as backend:
             run = backend.sort_blocks(blocks)
         assert run.retries == 1  # recovered, not raised
 
     def test_retry_false_pins_fail_fast_under_chaos(self):
         blocks = _blocks()
-        plan = RealFaultPlan.from_spec("kill=1@5-exchange:0", seed=7)
-        with ProcessBackend(chaos=plan, retry=False) as backend:
+        plan = FaultPlan.from_spec("kill=1@5-exchange:0", seed=7)
+        with ProcessBackend(faults=plan, retry=False) as backend:
             with pytest.raises(WorkerCrashedError) as excinfo:
                 backend.sort_blocks(blocks)
         assert excinfo.value.job_id == 0  # provenance still attached
 
     def test_exhaustion_raises_job_aborted_with_history(self):
         blocks = _blocks(n=4_000)
-        plan = RealFaultPlan.from_spec("poison=0", seed=0)
+        plan = FaultPlan.from_spec("poison=0", seed=0)
         policy = dataclasses.replace(FAST, max_attempts=2, degrade_after=None)
-        with ProcessBackend(chaos=plan, retry=policy) as backend:
+        with ProcessBackend(faults=plan, retry=policy) as backend:
             with pytest.raises(JobAbortedError) as excinfo:
                 backend.sort_blocks(blocks)
         exc = excinfo.value
@@ -332,8 +332,8 @@ class TestSurvivorDegradedRecovery:
     def test_poisoned_rank_degrades_to_survivors(self):
         data = _data()
         blocks, offsets = partition_input(data, 4)
-        plan = RealFaultPlan.from_spec("poison=2", seed=7)
-        with ProcessBackend(chaos=plan, retry=FAST) as backend:
+        plan = FaultPlan.from_spec("poison=2", seed=7)
+        with ProcessBackend(faults=plan, retry=FAST) as backend:
             run = backend.sort_blocks(blocks)
             result = run.to_sort_result(offsets)
         assert result.survivors == (0, 1, 3)
@@ -349,8 +349,8 @@ class TestSurvivorDegradedRecovery:
         # the expansion maps it back to the original rank id.
         data = _signed_zero_nan_floats()
         blocks, offsets = partition_input(data, 4)
-        plan = RealFaultPlan.from_spec("poison=2", seed=7)
-        with ProcessBackend(chaos=plan, retry=FAST, sanitize=True) as backend:
+        plan = FaultPlan.from_spec("poison=2", seed=7)
+        with ProcessBackend(faults=plan, retry=FAST, sanitize=True) as backend:
             run = backend.sort_blocks(blocks)
             result = run.to_sort_result(offsets)
             san = backend.sanitizer
@@ -364,8 +364,8 @@ class TestSurvivorDegradedRecovery:
     def test_degraded_provenance_round_trips_to_origin(self):
         data = _data(n=12_000)
         blocks, offsets = partition_input(data, 4)
-        plan = RealFaultPlan.from_spec("poison=1", seed=7)
-        with ProcessBackend(chaos=plan, retry=FAST) as backend:
+        plan = FaultPlan.from_spec("poison=1", seed=7)
+        with ProcessBackend(faults=plan, retry=FAST) as backend:
             result = backend.sort_blocks(blocks).to_sort_result(offsets)
         # gather_values pulls each sorted key's original value through
         # provenance — equality proves origin_proc survived renumbering.
@@ -376,8 +376,8 @@ class TestSurvivorDegradedRecovery:
     def test_degraded_counts_matrix_stays_rank_aligned(self):
         data = _data(n=12_000)
         blocks, offsets = partition_input(data, 4)
-        plan = RealFaultPlan.from_spec("poison=3", seed=7)
-        with ProcessBackend(chaos=plan, retry=FAST) as backend:
+        plan = FaultPlan.from_spec("poison=3", seed=7)
+        with ProcessBackend(faults=plan, retry=FAST) as backend:
             run = backend.sort_blocks(blocks)
         assert run.counts_matrix.shape == (4, 4)
         assert run.counts_matrix[3].sum() == 0  # dead rank sent nothing
@@ -390,12 +390,12 @@ class TestSurvivorDegradedRecovery:
         # degrade_after threshold.
         data = _data()
         blocks, offsets = partition_input(data, 4)
-        plan = RealFaultPlan(
+        plan = FaultPlan(
             seed=0,
             kills=((0, 1, "5-exchange"),),
         )
         policy = dataclasses.replace(FAST, degrade_after=2)
-        with ProcessBackend(chaos=plan, retry=policy) as backend:
+        with ProcessBackend(faults=plan, retry=policy) as backend:
             result = backend.sort_blocks(blocks).to_sort_result(offsets)
         assert result.survivors is None
         _assert_oracle_identical(result, data, 4)
@@ -405,9 +405,9 @@ class TestHangAndPhaseDeadline:
     def test_hang_converts_to_timeout_then_recovers(self):
         data = _data(n=8_000)
         blocks, offsets = partition_input(data, 4)
-        plan = RealFaultPlan.from_spec("hang=2@gather:0", seed=7)
+        plan = FaultPlan.from_spec("hang=2@gather:0", seed=7)
         with ProcessBackend(
-            chaos=plan, retry=FAST, phase_timeout_seconds=1.0
+            faults=plan, retry=FAST, phase_timeout_seconds=1.0
         ) as backend:
             run = backend.sort_blocks(blocks)
             result = run.to_sort_result(offsets)
@@ -423,16 +423,16 @@ class TestLatencyAndStragglers:
     def test_delay_spikes_do_not_change_bits(self):
         data = _data(n=8_000)
         blocks, offsets = partition_input(data, 4)
-        plan = RealFaultPlan.from_spec("delay=0.5:0.001", seed=5)
-        with ProcessBackend(chaos=plan) as backend:
+        plan = FaultPlan.from_spec("delay=0.5:0.001", seed=5)
+        with ProcessBackend(faults=plan) as backend:
             result = backend.sort_blocks(blocks).to_sort_result(offsets)
         _assert_oracle_identical(result, data, 4)
 
     def test_muted_and_slow_ranks_still_sort_identically(self):
         data = _data(n=8_000)
         blocks, offsets = partition_input(data, 4)
-        plan = RealFaultPlan.from_spec("mute=0,slow=1x1.5", seed=5)
-        with ProcessBackend(chaos=plan) as backend:
+        plan = FaultPlan.from_spec("mute=0,slow=1x1.5", seed=5)
+        with ProcessBackend(faults=plan) as backend:
             run = backend.sort_blocks(blocks)
             result = run.to_sort_result(offsets)
         assert run.retries == 0
@@ -448,7 +448,7 @@ class TestChaosStreams:
         datasets = [_data(n=8_000, seed=seed) for seed in range(jobs)]
         plan = kill_one_per_job(jobs, p, seed=0)
         sorter = DistributedSorter(SortConfig(num_processors=p))
-        with inject_real_faults(plan):
+        with inject_faults(plan):
             with sorter.pool(retry=FAST) as pool:
                 results = pool.sort_many(datasets)
                 stats = pool.stats
@@ -460,18 +460,18 @@ class TestChaosStreams:
             _assert_oracle_identical(result, data, p)
 
     def test_ambient_plan_scope_arms_and_disarms(self):
-        plan = RealFaultPlan.from_spec("poison=9")
-        assert active_real_fault_plan() is None
-        with inject_real_faults(plan):
-            assert active_real_fault_plan() is plan
-        assert active_real_fault_plan() is None
+        plan = FaultPlan.from_spec("poison=9")
+        assert active_fault_plan() is None
+        with inject_faults(plan):
+            assert active_fault_plan() is plan
+        assert active_fault_plan() is None
 
     def test_stream_failure_names_job_and_stream_index(self):
         p = 4
         datasets = [_data(n=6_000, seed=seed) for seed in range(3)]
-        plan = RealFaultPlan.from_spec("kill=0@1-local-sort:1", seed=0)
+        plan = FaultPlan.from_spec("kill=0@1-local-sort:1", seed=0)
         sorter = DistributedSorter(SortConfig(num_processors=p))
-        with sorter.pool(chaos=plan, retry=False) as pool:
+        with sorter.pool(faults=plan, retry=False) as pool:
             with pytest.raises(WorkerCrashedError) as excinfo:
                 pool.sort_many(datasets)
         exc = excinfo.value
@@ -481,11 +481,50 @@ class TestChaosStreams:
 
     def test_pool_closed_after_abort_raises_pool_closed(self):
         blocks = _blocks(n=4_000)
-        plan = RealFaultPlan.from_spec("poison=0", seed=0)
+        plan = FaultPlan.from_spec("poison=0", seed=0)
         policy = dataclasses.replace(FAST, max_attempts=1, degrade_after=None)
-        backend = ProcessBackend(chaos=plan, retry=policy)
+        backend = ProcessBackend(faults=plan, retry=policy)
         with pytest.raises(JobAbortedError):
             backend.sort_blocks(blocks)
         backend.close()
         with pytest.raises(PoolClosedError):
             backend.sort_blocks(blocks)
+
+
+# ------------------------------------------------- the plan on the sorter
+
+
+class TestThePlanReachesThePool:
+    def test_a_rank_outside_the_pool_is_rejected_before_attempt_0(self):
+        blocks = _blocks(n=2_000, p=2)
+        with ProcessBackend(faults=FaultPlan.from_spec("poison=7"), retry=FAST) as backend:
+            with pytest.raises(ValueError, match="fault spec poison names rank 7"):
+                backend.sort_blocks(blocks)
+            assert backend.stats["pool_spawns"] == 0
+
+    @pytest.mark.parametrize("spec", ["drop=0.1", "link=0-1:2.0"])
+    def test_a_wire_key_without_a_wire_is_rejected(self, spec):
+        with ProcessBackend(faults=FaultPlan.from_spec(spec)) as backend:
+            with pytest.raises(ValueError, match="cannot be realised on the process substrate"):
+                backend.sort_blocks(_blocks(n=2_000, p=2))
+
+    @pytest.mark.parametrize("live", [False, True], ids=["by-name", "live-instance"])
+    def test_the_sorters_plan_degrades_the_pool(self, live):
+        data = _data(n=12_000)
+        plan = FaultPlan.from_spec("poison=1", seed=7)
+        if live:
+            with ProcessBackend(retry=FAST) as backend:
+                result = DistributedSorter(num_processors=4, faults=plan, backend=backend).sort(data)
+        else:
+            result = DistributedSorter(num_processors=4, faults=plan, backend="process").sort(data)
+        assert result.survivors == (0, 2, 3)
+        assert result.recovery_rounds == 1
+        _assert_oracle_identical(result, data, 4)
+
+    def test_the_sorters_plan_reaches_its_pool(self):
+        datasets = [_data(n=6_000, seed=seed) for seed in range(2)]
+        sorter = DistributedSorter(num_processors=4, faults=kill_one_per_job(2, 4), backend="process")
+        results = sorter.sort_many(datasets)
+        assert [sum(m.retries for m in r.metrics.processes) for r in results] == [1, 1]
+        for data, result in zip(datasets, results):
+            _assert_oracle_identical(result, data, 4)

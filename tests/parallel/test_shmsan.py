@@ -13,10 +13,10 @@ import pytest
 from repro.checks.hb import PARENT_RANK
 from repro.core.api import partition_input
 from repro.core.local_backend import local_sample_sort
+from repro.faults import FaultPlan
 from repro.parallel import (
     MUTATIONS,
     ProcessBackend,
-    RealFaultPlan,
     ShmSan,
     WorkerCrashedError,
     active_shm_sanitizer,
@@ -319,7 +319,7 @@ class TestCrashedRuns:
         _, blocks = _blocks()
         backend = ProcessBackend(
             sanitize=True,
-            chaos=RealFaultPlan.from_spec("kill=2@6-merge"),
+            faults=FaultPlan.from_spec("kill=2@6-merge"),
             retry=False,
             timeout_seconds=30.0,
         )

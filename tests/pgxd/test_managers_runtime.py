@@ -21,7 +21,8 @@ from repro.pgxd import (
     recv_array,
     send_array,
 )
-from repro.simnet import CostModel, FaultPlan, NetworkModel, Simulator
+from repro.faults import FaultPlan
+from repro.simnet import CostModel, NetworkModel, Simulator
 from repro.simnet.metrics import MemoryTracker
 
 

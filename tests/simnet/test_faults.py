@@ -1,23 +1,28 @@
-"""Fault-injection substrate: plan parsing, engine semantics, determinism."""
+"""The one fault plan: its grammar, its checks, and simnet's engine
+semantics and determinism under it."""
 
 import numpy as np
 import pytest
 
+from repro.faults import (
+    MAX_RETRANSMITS,
+    RETRANSMIT_DELAY,
+    FaultPlan,
+    active_fault_plan,
+    inject_faults,
+)
 from repro.simnet import (
     Compute,
     DeadlockError,
-    FaultPlan,
     Isend,
+    Mark,
     NetworkModel,
     Now,
     RankCrashedError,
     Recv,
     Simulator,
     Sleep,
-    active_fault_plan,
-    inject_faults,
 )
-from repro.simnet.faults import MAX_RETRANSMITS, RETRANSMIT_DELAY
 
 
 def make_sim(n=2, plan=None, **net_kwargs):
@@ -33,7 +38,7 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan(delay_spike=-1.0)
         with pytest.raises(ValueError):
-            FaultPlan(crashes=((-1, 0.0),))
+            FaultPlan(kills=((None, -1, "5-exchange"),))
         with pytest.raises(ValueError):
             FaultPlan(slow=((0, 0.0),))
         with pytest.raises(ValueError):
@@ -41,19 +46,64 @@ class TestFaultPlan:
 
     def test_begin_run_checks_rank_bounds(self):
         with pytest.raises(ValueError):
-            FaultPlan(crashes=((7, 1.0),)).begin_run(4)
+            FaultPlan(kills=((None, 7, "1-local-sort"),)).begin_run(4)
         with pytest.raises(ValueError):
             FaultPlan(slow=((4, 2.0),)).begin_run(4)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "kill=2@5-exchange",
+            "poison=2",
+            "hang=2@gather",
+            "mute=2",
+            "slow=2x1.5",
+            "link=0-2:2.0",
+            "link=2-0:2.0",
+        ],
+    )
+    def test_check_ranks_covers_every_rank_entry(self, spec):
+        plan = FaultPlan.from_spec(spec)
+        plan.check_ranks(3)
+        with pytest.raises(ValueError, match=f"fault spec {spec.split('=')[0]} names rank 2"):
+            plan.check_ranks(2)
+
+    @pytest.mark.parametrize(
+        "spec,substrate",
+        [("hang=0@gather", "simnet"), ("mute=0", "simnet"), ("drop=0.1", "process"), ("link=0-1:2.0", "process")],
+    )
+    def test_a_key_a_substrate_cannot_realise_is_rejected(self, spec, substrate):
+        plan = FaultPlan.from_spec(spec)
+        key = spec.split("=")[0]
+        with pytest.raises(ValueError, match=f"'{key}' cannot be realised on the {substrate} substrate"):
+            plan.check_substrate(substrate)
+        other = {"simnet": "process", "process": "simnet"}[substrate]
+        plan.check_substrate(other)
+
+    def test_a_link_to_a_missing_rank_is_rejected_on_simnet(self):
+        # for_attempt drops an entry whose rank has no slot, so the check
+        # must come before attempt 0 — here, the sorter's.
+        from repro.core.api import DistributedSorter
+
+        sorter = DistributedSorter(num_processors=2, faults=FaultPlan(links=((0, 9, 4.0, 0.0),)))
+        with pytest.raises(ValueError, match="fault spec link names rank 9"):
+            sorter.sort(np.arange(100))
+        with pytest.raises(ValueError, match="'hang' cannot be realised on the simnet substrate"):
+            DistributedSorter(num_processors=2, faults=FaultPlan.from_spec("hang=0@gather")).sort(np.arange(100))
+
     def test_from_spec_round_trip(self):
         plan = FaultPlan.from_spec(
-            "drop=0.05,delay=0.02:5e-4,crash=3@0.01,slow=2x1.5,link=0-1:2.0:1e-5",
+            "drop=0.05,delay=0.02:5e-4,kill=3@5:1,poison=1,hang=0@bcast,mute=2,"
+            "slow=2x1.5,link=0-1:2.0:1e-5",
             seed=9,
         )
         assert plan.seed == 9
         assert plan.drop_prob == 0.05
         assert plan.delay_prob == 0.02 and plan.delay_spike == 5e-4
-        assert plan.crashes == ((3, 0.01),)
+        assert plan.kills == ((1, 3, "5-exchange"),)
+        assert plan.poisoned == (1,)
+        assert plan.hangs == ((None, 0, "bcast"),)
+        assert plan.muted == (2,)
         assert plan.slow == ((2, 1.5),)
         assert plan.links == ((0, 1, 2.0, 1e-5),)
 
@@ -63,10 +113,10 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan.from_spec("bogus=1")
         with pytest.raises(ValueError):
-            FaultPlan.from_spec("crash=3")
+            FaultPlan.from_spec("kill=3")
         with pytest.raises(ValueError):
             FaultPlan.from_spec("drop=0.1:2")
-        for gone in ("dup=0.1", "reorder=0.1"):
+        for gone in ("dup=0.1", "reorder=0.1", "crash=3@0.01"):
             with pytest.raises(ValueError, match="unknown fault spec key"):
                 FaultPlan.from_spec(gone)
 
@@ -75,7 +125,7 @@ class TestFaultPlan:
         [
             "drop=0.05",
             "delay=0.02:0.0005",
-            "crash=3@0.01",
+            "kill=3@5-exchange",
             "slow=2x1.5",
             "link=0-1:4.0:1e-05",
         ],
@@ -95,30 +145,29 @@ class TestFaultPlan:
         ],
         ids=["unknown-key", "no-equals", "wrong-shape"],
     )
-    def test_both_plans_reject_a_bad_token_alike(self, token, complaint):
-        from repro.parallel import RealFaultPlan
-
-        for plan in (FaultPlan, RealFaultPlan):
-            with pytest.raises(ValueError) as excinfo:
-                plan.from_spec(f"slow=1x2,{token}")
-            assert complaint in str(excinfo.value)
+    def test_a_bad_token_is_rejected_with_its_complaint(self, token, complaint):
+        with pytest.raises(ValueError) as excinfo:
+            FaultPlan.from_spec(f"slow=1x2,{token}")
+        assert complaint in str(excinfo.value)
 
     def test_describe_mentions_active_classes(self):
-        text = FaultPlan(seed=4, drop_prob=0.1, crashes=((1, 0.5),)).describe()
-        assert "drop=0.1" in text and "crash=1@0.5" in text and "seed=4" in text
+        text = FaultPlan(seed=4, drop_prob=0.1, kills=((None, 1, "2"),)).describe()
+        assert "drop=0.1" in text and "kill=1@2-sampling" in text and "seed=4" in text
 
     def test_plans_are_hashable(self):
         assert hash(FaultPlan(drop_prob=0.1)) == hash(FaultPlan(drop_prob=0.1))
 
     def test_an_attempt_addresses_ranks_by_original_id(self):
-        plan = FaultPlan.from_spec("drop=0.1,crash=3@0.5,slow=1x2.0,link=3-4:2.0", seed=9)
+        plan = FaultPlan.from_spec("drop=0.1,poison=3,slow=1x2.0,link=3-4:2.0,link=4-1:3.0", seed=9)
         first = plan.for_attempt(range(5), 0)
-        assert (first.crashes, first.slow, first.links) == (plan.crashes, plan.slow, plan.links)
+        assert (first.poisoned, first.slow, first.links) == (plan.poisoned, plan.slow, plan.links)
         degraded = plan.for_attempt((0, 1, 2, 4), 1)
-        assert degraded.crashes == () and degraded.links == ()
+        assert degraded.poisoned == ()
+        assert degraded.links == ((3, 1, 3.0, 0.0),)
         assert degraded.slow == ((1, 2.0),)
         seeds = {plan.for_attempt(range(5), n).seed for n in range(3)}
         assert len(seeds) == 3 and seeds == {plan.for_attempt(range(5), n).seed for n in range(3)}
+        assert plan.for_attempt(range(5), 0, job=1).seed not in seeds
 
 
 def _pingpong(plan, n_messages=50):
@@ -275,8 +324,9 @@ class TestEngineFaults:
         assert degraded > clean
 
     def test_crash_stops_rank_and_drops_deliveries(self):
-        # A crash that fires ends the run, naming the rank.
-        plan = FaultPlan(seed=7, crashes=((1, 0.5),))
+        # A kill fires as the rank opens the step, and ends the run, naming
+        # the rank; exchange sub-phase marks and other steps do not fire.
+        plan = FaultPlan.from_spec("kill=1@5-exchange", seed=7)
         sim = make_sim(plan=plan)
 
         def sender(proc):
@@ -285,7 +335,11 @@ class TestEngineFaults:
             yield Sleep(1.0)
 
         def victim(proc):
-            yield Sleep(10.0)  # would finish at t=10 if it survived
+            yield Mark("4-partition")
+            yield Mark("exchange:send")
+            yield Sleep(0.5)
+            yield Mark("5-exchange")
+            yield Sleep(10.0)  # would finish at t=10.5 if it survived
             return "survived"
 
         sim.add_process(sender, rank=0)
@@ -300,10 +354,12 @@ class TestEngineFaults:
         assert metrics.processes[1].messages_received == 0
 
     def test_crash_at_t0_preempts_first_step(self):
-        plan = FaultPlan(seed=8, crashes=((0, 0.0),))
+        # A poisoned rank dies opening step 1, before any compute.
+        plan = FaultPlan.from_spec("poison=0", seed=8)
         sim = make_sim(n=1, plan=plan)
 
         def program(proc):
+            yield Mark("1-local-sort")
             yield Compute(1.0)
             return "ran"
 
@@ -314,6 +370,21 @@ class TestEngineFaults:
         assert sim.result(0) is None
         assert metrics.processes[0].crashed is True
         assert metrics.makespan == 0.0
+
+
+    def test_a_kill_without_step_marks_never_fires(self):
+        # Kills are addressed by step label: a program that opens no step
+        # runs to completion under them.
+        sim = make_sim(n=1, plan=FaultPlan.from_spec("poison=0,kill=0@3"))
+
+        def program(proc):
+            yield Mark("phase")
+            yield Compute(1.0)
+            return "ran"
+
+        sim.add_process(program)
+        sim.run()
+        assert sim.result(0) == "ran"
 
 
 class TestDeterminism:

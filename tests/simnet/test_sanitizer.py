@@ -307,7 +307,7 @@ class TestFaultedMessageLifetimes:
         return sim.run()
 
     def test_dropped_messages_leave_no_digest_at_finalize(self):
-        from repro.simnet import FaultPlan
+        from repro.faults import FaultPlan
 
         san = self._Probe()
         metrics = self._storm(san, FaultPlan(seed=47, drop_prob=0.5))
@@ -316,7 +316,7 @@ class TestFaultedMessageLifetimes:
         assert san.report.ok, san.report.summary()
 
     def test_drop_and_delay_plan_repeated_in_one_process_is_clean(self):
-        from repro.simnet import FaultPlan
+        from repro.faults import FaultPlan
 
         san = SimSan()
         for seed in range(48, 53):
@@ -325,10 +325,13 @@ class TestFaultedMessageLifetimes:
         assert san.report.ok, san.report.summary()
 
     def test_an_aborted_run_leaves_notes_not_violations(self):
-        from repro.simnet import FaultPlan, RankCrashedError
+        from repro.faults import FaultPlan
+        from repro.simnet import Mark, RankCrashedError
 
         def sender(proc):
             yield Isend(1, nbytes=64, payload=np.arange(4), tag=7)
+            yield Compute(0.5)
+            yield Mark("2-sampling")
             yield Compute(1.0)
 
         def receiver(proc):
@@ -336,7 +339,7 @@ class TestFaultedMessageLifetimes:
             yield Recv(src=0)
 
         san = SimSan()
-        sim = Simulator(2, sanitizer=san, faults=FaultPlan(crashes=((0, 0.5),)))
+        sim = Simulator(2, sanitizer=san, faults=FaultPlan.from_spec("kill=0@2-sampling"))
         sim.add_process(sender)
         sim.add_process(receiver)
         with pytest.raises(RankCrashedError):

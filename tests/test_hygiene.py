@@ -52,7 +52,7 @@ class TestDeterminismHygiene:
     #: (``run.py``, ``splitter_cache.py``,
     #: ``shmsan.py``, ``layout.py``, ...) must stay clock-free and is scanned.
     PARALLEL_TIMING_FILES = {
-        "backend.py", "chaos.py", "collectives.py", "tracing.py", "worker.py",
+        "backend.py", "collectives.py", "tracing.py", "worker.py",
     }
 
     def test_no_wall_clock_in_library(self):
