@@ -21,6 +21,7 @@ from typing import Any
 import numpy as np
 
 from ..core.sorter import SortJob, SortOptions, sample_sort_program
+from ..obs.tracer import Tracer
 from ..pgxd.runtime import KernelPool, Machine, PgxdRuntime
 from ..simnet.engine import ProcessHandle, Simulator
 from ..simnet.metrics import ProcessMetrics
@@ -66,7 +67,7 @@ def capture_sort_fingerprint(
     dtype: str = "int64",
     sanitizer: Any = None,
 ) -> dict[str, Any]:
-    """Run a fixed-seed distributed sort with tracing; return its fingerprint.
+    """Run a fixed-seed distributed sort under a tracer; return its fingerprint.
 
     Every field is either an integer count or a ``float.hex()`` string, so a
     fingerprint compares bit-exactly across engine implementations.
@@ -86,8 +87,8 @@ def capture_sort_fingerprint(
     blocks = [data[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     options = SortOptions()
     job = SortJob(blocks)
-    runtime = PgxdRuntime(num_ranks, trace=True)
-    sim = Simulator(num_ranks, runtime.network, trace=True, sanitizer=sanitizer)
+    runtime, tracer = PgxdRuntime(num_ranks), Tracer()
+    sim = Simulator(num_ranks, runtime.network, tracer=tracer, sanitizer=sanitizer)
 
     with KernelPool() as kernels:
 
@@ -100,9 +101,14 @@ def capture_sort_fingerprint(
         metrics = sim.run()
     outputs = sim.results()
 
+    # The tracer's per-rank events: spans and counter samples on their
+    # rank, flows on their sender.
     trace_per_rank = [0] * num_ranks
-    for _, rank, _ in sim.trace_log:
-        trace_per_rank[rank] += 1
+    for events in (tracer.spans, tracer.counters):
+        for event in events:
+            trace_per_rank[event.rank] += 1
+    for flow in tracer.flows:
+        trace_per_rank[flow.src] += 1
 
     keys = [out.keys for out in outputs]
     prov = []
@@ -116,7 +122,7 @@ def capture_sort_fingerprint(
         "remote_bytes": metrics.remote_bytes,
         "local_bytes": metrics.local_bytes,
         "messages": metrics.messages,
-        "trace_events_total": len(sim.trace_log),
+        "trace_events_total": sum(trace_per_rank),
         "trace_events_per_rank": trace_per_rank,
         "step_seconds": [
             {k: _hex(v) for k, v in sorted(out.step_seconds.items())}

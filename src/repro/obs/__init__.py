@@ -1,8 +1,7 @@
 """Structured tracing & telemetry for the simulated cluster.
 
-The string trace log (``Simulator(trace=True)``) predates this package and
-survives as a deprecated shim; everything new records *typed* events through
-a :class:`~repro.obs.tracer.Tracer`:
+The simulator records *typed* events through a
+:class:`~repro.obs.tracer.Tracer`:
 
 * :class:`~repro.obs.events.SpanEvent` — one interval of rank activity
   (compute, send occupancy, recv/barrier wait, or a labelled phase);
@@ -13,9 +12,9 @@ a :class:`~repro.obs.tracer.Tracer`:
   (memory pools, NIC queueing, bytes in flight).
 
 The engine records these only when a tracer is attached — the disabled
-path is a single ``is not None`` test per operation, guarded exactly like
-the pre-existing trace flag, so production runs (and the golden
-determinism fingerprint) are untouched.
+path is a single ``is not None`` test per operation, so production runs
+(and the golden determinism fingerprint, which counts a tracer's events
+per rank) are untouched.
 
 On top of the raw events:
 

@@ -5,8 +5,7 @@ of recording methods the hot paths invoke.  Design constraints:
 
 * **Disabled cost is one pointer test.**  The engine binds the tracer to a
   local once per run and guards every recording site with
-  ``if tracer is not None`` — identical discipline to the pre-existing
-  string-trace flag, so the tracer-off path stays on the PR-1 fast path
+  ``if tracer is not None``, so the tracer-off path stays on the fast path
   (the perf ledger's ``trace.overhead_ratio`` measures what arming it costs).
 * **Enabled cost is one method call + one dataclass append** per event; no
   string formatting happens at record time (the exporter renders labels).

@@ -203,7 +203,6 @@ class PgxdRuntime:
         cost: CostModel | None = None,
         *,
         rank_speed: Sequence[float] | None = None,
-        trace: bool = False,
         tracer: Any = None,
         faults: Any = None,
     ):
@@ -230,7 +229,6 @@ class PgxdRuntime:
             if any(s <= 0 for s in rank_speed):
                 raise ValueError("rank speeds must be positive")
         self.rank_speed = list(rank_speed) if rank_speed is not None else None
-        self.trace = trace
         self.tracer = tracer
         self.faults = faults
 
@@ -267,7 +265,6 @@ class PgxdRuntime:
         sim = Simulator(
             self.num_machines,
             self.network,
-            trace=self.trace,
             tracer=self.tracer,
             faults=self.faults,
         )

@@ -140,7 +140,7 @@ class Mark:
     plan's kill fires at the ``begin`` mark of its step label.  With no
     tracer and no plan attached the engine discards the call, so programs
     may mark unconditionally: the disabled cost is one generator
-    round-trip, the virtual clock, metrics, and string trace log are never
+    round-trip, the virtual clock and metrics are never
     touched, and behavior stays bit-identical (golden determinism holds with marks in
     the sort program).
     """

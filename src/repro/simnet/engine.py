@@ -260,16 +260,11 @@ class Simulator:
     network:
         Timing model for the interconnect; defaults to the paper's FDR
         InfiniBand parameters.
-    trace:
-        When true, record ``(time, rank, description)`` tuples in
-        :attr:`trace_log` for debugging.  Deprecated in favour of the
-        structured ``tracer``; the golden fingerprint of
-        :mod:`repro.analysis.determinism` counts its events.
     tracer:
         A :class:`repro.obs.Tracer` recording typed span/flow/counter
         events.  ``None`` (the default) also consults the ambient
         :func:`repro.obs.capture` context, so tooling can observe runs it
-        does not construct.  Guarded exactly like ``trace``: when no
+        does not construct.  When no
         tracer is attached the run loop performs one ``is not None`` test
         per operation and nothing else.
     sanitizer:
@@ -295,7 +290,6 @@ class Simulator:
         num_ranks: int,
         network: NetworkModel | None = None,
         *,
-        trace: bool = False,
         tracer: "Tracer | None" = None,
         sanitizer: "SimSan | None" = None,
         faults: Any = None,
@@ -338,10 +332,6 @@ class Simulator:
         self._seq = itertools.count()
         self._now = 0.0
         self._barriers: dict[int, list[int]] = {}
-        #: Trace records, or None when tracing is disabled (no allocation,
-        #: and hot paths skip building the description strings entirely).
-        self.trace_log: list[tuple[float, int, str]] | None = [] if trace else None
-        self._trace_enabled = trace
         #: Events interpreted by the last :meth:`run` (perf instrumentation).
         self.events_processed = 0
         self._ran = False
@@ -421,10 +411,9 @@ class Simulator:
         overhead = self.network.per_message_overhead
         handlers = self._handlers
         handlers_get = handlers.get
-        trace = self._trace_enabled
         # Structured tracer, or None: every recording site below is guarded
-        # by one `is not None` test on this local, mirroring the `trace`
-        # flag, so the disabled path stays on the PR-1 fast path.
+        # by one `is not None` test on this local, so the disabled path
+        # stays on the fast path.
         tracer = self._tracer
         # SimSan, or None: same single-guard discipline.  Hooks observe
         # messages only (fingerprints, channel counters) — they never feed
@@ -458,7 +447,6 @@ class Simulator:
                 transfer,
                 overhead,
                 handlers_get,
-                trace,
                 tracer,
                 sanitizer,
                 num_ranks,
@@ -485,7 +473,6 @@ class Simulator:
         transfer,
         overhead,
         handlers_get,
-        trace,
         tracer,
         sanitizer,
         num_ranks,
@@ -538,8 +525,6 @@ class Simulator:
                         state.status = DONE
                         state.result = stop.value
                         metrics.finished_at = now
-                        if trace:
-                            self._trace(rank, "done")
                         break
                     except DeadlockError:
                         raise
@@ -570,11 +555,6 @@ class Simulator:
                             )
                             metrics.messages_sent += 1
                             metrics.bytes_sent += nbytes
-                            if trace:
-                                self._trace(
-                                    rank,
-                                    f"send to {dst} tag {call.tag} ({nbytes}B)",
-                                )
                             if tracer is not None:
                                 tracer.flow(
                                     rank, dst, call.tag, nbytes, now, delivered
@@ -616,34 +596,18 @@ class Simulator:
                             if msg is not None:
                                 metrics.messages_received += 1
                                 metrics.bytes_received += msg.nbytes
-                                if trace:
-                                    self._trace(
-                                        rank,
-                                        f"recv from {msg.src} tag {msg.tag}"
-                                        f" ({msg.nbytes}B)",
-                                    )
                                 value = msg
                                 continue
                             state.status = BLOCKED_RECV
                             state.recv_spec = call
                             state.probe_only = False
                             state.blocked_since = now
-                            if trace:
-                                self._trace(
-                                    rank,
-                                    f"recv blocked (src={call.src}, tag={call.tag})",
-                                )
                             break
                         if cls is Compute:
                             seconds = call.seconds
                             if fstate is not None:
                                 seconds *= fstate.slow_mult[rank]
                             metrics.record_compute(seconds, call.label)
-                            if trace:
-                                self._trace(
-                                    rank,
-                                    f"compute {seconds:.3g}s [{call.label}]",
-                                )
                             if tracer is not None:
                                 tracer.span(
                                     rank,
@@ -786,18 +750,12 @@ class Simulator:
     def _schedule_step(self, time: float, rank: int, value: Any) -> None:
         heapq.heappush(self._events, (time, next(self._seq), _EV_STEP, rank, value))
 
-    def _trace(self, rank: int, text: str) -> None:
-        if self._trace_enabled:
-            self.trace_log.append((self._now, rank, text))
-
     def _crash(self, rank: int) -> RankCrashedError:
         """Fail-stop ``rank`` now (fault injection): its error ends the run."""
         now = self._now
         metrics = self._procs[rank].handle.metrics
         metrics.crashed = True
         metrics.finished_at = now
-        if self._trace_enabled:
-            self._trace(rank, "crashed")
         if self._tracer is not None:
             self._tracer.fault(rank, now, "crash", detail=f"t={now:.6g}")
         return RankCrashedError(rank, now)
@@ -865,8 +823,6 @@ class Simulator:
         state.recv_spec = Recv(src=call.src, tag=call.tag)
         state.probe_only = True
         state.blocked_since = self._now
-        if self._trace_enabled:
-            self._trace(rank, f"probe blocked (src={call.src}, tag={call.tag})")
         return _BLOCKED
 
     def _do_sleep(self, rank: int, state: _ProcState, call: Sleep) -> Any:
@@ -892,8 +848,7 @@ class Simulator:
         return None
 
     def _do_mark(self, rank: int, state: _ProcState, call: Mark) -> Any:
-        # Tracer annotation: no virtual time, no metrics, no string trace
-        # entry — with no tracer and no fault plan this is a no-op, so
+        # Tracer annotation: no virtual time, no metrics — with no tracer and no fault plan this is a no-op, so
         # marked programs are bit-identical to unmarked ones.
         if self._tracer is not None:
             self._tracer.mark(rank, self._now, call.label, call.event)
@@ -931,8 +886,6 @@ class Simulator:
         metrics = self._procs[rank].handle.metrics
         metrics.messages_sent += 1
         metrics.bytes_sent += call.nbytes
-        if self._trace_enabled:
-            self._trace(rank, f"send to {call.dst} tag {call.tag} ({call.nbytes}B)")
         if self._tracer is not None:
             self._tracer.flow(rank, call.dst, call.tag, call.nbytes, now, delivered)
         if self._sanitizer is not None:
@@ -972,10 +925,6 @@ class Simulator:
         state.barrier_seq += 1
         waiting = self._barriers.setdefault(seq, [])
         waiting.append(rank)
-        if self._trace_enabled:
-            self._trace(
-                rank, f"barrier {call.name}#{seq} ({len(waiting)}/{self.num_ranks})"
-            )
         if len(waiting) == self.num_ranks:
             arrivals = self._barriers.pop(seq)
             now = self._now
