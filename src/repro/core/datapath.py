@@ -2,10 +2,10 @@
 
 Which of two things steps 1, 5 and 6 move is one decision per job, taken
 from its key frame (:func:`~repro.core.packsort.derive_key_frame` over
-every block's statistics: the pool allgathers them in step 1, the
-simulator's driver folds them before the run).  Both substrates hand the
-frame, or ``None`` on a miss, to :func:`local_sort` and carry the
-:class:`DataPath` it returns:
+every block's statistics, allgathered in step 1 on both substrates).
+Both substrates hand the frame, or ``None`` on a miss, to
+:func:`local_sort` with the codes they computed the statistics from, and
+carry the :class:`DataPath` it returns:
 
 * the **word path** — the frame fits, and provenance rides inside the
   key: each rank sorts unique ``(code, rank, index)`` words, int32 when
@@ -44,7 +44,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .packsort import KeyFrame, SortedWords, code_and_stats, has_key_codec
+from .packsort import KeyFrame, SortedWords, has_key_codec
 from .packsort import pack_words, sort_runs_in_place, unpack_words
 from .steps import INDEX_DTYPE, merge_received, sort_block
 
@@ -161,25 +161,19 @@ def local_sort(
     rank: int,
     block: np.ndarray,
     words: np.ndarray | None,
-    codes: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
+    codes: np.ndarray | None,
 ) -> DataPath:
     """Step 1 on one rank: sort ``block``, and return the job's data path.
 
-    With a ``frame`` the block is packed into ``words`` (one word of the
-    frame's dtype per key) and sorted there; ``codes`` are its codes when
-    the caller already coded it (the pool, for the frame's statistics).
-    Otherwise int keys are their own codes, and float keys are coded here
-    into ``scratch``, an int64 buffer of the block's length — ``words``
-    themselves when they are int64 (packed in place).  Without a frame,
-    keys + perm.
+    With a ``frame`` the block's ``codes`` — what the host's
+    :func:`~repro.core.packsort.code_and_stats` left for the frame's
+    statistics: the block itself for int keys — are packed into ``words``
+    (one word of the frame's dtype per key; int64 float words may be the
+    codes themselves, packed in place) and sorted there.  Without a
+    frame, keys + perm.
     """
     if frame is None:
         return _keys_perm_path(storage, block)
-    if codes is None:
-        codes = block
-        if block.dtype.kind == "f":
-            codes = code_and_stats(block, words if scratch is None else scratch)[0]
     pack_words(codes, frame, rank, words).sort()
     return _word_path(frame, storage, words)
 

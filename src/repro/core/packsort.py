@@ -68,9 +68,9 @@ other dtype kind do not fit.
 Both substrates run the multi-block case, the *word path*, through
 :mod:`repro.core.datapath`: steps 2–4 read the sorted words, step 5 moves
 them, step 6 sorts the received runs in place (:func:`sort_runs_in_place`)
-and unpacks once.  The pool allgathers the frame's statistics in step 1;
-the simulator's driver folds them before the run
-(:class:`repro.core.sorter.SortJob`).  The single-block case
+and unpacks once.  Both allgather the frame's statistics in step 1, each
+rank coding its own block (the simulator into its job's arena,
+:meth:`repro.core.sorter.SortJob.code`).  The single-block case
 (``rank_bits = 0``), :func:`packed_stable_sort`, serves their keys + perm
 fallback in int64 words whatever the frame's width (its order output is
 int64): on a decline :func:`stable_sort_with_order` runs the plain

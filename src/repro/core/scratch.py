@@ -16,18 +16,17 @@ arenas.
 Leases are views of shared storage: anything that outlives the arena cycle
 (returned keys, stored provenance) must be a fresh array, never a lease —
 the next run that checks the arena out writes over it.  They have one
-lifetime, the job's: a simulated word-path job
-(:class:`~repro.core.sorter.SortJob`) leases its step-1 words (int32 or
-int64, as its key frame says), its int64 word stream when keys are
-narrower than 8 bytes, and for float keys the refill source and, under
-int32 words, the int64 codes they pack from, checked out at the job's
-first step 1 through the run's :class:`~repro.pgxd.runtime.KernelPool`
-and checked in once every rank's step-6 kernel finished.  Peers read a
-job's sends from that job's storage, so a slow rank in ``sort_multi``
-can never see the next job's words.  A float job's frame statistics are
-coded into a lease checked in before its run starts.  A pooled worker's
-private arena holds its step-1 codes and words for one job at a time,
-too.
+lifetime, the job's: a simulated job
+(:class:`~repro.core.sorter.SortJob`) leases its float keys' int64 codes,
+its step-1 words (int32 or int64, as its key frame says; int64 float
+words are the codes), its int64 word stream when keys are narrower than
+8 bytes, and for float keys the refill source, from one arena checked
+out at the first rank's step-1 coding through the run's
+:class:`~repro.pgxd.runtime.KernelPool` and checked in once every rank's
+step-6 kernel finished.  Peers read a job's sends from that job's
+storage, so a slow rank in ``sort_multi`` can never see the next job's
+words.  A pooled worker's private arena holds its step-1 codes and words
+for one job at a time, too.
 """
 
 from __future__ import annotations

@@ -5,8 +5,10 @@ The steps are written once, in :func:`repro.core.program.six_steps`;
 :class:`_OnMachine`, which serves each step from the machine and the
 job's shared :class:`SortJob`:
 
-1. **Local sort** — parallel quicksort across worker threads, combined by
-   the balanced-merge handler (charged by :mod:`repro.core.local_sort`).
+1. **Local sort** — every rank codes its block and the ranks allgather the
+   key frame's statistics (:mod:`repro.core.packsort`); then parallel
+   quicksort across worker threads, combined by the balanced-merge handler
+   (charged by :mod:`repro.core.local_sort`).
 2. **Sampling** — regular samples (256KB/p bytes) are sent to the Master.
 3. **Splitters** — the Master merges the samples, selects ``p-1`` final
    splitters and broadcasts them.
@@ -51,7 +53,7 @@ import numpy as np
 
 from ..pgxd.runtime import Machine
 from ..simnet.calls import Mark, Now
-from ..simnet.collectives import bcast, gather
+from ..simnet.collectives import allgather, bcast, gather
 from .balanced_merge import merge_levels, merge_levels_cost_seconds
 from .datapath import OUTPUT_ROLES, WORD_DTYPE, DataPath, lay_out, surfaced_sort_path
 from .exchange import ExchangeResult, exchange_partitions
@@ -59,7 +61,6 @@ from .local_sort import local_sort_seconds
 from .packsort import code_and_stats, has_key_codec
 from .program import MASTER, six_steps
 from .provenance import Provenance
-from .scratch import ARENAS
 from .sorter_labels import STEP_LABELS
 from .steps import INDEX_DTYPE
 
@@ -99,36 +100,38 @@ class RankSortOutput:
 class SortJob:
     """One simulated job: what its ranks share, and the storage it owns.
 
-    Every block's key-frame statistics (``None`` when the codec has no
-    code for the dtype) are folded before the run, outside virtual time,
-    and served as step 1's allgather (the pool pays one); int keys are
-    their own codes (one read, no second pass), float keys are coded into
-    a warm lease of the process's arena pool, returned before the run.
-    The job's :class:`~repro.core.datapath.JobStorage` is laid out at its
-    first step 1, under the frame the program derived: the outputs fresh,
-    since the results own them, and on the word path everything else
-    from one warm arena of the run's pool — each rank's step-1 words at
-    its input offset, as wide as the frame says, the int64 word stream
-    when keys are narrower than 8 bytes, and for float keys the input the
-    lossy codes refill from (and, under int32 words, the int64 codes they
-    pack from).  The kernels that fill it run as two batches on the
-    run's threads, every rank's step 1 and every rank's step 6; the arena
-    goes back once the second finished.
+    The job's storage comes from one warm arena of the run's pool,
+    checked out at the first rank's step-1 :meth:`code` (a dtype the
+    codec covers): each rank codes its own block there for the frame's
+    statistics — int keys are their own codes (one read, no write), float
+    keys are coded into the job's int64 ``codes``, each rank's at its
+    input offset.  The job's :class:`~repro.core.datapath.JobStorage` is
+    laid out at its first step-1 :meth:`sort`, under the frame the
+    program derived: the outputs fresh, since the results own them, and
+    on the word path everything else from the arena — each rank's step-1
+    words at its input offset, as wide as the frame says (int64 float
+    words packed in place over the codes), the int64 word stream when
+    keys are narrower than 8 bytes, and for float keys the input the
+    lossy codes refill from.  The kernels that fill it run as two batches
+    on the run's threads, every rank's step 1 and every rank's step 6;
+    the arena goes back once the second finished.
     """
 
     def __init__(self, blocks: Sequence[np.ndarray]):
-        self.stats = _block_stats(blocks) if has_key_codec(blocks[0].dtype) else None
         self.blocks = blocks
         self.block_starts = np.cumsum([0, *map(len, blocks)], dtype=np.int64)
         self.frame = self.storage = self.arena = self.words = self.codes = self.paths = None
         self.merges: list = []
         self.charges: dict[tuple, float] = {}
 
+    def _span(self, rank: int) -> slice:
+        return slice(int(self.block_starts[rank]), int(self.block_starts[rank + 1]))
+
     def _take(self, role: str, n: int, dtype: np.dtype) -> np.ndarray:
         if role in OUTPUT_ROLES:
             return np.empty(n, dtype)
         if (
-            self.arena is None
+            self.frame is None
             or (role == "input" and dtype.kind != "f")
             or (role == "words" and dtype != self.frame.word_dtype)
         ):
@@ -137,29 +140,39 @@ class SortJob:
             return np.empty(0, dtype)
         return self.arena.take(n, dtype)
 
-    def _draw(self, kernels, frame) -> None:
+    def _draw(self, frame) -> None:
         dtype, n = self.blocks[0].dtype, int(self.block_starts[-1])
         self.frame = frame
         if frame is not None:
-            self.arena = kernels.checkout()
-            self.words = self.arena.take(n, frame.word_dtype)
-            if dtype.kind == "f" and frame.word_dtype != WORD_DTYPE:
-                self.codes = self.arena.take(n, WORD_DTYPE)
+            in_place = self.codes is not None and frame.word_dtype == WORD_DTYPE
+            self.words = self.codes if in_place else self.arena.take(n, frame.word_dtype)
         self.storage = lay_out(self.block_starts, dtype, self._take, np.ndarray.view)
         if len(self.storage.input):
             np.concatenate(self.blocks, out=self.storage.input)
 
+    def code(self, machine: Machine, block: np.ndarray) -> tuple[int, int, int, int]:
+        """One rank's block coded for the frame's statistics
+        (:func:`~repro.core.packsort.code_and_stats`); the first rank's
+        call checks the job's arena out, and leases the float codes."""
+        if self.arena is None:
+            self.arena = machine.kernels.checkout()
+            if block.dtype.kind == "f":
+                self.codes = self.arena.take(int(self.block_starts[-1]), WORD_DTYPE)
+        codes = None if self.codes is None else self.codes[self._span(machine.rank)]
+        return code_and_stats(block, codes)[1]
+
     def sort(self, machine: Machine, kernel, frame) -> DataPath:
         """Step 1's ``kernel`` on one rank; the first rank's call runs every
-        rank's, as one batch."""
+        rank's, as one batch, each over the codes its :meth:`code` left."""
         if self.storage is None:
-            self._draw(machine.kernels, frame)
-            kernels, starts = [], self.block_starts.tolist()
+            self._draw(frame)
+            kernels = []
             for rank, block in enumerate(self.blocks):
-                span = slice(starts[rank], starts[rank + 1])
-                words, codes = (None if a is None else a[span] for a in (self.words, self.codes))
+                span = self._span(rank)
                 block = np.ascontiguousarray(block)
-                kernels.append(partial(kernel, frame, self.storage, rank, block, words, None, codes))
+                words = None if self.words is None else self.words[span]
+                codes = block if self.codes is None else self.codes[span]
+                kernels.append(partial(kernel, frame, self.storage, rank, block, words, codes))
             self.paths = machine.kernels.batch(kernels)
         assert frame == self.frame, "every rank derives the job's frame"
         return self.paths[machine.rank]
@@ -193,22 +206,10 @@ def _land_and_merge(arrived: ExchangeResult, merge, base: int, stop: int, run_le
     return merge(base, stop, run_lengths)
 
 
-def _block_stats(blocks: Sequence[np.ndarray]) -> list[tuple[int, int, int, int]]:
-    """Every block's key-frame statistics.  Float keys are coded into a
-    warm int64 lease, one block at a time, checked in before the run."""
-    if blocks[0].dtype.kind != "f":
-        return [code_and_stats(block, None)[1] for block in blocks]
-    arena = ARENAS.checkout()
-    try:
-        codes = arena.take(max(map(len, blocks)), WORD_DTYPE)
-        return [code_and_stats(block, codes[: len(block)])[1] for block in blocks]
-    finally:
-        ARENAS.checkin(arena)
-
-
 class _OnMachine:
     """Simnet's half of the program's method set, on one machine: calls
-    and sub-programs for the engine, charged to the cost model, with
+    and sub-programs for the engine, charged to the cost model — every
+    message the program sends, step 1's frame allgather included — with
     Figure 11's memory recorded.  Step 1's kernel is read once its charge
     elapsed (no other rank runs before this one's step 2 begins)."""
 
@@ -247,9 +248,15 @@ class _OnMachine:
         return machine.compute(seconds, STEP_LABELS[step])
 
     def frame_stats(self, block: np.ndarray):
-        """Folded before the run, outside virtual time: an instant sub-program."""
-        return self.job.stats
-        yield  # unreached: it makes this a sub-program
+        """The rank codes its block and allgathers the statistics, four
+        8-byte words per rank, as the pool does; a dtype with no codec
+        posts nothing."""
+        if not has_key_codec(block.dtype):
+            return None
+        word = np.uint64 if block.dtype.kind == "u" else np.int64  # a uint64 code may be ≥ 2^63
+        stats = np.array(self.job.code(self.machine, block), word)
+        gathered = yield allgather(self.machine.proc, stats)
+        return [rank_stats.tolist() for rank_stats in gathered]
 
     def gather(self, value):
         return gather(self.machine.proc, value, root=MASTER)

@@ -12,9 +12,10 @@ The simulator records *typed* events through a
   (memory pools, NIC queueing, bytes in flight).
 
 The engine records these only when a tracer is attached — the disabled
-path is a single ``is not None`` test per operation, so production runs
-(and the golden determinism fingerprint, which counts a tracer's events
-per rank) are untouched.
+path is a single ``is not None`` test per operation, and recording never
+feeds back into the run, so a traced run is bit-identical to an untraced
+one (the golden determinism fingerprint attaches a tracer and counts its
+events per rank).
 
 On top of the raw events:
 

@@ -27,7 +27,7 @@ def run_exchange(per_rank_keys, splitters, frame=None, storage=None):
     def program(proc):
         block = blocks[proc.rank]
         words = None if frame is None else np.empty(len(block), frame.word_dtype)
-        path = local_sort(frame, storage, proc.rank, block, words)
+        path = local_sort(frame, storage, proc.rank, block, words, block)  # int keys: their own codes
         # Distinct splitters, each sampled once: Figure 3a's cuts.
         part = partition_block(path.sorted_block, splitter_array(splitters, 1, 1), size, proc.rank, True)
         result = yield from exchange_partitions(proc, path, part, config)

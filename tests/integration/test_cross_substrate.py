@@ -30,6 +30,7 @@ from repro.core.retry import RetryPolicy
 from repro.core.scratch import ARENAS
 from repro.core.sorter import STEP_LABELS, SortJob, SortOptions
 from repro.faults import FaultPlan
+from repro.obs import capture
 from repro.parallel import ProcessBackend
 from repro.simnet.sanitizer import sanitize
 from repro.workloads.distributions import right_skewed, uniform
@@ -115,6 +116,8 @@ def _keys(kind, n, rng):
         info = np.iinfo(kind)
         lo, hi = max(int(info.min), -(1 << 40)), min(int(info.max), 1 << 40)
         return rng.integers(lo, hi, n, endpoint=True).astype(kind)
+    if kind == "uint64 upper half":  # codes no int64 holds: no frame fits
+        return rng.integers(1 << 63, (1 << 64) - 1, n, dtype=np.uint64, endpoint=True)
     if kind == "float32":
         keys = rng.normal(size=n).astype(np.float32)
     elif kind == "integral float64":
@@ -127,11 +130,56 @@ def _keys(kind, n, rng):
     return keys
 
 
-KINDS = [np.dtype(d).name for d in INT_DTYPES] + [
-    "float32",
-    "integral float64",
-    "full-mantissa float64",
-]
+#: The kinds no key frame fits: keys + perm.
+FRAME_MISSES = ["full-mantissa float64", "uint64 upper half"]
+KINDS = [np.dtype(d).name for d in INT_DTYPES] + ["float32", "integral float64", *FRAME_MISSES]
+
+
+# ------------------------------------------------------------------ step 1
+
+
+def _step_one_windows(tracer):
+    """Each rank's step-1 phase span, as ``rank -> (begin, end)``."""
+    return {s.rank: (s.start, s.end) for s in tracer.phase_spans() if s.label == STEP_LABELS[0]}
+
+
+#: A dtype the codec covers, and one it has no code for.
+STEP_ONE_DTYPES = [np.int64, np.float16]
+
+
+@pytest.mark.parametrize("p", RANKS[1:])
+@pytest.mark.parametrize("dtype", STEP_ONE_DTYPES)
+def test_simnet_step_one_allgathers_the_frame_statistics(dtype, p):
+    """Each rank codes its block and allgathers its statistics in step 1,
+    charged as a gather to the Master and a binomial broadcast: 2(p − 1)
+    messages between the step-1 marks.  A dtype without a codec posts none."""
+    data = np.random.default_rng(p).integers(0, 1000, 400 * p).astype(dtype)
+    with capture() as cap:
+        result = DistributedSorter(num_processors=p).sort(data)
+    assert np.array_equal(result.to_array(), np.sort(data))
+    tracer = cap.sessions[-1].tracer
+    windows = _step_one_windows(tracer)
+    sent = [f for f in tracer.flows if windows[f.src][0] <= f.inject_t < windows[f.src][1]]
+    assert len(sent) == (2 * (p - 1) if dtype is np.int64 else 0)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("dtype", STEP_ONE_DTYPES)
+def test_pool_step_one_allgathers_the_frame_statistics(pool, dtype, p):
+    """The pool's step 1 posts the same collective: one allgather per rank,
+    or none for a dtype without a codec."""
+    data = np.random.default_rng(p).integers(0, 1000, 400 * p).astype(dtype)
+    blocks, offsets = partition_input(data, p)
+    with capture() as cap:
+        result = pool.sort_blocks(blocks).to_sort_result(offsets)
+    assert np.array_equal(result.to_array(), np.sort(data))
+    tracer = cap.sessions[-1].tracer
+    windows = _step_one_windows(tracer)
+    waits = [
+        s for s in tracer.spans
+        if s.label == "allgather" and windows[s.rank][0] <= s.start < windows[s.rank][1]
+    ]
+    assert sorted(s.rank for s in waits) == (list(range(p)) if dtype is np.int64 else [])
 
 
 # ------------------------------------------------------------ every dtype
@@ -144,7 +192,7 @@ def test_every_dtype_agrees_across_substrates(pool, word_merges, assert_balanced
     took_words = _assert_substrates_agree(
         list(partition_input(keys, p)[0]), word_merges, assert_balanced, pool
     )
-    assert took_words == (kind != "full-mantissa float64")
+    assert took_words == (kind not in FRAME_MISSES)
 
 
 # --------------------------------------------------------- degenerate shapes

@@ -369,20 +369,51 @@ class TestRunLifetime:
     def test_second_identical_float_sort_allocates_nothing(self, monkeypatch, width):
         from repro import distributed_sort
         from repro.core.api import partition_input
-        from repro.core.packsort import derive_key_frame
-        from repro.core.sorter import SortJob
+        from repro.core.packsort import code_and_stats, derive_key_frame
 
         data = self.FLOAT_WORDS[width]
-        frame = derive_key_frame(SortJob(list(partition_input(data, 16)[0])).stats, data.dtype, 16)
+        blocks = partition_input(data, 16)[0]
+        stats = [code_and_stats(block, np.empty(len(block), np.int64))[1] for block in blocks]
+        frame = derive_key_frame(stats, data.dtype, 16)
         assert frame.word_dtype == width
         distributed_sort(data, num_processors=16)
         lent = _recording_checkouts(monkeypatch)
         again = distributed_sort(data, num_processors=16)
         assert np.array_equal(again.to_array(), np.sort(data))
-        # The frame's statistics are coded into a warm lease, checked back
-        # in before the run, whose job then draws that same arena.
-        assert len(lent) == 2 and lent[0][0] is lent[1][0]
+        # One arena, checked out at the first rank's step 1: every rank's
+        # codes, then the words (int64 ones packed over the codes).
+        assert len(lent) == 1
         assert sum(a.allocations - before for a, before in lent) == 0
+
+    #: Float64 keys whose frame fits, in words of either width at p = 4.
+    FLOAT64_WORDS = {"int32": (DATA % 8).astype(np.float64), "int64": DATA / 4}
+
+    @pytest.mark.parametrize("width", FLOAT64_WORDS)
+    def test_each_float_block_is_coded_once(self, monkeypatch, width):
+        """A rank's step-1 codes serve both the frame's statistics and its
+        words: one ``code_and_stats`` call per block."""
+        import sys
+
+        from repro import distributed_sort
+        from repro.core import packsort
+
+        calls = []
+        original = packsort.code_and_stats
+
+        def counting(keys, out):
+            calls.append(len(keys))
+            return original(keys, out)
+
+        for module in list(sys.modules.values()):
+            if module is not packsort and getattr(module, "code_and_stats", None) is original:
+                monkeypatch.setattr(module, "code_and_stats", counting)
+        data = self.FLOAT64_WORDS[width]
+        blocks = np.array_split(data, 4)
+        stats = [original(block, np.empty(len(block), np.int64))[1] for block in blocks]
+        assert packsort.derive_key_frame(stats, data.dtype, 4).word_dtype == width
+        result = distributed_sort(data, num_processors=4)
+        assert np.array_equal(result.to_array(), np.sort(data))
+        assert sorted(calls) == sorted(map(len, blocks))
 
     @pytest.mark.parametrize("p", [1, 4])
     def test_sort_multi_does_not_grow_the_arenas_per_dataset(self, p):
