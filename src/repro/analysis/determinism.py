@@ -59,6 +59,15 @@ def _metrics_fingerprint(m: ProcessMetrics) -> dict[str, Any]:
     }
 
 
+def golden_keys(n_keys: int, seed: int, dtype: str = "int64") -> np.ndarray:
+    """A golden workload's keys: ``"int64"`` keys below 2^40 fit the key
+    frame (words); ``"float64"`` keys in [0, 1) do not (keys + perm)."""
+    rng = np.random.default_rng(seed)
+    if dtype == "int64":
+        return rng.integers(0, 1 << 40, n_keys).astype(np.int64)
+    return rng.random(n_keys)
+
+
 def capture_sort_fingerprint(
     num_ranks: int = 16,
     n_keys: int = 60_000,
@@ -72,17 +81,14 @@ def capture_sort_fingerprint(
     Every field is either an integer count or a ``float.hex()`` string, so a
     fingerprint compares bit-exactly across engine implementations.
 
-    ``dtype`` picks the data path: ``"int64"`` keys below 2^40 fit the
-    key frame (words); ``"float64"`` keys in [0, 1) do not (keys + perm).
+    ``dtype`` picks the data path (:func:`golden_keys`).
 
     ``sanitizer`` attaches a :class:`~repro.simnet.sanitizer.SimSan` to the
     run.  The fingerprint shape is unchanged — SimSan must be invisible to
     simulated behavior, which is exactly what comparing a sanitized capture
     against the committed golden fingerprint proves.
     """
-    rng = np.random.default_rng(seed)
-    ints = dtype == "int64"
-    data = rng.integers(0, 1 << 40, n_keys).astype(np.int64) if ints else rng.random(n_keys)
+    data = golden_keys(n_keys, seed, dtype)
     bounds = [n_keys * i // num_ranks for i in range(num_ranks + 1)]
     blocks = [data[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     options = SortOptions()
@@ -117,7 +123,7 @@ def capture_sort_fingerprint(
         prov.append(out.provenance.origin_index)
     return {
         "workload": {"num_ranks": num_ranks, "n_keys": n_keys, "seed": seed}
-        | ({} if ints else {"dtype": dtype}),
+        | ({} if dtype == "int64" else {"dtype": dtype}),
         "makespan": _hex(metrics.makespan),
         "remote_bytes": metrics.remote_bytes,
         "local_bytes": metrics.local_bytes,

@@ -168,9 +168,16 @@ def local_sort(
     With a ``frame`` the block's ``codes`` — what the host's
     :func:`~repro.core.packsort.code_and_stats` left for the frame's
     statistics: the block itself for int keys — are packed into ``words``
-    (one word of the frame's dtype per key; int64 float words may be the
-    codes themselves, packed in place) and sorted there.  Without a
-    frame, keys + perm.
+    (one word of the frame's dtype per key) and sorted there.  Where the
+    words live is the host's to say.  A pooled worker packs them in place
+    over the codes whenever a word is no wider than a code: an int key
+    rank over its staged slice of the job's ``input`` (which nothing reads
+    after step 1), a float key rank over its private int64 codes (the
+    input stays the refill source); only int64 words of narrower int keys
+    take a scratch lease.  The simulator never writes the caller's
+    blocks: int64 float words go over the codes in the job's arena, every
+    other word into an arena lease of its own.  Without a frame, keys +
+    perm, and the block is only read.
     """
     if frame is None:
         return _keys_perm_path(storage, block)

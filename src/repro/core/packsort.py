@@ -243,10 +243,15 @@ def pack_words(
     """Kernel 2: pack one block's codes into ``out``; sort it to sort the block.
 
     ``out`` holds one word per key in the frame's word dtype (a wider
-    buffer holds the same numbers).  Float codes live in the int64 buffer
-    :func:`code_and_stats` was handed — ``out`` itself for int64 words,
-    packed in place; int keys, their own codes, are read once and never
-    modified.
+    buffer holds the same numbers).  It may be the codes' own memory
+    viewed as words (packed in place: float codes in the int64 buffer
+    :func:`code_and_stats` was handed, or a pooled worker's int keys,
+    their own codes), as long as it starts where the codes do.  A word no
+    wider than its code then never lands past the code it replaces, so no
+    chunk overwrites a later chunk's codes; a narrower word's first chunk
+    overlaps its own codes, and numpy's ufuncs copy an input that
+    overlaps their output before writing.  Otherwise the codes are only
+    read.
     """
     tag, word = rank << frame.idx_bits, frame.word_dtype
     ramp = _RAMPS[word]

@@ -25,8 +25,10 @@ out at the first rank's step-1 coding through the run's
 :class:`~repro.pgxd.runtime.KernelPool` and checked in once every rank's
 step-6 kernel finished.  Peers read a job's sends from that job's
 storage, so a slow rank in ``sort_multi`` can never see the next job's
-words.  A pooled worker's private arena holds its step-1 codes and words
-for one job at a time, too.
+words.  A pooled worker's private arena holds its step-1 float codes, with
+the words packed over them, for one job at a time, too; int keys' words
+go over their staged input, save int64 words of keys narrower than 8
+bytes, which the arena serves.
 """
 
 from __future__ import annotations

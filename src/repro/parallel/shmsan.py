@@ -80,6 +80,7 @@ from ..simnet.sanitizer import SanReport, SanViolation
 MUTATIONS = (
     "offset-off-by-one",   # worker: shift one exchange run by one element
     "skip-merge-barrier",  # worker: merge without waiting for the barrier
+    "pack-past-block",     # worker: log step 1's pack one word into the next block
     "double-lease",        # parent: register a second lease over the key segment
     "stale-view",          # parent: touch a leased view after release_all
     "relet-pinned",        # parent: the arena leases out a segment a result pins
@@ -411,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--golden",
         default="tests/golden/sim_golden_p16.json",
-        help="golden workload description (seed, n_keys)",
+        help="golden workload description (seed, n_keys, dtype)",
     )
     parser.add_argument(
         "--ranks", type=int, default=4, help="worker processes (default 4)"
@@ -461,6 +462,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1 if violations else 0
 
+    from ..analysis.determinism import golden_keys
     from ..core.api import partition_input
     from ..core.local_backend import local_sample_sort
     from .backend import ProcessBackend
@@ -468,8 +470,8 @@ def main(argv: list[str] | None = None) -> int:
     golden = json.loads(Path(args.golden).read_text())
     workload = golden["workload"]
     n_keys = args.keys if args.keys is not None else workload["n_keys"]
-    rng = np.random.default_rng(workload["seed"])
-    data = rng.integers(0, 1 << 40, n_keys).astype(np.int64)
+    dtype = workload.get("dtype", "int64")
+    data = golden_keys(n_keys, workload["seed"], dtype)
     blocks = list(partition_input(data, args.ranks)[0])
 
     san = ShmSan()
@@ -503,7 +505,7 @@ def main(argv: list[str] | None = None) -> int:
         doc = {
             "oracle_bit_identical": oracle_identical,
             "mutation": args.mutate,
-            "workload": {"n_keys": n_keys, "ranks": args.ranks,
+            "workload": {"n_keys": n_keys, "ranks": args.ranks, "dtype": dtype,
                          "seed": workload["seed"], "jobs": len(runs)},
         }
         doc.update(san.report.to_json())

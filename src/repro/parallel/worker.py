@@ -10,13 +10,16 @@ This module is the pool's binding of the one sort program
 (:func:`repro.core.program.six_steps`, the simulator's too): a per-job
 :class:`_Job` serves its steps — a step edge is the step clock, the
 fault plan's kills and stragglers, the heartbeat and a ShmSan flush;
-collectives are pipe calls; step 1 sorts inline in scratch words; step 5
-writes shared memory — so the produced partitions are **bit-identical**
-to the simulator's and to the reference backend's.  *What* is sorted, exchanged and merged — packed
-words, or keys + perm — is the job's
-:class:`~repro.core.datapath.DataPath`, chosen once in step 1;
-*where* every (src, dst) run lands in shared memory is
-:mod:`repro.parallel.layout`'s to say; workers never write the input.
+collectives are pipe calls; step 1 sorts inline, in words packed over
+the block's codes; step 5 writes shared memory — so the produced
+partitions are **bit-identical** to the simulator's and to the reference
+backend's.  *What* is sorted, exchanged and merged — packed words, or
+keys + perm — is the job's :class:`~repro.core.datapath.DataPath`,
+chosen once in step 1; *where* every (src, dst) run lands in shared
+memory is :mod:`repro.parallel.layout`'s to say.  A worker writes the
+input in one place: an int-key word-path rank packs and sorts its words
+over its own staged block, which nothing reads after step 1 (float keys
+are coded privately, the input staying their refill source).
 
 Control plane (pickled over one pipe per rank, via the hub in
 :mod:`repro.parallel.collectives`): the sample gather (or the splitter
@@ -46,7 +49,7 @@ import os
 import signal
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import shared_memory
 from multiprocessing.connection import Connection
 
@@ -227,12 +230,14 @@ class _Job:
         except StopIteration as done:
             return self.finish(done.value)
 
-    def record(self, role, lo, hi, kind, step, label, dst=None) -> None:
+    def record(self, role, lo, hi, kind, step, label, dst=None, dtype=None) -> None:
+        """Log elements ``[lo, hi)`` of ``role``'s lease, counted in
+        ``dtype`` when given (a view of the lease in another dtype)."""
         if self.recorder is not None:
-            self.recorder.record(
-                getattr(self.plan.leases, role), lo, hi, kind, step,
-                self.link.epoch, label, dst=dst,
-            )
+            lease = getattr(self.plan.leases, role)
+            if dtype is not None:
+                lease = replace(lease, dtype=dtype)
+            self.recorder.record(lease, lo, hi, kind, step, self.link.epoch, label, dst=dst)
 
     def _mark(self) -> None:
         self.marks.append(time.perf_counter())  # repro: noqa[R002] — real backend: measured step wall time is the product
@@ -288,15 +293,39 @@ class _Job:
         return self.link.allgather(stats)
 
     def sort(self, kernel, frame, block: np.ndarray) -> DataPath:
-        """Step 1, inline.  The words, as wide as the frame says, come from
-        the worker's warm scratch pool — fresh pages per job would be the
-        op's largest page-fault bill — except that int64 float words are
-        packed in place over their codes."""
-        words = None
+        """Step 1, inline.  The words, as wide as the frame says, are packed
+        in place over the codes when no wider than a code: int keys' codes
+        are the rank's staged slice of the input lease, which nothing reads
+        after step 1, so they are sorted where the driver staged them
+        (int32 words over 8-byte keys take the slice's first half); float
+        keys' are the private int64 lease of :meth:`frame_stats`, because
+        the input stays their refill source.  Only words wider than their
+        codes (int64 words of narrow int keys) come from the worker's warm
+        scratch pool — fresh pages per job would be the op's largest
+        page-fault bill."""
+        words, codes = None, self.codes
         if frame is not None:
-            in_place = block.dtype.kind == "f" and frame.word_dtype == WORD_DTYPE
-            words = self.codes if in_place else self.scratch.take(len(block), frame.word_dtype)
-        return kernel(frame, self.views, self.rank, block, words, self.codes)
+            word = frame.word_dtype
+            if word.itemsize > codes.dtype.itemsize:
+                words = self.scratch.take(len(block), word)
+            else:
+                words = codes.view(word)[: len(codes)]
+                if codes is block and self.recorder is not None:
+                    self._record_pack(len(words), word)
+        return kernel(frame, self.views, self.rank, block, words, codes)
+
+    def _record_pack(self, count: int, word: np.dtype) -> None:
+        """Log step 1's pack: ``count`` words over the rank's staged block."""
+        bounds = self.plan.leases.block_starts[self.rank : self.rank + 2]
+        lo, hi = (bounds * self.views.input.itemsize // word.itemsize).tolist()
+        self.record("input", lo, lo + count, "w", 1, "step-1-pack", dtype=word)
+        if self.mutation == "pack-past-block":
+            # Seeded invariant break: log one more word, just past the
+            # rank's staged block — the start of the next rank's, which
+            # that rank packs in the same epoch; the race check must flag
+            # the overlap.  (Only the log overruns: the neighbour's bytes
+            # stay intact, so the job completes.)
+            self.record("input", hi, hi + 1, "w", 1, "step-1-pack", dtype=word)
 
     def gather(self, value):
         return self.link.gather(value, root=MASTER)

@@ -143,6 +143,24 @@ class TestMutations:
             assert 2 in (v.details["a"]["rank"], v.details["b"]["rank"])
             assert v.details["overlap_bytes"][0] < v.details["overlap_bytes"][1]
 
+    def test_pack_past_block_reports_a_race_in_the_next_rank_block(self):
+        _, blocks = _blocks()
+        with ProcessBackend(
+            sanitize=True, mutate="pack-past-block", mutate_rank=1
+        ) as backend:
+            backend.sort_blocks(blocks)
+            san = backend.sanitizer
+        races = [v for v in san.report.violations if v.kind in RACE_KINDS]
+        assert races and {v.kind for v in races} == {"write-write-race"}, san.report.summary()
+        # Rank 1's extra word is the first of rank 2's staged block, which
+        # rank 2 packs in the same epoch: one 8-byte overlap, in step 1.
+        for v in races:
+            a, b = v.details["a"], v.details["b"]
+            assert {a["rank"], b["rank"]} == {1, 2}
+            assert {a["label"], b["label"]} == {"step-1-pack"}
+            lo, hi = v.details["overlap_bytes"]
+            assert hi - lo == 8
+
     def test_double_lease_reports_aliasing(self):
         _, blocks = _blocks(n=4_000)
         with ProcessBackend(sanitize=True, mutate="double-lease") as backend:
@@ -219,7 +237,7 @@ class TestMutations:
             run = backend.sort_blocks(blocks)
             san = backend.sanitizer
         del held
-        # The worker-side mutations act in steps 5-6 of the word path.
+        # The worker-side mutations act in steps 1, 5 and 6 of the word path.
         assert _paths(run) == {"through"}
         assert not san.report.ok, f"mutation {mutation!r} escaped ShmSan"
 
@@ -300,10 +318,27 @@ class TestWordPathStreams:
         assert _paths(run) == {"through"}
         assert san.report.ok, san.report.summary()
         assert doc["exchanged"] == ["keys"]  # 8-byte keys decode in place
-        assert "refill-read" in labels
+        assert "refill-read" in labels and "step-1-pack" not in labels
         reference = local_sample_sort(list(partition_input(data, 4)[0]))
         for out, expected in zip(run.outputs, reference.per_processor):
             assert out.keys.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("high, word_bytes", [(1 << 40, 8), (1_000, 4)])
+    def test_int_keys_log_their_pack_over_their_own_staged_block(self, tmp_path, high, word_bytes):
+        data = np.random.default_rng(8).integers(0, high, 8_000).astype(np.int64)
+        run, san, doc, _ = self._sanitized(data, tmp_path)
+        assert _paths(run) == {"through"} and run.reports[0].bytes_per_key == word_bytes
+        assert san.report.ok, san.report.summary()
+        source = next(lease for lease in doc["leases"] if lease["role"] == "input")
+        packs = sorted((a[4], a[1], a[2], a[3], a[5]) for a in doc["accesses"] if a[7] == "step-1-pack")
+        base = source["byte_lo"]
+        # One write per rank, in step 1, over the first len(block) words
+        # of its own 8-byte-key slice: half the slice for int32 words.
+        assert packs == [
+            (rank, base + 2_000 * 8 * rank, base + 2_000 * (8 * rank + word_bytes), "w", 1)
+            for rank in range(4)
+        ]
+        assert all(a[0] == source["segment"] for a in doc["accesses"] if a[7] == "step-1-pack")
 
     def test_frame_miss_exchanges_keys_and_indices_as_before(self, tmp_path):
         data = np.random.default_rng(5).normal(size=8_000)  # full-mantissa float64
@@ -312,6 +347,7 @@ class TestWordPathStreams:
         assert san.report.ok, san.report.summary()
         assert doc["exchanged"] == ["keys", "index"]
         assert "index-write" not in labels and "refill-read" not in labels
+        assert "step-1-pack" not in labels
 
 
 class TestCrashedRuns:
@@ -376,10 +412,10 @@ class TestOfflineLog:
 class TestCli:
     """The ``python -m repro.parallel.shmsan`` entry CI gates on."""
 
-    def _run(self, *extra, cwd=REPO):
+    def _run(self, *extra, cwd=REPO, golden=GOLDEN_PATH):
         return subprocess.run(
             [sys.executable, "-m", "repro.parallel.shmsan",
-             "--golden", str(GOLDEN_PATH), "--ranks", "4", "--keys", "6000",
+             "--golden", str(golden), "--ranks", "4", "--keys", "6000",
              *extra],
             cwd=cwd,
             env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
@@ -396,6 +432,21 @@ class TestCli:
         assert report["schema"] == "repro.shmsan-report/1"
         assert report["ok"] is True
         assert report["oracle_bit_identical"] is True
+
+    def test_float_golden_replays_its_float_keys(self, tmp_path):
+        # The f64 golden's keys miss the frame: keys + perm, input intact.
+        report_path, log_path = tmp_path / "shmsan_report.json", tmp_path / "log.json"
+        golden = GOLDEN_PATH.with_name("sim_golden_p16_f64.json")
+        proc = self._run(
+            "--report-out", str(report_path), "--log-out", str(log_path), golden=golden
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        report = json.loads(report_path.read_text())
+        assert report["workload"]["dtype"] == "float64"
+        assert report["ok"] is True and report["oracle_bit_identical"] is True
+        log = json.loads(log_path.read_text())
+        assert log["exchanged"] == ["keys", "index"]
+        assert "step-1-pack" not in {access[7] for access in log["accesses"]}
 
     def test_mutation_probe_is_red(self):
         proc = self._run("--mutate", "offset-off-by-one")

@@ -28,8 +28,10 @@ from repro.core.packsort import (
 )
 from repro.core.scratch import ScratchArena
 from repro.core.sorter import SortOptions
+from repro.faults import FaultPlan
 from repro.obs.context import capture
-from repro.parallel import ProcessBackend
+from repro.parallel import ProcessBackend, RetryPolicy
+from repro.parallel import backend as backend_module
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -294,9 +296,9 @@ def test_samples_with_signed_zeros_and_nan_payloads_keep_their_bytes(tmp_path):
 
 
 def _word_path_step_one(block, scratch):
-    """Step 1 as a pooled worker runs it: the block is coded into an int64
-    scratch lease for the frame's statistics; int64 words are packed and
-    sorted there, int32 words in a lease taken once the frame is known."""
+    """Step 1 as a pooled worker runs it on float keys: the block is coded
+    into an int64 scratch lease for the frame's statistics, and the words,
+    int64 or int32, are packed and sorted over those codes."""
     n = len(block)
     storage = lay_out(
         np.array([0, n]), block.dtype, lambda _role, size, dtype: np.empty(size, dtype),
@@ -306,7 +308,7 @@ def _word_path_step_one(block, scratch):
     coded = scratch.take(n, np.int64)
     codes, stats = code_and_stats(block, coded)
     frame = derive_key_frame([stats], block.dtype, 1)
-    words = coded if frame.word_dtype == np.int64 else scratch.take(n, frame.word_dtype)
+    words = coded.view(frame.word_dtype)[:n]
     return local_sort(frame, storage, 0, block, words, codes)
 
 
@@ -333,9 +335,77 @@ def test_narrow_word_path_step_one_packs_int32_words_that_travel_in_the_index():
     words = path.sorted_block.words
     assert path.label == "through" and words.dtype == np.int32
     assert path.exchanged == ("index",) and path.bytes_per_key == 4
-    assert (scratch.pooled_bytes(), scratch.live_leases) == (12 * n, 2)  # codes + words
+    assert (scratch.pooled_bytes(), scratch.live_leases) == (8 * n, 1)  # words over codes
     expected = block[block.argsort(kind="stable")]
     assert path.sorted_block.take(np.arange(n)).tobytes() == expected.tobytes()
+
+
+# ------------------------------------------------- step 1 in the staged block
+
+
+def _staged_leases(monkeypatch):
+    """Every job's storage as the driver lays it out, in dispatch order."""
+    jobs = []
+
+    def lay_out_and_keep(*args):
+        jobs.append(lay_out(*args))
+        return jobs[-1]
+
+    monkeypatch.setattr(backend_module, "lay_out", lay_out_and_keep)
+    return jobs
+
+
+@pytest.mark.parametrize("high, word", [(1 << 40, np.int64), (1_000, np.int32)])
+def test_int_keys_sort_their_words_where_the_driver_staged_the_block(monkeypatch, high, word):
+    # Int keys are their own codes: each rank packs and sorts its words
+    # over its slice of the input lease (int32 words over int64 keys fill
+    # the slice's first half), and step 5 sends from there.
+    p, n = 4, 20_000
+    data = np.random.default_rng(12).integers(0, high, n).astype(np.int64)
+    blocks = list(partition_input(data, p)[0])
+    bounds = np.cumsum([0, *map(len, blocks)]).tolist()
+    ratio = data.itemsize // np.dtype(word).itemsize
+    staged = _staged_leases(monkeypatch)
+    with ProcessBackend() as backend:
+        for _ in range(2):  # the second job packs over the first's words
+            run = _assert_matches_oracle(backend, blocks)
+            assert {r.bytes_per_key for r in run.reports} == {np.dtype(word).itemsize}
+            words = backend.arena.view(staged[-1].input).view(word)
+            for lo, hi in zip(bounds, bounds[1:]):
+                mine = words[ratio * lo : ratio * lo + hi - lo]
+                assert len(mine) == hi - lo and (np.diff(mine) > 0).all()
+            del run
+
+
+@pytest.mark.parametrize("kind", ["float64 words", "float64 frame miss", "uint64 frame miss"])
+def test_jobs_off_the_int_word_path_leave_the_staged_input_intact(monkeypatch, kind):
+    # Float keys are coded privately (the input is their refill source);
+    # a frame miss sorts keys + perm out of the block.  Neither writes it.
+    rng, n = np.random.default_rng(13), 20_000
+    data = {
+        "float64 words": lambda: np.floor(rng.exponential(50, n)) * rng.choice([-1.0, 1.0], n),
+        "float64 frame miss": lambda: rng.normal(size=n),
+        "uint64 frame miss": lambda: rng.integers(1 << 63, (1 << 64) - 1, n, dtype=np.uint64),
+    }[kind]()
+    blocks = list(partition_input(data, 4)[0])
+    staged = _staged_leases(monkeypatch)
+    with ProcessBackend() as backend:
+        run = _assert_matches_oracle(backend, blocks)
+        assert (run.reports[0].local_sort_path == "through") == (kind == "float64 words")
+        assert backend.arena.view(staged[-1].input).tobytes() == data.tobytes()
+        del run
+
+
+def test_a_kill_after_the_in_place_pack_recovers_from_a_restaged_block():
+    # Rank 1 dies entering step 2, its block already packed over; the
+    # retry stages the caller's blocks afresh and sorts them again.
+    data = np.random.default_rng(14).integers(0, 1 << 40, 20_000).astype(np.int64)
+    blocks = list(partition_input(data, 4)[0])
+    retry = RetryPolicy(backoff_seconds=0.001, backoff_cap_seconds=0.01)
+    with ProcessBackend(faults=FaultPlan.from_spec("kill=1@2", seed=7), retry=retry) as backend:
+        run = _assert_matches_oracle(backend, blocks, ["through"] * 4)
+        assert run.retries == 1 and run.survivors is None
+        del run
 
 
 # ------------------------------------------------------------ observability
