@@ -4,7 +4,7 @@ Which of two things steps 1, 5 and 6 move is one decision per job, taken
 from its key frame (:func:`~repro.core.packsort.derive_key_frame` over
 every block's statistics, allgathered in step 1 on both substrates).
 Both substrates hand the frame, or ``None`` on a miss, to
-:func:`local_sort` with the codes they computed the statistics from, and
+:func:`local_sort` with the block and the buffer its words go to, and
 carry the :class:`DataPath` it returns:
 
 * the **word path** — the frame fits, and provenance rides inside the
@@ -17,8 +17,9 @@ carry the :class:`DataPath` it returns:
   rank's region of the word stream in place
   (:func:`~repro.core.packsort.sort_runs_in_place`: words from different
   ranks compare in the stable merge order, so no permutation exists to
-  apply) and unpacks once into the job's outputs, refilling the two lossy
-  float codes (±0.0, NaN payloads) from the job's input;
+  apply) and unpacks once into the job's outputs, refilling the keys the
+  two lossy float codes cannot give back (−0.0, NaN payloads) from the
+  job's input when the frame :attr:`~repro.core.packsort.KeyFrame.refills`;
 * **keys + perm** — the frame misses, or the codec has no code for the
   dtype: :func:`~repro.core.steps.sort_block` runs, keys and an int32
   permutation cross the exchange as two streams, and
@@ -79,7 +80,9 @@ class JobStorage(NamedTuple):
 
     #: Where each rank's block starts in ``input``, and where the last ends.
     block_starts: np.ndarray
-    #: The unsorted input, blocks back to back: the lossy codes' refill source.
+    #: The unsorted input, blocks back to back: a refilling frame's refill
+    #: source.  A pooled word-path rank whose frame refills nothing packs
+    #: its words over its own block here.
     input: Any
     keys: Any
     #: Origin index of each key (:data:`~repro.core.steps.INDEX_DTYPE`).
@@ -161,27 +164,23 @@ def local_sort(
     rank: int,
     block: np.ndarray,
     words: np.ndarray | None,
-    codes: np.ndarray | None,
 ) -> DataPath:
     """Step 1 on one rank: sort ``block``, and return the job's data path.
 
-    With a ``frame`` the block's ``codes`` — what the host's
-    :func:`~repro.core.packsort.code_and_stats` left for the frame's
-    statistics: the block itself for int keys — are packed into ``words``
+    With a ``frame`` the block's keys are coded and packed into ``words``
     (one word of the frame's dtype per key) and sorted there.  Where the
-    words live is the host's to say.  A pooled worker packs them in place
-    over the codes whenever a word is no wider than a code: an int key
-    rank over its staged slice of the job's ``input`` (which nothing reads
-    after step 1), a float key rank over its private int64 codes (the
-    input stays the refill source); only int64 words of narrower int keys
-    take a scratch lease.  The simulator never writes the caller's
-    blocks: int64 float words go over the codes in the job's arena, every
-    other word into an arena lease of its own.  Without a frame, keys +
-    perm, and the block is only read.
+    words live is the host's to say.  A pooled worker packs them over its
+    staged block, the rank's slice of the job's ``input``, whenever a word
+    is no wider than a key and the frame does not refill: nothing reads
+    that input again.  A refilling frame keeps it as the refill source,
+    and its words, like int64 words of narrower keys, take a scratch
+    lease.  The simulator never writes the caller's blocks: its words take
+    a lease of the job's arena.  Without a frame, keys + perm, and the
+    block is only read.
     """
     if frame is None:
         return _keys_perm_path(storage, block)
-    pack_words(codes, frame, rank, words).sort()
+    pack_words(block, frame, rank, words).sort()
     return _word_path(frame, storage, words)
 
 

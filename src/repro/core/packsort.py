@@ -5,18 +5,21 @@ data plane (steps 1 and 6 must keep provenance), but it is ~10x slower
 than ``np.sort`` on a rank block.  The same result is available from a
 vectorized sort of unique int32 or int64 words, in three stages:
 
-1. **Key codec** (:func:`code_and_stats`): map every key to an
-   integer *code* such that ``code(a) < code(b)`` exactly when ``a`` sorts
+1. **Key codec** (:func:`key_codes`): map every key to an integer
+   *code* such that ``code(a) < code(b)`` exactly when ``a`` sorts
    before ``b`` under the stable comparison, and equal-comparing keys share
    a code.  Signed and unsigned ints are their own code.  float32/float64
    reinterpret their sign-magnitude bits as two's complement
    (``where(bits < 0, -(bits & MAG), bits & MAG)``), which folds −0.0 and
    +0.0 into code 0 just as ``<`` does; every NaN, whatever its sign or
    payload, takes the one canonical quiet-NaN code above +inf, matching
-   the sort's "NaNs last, in input order".
+   the sort's "NaNs last, in input order".  No block's codes are ever
+   stored: :func:`block_stats` reads the statistics below straight off
+   the keys, and :func:`pack_words` codes each chunk on its way into the
+   words.
 2. **Key frame** (:func:`derive_key_frame`): from the
-   ``(code_min, code_max, code_or, len)`` of every participating block
-   (folded while it is coded) derive how the words are laid out —
+   ``(code_min, code_max, code_or, len, inexact)`` of every participating
+   block derive how the words are laid out —
 
        word = (code >> strip) << (rank_bits + idx_bits)
               | rank << idx_bits | index
@@ -37,13 +40,17 @@ vectorized sort of unique int32 or int64 words, in three stages:
    Origin index and rank unpack by mask and shift.  Integer keys are the
    word's high bits; float keys invert the codec (undo the strip; a
    negative code ``c`` becomes ``SIGN | -c``).  Two codes are **lossy**:
-   0 (−0.0 and +0.0) and the NaN code (every sign and payload).  In
-   sorted words each occupies one contiguous range, found by binary
-   search, and exactly those keys are refilled bit for bit from the
-   unsorted input through the provenance in the word — nothing else is
-   gathered.
+   0 (−0.0 and +0.0) and the NaN code (every sign and payload), but a
+   lossy code gives back +0.0 and the canonical quiet NaN, so only the
+   keys :func:`block_stats` counts as ``inexact`` — −0.0 and every other
+   NaN — need more.  A frame with one (:attr:`KeyFrame.refills`) refills
+   them: in sorted words each lossy code occupies one contiguous range,
+   found by binary search, and exactly those keys are refilled bit for
+   bit from the unsorted input through the provenance in the word —
+   nothing else is gathered.  Any other frame never reads the input
+   again once its words are packed, so they may go over it.
 
-Each of the three kernels — code + stats, pack, unpack — is one loop over
+Each of the three kernels — stats, pack, unpack — is one loop over
 chunks of :data:`CHUNK_KEYS` keys: all its elementwise operations and
 reductions run on a chunk while it is cache-resident, so a key crosses
 memory once per kernel however many numpy calls that takes.  Between the
@@ -69,8 +76,7 @@ Both substrates run the multi-block case, the *word path*, through
 :mod:`repro.core.datapath`: steps 2–4 read the sorted words, step 5 moves
 them, step 6 sorts the received runs in place (:func:`sort_runs_in_place`)
 and unpacks once.  Both allgather the frame's statistics in step 1, each
-rank coding its own block (the simulator into its job's arena,
-:meth:`repro.core.sorter.SortJob.code`).  The single-block case
+rank reading its own block.  The single-block case
 (``rank_bits = 0``), :func:`packed_stable_sort`, serves their keys + perm
 fallback in int64 words whatever the frame's width (its order output is
 int64): on a decline :func:`stable_sort_with_order` runs the plain
@@ -108,52 +114,83 @@ _RAMPS = {word: np.arange(CHUNK_KEYS, dtype=word) for word in WORD_DTYPES}
 
 
 def has_key_codec(dtype) -> bool:
-    """Whether :func:`code_and_stats` covers ``dtype`` at all."""
+    """Whether the codec (:func:`key_codes`) covers ``dtype`` at all."""
     dtype = np.dtype(dtype)
     if dtype.kind == "f":
         return dtype.itemsize in _FLOAT_LAYOUT and dtype.isnative
     return dtype.kind in "iu"
 
 
-def code_and_stats(
-    keys: np.ndarray, out: np.ndarray | None
-) -> tuple[np.ndarray, tuple[int, int, int, int]]:
-    """Kernel 1: ``(codes, (code_min, code_max, code_or, len))`` of one block.
+def key_codes(keys: np.ndarray) -> np.ndarray:
+    """The codes of ``keys``: int keys are their own, float keys get a
+    fresh array of their bits' width.  Other dtypes have no code: ask
+    :func:`has_key_codec` first."""
+    if keys.dtype.kind != "f":
+        return keys
+    int_t, inf_bits, nan_bits = _FLOAT_LAYOUT[keys.dtype.itemsize]
+    bits = keys.view(int_t)
+    magnitude = bits & np.iinfo(int_t).max
+    codes = np.where(bits < 0, -magnitude, magnitude)
+    codes[magnitude > inf_bits] = nan_bits
+    return codes
 
-    The codes are integers ordered and tied exactly like ``keys`` under a
-    stable sort; the statistics are the block's input to
-    :func:`derive_key_frame`, folded chunk by chunk while the codes are
-    cache-resident.  Int and uint keys are their own codes (``keys`` is
-    returned: one read, no write; ``out`` may be ``None``); native
-    float32/float64 codes are written to ``out``, an int64 buffer of the
-    block's length, and ``code_or`` is only folded for them (the
-    trailing-zero strip).  Other dtypes have no code: ask
-    :func:`has_key_codec` first.
+
+def block_stats(keys: np.ndarray) -> tuple[int, int, int, int, int]:
+    """Kernel 1: ``(code_min, code_max, code_or, len, inexact)`` of one block.
+
+    The block's input to :func:`derive_key_frame`, read chunk by chunk and
+    no code written.  Int and uint keys are their own codes: their min and
+    max, ``code_or = inexact = 0``.  For native float32/float64 keys
+    ``code_min``/``code_max`` are the codes of the extreme keys, and
+    ``code_or`` is the OR of the codes' magnitudes: only its trailing
+    zeros are read (the strip), and negation keeps them.  ``inexact``
+    counts the keys their code cannot give back — −0.0, and every NaN but
+    the canonical quiet one — which the frame's :attr:`KeyFrame.refills`
+    answers for.  Other dtypes have no code: ask :func:`has_key_codec`
+    first.
     """
-    dtype = keys.dtype
-    codes, is_float = keys, dtype.kind == "f"
-    if is_float:
-        int_t, inf_bits, nan_bits = _FLOAT_LAYOUT[dtype.itemsize]
-        bits, codes = keys.view(int_t), out
-    code_min = code_max = code_or = 0
-    for lo in range(0, len(keys), CHUNK_KEYS):
-        chunk = codes[lo : lo + CHUNK_KEYS]
-        if is_float:
-            raw = bits[lo : lo + CHUNK_KEYS]
-            sign = raw >> (8 * dtype.itemsize - 1)  # 0 for +x, -1 for -x
-            np.bitwise_and(raw, np.iinfo(int_t).max, out=chunk)  # magnitude
-            # Negate it where the sign bit was set: (m ^ -1) - (-1) = -m.
-            chunk ^= sign
-            chunk -= sign
-        chunk_min, chunk_max = int(chunk.min()), int(chunk.max())
-        if is_float:
-            if chunk_max > inf_bits or chunk_min < -inf_bits:
-                np.putmask(chunk, np.isnan(keys[lo : lo + CHUNK_KEYS]), nan_bits)
-                chunk_min, chunk_max = int(chunk.min()), nan_bits
-            code_or |= int(np.bitwise_or.reduce(chunk))
-        code_min = min(code_min, chunk_min) if lo else chunk_min
-        code_max = max(code_max, chunk_max) if lo else chunk_max
-    return codes, (code_min, code_max, code_or, len(keys))
+    n = len(keys)
+    if not n:
+        return 0, 0, 0, 0, 0
+    if keys.dtype.kind != "f":
+        return int(keys.min()), int(keys.max()), 0, n, 0
+    bits = keys.view(_FLOAT_LAYOUT[keys.dtype.itemsize][0])
+    lows, highs, ors, inexact = zip(
+        *(
+            _float_chunk_stats(keys[lo : lo + CHUNK_KEYS], bits[lo : lo + CHUNK_KEYS])
+            for lo in range(0, n, CHUNK_KEYS)
+        )
+    )
+    code_or = 0
+    for chunk_or in ors:
+        code_or |= chunk_or
+    return min(lows), max(highs), code_or, n, sum(inexact)
+
+
+def _float_chunk_stats(keys: np.ndarray, bits: np.ndarray) -> tuple[int, int, int, int]:
+    """``(code_min, code_max, code_or, inexact)`` of one nonempty chunk:
+    the codes of its float min and max, the OR of its magnitudes, and —
+    only when the OR of its bits shows a sign bit — a count of −0.0.  A
+    NaN min shows a NaN; only then are the NaNs picked out."""
+    int_t, _inf_bits, nan_bits = _FLOAT_LAYOUT[bits.itemsize]
+    low, high = keys.min(), keys.max()
+    if low == low:
+        code_or = int(np.bitwise_or.reduce(bits))
+        negative_zeros = np.count_nonzero(bits == np.iinfo(int_t).min) if code_or < 0 else 0
+        return _code_of(low), _code_of(high), code_or & np.iinfo(int_t).max, int(negative_zeros)
+    nan = np.isnan(keys)
+    inexact = int(np.count_nonzero(bits[nan] != nan_bits))
+    if nan.all():
+        return nan_bits, nan_bits, nan_bits, inexact
+    rest = ~nan
+    low, _high, code_or, rest_inexact = _float_chunk_stats(keys[rest], bits[rest])
+    return low, nan_bits, code_or | nan_bits, rest_inexact + inexact
+
+
+def _code_of(key: np.floating) -> int:
+    """The code of one non-NaN float key."""
+    bits = int(key.view(_FLOAT_LAYOUT[key.itemsize][0]))
+    return bits if bits >= 0 else -(bits + (1 << (8 * key.itemsize - 1)))  # -magnitude
 
 
 @dataclass(frozen=True)
@@ -182,6 +219,10 @@ class KeyFrame:
     has_negative: bool
     #: Some float key is a NaN: the top code is the canonical NaN code.
     has_nan: bool
+    #: Some block holds a key its code cannot give back (−0.0, a NaN other
+    #: than the canonical quiet one): only then are the lossy codes
+    #: refilled from the job's input.
+    refills: bool
 
     @property
     def shift(self) -> int:
@@ -196,7 +237,7 @@ class KeyFrame:
 
 
 def derive_key_frame(
-    block_stats: Sequence[tuple[int, int, int, int]], dtype, num_ranks: int
+    stats: Sequence[tuple[int, int, int, int, int]], dtype, num_ranks: int
 ) -> KeyFrame | None:
     """The job's key frame, or ``None`` when the words would not fit.
 
@@ -207,64 +248,93 @@ def derive_key_frame(
     shift)``.  At each width a float frame that fails the plain test
     strips the trailing zeros common to all codes (``ctz`` of the OR over
     every block) and tests again.  Empty blocks contribute no range.
+    ``stats`` are every block's :func:`block_stats`.
     """
     dtype = np.dtype(dtype)
-    live = [stats for stats in block_stats if stats[3]]
-    max_len = max((stats[3] for stats in live), default=0)
+    live = [block for block in stats if block[3]]
+    max_len = max((block[3] for block in live), default=0)
     idx_bits = max(max_len - 1, 0).bit_length()
     rank_bits = (num_ranks - 1).bit_length()
     shift = idx_bits + rank_bits
     # Conservative headroom: huge inputs would not profit anyway.
     if shift > 40:
         return None
-    lo = min((stats[0] for stats in live), default=0)
-    hi = max((stats[1] for stats in live), default=0)
+    lo = min((block[0] for block in live), default=0)
+    hi = max((block[1] for block in live), default=0)
     strips = [0]
     if dtype.kind == "f":
         # Float codes carry the mantissa's unused low bits as common
         # trailing zeros; dropping them is an exact, order-preserving shift.
         any_bit = 0
-        for stats in live:
-            any_bit |= stats[2]
+        for block in live:
+            any_bit |= block[2]
         if any_bit:
             strips.append((any_bit & -any_bit).bit_length() - 1)
     has_nan = dtype.kind == "f" and hi == _FLOAT_LAYOUT[dtype.itemsize][2]
+    refills = any(block[4] for block in live)
     for word in WORD_DTYPES:
         spare = 8 * word.itemsize - 2 - shift
         for strip in strips:
             if spare >= 0 and -(1 << spare) <= lo >> strip and hi >> strip < 1 << spare:
-                return KeyFrame(dtype, word, strip, idx_bits, rank_bits, lo < 0, has_nan)
+                return KeyFrame(dtype, word, strip, idx_bits, rank_bits, lo < 0, has_nan, refills)
     return None
 
 
 def pack_words(
-    codes: np.ndarray, frame: KeyFrame, rank: int, out: np.ndarray
+    keys: np.ndarray, frame: KeyFrame, rank: int, out: np.ndarray
 ) -> np.ndarray:
-    """Kernel 2: pack one block's codes into ``out``; sort it to sort the block.
+    """Kernel 2: pack one block's keys into ``out``; sort it to sort the block.
 
-    ``out`` holds one word per key in the frame's word dtype (a wider
-    buffer holds the same numbers).  It may be the codes' own memory
-    viewed as words (packed in place: float codes in the int64 buffer
-    :func:`code_and_stats` was handed, or a pooled worker's int keys,
-    their own codes), as long as it starts where the codes do.  A word no
-    wider than its code then never lands past the code it replaces, so no
-    chunk overwrites a later chunk's codes; a narrower word's first chunk
-    overlaps its own codes, and numpy's ufuncs copy an input that
-    overlaps their output before writing.  Otherwise the codes are only
-    read.
+    Float keys are coded chunk by chunk on the way (int keys are their own
+    codes), so no block-sized codes buffer exists.  ``out`` holds one word
+    per key in the frame's word dtype (a wider buffer holds the same
+    numbers).  It may be the keys' own memory viewed as words (packed in
+    place: a pooled worker's staged block), as long as it starts where the
+    keys do and a word is no wider than a key.  A word then never lands
+    past the key it replaces, so no chunk overwrites a later chunk's keys;
+    a narrower word's first chunk overlaps its own keys, which are read
+    (into the chunk's scratch, or copied by numpy's ufuncs, which copy an
+    input that overlaps their output) before it is written.  Otherwise the
+    keys are only read.
     """
     tag, word = rank << frame.idx_bits, frame.word_dtype
     ramp = _RAMPS[word]
-    for lo in range(0, len(codes), CHUNK_KEYS):
+    # Every code has ``strip`` trailing zeros, so ``(code >> strip) <<
+    # shift`` is one exact shift, and so is the magnitude's.
+    up = frame.shift - frame.strip
+    codes, signed = keys, False
+    if frame.dtype.kind == "f":
+        int_t, inf_bits, nan_bits = _FLOAT_LAYOUT[frame.dtype.itemsize]
+        # Without a sign bit or a NaN but the canonical one, a float key's
+        # code is its bit pattern: a frame with no negative code and no
+        # inexact key has neither.
+        codes, signed = keys.view(int_t), frame.has_negative or frame.refills
+        if signed:
+            magnitudes = np.empty(min(len(keys), CHUNK_KEYS), int_t)
+            signs = np.empty_like(magnitudes)
+            sign_bit, magnitude_bits = 8 * magnitudes.itemsize - 1, np.iinfo(int_t).max
+            if frame.has_nan:
+                nan_word = word.type((nan_bits >> frame.strip) << frame.shift)
+    for lo in range(0, len(keys), CHUNK_KEYS):
         chunk = out[lo : lo + CHUNK_KEYS]
-        if frame.strip:
-            # Shifted at the codes' own int64 width; the stored code fits.
-            np.right_shift(codes[lo : lo + CHUNK_KEYS], frame.strip, out=chunk)
-            chunk <<= frame.shift
+        source = codes[lo : lo + CHUNK_KEYS]
+        if signed:
+            sign = np.right_shift(source, sign_bit, out=signs[: len(chunk)])  # 0 for +x, -1 for -x
+            source = np.bitwise_and(source, magnitude_bits, out=magnitudes[: len(chunk)])
+            nan = source > inf_bits if frame.has_nan else None
+        if up >= 0:
+            # Shifted in the word's dtype, so a narrow code (int8) cannot
+            # overflow its own width; a wider code casts down exactly.
+            np.left_shift(source, up, out=chunk, dtype=word)
         else:
-            # Cast to the word first, so a narrow code (int8) cannot
-            # overflow its own width in the shift.
-            np.left_shift(codes[lo : lo + CHUNK_KEYS], frame.shift, out=chunk, dtype=word)
+            np.right_shift(source, -up, out=chunk)
+        if signed:
+            # Negate it where the sign bit was set, (w ^ -1) - (-1) = -w:
+            # exact after the shift, whose low bits are zero.
+            chunk ^= sign
+            chunk -= sign
+            if nan is not None:
+                np.putmask(chunk, nan, nan_word)  # every NaN: the canonical code
         # The low ``shift`` bits of a shifted code are zero and chunk bases
         # are multiples of the ramp's power-of-two length, so OR-ing index,
         # base and rank tag is an exact add; two's-complement shifts keep
@@ -311,16 +381,18 @@ def unpack_words(
 
     One read of the words per chunk yields all three.  Two float codes are
     lossy — 0 (−0.0 and +0.0) and the canonical NaN code (every sign and
-    payload) — and since the words are sorted their positions are two
-    contiguous ranges: those keys are refilled bit for bit from ``source``
-    (the unsorted input) at ``block_starts[rank] + index``; the number
-    refilled is returned.  ``keys_out`` or ``index_out`` may be ``words``
-    itself — int64 words of 8-byte keys decode their keys in place, int32
-    words their index, in both cases chunk by chunk and last; the refill
-    positions are read before any word is overwritten.
+    payload) — and when the frame :attr:`~KeyFrame.refills`, since the
+    words are sorted their positions are two contiguous ranges: those keys
+    are refilled bit for bit from ``source`` (the unsorted input) at
+    ``block_starts[rank] + index``; the number refilled is returned.  Any
+    other frame decodes them exactly and never reads ``source``.
+    ``keys_out`` or ``index_out`` may be ``words`` itself — int64 words of
+    8-byte keys decode their keys in place, int32 words their index, in
+    both cases chunk by chunk and last; the refill positions are read
+    before any word is overwritten.
     """
     refills = []
-    if frame.dtype.kind == "f":
+    if frame.refills:
         # Bounds in the words' dtype, so numpy never upcasts the words.
         zero = np.array([0, 1 << frame.shift], dtype=words.dtype)
         lossy_ranges = [words.searchsorted(zero)]
@@ -362,7 +434,8 @@ class SortedWords:
     words: np.ndarray
     frame: KeyFrame
     #: The unsorted input and each rank's offset in it, as for
-    #: :func:`unpack_words`: lossy codes are refilled from there.
+    #: :func:`unpack_words`: lossy codes are refilled from there when the
+    #: frame refills, and it is never read otherwise.
     source: np.ndarray
     block_starts: np.ndarray
 
@@ -379,7 +452,7 @@ class SortedWords:
         picked = self.words.take(positions)
         keys = np.empty(len(picked), dtype=frame.dtype)
         _decode_keys(picked, frame, keys)
-        if frame.dtype.kind == "f":
+        if frame.refills:
             stored = picked >> frame.shift
             lossy = stored == 0
             if frame.has_nan:
@@ -403,9 +476,7 @@ class SortedWords:
         three numpy calls per probe, not ten.
         """
         frame = self.frame
-        codes = np.asarray(needles, dtype=frame.dtype)
-        if frame.dtype.kind == "f":
-            codes = code_and_stats(codes, np.empty(len(codes), dtype=np.int64))[0]
+        codes = key_codes(np.asarray(needles, dtype=frame.dtype))
         limit, before = frame.code_limit, side == "left"
         bounds = [
             min(max((code - before >> frame.strip) + 1, -limit), limit) << frame.shift
@@ -460,12 +531,11 @@ def packed_stable_sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None
     n = len(keys)
     if n < 2 or not has_key_codec(keys.dtype):
         return None
-    words = np.empty(n, dtype=np.int64)
-    codes, stats = code_and_stats(keys, words)
-    frame = derive_key_frame([stats], keys.dtype, 1)
+    frame = derive_key_frame([block_stats(keys)], keys.dtype, 1)
     if frame is None:
         return None
-    pack_words(codes, frame, 0, words).sort()
+    words = np.empty(n, dtype=np.int64)
+    pack_words(keys, frame, 0, words).sort()
     sorted_keys = np.empty(n, dtype=keys.dtype)
     unpack_words(words, frame, keys, _ONE_BLOCK, sorted_keys, words)
     return sorted_keys, words

@@ -16,19 +16,19 @@ arenas.
 Leases are views of shared storage: anything that outlives the arena cycle
 (returned keys, stored provenance) must be a fresh array, never a lease —
 the next run that checks the arena out writes over it.  They have one
-lifetime, the job's: a simulated job
-(:class:`~repro.core.sorter.SortJob`) leases its float keys' int64 codes,
-its step-1 words (int32 or int64, as its key frame says; int64 float
-words are the codes), its int64 word stream when keys are narrower than
-8 bytes, and for float keys the refill source, from one arena checked
-out at the first rank's step-1 coding through the run's
-:class:`~repro.pgxd.runtime.KernelPool` and checked in once every rank's
-step-6 kernel finished.  Peers read a job's sends from that job's
-storage, so a slow rank in ``sort_multi`` can never see the next job's
-words.  A pooled worker's private arena holds its step-1 float codes, with
-the words packed over them, for one job at a time, too; int keys' words
-go over their staged input, save int64 words of keys narrower than 8
-bytes, which the arena serves.
+lifetime, the job's: a simulated word-path job
+(:class:`~repro.core.sorter.SortJob`) leases its step-1 words (int32 or
+int64, as its key frame says), its int64 word stream when keys are
+narrower than 8 bytes, and, only when its frame refills, a copy of the
+input, from one arena checked out at the first rank's step-1 sort
+through the run's :class:`~repro.pgxd.runtime.KernelPool` and checked in
+once every rank's step-6 kernel finished; a frame miss leases nothing.
+Peers read a job's sends from that job's storage, so a slow rank in
+``sort_multi`` can never see the next job's words.  A pooled worker's
+words go over its staged input whenever a word is no wider than a key
+and the frame does not refill; its private arena serves the rest — a
+refilling frame's words and int64 words of keys narrower than 8 bytes —
+for one job at a time, too.
 """
 
 from __future__ import annotations

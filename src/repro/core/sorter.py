@@ -5,8 +5,8 @@ The steps are written once, in :func:`repro.core.program.six_steps`;
 :class:`_OnMachine`, which serves each step from the machine and the
 job's shared :class:`SortJob`:
 
-1. **Local sort** — every rank codes its block and the ranks allgather the
-   key frame's statistics (:mod:`repro.core.packsort`); then parallel
+1. **Local sort** — every rank reads its block's statistics and the ranks
+   allgather them for the key frame (:mod:`repro.core.packsort`); then parallel
    quicksort across worker threads, combined by the balanced-merge handler
    (charged by :mod:`repro.core.local_sort`).
 2. **Sampling** — regular samples (256KB/p bytes) are sent to the Master.
@@ -55,10 +55,10 @@ from ..pgxd.runtime import Machine
 from ..simnet.calls import Mark, Now
 from ..simnet.collectives import allgather, bcast, gather
 from .balanced_merge import merge_levels, merge_levels_cost_seconds
-from .datapath import OUTPUT_ROLES, WORD_DTYPE, DataPath, lay_out, surfaced_sort_path
+from .datapath import OUTPUT_ROLES, DataPath, lay_out, surfaced_sort_path
 from .exchange import ExchangeResult, exchange_partitions
 from .local_sort import local_sort_seconds
-from .packsort import code_and_stats, has_key_codec
+from .packsort import block_stats, has_key_codec
 from .program import MASTER, six_steps
 from .provenance import Provenance
 from .sorter_labels import STEP_LABELS
@@ -100,27 +100,26 @@ class RankSortOutput:
 class SortJob:
     """One simulated job: what its ranks share, and the storage it owns.
 
-    The job's storage comes from one warm arena of the run's pool,
-    checked out at the first rank's step-1 :meth:`code` (a dtype the
-    codec covers): each rank codes its own block there for the frame's
-    statistics — int keys are their own codes (one read, no write), float
-    keys are coded into the job's int64 ``codes``, each rank's at its
-    input offset.  The job's :class:`~repro.core.datapath.JobStorage` is
-    laid out at its first step-1 :meth:`sort`, under the frame the
-    program derived: the outputs fresh, since the results own them, and
-    on the word path everything else from the arena — each rank's step-1
-    words at its input offset, as wide as the frame says (int64 float
-    words packed in place over the codes), the int64 word stream when
-    keys are narrower than 8 bytes, and for float keys the input the
-    lossy codes refill from.  The kernels that fill it run as two batches
-    on the run's threads, every rank's step 1 and every rank's step 6;
-    the arena goes back once the second finished.
+    Each rank reads its block's statistics straight off the caller's
+    block (:func:`~repro.core.packsort.block_stats`); nothing is coded
+    before the frame is known.  The job's
+    :class:`~repro.core.datapath.JobStorage` is laid out at its first
+    step-1 :meth:`sort`, under the frame the program derived: the outputs
+    fresh, since the results own them, and on the word path everything
+    else from one warm arena of the run's pool, checked out there — each
+    rank's step-1 words at its input offset, as wide as the frame says
+    and coded on the fly from the caller's block, the int64 word stream
+    when keys are narrower than 8 bytes, and, only for a frame that
+    refills, a copy of the input the lossy codes refill from.  A frame
+    miss takes no arena.  The kernels that fill the storage run as two
+    batches on the run's threads, every rank's step 1 and every rank's
+    step 6; the arena goes back once the second finished.
     """
 
     def __init__(self, blocks: Sequence[np.ndarray]):
         self.blocks = blocks
         self.block_starts = np.cumsum([0, *map(len, blocks)], dtype=np.int64)
-        self.frame = self.storage = self.arena = self.words = self.codes = self.paths = None
+        self.frame = self.storage = self.arena = self.words = self.paths = None
         self.merges: list = []
         self.charges: dict[tuple, float] = {}
 
@@ -132,47 +131,35 @@ class SortJob:
             return np.empty(n, dtype)
         if (
             self.frame is None
-            or (role == "input" and dtype.kind != "f")
+            or (role == "input" and not self.frame.refills)
             or (role == "words" and dtype != self.frame.word_dtype)
         ):
-            # Unread: off the word path, int keys' refill source, or the
-            # int64 stream of a job whose words are int32.
+            # Unread: off the word path, the refill source of a frame that
+            # refills nothing, or the int64 stream of a job whose words are
+            # int32.
             return np.empty(0, dtype)
         return self.arena.take(n, dtype)
 
-    def _draw(self, frame) -> None:
+    def _draw(self, machine: Machine, frame) -> None:
         dtype, n = self.blocks[0].dtype, int(self.block_starts[-1])
         self.frame = frame
         if frame is not None:
-            in_place = self.codes is not None and frame.word_dtype == WORD_DTYPE
-            self.words = self.codes if in_place else self.arena.take(n, frame.word_dtype)
+            self.arena = machine.kernels.checkout()
+            self.words = self.arena.take(n, frame.word_dtype)
         self.storage = lay_out(self.block_starts, dtype, self._take, np.ndarray.view)
         if len(self.storage.input):
             np.concatenate(self.blocks, out=self.storage.input)
 
-    def code(self, machine: Machine, block: np.ndarray) -> tuple[int, int, int, int]:
-        """One rank's block coded for the frame's statistics
-        (:func:`~repro.core.packsort.code_and_stats`); the first rank's
-        call checks the job's arena out, and leases the float codes."""
-        if self.arena is None:
-            self.arena = machine.kernels.checkout()
-            if block.dtype.kind == "f":
-                self.codes = self.arena.take(int(self.block_starts[-1]), WORD_DTYPE)
-        codes = None if self.codes is None else self.codes[self._span(machine.rank)]
-        return code_and_stats(block, codes)[1]
-
     def sort(self, machine: Machine, kernel, frame) -> DataPath:
         """Step 1's ``kernel`` on one rank; the first rank's call runs every
-        rank's, as one batch, each over the codes its :meth:`code` left."""
+        rank's, as one batch, each packing its block into its words."""
         if self.storage is None:
-            self._draw(frame)
+            self._draw(machine, frame)
             kernels = []
             for rank, block in enumerate(self.blocks):
-                span = self._span(rank)
                 block = np.ascontiguousarray(block)
-                words = None if self.words is None else self.words[span]
-                codes = block if self.codes is None else self.codes[span]
-                kernels.append(partial(kernel, frame, self.storage, rank, block, words, codes))
+                words = None if self.words is None else self.words[self._span(rank)]
+                kernels.append(partial(kernel, frame, self.storage, rank, block, words))
             self.paths = machine.kernels.batch(kernels)
         assert frame == self.frame, "every rank derives the job's frame"
         return self.paths[machine.rank]
@@ -248,13 +235,13 @@ class _OnMachine:
         return machine.compute(seconds, STEP_LABELS[step])
 
     def frame_stats(self, block: np.ndarray):
-        """The rank codes its block and allgathers the statistics, four
+        """The rank reads its block's statistics and allgathers them, five
         8-byte words per rank, as the pool does; a dtype with no codec
         posts nothing."""
         if not has_key_codec(block.dtype):
             return None
         word = np.uint64 if block.dtype.kind == "u" else np.int64  # a uint64 code may be ≥ 2^63
-        stats = np.array(self.job.code(self.machine, block), word)
+        stats = np.array(block_stats(block), word)
         gathered = yield allgather(self.machine.proc, stats)
         return [rank_stats.tolist() for rank_stats in gathered]
 

@@ -11,22 +11,23 @@ This module is the pool's binding of the one sort program
 :class:`_Job` serves its steps — a step edge is the step clock, the
 fault plan's kills and stragglers, the heartbeat and a ShmSan flush;
 collectives are pipe calls; step 1 sorts inline, in words packed over
-the block's codes; step 5 writes shared memory — so the produced
-partitions are **bit-identical** to the simulator's and to the reference
-backend's.  *What* is sorted, exchanged and merged — packed words, or
+the staged block where they may go; step 5 writes shared memory — so the
+produced partitions are **bit-identical** to the simulator's and to the
+reference backend's.  *What* is sorted, exchanged and merged — packed words, or
 keys + perm — is the job's :class:`~repro.core.datapath.DataPath`,
 chosen once in step 1; *where* every (src, dst) run lands in shared
 memory is :mod:`repro.parallel.layout`'s to say.  A worker writes the
-input in one place: an int-key word-path rank packs and sorts its words
-over its own staged block, which nothing reads after step 1 (float keys
-are coded privately, the input staying their refill source).
+input in one place: a word-path rank whose frame does not refill packs
+and sorts its words over its own staged block, which nothing reads after
+step 1 (a refilling frame keeps the input as its refill source).
 
 Control plane (pickled over one pipe per rank, via the hub in
 :mod:`repro.parallel.collectives`): the sample gather (or the splitter
 cache probe of :mod:`repro.parallel.splitter_cache`), the splitter
 broadcast, the counts allgather, and the pre/post-exchange barriers —
 bytes proportional to ``p``, never to ``n``; the word path adds one
-allgather of four integers per rank, timed and waited inside step 1.
+allgather of five integers per rank (the block's statistics), timed and
+waited inside step 1.
 
 Timing here is *wall-clock* (``time.perf_counter``), which is the whole
 point of this backend; the simulated path keeps its virtual clock.
@@ -56,8 +57,8 @@ from multiprocessing.connection import Connection
 import numpy as np
 
 from ..checks.hb import KEYS_AND_PERM
-from ..core.datapath import THROUGH, WORD_DTYPE, DataPath, JobStorage
-from ..core.packsort import code_and_stats
+from ..core.datapath import THROUGH, DataPath, JobStorage
+from ..core.packsort import block_stats
 from ..core.program import MASTER, RankSteps, six_steps
 from ..core.scratch import ScratchArena
 from ..core.sorter import STEP_LABELS, SortOptions
@@ -199,8 +200,6 @@ class _Job:
         self.mutation = plan.mutate if rank == plan.mutate_rank else None
         #: Clock reads at the step edges: ``marks[i]`` opens step ``i + 1``.
         self.marks: list[float] = []
-        #: The block's codes, coded for the frame's statistics.
-        self.codes: np.ndarray | None = None
         self.tracer: WorkerTracer | None = None
         if plan.trace:
             # Clock-offset handshake: align this process's perf_counter with
@@ -284,35 +283,32 @@ class _Job:
         """Nothing to charge: the wall clock measures the step."""
 
     def frame_stats(self, block: np.ndarray) -> list | None:
-        """Float keys are coded into a warm int64 lease, int keys are their
-        own codes; one allgather of four integers per rank, inside step 1."""
+        """The block's statistics, read without writing a code; one
+        allgather of five integers per rank, inside step 1."""
         if self.views.words is None:
             return None
-        coded = self.scratch.take(len(block), WORD_DTYPE) if block.dtype.kind == "f" else None
-        self.codes, stats = code_and_stats(block, coded)
-        return self.link.allgather(stats)
+        return self.link.allgather(block_stats(block))
 
     def sort(self, kernel, frame, block: np.ndarray) -> DataPath:
         """Step 1, inline.  The words, as wide as the frame says, are packed
-        in place over the codes when no wider than a code: int keys' codes
-        are the rank's staged slice of the input lease, which nothing reads
-        after step 1, so they are sorted where the driver staged them
-        (int32 words over 8-byte keys take the slice's first half); float
-        keys' are the private int64 lease of :meth:`frame_stats`, because
-        the input stays their refill source.  Only words wider than their
-        codes (int64 words of narrow int keys) come from the worker's warm
-        scratch pool — fresh pages per job would be the op's largest
-        page-fault bill."""
-        words, codes = None, self.codes
+        over the rank's staged slice of the input lease whenever a word is
+        no wider than a key and the frame does not refill: nothing reads
+        the input after step 1 then, so the block is sorted where the
+        driver staged it (int32 words over 8-byte keys take the slice's
+        first half).  A refilling frame's words, and int64 words of narrow
+        keys, come from the worker's warm scratch pool, which leaves the
+        staged input intact — the refill source — and fresh pages per job
+        would be the op's largest page-fault bill."""
+        words = None
         if frame is not None:
             word = frame.word_dtype
-            if word.itemsize > codes.dtype.itemsize:
+            if word.itemsize > block.itemsize or frame.refills:
                 words = self.scratch.take(len(block), word)
             else:
-                words = codes.view(word)[: len(codes)]
-                if codes is block and self.recorder is not None:
+                words = block.view(word)[: len(block)]
+                if self.recorder is not None:
                     self._record_pack(len(words), word)
-        return kernel(frame, self.views, self.rank, block, words, codes)
+        return kernel(frame, self.views, self.rank, block, words)
 
     def _record_pack(self, count: int, word: np.dtype) -> None:
         """Log step 1's pack: ``count`` words over the rank's staged block."""

@@ -45,7 +45,7 @@ def run_exchange(per_rank_keys, splitters, config=None):
     storage = lay_out(bounds, blocks[0].dtype, lambda _r, n, dt: np.empty(n, dt), np.ndarray.view)
 
     def program(proc):
-        path = local_sort(None, storage, proc.rank, blocks[proc.rank], None, None)
+        path = local_sort(None, storage, proc.rank, blocks[proc.rank], None)
         # Distinct splitters, each sampled once: Figure 3a's cuts.
         part = partition_block(path.sorted_block, splitter_array(splitters, 1, 1), size, proc.rank, True)
         result = yield from exchange_partitions(proc, path, part, config)

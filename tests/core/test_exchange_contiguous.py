@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import exchange_partitions
 from repro.core.datapath import THROUGH, lay_out, local_sort
-from repro.core.packsort import code_and_stats, derive_key_frame
+from repro.core.packsort import block_stats, derive_key_frame
 from repro.core.splitters import splitter_array
 from repro.core.steps import partition_block
 from repro.pgxd import PgxdConfig
@@ -27,7 +27,7 @@ def run_exchange(per_rank_keys, splitters, frame=None, storage=None):
     def program(proc):
         block = blocks[proc.rank]
         words = None if frame is None else np.empty(len(block), frame.word_dtype)
-        path = local_sort(frame, storage, proc.rank, block, words, block)  # int keys: their own codes
+        path = local_sort(frame, storage, proc.rank, block, words)
         # Distinct splitters, each sampled once: Figure 3a's cuts.
         part = partition_block(path.sorted_block, splitter_array(splitters, 1, 1), size, proc.rank, True)
         result = yield from exchange_partitions(proc, path, part, config)
@@ -99,7 +99,7 @@ class TestContiguousReassembly:
         per_rank = [rng.integers(0, 100, 90) for _ in range(3)]
         frame = None
         if frame_fits:
-            stats = [code_and_stats(keys, None)[1] for keys in per_rank]
+            stats = [block_stats(keys) for keys in per_rank]
             frame = derive_key_frame(stats, per_rank[0].dtype, len(per_rank))
         bounds = np.cumsum([0, *map(len, per_rank)])
         storage = lay_out(bounds, np.int64, lambda _r, n, dt: np.full(n, -1, dt), np.ndarray.view)

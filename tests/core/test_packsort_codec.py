@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from repro.core import packsort
 from repro.core.packsort import (
     SortedWords,
-    code_and_stats,
+    block_stats,
     derive_key_frame,
+    key_codes,
     pack_words,
     packed_stable_sort,
     stable_sort_with_order,
@@ -56,14 +57,36 @@ def _assert_none_or_stable(keys):
 
 
 def _code(keys):
-    """Kernel 1 on a buffer of the block's own: ``(codes, stats)``."""
-    return code_and_stats(keys, np.empty(len(keys), dtype=np.int64))
+    """The codec and kernel 1 on one block: ``(codes, stats)``."""
+    return key_codes(keys), block_stats(keys)
+
+
+def _reference_inexact(keys):
+    """Keys their code cannot give back, counted in NumPy: −0.0 and every
+    NaN but the canonical quiet one."""
+    if keys.dtype.kind != "f":
+        return 0
+    uint_t, sign = FLOAT_BITS[keys.dtype.type][:2]
+    canonical = int(np.array(np.nan, keys.dtype).view(uint_t))
+    bits = keys.view(uint_t)
+    return int(np.count_nonzero((bits == sign) | (np.isnan(keys) & (bits != canonical))))
+
+
+def _magnitude_or(codes):
+    """The OR of the codes' magnitudes: the statistic the strip reads."""
+    any_bit = 0
+    for code in codes:
+        any_bit |= abs(int(code))
+    return any_bit
 
 
 def _assert_codec_laws(keys):
     codes, stats = _code(keys)
     assert codes.dtype.kind in "iu"
     assert stats[:2] == (int(codes.min()), int(codes.max())) and stats[3] == len(keys)
+    is_float = keys.dtype.kind == "f"
+    assert stats[2] == (_magnitude_or(codes.tolist()) if is_float else 0)
+    assert stats[4] == _reference_inexact(keys)
     lt = keys[:, None] < keys[None, :]
     eq = keys[:, None] == keys[None, :]
     assert (codes[:, None] < codes[None, :])[lt].all()  # a < b  =>  code(a) < code(b)
@@ -278,14 +301,19 @@ def _assert_word_laws(blocks):
     dtype = np.dtype(blocks[0].dtype)
     is_float = dtype.kind == "f"
     buffers = [np.empty(len(block), dtype=np.int64) for block in blocks]
-    coded = [code_and_stats(block, out) for block, out in zip(blocks, buffers)]
-    frame = derive_key_frame([stats for _codes, stats in coded], dtype, len(blocks))
+    frame = derive_key_frame([block_stats(block) for block in blocks], dtype, len(blocks))
     if frame is None:
         return False
-    for rank, ((codes, _stats), out) in enumerate(zip(coded, buffers)):
-        assert pack_words(codes, frame, rank, out) is out  # always in the caller's buffer
-        if not is_float:
-            assert codes is blocks[rank]  # int keys are their own codes, never written
+    assert frame.refills == any(_reference_inexact(block) for block in blocks)
+    for rank, (block, out) in enumerate(zip(blocks, buffers)):
+        kept = block.tobytes()
+        assert pack_words(block, frame, rank, out) is out  # always in the caller's buffer
+        assert block.tobytes() == kept  # the keys are only read
+        if frame.word_dtype.itemsize <= dtype.itemsize:
+            # Packed over the keys themselves, the words are the same.
+            staged = block.copy()
+            in_place = pack_words(staged, frame, rank, staged.view(frame.word_dtype)[: len(block)])
+            assert in_place.tolist() == out.tolist()
     words = np.concatenate(buffers)
     assert len(set(words.tolist())) == len(words)  # unique: sort kind is unobservable
     words.sort()
@@ -296,7 +324,8 @@ def _assert_word_laws(blocks):
     index = np.empty(len(words), dtype=np.int32)
     proc = np.empty(len(words), dtype=np.int16)
 
-    # Decoded against a poisoned source, only the lossy codes may differ ...
+    # Decoded against a poisoned source, only the lossy codes may differ,
+    # and only when the frame refills them; any other frame is exact ...
     poison = np.full(len(source), 1.5 if is_float else 1, dtype=dtype)
     decoded = np.empty(len(words), dtype=dtype)
     refilled = unpack_words(words.copy(), frame, poison, starts, decoded, index, proc)
@@ -305,6 +334,7 @@ def _assert_word_laws(blocks):
     as_bytes = (len(words), dtype.itemsize)
     same = decoded.view(np.uint8).reshape(as_bytes) == expected.view(np.uint8).reshape(as_bytes)
     lossy = (expected == 0) | (expected != expected) if is_float else np.zeros(len(words), bool)
+    lossy &= frame.refills
     np.testing.assert_array_equal(~same.all(axis=1), lossy)
     assert refilled == lossy.sum()
     # ... and against the real one, in place for 8-byte keys, nothing does.
@@ -344,7 +374,8 @@ def test_seeded_float_cases_fit_the_frame_on_three_ranks(dtype):
 def test_frame_fits_the_pool_workload_shapes():
     """``(lo, hi, or, max block len)`` of the ledger's pooled workloads, p = 2."""
     rng = np.random.default_rng(3)
-    lo, hi, any_bit, _ = _code(np.floor(rng.exponential(2000.0, 20_000)))[1]
+    lo, hi, any_bit, _, inexact = _code(np.floor(rng.exponential(2000.0, 20_000)))[1]
+    assert inexact == 0  # floor(Exp) holds +0.0 but never -0.0: nothing to refill
     shapes = {
         # Uniform [0, 2^40) at 2M keys/rank on 2 ranks: 21 index bits + 1
         # rank bit leave limit = 2^40, so this fits by exactly one value.
@@ -354,24 +385,68 @@ def test_frame_fits_the_pool_workload_shapes():
         "small_stream duplicate-heavy": (np.int64, 0, 999, 0, 60_000),
     }
     for name, (dtype, lo, hi, any_bit, max_len) in shapes.items():
-        stats = [(lo, hi, any_bit, max_len), (lo, hi, any_bit, max_len - 1)]
+        stats = [(lo, hi, any_bit, max_len, 0), (lo, hi, any_bit, max_len - 1, 0)]
         frame = derive_key_frame(stats, dtype, 2)
         assert frame is not None, name
         assert frame.rank_bits == 1 and frame.idx_bits == (max_len - 1).bit_length()
-    one_more = [(0, 1 << 40, 0, 2_000_000)] * 2
+        assert not frame.refills, name
+    one_more = [(0, 1 << 40, 0, 2_000_000, 0)] * 2
     assert derive_key_frame(one_more, np.int64, 2) is None
     assert derive_key_frame(one_more, np.int64, 1) is not None  # no rank bit: fits again
     assert shapes["big_fallback"][1] == 0 and derive_key_frame(
-        [shapes["big_fallback"][1:]] * 2, np.float64, 2
+        [(*shapes["big_fallback"][1:], 0)] * 2, np.float64, 2
     ).strip >= 37  # integral values below 2^15 leave the low mantissa zero
 
 
 def test_frame_ignores_empty_blocks_and_takes_the_longest():
-    frame = derive_key_frame([(0, 0, 0, 0), (-5, 9, 0, 3), (2, 2, 0, 1)], np.int32, 3)
+    frame = derive_key_frame([(0, 0, 0, 0, 0), (-5, 9, 0, 3, 0), (2, 2, 0, 1, 0)], np.int32, 3)
     assert (frame.idx_bits, frame.rank_bits, frame.strip) == (2, 2, 0)
-    assert frame.has_negative and not frame.has_nan
-    empty = derive_key_frame([(0, 0, 0, 0)] * 2, np.float64, 2)
+    assert frame.has_negative and not frame.has_nan and not frame.refills
+    empty = derive_key_frame([(0, 0, 0, 0, 0)] * 2, np.float64, 2)
     assert (empty.idx_bits, empty.rank_bits, empty.has_negative) == (0, 1, False)
+    assert not empty.refills
+
+
+def test_frame_refills_when_one_block_holds_an_inexact_key():
+    exact = (0, 1 << 52, 1 << 52, 5, 0)
+    assert not derive_key_frame([exact] * 3, np.float64, 3).refills
+    assert derive_key_frame([exact, exact, (0, 1 << 52, 1 << 52, 5, 1)], np.float64, 3).refills
+
+
+class _Untouchable(np.ndarray):
+    """A refill source that fails any read: an exact frame must not read it."""
+
+    def __getitem__(self, item):
+        raise AssertionError("an exact frame read its refill source")
+
+    take = __getitem__
+
+
+@pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+@pytest.mark.parametrize("p", [1, 3])
+def test_exact_frames_decode_bit_exact_without_reading_the_source(monkeypatch, dtype, p):
+    # +0.0, the canonical NaN and ±inf: lossy codes that give their keys
+    # back, across chunk boundaries, on every rank.
+    monkeypatch.setattr(packsort, "CHUNK_KEYS", 8)
+    keys = np.array([3.0, 0.0, np.nan, -5.0, np.inf, 0.0, -np.inf, np.nan, 7.0] * 5, dtype=dtype)
+    blocks = np.array_split(keys, p)
+    frame = derive_key_frame([block_stats(block) for block in blocks], dtype, p)
+    assert frame.has_nan and not frame.refills
+    words = np.concatenate(
+        [pack_words(block, frame, rank, np.empty(len(block), np.int64)) for rank, block in enumerate(blocks)]
+    )
+    words.sort()
+    starts = np.cumsum([0] + [len(block) for block in blocks])
+    untouchable = np.full(len(keys), 1.5, dtype=dtype).view(_Untouchable)
+    order = keys.argsort(kind="stable")
+    assert SortedWords(words, frame, untouchable, starts).take(np.arange(len(keys))).tobytes() == (
+        keys[order].tobytes()
+    )
+    decoded = np.empty(len(keys), dtype=dtype)
+    index, proc = np.empty(len(keys), np.int32), np.empty(len(keys), np.int16)
+    assert unpack_words(words, frame, untouchable, starts, decoded, index, proc) == 0
+    assert decoded.tobytes() == keys[order].tobytes()
+    np.testing.assert_array_equal(starts[proc] + index, order)
 
 
 # ---------------------------------------------------- the word's width
@@ -422,12 +497,11 @@ def _through_int32_words(blocks):
     sends one destination everything), sort them in place and unpack,
     the index in place over the words.  Returns ``(keys, index, proc)``."""
     dtype = blocks[0].dtype
-    coded = [code_and_stats(block, np.empty(len(block), dtype=np.int64)) for block in blocks]
-    frame = derive_key_frame([stats for _codes, stats in coded], dtype, len(blocks))
+    frame = derive_key_frame([block_stats(block) for block in blocks], dtype, len(blocks))
     assert frame.word_dtype == np.int32
     runs = [
-        np.sort(pack_words(codes, frame, rank, np.empty(len(codes), dtype=np.int32)))
-        for rank, (codes, _stats) in enumerate(coded)
+        np.sort(pack_words(block, frame, rank, np.empty(len(block), dtype=np.int32)))
+        for rank, block in enumerate(blocks)
     ]
     stream = np.concatenate(runs)
     packsort.sort_runs_in_place(stream, [len(run) for run in runs], frame.shift)
@@ -482,10 +556,9 @@ class _SearchSpy(np.ndarray):
 @pytest.mark.parametrize("p", WIDTH_RANKS)
 def test_int32_words_answer_needles_far_outside_the_frame(monkeypatch, p):
     block = np.arange(-20, 20, dtype=np.int64).repeat(3)
-    codes, stats = code_and_stats(block, None)
-    frame = derive_key_frame([stats] * p, block.dtype, p)
+    frame = derive_key_frame([block_stats(block)] * p, block.dtype, p)
     assert frame.word_dtype == np.int32
-    words = np.sort(pack_words(codes, frame, p - 1, np.empty(len(block), dtype=np.int32)))
+    words = np.sort(pack_words(block, frame, p - 1, np.empty(len(block), dtype=np.int32)))
     monkeypatch.setattr(_SearchSpy, "needles", [])
     sorted_words = SortedWords(words.view(_SearchSpy), frame, block, np.zeros(p, dtype=np.int64))
     far = np.array([-(1 << 62), -(1 << 40), -(1 << 31), 1 << 31, 1 << 40, 1 << 62], dtype=np.int64)
@@ -515,10 +588,10 @@ def _pack(block, rank, p):
     """Kernels 1–2 on ``block`` as rank ``rank`` of ``p`` like-shaped blocks:
     ``(stats, frame, words)``, unsorted; ``frame`` is ``None`` on a decline."""
     out = np.empty(len(block), dtype=np.int64)
-    codes, stats = code_and_stats(block, out)
+    stats = block_stats(block)
     frame = derive_key_frame([stats] * p, block.dtype, p)
     if frame is not None:
-        pack_words(codes, frame, rank, out)
+        pack_words(block, frame, rank, out)
     return stats, frame, out
 
 
@@ -667,6 +740,10 @@ CHUNK_BLOCKS = {
     "float64-stripped": lambda n: np.array(
         [4.0, -0.0, np.nan, -8.0, 0.0, 2.0**40, -np.nan, 16.0, -2.0] * 2, dtype=np.float64
     )[:n],
+    # +0.0 and the canonical NaN only: lossy codes that decode exactly.
+    "float64-exact": lambda n: np.array(
+        [4.0, 0.0, np.nan, -8.0, 0.0, 2.0**40, np.inf, 16.0, -2.0] * 2, dtype=np.float64
+    )[:n],
 }
 
 
@@ -686,12 +763,9 @@ def test_chunk_boundaries_do_not_show(monkeypatch, name, n):
             assert one == many
     stats, frame, packed, keys, index, proc, refilled = chunked
     codes = [_reference_code(k) for k in block]
-    any_bit = 0
-    for code in codes:
-        any_bit |= code
     assert stats == (
         min(codes, default=0), max(codes, default=0),
-        any_bit if block.dtype.kind == "f" else 0, n,
+        _magnitude_or(codes) if block.dtype.kind == "f" else 0, n, _reference_inexact(block),
     )
     closed_form = [
         ((code >> frame.strip) << frame.shift) | (rank << frame.idx_bits) | i
@@ -703,6 +777,8 @@ def test_chunk_boundaries_do_not_show(monkeypatch, name, n):
     assert index.tolist() == order.tolist() and set(proc.tolist()) <= {rank}
     if name == "float64-stripped" and n >= 9:
         assert frame.strip > 0 and refilled == int(((block == 0) | np.isnan(block)).sum())
+    if name == "float64-exact":
+        assert not frame.refills and refilled == 0
 
 
 # ------------------------------------------------- step 6's kernel rule
@@ -730,7 +806,7 @@ def _received_runs(blocks):
     runs = []
     for rank, block in enumerate(blocks):
         out = np.empty(len(block), dtype=np.int64)
-        runs.append(np.sort(pack_words(_code(block)[0], frame, rank, out)))
+        runs.append(np.sort(pack_words(block, frame, rank, out)))
     return np.concatenate(runs), [len(block) for block in blocks], frame
 
 

@@ -18,7 +18,7 @@ from repro import distributed_sort
 from repro.core.api import partition_input
 from repro.core.datapath import THROUGH, lay_out
 from repro.core.local_backend import local_sample_sort
-from repro.core.packsort import code_and_stats, has_key_codec
+from repro.core.packsort import block_stats, has_key_codec
 from repro.core.program import MASTER, six_steps
 from repro.core.sorter import SortOptions
 from repro.pgxd.config import PgxdConfig
@@ -38,7 +38,6 @@ class _FakeRank:
 
     def __init__(self, rank, size, storage):
         self.rank, self.size, self.config, self.storage = rank, size, PgxdConfig(), storage
-        self.codes = None
 
     def edge(self, step, rows):
         return None
@@ -49,13 +48,11 @@ class _FakeRank:
     def frame_stats(self, block):
         if not has_key_codec(block.dtype):
             return None
-        scratch = np.empty(len(block), np.int64) if block.dtype.kind == "f" else None
-        self.codes, stats = code_and_stats(block, scratch)
-        return _Meet("allgather", stats)
+        return _Meet("allgather", block_stats(block))
 
     def sort(self, kernel, frame, block):
         words = None if frame is None else np.empty(len(block), frame.word_dtype)
-        return kernel(frame, self.storage, self.rank, block, words, self.codes)
+        return kernel(frame, self.storage, self.rank, block, words)
 
     def gather(self, value):
         return _Meet("gather", value)

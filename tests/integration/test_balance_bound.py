@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.api import DistributedSorter, partition_input
 from repro.core.local_backend import local_sample_sort
-from repro.core.packsort import code_and_stats, derive_key_frame
+from repro.core.packsort import block_stats, derive_key_frame
 from repro.parallel import ProcessBackend
 from repro.workloads.distributions import generate
 from repro.workloads.duplicates import ADVERSARIAL
@@ -39,7 +39,7 @@ def pool():
 
 
 def _word_dtype(blocks):
-    stats = [code_and_stats(b, np.empty(len(b), dtype=np.int64))[1] for b in blocks]
+    stats = [block_stats(b) for b in blocks]
     frame = derive_key_frame(stats, blocks[0].dtype, len(blocks))
     return None if frame is None else frame.word_dtype
 

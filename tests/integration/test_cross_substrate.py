@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.api import DistributedSorter, partition_input
 from repro.core.local_backend import local_sample_sort
-from repro.core.packsort import code_and_stats, derive_key_frame
+from repro.core.packsort import block_stats, derive_key_frame
 from repro.core.datapath import THROUGH
 from repro.core.retry import RetryPolicy
 from repro.core.scratch import ARENAS
@@ -62,7 +62,7 @@ def word_merges(monkeypatch):
 
 def _frame(blocks):
     """The frame arithmetic alone, from every block's statistics."""
-    stats = [code_and_stats(b, np.empty(len(b), dtype=np.int64))[1] for b in blocks]
+    stats = [block_stats(b) for b in blocks]
     return derive_key_frame(stats, blocks[0].dtype, len(blocks))
 
 

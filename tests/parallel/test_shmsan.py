@@ -35,6 +35,16 @@ def _blocks(p=4, n=20_000, seed=7):
     return data, list(partition_input(data, p)[0])
 
 
+#: Keys of each word-path dtype that pack over their staged block: wide
+#: int64 keys (int64 words), and exact float64 and float32 keys, integral
+#: and without −0.0 or NaN payloads, whose stored codes take int32 words.
+STAGED_PACKS = {
+    "int64": lambda rng, n: rng.integers(0, 1 << 40, n).astype(np.int64),
+    "float64": lambda rng, n: rng.integers(-8, 8, n).astype(np.float64),
+    "float32": lambda rng, n: rng.integers(-8, 8, n).astype(np.float32),
+}
+
+
 def _assert_bit_identical(reference, run):
     for rank, out in enumerate(run.outputs):
         np.testing.assert_array_equal(out.keys, reference.per_processor[rank])
@@ -143,23 +153,27 @@ class TestMutations:
             assert 2 in (v.details["a"]["rank"], v.details["b"]["rank"])
             assert v.details["overlap_bytes"][0] < v.details["overlap_bytes"][1]
 
-    def test_pack_past_block_reports_a_race_in_the_next_rank_block(self):
-        _, blocks = _blocks()
+    @pytest.mark.parametrize("dtype", STAGED_PACKS)
+    def test_pack_past_block_reports_a_race_in_the_next_rank_block(self, dtype):
+        data = STAGED_PACKS[dtype](np.random.default_rng(7), 20_000)
+        blocks = list(partition_input(data, 4)[0])
         with ProcessBackend(
             sanitize=True, mutate="pack-past-block", mutate_rank=1
         ) as backend:
-            backend.sort_blocks(blocks)
+            run = backend.sort_blocks(blocks)
             san = backend.sanitizer
+        word_bytes = run.reports[0].bytes_per_key
+        assert _paths(run) == {"through"} and word_bytes == (8 if dtype == "int64" else 4)
         races = [v for v in san.report.violations if v.kind in RACE_KINDS]
         assert races and {v.kind for v in races} == {"write-write-race"}, san.report.summary()
         # Rank 1's extra word is the first of rank 2's staged block, which
-        # rank 2 packs in the same epoch: one 8-byte overlap, in step 1.
+        # rank 2 packs in the same epoch: one word's overlap, in step 1.
         for v in races:
             a, b = v.details["a"], v.details["b"]
             assert {a["rank"], b["rank"]} == {1, 2}
             assert {a["label"], b["label"]} == {"step-1-pack"}
             lo, hi = v.details["overlap_bytes"]
-            assert hi - lo == 8
+            assert hi - lo == word_bytes
 
     def test_double_lease_reports_aliasing(self):
         _, blocks = _blocks(n=4_000)
@@ -311,6 +325,8 @@ class TestWordPathStreams:
         assert {v.rank for v in mismatches} == {1}
 
     def test_float_refill_reads_the_input_lease_and_stays_clean(self, tmp_path):
+        # −0.0 and negative NaNs: the frame refills, so the words take the
+        # workers' scratch and the staged input stays the refill source.
         rng = np.random.default_rng(4)
         data = np.floor(rng.exponential(50, 8_000)) * rng.choice([-1.0, 1.0], 8_000)
         data[::7], data[3::11] = -0.0, -np.nan
@@ -323,19 +339,26 @@ class TestWordPathStreams:
         for out, expected in zip(run.outputs, reference.per_processor):
             assert out.keys.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("high, word_bytes", [(1 << 40, 8), (1_000, 4)])
-    def test_int_keys_log_their_pack_over_their_own_staged_block(self, tmp_path, high, word_bytes):
-        data = np.random.default_rng(8).integers(0, high, 8_000).astype(np.int64)
-        run, san, doc, _ = self._sanitized(data, tmp_path)
+    @pytest.mark.parametrize(
+        "dtype, high, word_bytes",
+        [("int64", 1 << 40, 8), ("int64", 1_000, 4), ("float64", 64, 4), ("float32", 64, 4)],
+    )
+    def test_int_keys_log_their_pack_over_their_own_staged_block(
+        self, tmp_path, dtype, high, word_bytes
+    ):
+        # Int keys and exact float keys alike: the words go over the block.
+        data = np.random.default_rng(8).integers(0, high, 8_000).astype(dtype)
+        run, san, doc, labels = self._sanitized(data, tmp_path)
         assert _paths(run) == {"through"} and run.reports[0].bytes_per_key == word_bytes
         assert san.report.ok, san.report.summary()
+        assert "refill-read" not in labels
         source = next(lease for lease in doc["leases"] if lease["role"] == "input")
         packs = sorted((a[4], a[1], a[2], a[3], a[5]) for a in doc["accesses"] if a[7] == "step-1-pack")
-        base = source["byte_lo"]
+        base, key_bytes = source["byte_lo"], data.itemsize
         # One write per rank, in step 1, over the first len(block) words
-        # of its own 8-byte-key slice: half the slice for int32 words.
+        # of its own slice: half the slice for int32 words of 8-byte keys.
         assert packs == [
-            (rank, base + 2_000 * 8 * rank, base + 2_000 * (8 * rank + word_bytes), "w", 1)
+            (rank, base + 2_000 * key_bytes * rank, base + 2_000 * (key_bytes * rank + word_bytes), "w", 1)
             for rank in range(4)
         ]
         assert all(a[0] == source["segment"] for a in doc["accesses"] if a[7] == "step-1-pack")

@@ -22,7 +22,7 @@ from repro.core.datapath import lay_out, local_sort
 from repro.core.local_backend import local_sample_sort
 from repro.core.packsort import (
     SortedWords,
-    code_and_stats,
+    block_stats,
     derive_key_frame,
     packed_stable_sort,
 )
@@ -47,7 +47,7 @@ def pool():
 
 def _expected_paths(blocks):
     """What each rank must report, from the frame arithmetic alone."""
-    stats = [code_and_stats(b, np.empty(len(b), dtype=np.int64))[1] for b in blocks]
+    stats = [block_stats(b) for b in blocks]
     if derive_key_frame(stats, blocks[0].dtype, len(blocks)) is not None:
         return ["through"] * len(blocks)
     return ["stable" if packed_stable_sort(b) is None else "packed" for b in blocks]
@@ -296,20 +296,19 @@ def test_samples_with_signed_zeros_and_nan_payloads_keep_their_bytes(tmp_path):
 
 
 def _word_path_step_one(block, scratch):
-    """Step 1 as a pooled worker runs it on float keys: the block is coded
-    into an int64 scratch lease for the frame's statistics, and the words,
-    int64 or int32, are packed and sorted over those codes."""
+    """Step 1 as a pooled worker runs it on float keys that refill: the
+    frame from the block's statistics, and the words, int64 or int32,
+    coded and packed from the block into a scratch lease of their own
+    width and sorted there."""
     n = len(block)
     storage = lay_out(
         np.array([0, n]), block.dtype, lambda _role, size, dtype: np.empty(size, dtype),
         np.ndarray.view,
     )
     storage.input[:] = block
-    coded = scratch.take(n, np.int64)
-    codes, stats = code_and_stats(block, coded)
-    frame = derive_key_frame([stats], block.dtype, 1)
-    words = coded.view(frame.word_dtype)[:n]
-    return local_sort(frame, storage, 0, block, words, codes)
+    frame = derive_key_frame([block_stats(block)], block.dtype, 1)
+    assert frame.refills  # -0.0 and NaN payloads: the input is the refill source
+    return local_sort(frame, storage, 0, block, scratch.take(n, frame.word_dtype))
 
 
 def test_word_path_step_one_holds_one_lease_and_no_decoded_copy():
@@ -335,7 +334,7 @@ def test_narrow_word_path_step_one_packs_int32_words_that_travel_in_the_index():
     words = path.sorted_block.words
     assert path.label == "through" and words.dtype == np.int32
     assert path.exchanged == ("index",) and path.bytes_per_key == 4
-    assert (scratch.pooled_bytes(), scratch.live_leases) == (8 * n, 1)  # words over codes
+    assert (scratch.pooled_bytes(), scratch.live_leases) == (4 * n, 1)  # the words alone
     expected = block[block.argsort(kind="stable")]
     assert path.sorted_block.take(np.arange(n)).tobytes() == expected.tobytes()
 
@@ -379,8 +378,9 @@ def test_int_keys_sort_their_words_where_the_driver_staged_the_block(monkeypatch
 
 @pytest.mark.parametrize("kind", ["float64 words", "float64 frame miss", "uint64 frame miss"])
 def test_jobs_off_the_int_word_path_leave_the_staged_input_intact(monkeypatch, kind):
-    # Float keys are coded privately (the input is their refill source);
-    # a frame miss sorts keys + perm out of the block.  Neither writes it.
+    # Float keys with -0.0 refill (the input is their refill source): their
+    # words take the workers' scratch; a frame miss sorts keys + perm out
+    # of the block.  Neither writes it.
     rng, n = np.random.default_rng(13), 20_000
     data = {
         "float64 words": lambda: np.floor(rng.exponential(50, n)) * rng.choice([-1.0, 1.0], n),
@@ -388,6 +388,8 @@ def test_jobs_off_the_int_word_path_leave_the_staged_input_intact(monkeypatch, k
         "uint64 frame miss": lambda: rng.integers(1 << 63, (1 << 64) - 1, n, dtype=np.uint64),
     }[kind]()
     blocks = list(partition_input(data, 4)[0])
+    if kind == "float64 words":
+        assert np.signbit(data[data == 0]).any()  # floor(x) * -1.0 = -0.0
     staged = _staged_leases(monkeypatch)
     with ProcessBackend() as backend:
         run = _assert_matches_oracle(backend, blocks)

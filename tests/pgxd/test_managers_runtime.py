@@ -353,10 +353,10 @@ class TestRunLifetime:
         again = distributed_sort(data, num_processors=16)
         assert np.array_equal(again.to_array(), np.sort(data))
         # Arenas hold job storage alone: one on the word path (its step-1
-        # words), at most one on keys + perm, none per machine.
+        # words), none on keys + perm, none per machine.
         if path == "words":
             assert len(lent) == 1 and lent[0][0].pooled_bytes()
-        assert len(lent) <= 1
+        assert len(lent) <= 1 and (path == "words" or not lent)
         assert sum(a.allocations - before for a, before in lent) == 0
 
     #: Float keys whose frame fits, in words of either width.
@@ -369,20 +369,20 @@ class TestRunLifetime:
     def test_second_identical_float_sort_allocates_nothing(self, monkeypatch, width):
         from repro import distributed_sort
         from repro.core.api import partition_input
-        from repro.core.packsort import code_and_stats, derive_key_frame
+        from repro.core.packsort import block_stats, derive_key_frame
 
         data = self.FLOAT_WORDS[width]
         blocks = partition_input(data, 16)[0]
-        stats = [code_and_stats(block, np.empty(len(block), np.int64))[1] for block in blocks]
+        stats = [block_stats(block) for block in blocks]
         frame = derive_key_frame(stats, data.dtype, 16)
         assert frame.word_dtype == width
         distributed_sort(data, num_processors=16)
         lent = _recording_checkouts(monkeypatch)
         again = distributed_sort(data, num_processors=16)
         assert np.array_equal(again.to_array(), np.sort(data))
-        # One arena, checked out at the first rank's step 1: every rank's
-        # codes, then the words (int64 ones packed over the codes).
-        assert len(lent) == 1
+        # One arena, checked out at the first rank's step-1 sort: the words,
+        # coded on the fly (the frame refills nothing: no input copy).
+        assert len(lent) == 1 and not frame.refills
         assert sum(a.allocations - before for a, before in lent) == 0
 
     #: Float64 keys whose frame fits, in words of either width at p = 4.
@@ -390,30 +390,33 @@ class TestRunLifetime:
 
     @pytest.mark.parametrize("width", FLOAT64_WORDS)
     def test_each_float_block_is_coded_once(self, monkeypatch, width):
-        """A rank's step-1 codes serve both the frame's statistics and its
-        words: one ``code_and_stats`` call per block."""
+        """A rank reads its block's statistics once, writing no code, and
+        codes it once more, on the fly, into its words: one ``block_stats``
+        and one ``pack_words`` call per block."""
         import sys
 
         from repro import distributed_sort
         from repro.core import packsort
 
-        calls = []
-        original = packsort.code_and_stats
+        calls = {"block_stats": [], "pack_words": []}
+        for name, kernel_calls in calls.items():
+            original = getattr(packsort, name)
 
-        def counting(keys, out):
-            calls.append(len(keys))
-            return original(keys, out)
+            def counting(keys, *args, original=original, kernel_calls=kernel_calls):
+                kernel_calls.append(len(keys))
+                return original(keys, *args)
 
-        for module in list(sys.modules.values()):
-            if module is not packsort and getattr(module, "code_and_stats", None) is original:
-                monkeypatch.setattr(module, "code_and_stats", counting)
+            for module in list(sys.modules.values()):
+                if module is not packsort and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
         data = self.FLOAT64_WORDS[width]
         blocks = np.array_split(data, 4)
-        stats = [original(block, np.empty(len(block), np.int64))[1] for block in blocks]
+        stats = [packsort.block_stats(block) for block in blocks]
         assert packsort.derive_key_frame(stats, data.dtype, 4).word_dtype == width
         result = distributed_sort(data, num_processors=4)
         assert np.array_equal(result.to_array(), np.sort(data))
-        assert sorted(calls) == sorted(map(len, blocks))
+        assert sorted(calls["block_stats"]) == sorted(map(len, blocks))
+        assert sorted(calls["pack_words"]) == sorted(map(len, blocks))
 
     @pytest.mark.parametrize("p", [1, 4])
     def test_sort_multi_does_not_grow_the_arenas_per_dataset(self, p):
