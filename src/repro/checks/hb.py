@@ -106,7 +106,7 @@ class ShmAccess:
 class LeaseInfo:
     """Analyzer-facing description of one registered lease."""
 
-    role: str  #: "input" | "keys" | "index" | "proc" | "words"
+    role: str  #: "input" | "keys" | "index" | "words"
     segment: str
     byte_lo: int
     byte_hi: int

@@ -152,12 +152,10 @@ class DistributedSorter:
 
     def sort(self, data: np.ndarray) -> SortResult:
         """Sort a driver-side array across the simulated cluster."""
-        blocks, offsets = partition_input(data, self.config.num_processors)
-        return self.sort_partitioned(blocks, input_offsets=offsets)
+        blocks, _ = partition_input(data, self.config.num_processors)
+        return self.sort_partitioned(blocks)
 
-    def sort_partitioned(
-        self, blocks: Sequence[np.ndarray], *, input_offsets: np.ndarray | None = None
-    ) -> SortResult:
+    def sort_partitioned(self, blocks: Sequence[np.ndarray]) -> SortResult:
         """Sort data already distributed as one block per processor.
 
         Dispatches on the configured execution backend: the default
@@ -183,10 +181,7 @@ class DistributedSorter:
         if len({b.dtype for b in blocks}) > 1:
             common = np.result_type(*(b.dtype for b in blocks))
             blocks = [b.astype(common, copy=False) for b in blocks]
-        if input_offsets is None:
-            sizes = [len(b) for b in blocks]
-            input_offsets = np.concatenate(([0], np.cumsum(sizes[:-1]))).astype(np.int64)
-        input_offsets = np.asarray(input_offsets, dtype=np.int64)
+        input_offsets = np.cumsum([0, *map(len, blocks[:-1])], dtype=np.int64)
         from ..parallel.backend import ProcessBackend, resolve_backend
 
         resolved = resolve_backend(self.config.backend)

@@ -126,7 +126,7 @@ def flat_kway_merge(
     e.g. the step-5 receive buffer), and one stable argsort computes every
     element's final destination in a single pass — no per-level key
     movement, no concatenation.  ``aux`` arrays are full-length columns
-    aligned with ``keys`` (origin indices, origin processors) and ride the
+    aligned with ``keys`` (the origin positions) and ride the
     same permutation.  Stability means earlier runs win ties, which is
     exactly the composed permutation of the pairwise handler *and* of the
     sequential fold; only the *charged* shape differs, via ``balanced``.

@@ -8,8 +8,8 @@ Both substrates hand the frame, or ``None`` on a miss, to
 carry the :class:`DataPath` it returns:
 
 * the **word path** — the frame fits, and provenance rides inside the
-  key: each rank sorts unique ``(code, rank, index)`` words, int32 when
-  the frame's code, rank and index fit in 30 bits and int64 otherwise.
+  key: each rank sorts unique ``(code, position)`` words, int32 when the
+  frame's code and origin position fit in 30 bits and int64 otherwise.
   Steps 2–4 read them as :class:`~repro.core.packsort.SortedWords`, never
   decoded whole; step 5 moves word slices, 4 or 8 B/key, into the output
   whose itemsize is the word's when there is one (``index`` for int32
@@ -23,7 +23,13 @@ carry the :class:`DataPath` it returns:
 * **keys + perm** — the frame misses, or the codec has no code for the
   dtype: :func:`~repro.core.steps.sort_block` runs, keys and an int32
   permutation cross the exchange as two streams, and
-  :func:`~repro.core.steps.merge_received` merges them.
+  :func:`~repro.core.steps.merge_received` turns each run's permutation
+  into origin positions and merges them.
+
+Either way a job has two outputs, its sorted keys and each key's origin
+position in the input (the ``index`` role); the origin processor and its
+local index are derived from the position on demand
+(:class:`~repro.core.provenance.Provenance`).
 
 Either way each receiver knows every range size up front (the paper's
 step 5), so a run lands at its final offset in the job's storage and is
@@ -51,13 +57,11 @@ from .steps import INDEX_DTYPE, merge_received, sort_block
 
 #: ``local_sort_path`` of the word path, the fastest of the labels.
 THROUGH = "through"
-#: The widest packed ``(code, rank, index)`` word: the dtype of the
+#: The widest packed ``(code, position)`` word: the dtype of the
 #: ``words`` stream, which int64 words of keys narrower than 8 bytes use.
 WORD_DTYPE = np.dtype(np.int64)
-#: A key's origin processor.
-PROC_DTYPE = np.dtype(np.int16)
 #: The roles a finished job's result is read from.
-OUTPUT_ROLES = ("keys", "index", "proc")
+OUTPUT_ROLES = ("keys", "index")
 
 #: A storage access beyond the streams: ``(role, lo, hi, kind, label)``.
 Access = tuple[str, int, int, str, str]
@@ -73,9 +77,9 @@ class JobStorage(NamedTuple):
     """One job's storage, one layout on both substrates.
 
     Each role is an array, or on the pool's driver the lease it is mapped
-    from (:meth:`map`).  Rank ``r``'s region of ``keys``, ``index``,
-    ``proc`` and ``words`` follows every lower rank's: step 5 receives
-    into it, step 6 merges there.
+    from (:meth:`map`).  Rank ``r``'s region of ``keys``, ``index`` and
+    ``words`` follows every lower rank's: step 5 receives into it, step 6
+    merges there.
     """
 
     #: Where each rank's block starts in ``input``, and where the last ends.
@@ -85,10 +89,9 @@ class JobStorage(NamedTuple):
     #: its words over its own block here.
     input: Any
     keys: Any
-    #: Origin index of each key (:data:`~repro.core.steps.INDEX_DTYPE`).
+    #: Origin position of each key in ``input``: int32 while the job holds
+    #: fewer than 2^31 keys, int64 beyond.
     index: Any
-    #: Origin processor of each key (:data:`PROC_DTYPE`).
-    proc: Any
     #: The step-5 stream of int64 words, one per key (int32 words travel
     #: in ``index``); ``None`` when the codec has no code for the key dtype.
     words: Any
@@ -116,12 +119,12 @@ def lay_out(
     unread."""
     n, dtype = int(block_starts[-1]), np.dtype(dtype)
     source, keys = take("input", n, dtype), take("keys", n, dtype)
-    index, proc = take("index", n, INDEX_DTYPE), take("proc", n, PROC_DTYPE)
+    index = take("index", n, INDEX_DTYPE if n < 1 << 31 else WORD_DTYPE)
     words = None
     if has_key_codec(dtype):
         alias = _words_alias_keys(dtype)
         words = retype(keys, WORD_DTYPE) if alias else take("words", n, WORD_DTYPE)
-    return JobStorage(block_starts, source, keys, index, proc, words)
+    return JobStorage(block_starts, source, keys, index, words)
 
 
 @dataclass
@@ -180,14 +183,14 @@ def local_sort(
     """
     if frame is None:
         return _keys_perm_path(storage, block)
-    pack_words(block, frame, rank, words).sort()
+    pack_words(block, frame, int(storage.block_starts[rank]), words).sort()
     return _word_path(frame, storage, words)
 
 
 def _word_path(frame: KeyFrame, storage: JobStorage, words: np.ndarray) -> DataPath:
-    # The stream is the output whose itemsize is the word's: the index for
-    # int32 words, decoded in place last as 8-byte keys are.
-    if frame.word_dtype == INDEX_DTYPE:
+    # The stream is the output whose itemsize is the word's: the origins
+    # for int32 words, decoded in place last as 8-byte keys are.
+    if frame.word_dtype == storage.index.dtype:
         role, stream = "index", storage.index
     else:
         role = "keys" if _words_alias_keys(storage.keys.dtype) else "words"
@@ -195,21 +198,19 @@ def _word_path(frame: KeyFrame, storage: JobStorage, words: np.ndarray) -> DataP
 
     def merge(base, stop, run_lengths):
         region = stream[base:stop]
-        sort_runs_in_place(region, run_lengths, frame.shift)
+        sort_runs_in_place(region, run_lengths, frame.pos_bits)
         refilled = unpack_words(
-            region, frame, storage.input, storage.block_starts,
-            storage.keys[base:stop], storage.index[base:stop], storage.proc[base:stop],
+            region, frame, storage.input, storage.keys[base:stop], storage.index[base:stop]
         )
         accesses = [
             ("index", base, stop, "w", "index-write"),
-            ("proc", base, stop, "w", "proc-write"),
             ("keys", base, stop, "w", "key-write"),
         ]
         if refilled:
             accesses.append(("input", 0, len(storage.input), "r", "refill-read"))
         return accesses
 
-    sorted_words = SortedWords(words, frame, storage.input, storage.block_starts)
+    sorted_words = SortedWords(words, frame, storage.input)
     return DataPath(THROUGH, sorted_words, [(role, stream, words)], merge)
 
 
@@ -218,10 +219,9 @@ def _keys_perm_path(storage: JobStorage, block: np.ndarray) -> DataPath:
 
     def merge(base, stop, run_lengths):
         merge_received(
-            storage.keys[base:stop], storage.index[base:stop], storage.proc[base:stop],
-            run_lengths,
+            storage.keys[base:stop], storage.index[base:stop], run_lengths, storage.block_starts
         )
-        return [("proc", base, stop, "w", "proc-write")]
+        return []
 
     streams = [("keys", storage.keys, sorted_keys), ("index", storage.index, perm)]
     return DataPath(label, sorted_keys, streams, merge)

@@ -88,19 +88,18 @@ def local_sample_sort(
     # the stable sort of their concatenation (earlier run wins ties),
     # whichever handler shape ``options.balanced_merge`` charges.  Written
     # out on purpose: the oracle shares no merge code with what it checks.
-    ranks = np.arange(p, dtype=np.int16)
+    block_starts = np.cumsum([0, *map(len, blocks)], dtype=np.int64)
     per_processor: list[np.ndarray] = []
     provenance: list[Provenance] = []
     for dst in range(p):
         runs = [sorted_keys[src][slices[src][dst]] for src in range(p)]
         keys = np.concatenate(runs)
         order = np.argsort(keys, kind="stable")
-        origin_index = np.concatenate(
-            [perms[src][slices[src][dst]] for src in range(p)]
+        origin = np.concatenate(
+            [block_starts[src] + perms[src][slices[src][dst]] for src in range(p)]
         )
-        origin_proc = np.repeat(ranks, [len(run) for run in runs])
         per_processor.append(keys[order])
-        provenance.append(Provenance(origin_proc[order], origin_index[order]))
+        provenance.append(Provenance(origin[order], block_starts))
     return LocalSortOutput(per_processor, provenance, splitters)
 
 

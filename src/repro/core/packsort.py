@@ -21,23 +21,24 @@ vectorized sort of unique int32 or int64 words, in three stages:
    ``(code_min, code_max, code_or, len, inexact)`` of every participating
    block derive how the words are laid out —
 
-       word = (code >> strip) << (rank_bits + idx_bits)
-              | rank << idx_bits | index
+       word = (code >> strip) << pos_bits | position
 
-   with ``idx_bits = bits(longest block − 1)`` and ``rank_bits =
-   bits(p − 1)`` (zero for a single block).  The numeric order of words
-   is the lexicographic ``(code, rank, index)`` order: within one block
-   the *stable* sort order, across rank-ordered blocks the *stable merge*
-   order — the unique (key, PE, position) triple of Axtmann et al.
-   (PAPERS.md), in one machine word as wide as the frame needs: int32
-   when stored code, rank and index fit in 30 bits, int64 otherwise.
-   Every participant derives the same frame from the same statistics, so
-   no coordination beyond exchanging them is needed.
+   with ``pos_bits = bits(n − 1)`` for the ``n`` keys of all blocks and
+   ``position`` the key's place in their concatenation (its block's
+   start plus its index there).  Blocks are contiguous in rank order, so
+   the numeric order of words is the ``(code, position)`` order: within
+   one block the *stable* sort order, across rank-ordered blocks the
+   *stable merge* order — Axtmann et al.'s unique (key, PE, position)
+   triple (PAPERS.md) with PE and position folded into one, in one
+   machine word as wide as the frame needs: int32 when stored code and
+   position fit in 30 bits, int64 otherwise.  Every participant derives
+   the same frame from the same statistics, so no coordination beyond
+   exchanging them is needed.
 3. **Pack, sort, unpack** (:func:`pack_words`, any sort,
    :func:`unpack_words`): the words are unique, so the sort kind is
    unobservable — ``np.sort``'s default vectorized kernel for one unsorted
    block, :func:`sort_runs_in_place` for a buffer of already sorted runs.
-   Origin index and rank unpack by mask and shift.  Integer keys are the
+   The origin position unpacks by one mask.  Integer keys are the
    word's high bits; float keys invert the codec (undo the strip; a
    negative code ``c`` becomes ``SIGN | -c``).  Two codes are **lossy**:
    0 (−0.0 and +0.0) and the NaN code (every sign and payload), but a
@@ -46,9 +47,9 @@ vectorized sort of unique int32 or int64 words, in three stages:
    NaN — need more.  A frame with one (:attr:`KeyFrame.refills`) refills
    them: in sorted words each lossy code occupies one contiguous range,
    found by binary search, and exactly those keys are refilled bit for
-   bit from the unsorted input through the provenance in the word —
-   nothing else is gathered.  Any other frame never reads the input
-   again once its words are packed, so they may go over it.
+   bit from the unsorted input at the position in the word — nothing
+   else is gathered.  Any other frame never reads the input again once
+   its words are packed, so they may go over it.
 
 Each of the three kernels — stats, pack, unpack — is one loop over
 chunks of :data:`CHUNK_KEYS` keys: all its elementwise operations and
@@ -59,12 +60,11 @@ steps 2–4 ask of a sorted block — the keys at some positions, the
 positions of some needles — from the words, under the ``ndarray`` method
 names, so the step kernels serve plain arrays and words alike.
 
-The single precondition is **bits(stored code range) + idx_bits +
-rank_bits ≤ 62** (one sign bit and one spare bit of headroom, and
-``idx_bits + rank_bits ≤ 40``); the words are int32 when the same sum is
-≤ 30, i.e. every stored code lies in ``[-2^(30 - shift), 2^(30 -
-shift))``.  Narrow ints and float32 always meet the 62-bit test;
-int64/uint64 meet it when their values do.  A float code range that
+The single precondition is **bits(stored code range) + pos_bits ≤ 62**
+(one sign bit and one spare bit of headroom, and ``pos_bits ≤ 40``); the
+words are int32 when the same sum is ≤ 30, i.e. every stored code lies
+in ``[-2^(30 - pos_bits), 2^(30 - pos_bits))``.  Narrow ints and float32
+always meet the 62-bit test; int64/uint64 meet it when their values do.  A float code range that
 fails a test gets one more chance at the same width: the trailing zero
 bits common to every code (``ctz`` of their OR) are stripped by an exact
 arithmetic shift, which is what lets integral, low-precision and
@@ -76,8 +76,8 @@ Both substrates run the multi-block case, the *word path*, through
 :mod:`repro.core.datapath`: steps 2–4 read the sorted words, step 5 moves
 them, step 6 sorts the received runs in place (:func:`sort_runs_in_place`)
 and unpacks once.  Both allgather the frame's statistics in step 1, each
-rank reading its own block.  The single-block case
-(``rank_bits = 0``), :func:`packed_stable_sort`, serves their keys + perm
+rank reading its own block.  The single-block case,
+:func:`packed_stable_sort`, serves their keys + perm
 fallback in int64 words whatever the frame's width (its order output is
 int64): on a decline :func:`stable_sort_with_order` runs the plain
 stable argsort, with bit-identical output.
@@ -101,15 +101,14 @@ _FLOAT_LAYOUT = {
 #: this repo's 2-vCPU recorder (2 MiB L2 per core; 2M keys through code +
 #: stats → pack → unpack, the sort excluded): float64 4 Ki 22.6 ms, 16 Ki
 #: 15.5, 32 Ki 15.7, 64 Ki 18.6, 256 Ki 22.6, one chunk 22.9; int64 4 Ki
-#: 15.0, 16 Ki 11.2, 32 Ki 10.3, 64 Ki 11.3, one chunk 11.9.  A power of
-#: two, so chunk bases OR into the index bits exactly.
+#: 15.0, 16 Ki 11.2, 32 Ki 10.3, 64 Ki 11.3, one chunk 11.9.
 CHUNK_KEYS = 1 << 15
 
 #: The word dtypes a frame picks from, narrowest first.
 WORD_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 
-#: The index bits of one chunk, in each word dtype; a chunk's base is
-#: OR-ed on as a scalar.
+#: The positions of one chunk's keys within it, in each word dtype; the
+#: chunk's own position is added on as a scalar.
 _RAMPS = {word: np.arange(CHUNK_KEYS, dtype=word) for word in WORD_DTYPES}
 
 
@@ -195,15 +194,16 @@ def _code_of(key: np.floating) -> int:
 
 @dataclass(frozen=True)
 class KeyFrame:
-    """How one job packs ``(code, rank, index)`` into one unique word.
+    """How one job packs ``(code, position)`` into one unique word.
 
-    ``word = (code >> strip) << (rank_bits + idx_bits) | rank << idx_bits
-    | index``, in the narrowest of :data:`WORD_DTYPES` that holds every
-    stored code with one sign and one spare bit (:attr:`code_limit`).
-    Every participant derives the same frame from the same block
-    statistics (:func:`derive_key_frame`), so words packed on different
-    ranks compare as the triple ``(key, rank, index)`` — the order a
-    stable merge of the rank-ordered runs produces.
+    ``word = (code >> strip) << pos_bits | position``, in the narrowest of
+    :data:`WORD_DTYPES` that holds every stored code with one sign and one
+    spare bit (:attr:`code_limit`).  ``position`` is the key's place in
+    the job's input, its rank-ordered blocks back to back.  Every
+    participant derives the same frame from the same block statistics
+    (:func:`derive_key_frame`), so words packed on different ranks compare
+    as the pair ``(key, position)`` — the order a stable merge of the
+    rank-ordered runs produces.
     """
 
     dtype: np.dtype
@@ -213,8 +213,8 @@ class KeyFrame:
     #: Trailing zero bits common to every float code, dropped before the
     #: pack (0 for ints and for floats that fit without it).
     strip: int
-    idx_bits: int
-    rank_bits: int
+    #: Bits below the code: ``bits(n − 1)`` for the job's ``n`` keys.
+    pos_bits: int
     #: Some code is negative: float decoding must restore sign bits.
     has_negative: bool
     #: Some float key is a NaN: the top code is the canonical NaN code.
@@ -225,39 +225,29 @@ class KeyFrame:
     refills: bool
 
     @property
-    def shift(self) -> int:
-        """Bits below the code: rank tag + index."""
-        return self.idx_bits + self.rank_bits
-
-    @property
     def code_limit(self) -> int:
         """Every stored code lies in ``[-code_limit, code_limit)``; the
-        spare bit makes ``±code_limit << shift`` a word too."""
-        return 1 << (8 * self.word_dtype.itemsize - 2 - self.shift)
+        spare bit makes ``±code_limit << pos_bits`` a word too."""
+        return 1 << (8 * self.word_dtype.itemsize - 2 - self.pos_bits)
 
 
-def derive_key_frame(
-    stats: Sequence[tuple[int, int, int, int, int]], dtype, num_ranks: int
-) -> KeyFrame | None:
+def derive_key_frame(stats: Sequence[tuple[int, int, int, int, int]], dtype) -> KeyFrame | None:
     """The job's key frame, or ``None`` when the words would not fit.
 
-    The narrowest word that fits: bits(stored code range) + idx_bits +
-    rank_bits ≤ 30 gives int32 words, ≤ 62 int64 ones, i.e. every shifted
-    code stays inside the word with one spare bit: ``-limit ≤ code >>
-    strip < limit`` for ``limit = 2**(30 - shift)`` or ``2**(62 -
-    shift)``.  At each width a float frame that fails the plain test
-    strips the trailing zeros common to all codes (``ctz`` of the OR over
-    every block) and tests again.  Empty blocks contribute no range.
-    ``stats`` are every block's :func:`block_stats`.
+    The narrowest word that fits: bits(stored code range) + pos_bits ≤ 30
+    gives int32 words, ≤ 62 int64 ones, i.e. every shifted code stays
+    inside the word with one spare bit: ``-limit ≤ code >> strip <
+    limit`` for ``limit = 2**(30 - pos_bits)`` or ``2**(62 - pos_bits)``.
+    At each width a float frame that fails the plain test strips the
+    trailing zeros common to all codes (``ctz`` of the OR over every
+    block) and tests again.  Empty blocks contribute no range.  ``stats``
+    are every block's :func:`block_stats`, in rank order.
     """
     dtype = np.dtype(dtype)
     live = [block for block in stats if block[3]]
-    max_len = max((block[3] for block in live), default=0)
-    idx_bits = max(max_len - 1, 0).bit_length()
-    rank_bits = (num_ranks - 1).bit_length()
-    shift = idx_bits + rank_bits
+    pos_bits = max(sum(block[3] for block in live) - 1, 0).bit_length()
     # Conservative headroom: huge inputs would not profit anyway.
-    if shift > 40:
+    if pos_bits > 40:
         return None
     lo = min((block[0] for block in live), default=0)
     hi = max((block[1] for block in live), default=0)
@@ -273,35 +263,36 @@ def derive_key_frame(
     has_nan = dtype.kind == "f" and hi == _FLOAT_LAYOUT[dtype.itemsize][2]
     refills = any(block[4] for block in live)
     for word in WORD_DTYPES:
-        spare = 8 * word.itemsize - 2 - shift
+        spare = 8 * word.itemsize - 2 - pos_bits
         for strip in strips:
             if spare >= 0 and -(1 << spare) <= lo >> strip and hi >> strip < 1 << spare:
-                return KeyFrame(dtype, word, strip, idx_bits, rank_bits, lo < 0, has_nan, refills)
+                return KeyFrame(dtype, word, strip, pos_bits, lo < 0, has_nan, refills)
     return None
 
 
 def pack_words(
-    keys: np.ndarray, frame: KeyFrame, rank: int, out: np.ndarray
+    keys: np.ndarray, frame: KeyFrame, start: int, out: np.ndarray
 ) -> np.ndarray:
     """Kernel 2: pack one block's keys into ``out``; sort it to sort the block.
 
-    Float keys are coded chunk by chunk on the way (int keys are their own
-    codes), so no block-sized codes buffer exists.  ``out`` holds one word
-    per key in the frame's word dtype (a wider buffer holds the same
-    numbers).  It may be the keys' own memory viewed as words (packed in
-    place: a pooled worker's staged block), as long as it starts where the
-    keys do and a word is no wider than a key.  A word then never lands
-    past the key it replaces, so no chunk overwrites a later chunk's keys;
-    a narrower word's first chunk overlaps its own keys, which are read
-    (into the chunk's scratch, or copied by numpy's ufuncs, which copy an
-    input that overlaps their output) before it is written.  Otherwise the
-    keys are only read.
+    ``start`` is the block's position in the job's input, so key ``i``'s
+    word carries position ``start + i``.  Float keys are coded chunk by
+    chunk on the way (int keys are their own codes), so no block-sized
+    codes buffer exists.  ``out`` holds one word per key in the frame's
+    word dtype (a wider buffer holds the same numbers).  It may be the
+    keys' own memory viewed as words (packed in place: a pooled worker's
+    staged block), as long as it starts where the keys do and a word is no
+    wider than a key.  A word then never lands past the key it replaces,
+    so no chunk overwrites a later chunk's keys; a narrower word's first
+    chunk overlaps its own keys, which are read (into the chunk's scratch,
+    or copied by numpy's ufuncs, which copy an input that overlaps their
+    output) before it is written.  Otherwise the keys are only read.
     """
-    tag, word = rank << frame.idx_bits, frame.word_dtype
+    word = frame.word_dtype
     ramp = _RAMPS[word]
     # Every code has ``strip`` trailing zeros, so ``(code >> strip) <<
-    # shift`` is one exact shift, and so is the magnitude's.
-    up = frame.shift - frame.strip
+    # pos_bits`` is one exact shift, and so is the magnitude's.
+    up = frame.pos_bits - frame.strip
     codes, signed = keys, False
     if frame.dtype.kind == "f":
         int_t, inf_bits, nan_bits = _FLOAT_LAYOUT[frame.dtype.itemsize]
@@ -314,7 +305,7 @@ def pack_words(
             signs = np.empty_like(magnitudes)
             sign_bit, magnitude_bits = 8 * magnitudes.itemsize - 1, np.iinfo(int_t).max
             if frame.has_nan:
-                nan_word = word.type((nan_bits >> frame.strip) << frame.shift)
+                nan_word = word.type((nan_bits >> frame.strip) << frame.pos_bits)
     for lo in range(0, len(keys), CHUNK_KEYS):
         chunk = out[lo : lo + CHUNK_KEYS]
         source = codes[lo : lo + CHUNK_KEYS]
@@ -335,13 +326,12 @@ def pack_words(
             chunk -= sign
             if nan is not None:
                 np.putmask(chunk, nan, nan_word)  # every NaN: the canonical code
-        # The low ``shift`` bits of a shifted code are zero and chunk bases
-        # are multiples of the ramp's power-of-two length, so OR-ing index,
-        # base and rank tag is an exact add; two's-complement shifts keep
-        # negative codes ordered.
+        # The low ``pos_bits`` bits of a shifted code are zero and every
+        # position is below ``2**pos_bits``, so adding it carries into no
+        # code bit; two's-complement shifts keep negative codes ordered.
         chunk |= ramp[: len(chunk)]
-        if tag | lo:
-            chunk |= tag | lo
+        if start + lo:
+            chunk += start + lo
     return out
 
 
@@ -355,69 +345,53 @@ def _decode_keys(words: np.ndarray, frame: KeyFrame, keys: np.ndarray) -> None:
     """
     is_float = frame.dtype.kind == "f"
     bits = keys.view(_FLOAT_LAYOUT[frame.dtype.itemsize][0]) if is_float else keys
-    np.right_shift(words, frame.shift, out=bits, casting="unsafe")
+    np.right_shift(words, frame.pos_bits, out=bits, casting="unsafe")
     if frame.strip:
         bits <<= frame.strip
     if frame.has_negative and is_float:
         np.subtract(np.iinfo(bits.dtype).min, bits, out=bits, where=bits < 0)
 
 
-def _origins(words: np.ndarray, frame: KeyFrame, block_starts: np.ndarray) -> np.ndarray:
-    """Where each word's key sits in the unsorted input: its block + index."""
-    ranks = (words >> frame.idx_bits) & ((1 << frame.rank_bits) - 1)
-    return block_starts[ranks] + (words & ((1 << frame.idx_bits) - 1))
-
-
 def unpack_words(
     words: np.ndarray,
     frame: KeyFrame,
     source: np.ndarray,
-    block_starts: np.ndarray,
     keys_out: np.ndarray,
-    index_out: np.ndarray,
-    proc_out: np.ndarray | None = None,
+    origin_out: np.ndarray,
 ) -> int:
-    """Kernel 3: keys, origin index (and origin rank) of **sorted** ``words``.
+    """Kernel 3: keys and origin positions of **sorted** ``words``.
 
-    One read of the words per chunk yields all three.  Two float codes are
+    One read of the words per chunk yields both.  Two float codes are
     lossy — 0 (−0.0 and +0.0) and the canonical NaN code (every sign and
     payload) — and when the frame :attr:`~KeyFrame.refills`, since the
     words are sorted their positions are two contiguous ranges: those keys
-    are refilled bit for bit from ``source`` (the unsorted input) at
-    ``block_starts[rank] + index``; the number refilled is returned.  Any
-    other frame decodes them exactly and never reads ``source``.
-    ``keys_out`` or ``index_out`` may be ``words`` itself — int64 words of
-    8-byte keys decode their keys in place, int32 words their index, in
-    both cases chunk by chunk and last; the refill positions are read
-    before any word is overwritten.
+    are refilled bit for bit from ``source`` (the unsorted input) at their
+    origin positions; the number refilled is returned.  Any other frame
+    decodes them exactly and never reads ``source``.  ``keys_out`` or
+    ``origin_out`` may be ``words`` itself — int64 words of 8-byte keys
+    decode their keys in place, int32 words their origin, in both cases
+    chunk by chunk and last; the refill positions are read before any word
+    is overwritten.
     """
+    mask = (1 << frame.pos_bits) - 1
     refills = []
     if frame.refills:
         # Bounds in the words' dtype, so numpy never upcasts the words.
-        zero = np.array([0, 1 << frame.shift], dtype=words.dtype)
+        zero = np.array([0, 1 << frame.pos_bits], dtype=words.dtype)
         lossy_ranges = [words.searchsorted(zero)]
         if frame.has_nan:
             nan_code = _FLOAT_LAYOUT[frame.dtype.itemsize][2] >> frame.strip
-            nan_word = words.dtype.type(nan_code << frame.shift)
+            nan_word = words.dtype.type(nan_code << frame.pos_bits)
             lossy_ranges.append((words.searchsorted(nan_word), len(words)))
-        refills = [
-            (lo, hi, _origins(words[lo:hi], frame, block_starts))
-            for lo, hi in lossy_ranges
-            if hi > lo
-        ]
-    idx_mask = (1 << frame.idx_bits) - 1
+        refills = [(lo, hi, words[lo:hi] & mask) for lo, hi in lossy_ranges if hi > lo]
     keys_last = np.may_share_memory(keys_out, words)
     for lo in range(0, len(words), CHUNK_KEYS):
-        chunk, index = words[lo : lo + CHUNK_KEYS], index_out[lo : lo + CHUNK_KEYS]
-        if proc_out is not None:
-            proc = proc_out[lo : lo + CHUNK_KEYS]
-            np.right_shift(chunk, frame.idx_bits, out=proc, casting="unsafe")
-            proc &= (1 << frame.rank_bits) - 1
+        chunk, origin = words[lo : lo + CHUNK_KEYS], origin_out[lo : lo + CHUNK_KEYS]
         if keys_last:
-            np.bitwise_and(chunk, idx_mask, out=index, casting="unsafe")
+            np.bitwise_and(chunk, mask, out=origin, casting="unsafe")
         _decode_keys(chunk, frame, keys_out[lo : lo + CHUNK_KEYS])
         if not keys_last:
-            np.bitwise_and(chunk, idx_mask, out=index, casting="unsafe")
+            np.bitwise_and(chunk, mask, out=origin, casting="unsafe")
     for lo, hi, positions in refills:
         keys_out[lo:hi] = source[positions]
     return sum(hi - lo for lo, hi, _ in refills)
@@ -433,11 +407,10 @@ class SortedWords:
 
     words: np.ndarray
     frame: KeyFrame
-    #: The unsorted input and each rank's offset in it, as for
-    #: :func:`unpack_words`: lossy codes are refilled from there when the
-    #: frame refills, and it is never read otherwise.
+    #: The job's unsorted input, as for :func:`unpack_words`: lossy codes
+    #: are refilled from there when the frame refills, and it is never
+    #: read otherwise.
     source: np.ndarray
-    block_starts: np.ndarray
 
     @property
     def dtype(self) -> np.dtype:
@@ -453,12 +426,12 @@ class SortedWords:
         keys = np.empty(len(picked), dtype=frame.dtype)
         _decode_keys(picked, frame, keys)
         if frame.refills:
-            stored = picked >> frame.shift
+            stored = picked >> frame.pos_bits
             lossy = stored == 0
             if frame.has_nan:
                 lossy |= stored == _FLOAT_LAYOUT[frame.dtype.itemsize][2] >> frame.strip
             at = np.flatnonzero(lossy)
-            keys[at] = self.source[_origins(picked[at], frame, self.block_starts)]
+            keys[at] = self.source[picked[at] & ((1 << frame.pos_bits) - 1)]
         return keys
 
     def searchsorted(self, needles: np.ndarray, side: str = "left") -> np.ndarray:
@@ -479,7 +452,7 @@ class SortedWords:
         codes = key_codes(np.asarray(needles, dtype=frame.dtype))
         limit, before = frame.code_limit, side == "left"
         bounds = [
-            min(max((code - before >> frame.strip) + 1, -limit), limit) << frame.shift
+            min(max((code - before >> frame.strip) + 1, -limit), limit) << frame.pos_bits
             for code in codes.tolist()
         ]
         return self.words.searchsorted(np.array(bounds, dtype=self.words.dtype))
@@ -493,9 +466,9 @@ class SortedWords:
 GALLOP_MAX_RUNS = 4
 
 
-def sort_runs_in_place(buffer: np.ndarray, run_lengths: Sequence[int], shift: int) -> None:
-    """Sort back-to-back sorted runs of unique words (``shift`` bits below
-    the code) where they lie, with a kernel picked from O(k) boundary facts.
+def sort_runs_in_place(buffer: np.ndarray, run_lengths: Sequence[int], pos_bits: int) -> None:
+    """Sort back-to-back sorted runs of unique words (``pos_bits`` bits
+    below the code) where they lie, with a kernel picked from O(k) boundary facts.
 
     Adjacent runs without a descent between them form one *true* run; one
     true run is left as it is.  At most :data:`GALLOP_MAX_RUNS` true runs,
@@ -510,12 +483,9 @@ def sort_runs_in_place(buffer: np.ndarray, run_lengths: Sequence[int], shift: in
     true_runs = 1 + int(np.count_nonzero(buffer[seams - 1] > buffer[seams]))
     if true_runs == 1:
         return
-    first = int(buffer[np.concatenate(([0], seams))].min()) >> shift
-    tied = (int(buffer[ends - 1].max()) >> shift) - first < len(buffer)
+    first = int(buffer[np.concatenate(([0], seams))].min()) >> pos_bits
+    tied = (int(buffer[ends - 1].max()) >> pos_bits) - first < len(buffer)
     buffer.sort(kind="stable" if true_runs <= GALLOP_MAX_RUNS or tied else None)
-
-
-_ONE_BLOCK = np.zeros(1, dtype=np.int64)
 
 
 def packed_stable_sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -524,20 +494,20 @@ def packed_stable_sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None
     Equivalent to ``order = keys.argsort(kind="stable")`` followed by
     ``keys[order]`` — same bytes, same tie resolution.  Returns ``None``
     when the packing precondition fails (no codec for the dtype, or the
-    coded key range could collide with the index bits), in which case the
+    coded key range could collide with the position bits), in which case the
     caller must run the stable argsort itself.  ``stable_order`` is int64,
     and so are the words it unpacks from, whatever the frame's width.
     """
     n = len(keys)
     if n < 2 or not has_key_codec(keys.dtype):
         return None
-    frame = derive_key_frame([block_stats(keys)], keys.dtype, 1)
+    frame = derive_key_frame([block_stats(keys)], keys.dtype)
     if frame is None:
         return None
     words = np.empty(n, dtype=np.int64)
     pack_words(keys, frame, 0, words).sort()
     sorted_keys = np.empty(n, dtype=keys.dtype)
-    unpack_words(words, frame, keys, _ONE_BLOCK, sorted_keys, words)
+    unpack_words(words, frame, keys, sorted_keys, words)
     return sorted_keys, words
 
 

@@ -50,7 +50,7 @@ def six_steps(host, block: np.ndarray, options):
     # path; sorting the block is choosing it.
     yield host.edge(0, len(block))
     stats = yield host.frame_stats(block)
-    frame = None if stats is None else derive_key_frame(stats, block.dtype, size)
+    frame = None if stats is None else derive_key_frame(stats, block.dtype)
     path = yield host.sort(local_sort, frame, block)
     rows = len(path.sorted_block)
 

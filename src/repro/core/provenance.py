@@ -5,11 +5,13 @@ regards to their previous processors and locations", and the sorting library
 "provides an API for the users to ... [find] information regards to the
 previous processors and the previous indexes of the new received data entry".
 
-Provenance arrays ride along keys through the local sort (as the argsort
-permutation), the exchange (origin indexes travel with the key chunks, the
-origin processor is the message source), and every balanced merge (as aux
-arrays).  The final :class:`Provenance` is what makes sort-by-key of payload
-columns and origin queries possible without re-sorting.
+Processor blocks sit back to back in rank order in the driver's input, so
+one number says both: the key's *origin position* in that input.  It rides
+along keys through the local sort (inside the packed word, or as the argsort
+permutation), the exchange and every merge.  The final :class:`Provenance`
+is what makes sort-by-key of payload columns and origin queries possible
+without re-sorting; the previous processor and index are derived from the
+position only when asked for.
 """
 
 from __future__ import annotations
@@ -23,31 +25,40 @@ import numpy as np
 class Provenance:
     """Origin of every key held by one processor after the sort."""
 
-    #: Processor that held the key before the exchange.
-    origin_proc: np.ndarray
-    #: Index within the origin processor's *original* (unsorted) local data.
-    origin_index: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.origin_proc) != len(self.origin_index):
-            raise ValueError("origin arrays must have equal length")
+    #: Each key's position in the driver's concatenated input.
+    origin: np.ndarray
+    #: Where each processor's block starts in that input, and where the
+    #: last one ends.
+    block_starts: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.origin_proc)
+        return len(self.origin)
 
     def nbytes(self) -> int:
-        return int(self.origin_proc.nbytes + self.origin_index.nbytes)
+        return int(self.origin.nbytes)
+
+    @property
+    def origin_proc(self) -> np.ndarray:
+        """Processor that held each key before the exchange (int16): the
+        last block starting at or before its position, so empty blocks,
+        which share their start with the next one, hold nothing."""
+        ranks = np.searchsorted(self.block_starts, self.origin, "right") - 1
+        return ranks.astype(np.int16)
+
+    @property
+    def origin_index(self) -> np.ndarray:
+        """Index within the origin processor's *original* (unsorted) block
+        (int32)."""
+        return (self.origin - self.block_starts[self.origin_proc]).astype(np.int32)
 
     def global_indices(self, input_offsets: np.ndarray) -> np.ndarray:
-        """Map (origin_proc, origin_index) to indices in the driver's
-        concatenated input array, given each processor's start offset."""
-        input_offsets = np.asarray(input_offsets, dtype=np.int64)
-        if self.origin_proc.size and (
-            self.origin_proc.min() < 0 or self.origin_proc.max() >= len(input_offsets)
-        ):
-            raise ValueError("origin_proc out of range for the given offsets")
-        return input_offsets[self.origin_proc] + self.origin_index
+        """Indices in the driver's concatenated input, given each
+        processor's start offset there: :attr:`origin`, once the offsets
+        are checked to be the blocks it indexes."""
+        if not np.array_equal(np.asarray(input_offsets), self.block_starts[:-1]):
+            raise ValueError("input_offsets are not the block starts of this provenance")
+        return self.origin
 
     @classmethod
     def empty(cls) -> "Provenance":
-        return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        return cls(np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64))

@@ -267,7 +267,8 @@ class SortResult:
     def origin_of(self, processor: int, local_index: int) -> tuple[int, int]:
         """(previous processor, previous local index) of a sorted entry."""
         prov = self.provenance[processor]
-        return int(prov.origin_proc[local_index]), int(prov.origin_index[local_index])
+        entry = Provenance(prov.origin[[local_index]], prov.block_starts)
+        return int(entry.origin_proc[0]), int(entry.origin_index[0])
 
     def gather_values(self, values: np.ndarray) -> np.ndarray:
         """Reorder a driver-side payload column into sorted-key order.
@@ -285,7 +286,7 @@ class SortResult:
         for rank, prov in enumerate(self.provenance):
             if len(prov) != len(self.per_processor[rank]):
                 raise ValueError(f"provenance does not cover partition {rank}")
-            parts.append(values[prov.global_indices(self.input_offsets)])
+            parts.append(values[prov.origin])
         return np.concatenate(parts) if parts else values[:0]
 
     # ------------------------------------------------------- persistence
@@ -293,8 +294,9 @@ class SortResult:
     def save(self, path) -> None:
         """Persist the sorted partitions, provenance and run summary.
 
-        Stores a single ``.npz`` with the per-processor arrays, provenance,
-        counts matrix and step timings; full per-rank metrics are summarized
+        Stores a single ``.npz`` with the per-processor arrays, provenance
+        (each key's origin processor and index), counts matrix and step
+        timings; full per-rank metrics are summarized
         (makespan, traffic) rather than serialized.  Reload with
         :meth:`SortResult.load` to resume analytics without re-sorting.
         """
@@ -330,10 +332,17 @@ class SortResult:
         with np.load(path, allow_pickle=False) as data:
             p = int(data["num_processors"])
             per_processor = [data[f"keys_{r}"] for r in range(p)]
-            provenance = [
-                Provenance(data[f"origin_proc_{r}"], data[f"origin_index_{r}"])
-                for r in range(p)
-            ]
+            procs = [data[f"origin_proc_{r}"] for r in range(p)]
+            offsets = data["input_offsets"]
+            starts = np.append(offsets, sum(map(len, per_processor))).astype(np.int64)
+            origins = [starts[proc] + data[f"origin_index_{r}"] for r, proc in enumerate(procs)]
+            # A block no key came from is empty: it starts where the next
+            # one does (older files saved 0 for a rank a degraded run dropped).
+            held = np.zeros(p + 1, dtype=bool)
+            held[np.concatenate([*procs, [p]]).astype(np.int64)] = True
+            starts[~held] = starts[-1]
+            starts = np.minimum.accumulate(starts[::-1])[::-1]
+            provenance = [Provenance(origin, starts) for origin in origins]
             step_seconds = json.loads(bytes(data["step_seconds_json"]).decode("utf-8"))
             metrics = ClusterMetrics(
                 processes=[],
@@ -347,7 +356,7 @@ class SortResult:
                 provenance=provenance,
                 step_seconds=step_seconds,
                 metrics=metrics,
-                input_offsets=data["input_offsets"],
+                input_offsets=starts[:-1],
                 counts_matrix=data["counts_matrix"],
             )
 
@@ -370,12 +379,12 @@ class SortResult:
         counts_matrix = np.stack(
             [o.sent_counts if o is not None else empty_counts for o in outputs]
         )
-        empty_keys = next(o for o in outputs if o is not None).keys[:0]
+        first = next(o for o in outputs if o is not None)
+        empty_keys = first.keys[:0]
+        nothing = Provenance(first.provenance.origin[:0], first.provenance.block_starts)
         return cls(
             per_processor=[o.keys if o is not None else empty_keys for o in outputs],
-            provenance=[
-                o.provenance if o is not None else Provenance.empty() for o in outputs
-            ],
+            provenance=[o.provenance if o is not None else nothing for o in outputs],
             step_seconds=[o.step_seconds if o is not None else {} for o in outputs],
             metrics=metrics,
             input_offsets=np.asarray(input_offsets, dtype=np.int64),

@@ -86,7 +86,7 @@ def run_with_retry(
 
     original_p = len(blocks)
     survivors = list(range(original_p))
-    job_blocks, offsets = blocks, None
+    job_blocks = blocks
     charged: dict[int, int] = {}
     failed_in_round = 0
     while True:  # repro: noqa[R008] — bounded: a failure either counts toward policy.max_attempts or shrinks the survivor set
@@ -115,16 +115,14 @@ def run_with_retry(
                     # Poisoned rank: drop it and re-plan over the survivors
                     # with a fresh attempt budget.
                     survivors.remove(culprit)
-                    job_blocks, offsets = partition_input(
-                        np.concatenate(blocks), len(survivors)
-                    )
+                    job_blocks, _ = partition_input(np.concatenate(blocks), len(survivors))
                     failed_in_round = 0
                     continue
             if failed_in_round >= policy.max_attempts:
                 raise
             continue
         if len(survivors) < original_p:
-            run = _expand_degraded(run, tuple(survivors), original_p, offsets)
+            run = _expand_degraded(run, tuple(survivors), original_p)
         run.retries = len(history)
         run.attempt_history = tuple(history)
         return run
@@ -148,37 +146,36 @@ def _culprit_rank(exc: BaseException, rank_ids: tuple[int, ...]) -> int | None:
     return rank_ids[rank]
 
 
-def _expand_degraded(
-    run: Any, survivors: tuple[int, ...], original_p: int, offsets: np.ndarray
-) -> Any:
+def _expand_degraded(run: Any, survivors: tuple[int, ...], original_p: int) -> Any:
     """Map a survivor-width run back onto the original rank space.
 
     Excluded slots get ``None`` outputs (SortResult renders them as
-    empty partitions), the counts matrix is scattered through ``np.ix_``
-    so traffic stays attributed to original identities, and provenance
-    ``origin_proc`` is remapped so global indices stay exact against the
-    original concatenated input — the re-planned offsets ride on
-    ``run.input_offsets`` and override the caller's.
+    empty partitions) and an empty block at the next survivor's start, so
+    the expanded offsets stay monotone; the counts matrix is scattered
+    through ``np.ix_`` so traffic stays attributed to original identities.
+    The re-planned blocks concatenate back to the original input, so
+    every origin position is already exact: provenance only takes the
+    expanded block starts, through which ``origin_proc`` names original
+    ranks.  The expanded offsets ride on ``run.input_offsets`` and
+    override the caller's.
     """
     survivor_arr = np.asarray(survivors, dtype=np.int64)
     expanded_counts = np.zeros((original_p, original_p), dtype=run.counts_matrix.dtype)
     expanded_counts[np.ix_(survivor_arr, survivor_arr)] = run.counts_matrix
+    planned = run.outputs[0].provenance.block_starts
+    starts = np.full(original_p + 1, planned[-1], dtype=np.int64)
+    starts[survivor_arr] = planned[:-1]
+    starts = np.minimum.accumulate(starts[::-1])[::-1]  # excluded: the next start
     outputs: list = [None] * original_p
     for out, orig in zip(run.outputs, survivors):
-        prov = out.provenance
         outputs[orig] = replace(
             out,
-            provenance=Provenance(
-                survivor_arr[prov.origin_proc].astype(prov.origin_proc.dtype),
-                prov.origin_index,
-            ),
+            provenance=Provenance(out.provenance.origin, starts),
             sent_counts=expanded_counts[orig].copy(),
         )
-    expanded_offsets = np.zeros(original_p, dtype=np.int64)
-    expanded_offsets[survivor_arr] = offsets
     run.outputs = outputs
     run.counts_matrix = expanded_counts
     run.survivors = survivors
     run.recovery_rounds = original_p - len(survivors)
-    run.input_offsets = expanded_offsets
+    run.input_offsets = starts[:-1]
     return run

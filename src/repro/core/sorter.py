@@ -18,7 +18,7 @@ job's shared :class:`SortJob`:
 5. **Exchange** — range sizes are announced, then all processors send and
    receive simultaneously (:mod:`repro.core.exchange`).
 6. **Merge** — the received sorted runs are merged by the balanced handler
-   while provenance (origin processor + index) rides along.
+   while provenance (each key's origin position in the input) rides along.
 
 Every step's elapsed virtual time is measured per rank (Figure 7); compute
 is charged through the cost model, communication through the network model.
@@ -183,8 +183,8 @@ class SortJob:
             self.merges, self.paths = [], None
             if self.arena is not None:
                 machine.kernels.checkin(self.arena)
-        keys, index, proc = (getattr(self.storage, role)[base:stop] for role in OUTPUT_ROLES)
-        return keys, Provenance(proc, index)
+        keys, origin = (getattr(self.storage, role)[base:stop] for role in OUTPUT_ROLES)
+        return keys, Provenance(origin, self.block_starts)
 
 
 def _land_and_merge(arrived: ExchangeResult, merge, base: int, stop: int, run_lengths: list[int]):
@@ -295,8 +295,7 @@ class _OnMachine:
             STEP_LABELS[5],
         )
         machine.data.memory.free(received_bytes, temporary=True)
-        machine.data.store("origin_proc", provenance.origin_proc)
-        machine.data.store("origin_index", provenance.origin_index)
+        machine.data.store("origin", provenance.origin)
         machine.data.drop("perm")
         # The counts matrix's column, as the pool reads it after the run.
         machine.proc.metrics.partition_keys += sum(run_lengths)

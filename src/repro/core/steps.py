@@ -25,8 +25,8 @@ from .packsort import SortedWords, stable_sort_with_order
 from .sampling import sample_count, select_regular_samples
 from .splitters import merge_samples, select_splitters
 
-#: A key's origin index on both paths: local indexes stay below 2^31 at
-#: any modeled scale, and it halves the provenance footprint.
+#: A key's index in its block, and its origin position in a job of fewer
+#: than 2^31 keys: half an int64's footprint.
 INDEX_DTYPE = np.dtype(np.int32)
 
 
@@ -89,21 +89,20 @@ def partition_block(
 def merge_received(
     keys: np.ndarray,
     index: np.ndarray,
-    proc: np.ndarray,
     run_lengths: Sequence[int],
+    block_starts: Sequence[int],
 ) -> None:
     """Step 6 of the keys + perm path: merge the received runs where they lie.
 
     ``keys`` holds one sorted run per source back to back (``run_lengths``),
-    ``index`` the origin indices aligned with it.  ``proc`` receives the
-    origin-processor column — constant over each run: run ``i`` came from
-    rank ``i`` — built here and nowhere else; all three are then rewritten
-    in merged order.
+    ``index`` the origin indices aligned with it.  Run ``i`` came from rank
+    ``i``, whose block starts at ``block_starts[i]`` in the job's input:
+    adding that turns each index into the key's origin position, built
+    here and nowhere else; both are then rewritten in merged order.
     """
     lo = 0
-    for i, length in enumerate(run_lengths):
-        proc[lo : lo + length] = i
+    for start, length in zip(block_starts, run_lengths):
+        index[lo : lo + length] += int(start)
         lo += length
-    outcome = flat_kway_merge(keys, run_lengths, [index, proc])
-    keys[:], index[:], proc[:] = outcome.keys, *outcome.aux
-
+    outcome = flat_kway_merge(keys, run_lengths, [index])
+    keys[:], index[:] = outcome.keys, *outcome.aux

@@ -625,8 +625,7 @@ class ProcessBackend:
                     )
                 raise
             wall = time.perf_counter() - start  # repro: noqa[R002] — real backend: the driver wall clock is the makespan
-            outputs = {role: getattr(leases, role) for role in OUTPUT_ROLES}
-            run = collect_run(self, reports, outputs, wall, san)
+            run = collect_run(self, reports, leases, wall, san)
         except BaseException:
             # Any failure poisons the generation: survivors may be wedged
             # mid-collective with stale replies queued on their pipes, so

@@ -14,10 +14,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.datapath import surfaced_sort_path
+from ..core.datapath import OUTPUT_ROLES, JobStorage, surfaced_sort_path
 from ..core.provenance import Provenance
 from ..core.sorter import RankSortOutput
-from .arena import ShmLease
 from .layout import exchange_layout
 from .shmsan import ShmSan
 from .tracing import merge_worker_traces
@@ -27,8 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .backend import ProcessBackend
 
 #: Job results that may own arena segments at once (see
-#: :func:`collect_run`).  A held result keeps up to 3 segments
-#: (keys, index, proc) x 2 fds open in the driver and mapped in every
+#: :func:`collect_run`).  A held result keeps up to 2 segments
+#: (keys, index) x 2 fds open in the driver and mapped in every
 #: worker, so the count is bounded; a job finishing beyond it is handed
 #: private copies instead.  Two would cover the ``r = backend.sort_blocks(
 #: ...)`` loop (the previous result dies only after the next call
@@ -172,15 +171,13 @@ class BackendRun:
 def collect_run(
     backend: "ProcessBackend",
     reports: dict[int, WorkerReport],
-    leases: dict[str, ShmLease],
+    storage: JobStorage,
     wall: float,
     san: ShmSan | None = None,
 ) -> BackendRun:
-    """Assemble one finished job's :class:`BackendRun` from its leases.
-
-    ``leases`` maps output role (``keys``, ``index``, ``proc``) to the job's
-    lease of it.
-    """
+    """Assemble one finished job's :class:`BackendRun` from its output
+    leases (``storage``'s :data:`~repro.core.datapath.OUTPUT_ROLES`)."""
+    leases = {role: getattr(storage, role) for role in OUTPUT_ROLES}
     size = len(reports)
     counts_matrix = np.stack([reports[r].counts_row for r in range(size)])
     layout = exchange_layout(counts_matrix)
@@ -189,7 +186,7 @@ def collect_run(
     # the last of them dies.  With the pin budget spent, the job gets
     # private copies and its leases go back with release_all.
     pinned = (
-        backend.arena.pinned_segments + len(leases) <= 3 * MAX_PINNED_RESULTS
+        backend.arena.pinned_segments + len(leases) <= len(leases) * MAX_PINNED_RESULTS
     )
     if pinned:
         backend.results_pinned += 1
@@ -220,7 +217,7 @@ def collect_run(
         outputs.append(
             RankSortOutput(
                 keys=parts["keys"],
-                provenance=Provenance(parts["proc"], parts["index"]),
+                provenance=Provenance(parts["index"], storage.block_starts),
                 step_seconds=dict(report.step_seconds),
                 sent_counts=counts_matrix[rank].copy(),
             )

@@ -14,7 +14,7 @@ the step-1 block read, the step-1 pack of words over the rank's own
 staged block (when its frame refills nothing), every per-destination shm
 write of the zero-copy all-to-all, the in-place merge over the exchange
 region, and, on the word path, the unpack into the output-only
-index/proc/key leases and, on a frame that refills, the input-lease read
+index/key leases and, on a frame that refills, the input-lease read
 that refills −0.0 and NaN payloads.  The
 :class:`~repro.parallel.collectives.WorkerLink` stamps the epoch: each
 completed collective is a full barrier through the pipe-star hub, so the

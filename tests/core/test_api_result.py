@@ -280,6 +280,57 @@ class TestPersistence:
         assert loaded.elapsed_seconds == result.elapsed_seconds
         assert loaded.step_breakdown() == result.step_breakdown()
 
+    def test_save_writes_origin_columns_and_load_rebuilds_the_positions(self, uniform_result, tmp_path):
+        data, result = uniform_result
+        path = tmp_path / "sorted.npz"
+        result.save(path)
+        from repro import SortResult
+
+        with np.load(path) as saved:
+            columns = {f"origin_{column}_{r}" for column in ("proc", "index") for r in range(6)}
+            assert {name for name in saved.files if name.startswith("origin")} == columns
+            for r, prov in enumerate(result.provenance):
+                assert saved[f"origin_proc_{r}"].dtype == np.int16
+                assert saved[f"origin_index_{r}"].dtype == np.int32
+                assert saved[f"origin_proc_{r}"].tobytes() == prov.origin_proc.tobytes()
+                assert saved[f"origin_index_{r}"].tobytes() == prov.origin_index.tobytes()
+        loaded = SortResult.load(path)
+        for a, b in zip(loaded.provenance, result.provenance):
+            assert a.origin.tolist() == b.origin.tolist()
+            np.testing.assert_array_equal(data[a.origin], data[b.origin])
+
+    def test_a_hand_built_file_of_origin_columns_loads(self, tmp_path):
+        """The file layout is two columns per rank.  One written by hand,
+        with a dropped last rank at offset 0 as degraded results were once
+        saved, loads with every origin exact."""
+        from repro import SortResult
+
+        data = np.array([50, 10, 40, 0, 30, 35, 5, 45, 20, 25])
+        order = np.argsort(data, kind="stable")
+        parts = [order[:5], order[5:], order[:0]]  # ranks 0 and 1 re-sorted all; 2 dropped
+        payload = {
+            "num_processors": np.array(3),
+            "input_offsets": np.array([0, 5, 0]),
+            "counts_matrix": np.zeros((3, 3), dtype=np.int64),
+            "makespan": np.array(1.0),
+            "remote_bytes": np.array(0),
+            "step_seconds_json": np.bytes_(b"[{}, {}, {}]"),
+        }
+        for r, part in enumerate(parts):
+            payload[f"keys_{r}"] = data[part]
+            payload[f"origin_proc_{r}"] = (part >= 5).astype(np.int16)
+            payload[f"origin_index_{r}"] = (part % 5).astype(np.int32)
+        np.savez(tmp_path / "columns.npz", **payload)
+        loaded = SortResult.load(tmp_path / "columns.npz")
+        assert loaded.input_offsets.tolist() == [0, 5, 10]
+        np.testing.assert_array_equal(loaded.gather_values(data), np.sort(data))
+        for r, part in enumerate(parts):
+            prov = loaded.provenance[r]
+            assert prov.origin.tolist() == part.tolist()
+            assert prov.origin_proc.tobytes() == payload[f"origin_proc_{r}"].tobytes()
+            assert prov.origin_index.tobytes() == payload[f"origin_index_{r}"].tobytes()
+        assert loaded.origin_of(1, 0) == (int(order[5] >= 5), int(order[5] % 5))
+
     def test_loaded_result_supports_queries(self, uniform_result, tmp_path):
         data, result = uniform_result
         path = tmp_path / "sorted.npz"

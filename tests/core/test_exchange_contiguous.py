@@ -40,7 +40,7 @@ def run_exchange(per_rank_keys, splitters, frame=None, storage=None):
 
 def _streams(storage):
     """Every array of the job's storage step 5 could write, bases first."""
-    return [storage.keys, storage.index, storage.proc, storage.words]
+    return [storage.keys, storage.index, storage.words]
 
 
 class TestContiguousReassembly:
@@ -100,7 +100,7 @@ class TestContiguousReassembly:
         frame = None
         if frame_fits:
             stats = [block_stats(keys) for keys in per_rank]
-            frame = derive_key_frame(stats, per_rank[0].dtype, len(per_rank))
+            frame = derive_key_frame(stats, per_rank[0].dtype)
         bounds = np.cumsum([0, *map(len, per_rank)])
         storage = lay_out(bounds, np.int64, lambda _r, n, dt: np.full(n, -1, dt), np.ndarray.view)
         for array in _streams(storage):

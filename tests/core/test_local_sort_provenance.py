@@ -105,25 +105,44 @@ class TestParallelQuicksort:
 
 
 class TestProvenance:
-    def test_length_validation(self):
-        with pytest.raises(ValueError):
-            Provenance(np.array([0]), np.array([0, 1]))
-
     def test_global_indices(self):
-        prov = Provenance(np.array([0, 1, 1]), np.array([5, 0, 2]))
-        offsets = np.array([0, 100])
-        np.testing.assert_array_equal(prov.global_indices(offsets), [5, 100, 102])
+        prov = Provenance(np.array([5, 100, 102]), np.array([0, 100, 103]))
+        np.testing.assert_array_equal(prov.global_indices(np.array([0, 100])), [5, 100, 102])
+        np.testing.assert_array_equal(prov.origin_proc, [0, 1, 1])
+        np.testing.assert_array_equal(prov.origin_index, [5, 0, 2])
 
     def test_global_indices_range_check(self):
-        prov = Provenance(np.array([3]), np.array([0]))
+        prov = Provenance(np.array([3]), np.array([0, 10, 20]))
         with pytest.raises(ValueError):
-            prov.global_indices(np.array([0, 10]))
+            prov.global_indices(np.array([0, 11]))  # not the blocks it indexes
+        with pytest.raises(ValueError):
+            prov.global_indices(np.array([0]))
 
     def test_empty(self):
         prov = Provenance.empty()
         assert len(prov) == 0
         assert prov.nbytes() == 0
+        assert prov.origin_proc.dtype == np.int16 and prov.origin_index.dtype == np.int32
 
     def test_nbytes(self):
-        prov = Provenance(np.zeros(10, dtype=np.int64), np.zeros(10, dtype=np.int64))
-        assert prov.nbytes() == 160
+        prov = Provenance(np.zeros(10, dtype=np.int32), np.array([0, 10]))
+        assert prov.nbytes() == 40  # one origin position per key, nothing else
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [[0], [7], [5, 0, 3], [0, 0, 4, 0], [3, 0, 0], [4, 5, 6, 7], [0, 0, 0]],
+        ids=["n=0", "p=1", "empty-middle", "empties-around", "empty-tail", "p=4", "all-empty"],
+    )
+    def test_derived_origins_are_the_oracle_columns(self, sizes):
+        """``origin_proc``/``origin_index`` derived from the positions match
+        what the oracle would hold as two columns, dtypes included."""
+        rng = np.random.default_rng(len(sizes))
+        starts = np.cumsum([0, *sizes])
+        origin = rng.permutation(int(starts[-1])).astype(np.int32)
+        prov = Provenance(origin, starts)
+        proc = np.repeat(np.arange(len(sizes), dtype=np.int16), sizes)
+        index = np.concatenate([np.arange(size, dtype=np.int32) for size in sizes])
+        assert prov.origin_proc.dtype == np.int16 and prov.origin_index.dtype == np.int32
+        assert prov.origin_proc.tobytes() == proc[origin].tobytes()
+        assert prov.origin_index.tobytes() == index[origin].tobytes()
+        assert prov.global_indices(starts[:-1]) is origin

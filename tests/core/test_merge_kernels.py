@@ -121,7 +121,7 @@ class TestFlatKwayMerge:
 
 
 class TestMergeReceived:
-    """Step 6 of the keys + perm path: the kernel plus the origin column."""
+    """Step 6 of the keys + perm path: the kernel plus the origin positions."""
 
     def _received(self, seed=5, k=6):
         rng = np.random.default_rng(seed)
@@ -133,24 +133,23 @@ class TestMergeReceived:
     def test_matches_the_literal_and_builds_the_origin_column(self):
         runs, index = self._received()
         lengths = [len(r) for r in runs]
-        proc = np.repeat(np.arange(len(runs), dtype=np.int16), lengths)
-        expected_keys, (expected_index, expected_proc) = literal_merge(runs, [index, proc])
+        # Each source's block start: its run's indexes lie below the next.
+        starts = np.cumsum([0, *(2 * np.array(lengths) + 1)])
+        origin = (index + np.repeat(starts[:-1], lengths)).astype(np.int32)
+        expected_keys, (expected_origin,) = literal_merge(runs, [origin])
         # The receive region, merged where it lies: nothing else is written.
-        keys, got_index = np.concatenate(runs), index.copy()
-        got_proc = np.full(len(keys), -1, dtype=np.int16)
-        merge_received(keys, got_index, got_proc, lengths)
+        keys, got = np.concatenate(runs), index.copy()
+        merge_received(keys, got, lengths, starts)
         assert keys.tobytes() == expected_keys.tobytes()
-        assert got_index.dtype == np.int32 and got_proc.dtype == np.int16
-        assert got_index.tobytes() == expected_index.tobytes()
-        assert got_proc.tobytes() == expected_proc.tobytes()
+        assert got.dtype == np.int32 and got.tobytes() == expected_origin.tobytes()
 
     def test_unbalanced_charges_the_fold_shape(self):
         # The fold is a charge, not data: its kernel's output is the merge
         # step 6 writes, and only its levels differ.
         runs, index = self._received(seed=6)
         lengths = [len(r) for r in runs]
-        keys, proc = np.concatenate(runs), np.empty(len(index), dtype=np.int16)
-        merge_received(keys, index.copy(), proc, lengths)
+        keys = np.concatenate(runs)
+        merge_received(keys, index.copy(), lengths, np.zeros(len(runs) + 1, dtype=np.int64))
         folded = flat_kway_merge(np.concatenate(runs), lengths, balanced=False)
         assert keys.tobytes() == folded.keys.tobytes() == literal_merge(runs)[0].tobytes()
         assert folded.levels == merge_levels(lengths, balanced=False)

@@ -104,7 +104,7 @@ def _assert_codec_laws(keys):
 def _int_elements(dtype):
     info = np.iinfo(dtype)
     nasty = {info.min, info.min + 1, -1, 0, 1, info.max - 1, info.max}
-    # n in [2, 64] gives shift 1..6: sit exactly on the headroom test.
+    # n in [2, 64] gives pos_bits 1..6: sit exactly on the headroom test.
     for shift in range(1, 7):
         limit = 1 << (62 - shift)
         nasty.update({limit - 1, limit, -limit, -limit - 1})
@@ -278,9 +278,10 @@ def test_integral_float64_block_packs_at_rank_block_scale():
 
 # ----------------------------------------------- key frame and word laws
 #
-# The process backend packs (code, rank, index) into one int64 word per
-# key, sorts/exchanges/merges words, and decodes once.  Laws: the numeric
-# order of the words is the stable merge order of the rank-ordered blocks;
+# Both substrates pack (code, position) into one word per key, sort,
+# exchange and merge words, and decode once.  Laws: the numeric order of
+# the words is the stable merge order of the rank-ordered blocks, so the
+# decoded positions are the stable argsort of their concatenation;
 # decoding restores every key whose code is not lossy bit for bit; and the
 # lossy codes are exactly 0 (±0.0) and the canonical NaN code.
 
@@ -301,35 +302,35 @@ def _assert_word_laws(blocks):
     dtype = np.dtype(blocks[0].dtype)
     is_float = dtype.kind == "f"
     buffers = [np.empty(len(block), dtype=np.int64) for block in blocks]
-    frame = derive_key_frame([block_stats(block) for block in blocks], dtype, len(blocks))
+    frame = derive_key_frame([block_stats(block) for block in blocks], dtype)
     if frame is None:
         return False
     assert frame.refills == any(_reference_inexact(block) for block in blocks)
-    for rank, (block, out) in enumerate(zip(blocks, buffers)):
+    starts = np.cumsum([0, *map(len, blocks)])
+    assert frame.pos_bits == max(int(starts[-1]) - 1, 0).bit_length()
+    for start, block, out in zip(starts.tolist(), blocks, buffers):
         kept = block.tobytes()
-        assert pack_words(block, frame, rank, out) is out  # always in the caller's buffer
+        assert pack_words(block, frame, start, out) is out  # always in the caller's buffer
         assert block.tobytes() == kept  # the keys are only read
         if frame.word_dtype.itemsize <= dtype.itemsize:
             # Packed over the keys themselves, the words are the same.
             staged = block.copy()
-            in_place = pack_words(staged, frame, rank, staged.view(frame.word_dtype)[: len(block)])
+            in_place = pack_words(staged, frame, start, staged.view(frame.word_dtype)[: len(block)])
             assert in_place.tolist() == out.tolist()
     words = np.concatenate(buffers)
     assert len(set(words.tolist())) == len(words)  # unique: sort kind is unobservable
     words.sort()
 
     source = np.concatenate(blocks)
-    starts = np.concatenate(([0], np.cumsum([len(b) for b in blocks])))
-    order = source.argsort(kind="stable")  # ties by (rank, index): the merge order
-    index = np.empty(len(words), dtype=np.int32)
-    proc = np.empty(len(words), dtype=np.int16)
+    order = source.argsort(kind="stable")  # ties by position: the merge order
+    origin = np.empty(len(words), dtype=np.int32)
 
     # Decoded against a poisoned source, only the lossy codes may differ,
     # and only when the frame refills them; any other frame is exact ...
     poison = np.full(len(source), 1.5 if is_float else 1, dtype=dtype)
     decoded = np.empty(len(words), dtype=dtype)
-    refilled = unpack_words(words.copy(), frame, poison, starts, decoded, index, proc)
-    np.testing.assert_array_equal(starts[proc] + index, order)
+    refilled = unpack_words(words.copy(), frame, poison, decoded, origin)
+    np.testing.assert_array_equal(origin, order)
     expected = source[order]
     as_bytes = (len(words), dtype.itemsize)
     same = decoded.view(np.uint8).reshape(as_bytes) == expected.view(np.uint8).reshape(as_bytes)
@@ -339,9 +340,9 @@ def _assert_word_laws(blocks):
     assert refilled == lossy.sum()
     # ... and against the real one, in place for 8-byte keys, nothing does.
     out = words.view(dtype) if dtype.itemsize == 8 else np.empty(len(words), dtype=dtype)
-    unpack_words(words, frame, source, starts, out, index, proc)
+    unpack_words(words, frame, source, out, origin)
     assert out.tobytes() == expected.tobytes()
-    np.testing.assert_array_equal(starts[proc] + index, order)
+    np.testing.assert_array_equal(origin, order)
     return True
 
 
@@ -365,6 +366,23 @@ def test_float_words_decode_to_the_stable_merge(dtype, data):
         assert fitted
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 16])
+@WORD_SETTINGS
+@given(data=st.data())
+def test_random_blocks_unpack_to_the_stable_order_of_their_concatenation(p, data):
+    """Any block lengths, empty blocks included: the positions unpacked
+    from the merged words are ``concatenation.argsort(kind="stable")``
+    and the keys come back bit for bit, −0.0 and NaN payloads refilled."""
+    dtype = data.draw(st.sampled_from([np.int16, np.int64, np.uint32, np.float32, np.float64]))
+    if np.dtype(dtype).kind == "f":
+        keys = _draw_float_keys(data, dtype, ("integral", "float32-valued"))
+    else:
+        keys = np.array(data.draw(st.lists(_int_elements(dtype), max_size=64)), dtype=dtype)
+    fitted = _assert_word_laws(_split(keys, p, data))
+    if np.dtype(dtype).itemsize < 8:
+        assert fitted
+
+
 @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
 def test_seeded_float_cases_fit_the_frame_on_three_ranks(dtype):
     for name, keys in _float_cases(dtype).items():
@@ -377,8 +395,8 @@ def test_frame_fits_the_pool_workload_shapes():
     lo, hi, any_bit, _, inexact = _code(np.floor(rng.exponential(2000.0, 20_000)))[1]
     assert inexact == 0  # floor(Exp) holds +0.0 but never -0.0: nothing to refill
     shapes = {
-        # Uniform [0, 2^40) at 2M keys/rank on 2 ranks: 21 index bits + 1
-        # rank bit leave limit = 2^40, so this fits by exactly one value.
+        # Uniform [0, 2^40) at 2M keys/rank on 2 ranks: 22 position bits
+        # leave limit = 2^40, so this fits by exactly one value.
         "big_uniform": (np.int64, 0, (1 << 40) - 1, 0, 2_000_000),
         "big_fallback": (np.float64, lo, hi, any_bit, 2_000_000),
         "small_stream uniform / near-sorted": (np.int64, 0, (1 << 40) - 1, 0, 60_000),
@@ -386,31 +404,63 @@ def test_frame_fits_the_pool_workload_shapes():
     }
     for name, (dtype, lo, hi, any_bit, max_len) in shapes.items():
         stats = [(lo, hi, any_bit, max_len, 0), (lo, hi, any_bit, max_len - 1, 0)]
-        frame = derive_key_frame(stats, dtype, 2)
+        frame = derive_key_frame(stats, dtype)
         assert frame is not None, name
-        assert frame.rank_bits == 1 and frame.idx_bits == (max_len - 1).bit_length()
+        # As many bits as the old rank bit plus the longest block's index.
+        assert frame.pos_bits == (2 * max_len - 2).bit_length() == 1 + (max_len - 1).bit_length()
         assert not frame.refills, name
     one_more = [(0, 1 << 40, 0, 2_000_000, 0)] * 2
-    assert derive_key_frame(one_more, np.int64, 2) is None
-    assert derive_key_frame(one_more, np.int64, 1) is not None  # no rank bit: fits again
+    assert derive_key_frame(one_more, np.int64) is None
+    assert derive_key_frame(one_more[:1], np.int64) is not None  # half the keys: fits again
     assert shapes["big_fallback"][1] == 0 and derive_key_frame(
-        [(*shapes["big_fallback"][1:], 0)] * 2, np.float64, 2
+        [(*shapes["big_fallback"][1:], 0)] * 2, np.float64
     ).strip >= 37  # integral values below 2^15 leave the low mantissa zero
 
 
-def test_frame_ignores_empty_blocks_and_takes_the_longest():
-    frame = derive_key_frame([(0, 0, 0, 0, 0), (-5, 9, 0, 3, 0), (2, 2, 0, 1, 0)], np.int32, 3)
-    assert (frame.idx_bits, frame.rank_bits, frame.strip) == (2, 2, 0)
+def test_frame_ignores_empty_blocks_and_counts_every_key():
+    frame = derive_key_frame([(0, 0, 0, 0, 0), (-5, 9, 0, 3, 0), (2, 2, 0, 1, 0)], np.int32)
+    assert (frame.pos_bits, frame.strip) == (2, 0)  # positions 0..3
     assert frame.has_negative and not frame.has_nan and not frame.refills
-    empty = derive_key_frame([(0, 0, 0, 0, 0)] * 2, np.float64, 2)
-    assert (empty.idx_bits, empty.rank_bits, empty.has_negative) == (0, 1, False)
+    empty = derive_key_frame([(0, 0, 0, 0, 0)] * 2, np.float64)
+    assert (empty.pos_bits, empty.has_negative) == (0, False)
     assert not empty.refills
+
+
+def test_one_position_narrows_the_frame_a_rank_tag_widened():
+    """Three blocks of 2^20 + 1 keys in [0, 256), from their statistics
+    alone (no key array): a rank tag and a block index would take 2 + 21
+    bits, code + tag + index 31, past int32's 30; the 3·2^20 + 3
+    positions take 22, code + position 30, so the words are int32."""
+    stats = [(0, 255, 0, (1 << 20) + 1, 0)] * 3
+    old_shift = (3 - 1).bit_length() + (1 << 20).bit_length()
+    assert 8 + old_shift == 31
+    frame = derive_key_frame(stats, np.int64)
+    assert frame.pos_bits == 22 and 8 + frame.pos_bits == 30
+    assert frame.word_dtype == np.int32
 
 
 def test_frame_refills_when_one_block_holds_an_inexact_key():
     exact = (0, 1 << 52, 1 << 52, 5, 0)
-    assert not derive_key_frame([exact] * 3, np.float64, 3).refills
-    assert derive_key_frame([exact, exact, (0, 1 << 52, 1 << 52, 5, 1)], np.float64, 3).refills
+    assert not derive_key_frame([exact] * 3, np.float64).refills
+    assert derive_key_frame([exact, exact, (0, 1 << 52, 1 << 52, 5, 1)], np.float64).refills
+
+
+@pytest.mark.parametrize("n,origin", [(0, np.int32), ((1 << 31) - 1, np.int32), (1 << 31, np.int64)])
+def test_the_origin_role_widens_to_int64_at_two_to_the_31_keys(n, origin):
+    """``lay_out`` picks the ``index`` role's dtype from the job's size;
+    the roles are only described here, so no 2^31-key array exists."""
+    from repro.core.datapath import OUTPUT_ROLES, lay_out
+
+    taken = {}
+
+    def take(role, length, dtype):
+        taken[role] = (length, np.dtype(dtype))
+        return np.empty(0, dtype)
+
+    storage = lay_out(np.array([0, n // 2, n]), np.int64, take, np.ndarray.view)
+    assert taken["index"] == (n, np.dtype(origin)) and taken["keys"] == (n, np.dtype(np.int64))
+    assert OUTPUT_ROLES == ("keys", "index") and set(taken) == {"input", "keys", "index"}
+    assert storage.words is not None  # 8-byte keys: the word stream is the keys, retyped
 
 
 class _Untouchable(np.ndarray):
@@ -430,44 +480,43 @@ def test_exact_frames_decode_bit_exact_without_reading_the_source(monkeypatch, d
     monkeypatch.setattr(packsort, "CHUNK_KEYS", 8)
     keys = np.array([3.0, 0.0, np.nan, -5.0, np.inf, 0.0, -np.inf, np.nan, 7.0] * 5, dtype=dtype)
     blocks = np.array_split(keys, p)
-    frame = derive_key_frame([block_stats(block) for block in blocks], dtype, p)
+    frame = derive_key_frame([block_stats(block) for block in blocks], dtype)
     assert frame.has_nan and not frame.refills
+    starts = np.cumsum([0] + [len(block) for block in blocks]).tolist()
     words = np.concatenate(
-        [pack_words(block, frame, rank, np.empty(len(block), np.int64)) for rank, block in enumerate(blocks)]
+        [pack_words(block, frame, start, np.empty(len(block), np.int64)) for start, block in zip(starts, blocks)]
     )
     words.sort()
-    starts = np.cumsum([0] + [len(block) for block in blocks])
     untouchable = np.full(len(keys), 1.5, dtype=dtype).view(_Untouchable)
     order = keys.argsort(kind="stable")
-    assert SortedWords(words, frame, untouchable, starts).take(np.arange(len(keys))).tobytes() == (
+    assert SortedWords(words, frame, untouchable).take(np.arange(len(keys))).tobytes() == (
         keys[order].tobytes()
     )
-    decoded = np.empty(len(keys), dtype=dtype)
-    index, proc = np.empty(len(keys), np.int32), np.empty(len(keys), np.int16)
-    assert unpack_words(words, frame, untouchable, starts, decoded, index, proc) == 0
+    decoded, origin = np.empty(len(keys), dtype=dtype), np.empty(len(keys), np.int32)
+    assert unpack_words(words, frame, untouchable, decoded, origin) == 0
     assert decoded.tobytes() == keys[order].tobytes()
-    np.testing.assert_array_equal(starts[proc] + index, order)
+    np.testing.assert_array_equal(origin, order)
 
 
 # ---------------------------------------------------- the word's width
 #
 # A frame packs int32 words exactly while every stored code lies in
-# [-2^(30 - shift), 2^(30 - shift)), the 62-bit test's one-spare-bit rule
-# at 32 bits, and int64 words otherwise.  Both substrates then pack, sort,
-# merge and unpack int32 words, decoding the index in place.
+# [-2^(30 - pos_bits), 2^(30 - pos_bits)), the 62-bit test's one-spare-bit
+# rule at 32 bits, and int64 words otherwise.  Both substrates then pack,
+# sort, merge and unpack int32 words, decoding the origins in place.
 
 WIDTH_RANKS = [1, 2, 16]
 
 
 def _frame_of(blocks):
     stats = [_code(block)[1] for block in blocks]
-    return derive_key_frame(stats, blocks[0].dtype, len(blocks))
+    return derive_key_frame(stats, blocks[0].dtype)
 
 
 @pytest.mark.parametrize("p", WIDTH_RANKS)
 def test_words_are_int32_exactly_while_the_stored_codes_fit_30_bits(p):
-    m = 33  # keys per block: 6 index bits
-    limit = 1 << (30 - (m - 1).bit_length() - (p - 1).bit_length())
+    m = 33  # keys per block
+    limit = 1 << (30 - (m * p - 1).bit_length())
 
     def int_blocks(stored):
         keys = np.zeros(m * p, dtype=np.int64)
@@ -495,22 +544,20 @@ def _through_int32_words(blocks):
     """Steps 1, 5 and 6 on ``blocks`` in int32 words, as both substrates
     run them: pack and sort each block, concatenate the runs (every rank
     sends one destination everything), sort them in place and unpack,
-    the index in place over the words.  Returns ``(keys, index, proc)``."""
+    the origins in place over the words.  Returns ``(keys, origin)``."""
     dtype = blocks[0].dtype
-    frame = derive_key_frame([block_stats(block) for block in blocks], dtype, len(blocks))
+    frame = derive_key_frame([block_stats(block) for block in blocks], dtype)
     assert frame.word_dtype == np.int32
+    starts = np.cumsum([0] + [len(block) for block in blocks]).tolist()
     runs = [
-        np.sort(pack_words(block, frame, rank, np.empty(len(block), dtype=np.int32)))
-        for rank, block in enumerate(blocks)
+        np.sort(pack_words(block, frame, start, np.empty(len(block), dtype=np.int32)))
+        for start, block in zip(starts, blocks)
     ]
     stream = np.concatenate(runs)
-    packsort.sort_runs_in_place(stream, [len(run) for run in runs], frame.shift)
-    source = np.concatenate(blocks)
-    starts = np.cumsum([0] + [len(block) for block in blocks])
+    packsort.sort_runs_in_place(stream, [len(run) for run in runs], frame.pos_bits)
     keys = np.empty(len(stream), dtype=dtype)
-    proc = np.empty(len(stream), dtype=np.int16)
-    unpack_words(stream, frame, source, starts, keys, stream, proc)
-    return keys, stream, proc
+    unpack_words(stream, frame, np.concatenate(blocks), keys, stream)
+    return keys, stream
 
 
 def _small_keys(dtype, n, rng):
@@ -535,12 +582,11 @@ def _small_keys(dtype, n, rng):
 def test_int32_words_round_trip_byte_for_byte(dtype, p):
     rng = np.random.default_rng([p, np.dtype(dtype).num])
     blocks = np.array_split(_small_keys(dtype, 40 * p + 3, rng), p)
-    keys, index, proc = _through_int32_words(blocks)
+    keys, origin = _through_int32_words(blocks)
     source = np.concatenate(blocks)
-    order = source.argsort(kind="stable")  # ties by (rank, index): the merge order
+    order = source.argsort(kind="stable")  # ties by position: the merge order
     assert keys.tobytes() == source[order].tobytes()  # -0.0 and NaN payloads refilled
-    starts = np.cumsum([0] + [len(block) for block in blocks])
-    np.testing.assert_array_equal(starts[proc] + index, order)
+    np.testing.assert_array_equal(origin, order)
 
 
 class _SearchSpy(np.ndarray):
@@ -556,11 +602,12 @@ class _SearchSpy(np.ndarray):
 @pytest.mark.parametrize("p", WIDTH_RANKS)
 def test_int32_words_answer_needles_far_outside_the_frame(monkeypatch, p):
     block = np.arange(-20, 20, dtype=np.int64).repeat(3)
-    frame = derive_key_frame([block_stats(block)] * p, block.dtype, p)
+    frame = derive_key_frame([block_stats(block)] * p, block.dtype)
     assert frame.word_dtype == np.int32
-    words = np.sort(pack_words(block, frame, p - 1, np.empty(len(block), dtype=np.int32)))
+    start = (p - 1) * len(block)
+    words = np.sort(pack_words(block, frame, start, np.empty(len(block), dtype=np.int32)))
     monkeypatch.setattr(_SearchSpy, "needles", [])
-    sorted_words = SortedWords(words.view(_SearchSpy), frame, block, np.zeros(p, dtype=np.int64))
+    sorted_words = SortedWords(words.view(_SearchSpy), frame, block)
     far = np.array([-(1 << 62), -(1 << 40), -(1 << 31), 1 << 31, 1 << 40, 1 << 62], dtype=np.int64)
     for side in ("left", "right"):
         assert sorted_words.searchsorted(far, side=side).tolist() == [0] * 3 + [len(block)] * 3
@@ -589,25 +636,29 @@ def _pack(block, rank, p):
     ``(stats, frame, words)``, unsorted; ``frame`` is ``None`` on a decline."""
     out = np.empty(len(block), dtype=np.int64)
     stats = block_stats(block)
-    frame = derive_key_frame([stats] * p, block.dtype, p)
+    frame = derive_key_frame([stats] * p, block.dtype)
     if frame is not None:
-        pack_words(block, frame, rank, out)
+        pack_words(block, frame, rank * len(block), out)
     return stats, frame, out
+
+
+def _job_input(block, rank, p):
+    """The job's input with ``block`` as rank ``rank``'s and every other
+    rank's keys poisoned, so a refill from the wrong position shows."""
+    source = np.ones(p * len(block), dtype=block.dtype)
+    source[rank * len(block) : (rank + 1) * len(block)] = block
+    return source
 
 
 def _sorted_words(block, rank, p):
     """``(SortedWords, decoded sorted keys)``, or ``None`` when the frame
-    declines.  Every other rank's input offset is poisoned, so a refill
-    through the wrong rank bits indexes out of range."""
+    declines."""
     _stats, frame, words = _pack(block, rank, p)
     if frame is None:
         return None
     words.sort()
-    starts = np.full(p, 1 << 40, dtype=np.int64)
-    starts[rank] = 3
-    source = np.concatenate([np.ones(3, dtype=block.dtype), block])
     return (
-        SortedWords(words, frame, source, starts),
+        SortedWords(words, frame, _job_input(block, rank, p)),
         block[block.argsort(kind="stable")],
     )
 
@@ -723,12 +774,10 @@ def _run_kernels(block, rank, p):
     stats, frame, words = _pack(block, rank, p)
     packed = words.copy()
     words.sort()
-    starts = np.zeros(p, dtype=np.int64)
     keys = np.empty(len(block), dtype=block.dtype)
-    index = np.empty(len(block), dtype=np.int32)
-    proc = np.empty(len(block), dtype=np.int16)
-    refilled = unpack_words(words, frame, block, starts, keys, index, proc)
-    return stats, frame, packed, keys, index, proc, refilled
+    origin = np.empty(len(block), dtype=np.int32)
+    refilled = unpack_words(words, frame, _job_input(block, rank, p), keys, origin)
+    return stats, frame, packed, keys, origin, refilled
 
 
 CHUNK_BLOCKS = {
@@ -761,20 +810,18 @@ def test_chunk_boundaries_do_not_show(monkeypatch, name, n):
             assert one.dtype == many.dtype and one.tobytes() == many.tobytes()
         else:
             assert one == many
-    stats, frame, packed, keys, index, proc, refilled = chunked
+    stats, frame, packed, keys, origin, refilled = chunked
     codes = [_reference_code(k) for k in block]
     assert stats == (
         min(codes, default=0), max(codes, default=0),
         _magnitude_or(codes) if block.dtype.kind == "f" else 0, n, _reference_inexact(block),
     )
-    closed_form = [
-        ((code >> frame.strip) << frame.shift) | (rank << frame.idx_bits) | i
-        for i, code in enumerate(codes)
-    ]
+    start = rank * n
+    closed_form = [((code >> frame.strip) << frame.pos_bits) + start + i for i, code in enumerate(codes)]
     assert packed.tolist() == closed_form
     order = block.argsort(kind="stable")
     assert keys.tobytes() == block[order].tobytes()
-    assert index.tolist() == order.tolist() and set(proc.tolist()) <= {rank}
+    assert origin.tolist() == (start + order).tolist()
     if name == "float64-stripped" and n >= 9:
         assert frame.strip > 0 and refilled == int(((block == 0) | np.isnan(block)).sum())
     if name == "float64-exact":
@@ -802,11 +849,12 @@ def _received_runs(blocks):
     """Step 6's input: each rank's sorted words, back to back in rank order
     as the exchange leaves them (here every rank sends its whole block)."""
     stats = [_code(block)[1] for block in blocks]
-    frame = derive_key_frame(stats, blocks[0].dtype, len(blocks))
-    runs = []
-    for rank, block in enumerate(blocks):
+    frame = derive_key_frame(stats, blocks[0].dtype)
+    runs, start = [], 0
+    for block in blocks:
         out = np.empty(len(block), dtype=np.int64)
-        runs.append(np.sort(pack_words(block, frame, rank, out)))
+        runs.append(np.sort(pack_words(block, frame, start, out)))
+        start += len(block)
     return np.concatenate(runs), [len(block) for block in blocks], frame
 
 
@@ -816,7 +864,7 @@ def _kernel_of(blocks, monkeypatch):
     expected = np.sort(words).tobytes()
     monkeypatch.setattr(_SortSpy, "kinds", [])
     spied = words.view(_SortSpy)
-    packsort.sort_runs_in_place(spied, lengths, frame.shift)
+    packsort.sort_runs_in_place(spied, lengths, frame.pos_bits)
     assert words.tobytes() == expected
     return _SortSpy.kinds
 

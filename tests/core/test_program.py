@@ -124,7 +124,7 @@ def _sort_on_the_fake(blocks):
     received = np.stack([step.partition.counts for step in steps]).sum(axis=0)
     bounds = np.cumsum([0, *received])
     regions = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    return steps, [(storage.keys[r], storage.proc[r], storage.index[r]) for r in regions]
+    return steps, [(storage.keys[r], storage.index[r]) for r in regions]
 
 
 KEYS = {
@@ -140,10 +140,9 @@ def test_the_program_on_a_fake_substrate_is_the_oracle(kind, p):
     blocks = list(partition_input(KEYS[kind](400 * p + 7, np.random.default_rng(p)), p)[0])
     steps, outputs = _sort_on_the_fake(blocks)
     reference = local_sample_sort(blocks)
-    for (keys, proc, index), ref_keys, ref_prov in zip(outputs, reference.per_processor, reference.provenance):
+    for (keys, origin), ref_keys, ref_prov in zip(outputs, reference.per_processor, reference.provenance):
         assert keys.dtype == ref_keys.dtype and keys.tobytes() == ref_keys.tobytes()
-        for got, want in ((proc, ref_prov.origin_proc), (index, ref_prov.origin_index)):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert origin.dtype == np.int32 and origin.tolist() == ref_prov.origin.tolist()
     paths = {step.path.label for step in steps}
     assert (paths == {THROUGH}) == (kind != "keys + perm")
     if kind == "int32 words":
@@ -153,9 +152,9 @@ def test_the_program_on_a_fake_substrate_is_the_oracle(kind, p):
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_step_six_bills_provenance_at_any_p(p):
-    """Step 6 drops the permutation and stores the provenance, 6 B/key
-    (int32 index + int16 processor), on one machine as on two."""
+    """Step 6 drops the permutation and stores the provenance, 4 B/key
+    (the int32 origin position), on one machine as on two."""
     data = np.random.default_rng(0).integers(0, 1 << 40, 40_000)
     result = distributed_sort(data, num_processors=p)
     assert np.array_equal(result.to_array(), np.sort(data))
-    assert sum(proc.memory.resident for proc in result.metrics.processes) == 6 * len(data)
+    assert sum(proc.memory.resident for proc in result.metrics.processes) == 4 * len(data)

@@ -40,7 +40,7 @@ def pool():
 
 def _word_dtype(blocks):
     stats = [block_stats(b) for b in blocks]
-    frame = derive_key_frame(stats, blocks[0].dtype, len(blocks))
+    frame = derive_key_frame(stats, blocks[0].dtype)
     return None if frame is None else frame.word_dtype
 
 

@@ -63,7 +63,7 @@ def word_merges(monkeypatch):
 def _frame(blocks):
     """The frame arithmetic alone, from every block's statistics."""
     stats = [block_stats(b) for b in blocks]
-    return derive_key_frame(stats, blocks[0].dtype, len(blocks))
+    return derive_key_frame(stats, blocks[0].dtype)
 
 
 def _assert_bytes_equal(outputs, reference):
@@ -412,3 +412,28 @@ def test_a_persistent_crash_degrades_both_substrates_alike(assert_balanced, p):
     survivor_blocks = list(partition_input(data, p - 1)[0])
     assert_balanced(sim.per_processor, survivor_blocks)
     assert_balanced(real.per_processor, survivor_blocks)
+
+
+@pytest.mark.parametrize("dropped", [2, 3])
+def test_a_dropped_rank_is_an_empty_block_and_origins_are_the_oracle_positions(dropped):
+    """A degraded result's input offsets are non-decreasing — the dropped
+    rank is an empty block at the next survivor's start, or at the end —
+    and on both substrates ``origin_of`` and ``gather_values`` answer with
+    the oracle's positions in the survivors' re-planned input."""
+    p = 4
+    data = _keys("int64", 500 * p, np.random.default_rng([p, dropped]))
+    survivors = tuple(r for r in range(p) if r != dropped)
+    reference = local_sample_sort(list(partition_input(data, p - 1)[0]))
+    positions = np.concatenate([prov.origin for prov in reference.provenance])
+    payload = 3 * np.arange(len(data)) + 1
+    for result in _on_both_substrates(f"poison={dropped}", data, p):
+        assert result.survivors == survivors
+        offsets = result.input_offsets
+        assert np.all(np.diff(offsets) >= 0), offsets
+        assert offsets[dropped] == (offsets[dropped + 1] if dropped + 1 < p else len(data))
+        np.testing.assert_array_equal(result.gather_values(payload), payload[positions])
+        for slot, rank in enumerate(survivors):
+            ref = reference.provenance[slot]
+            expected = zip(ref.origin_proc.tolist(), ref.origin_index.tolist())
+            got = [result.origin_of(rank, i) for i in range(len(ref))]
+            assert got == [(survivors[proc], index) for proc, index in expected]

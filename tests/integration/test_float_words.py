@@ -148,7 +148,7 @@ def _assert_like_the_oracle(per_processor, provenance, blocks):
 def _expected_frame(case, blocks):
     """The job's frame from the arithmetic, checked against the blocks:
     it refills exactly when some block holds an inexact key."""
-    frame = derive_key_frame([block_stats(b) for b in blocks], blocks[0].dtype, len(blocks))
+    frame = derive_key_frame([block_stats(b) for b in blocks], blocks[0].dtype)
     inexact = any(_inexact(block) for block in blocks)
     if case in ("exact", "lone -0.0", "payload NaN"):
         assert inexact == (case != "exact")

@@ -60,7 +60,7 @@ def _assert_bit_identical(reference, run):
 
 
 def _assert_bytes_equal_to_oracle(run, blocks):
-    """Keys and both provenance columns, as bytes, against the oracle."""
+    """Keys and both derived provenance columns, as bytes, against the oracle."""
     reference = local_sample_sort(blocks)
     for out, keys, prov in zip(
         run.outputs, reference.per_processor, reference.provenance
@@ -80,9 +80,7 @@ def _open_fds():
 
 def _is_pinned(run):
     """Every array of the result is a view of shared memory, not a copy."""
-    arrays = [a for out in run.outputs for a in (
-        out.keys, out.provenance.origin_proc, out.provenance.origin_index
-    )]
+    arrays = [a for out in run.outputs for a in (out.keys, out.provenance.origin)]
     owned = {a.flags.owndata for a in arrays}
     assert len(owned) == 1
     return owned == {False}
@@ -476,14 +474,14 @@ class TestHeldResults:
             _assert_bytes_equal_to_oracle(run, blocks)
             return
         # Degraded: compared on the plan the survivors executed, with
-        # origin_proc renumbered back by _expand_degraded (a fresh array;
-        # keys and origin_index are still the job's own leases).
+        # origin_proc derived through the block starts _expand_degraded
+        # widened; keys and origins are still the job's own leases.
         replanned = list(partition_input(np.concatenate(blocks), len(survivors))[0])
         reference = local_sample_sort(replanned)
         for slot, rank in enumerate(survivors):
             out = run.outputs[rank]
             assert not out.keys.flags.owndata
-            assert not out.provenance.origin_index.flags.owndata
+            assert not out.provenance.origin.flags.owndata
             assert out.keys.tobytes() == reference.per_processor[slot].tobytes()
             prov = reference.provenance[slot]
             assert out.provenance.origin_index.tobytes() == prov.origin_index.tobytes()

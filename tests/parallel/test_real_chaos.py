@@ -344,9 +344,10 @@ class TestSurvivorDegradedRecovery:
         assert backend.stats["retries"] >= 2  # degrade_after crashes
 
     def test_word_path_survivors_keep_lossy_float_keys_and_origins(self):
-        # Poison-until-excluded on the word path: the rank tag packed into
-        # every word is the survivor *slot*, exactly as proc_col was, and
-        # the expansion maps it back to the original rank id.
+        # Poison-until-excluded on the word path: every word packs the
+        # key's position in the survivors' re-planned input, which is its
+        # position in the original one, and the expanded block starts name
+        # the original rank id.
         data = _signed_zero_nan_floats()
         blocks, offsets = partition_input(data, 4)
         plan = FaultPlan.from_spec("poison=2", seed=7)

@@ -70,9 +70,9 @@ class TestCleanRuns:
         assert _paths(run) == {"through"}  # sanitized jobs take the word path too
         assert san.report.ok, san.report.summary()
         assert san.report.runs == 1
-        # input + keys + index + proc leases (for 8-byte keys the word
-        # stream is the key lease itself), all four ranks flushing.
-        assert san.report.counts["leases_tracked"] == 4
+        # input + keys + index leases (for 8-byte keys the word stream is
+        # the key lease itself), all four ranks flushing.
+        assert san.report.counts["leases_tracked"] == 3
         assert san.report.counts["accesses_recorded"] > 4
 
     def test_sanitizer_accumulates_across_sorts(self):
@@ -219,10 +219,9 @@ class TestMutations:
         assert [v.details["roles"] for v in aliased] == [
             ["pinned-keys", "keys"],
             ["pinned-index", "index"],
-            ["pinned-proc", "proc"],
         ]
         assert [v.details["segment"] for v in aliased] == [
-            segment_of[role] for role in ("keys", "index", "proc")
+            segment_of[role] for role in ("keys", "index")
         ]
         for v in aliased:
             assert v.details["a_bytes"] == v.details["b_bytes"]
@@ -273,10 +272,9 @@ class TestWordPathStreams:
         run, san, doc, labels = self._sanitized(data, tmp_path)
         assert _paths(run) == {"through"}
         assert san.report.ok, san.report.summary()
-        assert san.report.counts["leases_tracked"] == 5  # + the int64 word stream
+        assert san.report.counts["leases_tracked"] == 4  # + the int64 word stream
         assert doc["exchanged"] == ["words"]
-        assert {"exchange-write", "merge-read", "merge-write", "index-write",
-                "proc-write", "key-write"} <= labels
+        assert {"exchange-write", "merge-read", "merge-write", "index-write", "key-write"} <= labels
         assert analyze_log(doc)[0] == []
         words = next(lease for lease in doc["leases"] if lease["role"] == "words")
         writes = [a for a in doc["accesses"] if a[7] == "exchange-write"]
@@ -297,14 +295,14 @@ class TestWordPathStreams:
         assert {v.rank for v in mismatches} == {1}
 
     def test_narrow_frame_exchanges_int32_words_through_the_index_lease(self, tmp_path):
-        # [0, 1000) on 4 ranks: 10 code + 2 rank + 11 index bits, int32 words.
+        # [0, 1000) in 8,000 keys: 10 code + 13 position bits, int32 words.
         data = np.random.default_rng(6).integers(0, 1000, 8_000)
         run, san, doc, labels = self._sanitized(data, tmp_path)
         assert _paths(run) == {"through"}
         assert san.report.ok, san.report.summary()
-        assert san.report.counts["leases_tracked"] == 4  # no word segment of its own
+        assert san.report.counts["leases_tracked"] == 3  # no word segment of its own
         assert doc["exchanged"] == ["index"]
-        assert {"exchange-write", "merge-read", "merge-write", "proc-write", "key-write"} <= labels
+        assert {"exchange-write", "merge-read", "merge-write", "index-write", "key-write"} <= labels
         index = next(lease for lease in doc["leases"] if lease["role"] == "index")
         writes = [a for a in doc["accesses"] if a[7] == "exchange-write"]
         assert writes and {a[0] for a in writes} == {index["segment"]}

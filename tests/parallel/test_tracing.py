@@ -154,10 +154,10 @@ class TestMergedTrace:
         assert "arena.leased_bytes" in names
         assert "arena.pooled_bytes" in names
         # The last samples are release_all's: the input lease went back,
-        # the result's keys + index + proc stay out as pinned bytes.
+        # the result's keys + origins stay out as pinned bytes.
         last = {c.name: c.value for c in tracer.counters}
         assert last["arena.leased_bytes"] == last["arena.pinned_bytes"]
-        assert last["arena.pinned_bytes"] == N_KEYS * (8 + 4 + 2)
+        assert last["arena.pinned_bytes"] == N_KEYS * (8 + 4)
 
 
 class TestUnifiedRunReport:

@@ -1,5 +1,5 @@
-"""The word path end to end: pooled workers exchange packed (key, rank,
-index) words, merge them in place in shared memory and unpack once.
+"""The word path end to end: pooled workers exchange packed (key,
+position) words, merge them in place in shared memory and unpack once.
 
 Differential contract: for every key dtype the codec covers and every
 degenerate shape, the process backend's keys, ``origin_proc`` and
@@ -48,7 +48,7 @@ def pool():
 def _expected_paths(blocks):
     """What each rank must report, from the frame arithmetic alone."""
     stats = [block_stats(b) for b in blocks]
-    if derive_key_frame(stats, blocks[0].dtype, len(blocks)) is not None:
+    if derive_key_frame(stats, blocks[0].dtype) is not None:
         return ["through"] * len(blocks)
     return ["stable" if packed_stable_sort(b) is None else "packed" for b in blocks]
 
@@ -306,7 +306,7 @@ def _word_path_step_one(block, scratch):
         np.ndarray.view,
     )
     storage.input[:] = block
-    frame = derive_key_frame([block_stats(block)], block.dtype, 1)
+    frame = derive_key_frame([block_stats(block)], block.dtype)
     assert frame.refills  # -0.0 and NaN payloads: the input is the refill source
     return local_sort(frame, storage, 0, block, scratch.take(n, frame.word_dtype))
 

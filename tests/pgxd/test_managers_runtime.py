@@ -374,7 +374,7 @@ class TestRunLifetime:
         data = self.FLOAT_WORDS[width]
         blocks = partition_input(data, 16)[0]
         stats = [block_stats(block) for block in blocks]
-        frame = derive_key_frame(stats, data.dtype, 16)
+        frame = derive_key_frame(stats, data.dtype)
         assert frame.word_dtype == width
         distributed_sort(data, num_processors=16)
         lent = _recording_checkouts(monkeypatch)
@@ -412,7 +412,7 @@ class TestRunLifetime:
         data = self.FLOAT64_WORDS[width]
         blocks = np.array_split(data, 4)
         stats = [packsort.block_stats(block) for block in blocks]
-        assert packsort.derive_key_frame(stats, data.dtype, 4).word_dtype == width
+        assert packsort.derive_key_frame(stats, data.dtype).word_dtype == width
         result = distributed_sort(data, num_processors=4)
         assert np.array_equal(result.to_array(), np.sort(data))
         assert sorted(calls["block_stats"]) == sorted(map(len, blocks))
