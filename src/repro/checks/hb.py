@@ -259,8 +259,8 @@ def check_exchange_offsets(
     segment — and compares against the recorded intervals.
     ``exchanged_roles`` names the leases the job exchanged: keys and
     origin indices on the keys + perm path, the one packed-word stream on
-    the word path: role ``"index"`` for int32 words (the index decodes in
-    place), ``"keys"`` when 8-byte keys decode in place from int64 words,
+    the word path: role ``"index"`` for int32 words (the origins decode
+    in place), ``"keys"`` when 8-byte keys decode in place from int64 words,
     ``"words"`` otherwise.  ``complete``
     additionally demands that every nonempty run was written (off on
     partial logs from crashed runs, where missing writes are expected).

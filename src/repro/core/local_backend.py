@@ -88,7 +88,10 @@ def local_sample_sort(
     # the stable sort of their concatenation (earlier run wins ties),
     # whichever handler shape ``options.balanced_merge`` charges.  Written
     # out on purpose: the oracle shares no merge code with what it checks.
-    block_starts = np.cumsum([0, *map(len, blocks)], dtype=np.int64)
+    # Origin positions as wide as the substrates store them: int32 below
+    # 2^31 keys.
+    n = sum(map(len, blocks))
+    block_starts = np.cumsum([0, *map(len, blocks)], dtype=np.int32 if n < 1 << 31 else np.int64)
     per_processor: list[np.ndarray] = []
     provenance: list[Provenance] = []
     for dst in range(p):

@@ -39,17 +39,29 @@ class Provenance:
 
     @property
     def origin_proc(self) -> np.ndarray:
-        """Processor that held each key before the exchange (int16): the
-        last block starting at or before its position, so empty blocks,
-        which share their start with the next one, hold nothing."""
-        ranks = np.searchsorted(self.block_starts, self.origin, "right") - 1
-        return ranks.astype(np.int16)
+        """Processor that held each key before the exchange (int16)."""
+        return self._blocks().astype(np.int16)
 
     @property
     def origin_index(self) -> np.ndarray:
         """Index within the origin processor's *original* (unsorted) block
         (int32)."""
-        return (self.origin - self.block_starts[self.origin_proc]).astype(np.int32)
+        index = self._starts().take(self._blocks())
+        np.subtract(self.origin, index, out=index)
+        return index.astype(np.int32, copy=False)
+
+    def _starts(self) -> np.ndarray:
+        """The block starts in the positions' dtype, so no search or
+        subtraction widens the positions."""
+        return self.block_starts.astype(self.origin.dtype)
+
+    def _blocks(self) -> np.ndarray:
+        """Each key's block: the last one starting at or before its
+        position, so an empty block, which shares its start with the next
+        one, holds nothing."""
+        blocks = self._starts().searchsorted(self.origin, "right")
+        blocks -= 1
+        return blocks
 
     def global_indices(self, input_offsets: np.ndarray) -> np.ndarray:
         """Indices in the driver's concatenated input, given each
