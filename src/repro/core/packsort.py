@@ -64,23 +64,23 @@ The single precondition is **bits(stored code range) + pos_bits ≤ 62**
 (one sign bit and one spare bit of headroom, and ``pos_bits ≤ 40``); the
 words are int32 when the same sum is ≤ 30, i.e. every stored code lies
 in ``[-2^(30 - pos_bits), 2^(30 - pos_bits))``.  Narrow ints and float32
-always meet the 62-bit test; int64/uint64 meet it when their values do.  A float code range that
-fails a test gets one more chance at the same width: the trailing zero
-bits common to every code (``ctz`` of their OR) are stripped by an exact
-arithmetic shift, which is what lets integral, low-precision and
-float32-valued float64 keys fit, and small-integer floats of either
-width take int32 words.  Full-mantissa float64, uint64 ≥ 2^63 and every
-other dtype kind do not fit.
+always meet the 62-bit test; int64/uint64 meet it when their values do.
+A float code range that fails a test gets one more chance at the same
+width: the trailing zero bits common to every code (``ctz`` of their OR)
+are stripped by an exact arithmetic shift, which is what lets integral,
+low-precision and float32-valued float64 keys fit, and small-integer
+floats of either width take int32 words.  Full-mantissa float64, uint64
+≥ 2^63 and every other dtype kind do not fit.
 
 Both substrates run the multi-block case, the *word path*, through
 :mod:`repro.core.datapath`: steps 2–4 read the sorted words, step 5 moves
 them, step 6 sorts the received runs in place (:func:`sort_runs_in_place`)
 and unpacks once.  Both allgather the frame's statistics in step 1, each
 rank reading its own block.  The single-block case,
-:func:`packed_stable_sort`, serves their keys + perm
-fallback in int64 words whatever the frame's width (its order output is
-int64): on a decline :func:`stable_sort_with_order` runs the plain
-stable argsort, with bit-identical output.
+:func:`packed_stable_sort`, serves their keys + perm fallback in int64
+words whatever the frame's width (its order output is int64): on a
+decline :func:`stable_sort_with_order` runs the plain stable argsort,
+with bit-identical output.
 """
 
 from __future__ import annotations
