@@ -406,7 +406,7 @@ def test_frame_fits_the_pool_workload_shapes():
         stats = [(lo, hi, any_bit, max_len, 0), (lo, hi, any_bit, max_len - 1, 0)]
         frame = derive_key_frame(stats, dtype)
         assert frame is not None, name
-        # As many bits as the old rank bit plus the longest block's index.
+        # Two near-equal blocks: one bit more than one block's own index.
         assert frame.pos_bits == (2 * max_len - 2).bit_length() == 1 + (max_len - 1).bit_length()
         assert not frame.refills, name
     one_more = [(0, 1 << 40, 0, 2_000_000, 0)] * 2
