@@ -143,13 +143,13 @@ def run_poison_degradation(doc, failures):
     """Scenario 2: a poisoned rank is excluded, survivors re-plan."""
     rng = np.random.default_rng(DATA_SEED + 1)
     data = rng.integers(0, 1 << 40, N_KEYS).astype(np.int64)
-    blocks, offsets = partition_input(data, P)
+    blocks, _ = partition_input(data, P)
     plan = FaultPlan.from_spec(f"poison={P - 1}", seed=DATA_SEED)
     problems = []
     t0 = time.perf_counter()
     with ProcessBackend(faults=plan, retry=POLICY) as backend:
         run = backend.sort_blocks(list(blocks))
-        result = run.to_sort_result(offsets)
+        result = run.to_sort_result()
         stats = backend.stats
     wall = time.perf_counter() - t0
     expected_survivors = tuple(range(P - 1))

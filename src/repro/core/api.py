@@ -28,14 +28,14 @@ import numpy as np
 
 from ..faults import FaultPlan, active_fault_plan, inject_faults
 from ..pgxd.config import PgxdConfig
-from ..pgxd.runtime import Machine, PgxdRuntime, RunResult
+from ..pgxd.runtime import Machine, PgxdRuntime
 from ..simnet.cost import CostModel
 from ..simnet.errors import DeadlockError
-from ..simnet.metrics import ClusterMetrics, ProcessMetrics
+from ..simnet.metrics import ClusterMetrics
 from ..simnet.network import NetworkModel
 from .result import SortResult
-from .retry import RetryPolicy, run_with_retry
-from .sorter import RankSortOutput, SortJob, SortOptions, sample_sort_program
+from .retry import JobRun, RetryPolicy, run_with_retry
+from .sorter import SortJob, SortOptions, sample_sort_program
 
 
 @dataclass(frozen=True)
@@ -181,12 +181,11 @@ class DistributedSorter:
         if len({b.dtype for b in blocks}) > 1:
             common = np.result_type(*(b.dtype for b in blocks))
             blocks = [b.astype(common, copy=False) for b in blocks]
-        input_offsets = np.cumsum([0, *map(len, blocks[:-1])], dtype=np.int64)
         from ..parallel.backend import ProcessBackend, resolve_backend
 
         resolved = resolve_backend(self.config.backend)
         if resolved == "simnet":
-            return self._simulate_job(blocks, input_offsets, job=0)
+            return self._simulate_job(blocks, job=0)
         # The pool: a fresh one for this sort, or a live instance (typically
         # a shared persistent pool) its owner closes.  Either picks the
         # sorter's plan up from the ambient scope, unless the instance
@@ -198,14 +197,13 @@ class DistributedSorter:
                     run = backend.sort_blocks(blocks, options=self.config.options, config=self.config.pgxd)
             else:
                 run = resolved.sort_blocks(blocks, options=self.config.options, config=self.config.pgxd)
-        return run.to_sort_result(input_offsets)
+        return run.to_sort_result()
 
-    def _simulate_job(self, blocks: list[np.ndarray], input_offsets: np.ndarray, job: int) -> SortResult:
+    def _simulate_job(self, blocks: list[np.ndarray], job: int) -> SortResult:
         """One simulated job: a plain run, or retried runs under the plan."""
         plan = self.config.faults or active_fault_plan()
         if plan is None:
-            run = _simulate(self.config, blocks)
-            return SortResult.from_rank_outputs(run.results, run.metrics, input_offsets)
+            return _simulate(self.config, blocks).to_sort_result()
         plan.check_ranks(len(blocks))
         plan.check_substrate("simnet")
         speed = self.config.rank_speed
@@ -217,12 +215,9 @@ class DistributedSorter:
                 rank_speed=None if speed is None else tuple(speed[r] for r in rank_ids),
                 faults=plan.for_attempt(rank_ids, number, job),
             )
-            run = _simulate(config, job_blocks)
-            counts = np.stack([out.sent_counts for out in run.results])
-            return _SimRun(run.results, counts, run.metrics)
+            return _simulate(config, job_blocks)
 
-        run = run_with_retry(attempt, blocks, RetryPolicy(), (DeadlockError,), [])
-        return run.to_sort_result(input_offsets)
+        return run_with_retry(attempt, blocks, RetryPolicy(), (DeadlockError,), []).to_sort_result()
 
     def sort_multi(self, datasets: Sequence[np.ndarray]) -> list[SortResult]:
         """Sort several datasets in one cluster launch.
@@ -238,16 +233,16 @@ class DistributedSorter:
         p = self.config.num_processors
         if self.config.faults or active_fault_plan():
             return [
-                self._simulate_job(*partition_input(data, p), job=job)
+                self._simulate_job(partition_input(data, p)[0], job=job)
                 for job, data in enumerate(datasets)
             ]
-        per_dataset = [partition_input(d, p) for d in datasets]
-        jobs = [SortJob(blocks) for blocks, _ in per_dataset]
+        per_dataset = [partition_input(d, p)[0] for d in datasets]
+        jobs = [SortJob(blocks) for blocks in per_dataset]
         runtime = self.config.runtime()
 
         def program(machine: Machine):
             outs = []
-            for (blocks, _), job in zip(per_dataset, jobs):
+            for blocks, job in zip(per_dataset, jobs):
                 out = yield from sample_sort_program(
                     machine, blocks[machine.rank], self.config.options, job
                 )
@@ -255,11 +250,10 @@ class DistributedSorter:
             return outs
 
         run = runtime.run(program)
-        results = []
-        for i, (_, offsets) in enumerate(per_dataset):
-            outputs = [run.results[r][i] for r in range(p)]
-            results.append(SortResult.from_rank_outputs(outputs, run.metrics, offsets))
-        return results
+        return [
+            SortResult.from_rank_outputs([run.results[r][i] for r in range(p)], run.metrics)
+            for i in range(len(datasets))
+        ]
 
     def pool(self, **backend_kwargs) -> "SorterPool":
         """Open a persistent worker pool bound to this configuration.
@@ -336,7 +330,7 @@ class DistributedSorter:
         return result, {name: result.gather_values(col) for name, col in values.items()}
 
 
-def _simulate(config: SortConfig, blocks: Sequence[np.ndarray]) -> RunResult:
+def _simulate(config: SortConfig, blocks: Sequence[np.ndarray]) -> _SimRun:
     """One simulated run of the six steps over ``blocks``."""
     job = SortJob(blocks)
 
@@ -345,39 +339,24 @@ def _simulate(config: SortConfig, blocks: Sequence[np.ndarray]) -> RunResult:
         # less frame on every event resume of the run.
         return sample_sort_program(machine, blocks[machine.rank], config.options, job)
 
-    return config.runtime().run(program)
+    run = config.runtime().run(program)
+    return _SimRun(
+        outputs=run.results,
+        counts_matrix=np.stack([out.sent_counts for out in run.results]),
+        reports=run.metrics.processes,
+        metrics=run.metrics,
+    )
 
 
-@dataclass
-class _SimRun:
-    """One simulated attempt, in the shape :mod:`repro.core.retry` widens
-    (the pool's is :class:`~repro.parallel.run.BackendRun`)."""
+@dataclass(kw_only=True)
+class _SimRun(JobRun):
+    """One simulated run: its reports are the simulator's per-rank
+    metrics, and :attr:`metrics` holds the run-wide totals."""
 
-    outputs: list[RankSortOutput | None]
-    counts_matrix: np.ndarray
     metrics: ClusterMetrics
-    survivors: tuple[int, ...] | None = None
-    recovery_rounds: int = 0
-    input_offsets: np.ndarray | None = None
-    retries: int = 0
-    attempt_history: tuple = ()
 
-    def to_sort_result(self, input_offsets: np.ndarray) -> SortResult:
-        """The :class:`SortResult`; a dropped rank's metrics say it crashed,
-        and each failed attempt is charged to its rank as a retry."""
-        processes = self.metrics.processes
-        if self.survivors is not None:
-            processes = [ProcessMetrics(rank, crashed=True) for rank in range(len(self.outputs))]
-            for metrics, rank in zip(self.metrics.processes, self.survivors):
-                processes[rank] = replace(metrics, rank=rank)
-            input_offsets = self.input_offsets
-        for record in self.attempt_history:
-            if record["rank"] is not None:
-                processes[record["rank"]].retries += 1
-        result = SortResult.from_rank_outputs(
-            self.outputs, replace(self.metrics, processes=processes), input_offsets
-        )
-        return replace(result, survivors=self.survivors, recovery_rounds=self.recovery_rounds)
+    def measured_metrics(self) -> ClusterMetrics:
+        return replace(self.metrics, processes=self.reports)
 
 
 class SorterPool:
@@ -405,16 +384,14 @@ class SorterPool:
 
     def sort(self, data: np.ndarray) -> SortResult:
         """Dispatch one dataset to the warm pool as a job."""
-        blocks, offsets = partition_input(
-            data, self.sorter.config.num_processors
-        )
+        blocks, _ = partition_input(data, self.sorter.config.num_processors)
         run = self.backend.sort_blocks(
             blocks,
             options=self.sorter.config.options,
             config=self.sorter.config.pgxd,
         )
         self.last_run = run
-        return run.to_sort_result(offsets)
+        return run.to_sort_result()
 
     def sort_many(self, datasets: Sequence[np.ndarray]) -> list[SortResult]:
         """Stream several datasets through the pool, one job each.

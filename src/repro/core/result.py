@@ -53,8 +53,6 @@ class SortResult:
     step_seconds: list[dict[str, float]]
     #: Cluster metrics of the run (network traffic, memory, makespan).
     metrics: ClusterMetrics
-    #: Start offset of each rank's original block in the driver's input.
-    input_offsets: np.ndarray
     #: Full counts matrix: sent_counts[src][dst].
     counts_matrix: np.ndarray
     #: Ranks that sorted the whole input after the retry layer
@@ -75,6 +73,14 @@ class SortResult:
     @property
     def total_keys(self) -> int:
         return sum(len(a) for a in self.per_processor)
+
+    @property
+    def input_offsets(self) -> np.ndarray:
+        """Start offset of each rank's block in the driver's input: the
+        block starts every :class:`Provenance` carries (read-only)."""
+        offsets = self.provenance[0].block_starts[:-1].astype(np.int64, copy=False)
+        offsets.flags.writeable = False
+        return offsets
 
     @property
     def elapsed_seconds(self) -> float:
@@ -356,7 +362,6 @@ class SortResult:
                 provenance=provenance,
                 step_seconds=step_seconds,
                 metrics=metrics,
-                input_offsets=starts[:-1],
                 counts_matrix=data["counts_matrix"],
             )
 
@@ -367,7 +372,6 @@ class SortResult:
         cls,
         outputs: list["RankSortOutput | None"],
         metrics: ClusterMetrics,
-        input_offsets: np.ndarray,
     ) -> "SortResult":
         """Assemble the cluster-wide result from per-rank outputs.
 
@@ -387,6 +391,5 @@ class SortResult:
             provenance=[o.provenance if o is not None else nothing for o in outputs],
             step_seconds=[o.step_seconds if o is not None else {} for o in outputs],
             metrics=metrics,
-            input_offsets=np.asarray(input_offsets, dtype=np.int64),
             counts_matrix=counts_matrix,
         )

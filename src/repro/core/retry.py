@@ -7,17 +7,22 @@ error when a rank dies.  :func:`run_with_retry` re-runs the job under a
 :class:`RetryPolicy`, drops a rank that keeps dying, re-plans the input
 over the survivors, and maps the survivor-width run back onto the
 original rank space, so every input key comes back or the job raises.
-Nothing here knows which substrate runs the attempts.
+Nothing here knows which substrate runs the attempts.  Both return a
+:class:`JobRun`, which turns the finished job into a
+:class:`~repro.core.result.SortResult` with one accounting of its faults.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from ..simnet.metrics import ClusterMetrics, ProcessMetrics
 from .provenance import Provenance
+from .result import SortResult
+from .sorter import RankSortOutput
 
 
 @dataclass(frozen=True)
@@ -59,23 +64,89 @@ class RetryPolicy:
         )
 
 
+@dataclass(kw_only=True)
+class JobRun:
+    """One finished job, in the original rank space, on either substrate.
+
+    An attempt returns one at its own width; :func:`run_with_retry`
+    widens a degraded one (:func:`_expand_degraded`) and stamps the
+    failed attempts on it.  Each substrate says what it measured
+    (:meth:`measured_metrics`): simnet's record holds the simulator's
+    metrics, the pool's (:class:`~repro.parallel.run.BackendRun`) derives
+    them from its worker reports.
+    """
+
+    #: Per-rank outputs; None at a rank the job dropped.
+    outputs: list[RankSortOutput | None]
+    #: counts_matrix[src][dst] = keys shipped src -> dst.
+    counts_matrix: np.ndarray
+    #: Per-rank measurements (the simulator's :class:`ProcessMetrics`, or
+    #: the pool's worker reports); None at a rank the job dropped.
+    reports: list
+    #: Original rank ids that produced this run after a survivor-degraded
+    #: re-plan; None on the full-width path.
+    survivors: tuple[int, ...] | None = None
+    #: One record per failed attempt (``attempt``/``error``/``rank``/
+    #: ``exitcode``/``last_step``).
+    attempt_history: tuple = ()
+
+    @property
+    def retries(self) -> int:
+        """Failed attempts before this run succeeded."""
+        return len(self.attempt_history)
+
+    @property
+    def recovery_rounds(self) -> int:
+        """Survivor re-plan rounds this job needed: the ranks it dropped."""
+        return 0 if self.survivors is None else len(self.outputs) - len(self.survivors)
+
+    def measured_metrics(self) -> ClusterMetrics:
+        """What the substrate measured: one :class:`ProcessMetrics` per
+        rank, None at a rank the job dropped."""
+        raise NotImplementedError
+
+    def cluster_metrics(self) -> ClusterMetrics:
+        """The measured metrics with the retry layer's accounting: a
+        dropped rank is crashed, and each failed attempt is charged to the
+        rank it names, a ``ControlPlaneTimeout`` as a timeout and anything
+        else as a retry.  All-zero on a clean run, so its report carries
+        no ``faults`` block."""
+        metrics = self.measured_metrics()
+        # Copies: simnet's reports are the simulator's own metrics.
+        processes = [
+            ProcessMetrics(rank, crashed=True) if m is None else replace(m)
+            for rank, m in enumerate(metrics.processes)
+        ]
+        for record in self.attempt_history:
+            if record["rank"] is None:
+                continue
+            if record["error"] == "ControlPlaneTimeout":
+                processes[record["rank"]].timeouts += 1
+            else:
+                processes[record["rank"]].retries += 1
+        return replace(metrics, processes=processes)
+
+    def to_sort_result(self) -> SortResult:
+        """The user-facing :class:`~repro.core.result.SortResult`."""
+        result = SortResult.from_rank_outputs(self.outputs, self.cluster_metrics())
+        return replace(result, survivors=self.survivors, recovery_rounds=self.recovery_rounds)
+
+
 def run_with_retry(
-    attempt: Callable[[Sequence[np.ndarray], tuple[int, ...], int], Any],
+    attempt: Callable[[Sequence[np.ndarray], tuple[int, ...], int], JobRun],
     blocks: Sequence[np.ndarray],
     policy: RetryPolicy,
     retryable: tuple[type[BaseException], ...],
     history: list[dict],
-) -> Any:
+) -> JobRun:
     """Run one job to completion under ``policy``.
 
     ``attempt(blocks, rank_ids, number)`` runs the job once, where
     ``rank_ids[slot]`` is the original rank running ``slot`` and ``number``
-    counts attempts from 0.  It returns a run record — per-slot
-    ``outputs`` (:class:`~repro.core.sorter.RankSortOutput`) and their
-    ``counts_matrix`` — or raises.  An error of a ``retryable`` type is
-    recorded in ``history`` (``attempt``, ``error``, ``rank``,
-    ``exitcode``, ``last_step``) and the job runs again; any other error
-    propagates.  A rank charged ``policy.degrade_after`` failures is
+    counts attempts from 0.  It returns a :class:`JobRun` or raises.  An
+    error of a ``retryable`` type is recorded in ``history`` (``attempt``,
+    ``error``, ``rank``, ``exitcode``, ``last_step``) and the job runs
+    again; any other error propagates.  A rank charged ``policy.degrade_after`` failures is
     dropped: the original input is re-partitioned over the survivors with
     :func:`~repro.core.api.partition_input` and a fresh attempt budget,
     and the run that succeeds is expanded back to the original width
@@ -123,7 +194,6 @@ def run_with_retry(
             continue
         if len(survivors) < original_p:
             run = _expand_degraded(run, tuple(survivors), original_p)
-        run.retries = len(history)
         run.attempt_history = tuple(history)
         return run
 
@@ -146,18 +216,17 @@ def _culprit_rank(exc: BaseException, rank_ids: tuple[int, ...]) -> int | None:
     return rank_ids[rank]
 
 
-def _expand_degraded(run: Any, survivors: tuple[int, ...], original_p: int) -> Any:
+def _expand_degraded(run: JobRun, survivors: tuple[int, ...], original_p: int) -> JobRun:
     """Map a survivor-width run back onto the original rank space.
 
-    Excluded slots get ``None`` outputs (SortResult renders them as
-    empty partitions) and an empty block at the next survivor's start, so
-    the expanded offsets stay monotone; the counts matrix is scattered
-    through ``np.ix_`` so traffic stays attributed to original identities.
-    The re-planned blocks concatenate back to the original input, so
-    every origin position is already exact: provenance only takes the
-    expanded block starts, through which ``origin_proc`` names original
-    ranks.  The expanded offsets ride on ``run.input_offsets`` and
-    override the caller's.
+    Excluded slots get ``None`` outputs and reports (SortResult renders
+    them as empty partitions, its metrics as crashed ranks) and an empty
+    block at the next survivor's start, so the expanded block starts stay
+    monotone; the counts matrix is scattered through ``np.ix_`` so traffic
+    stays attributed to original identities.  The re-planned blocks
+    concatenate back to the original input, so every origin position is
+    already exact: provenance only takes the expanded block starts,
+    through which ``origin_proc`` names original ranks.
     """
     survivor_arr = np.asarray(survivors, dtype=np.int64)
     expanded_counts = np.zeros((original_p, original_p), dtype=run.counts_matrix.dtype)
@@ -167,15 +236,16 @@ def _expand_degraded(run: Any, survivors: tuple[int, ...], original_p: int) -> A
     starts[survivor_arr] = planned[:-1]
     starts = np.minimum.accumulate(starts[::-1])[::-1]  # excluded: the next start
     outputs: list = [None] * original_p
-    for out, orig in zip(run.outputs, survivors):
+    reports: list = [None] * original_p
+    for out, report, orig in zip(run.outputs, run.reports, survivors):
         outputs[orig] = replace(
             out,
             provenance=Provenance(out.provenance.origin, starts),
             sent_counts=expanded_counts[orig].copy(),
         )
+        reports[orig] = replace(report, rank=orig)
     run.outputs = outputs
+    run.reports = reports
     run.counts_matrix = expanded_counts
     run.survivors = survivors
-    run.recovery_rounds = original_p - len(survivors)
-    run.input_offsets = starts[:-1]
     return run

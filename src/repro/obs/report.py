@@ -207,23 +207,15 @@ class RunReport:
 
     @classmethod
     def from_backend_run(cls, run, tracer: Tracer | None = None) -> "RunReport":
-        """Report for a :class:`repro.parallel.run.BackendRun`.
+        """Report for a :class:`repro.parallel.run.BackendRun`: the report
+        of its :class:`~repro.core.result.SortResult`.
 
         All-measured variant: walls are the workers' step boundaries,
         compute/wait splits come from the measured collective blocking, and
         peak RSS from the worker processes (see the module docstring's
         modeled-vs-measured table).
         """
-        return cls.from_metrics(
-            run.cluster_metrics(),
-            tracer=tracer,
-            step_seconds=[
-                # A survivor-degraded run leaves excluded slots at None;
-                # their step walls are simply absent, not zero.
-                dict(out.step_seconds) if out is not None else {}
-                for out in run.outputs
-            ],
-        )
+        return cls.from_sort_result(run.to_sort_result(), tracer=tracer)
 
     # ---------------------------------------------------- serialization
 

@@ -60,13 +60,7 @@ from .errors import (
     WorkerCrashedError,
     WorkerFailedError,
 )
-from .run import (
-    MAX_PINNED_RESULTS,
-    BackendRun,
-    ProcessRunHandle,
-    adopt_run,
-    collect_run,
-)
+from .run import BackendRun, adopt_run, collect_run
 from .shmsan import MUTATIONS, ShmSan, active_shm_sanitizer
 from .splitter_cache import SplitterCache, SplitterProbe
 from .tracing import ambient_progress
@@ -518,10 +512,6 @@ class ProcessBackend:
         finally:
             self.retries += len(history)
         if run.survivors is not None:
-            reports: list = [None] * len(blocks)
-            for report, rank in zip(run.reports, run.survivors):
-                reports[rank] = report
-            run.reports = reports
             self.degraded_jobs += 1
         return run
 
@@ -670,18 +660,12 @@ class ProcessBackend:
         return run
 
 
-#: Names that moved to run.py / core/retry.py / splitter_cache.py stay
-#: importable from here, as does STEP_LABELS (every step label a backend
-#: reports).
+#: STEP_LABELS (every step label a backend reports) stays importable
+#: from here: the ledger's pool pass reads it from this module.
 __all__ = [
     "BACKENDS",
-    "BackendRun",
     "ExecutionBackend",
-    "MAX_PINNED_RESULTS",
     "ProcessBackend",
-    "ProcessRunHandle",
-    "RetryPolicy",
-    "SplitterCache",
     "STEP_LABELS",
     "default_backend",
     "resolve_backend",

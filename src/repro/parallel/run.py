@@ -1,21 +1,22 @@
-"""One finished pool job: the backend-agnostic run record and how it is
-assembled from the job's shared-memory leases.
+"""One finished pool job: its run record and how it is assembled from
+the job's shared-memory leases.
 
-:class:`BackendRun` is what every execution backend returns;
-:func:`collect_run` builds it for the process pool — zero-copy, by pinning
-the job's own output leases — and :class:`ProcessRunHandle` lets an obs
-capture adopt it like a simulator session.
+:class:`BackendRun` is the pool's :class:`~repro.core.retry.JobRun`;
+:func:`collect_run` builds it — zero-copy, by pinning the job's own
+output leases — and :class:`ProcessRunHandle` lets an obs capture adopt
+it like a simulator session.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..core.datapath import OUTPUT_ROLES, JobStorage, surfaced_sort_path
 from ..core.provenance import Provenance
+from ..core.retry import JobRun
 from ..core.sorter import RankSortOutput
 from .layout import exchange_layout
 from .shmsan import ShmSan
@@ -35,98 +36,58 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 MAX_PINNED_RESULTS = 4
 
 
-@dataclass
-class BackendRun:
-    """Backend-agnostic outcome of one partitioned sort."""
+@dataclass(kw_only=True)
+class BackendRun(JobRun):
+    """One finished pool job: the :class:`~repro.core.retry.JobRun` the
+    process backend returns, with its wall clocks and worker reports.
 
-    #: Per-rank outputs in the simulated sorter's shape (keys, provenance,
-    #: per-step seconds — wall seconds on real backends).  From the
-    #: process backend the arrays are writable views of the shared memory
-    #: step 6 merged into, owned by this result (they outlive the pool;
-    #: pickling copies them) — see :data:`MAX_PINNED_RESULTS`.
-    outputs: list[RankSortOutput]
+    Its outputs' arrays are writable views of the shared memory step 6
+    merged into, owned by this result (they outlive the pool; pickling
+    copies them) — see :data:`MAX_PINNED_RESULTS`.  Its reports are the
+    per-rank :class:`~repro.parallel.worker.WorkerReport`: the measured
+    waits, peak RSS, what the job's data path declared, and optional
+    trace payloads.
+    """
+
     #: Final splitters the Master selected.
     splitters: np.ndarray
-    #: counts_matrix[src][dst] = keys shipped src -> dst.
-    counts_matrix: np.ndarray
     #: Driver-observed wall seconds for the whole run (spawn to collect).
     wall_seconds: float
     #: Max over workers of in-step wall seconds (excludes spawn overhead).
     worker_seconds: float
-    #: Per-rank worker reports: the measured waits, peak RSS, what the
-    #: job's data path declared, and optional trace payloads.
-    reports: list[WorkerReport]
     #: Pool job id (0 on non-pooled backends).
     job_id: int = 0
     #: Splitter-cache verdict for this job (``cold``/``hit``/``miss``/
     #: ``fallback-forced``; None on non-pooled backends).
     splitter_cache: str | None = None
-    #: Failed attempts the retry layer burned before this run succeeded
-    #: (0 on the fault-free path, which keeps reports bit-identical).
-    retries: int = 0
-    #: One record per failed attempt (``attempt``/``error``/``rank``/
-    #: ``exitcode``/``last_step``), as carried by ``JobAbortedError``.
-    attempt_history: tuple = ()
-    #: Original rank ids that produced this run after a survivor-degraded
-    #: re-plan; None on the full-width path.  Degraded runs keep the
-    #: original rank count in :attr:`outputs` and :attr:`reports` with
-    #: ``None`` at excluded slots (:mod:`repro.core.retry`).
-    survivors: tuple[int, ...] | None = None
-    #: Survivor re-plan rounds this job needed (0 = first planning held).
-    recovery_rounds: int = 0
-    #: Re-planned input offsets (original-rank indexed) when the job was
-    #: survivor-degraded; overrides the caller's partition offsets in
-    #: :meth:`to_sort_result` because the data was re-blocked.
-    input_offsets: np.ndarray | None = None
 
-    def to_sort_result(self, input_offsets: np.ndarray):
-        """Assemble the user-facing :class:`~repro.core.result.SortResult`.
-
-        The metrics slot is filled with wall-clock accounting: per-step
-        wall seconds as phase seconds, shm traffic as bytes, and the
-        driver's wall time as the makespan — so ``elapsed_seconds``,
-        ``step_breakdown`` and friends answer in real seconds.
-        """
-        from ..core.result import SortResult
-
-        if self.input_offsets is not None:
-            input_offsets = self.input_offsets
-        result = SortResult.from_rank_outputs(
-            self.outputs, self.cluster_metrics(), input_offsets
-        )
-        return replace(result, survivors=self.survivors, recovery_rounds=self.recovery_rounds)
-
-    def cluster_metrics(self):
-        """Wall-clock :class:`~repro.simnet.metrics.ClusterMetrics` shim.
+    def measured_metrics(self):
+        """Wall-clock :class:`~repro.simnet.metrics.ClusterMetrics` shim,
+        so ``elapsed_seconds``, ``step_breakdown`` and friends answer in
+        real seconds.
 
         The accounting is *measured*, from the worker reports: each step's
         compute is its wall minus the blocking time the worker clocked
         inside collectives during that step, the recv/barrier wait totals
         are the worker's own, and peak resident memory is the worker
-        process's real ``ru_maxrss``.
+        process's real ``ru_maxrss``; shm traffic counts as bytes and the
+        driver's wall time is the makespan.
         """
         from ..simnet.metrics import ClusterMetrics, ProcessMetrics
 
-        p = len(self.outputs)
         processes = []
         remote_bytes = 0
         local_bytes = 0
         messages = 0
-        for rank, out in enumerate(self.outputs):
+        for rank, (out, report) in enumerate(zip(self.outputs, self.reports)):
             if out is None:
-                # Survivor-degraded run: this rank was excluded as
-                # poisoned; it keeps its slot (rank-aligned indices) with
-                # zero traffic and the crashed flag set.
-                m = ProcessMetrics(rank=rank)
-                m.crashed = True
-                processes.append(m)
+                processes.append(None)
                 continue
             row = self.counts_matrix[rank]
             col = self.counts_matrix[:, rank]
             off_row = int(row.sum() - row[rank])
             off_col = int(col.sum() - col[rank])
             m = ProcessMetrics(rank=rank)
-            report = self.reports[rank]
             for label, wall in out.step_seconds.items():
                 waited = report.step_wait_seconds.get(label, 0.0)
                 m.phase_seconds[label] = max(wall - waited, 0.0)
@@ -147,18 +108,6 @@ class BackendRun:
             remote_bytes += m.bytes_sent
             local_bytes += int(row[rank]) * per_key
             messages += m.messages_sent
-        # Retry-layer fault accounting: charge each failed attempt to the
-        # rank it was attributed to.  All-zero on clean runs, so the
-        # RunReport ``faults`` key stays absent and the committed run-report
-        # snapshot holds bit-identical.
-        for record in self.attempt_history:
-            culprit = record.get("rank")
-            if culprit is None or not 0 <= culprit < p:
-                continue
-            if record.get("error") == "ControlPlaneTimeout":
-                processes[culprit].timeouts += 1
-            else:
-                processes[culprit].retries += 1
         return ClusterMetrics(
             processes=processes,
             makespan=self.wall_seconds,

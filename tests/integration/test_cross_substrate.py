@@ -169,9 +169,9 @@ def test_pool_step_one_allgathers_the_frame_statistics(pool, dtype, p):
     """The pool's step 1 posts the same collective: one allgather per rank,
     or none for a dtype without a codec."""
     data = np.random.default_rng(p).integers(0, 1000, 400 * p).astype(dtype)
-    blocks, offsets = partition_input(data, p)
+    blocks, _ = partition_input(data, p)
     with capture() as cap:
-        result = pool.sort_blocks(blocks).to_sort_result(offsets)
+        result = pool.sort_blocks(blocks).to_sort_result()
     assert np.array_equal(result.to_array(), np.sort(data))
     tracer = cap.sessions[-1].tracer
     windows = _step_one_windows(tracer)
@@ -372,11 +372,11 @@ def test_wire_faults_leave_the_bytes_and_the_word_path(word_merges, assert_balan
 def _on_both_substrates(spec, data, p):
     """One fault spec, one job, on simnet and on a fresh pool."""
     plan = FaultPlan.from_spec(spec, seed=p)
-    blocks, offsets = partition_input(data, p)
+    blocks, _ = partition_input(data, p)
     sim = DistributedSorter(num_processors=p, faults=plan).sort(data)
     policy = RetryPolicy(backoff_seconds=0.001, backoff_cap_seconds=0.01)
     with ProcessBackend(faults=plan, retry=policy) as backend:
-        real = backend.sort_blocks(blocks).to_sort_result(offsets)
+        real = backend.sort_blocks(blocks).to_sort_result()
     return sim, real
 
 
@@ -406,6 +406,17 @@ def test_a_persistent_crash_degrades_both_substrates_alike(assert_balanced, p):
     sim, real = _on_both_substrates("poison=1", data, p)
     assert sim.survivors == real.survivors == tuple(r for r in range(p) if r != 1)
     assert sim.input_offsets.tobytes() == real.input_offsets.tobytes()
+    # One accounting on both: the dropped rank crashed, and each of its
+    # failed attempts is a retry charged to it.
+    for field in ("crashed", "retries"):
+        assert [getattr(m, field) for m in sim.metrics.processes] == [
+            getattr(m, field) for m in real.metrics.processes
+        ]
+    assert sim.metrics.processes[1].crashed and sim.metrics.processes[1].retries > 0
+    # The offsets are the provenance's block starts, on every rank.
+    for result in (sim, real):
+        for prov in result.provenance:
+            assert np.array_equal(result.input_offsets, prov.block_starts[:-1])
     assert np.array_equal(sim.to_array(), np.sort(data))
     _assert_bytes_equal(zip(sim.per_processor, sim.provenance), real)
     # The survivors re-sorted the whole input as p - 1 equal blocks.

@@ -26,7 +26,7 @@ from repro.parallel import (
     SplitterCache,
     WorkerCrashedError,
 )
-from repro.parallel.backend import MAX_PINNED_RESULTS
+from repro.parallel.run import MAX_PINNED_RESULTS
 from repro.parallel.shmsan import shm_sanitize
 from repro.parallel.tracing import use_progress
 from repro.workloads import right_skewed

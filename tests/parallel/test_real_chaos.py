@@ -11,6 +11,7 @@ import pytest
 from repro.core.api import DistributedSorter, SortConfig, partition_input
 from repro.core.local_backend import local_sample_sort
 from repro.faults import FaultPlan, active_fault_plan, inject_faults, kill_one_per_job
+from repro.obs.report import RunReport
 from repro.parallel import (
     ControlPlaneTimeout,
     JobAbortedError,
@@ -250,11 +251,11 @@ class TestRetryPolicy:
 class TestKillRetryRecovery:
     def test_transient_kill_recovers_bit_identical(self):
         data = _data()
-        blocks, offsets = partition_input(data, 4)
+        blocks, _ = partition_input(data, 4)
         plan = FaultPlan.from_spec("kill=1@5-exchange:0", seed=7)
         with ProcessBackend(faults=plan, retry=FAST) as backend:
             run = backend.sort_blocks(blocks)
-            result = run.to_sort_result(offsets)
+            result = run.to_sort_result()
         assert run.retries == 1
         assert run.attempt_history[0]["rank"] == 1
         assert run.attempt_history[0]["error"] == "WorkerCrashedError"
@@ -267,11 +268,11 @@ class TestKillRetryRecovery:
     @pytest.mark.parametrize("spec", ["kill=1@5-exchange:0", "kill=2@6-merge:0"])
     def test_word_path_kill_recovers_lossy_float_keys_bit_for_bit(self, spec):
         data = _signed_zero_nan_floats()
-        blocks, offsets = partition_input(data, 4)
+        blocks, _ = partition_input(data, 4)
         plan = FaultPlan.from_spec(spec, seed=7)
         with ProcessBackend(faults=plan, retry=FAST, sanitize=True) as backend:
             run = backend.sort_blocks(blocks)
-            result = run.to_sort_result(offsets)
+            result = run.to_sort_result()
             san = backend.sanitizer
         assert run.retries == 1
         assert result.survivors is None
@@ -311,13 +312,13 @@ class TestKillRetryRecovery:
         assert backend.stats["aborted_jobs"] == 1
 
     def test_no_chaos_run_reports_zero_recovery_surface(self):
-        blocks, offsets = partition_input(_data(), 4)
+        blocks, _ = partition_input(_data(), 4)
         with ProcessBackend() as backend:
             run = backend.sort_blocks(list(blocks))
         assert run.retries == 0
         assert run.attempt_history == ()
         assert run.survivors is None and run.recovery_rounds == 0
-        result = run.to_sort_result(offsets)
+        result = run.to_sort_result()
         assert result.survivors is None
         # The faults block stays absent from metrics on clean runs (the
         # golden run-report snapshot depends on this).
@@ -331,11 +332,11 @@ class TestKillRetryRecovery:
 class TestSurvivorDegradedRecovery:
     def test_poisoned_rank_degrades_to_survivors(self):
         data = _data()
-        blocks, offsets = partition_input(data, 4)
+        blocks, _ = partition_input(data, 4)
         plan = FaultPlan.from_spec("poison=2", seed=7)
         with ProcessBackend(faults=plan, retry=FAST) as backend:
             run = backend.sort_blocks(blocks)
-            result = run.to_sort_result(offsets)
+            result = run.to_sort_result()
         assert result.survivors == (0, 1, 3)
         assert result.recovery_rounds == 1
         assert result.is_globally_sorted()
@@ -349,11 +350,11 @@ class TestSurvivorDegradedRecovery:
         # position in the original one, and the expanded block starts name
         # the original rank id.
         data = _signed_zero_nan_floats()
-        blocks, offsets = partition_input(data, 4)
+        blocks, _ = partition_input(data, 4)
         plan = FaultPlan.from_spec("poison=2", seed=7)
         with ProcessBackend(faults=plan, retry=FAST, sanitize=True) as backend:
             run = backend.sort_blocks(blocks)
-            result = run.to_sort_result(offsets)
+            result = run.to_sort_result()
             san = backend.sanitizer
         assert result.survivors == (0, 1, 3)
         assert result.recovery_rounds == 1
@@ -364,10 +365,10 @@ class TestSurvivorDegradedRecovery:
 
     def test_degraded_provenance_round_trips_to_origin(self):
         data = _data(n=12_000)
-        blocks, offsets = partition_input(data, 4)
+        blocks, _ = partition_input(data, 4)
         plan = FaultPlan.from_spec("poison=1", seed=7)
         with ProcessBackend(faults=plan, retry=FAST) as backend:
-            result = backend.sort_blocks(blocks).to_sort_result(offsets)
+            result = backend.sort_blocks(blocks).to_sort_result()
         # gather_values pulls each sorted key's original value through
         # provenance — equality proves origin_proc survived renumbering.
         np.testing.assert_array_equal(
@@ -376,7 +377,7 @@ class TestSurvivorDegradedRecovery:
 
     def test_degraded_counts_matrix_stays_rank_aligned(self):
         data = _data(n=12_000)
-        blocks, offsets = partition_input(data, 4)
+        blocks, _ = partition_input(data, 4)
         plan = FaultPlan.from_spec("poison=3", seed=7)
         with ProcessBackend(faults=plan, retry=FAST) as backend:
             run = backend.sort_blocks(blocks)
@@ -390,14 +391,14 @@ class TestSurvivorDegradedRecovery:
         # recover at full width because neither rank reaches the
         # degrade_after threshold.
         data = _data()
-        blocks, offsets = partition_input(data, 4)
+        blocks, _ = partition_input(data, 4)
         plan = FaultPlan(
             seed=0,
             kills=((0, 1, "5-exchange"),),
         )
         policy = dataclasses.replace(FAST, degrade_after=2)
         with ProcessBackend(faults=plan, retry=policy) as backend:
-            result = backend.sort_blocks(blocks).to_sort_result(offsets)
+            result = backend.sort_blocks(blocks).to_sort_result()
         assert result.survivors is None
         _assert_oracle_identical(result, data, 4)
 
@@ -405,17 +406,23 @@ class TestSurvivorDegradedRecovery:
 class TestHangAndPhaseDeadline:
     def test_hang_converts_to_timeout_then_recovers(self):
         data = _data(n=8_000)
-        blocks, offsets = partition_input(data, 4)
+        blocks, _ = partition_input(data, 4)
         plan = FaultPlan.from_spec("hang=2@gather:0", seed=7)
         with ProcessBackend(
             faults=plan, retry=FAST, phase_timeout_seconds=1.0
         ) as backend:
             run = backend.sort_blocks(blocks)
-            result = run.to_sort_result(offsets)
+            result = run.to_sort_result()
         assert run.retries == 1
         record = run.attempt_history[0]
         assert record["error"] == "ControlPlaneTimeout"
         assert record["rank"] == 2  # attributed via missing_ranks
+        # A timed-out attempt is charged to its rank as a timeout, not a
+        # retry, in the result's metrics and in its report alike.
+        charged = result.metrics.processes[2]
+        assert (charged.timeouts, charged.retries) == (1, 0)
+        faults = RunReport.from_sort_result(result).ranks[2].faults
+        assert (faults["timeouts"], faults["retries"]) == (1, 0)
         assert result.survivors is None
         _assert_oracle_identical(result, data, 4)
 
@@ -423,19 +430,19 @@ class TestHangAndPhaseDeadline:
 class TestLatencyAndStragglers:
     def test_delay_spikes_do_not_change_bits(self):
         data = _data(n=8_000)
-        blocks, offsets = partition_input(data, 4)
+        blocks, _ = partition_input(data, 4)
         plan = FaultPlan.from_spec("delay=0.5:0.001", seed=5)
         with ProcessBackend(faults=plan) as backend:
-            result = backend.sort_blocks(blocks).to_sort_result(offsets)
+            result = backend.sort_blocks(blocks).to_sort_result()
         _assert_oracle_identical(result, data, 4)
 
     def test_muted_and_slow_ranks_still_sort_identically(self):
         data = _data(n=8_000)
-        blocks, offsets = partition_input(data, 4)
+        blocks, _ = partition_input(data, 4)
         plan = FaultPlan.from_spec("mute=0,slow=1x1.5", seed=5)
         with ProcessBackend(faults=plan) as backend:
             run = backend.sort_blocks(blocks)
-            result = run.to_sort_result(offsets)
+            result = run.to_sort_result()
         assert run.retries == 0
         _assert_oracle_identical(result, data, 4)
 
