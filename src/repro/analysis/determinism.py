@@ -3,7 +3,9 @@
 The engine's contract is full determinism: the same programs, inputs, and
 configuration must produce the same virtual times, metrics, and outputs on
 every run — and across engine refactors.  This module condenses one run of
-the paper's distributed sort into a JSON-able *fingerprint* whose floats are
+the paper's distributed sort — through the public
+:class:`~repro.core.api.DistributedSorter`, the path every user and every
+faulted run takes — into a JSON-able *fingerprint* whose floats are
 recorded as ``float.hex()`` strings, so equality means bit-identity rather
 than "approximately equal".
 
@@ -16,15 +18,15 @@ which is what licenses performance work on the event loop's hot paths.
 from __future__ import annotations
 
 import hashlib
+from contextlib import nullcontext
 from typing import Any
 
 import numpy as np
 
-from ..core.sorter import SortJob, SortOptions, sample_sort_program
-from ..obs.tracer import Tracer
-from ..pgxd.runtime import KernelPool, Machine, PgxdRuntime
-from ..simnet.engine import ProcessHandle, Simulator
+from ..core.api import DistributedSorter
+from ..obs.context import capture
 from ..simnet.metrics import ProcessMetrics
+from ..simnet.sanitizer import sanitize
 
 
 def _hex(x: float) -> str:
@@ -76,7 +78,8 @@ def capture_sort_fingerprint(
     dtype: str = "int64",
     sanitizer: Any = None,
 ) -> dict[str, Any]:
-    """Run a fixed-seed distributed sort under a tracer; return its fingerprint.
+    """Sort a fixed-seed workload on simnet under an ambient capture; return
+    the run's fingerprint.
 
     Every field is either an integer count or a ``float.hex()`` string, so a
     fingerprint compares bit-exactly across engine implementations.
@@ -89,23 +92,11 @@ def capture_sort_fingerprint(
     against the committed golden fingerprint proves.
     """
     data = golden_keys(n_keys, seed, dtype)
-    bounds = [n_keys * i // num_ranks for i in range(num_ranks + 1)]
-    blocks = [data[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    options = SortOptions()
-    job = SortJob(blocks)
-    runtime, tracer = PgxdRuntime(num_ranks), Tracer()
-    sim = Simulator(num_ranks, runtime.network, tracer=tracer, sanitizer=sanitizer)
-
-    with KernelPool() as kernels:
-
-        def bootstrap(proc: ProcessHandle):
-            cost = runtime.cost_for_rank(proc.rank)
-            machine = Machine(proc, runtime.config, cost, kernels)
-            return (yield from sample_sort_program(machine, blocks[proc.rank], options, job))
-
-        sim.add_program(bootstrap)
-        metrics = sim.run()
-    outputs = sim.results()
+    sorter = DistributedSorter(num_processors=num_ranks, backend="simnet")
+    with capture() as cap, nullcontext() if sanitizer is None else sanitize(sanitizer):
+        result = sorter.sort(data)
+    tracer = cap.sessions[-1].tracer
+    metrics = result.metrics
 
     # The tracer's per-rank events: spans and counter samples on their
     # rank, flows on their sender.
@@ -116,11 +107,11 @@ def capture_sort_fingerprint(
     for flow in tracer.flows:
         trace_per_rank[flow.src] += 1
 
-    keys = [out.keys for out in outputs]
+    keys = result.per_processor
     prov = []
-    for out in outputs:
-        prov.append(out.provenance.origin_proc)
-        prov.append(out.provenance.origin_index)
+    for provenance in result.provenance:
+        prov.append(provenance.origin_proc)
+        prov.append(provenance.origin_index)
     return {
         "workload": {"num_ranks": num_ranks, "n_keys": n_keys, "seed": seed}
         | ({} if dtype == "int64" else {"dtype": dtype}),
@@ -131,8 +122,8 @@ def capture_sort_fingerprint(
         "trace_events_total": sum(trace_per_rank),
         "trace_events_per_rank": trace_per_rank,
         "step_seconds": [
-            {k: _hex(v) for k, v in sorted(out.step_seconds.items())}
-            for out in outputs
+            {k: _hex(v) for k, v in sorted(steps.items())}
+            for steps in result.step_seconds
         ],
         "processes": [_metrics_fingerprint(p) for p in metrics.processes],
         "output_keys_sha256": _digest(keys),

@@ -13,8 +13,8 @@ Quickstart::
 
 The sort is generic over numeric dtypes ("a generic [API] that works with
 any data type"), supports payload columns via provenance
-(:meth:`SortResult.gather_values`), and can sort several datasets in one
-cluster launch (:meth:`DistributedSorter.sort_multi` — "able to sort
+(:meth:`SortResult.gather_values`), and can sort a stream of datasets,
+one job each (:meth:`DistributedSorter.sort_many` — "able to sort
 different data simultaneously").
 """
 
@@ -200,12 +200,14 @@ class DistributedSorter:
         return run.to_sort_result()
 
     def _simulate_job(self, blocks: list[np.ndarray], job: int) -> SortResult:
-        """One simulated job: a plain run, or retried runs under the plan."""
+        """One simulated job through :func:`~repro.core.retry.run_with_retry`:
+        without a fault plan, one attempt with nothing retryable; under
+        one, retried runs, each under :meth:`~repro.faults.FaultPlan.
+        for_attempt` of the job's number."""
         plan = self.config.faults or active_fault_plan()
-        if plan is None:
-            return _simulate(self.config, blocks).to_sort_result()
-        plan.check_ranks(len(blocks))
-        plan.check_substrate("simnet")
+        if plan is not None:
+            plan.check_ranks(len(blocks))
+            plan.check_substrate("simnet")
         speed = self.config.rank_speed
 
         def attempt(job_blocks, rank_ids: tuple[int, ...], number: int) -> _SimRun:
@@ -213,47 +215,12 @@ class DistributedSorter:
                 self.config,
                 num_processors=len(rank_ids),
                 rank_speed=None if speed is None else tuple(speed[r] for r in rank_ids),
-                faults=plan.for_attempt(rank_ids, number, job),
+                faults=None if plan is None else plan.for_attempt(rank_ids, number, job),
             )
             return _simulate(config, job_blocks)
 
-        return run_with_retry(attempt, blocks, RetryPolicy(), (DeadlockError,), []).to_sort_result()
-
-    def sort_multi(self, datasets: Sequence[np.ndarray]) -> list[SortResult]:
-        """Sort several datasets in one cluster launch.
-
-        The datasets are processed back-to-back inside a single simulation,
-        so later sorts reuse the warm cluster — the paper's "sort multiple
-        different data simultaneously" API.  Returns one result per input.
-        Under a fault plan each dataset is its own retried job, numbered
-        from 0 in stream order as a pool numbers its jobs.
-        """
-        if not datasets:
-            return []
-        p = self.config.num_processors
-        if self.config.faults or active_fault_plan():
-            return [
-                self._simulate_job(partition_input(data, p)[0], job=job)
-                for job, data in enumerate(datasets)
-            ]
-        per_dataset = [partition_input(d, p)[0] for d in datasets]
-        jobs = [SortJob(blocks) for blocks in per_dataset]
-        runtime = self.config.runtime()
-
-        def program(machine: Machine):
-            outs = []
-            for blocks, job in zip(per_dataset, jobs):
-                out = yield from sample_sort_program(
-                    machine, blocks[machine.rank], self.config.options, job
-                )
-                outs.append(out)
-            return outs
-
-        run = runtime.run(program)
-        return [
-            SortResult.from_rank_outputs([run.results[r][i] for r in range(p)], run.metrics)
-            for i in range(len(datasets))
-        ]
+        retryable = () if plan is None else (DeadlockError,)
+        return run_with_retry(attempt, blocks, RetryPolicy(), retryable, []).to_sort_result()
 
     def pool(self, **backend_kwargs) -> "SorterPool":
         """Open a persistent worker pool bound to this configuration.
@@ -267,24 +234,28 @@ class DistributedSorter:
         return SorterPool(self, **backend_kwargs)
 
     def sort_many(self, datasets: Sequence[np.ndarray]) -> list[SortResult]:
-        """Sort a stream of datasets on one warm cluster.
+        """Sort a stream of datasets, one job each, in order.
 
-        The multi-dataset twin of :meth:`sort`, dispatched by backend:
-        on ``simnet`` it delegates to :meth:`sort_multi` (one simulated
-        cluster launch); on ``process`` it opens one persistent pool and
-        streams the datasets through it as jobs (amortized spawn, warm
-        arenas, splitter-cache reuse); on a live backend instance it
-        streams the jobs through that instance without closing it.
+        The multi-dataset twin of :meth:`sort`, dispatched by backend: on
+        ``simnet`` dataset i is simulated job i (the number a fault plan's
+        ``:JOB`` addresses); on ``process`` it opens one persistent pool
+        and streams the datasets through it (amortized spawn, warm arenas,
+        splitter-cache reuse); on a live backend instance it streams the
+        jobs through that instance without closing it.  Each result
+        carries its own job's metrics.
         """
         from ..parallel.backend import resolve_backend
 
         resolved = resolve_backend(self.config.backend)
-        if isinstance(resolved, str) and resolved != "process":
-            return self.sort_multi(datasets)
-        if isinstance(resolved, str):
+        if resolved == "process":
             with self.pool() as pool:
                 return pool.sort_many(datasets)
-        return [self.sort(data) for data in datasets]
+        if resolved == "simnet":
+            p = self.config.num_processors
+            return _stream(
+                datasets, lambda job, data: self._simulate_job(partition_input(data, p)[0], job)
+            )
+        return _stream(datasets, lambda _, data: self.sort(data))
 
     def sort_records(
         self, records: np.ndarray, order: str | Sequence[str]
@@ -359,6 +330,25 @@ class _SimRun(JobRun):
         return replace(self.metrics, processes=self.reports)
 
 
+def _stream(datasets: Sequence[np.ndarray], sort_one) -> list[SortResult]:
+    """``sort_one(index, data)`` for each dataset in order.
+
+    A failure mid-stream surfaces with full provenance: the backend
+    stamps the job id, and this loop adds which dataset of the stream was
+    in flight, so ``except`` blocks around a long stream can tell exactly
+    what was lost.
+    """
+    from ..parallel.errors import ParallelBackendError
+
+    results = []
+    for index, data in enumerate(datasets):
+        try:
+            results.append(sort_one(index, data))
+        except ParallelBackendError as exc:
+            raise exc.annotate_job(stream_index=index)
+    return results
+
+
 class SorterPool:
     """A persistent process pool speaking the :class:`SortResult` API.
 
@@ -394,22 +384,9 @@ class SorterPool:
         return run.to_sort_result()
 
     def sort_many(self, datasets: Sequence[np.ndarray]) -> list[SortResult]:
-        """Stream several datasets through the pool, one job each.
-
-        A failure mid-stream surfaces with full provenance: the backend
-        stamps the job id, and this loop adds which dataset of the
-        stream was in flight, so ``except`` blocks around a long stream
-        can tell exactly what was lost.
-        """
-        from ..parallel.errors import ParallelBackendError
-
-        results = []
-        for index, data in enumerate(datasets):
-            try:
-                results.append(self.sort(data))
-            except ParallelBackendError as exc:
-                raise exc.annotate_job(stream_index=index)
-        return results
+        """Stream several datasets through the pool, one job each
+        (:func:`_stream`)."""
+        return _stream(datasets, lambda _, data: self.sort(data))
 
     @property
     def stats(self) -> dict:

@@ -2,13 +2,15 @@
 
 A job is its immutable input blocks; an *attempt* runs them once — one
 process-pool generation (:meth:`~repro.parallel.backend.ProcessBackend.
-_run_job`) or one simulated run under a fault plan — and raises a typed
-error when a rank dies.  :func:`run_with_retry` re-runs the job under a
+_run_job`) or one simulated run — and raises a typed error when a rank
+dies.  Every sort on either substrate is one job through
+:func:`run_with_retry`, which re-runs the job under a
 :class:`RetryPolicy`, drops a rank that keeps dying, re-plans the input
 over the survivors, and maps the survivor-width run back onto the
 original rank space, so every input key comes back or the job raises.
-Nothing here knows which substrate runs the attempts.  Both return a
-:class:`JobRun`, which turns the finished job into a
+Without a fault plan or policy nothing is retryable: the job is its one
+attempt.  Nothing here knows which substrate runs the attempts.  Both
+return a :class:`JobRun`, which turns the finished job into a
 :class:`~repro.core.result.SortResult` with one accounting of its faults.
 """
 

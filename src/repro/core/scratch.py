@@ -7,9 +7,9 @@ with :meth:`ScratchArena.release_all`.  Blocks grow geometrically, so
 steady-state operation performs no allocator calls at all.
 
 Arenas outlive runs.  :data:`ARENAS` is the process's free list, so
-repeated sorts — every dataset of ``sort_multi``, and every separate
+repeated sorts — every dataset of ``sort_many``, and every separate
 ``distributed_sort`` of a sweep — reuse warm storage instead of faulting
-fresh pages.  A checked-out arena belongs to exactly one job of one run; a
+fresh pages.  A checked-out arena belongs to the one job of one run; a
 run started meanwhile (nested, or on another thread) checks out different
 arenas.
 
@@ -23,8 +23,7 @@ narrower than 8 bytes, and, only when its frame refills, a copy of the
 input, from one arena checked out at the first rank's step-1 sort
 through the run's :class:`~repro.pgxd.runtime.KernelPool` and checked in
 once every rank's step-6 kernel finished; a frame miss leases nothing.
-Peers read a job's sends from that job's storage, so a slow rank in
-``sort_multi`` can never see the next job's words.  A pooled worker's
+Peers read a job's sends from that job's storage.  A pooled worker's
 words go over its staged input whenever a word is no wider than a key
 and the frame does not refill; its private arena serves the rest — a
 refilling frame's words and int64 words of keys narrower than 8 bytes —

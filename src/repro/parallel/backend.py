@@ -412,8 +412,8 @@ class ProcessBackend:
         generation, respawns, and re-runs the same job; a rank that
         keeps dying is dropped and the job re-planned over the survivor
         set.  Exhausting the budget raises :class:`JobAbortedError`
-        carrying the full attempt history.  Without either, failures
-        stay fail-fast exactly as before.
+        carrying the full attempt history.  Without either, the job is one
+        attempt and its first failure propagates as raised (fail-fast).
         """
         options = options or SortOptions()
         config = config or PgxdConfig()
@@ -448,21 +448,12 @@ class ProcessBackend:
 
         self._in_flight = True
         try:
-            if policy is None:
-                return self._run_job(
-                    blocks,
-                    options,
-                    config,
-                    job_id=job_id,
-                    faults=None if plan is None else plan.for_attempt(range(len(blocks)), 0, job_id),
-                    force_resample=force_resample,
-                )
             return self._run_with_retry(
                 blocks, options, config, job_id, policy, plan, force_resample
             )
         except ParallelBackendError as exc:
             # Every failure leaves here stamped with the job it belongs
-            # to; SorterPool.sort_many adds the stream index on top.
+            # to; a sort_many stream adds the stream index on top.
             raise exc.annotate_job(job_id=job_id)
         finally:
             self._in_flight = False
@@ -476,14 +467,16 @@ class ProcessBackend:
         options: SortOptions,
         config: PgxdConfig,
         job_id: int,
-        policy: RetryPolicy,
+        policy: RetryPolicy | None,
         plan: FaultPlan | None,
         force_resample: bool,
     ) -> BackendRun:
         """One job under :func:`~repro.core.retry.run_with_retry`: each
         attempt a fresh generation, spaced by the policy's wall-clock
         backoff within a survivor set.  Exhaustion raises
-        :class:`JobAbortedError` carrying the full attempt history."""
+        :class:`JobAbortedError` carrying the full attempt history.
+        Without a policy nothing is retryable: one attempt, whose error
+        propagates unwrapped."""
         history: list[dict] = []
         round_ids, round_start = None, 0  # the survivor set, its first attempt
 
@@ -503,9 +496,11 @@ class ProcessBackend:
                 prior_attempts=tuple(history),
             )
 
-        retryable = (WorkerCrashedError, WorkerFailedError, ControlPlaneTimeout)
+        retryable = (
+            () if policy is None else (WorkerCrashedError, WorkerFailedError, ControlPlaneTimeout)
+        )
         try:
-            run = run_with_retry(attempt, blocks, policy, retryable, history)
+            run = run_with_retry(attempt, blocks, policy or RetryPolicy(), retryable, history)
         except retryable as exc:
             self.aborted_jobs += 1
             raise JobAbortedError(job_id, history) from exc

@@ -237,17 +237,22 @@ class TestSorterConfiguration:
 
 
 class TestMultiSort:
-    def test_sort_multi_results_independent(self):
+    def test_sort_many_results_independent(self):
+        """Each dataset is its own job: its result carries that job's
+        metrics, the same a solo sort of it reads."""
         rng = np.random.default_rng(12)
-        a = rng.integers(0, 100, 5000)
-        b = rng.random(3000)
-        results = DistributedSorter(num_processors=4).sort_multi([a, b])
-        assert len(results) == 2
-        np.testing.assert_array_equal(results[0].to_array(), np.sort(a))
-        np.testing.assert_array_equal(results[1].to_array(), np.sort(b))
+        datasets = [rng.integers(0, 100, 40_000), rng.random(400), rng.integers(0, 1 << 40, 3_000)]
+        sorter = DistributedSorter(num_processors=4)
+        results = sorter.sort_many(datasets)
+        assert len(results) == len(datasets)
+        for data, result in zip(datasets, results):
+            np.testing.assert_array_equal(result.to_array(), np.sort(data))
+            for r, keys in enumerate(result.per_processor):
+                assert result.metrics.processes[r].partition_keys == len(keys)
+            assert result.elapsed_seconds == sorter.sort(data).elapsed_seconds
 
-    def test_sort_multi_empty_list(self):
-        assert DistributedSorter().sort_multi([]) == []
+    def test_sort_many_empty_list(self):
+        assert DistributedSorter().sort_many([]) == []
 
     def test_sort_with_values(self, oracle_order):
         rng = np.random.default_rng(13)

@@ -298,10 +298,10 @@ def test_every_option_agrees_across_substrates(pool, assert_balanced, name, kind
 # ---------------------------------------------------- several jobs, faults
 
 
-def test_sort_multi_of_mixed_dtypes_is_each_datasets_oracle(word_merges, assert_balanced):
-    """Back-to-back jobs in one run, each on its own path.  A slow rank
-    still drains one job's words while its peers pack the next job's: a
-    step-1 lease reused before the run ends would corrupt its output."""
+def test_sort_many_of_mixed_dtypes_is_each_datasets_oracle(word_merges, assert_balanced):
+    """Back-to-back jobs, each on its own path and each with one slow
+    rank: every job is its dataset's oracle, balanced, and SimSan-clean,
+    whichever job leased the arena before it."""
     p = 4
     rng = np.random.default_rng(5)
     datasets = [
@@ -313,7 +313,7 @@ def test_sort_multi_of_mixed_dtypes_is_each_datasets_oracle(word_merges, assert_
     ]
     sorter = DistributedSorter(num_processors=p, rank_speed=(1.0, 0.02, 1.0, 1.0))
     with sanitize() as san:
-        results = sorter.sort_multi(datasets)
+        results = sorter.sort_many(datasets)
     assert san.report.ok, san.report.summary()
     for data, result in zip(datasets, results):
         blocks = list(partition_input(data, p)[0])
@@ -323,9 +323,9 @@ def test_sort_multi_of_mixed_dtypes_is_each_datasets_oracle(word_merges, assert_
     assert len(word_merges) == 4 * p  # every dataset but the float64 one
 
 
-def test_sort_multi_of_narrow_and_wide_frames_does_not_grow_the_arenas(assert_balanced):
-    """int32- and int64-word jobs back to back in one run: each is its
-    dataset's oracle, and twelve datasets pool what one of each shape does."""
+def test_sort_many_of_narrow_and_wide_frames_does_not_grow_the_arenas(assert_balanced):
+    """int32- and int64-word jobs back to back: each is its dataset's
+    oracle, and twelve datasets pool what one of each shape does."""
     p = 4
     rng = np.random.default_rng(8)
     shapes = [
@@ -338,9 +338,9 @@ def test_sort_multi_of_narrow_and_wide_frames_does_not_grow_the_arenas(assert_ba
     widths = [_frame(list(partition_input(d, p)[0])).word_dtype for d in datasets]
     assert widths[:4] == [np.int32, np.int64, np.int32, np.int64]
     sorter = DistributedSorter(num_processors=p)
-    sorter.sort_multi(datasets[:4])
+    sorter.sort_many(datasets[:4])
     pooled = sum(arena.pooled_bytes() for arena in ARENAS.idle)
-    for data, result in zip(datasets, sorter.sort_multi(datasets)):
+    for data, result in zip(datasets, sorter.sort_many(datasets)):
         blocks = list(partition_input(data, p)[0])
         reference = local_sample_sort(blocks)
         _assert_bytes_equal(zip(result.per_processor, result.provenance), reference)

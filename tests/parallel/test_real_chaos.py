@@ -486,6 +486,13 @@ class TestChaosStreams:
         assert exc.job_id == 1
         assert exc.stream_index == 1
         assert "[job 1]" in str(exc) and "[stream index 1]" in str(exc)
+        # The sorter's own stream over a live instance stamps it too.
+        with ProcessBackend(faults=plan, retry=False) as backend:
+            sorter = DistributedSorter(SortConfig(num_processors=p, backend=backend))
+            with pytest.raises(WorkerCrashedError) as excinfo:
+                sorter.sort_many(datasets)
+        assert excinfo.value.job_id == 1
+        assert excinfo.value.stream_index == 1
 
     def test_pool_closed_after_abort_raises_pool_closed(self):
         blocks = _blocks(n=4_000)

@@ -419,7 +419,7 @@ class TestRunLifetime:
         assert sorted(calls["pack_words"]) == sorted(map(len, blocks))
 
     @pytest.mark.parametrize("p", [1, 4])
-    def test_sort_multi_does_not_grow_the_arenas_per_dataset(self, p):
+    def test_sort_many_does_not_grow_the_arenas_per_dataset(self, p):
         """A job's storage goes back once its last step-6 kernel finished,
         before a later job draws its own: twelve datasets pool what three do."""
         from repro import DistributedSorter
@@ -427,13 +427,13 @@ class TestRunLifetime:
 
         datasets = [np.random.default_rng(i).integers(0, 1 << 30, 8_000) for i in range(12)]
         sorter = DistributedSorter(num_processors=p)
-        sorter.sort_multi(datasets[:3])
+        sorter.sort_many(datasets[:3])
         pooled = sum(arena.pooled_bytes() for arena in ARENAS.idle)
-        for result, data in zip(sorter.sort_multi(datasets), datasets):
+        for result, data in zip(sorter.sort_many(datasets), datasets):
             assert np.array_equal(result.to_array(), np.sort(data))
         assert sum(arena.pooled_bytes() for arena in ARENAS.idle) == pooled
 
-    CASES = ["p1", "p2", "p16", "faulted", "sort_multi"]
+    CASES = ["p1", "p2", "p16", "faulted", "sort_many"]
 
     @pytest.mark.parametrize("case", CASES + [f"{case}-keys+perm" for case in CASES])
     def test_no_result_array_aliases_pooled_storage(self, case):
@@ -448,8 +448,8 @@ class TestRunLifetime:
             )
             results = [sorter.sort(data)]
             assert results[0].survivors is None
-        elif case == "sort_multi":
-            results = DistributedSorter(num_processors=4).sort_multi([data, data[::-1]])
+        elif case == "sort_many":
+            results = DistributedSorter(num_processors=4).sort_many([data, data[::-1]])
         else:
             results = [DistributedSorter(num_processors=int(case[1:])).sort(data)]
         storage = _pooled_storage()
@@ -514,7 +514,7 @@ class TestRunLifetime:
         assert not live
         assert set(map(id, outer_arenas + inner_arenas)) <= set(map(id, ARENAS.idle))
 
-    @pytest.mark.parametrize("case", ["sort", "sort_multi", "faulted"])
+    @pytest.mark.parametrize("case", ["sort", "sort_many", "faulted"])
     def test_no_kernel_thread_outlives_a_run(self, monkeypatch, case):
         from repro import DistributedSorter
         from repro.pgxd.runtime import KernelPool
@@ -531,8 +531,8 @@ class TestRunLifetime:
         if case == "faulted":
             sorter = DistributedSorter(num_processors=6, faults=FaultPlan(seed=36, drop_prob=0.05))
             results = [sorter.sort(self.DATA)]
-        elif case == "sort_multi":
-            results = DistributedSorter(num_processors=4).sort_multi([self.DATA, self.DATA[::3]])
+        elif case == "sort_many":
+            results = DistributedSorter(num_processors=4).sort_many([self.DATA, self.DATA[::3]])
         else:
             results = [DistributedSorter(num_processors=16).sort(self.DATA)]
         assert threading.active_count() == before
@@ -549,12 +549,12 @@ class TestRunLifetime:
         assert result.is_globally_sorted()
         assert [kernels for kernels, _, _ in batches] == [16, 16]
 
-    def test_sort_multi_runs_two_batches_per_job(self, monkeypatch):
+    def test_sort_many_runs_two_batches_per_job(self, monkeypatch):
         from repro import DistributedSorter
 
         batches = _recording_batches(monkeypatch)
         datasets = [self.DATA, self.DATA[::3], self.PATHS["keys+perm"]]
-        results = DistributedSorter(num_processors=4).sort_multi(datasets)
+        results = DistributedSorter(num_processors=4).sort_many(datasets)
         assert all(r.is_globally_sorted() for r in results)
         assert [kernels for kernels, _, _ in batches] == [4] * 6
 
@@ -568,7 +568,7 @@ class TestRunLifetime:
         batches = _recording_batches(monkeypatch)
         start = threading.active_count()
         DistributedSorter(num_processors=16).sort(self.DATA)
-        DistributedSorter(num_processors=4).sort_multi([self.DATA, self.PATHS["keys+perm"]])
+        DistributedSorter(num_processors=4).sort_many([self.DATA, self.PATHS["keys+perm"]])
         assert len(batches) == 6
         assert {(before, after) for _, before, after in batches} == {(start, start)}
 

@@ -518,6 +518,33 @@ class TestReachability:
         assert not offenders, f"a step written outside core/program.py: {offenders}"
 
 
+    #: Every simulated sort is one job through ``run_with_retry``: the
+    #: only place a job and its program are built is ``core/api.py``'s
+    #: ``_simulate``, the attempt every simulated job runs.
+    JOB_BUILDERS = {"SortJob", "sample_sort_program"}
+
+    def test_only_the_simulated_attempt_builds_a_job(self):
+        import ast
+
+        offenders = []
+        for path in _source_files():
+            relative = path.relative_to(SRC).as_posix()
+            tree = ast.parse(path.read_text())
+            allowed = set()
+            if relative == "core/api.py":
+                (simulate,) = [
+                    node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_simulate"
+                ]
+                allowed = set(map(id, ast.walk(simulate)))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and id(node) not in allowed:
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in self.JOB_BUILDERS:
+                        offenders.append(f"{relative}:{node.lineno}: {name}")
+        assert not offenders, f"a simulated job built outside api._simulate: {offenders}"
+
+
 class TestPackageSurface:
     def test_lazy_top_level_exports(self):
         import repro
