@@ -6,10 +6,11 @@ the typed access intervals the sanitized workers recorded —
 — it decides which pairs of accesses are *ordered* and flags the rest.
 
 The happens-before model exploits the process backend's topology.  Every
-control-plane collective (gather, bcast, allgather, barrier) runs through
-the pipe-star hub, which replies to *any* rank only after *all* ``p``
-contributions arrived — so each completed collective is a full
-synchronization barrier, and the per-rank count of completed collectives
+control-plane collective (gather, bcast, allgather, barrier) is a slot
+write, a barrier and a read in the shared-memory control region, and no
+rank passes the barrier before *all* ``p`` ranks arrived — so each
+completed collective is a full synchronization barrier, and the per-rank
+count of completed collectives
 (the **epoch**) is a global clock: all ranks execute the same program, so
 access ``a`` on rank ``i`` happens-before access ``b`` on rank ``j`` iff
 ``a.epoch < b.epoch``.  Two accesses from different ranks in the *same*

@@ -61,9 +61,10 @@ R011  hand-rolled exchange offsets: prefix sums over a counts matrix
       helper ShmSan checks against.
 R012  direct multiprocessing coordination primitive (``Lock``, ``Queue``,
       ``Event``, ``Pool``, ``Manager``, ...) outside
-      ``parallel/collectives.py`` — ad-hoc synchronization bypasses the
-      pipe-star hub, invisible to the barrier-epoch happens-before model
-      (and to the crash detector's liveness watch).
+      ``parallel/collectives.py`` — the control region's lock and
+      semaphores live there; ad-hoc synchronization elsewhere is
+      invisible to the barrier-epoch happens-before model (and to the
+      hub's arrival flags and liveness watch).
 R013  ``threading``/``concurrent.futures`` (or ``_thread``) imported outside
       ``pgxd/runtime.py`` — the run's kernel pool is the one owner of
       threads, joined before its run returns, so none outlives it (the
@@ -702,7 +703,7 @@ def rule_handrolled_offsets(
 
 # --------------------------------------------------------------------- R012
 
-#: Coordination primitives that bypass the pipe-star hub.  Deliberately
+#: Coordination primitives that bypass the control region.  Deliberately
 #: excludes the sanctioned spawn machinery (``get_context``, ``Process``,
 #: ``Pipe``) and the data plane (``shared_memory``) — the rule targets
 #: *synchronization*, which must flow through the collectives.
@@ -718,15 +719,17 @@ _MP_RECEIVER_HINTS = ("multiprocessing", "mp", "ctx", "_ctx")
 def rule_adhoc_mp_primitive(
     tree: ast.Module, ctx: FileContext
 ) -> Iterator[Violation]:
-    """All cross-process coordination goes through the pipe-star hub.
+    """All cross-process coordination goes through the control region.
 
     A ``multiprocessing.Lock``/``Queue``/``Event`` (or the same off a
     spawn context) creates an ordering edge the barrier-epoch
     happens-before model cannot see — ShmSan would report phantom races
-    or, worse, miss real ones — and a blocking primitive the hub's
-    liveness watch cannot time out.  ``parallel/collectives.py`` is the
-    one sanctioned home for cross-process coordination; everything else
-    synchronizes via its gather/bcast/allgather/barrier.
+    or, worse, miss real ones — and a blocking primitive that neither
+    the hub's arrival flags nor its liveness watch can see.
+    ``parallel/collectives.py`` is the one sanctioned home for
+    cross-process coordination — the control region's lock and
+    semaphores, waited on in slices that watch the driver; everything
+    else synchronizes via its gather/bcast/allgather/barrier.
     """
     if not ctx.library or ctx.path.replace("\\", "/").endswith(
         "parallel/collectives.py"

@@ -56,6 +56,12 @@ def draw_samples(
     return select_regular_samples(sorted_block, count)
 
 
+def sample_bytes(config: PgxdConfig, p: int, itemsize: int, sample_factor: float) -> int:
+    """The most bytes of samples :func:`draw_samples` hands one rank for
+    the Master (what the pool's control slots are sized from)."""
+    return sample_count(config, p, itemsize, sample_factor) * itemsize
+
+
 def agree_splitters(gathered: Sequence[np.ndarray], p: int) -> np.ndarray:
     """Step 3, on the Master: merge every rank's samples, pick ``p - 1``."""
     return select_splitters(merge_samples(gathered), p)

@@ -23,7 +23,7 @@ Each key means the same on both substrates:
   worker's ``_Job.edge`` on the pool (a real ``SIGKILL``);
 * **wire faults, where a wire exists** — ``drop=P``, ``link=S-D:M[:E]``
   and ``delay=P[:SPIKE]`` act on simnet's messages; ``delay`` also acts
-  on the pool's hub replies;
+  on the pool's barrier releases;
 * **pool-only observability faults** — ``hang=R@OP[:JOB]`` (alive but
   silent before one collective) and ``mute=R`` (no heartbeats).
 
@@ -52,7 +52,9 @@ RETRANSMIT_DELAY = 1e-4
 #: Retransmissions before a message counts as lost for good (InfiniBand's
 #: reliable-connection retry count tops out at 7).
 MAX_RETRANSMITS = 7
-#: Collective ops a ``hang=`` entry may name (the pool's WorkerLink calls).
+#: Collective ops a ``hang=`` entry may name (the pool's WorkerLink
+#: collectives, each a slot write, a barrier and a read in the control
+#: region; the rank sleeps before it arrives).
 COLLECTIVE_OPS = ("barrier", "gather", "bcast", "allgather")
 #: The spec keys, in the order :meth:`FaultPlan.describe` prints them.
 KEYS = ("drop", "delay", "kill", "poison", "hang", "mute", "slow", "link")
@@ -101,13 +103,14 @@ def _pair(key: str, value: str, sep: str, shape: str) -> tuple[str, str]:
 class FaultPlan:
     """A frozen, seeded schedule of faults; hashable, so two runs handed
     equal plans inject equal faults.  Probabilities are per remote message
-    (a self-send is a machine-local memcpy) or per hub reply."""
+    (a self-send is a machine-local memcpy) or, on the pool, per rank a
+    barrier releases."""
 
-    #: Seed of the fault stream (wire fates on simnet, reply delays on the pool).
+    #: Seed of the fault stream (wire fates on simnet, barrier delays on the pool).
     seed: int = 0
     #: Probability one wire copy of a message is dropped (and resent).
     drop_prob: float = 0.0
-    #: Probability of a delay spike on a message or a hub reply ...
+    #: Probability of a delay spike on a message, or per rank a barrier releases ...
     delay_prob: float = 0.0
     #: ... of this many seconds (virtual on simnet, scaled uniformly in
     #: [1, 2); wall on the pool).

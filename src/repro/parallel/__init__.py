@@ -2,16 +2,17 @@
 
 Where :mod:`repro.simnet` runs the paper's algorithm on a deterministic
 virtual-time simulator, this package runs it on real hardware: one worker
-process per rank, the data plane in shared memory, the control plane over
-pipes.  The same step implementations produce bit-identical partitions on
+process per rank, the data plane in shared memory, the control plane in a
+shared-memory control region (pipes carry only job dispatch and reports).  The same step implementations produce bit-identical partitions on
 both substrates; only the clock differs (virtual vs wall).
 
 Layout:
 
 * :mod:`repro.parallel.arena` — cross-process shared-memory arena with
   pooled, leased numpy blocks (``ScratchArena`` across processes);
-* :mod:`repro.parallel.collectives` — pipe-based barrier / gather /
-  bcast / allgather with a liveness-watching driver hub;
+* :mod:`repro.parallel.collectives` — barrier / gather / bcast /
+  allgather through a shared-memory control region, heartbeat rows, and
+  the driver hub that watches liveness, deadlines and beats;
 * :mod:`repro.parallel.worker` — the persistent per-rank job loop: one
   function per step, the zero-copy shm all-to-all exchange, the warm
   segment cache; what a job sorts, exchanges and merges (packed words /

@@ -7,8 +7,9 @@ The repository's six-step sample sort can execute on two substrates:
 * ``process`` — this module's :class:`ProcessBackend`: one OS process per
   rank, key/provenance arrays in :mod:`multiprocessing.shared_memory`
   blocks leased from a :class:`~repro.parallel.arena.SharedArena`, a
-  zero-copy all-to-all through peer-addressed shm regions, and pipe-based
-  collectives for the control plane.
+  zero-copy all-to-all through peer-addressed shm regions, and the
+  control plane's collectives and heartbeats in a shared-memory control
+  region, with the job plane (dispatch and reports) on pipes.
 
 Both produce bit-identical per-rank partitions (pinned by the
 cross-backend equivalence tests against the ``local_backend`` oracle and
@@ -47,11 +48,18 @@ import numpy as np
 from ..core.datapath import OUTPUT_ROLES, JobStorage, lay_out
 from ..core.retry import RetryPolicy, run_with_retry
 from ..core.sorter import STEP_LABELS, SortOptions
+from ..core.steps import sample_bytes
 from ..faults import FaultPlan, active_fault_plan
 from ..obs.context import active_capture
 from ..pgxd.config import PgxdConfig
 from .arena import SharedArena, ShmLease
-from .collectives import dispatch_job, send_shutdown, serve_control_plane
+from .collectives import (
+    ControlRegion,
+    dispatch_job,
+    send_shutdown,
+    serve_control_plane,
+    slot_payload_bytes,
+)
 from .errors import (
     ControlPlaneTimeout,
     JobAbortedError,
@@ -165,7 +173,7 @@ class ProcessBackend:
     arena (and kept mapped past ``close``) until the last view dies.
 
     Crash policy: a worker death or failure *poisons the generation* —
-    survivors may be wedged mid-collective with stale replies queued, so
+    survivors may be wedged mid-collective in the control region, so
     the whole pool is torn down with the typed error, and the next job
     transparently respawns a fresh generation (counted in
     :attr:`respawns`).  The pool itself stays usable; only :meth:`close`
@@ -244,6 +252,7 @@ class ProcessBackend:
         # ------------------------------------------------- pool state
         self._procs: list = []
         self._conns: list = []
+        self._region: ControlRegion | None = None
         self._pool_size: int | None = None
         self._poisoned = False
         self._closed = False
@@ -297,7 +306,8 @@ class ProcessBackend:
             "splitter_cache": self.splitter_cache.stats(),
         }
 
-    def _spawn_pool(self, size: int) -> None:
+    def _spawn_pool(self, size: int, payload_bytes: int) -> None:
+        region = ControlRegion(self._ctx, size, payload_bytes)
         conns = []
         procs = []
         worker_ends = []
@@ -308,7 +318,7 @@ class ProcessBackend:
             procs.append(
                 self._ctx.Process(
                     target=worker_main,
-                    args=(rank, size, worker_end),
+                    args=(rank, size, worker_end, region),
                     name=f"repro-pool-rank-{rank}",
                     daemon=True,
                 )
@@ -318,13 +328,15 @@ class ProcessBackend:
         for end in worker_ends:
             end.close()  # the workers own their ends now
         self._procs, self._conns, self._pool_size = procs, conns, size
+        self._region = region
         self.pool_spawns += 1
         if self._poisoned:
             self.respawns += 1
             self._poisoned = False
 
     def _teardown_pool(self, *, graceful: bool) -> None:
-        """Retire the current generation (stop message or terminate)."""
+        """Retire the current generation (stop message or terminate); its
+        control region, lock and semaphores go with it."""
         if not self._procs:
             return
         if graceful:
@@ -340,24 +352,30 @@ class ProcessBackend:
         for conn in self._conns:
             conn.close()
         self._procs, self._conns, self._pool_size = [], [], None
+        self._region = None
 
-    def _ensure_pool(self, size: int) -> None:
-        """Make a healthy ``size``-rank generation current.
+    def _ensure_pool(self, size: int, payload_bytes: int) -> None:
+        """Make a healthy ``size``-rank generation current whose control
+        slots hold ``payload_bytes``.
 
         Reuses the live one when it matches; replaces it when a worker
         died between jobs (respawn-and-continue) or the job wants a
-        different rank count (graceful resize).
+        different rank count or larger slots (graceful resize).
         """
         if self._procs:
             healthy = all(proc.is_alive() for proc in self._procs)
-            if healthy and self._pool_size == size:
+            if (
+                healthy
+                and self._pool_size == size
+                and self._region.payload_bytes >= payload_bytes
+            ):
                 return
             if healthy:
                 self._teardown_pool(graceful=True)  # resize
             else:
                 self._poisoned = True  # a rank died while parked
                 self._teardown_pool(graceful=False)
-        self._spawn_pool(size)
+        self._spawn_pool(size, payload_bytes)
 
     def close(self) -> None:
         """Retire the pool; safe to call twice, and mid-job.
@@ -525,10 +543,14 @@ class ProcessBackend:
 
         ``faults`` is the attempt's plan, addressed by job slot
         (:meth:`~repro.faults.FaultPlan.for_attempt`): it rides on the
-        JobSpec to the workers and arms the hub's reply delays.
+        JobSpec to the workers, whose barriers realise its delays.
         """
         size = len(blocks)
         key_dtype = blocks[0].dtype
+        itemsize = key_dtype.itemsize
+        payload_bytes = slot_payload_bytes(
+            size, sample_bytes(config, size, itemsize, options.sample_factor), itemsize
+        )
         bounds = np.cumsum([0, *map(len, blocks)], dtype=np.int64)
         n = int(bounds[-1])
 
@@ -588,17 +610,19 @@ class ProcessBackend:
 
         run: BackendRun | None = None
         try:
-            self._ensure_pool(size)
-            dispatch_job(self._conns, spec)
+            self._ensure_pool(size, payload_bytes)
+            if san is not None:
+                san.register_lease("control-slots", self._region.lease)
+            dispatch_job(self._conns, self._region, spec)
             try:
                 reports: dict[int, WorkerReport] = serve_control_plane(
                     self._conns,
                     self._procs,
+                    region=self._region,
                     timeout_seconds=self.timeout_seconds,
                     phase_timeout_seconds=self.phase_timeout_seconds,
                     progress=ambient_progress(),
                     san_sink=san.ingest if san is not None else None,
-                    faults=faults,
                 )
             except WorkerCrashedError as exc:
                 if san is not None:
@@ -613,7 +637,7 @@ class ProcessBackend:
             run = collect_run(self, reports, leases, wall, san)
         except BaseException:
             # Any failure poisons the generation: survivors may be wedged
-            # mid-collective with stale replies queued on their pipes, so
+            # mid-collective in a barrier that will never complete, so
             # they cannot safely receive another job.  Tear everything
             # down with the typed error; the next sort_blocks call
             # respawns a fresh generation (respawn-and-continue).

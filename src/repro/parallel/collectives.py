@@ -1,67 +1,274 @@
-"""Pipe-based control-plane collectives for the process backend.
+"""Control-plane collectives for the process backend: one shared-memory
+control region per worker generation.
 
-The sort's *data* never touches a pipe — it moves through shared memory
-(:mod:`repro.parallel.arena`).  What does cross pipes is the lightweight
-control plane the six-step algorithm needs: the sample gather to the
-Master, the splitter broadcast, the counts-matrix allgather before the
-exchange, and barriers around the shared-memory writes.
+The sort's *data* moves through leased shared memory
+(:mod:`repro.parallel.arena`).  Its control plane — step 1's statistics
+allgather, step 2's sample gather (or the splitter cache's probe), step
+3's splitter broadcast, step 4's counts allgather and the post-exchange
+barrier — moves through a :class:`ControlRegion`, which the driver
+creates for each worker generation and its workers inherit at fork.  The
+paper's steps run with no hub, and so do these: a collective is *write
+your slot, barrier, read*.  The region holds two banks of per-rank
+payload slots (sized from the paper's 256 KB/p sample budget, plus a
+header), an arrival counter under one lock with one semaphore per rank,
+and per rank its arrival flags and a six-entry heartbeat row of
+``(rows, perf_counter)``.
 
-Topology is a star: each worker holds one duplex pipe to the driver, and
-the driver runs :func:`serve_control_plane` — a tiny collective server
-that collects one contribution per rank per operation, computes the reply
-(gather/bcast/allgather/barrier), and answers every participant.  All
-ranks execute the same program, so operations arrive in the same order on
-every pipe and are matched by an (op, sequence) key.
+The banks alternate by arrival number: a rank writes bank ``k % 2`` for
+its ``k``-th collective, and reaches collective ``k + 2`` — that bank's
+next writer — only after every rank arrived at ``k + 1``, that is, after
+every reader of collective ``k`` finished.  One barrier per collective is
+enough, and the count of completed collectives stays a global
+happens-before clock (:mod:`repro.checks.hb`) that ShmSan stamps slot
+writes and reads with.  The barrier's last arriver resets the counter and
+releases every peer's semaphore; a waiter acquires its own in bounded
+slices, checking each time that its driver is alive, so no worker
+outlives a SIGKILLed driver.  Under a fault plan, ``hang`` sleeps
+before the rank arrives and ``delay`` spikes come from the releasing
+rank, drawn from the plan's seed and the collective's sequence number.
 
-The hub is also the backend's *liveness monitor*: while waiting for
-contributions it watches worker processes, so a crashed rank surfaces as a
-typed :class:`~repro.parallel.errors.WorkerCrashedError` instead of the
-barrier deadlock it would cause in a leaderless design.  Workers send a
-fire-and-forget **heartbeat** at every step boundary (rank, step label,
-rows); the hub keeps the latest per rank, forwards them to an optional
-live-progress sink (the CLI's ``--progress``), and folds the last beat of
-a dead or hung rank into the crash/timeout diagnostics — a worker that
-dies mid-run reports *which step* it died in.
-
-Two per-rank (non-collective) message kinds support observability: a
-``probe`` is answered immediately with the hub's ``perf_counter`` reading
-(the clock-offset handshake of :mod:`repro.parallel.tracing`), and a
-``hb`` heartbeat is recorded without a reply.  Worker-side, the
-:class:`WorkerLink` always measures its blocking time per collective
-(two clock reads per call — noise next to a pipe round-trip) so real
-runs report measured wait seconds even without a tracer attached.
-
-The same star also carries the **job plane** of the persistent pool
-(PR 9): between sorts every worker blocks in :meth:`WorkerLink.recv_job`
-waiting for the driver's :func:`dispatch_job` (a ``("job", spec)``
-message) or :func:`send_shutdown` (``("stop",)``).  Dispatch messages
-are self-describing tuples so a worker can drain any stale collective
-reply left queued on its pipe (e.g. by the ``skip-merge-barrier``
-mutation's abandoned barrier) without misreading it as a job.  Each job
-starts from :meth:`WorkerLink.reset`: sequence numbers, the epoch clock,
-wait accumulators, and the tracer all return to their just-spawned state
-so ShmSan epochs and trace attribution never bleed across jobs.
+The driver's :func:`serve_control_plane` serves no collective; it
+watches: a dead worker becomes a typed
+:class:`~repro.parallel.errors.WorkerCrashedError` carrying the last step
+in its heartbeat row, the per-phase deadline reads the arrival flags to
+name the ranks missing from an open collective, and each time the hub
+wakes it forwards new heartbeats, in step order, to the progress sink.
+One duplex pipe per worker carries what is off the step path: the **job
+plane** (:func:`dispatch_job`'s ``("job", spec)`` and
+:func:`send_shutdown`'s ``("stop",)``, awaited in
+:meth:`WorkerLink.recv_job`), the ``done`` and ``error`` reports, the
+tracing clock ``probe`` and ShmSan flushes.  Each job starts from
+:meth:`WorkerLink.reset`, so ShmSan epochs and trace attribution never
+bleed across jobs.  A :class:`WorkerLink` built without a region keeps
+the pipe transport, the hub relaying its collectives; only the perf
+ledger's collective round-trip battery builds one.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 import time
-from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
-from typing import Any
+from multiprocessing.reduction import ForkingPickler
+from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ControlPlaneTimeout, ProtocolError, WorkerCrashedError
+from ..core.sorter_labels import STEP_LABELS
+from .arena import ShmLease
+from .errors import ControlPlaneTimeout, ProtocolError, WorkerCrashedError, WorkerFailedError
 
-#: How often the hub wakes to check worker liveness while idle (seconds).
+#: How often the hub wakes to watch the workers, and how long one slice of
+#: a worker's wait lasts before it checks on its driver (seconds).
 _POLL_SECONDS = 0.25
 #: How long a planned hang sleeps before giving up on being terminated.
 HANG_SECONDS = 3600.0
+#: The collectives, by the code a slot header and an arrival flag carry.
+OPS = ("barrier", "gather", "bcast", "allgather")
+#: A slot header's int64 fields: sequence number, op code, root, bytes.
+_HEADER = 4
+#: The region's first word: ranks arrived at the open barrier (under the lock).
+_COUNT = 0
+#: Slot bytes beyond the largest array a job moves: pickle framing and
+#: the small payloads (statistics, digests, the cache verdict).
+SLOT_SLACK = 4096
+
+
+def slot_payload_bytes(size: int, sample_bytes: int, itemsize: int) -> int:
+    """Payload bytes one rank's slot must hold for a job: its step-2
+    samples (the paper's 256 KB/p budget times the sample factor) or the
+    Master's ``p - 1`` splitters (key, tie place, tie size), whichever is
+    larger, plus :data:`SLOT_SLACK`."""
+    return max(sample_bytes, size * (itemsize + 16)) + SLOT_SLACK
+
+
+class ControlRegion:
+    """One worker generation's control plane, in memory its workers share.
+
+    Handed to each worker as a process argument (inherited at fork;
+    pickled at spawn, which multiprocessing allows while starting a
+    process); it lives as long as the generation.  Workers touch it
+    through flat memoryviews (a scalar access costs a fraction of a numpy
+    one), the driver through numpy views.  Words: the arrival count (under
+    the lock); per rank its arrival flags, the time it arrived and its
+    heartbeat row; then the two slot banks.
+    """
+
+    _made = 0
+
+    def __init__(self, ctx, size: int, payload_bytes: int):
+        ControlRegion._made += 1
+        self.size = size
+        #: Slot words, header included; the payload capacity in bytes.
+        self.slot_words = _HEADER + -(-payload_bytes // 8)
+        self.payload_bytes = 8 * (self.slot_words - _HEADER)
+        #: Names the slots for ShmSan (no file backs them).
+        self.name = f"control-region-{os.getpid()}-{ControlRegion._made}"
+        self._raw = ctx.RawArray("B", 8 * (self._first_slot() + 2 * size * self.slot_words))
+        self.lock = ctx.Lock()
+        self.sems = [ctx.Semaphore(0) for _ in range(size)]
+        self._map()
+
+    def _first_slot(self) -> int:
+        return 1 + 4 * self.size + 2 * len(STEP_LABELS) * self.size
+
+    def _map(self) -> None:
+        size, steps = self.size, len(STEP_LABELS)
+        flat = np.frombuffer(self._raw, dtype=np.uint8)
+        self.bytes = memoryview(flat)
+        self.q = self.bytes.cast("q")
+        self.d = self.bytes.cast("d")
+        #: Word offsets of the per-rank blocks and of the first slot.
+        self.arrivals_at = _COUNT + 1
+        self.opened_at = self.arrivals_at + 3 * size
+        self.beats_at = self.opened_at + size
+        self.slots_at = self._first_slot()
+        words, floats = flat.view(np.int64), flat.view(np.float64)
+        #: Driver-side views: per rank (arrivals, sequence number, op code),
+        #: the ``perf_counter`` it arrived at, and per step (rows, stamp).
+        self.arrivals = words[self.arrivals_at : self.opened_at].reshape(size, 3)
+        self.opened = floats[self.opened_at : self.beats_at]
+        self.beats = floats[self.beats_at : self.slots_at].reshape(size, steps, 2)
+        #: The slot banks as a lease, for ShmSan's bounds and race checks.
+        self.lease = ShmLease(
+            self.name, np.dtype(np.uint8), 16 * size * self.slot_words, 8 * self.slots_at
+        )
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        for view in ("bytes", "q", "d", "arrivals", "opened", "beats", "lease"):
+            del state[view]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._map()
+
+    def header(self, bank: int, rank: int) -> int:
+        """Word offset of ``rank``'s slot header in ``bank``."""
+        return self.slots_at + (bank * self.size + rank) * self.slot_words
+
+    def write(self, bank: int, rank: int, seq: int, code: int, root: int, *payload) -> None:
+        """Post ``rank``'s header and, when given, its one payload in ``bank``.
+
+        The payload is pickled with its arrays' bytes out of band: a count
+        and the lengths of those buffers, the pickle stream, then each
+        buffer copied straight from its array — one copy in, one out.
+        """
+        q, at = self.q, self.header(bank, rank)
+        nbytes = 0
+        if payload:
+            buffers: list = []
+            stream = pickle.dumps(payload[0], protocol=5, buffer_callback=buffers.append)
+            raws = [buffer.raw() for buffer in buffers]
+            nbytes = 8 * (1 + len(raws)) + len(stream) + sum(raw.nbytes for raw in raws)
+            if nbytes > self.payload_bytes:
+                raise ProtocolError(
+                    f"rank {rank}: a {nbytes}-byte payload overflows the "
+                    f"{self.payload_bytes}-byte slot of the control region"
+                )
+            word = at + _HEADER
+            q[word] = len(raws)
+            for i, raw in enumerate(raws):
+                q[word + 1 + i] = raw.nbytes
+            pos = 8 * (word + 1 + len(raws))
+            for chunk in (stream, *raws):
+                self.bytes[pos : pos + len(chunk)] = chunk
+                pos += len(chunk)
+        q[at], q[at + 1], q[at + 2], q[at + 3] = seq, code, root, nbytes
+
+    def read(self, bank: int, rank: int) -> Any:
+        """The payload ``rank`` posted in ``bank``, copied out of the slot."""
+        q, at = self.q, self.header(bank, rank)
+        word = at + _HEADER
+        lengths = [q[word + 1 + i] for i in range(q[word])]
+        end = 8 * word + q[at + 3]
+        pos = end - sum(lengths)
+        stream = self.bytes[8 * (word + 1 + len(lengths)) : pos]
+        buffers = []
+        for length in lengths:
+            buffers.append(bytearray(self.bytes[pos : pos + length]))
+            pos += length
+        return pickle.loads(stream, buffers=buffers)
+
+    def disagreeing(self, bank: int, seq: int, code: int, root: int) -> int | None:
+        """The first rank whose header in ``bank`` differs from this one."""
+        q = self.q
+        for rank in range(self.size):
+            at = self.header(bank, rank)
+            if q[at] != seq or q[at + 1] != code or q[at + 2] != root:
+                return rank
+        return None
+
+    # ------------------------------------------------------ driver side
+
+    def progress_mark(self) -> tuple[float, int]:
+        """Changes whenever any rank beats or arrives."""
+        return float(self.beats[:, :, 1].sum()), int(self.arrivals[:, 0].sum())
+
+    def clear_beats(self) -> None:
+        """Forget the last job's heartbeats (every worker is parked)."""
+        self.beats.fill(0.0)
+
+    def last_beat(self, rank: int) -> tuple[int, float] | None:
+        """``(step index, perf_counter)`` of ``rank``'s latest beat."""
+        stamps = self.beats[rank, :, 1]
+        beaten = np.flatnonzero(stamps)
+        if not len(beaten):
+            return None
+        return int(beaten[-1]), float(stamps[beaten[-1]])
+
+    def open_collective(self) -> tuple[str, float, tuple[int, ...]] | None:
+        """``("op#seq", opened at, missing ranks)`` of the collective the
+        furthest ranks wait in, or ``None`` when no rank waits."""
+        # Flags first, times second: a worker stores them the other way round.
+        flags = self.arrivals.copy()
+        opened = self.opened.copy()
+        counts = flags[:, 0]
+        missing = np.flatnonzero(counts < counts.max())
+        if not len(missing):
+            return None
+        waiting = np.flatnonzero(counts == counts.max())
+        first = waiting[np.argmin(opened[waiting])]
+        _, seq, code = flags[first].tolist()
+        return f"{OPS[code]}#{seq}", float(opened[first]), tuple(missing.tolist())
+
+
+def _sources(op: str, rank: int, root: int, size: int) -> tuple[int, ...] | range:
+    """The ranks whose contributions ``op`` hands ``rank``."""
+    if op == "bcast":
+        return (root,)
+    if op == "allgather" or (op == "gather" and rank == root):
+        return range(size)
+    return ()
+
+
+def _result(op: str, rank: int, root: int, size: int, read: Callable[[int], Any]) -> Any:
+    """What ``op`` returns on ``rank``, reading contributions with ``read``:
+    the rank-ordered list at a gather's root (``None`` elsewhere), the
+    root's payload for a bcast, the full list for an allgather, ``None``
+    for a barrier."""
+    if op == "bcast":
+        return read(root)
+    sources = _sources(op, rank, root, size)
+    return [read(peer) for peer in sources] if sources else None
+
+
+def _sleep_watching(driver: int, seconds: float) -> None:
+    """Sleep ``seconds`` in slices, leaving early if the driver died."""
+    for _ in range(int(seconds / _POLL_SECONDS)):
+        time.sleep(_POLL_SECONDS)
+        _check_driver(driver)
+
+
+def _check_driver(driver: int) -> None:
+    if os.getppid() != driver:
+        raise EOFError("the driver exited while this worker waited")
 
 
 class WorkerLink:
-    """Worker-side endpoint: blocking collectives over one pipe.
+    """Worker-side endpoint: blocking collectives through the control region.
 
     Mirrors the simnet collective API (:mod:`repro.simnet.collectives`)
     closely enough that the six-step program reads the same in both
@@ -72,66 +279,82 @@ class WorkerLink:
 
     Every collective's blocking time is accumulated by kind
     (``barrier`` → barrier wait, everything else → recv wait) and by the
-    current step label (set by the worker loop via :attr:`step_label`);
-    when a :class:`~repro.parallel.tracing.WorkerTracer` is attached the
-    same interval is also recorded as a wait span.
+    current step label (set by :meth:`heartbeat`); when a
+    :class:`~repro.parallel.tracing.WorkerTracer` is attached the same
+    interval is also recorded as a wait span.
     """
 
-    def __init__(self, rank: int, size: int, conn: Connection):
+    def __init__(self, rank: int, size: int, conn: Connection, region: ControlRegion | None = None):
         self.rank = rank
         self.size = size
         self.conn = conn
+        #: The generation's control region; ``None`` keeps the pipe relay.
+        self.region = region
+        #: The driver this worker was started by (its parent), watched
+        #: while waiting.
+        self._driver = os.getppid()
+        #: Collectives this rank arrived at over the generation: picks the
+        #: bank, and is never reset (every rank counts the same).
+        self._arrivals = 0
+        #: Releases owed to arrivals posted without waiting.
+        self._owed = 0
         self._seq = 0
+        self._fresh()
+        #: Completed collectives on this rank.  Every collective is a full
+        #: barrier and all ranks run the same program, so this count is a
+        #: *global* happens-before clock: accesses in different epochs are
+        #: ordered, accesses in the same epoch are concurrent.  ShmSan
+        #: stamps every shared-memory access interval with it.
+        self.epoch = 0
+
+    def _fresh(self) -> None:
         #: Attached tracer (None on untraced runs — the guard pattern).
         self.tracer = None
-        #: The collective op this job's fault plan stalls the rank before
-        #: (None on fault-free runs — the same guard pattern) ...
+        #: The op this job's fault plan stalls the rank before, whether it
+        #: mutes its heartbeats, and the plan when it spikes barrier releases.
         self.hang: str | None = None
-        #: ... and whether it suppresses the rank's heartbeats.
         self.muted = False
-        #: Label of the step the worker loop is currently inside.
+        self.delay = None
+        #: ShmSan's recorder when sanitizing: slot writes and reads are logged.
+        self.recorder = None
+        #: Mutation hook (``read-slot-before-barrier``): read the peers'
+        #: slot headers before the barrier, as a buggy worker would.
+        self.early_read = False
+        #: Label (and 1-based index, 0 before step 1) of the current step.
         self.step_label = ""
+        self._step = 0
         #: Measured blocking seconds, by wait kind and by step label.
         self.wait_by_kind = {"recv-wait": 0.0, "barrier-wait": 0.0}
         self.wait_by_step: dict[str, float] = {}
-        #: Completed collectives on this rank.  Every collective is a full
-        #: barrier through the hub (the reply only arrives after all ranks
-        #: contributed) and all ranks run the same program, so this count
-        #: is a *global* happens-before clock: accesses in different epochs
-        #: are ordered, accesses in the same epoch are concurrent.  ShmSan
-        #: stamps every shared-memory access interval with it.
-        self.epoch = 0
 
     def reset(self) -> None:
         """Return the link to its just-spawned state for the next job.
 
         Pooled workers reuse one link across many sorts; every per-job
-        quantity — the collective sequence counter (the hub matches ops
-        by ``(op, seq)``, so both sides must restart from zero), the
-        epoch happens-before clock ShmSan stamps accesses with, the
-        measured wait accumulators, and the attached tracer — must start
-        fresh or state from job *k* would corrupt the analysis of job
-        *k+1*.  The hub's matching state is per ``serve_control_plane``
-        call, so resetting the worker side is sufficient.
+        quantity — the collective sequence counter, the epoch
+        happens-before clock ShmSan stamps accesses with, the measured
+        wait accumulators, the attached tracer and fault hooks — must
+        start fresh or state from job *k* would corrupt the analysis of
+        job *k+1*.  A release owed to an arrival posted without waiting
+        (the ``skip-merge-barrier`` mutation) is taken here: that barrier
+        completed before the job's last rank reported done, so the wait
+        is immediate, and the next barrier cannot return early.
         """
+        while self._owed:
+            self._acquire(self.region.sems[self.rank])
+            self._owed -= 1
         self._seq = 0
         self.epoch = 0
-        self.tracer = None
-        self.hang, self.muted = None, False
-        self.step_label = ""
-        self.wait_by_kind = {"recv-wait": 0.0, "barrier-wait": 0.0}
-        self.wait_by_step = {}
+        self._fresh()
 
     def recv_job(self):
         """Block until the next job dispatch; ``None`` means shut down.
 
-        Drains anything that is not a ``("job", spec)`` or ``("stop",)``
-        tuple: a worker that ran the ``skip-merge-barrier`` mutation (or
-        any ``post_only`` path) finishes its job with the hub's reply to
-        the abandoned collective still queued on the pipe, and that stale
-        message must not be mistaken for the next dispatch.  EOF from a
-        driver that dropped the pipe without a stop message propagates to
-        the caller (the pool loop treats it as shutdown).
+        Skips anything that is not a ``("job", spec)`` or ``("stop", ...)``
+        tuple — unknown kinds, truncated tuples, non-tuples — so a stray
+        message can never be mistaken for a dispatch.  EOF from a driver
+        that dropped the pipe without a stop message propagates to the
+        caller (the pool loop treats it as shutdown).
         """
         while True:
             msg = self.conn.recv()
@@ -140,24 +363,26 @@ class WorkerLink:
                     return msg[1]
                 if msg[0] == "stop":
                     return None
-            # Stale collective reply (or unknown debris): drop and re-wait.
 
     def _collective(self, op: str, payload: Any = None, root: int = 0) -> Any:
         if self.hang is not None and op == self.hang:
             # hang-at-collective: the planned rank sleeps here instead of
-            # contributing — no process dies, so only the hub's per-phase
+            # arriving — no process dies, so only the hub's per-phase
             # deadline can convert this into a typed, rank-attributed
             # ControlPlaneTimeout.
             self.hang = None
             if self.tracer is not None:
                 self.tracer.fault("hang", f"before {op}")
-            time.sleep(HANG_SECONDS)
+            _sleep_watching(self._driver, HANG_SECONDS)
         self._seq += 1
-        start = time.perf_counter()  # repro: noqa[R002] — real backend: measured pipe-blocking time is the point
-        self.conn.send(("coll", op, self._seq, self.rank, root, payload))
-        reply = self.conn.recv()
+        start = time.perf_counter()  # repro: noqa[R002] — real backend: measured blocking time is the point
+        if self.region is None:
+            self.conn.send(("coll", op, self._seq, self.rank, root, payload))
+            reply = self.conn.recv()
+        else:
+            reply = self._through_region(op, payload, root)
         self.epoch += 1
-        end = time.perf_counter()  # repro: noqa[R002] — real backend: measured pipe-blocking time is the point
+        end = time.perf_counter()  # repro: noqa[R002] — real backend: measured blocking time is the point
         kind = "barrier-wait" if op == "barrier" else "recv-wait"
         self.wait_by_kind[kind] += end - start
         if self.step_label:
@@ -167,6 +392,88 @@ class WorkerLink:
         if self.tracer is not None:
             self.tracer.wait(kind, op, start, end)
         return reply
+
+    def _through_region(self, op: str, payload: Any, root: int) -> Any:
+        """Write this rank's slot, barrier, read: one collective."""
+        region, rank, seq, code = self.region, self.rank, self._seq, OPS.index(op)
+        bank = self._arrivals & 1
+        posts = op in ("gather", "allgather") or (op == "bcast" and rank == root)
+        region.write(bank, rank, seq, code, root, *((payload,) if posts else ()))
+        self._record("w", bank, rank, True)
+        if self.early_read:
+            # Seeded invariant break: the peers' headers, read while they
+            # may still be writing them — the race check must flag it.
+            region.disagreeing(bank, seq, code, root)
+            for peer in range(self.size):
+                if peer != rank:
+                    self._record("r", bank, peer, False)
+        self._barrier(seq, code)
+        peer = region.disagreeing(bank, seq, code, root)
+        if peer is not None:
+            at = region.header(bank, peer)
+            raise ProtocolError(
+                f"rank {rank} posted {op}#{seq} with root {root}, rank {peer} "
+                f"posted {OPS[region.q[at + 1]]}#{region.q[at]} with root "
+                f"{region.q[at + 2]}"
+            )
+        reply = _result(op, rank, root, self.size, lambda peer: region.read(bank, peer))
+        if self.recorder is not None:
+            sources = _sources(op, rank, root, self.size)
+            for peer in range(self.size):
+                self._record("r", bank, peer, peer in sources, epoch=self.epoch + 1)
+        return reply
+
+    def _record(self, kind: str, bank: int, peer: int, payload: bool, epoch=None) -> None:
+        """Log a slot access: the header, and the payload when ``payload``."""
+        if self.recorder is not None:
+            region = self.region
+            at = region.header(bank, peer)
+            nbytes = region.q[at + 3] if payload else 0
+            lo = 8 * (at - region.slots_at)
+            self.recorder.record(
+                region.lease, lo, lo + 8 * _HEADER + nbytes, kind, self._step,
+                self.epoch if epoch is None else epoch,
+                "slot-write" if kind == "w" else "slot-read",
+            )
+
+    def _barrier(self, seq: int, code: int, wait: bool = True) -> None:
+        """Arrive at collective ``seq``; the last arriver releases every
+        peer's semaphore, every other rank waits on its own (unless told
+        not to, when the release it skips is owed to :meth:`reset`)."""
+        region, rank = self.region, self.rank
+        q = region.q
+        self._arrivals += 1
+        # The time first and the count last: the hub reads them the other
+        # way round, so a count it sees is never paired with a stale time.
+        region.d[region.opened_at + rank] = time.perf_counter()  # repro: noqa[R002] — real backend: the phase deadline reads when a collective opened
+        at = region.arrivals_at + 3 * rank
+        q[at + 1], q[at + 2] = seq, code
+        q[at] = self._arrivals
+        self._acquire(region.lock)
+        try:
+            count = q[_COUNT] + 1
+            last = count == self.size
+            q[_COUNT] = 0 if last else count
+        finally:
+            region.lock.release()
+        if last:
+            if self.delay is not None:
+                draw = np.random.default_rng([self.delay.seed, seq]).random
+                for _ in range(self.size):
+                    if draw() < self.delay.delay_prob:
+                        time.sleep(self.delay.delay_spike)
+            for peer in range(self.size):
+                if peer != rank:
+                    region.sems[peer].release()
+        elif wait:
+            self._acquire(region.sems[rank])
+        else:
+            self._owed += 1
+
+    def _acquire(self, lock) -> None:
+        """Acquire in bounded slices, checking on the driver between them."""
+        while not lock.acquire(timeout=_POLL_SECONDS):
+            _check_driver(self._driver)
 
     def barrier(self) -> None:
         self._collective("barrier")
@@ -181,19 +488,21 @@ class WorkerLink:
         return self._collective("allgather", payload)
 
     def post_only(self, op: str) -> None:
-        """Contribute to a collective without waiting for its completion.
+        """Arrive at a collective without waiting for its completion.
 
         **Mutation hook, not an API.**  ShmSan's ``skip-merge-barrier``
         mutation uses this to model a buggy worker that posts its barrier
-        contribution but charges ahead without waiting — the hub stays
-        solvent (all ``p`` contributions arrive, other ranks unblock), but
-        this rank's epoch clock does *not* advance, so its subsequent
-        accesses are concurrent with the pre-barrier writes.  The reply
-        the hub eventually sends stays queued on the pipe unread; the
-        worker exits before it would matter.
+        arrival but charges ahead without waiting — the other ranks stay
+        solvent (all ``p`` arrivals land, they are released), but this
+        rank's epoch clock does *not* advance, so its subsequent accesses
+        are concurrent with the pre-barrier writes.  The release it skips
+        is taken by :meth:`reset` before the next job.
         """
         self._seq += 1
-        self.conn.send(("coll", op, self._seq, self.rank, 0, None))
+        code, bank = OPS.index(op), self._arrivals & 1
+        self.region.write(bank, self.rank, self._seq, code, 0)
+        self._record("w", bank, self.rank, True)
+        self._barrier(self._seq, code, wait=False)
 
     def flush_san(self, records: list) -> None:
         """Fire-and-forget: ship drained sanitizer access records home.
@@ -218,20 +527,25 @@ class WorkerLink:
         return self.conn.recv()
 
     def heartbeat(self, step: str, rows: int) -> None:
-        """Fire-and-forget liveness beat: entering ``step`` with ``rows``.
+        """Liveness beat: entering ``step`` with ``rows``, in the rank's row.
 
         Also rotates :attr:`step_label` so subsequent collective waits are
         attributed to the new step.  A muted rank still rotates the label
-        (the sort is unaffected) but suppresses the pipe message —
-        degrading crash *detection* to "no heartbeat received", which is
-        precisely the diagnostics path the ``mute=`` fault exercises.
+        (the sort is unaffected) but writes no beat — degrading crash
+        *detection* to "no heartbeat received", which is precisely the
+        diagnostics path the ``mute=`` fault exercises.
         """
         self.step_label = step
+        self._step = STEP_LABELS.index(step) + 1
         if self.muted:
             if self.tracer is not None:
                 self.tracer.fault("mute", f"suppressed heartbeat at {step}")
             return
-        self.conn.send(("hb", self.rank, step, int(rows)))
+        region = self.region
+        if region is not None:
+            at = region.beats_at + 2 * (len(STEP_LABELS) * self.rank + self._step - 1)
+            region.d[at] = rows
+            region.d[at + 1] = time.perf_counter()  # repro: noqa[R002] — real backend: a heartbeat's age is wall time
 
     def send_done(self, payload: Any) -> None:
         self.conn.send(("done", self.rank, payload))
@@ -240,18 +554,19 @@ class WorkerLink:
         self.conn.send(("error", self.rank, exc_type, traceback_text))
 
 
-def dispatch_job(conns: list[Connection], spec: Any) -> None:
+def dispatch_job(conns: list[Connection], region: ControlRegion, spec: Any) -> None:
     """Send one job spec to every pooled worker (driver side).
 
-    The counterpart of :meth:`WorkerLink.recv_job`.  Dispatch is the only
-    parent→worker message outside collective replies, and it is framed as
-    ``("job", spec)`` so the worker's drain loop can tell it apart from a
-    stale reply.  After dispatching, the driver must run
-    :func:`serve_control_plane` over the same conns to completion (or
-    tear the pool down on error) before dispatching again.
+    The counterpart of :meth:`WorkerLink.recv_job`, framed as
+    ``("job", spec)``.  Every worker is parked, so the last job's
+    heartbeats are cleared from the region first.  After dispatching, the
+    driver must run :func:`serve_control_plane` over the same conns to
+    completion (or tear the pool down on error) before dispatching again.
     """
+    region.clear_beats()
+    message = ForkingPickler.dumps(("job", spec))  # pickled once for all
     for conn in conns:
-        conn.send(("job", spec))
+        conn.send_bytes(message)
 
 
 def send_shutdown(conns: list[Connection]) -> None:
@@ -268,215 +583,180 @@ def send_shutdown(conns: list[Connection]) -> None:
             pass  # repro: noqa[R006] — pipe already dead; shutdown is best-effort
 
 
-@dataclass
-class _PendingOp:
-    root: int
-    contributions: dict[int, Any]
-    #: Hub clock when the first contribution opened this collective —
-    #: what the per-phase deadline measures against.
-    opened_at: float = 0.0
-
-
-def _reply(op: str, pending: _PendingOp, size: int) -> dict[int, Any]:
-    """Compute each rank's reply for a completed collective."""
-    if op == "barrier":
-        return {rank: None for rank in range(size)}
-    if op == "gather":
-        ordered = [pending.contributions[r] for r in range(size)]
-        return {
-            rank: (ordered if rank == pending.root else None)
-            for rank in range(size)
-        }
-    if op == "bcast":
-        value = pending.contributions[pending.root]
-        return {rank: value for rank in range(size)}
-    if op == "allgather":
-        ordered = [pending.contributions[r] for r in range(size)]
-        return {rank: ordered for rank in range(size)}
-    raise ProtocolError(f"unknown collective op {op!r}")
-
-
 def serve_control_plane(
     conns: list[Connection],
     processes: list,
     *,
+    region: ControlRegion | None = None,
     timeout_seconds: float | None = None,
     phase_timeout_seconds: float | None = None,
     progress=None,
     san_sink=None,
-    faults=None,
 ) -> dict[int, Any]:
-    """Drive the collective hub until every worker reports done.
+    """Watch a job's workers until every one reports done.
 
     ``conns[rank]`` is the driver end of rank's pipe; ``processes[rank]``
-    the worker process (anything with ``is_alive()`` and ``exitcode``).
-    ``progress``, when given, receives every heartbeat as
-    ``progress(rank, step_label, rows)``; ``san_sink``, when given,
-    receives every flushed batch of sanitizer access records as
-    ``san_sink(rank, records)`` (delivered at step boundaries, so a
-    partial log survives a crash).  Returns ``{rank:
-    done_payload}``.  Raises
+    the worker process (anything with ``is_alive()`` and ``exitcode``);
+    ``region`` the generation's :class:`ControlRegion` (``None`` only for
+    links that relay their collectives over the pipes).  ``progress``,
+    when given, receives every heartbeat as ``progress(rank, step_label,
+    rows)``, in step order per rank; ``san_sink``, when given, receives
+    every flushed batch of sanitizer access records as ``san_sink(rank,
+    records)`` (delivered at step boundaries, so a partial log survives a
+    crash).  Returns ``{rank: done_payload}``.  Raises
     :class:`~repro.parallel.errors.WorkerCrashedError` when a pipe hits
-    EOF or a process dies with messages outstanding (carrying the dead
-    rank's last heartbeat step and its age),
+    EOF or a process dies before reporting (carrying the dead rank's last
+    heartbeat step and its age),
     :class:`~repro.parallel.errors.WorkerFailedError` when a worker
-    reports an exception (re-raised by the caller from the payload), and
+    reports an exception (:class:`~repro.parallel.errors.ProtocolError`
+    when that exception was the control plane's own), and
     :class:`~repro.parallel.errors.ControlPlaneTimeout` when
-    ``timeout_seconds`` passes without any progress (naming each rank's
-    last heartbeat, so a hang reports which step every worker was in).
+    ``timeout_seconds`` passes without any progress — no message, beat or
+    arrival — naming each rank's last heartbeat.
 
     ``phase_timeout_seconds`` arms the *per-phase deadline*: no single
-    collective may stay open longer than this, even while other traffic
-    (heartbeats, sanitizer flushes) keeps resetting the global
-    no-progress clock.  This is what detects a hung-but-alive rank
-    promptly — the resulting :class:`ControlPlaneTimeout` names the
-    ``missing_ranks`` whose contribution never arrived, so the retry
-    layer can charge the failure to a specific rank with no corpse to
-    point at.
-
-    ``faults``, when given, is the attempt's
-    :class:`~repro.faults.FaultPlan`: with ``delay_prob`` set each
-    collective reply may be preceded by a ``delay_spike``, drawn from the
-    plan's seed (the pipe-star latency fault).  The fault-free path pays
-    one ``is not None`` check per reply.
+    collective may stay open longer than this, even while other activity
+    keeps resetting the global no-progress clock.  This is what detects a
+    hung-but-alive rank promptly — the resulting
+    :class:`ControlPlaneTimeout` names the ``missing_ranks`` that never
+    arrived, so the retry layer can charge the failure to a specific rank
+    with no corpse to point at.
     """
-    from .errors import WorkerFailedError
+    return _Hub(conns, processes, region, progress, san_sink).serve(
+        timeout_seconds, phase_timeout_seconds
+    )
 
-    draw = None
-    if faults is not None and faults.delay_prob > 0.0:
-        draw = np.random.default_rng(faults.seed).random
 
-    size = len(conns)
-    rank_of = {id(conn): rank for rank, conn in enumerate(conns)}
-    active: set[int] = set(range(size))
-    done: dict[int, Any] = {}
-    pending: dict[tuple[str, int], _PendingOp] = {}
-    #: rank -> (step label, rows, hub time the beat arrived).
-    heartbeats: dict[int, tuple[str, int, float]] = {}
-    last_progress = time.perf_counter()  # repro: noqa[R002] — real backend: liveness/timeout bookkeeping needs the wall clock
+class _Hub:
+    """The driver's watch over one job: liveness, deadlines, reports."""
 
-    def phase() -> str:
-        if pending:
-            ops = ", ".join(f"{op}#{seq}" for op, seq in sorted(pending))
-            return f"collectives pending: {ops}"
-        return "between collectives"
+    def __init__(self, conns, processes, region, progress, san_sink):
+        self.conns, self.processes, self.region = conns, processes, region
+        self.progress, self.san_sink = progress, san_sink
+        self.size = len(conns)
+        self.rank_of = {id(conn): rank for rank, conn in enumerate(conns)}
+        self.active: set[int] = set(range(self.size))
+        self.done: dict[int, Any] = {}
+        #: Heartbeat entries forwarded to the progress sink, per rank.
+        self.forwarded = [0] * self.size
+        #: Pipe-relayed collectives (region-less links): seq -> {rank: payload}.
+        self.relayed: dict[int, dict[int, Any]] = {}
 
-    def last_beat(rank: int) -> tuple[str | None, float | None]:
-        beat = heartbeats.get(rank)
-        if beat is None:
-            return None, None
-        step, _rows, seen = beat
-        return step, time.perf_counter() - seen  # repro: noqa[R002] — real backend: heartbeat age for crash diagnostics
-
-    def beat_summary() -> str:
-        if not heartbeats:
-            return "no heartbeats received"
-        parts = [
-            f"r{rank}@{heartbeats[rank][0]}" for rank in sorted(heartbeats)
-        ]
-        return "last heartbeats: " + ", ".join(parts)
-
-    def crash(rank: int) -> WorkerCrashedError:
-        proc = processes[rank]
-        exitcode = getattr(proc, "exitcode", None)
-        step, age = last_beat(rank)
-        return WorkerCrashedError(
-            rank, exitcode, phase(), last_step=step, heartbeat_age=age
-        )
-
-    def check_phase_deadline(now: float) -> None:
-        if phase_timeout_seconds is None or not pending:
-            return
-        key = min(pending, key=lambda k: pending[k].opened_at)
-        slot = pending[key]
-        age = now - slot.opened_at
-        if age > phase_timeout_seconds:
-            op, seq = key
-            missing = tuple(
-                r for r in range(size) if r not in slot.contributions
+    def serve(self, timeout_seconds, phase_timeout_seconds) -> dict[int, Any]:
+        last_progress = time.perf_counter()  # repro: noqa[R002] — real backend: liveness/timeout bookkeeping needs the wall clock
+        seen = None
+        while self.active:
+            ready = wait([self.conns[r] for r in self.active], timeout=_POLL_SECONDS)
+            now = time.perf_counter()  # repro: noqa[R002] — real backend: liveness/timeout bookkeeping needs the wall clock
+            if self.region is not None:
+                self.watch(now, phase_timeout_seconds)
+            if ready:
+                last_progress = now
+                for conn in ready:
+                    self.handle(self.rank_of[id(conn)], conn)
+                continue
+            for rank in sorted(self.active):
+                if not self.processes[rank].is_alive() and not self.conns[rank].poll():
+                    raise self.crash(rank)
+            # A new beat or arrival is progress too.
+            state = None if self.region is None else self.region.progress_mark()
+            if state != seen:
+                seen, last_progress = state, now
+            if timeout_seconds is not None and now - last_progress > timeout_seconds:
+                raise ControlPlaneTimeout(
+                    now - last_progress, self.phase(), heartbeats=self.beat_summary()
+                )
+        if self.relayed:
+            raise ProtocolError(
+                "all workers reported done but collectives never completed: "
+                + ", ".join(f"#{seq}" for seq in sorted(self.relayed))
             )
+        return self.done
+
+    def watch(self, now: float, phase_timeout_seconds) -> None:
+        """Forward new heartbeats, in step order, and hold the phase deadline."""
+        region = self.region
+        if self.progress is not None:
+            beats = region.beats
+            for rank in range(self.size):
+                step = self.forwarded[rank]
+                while step < len(STEP_LABELS) and beats[rank, step, 1] != 0.0:
+                    self.progress(rank, STEP_LABELS[step], int(beats[rank, step, 0]))
+                    step += 1
+                self.forwarded[rank] = step
+        if phase_timeout_seconds is None:
+            return
+        open_ = region.open_collective()
+        if open_ is not None and now - open_[1] > phase_timeout_seconds:
+            name, opened, missing = open_
             raise ControlPlaneTimeout(
-                age,
-                f"collective {op}#{seq} open past its {phase_timeout_seconds:.1f}s"
+                now - opened,
+                f"collective {name} open past its {phase_timeout_seconds:.1f}s"
                 f" phase deadline",
-                heartbeats=beat_summary(),
+                heartbeats=self.beat_summary(),
                 missing_ranks=missing,
             )
 
-    while active:
-        ready = wait([conns[r] for r in active], timeout=_POLL_SECONDS)
-        now = time.perf_counter()  # repro: noqa[R002] — real backend: liveness/timeout bookkeeping needs the wall clock
-        check_phase_deadline(now)
-        if not ready:
-            for rank in sorted(active):
-                proc = processes[rank]
-                if not proc.is_alive() and not conns[rank].poll():
-                    raise crash(rank)
-            if (
-                timeout_seconds is not None
-                and now - last_progress > timeout_seconds
-            ):
-                raise ControlPlaneTimeout(
-                    now - last_progress, phase(), heartbeats=beat_summary()
-                )
-            continue
-        last_progress = now
-        for conn in ready:
-            rank = rank_of[id(conn)]
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                raise crash(rank) from None
-            kind = msg[0]
-            if kind == "done":
-                done[msg[1]] = msg[2]
-                active.discard(msg[1])
-            elif kind == "error":
-                step, _age = last_beat(msg[1])
-                raise WorkerFailedError(msg[1], msg[2], msg[3], last_step=step)
-            elif kind == "hb":
-                _, sender, step, rows = msg
-                heartbeats[sender] = (step, rows, now)
-                if progress is not None:
-                    progress(sender, step, rows)
-            elif kind == "san":
-                _, sender, records = msg
-                if san_sink is not None:
-                    san_sink(sender, records)
-            elif kind == "probe":
-                # Clock-sync handshake: answer with the hub clock, now.
-                conns[msg[1]].send(time.perf_counter())  # repro: noqa[R002] — real backend: the clock-sync handshake IS a clock read
-            elif kind == "coll":
-                _, op, seq, sender, root, payload = msg
-                key = (op, seq)
-                slot = pending.get(key)
-                if slot is None:
-                    slot = pending[key] = _PendingOp(
-                        root=root, contributions={}, opened_at=now
-                    )
-                elif slot.root != root:
-                    raise ProtocolError(
-                        f"collective {op}#{seq}: rank {sender} named root "
-                        f"{root}, earlier ranks named {slot.root}"
-                    )
-                if sender in slot.contributions:
-                    raise ProtocolError(
-                        f"collective {op}#{seq}: duplicate contribution "
-                        f"from rank {sender}"
-                    )
-                slot.contributions[sender] = payload
-                if len(slot.contributions) == size:
-                    del pending[key]
-                    replies = _reply(op, slot, size)
-                    for peer, reply in replies.items():
-                        if draw is not None and draw() < faults.delay_prob:
-                            time.sleep(faults.delay_spike)
-                        conns[peer].send(reply)
-            else:
-                raise ProtocolError(f"unknown control message kind {kind!r}")
-    if pending:
-        ops = ", ".join(f"{op}#{seq}" for op, seq in sorted(pending))
-        raise ProtocolError(
-            f"all workers reported done but collectives never completed: {ops}"
-        )
-    return done
+    def handle(self, rank: int, conn: Connection) -> None:
+        try:
+            msg = conn.recv()
+        except (EOFError, OSError):
+            raise self.crash(rank) from None
+        kind = msg[0]
+        if kind == "done":
+            self.done[rank] = msg[2]
+            self.active.discard(rank)
+        elif kind == "error":
+            step, _age = self.last_beat(rank)
+            if msg[2] == ProtocolError.__name__:
+                raise ProtocolError(f"worker rank {rank}: {msg[3]}")
+            raise WorkerFailedError(rank, msg[2], msg[3], last_step=step)
+        elif kind == "san":
+            if self.san_sink is not None:
+                self.san_sink(rank, msg[2])
+        elif kind == "probe":
+            # Clock-sync handshake: answer with the hub clock, now.
+            conn.send(time.perf_counter())  # repro: noqa[R002] — real backend: the clock-sync handshake IS a clock read
+        elif kind == "coll":
+            self.relay(msg)
+        else:
+            raise ProtocolError(f"unknown control message kind {kind!r}")
+
+    def relay(self, msg: tuple) -> None:
+        """One region-less link's contribution; answer all once complete."""
+        _, op, seq, sender, root, payload = msg
+        held = self.relayed.setdefault(seq, {})
+        held[sender] = payload
+        if len(held) == self.size:
+            del self.relayed[seq]
+            for rank, conn in enumerate(self.conns):
+                conn.send(_result(op, rank, root, self.size, held.__getitem__))
+
+    def phase(self) -> str:
+        open_ = None if self.region is None else self.region.open_collective()
+        if open_ is not None:
+            return f"collectives pending: {open_[0]}"
+        if self.relayed:
+            return "collectives pending: " + ", ".join(f"#{seq}" for seq in sorted(self.relayed))
+        return "between collectives"
+
+    def last_beat(self, rank: int) -> tuple[str | None, float | None]:
+        beat = None if self.region is None else self.region.last_beat(rank)
+        if beat is None:
+            return None, None
+        step, stamp = beat
+        return STEP_LABELS[step], time.perf_counter() - stamp  # repro: noqa[R002] — real backend: heartbeat age for crash diagnostics
+
+    def beat_summary(self) -> str:
+        parts = [
+            f"r{rank}@{step}"
+            for rank in range(self.size)
+            for step in [self.last_beat(rank)[0]]
+            if step is not None
+        ]
+        return "last heartbeats: " + ", ".join(parts) if parts else "no heartbeats received"
+
+    def crash(self, rank: int) -> WorkerCrashedError:
+        exitcode = getattr(self.processes[rank], "exitcode", None)
+        step, age = self.last_beat(rank)
+        return WorkerCrashedError(rank, exitcode, self.phase(), last_step=step, heartbeat_age=age)

@@ -2,8 +2,9 @@
 
 Everything a process-backend run can do wrong surfaces as one of these —
 never as a hang, and never as a bare ``BrokenPipeError`` deep inside
-``multiprocessing``.  The control-plane hub watches worker liveness while
-serving collectives, so a worker that dies mid-protocol turns into a
+``multiprocessing``.  The control-plane hub watches worker liveness and
+the control region while a job runs, so a worker that dies mid-protocol
+turns into a
 :class:`WorkerCrashedError` naming the rank, and a worker that raised is
 re-reported as a :class:`WorkerFailedError` carrying the remote traceback.
 """
@@ -169,7 +170,9 @@ class JobAbortedError(ParallelBackendError):
 
 
 class ProtocolError(ParallelBackendError):
-    """A worker sent a control message the hub cannot reconcile."""
+    """The control plane itself broke its protocol: ranks that disagree on
+    a collective's op, sequence number or root, a payload that overflows
+    its control slot, or a message the hub cannot reconcile."""
 
 
 class PoolClosedError(ParallelBackendError):

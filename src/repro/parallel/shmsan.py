@@ -15,13 +15,14 @@ staged block (when its frame refills nothing), every per-destination shm
 write of the zero-copy all-to-all, the in-place merge over the exchange
 region, and, on the word path, the unpack into the output-only
 index/key leases and, on a frame that refills, the input-lease read
-that refills −0.0 and NaN payloads.  The
+that refills −0.0 and NaN payloads — and every write and read of the
+control region's slots (``slot-write``/``slot-read``).  The
 :class:`~repro.parallel.collectives.WorkerLink` stamps the epoch: each
-completed collective is a full barrier through the pipe-star hub, so the
+completed collective is a full barrier in the control region, so the
 per-rank count of completed collectives is a global happens-before clock
 (see :mod:`repro.checks.hb` for the model).  Workers flush their logs to
-the hub at step boundaries (piggybacked on the liveness heartbeats) and
-at completion, so a crash mid-run still leaves the analyzer a partial
+the hub at step boundaries (beside the liveness heartbeats) and at
+completion, so a crash mid-run still leaves the analyzer a partial
 log up to the crash point.
 
 The analyzer flags write-write and read-write interval overlaps between
@@ -82,6 +83,7 @@ from ..simnet.sanitizer import SanReport, SanViolation
 MUTATIONS = (
     "offset-off-by-one",   # worker: shift one exchange run by one element
     "skip-merge-barrier",  # worker: merge without waiting for the barrier
+    "read-slot-before-barrier",  # worker: read the peers' control slots before the barrier
     "pack-past-block",     # worker: log step 1's pack one word into the next block
     "double-lease",        # parent: register a second lease over the key segment
     "stale-view",          # parent: touch a leased view after release_all

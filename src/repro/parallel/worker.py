@@ -10,38 +10,41 @@ This module is the pool's binding of the one sort program
 (:func:`repro.core.program.six_steps`, the simulator's too): a per-job
 :class:`_Job` serves its steps — a step edge is the step clock, the
 fault plan's kills and stragglers, the heartbeat and a ShmSan flush;
-collectives are pipe calls; step 1 sorts inline, in words packed over
-the staged block where they may go; step 5 writes shared memory — so the
-produced partitions are **bit-identical** to the simulator's and to the
-reference backend's.  *What* is sorted, exchanged and merged — packed words, or
-keys + perm — is the job's :class:`~repro.core.datapath.DataPath`,
-chosen once in step 1; *where* every (src, dst) run lands in shared
-memory is :mod:`repro.parallel.layout`'s to say.  A worker writes the
-input in one place: a word-path rank whose frame does not refill packs
-and sorts its words over its own staged block, which nothing reads after
-step 1 (a refilling frame keeps the input as its refill source).
+collectives go through the generation's control region; step 1 sorts
+inline, in words packed over the staged block where they may go; step 5
+writes shared memory — so the produced partitions are **bit-identical**
+to the simulator's and to the reference backend's.  *What* is sorted,
+exchanged and merged — packed words, or keys + perm — is the job's
+:class:`~repro.core.datapath.DataPath`, chosen once in step 1; *where*
+every (src, dst) run lands in shared memory is
+:mod:`repro.parallel.layout`'s to say.  A worker writes the input in one
+place: a word-path rank whose frame does not refill packs and sorts its
+words over its own staged block, which nothing reads after step 1 (a
+refilling frame keeps the input as its refill source).
 
-Control plane (pickled over one pipe per rank, via the hub in
-:mod:`repro.parallel.collectives`): the sample gather (or the splitter
-cache probe of :mod:`repro.parallel.splitter_cache`), the splitter
-broadcast, the counts allgather, and the pre/post-exchange barriers —
-bytes proportional to ``p``, never to ``n``; the word path adds one
-allgather of five integers per rank (the block's statistics), timed and
-waited inside step 1.
+Control plane (the shared-memory :class:`~repro.parallel.collectives.ControlRegion`
+every rank of the generation inherits): the sample gather (or the
+splitter cache probe of :mod:`repro.parallel.splitter_cache`), the
+splitter broadcast, the counts allgather and the post-exchange barrier,
+each a slot write, one barrier and a read — bytes proportional to ``p``,
+never to ``n``; the word path adds one allgather of five integers per
+rank (the block's statistics), timed and waited inside step 1.  An
+untraced, unsanitized, fault-free job moves two messages over a worker's
+pipe: its dispatch in, its report out.
 
 Timing here is *wall-clock* (``time.perf_counter``), which is the whole
 point of this backend; the simulated path keeps its virtual clock.
 
-Observability: every worker heartbeats the hub at each step boundary
-(always on — six tiny pipe messages that power the crash detector's
-which-step-died diagnostics) and, when the parent requested tracing
-(``job.trace``), records a :class:`~repro.parallel.tracing.WorkerTrace`
-— clock-offset handshake, per-step windows, collective wait spans, one
-flow per (src, dst) shm write with bytes (``count × 4`` or ``count × 8``
-for a word run, as wide as the job's key frame)
-and the run's byte offset in the exchanged stream, and
-counter samples — shipped home on the :class:`WorkerReport` and merged
-on the parent into the simnet-schema tracer.
+Observability: every worker writes a heartbeat into its row of the
+region at each step boundary (always on — six stores that power the
+crash detector's which-step-died diagnostics and the live-progress sink)
+and, when the parent requested tracing (``job.trace``), records a
+:class:`~repro.parallel.tracing.WorkerTrace` — clock-offset handshake,
+per-step windows, collective wait spans, one flow per (src, dst) shm
+write with bytes (``count × 4`` or ``count × 8`` for a word run, as wide
+as the job's key frame) and the run's byte offset in the exchanged
+stream, and counter samples — shipped home on the :class:`WorkerReport`
+and merged on the parent into the simnet-schema tracer.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from ..core.steps import BlockPartition
 from ..faults import FaultPlan
 from ..pgxd.config import PgxdConfig
 from .arena import ShmLease
-from .collectives import WorkerLink
+from .collectives import ControlRegion, WorkerLink
 from .layout import exchange_layout
 from .shmsan import AccessRecorder
 from .splitter_cache import SplitterProbe
@@ -196,8 +199,9 @@ class _Job:
         self.rank, self.size, self.config = rank, plan.size, plan.config
         self.plan, self.link, self.scratch = plan, link, scratch
         self.cache = plan.cache
-        self.recorder = AccessRecorder(rank) if plan.sanitize else None
+        self.recorder = link.recorder = AccessRecorder(rank) if plan.sanitize else None
         self.mutation = plan.mutate if rank == plan.mutate_rank else None
+        link.early_read = self.mutation == "read-slot-before-barrier"
         #: Clock reads at the step edges: ``marks[i]`` opens step ``i + 1``.
         self.marks: list[float] = []
         self.tracer: WorkerTracer | None = None
@@ -217,6 +221,7 @@ class _Job:
         if plan.faults is not None:
             self.kill_step, self.slow = plan.faults.kill_step(rank), plan.faults.slow_mult(rank)
             link.hang, link.muted = plan.faults.hang_op(rank), rank in plan.faults.muted
+            link.delay = plan.faults if plan.faults.delay_prob > 0.0 else None
 
     def run(self) -> WorkerReport:
         lo, hi = self.plan.leases.block_starts[self.rank : self.rank + 2].tolist()
@@ -370,10 +375,10 @@ class _Job:
                     time.perf_counter(),  # repro: noqa[R002] — real backend: measured flow timing is the product
                 )
         if self.mutation == "skip-merge-barrier":
-            # Seeded invariant break: post the barrier contribution (so the
-            # hub and the other ranks stay solvent) but charge ahead without
-            # waiting — this rank's epoch clock does not advance, so its merge
-            # runs concurrent with the others' exchange writes.  The
+            # Seeded invariant break: post the barrier arrival (so the
+            # other ranks stay solvent) but charge ahead without waiting —
+            # this rank's epoch clock does not advance, so its merge runs
+            # concurrent with the others' exchange writes.  The
             # happens-before analysis must flag the races.
             link.post_only("barrier")
         else:
@@ -418,16 +423,19 @@ class _Job:
         )
 
 
-def worker_main(rank: int, size: int, conn: Connection) -> None:
+def worker_main(rank: int, size: int, conn: Connection, region: ControlRegion) -> None:
     """Process entry point: the persistent per-rank job loop.
 
-    Spawned once per pool generation.  Blocks on the control pipe for
-    each :class:`JobSpec`, resets the link's per-job state (collective
-    sequence, epoch clock, tracer — see
+    Spawned once per pool generation, sharing the generation's control
+    ``region``.  Blocks on the control pipe for each :class:`JobSpec`,
+    resets the link's per-job state (collective sequence, epoch clock,
+    tracer — see
     :meth:`~repro.parallel.collectives.WorkerLink.reset`), runs the six
     steps against the warm :class:`SegmentCache`, reports done, and
     waits for the next dispatch.  A ``("stop",)`` message (or EOF from a
-    vanished driver) ends the loop and releases the cached attachments.
+    vanished driver) ends the loop and releases the cached attachments; a
+    driver that vanishes while the worker waits in a barrier ends the job
+    as an error, and the worker exits.
 
     Any exception inside a job is serialized to the driver (which
     re-raises it as a typed
@@ -436,7 +444,7 @@ def worker_main(rank: int, size: int, conn: Connection) -> None:
     driver's respawn policy builds the *next* generation around the
     hole.
     """
-    link = WorkerLink(rank, size, conn)
+    link = WorkerLink(rank, size, conn, region)
     segments = SegmentCache()
     scratch = ScratchArena()
     try:

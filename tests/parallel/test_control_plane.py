@@ -1,4 +1,9 @@
-"""The pipe-star control plane: collective semantics and failure typing."""
+"""The control region: collective semantics and failure typing.
+
+Workers run the collectives through a shared-memory
+:class:`~repro.parallel.collectives.ControlRegion` they inherit; the hub
+only watches the pipes, the processes and the region.
+"""
 
 import multiprocessing
 import os
@@ -6,26 +11,30 @@ import time
 
 import pytest
 
+from repro.core.sorter_labels import STEP_LABELS
 from repro.parallel import ControlPlaneTimeout, WorkerCrashedError, WorkerFailedError
-from repro.parallel.collectives import WorkerLink, serve_control_plane
+from repro.parallel.collectives import ControlRegion, WorkerLink, serve_control_plane
 from repro.parallel.errors import ProtocolError
 
 
 def _run_hub(target, size, timeout_seconds=30.0, extra=(), **hub_kwargs):
-    """Spawn ``size`` workers running ``target(link, *extra)`` under the hub."""
+    """Start ``size`` workers running ``target(link, *extra)`` on one region."""
     ctx = multiprocessing.get_context()
+    region = ControlRegion(ctx, size, 4096)
     conns, procs = [], []
     try:
         for rank in range(size):
             hub_end, worker_end = ctx.Pipe(duplex=True)
             conns.append(hub_end)
             procs.append(
-                ctx.Process(target=_worker_shell, args=(target, rank, size, worker_end, extra))
+                ctx.Process(
+                    target=_worker_shell, args=(target, rank, size, worker_end, region, extra)
+                )
             )
         for proc in procs:
             proc.start()
         return serve_control_plane(
-            conns, procs, timeout_seconds=timeout_seconds, **hub_kwargs
+            conns, procs, region=region, timeout_seconds=timeout_seconds, **hub_kwargs
         )
     finally:
         for proc in procs:
@@ -37,8 +46,8 @@ def _run_hub(target, size, timeout_seconds=30.0, extra=(), **hub_kwargs):
             conn.close()
 
 
-def _worker_shell(target, rank, size, conn, extra):
-    link = WorkerLink(rank, size, conn)
+def _worker_shell(target, rank, size, conn, region, extra):
+    link = WorkerLink(rank, size, conn, region)
     try:
         link.send_done(target(link, *extra))
     except Exception as exc:  # repro: noqa[R006] — process boundary: the exception is reported to the hub, which re-raises it typed
@@ -57,6 +66,10 @@ def _exercise_collectives(link):
     everyone = link.allgather(link.rank + 100)
     assert everyone == [100, 101, 102]
     link.barrier()
+    # Many more rounds than banks: each collective must read its own.
+    for round_ in range(50):
+        assert link.allgather((round_, link.rank)) == [(round_, r) for r in range(3)]
+    assert link.epoch == 54
     return {"rank": link.rank, "sum": sum(everyone)}
 
 
@@ -86,6 +99,17 @@ def _hang_at_gather(link, hung_rank):
 def _disagree_on_root(link):
     # Rank 0 names itself root; everyone else names rank 1.
     link.gather(link.rank, root=0 if link.rank == 0 else 1)
+    return link.rank
+
+
+def _crash_in_step(link, crash_rank, muted):
+    link.muted = muted
+    link.heartbeat(STEP_LABELS[0], 10)
+    link.barrier()
+    link.heartbeat(STEP_LABELS[1], 5)
+    if link.rank == crash_rank:
+        os._exit(9)
+    link.barrier()
     return link.rank
 
 
@@ -130,10 +154,10 @@ class TestFailureTyping:
         """A hung-but-alive rank trips the per-phase deadline, typed.
 
         No process dies, so the liveness watch never fires; only the
-        per-collective deadline can convert the stall into an error —
-        and with exactly one rank absent from the stalled collective it
-        must name it, which is what lets the retry layer charge the
-        right rank for a hang.
+        per-collective deadline, read from the region's arrival flags, can
+        convert the stall into an error — and with exactly one rank absent
+        from the stalled collective it must name it, which is what lets
+        the retry layer charge the right rank for a hang.
         """
         with pytest.raises(ControlPlaneTimeout) as excinfo:
             _run_hub(
@@ -144,5 +168,23 @@ class TestFailureTyping:
             )
         exc = excinfo.value
         assert exc.missing_ranks == (2,)
+        assert "gather#1" in str(exc)
         assert "phase deadline" in str(exc)
         assert "missing ranks [2]" in str(exc)
+
+    def test_crash_names_the_step_it_died_in(self):
+        with pytest.raises(WorkerCrashedError) as excinfo:
+            _run_hub(_crash_in_step, size=2, extra=(1, False))
+        exc = excinfo.value
+        assert exc.rank == 1
+        assert exc.last_step == STEP_LABELS[1]
+        assert exc.heartbeat_age is not None and exc.heartbeat_age >= 0.0
+        assert f"last heartbeat at step {STEP_LABELS[1]!r}" in str(exc)
+
+    def test_muted_rank_crash_reports_no_heartbeat(self):
+        with pytest.raises(WorkerCrashedError) as excinfo:
+            _run_hub(_crash_in_step, size=2, extra=(1, True))
+        exc = excinfo.value
+        assert exc.rank == 1
+        assert exc.last_step is None
+        assert "no heartbeat received" in str(exc)

@@ -71,8 +71,9 @@ class TestCleanRuns:
         assert san.report.ok, san.report.summary()
         assert san.report.runs == 1
         # input + keys + index leases (for 8-byte keys the word stream is
-        # the key lease itself), all four ranks flushing.
-        assert san.report.counts["leases_tracked"] == 3
+        # the key lease itself) + the control region's slots, all four
+        # ranks flushing.
+        assert san.report.counts["leases_tracked"] == 4
         assert san.report.counts["accesses_recorded"] > 4
 
     def test_sanitizer_accumulates_across_sorts(self):
@@ -152,6 +153,38 @@ class TestMutations:
         for v in races:
             assert 2 in (v.details["a"]["rank"], v.details["b"]["rank"])
             assert v.details["overlap_bytes"][0] < v.details["overlap_bytes"][1]
+
+    def test_read_slot_before_barrier_reports_a_race_on_the_control_slots(self):
+        _, blocks = _blocks()
+        with ProcessBackend(
+            sanitize=True, mutate="read-slot-before-barrier", mutate_rank=3
+        ) as backend:
+            backend.sort_blocks(blocks)
+            san = backend.sanitizer
+        races = [v for v in san.report.violations if v.kind == "read-write-race"]
+        assert races, san.report.summary()
+        for v in races:
+            assert {v.details["a"]["label"], v.details["b"]["label"]} == {"slot-read", "slot-write"}
+            reader = next(s for s in (v.details["a"], v.details["b"]) if s["label"] == "slot-read")
+            assert reader["rank"] == 3
+
+    @pytest.mark.parametrize("mutation", ["skip-merge-barrier", "read-slot-before-barrier"])
+    def test_a_mutated_job_leaves_the_pool_clean_for_the_next(self, mutation):
+        """The control region carries nothing from a mutated job into the
+        next: a clean job on the same generation is bit-identical to the
+        oracle and adds no finding."""
+        _, blocks = _blocks()
+        reference = local_sample_sort(blocks)
+        with ProcessBackend(sanitize=True, mutate=mutation, mutate_rank=2) as backend:
+            backend.sort_blocks(blocks)
+            pids = backend.worker_pids
+            found = len(backend.sanitizer.report.violations)
+            assert found, f"mutation {mutation!r} escaped ShmSan"
+            backend._mutate = None
+            run = backend.sort_blocks(blocks)
+            assert backend.worker_pids == pids
+            assert len(backend.sanitizer.report.violations) == found
+        _assert_bit_identical(reference, run)
 
     @pytest.mark.parametrize("dtype", STAGED_PACKS)
     def test_pack_past_block_reports_a_race_in_the_next_rank_block(self, dtype):
@@ -272,7 +305,7 @@ class TestWordPathStreams:
         run, san, doc, labels = self._sanitized(data, tmp_path)
         assert _paths(run) == {"through"}
         assert san.report.ok, san.report.summary()
-        assert san.report.counts["leases_tracked"] == 4  # + the int64 word stream
+        assert san.report.counts["leases_tracked"] == 5  # + the int64 word stream
         assert doc["exchanged"] == ["words"]
         assert {"exchange-write", "merge-read", "merge-write", "index-write", "key-write"} <= labels
         assert analyze_log(doc)[0] == []
@@ -300,7 +333,7 @@ class TestWordPathStreams:
         run, san, doc, labels = self._sanitized(data, tmp_path)
         assert _paths(run) == {"through"}
         assert san.report.ok, san.report.summary()
-        assert san.report.counts["leases_tracked"] == 3  # no word segment of its own
+        assert san.report.counts["leases_tracked"] == 4  # no word segment of its own
         assert doc["exchanged"] == ["index"]
         assert {"exchange-write", "merge-read", "merge-write", "index-write", "key-write"} <= labels
         index = next(lease for lease in doc["leases"] if lease["role"] == "index")

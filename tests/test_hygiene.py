@@ -544,6 +544,29 @@ class TestReachability:
                         offenders.append(f"{relative}:{node.lineno}: {name}")
         assert not offenders, f"a simulated job built outside api._simulate: {offenders}"
 
+    def test_every_worker_link_in_the_library_has_a_region(self):
+        """A ``WorkerLink`` without a control region relays its collectives
+        over the pipes, which only the perf ledger's collective battery may
+        do: in ``src/`` every link is built with a region, the fourth
+        argument (or ``region=``), and never a literal ``None``."""
+        import ast
+
+        offenders, built = [], 0
+        for path in _source_files():
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                if getattr(node.func, "id", getattr(node.func, "attr", None)) != "WorkerLink":
+                    continue
+                built += 1
+                region = node.args[3] if len(node.args) > 3 else next(
+                    (kw.value for kw in node.keywords if kw.arg == "region"), None
+                )
+                if region is None or (isinstance(region, ast.Constant) and region.value is None):
+                    offenders.append(f"{path.relative_to(SRC).as_posix()}:{node.lineno}")
+        assert built, "no WorkerLink built in src/: the scan went blind"
+        assert not offenders, f"a region-less WorkerLink in src/: {offenders}"
+
 
 class TestPackageSurface:
     def test_lazy_top_level_exports(self):
