@@ -516,7 +516,7 @@ def rule_unbounded_retry(tree: ast.Module, ctx: FileContext) -> Iterator[Violati
     *including* ``repro.parallel`` since the backend grew its own retry
     machinery: a real-backend retry loop spins actual OS processes, so an
     unbounded one burns cores, not virtual seconds.  The deliberate
-    re-plan loop in ``retry.run_with_retry`` (bounded by the shrinking
+    re-plan loop in ``retry.run_job`` (bounded by the shrinking
     survivor set, not a counter) licenses itself with a per-line
     ``# repro: noqa[R008]``.
     """

@@ -16,26 +16,26 @@ any data type"), supports payload columns via provenance
 (:meth:`SortResult.gather_values`), and can sort a stream of datasets,
 one job each (:meth:`DistributedSorter.sort_many` — "able to sort
 different data simultaneously").
+
+A substrate is an object with one ``sort_blocks`` (:mod:`repro.parallel.
+backend`) and every job's setup is one function, :func:`~repro.core.retry.
+run_job`, so the sorter has no substrate branch.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from ..faults import FaultPlan, active_fault_plan, inject_faults
+from ..faults import FaultPlan, inject_faults
 from ..pgxd.config import PgxdConfig
-from ..pgxd.runtime import Machine, PgxdRuntime
 from ..simnet.cost import CostModel
-from ..simnet.errors import DeadlockError
-from ..simnet.metrics import ClusterMetrics
 from ..simnet.network import NetworkModel
 from .result import SortResult
-from .retry import JobRun, RetryPolicy, run_with_retry
-from .sorter import SortJob, SortOptions, sample_sort_program
+from .sorter import SortOptions
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,12 @@ class SortConfig:
     #: either substrate, retried and degraded by :mod:`repro.core.retry`.
     #: None (the default) still honours an ambient ``inject_faults`` scope.
     faults: FaultPlan | None = None
-    #: Execution substrate: "simnet" (virtual time, the default),
-    #: "process" (one OS process per rank, shared-memory exchange, wall
-    #: time), a live backend *instance* (e.g. a shared persistent
-    #: :class:`~repro.parallel.backend.ProcessBackend` pool — the config
-    #: never closes it), or None to follow the ambient default installed
-    #: via :func:`repro.parallel.backend.use_backend` (the CLI's
-    #: --backend / --pool plumbing).
+    #: Execution substrate: a name from :data:`~repro.parallel.backend.
+    #: BACKENDS` ("simnet", virtual time, the default; "process", one OS
+    #: process per rank, wall time), a live backend *instance* (e.g. a
+    #: shared persistent pool — the config never closes it), or None to
+    #: follow the ambient :func:`repro.parallel.backend.use_backend`
+    #: default (the CLI's --backend / --pool plumbing).
     backend: "str | object | None" = None
 
     def __post_init__(self) -> None:
@@ -71,16 +70,6 @@ class SortConfig:
             from ..parallel.backend import _validated
 
             _validated(self.backend)
-
-    def runtime(self) -> PgxdRuntime:
-        return PgxdRuntime(
-            self.num_processors,
-            config=self.pgxd,
-            network=self.network,
-            cost=self.cost,
-            rank_speed=self.rank_speed,
-            faults=self.faults,
-        )
 
 
 def partition_input(data: np.ndarray, num_processors: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -159,7 +148,7 @@ class DistributedSorter:
         """Sort data already distributed as one block per processor.
 
         Dispatches on the configured execution backend: the default
-        ``simnet`` substrate runs the virtual-time simulation below;
+        ``simnet`` substrate simulates it in virtual time;
         ``backend="process"`` (or an ambient :func:`~repro.parallel.backend.
         use_backend` scope) runs the same six steps on real worker
         processes with a shared-memory exchange — identical partitions,
@@ -170,10 +159,29 @@ class DistributedSorter:
 
         Under a fault plan (``faults=`` or an ambient ``inject_faults``
         scope) either substrate retries a job a kill ended and degrades to
-        the survivors through :func:`~repro.core.retry.run_with_retry`: the
-        pool in its backend, simnet here, each attempt under the plan as
-        :meth:`~repro.faults.FaultPlan.for_attempt` gives it.
+        the survivors (:func:`~repro.core.retry.run_job`).
         """
+        with self._backend() as backend:
+            return self._sort_on(backend, blocks)
+
+    @contextmanager
+    def _backend(self):
+        """This sorter's backend, under its fault plan: a live instance as
+        given (its owner closes it), or a fresh one built from this config
+        by name and closed afterwards."""
+        from ..parallel.backend import BACKENDS, resolve_backend
+
+        backend = resolve_backend(self.config.backend)
+        faults = self.config.faults
+        with inject_faults(faults) if faults is not None else nullcontext():
+            if isinstance(backend, str):
+                with closing(BACKENDS[backend](self.config)) as fresh:
+                    yield fresh
+            else:
+                yield backend
+
+    def _sort_on(self, backend, blocks: Sequence[np.ndarray]) -> SortResult:
+        """One job of ``blocks``, promoted to one dtype, on ``backend``."""
         p = self.config.num_processors
         if len(blocks) != p:
             raise ValueError(f"need {p} blocks, got {len(blocks)}")
@@ -181,46 +189,8 @@ class DistributedSorter:
         if len({b.dtype for b in blocks}) > 1:
             common = np.result_type(*(b.dtype for b in blocks))
             blocks = [b.astype(common, copy=False) for b in blocks]
-        from ..parallel.backend import ProcessBackend, resolve_backend
-
-        resolved = resolve_backend(self.config.backend)
-        if resolved == "simnet":
-            return self._simulate_job(blocks, job=0)
-        # The pool: a fresh one for this sort, or a live instance (typically
-        # a shared persistent pool) its owner closes.  Either picks the
-        # sorter's plan up from the ambient scope, unless the instance
-        # carries a plan of its own.
-        faults = self.config.faults
-        with inject_faults(faults) if faults is not None else nullcontext():
-            if isinstance(resolved, str):
-                with ProcessBackend() as backend:
-                    run = backend.sort_blocks(blocks, options=self.config.options, config=self.config.pgxd)
-            else:
-                run = resolved.sort_blocks(blocks, options=self.config.options, config=self.config.pgxd)
+        run = backend.sort_blocks(blocks, options=self.config.options, config=self.config.pgxd)
         return run.to_sort_result()
-
-    def _simulate_job(self, blocks: list[np.ndarray], job: int) -> SortResult:
-        """One simulated job through :func:`~repro.core.retry.run_with_retry`:
-        without a fault plan, one attempt with nothing retryable; under
-        one, retried runs, each under :meth:`~repro.faults.FaultPlan.
-        for_attempt` of the job's number."""
-        plan = self.config.faults or active_fault_plan()
-        if plan is not None:
-            plan.check_ranks(len(blocks))
-            plan.check_substrate("simnet")
-        speed = self.config.rank_speed
-
-        def attempt(job_blocks, rank_ids: tuple[int, ...], number: int) -> _SimRun:
-            config = replace(
-                self.config,
-                num_processors=len(rank_ids),
-                rank_speed=None if speed is None else tuple(speed[r] for r in rank_ids),
-                faults=None if plan is None else plan.for_attempt(rank_ids, number, job),
-            )
-            return _simulate(config, job_blocks)
-
-        retryable = () if plan is None else (DeadlockError,)
-        return run_with_retry(attempt, blocks, RetryPolicy(), retryable, []).to_sort_result()
 
     def pool(self, **backend_kwargs) -> "SorterPool":
         """Open a persistent worker pool bound to this configuration.
@@ -236,26 +206,15 @@ class DistributedSorter:
     def sort_many(self, datasets: Sequence[np.ndarray]) -> list[SortResult]:
         """Sort a stream of datasets, one job each, in order.
 
-        The multi-dataset twin of :meth:`sort`, dispatched by backend: on
-        ``simnet`` dataset i is simulated job i (the number a fault plan's
-        ``:JOB`` addresses); on ``process`` it opens one persistent pool
-        and streams the datasets through it (amortized spawn, warm arenas,
-        splitter-cache reuse); on a live backend instance it streams the
-        jobs through that instance without closing it.  Each result
-        carries its own job's metrics.
+        The multi-dataset twin of :meth:`sort`: the datasets stream through
+        one backend, so dataset i is job i of a fresh one (the number a
+        fault plan's ``:JOB`` addresses; on ``process`` one warm pool), and
+        a live instance is left open.  Each result carries its own job's
+        metrics.
         """
-        from ..parallel.backend import resolve_backend
-
-        resolved = resolve_backend(self.config.backend)
-        if resolved == "process":
-            with self.pool() as pool:
-                return pool.sort_many(datasets)
-        if resolved == "simnet":
-            p = self.config.num_processors
-            return _stream(
-                datasets, lambda job, data: self._simulate_job(partition_input(data, p)[0], job)
-            )
-        return _stream(datasets, lambda _, data: self.sort(data))
+        p = self.config.num_processors
+        with self._backend() as backend:
+            return _stream(datasets, lambda data: self._sort_on(backend, partition_input(data, p)[0]))
 
     def sort_records(
         self, records: np.ndarray, order: str | Sequence[str]
@@ -301,37 +260,8 @@ class DistributedSorter:
         return result, {name: result.gather_values(col) for name, col in values.items()}
 
 
-def _simulate(config: SortConfig, blocks: Sequence[np.ndarray]) -> _SimRun:
-    """One simulated run of the six steps over ``blocks``."""
-    job = SortJob(blocks)
-
-    def program(machine: Machine):
-        # Returns the step generator itself (no `yield from` shim): one
-        # less frame on every event resume of the run.
-        return sample_sort_program(machine, blocks[machine.rank], config.options, job)
-
-    run = config.runtime().run(program)
-    return _SimRun(
-        outputs=run.results,
-        counts_matrix=np.stack([out.sent_counts for out in run.results]),
-        reports=run.metrics.processes,
-        metrics=run.metrics,
-    )
-
-
-@dataclass(kw_only=True)
-class _SimRun(JobRun):
-    """One simulated run: its reports are the simulator's per-rank
-    metrics, and :attr:`metrics` holds the run-wide totals."""
-
-    metrics: ClusterMetrics
-
-    def measured_metrics(self) -> ClusterMetrics:
-        return replace(self.metrics, processes=self.reports)
-
-
 def _stream(datasets: Sequence[np.ndarray], sort_one) -> list[SortResult]:
-    """``sort_one(index, data)`` for each dataset in order.
+    """``sort_one(data)`` for each dataset in order.
 
     A failure mid-stream surfaces with full provenance: the backend
     stamps the job id, and this loop adds which dataset of the stream was
@@ -343,7 +273,7 @@ def _stream(datasets: Sequence[np.ndarray], sort_one) -> list[SortResult]:
     results = []
     for index, data in enumerate(datasets):
         try:
-            results.append(sort_one(index, data))
+            results.append(sort_one(data))
         except ParallelBackendError as exc:
             raise exc.annotate_job(stream_index=index)
     return results
@@ -386,7 +316,7 @@ class SorterPool:
     def sort_many(self, datasets: Sequence[np.ndarray]) -> list[SortResult]:
         """Stream several datasets through the pool, one job each
         (:func:`_stream`)."""
-        return _stream(datasets, lambda _, data: self.sort(data))
+        return _stream(datasets, self.sort)
 
     @property
     def stats(self) -> dict:

@@ -1,17 +1,18 @@
 """Job retry and survivor-degraded recovery, one layer above both substrates.
 
-A job is its immutable input blocks; an *attempt* runs them once — one
-process-pool generation (:meth:`~repro.parallel.backend.ProcessBackend.
-_run_job`) or one simulated run — and raises a typed error when a rank
-dies.  Every sort on either substrate is one job through
-:func:`run_with_retry`, which re-runs the job under a
+A substrate is an object with one ``sort_blocks`` (:mod:`repro.parallel.
+backend`).  A job is its immutable input blocks; an *attempt* runs them
+once — one simulated run or one process-pool generation — and raises a
+typed error when a rank dies.  Every job on either substrate runs
+through :func:`run_job`, which sets it up once (fault plan, retry policy,
+what is retried), re-runs it under a
 :class:`RetryPolicy`, drops a rank that keeps dying, re-plans the input
 over the survivors, and maps the survivor-width run back onto the
 original rank space, so every input key comes back or the job raises.
 Without a fault plan or policy nothing is retryable: the job is its one
-attempt.  Nothing here knows which substrate runs the attempts.  Both
-return a :class:`JobRun`, which turns the finished job into a
-:class:`~repro.core.result.SortResult` with one accounting of its faults.
+attempt.  Both substrates' attempts return a :class:`JobRun`, which turns
+the finished job into a :class:`~repro.core.result.SortResult` with one
+accounting of its faults.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..faults import FaultPlan, active_fault_plan
 from ..simnet.metrics import ClusterMetrics, ProcessMetrics
 from .provenance import Provenance
 from .result import SortResult
@@ -70,7 +72,7 @@ class RetryPolicy:
 class JobRun:
     """One finished job, in the original rank space, on either substrate.
 
-    An attempt returns one at its own width; :func:`run_with_retry`
+    An attempt returns one at its own width; :func:`run_job`
     widens a degraded one (:func:`_expand_degraded`) and stamps the
     failed attempts on it.  Each substrate says what it measured
     (:meth:`measured_metrics`): simnet's record holds the simulator's
@@ -134,28 +136,47 @@ class JobRun:
         return replace(result, survivors=self.survivors, recovery_rounds=self.recovery_rounds)
 
 
-def run_with_retry(
-    attempt: Callable[[Sequence[np.ndarray], tuple[int, ...], int], JobRun],
+def run_job(
+    backend,
+    attempt: Callable[..., JobRun],
     blocks: Sequence[np.ndarray],
-    policy: RetryPolicy,
-    retryable: tuple[type[BaseException], ...],
+    job: int,
+    faults: FaultPlan | None,
+    retry: RetryPolicy | bool | None,
     history: list[dict],
 ) -> JobRun:
-    """Run one job to completion under ``policy``.
+    """Run job number ``job`` of ``backend`` to completion: every
+    substrate's job setup and its one retry loop.
 
-    ``attempt(blocks, rank_ids, number)`` runs the job once, where
+    The plan is ``faults``, else the ambient one, checked against the
+    job's ranks and ``backend.name`` before attempt 0.  ``retry`` is a
+    :class:`RetryPolicy`, True (the default policy), False or None (none);
+    an active plan arms the default policy unless ``retry`` was given —
+    faults without recovery would only turn planned kills into lost jobs.
+    ``attempt(blocks, rank_ids, number, faults, policy)`` runs the job once
+    under the plan :meth:`~repro.faults.FaultPlan.for_attempt` narrows;
     ``rank_ids[slot]`` is the original rank running ``slot`` and ``number``
-    counts attempts from 0.  It returns a :class:`JobRun` or raises.  An
-    error of a ``retryable`` type is recorded in ``history`` (``attempt``,
-    ``error``, ``rank``, ``exitcode``, ``last_step``) and the job runs
-    again; any other error propagates.  A rank charged ``policy.degrade_after`` failures is
-    dropped: the original input is re-partitioned over the survivors with
-    :func:`~repro.core.api.partition_input` and a fresh attempt budget,
-    and the run that succeeds is expanded back to the original width
+    counts attempts from 0.  Under a policy, a ``backend.retryable`` error
+    is recorded in ``history`` (``attempt``, ``error``, ``rank``,
+    ``exitcode``, ``last_step``) and the job runs again; any other error
+    propagates.  A rank charged ``policy.degrade_after`` failures is
+    dropped, the original input re-partitioned over the survivors
+    (:func:`~repro.core.api.partition_input`) with a fresh attempt budget,
+    and the run that succeeds expanded back to the original width
     (:func:`_expand_degraded`).  Exhausting a survivor set's budget
     re-raises the last error.
     """
     from .api import partition_input  # api.py imports this module
+
+    plan = faults if faults is not None else active_fault_plan()
+    policy = RetryPolicy() if retry is True else retry or None
+    if plan is not None:
+        plan.check_ranks(len(blocks))
+        plan.check_substrate(backend.name)
+        if retry is None:
+            policy = RetryPolicy()
+    retryable = () if policy is None else backend.retryable
+    policy = policy or RetryPolicy()
 
     original_p = len(blocks)
     survivors = list(range(original_p))
@@ -164,13 +185,15 @@ def run_with_retry(
     failed_in_round = 0
     while True:  # repro: noqa[R008] — bounded: a failure either counts toward policy.max_attempts or shrinks the survivor set
         rank_ids = tuple(survivors)
+        number = len(history)
+        narrowed = None if plan is None else plan.for_attempt(rank_ids, number, job)
         try:
-            run = attempt(job_blocks, rank_ids, len(history))
+            run = attempt(job_blocks, rank_ids, number, narrowed, policy)
         except retryable as exc:
             culprit = _culprit_rank(exc, rank_ids)
             history.append(
                 {
-                    "attempt": len(history),
+                    "attempt": number,
                     "error": type(exc).__name__,
                     "rank": culprit,
                     "exitcode": getattr(exc, "exitcode", None),

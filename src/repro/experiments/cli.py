@@ -51,6 +51,7 @@ import time
 
 import numpy as np
 
+from ..parallel.backend import BACKENDS, ProcessBackend, use_backend
 from . import EXPERIMENTS
 from .common import current_scale
 
@@ -138,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--backend",
         default=None,
-        choices=["simnet", "process"],
+        choices=tuple(BACKENDS),
         help=(
             "execution substrate for every sort: 'simnet' (virtual time, "
             "the default) or 'process' (one OS process per rank with a "
@@ -180,8 +181,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.pool:
         if args.backend != "process":
             parser.error("--pool requires --backend process")
-        from ..parallel.backend import ProcessBackend
-
         pool_backend = ProcessBackend()
 
     sanitizer = None
@@ -222,17 +221,11 @@ def main(argv: list[str] | None = None) -> int:
                 from ..faults import inject_faults
 
                 stack.enter_context(inject_faults(fault_plan))
-            if pool_backend is not None:
-                # The shared pool IS the ambient backend: every sorter
-                # the experiment builds dispatches to the same warm
-                # workers.  The scope never closes it; main() does.
-                from ..parallel.backend import use_backend
-
-                stack.enter_context(use_backend(pool_backend))
-            elif args.backend is not None:
-                from ..parallel.backend import use_backend
-
-                stack.enter_context(use_backend(args.backend))
+            if pool_backend is not None or args.backend is not None:
+                # A shared pool IS the ambient backend: every sorter the
+                # experiment builds dispatches to the same warm workers.
+                # The scope never closes it; main() does.
+                stack.enter_context(use_backend(pool_backend or args.backend))
             if args.progress:
                 from ..parallel.tracing import use_progress
 

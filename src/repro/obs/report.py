@@ -361,6 +361,7 @@ if __name__ == "__main__":  # pragma: no cover - artifact/golden CLI
     import argparse
     import sys
 
+    from ..parallel.backend import BACKENDS
     from .perfetto import export_chrome_trace
 
     parser = argparse.ArgumentParser(
@@ -371,7 +372,7 @@ if __name__ == "__main__":  # pragma: no cover - artifact/golden CLI
     parser.add_argument("--seed", type=int, default=20260805)
     parser.add_argument(
         "--backend",
-        choices=("simnet", "process"),
+        choices=tuple(BACKENDS),
         default=None,
         help="execution substrate (default: ambient, i.e. simnet)",
     )

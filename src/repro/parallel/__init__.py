@@ -20,9 +20,9 @@ Layout:
   views of the job's leases;
 * :mod:`repro.parallel.splitter_cache` — the splitter-cache protocol:
   the driver's :class:`SplitterCache` and the workers' probe;
-* :mod:`repro.parallel.backend` — the backend abstraction
-  (:class:`ProcessBackend` — a persistent worker pool — and ambient
-  selection by name or instance);
+* :mod:`repro.parallel.backend` — the two substrates, each an object with
+  one ``sort_blocks`` (:class:`SimnetBackend`; :class:`ProcessBackend`, a
+  persistent worker pool), and ambient selection by name or instance;
 * :mod:`repro.parallel.run` — :class:`BackendRun`, one finished job, and
   its zero-copy assembly from the job's leases;
 * :mod:`repro.parallel.errors` — typed failures (worker crash, remote
@@ -52,6 +52,7 @@ from .backend import (
     BACKENDS,
     ExecutionBackend,
     ProcessBackend,
+    SimnetBackend,
     default_backend,
     resolve_backend,
     use_backend,
@@ -106,6 +107,7 @@ __all__ = [
     "SharedArena",
     "ShmLease",
     "ShmSan",
+    "SimnetBackend",
     "SplitterCache",
     "WorkerCrashedError",
     "WorkerFailedError",

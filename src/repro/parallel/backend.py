@@ -1,36 +1,38 @@
 """Execution backends: one sort program, simnet or real processes.
 
-The repository's six-step sample sort can execute on two substrates:
+A substrate is an object with one ``sort_blocks(blocks, options,
+config)`` per job, and the repository's six-step sample sort has two:
 
-* ``simnet`` — the deterministic virtual-time simulator (the default;
-  golden-fingerprinted, fault-injectable, zero real parallelism);
-* ``process`` — this module's :class:`ProcessBackend`: one OS process per
-  rank, key/provenance arrays in :mod:`multiprocessing.shared_memory`
-  blocks leased from a :class:`~repro.parallel.arena.SharedArena`, a
-  zero-copy all-to-all through peer-addressed shm regions, and the
-  control plane's collectives and heartbeats in a shared-memory control
-  region, with the job plane (dispatch and reports) on pipes.
+* :class:`SimnetBackend` — the deterministic virtual-time simulator (the
+  default; golden-fingerprinted, fault-injectable, zero real parallelism);
+* :class:`ProcessBackend`: one OS process per rank, key/provenance
+  arrays in :mod:`multiprocessing.shared_memory` blocks leased from a
+  :class:`~repro.parallel.arena.SharedArena`, a zero-copy all-to-all
+  through peer-addressed shm regions, and the control plane's collectives
+  and heartbeats in a shared-memory control region, with the job plane
+  (dispatch and reports) on pipes.
 
 Both produce bit-identical per-rank partitions (pinned by the
 cross-backend equivalence tests against the ``local_backend`` oracle and
 the simnet golden fingerprint); they differ in what the clock means —
-virtual seconds there, wall seconds here.
+virtual seconds there, wall seconds here.  Both set every job up in one
+function, :func:`~repro.core.retry.run_job`.
 
-Backend selection: :class:`~repro.core.api.SortConfig` takes
-``backend="process"`` explicitly, or an ambient default installed with
-:func:`use_backend` (how the experiments CLI's ``--backend`` flag reaches
-every sorter an experiment builds).  Both accept a backend *instance* as
-well as a name, which is how one warm pool is shared:
-``use_backend(ProcessBackend())`` routes every sort in the scope through it
-(and the scope does **not** close the instance — its owner does).
+Backend selection: :class:`~repro.core.api.SortConfig` takes a name from
+:data:`BACKENDS` (``backend="process"``), which builds a fresh backend per
+sorter call, or an ambient default installed with :func:`use_backend`
+(how the experiments CLI's ``--backend`` flag reaches every sorter an
+experiment builds).  Both accept a backend *instance* as well as a name,
+which is how one warm pool is shared: ``use_backend(ProcessBackend())``
+routes every sort in the scope through it (and the scope does **not**
+close the instance — its owner does).
 
 The :class:`ProcessBackend` is a **persistent worker pool**: the rank
 processes are spawned on first use, parked in
 :func:`~repro.parallel.worker.worker_main`'s job loop between sorts, and
 fed per-job :class:`~repro.parallel.worker.JobSpec` messages over the
 control pipes.  This module holds the pool's lifecycle and one job
-attempt (:meth:`ProcessBackend._run_job`); retry and degradation live in
-:mod:`repro.core.retry`, shared with simnet, result assembly in
+attempt (:meth:`ProcessBackend._run_job`); result assembly lives in
 :mod:`repro.parallel.run`, the splitter cache in
 :mod:`repro.parallel.splitter_cache`.
 """
@@ -40,18 +42,23 @@ from __future__ import annotations
 import multiprocessing
 import time
 from contextlib import contextmanager
-from dataclasses import replace
-from typing import Protocol, Sequence
+from dataclasses import dataclass, field, replace
+from typing import ClassVar, Protocol, Sequence
 
 import numpy as np
 
 from ..core.datapath import OUTPUT_ROLES, JobStorage, lay_out
-from ..core.retry import RetryPolicy, run_with_retry
-from ..core.sorter import STEP_LABELS, SortOptions
+from ..core.retry import JobRun, RetryPolicy, run_job
+from ..core.sorter import STEP_LABELS, SortJob, SortOptions, sample_sort_program
 from ..core.steps import sample_bytes
-from ..faults import FaultPlan, active_fault_plan
+from ..faults import FaultPlan
 from ..obs.context import active_capture
 from ..pgxd.config import PgxdConfig
+from ..pgxd.runtime import PgxdRuntime
+from ..simnet.cost import CostModel
+from ..simnet.errors import DeadlockError
+from ..simnet.metrics import ClusterMetrics
+from ..simnet.network import NetworkModel
 from .arena import SharedArena, ShmLease
 from .collectives import (
     ControlRegion,
@@ -73,9 +80,6 @@ from .shmsan import MUTATIONS, ShmSan, active_shm_sanitizer
 from .splitter_cache import SplitterCache, SplitterProbe
 from .tracing import ambient_progress
 from .worker import JobSpec, WorkerReport, worker_main
-
-#: The selectable execution substrates.
-BACKENDS = ("simnet", "process")
 
 _default_backend: "str | ExecutionBackend" = "simnet"
 
@@ -119,25 +123,99 @@ def _validated(name: "str | ExecutionBackend") -> "str | ExecutionBackend":
         if hasattr(name, "sort_blocks"):
             return name
         raise ValueError(
-            f"backend must be a name from {BACKENDS} or an object with "
+            f"backend must be a name from {tuple(BACKENDS)} or an object with "
             f"sort_blocks(), got {type(name).__name__}"
         )
     if name not in BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; choose one of {BACKENDS}")
+        raise ValueError(f"unknown backend {name!r}; choose one of {tuple(BACKENDS)}")
     return name
 
 
 class ExecutionBackend(Protocol):
-    """What a substrate must provide to run the partitioned sort."""
+    """What a substrate must provide to run the partitioned sort (its
+    ``retryable`` errors are those a retry policy re-runs an attempt after)."""
 
     name: str
+    retryable: tuple[type[BaseException], ...]
 
     def sort_blocks(
         self,
         blocks: Sequence[np.ndarray],
         options: SortOptions | None = None,
         config: PgxdConfig | None = None,
-    ) -> "BackendRun": ...
+    ) -> JobRun: ...
+
+
+@dataclass(kw_only=True, eq=False)
+class SimnetBackend:
+    """Virtual-time substrate: each attempt of a job is one
+    :class:`~repro.pgxd.runtime.PgxdRuntime` run of the six steps, with
+    one simulated machine per block, under the simulated cluster's models
+    (``rank_speed`` gives one factor per block).  Jobs are numbered from 0
+    in call order; ``faults=None`` follows the ambient plan per job.
+    """
+
+    name: ClassVar[str] = "simnet"
+    retryable: ClassVar[tuple] = (DeadlockError,)
+
+    network: NetworkModel | None = None
+    cost: CostModel | None = None
+    rank_speed: Sequence[float] | None = None
+    faults: FaultPlan | None = None
+    _job_counter: int = field(default=0, init=False, repr=False)
+
+    def close(self) -> None:
+        """Nothing to retire: each run's simulator is freed with it."""
+
+    def sort_blocks(
+        self,
+        blocks: Sequence[np.ndarray],
+        options: SortOptions | None = None,
+        config: PgxdConfig | None = None,
+    ) -> "_SimRun":
+        """Sort already-partitioned, dtype-uniform blocks as one job."""
+        options = options or SortOptions()
+        blocks = [np.asarray(b) for b in blocks]
+        dtypes = {b.dtype for b in blocks}
+        if len(dtypes) > 1:
+            raise ValueError(
+                f"simnet backend requires dtype-uniform blocks, got "
+                f"{sorted(map(str, dtypes))}; pre-convert them to one dtype"
+            )
+        job = self._job_counter
+        self._job_counter += 1
+
+        def attempt(job_blocks, rank_ids, number, faults, policy) -> _SimRun:
+            # A simulated attempt starts over in virtual time: no backoff.
+            speed = None if self.rank_speed is None else tuple(self.rank_speed[r] for r in rank_ids)
+            runtime = PgxdRuntime(
+                len(rank_ids), config, self.network, self.cost, rank_speed=speed, faults=faults
+            )
+            sort_job = SortJob(job_blocks)
+            # The program is the step generator itself (no `yield from`
+            # shim): one less frame on every event resume of the run.
+            run = runtime.run(
+                lambda machine: sample_sort_program(machine, job_blocks[machine.rank], options, sort_job)
+            )
+            return _SimRun(
+                outputs=run.results,
+                counts_matrix=np.stack([out.sent_counts for out in run.results]),
+                reports=run.metrics.processes,
+                metrics=run.metrics,
+            )
+
+        return run_job(self, attempt, blocks, job, self.faults, None, [])
+
+
+@dataclass(kw_only=True)
+class _SimRun(JobRun):
+    """One simulated run: its reports are the simulator's per-rank
+    metrics, and :attr:`metrics` holds the run-wide totals."""
+
+    metrics: ClusterMetrics
+
+    def measured_metrics(self) -> ClusterMetrics:
+        return replace(self.metrics, processes=self.reports)
 
 
 def _register_leases(san: ShmSan, leases: JobStorage, *, double_lease: bool) -> None:
@@ -197,6 +275,7 @@ class ProcessBackend:
     """
 
     name = "process"
+    retryable = (WorkerCrashedError, WorkerFailedError, ControlPlaneTimeout)
 
     def __init__(
         self,
@@ -221,17 +300,10 @@ class ProcessBackend:
         #: Explicit fault plan; None follows the ambient
         #: :func:`~repro.faults.inject_faults` scope per job.
         self.faults = faults
-        #: Retry policy: an instance, True for defaults, or None — which
-        #: stays fail-fast *except* when a fault plan is active (faults
-        #: without recovery would just convert planned kills into lost
-        #: jobs, so an active plan arms the default policy).
-        if retry is True:
-            self._retry: RetryPolicy | None = RetryPolicy()
-        elif retry is False:
-            self._retry = None
-        else:
-            self._retry = retry
-        self._retry_explicit = retry is not None
+        #: Retry policy: an instance, True for defaults, False for none, or
+        #: None — fail-fast *except* when a fault plan is active, which
+        #: arms the default policy (:func:`~repro.core.retry.run_job`).
+        self._retry = retry
         if mutate is not None and mutate not in MUTATIONS:
             raise ValueError(
                 f"unknown mutation {mutate!r}; choose one of {MUTATIONS}"
@@ -427,11 +499,11 @@ class ProcessBackend:
         With a fault plan active (constructor ``faults=`` or the ambient
         :func:`~repro.faults.inject_faults` scope) and/or a
         :class:`RetryPolicy` armed, a failed attempt poisons the
-        generation, respawns, and re-runs the same job; a rank that
-        keeps dying is dropped and the job re-planned over the survivor
-        set.  Exhausting the budget raises :class:`JobAbortedError`
-        carrying the full attempt history.  Without either, the job is one
-        attempt and its first failure propagates as raised (fail-fast).
+        generation and :func:`~repro.core.retry.run_job` re-runs the job
+        on a respawned one, dropping a rank that keeps dying.  Exhausting
+        the budget raises :class:`JobAbortedError` carrying the full
+        attempt history.  Without either, the job is one attempt and its
+        first failure propagates as raised (fail-fast).
         """
         options = options or SortOptions()
         config = config or PgxdConfig()
@@ -447,58 +519,16 @@ class ProcessBackend:
         if len(dtypes) != 1:
             raise ParallelBackendError(
                 f"process backend requires dtype-uniform blocks, got "
-                f"{sorted(map(str, dtypes))}; pre-convert or use the "
-                f"simnet backend"
+                f"{sorted(map(str, dtypes))}; pre-convert them to one dtype"
             )
-
-        plan = self.faults if self.faults is not None else active_fault_plan()
-        policy = self._retry
-        if plan is not None:
-            plan.check_ranks(len(blocks))
-            plan.check_substrate("process")
-            if policy is None and not self._retry_explicit:
-                # Faults without recovery would just convert planned kills
-                # into lost jobs, so an active plan arms the default policy
-                # (retry=False pins recovery off for fail-fast fault tests).
-                policy = RetryPolicy()
         job_id = self._job_counter
         self._job_counter += 1
-
-        self._in_flight = True
-        try:
-            return self._run_with_retry(
-                blocks, options, config, job_id, policy, plan, force_resample
-            )
-        except ParallelBackendError as exc:
-            # Every failure leaves here stamped with the job it belongs
-            # to; a sort_many stream adds the stream index on top.
-            raise exc.annotate_job(job_id=job_id)
-        finally:
-            self._in_flight = False
-            if self._closed:
-                # close() raced this job and deferred; drain now.
-                self._finish_close()
-
-    def _run_with_retry(
-        self,
-        blocks: Sequence[np.ndarray],
-        options: SortOptions,
-        config: PgxdConfig,
-        job_id: int,
-        policy: RetryPolicy | None,
-        plan: FaultPlan | None,
-        force_resample: bool,
-    ) -> BackendRun:
-        """One job under :func:`~repro.core.retry.run_with_retry`: each
-        attempt a fresh generation, spaced by the policy's wall-clock
-        backoff within a survivor set.  Exhaustion raises
-        :class:`JobAbortedError` carrying the full attempt history.
-        Without a policy nothing is retryable: one attempt, whose error
-        propagates unwrapped."""
         history: list[dict] = []
         round_ids, round_start = None, 0  # the survivor set, its first attempt
 
-        def attempt(job_blocks, rank_ids, number):
+        def attempt(job_blocks, rank_ids, number, faults, policy):
+            # Each attempt is a fresh generation, spaced by the policy's
+            # wall-clock backoff within a survivor set.
             nonlocal round_ids, round_start
             if rank_ids != round_ids:
                 round_ids, round_start = rank_ids, number
@@ -509,21 +539,30 @@ class ProcessBackend:
                 options,
                 config,
                 job_id=job_id,
-                faults=None if plan is None else plan.for_attempt(rank_ids, number, job_id),
+                faults=faults,
                 force_resample=force_resample,
                 prior_attempts=tuple(history),
             )
 
-        retryable = (
-            () if policy is None else (WorkerCrashedError, WorkerFailedError, ControlPlaneTimeout)
-        )
+        self._in_flight = True
         try:
-            run = run_with_retry(attempt, blocks, policy or RetryPolicy(), retryable, history)
-        except retryable as exc:
-            self.aborted_jobs += 1
-            raise JobAbortedError(job_id, history) from exc
+            run = run_job(self, attempt, blocks, job_id, self.faults, self._retry, history)
+        except ParallelBackendError as exc:
+            # A policy records every failure it retries, so a recorded
+            # retryable error is the one that exhausted it; without a
+            # policy nothing is recorded and the error leaves unwrapped.
+            if history and isinstance(exc, self.retryable):
+                self.aborted_jobs += 1
+                raise JobAbortedError(job_id, history) from exc
+            # Every failure leaves here stamped with the job it belongs
+            # to; a sort_many stream adds the stream index on top.
+            raise exc.annotate_job(job_id=job_id)
         finally:
             self.retries += len(history)
+            self._in_flight = False
+            if self._closed:
+                # close() raced this job and deferred; drain now.
+                self._finish_close()
         if run.survivors is not None:
             self.degraded_jobs += 1
         return run
@@ -679,6 +718,16 @@ class ProcessBackend:
         return run
 
 
+#: The selectable execution substrates: each name builds a fresh backend
+#: for one sorter call from its :class:`~repro.core.api.SortConfig` (the
+#: pool's wall-clock ranks take nothing from it).
+BACKENDS = {
+    "simnet": lambda config: SimnetBackend(
+        network=config.network, cost=config.cost, rank_speed=config.rank_speed
+    ),
+    "process": lambda config: ProcessBackend(),
+}
+
 #: STEP_LABELS (every step label a backend reports) stays importable
 #: from here: the ledger's pool pass reads it from this module.
 __all__ = [
@@ -686,6 +735,7 @@ __all__ = [
     "ExecutionBackend",
     "ProcessBackend",
     "STEP_LABELS",
+    "SimnetBackend",
     "default_backend",
     "resolve_backend",
     "use_backend",

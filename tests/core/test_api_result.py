@@ -86,6 +86,16 @@ class TestSortCorrectness:
             assert prov.origin_proc.tobytes() == ref_prov.origin_proc.tobytes()
             assert prov.origin_index.tobytes() == ref_prov.origin_index.tobytes()
 
+    def test_simnet_backend_rejects_mixed_dtype_blocks(self):
+        # Promotion is the sorter's; a backend's sort_blocks takes blocks
+        # from outside the program and refuses to guess a dtype (the
+        # pool's twin: test_process_backend.py's dtype-uniform check).
+        from repro.parallel import SimnetBackend
+
+        blocks = [np.arange(3, dtype=np.int32), np.arange(3, dtype=np.int64)]
+        with pytest.raises(ValueError, match="dtype-uniform"):
+            SimnetBackend().sort_blocks(blocks)
+
     def test_empty_input(self):
         result = distributed_sort(np.array([]), num_processors=4)
         assert result.total_keys == 0

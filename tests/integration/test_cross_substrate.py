@@ -8,14 +8,19 @@ arithmetic says the job's key frame fits; and for p ≤ 4 one warm
 ``ProcessBackend`` returns the same bytes and reports the same data path
 on every rank.
 Under faults, a wire fault leaves simnet's bytes and path as they were,
-and one fault spec drives both substrates alike: a kill at any step
-recovers in one retry to the fault-free bytes, and a poisoned rank
-degrades both to the same bytes.  Every
+and one fault spec drives both backend objects (``SimnetBackend`` and
+``ProcessBackend``) alike through the same ``sort_blocks`` call: a kill
+at any step recovers in one retry to the fault-free bytes, a poisoned
+rank degrades both to the same bytes, and generated ``kill``/``poison``/
+``slow`` specs end both in their substrate's error or in the same bytes
+and accounting.  Every
 case also holds each substrate to regular sampling's balance bound (the
 ``assert_balanced`` fixture); only the no-investigator option, Figure 3b's
 naive cuts, is exempt.
 Hypothesis runs derandomized (``tests/conftest.py``) with a small cap.
 """
+
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -31,7 +36,8 @@ from repro.core.scratch import ARENAS
 from repro.core.sorter import STEP_LABELS, SortJob, SortOptions
 from repro.faults import FaultPlan
 from repro.obs import capture
-from repro.parallel import ProcessBackend
+from repro.parallel import JobAbortedError, ProcessBackend, SimnetBackend
+from repro.simnet.errors import DeadlockError
 from repro.simnet.sanitizer import sanitize
 from repro.workloads.distributions import right_skewed, uniform
 
@@ -369,15 +375,25 @@ def test_wire_faults_leave_the_bytes_and_the_word_path(word_merges, assert_balan
     assert len(word_merges) == (p if _frame(blocks) is not None else 0) == p
 
 
+#: The pool's retries back off briefly; the attempt and degrade budgets
+#: are the default policy's, which simnet runs under.
+FAST_RETRY = RetryPolicy(backoff_seconds=0.001, backoff_cap_seconds=0.01)
+
+
+def _backends(plan):
+    """One backend object per substrate, both under ``plan``."""
+    return SimnetBackend(faults=plan), ProcessBackend(faults=plan, retry=FAST_RETRY)
+
+
 def _on_both_substrates(spec, data, p):
-    """One fault spec, one job, on simnet and on a fresh pool."""
-    plan = FaultPlan.from_spec(spec, seed=p)
+    """One fault spec, one job: the same ``sort_blocks`` call on each
+    substrate's backend object."""
     blocks, _ = partition_input(data, p)
-    sim = DistributedSorter(num_processors=p, faults=plan).sort(data)
-    policy = RetryPolicy(backoff_seconds=0.001, backoff_cap_seconds=0.01)
-    with ProcessBackend(faults=plan, retry=policy) as backend:
-        real = backend.sort_blocks(blocks).to_sort_result()
-    return sim, real
+    results = []
+    for backend in _backends(FaultPlan.from_spec(spec, seed=p)):
+        with closing(backend):
+            results.append(backend.sort_blocks(blocks).to_sort_result())
+    return results
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -448,3 +464,56 @@ def test_a_dropped_rank_is_an_empty_block_and_origins_are_the_oracle_positions(d
             expected = zip(ref.origin_proc.tolist(), ref.origin_index.tolist())
             got = [result.origin_of(rank, i) for i in range(len(ref))]
             assert got == [(survivors[proc], index) for proc, index in expected]
+
+
+@st.composite
+def _fault_specs(draw):
+    """``(p, spec)``: a spec over the keys both substrates realise —
+    ``kill=R@STEP[:JOB]``, ``poison=R`` and ``slow=RxM`` — whose outcome
+    does not hang on which of two dying ranks the pool sees first: no
+    rank, one rank or every rank is poisoned, and a kill elsewhere waits
+    for step 2, where the step-1 allgather holds its rank back."""
+    p = draw(st.sampled_from([2, 3]))
+    poisoned = draw(st.sampled_from([(), (p - 1,), (0,), tuple(range(p))]))
+    entries = [f"poison={rank}" for rank in poisoned]
+    if draw(st.booleans()):
+        rank = draw(st.integers(0, p - 1))
+        first = 1 if poisoned and rank not in poisoned else 0
+        step = draw(st.sampled_from(STEP_LABELS[first:]))
+        entries.append(f"kill={rank}@{step}" + draw(st.sampled_from([":1", ":0", ""])))
+    if draw(st.booleans()):
+        entries.append(f"slow={draw(st.integers(0, p - 1))}x{draw(st.sampled_from([1.5, 3.0]))}")
+    return p, ",".join(entries)
+
+
+def _two_jobs(backend, blocks):
+    """Jobs 0 and 1 of ``blocks`` on ``backend``: the results, or the
+    error that ended the first job to fail."""
+    with closing(backend):
+        try:
+            return [backend.sort_blocks(blocks).to_sort_result() for _ in range(2)]
+        except (DeadlockError, JobAbortedError) as exc:
+            return exc
+
+
+@settings(max_examples=12)
+@given(case=_fault_specs(), seed=st.integers(0, 2**32 - 1))
+def test_generated_fault_specs_agree_across_substrates(case, seed):
+    """One generated fault spec on both backend objects, two jobs each:
+    either both end in their substrate's error, or each job comes back
+    with the same bytes, provenance, survivors and per-rank accounting."""
+    p, spec = case
+    data = _keys("int64", 300 * p, np.random.default_rng(seed))
+    blocks, _ = partition_input(data, p)
+    sim, real = (_two_jobs(backend, blocks) for backend in _backends(FaultPlan.from_spec(spec, seed=seed)))
+    if isinstance(sim, Exception) or isinstance(real, Exception):
+        assert isinstance(sim, DeadlockError) and isinstance(real, JobAbortedError), (spec, sim, real)
+        return
+    for a, b in zip(sim, real):
+        assert np.array_equal(a.to_array(), np.sort(data)), spec
+        _assert_bytes_equal(zip(a.per_processor, a.provenance), b)
+        assert a.survivors == b.survivors, spec
+        for field in ("crashed", "retries"):
+            assert [getattr(m, field) for m in a.metrics.processes] == [
+                getattr(m, field) for m in b.metrics.processes
+            ], (spec, field)

@@ -518,9 +518,9 @@ class TestReachability:
         assert not offenders, f"a step written outside core/program.py: {offenders}"
 
 
-    #: Every simulated sort is one job through ``run_with_retry``: the
-    #: only place a job and its program are built is ``core/api.py``'s
-    #: ``_simulate``, the attempt every simulated job runs.
+    #: Every simulated sort is one job through ``run_job``: the only place
+    #: a job and its program are built is the attempt closure of
+    #: ``SimnetBackend.sort_blocks`` in ``parallel/backend.py``.
     JOB_BUILDERS = {"SortJob", "sample_sort_program"}
 
     def test_only_the_simulated_attempt_builds_a_job(self):
@@ -531,18 +531,45 @@ class TestReachability:
             relative = path.relative_to(SRC).as_posix()
             tree = ast.parse(path.read_text())
             allowed = set()
-            if relative == "core/api.py":
-                (simulate,) = [
+            if relative == "parallel/backend.py":
+                (backend,) = [
                     node for node in tree.body
-                    if isinstance(node, ast.FunctionDef) and node.name == "_simulate"
+                    if isinstance(node, ast.ClassDef) and node.name == "SimnetBackend"
                 ]
-                allowed = set(map(id, ast.walk(simulate)))
+                (attempt,) = [
+                    node for node in ast.walk(backend)
+                    if isinstance(node, ast.FunctionDef) and node.name == "attempt"
+                ]
+                allowed = set(map(id, ast.walk(attempt)))
             for node in ast.walk(tree):
                 if isinstance(node, ast.Call) and id(node) not in allowed:
                     name = getattr(node.func, "id", getattr(node.func, "attr", None))
                     if name in self.JOB_BUILDERS:
                         offenders.append(f"{relative}:{node.lineno}: {name}")
-        assert not offenders, f"a simulated job built outside api._simulate: {offenders}"
+        assert not offenders, f"a simulated job built outside SimnetBackend's attempt: {offenders}"
+
+    def test_core_compares_no_backend_name(self):
+        """The sorter runs whatever backend object it is given: nothing in
+        ``core/`` compares a value against a backend's name (a literal such
+        as ``"simnet"`` or ``"process"``, alone or in a tuple, list or set)."""
+        import ast
+
+        from repro.parallel.backend import BACKENDS
+
+        def literals(node):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                return [c.value for c in node.elts if isinstance(c, ast.Constant)]
+            return [node.value] if isinstance(node, ast.Constant) else []
+
+        offenders = []
+        for path in sorted((SRC / "core").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Compare):
+                    continue
+                for operand in (node.left, *node.comparators):
+                    if any(value in BACKENDS for value in literals(operand)):
+                        offenders.append(f"{path.relative_to(SRC).as_posix()}:{node.lineno}")
+        assert not offenders, f"a backend name compared in core/: {offenders}"
 
     def test_every_worker_link_in_the_library_has_a_region(self):
         """A ``WorkerLink`` without a control region relays its collectives
