@@ -56,9 +56,10 @@ class SortConfig:
     #: Execution substrate: a name from :data:`~repro.parallel.backend.
     #: BACKENDS` ("simnet", virtual time, the default; "process", one OS
     #: process per rank, wall time), a live backend *instance* (e.g. a
-    #: shared persistent pool — the config never closes it), or None to
-    #: follow the ambient :func:`repro.parallel.backend.use_backend`
-    #: default (the CLI's --backend / --pool plumbing).
+    #: shared pool, never closed here, whose own models take precedence
+    #: over ``network``, ``cost`` and ``rank_speed``), or None to follow
+    #: the ambient :func:`repro.parallel.backend.use_backend` default (the
+    #: CLI's --backend / --pool plumbing).
     backend: "str | object | None" = None
 
     def __post_init__(self) -> None:
@@ -162,7 +163,7 @@ class DistributedSorter:
         the survivors (:func:`~repro.core.retry.run_job`).
         """
         with self._backend() as backend:
-            return self._sort_on(backend, blocks)
+            return self._run_on(backend, blocks).to_sort_result()
 
     @contextmanager
     def _backend(self):
@@ -180,7 +181,7 @@ class DistributedSorter:
             else:
                 yield backend
 
-    def _sort_on(self, backend, blocks: Sequence[np.ndarray]) -> SortResult:
+    def _run_on(self, backend, blocks: Sequence[np.ndarray]):
         """One job of ``blocks``, promoted to one dtype, on ``backend``."""
         p = self.config.num_processors
         if len(blocks) != p:
@@ -189,8 +190,7 @@ class DistributedSorter:
         if len({b.dtype for b in blocks}) > 1:
             common = np.result_type(*(b.dtype for b in blocks))
             blocks = [b.astype(common, copy=False) for b in blocks]
-        run = backend.sort_blocks(blocks, options=self.config.options, config=self.config.pgxd)
-        return run.to_sort_result()
+        return backend.sort_blocks(blocks, options=self.config.options, config=self.config.pgxd)
 
     def pool(self, **backend_kwargs) -> "SorterPool":
         """Open a persistent worker pool bound to this configuration.
@@ -214,7 +214,10 @@ class DistributedSorter:
         """
         p = self.config.num_processors
         with self._backend() as backend:
-            return _stream(datasets, lambda data: self._sort_on(backend, partition_input(data, p)[0]))
+            return _stream(
+                datasets,
+                lambda data: self._run_on(backend, partition_input(data, p)[0]).to_sort_result(),
+            )
 
     def sort_records(
         self, records: np.ndarray, order: str | Sequence[str]
@@ -305,13 +308,8 @@ class SorterPool:
     def sort(self, data: np.ndarray) -> SortResult:
         """Dispatch one dataset to the warm pool as a job."""
         blocks, _ = partition_input(data, self.sorter.config.num_processors)
-        run = self.backend.sort_blocks(
-            blocks,
-            options=self.sorter.config.options,
-            config=self.sorter.config.pgxd,
-        )
-        self.last_run = run
-        return run.to_sort_result()
+        self.last_run = self.sorter._run_on(self.backend, blocks)
+        return self.last_run.to_sort_result()
 
     def sort_many(self, datasets: Sequence[np.ndarray]) -> list[SortResult]:
         """Stream several datasets through the pool, one job each

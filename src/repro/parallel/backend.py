@@ -152,7 +152,7 @@ class SimnetBackend:
     :class:`~repro.pgxd.runtime.PgxdRuntime` run of the six steps, with
     one simulated machine per block, under the simulated cluster's models
     (``rank_speed`` gives one factor per block).  Jobs are numbered from 0
-    in call order; ``faults=None`` follows the ambient plan per job.
+    in call order, each under the ambient plan (``inject_faults``).
     """
 
     name: ClassVar[str] = "simnet"
@@ -161,7 +161,6 @@ class SimnetBackend:
     network: NetworkModel | None = None
     cost: CostModel | None = None
     rank_speed: Sequence[float] | None = None
-    faults: FaultPlan | None = None
     _job_counter: int = field(default=0, init=False, repr=False)
 
     def close(self) -> None:
@@ -182,6 +181,8 @@ class SimnetBackend:
                 f"simnet backend requires dtype-uniform blocks, got "
                 f"{sorted(map(str, dtypes))}; pre-convert them to one dtype"
             )
+        if self.rank_speed is not None and len(self.rank_speed) != len(blocks):
+            raise ValueError(f"rank_speed needs one factor per block, got {len(self.rank_speed)}")
         job = self._job_counter
         self._job_counter += 1
 
@@ -204,7 +205,7 @@ class SimnetBackend:
                 metrics=run.metrics,
             )
 
-        return run_job(self, attempt, blocks, job, self.faults, None, [])
+        return run_job(self, attempt, blocks, job, None, None, [])
 
 
 @dataclass(kw_only=True)

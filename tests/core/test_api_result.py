@@ -96,6 +96,17 @@ class TestSortCorrectness:
         with pytest.raises(ValueError, match="dtype-uniform"):
             SimnetBackend().sort_blocks(blocks)
 
+    def test_simnet_backend_rejects_a_speed_per_machine_mismatch(self):
+        # A live SimnetBackend's own rank_speed must give one factor per
+        # block, or the attempt would cut it short or index past it.
+        from repro.parallel import SimnetBackend
+
+        blocks = [np.arange(3), np.arange(3)]
+        for speed in ((1.0,), (1.0, 2.0, 3.0)):
+            with pytest.raises(ValueError, match="one factor per block"):
+                SimnetBackend(rank_speed=speed).sort_blocks(blocks)
+        assert SimnetBackend(rank_speed=(1.0, 2.0)).sort_blocks(blocks).to_sort_result().is_globally_sorted()
+
     def test_empty_input(self):
         result = distributed_sort(np.array([]), num_processors=4)
         assert result.total_keys == 0

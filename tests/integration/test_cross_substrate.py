@@ -34,7 +34,7 @@ from repro.core.datapath import THROUGH
 from repro.core.retry import RetryPolicy
 from repro.core.scratch import ARENAS
 from repro.core.sorter import STEP_LABELS, SortJob, SortOptions
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, inject_faults
 from repro.obs import capture
 from repro.parallel import JobAbortedError, ProcessBackend, SimnetBackend
 from repro.simnet.errors import DeadlockError
@@ -380,9 +380,10 @@ def test_wire_faults_leave_the_bytes_and_the_word_path(word_merges, assert_balan
 FAST_RETRY = RetryPolicy(backoff_seconds=0.001, backoff_cap_seconds=0.01)
 
 
-def _backends(plan):
-    """One backend object per substrate, both under ``plan``."""
-    return SimnetBackend(faults=plan), ProcessBackend(faults=plan, retry=FAST_RETRY)
+def _backends():
+    """One backend object per substrate; each reads the ambient fault
+    plan (``inject_faults``) per job, the same way."""
+    return SimnetBackend(), ProcessBackend(retry=FAST_RETRY)
 
 
 def _on_both_substrates(spec, data, p):
@@ -390,8 +391,8 @@ def _on_both_substrates(spec, data, p):
     substrate's backend object."""
     blocks, _ = partition_input(data, p)
     results = []
-    for backend in _backends(FaultPlan.from_spec(spec, seed=p)):
-        with closing(backend):
+    for backend in _backends():
+        with closing(backend), inject_faults(FaultPlan.from_spec(spec, seed=p)):
             results.append(backend.sort_blocks(blocks).to_sort_result())
     return results
 
@@ -486,10 +487,10 @@ def _fault_specs(draw):
     return p, ",".join(entries)
 
 
-def _two_jobs(backend, blocks):
-    """Jobs 0 and 1 of ``blocks`` on ``backend``: the results, or the
-    error that ended the first job to fail."""
-    with closing(backend):
+def _two_jobs(backend, plan, blocks):
+    """Jobs 0 and 1 of ``blocks`` on ``backend`` under ``plan``: the
+    results, or the error that ended the first job to fail."""
+    with closing(backend), inject_faults(plan):
         try:
             return [backend.sort_blocks(blocks).to_sort_result() for _ in range(2)]
         except (DeadlockError, JobAbortedError) as exc:
@@ -498,14 +499,17 @@ def _two_jobs(backend, blocks):
 
 @settings(max_examples=12)
 @given(case=_fault_specs(), seed=st.integers(0, 2**32 - 1))
-def test_generated_fault_specs_agree_across_substrates(case, seed):
+def test_generated_fault_specs_agree_across_substrates(assert_balanced, case, seed):
     """One generated fault spec on both backend objects, two jobs each:
     either both end in their substrate's error, or each job comes back
-    with the same bytes, provenance, survivors and per-rank accounting."""
+    with the same bytes, provenance, survivors and per-rank accounting,
+    balanced over the ranks that sorted it."""
     p, spec = case
     data = _keys("int64", 300 * p, np.random.default_rng(seed))
     blocks, _ = partition_input(data, p)
-    sim, real = (_two_jobs(backend, blocks) for backend in _backends(FaultPlan.from_spec(spec, seed=seed)))
+    sim, real = (
+        _two_jobs(backend, FaultPlan.from_spec(spec, seed=seed), blocks) for backend in _backends()
+    )
     if isinstance(sim, Exception) or isinstance(real, Exception):
         assert isinstance(sim, DeadlockError) and isinstance(real, JobAbortedError), (spec, sim, real)
         return
@@ -513,6 +517,9 @@ def test_generated_fault_specs_agree_across_substrates(case, seed):
         assert np.array_equal(a.to_array(), np.sort(data)), spec
         _assert_bytes_equal(zip(a.per_processor, a.provenance), b)
         assert a.survivors == b.survivors, spec
+        width = p if a.survivors is None else len(a.survivors)
+        for result in (a, b):
+            assert_balanced(result.per_processor, list(partition_input(data, width)[0]))
         for field in ("crashed", "retries"):
             assert [getattr(m, field) for m in a.metrics.processes] == [
                 getattr(m, field) for m in b.metrics.processes
