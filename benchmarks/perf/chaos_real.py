@@ -38,7 +38,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.api import partition_input  # noqa: E402
 from repro.core.local_backend import local_sample_sort  # noqa: E402
-from repro.faults import FaultPlan, kill_one_per_job  # noqa: E402
+from repro.faults import FaultPlan, inject_faults, kill_one_per_job  # noqa: E402
 from repro.parallel import ProcessBackend, RetryPolicy  # noqa: E402
 from repro.parallel.shmsan import shm_sanitize  # noqa: E402
 
@@ -76,7 +76,7 @@ def run_kill_matrix(doc, failures):
     records = []
     t0 = time.perf_counter()
     with shm_sanitize() as san:
-        with ProcessBackend(faults=plan, retry=POLICY) as backend:
+        with inject_faults(plan), ProcessBackend(retry=POLICY) as backend:
             for i, (kind, data) in enumerate(datasets):
                 blocks = list(partition_input(data, P)[0])
                 reference = local_sample_sort(blocks)
@@ -147,7 +147,7 @@ def run_poison_degradation(doc, failures):
     plan = FaultPlan.from_spec(f"poison={P - 1}", seed=DATA_SEED)
     problems = []
     t0 = time.perf_counter()
-    with ProcessBackend(faults=plan, retry=POLICY) as backend:
+    with inject_faults(plan), ProcessBackend(retry=POLICY) as backend:
         run = backend.sort_blocks(list(blocks))
         result = run.to_sort_result()
         stats = backend.stats

@@ -53,7 +53,7 @@ print(
 )
 print(
     f"splitter cache: {cache['hits']} hit(s), {cache['misses']} miss(es), "
-    f"{cache['cold']} cold, {cache['fallbacks']} fallback(s)"
+    f"{cache['cold']} cold"
 )
 
 # One-liner for batch callers: sort_many streams a whole list of datasets

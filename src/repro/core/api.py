@@ -50,8 +50,10 @@ class SortConfig:
     #: Optional per-machine speed factors (heterogeneous cluster).
     rank_speed: tuple[float, ...] | None = None
     #: Optional :class:`repro.faults.FaultPlan` the sort runs under, on
-    #: either substrate, retried and degraded by :mod:`repro.core.retry`.
-    #: None (the default) still honours an ambient ``inject_faults`` scope.
+    #: either substrate, retried and degraded by :mod:`repro.core.retry`:
+    #: the sorter runs each job inside ``inject_faults(faults)``, so it wins
+    #: over an outer scope.  None (the default) leaves the ambient
+    #: ``inject_faults`` scope, if any, in charge.
     faults: FaultPlan | None = None
     #: Execution substrate: a name from :data:`~repro.parallel.backend.
     #: BACKENDS` ("simnet", virtual time, the default; "process", one OS
@@ -158,31 +160,31 @@ class DistributedSorter:
         passed through uncopied), so both substrates sort one dtype and the
         result's dtype never depends on how the keys happened to route.
 
-        Under a fault plan (``faults=`` or an ambient ``inject_faults``
-        scope) either substrate retries a job a kill ended and degrades to
-        the survivors (:func:`~repro.core.retry.run_job`).
+        Under a fault plan (``SortConfig.faults`` or an ambient
+        ``inject_faults`` scope) either substrate retries a job a kill
+        ended and degrades to the survivors
+        (:func:`~repro.core.retry.run_job`).
         """
         with self._backend() as backend:
             return self._run_on(backend, blocks).to_sort_result()
 
     @contextmanager
     def _backend(self):
-        """This sorter's backend, under its fault plan: a live instance as
-        given (its owner closes it), or a fresh one built from this config
-        by name and closed afterwards."""
+        """This sorter's backend: a live instance as given (its owner
+        closes it), or a fresh one built from this config by name and
+        closed afterwards."""
         from ..parallel.backend import BACKENDS, resolve_backend
 
         backend = resolve_backend(self.config.backend)
-        faults = self.config.faults
-        with inject_faults(faults) if faults is not None else nullcontext():
-            if isinstance(backend, str):
-                with closing(BACKENDS[backend](self.config)) as fresh:
-                    yield fresh
-            else:
-                yield backend
+        if isinstance(backend, str):
+            with closing(BACKENDS[backend](self.config)) as fresh:
+                yield fresh
+        else:
+            yield backend
 
     def _run_on(self, backend, blocks: Sequence[np.ndarray]):
-        """One job of ``blocks``, promoted to one dtype, on ``backend``."""
+        """One job of ``blocks``, promoted to one dtype, on ``backend``,
+        under this sorter's fault plan (``inject_faults``)."""
         p = self.config.num_processors
         if len(blocks) != p:
             raise ValueError(f"need {p} blocks, got {len(blocks)}")
@@ -190,7 +192,9 @@ class DistributedSorter:
         if len({b.dtype for b in blocks}) > 1:
             common = np.result_type(*(b.dtype for b in blocks))
             blocks = [b.astype(common, copy=False) for b in blocks]
-        return backend.sort_blocks(blocks, options=self.config.options, config=self.config.pgxd)
+        faults = self.config.faults
+        with inject_faults(faults) if faults is not None else nullcontext():
+            return backend.sort_blocks(blocks, options=self.config.options, config=self.config.pgxd)
 
     def pool(self, **backend_kwargs) -> "SorterPool":
         """Open a persistent worker pool bound to this configuration.
@@ -199,7 +203,8 @@ class DistributedSorter:
         processes spawn on the first sort and stay warm (arena segments,
         shm attachments, splitter cache) for every subsequent job until
         the pool closes.  ``backend_kwargs`` pass through to
-        :class:`~repro.parallel.backend.ProcessBackend`.
+        :class:`~repro.parallel.backend.ProcessBackend`; every job runs
+        under this sorter's fault plan, like :meth:`sort`'s.
         """
         return SorterPool(self, **backend_kwargs)
 
@@ -289,8 +294,10 @@ class SorterPool:
     :class:`~repro.parallel.backend.ProcessBackend` pool: the worker
     processes, shm arena segments, worker-side attachments, and the
     splitter cache all stay warm across :meth:`sort` calls, so a stream
-    of jobs pays spawn and mapping cost once instead of per sort.  Use
-    as a context manager; :meth:`close` retires the pool.
+    of jobs pays spawn and mapping cost once instead of per sort.  Each
+    job goes through the sorter's one forwarding call, so it runs under
+    the sorter's ``SortConfig.faults`` scope as a sorter's own jobs do.
+    Use as a context manager; :meth:`close` retires the pool.
 
     :attr:`last_run` keeps the most recent job's raw
     :class:`~repro.parallel.run.BackendRun` (job id, splitter-cache
@@ -302,7 +309,7 @@ class SorterPool:
         from ..parallel.backend import ProcessBackend
 
         self.sorter = sorter
-        self.backend = ProcessBackend(**{"faults": sorter.config.faults, **backend_kwargs})
+        self.backend = ProcessBackend(**backend_kwargs)
         self.last_run = None
 
     def sort(self, data: np.ndarray) -> SortResult:

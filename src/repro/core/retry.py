@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..faults import FaultPlan, active_fault_plan
+from ..faults import active_fault_plan
 from ..simnet.metrics import ClusterMetrics, ProcessMetrics
 from .provenance import Provenance
 from .result import SortResult
@@ -141,20 +141,21 @@ def run_job(
     attempt: Callable[..., JobRun],
     blocks: Sequence[np.ndarray],
     job: int,
-    faults: FaultPlan | None,
     retry: RetryPolicy | bool | None,
     history: list[dict],
 ) -> JobRun:
     """Run job number ``job`` of ``backend`` to completion: every
     substrate's job setup and its one retry loop.
 
-    The plan is ``faults``, else the ambient one, checked against the
+    The plan is the ambient one (:func:`~repro.faults.inject_faults`; a
+    sorter's ``SortConfig.faults`` opens that scope), checked against the
     job's ranks and ``backend.name`` before attempt 0.  ``retry`` is a
     :class:`RetryPolicy`, True (the default policy), False or None (none);
     an active plan arms the default policy unless ``retry`` was given —
     faults without recovery would only turn planned kills into lost jobs.
     ``attempt(blocks, rank_ids, number, faults, policy)`` runs the job once
-    under the plan :meth:`~repro.faults.FaultPlan.for_attempt` narrows;
+    under the plan :meth:`~repro.faults.FaultPlan.for_attempt` narrows
+    (None without a plan), which it hands to its substrate itself;
     ``rank_ids[slot]`` is the original rank running ``slot`` and ``number``
     counts attempts from 0.  Under a policy, a ``backend.retryable`` error
     is recorded in ``history`` (``attempt``, ``error``, ``rank``,
@@ -168,7 +169,7 @@ def run_job(
     """
     from .api import partition_input  # api.py imports this module
 
-    plan = faults if faults is not None else active_fault_plan()
+    plan = active_fault_plan()
     policy = RetryPolicy() if retry is True else retry or None
     if plan is not None:
         plan.check_ranks(len(blocks))

@@ -4,12 +4,12 @@ The paper's fabric is InfiniBand's reliable, in-order transport, and no
 figure injects a fault; faults exist here to prove the failure contract
 (every key comes back, or the job raises a typed error).  A
 :class:`FaultPlan` is one frozen, seeded description of what goes wrong,
-with one spec grammar, and both substrates take it as ``faults=``:
-:class:`~repro.simnet.engine.Simulator` and
-:class:`~repro.core.api.DistributedSorter` on simnet,
-:class:`~repro.parallel.backend.ProcessBackend` on the pool, and the CLI's
-``--faults SPEC --fault-seed N`` through the ambient :func:`inject_faults`
-scope, which both consult.
+with one spec grammar, and it reaches a run one way: the ambient
+:func:`inject_faults` scope, which every job's setup
+(:func:`~repro.core.retry.run_job`) and every
+:class:`~repro.simnet.engine.Simulator` consult.  A sorter's
+``SortConfig.faults`` and the CLI's ``--faults SPEC --fault-seed N`` open
+that scope; scopes nest, and the innermost one wins.
 
 Each key means the same on both substrates:
 
@@ -372,9 +372,9 @@ _ACTIVE_PLANS: list[FaultPlan] = []
 
 @contextmanager
 def inject_faults(plan: FaultPlan) -> Iterator[FaultPlan]:
-    """Attach ``plan`` to every simulator, sorter and process backend that
-    runs inside the block without a ``faults=`` of its own (mirrors
-    :func:`repro.simnet.sanitizer.sanitize`)."""
+    """Attach ``plan`` to every job and simulator that runs inside the
+    block, unless an inner scope (a sorter's ``SortConfig.faults`` is one)
+    replaces it (mirrors :func:`repro.simnet.sanitizer.sanitize`)."""
     _ACTIVE_PLANS.append(plan)
     try:
         yield plan

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, Protocol, Sequence
 
@@ -51,7 +51,7 @@ from ..core.datapath import OUTPUT_ROLES, JobStorage, lay_out
 from ..core.retry import JobRun, RetryPolicy, run_job
 from ..core.sorter import STEP_LABELS, SortJob, SortOptions, sample_sort_program
 from ..core.steps import sample_bytes
-from ..faults import FaultPlan
+from ..faults import FaultPlan, inject_faults
 from ..obs.context import active_capture
 from ..pgxd.config import PgxdConfig
 from ..pgxd.runtime import PgxdRuntime
@@ -152,7 +152,8 @@ class SimnetBackend:
     :class:`~repro.pgxd.runtime.PgxdRuntime` run of the six steps, with
     one simulated machine per block, under the simulated cluster's models
     (``rank_speed`` gives one factor per block).  Jobs are numbered from 0
-    in call order, each under the ambient plan (``inject_faults``).
+    in call order, each under the ambient plan (``inject_faults``); an
+    attempt runs its runtime under the plan narrowed to it.
     """
 
     name: ClassVar[str] = "simnet"
@@ -189,15 +190,14 @@ class SimnetBackend:
         def attempt(job_blocks, rank_ids, number, faults, policy) -> _SimRun:
             # A simulated attempt starts over in virtual time: no backoff.
             speed = None if self.rank_speed is None else tuple(self.rank_speed[r] for r in rank_ids)
-            runtime = PgxdRuntime(
-                len(rank_ids), config, self.network, self.cost, rank_speed=speed, faults=faults
-            )
+            runtime = PgxdRuntime(len(rank_ids), config, self.network, self.cost, rank_speed=speed)
             sort_job = SortJob(job_blocks)
             # The program is the step generator itself (no `yield from`
             # shim): one less frame on every event resume of the run.
-            run = runtime.run(
-                lambda machine: sample_sort_program(machine, job_blocks[machine.rank], options, sort_job)
-            )
+            with inject_faults(faults) if faults is not None else nullcontext():
+                run = runtime.run(
+                    lambda machine: sample_sort_program(machine, job_blocks[machine.rank], options, sort_job)
+                )
             return _SimRun(
                 outputs=run.results,
                 counts_matrix=np.stack([out.sent_counts for out in run.results]),
@@ -205,7 +205,7 @@ class SimnetBackend:
                 metrics=run.metrics,
             )
 
-        return run_job(self, attempt, blocks, job, None, None, [])
+        return run_job(self, attempt, blocks, job, None, [])
 
 
 @dataclass(kw_only=True)
@@ -264,14 +264,12 @@ class ProcessBackend:
     silence, turning any stall into a typed error.  Live heartbeats go to
     the ambient :func:`~repro.parallel.tracing.use_progress` sink.
 
-    ``sanitize`` attaches ShmSan (:mod:`repro.parallel.shmsan`): pass a
-    :class:`~repro.parallel.shmsan.ShmSan` to share one across backends,
-    ``True`` for a private instance (read it back from
-    :attr:`sanitizer`), ``False`` to force sanitizing off, or leave the
-    default ``None`` to follow the ambient
-    :func:`~repro.parallel.shmsan.shm_sanitize` scope — the same
-    ambient-wins convention the tracer and progress sinks use.
-    ``mutate``/``mutate_rank`` seed one deliberate invariant break from
+    Observers attach through their ambient scopes, read per job: a fault
+    plan through :func:`~repro.faults.inject_faults`, ShmSan
+    (:mod:`repro.parallel.shmsan`) through
+    :func:`~repro.parallel.shmsan.shm_sanitize` and the tracer through
+    :func:`repro.obs.capture`.  ``mutate``/``mutate_rank`` seed one
+    deliberate invariant break from
     :data:`~repro.parallel.shmsan.MUTATIONS` (test hook).
     """
 
@@ -283,10 +281,8 @@ class ProcessBackend:
         *,
         timeout_seconds: float = 120.0,
         phase_timeout_seconds: float | None = None,
-        sanitize: "ShmSan | bool | None" = None,
         mutate: str | None = None,
         mutate_rank: int = 1,
-        faults: FaultPlan | None = None,
         retry: "RetryPolicy | bool | None" = None,
     ):
         try:
@@ -298,9 +294,6 @@ class ProcessBackend:
         #: turns a hung-but-alive rank into a prompt, rank-attributed
         #: ControlPlaneTimeout instead of a full global stall.
         self.phase_timeout_seconds = phase_timeout_seconds
-        #: Explicit fault plan; None follows the ambient
-        #: :func:`~repro.faults.inject_faults` scope per job.
-        self.faults = faults
         #: Retry policy: an instance, True for defaults, False for none, or
         #: None — fail-fast *except* when a fault plan is active, which
         #: arms the default policy (:func:`~repro.core.retry.run_job`).
@@ -311,15 +304,6 @@ class ProcessBackend:
             )
         self._mutate = mutate
         self._mutate_rank = mutate_rank
-        #: The backend-owned sanitizer (set when ``sanitize`` was an
-        #: instance or ``True``); ambient resolution happens per sort.
-        if isinstance(sanitize, ShmSan):
-            self.sanitizer: ShmSan | None = sanitize
-        elif sanitize is True:
-            self.sanitizer = ShmSan()
-        else:
-            self.sanitizer = None
-        self._follow_ambient_san = sanitize is None
         self.arena = SharedArena()
         self.splitter_cache = SplitterCache()
         # ------------------------------------------------- pool state
@@ -484,8 +468,6 @@ class ProcessBackend:
         blocks: Sequence[np.ndarray],
         options: SortOptions | None = None,
         config: PgxdConfig | None = None,
-        *,
-        force_resample: bool = False,
     ) -> BackendRun:
         """Sort already-partitioned blocks, one pooled worker per block.
 
@@ -493,11 +475,9 @@ class ProcessBackend:
         (ascending across ranks, provenance per element) — and the same
         bits, which the equivalence tests assert.  This is one *job*:
         dispatch the spec to the warm pool, serve its control plane,
-        collect.  ``force_resample`` makes this job alone ignore the
-        splitter cache (how the cache-fallback tests steer a single job
-        without rebuilding the pool).
+        collect.
 
-        With a fault plan active (constructor ``faults=`` or the ambient
+        With a fault plan active (the ambient
         :func:`~repro.faults.inject_faults` scope) and/or a
         :class:`RetryPolicy` armed, a failed attempt poisons the
         generation and :func:`~repro.core.retry.run_job` re-runs the job
@@ -541,13 +521,12 @@ class ProcessBackend:
                 config,
                 job_id=job_id,
                 faults=faults,
-                force_resample=force_resample,
                 prior_attempts=tuple(history),
             )
 
         self._in_flight = True
         try:
-            run = run_job(self, attempt, blocks, job_id, self.faults, self._retry, history)
+            run = run_job(self, attempt, blocks, job_id, self._retry, history)
         except ParallelBackendError as exc:
             # A policy records every failure it retries, so a recorded
             # retryable error is the one that exhausted it; without a
@@ -576,7 +555,6 @@ class ProcessBackend:
         *,
         job_id: int,
         faults: FaultPlan | None,
-        force_resample: bool,
         prior_attempts: tuple = (),
     ) -> BackendRun:
         """One attempt: stage input, dispatch, serve, collect.
@@ -603,12 +581,9 @@ class ProcessBackend:
                 (time.perf_counter(), cname, value)  # repro: noqa[R002] — real backend: driver counter timestamps are measured data
             )
 
-        # Sanitizer resolution: backend-owned instance wins, else follow
-        # the ambient shm_sanitize() scope (unless sanitize=False pinned
-        # it off).  Unsanitized sorts pay only these None checks.
-        san = self.sanitizer
-        if san is None and self._follow_ambient_san:
-            san = active_shm_sanitizer()
+        # The ambient shm_sanitize() scope's ShmSan, or None: unsanitized
+        # sorts pay only these None checks.
+        san = active_shm_sanitizer()
 
         start = time.perf_counter()  # repro: noqa[R002] — real backend: the driver wall clock is the makespan
         if self._mutate == "relet-pinned":
@@ -644,7 +619,7 @@ class ProcessBackend:
             mutate=self._mutate,
             mutate_rank=self._mutate_rank,
             job_id=job_id,
-            cache=SplitterProbe(self.splitter_cache.candidates(key_dtype, size), force_resample),
+            cache=SplitterProbe(self.splitter_cache.candidates(key_dtype, size)),
             faults=faults,
         )
 

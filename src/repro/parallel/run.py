@@ -57,8 +57,8 @@ class BackendRun(JobRun):
     worker_seconds: float
     #: Pool job id (0 on non-pooled backends).
     job_id: int = 0
-    #: Splitter-cache verdict for this job (``cold``/``hit``/``miss``/
-    #: ``fallback-forced``; None on non-pooled backends).
+    #: Splitter-cache verdict for this job (``cold``/``hit``/``miss``;
+    #: None on non-pooled backends).
     splitter_cache: str | None = None
 
     def measured_metrics(self):

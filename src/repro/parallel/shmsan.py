@@ -39,18 +39,15 @@ Recording is passive: the unsanitized path pays only ``is not None``
 guards, and a sanitized run is bit-identical to an unsanitized one
 (pinned by the tests and the golden replay below).
 
-Usage::
+Usage — the scope is the one way to attach; every process-backend sort
+inside it is sanitized, and the innermost scope wins::
 
     from repro.parallel import ProcessBackend
-    from repro.parallel.shmsan import ShmSan, shm_sanitize
+    from repro.parallel.shmsan import shm_sanitize
 
-    with ProcessBackend(sanitize=True) as backend:   # explicit
+    with shm_sanitize() as san, ProcessBackend() as backend:
         run = backend.sort_blocks(blocks)
-        assert backend.sanitizer.report.ok, backend.sanitizer.report.summary()
-
-    with shm_sanitize() as san:                       # ambient: every
-        run_experiment()                              # ProcessBackend sort
-    print(san.report.summary())                       # inside attaches
+    assert san.report.ok, san.report.summary()
 
 ``python -m repro.parallel.shmsan`` replays the golden workload on a
 sanitized 4-worker process backend, verifies bit-identity against the
@@ -478,9 +475,8 @@ def main(argv: list[str] | None = None) -> int:
     data = golden_keys(n_keys, workload["seed"], dtype)
     blocks = list(partition_input(data, args.ranks)[0])
 
-    san = ShmSan()
-    with ProcessBackend(
-        sanitize=san, mutate=args.mutate, mutate_rank=args.mutate_rank
+    with shm_sanitize() as san, ProcessBackend(
+        mutate=args.mutate, mutate_rank=args.mutate_rank
     ) as backend:
         # Every run is held to the end, so a longer stream crosses the
         # backend's pin budget; relet-pinned needs one held result to re-let.
@@ -546,9 +542,8 @@ if __name__ == "__main__":  # pragma: no cover - CI entry point
     import sys
 
     # Delegate to the canonical module object: under ``python -m`` this
-    # file executes as ``__main__``, and a ShmSan built from *that*
-    # namespace would fail the backend's isinstance check against the
-    # class the package imported.
+    # file executes as ``__main__``, and a scope opened from *that*
+    # namespace would push onto a stack the backend never reads.
     from repro.parallel.shmsan import main as _canonical_main
 
     sys.exit(_canonical_main())

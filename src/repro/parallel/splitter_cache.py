@@ -12,8 +12,7 @@ exact match, broadcasts the candidate index — the splitter selection is
 skipped entirely.  Because the fingerprint hashes the exact sample bytes, a
 cache hit *guarantees* the cached splitters equal what fresh selection
 would produce, so the output stays bit-identical to the oracle on every
-path; a miss or a forced fallback rejoins the classic
-gather-samples/bcast-splitters path.
+path; a miss rejoins the classic gather-samples/bcast-splitters path.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ class SplitterCache:
     capacity_per_key: int = 4
     hits: int = 0
     misses: int = 0
-    fallbacks: int = 0
     cold: int = 0
     _entries: dict[tuple[str, int], list[tuple[str, np.ndarray]]] = field(
         default_factory=dict
@@ -73,16 +71,13 @@ class SplitterCache:
             self.hits += 1
         elif verdict == "cold":
             self.cold += 1
-        elif verdict == "miss":
-            self.misses += 1
         else:
-            self.fallbacks += 1
+            self.misses += 1
 
     def stats(self) -> dict:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "fallbacks": self.fallbacks,
             "cold": self.cold,
             "entries": sum(len(v) for v in self._entries.values()),
         }
@@ -121,15 +116,12 @@ class SplitterProbe:
 
     #: Prior-epoch ``(fingerprint, splitters)`` pairs, newest last.
     candidates: tuple[tuple[str, np.ndarray], ...]
-    #: Test/ops hook: probe (and report the would-be verdict) but always
-    #: take the full sampling path.
-    force_resample: bool = False
 
     def probe_candidates(self, host, samples: np.ndarray):
         """One rank's half of the cache probe, a sub-program: two
         collectives, one ``(verdict, splitters, fingerprint)``.  Every rank
         agrees on the verdict (``cold`` without candidates, no message;
-        else ``hit``/``miss``/``fallback-forced``); splitters are the cached
+        else ``hit``/``miss``); splitters are the cached
         ones on a hit, else ``None``: the classic path.  The fingerprint is
         the Master's (a cold job's comes from :meth:`fingerprint`)."""
         if not self.candidates:
@@ -141,8 +133,6 @@ class SplitterProbe:
             fingerprints = [cand_fp for cand_fp, _s in self.candidates]
             if fingerprint not in fingerprints:
                 decision = ("miss", None)
-            elif self.force_resample:
-                decision = ("fallback-forced", None)
             else:
                 decision = ("hit", fingerprints.index(fingerprint))
         verdict, chosen = yield host.bcast(decision)

@@ -134,8 +134,7 @@ class WorkerReport:
     #: Event payload when the parent requested tracing (None otherwise).
     trace: WorkerTrace | None = None
     #: Splitter-cache verdict for this job: ``cold`` (no candidates
-    #: shipped), ``hit``, ``miss`` (fingerprint unknown), or
-    #: ``fallback-forced`` (``force_resample``).
+    #: shipped), ``hit`` or ``miss`` (fingerprint unknown).
     splitter_cache: str = "cold"
     #: Exact distribution fingerprint of this job (Master only) — what
     #: the driver commits to its cache alongside the splitters.

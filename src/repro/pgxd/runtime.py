@@ -203,20 +203,16 @@ class PgxdRuntime:
         cost: CostModel | None = None,
         *,
         rank_speed: Sequence[float] | None = None,
-        tracer: Any = None,
-        faults: Any = None,
     ):
         """``rank_speed`` makes the cluster heterogeneous: machine ``m``'s
         compute rates are multiplied by ``rank_speed[m]`` (1.0 = nominal,
         0.5 = half-speed straggler).  The network is unaffected.
 
-        ``tracer`` attaches a structured :class:`repro.obs.Tracer` to every
-        simulator this runtime builds; when None (the default) an ambient
-        ``repro.obs.capture`` scope, if active, supplies one per run.
-
-        ``faults`` attaches a :class:`repro.faults.FaultPlan` to
-        every run; when None, an ambient ``inject_faults`` scope (if
-        active) supplies one — otherwise the run is fault-free."""
+        Each run's simulator reads the ambient observer scopes as it is
+        built (:class:`~repro.simnet.engine.Simulator`): an active
+        ``repro.obs.capture`` gives the run a tracer, an active
+        ``inject_faults`` its fault plan; otherwise the run is untraced
+        and fault-free."""
         if num_machines < 1:
             raise ValueError("num_machines must be >= 1")
         self.num_machines = num_machines
@@ -229,8 +225,6 @@ class PgxdRuntime:
             if any(s <= 0 for s in rank_speed):
                 raise ValueError("rank speeds must be positive")
         self.rank_speed = list(rank_speed) if rank_speed is not None else None
-        self.tracer = tracer
-        self.faults = faults
 
     def cost_for_rank(self, rank: int) -> CostModel:
         """The (possibly slowed) cost model of one machine."""
@@ -262,12 +256,7 @@ class PgxdRuntime:
     ) -> RunResult:
         """Build a simulator and run ``programs[rank]`` on each machine,
         with one kernel pool for exactly the run."""
-        sim = Simulator(
-            self.num_machines,
-            self.network,
-            tracer=self.tracer,
-            faults=self.faults,
-        )
+        sim = Simulator(self.num_machines, self.network)
         with KernelPool() as kernels:
             # Plain function, not a generator: returning the program's
             # generator directly (instead of `yield from` delegation)

@@ -41,7 +41,6 @@ from enum import Enum, auto
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.tracer import Tracer
     from .sanitizer import SimSan
 
 from .calls import (
@@ -67,7 +66,7 @@ from .errors import (
     RankCrashedError,
     UnknownRankError,
 )
-from ..faults import MAX_RETRANSMITS
+from ..faults import MAX_RETRANSMITS, active_fault_plan
 from .metrics import ClusterMetrics, ProcessMetrics
 from .network import Fabric, NetworkModel
 
@@ -260,64 +259,48 @@ class Simulator:
     network:
         Timing model for the interconnect; defaults to the paper's FDR
         InfiniBand parameters.
-    tracer:
-        A :class:`repro.obs.Tracer` recording typed span/flow/counter
-        events.  ``None`` (the default) also consults the ambient
-        :func:`repro.obs.capture` context, so tooling can observe runs it
-        does not construct.  When no
-        tracer is attached the run loop performs one ``is not None`` test
-        per operation and nothing else.
-    sanitizer:
-        A :class:`repro.simnet.sanitizer.SimSan` observing the run for
-        comm-layer misuse (use-after-Isend, leaked requests, unmatched
-        messages, tag collisions).  ``None`` (the default) consults the
-        ambient :func:`repro.simnet.sanitizer.sanitize` scope, mirroring
-        the tracer.  Guarded the same way — one ``is not None`` test per
-        hook — and hooks never touch virtual time, metrics, or event
-        order, so sanitized runs are bit-identical to unsanitized ones.
-    faults:
-        A :class:`repro.faults.FaultPlan` to inject message drops, delays,
-        link degradation, slow nodes and step-addressed kills into this
-        run (a kill fires at the rank's ``Mark`` opening the step).
-        ``None`` (the default) consults the ambient
-        :func:`repro.faults.inject_faults` scope.  Consulted through the
-        same single ``is not None`` guard as the observers, so the no-fault
-        path stays bit-identical to the golden fingerprint.
+
+    Observers attach through their ambient scopes, read once, here:
+
+    * the innermost :func:`repro.obs.capture` gives the run a
+      :class:`repro.obs.Tracer` of its own, recording typed
+      span/flow/counter events;
+    * the innermost :func:`repro.simnet.sanitizer.sanitize` scope attaches
+      its :class:`repro.simnet.sanitizer.SimSan`, which checks the run for
+      comm-layer misuse (use-after-Isend, leaked requests, unmatched
+      messages, tag collisions);
+    * the innermost :func:`repro.faults.inject_faults` scope injects its
+      :class:`repro.faults.FaultPlan`'s message drops, delays, link
+      degradation, slow nodes and step-addressed kills (a kill fires at
+      the rank's ``Mark`` opening the step).
+
+    Each is tested through one ``is not None`` guard per hook, and no hook
+    of a tracer or sanitizer touches virtual time, metrics or event order,
+    so observed runs are bit-identical to plain ones and the fault-free
+    path stays bit-identical to the golden fingerprint.
     """
 
     def __init__(
         self,
         num_ranks: int,
         network: NetworkModel | None = None,
-        *,
-        tracer: "Tracer | None" = None,
-        sanitizer: "SimSan | None" = None,
-        faults: Any = None,
     ) -> None:
         if num_ranks <= 0:
             raise ValueError("num_ranks must be positive")
         self.num_ranks = num_ranks
         self.network = network or NetworkModel()
         self.fabric = Fabric(self.network, num_ranks)
-        if tracer is None:
-            from ..obs.context import active_capture
+        from ..obs.context import active_capture
+        from .sanitizer import active_sanitizer
 
-            cap = active_capture()
-            if cap is not None:
-                tracer = cap.new_session(self)
+        cap = active_capture()
+        tracer = None if cap is None else cap.new_session(self)
         self._tracer = tracer
         if tracer is not None:
             tracer.num_ranks = max(tracer.num_ranks, num_ranks)
             self.fabric.tracer = tracer
-        if sanitizer is None:
-            from .sanitizer import active_sanitizer
-
-            sanitizer = active_sanitizer()
-        self._sanitizer = sanitizer
-        if faults is None:
-            from ..faults import active_fault_plan
-
-            faults = active_fault_plan()
+        self._sanitizer = active_sanitizer()
+        faults = active_fault_plan()
         self.fault_plan = faults
         #: Per-run FaultState, or None — the single object every fault
         #: guard in the run loop tests.

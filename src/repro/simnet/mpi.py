@@ -23,6 +23,7 @@ Run with :func:`mpi_run`, the ``mpiexec`` of the virtual cluster.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Any, Callable, Generator, Sequence
 
 from .calls import ANY_SOURCE, ANY_TAG, Barrier, Isend, Message, Probe, Recv, Send
@@ -37,6 +38,7 @@ from .engine import ProcessHandle, Simulator
 from .errors import SimSanError
 from .metrics import ClusterMetrics
 from .network import NetworkModel
+from .sanitizer import sanitize
 
 
 class SimRequest:
@@ -198,12 +200,8 @@ def mpi_run(
     results.  (``strict`` and ``network`` are reserved keywords; program
     kwargs with those names are not forwarded.)
     """
-    sanitizer = None
-    if strict:
-        from .sanitizer import SimSan
-
-        sanitizer = SimSan()
-    sim = Simulator(num_ranks, network, sanitizer=sanitizer)
+    with sanitize() if strict else nullcontext() as sanitizer:
+        sim = Simulator(num_ranks, network)
 
     def bootstrap(proc: ProcessHandle, *a: Any, **kw: Any) -> Generator:
         return (yield from program(SimComm(proc), *a, **kw))

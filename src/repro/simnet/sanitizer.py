@@ -31,16 +31,14 @@ unsanitized one (locked by the golden-fingerprint test).
 
 Usage::
 
-    from repro.simnet.sanitizer import SimSan, sanitize
+    from repro.simnet.sanitizer import sanitize
 
-    san = SimSan()
-    sim = Simulator(16, sanitizer=san)      # explicit attachment
-    ...
+    with sanitize() as san:                  # every Simulator built in
+        run_experiment()                     # the scope attaches it
     assert san.report.ok, san.report.summary()
 
-    with sanitize() as san:                  # ambient: every Simulator
-        run_experiment()                     # built in the scope attaches
-    print(san.report.summary())
+The scope is the one way to attach a SimSan; scopes nest, and the
+innermost one wins.
 
 ``mpi_run(..., strict=True)`` runs a whole program under SimSan and raises
 :class:`~repro.simnet.errors.SimSanError` on violations; the experiments

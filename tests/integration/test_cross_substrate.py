@@ -13,7 +13,7 @@ and one fault spec drives both backend objects (``SimnetBackend`` and
 at any step recovers in one retry to the fault-free bytes, a poisoned
 rank degrades both to the same bytes, and generated ``kill``/``poison``/
 ``slow`` specs end both in their substrate's error or in the same bytes
-and accounting.  Every
+and accounting; on both, the innermost fault scope wins.  Every
 case also holds each substrate to regular sampling's balance bound (the
 ``assert_balanced`` fixture); only the no-investigator option, Figure 3b's
 naive cuts, is exempt.
@@ -440,6 +440,33 @@ def test_a_persistent_crash_degrades_both_substrates_alike(assert_balanced, p):
     survivor_blocks = list(partition_input(data, p - 1)[0])
     assert_balanced(sim.per_processor, survivor_blocks)
     assert_balanced(real.per_processor, survivor_blocks)
+
+
+#: Two plans told apart by what they do: the outer one would drop rank 1
+#: (poisoned), the inner one kills rank 2 once, retried at full width.
+OUTER_PLAN = FaultPlan.from_spec("poison=1", seed=4)
+INNER_PLAN = FaultPlan.from_spec("kill=2@5-exchange", seed=4)
+
+
+@pytest.mark.parametrize("substrate", ["simnet", "process"])
+def test_the_innermost_fault_scope_wins(assert_balanced, substrate):
+    """Nesting is the one precedence rule for a fault plan, on both
+    substrates: an inner ``inject_faults`` replaces an outer one, and a
+    sorter's ``SortConfig.faults`` is the innermost scope of its jobs."""
+    data = _keys("int64", 1_600, np.random.default_rng(9))
+    blocks = list(partition_input(data, 4)[0])
+    reference = local_sample_sort(blocks)
+    backend = SimnetBackend() if substrate == "simnet" else ProcessBackend(retry=FAST_RETRY)
+    with closing(backend), inject_faults(OUTER_PLAN):
+        with inject_faults(INNER_PLAN):
+            nested = backend.sort_blocks(blocks).to_sort_result()
+        sorter = DistributedSorter(num_processors=4, faults=INNER_PLAN, backend=backend)
+        configured = sorter.sort(data)
+    for result in (nested, configured):
+        assert result.survivors is None and result.recovery_rounds == 0
+        assert [m.retries for m in result.metrics.processes] == [0, 0, 1, 0]
+        _assert_bytes_equal(zip(result.per_processor, result.provenance), reference)
+        assert_balanced(result.per_processor, blocks)
 
 
 @pytest.mark.parametrize("dropped", [2, 3])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.obs import Tracer, capture
+from repro.obs import capture
 from repro.obs.events import FlowEvent, SpanEvent
 from repro.simnet import (
     Barrier,
@@ -18,11 +18,11 @@ from repro.simnet import (
 
 
 def run_with_tracer(builder, n=2, **net_kwargs):
-    tracer = Tracer()
-    sim = Simulator(n, NetworkModel(**net_kwargs), tracer=tracer)
+    with capture() as cap:
+        sim = Simulator(n, NetworkModel(**net_kwargs))
     builder(sim)
     metrics = sim.run()
-    return tracer, metrics
+    return cap.sessions[-1].tracer, metrics
 
 
 class TestSpanRecording:
@@ -262,13 +262,6 @@ class TestCaptureContext:
     def test_no_capture_no_tracer(self):
         sim = Simulator(1, NetworkModel())
         assert sim._tracer is None
-
-    def test_explicit_tracer_wins_over_capture(self):
-        mine = Tracer(name="mine")
-        with capture() as cap:
-            sim = Simulator(1, NetworkModel(), tracer=mine)
-        assert sim._tracer is mine
-        assert cap.sessions == []
 
     def test_captures_nest_innermost_wins(self):
         with capture(name="outer") as outer:

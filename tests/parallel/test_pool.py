@@ -16,7 +16,7 @@ import pytest
 from repro.core.api import DistributedSorter, partition_input
 from repro.core.local_backend import local_sample_sort
 from repro.core.splitters import splitter_array
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, inject_faults
 from repro.obs.context import capture
 from repro.obs.report import RunReport
 from repro.parallel import (
@@ -200,13 +200,10 @@ class TestSplitterCache:
         with ProcessBackend() as backend:
             backend.sort_blocks(blocks)
             hit = backend.sort_blocks(blocks)
-            resampled = backend.sort_blocks(blocks, force_resample=True)
         assert hit.splitter_cache == "hit"
-        assert resampled.splitter_cache == "fallback-forced"
         assert len(set(hit.splitters["key"].tolist())) < 3  # a tie spans splitters
-        for run in (hit, resampled):
-            _assert_bit_identical(local_sample_sort(blocks), run)
-            _assert_bytes_equal_to_oracle(run, blocks)
+        _assert_bit_identical(local_sample_sort(blocks), hit)
+        _assert_bytes_equal_to_oracle(hit, blocks)
 
     def test_a_keys_entries_share_one_dtype_and_keep_their_bytes(self):
         """A job's spec pickles the entries' structured dtype once; an
@@ -222,33 +219,25 @@ class TestSplitterCache:
         assert x.tobytes() == a.tobytes() and y.tobytes() == b.tobytes()
 
     def test_different_distribution_misses(self):
+        """A job the cache holds no splitters for samples afresh (with
+        candidates shipped and probed), bit-identical to the oracle."""
+        blocks = _blocks(16_000, 4, kind="duplicate_heavy")
         with ProcessBackend() as backend:
             backend.sort_blocks(_blocks(16_000, 4, kind="uniform"))
-            run = backend.sort_blocks(
-                _blocks(16_000, 4, kind="duplicate_heavy")
-            )
-        assert run.splitter_cache == "miss"
-
-    def test_forced_fallback_resamples_bit_identically(self):
-        blocks = _blocks(16_000, 4)
-        reference = local_sample_sort(blocks)
-        with ProcessBackend() as backend:
-            backend.sort_blocks(blocks)
-            run = backend.sort_blocks(blocks, force_resample=True)
-            _assert_bit_identical(reference, run)
+            run = backend.sort_blocks(blocks)
+            _assert_bit_identical(local_sample_sort(blocks), run)
+            _assert_bytes_equal_to_oracle(run, blocks)
             stats = backend.stats["splitter_cache"]
-        assert run.splitter_cache == "fallback-forced"
-        assert stats["fallbacks"] == 1
+        assert run.splitter_cache == "miss"
+        assert stats["misses"] == 1
 
 
 class TestCrashRecovery:
     def test_crash_mid_stream_respawns_and_continues(self):
         blocks = _blocks(20_000, 4)
         reference = local_sample_sort(blocks)
-        with ProcessBackend(
-            faults=FaultPlan.from_spec("kill=2@5-exchange:1"),
-            retry=False,
-            timeout_seconds=30.0,
+        with inject_faults(FaultPlan.from_spec("kill=2@5-exchange:1")), ProcessBackend(
+            retry=False, timeout_seconds=30.0
         ) as backend:
             backend.sort_blocks(blocks)
             doomed_pids = backend.worker_pids
@@ -461,8 +450,8 @@ class TestHeldResults:
     def test_recovered_jobs_return_pinned_results(self, spec, survivors):
         blocks = _blocks(20_000, 4)
         retry = RetryPolicy(backoff_seconds=0.001, backoff_cap_seconds=0.01)
-        with ProcessBackend(
-            faults=FaultPlan.from_spec(spec, seed=7), retry=retry
+        with inject_faults(FaultPlan.from_spec(spec, seed=7)), ProcessBackend(
+            retry=retry
         ) as backend:
             run = backend.sort_blocks(blocks)
             later = backend.sort_blocks(_blocks(20_000, 4, seed=8))
@@ -493,10 +482,8 @@ class TestHeldResults:
 
     def test_a_failed_job_leaves_nothing_pinned(self):
         blocks = _blocks(20_000, 4)
-        with ProcessBackend(
-            faults=FaultPlan.from_spec("kill=2@6-merge:1"),
-            retry=False,
-            timeout_seconds=30.0,
+        with inject_faults(FaultPlan.from_spec("kill=2@6-merge:1")), ProcessBackend(
+            retry=False, timeout_seconds=30.0
         ) as backend:
             backend.sort_blocks(blocks)  # result dropped: closed loop
             with pytest.raises(WorkerCrashedError):

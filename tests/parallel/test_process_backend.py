@@ -10,7 +10,7 @@ import pytest
 from repro.core.api import DistributedSorter, partition_input
 from repro.core.local_backend import local_sample_sort
 from repro.core.sorter import SortOptions
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, inject_faults
 from repro.parallel import (
     ParallelBackendError,
     ProcessBackend,
@@ -221,12 +221,10 @@ class TestBackendSelection:
 class TestFailureHandling:
     def test_crash_of_one_worker_is_typed_not_a_hang(self):
         blocks = list(partition_input(_workloads()["uniform"], 4)[0])
-        backend = ProcessBackend(
-            faults=FaultPlan.from_spec("kill=2@6-merge"),
-            retry=False,
-            timeout_seconds=30.0,
-        )
-        try:
+        with (
+            inject_faults(FaultPlan.from_spec("kill=2@6-merge")),
+            ProcessBackend(retry=False, timeout_seconds=30.0) as backend,
+        ):
             with pytest.raises(WorkerCrashedError) as excinfo:
                 backend.sort_blocks(blocks)
             assert excinfo.value.rank == 2
@@ -236,21 +234,15 @@ class TestFailureHandling:
             # message says so.
             assert excinfo.value.last_step == "5-exchange"
             assert "last heartbeat at step '5-exchange'" in str(excinfo.value)
-        finally:
-            backend.close()
 
     def test_backend_still_usable_after_a_crash(self):
         blocks = list(partition_input(_workloads()["uniform"], 2)[0])
-        backend = ProcessBackend(
-            faults=FaultPlan.from_spec("kill=0@1-local-sort:0"),
-            retry=False,
-            timeout_seconds=30.0,
-        )
-        try:
+        with (
+            inject_faults(FaultPlan.from_spec("kill=0@1-local-sort:0")),
+            ProcessBackend(retry=False, timeout_seconds=30.0) as backend,
+        ):
             with pytest.raises(WorkerCrashedError):
                 backend.sort_blocks(blocks)
             # The kill was scoped to job 0; job 1 runs on a fresh generation.
             reference = local_sample_sort(blocks)
             _assert_bit_identical(reference, backend.sort_blocks(blocks))
-        finally:
-            backend.close()

@@ -19,6 +19,7 @@ from repro.parallel import (
     ProcessBackend,
     RetryPolicy,
     WorkerCrashedError,
+    shm_sanitize,
 )
 
 #: Fast backoff so retry tests don't sleep their way through CI.
@@ -253,7 +254,7 @@ class TestKillRetryRecovery:
         data = _data()
         blocks, _ = partition_input(data, 4)
         plan = FaultPlan.from_spec("kill=1@5-exchange:0", seed=7)
-        with ProcessBackend(faults=plan, retry=FAST) as backend:
+        with inject_faults(plan), ProcessBackend(retry=FAST) as backend:
             run = backend.sort_blocks(blocks)
             result = run.to_sort_result()
         assert run.retries == 1
@@ -270,10 +271,9 @@ class TestKillRetryRecovery:
         data = _signed_zero_nan_floats()
         blocks, _ = partition_input(data, 4)
         plan = FaultPlan.from_spec(spec, seed=7)
-        with ProcessBackend(faults=plan, retry=FAST, sanitize=True) as backend:
+        with inject_faults(plan), shm_sanitize() as san, ProcessBackend(retry=FAST) as backend:
             run = backend.sort_blocks(blocks)
             result = run.to_sort_result()
-            san = backend.sanitizer
         assert run.retries == 1
         assert result.survivors is None
         _assert_recovered_bit_for_bit(run, result, data, 4)
@@ -285,14 +285,14 @@ class TestKillRetryRecovery:
     def test_chaos_without_explicit_retry_arms_default_policy(self):
         blocks = _blocks()
         plan = FaultPlan.from_spec("kill=0@2-sampling:0", seed=1)
-        with ProcessBackend(faults=plan) as backend:
+        with inject_faults(plan), ProcessBackend() as backend:
             run = backend.sort_blocks(blocks)
         assert run.retries == 1  # recovered, not raised
 
     def test_retry_false_pins_fail_fast_under_chaos(self):
         blocks = _blocks()
         plan = FaultPlan.from_spec("kill=1@5-exchange:0", seed=7)
-        with ProcessBackend(faults=plan, retry=False) as backend:
+        with inject_faults(plan), ProcessBackend(retry=False) as backend:
             with pytest.raises(WorkerCrashedError) as excinfo:
                 backend.sort_blocks(blocks)
         assert excinfo.value.job_id == 0  # provenance still attached
@@ -301,7 +301,7 @@ class TestKillRetryRecovery:
         blocks = _blocks(n=4_000)
         plan = FaultPlan.from_spec("poison=0", seed=0)
         policy = dataclasses.replace(FAST, max_attempts=2, degrade_after=None)
-        with ProcessBackend(faults=plan, retry=policy) as backend:
+        with inject_faults(plan), ProcessBackend(retry=policy) as backend:
             with pytest.raises(JobAbortedError) as excinfo:
                 backend.sort_blocks(blocks)
         exc = excinfo.value
@@ -334,7 +334,7 @@ class TestSurvivorDegradedRecovery:
         data = _data()
         blocks, _ = partition_input(data, 4)
         plan = FaultPlan.from_spec("poison=2", seed=7)
-        with ProcessBackend(faults=plan, retry=FAST) as backend:
+        with inject_faults(plan), ProcessBackend(retry=FAST) as backend:
             run = backend.sort_blocks(blocks)
             result = run.to_sort_result()
         assert result.survivors == (0, 1, 3)
@@ -352,10 +352,9 @@ class TestSurvivorDegradedRecovery:
         data = _signed_zero_nan_floats()
         blocks, _ = partition_input(data, 4)
         plan = FaultPlan.from_spec("poison=2", seed=7)
-        with ProcessBackend(faults=plan, retry=FAST, sanitize=True) as backend:
+        with inject_faults(plan), shm_sanitize() as san, ProcessBackend(retry=FAST) as backend:
             run = backend.sort_blocks(blocks)
             result = run.to_sort_result()
-            san = backend.sanitizer
         assert result.survivors == (0, 1, 3)
         assert result.recovery_rounds == 1
         _assert_recovered_bit_for_bit(run, result, data, 4)
@@ -367,7 +366,7 @@ class TestSurvivorDegradedRecovery:
         data = _data(n=12_000)
         blocks, _ = partition_input(data, 4)
         plan = FaultPlan.from_spec("poison=1", seed=7)
-        with ProcessBackend(faults=plan, retry=FAST) as backend:
+        with inject_faults(plan), ProcessBackend(retry=FAST) as backend:
             result = backend.sort_blocks(blocks).to_sort_result()
         # gather_values pulls each sorted key's original value through
         # provenance — equality proves origin_proc survived renumbering.
@@ -379,7 +378,7 @@ class TestSurvivorDegradedRecovery:
         data = _data(n=12_000)
         blocks, _ = partition_input(data, 4)
         plan = FaultPlan.from_spec("poison=3", seed=7)
-        with ProcessBackend(faults=plan, retry=FAST) as backend:
+        with inject_faults(plan), ProcessBackend(retry=FAST) as backend:
             run = backend.sort_blocks(blocks)
         assert run.counts_matrix.shape == (4, 4)
         assert run.counts_matrix[3].sum() == 0  # dead rank sent nothing
@@ -397,7 +396,7 @@ class TestSurvivorDegradedRecovery:
             kills=((0, 1, "5-exchange"),),
         )
         policy = dataclasses.replace(FAST, degrade_after=2)
-        with ProcessBackend(faults=plan, retry=policy) as backend:
+        with inject_faults(plan), ProcessBackend(retry=policy) as backend:
             result = backend.sort_blocks(blocks).to_sort_result()
         assert result.survivors is None
         _assert_oracle_identical(result, data, 4)
@@ -408,8 +407,8 @@ class TestHangAndPhaseDeadline:
         data = _data(n=8_000)
         blocks, _ = partition_input(data, 4)
         plan = FaultPlan.from_spec("hang=2@gather:0", seed=7)
-        with ProcessBackend(
-            faults=plan, retry=FAST, phase_timeout_seconds=1.0
+        with inject_faults(plan), ProcessBackend(
+            retry=FAST, phase_timeout_seconds=1.0
         ) as backend:
             run = backend.sort_blocks(blocks)
             result = run.to_sort_result()
@@ -432,7 +431,7 @@ class TestLatencyAndStragglers:
         data = _data(n=8_000)
         blocks, _ = partition_input(data, 4)
         plan = FaultPlan.from_spec("delay=0.5:0.001", seed=5)
-        with ProcessBackend(faults=plan) as backend:
+        with inject_faults(plan), ProcessBackend() as backend:
             result = backend.sort_blocks(blocks).to_sort_result()
         _assert_oracle_identical(result, data, 4)
 
@@ -440,7 +439,7 @@ class TestLatencyAndStragglers:
         data = _data(n=8_000)
         blocks, _ = partition_input(data, 4)
         plan = FaultPlan.from_spec("mute=0,slow=1x1.5", seed=5)
-        with ProcessBackend(faults=plan) as backend:
+        with inject_faults(plan), ProcessBackend() as backend:
             run = backend.sort_blocks(blocks)
             result = run.to_sort_result()
         assert run.retries == 0
@@ -478,16 +477,38 @@ class TestChaosStreams:
         p = 4
         datasets = [_data(n=6_000, seed=seed) for seed in range(3)]
         plan = FaultPlan.from_spec("kill=0@1-local-sort:1", seed=0)
-        sorter = DistributedSorter(SortConfig(num_processors=p))
-        with sorter.pool(faults=plan, retry=False) as pool:
+        # The sorter's plan reaches its pool's jobs through the sorter's
+        # scope, with the same history and counters as when the pool took
+        # the plan as an argument.
+        sorter = DistributedSorter(SortConfig(num_processors=p, faults=plan))
+        with sorter.pool(retry=False) as pool:
             with pytest.raises(WorkerCrashedError) as excinfo:
                 pool.sort_many(datasets)
+            stats = pool.stats
         exc = excinfo.value
         assert exc.job_id == 1
         assert exc.stream_index == 1
+        assert exc.rank == 0
         assert "[job 1]" in str(exc) and "[stream index 1]" in str(exc)
+        assert {k: stats[k] for k in ("pool_spawns", "jobs_completed", "retries", "aborted_jobs")} == {
+            "pool_spawns": 1, "jobs_completed": 1, "retries": 0, "aborted_jobs": 0,
+        }
+        with sorter.pool(retry=FAST) as pool:
+            histories = []
+            for data in datasets:
+                pool.sort(data)
+                histories.append(pool.last_run.attempt_history)
+            stats = pool.stats
+        assert histories == [
+            (),
+            ({"attempt": 0, "error": "WorkerCrashedError", "rank": 0, "exitcode": -9, "last_step": None},),
+            (),
+        ]
+        assert {k: stats[k] for k in ("pool_spawns", "respawns", "jobs_completed", "retries", "degraded_jobs")} == {
+            "pool_spawns": 2, "respawns": 1, "jobs_completed": 3, "retries": 1, "degraded_jobs": 0,
+        }
         # The sorter's own stream over a live instance stamps it too.
-        with ProcessBackend(faults=plan, retry=False) as backend:
+        with inject_faults(plan), ProcessBackend(retry=False) as backend:
             sorter = DistributedSorter(SortConfig(num_processors=p, backend=backend))
             with pytest.raises(WorkerCrashedError) as excinfo:
                 sorter.sort_many(datasets)
@@ -498,8 +519,8 @@ class TestChaosStreams:
         blocks = _blocks(n=4_000)
         plan = FaultPlan.from_spec("poison=0", seed=0)
         policy = dataclasses.replace(FAST, max_attempts=1, degrade_after=None)
-        backend = ProcessBackend(faults=plan, retry=policy)
-        with pytest.raises(JobAbortedError):
+        backend = ProcessBackend(retry=policy)
+        with inject_faults(plan), pytest.raises(JobAbortedError):
             backend.sort_blocks(blocks)
         backend.close()
         with pytest.raises(PoolClosedError):
@@ -512,14 +533,14 @@ class TestChaosStreams:
 class TestThePlanReachesThePool:
     def test_a_rank_outside_the_pool_is_rejected_before_attempt_0(self):
         blocks = _blocks(n=2_000, p=2)
-        with ProcessBackend(faults=FaultPlan.from_spec("poison=7"), retry=FAST) as backend:
+        with inject_faults(FaultPlan.from_spec("poison=7")), ProcessBackend(retry=FAST) as backend:
             with pytest.raises(ValueError, match="fault spec poison names rank 7"):
                 backend.sort_blocks(blocks)
             assert backend.stats["pool_spawns"] == 0
 
     @pytest.mark.parametrize("spec", ["drop=0.1", "link=0-1:2.0"])
     def test_a_wire_key_without_a_wire_is_rejected(self, spec):
-        with ProcessBackend(faults=FaultPlan.from_spec(spec)) as backend:
+        with inject_faults(FaultPlan.from_spec(spec)), ProcessBackend() as backend:
             with pytest.raises(ValueError, match="cannot be realised on the process substrate"):
                 backend.sort_blocks(_blocks(n=2_000, p=2))
 

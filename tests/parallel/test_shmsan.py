@@ -13,7 +13,7 @@ import pytest
 from repro.checks.hb import PARENT_RANK
 from repro.core.api import partition_input
 from repro.core.local_backend import local_sample_sort
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, inject_faults
 from repro.parallel import (
     MUTATIONS,
     ProcessBackend,
@@ -63,9 +63,8 @@ class TestCleanRuns:
     def test_sanitized_run_is_bit_identical_and_clean(self):
         _, blocks = _blocks()
         reference = local_sample_sort(blocks)
-        with ProcessBackend(sanitize=True) as backend:
+        with shm_sanitize() as san, ProcessBackend() as backend:
             run = backend.sort_blocks(blocks)
-            san = backend.sanitizer
         _assert_bit_identical(reference, run)
         assert _paths(run) == {"through"}  # sanitized jobs take the word path too
         assert san.report.ok, san.report.summary()
@@ -79,7 +78,7 @@ class TestCleanRuns:
     def test_sanitizer_accumulates_across_sorts(self):
         _, blocks = _blocks(n=4_000)
         san = ShmSan()
-        with ProcessBackend(sanitize=san) as backend:
+        with shm_sanitize(san), ProcessBackend() as backend:
             backend.sort_blocks(blocks)
             backend.sort_blocks(blocks)
         assert san.report.runs == 2
@@ -96,19 +95,11 @@ class TestCleanRuns:
         assert san.report.runs == 1
         assert san.report.ok, san.report.summary()
 
-    def test_sanitize_false_opts_out_of_ambient(self):
-        _, blocks = _blocks(n=4_000)
-        with shm_sanitize() as san:
-            with ProcessBackend(sanitize=False) as backend:
-                backend.sort_blocks(blocks)
-        assert san.report.runs == 0
-        assert san.report.counts["accesses_recorded"] == 0
-
     def test_unsanitized_backend_records_nothing(self):
         _, blocks = _blocks(n=4_000)
         with ProcessBackend() as backend:
             backend.sort_blocks(blocks)
-            assert backend.sanitizer is None
+            assert active_shm_sanitizer() is None
 
 
 class TestMutations:
@@ -120,11 +111,10 @@ class TestMutations:
 
     def test_offset_off_by_one_reports_mismatch_with_coordinates(self):
         _, blocks = _blocks()
-        with ProcessBackend(
-            sanitize=True, mutate="offset-off-by-one", mutate_rank=1
+        with shm_sanitize() as san, ProcessBackend(
+            mutate="offset-off-by-one", mutate_rank=1
         ) as backend:
             backend.sort_blocks(blocks)
-            san = backend.sanitizer
         assert "offset-mismatch" in _kinds(san), san.report.summary()
         mismatches = [
             v for v in san.report.violations if v.kind == "offset-mismatch"
@@ -141,11 +131,10 @@ class TestMutations:
 
     def test_skip_merge_barrier_reports_a_race_with_the_mutant(self):
         _, blocks = _blocks()
-        with ProcessBackend(
-            sanitize=True, mutate="skip-merge-barrier", mutate_rank=2
+        with shm_sanitize() as san, ProcessBackend(
+            mutate="skip-merge-barrier", mutate_rank=2
         ) as backend:
             backend.sort_blocks(blocks)
-            san = backend.sanitizer
         races = [v for v in san.report.violations if v.kind in RACE_KINDS]
         assert races, san.report.summary()
         # The unordered pair always involves the rank that skipped the
@@ -156,11 +145,10 @@ class TestMutations:
 
     def test_read_slot_before_barrier_reports_a_race_on_the_control_slots(self):
         _, blocks = _blocks()
-        with ProcessBackend(
-            sanitize=True, mutate="read-slot-before-barrier", mutate_rank=3
+        with shm_sanitize() as san, ProcessBackend(
+            mutate="read-slot-before-barrier", mutate_rank=3
         ) as backend:
             backend.sort_blocks(blocks)
-            san = backend.sanitizer
         races = [v for v in san.report.violations if v.kind == "read-write-race"]
         assert races, san.report.summary()
         for v in races:
@@ -175,26 +163,25 @@ class TestMutations:
         oracle and adds no finding."""
         _, blocks = _blocks()
         reference = local_sample_sort(blocks)
-        with ProcessBackend(sanitize=True, mutate=mutation, mutate_rank=2) as backend:
+        with shm_sanitize() as san, ProcessBackend(mutate=mutation, mutate_rank=2) as backend:
             backend.sort_blocks(blocks)
             pids = backend.worker_pids
-            found = len(backend.sanitizer.report.violations)
+            found = len(san.report.violations)
             assert found, f"mutation {mutation!r} escaped ShmSan"
             backend._mutate = None
             run = backend.sort_blocks(blocks)
             assert backend.worker_pids == pids
-            assert len(backend.sanitizer.report.violations) == found
+            assert len(san.report.violations) == found
         _assert_bit_identical(reference, run)
 
     @pytest.mark.parametrize("dtype", STAGED_PACKS)
     def test_pack_past_block_reports_a_race_in_the_next_rank_block(self, dtype):
         data = STAGED_PACKS[dtype](np.random.default_rng(7), 20_000)
         blocks = list(partition_input(data, 4)[0])
-        with ProcessBackend(
-            sanitize=True, mutate="pack-past-block", mutate_rank=1
+        with shm_sanitize() as san, ProcessBackend(
+            mutate="pack-past-block", mutate_rank=1
         ) as backend:
             run = backend.sort_blocks(blocks)
-            san = backend.sanitizer
         word_bytes = run.reports[0].bytes_per_key
         assert _paths(run) == {"through"} and word_bytes == (8 if dtype == "int64" else 4)
         races = [v for v in san.report.violations if v.kind in RACE_KINDS]
@@ -210,9 +197,8 @@ class TestMutations:
 
     def test_double_lease_reports_aliasing(self):
         _, blocks = _blocks(n=4_000)
-        with ProcessBackend(sanitize=True, mutate="double-lease") as backend:
+        with shm_sanitize() as san, ProcessBackend(mutate="double-lease") as backend:
             backend.sort_blocks(blocks)
-            san = backend.sanitizer
         aliased = [
             v for v in san.report.violations if v.kind == "overlapping-lease"
         ]
@@ -222,9 +208,8 @@ class TestMutations:
 
     def test_stale_view_reports_use_after_release(self):
         _, blocks = _blocks(n=4_000)
-        with ProcessBackend(sanitize=True, mutate="stale-view") as backend:
+        with shm_sanitize() as san, ProcessBackend(mutate="stale-view") as backend:
             backend.sort_blocks(blocks)
-            san = backend.sanitizer
         stale = [v for v in san.report.violations if v.kind == "stale-view"]
         assert stale, san.report.summary()
         assert stale[0].rank == PARENT_RANK
@@ -232,9 +217,8 @@ class TestMutations:
 
     def test_relet_pinned_reports_the_result_the_job_overwrites(self, tmp_path):
         _, blocks = _blocks(n=4_000)
-        with ProcessBackend(sanitize=True, mutate="relet-pinned") as backend:
+        with shm_sanitize() as san, ProcessBackend(mutate="relet-pinned") as backend:
             held = backend.sort_blocks(blocks)
-            san = backend.sanitizer
             assert san.report.ok, san.report.summary()  # nothing pinned yet
             san.dump_log(tmp_path / "held.json")
             backend.sort_blocks(blocks)
@@ -264,7 +248,7 @@ class TestMutations:
         """Held: later jobs get other bytes.  Dropped: same bytes, clean."""
         _, blocks = _blocks(n=4_000)
         san = ShmSan()
-        with ProcessBackend(sanitize=san) as backend:
+        with shm_sanitize(san), ProcessBackend() as backend:
             held = backend.sort_blocks(blocks)
             backend.sort_blocks(blocks)
             allocations = backend.arena.allocations
@@ -278,10 +262,9 @@ class TestMutations:
     @pytest.mark.parametrize("mutation", MUTATIONS)
     def test_every_mutation_in_the_catalog_is_detected(self, mutation):
         _, blocks = _blocks(n=8_000)
-        with ProcessBackend(sanitize=True, mutate=mutation) as backend:
+        with shm_sanitize() as san, ProcessBackend(mutate=mutation) as backend:
             held = backend.sort_blocks(blocks)  # relet-pinned needs a pin to ignore
             run = backend.sort_blocks(blocks)
-            san = backend.sanitizer
         del held
         # The worker-side mutations act in steps 1, 5 and 6 of the word path.
         assert _paths(run) == {"through"}
@@ -294,7 +277,7 @@ class TestWordPathStreams:
     def _sanitized(self, data, tmp_path, p=4, **kwargs):
         blocks = list(partition_input(data, p)[0])
         san = ShmSan()
-        with ProcessBackend(sanitize=san, **kwargs) as backend:
+        with shm_sanitize(san), ProcessBackend(**kwargs) as backend:
             run = backend.sort_blocks(blocks)
         san.dump_log(tmp_path / "log.json")
         doc = json.loads((tmp_path / "log.json").read_text())
@@ -407,18 +390,13 @@ class TestWordPathStreams:
 class TestCrashedRuns:
     def test_crash_flushes_partial_log_and_notes_it(self):
         _, blocks = _blocks()
-        backend = ProcessBackend(
-            sanitize=True,
-            faults=FaultPlan.from_spec("kill=2@6-merge"),
-            retry=False,
-            timeout_seconds=30.0,
-        )
-        try:
-            with pytest.raises(WorkerCrashedError):
-                backend.sort_blocks(blocks)
-            san = backend.sanitizer
-        finally:
-            backend.close()
+        with (
+            inject_faults(FaultPlan.from_spec("kill=2@6-merge")),
+            shm_sanitize() as san,
+            ProcessBackend(retry=False, timeout_seconds=30.0) as backend,
+            pytest.raises(WorkerCrashedError),
+        ):
+            backend.sort_blocks(blocks)
         partial = [n for n in san.report.notes if n["kind"] == "partial-run"]
         assert len(partial) == 1
         assert partial[0]["crashed_rank"] == 2
@@ -439,7 +417,7 @@ class TestOfflineLog:
     def test_dump_and_reanalyze_round_trip(self, tmp_path):
         _, blocks = _blocks(n=4_000)
         san = ShmSan()
-        with ProcessBackend(sanitize=san) as backend:
+        with shm_sanitize(san), ProcessBackend() as backend:
             backend.sort_blocks(blocks)
         log_path = tmp_path / "shmsan_log.json"
         san.dump_log(log_path)
@@ -453,8 +431,8 @@ class TestOfflineLog:
     def test_mutated_log_reanalyzes_red(self, tmp_path):
         _, blocks = _blocks(n=8_000)
         san = ShmSan()
-        with ProcessBackend(
-            sanitize=san, mutate="offset-off-by-one", mutate_rank=1
+        with shm_sanitize(san), ProcessBackend(
+            mutate="offset-off-by-one", mutate_rank=1
         ) as backend:
             backend.sort_blocks(blocks)
         log_path = tmp_path / "shmsan_log.json"

@@ -28,9 +28,9 @@ from repro.core.packsort import (
 )
 from repro.core.scratch import ScratchArena
 from repro.core.sorter import SortOptions
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, inject_faults
 from repro.obs.context import capture
-from repro.parallel import ProcessBackend, RetryPolicy
+from repro.parallel import ProcessBackend, RetryPolicy, shm_sanitize
 from repro.parallel import backend as backend_module
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -208,10 +208,10 @@ def test_declared_data_path_agrees_everywhere(row, p, tmp_path):
     make_keys, options, label, roles, bytes_per_key = DATA_PATHS[row]
     blocks = list(partition_input(make_keys(np.random.default_rng(13)), p)[0])
     reference = local_sample_sort(blocks, options)
-    with ProcessBackend(sanitize=True) as backend:
+    with shm_sanitize() as san, ProcessBackend() as backend:
         run = backend.sort_blocks(blocks, options=options)
-        assert backend.sanitizer.report.ok, backend.sanitizer.report.summary()
-        backend.sanitizer.dump_log(tmp_path / "log.json")
+        assert san.report.ok, san.report.summary()
+        san.dump_log(tmp_path / "log.json")
     for out, keys, prov in zip(run.outputs, reference.per_processor, reference.provenance):
         assert out.keys.tobytes() == keys.tobytes()
         assert out.provenance.origin_proc.tobytes() == prov.origin_proc.tobytes()
@@ -238,16 +238,16 @@ def _sanitized_stream(jobs, tmp_path):
     """Sort ``jobs`` in order on one sanitized p = 2 pool, each checked
     against the oracle; returns ``(verdict, fingerprint, path)`` per job."""
     seen = []
-    with ProcessBackend(sanitize=True) as backend:
+    with shm_sanitize() as san, ProcessBackend() as backend:
         for number, keys in enumerate(jobs):
             blocks = list(partition_input(keys, 2)[0])
             run = _assert_matches_oracle(backend, blocks)
-            assert backend.sanitizer.report.ok, backend.sanitizer.report.summary()
+            assert san.report.ok, san.report.summary()
             master = run.reports[0]
             seen.append((master.splitter_cache, master.sample_fingerprint, master.local_sort_path))
             # The step-2 refill gathers from the rank's own block of the
             # input, which the step-1 ``input-read`` record already covers.
-            backend.sanitizer.dump_log(tmp_path / f"log{number}.json")
+            san.dump_log(tmp_path / f"log{number}.json")
             log = json.loads((tmp_path / f"log{number}.json").read_text())
             reads = sorted(a[1:3] for a in log["accesses"] if a[7] == "input-read")
             assert [hi - lo for lo, hi in reads] == [b.nbytes for b in blocks]
@@ -404,7 +404,7 @@ def test_a_kill_after_the_in_place_pack_recovers_from_a_restaged_block():
     data = np.random.default_rng(14).integers(0, 1 << 40, 20_000).astype(np.int64)
     blocks = list(partition_input(data, 4)[0])
     retry = RetryPolicy(backoff_seconds=0.001, backoff_cap_seconds=0.01)
-    with ProcessBackend(faults=FaultPlan.from_spec("kill=1@2", seed=7), retry=retry) as backend:
+    with inject_faults(FaultPlan.from_spec("kill=1@2", seed=7)), ProcessBackend(retry=retry) as backend:
         run = _assert_matches_oracle(backend, blocks, ["through"] * 4)
         assert run.retries == 1 and run.survivors is None
         del run

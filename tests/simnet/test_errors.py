@@ -21,8 +21,8 @@ from repro.simnet import (
 from repro.simnet.errors import SimSanError, _diagnose, _spec_word
 
 
-def _run_two(prog0, prog1, sanitizer=None):
-    sim = Simulator(2, sanitizer=sanitizer)
+def _run_two(prog0, prog1):
+    sim = Simulator(2)
     sim.add_process(prog0)
     sim.add_process(prog1)
     sim.run()
@@ -110,8 +110,8 @@ class TestSanitizedDeadlock:
         def starved(proc):
             yield Recv(src=0, tag=7)
 
-        with pytest.raises(DeadlockError):
-            _run_two(idle, starved, sanitizer=san)
+        with sanitize(san), pytest.raises(DeadlockError):
+            _run_two(idle, starved)
         [note] = [n for n in san.report.notes if n["kind"] == "deadlock"]
         assert note["ranks"][1]["waiting_for"]["tag"] == 7
 

@@ -1,6 +1,8 @@
 """The one fault plan: its grammar, its checks, and simnet's engine
 semantics and determinism under it."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,8 @@ from repro.simnet import (
 def make_sim(n=2, plan=None, **net_kwargs):
     defaults = dict(latency=1e-3, per_message_overhead=0.0, bandwidth=1e6)
     defaults.update(net_kwargs)
-    return Simulator(n, NetworkModel(**defaults), faults=plan)
+    with inject_faults(plan) if plan is not None else nullcontext():
+        return Simulator(n, NetworkModel(**defaults))
 
 
 class TestFaultPlan:
@@ -411,7 +414,9 @@ class TestAmbientScope:
         assert make_sim().fault_plan is None
 
     def test_explicit_plan_wins_over_ambient(self):
+        """The one precedence rule is nesting: the innermost scope's plan,
+        the explicit one here, attaches."""
         explicit = FaultPlan(seed=1)
-        with inject_faults(FaultPlan(seed=2)):
-            sim = make_sim(plan=explicit)
+        with inject_faults(FaultPlan(seed=2)), inject_faults(explicit):
+            sim = make_sim()
         assert sim.fault_plan is explicit

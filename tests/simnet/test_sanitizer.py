@@ -13,6 +13,7 @@ from repro.simnet import (
     Simulator,
     sanitize,
 )
+from repro.faults import inject_faults
 from repro.simnet.mpi import mpi_run
 from repro.simnet.sanitizer import active_sanitizer, fingerprint
 
@@ -79,8 +80,8 @@ class TestUseAfterIsend:
         np.testing.assert_array_equal(results[1], np.arange(8))
 
     def test_blocking_send_mutation_flagged_as_send_mutation(self):
-        san = SimSan()
-        sim = Simulator(2, sanitizer=san)
+        with sanitize() as san:
+            sim = Simulator(2)
         shared = np.arange(8)
 
         def sender(proc):
@@ -201,9 +202,11 @@ class TestAmbientScope:
         assert active_sanitizer() is None
 
     def test_explicit_sanitizer_wins_over_ambient(self):
+        """The one precedence rule is nesting: the innermost scope's
+        sanitizer, the explicit one here, attaches."""
         explicit = SimSan()
-        with sanitize():
-            sim = Simulator(1, sanitizer=explicit)
+        with sanitize(), sanitize(explicit):
+            sim = Simulator(1)
         assert sim._sanitizer is explicit
 
     def test_report_aggregates_across_runs(self):
@@ -301,7 +304,8 @@ class TestFaultedMessageLifetimes:
             while (yield Probe(blocking=False)) is not None:
                 yield Recv()
 
-        sim = Simulator(2, sanitizer=san, faults=plan)
+        with sanitize(san), inject_faults(plan):
+            sim = Simulator(2)
         sim.add_process(sender)
         sim.add_process(receiver)
         return sim.run()
@@ -338,8 +342,8 @@ class TestFaultedMessageLifetimes:
             yield Compute(2.0)  # the crash ends the run first
             yield Recv(src=0)
 
-        san = SimSan()
-        sim = Simulator(2, sanitizer=san, faults=FaultPlan.from_spec("kill=0@2-sampling"))
+        with sanitize() as san, inject_faults(FaultPlan.from_spec("kill=0@2-sampling")):
+            sim = Simulator(2)
         sim.add_process(sender)
         sim.add_process(receiver)
         with pytest.raises(RankCrashedError):

@@ -595,6 +595,64 @@ class TestReachability:
         assert not offenders, f"a region-less WorkerLink in src/: {offenders}"
 
 
+class TestObserverScopes:
+    """A fault plan, ShmSan, SimSan and the tracer reach a run one way:
+    their ambient scope (``inject_faults``, ``shm_sanitize``, ``sanitize``,
+    ``repro.obs.capture``).  No substrate takes one as an argument, and
+    each scope is read at a fixed set of sites."""
+
+    OBSERVER_PARAMETERS = {"faults", "sanitize", "sanitizer", "tracer"}
+
+    #: ``(module, enclosing function)`` of every call of each scope lookup.
+    LOOKUP_SITES = {
+        "active_fault_plan": {
+            ("core/retry.py", "run_job"),
+            ("simnet/engine.py", "Simulator.__init__"),
+        },
+        "active_shm_sanitizer": {("parallel/backend.py", "ProcessBackend._run_job")},
+        "active_sanitizer": {("simnet/engine.py", "Simulator.__init__")},
+        "active_capture": {
+            ("parallel/backend.py", "ProcessBackend._run_job"),
+            ("simnet/engine.py", "Simulator.__init__"),
+        },
+    }
+
+    def test_no_substrate_takes_an_observer_argument(self):
+        import inspect
+
+        from repro.core.retry import run_job
+        from repro.parallel.backend import ProcessBackend, SimnetBackend
+        from repro.pgxd.runtime import PgxdRuntime
+        from repro.simnet.engine import Simulator
+
+        offenders = []
+        for target in (Simulator, PgxdRuntime, ProcessBackend, SimnetBackend, run_job):
+            for name, param in inspect.signature(target).parameters.items():
+                if name in self.OBSERVER_PARAMETERS or param.kind is param.VAR_KEYWORD:
+                    offenders.append(f"{target.__name__}({name})")
+        assert not offenders, f"an observer passed by argument, beside its scope: {offenders}"
+
+    def test_each_scope_is_read_at_its_listed_sites(self):
+        import ast
+
+        found = {name: set() for name in self.LOOKUP_SITES}
+
+        def visit(node, relative, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = f"{scope}.{child.name}" if scope else child.name
+                if isinstance(child, ast.Call):
+                    name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                    if name in found:
+                        found[name].add((relative, scope))
+                visit(child, relative, inner)
+
+        for path in _source_files():
+            visit(ast.parse(path.read_text()), path.relative_to(SRC).as_posix(), "")
+        assert found == self.LOOKUP_SITES
+
+
 class TestPackageSurface:
     def test_lazy_top_level_exports(self):
         import repro
