@@ -231,6 +231,22 @@ class TestSplitterCache:
         assert run.splitter_cache == "miss"
         assert stats["misses"] == 1
 
+    def test_forced_fallback_resamples_bit_identically(self):
+        """A recurring dataset whose entry the LRU has evicted falls back to
+        fresh sampling, bit-identical to the oracle."""
+        blocks = _blocks(16_000, 4)
+        reference = local_sample_sort(blocks)
+        with ProcessBackend() as backend:
+            backend.sort_blocks(blocks)
+            for seed in range(backend.splitter_cache.capacity_per_key):
+                backend.sort_blocks(_blocks(16_000, 4, seed=seed))
+            run = backend.sort_blocks(blocks)
+            _assert_bit_identical(reference, run)
+            _assert_bytes_equal_to_oracle(run, blocks)
+            stats = backend.stats["splitter_cache"]
+        assert run.splitter_cache == "miss"
+        assert stats["hits"] == 0
+
 
 class TestCrashRecovery:
     def test_crash_mid_stream_respawns_and_continues(self):
