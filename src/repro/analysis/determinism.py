@@ -18,15 +18,14 @@ which is what licenses performance work on the event loop's hot paths.
 from __future__ import annotations
 
 import hashlib
-from contextlib import nullcontext
 from typing import Any
 
 import numpy as np
 
 from ..core.api import DistributedSorter
+from ..faults import chaos_schedules, inject_faults
 from ..obs.context import capture
 from ..simnet.metrics import ProcessMetrics
-from ..simnet.sanitizer import sanitize
 
 
 def _hex(x: float) -> str:
@@ -76,7 +75,6 @@ def capture_sort_fingerprint(
     seed: int = 20260805,
     *,
     dtype: str = "int64",
-    sanitizer: Any = None,
 ) -> dict[str, Any]:
     """Sort a fixed-seed workload on simnet under an ambient capture; return
     the run's fingerprint.
@@ -86,14 +84,14 @@ def capture_sort_fingerprint(
 
     ``dtype`` picks the data path (:func:`golden_keys`).
 
-    ``sanitizer`` attaches a :class:`~repro.simnet.sanitizer.SimSan` to the
-    run.  The fingerprint shape is unchanged — SimSan must be invisible to
-    simulated behavior, which is exactly what comparing a sanitized capture
-    against the committed golden fingerprint proves.
+    Observers attach as they do to any run, by their ambient scopes: under
+    :func:`repro.simnet.sanitizer.sanitize` the fingerprint must not change
+    (SimSan is invisible to simulated behavior), and under
+    :func:`repro.faults.inject_faults` it is the run the job returned.
     """
     data = golden_keys(n_keys, seed, dtype)
     sorter = DistributedSorter(num_processors=num_ranks, backend="simnet")
-    with capture() as cap, nullcontext() if sanitizer is None else sanitize(sanitizer):
+    with capture() as cap:
         result = sorter.sort(data)
     tracer = cap.sessions[-1].tracer
     metrics = result.metrics
@@ -130,6 +128,23 @@ def capture_sort_fingerprint(
         "output_provenance_sha256": _digest(prov),
         "output_sizes": [int(len(k)) for k in keys],
     }
+
+
+#: The fault golden's workload: small enough that every chaos schedule
+#: replays in well under a second.
+FAULT_WORKLOAD = {"num_ranks": 8, "n_keys": 4_000, "seed": 20260805}
+
+
+def capture_fault_fingerprints() -> dict[str, dict[str, Any]]:
+    """One fingerprint of the :data:`FAULT_WORKLOAD` sort per
+    :func:`repro.faults.chaos_schedules` plan, each run under that plan's
+    scope: drops, delays, degraded links and slow nodes show in the virtual
+    times, kills in the retried or degraded run the job returned."""
+    fingerprints = {}
+    for name, plan in chaos_schedules():
+        with inject_faults(plan):
+            fingerprints[name] = capture_sort_fingerprint(**FAULT_WORKLOAD)
+    return fingerprints
 
 
 if __name__ == "__main__":  # pragma: no cover - golden re-capture CLI

@@ -11,13 +11,18 @@ Execution is fully deterministic: ties in the event queue are broken by a
 monotonically increasing sequence number, and no wall-clock or OS scheduling
 enters any simulated path.
 
-Engine internals are engineered for event throughput, since every paper
-experiment is bottlenecked on this loop:
+The engine is a scheduler and a set of call handlers:
 
-* events are slotted records ``(time, seq, kind, rank, arg)`` interpreted by
-  a tight loop in :meth:`Simulator.run` — no per-event closure allocation;
-* yielded calls dispatch through a type-keyed handler table instead of an
-  isinstance chain;
+* events are slotted records ``(time, seq, kind, rank, arg)``; the
+  scheduler (:meth:`Simulator._loop`) pops the earliest one and hands it to
+  one method per kind — step a rank's generator, deliver a message, crash a
+  rank — with no per-event closure allocation;
+* a step interprets each yielded call through one handler per call class,
+  looked up by exact class in ``_CALL_HANDLERS``;
+* ``Send`` and ``Isend`` share one message path (:meth:`Simulator._post`),
+  and ``Isend`` and ``Compute`` one resume rule
+  (:meth:`Simulator._resume_at`): a strictly-earliest wake-up steps on
+  inline, ties queue;
 * each rank's mailbox is indexed by ``(src, tag)`` channel plus per-source,
   per-tag, and arrival-order views, making every match shape — exact,
   ``ANY_SOURCE``, ``ANY_TAG``, or both wildcards — amortized O(1);
@@ -32,9 +37,9 @@ determinism test in ``tests/integration/test_golden_determinism.py``).
 from __future__ import annotations
 
 import gc
-import heapq
 import itertools
 from collections import deque
+from heapq import heappop, heappush
 from types import GeneratorType
 from dataclasses import dataclass, field
 from enum import Enum, auto
@@ -84,6 +89,11 @@ class _Status(Enum):
     BLOCKED_RECV = auto()
     BLOCKED_BARRIER = auto()
     DONE = auto()
+
+
+#: The members by module name: looking one up on the class
+#: (``_Status.DONE``) costs the time of several events' worth of work.
+_READY, _WAITING, _BLOCKED_RECV, _BLOCKED_BARRIER, _DONE = _Status
 
 
 @dataclass
@@ -227,6 +237,7 @@ class _Mailbox:
 class _ProcState:
     handle: ProcessHandle
     gen: Generator
+    metrics: ProcessMetrics = field(init=False)
     status: _Status = _Status.READY
     #: Suspended parent generators of trampolined sub-programs: a program
     #: may ``yield`` a generator instead of ``yield from``-ing it; the
@@ -242,6 +253,9 @@ class _ProcState:
     blocked_since: float = 0.0
     barrier_seq: int = 0
     result: Any = None
+
+    def __post_init__(self) -> None:
+        self.metrics = self.handle.metrics
 
 
 #: A call handler: ``fn(simulator, rank, state, call)`` returns the value the
@@ -259,6 +273,12 @@ class Simulator:
     network:
         Timing model for the interconnect; defaults to the paper's FDR
         InfiniBand parameters.
+
+    :meth:`run` is a scheduler and a set of handlers.  The scheduler pops
+    the earliest event and hands it to one method per event kind: step a
+    rank's generator, deliver a message, or crash a rank.  A step
+    interprets what the generator yields through ``_CALL_HANDLERS``, one
+    handler per call class, matched by exact class.
 
     Observers attach through their ambient scopes, read once, here:
 
@@ -301,9 +321,8 @@ class Simulator:
             self.fabric.tracer = tracer
         self._sanitizer = active_sanitizer()
         faults = active_fault_plan()
-        self.fault_plan = faults
         #: Per-run FaultState, or None — the single object every fault
-        #: guard in the run loop tests.
+        #: guard of the run tests.
         self._faults = faults.begin_run(num_ranks) if faults is not None else None
         if self._faults is not None:
             self.fabric.faults = self._faults
@@ -315,15 +334,10 @@ class Simulator:
         self._seq = itertools.count()
         self._now = 0.0
         self._barriers: dict[int, list[int]] = {}
-        #: Events interpreted by the last :meth:`run` (perf instrumentation).
+        #: Events interpreted by the last :meth:`run` (perf instrumentation);
+        #: a rank stepping on inline past a wait counts as its wake-up event.
         self.events_processed = 0
         self._ran = False
-        #: Per-instance copy of :attr:`_CALL_HANDLERS`, so subclass lookups
-        #: cached by :meth:`_resolve_handler` stay with this simulator.
-        #: Plain functions, never bound methods: a table of ``self.<method>``
-        #: is a reference cycle, which would keep every finished run (and
-        #: its result arrays) alive until a cyclic collection.
-        self._handlers: dict[type, _Handler] = dict(self._CALL_HANDLERS)
 
     # ------------------------------------------------------------------ API
 
@@ -371,46 +385,11 @@ class Simulator:
                 f"{len(self._procs)} programs registered for {self.num_ranks} ranks"
             )
         self._ran = True
-        fstate = self._faults
         for rank in sorted(self._procs):
             self._schedule_step(0.0, rank, None)
-        # Tight interpreter: pop the globally next event from the heap or the
-        # monotone Isend due-queue, then act on its kind slot.  The step and
-        # deliver interpreters are inlined here so every run-invariant binding
-        # (queues, heap ops, fabric, handler table, status constants) is
-        # resolved once per run instead of once per event; with ~2 events per
-        # simulated message that preamble would otherwise dominate.
-        events = self._events
-        due = self._due
-        due_append = due.append
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        procs = [self._procs[r] for r in range(self.num_ranks)]
-        nx = self._seq.__next__
-        transfer = self.fabric.transfer
-        # Model parameters are fixed at construction time (tests configure
-        # NetworkModel, then build the Simulator), so the constant per-send
-        # overhead can be read once.
-        overhead = self.network.per_message_overhead
-        handlers = self._handlers
-        handlers_get = handlers.get
-        # Structured tracer, or None: every recording site below is guarded
-        # by one `is not None` test on this local, so the disabled path
-        # stays on the fast path.
-        tracer = self._tracer
-        # SimSan, or None: same single-guard discipline.  Hooks observe
-        # messages only (fingerprints, channel counters) — they never feed
-        # back into times or ordering, so sanitized runs stay bit-identical.
-        sanitizer = self._sanitizer
-        if sanitizer is not None:
-            sanitizer.begin_run(self)
-        num_ranks = self.num_ranks
-        READY = _Status.READY
-        WAITING = _Status.WAITING
-        DONE = _Status.DONE
-        BLOCKED_RECV = _Status.BLOCKED_RECV
-        processed = 0
-        # The loop allocates short-lived tracked objects (heap tuples, call
+        if self._sanitizer is not None:
+            self._sanitizer.begin_run(self)
+        # The run allocates short-lived tracked objects (heap tuples, call
         # and Message dataclasses) at event rate; with the default gen-0
         # threshold that is a cyclic-GC pass every few hundred events over
         # objects that die by refcount anyway.  Pause collection for the
@@ -419,299 +398,14 @@ class Simulator:
         if gc_was_enabled:
             gc.disable()
         try:
-            return self._run_events(
-                events,
-                due,
-                due_append,
-                heappop,
-                heappush,
-                procs,
-                nx,
-                transfer,
-                overhead,
-                handlers_get,
-                tracer,
-                sanitizer,
-                num_ranks,
-                READY,
-                WAITING,
-                DONE,
-                BLOCKED_RECV,
-                processed,
-                fstate,
-            )
+            return self._finish(self._loop())
         finally:
             if gc_was_enabled:
                 gc.enable()
 
-    def _run_events(
-        self,
-        events,
-        due,
-        due_append,
-        heappop,
-        heappush,
-        procs,
-        nx,
-        transfer,
-        overhead,
-        handlers_get,
-        tracer,
-        sanitizer,
-        num_ranks,
-        READY,
-        WAITING,
-        DONE,
-        BLOCKED_RECV,
-        processed,
-        fstate,
-    ) -> ClusterMetrics:
-        crashed = None
-        while events or due:
-            if due and (not events or due[0] < events[0]):
-                event = due.popleft()
-            else:
-                event = heappop(events)
-            now = event[0]
-            self._now = now
-            processed += 1
-            if event[2] == _EV_STEP:
-                # ---- step: advance one rank's generator until it blocks.
-                rank = event[3]
-                value = event[4]
-                state = procs[rank]
-                if state.status is DONE:
-                    continue  # a finished rank has nothing to resume
-                state.status = READY
-                gen = state.gen
-                send = gen.send
-                metrics = state.handle.metrics
-                mailbox = state.mailbox
-                pending_exc: BaseException | None = None
-                while True:
-                    try:
-                        if pending_exc is not None:
-                            call = gen.throw(pending_exc)
-                            pending_exc = None
-                        else:
-                            call = send(value)
-                    except StopIteration as stop:
-                        if state.stack:
-                            # A trampolined sub-program finished: resume the
-                            # suspended parent with its return value, exactly
-                            # as ``yield from`` would.
-                            gen = state.stack.pop()
-                            state.gen = gen
-                            send = gen.send
-                            value = stop.value
-                            continue
-                        state.status = DONE
-                        state.result = stop.value
-                        metrics.finished_at = now
-                        break
-                    except DeadlockError:
-                        raise
-                    except Exception as exc:  # surfaces program bugs w/ rank
-                        if state.stack:
-                            # Unwind through suspended trampoline parents —
-                            # the exception is thrown into the parent at its
-                            # yield site, matching ``yield from`` propagation.
-                            gen = state.stack.pop()
-                            state.gen = gen
-                            send = gen.send
-                            pending_exc = exc
-                            continue
-                        state.status = DONE
-                        raise ProcessFailure(rank, exc) from exc
-                    cls = call.__class__
-                    try:
-                        if cls is Isend:
-                            dst = call.dst
-                            if not 0 <= dst < num_ranks:
-                                raise UnknownRankError(
-                                    f"rank {rank} sent to invalid rank {dst}"
-                                )
-                            nbytes = call.nbytes
-                            _, delivered = transfer(rank, dst, nbytes, now)
-                            msg = Message(
-                                rank, dst, call.tag, nbytes, call.payload, now
-                            )
-                            metrics.messages_sent += 1
-                            metrics.bytes_sent += nbytes
-                            if tracer is not None:
-                                tracer.flow(
-                                    rank, dst, call.tag, nbytes, now, delivered
-                                )
-                                tracer.span(rank, now, overhead, "send")
-                            if sanitizer is not None:
-                                sanitizer.on_send(msg, nonblocking=True)
-                            if fstate is None or dst == rank:
-                                heappush(
-                                    events, (delivered, nx(), _EV_DELIVER, dst, msg)
-                                )
-                            else:
-                                self._deliver_under_faults(msg, delivered)
-                            metrics.send_seconds += overhead
-                            if overhead > 0.0:
-                                # Inline resume: if this rank's wake-up
-                                # strictly precedes every queued event, the
-                                # queued copy would be the very next pop —
-                                # skip the round-trip and keep stepping.
-                                # Ties must queue: an equal-time event
-                                # already queued carries a smaller sequence
-                                # number and pops first.
-                                t = now + overhead
-                                if (not events or t < events[0][0]) and (
-                                    not due or t < due[0][0]
-                                ):
-                                    now = t
-                                    self._now = t
-                                    processed += 1
-                                    value = None
-                                    continue
-                                due_append((t, nx(), _EV_STEP, rank, None))
-                                state.status = WAITING
-                                break
-                            value = None
-                            continue
-                        if cls is Recv:
-                            msg = mailbox.match(call.src, call.tag)
-                            if msg is not None:
-                                metrics.messages_received += 1
-                                metrics.bytes_received += msg.nbytes
-                                value = msg
-                                continue
-                            state.status = BLOCKED_RECV
-                            state.recv_spec = call
-                            state.probe_only = False
-                            state.blocked_since = now
-                            break
-                        if cls is Compute:
-                            seconds = call.seconds
-                            if fstate is not None:
-                                seconds *= fstate.slow_mult[rank]
-                            metrics.record_compute(seconds, call.label)
-                            if tracer is not None:
-                                tracer.span(
-                                    rank,
-                                    now,
-                                    seconds,
-                                    "compute",
-                                    call.label or "",
-                                )
-                            # Same inline-resume rule as the Isend overhead
-                            # wait above: strictly-earliest wake-ups skip
-                            # the heap; ties queue to preserve pop order.
-                            t = now + seconds
-                            if (not events or t < events[0][0]) and (
-                                not due or t < due[0][0]
-                            ):
-                                now = t
-                                self._now = t
-                                processed += 1
-                                value = None
-                                continue
-                            heappush(events, (t, nx(), _EV_STEP, rank, None))
-                            state.status = WAITING
-                            break
-                        if cls is GeneratorType:
-                            # Trampoline: the program yielded a sub-program
-                            # generator.  Drive the child directly — its
-                            # StopIteration value resumes the parent above —
-                            # instead of paying a ``yield from`` delegation
-                            # frame on every resume.  No event is scheduled,
-                            # so virtual time and pop order are untouched.
-                            state.stack.append(gen)
-                            gen = call
-                            state.gen = gen
-                            send = gen.send
-                            value = None
-                            continue
-                        handler = handlers_get(cls)
-                        if handler is None:
-                            handler = self._resolve_handler(rank, call)
-                        value = handler(self, rank, state, call)
-                    except Exception as exc:  # repro: noqa[R006] — not swallowed: re-thrown into the program at its yield site below
-                        # Errors in a call (bad rank, over-free, ...) are
-                        # raised at the program's yield site so programs may
-                        # handle them.
-                        pending_exc = exc
-                        continue
-                    if value is _BLOCKED:
-                        break
-            elif event[2] == _EV_DELIVER:
-                # ---- deliver: place an arriving message; wake the rank if
-                # it matches.  A rank blocked in Recv/Probe implies its
-                # mailbox held no matching message when it blocked (and every
-                # later match would have woken it), so only the *arriving*
-                # message needs testing against the blocked spec — no scan.
-                msg = event[4]
-                msg.delivered_at = now
-                state = procs[msg.dst]
-                if tracer is not None:
-                    tracer.delivered(msg.dst, now, msg.nbytes)
-                if sanitizer is not None:
-                    sanitizer.on_deliver(msg)
-                if state.status is BLOCKED_RECV:
-                    spec = state.recv_spec
-                    if (spec.src == ANY_SOURCE or spec.src == msg.src) and (
-                        spec.tag == ANY_TAG or spec.tag == msg.tag
-                    ):
-                        metrics = state.handle.metrics
-                        metrics.recv_wait_seconds += now - state.blocked_since
-                        if tracer is not None:
-                            tracer.span(
-                                msg.dst,
-                                state.blocked_since,
-                                now - state.blocked_since,
-                                "recv-wait",
-                            )
-                        if state.probe_only:
-                            # The probed message stays for a later Recv.
-                            state.mailbox.push(msg)
-                        else:
-                            metrics.messages_received += 1
-                            metrics.bytes_received += msg.nbytes
-                        state.recv_spec = None
-                        state.probe_only = False
-                        state.status = WAITING
-                        heappush(events, (now, nx(), _EV_STEP, msg.dst, msg))
-                        continue
-                state.mailbox.push(msg)
-            elif procs[event[3]].status is not DONE:
-                # ---- crash: the rank fail-stops, and the run ends with it:
-                # on a reliable transport its peers would wait on it forever.
-                crashed = event[3]
-                break
-        self.events_processed = processed
-        blocked = {
-            r: st.status.name for r, st in self._procs.items() if st.status is not DONE
-        }
-        if crashed is not None:
-            error = self._crash(crashed)
-        elif blocked:
-            error = DeadlockError(blocked, details=self._deadlock_details())
-        else:
-            error = None
-        if tracer is not None:
-            tracer.finish(self._now)
-        if sanitizer is not None:
-            leftovers = {
-                r: list(st.mailbox.live_messages())
-                for r, st in sorted(self._procs.items())
-                if len(st.mailbox)
-            }
-            if error is None:
-                sanitizer.finish_run(self, leftovers)
-            else:
-                sanitizer.abort_run(leftovers, error.details)
-        if error is not None:
-            raise error
-        return self.metrics()
-
     def metrics(self) -> ClusterMetrics:
         """Snapshot of cluster metrics (valid after :meth:`run`)."""
-        procs = [self._procs[r].handle.metrics for r in sorted(self._procs)]
+        procs = [self._procs[r].metrics for r in sorted(self._procs)]
         return ClusterMetrics(
             processes=procs,
             makespan=self._now,
@@ -728,15 +422,211 @@ class Simulator:
         """Return values of all programs, ordered by rank."""
         return [self._procs[r].result for r in sorted(self._procs)]
 
-    # ------------------------------------------------------------- internals
+    # ------------------------------------------------------------ scheduler
+
+    def _loop(self) -> int | None:
+        """Pop events in ``(time, seq)`` order, from the heap or the Isend
+        due-queue, and hand each to its kind's method until none is left.
+        Returns the rank whose planned crash ended the run, else None."""
+        events = self._events
+        due = self._due
+        procs = self._procs
+        step = self._step
+        deliver = self._deliver
+        processed = 0
+        try:
+            while events or due:
+                if due and (not events or due[0] < events[0]):
+                    event = due.popleft()
+                else:
+                    event = heappop(events)
+                self._now = event[0]
+                processed += 1
+                kind = event[2]
+                if kind == _EV_STEP:
+                    step(event[3], event[4])
+                elif kind == _EV_DELIVER:
+                    deliver(event[4])
+                elif procs[event[3]].status is not _DONE:
+                    # A crash: the rank fail-stops, and the run ends with it:
+                    # on a reliable transport its peers would wait on it
+                    # forever.
+                    return event[3]
+            return None
+        finally:
+            self.events_processed += processed
+
+    def _step(self, rank: int, value: Any) -> None:
+        """Resume ``rank``'s generator with ``value`` and interpret what it
+        yields until it blocks or finishes."""
+        state = self._procs[rank]
+        if state.status is _DONE:
+            return  # a finished rank has nothing to resume
+        state.status = _READY
+        gen = state.gen
+        send = gen.send
+        thrown: BaseException | None = None
+        while True:
+            try:
+                if thrown is None:
+                    call = send(value)
+                else:
+                    error, thrown = thrown, None
+                    call = gen.throw(error)
+            except StopIteration as stop:
+                if state.stack:
+                    # A trampolined sub-program finished: resume the
+                    # suspended parent with its return value, exactly as
+                    # ``yield from`` would.
+                    gen = state.gen = state.stack.pop()
+                    send = gen.send
+                    value = stop.value
+                    continue
+                state.status = _DONE
+                state.result = stop.value
+                state.metrics.finished_at = self._now
+                return
+            except DeadlockError:
+                raise
+            except Exception as exc:  # surfaces program bugs w/ rank
+                if state.stack:
+                    # Unwind through suspended trampoline parents: the
+                    # exception is thrown into the parent at its yield
+                    # site, matching ``yield from`` propagation.
+                    gen = state.gen = state.stack.pop()
+                    send = gen.send
+                    thrown = exc
+                    continue
+                state.status = _DONE
+                raise ProcessFailure(rank, exc) from exc
+            cls = call.__class__
+            if cls is GeneratorType:
+                # Trampoline: the program yielded a sub-program generator.
+                # Drive the child directly — its StopIteration value resumes
+                # the parent above — instead of paying a ``yield from``
+                # delegation frame on every resume.  No event is scheduled,
+                # so virtual time and pop order are untouched.
+                state.stack.append(gen)
+                gen = state.gen = call
+                send = gen.send
+                value = None
+                continue
+            handler = _CALL_HANDLERS.get(cls)
+            try:
+                if handler is None:
+                    raise _uninterpretable(rank, call)
+                value = handler(self, rank, state, call)
+            except Exception as exc:  # repro: noqa[R006] — not swallowed: re-thrown into the program at its yield site above
+                # Errors in a call (bad rank, over-free, ...) are raised at
+                # the program's yield site so programs may handle them.
+                thrown = exc
+                continue
+            if value is _BLOCKED:
+                return
+
+    def _deliver(self, msg: Message) -> None:
+        """Place an arriving message; wake its rank if it matches.
+
+        A rank blocked in Recv/Probe implies its mailbox held no matching
+        message when it blocked (and every later match would have woken
+        it), so only the *arriving* message needs testing against the
+        blocked spec — no scan.
+        """
+        now = self._now
+        msg.delivered_at = now
+        dst = msg.dst
+        state = self._procs[dst]
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.delivered(dst, now, msg.nbytes)
+        if self._sanitizer is not None:
+            self._sanitizer.on_deliver(msg)
+        spec = state.recv_spec
+        if (
+            state.status is _BLOCKED_RECV
+            and (spec.src == ANY_SOURCE or spec.src == msg.src)
+            and (spec.tag == ANY_TAG or spec.tag == msg.tag)
+        ):
+            metrics = state.metrics
+            metrics.recv_wait_seconds += now - state.blocked_since
+            if tracer is not None:
+                tracer.span(dst, state.blocked_since, now - state.blocked_since, "recv-wait")
+            if state.probe_only:
+                state.mailbox.push(msg)  # the probed message stays for a later Recv
+            else:
+                metrics.record_receive(msg.nbytes)
+            state.recv_spec = None
+            state.probe_only = False
+            state.status = _WAITING
+            heappush(self._events, (now, next(self._seq), _EV_STEP, dst, msg))
+            return
+        state.mailbox.push(msg)
+
+    def _finish(self, crashed: int | None) -> ClusterMetrics:
+        """End the run: tell the tracer and the sanitizer how it ended, then
+        raise the crash or deadlock that ended it, or return its metrics."""
+        blocked = {
+            r: st.status.name for r, st in self._procs.items() if st.status is not _DONE
+        }
+        if crashed is not None:
+            error = self._crash(crashed)
+        elif blocked:
+            error = DeadlockError(blocked, details=self._deadlock_details())
+        else:
+            error = None
+        if self._tracer is not None:
+            self._tracer.finish(self._now)
+        sanitizer = self._sanitizer
+        if sanitizer is not None:
+            leftovers = {
+                r: list(st.mailbox.live_messages())
+                for r, st in sorted(self._procs.items())
+                if len(st.mailbox)
+            }
+            if error is None:
+                sanitizer.finish_run(self, leftovers)
+            else:
+                sanitizer.abort_run(leftovers, error.details)
+        if error is not None:
+            raise error
+        return self.metrics()
 
     def _schedule_step(self, time: float, rank: int, value: Any) -> None:
-        heapq.heappush(self._events, (time, next(self._seq), _EV_STEP, rank, value))
+        heappush(self._events, (time, next(self._seq), _EV_STEP, rank, value))
+
+    def _resume_at(self, rank: int, state: _ProcState, t: float, queue: "deque | list") -> Any:
+        """Wake ``rank`` at ``t``, when the call it is busy with ends.
+
+        If ``t`` strictly precedes every queued event, the queued wake-up
+        would be the very next pop: skip the round trip, move the clock and
+        let the rank step on (returns None, its call's result).  Ties must
+        queue: an equal-time event already queued carries a smaller sequence
+        number and pops first.  ``queue`` is the Isend due-queue, whose
+        times are monotone, or the heap.
+        """
+        events = self._events
+        due = self._due
+        if (not events or t < events[0][0]) and (not due or t < due[0][0]):
+            self._now = t
+            self.events_processed += 1
+            return None
+        event = (t, next(self._seq), _EV_STEP, rank, None)
+        if queue is due:
+            due.append(event)
+        else:
+            heappush(events, event)
+        state.status = _WAITING
+        return _BLOCKED
+
+    def _block(self, state: _ProcState, status: _Status) -> Any:
+        state.status = status
+        state.blocked_since = self._now
+        return _BLOCKED
 
     def _crash(self, rank: int) -> RankCrashedError:
         """Fail-stop ``rank`` now (fault injection): its error ends the run."""
         now = self._now
-        metrics = self._procs[rank].handle.metrics
+        metrics = self._procs[rank].metrics
         metrics.crashed = True
         metrics.finished_at = now
         if self._tracer is not None:
@@ -753,130 +643,46 @@ class Simulator:
         """
         details: dict[int, dict[str, Any]] = {}
         for rank, state in sorted(self._procs.items()):
-            if state.status is _Status.DONE:
+            if state.status is _DONE:
                 continue
             entry: dict[str, Any] = {
                 "status": state.status.name,
                 "blocked_since": state.blocked_since,
                 "mailbox_messages": len(state.mailbox),
             }
-            if state.status is _Status.BLOCKED_RECV and state.recv_spec is not None:
+            if state.status is _BLOCKED_RECV and state.recv_spec is not None:
                 entry["waiting_for"] = {
                     "src": state.recv_spec.src,
                     "tag": state.recv_spec.tag,
                     "probe": state.probe_only,
                 }
-            elif state.status is _Status.BLOCKED_BARRIER:
+            elif state.status is _BLOCKED_BARRIER:
                 entry["waiting_for"] = {"barrier_seq": state.barrier_seq - 1}
             details[rank] = entry
         return details
 
-    def _resolve_handler(self, rank: int, call: Any) -> _Handler:
-        """Slow path: find (and cache) the handler for a call subclass."""
-        for base in type(call).__mro__:
-            if base in (Isend, Recv, Compute):
-                # Interpreted inline by exact class; resolving on would run
-                # an Isend subclass through the *blocking* Send handler.
-                raise InvalidCallError(
-                    f"rank {rank} yielded {call!r}: {base.__name__} is interpreted "
-                    "inline and cannot be subclassed"
-                )
-            handler = self._handlers.get(base)
-            if handler is not None:
-                self._handlers[type(call)] = handler
-                return handler
-        raise InvalidCallError(f"rank {rank} yielded uninterpretable object {call!r}")
-
-    # ------------------------------------------------------- call handlers
-
-    def _do_send(self, rank: int, state: _ProcState, call: Send) -> Any:
-        sender_done = self._inject(rank, call)
-        state.handle.metrics.send_seconds += sender_done - self._now
-        if self._tracer is not None:
-            self._tracer.span(rank, self._now, sender_done - self._now, "send")
-        self._schedule_step(sender_done, rank, None)
-        state.status = _Status.WAITING
-        return _BLOCKED
-
-    def _do_probe(self, rank: int, state: _ProcState, call: Probe) -> Any:
-        msg = state.mailbox.match(call.src, call.tag, consume=False)
-        if msg is not None or not call.blocking:
-            return msg
-        state.status = _Status.BLOCKED_RECV
-        state.recv_spec = Recv(src=call.src, tag=call.tag)
-        state.probe_only = True
-        state.blocked_since = self._now
-        return _BLOCKED
-
-    def _do_sleep(self, rank: int, state: _ProcState, call: Sleep) -> Any:
-        self._schedule_step(self._now + call.seconds, rank, None)
-        state.status = _Status.WAITING
-        return _BLOCKED
-
-    def _do_now(self, rank: int, state: _ProcState, call: Now) -> Any:
-        return self._now
-
-    def _do_alloc(self, rank: int, state: _ProcState, call: Alloc) -> Any:
-        memory = state.handle.metrics.memory
-        memory.alloc(call.nbytes, temporary=call.temporary)
-        if self._tracer is not None:
-            self._sample_memory(rank, memory)
-        return None
-
-    def _do_free(self, rank: int, state: _ProcState, call: Free) -> Any:
-        memory = state.handle.metrics.memory
-        memory.free(call.nbytes, temporary=call.temporary)
-        if self._tracer is not None:
-            self._sample_memory(rank, memory)
-        return None
-
-    def _do_mark(self, rank: int, state: _ProcState, call: Mark) -> Any:
-        # Tracer annotation: no virtual time, no metrics — with no tracer and no fault plan this is a no-op, so
-        # marked programs are bit-identical to unmarked ones.
-        if self._tracer is not None:
-            self._tracer.mark(rank, self._now, call.label, call.event)
-        if self._faults is not None and self._faults.kill_at.get(rank) == call.label and call.event == "begin":
-            # A planned kill: the rank fail-stops as it opens the step, and
-            # the crash event ends the run once this instant's events ran.
-            state.status = _Status.WAITING
-            heapq.heappush(self._events, (self._now, next(self._seq), _EV_CRASH, rank, None))
-            return _BLOCKED
-        return None
-
-    def _sample_memory(self, rank: int, memory: Any) -> None:
-        tracer = self._tracer
-        now = self._now
-        tracer.counter(rank, now, "mem.resident", float(memory.resident))
-        tracer.counter(rank, now, "mem.temporary", float(memory.temporary))
-
     # ----------------------------------------------------------- messaging
 
-    def _inject(self, rank: int, call: Send) -> float:
-        """Hand a blocking send's message to the fabric; returns sender-done
-        time."""
-        if not 0 <= call.dst < self.num_ranks:
-            raise UnknownRankError(f"rank {rank} sent to invalid rank {call.dst}")
+    def _post(self, rank: int, state: _ProcState, call: Send) -> float:
+        """The one message path of ``Send`` and ``Isend``: hand ``call``'s
+        message to the fabric, count and record it, and queue its delivery.
+        Returns the time the sender's NIC is done with it."""
+        dst = call.dst
+        if not 0 <= dst < self.num_ranks:
+            raise UnknownRankError(f"rank {rank} sent to invalid rank {dst}")
         now = self._now
-        sender_done, delivered = self.fabric.transfer(rank, call.dst, call.nbytes, now)
-        msg = Message(
-            src=rank,
-            dst=call.dst,
-            tag=call.tag,
-            nbytes=call.nbytes,
-            payload=call.payload,
-            sent_at=now,
-        )
-        metrics = self._procs[rank].handle.metrics
+        nbytes = call.nbytes
+        sender_done, delivered = self.fabric.transfer(rank, dst, nbytes, now)
+        msg = Message(rank, dst, call.tag, nbytes, call.payload, now)
+        metrics = state.metrics
         metrics.messages_sent += 1
-        metrics.bytes_sent += call.nbytes
+        metrics.bytes_sent += nbytes
         if self._tracer is not None:
-            self._tracer.flow(rank, call.dst, call.tag, call.nbytes, now, delivered)
+            self._tracer.flow(rank, dst, call.tag, nbytes, now, delivered)
         if self._sanitizer is not None:
-            self._sanitizer.on_send(msg, nonblocking=False)
-        if self._faults is None or call.dst == rank:
-            heapq.heappush(
-                self._events, (delivered, next(self._seq), _EV_DELIVER, call.dst, msg)
-            )
+            self._sanitizer.on_send(msg, nonblocking=call.__class__ is Isend)
+        if self._faults is None or dst == rank:
+            heappush(self._events, (delivered, next(self._seq), _EV_DELIVER, dst, msg))
         else:
             self._deliver_under_faults(msg, delivered)
         return sender_done
@@ -890,7 +696,7 @@ class Simulator:
         tracer = self._tracer
         drops, arrival = self._faults.fate(src, dst, delivered)
         if drops:
-            metrics = self._procs[src].handle.metrics
+            metrics = self._procs[src].metrics
             metrics.messages_dropped += drops
             metrics.retries += min(drops, MAX_RETRANSMITS)
             if tracer is not None:
@@ -899,9 +705,100 @@ class Simulator:
             if self._sanitizer is not None:
                 self._sanitizer.on_drop(msg)
             return
-        heapq.heappush(self._events, (arrival, next(self._seq), _EV_DELIVER, dst, msg))
+        heappush(self._events, (arrival, next(self._seq), _EV_DELIVER, dst, msg))
         if arrival > delivered and tracer is not None:
             tracer.fault(src, now, "delay", src=src, dst=dst, detail=f"+{arrival - delivered:.2e}s")
+
+    # ------------------------------------------------------- call handlers
+
+    def _do_isend(self, rank: int, state: _ProcState, call: Isend) -> Any:
+        overhead = self.network.per_message_overhead
+        if self._tracer is not None:
+            # Before the post: a message the fault plan drops or delays
+            # leaves its markers after the sender's span.
+            self._tracer.span(rank, self._now, overhead, "send")
+        self._post(rank, state, call)
+        state.metrics.send_seconds += overhead
+        if overhead > 0.0:
+            return self._resume_at(rank, state, self._now + overhead, self._due)
+        return None
+
+    def _do_send(self, rank: int, state: _ProcState, call: Send) -> Any:
+        now = self._now
+        sender_done = self._post(rank, state, call)
+        state.metrics.send_seconds += sender_done - now
+        if self._tracer is not None:
+            self._tracer.span(rank, now, sender_done - now, "send")
+        self._schedule_step(sender_done, rank, None)
+        state.status = _WAITING
+        return _BLOCKED
+
+    def _do_recv(self, rank: int, state: _ProcState, call: Recv) -> Any:
+        msg = state.mailbox.match(call.src, call.tag)
+        if msg is not None:
+            state.metrics.record_receive(msg.nbytes)
+            return msg
+        state.recv_spec = call
+        state.probe_only = False
+        return self._block(state, _BLOCKED_RECV)
+
+    def _do_probe(self, rank: int, state: _ProcState, call: Probe) -> Any:
+        msg = state.mailbox.match(call.src, call.tag, consume=False)
+        if msg is not None or not call.blocking:
+            return msg
+        state.recv_spec = Recv(src=call.src, tag=call.tag)
+        state.probe_only = True
+        return self._block(state, _BLOCKED_RECV)
+
+    def _do_compute(self, rank: int, state: _ProcState, call: Compute) -> Any:
+        seconds = call.seconds
+        if self._faults is not None:
+            seconds *= self._faults.slow_mult[rank]
+        state.metrics.record_compute(seconds, call.label)
+        if self._tracer is not None:
+            self._tracer.span(rank, self._now, seconds, "compute", call.label or "")
+        return self._resume_at(rank, state, self._now + seconds, self._events)
+
+    def _do_sleep(self, rank: int, state: _ProcState, call: Sleep) -> Any:
+        self._schedule_step(self._now + call.seconds, rank, None)
+        state.status = _WAITING
+        return _BLOCKED
+
+    def _do_now(self, rank: int, state: _ProcState, call: Now) -> Any:
+        return self._now
+
+    def _do_alloc(self, rank: int, state: _ProcState, call: Alloc) -> Any:
+        memory = state.metrics.memory
+        memory.alloc(call.nbytes, temporary=call.temporary)
+        if self._tracer is not None:
+            self._sample_memory(rank, memory)
+        return None
+
+    def _do_free(self, rank: int, state: _ProcState, call: Free) -> Any:
+        memory = state.metrics.memory
+        memory.free(call.nbytes, temporary=call.temporary)
+        if self._tracer is not None:
+            self._sample_memory(rank, memory)
+        return None
+
+    def _do_mark(self, rank: int, state: _ProcState, call: Mark) -> Any:
+        # Tracer annotation: no virtual time, no metrics — with no tracer and no fault plan this is a no-op, so
+        # marked programs are bit-identical to unmarked ones.
+        if self._tracer is not None:
+            self._tracer.mark(rank, self._now, call.label, call.event)
+        if self._faults is not None and self._faults.kill_at.get(rank) == call.label and call.event == "begin":
+            # A planned kill: the rank fail-stops as it opens the step, and
+            # the crash event ends the run once this instant's events ran.
+            state.status = _WAITING
+            heappush(self._events, (self._now, next(self._seq), _EV_CRASH, rank, None))
+            return _BLOCKED
+        return None
+
+    def _sample_memory(self, rank: int, memory: Any) -> None:
+        tracer = self._tracer
+        now = self._now
+        tracer.counter(rank, now, "mem.resident", float(memory.resident))
+        tracer.counter(rank, now, "mem.temporary", float(memory.temporary))
 
     def _enter_barrier(self, rank: int, state: _ProcState, call: Barrier) -> Any:
         seq = state.barrier_seq
@@ -916,7 +813,7 @@ class Simulator:
                 if other == rank:
                     continue
                 other_state = self._procs[other]
-                other_state.handle.metrics.barrier_wait_seconds += (
+                other_state.metrics.barrier_wait_seconds += (
                     now - other_state.blocked_since
                 )
                 if tracer is not None:
@@ -927,25 +824,43 @@ class Simulator:
                         "barrier-wait",
                         call.name,
                     )
-                other_state.status = _Status.WAITING
+                other_state.status = _WAITING
                 self._schedule_step(now, other, None)
             return None  # the last arriver proceeds immediately
-        state.status = _Status.BLOCKED_BARRIER
-        state.blocked_since = self._now
-        return _BLOCKED
+        return self._block(state, _BLOCKED_BARRIER)
 
-    #: Handlers of the calls :meth:`_run_events` does not interpret inline
-    #: (``Isend``, ``Recv`` and ``Compute`` are arms of its loop).
-    _CALL_HANDLERS: dict[type, _Handler] = {
-        Send: _do_send,
-        Probe: _do_probe,
-        Barrier: _enter_barrier,
-        Sleep: _do_sleep,
-        Now: _do_now,
-        Alloc: _do_alloc,
-        Free: _do_free,
-        Mark: _do_mark,
-    }
+
+#: One handler per call class, looked up by exact class: a subclass of a
+#: call is rejected, never run through its base's handler (an ``Isend``
+#: subclass would otherwise resolve to the blocking ``Send``).  Plain
+#: functions, never bound methods: a table of ``self.<method>`` is a
+#: reference cycle, which would keep every finished run (and its result
+#: arrays) alive until a cyclic collection.
+_CALL_HANDLERS: dict[type, _Handler] = {
+    Isend: Simulator._do_isend,
+    Send: Simulator._do_send,
+    Recv: Simulator._do_recv,
+    Probe: Simulator._do_probe,
+    Compute: Simulator._do_compute,
+    Barrier: Simulator._enter_barrier,
+    Sleep: Simulator._do_sleep,
+    Now: Simulator._do_now,
+    Alloc: Simulator._do_alloc,
+    Free: Simulator._do_free,
+    Mark: Simulator._do_mark,
+}
+
+
+def _uninterpretable(rank: int, call: Any) -> InvalidCallError:
+    """The error for a yield no handler takes; it names the call class the
+    object subclasses, if any."""
+    for base in type(call).__mro__:
+        if base in _CALL_HANDLERS:
+            return InvalidCallError(
+                f"rank {rank} yielded {call!r}: {base.__name__} is matched by exact "
+                "class and cannot be subclassed"
+            )
+    return InvalidCallError(f"rank {rank} yielded uninterpretable object {call!r}")
 
 
 class _BlockedSentinel:

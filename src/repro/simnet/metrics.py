@@ -98,6 +98,10 @@ class ProcessMetrics:
         else:
             self.phase_seconds[label] += seconds
 
+    def record_receive(self, nbytes: int) -> None:
+        self.messages_received += 1
+        self.bytes_received += nbytes
+
     def busy_seconds(self) -> float:
         """Total attributed compute time (labelled + unlabelled + send)."""
         return sum(self.phase_seconds.values()) + self.other_seconds + self.send_seconds

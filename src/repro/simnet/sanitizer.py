@@ -388,13 +388,8 @@ def main(argv: list[str] | None = None) -> int:
     from ..analysis.determinism import capture_sort_fingerprint
 
     golden = json.loads(Path(args.golden).read_text())
-    san = SimSan()
-    current = capture_sort_fingerprint(
-        num_ranks=golden["workload"]["num_ranks"],
-        n_keys=golden["workload"]["n_keys"],
-        seed=golden["workload"]["seed"],
-        sanitizer=san,
-    )
+    with sanitize() as san:
+        current = capture_sort_fingerprint(**golden["workload"])
     diverged = [key for key in golden if current.get(key) != golden[key]]
     if args.report_out:
         doc = {"golden_bit_identical": not diverged, "diverged_fields": diverged}
@@ -416,4 +411,9 @@ def main(argv: list[str] | None = None) -> int:
 if __name__ == "__main__":  # pragma: no cover - CI entry point
     import sys
 
-    sys.exit(main())
+    # Delegate to the canonical module object: under ``python -m`` this
+    # file executes as ``__main__``, and a scope opened from *that*
+    # namespace would push onto a stack the engine never reads.
+    from repro.simnet.sanitizer import main as _canonical_main
+
+    sys.exit(_canonical_main())

@@ -375,6 +375,55 @@ def test_wire_faults_leave_the_bytes_and_the_word_path(word_merges, assert_balan
     assert len(word_merges) == (p if _frame(blocks) is not None else 0) == p
 
 
+@st.composite
+def _wire_specs(draw):
+    """``(p, spec)``: wire faults alone — ``drop``, ``delay`` and ``link``,
+    simnet's keys — from harmless to losing messages for good."""
+    p = draw(st.sampled_from([2, 3, 16]))
+    entries = []
+    for key in sorted(draw(st.sets(st.sampled_from(["drop", "delay", "link"]), min_size=1))):
+        if key == "drop":
+            entries.append(f"drop={draw(st.sampled_from([0.05, 0.3, 0.8]))}")
+        elif key == "delay":
+            entries.append(f"delay={draw(st.sampled_from([0.1, 0.5]))}:{draw(st.sampled_from([1e-5, 1e-4]))}")
+        else:
+            for _ in range(draw(st.integers(1, 3))):
+                src = draw(st.integers(0, p - 1))
+                dst = (src + draw(st.integers(1, p - 1))) % p
+                entries.append(f"link={src}-{dst}:{draw(st.sampled_from([1.5, 4.0]))}:{draw(st.sampled_from([0.0, 1e-5]))}")
+    return p, ",".join(entries)
+
+
+def _lost_for_good(session):
+    """Whether the session's run lost a message: every copy of it dropped."""
+    return any(m.messages_dropped > m.retries for m in session.simulator.metrics().processes)
+
+
+@settings(max_examples=12)
+@given(case=_wire_specs(), seed=st.integers(0, 2**32 - 1))
+def test_generated_wire_faults_leave_the_bytes_or_fail_typed(case, seed):
+    """A generated wire-fault spec on simnet: the job either returns the
+    fault-free run's bytes and provenance at full width, every attempt
+    but the last having lost a message for good, or ends in a
+    ``DeadlockError`` after every attempt lost one."""
+    p, spec = case
+    blocks = list(partition_input(_keys("int64", 300 * p, np.random.default_rng(p)), p)[0])
+    clean = DistributedSorter(num_processors=p).sort_partitioned(blocks)
+    sorter = DistributedSorter(num_processors=p, faults=FaultPlan.from_spec(spec, seed=seed))
+    with capture() as cap:
+        try:
+            result = sorter.sort_partitioned(blocks)
+        except DeadlockError:
+            result = None
+    lost = [_lost_for_good(session) for session in cap.sessions]
+    if result is None:
+        assert lost and all(lost), (spec, lost)
+        return
+    assert result.survivors is None, spec
+    _assert_bytes_equal(zip(result.per_processor, result.provenance), clean)
+    assert lost == [True] * (len(lost) - 1) + [False], (spec, lost)
+
+
 #: The pool's retries back off briefly; the attempt and degrade budgets
 #: are the default policy's, which simnet runs under.
 FAST_RETRY = RetryPolicy(backoff_seconds=0.001, backoff_cap_seconds=0.01)

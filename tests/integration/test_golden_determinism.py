@@ -14,6 +14,12 @@ stays for frame misses: full-mantissa float64 keys
 (``python -m repro.analysis.determinism float64``), captured while that
 path was the only one simnet had.
 
+The third, ``sim_golden_faults.json``, holds one fingerprint per
+:func:`repro.faults.chaos_schedules` plan over a small p = 8 sort, so the
+fault paths (drops, delays, degraded links, slow nodes, kills and their
+retries) are pinned too; see :meth:`TestGoldenDeterminism.
+test_every_chaos_schedule_matches_its_golden` for its re-capture.
+
 If this test fails after an engine change, the change altered simulated
 behavior; that is a correctness bug, not a baseline to re-capture.
 Re-capture (``python -m repro.analysis.determinism``) is only legitimate
@@ -28,29 +34,32 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.determinism import capture_sort_fingerprint
+from repro.analysis.determinism import capture_fault_fingerprints, capture_sort_fingerprint
 from repro.core import steps
+from repro.simnet.sanitizer import sanitize
 
 GOLDEN_DIR = Path(__file__).parent.parent / "golden"
 GOLDEN_PATH = GOLDEN_DIR / "sim_golden_p16.json"
 F64_GOLDEN_PATH = GOLDEN_DIR / "sim_golden_p16_f64.json"
+FAULTS_GOLDEN_PATH = GOLDEN_DIR / "sim_golden_faults.json"
 
 
-def _assert_replays(path, sanitizer=None):
-    """Replay the golden at ``path``; compare field by field so a failure
-    names what diverged rather than dumping two multi-KB dicts."""
-    golden = json.loads(path.read_text())
-    current = capture_sort_fingerprint(**golden["workload"], sanitizer=sanitizer)
+def _assert_same(current, golden, name):
+    """Compare field by field, so a failure names what diverged rather than
+    dumping two multi-KB dicts."""
     assert current.keys() == golden.keys()
     for key in golden:
-        assert current[key] == golden[key], f"{path.name} field {key!r} diverged"
+        assert current[key] == golden[key], f"{name} field {key!r} diverged"
+
+
+def _assert_replays(path):
+    golden = json.loads(path.read_text())
+    _assert_same(capture_sort_fingerprint(**golden["workload"]), golden, path.name)
 
 
 def _assert_sanitized_replay(path):
-    from repro.simnet.sanitizer import SimSan
-
-    san = SimSan()
-    _assert_replays(path, sanitizer=san)
+    with sanitize() as san:
+        _assert_replays(path)
     assert san.report.ok, san.report.summary()
     assert san.report.counts["messages_checked"] > 0
 
@@ -129,6 +138,22 @@ class TestGoldenDeterminism:
             sys.setswitchinterval(interval)
         helpers = len(cpus[threads]) - 1
         assert sizes == ([helpers] if helpers else [])
+
+    def test_every_chaos_schedule_matches_its_golden(self):
+        """Each chaos schedule's run, retries and degraded re-plans
+        included, is the golden's bit for bit.
+
+        The golden was captured before the engine was split into a
+        scheduler and call handlers; re-capture it, only for a deliberate
+        model change, with::
+
+            PYTHONPATH=src python -c "import json, sys; from repro.analysis.determinism import capture_fault_fingerprints as c; json.dump(c(), sys.stdout, indent=1, sort_keys=True); print()" > tests/golden/sim_golden_faults.json
+        """
+        golden = json.loads(FAULTS_GOLDEN_PATH.read_text())
+        current = capture_fault_fingerprints()
+        assert current.keys() == golden.keys()
+        for name in golden:
+            _assert_same(current[name], golden[name], f"{FAULTS_GOLDEN_PATH.name}[{name}]")
 
     def test_makespan_recorded_as_hex(self):
         golden = json.loads(GOLDEN_PATH.read_text())

@@ -478,6 +478,28 @@ class TestGeneratorTrampoline:
         sim.run()
         assert sim.result(0) == "caught: child failed"
 
+    @pytest.mark.parametrize("delegate", [True, False], ids=["yield-from", "trampoline"])
+    def test_child_that_handles_a_call_error_returns_to_its_parent(self, delegate):
+        """A call error thrown into a child the child catches is spent: the
+        parent resumes with the child's return value, as under ``yield
+        from``, not with the error thrown a second time."""
+        sim = Simulator(1)
+
+        def child(proc):
+            try:
+                yield Send(dst=99, nbytes=8)
+            except UnknownRankError:
+                return "handled"
+
+        def program(proc):
+            if delegate:
+                return (yield from child(proc))
+            return (yield child(proc))
+
+        sim.add_process(program)
+        sim.run()
+        assert sim.result(0) == "handled"
+
     def test_uncaught_child_exception_fails_the_process(self):
         sim = Simulator(1)
 

@@ -22,6 +22,7 @@ from repro.simnet import (
     Now,
     RankCrashedError,
     Recv,
+    Send,
     Simulator,
     Sleep,
 )
@@ -402,21 +403,44 @@ class TestDeterminism:
         assert self._trace(11) != self._trace(12)
 
 
+def _two_rank_send():
+    """Rank 0 sends rank 1 one message; built in the caller's scopes."""
+    sim = make_sim()
+
+    def program(proc):
+        if proc.rank == 0:
+            yield Send(dst=1, nbytes=8)
+        else:
+            yield Recv(src=0)
+
+    sim.add_program(program)
+    return sim
+
+
 class TestAmbientScope:
     def test_inject_faults_attaches_to_new_simulators(self):
+        """A simulator built in the scope runs under its plan, even after
+        the scope closed: every copy of the message drops, so the receiver
+        deadlocks.  Built outside it, the same send completes."""
         plan = FaultPlan(seed=13, drop_prob=1.0)
         assert active_fault_plan() is None
         with inject_faults(plan):
             assert active_fault_plan() is plan
-            sim = make_sim()
-            assert sim.fault_plan is plan
+            sim = _two_rank_send()
         assert active_fault_plan() is None
-        assert make_sim().fault_plan is None
+        with pytest.raises(DeadlockError):
+            sim.run()
+        plain = _two_rank_send()
+        plain.run()
+        assert [m.messages_received for m in plain.metrics().processes] == [0, 1]
 
     def test_explicit_plan_wins_over_ambient(self):
-        """The one precedence rule is nesting: the innermost scope's plan,
-        the explicit one here, attaches."""
-        explicit = FaultPlan(seed=1)
-        with inject_faults(FaultPlan(seed=2)), inject_faults(explicit):
-            sim = make_sim()
-        assert sim.fault_plan is explicit
+        """The one precedence rule is nesting: the innermost scope's plan
+        attaches, whichever of the two drops every message."""
+        lossy, clean = FaultPlan(seed=2, drop_prob=1.0), FaultPlan(seed=1)
+        with inject_faults(lossy), inject_faults(clean):
+            _two_rank_send().run()
+        with inject_faults(clean), inject_faults(lossy):
+            sim = _two_rank_send()
+        with pytest.raises(DeadlockError):
+            sim.run()
