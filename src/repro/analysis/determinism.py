@@ -1,4 +1,4 @@
-"""Bit-exact fingerprinting of simulation runs.
+"""Bit-exact fingerprinting of simulation runs, and the golden registry.
 
 The engine's contract is full determinism: the same programs, inputs, and
 configuration must produce the same virtual times, metrics, and outputs on
@@ -9,15 +9,21 @@ faulted run takes — into a JSON-able *fingerprint* whose floats are
 recorded as ``float.hex()`` strings, so equality means bit-identity rather
 than "approximately equal".
 
-The committed golden fingerprint (``tests/golden/``) was captured from the
-original interpreter-style event loop; the golden determinism test replays
-the same run on the current engine and asserts an identical fingerprint,
-which is what licenses performance work on the event loop's hot paths.
+:data:`GOLDENS` names every committed golden in ``tests/golden/``: its
+file, its workload and the capture that rebuilds it.  The golden
+determinism test replays each capture against its file, which is what
+licenses performance work on the event loop's hot paths.  Re-capture, only
+for a deliberate model change, with::
+
+    PYTHONPATH=src python -m repro.analysis.determinism [NAME ...]
+
+which rewrites the named goldens (all of them by default).
 """
 
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -60,21 +66,18 @@ def _metrics_fingerprint(m: ProcessMetrics) -> dict[str, Any]:
     }
 
 
-def golden_keys(n_keys: int, seed: int, dtype: str = "int64") -> np.ndarray:
-    """A golden workload's keys: ``"int64"`` keys below 2^40 fit the key
-    frame (words); ``"float64"`` keys in [0, 1) do not (keys + perm)."""
-    rng = np.random.default_rng(seed)
-    if dtype == "int64":
-        return rng.integers(0, 1 << 40, n_keys).astype(np.int64)
-    return rng.random(n_keys)
+def golden_keys(workload: dict[str, Any]) -> np.ndarray:
+    """A golden workload's keys (its ``n_keys``, ``seed`` and ``dtype``):
+    ``"int64"`` keys below 2^40 fit the key frame (words); ``"float64"``
+    keys in [0, 1) do not (keys + perm)."""
+    rng = np.random.default_rng(workload["seed"])
+    if workload.get("dtype", "int64") == "int64":
+        return rng.integers(0, 1 << 40, workload["n_keys"]).astype(np.int64)
+    return rng.random(workload["n_keys"])
 
 
 def capture_sort_fingerprint(
-    num_ranks: int = 16,
-    n_keys: int = 60_000,
-    seed: int = 20260805,
-    *,
-    dtype: str = "int64",
+    num_ranks: int, n_keys: int, seed: int, *, dtype: str = "int64"
 ) -> dict[str, Any]:
     """Sort a fixed-seed workload on simnet under an ambient capture; return
     the run's fingerprint.
@@ -89,7 +92,10 @@ def capture_sort_fingerprint(
     (SimSan is invisible to simulated behavior), and under
     :func:`repro.faults.inject_faults` it is the run the job returned.
     """
-    data = golden_keys(n_keys, seed, dtype)
+    workload = {"num_ranks": num_ranks, "n_keys": n_keys, "seed": seed}
+    if dtype != "int64":
+        workload["dtype"] = dtype
+    data = golden_keys(workload)
     sorter = DistributedSorter(num_processors=num_ranks, backend="simnet")
     with capture() as cap:
         result = sorter.sort(data)
@@ -111,8 +117,7 @@ def capture_sort_fingerprint(
         prov.append(provenance.origin_proc)
         prov.append(provenance.origin_index)
     return {
-        "workload": {"num_ranks": num_ranks, "n_keys": n_keys, "seed": seed}
-        | ({} if dtype == "int64" else {"dtype": dtype}),
+        "workload": workload,
         "makespan": _hex(metrics.makespan),
         "remote_bytes": metrics.remote_bytes,
         "local_bytes": metrics.local_bytes,
@@ -129,6 +134,10 @@ def capture_sort_fingerprint(
         "output_sizes": [int(len(k)) for k in keys],
     }
 
+
+#: The p = 16 goldens' workload: the paper sort every committed golden but
+#: the fault golden runs.
+P16_WORKLOAD = {"num_ranks": 16, "n_keys": 60_000, "seed": 20260805}
 
 #: The fault golden's workload: small enough that every chaos schedule
 #: replays in well under a second.
@@ -147,10 +156,54 @@ def capture_fault_fingerprints() -> dict[str, dict[str, Any]]:
     return fingerprints
 
 
+def _capture_run_report() -> dict[str, Any]:
+    from ..obs.report import capture_run_report
+
+    report, _ = capture_run_report(P16_WORKLOAD)
+    return report.to_json()
+
+
+_GOLDEN_DIR = Path(__file__).resolve().parents[3] / "tests" / "golden"
+_P16_F64 = P16_WORKLOAD | {"dtype": "float64"}
+
+#: Every committed golden by name: its file, the workload it sorts and the
+#: capture that rebuilds its document.  ``p16`` runs simnet's word path
+#: (int64 keys fit the key frame), ``p16_f64`` the keys + perm path of a
+#: frame miss, ``faults`` one fingerprint per chaos schedule, and
+#: ``run_report_p16`` snapshots the p = 16 sort's :class:`RunReport`.
+GOLDENS: dict[str, dict[str, Any]] = {
+    "p16": {
+        "path": _GOLDEN_DIR / "sim_golden_p16.json",
+        "workload": P16_WORKLOAD,
+        "capture": lambda: capture_sort_fingerprint(**P16_WORKLOAD),
+    },
+    "p16_f64": {
+        "path": _GOLDEN_DIR / "sim_golden_p16_f64.json",
+        "workload": _P16_F64,
+        "capture": lambda: capture_sort_fingerprint(**_P16_F64),
+    },
+    "faults": {
+        "path": _GOLDEN_DIR / "sim_golden_faults.json",
+        "workload": FAULT_WORKLOAD,
+        "capture": capture_fault_fingerprints,
+    },
+    "run_report_p16": {
+        "path": _GOLDEN_DIR / "run_report_p16.json",
+        "workload": P16_WORKLOAD,
+        "capture": _capture_run_report,
+    },
+}
+
+
 if __name__ == "__main__":  # pragma: no cover - golden re-capture CLI
     import json
     import sys
 
-    dtype = (sys.argv[1:] or ["int64"])[0]  # ``python -m repro.analysis.determinism [float64]``
-    json.dump(capture_sort_fingerprint(dtype=dtype), sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+    names = sys.argv[1:] or list(GOLDENS)
+    unknown = [name for name in names if name not in GOLDENS]
+    if unknown:
+        sys.exit(f"unknown golden(s) {unknown}; choose from {', '.join(GOLDENS)}")
+    for name in names:
+        with open(GOLDENS[name]["path"], "w") as fh:
+            json.dump(GOLDENS[name]["capture"](), fh, indent=1, sort_keys=True)
+            fh.write("\n")

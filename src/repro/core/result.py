@@ -9,7 +9,6 @@ search, top-k retrieval, and provenance lookups on the sorted data.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,28 +16,6 @@ import numpy as np
 from ..simnet.metrics import ClusterMetrics
 from .provenance import Provenance
 from .sorter import STEP_LABELS, RankSortOutput
-
-
-def _lexicographic_le(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise ``x <= y`` for plain *or structured* arrays.
-
-    Structured dtypes sort lexicographically but numpy exposes no ordering
-    ufunc for them, so multi-field keys compare field by field here.
-    """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.dtype.names is None:
-        return x <= y
-    result = np.ones(len(x), dtype=bool)
-    undecided = np.ones(len(x), dtype=bool)
-    for field in x.dtype.names:
-        less = x[field] < y[field]
-        greater = x[field] > y[field]
-        result[undecided & greater] = False
-        undecided &= ~(less | greater)
-        if not undecided.any():
-            break
-    return result
 
 
 @dataclass
@@ -145,40 +122,39 @@ class SortResult:
         return np.concatenate(self.per_processor)
 
     def is_globally_sorted(self) -> bool:
-        """True iff every processor is sorted and boundaries are ordered."""
-        prev_last = None
-        for a in self.per_processor:
-            if len(a) == 0:
-                continue
-            if not np.all(_lexicographic_le(a[:-1], a[1:])):
-                return False
-            if prev_last is not None and not _lexicographic_le(
-                np.atleast_1d(prev_last), a[:1]
-            )[0]:
-                return False
-            prev_last = a[-1]
-        return True
+        """True iff the keys ascend across processors in numpy's sort
+        order: NaN and NaT last, −0.0 equal to 0.0, structured keys field
+        by field.  A stable argsort of ascending keys leaves them in place."""
+        keys = self.to_array()
+        return bool(np.all(np.argsort(keys, kind="stable") == np.arange(len(keys))))
+
+    def _position(self, value, side: str = "left") -> tuple[int, int]:
+        """``(processor, local_index)`` of ``value``'s ``side`` insertion
+        point in numpy's sort order (see :meth:`is_globally_sorted`)."""
+        held = [r for r, a in enumerate(self.per_processor) if len(a)]
+        if not held:
+            return 0, 0
+        keys = self.per_processor[held[0]]
+        if keys.dtype.names is not None:
+            value = np.array(value, dtype=keys.dtype)
+        maxima = np.array([self.per_processor[r][-1] for r in held], dtype=keys.dtype)
+        # Every processor before the first whose maximum passes the value
+        # lies wholly before the insertion point.
+        pos = int(np.searchsorted(maxima, value, side=side))
+        if pos == len(held):
+            return held[-1], len(self.per_processor[held[-1]])
+        r = held[pos]
+        return r, int(np.searchsorted(self.per_processor[r], value, side=side))
 
     def searchsorted(self, value) -> tuple[int, int]:
         """Locate ``value`` in the distributed sorted data.
 
         Returns ``(processor, local_index)`` of the first element >= value
-        — the paper's "binary search on data" API.  If the value exceeds
-        every key the position one past the last element of the last
-        non-empty processor is returned.
+        in numpy's sort order — the paper's "binary search on data" API.
+        If the value exceeds every key the position one past the last
+        element of the last non-empty processor is returned.
         """
-        non_empty = [r for r, a in enumerate(self.per_processor) if len(a)]
-        if not non_empty:
-            return 0, 0
-        lasts = [self.per_processor[r][-1] for r in non_empty]
-        # First processor whose maximum reaches the value holds the first
-        # element >= value: all earlier processors top out below it.
-        pos = bisect_left(lasts, value)
-        if pos == len(non_empty):
-            r = non_empty[-1]
-            return r, len(self.per_processor[r])
-        r = non_empty[pos]
-        return r, int(np.searchsorted(self.per_processor[r], value, side="left"))
+        return self._position(value)
 
     def global_index(self, processor: int, local_index: int) -> int:
         """Rank of ``(processor, local_index)`` in the global sorted order."""
@@ -246,29 +222,14 @@ class SortResult:
 
     def range_count(self, lo, hi) -> int:
         """Number of keys in ``[lo, hi)``, by two distributed searches."""
-        lo_proc, lo_idx = self.searchsorted(lo)
-        hi_proc, hi_idx = self.searchsorted(hi)
-        return self.global_index(hi_proc, hi_idx) - self.global_index(lo_proc, lo_idx)
+        return self.global_index(*self._position(hi)) - self.global_index(*self._position(lo))
 
     def count(self, value) -> int:
-        """Multiplicity of ``value`` in the sorted data.
-
-        Tied values may span several processors (the investigator splits
-        them deliberately), so the count walks from the first candidate
-        processor until keys exceed the value.
-        """
-        proc, _ = self.searchsorted(value)
-        total = 0
-        for r in range(proc, self.num_processors):
-            a = self.per_processor[r]
-            if len(a) == 0:
-                continue
-            if a[0] > value:
-                break
-            total += int(np.searchsorted(a, value, side="right")) - int(
-                np.searchsorted(a, value, side="left")
-            )
-        return total
+        """Multiplicity of ``value`` in the sorted data.  Tied values may
+        span several processors (the investigator splits them
+        deliberately); the count is the distance between their two ends."""
+        end = self.global_index(*self._position(value, "right"))
+        return end - self.global_index(*self._position(value))
 
     def origin_of(self, processor: int, local_index: int) -> tuple[int, int]:
         """(previous processor, previous local index) of a sorted entry."""

@@ -19,9 +19,9 @@ and the report their ``imbalance`` (largest over mean partition, Table
 II's quantity): the counts matrix's column for the rank, which simnet
 records as step 6 merges it and the pool reads after the run.
 
-Reports are deterministic for a fixed-seed run — the committed golden
-snapshot ``tests/golden/run_report_p16.json`` locks the p=16 report the
-same way the engine fingerprint locks virtual times.
+Reports are deterministic for a fixed-seed run — the ``run_report_p16``
+golden (:data:`repro.analysis.determinism.GOLDENS`) locks the p=16 report
+the same way the engine fingerprint locks virtual times.
 
 Modeled vs measured fields
 --------------------------
@@ -330,46 +330,41 @@ def _attribute_flows(tracer: Tracer, rank: int, steps: dict[str, StepStats]) -> 
             steps[best].messages_sent += 1
 
 
-def capture_run_report(
-    num_ranks: int = 16,
-    n_keys: int = 60_000,
-    seed: int = 20260805,
-    backend: str | None = None,
-):
-    """Run the fixed-seed paper sort under capture; return (report, tracer).
+def capture_run_report(workload: dict[str, Any], backend: str | None = None):
+    """Sort a golden workload's keys under capture; return (report, tracer).
 
-    The default workload matches the golden determinism fingerprint
-    (``tests/golden/sim_golden_p16.json``); the resulting report is what
-    ``tests/golden/run_report_p16.json`` snapshots.  ``backend="process"``
+    ``workload`` holds ``num_ranks``, ``n_keys`` and ``seed``
+    (:func:`repro.analysis.determinism.golden_keys`); at the p=16 workload
+    the report is the ``run_report_p16`` golden.  ``backend="process"``
     runs the same workload on real worker processes instead — same report
     schema, measured wall-clock numbers (machine-dependent, never golden).
     """
-    import numpy as np
-
+    from ..analysis.determinism import golden_keys
     from ..core.api import distributed_sort
     from .context import capture
 
-    rng = np.random.default_rng(seed)
-    data = rng.integers(0, 1 << 40, n_keys).astype(np.int64)
+    num_ranks = workload["num_ranks"]
+    data = golden_keys(workload)
     with capture(name=f"sort-p{num_ranks}") as cap:
         result = distributed_sort(data, num_processors=num_ranks, backend=backend)
     tracer = cap.sessions[-1].tracer
     return RunReport.from_sort_result(result, tracer=tracer), tracer
 
 
-if __name__ == "__main__":  # pragma: no cover - artifact/golden CLI
+if __name__ == "__main__":  # pragma: no cover - artifact CLI
     import argparse
     import sys
 
+    from ..analysis.determinism import P16_WORKLOAD
     from ..parallel.backend import BACKENDS
     from .perfetto import export_chrome_trace
 
     parser = argparse.ArgumentParser(
         description="Capture the fixed-seed p=16 sort; emit report/trace artifacts."
     )
-    parser.add_argument("--ranks", type=int, default=16)
-    parser.add_argument("--keys", type=int, default=60_000)
-    parser.add_argument("--seed", type=int, default=20260805)
+    parser.add_argument("--ranks", type=int, default=P16_WORKLOAD["num_ranks"])
+    parser.add_argument("--keys", type=int, default=P16_WORKLOAD["n_keys"])
+    parser.add_argument("--seed", type=int, default=P16_WORKLOAD["seed"])
     parser.add_argument(
         "--backend",
         choices=tuple(BACKENDS),
@@ -381,9 +376,8 @@ if __name__ == "__main__":  # pragma: no cover - artifact/golden CLI
     )
     parser.add_argument("--trace-out", default=None, help="Perfetto trace path")
     args = parser.parse_args()
-    report, tracer = capture_run_report(
-        args.ranks, args.keys, args.seed, backend=args.backend
-    )
+    workload = {"num_ranks": args.ranks, "n_keys": args.keys, "seed": args.seed}
+    report, tracer = capture_run_report(workload, backend=args.backend)
     if args.trace_out:
         export_chrome_trace(tracer, args.trace_out)
     if args.report_out == "-":

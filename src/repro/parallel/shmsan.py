@@ -406,14 +406,17 @@ def main(argv: list[str] | None = None) -> int:
     import json
     from pathlib import Path
 
+    from ..analysis.determinism import GOLDENS, golden_keys
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.parallel.shmsan",
         description="ShmSan: sanitized process-backend replay / log analysis.",
     )
     parser.add_argument(
         "--golden",
-        default="tests/golden/sim_golden_p16.json",
-        help="golden workload description (seed, n_keys, dtype)",
+        default="p16",
+        choices=tuple(GOLDENS),
+        help="golden whose workload (seed, n_keys, dtype) to replay (default p16)",
     )
     parser.add_argument(
         "--ranks", type=int, default=4, help="worker processes (default 4)"
@@ -463,16 +466,14 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1 if violations else 0
 
-    from ..analysis.determinism import golden_keys
     from ..core.api import partition_input
     from ..core.local_backend import local_sample_sort
     from .backend import ProcessBackend
 
-    golden = json.loads(Path(args.golden).read_text())
-    workload = golden["workload"]
+    workload = GOLDENS[args.golden]["workload"]
     n_keys = args.keys if args.keys is not None else workload["n_keys"]
     dtype = workload.get("dtype", "int64")
-    data = golden_keys(n_keys, workload["seed"], dtype)
+    data = golden_keys(workload | {"n_keys": n_keys})
     blocks = list(partition_input(data, args.ranks)[0])
 
     with shm_sanitize() as san, ProcessBackend(

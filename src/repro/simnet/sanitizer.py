@@ -358,24 +358,26 @@ def active_sanitizer() -> SimSan | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Replay the golden p=16 sort under SimSan and verify bit-identity.
+    """Replay a golden's capture under SimSan and verify bit-identity.
 
     This is the CI gate for the "sanitized runs are behavior-invariant"
-    contract: the fingerprint of the sanitized run must equal the committed
-    golden fingerprint, and the sanitizer must report no violations.
+    contract: the capture of the sanitized run must equal the committed
+    golden, and the sanitizer must report no violations.
     """
     import argparse
     import json
-    from pathlib import Path
+
+    from ..analysis.determinism import GOLDENS
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.simnet.sanitizer",
-        description="Golden p=16 run with SimSan enabled: bit-identity gate.",
+        description="A golden's run with SimSan enabled: bit-identity gate.",
     )
     parser.add_argument(
         "--golden",
-        default="tests/golden/sim_golden_p16.json",
-        help="committed golden fingerprint to compare against",
+        default="p16",
+        choices=tuple(GOLDENS),
+        help="golden to replay and compare against (default p16)",
     )
     parser.add_argument(
         "--report-out",
@@ -385,11 +387,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from ..analysis.determinism import capture_sort_fingerprint
-
-    golden = json.loads(Path(args.golden).read_text())
+    entry = GOLDENS[args.golden]
+    golden = json.loads(entry["path"].read_text())
     with sanitize() as san:
-        current = capture_sort_fingerprint(**golden["workload"])
+        current = entry["capture"]()
     diverged = [key for key in golden if current.get(key) != golden[key]]
     if args.report_out:
         doc = {"golden_bit_identical": not diverged, "diverged_fields": diverged}

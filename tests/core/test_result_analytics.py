@@ -168,3 +168,86 @@ class TestLexicographicKeys:
     def test_missing_field_in_list(self):
         with pytest.raises(KeyError):
             DistributedSorter().sort_records(self.make(10), order=["a", "zz"])
+
+
+# ---------------------------------------------------- numpy differential
+
+_RECORD = np.dtype([("a", np.int8), ("b", np.float64)])
+
+
+def _keys_and_probes(kind, draw):
+    """Keys of one ``kind`` with many ties, and probe values both in and
+    out of them: NaN, ±0.0 and ±inf among float64 keys, NaT among
+    datetime64 keys, the extremes among int64 keys."""
+    if kind == "int64":
+        pool = st.sampled_from([-(2**63), -3, -1, 0, 1, 2, 5, 2**63 - 1])
+        keys, probes = draw(st.lists(pool, max_size=64)), draw(st.lists(pool, min_size=1, max_size=4))
+        return np.array(keys, dtype=np.int64), [np.int64(v) for v in probes]
+    if kind == "float64":
+        pool = st.sampled_from([np.nan, -np.inf, -1.5, -0.0, 0.0, 5e-324, 2.0, np.inf])
+        keys, probes = draw(st.lists(pool, max_size=64)), draw(st.lists(pool, min_size=1, max_size=4))
+        return np.array(keys, dtype=np.float64), [np.float64(v) for v in probes]
+    if kind == "datetime64":
+        pool = st.sampled_from(["NaT", "1969-12-31", "1970-01-01", "1970-01-02", "2262-04-11"])
+        keys, probes = draw(st.lists(pool, max_size=64)), draw(st.lists(pool, min_size=1, max_size=4))
+        return np.array(keys, dtype="datetime64[D]"), [np.datetime64(v, "D") for v in probes]
+    pool = st.tuples(st.integers(-2, 2), st.sampled_from([-np.inf, -0.0, 0.0, 1.5, np.inf]))
+    keys, probes = draw(st.lists(pool, max_size=64)), draw(st.lists(pool, min_size=1, max_size=4))
+    return np.array(keys, dtype=_RECORD), [np.array(v, dtype=_RECORD)[()] for v in probes]
+
+
+def _same_keys(got, want):
+    """Key for key equal in numpy's order: NaN to NaN, NaT to NaT, −0.0 to 0.0."""
+    got, want = np.asarray(got), np.asarray(want)
+    if len(got) != len(want):
+        return False
+    if not len(want):
+        return True
+    equal = got == want
+    if want.dtype.kind in "fmM":
+        missing = np.isnan if want.dtype.kind == "f" else np.isnat
+        equal |= missing(got) & missing(want)
+    return bool(np.all(equal))
+
+
+class TestNumpyDifferential:
+    """Every query of the result API answers as the same query on
+    ``np.sort(keys, kind="stable")`` does, in numpy's sort order: NaN and
+    NaT last, −0.0 equal to 0.0, structured keys field by field — and so
+    does the result :meth:`SortResult.load` reads back from
+    :meth:`SortResult.save`."""
+
+    @pytest.mark.parametrize("kind", ["int64", "float64", "datetime64", "structured"])
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_queries_match_numpy(self, kind, data):
+        import io
+
+        from repro.core.result import SortResult
+
+        keys, probes = _keys_and_probes(kind, data.draw)
+        p = data.draw(st.sampled_from([1, 2, 3, 16]))
+        ordered = np.sort(keys, kind="stable")
+        n = len(ordered)
+        result = distributed_sort(keys, num_processors=p)
+        buffer = io.BytesIO()
+        result.save(buffer)
+        buffer.seek(0)
+        for r in (result, SortResult.load(buffer)):
+            assert r.is_globally_sorted()
+            assert _same_keys(r.to_array(), ordered)
+            for v in probes:
+                left = int(np.searchsorted(ordered, v, side="left"))
+                right = int(np.searchsorted(ordered, v, side="right"))
+                assert r.global_index(*r.searchsorted(v)) == left, v
+                assert r.count(v) == right - left, v
+                for hi in probes:
+                    want = int(np.searchsorted(ordered, hi)) - left
+                    assert r.range_count(v, hi) == want, (v, hi)
+            for k in sorted({0, 1, n // 2, n}):
+                assert _same_keys(r.top_k(k), ordered[n - k:])
+                assert _same_keys(r.top_k(k, largest=False), ordered[:k])
+            if n:
+                qs = np.array([0.0, 0.3, 0.5, 1.0])
+                ranks = np.minimum((qs * n).astype(np.int64), n - 1)
+                assert _same_keys(r.quantiles(qs), ordered[ranks])

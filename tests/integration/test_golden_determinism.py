@@ -1,72 +1,80 @@
 """Golden determinism: the engine must be bit-identical to the seed engine.
 
-The committed fingerprint in ``tests/golden/sim_golden_p16.json`` was
-captured from the original interpreter-style event loop (lambda-closure
-events, isinstance dispatch, linear mailbox scans) *before* any fast-path
-work.  Replaying the same fixed-seed 16-rank sort on the current engine and
-comparing the full fingerprint — every virtual time as a ``float.hex()``
-string, every metric counter, trace event counts, and sha256 digests of the
-output permutation — proves the optimization work is behavior-invariant.
+Every committed golden is an entry of
+:data:`repro.analysis.determinism.GOLDENS`: its file, its workload and the
+capture that rebuilds it, and one test replays each capture against its
+file field by field.  ``p16`` was captured from the original
+interpreter-style event loop (lambda-closure events, isinstance dispatch,
+linear mailbox scans) *before* any fast-path work.  Replaying the same
+fixed-seed 16-rank sort on the current engine and comparing the full
+fingerprint — every virtual time as a ``float.hex()`` string, every metric
+counter, trace event counts, and sha256 digests of the output permutation —
+proves the optimization work is behavior-invariant.
 
-Its int64 keys fit the job's key frame, so they run the word path.  The
-second golden, ``sim_golden_p16_f64.json``, pins the keys + perm path that
-stays for frame misses: full-mantissa float64 keys
-(``python -m repro.analysis.determinism float64``), captured while that
-path was the only one simnet had.
-
-The third, ``sim_golden_faults.json``, holds one fingerprint per
+Its int64 keys fit the job's key frame, so they run the word path.
+``p16_f64`` pins the keys + perm path that stays for frame misses:
+full-mantissa float64 keys, captured while that path was the only one
+simnet had.  ``faults`` holds one fingerprint per
 :func:`repro.faults.chaos_schedules` plan over a small p = 8 sort, so the
 fault paths (drops, delays, degraded links, slow nodes, kills and their
-retries) are pinned too; see :meth:`TestGoldenDeterminism.
-test_every_chaos_schedule_matches_its_golden` for its re-capture.
+retries) are pinned too; it was captured before the engine was split into
+a scheduler and call handlers.  ``run_report_p16`` snapshots the p = 16
+sort's :class:`~repro.obs.report.RunReport`: any change to virtual times,
+traffic, memory accounting, or flow attribution shows up as a diff there.
 
 If this test fails after an engine change, the change altered simulated
 behavior; that is a correctness bug, not a baseline to re-capture.
-Re-capture (``python -m repro.analysis.determinism``) is only legitimate
-when the *model* changes on purpose, and such a change must be called out
-in the PR.
+Re-capture (``python -m repro.analysis.determinism [NAME ...]``) is only
+legitimate when the *model* changes on purpose, and such a change must be
+called out in the PR.
 """
 
 import json
 import os
 import sys
-from pathlib import Path
 
 import pytest
 
-from repro.analysis.determinism import capture_fault_fingerprints, capture_sort_fingerprint
+from repro.analysis.determinism import GOLDENS, capture_sort_fingerprint
 from repro.core import steps
 from repro.simnet.sanitizer import sanitize
 
-GOLDEN_DIR = Path(__file__).parent.parent / "golden"
-GOLDEN_PATH = GOLDEN_DIR / "sim_golden_p16.json"
-F64_GOLDEN_PATH = GOLDEN_DIR / "sim_golden_p16_f64.json"
-FAULTS_GOLDEN_PATH = GOLDEN_DIR / "sim_golden_faults.json"
+P16, P16_F64 = GOLDENS["p16"], GOLDENS["p16_f64"]
 
 
-def _assert_same(current, golden, name):
-    """Compare field by field, so a failure names what diverged rather than
-    dumping two multi-KB dicts."""
-    assert current.keys() == golden.keys()
-    for key in golden:
-        assert current[key] == golden[key], f"{name} field {key!r} diverged"
+def _diverged(current, golden, where=""):
+    """The path of the first field where ``current`` differs from
+    ``golden``, descending through nested dicts; None when they are equal."""
+    if isinstance(golden, dict) and isinstance(current, dict):
+        if current.keys() != golden.keys():
+            return f"{where or '<top>'} keys {sorted(current.keys() ^ golden.keys())}"
+        for key in golden:
+            found = _diverged(current[key], golden[key], f"{where}.{key}" if where else key)
+            if found is not None:
+                return found
+        return None
+    return None if current == golden else where
 
 
-def _assert_replays(path):
-    golden = json.loads(path.read_text())
-    _assert_same(capture_sort_fingerprint(**golden["workload"]), golden, path.name)
+def _assert_replays(entry):
+    """Compare the capture with the committed file field by field, so a
+    failure names what diverged rather than dumping two multi-KB dicts."""
+    golden = json.loads(entry["path"].read_text())
+    field = _diverged(entry["capture"](), golden)
+    assert field is None, f"{entry['path'].name} field {field!r} diverged"
 
 
-def _assert_sanitized_replay(path):
+def _assert_sanitized_replay(entry):
     with sanitize() as san:
-        _assert_replays(path)
+        _assert_replays(entry)
     assert san.report.ok, san.report.summary()
     assert san.report.counts["messages_checked"] > 0
 
 
 class TestGoldenDeterminism:
-    def test_fingerprint_matches_seed_engine(self):
-        _assert_replays(GOLDEN_PATH)
+    @pytest.mark.parametrize("name", GOLDENS)
+    def test_golden_replays(self, name):
+        _assert_replays(GOLDENS[name])
 
     def test_fingerprint_is_reproducible_within_process(self):
         a = capture_sort_fingerprint(num_ranks=4, n_keys=2_000, seed=7)
@@ -80,20 +88,17 @@ class TestGoldenDeterminism:
         no violations.  This is the acceptance gate for every future
         sanitizer hook — if this fails, a hook perturbed simulated behavior.
         """
-        _assert_sanitized_replay(GOLDEN_PATH)
-
-    def test_frame_miss_fingerprint_matches_its_golden(self):
-        _assert_replays(F64_GOLDEN_PATH)
+        _assert_sanitized_replay(P16)
 
     def test_sanitized_frame_miss_run_is_bit_identical_to_its_golden(self):
-        _assert_sanitized_replay(F64_GOLDEN_PATH)
+        _assert_sanitized_replay(P16_F64)
 
     @pytest.mark.parametrize(
-        "path, merges",
-        [(GOLDEN_PATH, False), (F64_GOLDEN_PATH, True)],
+        "entry, merges",
+        [(P16, False), (P16_F64, True)],
         ids=["int64-words", "float64-keys-perm"],
     )
-    def test_each_golden_runs_its_own_data_path(self, monkeypatch, path, merges):
+    def test_each_golden_runs_its_own_data_path(self, monkeypatch, entry, merges):
         """The int64 golden never reaches the keys + perm merge kernel; the
         float64 golden merges every rank through it."""
         calls = []
@@ -104,15 +109,14 @@ class TestGoldenDeterminism:
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(steps, "flat_kway_merge", counting)
-        golden = json.loads(path.read_text())
-        capture_sort_fingerprint(**golden["workload"])
-        assert len(calls) == (golden["workload"]["num_ranks"] if merges else 0)
+        entry["capture"]()
+        assert len(calls) == (entry["workload"]["num_ranks"] if merges else 0)
 
     @pytest.mark.parametrize("threads", ["one", "default", "oversubscribed"])
     @pytest.mark.parametrize(
-        "path", [GOLDEN_PATH, F64_GOLDEN_PATH], ids=["int64-words", "float64-keys-perm"]
+        "entry", [P16, P16_F64], ids=["int64-words", "float64-keys-perm"]
     )
-    def test_golden_does_not_depend_on_the_kernel_thread_count(self, monkeypatch, path, threads):
+    def test_golden_does_not_depend_on_the_kernel_thread_count(self, monkeypatch, entry, threads):
         """The run's kernel pool is sized from the CPUs the process may use:
         the event-loop thread and one helper per further CPU.  No helper,
         one per core, or more threads than cores switching every few
@@ -133,29 +137,13 @@ class TestGoldenDeterminism:
         try:
             if threads == "oversubscribed":
                 sys.setswitchinterval(1e-5)
-            _assert_replays(path)
+            _assert_replays(entry)
         finally:
             sys.setswitchinterval(interval)
         helpers = len(cpus[threads]) - 1
         assert sizes == ([helpers] if helpers else [])
 
-    def test_every_chaos_schedule_matches_its_golden(self):
-        """Each chaos schedule's run, retries and degraded re-plans
-        included, is the golden's bit for bit.
-
-        The golden was captured before the engine was split into a
-        scheduler and call handlers; re-capture it, only for a deliberate
-        model change, with::
-
-            PYTHONPATH=src python -c "import json, sys; from repro.analysis.determinism import capture_fault_fingerprints as c; json.dump(c(), sys.stdout, indent=1, sort_keys=True); print()" > tests/golden/sim_golden_faults.json
-        """
-        golden = json.loads(FAULTS_GOLDEN_PATH.read_text())
-        current = capture_fault_fingerprints()
-        assert current.keys() == golden.keys()
-        for name in golden:
-            _assert_same(current[name], golden[name], f"{FAULTS_GOLDEN_PATH.name}[{name}]")
-
     def test_makespan_recorded_as_hex(self):
-        golden = json.loads(GOLDEN_PATH.read_text())
+        golden = json.loads(P16["path"].read_text())
         # float.hex round-trips exactly; a plain repr would not guarantee it.
         assert float.fromhex(golden["makespan"]) > 0.0

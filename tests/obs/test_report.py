@@ -1,16 +1,11 @@
-"""RunReport assembly, serialization, and the golden p=16 snapshot."""
-
-import json
-from pathlib import Path
+"""RunReport assembly and serialization (the p=16 snapshot is a golden of
+:data:`repro.analysis.determinism.GOLDENS`)."""
 
 import numpy as np
 import pytest
 
 from repro.core.sorter import STEP_LABELS
 from repro.obs import RunReport, capture
-from repro.obs.report import capture_run_report
-
-GOLDEN_PATH = Path(__file__).resolve().parents[1] / "golden" / "run_report_p16.json"
 
 
 def small_sorted_report(num_ranks=4, n_keys=6_000, seed=5):
@@ -112,21 +107,3 @@ class TestSerialization:
         doc = report.to_json()
         labels = list(doc["ranks"][0]["steps"])
         assert labels == sorted(labels)
-
-
-class TestGoldenSnapshot:
-    """Fixed-seed p=16 report vs the committed snapshot.
-
-    Same spirit as the engine fingerprint: any change to virtual times,
-    traffic, memory accounting, or flow attribution shows up as a diff
-    here.  Regenerate (only for intended changes) with::
-
-        PYTHONPATH=src python -m repro.obs.report \\
-            --report-out tests/golden/run_report_p16.json
-    """
-
-    def test_matches_committed_snapshot(self):
-        report, _ = capture_run_report()
-        golden = json.loads(GOLDEN_PATH.read_text())
-        current = json.loads(json.dumps(report.to_json()))
-        assert current == golden

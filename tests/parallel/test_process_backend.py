@@ -2,11 +2,11 @@
 bit, the partitions of the in-process oracle and the simnet golden run."""
 
 import json
-import pathlib
 
 import numpy as np
 import pytest
 
+from repro.analysis.determinism import GOLDENS, golden_keys
 from repro.core.api import DistributedSorter, partition_input
 from repro.core.local_backend import local_sample_sort
 from repro.core.sorter import SortOptions
@@ -19,8 +19,6 @@ from repro.parallel import (
     resolve_backend,
     use_backend,
 )
-
-GOLDEN_PATH = pathlib.Path(__file__).parents[1] / "golden" / "sim_golden_p16.json"
 
 
 def _integral_float64(rng, n):
@@ -174,11 +172,10 @@ class TestSimnetEquivalence:
         """The committed simnet golden digests pin the process backend too."""
         from repro.analysis.determinism import _digest
 
-        golden = json.loads(GOLDEN_PATH.read_text())
-        wl = golden["workload"]
-        rng = np.random.default_rng(wl["seed"])
-        data = rng.integers(0, 1 << 40, wl["n_keys"]).astype(np.int64)
-        blocks = list(partition_input(data, wl["num_ranks"])[0])
+        entry = GOLDENS["p16"]
+        golden = json.loads(entry["path"].read_text())
+        data = golden_keys(entry["workload"])
+        blocks = list(partition_input(data, entry["workload"]["num_ranks"])[0])
         with ProcessBackend() as backend:
             run = backend.sort_blocks(blocks)
         keys = [out.keys for out in run.outputs]

@@ -25,7 +25,6 @@ from repro.parallel import (
 from repro.parallel.shmsan import analyze_log
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
-GOLDEN_PATH = REPO / "tests" / "golden" / "sim_golden_p16.json"
 
 RACE_KINDS = {"write-write-race", "read-write-race"}
 
@@ -444,10 +443,10 @@ class TestOfflineLog:
 class TestCli:
     """The ``python -m repro.parallel.shmsan`` entry CI gates on."""
 
-    def _run(self, *extra, cwd=REPO, golden=GOLDEN_PATH):
+    def _run(self, *extra, cwd=REPO, golden="p16"):
         return subprocess.run(
             [sys.executable, "-m", "repro.parallel.shmsan",
-             "--golden", str(golden), "--ranks", "4", "--keys", "6000",
+             "--golden", golden, "--ranks", "4", "--keys", "6000",
              *extra],
             cwd=cwd,
             env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
@@ -468,9 +467,8 @@ class TestCli:
     def test_float_golden_replays_its_float_keys(self, tmp_path):
         # The f64 golden's keys miss the frame: keys + perm, input intact.
         report_path, log_path = tmp_path / "shmsan_report.json", tmp_path / "log.json"
-        golden = GOLDEN_PATH.with_name("sim_golden_p16_f64.json")
         proc = self._run(
-            "--report-out", str(report_path), "--log-out", str(log_path), golden=golden
+            "--report-out", str(report_path), "--log-out", str(log_path), golden="p16_f64"
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         report = json.loads(report_path.read_text())

@@ -9,11 +9,11 @@ same keys, same step names, measured (nonzero) values.
 """
 
 import json
-import pathlib
 
 import numpy as np
 import pytest
 
+from repro.analysis.determinism import GOLDENS
 from repro.core.api import distributed_sort, partition_input
 from repro.core.sorter import STEP_LABELS
 from repro.obs.context import capture
@@ -28,9 +28,7 @@ from repro.parallel import (
     use_progress,
 )
 
-GOLDEN_REPORT_PATH = (
-    pathlib.Path(__file__).parents[1] / "golden" / "run_report_p16.json"
-)
+GOLDEN_REPORT_PATH = GOLDENS["run_report_p16"]["path"]
 
 P = 4
 N_KEYS = 40_000

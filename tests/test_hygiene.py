@@ -97,6 +97,27 @@ class TestStructure:
             text = path.read_text().lstrip()
             assert text.startswith('"""'), f"{path} lacks a module docstring"
 
+    def test_only_the_registry_names_a_golden(self):
+        """Every committed golden is an entry of ``GOLDENS``, and no file in
+        ``src/``, ``tests/`` or ``.github/`` but the registry's own module
+        names a golden file or the fault golden's capture: everything else
+        reaches the goldens through the registry's names."""
+        from repro.analysis import determinism
+
+        root = SRC.parents[1]
+        files = set((root / "tests" / "golden").glob("*.json"))
+        assert {entry["path"] for entry in determinism.GOLDENS.values()} == files
+        names = [path.name for path in files] + [determinism.GOLDENS["faults"]["capture"].__name__]
+        offenders = []
+        for folder in ("src", "tests", ".github"):
+            for path in sorted((root / folder).rglob("*")):
+                if path in files or path == SRC / "analysis" / "determinism.py":
+                    continue
+                if path.is_file() and path.suffix != ".pyc":
+                    text = path.read_text(errors="ignore")
+                    offenders += [f"{path.relative_to(root)}: {n}" for n in names if n in text]
+        assert not offenders, f"a golden named outside the registry: {offenders}"
+
     def test_benchmarks_cover_every_experiment(self):
         """No orphan either way between the registry, its benchmarks and
         EXPERIMENTS.md: every experiment has a ``bench_*.py`` importing its
