@@ -87,12 +87,10 @@ class SortResult:
         c = self.counts()
         return int(c.max() - c.min()) if len(c) else 0
 
-    def ranges(self) -> list[tuple[float, float] | None]:
-        """(min, max) key per processor, None for empty ones (Table III)."""
-        out: list[tuple[float, float] | None] = []
-        for a in self.per_processor:
-            out.append((float(a[0]), float(a[-1])) if len(a) else None)
-        return out
+    def ranges(self) -> list[tuple | None]:
+        """(min, max) key per processor in the key dtype, None for empty
+        ones (Table III)."""
+        return [(a[0], a[-1]) if len(a) else None for a in self.per_processor]
 
     def step_breakdown(self) -> dict[str, float]:
         """Max-over-ranks elapsed time per step (Figure 7 series)."""
@@ -182,7 +180,7 @@ class SortResult:
             collected.append(a[-take:] if largest else a[:take])
             remaining -= take
         if not collected:
-            return np.empty(0)
+            return np.empty(0, self.per_processor[0].dtype)
         # Pieces were gathered boundary-inward; restore ascending order.
         return np.concatenate(collected[::-1] if largest else collected)
 

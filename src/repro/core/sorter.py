@@ -52,7 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from ..pgxd.runtime import Machine
-from ..simnet.calls import Mark, Now
+from ..simnet.calls import Crash, Mark, Now
 from ..simnet.collectives import allgather, bcast, gather
 from .balanced_merge import merge_levels, merge_levels_cost_seconds
 from .datapath import OUTPUT_ROLES, DataPath, lay_out, surfaced_sort_path
@@ -193,6 +193,21 @@ def _land_and_merge(arrived: ExchangeResult, merge, base: int, stop: int, run_le
     return merge(base, stop, run_lengths)
 
 
+def _step_marks(step: int, rows: int):
+    """Edge observer on a traced run: the Marks closing the step before
+    the edge and opening the next, the tracer's step spans."""
+    if step:
+        yield Mark(STEP_LABELS[step - 1], event="end")
+    if step < len(STEP_LABELS):
+        yield Mark(STEP_LABELS[step])
+
+
+def _crash_entering(doomed: int, step: int, rows: int):
+    """Edge observer on a rank the fault plan kills entering step ``doomed``."""
+    if step == doomed:
+        yield Crash()
+
+
 class _OnMachine:
     """Simnet's half of the program's method set, on one machine: calls
     and sub-programs for the engine, charged to the cost model — every
@@ -210,18 +225,24 @@ class _OnMachine:
         self.out = RankSortOutput(keys=block, provenance=Provenance.empty())
         self.begun = 0.0
         self.arrived: ExchangeResult | None = None
+        #: What each step edge runs past the clock: the step Marks on a
+        #: traced run, then the fault plan's crash where it kills this rank.
+        proc, self.observers = machine.proc, []
+        if proc.traced:
+            self.observers.append(_step_marks)
+        if proc.kill_step:
+            self.observers.append(partial(_crash_entering, STEP_LABELS.index(proc.kill_step)))
 
     def edge(self, step: int, rows: int):
         """Close the step before ``step``, open ``step``: the Figure-7 clock,
-        and Marks for the structured tracer (no virtual time, no-ops without
-        a tracer, so the golden fingerprint is unaffected)."""
+        then each observer's sub-program — none moves virtual time, so the
+        golden fingerprint cannot tell which ran."""
         now = yield Now()
         if step:
             self.out.step_seconds[STEP_LABELS[step - 1]] = now - self.begun
-            yield Mark(STEP_LABELS[step - 1], event="end")
-        if step < len(STEP_LABELS):
-            yield Mark(STEP_LABELS[step])
         self.begun = now
+        for observe in self.observers:
+            yield observe(step, rows)
 
     def charge(self, step: int, count: int):
         machine, cost = self.machine, self.machine.cost

@@ -17,10 +17,10 @@ Each key means the same on both substrates:
   kills rank R as it enters STEP on the job's first attempt only (a
   transient fault), ``poison=R`` kills it entering step 1 of *every*
   attempt (persistent: the retry layer drops it), ``slow=RxM`` stretches
-  its compute M-fold.  They fire at the step edge each substrate already
-  crosses: the engine's handling of the step's ``Mark`` on simnet (ending
-  the run with :class:`~repro.simnet.errors.RankCrashedError`), the
-  worker's ``_Job.edge`` on the pool (a real ``SIGKILL``);
+  its compute M-fold.  A kill fires at the step edge, in the fault
+  observer a job registers on a rank the plan names: on simnet a
+  :class:`~repro.simnet.calls.Crash` (:class:`~repro.simnet.errors.RankCrashedError`),
+  on the pool a real ``SIGKILL``;
 * **wire faults, where a wire exists** — ``drop=P``, ``link=S-D:M[:E]``
   and ``delay=P[:SPIKE]`` act on simnet's messages; ``delay`` also acts
   on the pool's barrier releases;
@@ -35,7 +35,7 @@ A retried job runs each attempt under :meth:`FaultPlan.for_attempt`: the
 plan narrowed to that job and attempt, addressed by survivor slot, with
 its stream seeded from ``(seed, job, attempt)`` — so the same plan and
 seed reproduce the same faults, event for event on simnet.  The fault-free
-path never sees a plan: every site tests ``faults is not None`` once.
+path never sees a plan: no step edge registers a fault observer.
 """
 
 from __future__ import annotations
@@ -313,18 +313,14 @@ class FaultPlan:
 
 class FaultState:
     """Simnet's mutable per-run fault bookkeeping: the seeded wire stream,
-    the link table, and each rank's kill step and compute multiplier."""
+    the link table, and each rank's compute multiplier."""
 
-    __slots__ = ("plan", "drop_prob", "delay_prob", "kill_at", "slow_mult", "_rng_random", "_links", "_arrivals")
+    __slots__ = ("plan", "drop_prob", "delay_prob", "slow_mult", "_rng_random", "_links", "_arrivals")
 
     def __init__(self, plan: FaultPlan, num_ranks: int) -> None:
         self.plan = plan
         self.drop_prob = plan.drop_prob
         self.delay_prob = plan.delay_prob
-        #: rank -> the step label it dies entering.
-        self.kill_at = {
-            rank: step for rank in range(num_ranks) if (step := plan.kill_step(rank)) is not None
-        }
         self.slow_mult = [plan.slow_mult(rank) for rank in range(num_ranks)]
         self._rng_random = np.random.default_rng(plan.seed).random
         self._links = {(s, d): (m, extra) for s, d, m, extra in plan.links}

@@ -23,9 +23,10 @@ happens-before clock (:mod:`repro.checks.hb`) that ShmSan stamps slot
 writes and reads with.  The barrier's last arriver resets the counter and
 releases every peer's semaphore; a waiter acquires its own in bounded
 slices, checking each time that its driver is alive, so no worker
-outlives a SIGKILLed driver.  Under a fault plan, ``hang`` sleeps
-before the rank arrives and ``delay`` spikes come from the releasing
-rank, drawn from the plan's seed and the collective's sequence number.
+outlives a SIGKILLed driver.  Under a fault plan, ``delay`` spikes come
+from the releasing rank, drawn from the plan's seed and the collective's
+sequence number; a hang or a mute is the worker's fault observer's
+(:mod:`repro.parallel.worker`).
 
 The driver's :func:`serve_control_plane` serves no collective; it
 watches: a dead worker becomes a typed
@@ -279,7 +280,7 @@ class WorkerLink:
 
     Every collective's blocking time is accumulated by kind
     (``barrier`` → barrier wait, everything else → recv wait) and by the
-    current step label (set by :meth:`heartbeat`); when a
+    current step (set by :meth:`clock`); when a
     :class:`~repro.parallel.tracing.WorkerTracer` is attached the same
     interval is also recorded as a wait span.
     """
@@ -310,22 +311,20 @@ class WorkerLink:
     def _fresh(self) -> None:
         #: Attached tracer (None on untraced runs — the guard pattern).
         self.tracer = None
-        #: The op this job's fault plan stalls the rank before, whether it
-        #: mutes its heartbeats, and the plan when it spikes barrier releases.
-        self.hang: str | None = None
-        self.muted = False
+        #: The job's fault plan when it spikes barrier releases.
         self.delay = None
         #: ShmSan's recorder when sanitizing: slot writes and reads are logged.
         self.recorder = None
         #: Mutation hook (``read-slot-before-barrier``): read the peers'
         #: slot headers before the barrier, as a buggy worker would.
         self.early_read = False
-        #: Label (and 1-based index, 0 before step 1) of the current step.
-        self.step_label = ""
+        #: The current step (1-based, 0 before step 1), and the step clock:
+        #: ``marks[i]`` opens step ``i + 1``.
         self._step = 0
-        #: Measured blocking seconds, by wait kind and by step label.
+        self.marks: list[float] = []
+        #: Measured blocking seconds, by wait kind and by step (1-based).
         self.wait_by_kind = {"recv-wait": 0.0, "barrier-wait": 0.0}
-        self.wait_by_step: dict[str, float] = {}
+        self.wait_by_step: dict[int, float] = {}
 
     def reset(self) -> None:
         """Return the link to its just-spawned state for the next job.
@@ -333,7 +332,7 @@ class WorkerLink:
         Pooled workers reuse one link across many sorts; every per-job
         quantity — the collective sequence counter, the epoch
         happens-before clock ShmSan stamps accesses with, the measured
-        wait accumulators, the attached tracer and fault hooks — must
+        wait accumulators, the attached tracer and delay plan — must
         start fresh or state from job *k* would corrupt the analysis of
         job *k+1*.  A release owed to an arrival posted without waiting
         (the ``skip-merge-barrier`` mutation) is taken here: that barrier
@@ -365,15 +364,6 @@ class WorkerLink:
                     return None
 
     def _collective(self, op: str, payload: Any = None, root: int = 0) -> Any:
-        if self.hang is not None and op == self.hang:
-            # hang-at-collective: the planned rank sleeps here instead of
-            # arriving — no process dies, so only the hub's per-phase
-            # deadline can convert this into a typed, rank-attributed
-            # ControlPlaneTimeout.
-            self.hang = None
-            if self.tracer is not None:
-                self.tracer.fault("hang", f"before {op}")
-            _sleep_watching(self._driver, HANG_SECONDS)
         self._seq += 1
         start = time.perf_counter()  # repro: noqa[R002] — real backend: measured blocking time is the point
         if self.region is None:
@@ -385,10 +375,8 @@ class WorkerLink:
         end = time.perf_counter()  # repro: noqa[R002] — real backend: measured blocking time is the point
         kind = "barrier-wait" if op == "barrier" else "recv-wait"
         self.wait_by_kind[kind] += end - start
-        if self.step_label:
-            self.wait_by_step[self.step_label] = (
-                self.wait_by_step.get(self.step_label, 0.0) + (end - start)
-            )
+        if self._step:
+            self.wait_by_step[self._step] = self.wait_by_step.get(self._step, 0.0) + (end - start)
         if self.tracer is not None:
             self.tracer.wait(kind, op, start, end)
         return reply
@@ -504,13 +492,11 @@ class WorkerLink:
         self._record("w", bank, self.rank, True)
         self._barrier(self._seq, code, wait=False)
 
-    def flush_san(self, records: list) -> None:
-        """Fire-and-forget: ship drained sanitizer access records home.
-
-        Called at step boundaries and on completion when sanitizing is
-        active, so a worker that crashes mid-run has already delivered its
-        log up to the last boundary — the partial-analysis path.
-        """
+    def flush_san(self, step: int, rows: int) -> None:
+        """Edge observer when sanitizing: ship the drained access log home,
+        fire-and-forget, so a worker that crashes mid-run has delivered it
+        up to the last edge — the partial-analysis path."""
+        records = self.recorder.drain()
         if records:
             self.conn.send(("san", self.rank, records))
 
@@ -526,26 +512,26 @@ class WorkerLink:
         self.conn.send(("probe", self.rank))
         return self.conn.recv()
 
-    def heartbeat(self, step: str, rows: int) -> None:
-        """Liveness beat: entering ``step`` with ``rows``, in the rank's row.
+    def clock(self, step: int, rows: int) -> None:
+        """Edge observer, always on: the step clock reads as the rank enters
+        ``step`` (0-based; past the last step, the end), and the collective
+        waits and ShmSan slot records that follow are that step's."""
+        self.marks.append(time.perf_counter())  # repro: noqa[R002] — real backend: measured step wall time is the product
+        self._step = step + 1
 
-        Also rotates :attr:`step_label` so subsequent collective waits are
-        attributed to the new step.  A muted rank still rotates the label
-        (the sort is unaffected) but writes no beat — degrading crash
-        *detection* to "no heartbeat received", which is precisely the
-        diagnostics path the ``mute=`` fault exercises.
-        """
-        self.step_label = step
-        self._step = STEP_LABELS.index(step) + 1
-        if self.muted:
-            if self.tracer is not None:
-                self.tracer.fault("mute", f"suppressed heartbeat at {step}")
-            return
-        region = self.region
-        if region is not None:
-            at = region.beats_at + 2 * (len(STEP_LABELS) * self.rank + self._step - 1)
-            region.d[at] = rows
-            region.d[at + 1] = time.perf_counter()  # repro: noqa[R002] — real backend: a heartbeat's age is wall time
+    def heartbeat(self, step: int, rows: int) -> None:
+        """Edge observer unless muted: a liveness beat entering ``step``
+        with ``rows``, in the rank's row.  A muted rank writes none, which
+        degrades crash *detection* to "no heartbeat received"."""
+        if step < len(STEP_LABELS):
+            beats = self.region.d
+            at = self.region.beats_at + 2 * (len(STEP_LABELS) * self.rank + step)
+            beats[at], beats[at + 1] = rows, time.perf_counter()  # repro: noqa[R002] — real backend: a heartbeat's age is wall time
+
+    def stall(self) -> None:
+        """A planned hang: sleep, alive, until the hub's phase deadline
+        ends the job (or the driver goes)."""
+        _sleep_watching(self._driver, HANG_SECONDS)
 
     def send_done(self, payload: Any) -> None:
         self.conn.send(("done", self.rank, payload))

@@ -8,8 +8,9 @@ and loops until the driver sends shutdown.
 
 This module is the pool's binding of the one sort program
 (:func:`repro.core.program.six_steps`, the simulator's too): a per-job
-:class:`_Job` serves its steps — a step edge is the step clock, the
-fault plan's kills and stragglers, the heartbeat and a ShmSan flush;
+:class:`_Job` serves its steps — a step edge walks the job's observers
+(the fault plan where it names the rank, the step clock, the heartbeat
+unless muted, a ShmSan flush when sanitizing), built once per job;
 collectives go through the generation's control region; step 1 sorts
 inline, in words packed over the staged block where they may go; step 5
 writes shared memory — so the produced partitions are **bit-identical**
@@ -35,16 +36,13 @@ pipe: its dispatch in, its report out.
 Timing here is *wall-clock* (``time.perf_counter``), which is the whole
 point of this backend; the simulated path keeps its virtual clock.
 
-Observability: every worker writes a heartbeat into its row of the
-region at each step boundary (always on — six stores that power the
-crash detector's which-step-died diagnostics and the live-progress sink)
-and, when the parent requested tracing (``job.trace``), records a
-:class:`~repro.parallel.tracing.WorkerTrace` — clock-offset handshake,
-per-step windows, collective wait spans, one flow per (src, dst) shm
-write with bytes (``count × 4`` or ``count × 8`` for a word run, as wide
-as the job's key frame) and the run's byte offset in the exchanged
-stream, and counter samples — shipped home on the :class:`WorkerReport`
-and merged on the parent into the simnet-schema tracer.
+Observability: the heartbeats feed the crash detector's which-step-died
+diagnostics and the live-progress sink; a traced job (``job.trace``)
+records a :class:`~repro.parallel.tracing.WorkerTrace` — clock-offset
+handshake, per-step windows, collective wait spans, one flow per (src,
+dst) shm write with its bytes and byte offset in the exchanged stream —
+shipped home on the :class:`WorkerReport` and merged on the parent into
+the simnet-schema tracer.
 """
 
 from __future__ import annotations
@@ -91,8 +89,7 @@ class JobSpec:
     #: parent when an ambient obs capture is active; off by default).
     trace: bool = False
     #: Record ShmSan access intervals for every shared-memory touch and
-    #: flush them home at step boundaries (off by default; the unsanitized
-    #: path pays only ``is not None`` guards).
+    #: flush them home at each step edge (off by default).
     sanitize: bool = False
     #: Test hook: seed one invariant break on ``mutate_rank`` (a name from
     #: :data:`repro.parallel.shmsan.MUTATIONS`) — the detector's detector.
@@ -105,8 +102,7 @@ class JobSpec:
     #: its key dtype and cluster size (none on cold pools).
     cache: SplitterProbe = SplitterProbe(())
     #: This attempt's fault plan, addressed by worker slot
-    #: (:meth:`~repro.faults.FaultPlan.for_attempt`); ``None`` is the
-    #: overwhelmingly common case.
+    #: (:meth:`~repro.faults.FaultPlan.for_attempt`), or ``None``.
     faults: FaultPlan | None = None
 
 
@@ -188,11 +184,45 @@ class SegmentCache:
         self._segments.clear()
 
 
+class _PlannedFaults:
+    """The fault plan on a rank it names.  At each edge, before the clock
+    reads, a slow rank stretches the step it closes and a kill is a real
+    fail-stop (the pipe hits EOF) before a heartbeat can claim the step; a
+    muted rank's edges leave a trace note.  A hung rank's job talks to its
+    link through this object, which stalls before collective ``hang``."""
+
+    def __init__(self, plan: FaultPlan, rank: int, link: WorkerLink, tracer):
+        self.hang, self.kill = plan.hang_op(rank), plan.kill_step(rank)
+        self.slow, self.muted = plan.slow_mult(rank), rank in plan.muted
+        self.link, self.tracer = link, tracer
+
+    def on_edge(self, step: int, rows: int) -> None:
+        if step == len(STEP_LABELS):
+            return  # step 6 runs unstretched to the end
+        if step and self.slow > 1.0:
+            pause = (self.slow - 1.0) * (time.perf_counter() - self.link.marks[-1])  # repro: noqa[R002] — real backend: a slow rank's pause scales its measured step
+            self._note("slow", f"{STEP_LABELS[step - 1]}: +{pause * 1e3:.2f}ms")
+            time.sleep(pause)
+        if STEP_LABELS[step] == self.kill:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if self.muted:
+            self._note("mute", f"suppressed heartbeat at {STEP_LABELS[step]}")
+
+    def __getattr__(self, name: str):
+        if name == self.hang:
+            self.hang = None
+            self._note("hang", f"before {name}")
+            self.link.stall()
+        return getattr(self.link, name)
+
+    def _note(self, kind: str, detail: str) -> None:
+        if self.tracer is not None:
+            self.tracer.fault(kind, detail)
+
+
 class _Job:
     """One job on one rank: the pool's half of the program's method set
-    (:mod:`repro.core.program`), each method returning its value, and the
-    hooks at the step edges — the fault plan, the step clock, the
-    heartbeat, the ShmSan recorder, the tracer."""
+    (:mod:`repro.core.program`), each method returning its value."""
 
     def __init__(self, rank, plan: JobSpec, link: WorkerLink, segments, scratch: ScratchArena):
         self.rank, self.size, self.config = rank, plan.size, plan.config
@@ -201,26 +231,32 @@ class _Job:
         self.recorder = link.recorder = AccessRecorder(rank) if plan.sanitize else None
         self.mutation = plan.mutate if rank == plan.mutate_rank else None
         link.early_read = self.mutation == "read-slot-before-barrier"
-        #: Clock reads at the step edges: ``marks[i]`` opens step ``i + 1``.
-        self.marks: list[float] = []
-        self.tracer: WorkerTracer | None = None
+        self.tracer = link.tracer = WorkerTracer(rank, job_id=plan.job_id) if plan.trace else None
+        #: What each step edge runs, in order: the fault plan where it names
+        #: this rank, the step clock, the heartbeat unless muted, and a
+        #: ShmSan flush when sanitizing.
+        self.observers = [link.clock, link.heartbeat]
+        if plan.faults is not None:
+            link.delay = plan.faults if plan.faults.delay_prob > 0.0 else None
+            faults = _PlannedFaults(plan.faults, rank, link, self.tracer)
+            if faults.muted:
+                self.observers.pop()
+            if faults.kill or faults.slow > 1.0 or faults.muted:
+                self.observers.insert(0, faults.on_edge)
+            if faults.hang:
+                self.link = faults
+        if plan.sanitize:
+            self.observers.append(link.flush_san)
         if plan.trace:
             # Clock-offset handshake: align this process's perf_counter with
             # the hub's before any event is recorded, then barrier so every
             # rank enters step 1 from a common point.  Re-estimated per job:
-            # a pooled worker's offset drifts between jobs.
-            self.tracer = link.tracer = WorkerTracer(rank, job_id=plan.job_id)
+            # a pooled worker's offset drifts between jobs.  (A hang stalls
+            # the program's collective, never this one.)
             trace = self.tracer.trace
             trace.clock_offset, trace.clock_rtt = estimate_clock_offset(link.probe)
             link.barrier()
         self.views = plan.leases.map(segments.view)
-        #: The slot's planned kill step and compute multiplier; hangs and
-        #: mutes are the link's to realise.
-        self.faults = plan.faults
-        if plan.faults is not None:
-            self.kill_step, self.slow = plan.faults.kill_step(rank), plan.faults.slow_mult(rank)
-            link.hang, link.muted = plan.faults.hang_op(rank), rank in plan.faults.muted
-            link.delay = plan.faults if plan.faults.delay_prob > 0.0 else None
 
     def run(self) -> WorkerReport:
         lo, hi = self.plan.leases.block_starts[self.rank : self.rank + 2].tolist()
@@ -242,46 +278,10 @@ class _Job:
                 lease = replace(lease, dtype=dtype)
             self.recorder.record(lease, lo, hi, kind, step, self.link.epoch, label, dst=dst)
 
-    def _mark(self) -> None:
-        self.marks.append(time.perf_counter())  # repro: noqa[R002] — real backend: measured step wall time is the product
-
-    def _flush(self) -> None:
-        if self.recorder is not None:
-            self.link.flush_san(self.recorder.drain())
-
     def edge(self, step: int, rows: int) -> None:
-        """The edge into ``step`` (0-based): step clock, then heartbeat.
-
-        The heartbeat piggybacks a sanitizer-log flush, so a crash mid-run
-        leaves the analyzer every access up to the last boundary.  The
-        fault plan is consulted first: a planned kill must not leave a
-        heartbeat for the step it never entered.  Past step 6 the log is
-        flushed and the clock stops.
-        """
-        if step == len(STEP_LABELS):
-            self._flush()
-            self._mark()
-            return
-        if self.faults is not None:
-            self._inject(step)
-        if step:
-            self._mark()
-        self.link.heartbeat(STEP_LABELS[step], rows)
-        self._flush()
-        if not step:
-            self._mark()  # the heartbeat into step 1 is outside the timed steps
-
-    def _inject(self, step: int) -> None:
-        """A slow rank stretches the step it closes to ``slow`` times its
-        wall, before the clock reads; a planned kill is a real fail-stop —
-        no atexit hooks, no error report, the pipe simply hits EOF."""
-        if step and self.slow > 1.0:
-            pause = (self.slow - 1.0) * (time.perf_counter() - self.marks[-1])  # repro: noqa[R002] — real backend: a slow rank's pause scales its measured step
-            if self.tracer is not None:
-                self.tracer.fault("slow", f"{STEP_LABELS[step - 1]}: +{pause * 1e3:.2f}ms")
-            time.sleep(pause)
-        if STEP_LABELS[step] == self.kill_step:
-            os.kill(os.getpid(), signal.SIGKILL)
+        """The edge into ``step`` (0-based; past step 6, the end)."""
+        for observe in self.observers:
+            observe(step, rows)
 
     def charge(self, step: int, count: int) -> None:
         """Nothing to charge: the wall clock measures the step."""
@@ -397,22 +397,23 @@ class _Job:
                 self.record(role, lo, hi, kind, 6, label)
 
     def finish(self, steps: RankSteps) -> WorkerReport:
-        link, marks, path = self.link, self.marks, steps.path
-        windows = list(zip(STEP_LABELS, marks, marks[1:]))
+        link, marks, path = self.link, self.link.marks, steps.path
+        windows, trace = list(zip(STEP_LABELS, marks, marks[1:])), None
         if self.tracer is not None:
             for label, begin, end in windows:
                 self.tracer.step(begin, end, label)
+            trace = self.tracer.trace
         return WorkerReport(
             rank=self.rank,
             counts_row=steps.partition.counts,
             step_seconds={label: end - begin for label, begin, end in windows},
             splitters=steps.splitters if self.rank == MASTER else None,
             wall_seconds=marks[-1] - marks[0],
-            step_wait_seconds=dict(link.wait_by_step),
+            step_wait_seconds={STEP_LABELS[s - 1]: wait for s, wait in link.wait_by_step.items()},
             recv_wait_seconds=link.wait_by_kind["recv-wait"],
             barrier_wait_seconds=link.wait_by_kind["barrier-wait"],
             peak_rss_bytes=peak_rss_bytes(),
-            trace=None if self.tracer is None else self.tracer.trace,
+            trace=trace,
             splitter_cache=steps.verdict,
             sample_fingerprint=steps.fingerprint,
             job_id=self.plan.job_id,

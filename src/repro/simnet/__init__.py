@@ -12,6 +12,7 @@ from .calls import (
     Alloc,
     Barrier,
     Compute,
+    Crash,
     Free,
     Isend,
     Mark,
@@ -47,6 +48,7 @@ __all__ = [
     "ClusterMetrics",
     "Compute",
     "CostModel",
+    "Crash",
     "DeadlockError",
     "Fabric",
     "Free",

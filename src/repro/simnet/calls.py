@@ -136,13 +136,11 @@ class Mark:
     """Annotate the structured trace; consumes no virtual time.
 
     ``event`` is ``"begin"``/``"end"`` to bracket a phase span (e.g. one of
-    the six sort steps) or ``"instant"`` for a point marker.  A fault
-    plan's kill fires at the ``begin`` mark of its step label.  With no
-    tracer and no plan attached the engine discards the call, so programs
-    may mark unconditionally: the disabled cost is one generator
-    round-trip, the virtual clock and metrics are never
-    touched, and behavior stays bit-identical (golden determinism holds with marks in
-    the sort program).
+    the six sort steps) or ``"instant"`` for a point marker.  With no
+    tracer attached the engine discards the call, so programs may mark
+    unconditionally: the disabled cost is one generator round-trip, the
+    virtual clock and metrics are never touched, and behavior stays
+    bit-identical.  (The sort's step edges mark only on a traced run.)
     """
 
     label: str
@@ -151,6 +149,13 @@ class Mark:
     def __post_init__(self) -> None:
         if self.event not in ("begin", "end", "instant"):
             raise ValueError(f"unknown mark event {self.event!r}")
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class Crash:
+    """Fail-stop the calling rank now (a fault plan's kill): the run ends
+    in :class:`~repro.simnet.errors.RankCrashedError` once this instant's
+    events ran."""
 
 
 @dataclass(slots=True, unsafe_hash=True)

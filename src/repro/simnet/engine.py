@@ -54,6 +54,7 @@ from .calls import (
     Alloc,
     Barrier,
     Compute,
+    Crash,
     Free,
     Isend,
     Mark,
@@ -106,13 +107,16 @@ class ProcessHandle:
     under SimSan, ``sanitizer`` carries the active
     :class:`~repro.simnet.sanitizer.SimSan` so comm facades (e.g.
     :class:`~repro.simnet.mpi.SimComm`) can register request handles; it is
-    ``None`` on unsanitized runs.
+    ``None`` on unsanitized runs.  ``traced`` and ``kill_step`` (the step
+    the fault plan kills the rank entering) pick its step edges' observers.
     """
 
     rank: int
     size: int
     metrics: ProcessMetrics
     sanitizer: "SimSan | None" = None
+    traced: bool = False
+    kill_step: str | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ProcessHandle(rank={self.rank}, size={self.size})"
@@ -291,8 +295,8 @@ class Simulator:
       messages, tag collisions);
     * the innermost :func:`repro.faults.inject_faults` scope injects its
       :class:`repro.faults.FaultPlan`'s message drops, delays, link
-      degradation, slow nodes and step-addressed kills (a kill fires at
-      the rank's ``Mark`` opening the step).
+      degradation and slow nodes, and names each rank's ``kill_step`` on
+      its handle (the rank yields :class:`Crash` there).
 
     Each is tested through one ``is not None`` guard per hook, and no hook
     of a tracer or sanitizer touches virtual time, metrics or event order,
@@ -324,8 +328,10 @@ class Simulator:
         #: Per-run FaultState, or None — the single object every fault
         #: guard of the run tests.
         self._faults = faults.begin_run(num_ranks) if faults is not None else None
+        self._kill_at = {}  #: rank -> the step label it dies entering
         if self._faults is not None:
             self.fabric.faults = self._faults
+            self._kill_at = {rank: faults.kill_step(rank) for rank in range(num_ranks)}
         self._procs: dict[int, _ProcState] = {}
         self._events: list[tuple[float, int, int, int, Any]] = []
         #: FIFO of Isend completions: their resume times are ``now`` plus a
@@ -357,7 +363,8 @@ class Simulator:
             raise ValueError(f"rank {rank} already has a program")
         if not 0 <= rank < self.num_ranks:
             raise UnknownRankError(f"rank {rank} outside [0, {self.num_ranks})")
-        handle = ProcessHandle(rank, self.num_ranks, ProcessMetrics(rank), self._sanitizer)
+        traced, kill_step = self._tracer is not None, self._kill_at.get(rank)
+        handle = ProcessHandle(rank, self.num_ranks, ProcessMetrics(rank), self._sanitizer, traced, kill_step)
         gen = fn(handle, *args, **kwargs)
         if not isinstance(gen, Generator):
             raise InvalidCallError(
@@ -782,17 +789,18 @@ class Simulator:
         return None
 
     def _do_mark(self, rank: int, state: _ProcState, call: Mark) -> Any:
-        # Tracer annotation: no virtual time, no metrics — with no tracer and no fault plan this is a no-op, so
-        # marked programs are bit-identical to unmarked ones.
+        # Tracer annotation: no virtual time, no metrics — with no tracer this
+        # is a no-op, so marked programs are bit-identical to unmarked ones.
         if self._tracer is not None:
             self._tracer.mark(rank, self._now, call.label, call.event)
-        if self._faults is not None and self._faults.kill_at.get(rank) == call.label and call.event == "begin":
-            # A planned kill: the rank fail-stops as it opens the step, and
-            # the crash event ends the run once this instant's events ran.
-            state.status = _WAITING
-            heappush(self._events, (self._now, next(self._seq), _EV_CRASH, rank, None))
-            return _BLOCKED
         return None
+
+    def _do_crash(self, rank: int, state: _ProcState, call: Crash) -> Any:
+        # A planned kill: the rank fail-stops now, and the crash event ends
+        # the run once this instant's events ran.
+        state.status = _WAITING
+        heappush(self._events, (self._now, next(self._seq), _EV_CRASH, rank, None))
+        return _BLOCKED
 
     def _sample_memory(self, rank: int, memory: Any) -> None:
         tracer = self._tracer
@@ -848,6 +856,7 @@ _CALL_HANDLERS: dict[type, _Handler] = {
     Alloc: Simulator._do_alloc,
     Free: Simulator._do_free,
     Mark: Simulator._do_mark,
+    Crash: Simulator._do_crash,
 }
 
 

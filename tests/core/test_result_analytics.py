@@ -202,12 +202,34 @@ def _same_keys(got, want):
     if len(got) != len(want):
         return False
     if not len(want):
-        return True
+        return got.dtype == want.dtype
     equal = got == want
     if want.dtype.kind in "fmM":
         missing = np.isnan if want.dtype.kind == "f" else np.isnat
         equal |= missing(got) & missing(want)
     return bool(np.all(equal))
+
+
+class TestAnswersKeepTheKeyDtype:
+    """Table III's ranges and an empty top-k are keys, not floats."""
+
+    DATES = np.array(["1970-01-03", "NaT", "1969-12-31"], dtype="datetime64[D]")
+    RECORDS = np.array([(2, 1.5), (-1, 0.0), (2, -np.inf), (0, 3.0), (-1, -0.0)], dtype=_RECORD)
+
+    @pytest.mark.parametrize("keys", [DATES, RECORDS], ids=["datetime64", "structured"])
+    def test_ranges_are_scalars_of_the_key_dtype(self, keys):
+        result = distributed_sort(keys, num_processors=2)
+        spans = [span for span in result.ranges() if span is not None]
+        assert all(key.dtype == keys.dtype for span in spans for key in span)
+        ordered = np.sort(keys, kind="stable")
+        assert _same_keys(np.array([spans[0][0], spans[-1][1]], keys.dtype), ordered[[0, -1]])
+
+    @pytest.mark.parametrize("keys", [DATES, RECORDS], ids=["datetime64", "structured"])
+    def test_an_empty_top_k_has_the_key_dtype(self, keys):
+        result = distributed_sort(keys, num_processors=2)
+        empty = distributed_sort(keys[:0], num_processors=2)
+        for answer in (result.top_k(0), result.top_k(0, largest=False), empty.top_k(3)):
+            assert answer.dtype == keys.dtype and not len(answer)
 
 
 class TestNumpyDifferential:
@@ -247,6 +269,9 @@ class TestNumpyDifferential:
             for k in sorted({0, 1, n // 2, n}):
                 assert _same_keys(r.top_k(k), ordered[n - k:])
                 assert _same_keys(r.top_k(k, largest=False), ordered[:k])
+            spans = [span for span in r.ranges() if span is not None]
+            bounds = np.array([key for span in spans for key in span], ordered.dtype)
+            assert _same_keys(bounds[[0, -1]], ordered[[0, -1]]) if n else not spans
             if n:
                 qs = np.array([0.0, 0.3, 0.5, 1.0])
                 ranks = np.minimum((qs * n).astype(np.int64), n - 1)

@@ -34,7 +34,7 @@ from repro.core.datapath import THROUGH
 from repro.core.retry import RetryPolicy
 from repro.core.scratch import ARENAS
 from repro.core.sorter import STEP_LABELS, SortJob, SortOptions
-from repro.faults import FaultPlan, inject_faults
+from repro.faults import COLLECTIVE_OPS, FaultPlan, inject_faults
 from repro.obs import capture
 from repro.parallel import JobAbortedError, ProcessBackend, SimnetBackend
 from repro.simnet.errors import DeadlockError
@@ -600,3 +600,52 @@ def test_generated_fault_specs_agree_across_substrates(assert_balanced, case, se
             assert [getattr(m, field) for m in a.metrics.processes] == [
                 getattr(m, field) for m in b.metrics.processes
             ], (spec, field)
+
+
+@st.composite
+def _silent_rank_specs(draw):
+    """``(p, spec, hang, kill)``: the pool's own keys over two jobs —
+    ``mute=R`` for any ranks, maybe one ``hang=R@OP[:JOB]`` and, in a job
+    no hang stalls, maybe one kill of a muted rank.  ``hang`` and ``kill``
+    are ``(rank, where, job)`` (job ``None``: every job), or ``None``."""
+    p = draw(st.sampled_from([2, 3]))
+    muted = sorted(draw(st.sets(st.integers(0, p - 1))))
+    entries = [f"mute={rank}" for rank in muted]
+    hang = kill = None
+    if draw(st.booleans()):
+        hang = (draw(st.integers(0, p - 1)), draw(st.sampled_from(COLLECTIVE_OPS)), draw(st.sampled_from([None, 0, 1])))
+        entries.append(f"hang={hang[0]}@{hang[1]}" + ("" if hang[2] is None else f":{hang[2]}"))
+    free = [job for job in (0, 1) if hang is None or hang[2] not in (None, job)]
+    if muted and free and draw(st.booleans()):
+        kill = (draw(st.sampled_from(muted)), draw(st.sampled_from(STEP_LABELS[1:])), draw(st.sampled_from(free)))
+        entries.append(f"kill={kill[0]}@{kill[1]}:{kill[2]}")
+    return p, ",".join(entries), hang, kill
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=_silent_rank_specs(), seed=st.integers(0, 2**32 - 1))
+def test_generated_hang_and_mute_specs_recover_on_the_pool(case, seed):
+    """Hangs and mutes are the pool's alone (simnet rejects them): over
+    two jobs, every job returns the oracle's bytes; a hang is a timeout the
+    phase deadline charges to the hung rank through ``missing_ranks``; and
+    a muted rank's crash reports no heartbeat, though it died past step 1."""
+    p, spec, hang, kill = case
+    data = _keys("int64", 300 * p, np.random.default_rng(seed))
+    blocks = list(partition_input(data, p)[0])
+    reference = local_sample_sort(blocks)
+    plan = FaultPlan.from_spec(spec, seed=seed)
+    with inject_faults(plan), ProcessBackend(retry=FAST_RETRY, phase_timeout_seconds=0.5) as backend:
+        runs = [backend.sort_blocks(blocks) for _ in range(2)]
+    for job, run in enumerate(runs):
+        result = run.to_sort_result()
+        _assert_bytes_equal(zip(result.per_processor, result.provenance), reference)
+        failures, charged = [], [(0, 0)] * p
+        if hang is not None and hang[2] in (None, job):
+            failures.append(("ControlPlaneTimeout", hang[0], None))
+            charged[hang[0]] = (1, 0)
+        if kill is not None and kill[2] == job:
+            failures.append(("WorkerCrashedError", kill[0], None))
+            charged[kill[0]] = (0, 1)
+        history = [(r["error"], r["rank"], r["last_step"]) for r in run.attempt_history]
+        assert history == failures, (spec, job)
+        assert [(m.timeouts, m.retries) for m in result.metrics.processes] == charged, (spec, job)

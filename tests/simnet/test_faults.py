@@ -15,6 +15,7 @@ from repro.faults import (
 )
 from repro.simnet import (
     Compute,
+    Crash,
     DeadlockError,
     Isend,
     Mark,
@@ -26,6 +27,14 @@ from repro.simnet import (
     Simulator,
     Sleep,
 )
+
+
+def open_step(proc, label):
+    """A raw program's step edge, as the sort's: mark the step, and
+    fail-stop where the rank's handle says the plan kills it."""
+    yield Mark(label)
+    if label == proc.kill_step:
+        yield Crash()
 
 
 def make_sim(n=2, plan=None, **net_kwargs):
@@ -339,10 +348,10 @@ class TestEngineFaults:
             yield Sleep(1.0)
 
         def victim(proc):
-            yield Mark("4-partition")
+            yield open_step(proc, "4-partition")
             yield Mark("exchange:send")
             yield Sleep(0.5)
-            yield Mark("5-exchange")
+            yield open_step(proc, "5-exchange")
             yield Sleep(10.0)  # would finish at t=10.5 if it survived
             return "survived"
 
@@ -363,7 +372,7 @@ class TestEngineFaults:
         sim = make_sim(n=1, plan=plan)
 
         def program(proc):
-            yield Mark("1-local-sort")
+            yield open_step(proc, "1-local-sort")
             yield Compute(1.0)
             return "ran"
 

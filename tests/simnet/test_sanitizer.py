@@ -330,12 +330,13 @@ class TestFaultedMessageLifetimes:
 
     def test_an_aborted_run_leaves_notes_not_violations(self):
         from repro.faults import FaultPlan
-        from repro.simnet import Mark, RankCrashedError
+        from repro.simnet import Crash, RankCrashedError
 
         def sender(proc):
             yield Isend(1, nbytes=64, payload=np.arange(4), tag=7)
             yield Compute(0.5)
-            yield Mark("2-sampling")
+            if proc.kill_step == "2-sampling":
+                yield Crash()
             yield Compute(1.0)
 
         def receiver(proc):

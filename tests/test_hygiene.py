@@ -639,6 +639,33 @@ class TestObserverScopes:
         },
     }
 
+    #: The modules both substrates cross a step edge in, and the guard an
+    #: inline observer hook costs there.
+    GUARDED_MODULES = (
+        "parallel/worker.py",
+        "parallel/collectives.py",
+        "simnet/engine.py",
+        "core/sorter.py",
+    )
+    OBSERVER_GUARD = re.compile(
+        r"\b_?(?:tracer|recorder|faults|sanitizer|plan|progress) is (?:not )?None\b"
+    )
+    #: Pinned where the step edge became an observer list (42 before it).
+    #: A change that removes a guard lowers the pin; none may raise it.
+    OBSERVER_GUARDS = 37
+
+    def test_inline_observer_guards_only_go_down(self):
+        """Observers join a job's step edge once, as the job starts; an
+        inline ``is None`` guard on one cannot come back."""
+        counts = {
+            name: len(self.OBSERVER_GUARD.findall((SRC / name).read_text()))
+            for name in self.GUARDED_MODULES
+        }
+        assert sum(counts.values()) == self.OBSERVER_GUARDS, (
+            f"{sum(counts.values())} inline observer guards, pinned at "
+            f"{self.OBSERVER_GUARDS} (lower the pin if you removed some): {counts}"
+        )
+
     def test_no_substrate_takes_an_observer_argument(self):
         import inspect
 
