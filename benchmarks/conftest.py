@@ -12,6 +12,7 @@ in minutes.  Use ``REPRO_SCALE=default`` to regenerate the tables recorded
 in EXPERIMENTS.md.
 """
 
+import functools
 import os
 
 import pytest
@@ -26,10 +27,16 @@ def scale():
 
 
 @pytest.fixture
-def regenerate(benchmark, scale, capsys):
-    """Run ``module.main(scale)`` once under the benchmark and print it."""
+def regenerate(benchmark, scale, capsys, monkeypatch):
+    """Run ``module.main(scale)`` once under the benchmark and print it.
+
+    ``module.run`` is memoised for the test, so the bench's own
+    ``module.run(scale)`` reads the result ``main`` computed instead of
+    running the experiment a second time."""
 
     def _run(module):
+        if hasattr(module, "run"):
+            monkeypatch.setattr(module, "run", functools.cache(module.run))
         text = benchmark.pedantic(module.main, args=(scale,), rounds=1, iterations=1)
         with capsys.disabled():
             print()

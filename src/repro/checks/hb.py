@@ -80,12 +80,6 @@ class ShmAccess:
     label: str  #: site name, e.g. "exchange-write", "merge-read"
     dst: int | None = None  #: destination rank of an exchange write
 
-    def to_tuple(self) -> tuple:
-        return (
-            self.segment, self.byte_lo, self.byte_hi, self.kind,
-            self.rank, self.step, self.epoch, self.label, self.dst,
-        )
-
     @classmethod
     def from_tuple(cls, raw: Sequence) -> "ShmAccess":
         return cls(
@@ -103,6 +97,13 @@ class ShmAccess:
         )
 
 
+def lease_bytes(lease, lo: int, hi: int) -> tuple[int, int]:
+    """Elements ``[lo, hi)`` of ``lease`` as bytes of its segment."""
+    itemsize = np.dtype(lease.dtype).itemsize
+    base = int(lease.offset_bytes)
+    return base + int(lo) * itemsize, base + int(hi) * itemsize
+
+
 @dataclass(frozen=True)
 class LeaseInfo:
     """Analyzer-facing description of one registered lease."""
@@ -115,11 +116,10 @@ class LeaseInfo:
 
     @classmethod
     def from_lease(cls, role: str, lease) -> "LeaseInfo":
-        itemsize = np.dtype(lease.dtype).itemsize
-        lo = int(lease.offset_bytes)
+        lo, hi = lease_bytes(lease, 0, lease.length)
         return cls(
-            role=role, segment=lease.name, byte_lo=lo,
-            byte_hi=lo + int(lease.length) * itemsize, itemsize=itemsize,
+            role=role, segment=lease.name, byte_lo=lo, byte_hi=hi,
+            itemsize=np.dtype(lease.dtype).itemsize,
         )
 
 

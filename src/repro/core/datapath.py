@@ -41,7 +41,8 @@ pooled worker calls them inline, the simulator runs each step's, every
 rank's at once, as one batch on its run's kernel threads.  A path
 *declares* what a substrate needs to know — the roles its step 5 wrote,
 the bytes each key cost, its label — so nothing downstream re-derives
-the decision.
+the decision, and which bytes of the job's storage its kernels touched
+(:data:`Access`), which ShmSan (:mod:`repro.parallel.shmsan`) checks.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ WORD_DTYPE = np.dtype(np.int64)
 #: The roles a finished job's result is read from.
 OUTPUT_ROLES = ("keys", "index")
 
-#: A storage access beyond the streams: ``(role, lo, hi, kind, label)``.
+#: A kernel's access to the job's storage: ``(role, lo, hi, kind, label)``,
+#: bytes ``[lo, hi)`` from the role's start, ``kind`` ``"r"`` or ``"w"``.
 Access = tuple[str, int, int, str, str]
 
 
@@ -100,6 +102,27 @@ class JobStorage(NamedTuple):
         """The same layout with every role passed through ``view``."""
         roles = [role for role in ("input", *OUTPUT_ROLES, "words") if getattr(self, role) is not None]
         return self._replace(**{role: view(getattr(self, role)) for role in roles})
+
+    def block(self, rank: int) -> tuple[np.ndarray, Access]:
+        """Rank ``rank``'s block of the staged ``input``, and the read that
+        takes it into step 1."""
+        lo, hi = self.block_starts[rank : rank + 2].tolist()
+        return self.input[lo:hi], _access("input", self.input, lo, hi, "r", "input-read")
+
+
+def _access(role: str, array: np.ndarray, lo: int, hi: int, kind: str, label: str) -> Access:
+    """Elements ``[lo, hi)`` of ``role``'s ``array`` as an :data:`Access`."""
+    return role, lo * array.itemsize, hi * array.itemsize, kind, label
+
+
+def _merged(streams: list, base: int, stop: int) -> list[Access]:
+    """Step 6 reads and rewrites the rank's region ``[base, stop)`` of
+    every exchanged stream."""
+    return [
+        _access(role, stream, base, stop, kind, label)
+        for kind, label in (("r", "merge-read"), ("w", "merge-write"))
+        for role, stream, _payload in streams
+    ]
 
 
 def _words_alias_keys(dtype: np.dtype) -> bool:
@@ -142,8 +165,10 @@ class DataPath:
     streams: list[tuple[str, np.ndarray, np.ndarray]]
     #: Step 6: ``merge(base, stop, run_lengths)`` merges the rank's region
     #: ``[base, stop)`` of the streams into the job's outputs and returns
-    #: the accesses made beyond reading and rewriting the streams.
+    #: its accesses.
     merge: Callable[[int, int, list[int]], list[Access]]
+    #: Step 1's writes: the pack over the rank's staged block, if it went there.
+    packed: list[Access]
 
     @property
     def exchanged(self) -> tuple[str, ...]:
@@ -154,11 +179,14 @@ class DataPath:
     def bytes_per_key(self) -> int:
         return sum(payload.dtype.itemsize for _role, _stream, payload in self.streams)
 
-    def write(self, run: slice, at: int) -> None:
+    def write(self, run: slice, at: int) -> list[Access]:
         """Step 5's one data move: the sorted ``run`` lands at ``at`` in
-        every stream."""
-        for _role, stream, payload in self.streams:
-            stream[at : at + run.stop - run.start] = payload[run]
+        every stream, one ``exchange-write`` each."""
+        end, accesses = at + run.stop - run.start, []
+        for role, stream, payload in self.streams:
+            stream[at:end] = payload[run]
+            accesses.append(_access(role, stream, at, end, "w", "exchange-write"))
+        return accesses
 
 
 def local_sort(
@@ -175,19 +203,25 @@ def local_sort(
     words live is the host's to say.  A pooled worker packs them over its
     staged block, the rank's slice of the job's ``input``, whenever a word
     is no wider than a key and the frame does not refill: nothing reads
-    that input again.  A refilling frame keeps it as the refill source,
-    and its words, like int64 words of narrower keys, take a scratch
-    lease.  The simulator never writes the caller's blocks: its words take
-    a lease of the job's arena.  Without a frame, keys + perm, and the
-    block is only read.
+    that input again.  It says so with ``words=None``, and the path
+    declares the pack.  A refilling frame keeps the input as the refill
+    source, and its words, like int64 words of narrower keys, take a
+    scratch lease.  The simulator never writes the caller's blocks: its
+    words take a lease of the job's arena.  Without a frame, keys + perm,
+    and the block is only read.
     """
     if frame is None:
         return _keys_perm_path(storage, block)
-    pack_words(block, frame, int(storage.block_starts[rank]), words).sort()
-    return _word_path(frame, storage, words)
+    start, packed = int(storage.block_starts[rank]), []
+    if words is None:
+        words = block.view(frame.word_dtype)[: len(block)]
+        lo = start * block.itemsize
+        packed.append(("input", lo, lo + words.nbytes, "w", "step-1-pack"))
+    pack_words(block, frame, start, words).sort()
+    return _word_path(frame, storage, words, packed)
 
 
-def _word_path(frame: KeyFrame, storage: JobStorage, words: np.ndarray) -> DataPath:
+def _word_path(frame: KeyFrame, storage: JobStorage, words: np.ndarray, packed: list[Access]) -> DataPath:
     # The stream is the output whose itemsize is the word's: the origins
     # for int32 words, decoded in place last as 8-byte keys are.
     if frame.word_dtype == storage.index.dtype:
@@ -202,16 +236,16 @@ def _word_path(frame: KeyFrame, storage: JobStorage, words: np.ndarray) -> DataP
         refilled = unpack_words(
             region, frame, storage.input, storage.keys[base:stop], storage.index[base:stop]
         )
-        accesses = [
-            ("index", base, stop, "w", "index-write"),
-            ("keys", base, stop, "w", "key-write"),
+        accesses = _merged(streams, base, stop) + [
+            _access("index", storage.index, base, stop, "w", "index-write"),
+            _access("keys", storage.keys, base, stop, "w", "key-write"),
         ]
         if refilled:
-            accesses.append(("input", 0, len(storage.input), "r", "refill-read"))
+            accesses.append(_access("input", storage.input, 0, len(storage.input), "r", "refill-read"))
         return accesses
 
-    sorted_words = SortedWords(words, frame, storage.input)
-    return DataPath(THROUGH, sorted_words, [(role, stream, words)], merge)
+    streams = [(role, stream, words)]
+    return DataPath(THROUGH, SortedWords(words, frame, storage.input), streams, merge, packed)
 
 
 def _keys_perm_path(storage: JobStorage, block: np.ndarray) -> DataPath:
@@ -221,7 +255,7 @@ def _keys_perm_path(storage: JobStorage, block: np.ndarray) -> DataPath:
         merge_received(
             storage.keys[base:stop], storage.index[base:stop], run_lengths, storage.block_starts
         )
-        return []
+        return _merged(streams, base, stop)
 
     streams = [("keys", storage.keys, sorted_keys), ("index", storage.index, perm)]
-    return DataPath(label, sorted_keys, streams, merge)
+    return DataPath(label, sorted_keys, streams, merge, [])

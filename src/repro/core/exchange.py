@@ -44,7 +44,7 @@ import numpy as np
 
 from ..pgxd.comm_manager import MAX_CHUNKS_PER_TRANSFER, send_array
 from ..pgxd.config import PgxdConfig
-from ..simnet.calls import Compute, Isend, Mark, Message, Recv, Send
+from ..simnet.calls import Compute, Isend, Message, Recv, Send, traced_mark
 from ..simnet.collectives import allgather
 from ..simnet.engine import ProcessHandle
 from .datapath import DataPath
@@ -120,10 +120,10 @@ def exchange_partitions(
     out_slices, counts = partition.slices, partition.counts
     # Size announcement: every rank learns the full counts matrix.
     # The Marks trace the exchange's three sub-phases (nested inside the
-    # step-5 span); without a tracer they are no-ops.
-    yield Mark("exchange:announce")
+    # step-5 span), on a traced run only.
+    yield from traced_mark(machine_proc, "exchange:announce")
     all_counts = yield allgather(machine_proc, counts)  # engine-trampolined
-    yield Mark("exchange:announce", event="end")
+    yield from traced_mark(machine_proc, "exchange:announce", "end")
     counts_matrix = np.stack(all_counts)
     # Post every outgoing chunk (keys then indexes per destination) before
     # receiving anything: send-while-receive.  Transfers that fit in one
@@ -143,7 +143,7 @@ def exchange_partitions(
         (carried[0][0], key_itemsize, send_cls(dst=rank, nbytes=0, tag=TAG_KEYS)),
         (carried[1][0], idx_itemsize, send_cls(dst=rank, nbytes=0, tag=TAG_INDEX)),
     ]
-    yield Mark("exchange:send")
+    yield from traced_mark(machine_proc, "exchange:send")
     for offset in range(1, size):
         dst = (rank + offset) % size
         sl = out_slices[dst]
@@ -157,7 +157,7 @@ def exchange_partitions(
                 yield send
             else:
                 yield from send_array(machine_proc, dst, chunk, send.tag, config, nbytes)
-    yield Mark("exchange:send", event="end")
+    yield from traced_mark(machine_proc, "exchange:send", "end")
     # Offset-addressed reassembly, deferred to step 6: the drain loop only
     # *collects* arriving chunks (one list per source; chunks from one
     # source arrive in FIFO order), and step 6's kernel lands each stream
@@ -178,7 +178,7 @@ def exchange_partitions(
     # copy charge takes only a handful of distinct values — memoize the
     # Compute value objects instead of constructing one per message.
     charge_for: dict[int, Compute] = {}
-    yield Mark("exchange:drain")
+    yield from traced_mark(machine_proc, "exchange:drain")
     for _ in range(pending):
         msg: Message = yield recv_any
         tag = msg.tag
@@ -195,7 +195,7 @@ def exchange_partitions(
             if comp is None:
                 comp = charge_for[nb] = Compute(nb * copy_seconds_per_byte)
             yield comp
-    yield Mark("exchange:drain", event="end")
+    yield from traced_mark(machine_proc, "exchange:drain", "end")
     base = int(counts_matrix[:, :rank].sum())
     arrivals = []
     for (array, stream), parts in zip(carried, (key_parts, idx_parts)):

@@ -17,10 +17,11 @@ Each key means the same on both substrates:
   kills rank R as it enters STEP on the job's first attempt only (a
   transient fault), ``poison=R`` kills it entering step 1 of *every*
   attempt (persistent: the retry layer drops it), ``slow=RxM`` stretches
-  its compute M-fold.  A kill fires at the step edge, in the fault
-  observer a job registers on a rank the plan names: on simnet a
-  :class:`~repro.simnet.calls.Crash` (:class:`~repro.simnet.errors.RankCrashedError`),
-  on the pool a real ``SIGKILL``;
+  each of its steps M-fold, step 6 included.  A kill fires at the step
+  edge, in the fault observer a job registers on a rank the plan names:
+  on simnet a :class:`~repro.simnet.calls.Crash`
+  (:class:`~repro.simnet.errors.RankCrashedError`), on the pool a real
+  ``SIGKILL``;
 * **wire faults, where a wire exists** — ``drop=P``, ``link=S-D:M[:E]``
   and ``delay=P[:SPIKE]`` act on simnet's messages; ``delay`` also acts
   on the pool's barrier releases;

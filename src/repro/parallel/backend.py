@@ -47,7 +47,7 @@ from typing import ClassVar, Protocol, Sequence
 
 import numpy as np
 
-from ..core.datapath import OUTPUT_ROLES, JobStorage, lay_out
+from ..core.datapath import lay_out
 from ..core.retry import JobRun, RetryPolicy, run_job
 from ..core.sorter import STEP_LABELS, SortJob, SortOptions, sample_sort_program
 from ..core.steps import sample_bytes
@@ -59,7 +59,7 @@ from ..simnet.cost import CostModel
 from ..simnet.errors import DeadlockError
 from ..simnet.metrics import ClusterMetrics
 from ..simnet.network import NetworkModel
-from .arena import SharedArena, ShmLease
+from .arena import SharedArena
 from .collectives import (
     ControlRegion,
     dispatch_job,
@@ -76,7 +76,7 @@ from .errors import (
     WorkerFailedError,
 )
 from .run import BackendRun, adopt_run, collect_run
-from .shmsan import MUTATIONS, ShmSan, active_shm_sanitizer
+from .shmsan import active_shm_sanitizer
 from .splitter_cache import SplitterCache, SplitterProbe
 from .tracing import ambient_progress
 from .worker import JobSpec, WorkerReport, worker_main
@@ -219,23 +219,6 @@ class _SimRun(JobRun):
         return replace(self.metrics, processes=self.reports)
 
 
-def _register_leases(san: ShmSan, leases: JobStorage, *, double_lease: bool) -> None:
-    """Open a sanitized run over one job's leases."""
-    san.begin_run()
-    for role in ("input", *OUTPUT_ROLES):
-        san.register_lease(role, getattr(leases, role))
-    if leases.words is not None and leases.words.name != leases.keys.name:
-        san.register_lease("words", leases.words)
-    if double_lease:
-        # Seeded invariant break: hand out a second lease aliasing
-        # the key segment, as if the arena double-booked it — the
-        # lease-lifetime check must flag the overlap on sight.
-        san.register_lease(
-            "double-lease-alias",
-            ShmLease(name=leases.keys.name, dtype=np.int32, length=leases.keys.length),
-        )
-
-
 class ProcessBackend:
     """Real-parallel substrate: a persistent pool of rank processes.
 
@@ -268,9 +251,9 @@ class ProcessBackend:
     plan through :func:`~repro.faults.inject_faults`, ShmSan
     (:mod:`repro.parallel.shmsan`) through
     :func:`~repro.parallel.shmsan.shm_sanitize` and the tracer through
-    :func:`repro.obs.capture`.  ``mutate``/``mutate_rank`` seed one
-    deliberate invariant break from
-    :data:`~repro.parallel.shmsan.MUTATIONS` (test hook).
+    :func:`repro.obs.capture`.  A ShmSan that seeds a deliberate
+    invariant break (:data:`~repro.parallel.shmsan.MUTATIONS`) carries it
+    into the jobs it watches.
     """
 
     name = "process"
@@ -281,8 +264,6 @@ class ProcessBackend:
         *,
         timeout_seconds: float = 120.0,
         phase_timeout_seconds: float | None = None,
-        mutate: str | None = None,
-        mutate_rank: int = 1,
         retry: "RetryPolicy | bool | None" = None,
     ):
         try:
@@ -298,12 +279,6 @@ class ProcessBackend:
         #: None — fail-fast *except* when a fault plan is active, which
         #: arms the default policy (:func:`~repro.core.retry.run_job`).
         self._retry = retry
-        if mutate is not None and mutate not in MUTATIONS:
-            raise ValueError(
-                f"unknown mutation {mutate!r}; choose one of {MUTATIONS}"
-            )
-        self._mutate = mutate
-        self._mutate_rank = mutate_rank
         self.arena = SharedArena()
         self.splitter_cache = SplitterCache()
         # ------------------------------------------------- pool state
@@ -586,7 +561,7 @@ class ProcessBackend:
         san = active_shm_sanitizer()
 
         start = time.perf_counter()  # repro: noqa[R002] — real backend: the driver wall clock is the makespan
-        if self._mutate == "relet-pinned":
+        if san is not None and san.mutate == "relet-pinned":
             # Seeded invariant break: the arena forgets its pins when it
             # looks for a free segment, so this job is handed bytes a
             # live result still reads — the lease-lifetime check must
@@ -599,15 +574,11 @@ class ProcessBackend:
             lambda _role, length, dtype: self.arena.lease(length, dtype),
             lambda lease, dtype: replace(lease, dtype=dtype),
         )
-        if san is not None:
-            _register_leases(san, leases, double_lease=self._mutate == "double-lease")
         input_view = self.arena.view(leases.input)
         for rank, block in enumerate(blocks):
             input_view[bounds[rank] : bounds[rank + 1]] = block
-        if san is not None and n:
-            san.parent_access(
-                leases.input, 0, n, "w", "stage-input", when="before"
-            )
+        if san is not None:
+            san.begin_run(leases)
 
         spec = JobSpec(
             size=size,
@@ -615,9 +586,7 @@ class ProcessBackend:
             options=options,
             config=config,
             trace=cap is not None,
-            sanitize=san is not None,
-            mutate=self._mutate,
-            mutate_rank=self._mutate_rank,
+            sanitize=None if san is None else (san.mutate, san.mutate_rank),
             job_id=job_id,
             cache=SplitterProbe(self.splitter_cache.candidates(key_dtype, size)),
             faults=faults,
@@ -664,7 +633,7 @@ class ProcessBackend:
             self.arena.on_sample = None
             if san is not None:
                 san.note_release()
-                if self._mutate == "stale-view" and n:
+                if san.mutate == "stale-view" and n:
                     # Seeded invariant break: read the staged input view
                     # after release_all() handed its lease back — the
                     # stale-view check must flag the outlived view.  (The

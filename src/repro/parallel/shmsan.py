@@ -9,20 +9,18 @@ invariant derived from the counts matrix.
 
 When sanitizing is active, every worker records a typed access interval
 ``(segment, byte_lo, byte_hi, read|write, rank, step, collective_epoch)``
-for each touch of a :class:`~repro.parallel.arena.SharedArena` lease —
-the step-1 block read, the step-1 pack of words over the rank's own
-staged block (when its frame refills nothing), every per-destination shm
-write of the zero-copy all-to-all, the in-place merge over the exchange
-region, and, on the word path, the unpack into the output-only
-index/key leases and, on a frame that refills, the input-lease read
-that refills −0.0 and NaN payloads — and every write and read of the
-control region's slots (``slot-write``/``slot-read``).  The
-:class:`~repro.parallel.collectives.WorkerLink` stamps the epoch: each
-completed collective is a full barrier in the control region, so the
-per-rank count of completed collectives is a global happens-before clock
-(see :mod:`repro.checks.hb` for the model).  Workers flush their logs to
-the hub at step boundaries (beside the liveness heartbeats) and at
-completion, so a crash mid-run still leaves the analyzer a partial
+for each touch of a :class:`~repro.parallel.arena.SharedArena` lease.
+Which bytes of the job's storage steps 1, 5 and 6 touched is the data
+path's to say (:data:`~repro.core.datapath.Access`); the worker only
+stamps rank, step, epoch and destination on what its kernels return
+(:meth:`AccessRecorder.stamp`).  The control region's slot writes and
+reads (``slot-write``/``slot-read``) are the
+:class:`~repro.parallel.collectives.WorkerLink`'s, which keeps the epoch:
+each completed collective is a full barrier in the control region, so
+the per-rank count of completed collectives is a global happens-before
+clock (see :mod:`repro.checks.hb` for the model).  Workers flush their
+logs to the hub at step boundaries (beside the liveness heartbeats) and
+at completion, so a crash mid-run still leaves the analyzer a partial
 log up to the crash point.
 
 The analyzer flags write-write and read-write interval overlaps between
@@ -35,19 +33,22 @@ puts it, on any stream the job says it exchanged — the packed-word
 stream on the word path, keys + origin indices otherwise) — with
 rank/step/byte-range diagnostics in SimSan's style.
 
-Recording is passive: the unsanitized path pays only ``is not None``
-guards, and a sanitized run is bit-identical to an unsanitized one
+Recording is passive: an unsanitized job hands its kernels' accesses to
+a no-op, and a sanitized run is bit-identical to an unsanitized one
 (pinned by the tests and the golden replay below).
 
 Usage — the scope is the one way to attach; every process-backend sort
 inside it is sanitized, and the innermost scope wins::
 
     from repro.parallel import ProcessBackend
-    from repro.parallel.shmsan import shm_sanitize
+    from repro.parallel.shmsan import ShmSan, shm_sanitize
 
     with shm_sanitize() as san, ProcessBackend() as backend:
         run = backend.sort_blocks(blocks)
     assert san.report.ok, san.report.summary()
+
+A seeded invariant break attaches the same way, on its sanitizer:
+``shm_sanitize(ShmSan(mutate="offset-off-by-one", mutate_rank=1))``.
 
 ``python -m repro.parallel.shmsan`` replays the golden workload on a
 sanitized 4-worker process backend, verifies bit-identity against the
@@ -60,7 +61,9 @@ previously captured access log offline.
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from contextlib import contextmanager
+from dataclasses import asdict, astuple
 from typing import Iterator
 
 import numpy as np
@@ -73,10 +76,13 @@ from ..checks.hb import (
     LeaseInfo,
     ShmAccess,
     analyze_accesses,
+    lease_bytes,
 )
+from ..core.datapath import OUTPUT_ROLES, Access, JobStorage
 from ..simnet.sanitizer import SanReport, SanViolation
+from .arena import ShmLease
 
-#: Mutations the backend/worker can seed, for testing the detector itself.
+#: Mutations a :class:`ShmSan` can seed, for testing the detector itself.
 MUTATIONS = (
     "offset-off-by-one",   # worker: shift one exchange run by one element
     "skip-merge-barrier",  # worker: merge without waiting for the barrier
@@ -91,13 +97,13 @@ MUTATIONS = (
 class AccessRecorder:
     """Worker-side access log: cheap tuples, drained over the pipe.
 
-    Records are plain tuples (the :meth:`ShmAccess.to_tuple` shape) so a
+    Records are plain tuples (:class:`ShmAccess`'s fields, in order) so a
     flush costs one small pickle; the parent-side :class:`ShmSan` rebuilds
     typed accesses on ingest.
     """
 
-    def __init__(self, rank: int):
-        self.rank = rank
+    def __init__(self, rank: int, leases: JobStorage):
+        self.rank, self.leases = rank, leases
         self._records: list[tuple] = []
 
     def record(
@@ -111,14 +117,13 @@ class AccessRecorder:
         label: str,
         dst: int | None = None,
     ) -> None:
-        """Log an access to elements ``[lo, hi)`` of ``lease``."""
-        itemsize = np.dtype(lease.dtype).itemsize
+        """Log an access to bytes ``[lo, hi)`` counted from ``lease``'s start."""
         base = int(lease.offset_bytes)
         self._records.append(
             (
                 lease.name,
-                base + int(lo) * itemsize,
-                base + int(hi) * itemsize,
+                base + int(lo),
+                base + int(hi),
                 kind,
                 self.rank,
                 step,
@@ -127,6 +132,12 @@ class AccessRecorder:
                 dst,
             )
         )
+
+    def stamp(self, accesses: list[Access], step: int, epoch: int, dst: int | None = None) -> None:
+        """Log a kernel's ``accesses`` (:data:`~repro.core.datapath.Access`)
+        against the lease each role was mapped from."""
+        for role, lo, hi, kind, label in accesses:
+            self.record(getattr(self.leases, role), lo, hi, kind, step, epoch, label, dst)
 
     def drain(self) -> list[tuple]:
         records, self._records = self._records, []
@@ -141,40 +152,58 @@ class ShmSan:
     :class:`~repro.parallel.backend.ProcessBackend` sort inside); findings
     accumulate in :attr:`report`.  Lease-lifetime violations (aliased
     leases, accesses past ``release_all``) surface the moment they are
-    recorded; interval analysis runs in :meth:`finish_run`.
+    recorded; interval analysis runs in :meth:`finish_run`.  ``mutate``
+    seeds one :data:`MUTATIONS` entry in every run it watches, a
+    worker-side one on rank ``mutate_rank``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, mutate: str | None = None, mutate_rank: int = 1) -> None:
+        if mutate is not None and mutate not in MUTATIONS:
+            raise ValueError(f"unknown mutation {mutate!r}; choose one of {MUTATIONS}")
+        self.mutate, self.mutate_rank = mutate, mutate_rank
         self.report = SanReport(
             "ShmSan",
             {"accesses_recorded": 0, "leases_tracked": 0},
             "{} access interval(s) over {} lease(s)",
         )
-        # Per-run state, reset by begin_run().
+        # Leases a job result pinned outlive their run: each stays live,
+        # across begin_run, for as long as its root array does.
+        self._pinned: list[tuple[LeaseInfo, weakref.ref]] = []
+        self._reset()
+
+    def _reset(self) -> None:
+        """Empty the per-run state, as each :meth:`begin_run` does."""
         self._leases: list[LeaseInfo] = []
         self._accesses: list[ShmAccess] = []
         self._released = False
         self._counts_matrix: np.ndarray | None = None
         self._exchanged: tuple[str, ...] = KEYS_AND_PERM
         self._complete = True
-        # Leases a job result pinned outlive their run: each stays live,
-        # across begin_run, for as long as its root array does.
-        self._pinned: list[tuple[LeaseInfo, weakref.ref]] = []
 
     # ------------------------------------------------------- backend hooks
 
-    def begin_run(self) -> None:
-        """Reset per-run state; called once per sanitized sort."""
+    def begin_run(self, leases: JobStorage) -> None:
+        """Open one sanitized sort over the job's staged ``leases``:
+        register each lease and record the staging write."""
         self.report.runs += 1
-        self._leases = []
-        self._accesses = []
-        self._released = False
-        self._counts_matrix = None
-        self._exchanged = KEYS_AND_PERM
-        self._complete = True
+        self._reset()
         self._pinned = [
             (info, root) for info, root in self._pinned if root() is not None
         ]
+        for role in ("input", *OUTPUT_ROLES):
+            self.register_lease(role, getattr(leases, role))
+        if leases.words is not None and leases.words.name != leases.keys.name:
+            self.register_lease("words", leases.words)
+        if self.mutate == "double-lease":
+            # Seeded invariant break: hand out a second lease aliasing the
+            # key segment, as if the arena double-booked it — the
+            # lease-lifetime check must flag the overlap on sight.
+            self.register_lease(
+                "double-lease-alias",
+                ShmLease(name=leases.keys.name, dtype=np.int32, length=leases.keys.length),
+            )
+        if leases.input.length:
+            self.parent_access(leases.input, 0, leases.input.length, "w", "stage-input")
 
     def pin_lease(self, role: str, lease, root: np.ndarray) -> None:
         """The run's ``role`` lease now belongs to the job's result.
@@ -227,13 +256,12 @@ class ShmSan:
         access recorded after :meth:`note_release` is a lease-lifetime
         violation — the view outlived its lease.
         """
-        itemsize = np.dtype(lease.dtype).itemsize
-        base = int(lease.offset_bytes)
         epoch = EPOCH_PARENT_BEFORE if when == "before" else EPOCH_PARENT_AFTER
+        byte_lo, byte_hi = lease_bytes(lease, lo, hi)
         access = ShmAccess(
             segment=lease.name,
-            byte_lo=base + int(lo) * itemsize,
-            byte_hi=base + int(hi) * itemsize,
+            byte_lo=byte_lo,
+            byte_hi=byte_hi,
             kind=kind,
             rank=PARENT_RANK,
             step=0,
@@ -298,9 +326,7 @@ class ShmSan:
         self.report.violations.extend(violations)
         self.report.notes.extend(notes)
         if crashed_rank is not None:
-            per_rank: dict[int, int] = {}
-            for acc in self._accesses:
-                per_rank[acc.rank] = per_rank.get(acc.rank, 0) + 1
+            per_rank = Counter(acc.rank for acc in self._accesses)
             self.report.notes.append(
                 {
                     "kind": "partial-run",
@@ -323,22 +349,13 @@ class ShmSan:
             "schema": "repro.shmsan-log/1",
             "complete": self._complete,
             "exchanged": list(self._exchanged),
-            "leases": [
-                {
-                    "role": lease.role,
-                    "segment": lease.segment,
-                    "byte_lo": lease.byte_lo,
-                    "byte_hi": lease.byte_hi,
-                    "itemsize": lease.itemsize,
-                }
-                for lease in self._leases
-            ],
+            "leases": [asdict(lease) for lease in self._leases],
             "counts_matrix": (
                 None
                 if self._counts_matrix is None
                 else np.asarray(self._counts_matrix).tolist()
             ),
-            "accesses": [list(acc.to_tuple()) for acc in self._accesses],
+            "accesses": [list(astuple(acc)) for acc in self._accesses],
         }
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
@@ -347,14 +364,7 @@ class ShmSan:
 
 def analyze_log(doc: dict) -> tuple[list[SanViolation], list[dict]]:
     """Re-run the analyzer over a captured ``repro.shmsan-log/1`` doc."""
-    leases = [
-        LeaseInfo(
-            role=raw["role"], segment=raw["segment"],
-            byte_lo=int(raw["byte_lo"]), byte_hi=int(raw["byte_hi"]),
-            itemsize=int(raw["itemsize"]),
-        )
-        for raw in doc.get("leases", [])
-    ]
+    leases = [LeaseInfo(**raw) for raw in doc.get("leases", [])]
     accesses = [ShmAccess.from_tuple(raw) for raw in doc.get("accesses", [])]
     counts = doc.get("counts_matrix")
     return analyze_accesses(
@@ -476,14 +486,11 @@ def main(argv: list[str] | None = None) -> int:
     data = golden_keys(workload | {"n_keys": n_keys})
     blocks = list(partition_input(data, args.ranks)[0])
 
-    with shm_sanitize() as san, ProcessBackend(
-        mutate=args.mutate, mutate_rank=args.mutate_rank
-    ) as backend:
+    with shm_sanitize(ShmSan(args.mutate, args.mutate_rank)) as san, ProcessBackend() as backend:
         # Every run is held to the end, so a longer stream crosses the
         # backend's pin budget; relet-pinned needs one held result to re-let.
         jobs = max(args.jobs, 2 if args.mutate == "relet-pinned" else 1)
         runs = [backend.sort_blocks(blocks) for _ in range(jobs)]
-    run = runs[-1]
 
     oracle_identical: bool | None = None
     if args.mutate is None:

@@ -51,7 +51,7 @@ import os
 import signal
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from multiprocessing.connection import Connection
 
@@ -88,13 +88,10 @@ class JobSpec:
     #: Record a :class:`~repro.parallel.tracing.WorkerTrace` (set by the
     #: parent when an ambient obs capture is active; off by default).
     trace: bool = False
-    #: Record ShmSan access intervals for every shared-memory touch and
-    #: flush them home at each step edge (off by default).
-    sanitize: bool = False
-    #: Test hook: seed one invariant break on ``mutate_rank`` (a name from
-    #: :data:`repro.parallel.shmsan.MUTATIONS`) — the detector's detector.
-    mutate: str | None = None
-    mutate_rank: int = 0
+    #: ShmSan's ``(mutation, rank)`` when sanitizing: log every shared-memory
+    #: touch, flush the log home at each step edge, and seed ``mutation``
+    #: (None, or a :data:`repro.parallel.shmsan.MUTATIONS` name) on ``rank``.
+    sanitize: tuple[str | None, int] | None = None
     #: Monotonic id the driver stamps on each dispatched job; threaded
     #: into traces and reports so pooled artifacts stay attributable.
     job_id: int = 0
@@ -184,12 +181,17 @@ class SegmentCache:
         self._segments.clear()
 
 
+def _unsanitized(accesses, step: int, epoch: int, dst: int | None = None) -> None:
+    """Where an unsanitized job's data-path accesses go: nowhere."""
+
+
 class _PlannedFaults:
     """The fault plan on a rank it names.  At each edge, before the clock
-    reads, a slow rank stretches the step it closes and a kill is a real
-    fail-stop (the pipe hits EOF) before a heartbeat can claim the step; a
-    muted rank's edges leave a trace note.  A hung rank's job talks to its
-    link through this object, which stalls before collective ``hang``."""
+    reads, a slow rank stretches the step it closes (step 6 too, at the
+    edge past it) and a kill is a real fail-stop (the pipe hits EOF)
+    before a heartbeat can claim the step it enters; a muted rank's edges
+    leave a trace note.  A hung rank's job talks to its link through this
+    object, which stalls before collective ``hang``."""
 
     def __init__(self, plan: FaultPlan, rank: int, link: WorkerLink, tracer):
         self.hang, self.kill = plan.hang_op(rank), plan.kill_step(rank)
@@ -197,12 +199,12 @@ class _PlannedFaults:
         self.link, self.tracer = link, tracer
 
     def on_edge(self, step: int, rows: int) -> None:
-        if step == len(STEP_LABELS):
-            return  # step 6 runs unstretched to the end
         if step and self.slow > 1.0:
             pause = (self.slow - 1.0) * (time.perf_counter() - self.link.marks[-1])  # repro: noqa[R002] — real backend: a slow rank's pause scales its measured step
             self._note("slow", f"{STEP_LABELS[step - 1]}: +{pause * 1e3:.2f}ms")
             time.sleep(pause)
+        if step == len(STEP_LABELS):
+            return  # the end: no step to enter
         if STEP_LABELS[step] == self.kill:
             os.kill(os.getpid(), signal.SIGKILL)
         if self.muted:
@@ -228,9 +230,6 @@ class _Job:
         self.rank, self.size, self.config = rank, plan.size, plan.config
         self.plan, self.link, self.scratch = plan, link, scratch
         self.cache = plan.cache
-        self.recorder = link.recorder = AccessRecorder(rank) if plan.sanitize else None
-        self.mutation = plan.mutate if rank == plan.mutate_rank else None
-        link.early_read = self.mutation == "read-slot-before-barrier"
         self.tracer = link.tracer = WorkerTracer(rank, job_id=plan.job_id) if plan.trace else None
         #: What each step edge runs, in order: the fault plan where it names
         #: this rank, the step clock, the heartbeat unless muted, and a
@@ -245,8 +244,16 @@ class _Job:
                 self.observers.insert(0, faults.on_edge)
             if faults.hang:
                 self.link = faults
+        #: Where the data path's accesses go: ShmSan's recorder when
+        #: sanitizing, which every edge flushes home.
+        self.stamp, self.mutation = _unsanitized, None
         if plan.sanitize:
+            mutation, mutant = plan.sanitize
+            self.mutation = mutation if rank == mutant else None
+            link.recorder = AccessRecorder(rank, plan.leases)
+            self.stamp = link.recorder.stamp
             self.observers.append(link.flush_san)
+        link.early_read = self.mutation == "read-slot-before-barrier"
         if plan.trace:
             # Clock-offset handshake: align this process's perf_counter with
             # the hub's before any event is recorded, then barrier so every
@@ -259,24 +266,14 @@ class _Job:
         self.views = plan.leases.map(segments.view)
 
     def run(self) -> WorkerReport:
-        lo, hi = self.plan.leases.block_starts[self.rank : self.rank + 2].tolist()
-        block = self.views.input[lo:hi]
-        self.record("input", lo, hi, "r", 1, "input-read")
+        block, read = self.views.block(self.rank)
+        self.stamp([read], 1, self.link.epoch)
         program, value = six_steps(self, block, self.plan.options), None
         try:
             while True:
                 value = program.send(value)
         except StopIteration as done:
             return self.finish(done.value)
-
-    def record(self, role, lo, hi, kind, step, label, dst=None, dtype=None) -> None:
-        """Log elements ``[lo, hi)`` of ``role``'s lease, counted in
-        ``dtype`` when given (a view of the lease in another dtype)."""
-        if self.recorder is not None:
-            lease = getattr(self.plan.leases, role)
-            if dtype is not None:
-                lease = replace(lease, dtype=dtype)
-            self.recorder.record(lease, lo, hi, kind, step, self.link.epoch, label, dst=dst)
 
     def edge(self, step: int, rows: int) -> None:
         """The edge into ``step`` (0-based; past step 6, the end)."""
@@ -295,37 +292,29 @@ class _Job:
 
     def sort(self, kernel, frame, block: np.ndarray) -> DataPath:
         """Step 1, inline.  The words, as wide as the frame says, are packed
-        over the rank's staged slice of the input lease whenever a word is
-        no wider than a key and the frame does not refill: nothing reads
-        the input after step 1 then, so the block is sorted where the
-        driver staged it (int32 words over 8-byte keys take the slice's
-        first half).  A refilling frame's words, and int64 words of narrow
-        keys, come from the worker's warm scratch pool, which leaves the
-        staged input intact — the refill source — and fresh pages per job
-        would be the op's largest page-fault bill."""
+        over the rank's staged slice of the input lease (``words=None``)
+        whenever a word is no wider than a key and the frame does not
+        refill: nothing reads the input after step 1 then, so the block is
+        sorted where the driver staged it (int32 words over 8-byte keys
+        take the slice's first half).  A refilling frame's words, and int64
+        words of narrow keys, come from the worker's warm scratch pool,
+        which leaves the staged input intact — the refill source — and
+        fresh pages per job would be the op's largest page-fault bill."""
         words = None
-        if frame is not None:
-            word = frame.word_dtype
-            if word.itemsize > block.itemsize or frame.refills:
-                words = self.scratch.take(len(block), word)
-            else:
-                words = block.view(word)[: len(block)]
-                if self.recorder is not None:
-                    self._record_pack(len(words), word)
-        return kernel(frame, self.views, self.rank, block, words)
-
-    def _record_pack(self, count: int, word: np.dtype) -> None:
-        """Log step 1's pack: ``count`` words over the rank's staged block."""
-        bounds = self.plan.leases.block_starts[self.rank : self.rank + 2]
-        lo, hi = (bounds * self.views.input.itemsize // word.itemsize).tolist()
-        self.record("input", lo, lo + count, "w", 1, "step-1-pack", dtype=word)
-        if self.mutation == "pack-past-block":
+        if frame is not None and (frame.word_dtype.itemsize > block.itemsize or frame.refills):
+            words = self.scratch.take(len(block), frame.word_dtype)
+        path = kernel(frame, self.views, self.rank, block, words)
+        packed = path.packed
+        if packed and self.mutation == "pack-past-block":
             # Seeded invariant break: log one more word, just past the
             # rank's staged block — the start of the next rank's, which
             # that rank packs in the same epoch; the race check must flag
             # the overlap.  (Only the log overruns: the neighbour's bytes
             # stay intact, so the job completes.)
-            self.record("input", hi, hi + 1, "w", 1, "step-1-pack", dtype=word)
+            end = int(self.views.block_starts[self.rank + 1]) * block.itemsize
+            packed = [*packed, ("input", end, end + frame.word_dtype.itemsize, "w", "step-1-pack")]
+        self.stamp(packed, 1, self.link.epoch)
+        return path
 
     def gather(self, value):
         return self.link.gather(value, root=MASTER)
@@ -360,15 +349,12 @@ class _Job:
                     break
         offset_itemsize = path.streams[0][2].dtype.itemsize
         for dst, sl, pos in writes:
-            end = pos + (sl.stop - sl.start)
             t_w0 = time.perf_counter() if tracer is not None else 0.0  # repro: noqa[R002] — real backend: measured flow timing is the product
-            path.write(sl, pos)
-            for role in path.exchanged:
-                self.record(role, pos, end, "w", 5, "exchange-write", dst=dst)
+            self.stamp(path.write(sl, pos), 5, link.epoch, dst)
             if tracer is not None:
                 tracer.flow(
                     dst,
-                    (end - pos) * path.bytes_per_key,
+                    (sl.stop - sl.start) * path.bytes_per_key,
                     pos * offset_itemsize,
                     t_w0,
                     time.perf_counter(),  # repro: noqa[R002] — real backend: measured flow timing is the product
@@ -387,14 +373,7 @@ class _Job:
     def merge(self, path: DataPath, base: int, run_lengths: list[int]) -> None:
         """Step 6: the path merges the rank's region into the job's leases,
         where the driver reads the output — no pickling."""
-        stop = base + sum(run_lengths)
-        accesses = path.merge(base, stop, run_lengths)
-        if self.recorder is not None:
-            for kind, label in (("r", "merge-read"), ("w", "merge-write")):
-                for role in path.exchanged:
-                    self.record(role, base, stop, kind, 6, label)
-            for role, lo, hi, kind, label in accesses:
-                self.record(role, lo, hi, kind, 6, label)
+        self.stamp(path.merge(base, base + sum(run_lengths), run_lengths), 6, self.link.epoch)
 
     def finish(self, steps: RankSteps) -> WorkerReport:
         link, marks, path = self.link, self.link.marks, steps.path

@@ -29,7 +29,7 @@ from typing import Generator
 
 import numpy as np
 
-from ..simnet.calls import Compute, Isend, Mark, Message, Recv, Send
+from ..simnet.calls import Compute, Isend, Message, Recv, Send, traced_mark
 from ..simnet.engine import ProcessHandle
 from .buffers import num_flushes
 from .config import PgxdConfig
@@ -194,11 +194,11 @@ def exchange_arrays(
     dtype = np.dtype(dtype)
     out: list[np.ndarray] = [None] * size  # type: ignore[list-item]
     out[rank] = np.asarray(outgoing[rank], dtype=dtype)
-    yield Mark("exchange:send")
+    yield from traced_mark(proc, "exchange:send")
     for offset in range(1, size):
         dst = (rank + offset) % size  # staggered to spread incast
         yield from send_array(proc, dst, np.asarray(outgoing[dst]), tag, config)
-    yield Mark("exchange:send", event="end")
+    yield from traced_mark(proc, "exchange:send", "end")
     # Announced sizes fix every source's extent up front: preallocate one
     # buffer per remote source and write each chunk at its FIFO cursor.
     # Multi-chunk sources whose payload dtype disagrees with ``dtype``
@@ -218,7 +218,7 @@ def exchange_arrays(
             spill[src] = []
         else:
             out[src] = np.empty(nbytes // dtype.itemsize, dtype=dtype)
-    yield Mark("exchange:drain")
+    yield from traced_mark(proc, "exchange:drain")
     for _ in range(pending):
         msg: Message = yield Recv(tag=tag)
         src, payload = msg.src, msg.payload
@@ -233,7 +233,7 @@ def exchange_arrays(
             lo = cursors[src]
             out[src][lo : lo + len(payload)] = payload
             cursors[src] = lo + len(payload)
-    yield Mark("exchange:drain", event="end")
+    yield from traced_mark(proc, "exchange:drain", "end")
     for src in range(size):
         if src == rank:
             continue

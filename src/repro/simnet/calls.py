@@ -140,7 +140,8 @@ class Mark:
     tracer attached the engine discards the call, so programs may mark
     unconditionally: the disabled cost is one generator round-trip, the
     virtual clock and metrics are never touched, and behavior stays
-    bit-identical.  (The sort's step edges mark only on a traced run.)
+    bit-identical.  (The sort marks only on a traced run: its step edges
+    through their observer, the exchange's sub-phases by :func:`traced_mark`.)
     """
 
     label: str
@@ -149,6 +150,12 @@ class Mark:
     def __post_init__(self) -> None:
         if self.event not in ("begin", "end", "instant"):
             raise ValueError(f"unknown mark event {self.event!r}")
+
+
+def traced_mark(proc, label: str, event: str = "begin") -> tuple[Mark, ...]:
+    """What a program yields from to mark a phase only a tracer reads: the
+    :class:`Mark` when its handle is ``traced``, nothing otherwise."""
+    return (Mark(label, event),) if proc.traced else ()
 
 
 @dataclass(slots=True, unsafe_hash=True)

@@ -121,3 +121,27 @@ class TestExchange:
         _, m_async = run_exchange(per_rank, [25, 50, 75], PgxdConfig(async_messaging=True))
         _, m_sync = run_exchange(per_rank, [25, 50, 75], PgxdConfig(async_messaging=False))
         assert m_async.makespan <= m_sync.makespan
+
+
+class TestSubPhaseMarks:
+    def test_only_a_traced_sort_marks_the_exchange_sub_phases(self, monkeypatch):
+        """The announce/send/drain Marks feed only a tracer, so an untraced
+        sort yields none: its engine sees no ``Mark`` call at all."""
+        from repro import distributed_sort
+        from repro.obs import capture
+        from repro.simnet import engine
+        from repro.simnet.calls import Mark
+
+        labels, handler = [], engine._CALL_HANDLERS[Mark]
+
+        def counting(sim, rank, state, call):
+            labels.append(call.label)
+            return handler(sim, rank, state, call)
+
+        monkeypatch.setitem(engine._CALL_HANDLERS, Mark, counting)
+        keys = np.random.default_rng(3).integers(0, 1 << 40, 40_000)
+        distributed_sort(keys, num_processors=16)
+        assert labels == []
+        with capture():
+            distributed_sort(keys, num_processors=16)
+        assert sum(label.startswith("exchange:") for label in labels) == 16 * 6

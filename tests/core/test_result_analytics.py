@@ -177,8 +177,9 @@ _RECORD = np.dtype([("a", np.int8), ("b", np.float64)])
 
 def _keys_and_probes(kind, draw):
     """Keys of one ``kind`` with many ties, and probe values both in and
-    out of them: NaN, ±0.0 and ±inf among float64 keys, NaT among
-    datetime64 keys, the extremes among int64 keys."""
+    out of them: NaN, ±0.0 and ±inf among float64 and float16 keys, NaT
+    among datetime64 keys, the extremes among int64 keys, the empty string
+    and prefixes among fixed-width unicode keys."""
     if kind == "int64":
         pool = st.sampled_from([-(2**63), -3, -1, 0, 1, 2, 5, 2**63 - 1])
         keys, probes = draw(st.lists(pool, max_size=64)), draw(st.lists(pool, min_size=1, max_size=4))
@@ -187,6 +188,14 @@ def _keys_and_probes(kind, draw):
         pool = st.sampled_from([np.nan, -np.inf, -1.5, -0.0, 0.0, 5e-324, 2.0, np.inf])
         keys, probes = draw(st.lists(pool, max_size=64)), draw(st.lists(pool, min_size=1, max_size=4))
         return np.array(keys, dtype=np.float64), [np.float64(v) for v in probes]
+    if kind == "float16":
+        pool = st.sampled_from([np.nan, -np.inf, -1.5, -0.0, 0.0, 2.0**-24, 2.0, 65504.0, np.inf])
+        keys, probes = draw(st.lists(pool, max_size=64)), draw(st.lists(pool, min_size=1, max_size=4))
+        return np.array(keys, dtype=np.float16), [np.float16(v) for v in probes]
+    if kind == "unicode":
+        pool = st.sampled_from(["", "a", "ab", "abcde", "b", "zz", "é"])
+        keys, probes = draw(st.lists(pool, max_size=64)), draw(st.lists(pool, min_size=1, max_size=4))
+        return np.array(keys, dtype="U5"), [np.str_(v) for v in probes]
     if kind == "datetime64":
         pool = st.sampled_from(["NaT", "1969-12-31", "1970-01-01", "1970-01-02", "2262-04-11"])
         keys, probes = draw(st.lists(pool, max_size=64)), draw(st.lists(pool, min_size=1, max_size=4))
@@ -239,7 +248,9 @@ class TestNumpyDifferential:
     does the result :meth:`SortResult.load` reads back from
     :meth:`SortResult.save`."""
 
-    @pytest.mark.parametrize("kind", ["int64", "float64", "datetime64", "structured"])
+    @pytest.mark.parametrize(
+        "kind", ["int64", "float64", "float16", "datetime64", "unicode", "structured"]
+    )
     @settings(max_examples=60)
     @given(data=st.data())
     def test_queries_match_numpy(self, kind, data):

@@ -10,7 +10,9 @@ import pytest
 
 from repro.core.api import DistributedSorter, SortConfig, partition_input
 from repro.core.local_backend import local_sample_sort
+from repro.core.sorter import STEP_LABELS
 from repro.faults import FaultPlan, active_fault_plan, inject_faults, kill_one_per_job
+from repro.obs import capture
 from repro.obs.report import RunReport
 from repro.parallel import (
     ControlPlaneTimeout,
@@ -444,6 +446,20 @@ class TestLatencyAndStragglers:
             result = run.to_sort_result()
         assert run.retries == 0
         _assert_oracle_identical(result, data, 4)
+
+    def test_a_slow_rank_stretches_every_step_step_six_included(self):
+        # slow=RxM means the same on both substrates: simnet multiplies
+        # every Compute of the rank, step 6's merge among them.
+        blocks, _ = partition_input(_data(n=8_000), 4)
+        plan = FaultPlan.from_spec("slow=1x3", seed=5)
+        with capture() as cap, inject_faults(plan), ProcessBackend() as backend:
+            backend.sort_blocks(blocks)
+        stretched = [
+            fault.detail.split(":")[0]
+            for fault in cap.tracers[-1].faults
+            if fault.kind == "slow" and fault.rank == 1
+        ]
+        assert stretched == list(STEP_LABELS)
 
 
 # ------------------------------------------------------ pooled streaming

@@ -106,13 +106,11 @@ class TestMutations:
 
     def test_mutation_names_are_validated(self):
         with pytest.raises(ValueError, match="unknown mutation"):
-            ProcessBackend(mutate="not-a-mutation")
+            ShmSan(mutate="not-a-mutation")
 
     def test_offset_off_by_one_reports_mismatch_with_coordinates(self):
         _, blocks = _blocks()
-        with shm_sanitize() as san, ProcessBackend(
-            mutate="offset-off-by-one", mutate_rank=1
-        ) as backend:
+        with shm_sanitize(ShmSan("offset-off-by-one", 1)) as san, ProcessBackend() as backend:
             backend.sort_blocks(blocks)
         assert "offset-mismatch" in _kinds(san), san.report.summary()
         mismatches = [
@@ -130,9 +128,7 @@ class TestMutations:
 
     def test_skip_merge_barrier_reports_a_race_with_the_mutant(self):
         _, blocks = _blocks()
-        with shm_sanitize() as san, ProcessBackend(
-            mutate="skip-merge-barrier", mutate_rank=2
-        ) as backend:
+        with shm_sanitize(ShmSan("skip-merge-barrier", 2)) as san, ProcessBackend() as backend:
             backend.sort_blocks(blocks)
         races = [v for v in san.report.violations if v.kind in RACE_KINDS]
         assert races, san.report.summary()
@@ -144,9 +140,7 @@ class TestMutations:
 
     def test_read_slot_before_barrier_reports_a_race_on_the_control_slots(self):
         _, blocks = _blocks()
-        with shm_sanitize() as san, ProcessBackend(
-            mutate="read-slot-before-barrier", mutate_rank=3
-        ) as backend:
+        with shm_sanitize(ShmSan("read-slot-before-barrier", 3)) as san, ProcessBackend() as backend:
             backend.sort_blocks(blocks)
         races = [v for v in san.report.violations if v.kind == "read-write-race"]
         assert races, san.report.summary()
@@ -162,24 +156,22 @@ class TestMutations:
         oracle and adds no finding."""
         _, blocks = _blocks()
         reference = local_sample_sort(blocks)
-        with shm_sanitize() as san, ProcessBackend(mutate=mutation, mutate_rank=2) as backend:
-            backend.sort_blocks(blocks)
+        with ProcessBackend() as backend:
+            with shm_sanitize(ShmSan(mutation, 2)) as san:
+                backend.sort_blocks(blocks)
+            assert san.report.violations, f"mutation {mutation!r} escaped ShmSan"
             pids = backend.worker_pids
-            found = len(san.report.violations)
-            assert found, f"mutation {mutation!r} escaped ShmSan"
-            backend._mutate = None
-            run = backend.sort_blocks(blocks)
+            with shm_sanitize() as clean:
+                run = backend.sort_blocks(blocks)
             assert backend.worker_pids == pids
-            assert len(san.report.violations) == found
+        assert clean.report.ok, clean.report.summary()
         _assert_bit_identical(reference, run)
 
     @pytest.mark.parametrize("dtype", STAGED_PACKS)
     def test_pack_past_block_reports_a_race_in_the_next_rank_block(self, dtype):
         data = STAGED_PACKS[dtype](np.random.default_rng(7), 20_000)
         blocks = list(partition_input(data, 4)[0])
-        with shm_sanitize() as san, ProcessBackend(
-            mutate="pack-past-block", mutate_rank=1
-        ) as backend:
+        with shm_sanitize(ShmSan("pack-past-block", 1)) as san, ProcessBackend() as backend:
             run = backend.sort_blocks(blocks)
         word_bytes = run.reports[0].bytes_per_key
         assert _paths(run) == {"through"} and word_bytes == (8 if dtype == "int64" else 4)
@@ -196,7 +188,7 @@ class TestMutations:
 
     def test_double_lease_reports_aliasing(self):
         _, blocks = _blocks(n=4_000)
-        with shm_sanitize() as san, ProcessBackend(mutate="double-lease") as backend:
+        with shm_sanitize(ShmSan("double-lease")) as san, ProcessBackend() as backend:
             backend.sort_blocks(blocks)
         aliased = [
             v for v in san.report.violations if v.kind == "overlapping-lease"
@@ -207,7 +199,7 @@ class TestMutations:
 
     def test_stale_view_reports_use_after_release(self):
         _, blocks = _blocks(n=4_000)
-        with shm_sanitize() as san, ProcessBackend(mutate="stale-view") as backend:
+        with shm_sanitize(ShmSan("stale-view")) as san, ProcessBackend() as backend:
             backend.sort_blocks(blocks)
         stale = [v for v in san.report.violations if v.kind == "stale-view"]
         assert stale, san.report.summary()
@@ -216,7 +208,7 @@ class TestMutations:
 
     def test_relet_pinned_reports_the_result_the_job_overwrites(self, tmp_path):
         _, blocks = _blocks(n=4_000)
-        with shm_sanitize() as san, ProcessBackend(mutate="relet-pinned") as backend:
+        with shm_sanitize(ShmSan("relet-pinned")) as san, ProcessBackend() as backend:
             held = backend.sort_blocks(blocks)
             assert san.report.ok, san.report.summary()  # nothing pinned yet
             san.dump_log(tmp_path / "held.json")
@@ -261,7 +253,7 @@ class TestMutations:
     @pytest.mark.parametrize("mutation", MUTATIONS)
     def test_every_mutation_in_the_catalog_is_detected(self, mutation):
         _, blocks = _blocks(n=8_000)
-        with shm_sanitize() as san, ProcessBackend(mutate=mutation) as backend:
+        with shm_sanitize(ShmSan(mutation)) as san, ProcessBackend() as backend:
             held = backend.sort_blocks(blocks)  # relet-pinned needs a pin to ignore
             run = backend.sort_blocks(blocks)
         del held
@@ -269,14 +261,37 @@ class TestMutations:
         assert _paths(run) == {"through"}
         assert not san.report.ok, f"mutation {mutation!r} escaped ShmSan"
 
+    @pytest.mark.parametrize(
+        "mutation, kinds",
+        [("offset-off-by-one", {"offset-mismatch"}), ("skip-merge-barrier", RACE_KINDS)],
+        ids=["offset-off-by-one", "skip-merge-barrier"],
+    )
+    def test_exchange_mutations_are_caught_on_both_keys_and_perm_streams(
+        self, mutation, kinds, tmp_path
+    ):
+        # Full-mantissa float64 keys miss the key frame: keys and the
+        # permutation cross the exchange as two streams, and the accesses
+        # the data path declares must cover both.
+        data = np.random.default_rng(5).normal(size=8_000)
+        blocks = list(partition_input(data, 4)[0])
+        with shm_sanitize(ShmSan(mutation, 1)) as san, ProcessBackend() as backend:
+            run = backend.sort_blocks(blocks)
+        san.dump_log(tmp_path / "log.json")
+        doc = json.loads((tmp_path / "log.json").read_text())
+        assert "through" not in _paths(run)
+        assert doc["exchanged"] == ["keys", "index"]
+        streams = {lease["segment"] for lease in doc["leases"] if lease["role"] in doc["exchanged"]}
+        caught = {v.details["segment"] for v in san.report.violations if v.kind in kinds}
+        assert len(streams) == 2 and caught == streams, san.report.summary()
+
 
 class TestWordPathStreams:
     """Which streams a job exchanged is the job's to say, not the analyzer's."""
 
-    def _sanitized(self, data, tmp_path, p=4, **kwargs):
+    def _sanitized(self, data, tmp_path, p=4, san=None):
         blocks = list(partition_input(data, p)[0])
-        san = ShmSan()
-        with shm_sanitize(san), ProcessBackend(**kwargs) as backend:
+        san = san or ShmSan()
+        with shm_sanitize(san), ProcessBackend() as backend:
             run = backend.sort_blocks(blocks)
         san.dump_log(tmp_path / "log.json")
         doc = json.loads((tmp_path / "log.json").read_text())
@@ -300,9 +315,7 @@ class TestWordPathStreams:
 
     def test_offset_mutation_is_red_on_the_word_segment(self, tmp_path):
         data = np.random.default_rng(3).integers(0, 1 << 30, 8_000).astype(np.int32)
-        run, san, doc, _ = self._sanitized(
-            data, tmp_path, mutate="offset-off-by-one", mutate_rank=1
-        )
+        run, san, doc, _ = self._sanitized(data, tmp_path, san=ShmSan("offset-off-by-one", 1))
         assert _paths(run) == {"through"}
         words = next(lease for lease in doc["leases"] if lease["role"] == "words")
         mismatches = [v for v in san.report.violations if v.kind == "offset-mismatch"]
@@ -328,9 +341,7 @@ class TestWordPathStreams:
 
     def test_offset_mutation_is_red_on_the_narrow_index_segment(self, tmp_path):
         data = np.random.default_rng(6).integers(0, 1000, 8_000)
-        run, san, doc, _ = self._sanitized(
-            data, tmp_path, mutate="offset-off-by-one", mutate_rank=1
-        )
+        run, san, doc, _ = self._sanitized(data, tmp_path, san=ShmSan("offset-off-by-one", 1))
         assert _paths(run) == {"through"}
         index = next(lease for lease in doc["leases"] if lease["role"] == "index")
         mismatches = [v for v in san.report.violations if v.kind == "offset-mismatch"]
@@ -429,10 +440,8 @@ class TestOfflineLog:
 
     def test_mutated_log_reanalyzes_red(self, tmp_path):
         _, blocks = _blocks(n=8_000)
-        san = ShmSan()
-        with shm_sanitize(san), ProcessBackend(
-            mutate="offset-off-by-one", mutate_rank=1
-        ) as backend:
+        san = ShmSan("offset-off-by-one", 1)
+        with shm_sanitize(san), ProcessBackend() as backend:
             backend.sort_blocks(blocks)
         log_path = tmp_path / "shmsan_log.json"
         san.dump_log(log_path)

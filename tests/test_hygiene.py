@@ -623,7 +623,7 @@ class TestObserverScopes:
     ``repro.obs.capture``).  No substrate takes one as an argument, and
     each scope is read at a fixed set of sites."""
 
-    OBSERVER_PARAMETERS = {"faults", "sanitize", "sanitizer", "tracer"}
+    OBSERVER_PARAMETERS = {"faults", "sanitize", "sanitizer", "tracer", "mutate", "mutate_rank"}
 
     #: ``(module, enclosing function)`` of every call of each scope lookup.
     LOOKUP_SITES = {
@@ -650,9 +650,10 @@ class TestObserverScopes:
     OBSERVER_GUARD = re.compile(
         r"\b_?(?:tracer|recorder|faults|sanitizer|plan|progress) is (?:not )?None\b"
     )
-    #: Pinned where the step edge became an observer list (42 before it).
+    #: Pinned where the step edge became an observer list (42 before it,
+    #: 37 after) and the data path began declaring ShmSan's accesses.
     #: A change that removes a guard lowers the pin; none may raise it.
-    OBSERVER_GUARDS = 37
+    OBSERVER_GUARDS = 34
 
     def test_inline_observer_guards_only_go_down(self):
         """Observers join a job's step edge once, as the job starts; an
